@@ -4,8 +4,9 @@
 //! "This mutation [...] is also pushed into the in-memory replication
 //! queue to be replicated to other nodes within the cluster" (§4.2, Figure
 //! 6). The pump owns, per vBucket, a DCP stream from the current active
-//! copy; items fan out to every replica engine (memory-to-memory) and to
-//! every index-service manager. When the cluster map epoch changes
+//! copy; items fan out to every replica engine (memory-to-memory) and, a
+//! drained batch at a time, to the index-service managers that maintain an
+//! index on the bucket. When the cluster map epoch changes
 //! (failover, rebalance) the pump rebuilds its streams, resuming from the
 //! destinations' high seqnos / its own index cursor.
 
@@ -102,6 +103,7 @@ fn pump_loop(bucket: &str, topology: TopologyFn, stop: Arc<AtomicBool>, lag: &Re
     // injector so it can drop attempt 0 and let the retry through. Entries
     // are removed once the site is past its fault window.
     let mut attempts: HashMap<(u16, u64, u32), u32> = HashMap::new();
+    let mut gsi_batch: Vec<cbs_dcp::DcpItem> = Vec::new();
 
     while !stop.load(Ordering::Relaxed) {
         // Rebuild on epoch change (or when a stream's source died).
@@ -206,23 +208,44 @@ fn pump_loop(bucket: &str, topology: TopologyFn, stop: Arc<AtomicBool>, lag: &Re
                 }
             }
             if let Some((_, stream)) = &mut slot.gsi {
-                for item in stream.drain_available() {
-                    for mgr in &topo.index_managers {
-                        mgr.apply_dcp(bucket, &item);
-                    }
-                    for fts in &topo.fts_services {
-                        fts.apply_dcp(bucket, &item);
-                    }
-                    gsi_cursors[v] = gsi_cursors[v].max(item.meta.seqno);
-                    moved += 1;
+                gsi_batch.extend(stream.drain_available());
+            }
+        }
+
+        // What this cycle's GSI streams held is one batch — one index-log
+        // commit per index, after every replica has been served — and goes
+        // only to managers that maintain an index on this bucket (the
+        // others return at once, uncounted).
+        if !gsi_batch.is_empty() {
+            let mut committed = true;
+            for mgr in &topo.index_managers {
+                committed &= mgr.apply_batch(bucket, &gsi_batch).is_ok();
+            }
+            for item in &gsi_batch {
+                for fts in &topo.fts_services {
+                    fts.apply_dcp(bucket, item);
                 }
             }
+            if committed {
+                for item in &gsi_batch {
+                    let cursor = &mut gsi_cursors[item.vb.index()];
+                    *cursor = (*cursor).max(item.meta.seqno);
+                }
+                moved += gsi_batch.len();
+            } else {
+                // An index log refused the batch (its manager counted it):
+                // keep the cursors, so the rebuild below redelivers —
+                // applies are idempotent.
+                dropped = true;
+            }
+            gsi_batch.clear();
         }
 
         if dropped {
             // Connection-reset semantics for drops: tear the streams down;
             // the rebuild reopens each replication stream from the
-            // replicas' minimum high seqno, redelivering what was lost.
+            // replicas' minimum high seqno and each GSI stream from its
+            // cursor, redelivering what was lost.
             built_epoch = u64::MAX;
         }
 

@@ -7,18 +7,45 @@
 //! We use an ordered map keyed by [`IndexKey`] under N1QL collation, plus a
 //! reverse map (doc → its current keys) so updates and deletes remove stale
 //! entries. A per-vBucket seqno watermark vector supports `request_plus`
-//! waits. In [`IndexStorage::Standard`] mode every applied batch is
-//! appended to a log file and synced before acknowledgement (the disk
-//! dependence that §6.1.1's memory-optimized mode removes).
+//! waits.
+//!
+//! # Batches, the change log and recovery
+//!
+//! Changes arrive as batches of [`IndexOp`]s ([`Indexer::apply_batch`]);
+//! a single mutation is a batch of one. The batch is the durability unit.
+//! In [`IndexStorage::Standard`] mode the partition owns a change log — a
+//! [`GroupCommitWal`] file `<name>.gsi`, the same CRC-framed record format
+//! and torn-tail contract as the KV flusher's WAL, one record per op:
+//!
+//! ```text
+//! | vb u16 LE | record: key = doc id, seqno,
+//! |           |   value = keys as JSON `[[[c0],[],[c2]], ...]` (`[]` = MISSING);
+//! |           |   flags = 1 marks a watermark-only record (empty key, no keys)
+//! ```
+//!
+//! `apply_batch` is write-ahead: it appends the whole batch with one write
+//! and one `sync` **before** it takes the tree lock, then mutates the tree
+//! and advances the watermarks under a single acquisition and notifies
+//! waiters once. So the lock order is WAL → released → tree, a scan never
+//! queues behind an fsync, the watermark (hence `request_plus`) never runs
+//! ahead of the synced log, and a failed commit leaves tree and watermarks
+//! untouched. [`IndexStorage::MemoryOptimized`] is the same path with no
+//! log — the disk dependence §6.1.1 removes.
+//!
+//! Per-document seqno guards make apply idempotent and order-tolerant, so
+//! the log needs no ordering beyond its own: [`Indexer::recover`] replays
+//! the intact prefix through the same apply function, cuts a torn tail off,
+//! and ends with exactly the tree and watermarks of the synced batches.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{Error, Result, SeqNo, VbId};
+use cbs_common::{DocMeta, Error, Result, SeqNo, VbId};
+use cbs_json::Value;
+use cbs_storage::{GroupCommitWal, StoredDoc};
 use parking_lot::Condvar;
 
 use crate::defs::{IndexKey, IndexStorage, ScanConsistency, ScanRange};
@@ -58,55 +85,220 @@ pub struct IndexerStats {
     pub applied: u64,
     /// Scans served.
     pub scans: u64,
-    /// Disk syncs performed (Standard mode).
+    /// Disk syncs performed: one per committed batch (Standard mode).
     pub disk_syncs: u64,
+}
+
+/// One change to one partition — what the router hands over and what the
+/// change log records.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IndexOp {
+    /// As of `seqno`, `doc_id` is indexed under exactly `keys` (array
+    /// indexes emit several). Empty `keys` removes it: deleted, filtered
+    /// out, leading key MISSING, or moved to another partition.
+    Put {
+        /// Document ID.
+        doc_id: String,
+        /// The document's current keys in this partition.
+        keys: Vec<IndexKey>,
+        /// Originating vBucket.
+        vb: VbId,
+        /// Mutation seqno.
+        seqno: SeqNo,
+    },
+    /// No entry changes, but the partition has now seen `vb` up to `seqno`
+    /// (the high seqno of a backfill snapshot).
+    Advance {
+        /// vBucket.
+        vb: VbId,
+        /// Seqno reached.
+        seqno: SeqNo,
+    },
+}
+
+/// `meta.flags` of a log record that only advances a watermark.
+const LOG_FLAG_ADVANCE: u32 = 1;
+
+impl IndexOp {
+    fn position(&self) -> (VbId, SeqNo) {
+        match self {
+            IndexOp::Put { vb, seqno, .. } | IndexOp::Advance { vb, seqno } => (*vb, *seqno),
+        }
+    }
+
+    fn to_record(&self) -> (VbId, StoredDoc) {
+        let (vb, seqno) = self.position();
+        let (key, flags, keys) = match self {
+            IndexOp::Put { doc_id, keys, .. } => (doc_id.clone(), 0, keys.as_slice()),
+            IndexOp::Advance { .. } => (String::new(), LOG_FLAG_ADVANCE, &[][..]),
+        };
+        let doc = StoredDoc {
+            key,
+            meta: DocMeta { seqno, flags, ..Default::default() },
+            deleted: false,
+            value: Bytes::from(keys_to_json(keys)),
+        };
+        (vb, doc)
+    }
+
+    fn from_record(vb: VbId, doc: StoredDoc) -> Result<IndexOp> {
+        let seqno = doc.meta.seqno;
+        if doc.meta.flags == LOG_FLAG_ADVANCE {
+            return Ok(IndexOp::Advance { vb, seqno });
+        }
+        Ok(IndexOp::Put { doc_id: doc.key, keys: keys_from_json(&doc.value)?, vb, seqno })
+    }
+}
+
+/// `[[[c0],[],[c2]], ...]`: one array per key, one array per component,
+/// empty for MISSING (which JSON itself cannot spell).
+fn keys_to_json(keys: &[IndexKey]) -> String {
+    let components = |k: &IndexKey| {
+        Value::Array(k.0.iter().map(|c| Value::Array(c.iter().cloned().collect())).collect())
+    };
+    Value::Array(keys.iter().map(components).collect()).to_json_string()
+}
+
+fn keys_from_json(bytes: &[u8]) -> Result<Vec<IndexKey>> {
+    let bad = || Error::Index("index log: malformed key list".to_string());
+    let text = std::str::from_utf8(bytes).map_err(|_| bad())?;
+    let parsed = cbs_json::parse(text).map_err(|_| bad())?;
+    let Value::Array(keys) = parsed else { return Err(bad()) };
+    keys.into_iter()
+        .map(|key| {
+            let Value::Array(components) = key else { return Err(bad()) };
+            components
+                .into_iter()
+                .map(|c| match c {
+                    Value::Array(mut one) if one.len() <= 1 => Ok(one.pop()),
+                    _ => Err(bad()),
+                })
+                .collect::<Result<Vec<_>>>()
+                .map(IndexKey)
+        })
+        .collect()
 }
 
 struct Tree {
     entries: BTreeMap<IndexKey, BTreeSet<String>>,
     /// doc → (seqno of the version indexed, its keys). The seqno makes
     /// apply idempotent and order-tolerant per document, so catch-up
-    /// backfills can interleave with the live DCP feed safely.
+    /// backfills can interleave with the live DCP feed safely — and log
+    /// replay needs no ordering of its own.
     doc_keys: HashMap<String, (SeqNo, Vec<IndexKey>)>,
     /// Live (key, doc) pair count, maintained incrementally so stats and
     /// cardinality snapshots stay O(1) under the tree lock.
     live_entries: u64,
     watermarks: Vec<SeqNo>,
     stats: IndexerStats,
-    log: Option<File>,
+}
+
+impl Tree {
+    fn apply(&mut self, op: IndexOp) {
+        let (vb, seqno) = op.position();
+        if let IndexOp::Put { doc_id, keys, .. } = op {
+            let stale = matches!(self.doc_keys.get(&doc_id), Some((s, _)) if *s >= seqno);
+            if !stale {
+                self.remove_doc(&doc_id);
+                for key in &keys {
+                    if self.entries.entry(key.clone()).or_default().insert(doc_id.clone()) {
+                        self.live_entries += 1;
+                    }
+                }
+                // Kept even when `keys` is empty: the tombstone's seqno
+                // stops late-arriving older versions resurrecting entries.
+                self.doc_keys.insert(doc_id, (seqno, keys));
+                self.stats.applied += 1;
+            }
+        }
+        // A stale or filtered-out mutation still counts for consistency.
+        let watermark = &mut self.watermarks[vb.index()];
+        *watermark = (*watermark).max(seqno);
+    }
+
+    fn remove_doc(&mut self, doc_id: &str) {
+        if let Some((_, old_keys)) = self.doc_keys.remove(doc_id) {
+            for key in old_keys {
+                if let Some(docs) = self.entries.get_mut(&key) {
+                    if docs.remove(doc_id) {
+                        self.live_entries -= 1;
+                    }
+                    if docs.is_empty() {
+                        self.entries.remove(&key);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// One index partition's storage + watermark state.
 pub struct Indexer {
     tree: OrderedMutex<Tree>,
     watermark_cv: Condvar,
-    storage: IndexStorage,
-    log_path: Option<PathBuf>,
+    /// The change log; `None` in memory-optimized mode.
+    log: Option<GroupCommitWal>,
+}
+
+fn log_file(log_dir: &Path, name: &str) -> PathBuf {
+    log_dir.join(format!("{name}.gsi"))
 }
 
 impl Indexer {
-    /// Create an indexer for `num_vbuckets` partitions of the source
-    /// bucket. `log_dir` is required for [`IndexStorage::Standard`].
+    /// Create an empty indexer for `num_vbuckets` partitions of the source
+    /// bucket. `log_dir` is required for [`IndexStorage::Standard`]; a log
+    /// left there under the same `name` belongs to some earlier index and
+    /// is emptied ([`Indexer::recover`] is the way to keep it).
     pub fn new(
         num_vbuckets: u16,
         storage: IndexStorage,
         log_dir: Option<PathBuf>,
         name: &str,
     ) -> Result<Indexer> {
-        let log_path = match storage {
+        let log = match storage {
             IndexStorage::Standard => {
                 let dir = log_dir
                     .ok_or_else(|| Error::Index("standard GSI requires a log dir".to_string()))?;
-                std::fs::create_dir_all(&dir)?;
-                Some(dir.join(format!("{name}.gsi")))
+                let log = GroupCommitWal::open_file(log_file(&dir, name))?;
+                if log.len_bytes() > 0 {
+                    log.reset()?;
+                }
+                Some(log)
             }
             IndexStorage::MemoryOptimized => None,
         };
-        let log = match &log_path {
-            Some(p) => Some(OpenOptions::new().append(true).create(true).open(p)?),
-            None => None,
-        };
-        Ok(Indexer {
+        Ok(Indexer::with_log(num_vbuckets, log))
+    }
+
+    /// Reopen a Standard-mode indexer on the log a previous instance left
+    /// in `log_dir`: replay the intact prefix, cut a torn tail off, and
+    /// carry on appending. Tree and watermarks come back exactly as of the
+    /// last synced batch (plus whatever of an unsynced one reached the
+    /// file whole).
+    pub fn recover(num_vbuckets: u16, log_dir: &Path, name: &str) -> Result<Indexer> {
+        let log = GroupCommitWal::open_file(log_file(log_dir, name))?;
+        let mut records = Vec::new();
+        let intact = cbs_storage::replay_file(log.path(), &mut records)?;
+        if log.len_bytes() > intact {
+            log.truncate_to(intact)?;
+        }
+        let indexer = Indexer::with_log(num_vbuckets, Some(log));
+        let mut t = indexer.tree.lock();
+        for (vb, doc) in records {
+            if vb.0 >= num_vbuckets {
+                return Err(Error::Index(format!(
+                    "index log: vBucket {} but the bucket has {num_vbuckets}",
+                    vb.0
+                )));
+            }
+            t.apply(IndexOp::from_record(vb, doc)?);
+        }
+        drop(t);
+        Ok(indexer)
+    }
+
+    fn with_log(num_vbuckets: u16, log: Option<GroupCommitWal>) -> Indexer {
+        Indexer {
             tree: OrderedMutex::new(
                 rank::INDEX_TREE,
                 Tree {
@@ -115,103 +307,35 @@ impl Indexer {
                     live_entries: 0,
                     watermarks: vec![SeqNo::ZERO; num_vbuckets as usize],
                     stats: IndexerStats::default(),
-                    log,
                 },
             ),
             watermark_cv: Condvar::new(),
-            storage,
-            log_path,
-        })
+            log,
+        }
     }
 
-    /// Replace the keys under which `doc_id` is indexed (array indexes emit
-    /// several). An empty `keys` means "remove from index" (filtered out or
-    /// leading key MISSING).
-    pub fn update_doc(&self, doc_id: &str, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) {
+    /// Apply a batch of changes in order: commit it to the change log
+    /// (Standard mode: one append, one sync, tree lock not held), then
+    /// mutate the tree and advance the watermarks under one lock
+    /// acquisition and wake `request_plus` waiters once. On a failed commit
+    /// nothing is applied and no watermark moves.
+    pub fn apply_batch(&self, ops: Vec<IndexOp>) -> Result<()> {
+        if ops.is_empty() {
+            return Ok(());
+        }
+        if let Some(log) = &self.log {
+            let records: Vec<(VbId, StoredDoc)> = ops.iter().map(IndexOp::to_record).collect();
+            log.append_cycle(records.iter().map(|(vb, doc)| (*vb, std::slice::from_ref(doc))))?;
+            log.sync()?;
+        }
         let mut t = self.tree.lock();
-        if stale_for_doc(&t, doc_id, seqno) {
-            self.log_and_advance(&mut t, doc_id, &[], vb, seqno);
-            drop(t);
-            self.watermark_cv.notify_all();
-            return;
+        for op in ops {
+            t.apply(op);
         }
-        remove_doc_locked(&mut t, doc_id);
-        for key in &keys {
-            if t.entries.entry(key.clone()).or_default().insert(doc_id.to_string()) {
-                t.live_entries += 1;
-            }
-        }
-        t.doc_keys.insert(doc_id.to_string(), (seqno, keys.clone()));
-        t.stats.applied += 1;
-        self.log_and_advance(&mut t, doc_id, &keys, vb, seqno);
+        t.stats.disk_syncs += u64::from(self.log.is_some());
         drop(t);
         self.watermark_cv.notify_all();
-    }
-
-    /// Remove a document (deletion / expiration).
-    pub fn remove_doc(&self, doc_id: &str, vb: VbId, seqno: SeqNo) {
-        let mut t = self.tree.lock();
-        if stale_for_doc(&t, doc_id, seqno) {
-            self.log_and_advance(&mut t, doc_id, &[], vb, seqno);
-            drop(t);
-            self.watermark_cv.notify_all();
-            return;
-        }
-        remove_doc_locked(&mut t, doc_id);
-        // Remember the tombstone seqno so late-arriving older versions of
-        // this doc don't resurrect entries.
-        t.doc_keys.insert(doc_id.to_string(), (seqno, Vec::new()));
-        t.stats.applied += 1;
-        self.log_and_advance(&mut t, doc_id, &[], vb, seqno);
-        drop(t);
-        self.watermark_cv.notify_all();
-    }
-
-    /// Advance a vBucket watermark without any index change (a mutation the
-    /// projector filtered out still counts for consistency).
-    pub fn advance_watermark(&self, vb: VbId, seqno: SeqNo) {
-        let mut t = self.tree.lock();
-        if t.watermarks[vb.index()] < seqno {
-            t.watermarks[vb.index()] = seqno;
-        }
-        drop(t);
-        self.watermark_cv.notify_all();
-    }
-
-    fn log_and_advance(
-        &self,
-        t: &mut Tree,
-        doc_id: &str,
-        keys: &[IndexKey],
-        vb: VbId,
-        seqno: SeqNo,
-    ) {
-        if t.watermarks[vb.index()] < seqno {
-            t.watermarks[vb.index()] = seqno;
-        }
-        if self.storage == IndexStorage::Standard {
-            // Append a compact change record and sync — the per-mutation
-            // disk dependence memory-optimized indexes remove (§6.1.1).
-            if let Some(log) = t.log.as_mut() {
-                let mut line = String::with_capacity(64);
-                line.push_str(doc_id);
-                line.push('\t');
-                for k in keys {
-                    for comp in &k.0 {
-                        match comp {
-                            Some(v) => line.push_str(&v.to_json_string()),
-                            None => line.push_str("MISSING"),
-                        }
-                        line.push(',');
-                    }
-                    line.push(';');
-                }
-                line.push('\n');
-                let _ = log.write_all(line.as_bytes());
-                let _ = log.sync_data();
-                t.stats.disk_syncs += 1;
-            }
-        }
+        Ok(())
     }
 
     /// Wait until the index is caught up to the required consistency point
@@ -307,33 +431,28 @@ impl Indexer {
         }
     }
 
+    /// Every document the partition has a version of — tombstones
+    /// included — with that version's seqno and keys, sorted by id: the
+    /// whole state behind the tree, for equivalence and recovery checks.
+    pub fn doc_versions(&self) -> Vec<(String, SeqNo, Vec<IndexKey>)> {
+        let t = self.tree.lock();
+        let mut out: Vec<_> =
+            t.doc_keys.iter().map(|(d, (s, k))| (d.clone(), *s, k.clone())).collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
     /// Storage mode.
     pub fn storage(&self) -> IndexStorage {
-        self.storage
+        match self.log {
+            Some(_) => IndexStorage::Standard,
+            None => IndexStorage::MemoryOptimized,
+        }
     }
 
     /// Path of the on-disk log (Standard mode).
-    pub fn log_path(&self) -> Option<&PathBuf> {
-        self.log_path.as_ref()
-    }
-}
-
-fn stale_for_doc(t: &Tree, doc_id: &str, seqno: SeqNo) -> bool {
-    matches!(t.doc_keys.get(doc_id), Some((s, _)) if *s >= seqno)
-}
-
-fn remove_doc_locked(t: &mut Tree, doc_id: &str) {
-    if let Some((_, old_keys)) = t.doc_keys.remove(doc_id) {
-        for key in old_keys {
-            if let Some(docs) = t.entries.get_mut(&key) {
-                if docs.remove(doc_id) {
-                    t.live_entries -= 1;
-                }
-                if docs.is_empty() {
-                    t.entries.remove(&key);
-                }
-            }
-        }
+    pub fn log_path(&self) -> Option<&Path> {
+        self.log.as_ref().map(GroupCommitWal::path)
     }
 }
 
@@ -350,12 +469,29 @@ mod tests {
         Indexer::new(8, IndexStorage::MemoryOptimized, None, "t").unwrap()
     }
 
+    fn put(doc_id: &str, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) -> IndexOp {
+        IndexOp::Put { doc_id: doc_id.to_string(), keys, vb, seqno }
+    }
+
+    /// The per-item path: a batch of one.
+    fn update(idx: &Indexer, doc_id: &str, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) {
+        idx.apply_batch(vec![put(doc_id, keys, vb, seqno)]).unwrap();
+    }
+
+    fn remove(idx: &Indexer, doc_id: &str, vb: VbId, seqno: SeqNo) {
+        update(idx, doc_id, Vec::new(), vb, seqno);
+    }
+
+    fn advance(idx: &Indexer, vb: VbId, seqno: SeqNo) {
+        idx.apply_batch(vec![IndexOp::Advance { vb, seqno }]).unwrap();
+    }
+
     #[test]
     fn update_and_scan() {
         let idx = memopt();
-        idx.update_doc("d1", vec![key1(Value::int(10))], VbId(0), SeqNo(1));
-        idx.update_doc("d2", vec![key1(Value::int(20))], VbId(0), SeqNo(2));
-        idx.update_doc("d3", vec![key1(Value::int(30))], VbId(1), SeqNo(1));
+        update(&idx, "d1", vec![key1(Value::int(10))], VbId(0), SeqNo(1));
+        update(&idx, "d2", vec![key1(Value::int(20))], VbId(0), SeqNo(2));
+        update(&idx, "d3", vec![key1(Value::int(30))], VbId(1), SeqNo(1));
         let all = idx.scan(&ScanRange::all(), 0);
         let ids: Vec<&str> = all.iter().map(|e| e.doc_id.as_str()).collect();
         assert_eq!(ids, ["d1", "d2", "d3"], "collation order");
@@ -375,8 +511,8 @@ mod tests {
     #[test]
     fn update_replaces_old_keys() {
         let idx = memopt();
-        idx.update_doc("d1", vec![key1(Value::int(10))], VbId(0), SeqNo(1));
-        idx.update_doc("d1", vec![key1(Value::int(99))], VbId(0), SeqNo(2));
+        update(&idx, "d1", vec![key1(Value::int(10))], VbId(0), SeqNo(1));
+        update(&idx, "d1", vec![key1(Value::int(99))], VbId(0), SeqNo(2));
         let all = idx.scan(&ScanRange::all(), 0);
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].key, key1(Value::int(99)));
@@ -385,9 +521,9 @@ mod tests {
     #[test]
     fn remove_doc_clears_entries() {
         let idx = memopt();
-        idx.update_doc("d1", vec![key1(Value::int(1)), key1(Value::int(2))], VbId(0), SeqNo(1));
+        update(&idx, "d1", vec![key1(Value::int(1)), key1(Value::int(2))], VbId(0), SeqNo(1));
         assert_eq!(idx.stats().entries, 2, "array index: two entries for one doc");
-        idx.remove_doc("d1", VbId(0), SeqNo(2));
+        remove(&idx, "d1", VbId(0), SeqNo(2));
         assert_eq!(idx.scan(&ScanRange::all(), 0).len(), 0);
         assert_eq!(idx.stats().docs, 0);
     }
@@ -395,9 +531,9 @@ mod tests {
     #[test]
     fn empty_keys_removes_from_index() {
         let idx = memopt();
-        idx.update_doc("d1", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
+        update(&idx, "d1", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
         // Doc no longer matches a partial-index filter.
-        idx.update_doc("d1", vec![], VbId(0), SeqNo(2));
+        update(&idx, "d1", vec![], VbId(0), SeqNo(2));
         assert!(idx.scan(&ScanRange::all(), 0).is_empty());
     }
 
@@ -405,7 +541,8 @@ mod tests {
     fn seeked_scan_matches_range_semantics() {
         let idx = memopt();
         for i in 0..100 {
-            idx.update_doc(
+            update(
+                &idx,
                 &format!("d{i:03}"),
                 vec![IndexKey(vec![Some(Value::int(i)), Some(Value::from("x"))])],
                 VbId(0),
@@ -434,15 +571,15 @@ mod tests {
     fn cardinality_tracks_entries_and_bounds() {
         let idx = memopt();
         assert_eq!(idx.cardinality(), IndexCardinality::default());
-        idx.update_doc("a", vec![key1(Value::int(5))], VbId(0), SeqNo(1));
-        idx.update_doc("b", vec![key1(Value::int(5))], VbId(0), SeqNo(2));
-        idx.update_doc("c", vec![key1(Value::int(40))], VbId(0), SeqNo(3));
+        update(&idx, "a", vec![key1(Value::int(5))], VbId(0), SeqNo(1));
+        update(&idx, "b", vec![key1(Value::int(5))], VbId(0), SeqNo(2));
+        update(&idx, "c", vec![key1(Value::int(40))], VbId(0), SeqNo(3));
         let c = idx.cardinality();
         assert_eq!(c.entries, 3);
         assert_eq!(c.distinct_keys, 2);
         assert_eq!(c.min_leading, Some(Value::int(5)));
         assert_eq!(c.max_leading, Some(Value::int(40)));
-        idx.remove_doc("c", VbId(0), SeqNo(4));
+        remove(&idx, "c", VbId(0), SeqNo(4));
         let c = idx.cardinality();
         assert_eq!(c.entries, 2);
         assert_eq!(c.max_leading, Some(Value::int(5)));
@@ -453,12 +590,7 @@ mod tests {
     fn limit_caps_results() {
         let idx = memopt();
         for i in 0..50 {
-            idx.update_doc(
-                &format!("d{i}"),
-                vec![key1(Value::int(i))],
-                VbId(0),
-                SeqNo(i as u64 + 1),
-            );
+            update(&idx, &format!("d{i}"), vec![key1(Value::int(i))], VbId(0), SeqNo(i as u64 + 1));
         }
         assert_eq!(idx.scan(&ScanRange::all(), 7).len(), 7);
     }
@@ -466,8 +598,8 @@ mod tests {
     #[test]
     fn duplicate_keys_multiple_docs() {
         let idx = memopt();
-        idx.update_doc("a", vec![key1(Value::from("x"))], VbId(0), SeqNo(1));
-        idx.update_doc("b", vec![key1(Value::from("x"))], VbId(0), SeqNo(2));
+        update(&idx, "a", vec![key1(Value::from("x"))], VbId(0), SeqNo(1));
+        update(&idx, "b", vec![key1(Value::from("x"))], VbId(0), SeqNo(2));
         let hits = idx.lookup(&key1(Value::from("x")));
         assert_eq!(hits, ["a", "b"]);
     }
@@ -475,8 +607,8 @@ mod tests {
     #[test]
     fn watermarks_and_consistency_wait() {
         let idx = memopt();
-        idx.update_doc("d", vec![key1(Value::int(1))], VbId(3), SeqNo(5));
-        idx.advance_watermark(VbId(1), SeqNo(7));
+        update(&idx, "d", vec![key1(Value::int(1))], VbId(3), SeqNo(5));
+        advance(&idx, VbId(1), SeqNo(7));
         let w = idx.watermarks();
         assert_eq!(w[3], SeqNo(5));
         assert_eq!(w[1], SeqNo(7));
@@ -509,24 +641,107 @@ mod tests {
             idx2.wait_consistent(&ScanConsistency::AtPlus(target), Duration::from_secs(5))
         });
         std::thread::sleep(Duration::from_millis(20));
-        idx.advance_watermark(VbId(0), SeqNo(3));
+        advance(&idx, VbId(0), SeqNo(3));
         waiter.join().unwrap().unwrap();
     }
 
     #[test]
-    fn standard_mode_syncs_to_disk() {
+    fn standard_mode_syncs_once_per_batch_and_recovers() {
         let dir = cbs_storage::scratch_dir("gsi");
         let idx = Indexer::new(4, IndexStorage::Standard, Some(dir.clone()), "email_idx").unwrap();
-        idx.update_doc("d1", vec![key1(Value::from("a@x.com"))], VbId(0), SeqNo(1));
-        idx.update_doc("d2", vec![key1(Value::from("b@x.com"))], VbId(0), SeqNo(2));
-        assert_eq!(idx.stats().disk_syncs, 2);
-        let log = idx.log_path().unwrap();
-        let contents = std::fs::read_to_string(log).unwrap();
-        assert!(contents.contains("d1"));
-        assert!(contents.contains("a@x.com"));
+        update(&idx, "d1", vec![key1(Value::from("a@x.com"))], VbId(0), SeqNo(1));
+        update(&idx, "d2", vec![key1(Value::from("b@x.com"))], VbId(0), SeqNo(2));
+        assert_eq!(idx.stats().disk_syncs, 2, "a batch of one is one commit");
+        let mut batch: Vec<IndexOp> = (0..100)
+            .map(|i| put(&format!("u{i}"), vec![key1(Value::int(i))], VbId(1), SeqNo(i as u64 + 1)))
+            .collect();
+        batch.push(put("d1", Vec::new(), VbId(0), SeqNo(3)));
+        batch.push(IndexOp::Advance { vb: VbId(2), seqno: SeqNo(9) });
+        idx.apply_batch(batch).unwrap();
+        assert_eq!(idx.stats().disk_syncs, 3, "a batch of 102 is one commit too");
+        assert_eq!(idx.storage(), IndexStorage::Standard);
+        assert!(idx.log_path().unwrap().starts_with(&dir));
+
+        let (docs, marks, rows) =
+            (idx.doc_versions(), idx.watermarks(), idx.scan(&ScanRange::all(), 0));
+        drop(idx);
+        let back = Indexer::recover(4, &dir, "email_idx").unwrap();
+        assert_eq!(back.doc_versions(), docs);
+        assert_eq!(back.watermarks(), marks);
+        assert_eq!(back.scan(&ScanRange::all(), 0), rows);
+        assert_eq!(marks, [SeqNo(3), SeqNo(100), SeqNo(9), SeqNo::ZERO]);
+        // `new` over the same name starts empty: the log was someone else's.
+        drop(back);
+        let fresh =
+            Indexer::new(4, IndexStorage::Standard, Some(dir.clone()), "email_idx").unwrap();
+        assert!(fresh.doc_versions().is_empty());
+        drop(fresh);
+        assert!(Indexer::recover(4, &dir, "email_idx").unwrap().doc_versions().is_empty());
+
         // Memory-optimized never syncs.
         let mo = memopt();
-        mo.update_doc("d1", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
+        update(&mo, "d1", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
         assert_eq!(mo.stats().disk_syncs, 0);
+        assert_eq!(mo.storage(), IndexStorage::MemoryOptimized);
+    }
+
+    #[test]
+    fn log_keys_roundtrip_including_missing_components() {
+        let keys = vec![
+            IndexKey(vec![Some(Value::int(1)), None, Some(Value::from("a\tb"))]),
+            IndexKey(vec![Some(Value::Array(vec![])), Some(Value::Null)]),
+            IndexKey(vec![None]),
+        ];
+        assert_eq!(keys_from_json(keys_to_json(&keys).as_bytes()).unwrap(), keys);
+        for bad in ["", "7", "[7]", "[[7]]", "[[[1,2]]]"] {
+            assert!(keys_from_json(bad.as_bytes()).is_err(), "{bad}");
+        }
+        let op = put("doc", keys, VbId(3), SeqNo(8));
+        let (vb, rec) = op.to_record();
+        assert_eq!(IndexOp::from_record(vb, rec).unwrap(), op);
+        let adv = IndexOp::Advance { vb: VbId(1), seqno: SeqNo(2) };
+        let (vb, rec) = adv.to_record();
+        assert_eq!(IndexOp::from_record(vb, rec).unwrap(), adv);
+    }
+
+    /// A log that cannot take the batch: nothing is applied, no watermark
+    /// moves (so `request_plus` times out rather than lying), and the next
+    /// batch fails the same way instead of skipping ahead.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_commit_applies_nothing() {
+        let dir = cbs_storage::scratch_dir("gsi-full");
+        std::os::unix::fs::symlink("/dev/full", dir.join("ix.gsi")).unwrap();
+        let idx = Indexer::new(4, IndexStorage::Standard, Some(dir), "ix").unwrap();
+        for seq in 1..=2 {
+            let err =
+                idx.apply_batch(vec![put("d", vec![key1(Value::int(1))], VbId(0), SeqNo(seq))]);
+            assert!(matches!(err, Err(Error::Io(_))), "{err:?}");
+        }
+        assert!(idx.scan(&ScanRange::all(), 0).is_empty());
+        assert_eq!(idx.watermarks()[0], SeqNo::ZERO);
+        assert_eq!(idx.stats().disk_syncs, 0);
+        let mut target = vec![SeqNo::ZERO; 4];
+        target[0] = SeqNo(1);
+        let wait = idx.wait_consistent(&ScanConsistency::AtPlus(target), Duration::from_millis(20));
+        assert!(matches!(wait, Err(Error::Timeout(_))));
+    }
+
+    /// Scans never queue behind an fsync: the log is committed with the
+    /// tree lock released. `storage.wal` ranks below `index.partition.tree`,
+    /// so under the `lock-order` feature (on for every test build of this
+    /// crate) taking the WAL with the tree held panics at the acquisition —
+    /// every Standard-mode batch in this suite is that assertion.
+    #[test]
+    fn wal_is_never_taken_under_the_tree_lock() {
+        const { assert!(rank::WAL.rank < rank::INDEX_TREE.rank) };
+        let dir = cbs_storage::scratch_dir("gsi-order");
+        let idx = Indexer::new(4, IndexStorage::Standard, Some(dir), "ix").unwrap();
+        update(&idx, "d", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
+        assert_eq!(idx.scan(&ScanRange::all(), 0).len(), 1);
+        let nested = cbs_common::sync::observed_edges()
+            .into_iter()
+            .any(|(from, to)| from.contains(rank::INDEX_TREE.name) && to.contains(rank::WAL.name));
+        assert!(!nested, "WAL acquired while holding the tree lock");
     }
 }

@@ -36,6 +36,6 @@ pub mod service;
 pub use defs::{
     FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
 };
-pub use indexer::{IndexCardinality, IndexEntry, Indexer, IndexerStats};
+pub use indexer::{IndexCardinality, IndexEntry, IndexOp, Indexer, IndexerStats};
 pub use projector::{ProjectedOp, Projector, Router};
-pub use service::{IndexFeed, IndexManager, IndexState};
+pub use service::{IndexManager, IndexState};

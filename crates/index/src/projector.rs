@@ -8,12 +8,12 @@
 
 use std::sync::Arc;
 
-use cbs_common::{SeqNo, VbId};
+use cbs_common::{Result, SeqNo, VbId};
 use cbs_dcp::DcpItem;
 use cbs_json::Value;
 
 use crate::defs::{IndexDef, IndexKey, KeyExpr};
-use crate::indexer::Indexer;
+use crate::indexer::{IndexOp, Indexer};
 
 /// What the projector emits for one (mutation, index) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,6 +40,19 @@ pub enum ProjectedOp {
         /// Mutation seqno.
         seqno: SeqNo,
     },
+}
+
+impl ProjectedOp {
+    /// Roughly what the op holds in memory (and will add to the change
+    /// log): the unit of the index build's commit threshold.
+    pub fn approx_bytes(&self) -> usize {
+        let (doc_id, keys) = match self {
+            ProjectedOp::Update { doc_id, keys, .. } => (doc_id, keys.as_slice()),
+            ProjectedOp::Remove { doc_id, .. } => (doc_id, &[][..]),
+        };
+        let components = keys.iter().flat_map(|k| k.0.iter().flatten());
+        48 + doc_id.len() + components.map(Value::approx_size).sum::<usize>()
+    }
 }
 
 /// Stateless key-version extraction.
@@ -98,9 +111,10 @@ impl Projector {
     }
 }
 
-/// Routes projected operations to the right partition's indexer, and
-/// advances watermarks on every partition for mutations that produced no
-/// key versions (consistency must advance even for filtered-out docs).
+/// Routes batches of projected operations to the right partitions'
+/// indexers. Every partition sees every mutation — as a removal where the
+/// document has no keys there — so consistency advances even for
+/// filtered-out docs.
 pub struct Router {
     partitions: Vec<Arc<Indexer>>,
     def: IndexDef,
@@ -124,43 +138,49 @@ impl Router {
         &self.partitions
     }
 
-    /// Route one projected op. Handles the paper's partition-key-change
-    /// case ("an insert message may be sent to one indexer with a delete
-    /// message being sent to another") by clearing the doc from every
-    /// partition that is not its new home.
-    pub fn route(&self, op: ProjectedOp) {
-        match op {
-            ProjectedOp::Remove { doc_id, vb, seqno } => {
-                for p in &self.partitions {
-                    p.remove_doc(&doc_id, vb, seqno);
-                }
-            }
-            ProjectedOp::Update { doc_id, keys, vb, seqno } => {
-                // Group keys by destination partition.
-                let mut per_partition: Vec<Vec<IndexKey>> = vec![Vec::new(); self.partitions.len()];
-                for key in keys {
-                    let p = self.def.partition_for(key.leading());
-                    per_partition[p].push(key);
-                }
-                for (pi, p) in self.partitions.iter().enumerate() {
-                    let keys = std::mem::take(&mut per_partition[pi]);
-                    if keys.is_empty() {
-                        // Delete-on-other-partition + watermark advance.
-                        p.remove_doc(&doc_id, vb, seqno);
-                    } else {
-                        p.update_doc(&doc_id, keys, vb, seqno);
-                    }
-                }
+    /// Route one batch: `ops` in order, plus watermark-only advances (a
+    /// backfill snapshot's high seqno) for every partition. Each partition
+    /// commits its share as one batch. Handles the paper's
+    /// partition-key-change case ("an insert message may be sent to one
+    /// indexer with a delete message being sent to another") by clearing
+    /// the doc from every partition that is not its new home.
+    ///
+    /// Every partition is attempted; the first error is returned. A
+    /// partition whose commit failed has not advanced its watermarks.
+    pub fn route(&self, ops: Vec<ProjectedOp>, advances: &[(VbId, SeqNo)]) -> Result<()> {
+        let n = self.partitions.len();
+        let mut per_partition: Vec<Vec<IndexOp>> =
+            (0..n).map(|_| Vec::with_capacity(ops.len() + advances.len())).collect();
+        for op in ops {
+            let (doc_id, keys, vb, seqno) = match op {
+                ProjectedOp::Update { doc_id, keys, vb, seqno } => (doc_id, keys, vb, seqno),
+                ProjectedOp::Remove { doc_id, vb, seqno } => (doc_id, Vec::new(), vb, seqno),
+            };
+            for (batch, keys) in per_partition.iter_mut().zip(self.keys_by_partition(keys)) {
+                batch.push(IndexOp::Put { doc_id: doc_id.clone(), keys, vb, seqno });
             }
         }
+        let mut result = Ok(());
+        for (partition, mut batch) in self.partitions.iter().zip(per_partition) {
+            batch.extend(advances.iter().map(|&(vb, seqno)| IndexOp::Advance { vb, seqno }));
+            result = result.and(partition.apply_batch(batch));
+        }
+        result
     }
 
-    /// Advance all partitions' watermarks (for keyspace-unrelated DCP
-    /// traffic that still counts toward consistency).
-    pub fn advance(&self, vb: VbId, seqno: SeqNo) {
-        for p in &self.partitions {
-            p.advance_watermark(vb, seqno);
+    /// Group a document's keys by destination partition. The tree keeps
+    /// these vectors for as long as the document is indexed, so they are
+    /// handed over without spare capacity.
+    fn keys_by_partition(&self, keys: Vec<IndexKey>) -> Vec<Vec<IndexKey>> {
+        if self.partitions.len() == 1 {
+            return vec![keys];
         }
+        let mut homes: Vec<Vec<IndexKey>> = vec![Vec::new(); self.partitions.len()];
+        for key in keys {
+            homes[self.def.partition_for(key.leading())].push(key);
+        }
+        homes.iter_mut().for_each(Vec::shrink_to_fit);
+        homes
     }
 }
 
@@ -270,20 +290,27 @@ mod tests {
             vb: VbId(0),
             seqno: SeqNo(seq),
         };
-        router.route(update(10, 1));
+        router.route(vec![update(10, 1)], &[]).unwrap();
         assert_eq!(p0.scan(&ScanRange::all(), 0).len(), 1);
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
 
         // Partition key changes: insert to p1, delete from p0 (§4.3.4).
-        router.route(update(99, 2));
+        router.route(vec![update(99, 2)], &[]).unwrap();
         assert_eq!(p0.scan(&ScanRange::all(), 0).len(), 0, "stale entry deleted");
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 1);
 
         // Remove clears everywhere.
-        router.route(ProjectedOp::Remove { doc_id: "d".to_string(), vb: VbId(0), seqno: SeqNo(3) });
+        let remove = ProjectedOp::Remove { doc_id: "d".to_string(), vb: VbId(0), seqno: SeqNo(3) };
+        router.route(vec![remove], &[(VbId(1), SeqNo(7))]).unwrap();
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
         // Watermarks advanced on both partitions throughout.
-        assert_eq!(p0.watermarks()[0], SeqNo(3));
-        assert_eq!(p1.watermarks()[0], SeqNo(3));
+        for p in [&p0, &p1] {
+            assert_eq!(p.watermarks()[..2], [SeqNo(3), SeqNo(7)]);
+        }
+
+        // The same moves inside one batch end in the same place.
+        router.route(vec![update(10, 4), update(99, 5), update(20, 6)], &[]).unwrap();
+        assert_eq!(p0.scan(&ScanRange::all(), 0).len(), 1);
+        assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
     }
 }

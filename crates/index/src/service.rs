@@ -1,4 +1,4 @@
-//! The Index Manager and the DCP feed pump.
+//! The Index Manager.
 //!
 //! "The Index Manager resides within the indexing service and is
 //! responsible for receiving requests for indexing operations (e.g.,
@@ -6,7 +6,6 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,6 +17,11 @@ use cbs_obs::{span, Counter, Registry};
 use crate::defs::{IndexDef, IndexKey, ScanConsistency, ScanRange};
 use crate::indexer::{IndexCardinality, IndexEntry, Indexer, IndexerStats};
 use crate::projector::{ProjectedOp, Projector, Router};
+
+/// An index build commits whenever the projected operations it is holding
+/// reach this many bytes (and once more before the index goes `Online`),
+/// so its memory is bounded by this and not by the size of the index.
+const BUILD_COMMIT_BYTES: usize = 256 << 10;
 
 /// Lifecycle state of an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,6 +50,7 @@ pub struct IndexManager {
     lookups: Arc<Counter>,
     items_applied: Arc<Counter>,
     builds: Arc<Counter>,
+    commit_errors: Arc<Counter>,
 }
 
 impl IndexManager {
@@ -60,6 +65,7 @@ impl IndexManager {
             lookups: registry.counter("index.manager.lookups"),
             items_applied: registry.counter("index.manager.items_applied"),
             builds: registry.counter("index.manager.builds"),
+            commit_errors: registry.counter("index.log.commit_errors"),
             registry,
         }
     }
@@ -116,13 +122,17 @@ impl IndexManager {
         Ok(())
     }
 
-    /// DROP INDEX.
+    /// DROP INDEX. The partitions' change logs go with it.
     pub fn drop_index(&self, keyspace: &str, name: &str) -> Result<()> {
-        self.indexes
+        let inst = self
+            .indexes
             .write()
             .remove(&(keyspace.to_string(), name.to_string()))
-            .map(|_| ())
-            .ok_or_else(|| Error::Index(format!("no such index: {name} on {keyspace}")))
+            .ok_or_else(|| Error::Index(format!("no such index: {name} on {keyspace}")))?;
+        for log in inst.router.partitions().iter().filter_map(|p| p.log_path()) {
+            std::fs::remove_file(log)?;
+        }
+        Ok(())
     }
 
     /// List definitions for a keyspace (the Query Catalog's view, §4.3.5).
@@ -162,6 +172,11 @@ impl IndexManager {
     /// indexes; also the initial build when an index is created over
     /// existing data). Safe to run while the live feed is applying newer
     /// mutations — per-document seqno guards make replay idempotent.
+    ///
+    /// Each vBucket's snapshot joins the pending batch, which is committed
+    /// every [`BUILD_COMMIT_BYTES`] and once at the end; the index goes
+    /// `Online` only after that last commit, and stays `Building` if any
+    /// commit fails.
     pub fn build(&self, keyspace: &str, name: &str, source: &dyn BackfillSource) -> Result<()> {
         let _s = span("index.manager.build");
         self.builds.inc();
@@ -173,15 +188,35 @@ impl IndexManager {
             }
             *st = IndexState::Building;
         }
+        let mut ops: Vec<ProjectedOp> = Vec::new();
+        let mut advances = Vec::new();
+        let mut pending_bytes = 0;
         for vb in 0..self.num_vbuckets {
             let (items, high) = source.backfill(VbId(vb), SeqNo::ZERO)?;
-            for item in items {
-                inst.router.route(Projector::project(inst.router.def(), &item));
+            for item in &items {
+                let op = Projector::project(inst.router.def(), item);
+                pending_bytes += op.approx_bytes();
+                ops.push(op);
             }
-            inst.router.advance(VbId(vb), high);
+            advances.push((VbId(vb), high));
+            if pending_bytes >= BUILD_COMMIT_BYTES {
+                self.commit(&inst, std::mem::take(&mut ops), &advances)?;
+                advances.clear();
+                pending_bytes = 0;
+            }
         }
+        self.commit(&inst, ops, &advances)?;
         *inst.state.lock() = IndexState::Online;
         Ok(())
+    }
+
+    fn commit(
+        &self,
+        inst: &IndexInstance,
+        ops: Vec<ProjectedOp>,
+        advances: &[(VbId, SeqNo)],
+    ) -> Result<()> {
+        inst.router.route(ops, advances).inspect_err(|_| self.commit_errors.inc())
     }
 
     /// Convenience: CREATE INDEX + immediate build (the common
@@ -196,24 +231,39 @@ impl IndexManager {
         Ok(())
     }
 
-    /// Apply one DCP item to every non-deferred index of its keyspace
-    /// (projector → router, Figure 9).
+    /// Apply one DCP item: [`IndexManager::apply_batch`] with a batch of
+    /// one. A failed commit is counted (`index.log.commit_errors`) and
+    /// leaves the watermark where it was.
     pub fn apply_dcp(&self, keyspace: &str, item: &DcpItem) {
-        self.items_applied.inc();
+        // The error is already counted; a caller that must react to it
+        // (the pump redelivers) calls `apply_batch`.
+        let _counted = self.apply_batch(keyspace, std::slice::from_ref(item));
+    }
+
+    /// Apply a batch of DCP items, in order, to every non-deferred index
+    /// of `keyspace` hosted here (projector → router, Figure 9): one log
+    /// commit per index partition for the whole batch. A manager hosting
+    /// no such index does nothing and counts nothing. Every index is
+    /// attempted; the first commit error is returned.
+    pub fn apply_batch(&self, keyspace: &str, items: &[DcpItem]) -> Result<()> {
         let instances: Vec<Arc<IndexInstance>> = self
             .indexes
             .read()
             .iter()
-            .filter(|((ks, _), _)| ks == keyspace)
+            .filter(|((ks, _), inst)| ks == keyspace && *inst.state.lock() != IndexState::Deferred)
             .map(|(_, inst)| Arc::clone(inst))
             .collect();
-        for inst in instances {
-            if *inst.state.lock() == IndexState::Deferred {
-                continue;
-            }
-            let op: ProjectedOp = Projector::project(inst.router.def(), item);
-            inst.router.route(op);
+        if instances.is_empty() || items.is_empty() {
+            return Ok(());
         }
+        self.items_applied.add(items.len() as u64);
+        let mut result = Ok(());
+        for inst in instances {
+            let def = inst.router.def();
+            let ops = items.iter().map(|item| Projector::project(def, item)).collect();
+            result = result.and(self.commit(&inst, ops, &[]));
+        }
+        result
     }
 
     /// Scan an index: wait for the requested consistency on every
@@ -341,67 +391,6 @@ fn merge_sorted(mut partials: Vec<Vec<IndexEntry>>) -> Vec<IndexEntry> {
     }
 }
 
-/// Background pump: subscribes an [`IndexManager`] to a data engine's DCP
-/// hub and applies the stream continuously — the arrow from the Data
-/// Service to the Index Service in Figure 9.
-pub struct IndexFeed {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl IndexFeed {
-    /// Open streams from seqno 0 on every vBucket of `engine` and pump them
-    /// into `manager` under `keyspace`.
-    pub fn spawn(
-        manager: Arc<IndexManager>,
-        keyspace: String,
-        engine: Arc<cbs_kv::DataEngine>,
-    ) -> Result<IndexFeed> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let n = manager.num_vbuckets;
-        let mut streams = Vec::with_capacity(n as usize);
-        for vb in 0..n {
-            streams.push(engine.open_dcp_stream(VbId(vb), SeqNo::ZERO)?);
-        }
-        let handle = std::thread::Builder::new()
-            .name(format!("gsi-feed-{keyspace}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let mut any = false;
-                    for stream in streams.iter_mut() {
-                        for item in stream.drain_available() {
-                            manager.apply_dcp(&keyspace, &item);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-            .expect("spawn index feed");
-        Ok(IndexFeed { stop, handle: Some(handle) })
-    }
-
-    /// Stop the pump.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for IndexFeed {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,44 +493,123 @@ mod tests {
         );
     }
 
+    /// The pump's GSI leg in miniature: whatever the streams hold goes to
+    /// the manager as one batch. Returns the batch's size.
+    fn pump(m: &IndexManager, streams: &mut [cbs_dcp::DcpStream]) -> usize {
+        let items: Vec<DcpItem> = streams.iter_mut().flat_map(|s| s.drain_available()).collect();
+        m.apply_batch("b", &items).unwrap();
+        items.len()
+    }
+
     #[test]
     fn live_feed_maintains_index_and_request_plus_waits() {
         let e = engine();
-        let m = Arc::new(manager(16));
+        let m = manager(16);
         m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref()).unwrap();
-        let feed = IndexFeed::spawn(Arc::clone(&m), "b".to_string(), Arc::clone(&e)).unwrap();
-
-        // Write after the index is online; the feed must pick it up.
-        e.set("new", profile("n", 99), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
-        let vector = e.seqno_vector();
-        let rows = m
-            .scan(
+        let mut streams: Vec<_> = (0..16)
+            .map(|vb| e.open_dcp_stream(VbId(vb), e.high_seqno(VbId(vb))).unwrap())
+            .collect();
+        let scan_99 = |timeout| {
+            m.scan(
                 "b",
                 "age",
                 &ScanRange::exact(Value::int(99)),
-                &ScanConsistency::AtPlus(vector),
-                Duration::from_secs(5),
+                &ScanConsistency::AtPlus(e.seqno_vector()),
+                timeout,
                 0,
             )
-            .unwrap();
+        };
+
+        // Written after the index went online: `request_plus` waits for the
+        // feed, and times out while the feed has not delivered.
+        e.set("new", profile("n", 99), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        assert!(matches!(scan_99(Duration::from_millis(20)), Err(Error::Timeout(_))));
+        assert_eq!(pump(&m, &mut streams), 1);
+        let rows = scan_99(Duration::from_secs(5)).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].doc_id, "new");
 
-        // Delete flows through too.
+        // Delete flows through too; a burst is one batch, hence one commit.
+        let syncs = m.index_stats("b", "age").unwrap().disk_syncs;
         e.delete("new", Cas::WILDCARD).unwrap();
-        let vector = e.seqno_vector();
-        let rows = m
-            .scan(
-                "b",
-                "age",
-                &ScanRange::exact(Value::int(99)),
-                &ScanConsistency::AtPlus(vector),
-                Duration::from_secs(5),
-                0,
-            )
-            .unwrap();
-        assert!(rows.is_empty());
-        feed.shutdown();
+        e.set("new", profile("n", 98), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        e.delete("new", Cas::WILDCARD).unwrap();
+        assert_eq!(pump(&m, &mut streams), 3);
+        assert!(scan_99(Duration::from_secs(5)).unwrap().is_empty());
+        assert_eq!(m.index_stats("b", "age").unwrap().disk_syncs, syncs + 1);
+    }
+
+    #[test]
+    fn build_commits_by_bytes_not_by_item() {
+        let e = engine();
+        for i in 0..5000 {
+            e.set(&format!("u{i:05}"), profile("x", i), MutateMode::Upsert, Cas::WILDCARD, 0)
+                .unwrap();
+        }
+        let m = manager(16);
+        m.create_and_build(IndexDef::primary("#primary", "b"), e.as_ref()).unwrap();
+        let stats = m.index_stats("b", "#primary").unwrap();
+        assert_eq!(stats.docs, 5000);
+        assert!((1..=16).contains(&stats.disk_syncs), "{} syncs", stats.disk_syncs);
+        assert_eq!(stats.applied, 5000);
+    }
+
+    /// Items are counted where they are projected: a manager with no
+    /// maintained index on the keyspace is not a destination.
+    #[test]
+    fn items_are_counted_only_where_an_index_is_maintained() {
+        let e = engine();
+        let m = manager(16);
+        let applied = || m.registry().snapshot().counter("index.manager.items_applied");
+        let item = DcpItem::mutation(VbId(0), "k", Default::default(), profile("a", 1));
+        m.apply_dcp("b", &item);
+        let deferred = IndexDef { deferred: true, ..IndexDef::simple("later", "b", "age") };
+        m.create_and_build(deferred, e.as_ref()).unwrap();
+        m.create_and_build(IndexDef::simple("age", "other", "age"), e.as_ref()).unwrap();
+        m.apply_dcp("b", &item);
+        assert_eq!(applied(), 0);
+        m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref()).unwrap();
+        m.create_and_build(IndexDef::simple("name", "b", "name"), e.as_ref()).unwrap();
+        m.apply_batch("b", &[item.clone(), item]).unwrap();
+        assert_eq!(applied(), 2, "per item, not per index");
+    }
+
+    /// A log that cannot be written: CREATE fails when the log dir is
+    /// unusable; with a log that accepts no data the build fails, the index
+    /// does not go `Online`, the error is counted, and live batches report
+    /// it and leave the watermarks alone.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn unwritable_log_fails_the_build_and_is_counted() {
+        let e = engine();
+        e.set("d1", profile("a", 30), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+
+        let not_a_dir = cbs_storage::scratch_dir("gsi-svc").join("file");
+        std::fs::write(&not_a_dir, b"").unwrap();
+        let m = IndexManager::new(16, not_a_dir);
+        assert!(m.create_index(IndexDef::simple("age", "b", "age")).is_err());
+        assert!(m.list("b").is_empty());
+
+        let dir = cbs_storage::scratch_dir("gsi-svc");
+        std::os::unix::fs::symlink("/dev/full", dir.join("b-age-p0.gsi")).unwrap();
+        let m = IndexManager::new(16, dir);
+        let errors = || m.registry().snapshot().counter("index.log.commit_errors");
+        let built = m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref());
+        assert!(matches!(built, Err(Error::Io(_))), "{built:?}");
+        assert_eq!(m.state("b", "age").unwrap(), IndexState::Building);
+        assert!(m.list_online("b").is_empty());
+        assert_eq!(errors(), 1);
+
+        let item = DcpItem::mutation(
+            VbId(0),
+            "k",
+            cbs_common::DocMeta { seqno: SeqNo(9), ..Default::default() },
+            profile("a", 1),
+        );
+        assert!(m.apply_batch("b", std::slice::from_ref(&item)).is_err());
+        m.apply_dcp("b", &item);
+        assert_eq!(errors(), 3);
+        assert_eq!(m.index_stats("b", "age").unwrap().entries, 0);
     }
 
     #[test]
@@ -617,9 +685,12 @@ mod tests {
 
     #[test]
     fn drop_index_works() {
-        let m = manager(4);
+        let dir = cbs_storage::scratch_dir("gsi-svc");
+        let m = IndexManager::new(4, dir.clone());
         m.create_index(IndexDef::simple("i", "b", "x")).unwrap();
+        assert!(dir.join("b-i-p0.gsi").exists());
         m.drop_index("b", "i").unwrap();
+        assert!(!dir.join("b-i-p0.gsi").exists(), "the change log goes with the index");
         assert!(m.drop_index("b", "i").is_err());
         assert!(m.list("b").is_empty());
     }

@@ -1,11 +1,16 @@
-//! Property test: the indexer agrees with a naive model under any
+//! Property tests: the indexer agrees with a naive model under any
 //! interleaving of updates, removals and scans — including out-of-order
-//! (stale) deliveries, which the per-document seqno guard must suppress.
+//! (stale) deliveries, which the per-document seqno guard must suppress —
+//! and any split of a change stream into batches ends in the state that
+//! item-by-item apply reaches.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cbs_common::{SeqNo, VbId};
-use cbs_index::{IndexKey, IndexStorage, Indexer, ScanRange};
+use cbs_index::{
+    IndexDef, IndexKey, IndexOp, IndexStorage, Indexer, ProjectedOp, Router, ScanRange,
+};
 use cbs_json::Value;
 use proptest::prelude::*;
 
@@ -43,12 +48,13 @@ proptest! {
             match op {
                 Op::Update { d, k, seq } => {
                     let doc = format!("d{d}");
-                    idx.update_doc(
-                        &doc,
-                        vec![IndexKey(vec![Some(Value::int(*k))])],
-                        VbId(0),
-                        SeqNo(*seq),
-                    );
+                    idx.apply_batch(vec![IndexOp::Put {
+                        doc_id: doc.clone(),
+                        keys: vec![IndexKey(vec![Some(Value::int(*k))])],
+                        vb: VbId(0),
+                        seqno: SeqNo(*seq),
+                    }])
+                    .unwrap();
                     let e = model.entry(doc).or_insert((0, None));
                     if *seq > e.0 {
                         *e = (*seq, Some(*k));
@@ -56,7 +62,13 @@ proptest! {
                 }
                 Op::Remove { d, seq } => {
                     let doc = format!("d{d}");
-                    idx.remove_doc(&doc, VbId(0), SeqNo(*seq));
+                    idx.apply_batch(vec![IndexOp::Put {
+                        doc_id: doc.clone(),
+                        keys: Vec::new(),
+                        vb: VbId(0),
+                        seqno: SeqNo(*seq),
+                    }])
+                    .unwrap();
                     let e = model.entry(doc).or_insert((0, None));
                     if *seq > e.0 {
                         *e = (*seq, None);
@@ -107,5 +119,72 @@ proptest! {
             .max()
             .unwrap_or(0);
         prop_assert_eq!(idx.watermarks()[0], SeqNo(max_seq));
+    }
+}
+
+/// A two-partition index on `k`, split at 0: negative keys live in
+/// partition 0, the rest in partition 1, so an update that changes the
+/// sign of `k` moves the document between partitions.
+fn partitioned_router() -> Router {
+    let mut def = IndexDef::simple("k", "b", "k");
+    def.partition_splits = vec![Value::int(0)];
+    let partitions = (0..2)
+        .map(|p| {
+            Arc::new(
+                Indexer::new(4, IndexStorage::MemoryOptimized, None, &format!("p{p}")).unwrap(),
+            )
+        })
+        .collect();
+    Router::new(def, partitions)
+}
+
+fn projected(op: &Op) -> ProjectedOp {
+    match op {
+        Op::Update { d, k, seq } => ProjectedOp::Update {
+            doc_id: format!("d{d}"),
+            keys: vec![IndexKey(vec![Some(Value::int(*k))])],
+            vb: VbId(u16::from(d % 4)),
+            seqno: SeqNo(*seq),
+        },
+        Op::Remove { d, seq } => ProjectedOp::Remove {
+            doc_id: format!("d{d}"),
+            vb: VbId(u16::from(d % 4)),
+            seqno: SeqNo(*seq),
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Any split of an op sequence (updates, deletes, duplicates, stale
+    /// seqnos, partition-key moves) into batches yields the entries,
+    /// per-document versions, watermarks and `applied` count of
+    /// item-by-item apply, on every partition.
+    #[test]
+    fn any_batch_split_matches_item_by_item(
+        ops in arb_ops(),
+        cuts in prop::collection::vec(any::<bool>(), 80),
+    ) {
+        let one_by_one = partitioned_router();
+        for op in &ops {
+            one_by_one.route(vec![projected(op)], &[]).unwrap();
+        }
+        let batched = partitioned_router();
+        let mut batch = Vec::new();
+        for (op, cut) in ops.iter().zip(&cuts) {
+            batch.push(projected(op));
+            if *cut {
+                batched.route(std::mem::take(&mut batch), &[]).unwrap();
+            }
+        }
+        batched.route(batch, &[]).unwrap();
+
+        for (a, b) in one_by_one.partitions().iter().zip(batched.partitions()) {
+            prop_assert_eq!(a.scan(&ScanRange::all(), 0), b.scan(&ScanRange::all(), 0));
+            prop_assert_eq!(a.doc_versions(), b.doc_versions());
+            prop_assert_eq!(a.watermarks(), b.watermarks());
+            prop_assert_eq!(a.stats().applied, b.stats().applied);
+        }
     }
 }

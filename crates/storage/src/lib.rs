@@ -29,7 +29,7 @@ pub mod wal;
 pub use bucket::BucketStore;
 pub use record::{DocMeta, StoredDoc};
 pub use vbstore::{StoreStats, VBucketStore};
-pub use wal::{remove_wals, replay_wals, GroupCommitWal};
+pub use wal::{remove_wals, replay_file, replay_wals, GroupCommitWal};
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -23,6 +23,12 @@
 //! records so the engine can re-apply any that are newer than what the
 //! per-vBucket stores recovered. A torn tail — crash mid-append — simply
 //! ends the replay, mirroring the per-vBucket recovery contract.
+//!
+//! The index service's change logs are the same type under another file
+//! name ([`GroupCommitWal::open_file`]): a log that is its owner's only
+//! store is never checkpointed away, so its owner replays it with
+//! [`replay_file`] and cuts a torn tail off ([`GroupCommitWal::truncate_to`])
+//! before appending again.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -49,8 +55,16 @@ impl GroupCommitWal {
     /// Open (or create) the WAL for `shard` inside `dir`, appending after
     /// any existing content.
     pub fn open(dir: &Path, shard: usize) -> Result<GroupCommitWal> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("wal_{shard}.log"));
+        GroupCommitWal::open_file(dir.join(format!("wal_{shard}.log")))
+    }
+
+    /// Open (or create) a log at an explicit `path` — for owners other than
+    /// the flusher shards (the GSI change log), whose files must not match
+    /// the `wal_*.log` pattern [`replay_wals`] sweeps up.
+    pub fn open_file(path: PathBuf) -> Result<GroupCommitWal> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let len = file.seek(SeekFrom::End(0))?;
         Ok(GroupCommitWal { path, inner: OrderedMutex::new(rank::WAL, WalInner { file, len }) })
@@ -101,11 +115,18 @@ impl GroupCommitWal {
     /// Truncate the log to empty. Call only after the covered per-vBucket
     /// stores have been synced (the checkpoint contract).
     pub fn reset(&self) -> Result<()> {
+        self.truncate_to(0)
+    }
+
+    /// Cut the log back to its first `len` bytes and sync. Recovery uses
+    /// this to drop a torn tail before appending again — records written
+    /// after garbage would be unreachable to the next replay.
+    pub fn truncate_to(&self, len: u64) -> Result<()> {
         let mut inner = self.inner.lock();
-        inner.file.set_len(0)?;
+        inner.file.set_len(len)?;
         inner.file.seek(SeekFrom::End(0))?;
         inner.file.sync_data()?;
-        inner.len = 0;
+        inner.len = len;
         Ok(())
     }
 }
@@ -121,32 +142,41 @@ impl GroupCommitWal {
 pub fn replay_wals(dir: &Path) -> Result<Vec<(VbId, StoredDoc)>> {
     let mut out = Vec::new();
     for path in wal_paths(dir)? {
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        let mut offset = 0usize;
-        while bytes.len() - offset >= 2 {
-            let vb = VbId(u16::from_le_bytes([bytes[offset], bytes[offset + 1]]));
-            match decode_record(&bytes[offset + 2..]) {
-                DecodeOutcome::Record { doc, consumed } => {
-                    out.push((vb, doc));
-                    offset += 2 + consumed;
-                }
-                // Torn tail (crash mid-append): expected, stop quietly.
-                DecodeOutcome::Incomplete => break,
-                DecodeOutcome::Corrupt(msg) => {
-                    eprintln!(
-                        "cbs-storage: WAL {} corrupt at offset {offset}: {msg}; \
-                         discarding the remaining {} bytes of replay — records \
-                         after the corruption may have been acknowledged durable",
-                        path.display(),
-                        bytes.len() - offset,
-                    );
-                    break;
-                }
+        replay_file(&path, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// Decode one log file's records in append order onto `out`, under the
+/// torn-tail / corruption contract of [`replay_wals`]. Returns the length
+/// of the intact prefix, which an owner that keeps appending to the same
+/// file passes to [`GroupCommitWal::truncate`] first.
+pub fn replay_file(path: &Path, out: &mut Vec<(VbId, StoredDoc)>) -> Result<u64> {
+    let mut bytes = Vec::new();
+    File::open(path)?.read_to_end(&mut bytes)?;
+    let mut offset = 0usize;
+    while bytes.len() - offset >= 2 {
+        let vb = VbId(u16::from_le_bytes([bytes[offset], bytes[offset + 1]]));
+        match decode_record(&bytes[offset + 2..]) {
+            DecodeOutcome::Record { doc, consumed } => {
+                out.push((vb, doc));
+                offset += 2 + consumed;
+            }
+            // Torn tail (crash mid-append): expected, stop quietly.
+            DecodeOutcome::Incomplete => break,
+            DecodeOutcome::Corrupt(msg) => {
+                eprintln!(
+                    "cbs-storage: WAL {} corrupt at offset {offset}: {msg}; \
+                     discarding the remaining {} bytes of replay — records \
+                     after the corruption may have been acknowledged durable",
+                    path.display(),
+                    bytes.len() - offset,
+                );
+                break;
             }
         }
     }
-    Ok(out)
+    Ok(offset as u64)
 }
 
 /// Delete every `wal_*.log` under `dir` (end of replay, after the target

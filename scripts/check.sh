@@ -8,6 +8,7 @@
 #   scripts/check.sh staleness-smoke # measure-mode staleness replay only (<30s)
 #   scripts/check.sh txn-smoke       # serializability replay + txn chaos (<15s)
 #   scripts/check.sh trace-smoke     # stitched causal trace + Chrome export (<60s)
+#   scripts/check.sh perfbench-smoke # the benchmark's unit tests + --smoke run
 #
 # Stages:
 #   1. cargo fmt --check          formatting (rustfmt.toml)
@@ -25,7 +26,10 @@
 #                                 serializability replay and transactional
 #                                 chaos run; seed sweeps honor CHAOS_SEEDS=n
 #   7. full test suite            (skipped with --quick)
-#   8. TSan / Miri subset         best-effort: requires nightly toolchain
+#   8. perfbench smoke            the benchmark package (its own workspace):
+#                                 unit tests, then every workload at --smoke
+#                                 sizes with its in-run correctness checks
+#   9. TSan / Miri subset         best-effort: requires nightly toolchain
 #                                 with rust-src / miri; skipped gracefully
 #                                 when the components are not installed.
 set -u
@@ -124,6 +128,25 @@ trace_smoke() {
     cargo run --quiet -p xtask -- validate-trace target/trace.json \
         || { echo "    trace export failed structural validation"; return 1; }
 }
+
+# Benchmark smoke: perfbench is a package of its own (BENCHMARK.json runs
+# it), so the workspace's test stage does not build it. Its unit tests pin
+# the metric names against BENCHMARK.json; `--smoke` drives all four
+# workloads end to end at tiny sizes and exits non-zero on a wrong answer.
+perfbench_smoke() {
+    cargo test --quiet --release --manifest-path perfbench/Cargo.toml || return 1
+    cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- --smoke >/dev/null
+}
+
+if [ "${1:-}" = "perfbench-smoke" ]; then
+    run "perfbench smoke (benchmark tests + --smoke)" perfbench_smoke
+    if [ "$FAILED" -ne 0 ]; then
+        echo "check.sh perfbench-smoke: FAILED"
+        exit 1
+    fi
+    echo "check.sh perfbench-smoke: passed"
+    exit 0
+fi
 
 if [ "${1:-}" = "trace-smoke" ]; then
     run "trace smoke (stitched causal trace + export)" trace_smoke
@@ -234,6 +257,7 @@ obs_profile_smoke() {
 run "obs-profile smoke (PROFILE + request log)" obs_profile_smoke
 run "trace smoke (stitched causal trace + export)" trace_smoke
 run "staleness smoke (measure-mode replay)" staleness_smoke
+run "perfbench smoke (benchmark tests + --smoke)" perfbench_smoke
 
 # --- best-effort dynamic analysis -----------------------------------------
 # ThreadSanitizer needs nightly + rust-src (to build an instrumented std);
