@@ -34,9 +34,9 @@ pub struct SmartClient {
     cluster: Arc<Cluster>,
     bucket: String,
     map: OrderedRwLock<ClusterMap>,
-    /// Causal trace sink on the `client` lane: every KV op mints (or, when
-    /// an outer entry point such as a transaction already holds one, joins)
-    /// a trace here (DESIGN.md §17).
+    /// Trace sink on the `client` lane: every KV op mints (or, when an
+    /// outer entry point such as a transaction already holds one, joins) a
+    /// trace here (DESIGN.md §10).
     trace: cbs_obs::TraceSink,
 }
 
@@ -53,15 +53,23 @@ impl SmartClient {
         })
     }
 
-    /// Run `f` under a root span (or a child span when an outer entry
-    /// point's context is ambient), marking the trace failed on error.
+    /// Run `f` under a root span (or a child span inside an outer entry
+    /// point), marking the trace failed on error. A miss, an existing key,
+    /// a lost CAS race and a held lock are answers, not failures: failed
+    /// traces are exempt from ring eviction, and a get-miss stream or a
+    /// CAS retry loop must not crowd the genuine failures out.
     fn traced<T>(&self, name: &'static str, f: impl FnOnce() -> Result<T>) -> Result<T> {
         let mut guard = self.trace.mint(name);
         let result = f();
-        if result.is_err() {
-            if let Some(g) = guard.as_mut() {
-                g.fail();
-            }
+        match &result {
+            Ok(_)
+            | Err(
+                Error::KeyNotFound(_)
+                | Error::KeyExists(_)
+                | Error::CasMismatch(_)
+                | Error::Locked(_),
+            ) => {}
+            Err(_) => guard.fail(),
         }
         result
     }
@@ -198,19 +206,23 @@ impl SmartClient {
         expiry: u32,
     ) -> Result<MutationResult> {
         let value = value.into();
-        self.with_engine(key, |e| {
-            e.set(key, value.clone(), MutateMode::Upsert, Cas::WILDCARD, expiry)
+        self.traced("client.kv.upsert_with_expiry", || {
+            self.with_engine(key, |e| {
+                e.set(key, value.clone(), MutateMode::Upsert, Cas::WILDCARD, expiry)
+            })
         })
     }
 
     /// Get-and-lock (GETL, §3.1.1).
     pub fn get_and_lock(&self, key: &str, duration: Duration) -> Result<GetResult> {
-        self.with_engine(key, |e| e.get_and_lock(key, Some(duration)))
+        self.traced("client.kv.get_and_lock", || {
+            self.with_engine(key, |e| e.get_and_lock(key, Some(duration)))
+        })
     }
 
     /// Release a GETL lock.
     pub fn unlock(&self, key: &str, token: Cas) -> Result<()> {
-        self.with_engine(key, |e| e.unlock(key, token))
+        self.traced("client.kv.unlock", || self.with_engine(key, |e| e.unlock(key, token)))
     }
 
     /// Mutation with durability requirements: ack only once the mutation
@@ -224,7 +236,7 @@ impl SmartClient {
         timeout: Duration,
     ) -> Result<MutationResult> {
         // The durable root: the inner upsert and observe join it as child
-        // spans (their mints see this trace's ambient context), so one
+        // spans (their mints find this thread's segment open), so one
         // durable write reads as a single stitched tree — client set →
         // engine → replication deliver → replica apply → WAL commit →
         // durability ack.

@@ -50,7 +50,7 @@ pub(crate) struct ClusterInner {
     /// Finished-transaction ring (committed/aborted rows from the
     /// `cbs-txn` coordinator), feeding `system:transactions`.
     pub txn_log: Arc<crate::txnlog::TxnLog>,
-    /// The cluster-wide causal trace store (DESIGN.md §17): every node's
+    /// The cluster-wide trace store (DESIGN.md §10): every node's
     /// engine, the replication pumps, and the smart clients stitch their
     /// spans here, keyed by `trace_id`.
     pub trace_store: Arc<cbs_obs::TraceStore>,
@@ -725,10 +725,9 @@ impl Cluster {
 
     /// Freeze every registry in the cluster into one typed snapshot:
     /// per node, per service, per bucket, per vBucket — plus the slow-op
-    /// rings of every service, span trees included.
+    /// log (the trace store's slow traces, span trees included).
     pub fn stats(&self) -> crate::stats::ClusterStats {
         let buckets = self.buckets();
-        let mut slow_ops = Vec::new();
         let mut nodes = Vec::new();
         for node in self.nodes() {
             let mut bucket_stats = Vec::new();
@@ -741,12 +740,10 @@ impl Cluster {
                             metrics: engine.registry().snapshot(),
                             vbuckets: engine.vbucket_stats(),
                         });
-                        slow_ops.extend(engine.registry().slow_ops());
                     }
                 }
                 if let Ok(mgr) = node.index_manager() {
                     service_metrics.push(mgr.registry().snapshot());
-                    slow_ops.extend(mgr.registry().slow_ops());
                 }
             }
             nodes.push(crate::stats::NodeStats {
@@ -760,7 +757,6 @@ impl Cluster {
         let mut cluster_services = Vec::new();
         for registry in [&self.inner.query_registry, self.inner.fts.registry()] {
             cluster_services.push(registry.snapshot());
-            slow_ops.extend(registry.slow_ops());
         }
         // Replication-lag surfaces: each bucket's `cluster.replication.*`
         // registry joins the cluster services, and the live per-(vBucket,
@@ -773,7 +769,7 @@ impl Cluster {
         crate::stats::ClusterStats {
             nodes,
             cluster_services,
-            slow_ops,
+            slow_ops: self.inner.trace_store.slow_traces(),
             completed_requests: self.inner.request_log.completed_rows(),
             active_requests: self.inner.request_log.active_rows(),
             prepareds: self.inner.plan_cache.prepared_rows(),
@@ -781,8 +777,8 @@ impl Cluster {
         }
     }
 
-    /// The cluster-wide causal trace store: completed span trees stitched
-    /// across client, nodes, replication and the flusher (DESIGN.md §17).
+    /// The cluster-wide trace store: completed span trees stitched across
+    /// client, nodes, replication and the flusher (DESIGN.md §10).
     pub fn trace_store(&self) -> &Arc<cbs_obs::TraceStore> {
         &self.inner.trace_store
     }
@@ -811,27 +807,14 @@ impl Cluster {
         evs
     }
 
-    /// Set the slow-op capture threshold on every registry in the cluster
-    /// (`Duration::ZERO` captures every traced operation).
+    /// Set the cluster's one "slow" threshold: operations at least this
+    /// slow are kept by the trace store whether sampled or not, and survive
+    /// its ring eviction (`Duration::ZERO` keeps every operation).
     pub fn set_slow_threshold(&self, threshold: Duration) {
-        for node in self.nodes() {
-            for bucket in self.buckets() {
-                if let Ok(engine) = node.engine(&bucket) {
-                    engine.registry().set_slow_threshold(threshold);
-                }
-            }
-            if let Ok(mgr) = node.index_manager() {
-                mgr.registry().set_slow_threshold(threshold);
-            }
-        }
-        self.inner.query_registry.set_slow_threshold(threshold);
-        self.inner.fts.registry().set_slow_threshold(threshold);
-        // Keep the request log's admission threshold in step so "slow"
-        // means the same thing in the slow-op ring and the completed ring.
-        self.inner.request_log.set_threshold(threshold);
-        // And the causal trace store's retention bar: "slow" traces survive
-        // ring eviction under the same definition.
         self.inner.trace_store.set_slow_threshold(threshold);
+        // Keep the request log's admission threshold in step so "slow"
+        // means the same thing for a trace and for a completed request.
+        self.inner.request_log.set_threshold(threshold);
     }
 }
 

@@ -40,8 +40,8 @@ pub struct Node {
     flushers: OrderedMutex<Vec<FlusherHandle>>,
     /// GSI manager (index service only).
     index_mgr: Option<Arc<IndexManager>>,
-    /// Causal trace sink on this node's lane (`n<id>`), handed to every
-    /// engine built here so spans stitch across nodes (DESIGN.md §17).
+    /// Trace sink on this node's lane (`n<id>`), handed to every engine
+    /// built here so spans stitch across nodes (DESIGN.md §10).
     trace: Option<cbs_obs::TraceSink>,
     cfg: ClusterConfig,
 }
@@ -68,16 +68,11 @@ impl Node {
         }
     }
 
-    /// Attach a causal trace store; engines created afterwards record
+    /// Attach a trace store; engines created afterwards record
     /// their spans on this node's `n<id>` lane.
     pub fn with_trace_store(mut self, store: &Arc<cbs_obs::TraceStore>) -> Node {
         self.trace = Some(cbs_obs::TraceSink::new(Arc::clone(store), &format!("n{}", self.id.0)));
         self
-    }
-
-    /// This node's causal trace sink, if tracing is enabled.
-    pub fn trace_sink(&self) -> Option<&cbs_obs::TraceSink> {
-        self.trace.as_ref()
     }
 
     /// Node id.

@@ -35,7 +35,7 @@ pub struct ClusterDatastore {
     phase_primary_scan: Arc<cbs_obs::Histogram>,
     phase_fetch: Arc<cbs_obs::Histogram>,
     phase_run: Arc<cbs_obs::Histogram>,
-    /// Causal trace sink on the `query` lane (DESIGN.md §17).
+    /// Trace sink on the `query` lane (DESIGN.md §10).
     query_trace: cbs_obs::TraceSink,
 }
 
@@ -92,19 +92,13 @@ impl ClusterDatastore {
         }
         self.requests.inc();
         let _timer = self.latency.timer();
-        let _trace = self.cluster.query_registry().trace("n1ql.query.execute");
-        // Causal root on the query lane: KV fetches/mutations issued by the
-        // executor (through the smart clients) join as child spans.
-        let mut causal = self.query_trace.mint("n1ql.query.request");
+        // `cbs_n1ql::query` opens the request's root span on the query
+        // lane; KV fetches/mutations issued by the executor (through the
+        // smart clients) join it as child spans.
         let result = cbs_n1ql::query(self, statement, opts);
         match &result {
             Ok(r) => self.record_phases(&r.phases),
-            Err(_) => {
-                self.errors.inc();
-                if let Some(g) = causal.as_mut() {
-                    g.fail();
-                }
-            }
+            Err(_) => self.errors.inc(),
         }
         result
     }
@@ -219,6 +213,10 @@ impl Datastore for ClusterDatastore {
         mgr.build(keyspace, name, &source)
     }
 
+    fn trace_sink(&self) -> &cbs_obs::TraceSink {
+        &self.query_trace
+    }
+
     fn request_log(&self) -> Option<&cbs_n1ql::RequestLog> {
         Some(self.cluster.request_log())
     }
@@ -262,9 +260,6 @@ impl Datastore for ClusterDatastore {
     /// Query Catalog of §4.3.5 exposed through N1QL itself.
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
         match keyspace {
-            "system:completed_requests" => Ok(self.cluster.request_log().completed_rows()),
-            "system:active_requests" => Ok(self.cluster.request_log().active_rows()),
-            "system:prepareds" => Ok(self.cluster.plan_cache().prepared_rows()),
             "system:transactions" => Ok(self.cluster.txn_log().catalog_rows()),
             "system:indexes" => {
                 // Every definition on every index-service node, deduped by
@@ -388,8 +383,8 @@ impl Datastore for ClusterDatastore {
                 Ok(rows)
             }
             "system:completed_traces" => {
-                // Stitched causal traces (live root-done slots + the
-                // completed ring), one row per trace.
+                // Completed traces (root-done slots + the completed
+                // ring), one row per trace.
                 let rows = self
                     .cluster
                     .trace_store()
@@ -441,7 +436,7 @@ impl Datastore for ClusterDatastore {
                     .collect();
                 Ok(rows)
             }
-            other => Err(Error::Plan(format!("no such keyspace: {other}"))),
+            other => self.service_catalog(other),
         }
     }
 }

@@ -177,12 +177,12 @@ fn pump_loop(bucket: &str, topology: TopologyFn, stop: Arc<AtomicBool>, lag: &Re
                             None => FaultAction::Deliver,
                         };
                         // Stitch the originating op's trace across the pump
-                        // thread: the deliver span covers injected faults
-                        // plus the replica apply, which nests its own span
-                        // under this one via the ambient context.
+                        // thread: the deliver span opens a segment under the
+                        // carried context and covers injected faults plus
+                        // the replica apply, which nests under it.
                         let _deliver = match (item.trace, dst.trace_sink()) {
                             (Some(ctx), Some(sink)) => {
-                                Some(sink.child_of(ctx, "cluster.replication.deliver"))
+                                Some(sink.child_of("cluster.replication.deliver", ctx))
                             }
                             _ => None,
                         };

@@ -13,7 +13,7 @@
 use cbs_common::NodeId;
 use cbs_json::Value;
 use cbs_kv::VbucketStats;
-use cbs_obs::{HistogramSnapshot, PrometheusText, RegistrySnapshot, SlowOp};
+use cbs_obs::{CompletedTrace, HistogramSnapshot, PrometheusText, RegistrySnapshot};
 
 use crate::config::ServiceSet;
 use crate::lag::ReplicationLagRow;
@@ -51,9 +51,9 @@ pub struct ClusterStats {
     pub nodes: Vec<NodeStats>,
     /// Cluster-singleton services (query, full-text search).
     pub cluster_services: Vec<RegistrySnapshot>,
-    /// Slow operations drained from every registry's ring, with full span
-    /// trees (oldest first within each source registry).
-    pub slow_ops: Vec<SlowOp>,
+    /// The slow-op log: completed traces at or above the cluster's slow
+    /// threshold, with full span trees, oldest first.
+    pub slow_ops: Vec<CompletedTrace>,
     /// The query service's retained completed requests (slow or failed),
     /// oldest first — the rows of `system:completed_requests`, keyed by
     /// request id.

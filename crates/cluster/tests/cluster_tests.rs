@@ -439,3 +439,64 @@ fn auto_failover_detects_and_promotes() {
         cluster.map("default").unwrap().active_vbs(NodeId(2)).is_empty()
     }));
 }
+
+/// TTL writes, GETL and unlock go through the same traced entry as every
+/// other KV op: each mints one trace whose engine span links to the client
+/// root.
+#[test]
+fn ttl_and_lock_ops_mint_traces_with_linked_engine_spans() {
+    let cluster = small_cluster(1, 0);
+    cluster.trace_store().set_sample_every(1);
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    client.upsert_with_expiry("k", doc(1), u32::MAX).unwrap();
+    let locked = client.get_and_lock("k", Duration::from_secs(5)).unwrap();
+    client.unlock("k", locked.meta.cas).unwrap();
+
+    let traces = cluster.trace_store().completed_traces();
+    for (root, engine_span) in [
+        ("client.kv.upsert_with_expiry", "kv.engine.set"),
+        ("client.kv.get_and_lock", "kv.engine.get_and_lock"),
+        ("client.kv.unlock", "kv.engine.unlock"),
+    ] {
+        let minted: Vec<_> = traces.iter().filter(|t| t.root_name == root).collect();
+        assert_eq!(minted.len(), 1, "{root} mints exactly one trace: {traces:#?}");
+        let span = minted[0].span(engine_span).expect("engine span recorded");
+        assert_eq!(minted[0].path_to_root(span).unwrap(), vec![root, engine_span]);
+        assert!(span.lane.starts_with('n'), "engine spans land on the node lane");
+        assert!(!minted[0].failed);
+    }
+}
+
+/// Expected outcomes (miss, exists, CAS mismatch, locked) are answers, not
+/// failures: a get-miss stream must not fill the completed ring with
+/// "failed" traces and evict a genuine failure.
+#[test]
+fn expected_outcomes_do_not_evict_a_genuinely_failed_trace() {
+    let cluster = small_cluster(1, 0);
+    let store = cluster.trace_store();
+    store.set_sample_every(1);
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    client.upsert("k", doc(1)).unwrap();
+
+    // A genuine failure: unlocking a key nobody locked times out.
+    let err = client.unlock("k", cbs_common::Cas(7)).unwrap_err();
+    assert!(matches!(err, cbs_common::Error::Timeout(_)), "{err:?}");
+    // One of each expected outcome, then a long stream of misses.
+    assert!(matches!(client.insert("k", doc(2)), Err(cbs_common::Error::KeyExists(_))));
+    assert!(matches!(
+        client.replace("k", doc(2), cbs_common::Cas(7)),
+        Err(cbs_common::Error::CasMismatch(_))
+    ));
+    client.get_and_lock("k", Duration::from_secs(5)).unwrap();
+    assert!(matches!(client.upsert("k", doc(3)), Err(cbs_common::Error::Locked(_))));
+    for i in 0..1_000 {
+        assert!(matches!(
+            client.get(&format!("absent-{i}")),
+            Err(cbs_common::Error::KeyNotFound(_))
+        ));
+    }
+
+    let traces = store.completed_traces();
+    let failed: Vec<_> = traces.iter().filter(|t| t.failed).map(|t| t.root_name).collect();
+    assert_eq!(failed, vec!["client.kv.unlock"], "only the timeout counts as a failure");
+}

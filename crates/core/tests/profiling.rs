@@ -196,3 +196,30 @@ fn phase_histograms_and_help_reach_prometheus() {
     assert!(prom.contains("# TYPE cbs_n1ql_phase_index_scan summary"));
     assert!(prom.contains("# HELP cbs_n1ql_query_latency "));
 }
+
+/// Every `system:` catalog name is answered by both datastores: live rows
+/// where the datastore has the backing service, no rows (not "no such
+/// keyspace") where it does not.
+#[test]
+fn every_system_catalog_answers_on_both_datastores() {
+    let cluster = seeded_cluster(5);
+    let mem = cbs_n1ql::MemoryDatastore::new();
+    mem.create_keyspace("default");
+    assert_eq!(cbs_n1ql::SYSTEM_CATALOGS.len(), 11);
+    for catalog in cbs_n1ql::SYSTEM_CATALOGS {
+        let stmt = format!("SELECT * FROM {catalog}");
+        let on_cluster = cluster.query(&stmt, &QueryOptions::default());
+        let on_memory = cbs_n1ql::query(&mem, &stmt, &QueryOptions::default());
+        assert!(on_cluster.is_ok(), "{catalog} on the cluster: {:?}", on_cluster.err());
+        assert!(on_memory.is_ok(), "{catalog} on the memory datastore: {:?}", on_memory.err());
+        // Catalogs both sides can fill are filled on both sides.
+        let both_live = ["system:active_requests", "system:keyspaces", "system:nodes"];
+        if both_live.contains(&catalog) {
+            assert!(!on_cluster.unwrap().rows.is_empty(), "{catalog}: cluster rows");
+            assert!(!on_memory.unwrap().rows.is_empty(), "{catalog}: memory rows");
+        }
+    }
+    let bogus = "SELECT * FROM system:bogus";
+    assert!(cluster.query(bogus, &QueryOptions::default()).is_err());
+    assert!(cbs_n1ql::query(&mem, bogus, &QueryOptions::default()).is_err());
+}

@@ -34,7 +34,7 @@ pub struct DcpItem {
     pub value: Option<SharedValue>,
     /// Causal trace context of the originating client operation, carried
     /// across the stream so consumers (replication, indexing) can attach
-    /// their spans to the same trace (DESIGN.md §17). `None` when the
+    /// their spans to the same trace (DESIGN.md §10). `None` when the
     /// originating op was unsampled or untraced.
     pub trace: Option<TraceContext>,
 }

@@ -11,7 +11,7 @@ use cbs_common::sync::{rank, OrderedMutex};
 use cbs_common::{vbucket_for_key, Cas, CasClock, DocMeta, Error, Result, RevNo, SeqNo, VbId};
 use cbs_dcp::{BackfillSource, DcpHub, DcpItem, DcpKind, DcpStream};
 use cbs_json::{SharedValue, Value};
-use cbs_obs::{span, Gauge, Registry, TraceContext};
+use cbs_obs::{span, Gauge, Registry, SpanGuard, TraceContext};
 use cbs_storage::{BucketStore, GroupCommitWal, StoredDoc};
 use parking_lot::Condvar;
 
@@ -43,7 +43,7 @@ struct VbMeta {
 struct DirtyQueue {
     keys: Vec<Arc<str>>,
     queued: std::collections::HashSet<Arc<str>>,
-    /// Causal trace contexts of queued writes (DESIGN.md §17): the flusher
+    /// Causal trace contexts of queued writes (DESIGN.md §10): the flusher
     /// records a `kv.flusher.wal_commit` span against each at the group
     /// commit that persists the key. Only traced writes pay the entry.
     ctxs: HashMap<Arc<str>, TraceContext>,
@@ -218,11 +218,21 @@ impl DataEngine {
         &self.hub
     }
 
-    /// This engine's causal trace sink (`None` when tracing is disabled).
-    /// Cross-boundary consumers — the replication pump, the txn drain —
-    /// use it to attach their spans to an in-flight trace (DESIGN.md §17).
+    /// This engine's trace sink (`None` when tracing is disabled). The
+    /// replication pump uses it to file its delivery spans on the
+    /// destination node's lane (DESIGN.md §10).
     pub fn trace_sink(&self) -> Option<&cbs_obs::TraceSink> {
         self.cfg.trace.as_ref()
+    }
+
+    /// A service-boundary span on this engine's node lane: a child of the
+    /// caller's span when the thread is inside an operation, else the root
+    /// of an unsampled segment that is kept only if it turns out slow.
+    fn trace(&self, name: &'static str) -> SpanGuard {
+        match &self.cfg.trace {
+            Some(sink) => sink.span(name),
+            None => span(name),
+        }
     }
 
     /// Open a DCP stream over one vBucket, backfilled from this engine.
@@ -343,10 +353,9 @@ impl DataEngine {
 
     /// Read a document by key.
     pub fn get(&self, key: &str) -> Result<GetResult> {
-        // Service-entry trace: standalone gets become slow-op candidates;
-        // gets issued inside a query nest under the request's span tree,
+        // Gets issued inside a query nest under the request's span tree,
         // where the profiler attributes them to the fetch phase.
-        let _trace = self.registry.trace("kv.engine.get");
+        let _trace = self.trace("kv.engine.get");
         let vb = self.vb_for_key(key);
         let start = Instant::now();
         let result = self.get_in_vb(vb, key);
@@ -416,11 +425,10 @@ impl DataEngine {
     ) -> Result<MutationResult> {
         // One shared allocation serves the cache, the DCP item, and every
         // subscriber — the zero-copy write path.
-        let _trace = self.registry.trace("kv.engine.set");
-        // Causal child span under the caller's ambient context (None when
-        // the op is untraced — the common case costs one TLS read).
-        let causal = self.cfg.trace.as_ref().and_then(|s| s.child("kv.engine.set"));
-        let ctx = causal.as_ref().map(|g| g.ctx());
+        let trace = self.trace("kv.engine.set");
+        // `Some` only inside a sampled operation: the flusher and the
+        // replication pump then file their spans under it.
+        let ctx = trace.ctx();
         let start = Instant::now();
         let value: SharedValue = value.into();
         let vb = self.vb_for_key(key);
@@ -465,8 +473,8 @@ impl DataEngine {
 
     /// Delete a document (CAS-checked like [`DataEngine::set`]).
     pub fn delete(&self, key: &str, cas_check: Cas) -> Result<MutationResult> {
-        let causal = self.cfg.trace.as_ref().and_then(|s| s.child("kv.engine.delete"));
-        let ctx = causal.as_ref().map(|g| g.ctx());
+        let trace = self.trace("kv.engine.delete");
+        let ctx = trace.ctx();
         let vb = self.vb_for_key(key);
         let mut meta = self.vbs[vb.index()].lock();
         if meta.state != VbState::Active {
@@ -500,6 +508,7 @@ impl DataEngine {
     /// hard lock at the document level", §3.1.1). The returned CAS is the
     /// lock token; a subsequent write presenting it releases the lock.
     pub fn get_and_lock(&self, key: &str, duration: Option<Duration>) -> Result<GetResult> {
+        let _trace = self.trace("kv.engine.get_and_lock");
         let vb = self.vb_for_key(key);
         let result = self.get_in_vb(vb, key)?;
         let mut meta = self.vbs[vb.index()].lock();
@@ -516,6 +525,7 @@ impl DataEngine {
 
     /// Explicitly release a GETL lock using its token.
     pub fn unlock(&self, key: &str, token: Cas) -> Result<()> {
+        let _trace = self.trace("kv.engine.unlock");
         let vb = self.vb_for_key(key);
         let mut meta = self.vbs[vb.index()].lock();
         match meta.locks.get(key) {
@@ -588,17 +598,16 @@ impl DataEngine {
     /// Apply a replicated mutation to a `Replica`/`Pending` vBucket,
     /// preserving the active copy's metadata (seqno, CAS, rev).
     pub fn apply_replica(&self, item: &DcpItem) -> Result<()> {
-        let _s = span("kv.engine.apply_replica");
-        // Stitch onto the originating client op's trace: prefer the
-        // delivering thread's ambient span (the pump's
-        // `cluster.replication.deliver` guard) so the apply nests under
-        // the hop that carried it, falling back to the context shipped on
-        // the DCP item for callers that didn't open one.
-        let causal = match (cbs_obs::current_context().or(item.trace), &self.cfg.trace) {
-            (Some(ctx), Some(sink)) => Some(sink.child_of(ctx, "kv.engine.replica_apply")),
-            _ => None,
+        // Stitch onto the originating client op's trace. Inside the pump's
+        // `cluster.replication.deliver` span the apply nests under the hop
+        // that carried it; a caller that opened none gets a segment under
+        // the context shipped on the DCP item. Unsampled items cost one
+        // TLS read.
+        let trace = match (item.trace, &self.cfg.trace) {
+            (Some(ctx), Some(sink)) => sink.child_of("kv.engine.replica_apply", ctx),
+            _ => span("kv.engine.replica_apply"),
         };
-        let ctx = causal.as_ref().map(|g| g.ctx());
+        let ctx = trace.ctx();
         let vb = item.vb;
         let meta = self.vbs[vb.index()].lock();
         if !matches!(meta.state, VbState::Replica | VbState::Pending) {
@@ -791,12 +800,12 @@ impl DataEngine {
     /// The per-vBucket stores are then appended *without* syncing; the WAL
     /// covers them until [`DataEngine::checkpoint_shard`] runs.
     pub fn flush_shard(&self, shard: usize) -> Result<u64> {
-        // Root trace on the flusher thread (a child span when a traced
-        // caller flushes synchronously): the drain cycle's WAL append,
-        // group-commit fsync, store writes and checkpoint all show up as
-        // children in the slow-op log.
-        let _trace = self.registry.trace("kv.flusher.cycle");
         let sh = &self.shards[shard];
+        // The root of the flusher thread's segment (a child span when a
+        // traced caller flushes synchronously): a slow drain cycle is kept
+        // with its WAL append, group-commit fsync, store writes and
+        // checkpoint as children. Idle wake-ups have nothing to explain.
+        let _trace = (sh.dirty_count.get() > 0).then(|| self.trace("kv.flusher.cycle"));
         // Hold the shard's flush lock for the whole cycle so a concurrent
         // checkpoint (purge_vb, shutdown) can neither truncate the WAL
         // between our sync and our store writes nor run between a purge
@@ -878,7 +887,7 @@ impl DataEngine {
             if let (Some(sink), Some(start)) = (&self.cfg.trace, commit_start) {
                 let end = Instant::now();
                 for ctx in &traced {
-                    sink.record_span(*ctx, "kv.flusher.wal_commit", start, end);
+                    sink.record_span("kv.flusher.wal_commit", *ctx, start, end);
                 }
             }
             for (vb, batch, high) in &cycle {

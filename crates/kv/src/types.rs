@@ -103,9 +103,9 @@ pub struct EngineConfig {
     /// group-commits its drain cycles with one fsync. Clamped to
     /// `1..=num_vbuckets`.
     pub flusher_shards: usize,
-    /// Causal trace sink for this engine's node lane (DESIGN.md §17).
-    /// `None` disables cross-boundary tracing; span recording then costs
-    /// one `Option` check.
+    /// Trace sink for this engine's node lane (DESIGN.md §10). `None`
+    /// disables tracing of direct engine calls and cross-boundary
+    /// stitching; span recording then costs one TLS read.
     pub trace: Option<cbs_obs::TraceSink>,
 }
 

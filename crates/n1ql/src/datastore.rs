@@ -75,14 +75,38 @@ pub trait Datastore: Send + Sync {
     /// BUILD INDEX for deferred definitions.
     fn build_index(&self, keyspace: &str, name: &str) -> Result<()>;
 
-    /// Scan a `system:` catalog keyspace (`system:completed_requests`,
-    /// `system:active_requests`, `system:indexes`, `system:keyspaces`,
-    /// `system:nodes`, `system:replication`, `system:staleness`),
-    /// returning `(key, document)` rows backed live by service state.
-    /// Datastores without introspection reject all of them.
+    /// Scan a `system:` catalog keyspace — one of [`SYSTEM_CATALOGS`] —
+    /// returning `(key, document)` rows backed live by service state. An
+    /// implementation serves the catalogs only it can (topology, indexes,
+    /// replication, traces, …) and hands every other name to
+    /// [`Datastore::service_catalog`].
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        Err(Error::Plan(format!("no such keyspace: {keyspace}")))
+        self.service_catalog(keyspace)
     }
+
+    /// The catalogs every datastore serves the same way, from the request
+    /// log and plan cache it exposes: `system:completed_requests`,
+    /// `system:active_requests` and `system:prepareds` (empty without the
+    /// backing service). Any other name is a plan-time error.
+    fn service_catalog(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
+        match keyspace {
+            "system:completed_requests" => {
+                Ok(self.request_log().map(RequestLog::completed_rows).unwrap_or_default())
+            }
+            "system:active_requests" => {
+                Ok(self.request_log().map(RequestLog::active_rows).unwrap_or_default())
+            }
+            "system:prepareds" => {
+                Ok(self.plan_cache().map(PlanCache::prepared_rows).unwrap_or_default())
+            }
+            other => Err(Error::Plan(format!("no such keyspace: {other}"))),
+        }
+    }
+
+    /// The trace sink requests are recorded on: [`crate::query`] opens
+    /// each request's root span (`n1ql.query.request`) here and rolls the
+    /// spans recorded under it up into [`crate::PhaseTimes`].
+    fn trace_sink(&self) -> &cbs_obs::TraceSink;
 
     /// The query service's request log, when this datastore has one. The
     /// query pipeline admits/retires every request through it, feeding
@@ -105,6 +129,21 @@ pub trait Datastore: Send + Sync {
     }
 }
 
+/// Every `system:` catalog keyspace [`Datastore::system_scan`] serves.
+pub const SYSTEM_CATALOGS: [&str; 11] = [
+    "system:completed_requests",
+    "system:active_requests",
+    "system:prepareds",
+    "system:transactions",
+    "system:indexes",
+    "system:keyspaces",
+    "system:nodes",
+    "system:replication",
+    "system:staleness",
+    "system:completed_traces",
+    "system:events",
+];
+
 #[derive(Default)]
 struct MemKeyspace {
     docs: BTreeMap<String, Value>,
@@ -114,13 +153,14 @@ struct MemKeyspace {
 /// An in-memory [`Datastore`] for tests and examples: documents in
 /// B-trees, index scans computed on the fly from the same [`IndexDef`]
 /// projection logic the real index service uses. Carries its own
-/// [`RequestLog`], so `system:completed_requests` and friends work
-/// without a cluster.
+/// [`RequestLog`], [`PlanCache`] and trace store, so profiling,
+/// `system:completed_requests` and friends work without a cluster.
 pub struct MemoryDatastore {
     keyspaces: OrderedRwLock<BTreeMap<String, MemKeyspace>>,
     request_log: RequestLog,
     plan_cache: PlanCache,
     stats_cache: StatsCache,
+    trace: cbs_obs::TraceSink,
 }
 
 impl Default for MemoryDatastore {
@@ -130,6 +170,7 @@ impl Default for MemoryDatastore {
             request_log: RequestLog::new("mem"),
             plan_cache: PlanCache::new(),
             stats_cache: StatsCache::new(),
+            trace: cbs_obs::TraceSink::new(cbs_obs::TraceStore::new(), "mem"),
         }
     }
 }
@@ -396,9 +437,6 @@ impl Datastore for MemoryDatastore {
 
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
         match keyspace {
-            "system:completed_requests" => Ok(self.request_log.completed_rows()),
-            "system:active_requests" => Ok(self.request_log.active_rows()),
-            "system:prepareds" => Ok(self.plan_cache.prepared_rows()),
             "system:indexes" => {
                 let map = self.keyspaces.read();
                 let mut rows = Vec::new();
@@ -441,11 +479,20 @@ impl Datastore for MemoryDatastore {
                     ("services", Value::Array(vec![Value::from("n1ql")])),
                 ]),
             )]),
-            // No replication pumps in a single-node memory datastore: the
+            // No cluster behind a memory datastore — no transactions,
+            // replication pumps, stitched traces or lifecycle events: the
             // catalogs exist (queries don't error) but have no rows.
-            "system:replication" | "system:staleness" => Ok(Vec::new()),
-            other => Err(Error::Plan(format!("no such keyspace: {other}"))),
+            "system:transactions"
+            | "system:replication"
+            | "system:staleness"
+            | "system:completed_traces"
+            | "system:events" => Ok(Vec::new()),
+            other => self.service_catalog(other),
         }
+    }
+
+    fn trace_sink(&self) -> &cbs_obs::TraceSink {
+        &self.trace
     }
 
     fn request_log(&self) -> Option<&RequestLog> {

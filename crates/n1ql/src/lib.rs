@@ -49,7 +49,7 @@ pub mod stats;
 
 pub use ast::Statement;
 pub use cache::{PlanCache, PreparedEntry};
-pub use datastore::{Datastore, MemoryDatastore};
+pub use datastore::{Datastore, MemoryDatastore, SYSTEM_CATALOGS};
 pub use exec::{execute, execute_with_profile, QueryOptions, QueryResult};
 pub use lexer::tokenize;
 pub use parser::parse_statement;
@@ -72,10 +72,12 @@ use profile::PhaseTimes as Phases;
 /// query, "use metadata on its referenced objects to choose the best
 /// execution plan, and execute the chosen plan." Around that pipeline the
 /// request is admitted into the datastore's [`RequestLog`] (feeding
-/// `system:active_requests` / `system:completed_requests`) and its span
-/// tree — the same one the slow-op ring captures — is rolled up into
-/// [`PhaseTimes`] on the result. A `PROFILE` prefix additionally returns
-/// the EXPLAIN-shaped plan annotated with per-operator runtime stats.
+/// `system:active_requests` / `system:completed_requests`) and runs under
+/// one root span, `n1ql.query.request`, on the datastore's trace sink; the
+/// spans recorded under it — the same ones a kept trace shows — are rolled
+/// up into [`PhaseTimes`] on the result, sampled or not. A `PROFILE` prefix
+/// additionally returns the EXPLAIN-shaped plan annotated with
+/// per-operator runtime stats.
 ///
 /// `PREPARE <name> FROM <stmt>` / `EXECUTE <name>` ride the datastore's
 /// [`PlanCache`]; hot prepared statements skip lexing, parsing and
@@ -83,10 +85,9 @@ use profile::PhaseTimes as Phases;
 pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result<QueryResult> {
     let log = ds.request_log();
     let req_id = log.map(|l| l.admit(statement, opts.client_context_id.as_deref().unwrap_or("")));
-    let cap = cbs_obs::capture("n1ql.query.request");
+    let mut request = ds.trace_sink().mint("n1ql.query.request");
     let outcome = run_request(ds, statement, opts);
-    let spans = cap.finish();
-    let phases = Phases::from_spans(&spans);
+    let phases = request.subtree(Phases::from_spans);
     match outcome {
         Ok((mut result, plan_summary, profiled)) => {
             result.phases = phases;
@@ -112,6 +113,7 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
             Ok(result)
         }
         Err(e) => {
+            request.fail();
             if let (Some(log), Some(id)) = (log, req_id) {
                 log.complete(id, "", 0, 1, 0, phases, true, opts.slow_threshold);
             }

@@ -10,9 +10,9 @@
 //!   exclusive time). Disabled collectors are a no-op: a `PROFILE`-less
 //!   query pays one branch per operator and allocates nothing extra.
 //! - [`PhaseTimes`] — plan / indexScan / primaryScan / fetch / run rollups
-//!   extracted from the same cbs-obs span tree the slow-op ring captures,
-//!   so cross-service time (GSI scans, KV fetches) is attributed from real
-//!   spans, not guessed.
+//!   extracted from the request's cbs-obs spans (the ones a kept trace
+//!   shows), so cross-service time (GSI scans, KV fetches) is attributed
+//!   from real spans, not guessed.
 //! - [`RequestLog`] — a bounded ring of completed requests (slow or failed,
 //!   threshold-gated) plus the in-flight set, feeding the
 //!   `system:completed_requests` and `system:active_requests` keyspaces.
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_json::Value;
-use cbs_obs::SpanNode;
+use cbs_obs::SpanRec;
 
 /// Every operator name the executor can emit, in pipeline order. The
 /// `profile-coverage` xtask lint cross-checks that `exec.rs` records stats
@@ -138,7 +138,7 @@ impl Prof {
 }
 
 /// Phase rollups decomposing a request's wall time, extracted from the
-/// request's span tree (see [`PhaseTimes::from_spans`]).
+/// request's spans (see [`PhaseTimes::from_spans`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Parse + plan time (`n1ql.query.parse`, `n1ql.query.plan`).
@@ -157,39 +157,41 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Roll a captured span tree up into phases. Spans are pre-order with
-    /// depths; once a span is attributed to a phase its descendants are
+    /// Roll the spans one thread recorded under a request
+    /// ([`cbs_obs::SpanGuard::subtree`]: pre-order, one segment) up into
+    /// phases. Once a span is attributed to a phase its descendants are
     /// skipped, so nested cross-service spans (`index.manager.scan` under
     /// `n1ql.exec.index_scan`, `kv.engine.get` under `n1ql.exec.fetch`)
     /// count once, inside the phase that issued them.
-    pub fn from_spans(spans: &[SpanNode]) -> PhaseTimes {
+    pub fn from_spans(spans: &[SpanRec]) -> PhaseTimes {
         let mut t = PhaseTimes::default();
         let mut run_gross = Duration::ZERO;
         let mut i = 0usize;
         while i < spans.len() {
             let s = &spans[i];
+            let duration = Duration::from_nanos(s.dur_ns);
             match s.name {
                 "n1ql.query.parse" | "n1ql.query.plan" => {
-                    t.plan += s.duration;
+                    t.plan += duration;
                     i = skip_subtree(spans, i);
                 }
                 "n1ql.exec.index_scan" => {
-                    t.index_scan += s.duration;
+                    t.index_scan += duration;
                     i = skip_subtree(spans, i);
                 }
                 "n1ql.exec.primary_scan" => {
-                    t.primary_scan += s.duration;
+                    t.primary_scan += duration;
                     i = skip_subtree(spans, i);
                 }
                 "n1ql.exec.fetch" => {
-                    t.fetch += s.duration;
+                    t.fetch += duration;
                     i = skip_subtree(spans, i);
                 }
                 // Gross run time; scan/fetch phases nest inside it and are
                 // subtracted below, leaving exclusive executor time. Do NOT
                 // skip the subtree — the nested phases still need counting.
                 "n1ql.exec.run" => {
-                    run_gross += s.duration;
+                    run_gross += duration;
                     i += 1;
                 }
                 _ => i += 1,
@@ -420,11 +422,13 @@ impl RequestLog {
     }
 }
 
-/// First index past the subtree rooted at `i` (pre-order, depth-encoded).
-fn skip_subtree(spans: &[SpanNode], i: usize) -> usize {
-    let d = spans[i].depth;
+/// First index past the subtree rooted at `i`: within a segment ids grow
+/// in pre-order, so the descendants of `i` are exactly the following spans
+/// parented at or after it.
+fn skip_subtree(spans: &[SpanRec], i: usize) -> usize {
+    let id = spans[i].id;
     let mut j = i + 1;
-    while j < spans.len() && spans[j].depth > d {
+    while j < spans.len() && spans[j].parent >= id {
         j += 1;
     }
     j
@@ -434,23 +438,40 @@ fn skip_subtree(spans: &[SpanNode], i: usize) -> usize {
 mod tests {
     use super::*;
 
-    fn node(name: &'static str, depth: u16, micros: u64) -> SpanNode {
-        SpanNode { name, depth, offset: Duration::ZERO, duration: Duration::from_micros(micros) }
+    /// Pre-order spans from `(name, depth, micros)`, ids and parent links
+    /// assigned the way a segment assigns them.
+    fn segment(shape: &[(&'static str, usize, u64)]) -> Vec<SpanRec> {
+        let mut open: Vec<u64> = Vec::new();
+        let mut spans = Vec::new();
+        for (i, &(name, depth, micros)) in shape.iter().enumerate() {
+            open.truncate(depth);
+            let id = i as u64 + 1;
+            spans.push(SpanRec {
+                id,
+                parent: open.last().copied().unwrap_or(0),
+                name,
+                lane: "query".into(),
+                start_ns: 0,
+                dur_ns: micros * 1000,
+            });
+            open.push(id);
+        }
+        spans
     }
 
     #[test]
     fn phases_attribute_nested_service_time_once() {
-        let spans = vec![
-            node("n1ql.query.request", 0, 1000),
-            node("n1ql.query.parse", 1, 50),
-            node("n1ql.query.plan", 1, 70),
-            node("n1ql.exec.run", 1, 800),
-            node("n1ql.exec.index_scan", 2, 300),
-            node("index.manager.scan", 3, 280),
-            node("n1ql.exec.fetch", 2, 400),
-            node("kv.engine.get", 3, 120),
-            node("kv.engine.get", 3, 110),
-        ];
+        let spans = segment(&[
+            ("n1ql.query.request", 0, 1000),
+            ("n1ql.query.parse", 1, 50),
+            ("n1ql.query.plan", 1, 70),
+            ("n1ql.exec.run", 1, 800),
+            ("n1ql.exec.index_scan", 2, 300),
+            ("index.manager.scan", 3, 280),
+            ("n1ql.exec.fetch", 2, 400),
+            ("kv.engine.get", 3, 120),
+            ("kv.engine.get", 3, 110),
+        ]);
         let t = PhaseTimes::from_spans(&spans);
         assert_eq!(t.plan, Duration::from_micros(120));
         assert_eq!(

@@ -8,18 +8,19 @@
 //! - [`Counter`] / [`Gauge`] / [`Histogram`] — lock-free atomic primitives
 //!   with zero-allocation hot-path recording ([`metrics`]).
 //! - [`Registry`] — named get-or-create handles, mergeable
-//!   [`RegistrySnapshot`]s, a slow-op ring buffer, and the
-//!   `service.component.metric` naming convention ([`registry`]).
-//! - [`Registry::trace`] / [`span`] — thread-propagated span trees so one
-//!   KV set or N1QL query can be followed across service boundaries, with
-//!   outliers captured whole in the slow-op log ([`trace`]).
+//!   [`RegistrySnapshot`]s, and the `service.component.metric` naming
+//!   convention ([`registry`]).
 //! - [`WindowedHistogram`] — ring of mergeable sub-window histograms
 //!   rotated by a logical/injected clock, answering "what is the
 //!   distribution *right now*" ([`window`]).
-//! - [`TraceStore`] / [`TraceContext`] — Dapper-style causal tracing: a
-//!   context minted at entry points, carried across thread and service
-//!   boundaries, stitched back into one bounded span tree per operation
-//!   ([`store`]).
+//! - [`TraceSink`] / [`span`] / [`SpanGuard`] — the one span recorder:
+//!   entry points mint (head-sampled) traces, every span lands in a
+//!   lock-free thread-local segment, and a [`TraceContext`] carried across
+//!   thread and service boundaries stitches the segments back into one
+//!   span tree per operation ([`trace`]).
+//! - [`TraceStore`] — the bounded store behind it: completed traces, the
+//!   one slow threshold that decides what is kept, `system:completed_traces`
+//!   and the Chrome export ([`store`]).
 //! - [`Registry::record_event`] — the black-box flight recorder: bounded
 //!   per-service rings of structured, timestamp-free lifecycle events
 //!   ([`registry`]).
@@ -37,13 +38,7 @@ pub use fmt::PrometheusText;
 pub use metrics::{
     bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer, NUM_BUCKETS,
 };
-pub use registry::{
-    default_slow_threshold, is_valid_metric_name, EventRec, Registry, RegistrySnapshot,
-    MAX_RETAINED_DEPTH, MAX_RETAINED_SPANS,
-};
-pub use store::{
-    chrome_trace_json, current_context, CompletedTrace, SpanHandle, SpanRec, TraceContext,
-    TraceSink, TraceStore, MAX_SPANS_PER_TRACE,
-};
-pub use trace::{capture, span, Capture, SlowOp, SpanGuard, SpanNode, TraceGuard};
+pub use registry::{is_valid_metric_name, EventRec, Registry, RegistrySnapshot};
+pub use store::{chrome_trace_json, default_slow_threshold, CompletedTrace, TraceStore};
+pub use trace::{span, SpanGuard, SpanRec, TraceContext, TraceSink, MAX_SPANS_PER_TRACE};
 pub use window::{WindowedHistogram, WindowedSnapshot, WINDOW_SLOTS};

@@ -1,4 +1,4 @@
-//! The metrics registry: named handles, snapshots, and the slow-op ring.
+//! The metrics registry: named handles, snapshots, and the flight recorder.
 //!
 //! One [`Registry`] per service instance (a KV engine on a node, the
 //! cluster's query service, an XDCR link). Components resolve their
@@ -15,45 +15,14 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::trace::{SlowOp, TraceGuard};
 use crate::window::{WindowedHistogram, WindowedSnapshot};
-
-/// Slow operations retained per registry (oldest evicted first).
-const SLOW_RING_CAP: usize = 64;
-
-/// Spans retained per slow op. A pathological trace (a scan that spans
-/// every vBucket, a runaway retry loop) is clamped to this many spans
-/// before it enters the ring, so `SLOW_RING_CAP` bounds real memory.
-pub const MAX_RETAINED_SPANS: usize = 128;
-
-/// Maximum span depth retained per slow op; deeper spans are dropped
-/// (pre-order stays consistent — a dropped span's children are deeper
-/// still, so they are dropped with it).
-pub const MAX_RETAINED_DEPTH: u16 = 16;
 
 /// Flight-recorder events retained per registry (oldest evicted first).
 const EVENT_RING_CAP: usize = 256;
-
-/// Default slow-op threshold. Operations whose root span runs at least this
-/// long have their full span tree captured.
-const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(100);
-
-/// The slow-op threshold new registries start with: `CBS_SLOW_OP_MS`
-/// (milliseconds) when set and parseable, else
-/// [`DEFAULT_SLOW_THRESHOLD`]. Read per call so tests can vary the
-/// environment; registry construction is far off any hot path.
-pub fn default_slow_threshold() -> Duration {
-    std::env::var("CBS_SLOW_OP_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_SLOW_THRESHOLD)
-}
 
 /// True if `name` follows the `service.component.metric` convention:
 /// exactly three dot-separated segments, each `[a-z][a-z0-9_]*`.
@@ -81,7 +50,7 @@ fn assert_valid_name(name: &str) {
     );
 }
 
-/// A service instance's metrics and slow-op log.
+/// A service instance's metrics and flight-recorder events.
 pub struct Registry {
     service: String,
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -89,8 +58,6 @@ pub struct Registry {
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
     windowed: RwLock<BTreeMap<String, Arc<WindowedHistogram>>>,
     help: RwLock<BTreeMap<String, String>>,
-    slow_threshold_nanos: AtomicU64,
-    slow_ring: Mutex<VecDeque<SlowOp>>,
     event_seq: AtomicU64,
     events: Mutex<VecDeque<EventRec>>,
 }
@@ -103,7 +70,7 @@ impl std::fmt::Debug for Registry {
 
 impl Registry {
     /// A fresh registry for one service instance. `service` is a free-form
-    /// label ("kv", "n1ql", "index@n2") used in snapshots and slow-op
+    /// label ("kv", "n1ql", "index@n2") used in snapshots and event
     /// records; metric names inside the registry are what the naming
     /// convention governs.
     pub fn new(service: impl Into<String>) -> Registry {
@@ -114,10 +81,6 @@ impl Registry {
             histograms: RwLock::new(BTreeMap::new()),
             windowed: RwLock::new(BTreeMap::new()),
             help: RwLock::new(BTreeMap::new()),
-            slow_threshold_nanos: AtomicU64::new(
-                default_slow_threshold().as_nanos().min(u64::MAX as u128) as u64,
-            ),
-            slow_ring: Mutex::new(VecDeque::new()),
             event_seq: AtomicU64::new(0),
             events: Mutex::new(VecDeque::new()),
         }
@@ -231,48 +194,6 @@ impl Registry {
                 .collect(),
             help: self.help.read().clone(),
         }
-    }
-
-    /// Open a root trace span (or a child span if a trace is already active
-    /// on this thread). When the root guard drops after at least the
-    /// [slow-op threshold](Registry::set_slow_threshold), the whole span
-    /// tree is captured in this registry's slow-op ring.
-    pub fn trace(self: &Arc<Self>, name: &'static str) -> TraceGuard {
-        TraceGuard::enter(self, name)
-    }
-
-    /// Current slow-op threshold.
-    pub fn slow_threshold(&self) -> Duration {
-        Duration::from_nanos(self.slow_threshold_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Set the slow-op threshold. `Duration::ZERO` captures every traced
-    /// operation (useful in tests and demos).
-    pub fn set_slow_threshold(&self, d: Duration) {
-        self.slow_threshold_nanos
-            .store(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
-    }
-
-    /// Record a finished slow operation (called by the tracer). The span
-    /// tree is clamped to [`MAX_RETAINED_SPANS`] spans no deeper than
-    /// [`MAX_RETAINED_DEPTH`] before it is retained, so one pathological
-    /// trace can't pin unbounded memory in the ring; clamped ops carry a
-    /// truncation marker.
-    pub(crate) fn record_slow(&self, mut op: SlowOp) {
-        let before = op.spans.len();
-        op.spans.retain(|s| s.depth <= MAX_RETAINED_DEPTH);
-        op.spans.truncate(MAX_RETAINED_SPANS);
-        op.truncated |= op.spans.len() < before;
-        let mut ring = self.slow_ring.lock();
-        if ring.len() >= SLOW_RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(op);
-    }
-
-    /// The retained slow operations, oldest first.
-    pub fn slow_ops(&self) -> Vec<SlowOp> {
-        self.slow_ring.lock().iter().cloned().collect()
     }
 
     // ------------------------------------------------------------------
@@ -427,6 +348,7 @@ impl RegistrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn naming_convention() {
@@ -478,22 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_default_slow_threshold() {
-        std::env::set_var("CBS_SLOW_OP_MS", "7");
-        let r = Registry::new("kv");
-        std::env::remove_var("CBS_SLOW_OP_MS");
-        assert_eq!(r.slow_threshold(), Duration::from_millis(7));
-        // Garbage values fall back to the built-in default.
-        std::env::set_var("CBS_SLOW_OP_MS", "not-a-number");
-        let r2 = Registry::new("kv");
-        std::env::remove_var("CBS_SLOW_OP_MS");
-        assert_eq!(r2.slow_threshold(), DEFAULT_SLOW_THRESHOLD);
-        // Runtime override still wins after construction.
-        r.set_slow_threshold(Duration::from_millis(1));
-        assert_eq!(r.slow_threshold(), Duration::from_millis(1));
-    }
-
-    #[test]
     fn help_registered_and_merged_first_wins() {
         let a = Registry::new("kv");
         let b = Registry::new("kv");
@@ -506,57 +412,6 @@ mod tests {
         m.merge(&b.snapshot());
         assert_eq!(m.help.get("kv.engine.gets").map(String::as_str), Some("point reads"));
         assert_eq!(m.help.get("kv.engine.sets").map(String::as_str), Some("point writes"));
-    }
-
-    #[test]
-    fn slow_op_span_trees_are_clamped_and_marked() {
-        use crate::trace::SpanNode;
-        let r = Registry::new("kv");
-        // A pathological trace: 1 root + 400 children, some deeper than
-        // the retention cap.
-        let mut spans = vec![SpanNode {
-            name: "kv.engine.scan",
-            depth: 0,
-            offset: Duration::ZERO,
-            duration: Duration::from_millis(50),
-        }];
-        for i in 0..400u16 {
-            spans.push(SpanNode {
-                name: "kv.engine.get",
-                depth: 1 + (i % 40),
-                offset: Duration::from_micros(u64::from(i)),
-                duration: Duration::from_micros(1),
-            });
-        }
-        r.record_slow(SlowOp {
-            service: "kv".to_string(),
-            total: Duration::from_millis(50),
-            spans,
-            truncated: false,
-        });
-        let ops = r.slow_ops();
-        assert_eq!(ops.len(), 1);
-        let op = &ops[0];
-        assert!(op.truncated, "clamping must be visible");
-        assert!(op.spans.len() <= MAX_RETAINED_SPANS);
-        assert!(op.spans.iter().all(|s| s.depth <= MAX_RETAINED_DEPTH));
-        assert!(op.render().contains("truncated"), "render flags the cut:\n{}", op.render());
-
-        // A small op passes through untouched and unflagged.
-        r.record_slow(SlowOp {
-            service: "kv".to_string(),
-            total: Duration::from_millis(1),
-            spans: vec![SpanNode {
-                name: "kv.engine.get",
-                depth: 0,
-                offset: Duration::ZERO,
-                duration: Duration::from_millis(1),
-            }],
-            truncated: false,
-        });
-        let ops = r.slow_ops();
-        assert!(!ops[1].truncated);
-        assert_eq!(ops[1].spans.len(), 1);
     }
 
     #[test]

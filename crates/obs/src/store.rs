@@ -1,36 +1,29 @@
-//! Causal end-to-end tracing: a cluster-wide trace store stitching one
-//! span tree across threads and services (DESIGN.md §17).
+//! The span recorder's shared half: a bounded, cluster-wide store that
+//! stitches the segments threads record ([`crate::trace`]) into one span
+//! tree per operation (DESIGN.md §10).
 //!
-//! The thread-local tracing in [`crate::trace`] captures a span tree for
-//! one operation *on one thread* — it dies at the SmartClient/transport
-//! boundary, inside the replication pump, and across the flusher hand-off.
-//! This module adds the Dapper-style half: a [`TraceContext`] (trace id +
-//! parent span id) minted at entry points, carried across thread
-//! boundaries (on `DcpItem`s, in the flusher's dirty queues), and joined
-//! back into a single tree inside a bounded [`TraceStore`].
-//!
-//! Design points:
-//!
-//! - **Head sampling, always on.** The sampling decision is made once, at
-//!   mint time, by a deterministic 1-in-N counter (`CBS_TRACE_SAMPLE`,
-//!   default every operation). Unsampled operations cost one TLS read on
-//!   the hot path and allocate nothing.
-//! - **Bounded everywhere.** Traces live in a fixed slot array while
-//!   collecting spans (slot = `trace_id % slots`); a trace holds at most
-//!   [`MAX_SPANS_PER_TRACE`] spans (extras are counted, not stored);
-//!   finished traces are retired into a fixed-capacity completed ring.
-//! - **Slow/failed traces always retained.** Ring eviction drops the
-//!   oldest *unremarkable* trace first; traces that failed or ran past
-//!   the slow threshold survive until only retained traces remain.
+//! - **Touched once per segment.** The slot/ring locks here are taken only
+//!   when an entry point is minted, when a segment closes, and when
+//!   [`TraceStore::record_span`] attributes a flusher commit — never per
+//!   span.
+//! - **Head sampling, always on.** Decided once, at mint time, by a
+//!   deterministic 1-in-N counter (`CBS_TRACE_SAMPLE`, default every
+//!   operation). Only sampled operations hand out a [`TraceContext`], so
+//!   nothing downstream records for the others.
+//! - **Bounded everywhere.** Sampled traces collect segments in a fixed
+//!   slot array (slot = `trace_id % slots`) up to [`MAX_SPANS_PER_TRACE`]
+//!   spans (extras are counted, not stored); finished traces retire into
+//!   a fixed-capacity ring. Span buffers circulate between slots, ring and
+//!   threads, so the steady state allocates nothing.
+//! - **One threshold.** An unsampled segment that ran at least
+//!   [`TraceStore::slow_threshold`] (or failed) is promoted to a completed
+//!   trace; ring eviction drops the oldest trace that is neither slow nor
+//!   failed first. "The slow-op log" is [`TraceStore::slow_traces`].
 //! - **Late spans are welcome.** A trace's root can finish before the
-//!   replication pump records its delivery span (the replica ack races
-//!   the client's observe loop). Finished traces therefore stay in their
-//!   slot, still accepting spans, until a new trace needs the slot.
-//!
-//! Wall-clock reads (`Instant::now`) happen only inside the guards here,
-//! so instrumented crates (notably `cbs-cluster`, which bans ad-hoc clock
-//! reads) never touch the clock themselves.
+//!   replication pump files its delivery segment, so finished traces stay
+//!   in their slot, still accepting segments, until a new trace needs it.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,6 +32,7 @@ use parking_lot::Mutex;
 
 use crate::metrics::Counter;
 use crate::registry::Registry;
+use crate::trace::{Segment, SpanRec, TraceContext, MAX_SPANS_PER_TRACE};
 
 /// Trace slots collecting in-flight (and recently finished) traces.
 const TRACE_SLOTS: usize = 64;
@@ -46,81 +40,15 @@ const TRACE_SLOTS: usize = 64;
 /// Completed traces retained for `system:completed_traces` / export.
 const COMPLETED_RING_CAP: usize = 128;
 
-/// Hard per-trace span cap: spans past this are counted as dropped.
-pub const MAX_SPANS_PER_TRACE: usize = 192;
-
-/// Default slow-trace retention threshold (same default as the slow-op
-/// ring; [`TraceStore::set_slow_threshold`] overrides it).
-const DEFAULT_SLOW_TRACE: Duration = Duration::from_millis(100);
-
-/// The causal context one operation carries across thread and service
-/// boundaries: which trace it belongs to and which span is its parent.
-/// `Copy` on purpose — attaching it to a `DcpItem` or a dirty-queue entry
-/// is two `u64` stores, no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The trace this operation belongs to (nonzero).
-    pub trace_id: u64,
-    /// The span to parent new child spans under (nonzero).
-    pub span_id: u64,
-}
-
-thread_local! {
-    /// The ambient context of the current thread: set by span guards,
-    /// read by [`current_context`] and by `mint`/`child` to stitch nested
-    /// instrumentation into the caller's trace.
-    static CURRENT: std::cell::Cell<Option<TraceContext>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The ambient [`TraceContext`] of the calling thread, if a causal span
-/// guard is live on it.
-pub fn current_context() -> Option<TraceContext> {
-    CURRENT.with(|c| c.get())
-}
-
-/// One recorded span: offsets are nanoseconds since the owning trace's
-/// start, `parent == 0` marks the root.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRec {
-    /// Span id (unique within the store).
-    pub id: u64,
-    /// Parent span id, `0` for the root span.
-    pub parent: u64,
-    /// Span name (`service.component.op`).
-    pub name: &'static str,
-    /// Where the span ran: `client`, `query`, `txn`, or a node lane
-    /// (`n0`, `n1`, …).
-    pub lane: Arc<str>,
-    /// Start offset from the trace start, in nanoseconds.
-    pub start_ns: u64,
-    /// Span duration in nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// A trace collecting spans in its slot.
-struct ActiveTrace {
-    trace_id: u64,
-    root_name: &'static str,
-    start: Instant,
-    spans: Vec<SpanRec>,
-    root_done: bool,
-    failed: bool,
-    total_ns: u64,
-    dropped_spans: u32,
-}
-
-impl ActiveTrace {
-    fn to_completed(&self) -> CompletedTrace {
-        CompletedTrace {
-            trace_id: self.trace_id,
-            root_name: self.root_name,
-            total: Duration::from_nanos(self.total_ns),
-            spans: self.spans.clone(),
-            failed: self.failed,
-            dropped_spans: self.dropped_spans,
-        }
-    }
+/// The slow threshold a store starts with: `CBS_SLOW_OP_MS` (milliseconds)
+/// when set and parseable, else 100 ms. The query request log starts from
+/// the same value. Read per call so tests can vary the environment; store
+/// construction is far off any hot path.
+pub fn default_slow_threshold() -> Duration {
+    std::env::var("CBS_SLOW_OP_MS")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .map_or(Duration::from_millis(100), Duration::from_millis)
 }
 
 /// A finished trace: the stitched span tree of one end-to-end operation.
@@ -132,10 +60,10 @@ pub struct CompletedTrace {
     pub root_name: &'static str,
     /// Root span duration.
     pub total: Duration,
-    /// All spans, in recording order (children may precede or follow
-    /// their parent — cross-thread spans land when their guard drops).
+    /// All spans, segment by segment in filing order; within a segment
+    /// pre-order. A cross-thread child may precede its parent.
     pub spans: Vec<SpanRec>,
-    /// True if any span in the trace reported failure.
+    /// True if any segment of the trace reported failure.
     pub failed: bool,
     /// Spans discarded past [`MAX_SPANS_PER_TRACE`].
     pub dropped_spans: u32,
@@ -218,12 +146,21 @@ impl CompletedTrace {
     }
 }
 
-/// The cluster-wide causal trace store: bounded slots for in-flight
-/// traces, a bounded ring of completed ones, and `obs.trace.*` accounting
-/// on its own registry.
+/// A sampled trace collecting segments in its slot.
+struct Slot {
+    trace: CompletedTrace,
+    start: Instant,
+    /// The root's segment has been filed; the trace is complete (late
+    /// segments still land) and the slot may be reclaimed.
+    root_done: bool,
+}
+
+/// The cluster-wide trace store: bounded slots for in-flight traces, a
+/// bounded ring of completed ones, and `obs.trace.*` accounting on its own
+/// registry.
 pub struct TraceStore {
-    slots: Vec<Mutex<Option<ActiveTrace>>>,
-    ring: Mutex<std::collections::VecDeque<CompletedTrace>>,
+    slots: Vec<Mutex<Option<Slot>>>,
+    ring: Mutex<VecDeque<CompletedTrace>>,
     next_trace: AtomicU64,
     next_span: AtomicU64,
     sample_tick: AtomicU64,
@@ -239,28 +176,28 @@ pub struct TraceStore {
 
 impl TraceStore {
     /// A fresh store. The head-sampling rate comes from `CBS_TRACE_SAMPLE`
-    /// (sample 1 in N mints; default 1 = every operation).
+    /// (sample 1 in N mints; default 1 = every operation), the slow
+    /// threshold from [`default_slow_threshold`].
     pub fn new() -> Arc<TraceStore> {
-        let sample = std::env::var("CBS_TRACE_SAMPLE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1);
+        let sample = std::env::var("CBS_TRACE_SAMPLE").ok().and_then(|v| v.parse::<u64>().ok());
         let registry = Arc::new(Registry::new("obs"));
         Arc::new(TraceStore {
             slots: (0..TRACE_SLOTS).map(|_| Mutex::new(None)).collect(),
-            ring: Mutex::new(std::collections::VecDeque::new()),
+            ring: Mutex::new(VecDeque::new()),
             next_trace: AtomicU64::new(0),
             next_span: AtomicU64::new(0),
             sample_tick: AtomicU64::new(0),
-            sample_every: AtomicU64::new(sample),
-            slow_nanos: AtomicU64::new(DEFAULT_SLOW_TRACE.as_nanos() as u64),
-            minted: registry.counter_with_help("obs.trace.minted", "Root traces started"),
-            completed: registry
-                .counter_with_help("obs.trace.completed", "Traces whose root span finished"),
+            sample_every: AtomicU64::new(sample.unwrap_or(1).max(1)),
+            slow_nanos: AtomicU64::new(nanos(default_slow_threshold())),
+            minted: registry
+                .counter_with_help("obs.trace.minted", "Entry points that claimed a trace slot"),
+            completed: registry.counter_with_help(
+                "obs.trace.completed",
+                "Traces completed: sampled roots finished plus slow/failed segments promoted",
+            ),
             unsampled: registry.counter_with_help(
                 "obs.trace.unsampled",
-                "Entry points not traced (head sampling or slot pressure)",
+                "Entry points not sampled (head sampling or slot pressure)",
             ),
             evicted: registry.counter_with_help(
                 "obs.trace.evicted",
@@ -268,7 +205,7 @@ impl TraceStore {
             ),
             dropped: registry.counter_with_help(
                 "obs.trace.dropped_spans",
-                "Spans discarded past the per-trace cap or after trace eviction",
+                "Spans discarded past the per-trace cap or after their trace's slot was reused",
             ),
             registry,
         })
@@ -284,202 +221,169 @@ impl TraceStore {
         self.sample_every.store(n.max(1), Ordering::Relaxed);
     }
 
-    /// Traces at least this slow are always retained in the ring.
-    pub fn set_slow_threshold(&self, d: Duration) {
-        self.slow_nanos.store(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
+    /// The one "slow" threshold: unsampled operations at least this slow
+    /// are kept, and traces at least this slow survive ring eviction.
+    pub fn slow_threshold(&self) -> Duration {
+        Duration::from_nanos(self.slow_nanos.load(Ordering::Relaxed))
     }
 
-    /// Start (or join) a trace at an entry point. If the calling thread
-    /// already carries a context — e.g. `upsert` inside `upsert_durable`,
-    /// or a N1QL mutation inside a traced request — the new span becomes a
-    /// child of it instead of minting a second trace. Returns `None` when
-    /// head sampling skips this operation or its slot is still busy with a
-    /// live trace.
-    pub fn mint(self: &Arc<Self>, name: &'static str, lane: &Arc<str>) -> Option<SpanHandle> {
-        if let Some(ctx) = current_context() {
-            return Some(self.span_under(ctx, name, lane));
-        }
+    /// Set the slow threshold (`Duration::ZERO` keeps every operation).
+    pub fn set_slow_threshold(&self, d: Duration) {
+        self.slow_nanos.store(nanos(d), Ordering::Relaxed);
+    }
+
+    /// The head-sampling decision for an entry point that starts at
+    /// `start`: the new trace's id, or `0` when this operation goes
+    /// unsampled (skipped by the 1-in-N counter, or its slot still belongs
+    /// to a live trace — spilling that one would lose its late spans).
+    pub(crate) fn try_mint(&self, root_name: &'static str, start: Instant) -> u64 {
         let every = self.sample_every.load(Ordering::Relaxed);
         if !self.sample_tick.fetch_add(1, Ordering::Relaxed).is_multiple_of(every) {
             self.unsampled.inc();
-            return None;
+            return 0;
         }
         let trace_id = self.next_trace.fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
-            match slot.as_ref() {
-                Some(t) if !t.root_done => {
-                    // The slot still belongs to a live trace: spilling it
-                    // would lose the live trace's late spans, so the new
-                    // operation goes untraced instead (bounded memory wins).
-                    self.unsampled.inc();
-                    return None;
-                }
-                Some(t) => {
-                    let done = t.to_completed();
-                    self.retire(done);
-                }
-                None => {}
-            }
-            *slot = Some(ActiveTrace {
-                trace_id,
-                root_name: name,
-                start: Instant::now(),
-                spans: Vec::new(),
-                root_done: false,
-                failed: false,
-                total_ns: 0,
-                dropped_spans: 0,
-            });
+        let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
+        if slot.as_ref().is_some_and(|s| !s.root_done) {
+            self.unsampled.inc();
+            return 0;
         }
+        // The finished occupant retires into the ring; the buffer the ring
+        // evicts in exchange becomes this trace's.
+        let spans = slot.take().map(|done| self.retire(done.trace)).unwrap_or_default();
+        let trace = CompletedTrace {
+            trace_id,
+            root_name,
+            total: Duration::ZERO,
+            spans,
+            failed: false,
+            dropped_spans: 0,
+        };
+        *slot = Some(Slot { trace, start, root_done: false });
         self.minted.inc();
-        let ctx = TraceContext { trace_id, span_id: self.next_span_id() };
-        let prev = CURRENT.with(|c| c.replace(Some(ctx)));
-        Some(SpanHandle {
-            store: Arc::clone(self),
-            ctx,
-            parent: 0,
-            name,
-            lane: Arc::clone(lane),
-            start: Instant::now(),
-            is_root: true,
-            failed: false,
-            prev,
-        })
+        trace_id
     }
 
-    /// A child span of the calling thread's ambient context; `None` (and
-    /// no work at all) when the thread is not inside a sampled trace.
-    pub fn child(self: &Arc<Self>, name: &'static str, lane: &Arc<str>) -> Option<SpanHandle> {
-        current_context().map(|ctx| self.span_under(ctx, name, lane))
+    /// Reserve a segment's worth of span ids; returns the id before the
+    /// first reserved one.
+    pub(crate) fn reserve_span_ids(&self) -> u64 {
+        self.next_span.fetch_add(MAX_SPANS_PER_TRACE as u64, Ordering::Relaxed)
     }
 
-    /// A child span of an explicit carried context — the cross-thread
-    /// stitch (replication pump, flusher, any hand-off that shipped a
-    /// [`TraceContext`] instead of a thread). Sets the ambient context for
-    /// the guard's lifetime so nested instrumentation joins the trace.
-    pub fn child_of(
-        self: &Arc<Self>,
-        ctx: TraceContext,
-        name: &'static str,
-        lane: &Arc<str>,
-    ) -> SpanHandle {
-        self.span_under(ctx, name, lane)
-    }
-
-    fn span_under(
-        self: &Arc<Self>,
-        parent: TraceContext,
-        name: &'static str,
-        lane: &Arc<str>,
-    ) -> SpanHandle {
-        let ctx = TraceContext { trace_id: parent.trace_id, span_id: self.next_span_id() };
-        let prev = CURRENT.with(|c| c.replace(Some(ctx)));
-        SpanHandle {
-            store: Arc::clone(self),
-            ctx,
-            parent: parent.span_id,
-            name,
-            lane: Arc::clone(lane),
-            start: Instant::now(),
-            is_root: false,
-            failed: false,
-            prev,
+    /// File a closed segment — the one place a thread's spans meet the
+    /// store. Returns the (emptied) span buffer for the thread to reuse.
+    pub(crate) fn file(seg: Segment) -> Vec<SpanRec> {
+        let Segment { store, trace_id, origin, mut spans, failed, dropped, .. } = seg;
+        let (root_name, is_root) = (spans[0].name, spans[0].parent == 0);
+        let total = Duration::from_nanos(spans[0].dur_ns);
+        if trace_id != 0 {
+            let mut slot = store.slots[trace_id as usize % TRACE_SLOTS].lock();
+            match slot.as_mut().filter(|s| s.trace.trace_id == trace_id) {
+                Some(Slot { trace, start, root_done }) => {
+                    let rebase = origin.saturating_duration_since(*start).as_nanos() as u64;
+                    let room = MAX_SPANS_PER_TRACE.saturating_sub(trace.spans.len());
+                    let cut = spans.len().saturating_sub(room) as u32 + dropped;
+                    trace.spans.extend(spans.drain(..).take(room).map(|mut s| {
+                        s.start_ns += rebase;
+                        s
+                    }));
+                    if cut > 0 {
+                        trace.dropped_spans += cut;
+                        store.dropped.add(u64::from(cut));
+                    }
+                    trace.failed |= failed;
+                    if is_root {
+                        trace.total = total;
+                        *root_done = true;
+                        store.completed.inc();
+                    }
+                }
+                // The slot was reused: the spans are counted, never filed
+                // under the slot's new owner.
+                None => store.dropped.add(spans.len() as u64 + u64::from(dropped)),
+            }
+        } else if failed || total >= store.slow_threshold() {
+            store.dropped.add(u64::from(dropped));
+            store.completed.inc();
+            let trace = CompletedTrace {
+                trace_id: store.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
+                root_name,
+                total,
+                spans,
+                failed,
+                dropped_spans: dropped,
+            };
+            return store.retire(trace);
         }
+        spans.clear();
+        spans
     }
 
-    fn next_span_id(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Record one already-timed span into a trace — the flusher's shape:
-    /// one fsync interval is attributed to every traced mutation in the
-    /// commit cycle without holding guards across the batch.
+    /// Record one already-timed span into a sampled trace — the flusher's
+    /// shape: one fsync interval is attributed to every traced mutation in
+    /// the commit cycle without holding guards across the batch.
     pub fn record_span(
         &self,
-        ctx: TraceContext,
         name: &'static str,
         lane: &Arc<str>,
+        ctx: TraceContext,
         start: Instant,
         end: Instant,
     ) {
-        self.push_span(
-            ctx.trace_id,
-            SpanRec {
-                id: self.next_span_id(),
+        let mut slot = self.slots[ctx.trace_id as usize % TRACE_SLOTS].lock();
+        match slot.as_mut().filter(|s| s.trace.trace_id == ctx.trace_id) {
+            Some(s) if s.trace.spans.len() < MAX_SPANS_PER_TRACE => s.trace.spans.push(SpanRec {
+                id: self.next_span.fetch_add(1, Ordering::Relaxed) + 1,
                 parent: ctx.span_id,
                 name,
                 lane: Arc::clone(lane),
-                start_ns: 0,
+                start_ns: start.saturating_duration_since(s.start).as_nanos() as u64,
                 dur_ns: end.saturating_duration_since(start).as_nanos() as u64,
-            },
-            start,
-            false,
-        );
-    }
-
-    /// Append `span` to its trace, translating its absolute `start` to an
-    /// offset from the trace start. Spans for evicted traces and spans
-    /// past the cap are counted, not stored.
-    fn push_span(&self, trace_id: u64, mut span: SpanRec, start: Instant, failed: bool) {
-        let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
-        match slot.as_mut() {
-            Some(t) if t.trace_id == trace_id => {
-                if t.spans.len() >= MAX_SPANS_PER_TRACE {
-                    t.dropped_spans += 1;
-                    self.dropped.inc();
-                } else {
-                    span.start_ns = start.saturating_duration_since(t.start).as_nanos() as u64;
-                    t.spans.push(span);
+            }),
+            full_or_gone => {
+                if let Some(s) = full_or_gone {
+                    s.trace.dropped_spans += 1;
                 }
-                t.failed |= failed;
-            }
-            _ => self.dropped.inc(),
-        }
-    }
-
-    /// Mark a trace's root as finished. The trace stays in its slot (late
-    /// spans still land) until a new trace claims the slot.
-    fn finish_root(&self, trace_id: u64, total: Duration, failed: bool) {
-        let mut slot = self.slots[trace_id as usize % TRACE_SLOTS].lock();
-        if let Some(t) = slot.as_mut() {
-            if t.trace_id == trace_id {
-                t.root_done = true;
-                t.failed |= failed;
-                t.total_ns = total.as_nanos() as u64;
-                self.completed.inc();
+                self.dropped.inc();
             }
         }
     }
 
-    /// Push a finished trace into the completed ring, evicting the oldest
-    /// unremarkable (not slow, not failed) trace when full.
-    fn retire(&self, trace: CompletedTrace) {
-        let slow = Duration::from_nanos(self.slow_nanos.load(Ordering::Relaxed));
+    /// Push a finished trace into the completed ring; when that overflows
+    /// it, evict the oldest unremarkable (not slow, not failed) trace.
+    /// Returns an empty span buffer for reuse — the evicted trace's.
+    fn retire(&self, trace: CompletedTrace) -> Vec<SpanRec> {
         let mut ring = self.ring.lock();
         ring.push_back(trace);
-        if ring.len() > COMPLETED_RING_CAP {
-            let victim = ring.iter().position(|t| !t.failed && t.total < slow).unwrap_or(0);
-            let _ = ring.remove(victim);
-            self.evicted.inc();
+        if ring.len() <= COMPLETED_RING_CAP {
+            return Vec::new();
         }
+        let slow = self.slow_threshold();
+        let victim = ring.iter().position(|t| !t.failed && t.total < slow).unwrap_or(0);
+        self.evicted.inc();
+        let mut spans = ring.remove(victim).map(|t| t.spans).unwrap_or_default();
+        spans.clear();
+        spans
     }
 
     /// Every finished trace: the completed ring plus root-finished traces
     /// still sitting in their slots, sorted by trace id. Non-destructive —
-    /// slot traces keep accepting late spans after this snapshot.
+    /// slot traces keep accepting late segments after this snapshot.
     pub fn completed_traces(&self) -> Vec<CompletedTrace> {
         let mut out: Vec<CompletedTrace> = self.ring.lock().iter().cloned().collect();
         for slot in &self.slots {
-            let slot = slot.lock();
-            if let Some(t) = slot.as_ref() {
-                if t.root_done {
-                    out.push(t.to_completed());
-                }
+            if let Some(s) = slot.lock().as_ref().filter(|s| s.root_done) {
+                out.push(s.trace.clone());
             }
         }
         out.sort_by_key(|t| t.trace_id);
         out
+    }
+
+    /// The slow-op log: completed traces at or above the slow threshold.
+    pub fn slow_traces(&self) -> Vec<CompletedTrace> {
+        let slow = self.slow_threshold();
+        self.completed_traces().into_iter().filter(|t| t.total >= slow).collect()
     }
 
     /// Export every completed trace as Chrome `trace_event` JSON (load it
@@ -490,65 +394,47 @@ impl TraceStore {
     }
 }
 
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
 /// Serialize traces in the Chrome `trace_event` format: one `M`
 /// (`process_name`) metadata event per lane, one complete (`X`) event per
 /// span. `pid` is the lane (alphabetical), `tid` the trace id, `ts`/`dur`
 /// are microseconds. Hand-built — this crate takes no JSON dependency.
 pub fn chrome_trace_json(traces: &[CompletedTrace]) -> String {
-    let mut lanes: Vec<Arc<str>> = Vec::new();
-    for t in traces {
-        for lane in t.lanes() {
-            if !lanes.contains(&lane) {
-                lanes.push(lane);
-            }
-        }
-    }
+    let mut lanes: Vec<Arc<str>> = traces.iter().flat_map(CompletedTrace::lanes).collect();
     lanes.sort();
+    lanes.dedup();
     let pid_of = |lane: &Arc<str>| lanes.iter().position(|l| l == lane).unwrap_or(0) + 1;
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(&ev);
-    };
+    let mut events = Vec::new();
     for lane in &lanes {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                pid_of(lane),
-                escape_json(lane),
-            ),
-        );
+        events.push(format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            pid_of(lane),
+            escape_json(lane),
+        ));
     }
     for t in traces {
         for s in &t.spans {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
-                     \"ts\":{:.3},\"dur\":{:.3},\"cat\":\"{}\",\
-                     \"args\":{{\"trace\":{},\"span\":{},\"parent\":{}}}}}",
-                    escape_json(s.name),
-                    pid_of(&s.lane),
-                    t.trace_id,
-                    s.start_ns as f64 / 1000.0,
-                    s.dur_ns as f64 / 1000.0,
-                    escape_json(t.root_name),
-                    t.trace_id,
-                    s.id,
-                    s.parent,
-                ),
-            );
+            events.push(format!(
+                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
+                 \"ts\":{:.3},\"dur\":{:.3},\"cat\":\"{}\",\
+                 \"args\":{{\"trace\":{},\"span\":{},\"parent\":{}}}}}",
+                escape_json(s.name),
+                pid_of(&s.lane),
+                t.trace_id,
+                s.start_ns as f64 / 1000.0,
+                s.dur_ns as f64 / 1000.0,
+                escape_json(t.root_name),
+                t.trace_id,
+                s.id,
+                s.parent,
+            ));
         }
     }
-    out.push_str("\n]}\n");
-    out
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
 }
 
 fn escape_json(s: &str) -> String {
@@ -564,222 +450,111 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// RAII guard for one causal span. Records the span into the store when
-/// dropped; root guards additionally finish their trace. Restores the
-/// thread's previous ambient context on drop, so guards must drop in LIFO
-/// order per thread (the natural scope order).
-#[must_use = "a causal span records the scope it is alive for"]
-pub struct SpanHandle {
-    store: Arc<TraceStore>,
-    ctx: TraceContext,
-    parent: u64,
-    name: &'static str,
-    lane: Arc<str>,
-    start: Instant,
-    is_root: bool,
-    failed: bool,
-    prev: Option<TraceContext>,
-}
-
-impl SpanHandle {
-    /// The context downstream work should carry to join this trace as a
-    /// child of this span.
-    pub fn ctx(&self) -> TraceContext {
-        self.ctx
-    }
-
-    /// Mark the span (and its trace) failed — failed traces are always
-    /// retained in the completed ring.
-    pub fn fail(&mut self) {
-        self.failed = true;
-    }
-}
-
-impl Drop for SpanHandle {
-    fn drop(&mut self) {
-        let end = Instant::now();
-        self.store.push_span(
-            self.ctx.trace_id,
-            SpanRec {
-                id: self.ctx.span_id,
-                parent: self.parent,
-                name: self.name,
-                lane: Arc::clone(&self.lane),
-                start_ns: 0,
-                dur_ns: end.saturating_duration_since(self.start).as_nanos() as u64,
-            },
-            self.start,
-            self.failed,
-        );
-        if self.is_root {
-            self.store.finish_root(
-                self.ctx.trace_id,
-                end.saturating_duration_since(self.start),
-                self.failed,
-            );
-        }
-        CURRENT.with(|c| c.set(self.prev));
-    }
-}
-
-/// A store handle bound to one lane — what a node's engine (or a service)
-/// keeps so instrumentation sites never repeat the lane plumbing.
-#[derive(Clone)]
-pub struct TraceSink {
-    store: Arc<TraceStore>,
-    lane: Arc<str>,
-}
-
-impl std::fmt::Debug for TraceSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSink").field("lane", &self.lane).finish()
-    }
-}
-
-impl TraceSink {
-    /// Bind `store` to a lane label (`client`, `n0`, …).
-    pub fn new(store: Arc<TraceStore>, lane: &str) -> TraceSink {
-        TraceSink { store, lane: Arc::from(lane) }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<TraceStore> {
-        &self.store
-    }
-
-    /// This sink's lane label.
-    pub fn lane(&self) -> &Arc<str> {
-        &self.lane
-    }
-
-    /// [`TraceStore::mint`] on this lane.
-    pub fn mint(&self, name: &'static str) -> Option<SpanHandle> {
-        self.store.mint(name, &self.lane)
-    }
-
-    /// [`TraceStore::child`] on this lane.
-    pub fn child(&self, name: &'static str) -> Option<SpanHandle> {
-        self.store.child(name, &self.lane)
-    }
-
-    /// [`TraceStore::child_of`] on this lane.
-    pub fn child_of(&self, ctx: TraceContext, name: &'static str) -> SpanHandle {
-        self.store.child_of(ctx, name, &self.lane)
-    }
-
-    /// [`TraceStore::record_span`] on this lane.
-    pub fn record_span(&self, ctx: TraceContext, name: &'static str, start: Instant, end: Instant) {
-        self.store.record_span(ctx, name, &self.lane, start, end);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceSink;
 
-    fn lane(s: &str) -> Arc<str> {
-        Arc::from(s)
+    fn sinks<const N: usize>(lanes: [&str; N]) -> (Arc<TraceStore>, [TraceSink; N]) {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        let sinks = lanes.map(|l| TraceSink::new(Arc::clone(&store), l));
+        (store, sinks)
     }
 
     #[test]
     fn mint_child_and_cross_thread_stitch_one_trace() {
-        let store = TraceStore::new();
-        store.set_sample_every(1);
-        let client = lane("client");
-        let node = lane("n0");
-        let carried;
+        let (store, [client, node, remote]) = sinks(["client", "n0", "n1"]);
         {
-            let root = store.mint("client.kv.durable", &client).expect("sampled");
-            {
-                let child = store.child("kv.engine.set", &node).expect("ambient ctx");
-                carried = child.ctx();
-            }
+            let _root = client.mint("client.kv.durable");
+            let carried = node.span("kv.engine.set").ctx().expect("sampled");
             // Cross-thread hand-off: another thread records under the
-            // carried context with no TLS of its own.
-            let store2 = Arc::clone(&store);
-            let remote = lane("n1");
+            // carried context and files its own segment.
             std::thread::spawn(move || {
-                let _d = store2.child_of(carried, "cluster.replication.deliver", &remote);
+                let _d = remote.child_of("cluster.replication.deliver", carried);
+                let _a = remote.child_of("kv.engine.replica_apply", carried);
             })
             .join()
             .unwrap();
-            drop(root);
         }
         let traces = store.completed_traces();
         assert_eq!(traces.len(), 1, "one entry point, one trace");
         let t = &traces[0];
         assert_eq!(t.root_name, "client.kv.durable");
-        assert_eq!(t.spans.len(), 3);
-        let deliver = t.span("cluster.replication.deliver").unwrap();
+        assert_eq!(t.spans.len(), 4);
+        let apply = t.span("kv.engine.replica_apply").unwrap();
         assert_eq!(
-            t.path_to_root(deliver).unwrap(),
-            vec!["client.kv.durable", "kv.engine.set", "cluster.replication.deliver"],
+            t.path_to_root(apply).unwrap(),
+            vec![
+                "client.kv.durable",
+                "kv.engine.set",
+                "cluster.replication.deliver",
+                "kv.engine.replica_apply"
+            ],
+            "the thread's open segment wins over the carried context"
         );
-        assert_eq!(&*deliver.lane, "n1");
+        assert_eq!(&*apply.lane, "n1");
         assert_eq!(t.lanes().len(), 3);
+        let mut ids: Vec<u64> = t.spans.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "span ids are unique across segments");
     }
 
     #[test]
     fn late_spans_land_after_root_finishes() {
-        let store = TraceStore::new();
-        store.set_sample_every(1);
-        let ctx;
-        {
-            let root = store.mint("client.kv.upsert", &lane("client")).expect("sampled");
-            ctx = root.ctx();
-        }
+        let (store, [client, node]) = sinks(["client", "n0"]);
+        let ctx = client.mint("client.kv.upsert").ctx().expect("sampled");
         assert_eq!(store.completed_traces()[0].spans.len(), 1);
-        // The replica ack races the root: its span must still stitch in.
+        // The replica ack races the root: its spans must still stitch in.
         let t0 = Instant::now();
-        store.record_span(ctx, "kv.flusher.wal_commit", &lane("n0"), t0, Instant::now());
+        node.record_span("kv.flusher.wal_commit", ctx, t0, Instant::now());
+        drop(node.child_of("cluster.replication.deliver", ctx));
         let t = &store.completed_traces()[0];
-        assert_eq!(t.spans.len(), 2);
-        assert!(t.span("kv.flusher.wal_commit").is_some());
+        assert_eq!(t.spans.len(), 3);
+        let late = t.span("cluster.replication.deliver").unwrap();
+        assert_eq!(late.parent, ctx.span_id);
+        assert!(late.start_ns > 0, "late segments are rebased onto the trace start");
     }
 
     #[test]
     fn head_sampling_skips_deterministically() {
-        let store = TraceStore::new();
+        let (store, [client]) = sinks(["client"]);
         store.set_sample_every(4);
-        let client = lane("client");
-        let minted = (0..16).filter(|_| store.mint("client.kv.get", &client).is_some()).count();
+        let minted = (0..16).filter(|_| client.mint("client.kv.get").ctx().is_some()).count();
         assert_eq!(minted, 4);
         assert_eq!(store.registry().snapshot().counters["obs.trace.unsampled"], 12);
+        assert_eq!(store.completed_traces().len(), 4, "fast unsampled ops are not kept");
     }
 
     #[test]
-    fn span_cap_counts_drops_instead_of_growing() {
-        let store = TraceStore::new();
-        store.set_sample_every(1);
-        let l = lane("client");
-        let root = store.mint("client.kv.get", &l).expect("sampled");
-        let ctx = root.ctx();
+    fn record_span_past_the_cap_counts_drops_instead_of_growing() {
+        let (store, [client]) = sinks(["client"]);
+        let root = client.mint("client.kv.get");
+        let ctx = root.ctx().expect("sampled");
         let t0 = Instant::now();
         for _ in 0..(MAX_SPANS_PER_TRACE + 10) {
-            store.record_span(ctx, "kv.engine.get", &l, t0, t0);
+            client.record_span("kv.flusher.wal_commit", ctx, t0, t0);
         }
         drop(root);
         let t = &store.completed_traces()[0];
         assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE);
-        // +1: the root span itself arrived after the cap filled.
+        // +1: the root's own segment arrived after the cap filled.
         assert_eq!(t.dropped_spans as usize, 11);
+        assert_eq!(t.root_name, "client.kv.get");
+        assert!(!t.total.is_zero(), "the root's duration survives the cut");
     }
 
     #[test]
     fn failed_and_slow_traces_survive_ring_eviction() {
-        let store = TraceStore::new();
-        store.set_sample_every(1);
+        let (store, [client]) = sinks(["client"]);
         store.set_slow_threshold(Duration::from_secs(3600));
-        let l = lane("client");
-        {
-            let mut failing = store.mint("client.kv.remove", &l).expect("sampled");
-            failing.fail();
-        }
+        client.mint("client.kv.remove").fail();
         let failed_id = store.completed_traces()[0].trace_id;
         // Push enough traces through to wrap every slot and overflow the
         // ring many times over.
         for _ in 0..(TRACE_SLOTS * 3 + COMPLETED_RING_CAP * 2) {
-            drop(store.mint("client.kv.get", &l));
+            drop(client.mint("client.kv.get"));
         }
         let traces = store.completed_traces();
         assert!(traces.len() <= COMPLETED_RING_CAP + TRACE_SLOTS, "ring is bounded");
@@ -787,44 +562,85 @@ mod tests {
             traces.iter().any(|t| t.trace_id == failed_id && t.failed),
             "failed trace was evicted"
         );
+        assert!(store.registry().snapshot().counter("obs.trace.evicted") > 0);
+        // Promoted (unsampled but kept) traces go through the same ring.
+        store.set_slow_threshold(Duration::ZERO);
+        for _ in 0..3 * COMPLETED_RING_CAP {
+            drop(client.span("kv.engine.get"));
+        }
+        assert!(store.completed_traces().len() <= COMPLETED_RING_CAP + TRACE_SLOTS);
     }
 
     #[test]
-    fn busy_slot_spills_new_mint_not_the_live_trace() {
-        let store = TraceStore::new();
-        store.set_sample_every(1);
-        // One thread per trace: roots are minted per entry point, and the
-        // ambient context is thread-local, so same-thread mints would nest.
+    fn busy_slot_leaves_the_new_op_unsampled_not_the_live_trace() {
+        let (store, [client]) = sinks(["client"]);
+        // One thread per trace: a thread has one open segment, so
+        // same-thread mints would nest.
         let barrier = std::sync::Barrier::new(TRACE_SLOTS + 1);
         std::thread::scope(|s| {
             for _ in 0..TRACE_SLOTS {
-                let store = &store;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let g = store.mint("client.kv.get", &lane("client")).expect("sampled");
+                s.spawn(|| {
+                    let g = client.mint("client.kv.get");
+                    assert!(g.ctx().is_some());
                     barrier.wait(); // every slot now holds a live trace
                     barrier.wait(); // hold the slot until the spill is checked
                     drop(g);
                 });
             }
             barrier.wait();
-            // Every slot is live: the next mint goes untraced rather than
+            // Every slot is live: the next mint goes unsampled rather than
             // evicting an in-flight trace.
-            let spilled = store.mint("client.kv.get", &lane("client"));
-            assert!(spilled.is_none());
+            assert!(client.mint("client.kv.get").ctx().is_none());
             barrier.wait();
         });
         assert_eq!(store.completed_traces().len(), TRACE_SLOTS);
     }
 
     #[test]
-    fn chrome_export_is_valid_and_lane_mapped() {
-        let store = TraceStore::new();
-        store.set_sample_every(1);
+    fn segment_closing_after_its_slot_was_reused_is_dropped_not_misfiled() {
+        let (store, [client, node]) = sinks(["client", "n0"]);
+        let stale = client.mint("client.kv.upsert").ctx().expect("sampled");
+        for _ in 0..TRACE_SLOTS {
+            drop(client.mint("client.kv.get"));
+        }
+        let dropped = || store.registry().snapshot().counter("obs.trace.dropped_spans");
+        assert_eq!(dropped(), 0);
         {
-            let _root = store.mint("client.kv.durable", &lane("client")).expect("sampled");
-            let _a = store.child("kv.engine.set", &lane("n0"));
-            let _b = store.child("cluster.replication.deliver", &lane("n1"));
+            let _late = node.child_of("cluster.replication.deliver", stale);
+            let _apply = node.span("kv.engine.replica_apply");
+        }
+        node.record_span("kv.flusher.wal_commit", stale, Instant::now(), Instant::now());
+        assert_eq!(dropped(), 3, "the late segment's spans and the late commit are counted");
+        let traces = store.completed_traces();
+        let owner = traces.iter().find(|t| t.trace_id == stale.trace_id + TRACE_SLOTS as u64);
+        assert_eq!(owner.expect("slot's new owner").spans.len(), 1, "nothing filed under it");
+        let original = traces.iter().find(|t| t.trace_id == stale.trace_id).expect("in the ring");
+        assert_eq!(original.spans.len(), 1);
+    }
+
+    #[test]
+    fn env_overrides_default_slow_threshold() {
+        std::env::set_var("CBS_SLOW_OP_MS", "7");
+        let store = TraceStore::new();
+        std::env::remove_var("CBS_SLOW_OP_MS");
+        assert_eq!(store.slow_threshold(), Duration::from_millis(7));
+        // Garbage values fall back to the built-in default.
+        std::env::set_var("CBS_SLOW_OP_MS", "not-a-number");
+        let fallback = default_slow_threshold();
+        std::env::remove_var("CBS_SLOW_OP_MS");
+        assert_eq!(fallback, Duration::from_millis(100));
+        // Runtime override still wins after construction.
+        store.set_slow_threshold(Duration::from_millis(1));
+        assert_eq!(store.slow_threshold(), Duration::from_millis(1));
+    }
+
+    #[test]
+    fn chrome_export_is_valid_and_lane_mapped() {
+        let (store, [client, n0, n1]) = sinks(["client", "n0", "n1"]);
+        {
+            let _root = client.mint("client.kv.durable");
+            let _a = n0.span("kv.engine.set");
+            let _b = n1.span("cluster.replication.deliver");
         }
         let json = store.export_chrome();
         assert!(json.starts_with("{\"traceEvents\":["));

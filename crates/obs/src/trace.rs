@@ -1,286 +1,298 @@
-//! Span-based request tracing with a slow-op log.
+//! The span recorder's thread-local half: one span record, one RAII
+//! guard, one per-thread **segment** buffer (DESIGN.md §10).
 //!
-//! Traces propagate through the simulated cluster transport the same way
-//! requests do — by function call — so the trace context is a thread-local
-//! span stack, not a wire header. A service entry point opens a **root**
-//! span via [`crate::Registry::trace`]; any code it calls (directly or
-//! through other services) adds **child** spans with the free function
-//! [`span`]. Child spans are no-ops when no trace is active on the thread,
-//! so instrumented internals cost two `Instant::now` calls at most and
-//! nothing at all off-trace.
+//! A *segment* is the run of spans one thread records between the moment
+//! its outermost guard opens and the moment that guard closes. Every
+//! [`span`] (and every [`TraceSink`] entry taken while a segment is open)
+//! pushes a [`SpanRec`] into the thread's buffer — no lock, no allocation,
+//! two clock reads. The shared [`TraceStore`] is touched once per segment,
+//! when the outermost guard drops and the store decides what the
+//! segment was worth:
 //!
-//! When a root span finishes at or above its registry's slow-op threshold,
-//! the whole span tree (pre-order, with per-span offset + duration) is
-//! pushed into that registry's ring buffer — the answer to "where did this
-//! slow durable write spend its time?". Span buffers are recycled through a
-//! thread-local scratch slot, so steady-state tracing does not allocate.
+//! - it belongs to a **sampled trace** (head-sampled at [`TraceSink::mint`],
+//!   or opened from a carried [`TraceContext`] with
+//!   [`TraceSink::child_of`]) → its spans are appended to the trace's slot;
+//! - it was **unsampled** but ran at least the store's slow threshold, or
+//!   failed → it is promoted to a completed trace of its own;
+//! - otherwise the buffer is recycled.
+//!
+//! With no segment open [`span`] is a no-op, so instrumented internals
+//! cost one TLS read off-trace. Wall-clock reads (`Instant::now`) happen
+//! only here and in [`TraceStore::record_span`], so instrumented crates
+//! (notably `cbs-cluster`, which bans ad-hoc clock reads) never touch the
+//! clock themselves.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::registry::Registry;
+use crate::store::TraceStore;
 
-/// Hard cap on spans captured per trace; extra children are silently
-/// dropped (the trace stays valid, just truncated).
-const MAX_SPANS: usize = 512;
+/// Hard cap on spans per segment and per trace: spans past it are counted
+/// in `obs.trace.dropped_spans` (and on the trace), never stored.
+pub const MAX_SPANS_PER_TRACE: usize = 192;
 
-/// One finished span within a captured trace. Spans are stored pre-order:
-/// a span's children are the following entries with `depth + 1` until the
-/// next entry at `depth` or less.
+/// The causal context one operation carries across thread and service
+/// boundaries: which trace it belongs to and which span is its parent.
+/// `Copy` on purpose — attaching it to a `DcpItem` or a dirty-queue entry
+/// is two `u64` stores, no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceContext {
+    /// The trace this operation belongs to (nonzero).
+    pub trace_id: u64,
+    /// The span to parent new child spans under (nonzero).
+    pub span_id: u64,
+}
+
+/// One recorded span. Offsets are nanoseconds since the owning trace's
+/// start; `parent == 0` marks the root.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanNode {
+pub struct SpanRec {
+    /// Span id, unique within its trace. Within one segment ids grow in
+    /// recording (pre-order) order, so a span's descendants are exactly
+    /// the following spans whose `parent >= id`.
+    pub id: u64,
+    /// Parent span id, `0` for the root span.
+    pub parent: u64,
     /// Span name (`service.component.op`).
     pub name: &'static str,
-    /// Nesting depth; the root is 0.
-    pub depth: u16,
-    /// Start offset from the root span's start.
-    pub offset: Duration,
-    /// How long the span ran.
-    pub duration: Duration,
+    /// Where the span ran: `client`, `query`, `txn`, or a node lane
+    /// (`n0`, `n1`, …).
+    pub lane: Arc<str>,
+    /// Start offset from the trace start, in nanoseconds.
+    pub start_ns: u64,
+    /// Span duration in nanoseconds.
+    pub dur_ns: u64,
 }
 
-/// A captured slow operation: the full span tree of one traced request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowOp {
-    /// Service label of the registry whose threshold tripped.
-    pub service: String,
-    /// End-to-end duration of the root span.
-    pub total: Duration,
-    /// The span tree, pre-order; `spans[0]` is the root.
-    pub spans: Vec<SpanNode>,
-    /// True if the retained tree was clamped by the registry's span-count
-    /// / depth caps ([`crate::registry::MAX_RETAINED_SPANS`],
-    /// [`crate::registry::MAX_RETAINED_DEPTH`]).
-    pub truncated: bool,
+/// The spans one thread has recorded since its outermost guard opened.
+pub(crate) struct Segment {
+    pub(crate) store: Arc<TraceStore>,
+    /// The sampled trace this segment belongs to; `0` for an unsampled
+    /// segment (kept only if it turns out slow or failed).
+    pub(crate) trace_id: u64,
+    /// When `spans[0]` started; span offsets are relative to it until the
+    /// store rebases them onto the trace start.
+    pub(crate) origin: Instant,
+    /// Pre-order; `spans[0]` is the span whose guard closes the segment.
+    pub(crate) spans: Vec<SpanRec>,
+    pub(crate) failed: bool,
+    /// Spans refused at [`MAX_SPANS_PER_TRACE`].
+    pub(crate) dropped: u32,
+    /// Span ids are `id_base + index + 1`.
+    id_base: u64,
+    /// Index of the innermost open span: the parent of the next child.
+    cur: usize,
+    /// Distinguishes this segment from earlier ones on the thread, so a
+    /// guard that outlived its segment cannot patch a later one.
+    seq: u32,
 }
 
-impl SlowOp {
-    /// Name of the root span.
-    pub fn root(&self) -> &'static str {
-        self.spans.first().map(|s| s.name).unwrap_or("")
-    }
-
-    /// Depth of the deepest span (0 for a root-only trace).
-    pub fn max_depth(&self) -> u16 {
-        self.spans.iter().map(|s| s.depth).max().unwrap_or(0)
-    }
-
-    /// Render the span tree, one line per span, indented by depth:
-    ///
-    /// ```text
-    /// n1ql.query.exec  (total 12.3ms)
-    ///   n1ql.query.parse  +0ns  210µs
-    ///   n1ql.query.scan  +215µs  9.1ms
-    /// ```
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for s in &self.spans {
-            let indent = (s.depth as usize) * 2;
-            if s.depth == 0 {
-                let _ = writeln!(out, "{}  (total {:.1?})", s.name, self.total);
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{:indent$}{}  +{:.1?}  {:.1?}",
-                    "", s.name, s.offset, s.duration
-                );
-            }
-        }
-        if self.truncated {
-            let _ = writeln!(out, "  … span tree truncated at the retention cap");
-        }
-        out
-    }
-}
-
-/// The per-thread trace under construction.
-struct TraceBuf {
-    start: Instant,
-    depth: u16,
-    spans: Vec<SpanNode>,
+struct Local {
+    open: Option<Segment>,
+    /// Recycled span buffer, so steady-state recording allocates nothing.
+    scratch: Vec<SpanRec>,
+    next_seq: u32,
 }
 
 thread_local! {
-    static TRACE: RefCell<Option<TraceBuf>> = const { RefCell::new(None) };
-    /// Recycled span buffer so steady-state traces allocate nothing.
-    static SCRATCH: RefCell<Vec<SpanNode>> = const { RefCell::new(Vec::new()) };
+    static LOCAL: RefCell<Local> =
+        const { RefCell::new(Local { open: None, scratch: Vec::new(), next_seq: 0 }) };
 }
 
-/// Open a child span on the active trace. No-op (and allocation-free) when
-/// the thread is not tracing. Close it by dropping the guard.
+impl Segment {
+    /// Record a child of the innermost open span, on `lane` or (for the
+    /// free [`span`]) on the parent's lane.
+    fn push(&mut self, name: &'static str, lane: Option<&Arc<str>>) -> SpanGuard {
+        if self.spans.len() >= MAX_SPANS_PER_TRACE {
+            self.dropped += 1;
+            return SpanGuard::NOOP;
+        }
+        let parent = &self.spans[self.cur];
+        let (parent, lane) = (parent.id, Arc::clone(lane.unwrap_or(&parent.lane)));
+        let start = Instant::now();
+        let index = self.spans.len();
+        let id = self.id_base + index as u64 + 1;
+        let start_ns = start.saturating_duration_since(self.origin).as_nanos() as u64;
+        self.spans.push(SpanRec { id, parent, name, lane, start_ns, dur_ns: 0 });
+        let prev = std::mem::replace(&mut self.cur, index);
+        self.guard(OpenSpan { index, prev, seq: self.seq, start })
+    }
+
+    fn guard(&self, open: OpenSpan) -> SpanGuard {
+        let span_id = self.spans[open.index].id;
+        let ctx = (self.trace_id != 0).then_some(TraceContext { trace_id: self.trace_id, span_id });
+        SpanGuard { open: Some(open), ctx, not_send: PhantomData }
+    }
+}
+
+/// Open a child span of the innermost open span on this thread, on its
+/// lane. No-op (and allocation-free) when the thread has no segment open.
+/// Close it by dropping the guard.
 pub fn span(name: &'static str) -> SpanGuard {
-    let slot = TRACE.with(|t| {
-        let mut t = t.borrow_mut();
-        let buf = t.as_mut()?;
-        if buf.spans.len() >= MAX_SPANS {
-            return None;
-        }
-        let now = Instant::now();
-        let index = buf.spans.len();
-        buf.depth = buf.depth.saturating_add(1);
-        buf.spans.push(SpanNode {
-            name,
-            depth: buf.depth,
-            offset: now.duration_since(buf.start),
-            duration: Duration::ZERO,
-        });
-        Some((now, index))
-    });
-    SpanGuard { slot }
-}
-
-/// Begin capturing the span tree of the current request so the caller can
-/// inspect it (e.g. to roll spans up into per-phase timings for `PROFILE`).
-///
-/// If a trace is already active on this thread (a service root such as
-/// `n1ql.query.execute` is open), the capture piggybacks on it and
-/// [`Capture::finish`] returns the spans recorded *after* this call. If no
-/// trace is active, the capture opens its own root named `root_name` so
-/// child spans have somewhere to land; that root is private to the capture
-/// and is never pushed to any slow-op ring.
-///
-/// Captures allocate (the returned tree is owned), so they belong on
-/// explicitly profiled paths, not hot paths.
-pub fn capture(root_name: &'static str) -> Capture {
-    TRACE.with(|t| {
-        let mut t = t.borrow_mut();
-        match t.as_mut() {
-            Some(buf) => Capture { start_index: buf.spans.len(), owns_root: false },
-            None => {
-                let mut spans = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-                spans.clear();
-                spans.push(SpanNode {
-                    name: root_name,
-                    depth: 0,
-                    offset: Duration::ZERO,
-                    duration: Duration::ZERO,
-                });
-                *t = Some(TraceBuf { start: Instant::now(), depth: 0, spans });
-                Capture { start_index: 0, owns_root: true }
-            }
-        }
+    LOCAL.with(|l| match l.borrow_mut().open.as_mut() {
+        Some(seg) => seg.push(name, None),
+        None => SpanGuard::NOOP,
     })
 }
 
-/// In-progress span capture started by [`capture`].
-#[must_use = "a capture must be finished to yield its span tree"]
-#[derive(Debug)]
-pub struct Capture {
-    start_index: usize,
-    owns_root: bool,
+/// A [`TraceStore`] handle bound to one lane — what a client, a service or
+/// a node's engine keeps so instrumentation sites never repeat the lane
+/// plumbing. Every way of opening a segment goes through one.
+#[derive(Clone)]
+pub struct TraceSink {
+    store: Arc<TraceStore>,
+    lane: Arc<str>,
 }
 
-impl Capture {
-    /// Stop capturing and return the captured span tree (pre-order).
-    ///
-    /// For a piggybacked capture the returned spans keep their original
-    /// depths and root-relative offsets; the still-open enclosing root is
-    /// not included (its duration is unknown until it drops).
-    pub fn finish(self) -> Vec<SpanNode> {
-        TRACE.with(|t| {
-            let mut t = t.borrow_mut();
-            if self.owns_root {
-                let Some(mut buf) = t.take() else { return Vec::new() };
-                let total = buf.start.elapsed();
-                if let Some(root) = buf.spans.first_mut() {
-                    root.duration = total;
-                }
-                buf.spans
-            } else {
-                match t.as_ref() {
-                    Some(buf) => buf.spans.get(self.start_index..).unwrap_or(&[]).to_vec(),
-                    None => Vec::new(),
-                }
+impl std::fmt::Debug for TraceSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceSink").field("lane", &self.lane).finish()
+    }
+}
+
+impl TraceSink {
+    /// Bind `store` to a lane label (`client`, `n0`, …).
+    pub fn new(store: Arc<TraceStore>, lane: &str) -> TraceSink {
+        TraceSink { store, lane: Arc::from(lane) }
+    }
+
+    /// An **entry point** (`client.kv.*`, `n1ql.query.request`,
+    /// `txn.batch.run`): a child span inside an open segment (`upsert`
+    /// inside `upsert_durable`, a N1QL mutation inside a request), else a
+    /// new segment and the head-sampling decision. Sampled operations claim
+    /// a trace slot and hand out a [`TraceContext`]; unsampled ones (1-in-N
+    /// skipped, or the slot busy with a live trace) record locally and are
+    /// kept only if slow or failed.
+    pub fn mint(&self, name: &'static str) -> SpanGuard {
+        self.enter(name, |start| (self.store.try_mint(name, start), 0))
+    }
+
+    /// A **service boundary** (`kv.engine.*`, `kv.flusher.cycle`): a child
+    /// span on this lane inside an open segment, else the root of an
+    /// unsampled segment — so a direct engine call or a flusher cycle
+    /// still yields a span tree when it turns out slow.
+    pub fn span(&self, name: &'static str) -> SpanGuard {
+        self.enter(name, |_| (0, 0))
+    }
+
+    /// The **cross-thread stitch** (replication pump, replica apply): a
+    /// span parented under a carried context. The thread's own open
+    /// segment wins when there is one — the apply nests under the pump's
+    /// deliver span that carried it.
+    pub fn child_of(&self, name: &'static str, ctx: TraceContext) -> SpanGuard {
+        self.enter(name, |_| (ctx.trace_id, ctx.span_id))
+    }
+
+    /// [`TraceStore::record_span`] on this lane.
+    pub fn record_span(&self, name: &'static str, ctx: TraceContext, start: Instant, end: Instant) {
+        self.store.record_span(name, &self.lane, ctx, start, end);
+    }
+
+    /// A child span inside an open segment; else open one, in the trace
+    /// (`0` = unsampled) and under the parent span `trace_of(start)` names.
+    fn enter(&self, name: &'static str, trace_of: impl FnOnce(Instant) -> (u64, u64)) -> SpanGuard {
+        LOCAL.with(|l| {
+            let l = &mut *l.borrow_mut();
+            if let Some(seg) = l.open.as_mut() {
+                return seg.push(name, Some(&self.lane));
             }
+            let start = Instant::now();
+            let (trace_id, parent) = trace_of(start);
+            let id_base = if trace_id == 0 { 0 } else { self.store.reserve_span_ids() };
+            let mut spans = std::mem::take(&mut l.scratch);
+            let lane = Arc::clone(&self.lane);
+            spans.push(SpanRec { id: id_base + 1, parent, name, lane, start_ns: 0, dur_ns: 0 });
+            l.next_seq = l.next_seq.wrapping_add(1);
+            let seg = l.open.insert(Segment {
+                store: Arc::clone(&self.store),
+                trace_id,
+                origin: start,
+                spans,
+                failed: false,
+                dropped: 0,
+                id_base,
+                cur: 0,
+                seq: l.next_seq,
+            });
+            seg.guard(OpenSpan { index: 0, prev: 0, seq: seg.seq, start })
         })
     }
 }
 
-/// RAII guard for a child span; records the duration on drop.
+struct OpenSpan {
+    index: usize,
+    /// The segment's `cur` to restore on close.
+    prev: usize,
+    seq: u32,
+    start: Instant,
+}
+
+/// RAII guard for one span: records the duration on drop, and the guard
+/// that opened the thread's segment hands the segment to the store.
+/// Guards drop in LIFO order per thread (the natural scope order) and
+/// cannot leave their thread.
 #[must_use = "a span measures the scope it is alive for"]
 pub struct SpanGuard {
-    slot: Option<(Instant, usize)>,
+    /// `None` for a no-op guard (no segment open, or the span cap hit).
+    open: Option<OpenSpan>,
+    ctx: Option<TraceContext>,
+    not_send: PhantomData<*const ()>,
+}
+
+impl SpanGuard {
+    const NOOP: SpanGuard = SpanGuard { open: None, ctx: None, not_send: PhantomData };
+
+    /// The context downstream work should carry to join this trace as a
+    /// child of this span; `None` when the operation is not sampled.
+    pub fn ctx(&self) -> Option<TraceContext> {
+        self.ctx
+    }
+
+    /// Mark the operation failed: its trace is kept (promoted if it was
+    /// unsampled) and survives completed-ring eviction.
+    pub fn fail(&mut self) {
+        let Some(open) = &self.open else { return };
+        LOCAL.with(|l| {
+            if let Some(seg) = l.borrow_mut().open.as_mut().filter(|seg| seg.seq == open.seq) {
+                seg.failed = true;
+            }
+        });
+    }
+
+    /// Read the spans recorded under this still-open span so far (its
+    /// descendants, pre-order) — how `PROFILE` rolls a request's phases up
+    /// without waiting for the trace to complete. Works whether this
+    /// guard opened the segment or joined one. `f` must not open spans.
+    pub fn subtree<R>(&self, f: impl FnOnce(&[SpanRec]) -> R) -> R {
+        let Some(open) = &self.open else { return f(&[]) };
+        LOCAL.with(|l| match l.borrow().open.as_ref().filter(|seg| seg.seq == open.seq) {
+            Some(seg) => f(&seg.spans[open.index + 1..]),
+            None => f(&[]),
+        })
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((start, index)) = self.slot.take() {
-            let d = start.elapsed();
-            TRACE.with(|t| {
-                if let Some(buf) = t.borrow_mut().as_mut() {
-                    if let Some(node) = buf.spans.get_mut(index) {
-                        node.duration = d;
-                    }
-                    buf.depth = buf.depth.saturating_sub(1);
-                }
-            });
-        }
-    }
-}
-
-/// RAII guard for a root span (or, when a trace is already active on this
-/// thread, a child span — service boundaries nest automatically).
-#[must_use = "a trace measures the scope it is alive for"]
-pub struct TraceGuard {
-    /// `Some` iff this guard owns the root; the registry receives the slow
-    /// op on drop.
-    registry: Option<Arc<Registry>>,
-    child: Option<SpanGuard>,
-}
-
-impl TraceGuard {
-    pub(crate) fn enter(registry: &Arc<Registry>, name: &'static str) -> TraceGuard {
-        let became_root = TRACE.with(|t| {
-            let mut t = t.borrow_mut();
-            if t.is_some() {
-                return false;
+        let Some(open) = self.open.take() else { return };
+        let dur_ns = open.start.elapsed().as_nanos() as u64;
+        let closed = LOCAL.with(|l| {
+            let mut l = l.borrow_mut();
+            let seg = l.open.as_mut().filter(|seg| seg.seq == open.seq)?;
+            seg.spans[open.index].dur_ns = dur_ns;
+            seg.cur = open.prev;
+            if open.index == 0 {
+                l.open.take()
+            } else {
+                None
             }
-            let mut spans = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-            spans.clear();
-            spans.push(SpanNode {
-                name,
-                depth: 0,
-                offset: Duration::ZERO,
-                duration: Duration::ZERO,
-            });
-            *t = Some(TraceBuf { start: Instant::now(), depth: 0, spans });
-            true
         });
-        if became_root {
-            TraceGuard { registry: Some(Arc::clone(registry)), child: None }
-        } else {
-            TraceGuard { registry: None, child: Some(span(name)) }
-        }
-    }
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        // Close the child first so its duration is patched in.
-        self.child = None;
-        let Some(registry) = self.registry.take() else { return };
-        let Some(mut buf) = TRACE.with(|t| t.borrow_mut().take()) else { return };
-        let total = buf.start.elapsed();
-        if let Some(root) = buf.spans.first_mut() {
-            root.duration = total;
-        }
-        if total >= registry.slow_threshold() {
-            registry.record_slow(SlowOp {
-                service: registry.service().to_string(),
-                total,
-                spans: buf.spans,
-                truncated: false,
-            });
-        } else {
-            buf.spans.clear();
-            SCRATCH.with(|s| {
-                let mut s = s.borrow_mut();
-                if s.capacity() < buf.spans.capacity() {
-                    *s = buf.spans;
-                }
-            });
+        // The store is touched here and only here, outside the TLS borrow.
+        if let Some(seg) = closed {
+            let spans = TraceStore::file(seg);
+            LOCAL.with(|l| l.borrow_mut().scratch = spans);
         }
     }
 }
@@ -288,7 +300,7 @@ impl Drop for TraceGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use std::time::Duration;
 
     fn spin(d: Duration) {
         let t = Instant::now();
@@ -297,160 +309,155 @@ mod tests {
         }
     }
 
+    fn sink(lane: &str) -> (Arc<TraceStore>, TraceSink) {
+        let store = TraceStore::new();
+        store.set_sample_every(1);
+        (Arc::clone(&store), TraceSink::new(store, lane))
+    }
+
+    fn names(t: &crate::CompletedTrace) -> Vec<&'static str> {
+        t.spans.iter().map(|s| s.name).collect()
+    }
+
     #[test]
-    fn untraced_child_spans_are_noops() {
+    fn untraced_spans_are_noops_and_leave_tls_clean() {
         let g = span("kv.engine.set");
+        assert!(g.ctx().is_none());
         drop(g);
-        // Nothing recorded anywhere; just must not panic or leak TLS state.
-        let r = Arc::new(Registry::new("kv"));
-        r.set_slow_threshold(Duration::ZERO);
-        drop(r.trace("kv.engine.get"));
-        assert_eq!(r.slow_ops().len(), 1, "TLS was clean for the real trace");
+        let (store, client) = sink("client");
+        drop(client.mint("client.kv.get"));
+        let traces = store.completed_traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(names(&traces[0]), vec!["client.kv.get"], "TLS was clean for the real trace");
     }
 
     #[test]
-    fn slow_trace_captures_multi_level_tree() {
-        let r = Arc::new(Registry::new("kv"));
-        r.set_slow_threshold(Duration::ZERO);
+    fn nested_entry_points_and_service_roots_join_the_outer_trace() {
+        let (store, client) = sink("client");
+        let node = TraceSink::new(Arc::clone(&store), "n0");
         {
-            let _root = r.trace("kv.engine.set");
-            {
-                let _c = span("kv.cache.insert");
-                spin(Duration::from_micros(50));
-            }
-            {
-                let _c = span("kv.flusher.wait");
-                let _gc = span("storage.wal.fsync");
-                spin(Duration::from_micros(50));
-            }
+            let root = client.mint("client.kv.durable");
+            let inner = client.mint("client.kv.upsert");
+            let engine = node.span("kv.engine.set");
+            let cache = span("kv.cache.set");
+            assert_eq!(engine.ctx().map(|c| c.trace_id), root.ctx().map(|c| c.trace_id));
+            drop((cache, engine, inner));
         }
-        let ops = r.slow_ops();
-        assert_eq!(ops.len(), 1);
-        let op = &ops[0];
-        assert_eq!(op.root(), "kv.engine.set");
-        assert_eq!(op.max_depth(), 2, "{:?}", op.spans);
-        let names: Vec<_> = op.spans.iter().map(|s| (s.name, s.depth)).collect();
+        let traces = store.completed_traces();
+        assert_eq!(traces.len(), 1, "inner roots joined the outer trace");
+        let t = &traces[0];
+        assert_eq!(t.root_name, "client.kv.durable");
+        let cache = t.span("kv.cache.set").unwrap();
         assert_eq!(
-            names,
+            t.path_to_root(cache).unwrap(),
+            vec!["client.kv.durable", "client.kv.upsert", "kv.engine.set", "kv.cache.set"],
+        );
+        assert_eq!(&*cache.lane, "n0", "free spans inherit the enclosing lane");
+        assert_eq!(&*t.span("client.kv.upsert").unwrap().lane, "client");
+    }
+
+    #[test]
+    fn unsampled_segments_are_kept_only_when_slow_or_failed() {
+        let (store, node) = sink("n0");
+        store.set_slow_threshold(Duration::from_secs(3600));
+        drop(node.span("kv.engine.get"));
+        assert!(store.completed_traces().is_empty(), "fast and fine: recycled");
+
+        // A slow flusher-style cycle yields a multi-level tree.
+        store.set_slow_threshold(Duration::from_micros(100));
+        {
+            let cycle = node.span("kv.flusher.cycle");
+            assert!(cycle.ctx().is_none(), "unsampled: nothing downstream records");
+            {
+                let _a = span("storage.wal.append");
+                spin(Duration::from_micros(60));
+            }
+            let _c = span("kv.flusher.commit");
+            let _f = span("storage.wal.fsync");
+            spin(Duration::from_micros(60));
+        }
+        let slow = store.slow_traces();
+        assert_eq!(slow.len(), 1);
+        let t = &slow[0];
+        assert_eq!(
+            names(t),
             vec![
-                ("kv.engine.set", 0),
-                ("kv.cache.insert", 1),
-                ("kv.flusher.wait", 1),
-                ("storage.wal.fsync", 2),
+                "kv.flusher.cycle",
+                "storage.wal.append",
+                "kv.flusher.commit",
+                "storage.wal.fsync"
             ]
         );
-        assert!(op.total >= Duration::from_micros(100));
-        assert!(op.spans[3].duration >= Duration::from_micros(50));
-        assert!(op.spans[3].offset >= op.spans[1].duration);
-        assert!(op.render().contains("storage.wal.fsync"));
-    }
-
-    #[test]
-    fn fast_traces_not_captured() {
-        let r = Arc::new(Registry::new("kv"));
-        r.set_slow_threshold(Duration::from_secs(3600));
-        drop(r.trace("kv.engine.get"));
-        assert!(r.slow_ops().is_empty());
-    }
-
-    #[test]
-    fn nested_service_roots_become_children() {
-        let kv = Arc::new(Registry::new("kv"));
-        let n1ql = Arc::new(Registry::new("n1ql"));
-        n1ql.set_slow_threshold(Duration::ZERO);
-        kv.set_slow_threshold(Duration::ZERO);
-        {
-            let _q = n1ql.trace("n1ql.query.exec");
-            let _g = kv.trace("kv.engine.get");
-        }
-        assert!(kv.slow_ops().is_empty(), "inner root joined the outer trace");
-        let ops = n1ql.slow_ops();
-        assert_eq!(ops.len(), 1);
+        let fsync = t.span("storage.wal.fsync").unwrap();
         assert_eq!(
-            ops[0].spans.iter().map(|s| s.name).collect::<Vec<_>>(),
-            vec!["n1ql.query.exec", "kv.engine.get"]
+            t.path_to_root(fsync).unwrap(),
+            vec!["kv.flusher.cycle", "kv.flusher.commit", "storage.wal.fsync"]
         );
+        assert!(t.total >= Duration::from_micros(120));
+        assert!(fsync.dur_ns >= 60_000 && fsync.start_ns >= t.spans[1].dur_ns);
+        assert!(t.render().contains("storage.wal.fsync"));
+
+        // Failed operations are kept however fast they were.
+        store.set_slow_threshold(Duration::from_secs(3600));
+        node.span("kv.engine.set").fail();
+        let traces = store.completed_traces();
+        assert_eq!(traces.len(), 2);
+        assert!(traces[1].failed && traces[1].root_name == "kv.engine.set");
+        assert_eq!(store.slow_traces().len(), 0, "the one threshold moved; failed is not slow");
     }
 
     #[test]
-    fn capture_without_active_trace_owns_a_root() {
-        let cap = capture("n1ql.query.request");
-        {
-            let _a = span("n1ql.query.parse");
-            spin(Duration::from_micros(20));
-        }
-        {
-            let _b = span("n1ql.exec.index_scan");
-            let _c = span("index.manager.scan");
-            spin(Duration::from_micros(20));
-        }
-        let spans = cap.finish();
-        let names: Vec<_> = spans.iter().map(|s| (s.name, s.depth)).collect();
-        assert_eq!(
-            names,
-            vec![
-                ("n1ql.query.request", 0),
-                ("n1ql.query.parse", 1),
-                ("n1ql.exec.index_scan", 1),
-                ("index.manager.scan", 2),
-            ]
-        );
-        assert!(spans[0].duration >= Duration::from_micros(40));
-        // TLS trace state is fully cleaned up.
-        assert!(capture("n1ql.query.request").finish().len() == 1);
-    }
-
-    #[test]
-    fn capture_piggybacks_on_active_trace() {
-        let r = Arc::new(Registry::new("n1ql"));
-        r.set_slow_threshold(Duration::ZERO);
-        {
-            let _root = r.trace("n1ql.query.execute");
-            let _pre = span("n1ql.query.parse");
-            drop(_pre);
-            let cap = capture("n1ql.query.request");
+    fn subtree_reads_the_open_segment_inside_and_outside_a_trace() {
+        let (store, query) = sink("query");
+        store.set_sample_every(2); // first mint sampled, second not
+        for sampled in [true, false] {
+            let req = query.mint("n1ql.query.request");
+            assert_eq!(req.ctx().is_some(), sampled);
             {
-                let _s = span("n1ql.exec.fetch");
-                spin(Duration::from_micros(10));
+                let _p = span("n1ql.query.parse");
+                spin(Duration::from_micros(20));
             }
-            let spans = cap.finish();
-            assert_eq!(spans.iter().map(|s| s.name).collect::<Vec<_>>(), vec!["n1ql.exec.fetch"]);
-            assert!(spans[0].duration >= Duration::from_micros(10));
+            {
+                let _s = span("n1ql.exec.index_scan");
+                let _m = span("index.manager.scan");
+            }
+            let (seen, parse_ns) =
+                req.subtree(|s| (s.iter().map(|s| s.name).collect::<Vec<_>>(), s[0].dur_ns));
+            assert_eq!(
+                seen,
+                vec!["n1ql.query.parse", "n1ql.exec.index_scan", "index.manager.scan"]
+            );
+            assert!(parse_ns >= 20_000, "closed children carry their durations");
         }
-        // The enclosing trace still reached the slow-op ring untouched.
-        let ops = r.slow_ops();
-        assert_eq!(ops.len(), 1);
+        // Joined to an outer segment, a guard sees only its own subtree.
+        let _outer = query.mint("txn.batch.run");
+        let _before = span("txn.batch.schedule");
+        drop(_before);
+        let req = query.mint("n1ql.query.request");
+        drop(span("n1ql.exec.fetch"));
         assert_eq!(
-            ops[0].spans.iter().map(|s| s.name).collect::<Vec<_>>(),
-            vec!["n1ql.query.execute", "n1ql.query.parse", "n1ql.exec.fetch"]
+            req.subtree(|s| s.iter().map(|s| s.name).collect::<Vec<_>>()),
+            ["n1ql.exec.fetch"]
         );
+        assert_eq!(span("n1ql.exec.run").subtree(<[SpanRec]>::len), 0);
     }
 
     #[test]
-    fn ring_is_bounded() {
-        let r = Arc::new(Registry::new("kv"));
-        r.set_slow_threshold(Duration::ZERO);
-        for _ in 0..200 {
-            drop(r.trace("kv.engine.get"));
-        }
-        assert!(r.slow_ops().len() <= 64);
-    }
-
-    #[test]
-    fn span_cap_truncates_but_stays_valid() {
-        let r = Arc::new(Registry::new("kv"));
-        r.set_slow_threshold(Duration::ZERO);
+    fn span_cap_truncates_and_the_cut_is_counted_and_marked() {
+        let (store, node) = sink("n0");
         {
-            let _root = r.trace("kv.engine.scan");
-            for _ in 0..2 * MAX_SPANS {
+            let _root = node.mint("kv.engine.scan");
+            for _ in 0..2 * MAX_SPANS_PER_TRACE {
                 drop(span("kv.engine.step"));
             }
         }
-        let ops = r.slow_ops();
-        assert_eq!(ops.len(), 1);
-        // The in-flight buffer caps at MAX_SPANS; the retention clamp then
-        // bounds what the ring actually pins (DESIGN.md §17).
-        assert_eq!(ops[0].spans.len(), crate::registry::MAX_RETAINED_SPANS);
-        assert!(ops[0].truncated);
+        let t = &store.completed_traces()[0];
+        assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE);
+        assert_eq!(t.dropped_spans as usize, MAX_SPANS_PER_TRACE + 1);
+        assert_eq!(
+            store.registry().snapshot().counter("obs.trace.dropped_spans"),
+            u64::from(t.dropped_spans)
+        );
+        assert!(t.render().contains("dropped at the cap"), "render flags the cut:\n{}", t.render());
     }
 }

@@ -104,7 +104,7 @@ impl TxnClient {
     /// battery's teeth test demonstrates the checker catches one).
     pub fn run_batch(&self, txns: &[TxnFn]) -> Result<BatchReport> {
         let _timer = self.latency.timer();
-        // Causal root on the txn lane: the drain's client upserts (and
+        // Root span on the txn lane: the drain's client upserts (and
         // everything downstream — engine, replication, WAL) join this
         // trace as child spans.
         let txn_trace = cbs_obs::TraceSink::new(Arc::clone(self.cluster.trace_store()), "txn");
@@ -142,9 +142,7 @@ impl TxnClient {
         let registry = self.cluster.query_registry();
         for (index, outcome) in report.outcomes.iter().enumerate() {
             if let TxnOutcome::Aborted(reason) = outcome {
-                if let Some(g) = causal.as_mut() {
-                    g.fail();
-                }
+                causal.fail();
                 registry.record_event(
                     "txn.events.abort",
                     &[("txn", index.to_string()), ("reason", format!("{reason:?}"))],

@@ -316,7 +316,7 @@ fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Minimal SARIF 2.1.0 (hand-rolled — xtask is dependency-free).
+/// Minimal SARIF 2.1.0 (hand-rolled — xtask takes no registry dependency).
 fn render_sarif(findings: &[Finding]) -> String {
     let mut results = String::new();
     for (i, f) in findings.iter().enumerate() {

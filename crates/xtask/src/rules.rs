@@ -110,19 +110,20 @@ pub(crate) const PROFILE_OPERATORS: &[&str] = &[
     "FinalProject",
 ];
 
-/// Call sites whose first argument, when it is a string literal, must be a
-/// well-formed cbs-obs metric/span name. Dynamic names (`format!`,
-/// variables) pass through — `cbs_obs::Registry` still validates them at
-/// runtime; this rule catches the static ones at lint time.
-const OBS_NAME_CALLS: &[&str] = &[
-    ".counter(",
-    ".gauge(",
-    ".histogram(",
-    ".windowed_histogram(",
-    ".trace(",
-    "span(",
-    ".record_event(",
-];
+/// Registration call sites whose first argument, when it is a string
+/// literal, must be a well-formed cbs-obs metric/event name. Dynamic names
+/// (`format!`, variables) pass through — `cbs_obs::Registry` still
+/// validates them at runtime; this rule catches the static ones at lint
+/// time.
+const OBS_NAME_CALLS: &[&str] =
+    &[".counter(", ".gauge(", ".histogram(", ".windowed_histogram(", ".record_event("];
+
+/// The span recorder's entry points (`cbs_obs::span` and the `TraceSink`
+/// methods; the name is always the first argument). Span names follow the
+/// same convention but are not metrics: the described-family rule below
+/// does not apply to them. The bare `span(` marker covers both the free
+/// function and `TraceSink::span`.
+const OBS_SPAN_CALLS: &[&str] = &["span(", ".mint(", ".child_of(", ".record_span("];
 
 /// Metric/event families that must be registered through the `_with_help`
 /// variants: these names surface in the `system:replication` /
@@ -555,18 +556,18 @@ fn rule_obs_naming(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec<Fin
         }
         let Some(orig) = orig_lines.get(idx) else { continue };
         let orig: Vec<char> = orig.chars().collect();
-        for marker in OBS_NAME_CALLS {
+        let metrics = OBS_NAME_CALLS.iter().map(|m| (*m, true));
+        for (marker, is_metric) in metrics.chain(OBS_SPAN_CALLS.iter().map(|m| (*m, false))) {
             let mut search = 0usize;
             while let Some(pos) = l[search..].find(marker) {
                 let abs = search + pos;
                 search = abs + marker.len();
                 // The bare `span(` marker needs a word boundary so it does
-                // not double-fire on `.trace(` lookalikes or match idents
-                // ending in "span"; the dotted markers carry their own.
-                if *marker == "span(" {
+                // not match idents ending in "span" (`record_span(` has a
+                // marker of its own); the dotted markers carry theirs.
+                if marker == "span(" {
                     let before = l[..abs].chars().next_back();
-                    if before.map(|c| c.is_alphanumeric() || c == '_' || c == '.').unwrap_or(false)
-                    {
+                    if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
                         continue;
                     }
                 }
@@ -587,10 +588,7 @@ fn rule_obs_naming(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec<Fin
                              segments, each `[a-z][a-z0-9_]*`)"
                         ),
                     });
-                } else if *marker != ".trace("
-                    && *marker != "span("
-                    && OBS_DESCRIBED_PREFIXES.iter().any(|p| name.starts_with(p))
-                {
+                } else if is_metric && OBS_DESCRIBED_PREFIXES.iter().any(|p| name.starts_with(p)) {
                     out.push(Finding {
                         file: rel.to_string(),
                         line: idx + 1,
@@ -911,6 +909,16 @@ fn f(&self) {
         assert!(four.iter().any(|f| f.rule == "obs-naming"), "four segments rejected");
         let upper = lint("kv", "fn f() { let _s = cbs_obs::span(\"kv.Engine.set\"); }\n");
         assert!(upper.iter().any(|f| f.rule == "obs-naming"), "uppercase rejected");
+        // Every way of opening or recording a span is covered, once each.
+        for call in [
+            "sink.mint(\"client.get\")",
+            "sink.span(\"kv.engine\")",
+            "sink.child_of(\"deliver\", ctx)",
+            "sink.record_span(\"wal_commit\", ctx, t0, t1)",
+        ] {
+            let f = lint("kv", &format!("fn f(sink: &TraceSink) {{ let _g = {call}; }}\n"));
+            assert_eq!(f.iter().filter(|f| f.rule == "obs-naming").count(), 1, "{call}: {f:?}");
+        }
     }
 
     #[test]
@@ -919,7 +927,9 @@ fn f(&self) {
             "kv",
             "fn f(r: &Registry) {\n    r.counter(\"kv.engine.gets\");\n    \
              r.histogram(\"kv.flusher.fsync_latency\");\n    \
-             let _t = r.trace(\"kv.engine.set\");\n    \
+             let _t = sink.mint(\"client.kv.get\");\n    \
+             let _e = sink.span(\"kv.engine.set\");\n    \
+             sink.record_span(\"kv.flusher.wal_commit\", ctx, t0, t1);\n    \
              let _s = span(\"storage.wal.fsync2\");\n}\n",
         );
         assert!(ok.iter().all(|f| f.rule != "obs-naming"), "{ok:?}");
@@ -957,8 +967,10 @@ fn f(&self) {
         // Other families may register without help; spans are not metrics.
         let other = lint("kv", "fn f(r: &Registry) { r.counter(\"kv.engine.gets\"); }\n");
         assert!(other.iter().all(|f| f.rule != "obs-naming"));
-        let traced =
-            lint("cluster", "fn f(r: &Registry) { r.trace(\"cluster.replication.pump\"); }\n");
+        let traced = lint(
+            "cluster",
+            "fn f(s: &TraceSink) { s.child_of(\"cluster.replication.deliver\", ctx); }\n",
+        );
         assert!(traced.iter().all(|f| f.rule != "obs-naming"), "{traced:?}");
         // Malformed windowed-histogram names ride the same marker list.
         let bad = lint("chaos", "fn f(r: &Registry) { r.windowed_histogram(\"BadName\"); }\n");

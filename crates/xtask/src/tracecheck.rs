@@ -1,6 +1,6 @@
 //! `cargo xtask validate-trace <file>` — structural validator for the
 //! Chrome `trace_event` JSON the trace store exports
-//! (`TraceStore::export_chrome`, DESIGN.md §17). The check.sh
+//! (`TraceStore::export_chrome`, DESIGN.md §10). The check.sh
 //! `trace-smoke` stage runs the cbstats example with `CBS_TRACE_EXPORT`
 //! set, then points this command at the written file to assert the export
 //! is loadable by `chrome://tracing` / Perfetto and actually stitched
@@ -16,212 +16,13 @@
 //!   replica node, and an export that collapses to one node means the
 //!   cross-node stitching broke.
 //!
-//! Like the rest of xtask, this is dependency-free: the JSON parser below
-//! is a ~100-line recursive-descent reader, not serde.
+//! The document is parsed with the repo's own JSON parser (`cbs-json`, an
+//! in-repo path dependency — xtask takes nothing from a registry).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Minimal JSON value model — just enough to validate the export.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parse a complete JSON document; trailing garbage is an error.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let bytes: Vec<char> = src.chars().collect();
-    let mut p = Parser { c: &bytes, at: 0 };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.at != p.c.len() {
-        return Err(format!("trailing garbage at offset {}", p.at));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    c: &'a [char],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.c.get(self.at).is_some_and(|c| c.is_ascii_whitespace()) {
-            self.at += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.c.get(self.at).copied()
-    }
-
-    fn eat(&mut self, want: char) -> Result<(), String> {
-        if self.peek() == Some(want) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{want}' at offset {}", self.at))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
-            Some('"') => Ok(Json::Str(self.string()?)),
-            Some('t') => self.literal("true", Json::Bool(true)),
-            Some('f') => self.literal("false", Json::Bool(false)),
-            Some('n') => self.literal("null", Json::Null),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.at)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        for w in word.chars() {
-            self.eat(w)?;
-        }
-        Ok(v)
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat('{')?;
-        let mut m = BTreeMap::new();
-        self.ws();
-        if self.peek() == Some('}') {
-            self.at += 1;
-            return Ok(Json::Obj(m));
-        }
-        loop {
-            self.ws();
-            let k = self.string()?;
-            self.ws();
-            self.eat(':')?;
-            m.insert(k, self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(',') => self.at += 1,
-                Some('}') => {
-                    self.at += 1;
-                    return Ok(Json::Obj(m));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat('[')?;
-        let mut a = Vec::new();
-        self.ws();
-        if self.peek() == Some(']') {
-            self.at += 1;
-            return Ok(Json::Arr(a));
-        }
-        loop {
-            a.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(',') => self.at += 1,
-                Some(']') => {
-                    self.at += 1;
-                    return Ok(Json::Arr(a));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat('"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                Some('"') => {
-                    self.at += 1;
-                    return Ok(s);
-                }
-                Some('\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some('"') => s.push('"'),
-                        Some('\\') => s.push('\\'),
-                        Some('/') => s.push('/'),
-                        Some('n') => s.push('\n'),
-                        Some('t') => s.push('\t'),
-                        Some('r') => s.push('\r'),
-                        Some('b') => s.push('\u{8}'),
-                        Some('f') => s.push('\u{c}'),
-                        Some('u') => {
-                            let hex: String = self
-                                .c
-                                .get(self.at + 1..self.at + 5)
-                                .unwrap_or(&[])
-                                .iter()
-                                .collect();
-                            let n = u32::from_str_radix(&hex, 16)
-                                .map_err(|_| format!("bad \\u escape at offset {}", self.at))?;
-                            s.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                            self.at += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.at += 1;
-                }
-                Some(c) => {
-                    s.push(c);
-                    self.at += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        if self.peek() == Some('-') {
-            self.at += 1;
-        }
-        while self.peek().is_some_and(|c| {
-            c.is_ascii_digit() || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
-        }) {
-            self.at += 1;
-        }
-        let text: String = self.c[start..self.at].iter().collect();
-        text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number {text:?}: {e}"))
-    }
-}
+use cbs_json::Value;
 
 /// Whether a lane name is an engine-node lane (`n<digits>`).
 fn is_node_lane(name: &str) -> bool {
@@ -235,23 +36,23 @@ fn is_node_lane(name: &str) -> bool {
 /// Validate one export. Returns the human-readable problems (empty =
 /// valid). Split from the command for testability.
 pub fn validate_trace_json(src: &str) -> Vec<String> {
-    let doc = match parse_json(src) {
+    let doc = match cbs_json::parse(src) {
         Ok(d) => d,
         Err(e) => return vec![format!("not valid JSON: {e}")],
     };
-    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
+    let Some(events) = doc.get_field("traceEvents").and_then(Value::as_array) else {
         return vec!["top-level `traceEvents` array missing".into()];
     };
     let mut problems = Vec::new();
     // pid -> lane name, from `process_name` metadata events.
     let mut lanes: BTreeMap<i64, String> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
-        if ev.get("ph").and_then(Json::as_str) == Some("M")
-            && ev.get("name").and_then(Json::as_str) == Some("process_name")
+        if ev.get_field("ph").and_then(Value::as_str) == Some("M")
+            && ev.get_field("name").and_then(Value::as_str) == Some("process_name")
         {
             match (
-                ev.get("pid").and_then(Json::as_num),
-                ev.get("args").and_then(|a| a.get("name")).and_then(Json::as_str),
+                ev.get_field("pid").and_then(Value::as_f64),
+                ev.get_field("args").and_then(|a| a.get_field("name")).and_then(Value::as_str),
             ) {
                 (Some(pid), Some(name)) => {
                     lanes.insert(pid as i64, name.to_string());
@@ -263,7 +64,7 @@ pub fn validate_trace_json(src: &str) -> Vec<String> {
     let mut spans = 0usize;
     let mut node_lanes_with_spans: Vec<&str> = Vec::new();
     for (i, ev) in events.iter().enumerate() {
-        let Some(ph) = ev.get("ph").and_then(Json::as_str) else {
+        let Some(ph) = ev.get_field("ph").and_then(Value::as_str) else {
             problems.push(format!("event {i}: missing string `ph`"));
             continue;
         };
@@ -271,17 +72,17 @@ pub fn validate_trace_json(src: &str) -> Vec<String> {
             continue;
         }
         spans += 1;
-        if ev.get("name").and_then(Json::as_str).is_none_or(str::is_empty) {
+        if ev.get_field("name").and_then(Value::as_str).is_none_or(str::is_empty) {
             problems.push(format!("event {i}: X event without a name"));
         }
         for field in ["ts", "dur"] {
-            match ev.get(field).and_then(Json::as_num) {
+            match ev.get_field(field).and_then(Value::as_f64) {
                 Some(v) if v >= 0.0 => {}
                 Some(v) => problems.push(format!("event {i}: negative {field} {v}")),
                 None => problems.push(format!("event {i}: X event without numeric {field}")),
             }
         }
-        match ev.get("pid").and_then(Json::as_num) {
+        match ev.get_field("pid").and_then(Value::as_f64) {
             Some(pid) => match lanes.get(&(pid as i64)) {
                 Some(lane) => {
                     if is_node_lane(lane) && !node_lanes_with_spans.contains(&lane.as_str()) {
@@ -400,27 +201,27 @@ mod tests {
         assert!(p.iter().any(|m| m.contains("no process_name metadata")), "{p:?}");
     }
 
+    /// What the validator relies on from the parser it borrows: escapes,
+    /// nesting, every number shape, and rejection of malformed documents.
     #[test]
     fn parser_handles_escapes_nesting_and_numbers() {
-        let v = parse_json(
+        let v = cbs_json::parse(
             "{\"a\": [1, -2.5, 3e2, true, false, null], \"b\": {\"c\": \"q\\\"\\u0041\\n\"}}",
         )
         .unwrap();
+        let a = v.get_field("a").and_then(Value::as_array).unwrap();
         assert_eq!(
-            v.get("a"),
-            Some(&Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(-2.5),
-                Json::Num(300.0),
-                Json::Bool(true),
-                Json::Bool(false),
-                Json::Null,
-            ]))
+            a.iter().map(Value::as_f64).collect::<Vec<_>>(),
+            vec![Some(1.0), Some(-2.5), Some(300.0), None, None, None]
         );
-        assert_eq!(v.get("b").and_then(|b| b.get("c")).and_then(Json::as_str), Some("q\"A\n"));
-        assert!(parse_json("[1, 2] trailing").is_err());
-        assert!(parse_json("[1, ]").is_err());
-        assert!(parse_json("{\"unterminated").is_err());
+        assert_eq!(a[3..], [Value::Bool(true), Value::Bool(false), Value::Null]);
+        assert_eq!(
+            v.get_field("b").and_then(|b| b.get_field("c")).and_then(Value::as_str),
+            Some("q\"A\n")
+        );
+        assert!(cbs_json::parse("[1, 2] trailing").is_err());
+        assert!(cbs_json::parse("[1, ]").is_err());
+        assert!(cbs_json::parse("{\"unterminated").is_err());
     }
 
     #[test]
@@ -435,7 +236,7 @@ mod tests {
 
     // The validator's compatibility with the *real* exporter
     // (`cbs_obs::TraceStore::export_chrome`) is covered end-to-end by the
-    // check.sh `trace-smoke` stage — xtask itself stays dependency-free,
-    // so the fixtures above mirror the exporter's exact output shape
-    // instead of linking cbs-obs.
+    // check.sh `trace-smoke` stage — xtask does not link the product it
+    // lints, so the fixtures above mirror the exporter's exact output
+    // shape instead.
 }

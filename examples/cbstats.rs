@@ -5,7 +5,8 @@
 //! deployment: per-node topology, per-service op counters, latency
 //! percentiles from the merged histogram snapshots, the slow-op log with
 //! full span trees, a causally stitched end-to-end trace of one durable
-//! replicated write (DESIGN.md §17), and a Prometheus text sample.
+//! replicated write (both from the one trace store), and a Prometheus text
+//! sample.
 //!
 //! ```text
 //! cargo run --release --example cbstats
@@ -63,9 +64,9 @@ fn main() {
     println!("{}", summary.report_row());
 
     // Deliberately slow operation for the slow-op log: with the threshold
-    // at zero, the next traced request is guaranteed to be captured. A
-    // primary scan over the whole bucket walks every vBucket on every
-    // node, so its span tree has depth: execute -> parse/plan/scan/fetch.
+    // at zero, every operation counts as slow and is kept. A primary scan
+    // over the whole bucket walks every vBucket on every node, so its
+    // span tree has depth: request -> parse/plan/run -> scan/fetch.
     cluster.set_slow_threshold(Duration::ZERO);
     cluster.query("CREATE PRIMARY INDEX ON ycsb", &QueryOptions::default()).expect("primary index");
     cluster
@@ -81,8 +82,8 @@ fn main() {
     println!("\n== PROFILE SELECT COUNT(*) AS n FROM ycsb ==");
     println!("{}", cbs_json::print::to_json_pretty(&profiled.rows[0], 2));
 
-    // Freeze everything. `stats()` drains each registry's slow-op ring, so
-    // one snapshot owns the captured trace.
+    // Freeze everything, the slow-op log (the trace store's slow traces)
+    // included.
     let stats = cluster.stats();
 
     println!("\n== topology ==");
@@ -208,13 +209,15 @@ fn main() {
         100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
 
-    println!("\n== slow ops ({} captured) ==", stats.slow_ops.len());
-    for op in stats.slow_ops.iter().rev().take(3) {
-        println!("[{}] {:.1?}", op.service, op.total);
+    println!("\n== slow ops ({} captured, slowest first) ==", stats.slow_ops.len());
+    let mut slowest: Vec<_> = stats.slow_ops.iter().collect();
+    slowest.sort_by_key(|op| std::cmp::Reverse(op.total));
+    for op in slowest.iter().take(3) {
+        println!("[{}] {:.1?}", op.root_name, op.total);
         print!("{}", op.render());
     }
 
-    // Causal end-to-end tracing (DESIGN.md §17): sample every operation,
+    // Causal end-to-end tracing (DESIGN.md §10): sample every operation,
     // run one durable replicated write, and render the stitched span tree
     // — client -> active engine -> replication deliver -> replica apply ->
     // flusher WAL commit, one trace id across every lane.
