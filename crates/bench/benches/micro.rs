@@ -15,7 +15,7 @@ use cbs_index::{IndexDef, IndexStorage, Projector, ScanConsistency, ScanRange};
 use cbs_json::Value;
 use cbs_kv::{DataEngine, EngineConfig, MutateMode};
 use cbs_n1ql::{MemoryDatastore, QueryOptions};
-use cbs_storage::{StoredDoc, VBucketStore};
+use cbs_storage::{BucketStore, StoredDoc};
 use cbs_views::{KeyRange, Reducer, ViewBTree, ViewEntry};
 use cbs_ycsb::{Generator, ScrambledZipfianGen};
 use rand::{rngs::StdRng, SeedableRng};
@@ -42,8 +42,8 @@ fn bench_json(c: &mut Criterion) {
 
 fn bench_storage(c: &mut Criterion) {
     let mut g = c.benchmark_group("storage");
-    let dir = cbs_storage::scratch_dir("bench");
-    let store = VBucketStore::open(&dir, VbId(0)).unwrap();
+    let bucket = BucketStore::open(cbs_storage::scratch_dir("bench")).unwrap();
+    let store = bucket.vb(VbId(0)).unwrap();
     let mut seq = 0u64;
     g.bench_function("append", |b| {
         b.iter(|| {

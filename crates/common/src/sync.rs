@@ -80,8 +80,9 @@ pub mod rank {
     /// nothing held; connecting a new client (which fetches maps) happens
     /// between the read probe and the write insert.
     pub const QUERY_CLIENTS: LockRank = LockRank::new(8, "n1ql.datastore.clients");
-    /// Per-shard flush/checkpoint cycle lock — outermost: held for a whole
-    /// drain cycle while vB metadata, queues, the WAL and stores are touched.
+    /// Per-shard flush lock, the shard log's single-writer seat — outermost:
+    /// held for a whole drain cycle, purge or compaction while vB metadata,
+    /// queues, the log and the vBucket indexes are touched.
     pub const FLUSH_CYCLE: LockRank = LockRank::new(10, "kv.shard.flush_cycle");
     /// View engine's ddoc registry. Held across design-doc creation,
     /// which opens DCP streams per vBucket (rank `DCP_CHANNEL`).
@@ -106,15 +107,16 @@ pub mod rank {
     /// Per-vBucket dirty-key queue (taken under the vB metadata lock when a
     /// mutation enqueues).
     pub const DIRTY_QUEUE: LockRank = LockRank::new(30, "kv.vb.dirty_queue");
-    /// Per-shard flusher wakeup generation counter (condvar seat).
+    /// Per-shard flusher wakeup generation counter and list of dirty
+    /// vBuckets (condvar seat).
     pub const FLUSH_SIGNAL: LockRank = LockRank::new(40, "kv.shard.signal");
-    /// Per-shard set of vBuckets touched since the last checkpoint.
-    pub const TOUCHED_SET: LockRank = LockRank::new(50, "kv.shard.touched");
-    /// Per-shard group-commit WAL interior (file + length).
+    /// Group-commit log interior (file handle + length): a flusher shard's
+    /// data log or a GSI partition's change log.
     pub const WAL: LockRank = LockRank::new(60, "storage.wal");
-    /// Bucket-wide vBucket-store map (open/create/drop).
+    /// Per-shard-log vBucket → index map (lookup/create).
     pub const BUCKET_MAP: LockRank = LockRank::new(70, "storage.bucket_map");
-    /// Per-vBucket store interior (file, indexes, seqnos).
+    /// Per-vBucket index interior (file handle, by-id/by-seqno offsets,
+    /// seqnos, byte counts).
     pub const VB_STORE: LockRank = LockRank::new(80, "storage.vbstore");
     /// Durability waiters' seat (condvar signalled after each commit cycle) —
     /// innermost: nothing else is acquired while it is held.

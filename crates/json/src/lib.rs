@@ -35,6 +35,23 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Strings built from fragments, so that every byte the serializer
+    /// escapes (quote, backslash, every control character) lands next to
+    /// clean runs, to other escapes and to multi-byte UTF-8.
+    fn arb_escapy_string() -> impl Strategy<Value = String> {
+        let fragment = prop_oneof![
+            Just("\"".to_string()),
+            Just("\\".to_string()),
+            (0u8..0x20).prop_map(|c| char::from(c).to_string()),
+            Just("\u{7f}".to_string()),
+            Just("\u{00e9}".to_string()),
+            Just("\u{4e16}".to_string()),
+            Just("\u{1f600}".to_string()),
+            "[a-z0-9 ]{0,12}".prop_map(String::from),
+        ];
+        prop::collection::vec(fragment, 0..12).prop_map(|parts| parts.concat())
+    }
+
     fn arb_value() -> impl Strategy<Value = Value> {
         let leaf = prop_oneof![
             Just(Value::Null),
@@ -43,6 +60,7 @@ mod proptests {
             // Finite floats only: JSON has no NaN/Inf.
             (-1e15f64..1e15f64).prop_map(Value::float),
             "[a-zA-Z0-9 _\\-\\.\\\\\"/\u{00e9}\u{4e16}]*".prop_map(Value::from),
+            arb_escapy_string().prop_map(Value::from),
         ];
         leaf.prop_recursive(4, 64, 8, |inner| {
             prop_oneof![
@@ -64,7 +82,11 @@ mod proptests {
         fn roundtrip(v in arb_value()) {
             let s = v.to_json_string();
             let back = parse(&s).expect("serializer output must re-parse");
-            prop_assert_eq!(v, back);
+            prop_assert_eq!(&v, &back);
+            // The byte entry point appends exactly the same text.
+            let mut bytes = b"prefix".to_vec();
+            v.write_json(&mut bytes);
+            prop_assert_eq!(&bytes[6..], s.as_bytes());
         }
 
         /// Collation is a total order: antisymmetric and transitive on triples.

@@ -3,122 +3,145 @@
 //! The compact form is canonical for storage and network transfer; pretty
 //! printing is only for diagnostics (EXPLAIN output, examples).
 
+use std::io::Write;
+
 use crate::value::{Number, Value};
 
 impl Value {
     /// Serialize to compact JSON. Guaranteed to re-parse to an equal value
     /// (property-tested in the crate root).
     pub fn to_json_string(&self) -> String {
-        let mut out = String::with_capacity(self.approx_size());
-        write_value(self, &mut out);
-        out
+        let mut out = Vec::with_capacity(self.approx_size());
+        self.write_json(&mut out);
+        into_string(out)
+    }
+
+    /// Append the compact JSON form to `out` — the one serializer; the
+    /// flusher writes documents straight into its record buffer through it.
+    pub fn write_json(&self, out: &mut Vec<u8>) {
+        write_value(self, out);
     }
 }
 
 /// Serialize with `indent`-space indentation, for human consumption.
 pub fn to_json_pretty(v: &Value, indent: usize) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     write_pretty(v, indent, 0, &mut out);
-    out
+    into_string(out)
 }
 
-fn write_value(v: &Value, out: &mut String) {
+/// The writer only ever emits ASCII punctuation and whole runs of `&str`.
+fn into_string(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("serializer output is UTF-8 by construction")
+}
+
+fn write_value(v: &Value, out: &mut Vec<u8>) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
+        Value::Null => out.extend_from_slice(b"null"),
+        Value::Bool(true) => out.extend_from_slice(b"true"),
+        Value::Bool(false) => out.extend_from_slice(b"false"),
         Value::Number(n) => write_number(*n, out),
         Value::String(s) => write_string(s, out),
         Value::Array(items) => {
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 write_value(item, out);
             }
-            out.push(']');
+            out.push(b']');
         }
         Value::Object(pairs) => {
-            out.push('{');
+            out.push(b'{');
             for (i, (k, val)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.push(b',');
                 }
                 write_string(k, out);
-                out.push(':');
+                out.push(b':');
                 write_value(val, out);
             }
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
-fn write_number(n: Number, out: &mut String) {
-    match n {
-        Number::Int(i) => out.push_str(&i.to_string()),
-        Number::Float(f) => {
-            // Rust's Display for f64 is shortest-roundtrip, which is exactly
-            // what we want; integral floats keep a ".0" via this branch so
-            // the int/float lexical class survives a round-trip.
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                out.push_str(&format!("{f:.1}"));
-            } else {
-                out.push_str(&f.to_string());
+fn write_number(n: Number, out: &mut Vec<u8>) {
+    // Writing into a `Vec<u8>` cannot fail.
+    let _ = match n {
+        Number::Int(i) => write!(out, "{i}"),
+        // Rust's Display for f64 is shortest-roundtrip, which is exactly
+        // what we want; integral floats keep a ".0" via this branch so
+        // the int/float lexical class survives a round-trip.
+        Number::Float(f) if f.fract() == 0.0 && f.abs() < 1e15 => write!(out, "{f:.1}"),
+        Number::Float(f) => write!(out, "{f}"),
+    };
+}
+
+/// Bytes that cannot appear verbatim inside a JSON string. Everything else
+/// — multi-byte UTF-8 included, whose bytes are all ≥ 0x80 — is copied in
+/// runs, the mirror image of what `parse_string` does on the way in.
+fn needs_escape(b: u8) -> bool {
+    b == b'"' || b == b'\\' || b < 0x20
+}
+
+fn write_string(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    let mut rest = s.as_bytes();
+    while let Some(at) = rest.iter().position(|&b| needs_escape(b)) {
+        out.extend_from_slice(&rest[..at]);
+        match rest[at] {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            0x08 => out.extend_from_slice(b"\\b"),
+            0x0C => out.extend_from_slice(b"\\f"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
         }
+        rest = &rest[at + 1..];
     }
+    out.extend_from_slice(rest);
+    out.push(b'"');
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+fn indent_to(out: &mut Vec<u8>, spaces: usize) {
+    out.resize(out.len() + spaces, b' ');
 }
 
-fn write_pretty(v: &Value, indent: usize, level: usize, out: &mut String) {
+fn write_pretty(v: &Value, indent: usize, level: usize, out: &mut Vec<u8>) {
     match v {
         Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
+            out.extend_from_slice(b"[\n");
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.extend_from_slice(b",\n");
                 }
-                out.push_str(&" ".repeat(indent * (level + 1)));
+                indent_to(out, indent * (level + 1));
                 write_pretty(item, indent, level + 1, out);
             }
-            out.push('\n');
-            out.push_str(&" ".repeat(indent * level));
-            out.push(']');
+            out.push(b'\n');
+            indent_to(out, indent * level);
+            out.push(b']');
         }
         Value::Object(pairs) if !pairs.is_empty() => {
-            out.push_str("{\n");
+            out.extend_from_slice(b"{\n");
             for (i, (k, val)) in pairs.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.extend_from_slice(b",\n");
                 }
-                out.push_str(&" ".repeat(indent * (level + 1)));
+                indent_to(out, indent * (level + 1));
                 write_string(k, out);
-                out.push_str(": ");
+                out.extend_from_slice(b": ");
                 write_pretty(val, indent, level + 1, out);
             }
-            out.push('\n');
-            out.push_str(&" ".repeat(indent * level));
-            out.push('}');
+            out.push(b'\n');
+            indent_to(out, indent * level);
+            out.push(b'}');
         }
         other => write_value(other, out),
     }
@@ -145,6 +168,17 @@ mod tests {
         let s = v.to_json_string();
         assert_eq!(s, "\"a\\u0001b\\nc\"");
         assert_eq!(parse(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_runs() {
+        let v = Value::from("\u{00e9}\"\u{0001}\u{4e16}\\\u{1f600}\t");
+        let s = v.to_json_string();
+        assert_eq!(s, "\"\u{00e9}\\\"\\u0001\u{4e16}\\\\\u{1f600}\\t\"");
+        assert_eq!(parse(&s).unwrap(), v);
+        let mut bytes = Vec::new();
+        v.write_json(&mut bytes);
+        assert_eq!(bytes, s.as_bytes());
     }
 
     #[test]

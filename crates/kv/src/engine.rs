@@ -1,18 +1,17 @@
 //! The data engine: memory-first write path, KV API, vBucket states.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use cbs_cache::{CacheLookup, ObjectCache};
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_common::{vbucket_for_key, Cas, CasClock, DocMeta, Error, Result, RevNo, SeqNo, VbId};
 use cbs_dcp::{BackfillSource, DcpHub, DcpItem, DcpKind, DcpStream};
 use cbs_json::{SharedValue, Value};
 use cbs_obs::{span, Gauge, Registry, SpanGuard, TraceContext};
-use cbs_storage::{BucketStore, GroupCommitWal, StoredDoc};
+use cbs_storage::{BucketStore, Cycle, StoredDoc};
 use parking_lot::Condvar;
 
 use crate::now_secs;
@@ -21,8 +20,9 @@ use crate::types::{Document, EngineConfig, GetResult, MutateMode, MutationResult
 
 /// One vBucket's snapshotted dirty queue: the keys drained this cycle plus
 /// the trace contexts attached to them, kept around so a failed commit can
-/// re-enqueue both.
-type DirtySnapshot = (VbId, Vec<Arc<str>>, HashMap<Arc<str>, TraceContext>);
+/// re-enqueue both, and the vBucket's high seqno at the snapshot — what is
+/// persisted once the cycle has committed.
+type DirtySnapshot = (VbId, Vec<Arc<str>>, HashMap<Arc<str>, TraceContext>, SeqNo);
 
 /// Per-vBucket mutable state, guarded by one mutex per vBucket. The mutex
 /// also serializes the write path (seqno assignment → cache → dirty queue →
@@ -82,33 +82,47 @@ impl DirtyQueue {
     }
 }
 
-/// One flusher shard: a static slice of vBuckets drained together, with the
-/// cycle's records group-committed through a single WAL fsync.
-struct FlushShard {
-    /// The vBuckets this shard owns (static assignment).
-    vbs: Vec<VbId>,
-    /// Group-commit write-ahead log; one `sync()` per drain cycle.
-    wal: GroupCommitWal,
-    /// Dirty keys queued across this shard's vBuckets — exported as the
-    /// per-shard backpressure gauge `kv.flusher.queue_depth_s<N>`.
-    dirty_count: Arc<Gauge>,
-    /// WAL bytes since the last checkpoint
-    /// (`kv.flusher.wal_bytes_s<N>`), refreshed after every drain cycle
-    /// and checkpoint.
-    wal_bytes: Arc<Gauge>,
+/// What a flusher shard's thread sleeps on.
+#[derive(Default)]
+struct FlushSignal {
     /// Wakeup generation counter; bumped (under the lock) by
     /// `enqueue_dirty` so a sleeping flusher thread cannot miss a write.
-    signal: OrderedMutex<u64>,
+    gen: u64,
+    /// vBuckets whose dirty queue went from empty to non-empty since the
+    /// flusher last swapped this list out — the only ones a cycle visits.
+    /// A vBucket may be listed with an empty queue (harmless), never the
+    /// other way round for longer than it takes its writer to get here.
+    dirty_vbs: Vec<VbId>,
+    /// The flusher thread sleeps with nothing queued, so the next write
+    /// must wake it. While it is busy or letting a cycle fill, writes only
+    /// bump `gen`: no wake-up per write.
+    idle: bool,
+}
+
+/// A filling cycle is drained once no new key has been queued for this long.
+const FLUSH_QUIET: Duration = Duration::from_millis(1);
+
+/// One flusher shard: a static slice of vBuckets drained together into the
+/// shard's log (`BucketStore` shard of the same number), each cycle
+/// group-committed through a single fsync.
+struct FlushShard {
+    /// Dirty keys not yet durable across this shard's vBuckets: queued, or
+    /// in a cycle that has not committed — exported as the per-shard
+    /// backpressure gauge `kv.flusher.queue_depth_s<N>`.
+    dirty_count: Arc<Gauge>,
+    signal: OrderedMutex<FlushSignal>,
     signal_cv: Condvar,
-    /// vBuckets with store writes not yet covered by a checkpoint fsync.
-    touched: OrderedMutex<std::collections::HashSet<VbId>>,
-    /// Serializes a whole drain cycle (WAL append → sync → store writes →
-    /// touched-set insert) against checkpoints. Without it a checkpoint
-    /// from another thread (e.g. `purge_vb` on the cluster manager) could
-    /// truncate WAL records whose covering store writes are still
-    /// unsynced, or an in-flight cycle could append a purged vBucket's
-    /// records after its checkpoint. Also makes concurrent `flush_shard`
-    /// calls on one shard (public `flush_once` vs. the pool) safe.
+    /// `wait_persisted` callers blocked on this shard's vBuckets: while
+    /// there are any, the flusher drains at once instead of letting its
+    /// cycle fill.
+    persist_waiters: AtomicUsize,
+    /// The shard log's single-writer seat: serializes whole drain cycles
+    /// (snapshot → append → sync → index → mark clean), purges and
+    /// compactions of the shard. Without it a purge marker could be
+    /// overtaken by an in-flight cycle's records of the purged vBucket, a
+    /// compaction could lose the records appended while it copies, and
+    /// concurrent `flush_shard` calls on one shard (public `flush_once`
+    /// vs. the pool) could commit a key's versions out of order.
     flush_lock: OrderedMutex<()>,
 }
 
@@ -130,33 +144,26 @@ pub struct DataEngine {
     stats: EngineStats,
 }
 
-/// Checkpoint the WAL (sync touched stores, truncate the log) once it grows
-/// past this many bytes.
-const WAL_CHECKPOINT_BYTES: u64 = 4 << 20;
-
 impl DataEngine {
     /// Create an engine. All vBuckets start `Dead`; the cluster manager (or
-    /// a test) activates the ones this node owns. Existing storage files
-    /// for activated vBuckets are recovered lazily.
+    /// a test) activates the ones this node owns. Opening the store scans
+    /// the shard logs in the data directory and rebuilds every vBucket's
+    /// index — that scan is the whole of crash recovery;
+    /// [`DataEngine::recover_vb`] then warms the cache from it.
     pub fn new(cfg: EngineConfig) -> Result<Arc<DataEngine>> {
         let n = cfg.num_vbuckets;
-        let store = BucketStore::open(cfg.data_dir.clone())?;
-        Self::replay_wals(&store, &cfg.data_dir)?;
-        let registry = Arc::new(Registry::new("kv"));
         let num_shards = cfg.flusher_shards.clamp(1, n.max(1) as usize);
-        let mut shards = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            shards.push(FlushShard {
-                vbs: (0..n).map(VbId).filter(|vb| shard_for_vb(*vb, num_shards, n) == s).collect(),
-                wal: GroupCommitWal::open(&cfg.data_dir, s)?,
+        let store = BucketStore::open_sharded(cfg.data_dir.clone(), num_shards, n)?;
+        let registry = Arc::new(Registry::new("kv"));
+        let shards = (0..num_shards)
+            .map(|s| FlushShard {
                 dirty_count: registry.gauge(&format!("kv.flusher.queue_depth_s{s}")),
-                wal_bytes: registry.gauge(&format!("kv.flusher.wal_bytes_s{s}")),
-                signal: OrderedMutex::new(rank::FLUSH_SIGNAL, 0),
+                signal: OrderedMutex::new(rank::FLUSH_SIGNAL, FlushSignal::default()),
                 signal_cv: Condvar::new(),
-                touched: OrderedMutex::new(rank::TOUCHED_SET, std::collections::HashSet::new()),
+                persist_waiters: AtomicUsize::new(0),
                 flush_lock: OrderedMutex::new(rank::FLUSH_CYCLE, ()),
-            });
-        }
+            })
+            .collect();
         Ok(Arc::new(DataEngine {
             cache: ObjectCache::new_with_registry(n, cfg.cache_quota, cfg.eviction, &registry),
             store,
@@ -182,30 +189,6 @@ impl DataEngine {
             registry,
             cfg,
         }))
-    }
-
-    /// Recovery: re-apply any group-commit WAL records newer than what the
-    /// per-vBucket stores hold (the stores are written unsynced between
-    /// checkpoints; the WAL is the durable copy of that window). Synced
-    /// stores in hand, the WALs are deleted — the new shard layout creates
-    /// fresh ones.
-    fn replay_wals(store: &BucketStore, dir: &std::path::Path) -> Result<()> {
-        let records = cbs_storage::replay_wals(dir)?;
-        let mut touched: Vec<VbId> = Vec::new();
-        for (vb, doc) in records {
-            let s = store.vb(vb)?;
-            if doc.meta.seqno > s.high_seqno() {
-                s.persist(&doc)?;
-                if !touched.contains(&vb) {
-                    touched.push(vb);
-                }
-            }
-        }
-        for vb in touched {
-            store.vb(vb)?.sync()?;
-        }
-        cbs_storage::remove_wals(dir)?;
-        Ok(())
     }
 
     /// Engine configuration.
@@ -311,12 +294,15 @@ impl DataEngine {
     pub fn purge_vb(&self, vb: VbId) -> Result<()> {
         self.set_vb_state(vb, VbState::Dead);
         self.cache.clear_vb(vb);
-        let shard = self.shard_for(vb);
+        let sh = &self.shards[self.store.shard_of(vb)];
+        // Under the flush lock, so the purge marker lands behind whatever
+        // an in-flight cycle appends for this vBucket and a replay after
+        // restart cannot resurrect it. The marker is synced by the shard's
+        // next cycle (at the latest one flush interval from now), not here:
+        // a rebalance purges vBuckets by the hundred.
+        let _flush = sh.flush_lock.lock();
         let dropped = self.dirty[vb.index()].lock().take().0.len() as u64;
-        self.shards[shard].dirty_count.sub(dropped);
-        // Checkpoint first: the shard's WAL may still hold records for this
-        // vBucket, and a replay after restart must not resurrect it.
-        self.checkpoint_shard(shard)?;
+        sh.dirty_count.sub(dropped);
         self.store.drop_vb(vb)?;
         self.high_seqnos[vb.index()].store(0, Ordering::SeqCst);
         self.persisted_seqnos[vb.index()].store(0, Ordering::SeqCst);
@@ -694,17 +680,27 @@ impl DataEngine {
     /// Block until `seqno` of `vb` is persisted, or `timeout` elapses.
     pub fn wait_persisted(&self, vb: VbId, seqno: SeqNo, timeout: Duration) -> Result<()> {
         let _s = span("kv.engine.wait_persisted");
+        if self.persisted_seqno(vb) >= seqno {
+            return Ok(());
+        }
+        // Tell the shard's flusher that someone is waiting, so that it
+        // drains now rather than when its cycle has filled.
+        let sh = &self.shards[self.store.shard_of(vb)];
+        sh.persist_waiters.fetch_add(1, Ordering::SeqCst);
+        sh.signal.lock().gen += 1;
+        sh.signal_cv.notify_all();
         let deadline = Instant::now() + timeout;
         let mut guard = self.persist_mutex.lock();
-        while self.persisted_seqno(vb) < seqno {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(Error::Timeout(format!(
-                    "persistence of {vb:?} {seqno:?} (persisted {:?})",
-                    self.persisted_seqno(vb)
-                )));
-            }
+        while self.persisted_seqno(vb) < seqno && Instant::now() < deadline {
             self.persist_cv.wait_until(guard.inner_mut(), deadline);
+        }
+        drop(guard);
+        sh.persist_waiters.fetch_sub(1, Ordering::SeqCst);
+        if self.persisted_seqno(vb) < seqno {
+            return Err(Error::Timeout(format!(
+                "persistence of {vb:?} {seqno:?} (persisted {:?})",
+                self.persisted_seqno(vb)
+            )));
         }
         Ok(())
     }
@@ -712,10 +708,6 @@ impl DataEngine {
     // ------------------------------------------------------------------
     // Flusher internals (driven by `crate::flusher`)
     // ------------------------------------------------------------------
-
-    fn shard_for(&self, vb: VbId) -> usize {
-        shard_for_vb(vb, self.shards.len(), self.cfg.num_vbuckets)
-    }
 
     /// Number of flusher shards (each served by one pool thread).
     pub fn num_flusher_shards(&self) -> usize {
@@ -727,45 +719,74 @@ impl DataEngine {
     }
 
     fn enqueue_dirty_traced(&self, vb: VbId, key: &str, ctx: Option<TraceContext>) {
-        let fresh = {
+        let (fresh, first) = {
             let mut queue = self.dirty[vb.index()].lock();
+            let was_empty = queue.keys.is_empty();
             let fresh = queue.enqueue(key);
             if let Some(ctx) = ctx {
                 queue.attach_ctx(key, ctx);
             }
-            fresh
+            (fresh, fresh && was_empty)
         };
         if fresh {
-            let shard = &self.shards[self.shard_for(vb)];
+            let shard = &self.shards[self.store.shard_of(vb)];
             shard.dirty_count.add(1);
             // Bump the generation under the lock, so a flusher thread that
             // checked the counter and is about to sleep still sees the
-            // change — no missed wakeups, no 10 ms polling latency.
-            let mut gen = shard.signal.lock();
-            *gen += 1;
-            shard.signal_cv.notify_all();
+            // change — no missed wakeups. The same acquisition tells the
+            // flusher which vBucket to visit.
+            let mut signal = shard.signal.lock();
+            signal.gen += 1;
+            if first {
+                signal.dirty_vbs.push(vb);
+            }
+            if signal.idle {
+                shard.signal_cv.notify_all();
+            }
         } else {
             self.stats.dedup_writes.inc();
         }
     }
 
-    /// Block until `shard` has dirty work, a writer signals, `stop` is
-    /// set, or `timeout` elapses. Called by idle flusher-pool threads.
-    /// `stop` is rechecked inside the wait loop: `shutdown` sets it and
-    /// then bumps the generation under the signal lock, so a thread that
-    /// passed its caller's stop check but has not yet recorded the
-    /// generation cannot sleep through the shutdown wakeup.
-    pub fn wait_for_dirty(&self, shard: usize, timeout: Duration, stop: &AtomicBool) {
+    /// Block until `shard` should run its next drain cycle. With nothing
+    /// queued the thread sleeps until the first write (or `interval`, so
+    /// that maintenance still runs). With something queued it lets the
+    /// cycle fill — "repeated updates to an object [are] aggregated at the
+    /// level of persistence" (§2.3.2), and a group commit costs the same
+    /// fsync for one item as for fifty — until no new key has been queued
+    /// for [`FLUSH_QUIET`], `interval` has passed, or a `wait_persisted`
+    /// caller is waiting on the shard, which ends the wait at once. `stop` is
+    /// rechecked inside the wait loops: `shutdown` sets it and then bumps
+    /// the generation under the signal lock, so a thread that passed its
+    /// caller's stop check but has not yet recorded the generation cannot
+    /// sleep through the shutdown wakeup.
+    pub fn wait_for_cycle(&self, shard: usize, interval: Duration, stop: &AtomicBool) {
         let sh = &self.shards[shard];
-        if sh.dirty_count.get() > 0 || stop.load(Ordering::Relaxed) {
-            return;
+        let mut signal = sh.signal.lock();
+        if sh.dirty_count.get() == 0 {
+            let deadline = Instant::now() + interval;
+            let start = signal.gen;
+            signal.idle = true;
+            while signal.gen == start && sh.dirty_count.get() == 0 && !stop.load(Ordering::Relaxed)
+            {
+                if sh.signal_cv.wait_until(signal.inner_mut(), deadline).timed_out() {
+                    break;
+                }
+            }
+            signal.idle = false;
         }
-        let deadline = Instant::now() + timeout;
-        let mut gen = sh.signal.lock();
-        let start = *gen;
-        while *gen == start && sh.dirty_count.get() == 0 && !stop.load(Ordering::Relaxed) {
-            if sh.signal_cv.wait_until(gen.inner_mut(), deadline).timed_out() {
+        let deadline = Instant::now() + interval;
+        while sh.dirty_count.get() > 0
+            && sh.persist_waiters.load(Ordering::SeqCst) == 0
+            && !stop.load(Ordering::Relaxed)
+        {
+            let (seen, now) = (signal.gen, Instant::now());
+            if now >= deadline {
                 break;
+            }
+            sh.signal_cv.wait_until(signal.inner_mut(), deadline.min(now + FLUSH_QUIET));
+            if signal.gen == seen {
+                break; // quiet: nothing more is coming for now
             }
         }
     }
@@ -773,13 +794,13 @@ impl DataEngine {
     /// Wake every shard's flusher thread (shutdown path).
     pub fn wake_flushers(&self) {
         for sh in &self.shards {
-            let mut gen = sh.signal.lock();
-            *gen += 1;
+            sh.signal.lock().gen += 1;
             sh.signal_cv.notify_all();
         }
     }
 
-    /// Current disk-write queue length (items awaiting persistence).
+    /// Current disk-write queue length: items not yet durable, whether
+    /// still queued or in a drain cycle whose commit has not returned.
     pub fn disk_queue_len(&self) -> u64 {
         self.shards.iter().map(|s| s.dirty_count.get()).sum()
     }
@@ -794,29 +815,32 @@ impl DataEngine {
         Ok(persisted)
     }
 
-    /// Drain one shard's vBuckets to the storage engine: every dirty queue
-    /// in the shard is snapshotted, serialized, and group-committed with a
-    /// **single** WAL `sync()` — the durability point for the whole cycle.
-    /// The per-vBucket stores are then appended *without* syncing; the WAL
-    /// covers them until [`DataEngine::checkpoint_shard`] runs.
+    /// Drain one shard's dirty vBuckets to the storage engine: each listed
+    /// queue is snapshotted, its documents serialised straight into the
+    /// cycle's record buffer, and the buffer is appended to the shard's log
+    /// with one write and a **single** `sync_data` — the durability point
+    /// for the whole cycle, and the only copy written. Only then are the
+    /// records indexed, the items marked clean and `persisted_seqno`
+    /// advanced, in that order: `backfill` reads the dirty tail first and
+    /// the index second, so an item must never be clean-but-unindexed —
+    /// that ordering pair is what keeps stream open race-free against a
+    /// concurrent drain.
     pub fn flush_shard(&self, shard: usize) -> Result<u64> {
         let sh = &self.shards[shard];
         // The root of the flusher thread's segment (a child span when a
         // traced caller flushes synchronously): a slow drain cycle is kept
-        // with its WAL append, group-commit fsync, store writes and
-        // checkpoint as children. Idle wake-ups have nothing to explain.
+        // with its log append, group-commit fsync and indexing as
+        // children. Idle wake-ups have nothing to explain.
         let _trace = (sh.dirty_count.get() > 0).then(|| self.trace("kv.flusher.cycle"));
-        // Hold the shard's flush lock for the whole cycle so a concurrent
-        // checkpoint (purge_vb, shutdown) can neither truncate the WAL
-        // between our sync and our store writes nor run between a purge
-        // and a late append of the purged vBucket's records.
         let _flush = sh.flush_lock.lock();
-        let mut cycle: Vec<(VbId, Vec<StoredDoc>, SeqNo)> = Vec::new();
+        let dirty_vbs = std::mem::take(&mut sh.signal.lock().dirty_vbs);
+        let mut cycle = Cycle::new();
         let mut snapshots: Vec<DirtySnapshot> = Vec::new();
         // Trace contexts persisted by this cycle: each gets one
         // `kv.flusher.wal_commit` span covering the group commit.
         let mut traced: Vec<TraceContext> = Vec::new();
-        for &vb in &sh.vbs {
+        let mut batch = Vec::new();
+        for vb in dirty_vbs {
             // Snapshot the queue and the high seqno atomically w.r.t.
             // writers (both sides take the vb mutex).
             let (keys, ctxs, high) = {
@@ -825,64 +849,42 @@ impl DataEngine {
                 (keys, ctxs, self.high_seqno(vb))
             };
             if keys.is_empty() {
-                continue;
+                continue; // listed twice, or purged since
             }
-            sh.dirty_count.sub(keys.len() as u64);
-            let mut batch = Vec::with_capacity(keys.len());
-            for key in &keys {
-                if let Some((meta, value, deleted, dirty)) = self.cache.peek_item(vb, key) {
-                    if !dirty {
-                        continue;
+            for (i, key) in keys.iter().enumerate() {
+                // Evicted ⇒ already clean; absent ⇒ purged.
+                if let Some((meta, value, deleted, true)) = self.cache.peek_item(vb, key) {
+                    if deleted || value.is_some() {
+                        batch.push((meta, value.filter(|_| !deleted), i));
                     }
-                    let value_bytes = match (&value, deleted) {
-                        (_, true) => Bytes::new(),
-                        (Some(v), false) => Bytes::from(v.to_json_string()),
-                        (None, false) => continue, // evicted ⇒ already clean
-                    };
-                    if let Some(ctx) = ctxs.get(&**key) {
-                        traced.push(*ctx);
-                    }
-                    batch.push(StoredDoc {
-                        key: key.to_string(),
-                        meta,
-                        deleted,
-                        value: value_bytes,
-                    });
                 }
             }
-            // Sort by seqno so the log's by-seqno order matches mutation
-            // order even with de-duplicated, map-ordered drains.
-            batch.sort_by_key(|d| d.meta.seqno);
-            cycle.push((vb, batch, high));
-            snapshots.push((vb, keys, ctxs));
+            // By seqno, so that whatever prefix of the cycle survives a
+            // crash is a seqno prefix of each vBucket, even with
+            // de-duplicated, map-ordered drains.
+            batch.sort_by_key(|(meta, ..)| meta.seqno);
+            for (meta, value, i) in batch.drain(..) {
+                let key = &keys[i];
+                if let Some(ctx) = ctxs.get(&**key) {
+                    traced.push(*ctx);
+                }
+                cycle.push(vb, key, &meta, value.is_none(), |out| {
+                    if let Some(v) = &value {
+                        v.write_json(out);
+                    }
+                });
+            }
+            snapshots.push((vb, keys, ctxs, high));
         }
 
-        let mut persisted = 0u64;
         if !cycle.is_empty() {
             let commit_start = (self.cfg.trace.is_some() && !traced.is_empty()).then(Instant::now);
-            // lint:allow(guard-blocking): the flush-cycle lock exists to
-            // cover exactly this WAL append + fsync + store write; drains
-            // and checkpoints serialize on it by design (DESIGN.md §9).
-            if let Err(e) = self.commit_cycle(sh, &cycle) {
-                // The queues were already snapshotted and the counter
-                // decremented; put the keys back (skipping any a newer
-                // write has re-queued) so the items are retried instead of
-                // stranded dirty-but-unqueued, which would hang
-                // `wait_persisted` callers forever.
-                let mut restored = 0u64;
-                for (vb, keys, ctxs) in snapshots {
-                    let mut queue = self.dirty[vb.index()].lock();
-                    for key in keys {
-                        if queue.enqueue_shared(key) {
-                            restored += 1;
-                        }
-                    }
-                    for (key, ctx) in ctxs {
-                        queue.attach_ctx(&key, ctx);
-                    }
+            match self.store.commit(shard, &cycle) {
+                Ok(fsync) => self.stats.fsync_latency.record(fsync),
+                Err(e) => {
+                    self.requeue(sh, snapshots);
+                    return Err(e);
                 }
-                sh.dirty_count.add(restored);
-                return Err(e);
             }
             if let (Some(sink), Some(start)) = (&self.cfg.trace, commit_start) {
                 let end = Instant::now();
@@ -890,87 +892,55 @@ impl DataEngine {
                     sink.record_span("kv.flusher.wal_commit", *ctx, start, end);
                 }
             }
-            for (vb, batch, high) in &cycle {
-                for doc in batch {
-                    self.cache.mark_clean(*vb, &doc.key, doc.meta.seqno);
-                }
-                persisted += batch.len() as u64;
-                self.persisted_seqnos[vb.index()].fetch_max(high.0, Ordering::SeqCst);
+            for (vb, key, seqno) in cycle.records() {
+                self.cache.mark_clean(vb, key, seqno);
             }
+            self.stats.flushed.add(cycle.len() as u64);
+        } else if let Err(e) = self.store.sync_pending(shard) {
+            // Nothing to commit, but a purge marker awaited its sync.
+            self.requeue(sh, snapshots);
+            return Err(e);
         }
-        if persisted > 0 {
-            self.stats.flushed.add(persisted);
+        // Only now do the snapshotted keys leave the gauge: a reader of
+        // `disk_queue_len() == 0` may conclude that everything is durable.
+        let mut drained = 0u64;
+        for (vb, keys, _, high) in &snapshots {
+            self.persisted_seqnos[vb.index()].fetch_max(high.0, Ordering::SeqCst);
+            drained += keys.len() as u64;
         }
+        sh.dirty_count.sub(drained);
         // Wake durability waiters even on empty drains (their seqno may
         // have been covered by a previous partial drain).
         {
             let _guard = self.persist_mutex.lock();
             self.persist_cv.notify_all();
         }
-        if sh.wal.len_bytes() >= WAL_CHECKPOINT_BYTES {
-            // lint:allow(guard-blocking): size-triggered checkpoint runs
-            // under the same flush-cycle lock on purpose — the WAL must
-            // not be truncated while this drain's store writes are
-            // unsynced.
-            self.checkpoint_shard_locked(sh)?;
-        }
-        sh.wal_bytes.set(sh.wal.len_bytes());
-        Ok(persisted)
+        Ok(cycle.len() as u64)
     }
 
-    /// The durability half of a drain cycle: group-commit the records to
-    /// the WAL (one fsync), then apply the unsynced store writes. Store
-    /// writes go *before* acknowledging: `backfill` reads the dirty tail
-    /// first and the store second, so an item must never be
-    /// clean-but-unwritten — that ordering pair is what keeps stream open
-    /// race-free against a concurrent drain.
-    fn commit_cycle(&self, sh: &FlushShard, cycle: &[(VbId, Vec<StoredDoc>, SeqNo)]) -> Result<()> {
-        sh.wal.append_cycle(cycle.iter().map(|(vb, batch, _)| (*vb, batch.as_slice())))?;
-        let fsync_start = Instant::now();
-        sh.wal.sync()?;
-        self.stats.fsync_latency.record(fsync_start.elapsed());
-        let mut touched = sh.touched.lock();
-        for (vb, batch, _) in cycle {
-            if batch.is_empty() {
-                continue;
+    /// A cycle's commit failed: put its keys back (skipping any a newer
+    /// write has re-queued) and list its vBuckets again, so the items are
+    /// retried instead of stranded dirty-but-unqueued, which would hang
+    /// `wait_persisted` callers forever. The gauge still counts the keys;
+    /// only those a newer write queued — and counted — a second time leave
+    /// it.
+    fn requeue(&self, sh: &FlushShard, snapshots: Vec<DirtySnapshot>) {
+        let mut twice = 0u64;
+        let mut vbs = Vec::with_capacity(snapshots.len());
+        for (vb, keys, ctxs, _) in snapshots {
+            let mut queue = self.dirty[vb.index()].lock();
+            for key in keys {
+                if !queue.enqueue_shared(key) {
+                    twice += 1;
+                }
             }
-            // lint:allow(guard-blocking): the touched set must record the
-            // store write atomically with it (checkpoint drains the set
-            // and fsyncs exactly those stores); store.vb() only does file
-            // I/O on the first touch of a vBucket (lazy open).
-            self.store.vb(*vb)?.persist_batch(batch)?;
-            touched.insert(*vb);
+            for (key, ctx) in ctxs {
+                queue.attach_ctx(&key, ctx);
+            }
+            vbs.push(vb);
         }
-        Ok(())
-    }
-
-    /// Checkpoint one shard: fsync every store written since the last
-    /// checkpoint, then truncate the WAL that was covering them. Excludes
-    /// any in-flight drain cycle on the shard (per-shard flush lock), so
-    /// the WAL is never truncated while store writes it covers are still
-    /// unsynced.
-    pub fn checkpoint_shard(&self, shard: usize) -> Result<()> {
-        let sh = &self.shards[shard];
-        let _flush = sh.flush_lock.lock();
-        // lint:allow(guard-blocking): excluding in-flight drains while the
-        // checkpoint fsyncs and truncates is this function's contract (see
-        // doc comment above).
-        self.checkpoint_shard_locked(sh)
-    }
-
-    fn checkpoint_shard_locked(&self, sh: &FlushShard) -> Result<()> {
-        let _s = span("kv.flusher.checkpoint");
-        let mut touched = sh.touched.lock();
-        for vb in touched.drain() {
-            // lint:allow(guard-blocking): the checkpoint must fsync the
-            // exact set of stores the drained WAL covered; releasing the
-            // touched lock mid-drain would let a concurrent cycle add a
-            // store the truncated WAL no longer protects.
-            self.store.vb(vb)?.sync()?;
-        }
-        sh.wal.reset()?;
-        sh.wal_bytes.set(0);
-        Ok(())
+        sh.dirty_count.sub(twice);
+        sh.signal.lock().dirty_vbs.extend(vbs);
     }
 
     /// The expiry pager: sweep resident metadata for expired documents and
@@ -994,10 +964,26 @@ impl DataEngine {
         reaped
     }
 
-    /// Run compaction on fragmented vBucket files (§4.3.3: "Compaction is
-    /// periodically run, based on a fragmentation threshold").
+    /// Compact one shard's log if its stale fraction has reached the
+    /// threshold (§4.3.3: "Compaction is periodically run, based on a
+    /// fragmentation threshold"); returns whether it ran. Readers carry on
+    /// throughout; the shard's drain cycles wait.
+    pub fn compact_shard_if_needed(&self, shard: usize) -> Result<bool> {
+        let _flush = self.shards[shard].flush_lock.lock();
+        // lint:allow(guard-blocking): the compaction swap (new file renamed
+        // over the log) must exclude the shard's appends — records written
+        // while the live ones are copied would be lost with the old file.
+        self.store.compact_shard(shard, self.cfg.fragmentation_threshold)
+    }
+
+    /// Run [`DataEngine::compact_shard_if_needed`] on every shard; returns
+    /// how many logs were compacted.
     pub fn compact_if_needed(&self) -> Result<usize> {
-        self.store.compact_all(self.cfg.fragmentation_threshold)
+        let mut n = 0;
+        for shard in 0..self.shards.len() {
+            n += usize::from(self.compact_shard_if_needed(shard)?);
+        }
+        Ok(n)
     }
 
     /// Per-vBucket operational snapshot (state, seqnos, queue depth) for
@@ -1015,7 +1001,9 @@ impl DataEngine {
             .collect()
     }
 
-    /// Aggregate storage stats across open vBuckets.
+    /// Storage stats per vBucket with an index. Their `file_bytes`,
+    /// `stale_bytes` and `compactions` sum to the bytes in the shard logs,
+    /// the stale bytes in them and the compactions run.
     pub fn storage_stats(&self) -> Vec<(VbId, cbs_storage::StoreStats)> {
         self.store
             .open_vbs()
@@ -1057,7 +1045,7 @@ impl DataEngine {
 impl BackfillSource for DataEngine {
     fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
         // Snapshot order matters: dirty tail FIRST, store SECOND. The
-        // flusher writes the store before clearing dirty bits, so an item
+        // flusher indexes the records before clearing dirty bits, so an item
         // that leaves the dirty set mid-backfill is guaranteed to show up
         // in the store read. The reverse order can lose a just-flushed
         // item from both snapshots (it then sits below the stream's
@@ -1089,16 +1077,6 @@ impl BackfillSource for DataEngine {
         items.sort_by_key(|i| i.meta.seqno);
         Ok((items, high))
     }
-}
-
-/// Static shard assignment: contiguous slices of the vBucket space, so each
-/// flusher shard drains a disjoint set and no cross-shard coordination is
-/// needed.
-fn shard_for_vb(vb: VbId, num_shards: usize, num_vbuckets: u16) -> usize {
-    if num_vbuckets == 0 {
-        return 0;
-    }
-    vb.index() * num_shards / num_vbuckets as usize
 }
 
 fn merge_latest(map: &mut HashMap<String, DcpItem>, item: DcpItem) {
@@ -1397,6 +1375,42 @@ mod tests {
         assert_eq!(e.high_seqno(vb), SeqNo::ZERO);
         e.set_vb_state(vb, VbState::Active);
         assert!(matches!(e.get("k"), Err(Error::KeyNotFound(_))));
+    }
+
+    #[test]
+    fn purged_vb_is_not_resurrected_by_a_restart() {
+        let cfg = EngineConfig::for_test(16);
+        let dir = cfg.data_dir.clone();
+        let (gone, kept);
+        {
+            let e = DataEngine::new(cfg).unwrap();
+            e.activate_all();
+            gone = e.set("k", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap().vb;
+            // A neighbour in the same shard log, which must survive.
+            let key = (0..).map(|i| format!("n{i}")).find(|k| {
+                let vb = e.vb_for_key(k);
+                vb != gone && e.store.shard_of(vb) == e.store.shard_of(gone)
+            });
+            let key = key.unwrap();
+            kept = (key.clone(), e.vb_for_key(&key));
+            e.set(&key, doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+            e.flush_once().unwrap();
+            // Dirty at the purge: dropped from the queue and the gauge.
+            e.set("k", doc(3), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+            e.purge_vb(gone).unwrap();
+            assert_eq!(e.disk_queue_len(), 0);
+            assert_eq!(e.flush_once().unwrap(), 0);
+        }
+        let mut cfg2 = EngineConfig::for_test(16);
+        cfg2.data_dir = dir;
+        let e = DataEngine::new(cfg2).unwrap();
+        for vb in [gone, kept.1] {
+            e.recover_vb(vb).unwrap();
+            e.set_vb_state(vb, VbState::Active);
+        }
+        assert!(matches!(e.get("k"), Err(Error::KeyNotFound(_))));
+        assert_eq!(e.high_seqno(gone), SeqNo::ZERO, "a vBucket created again starts over");
+        assert_eq!(e.get(&kept.0).unwrap().value, doc(2));
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! Figure 6 of the paper: mutations are acknowledged from memory and "then
 //! asynchronously written to disk via the disk write queue". The pool is
-//! that path, sharded: each thread owns a static slice of vBuckets
-//! ([`DataEngine::flush_shard`]) and group-commits every drain cycle with a
-//! single WAL fsync instead of one fsync per vBucket. Threads sleep on a
-//! condvar and are woken by `enqueue_dirty`, so a write starts persisting
-//! immediately rather than after a polling interval. Shard 0's thread also
-//! runs periodic maintenance (fragmentation-threshold compaction and the
-//! expiry pager, §4.3.3).
+//! that path, sharded: each thread owns a static slice of vBuckets and
+//! their log ([`DataEngine::flush_shard`]) and group-commits every drain
+//! cycle with a single fsync instead of one fsync per vBucket. Threads
+//! sleep on a condvar and are woken by `enqueue_dirty`, so a write starts
+//! persisting immediately rather than after a polling interval. Every
+//! thread also compacts its own log when its fragmentation crosses the
+//! threshold; shard 0's runs the expiry pager as well (§4.3.3).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,8 +19,7 @@ use cbs_common::{Error, Result};
 
 use crate::engine::DataEngine;
 
-/// Handle to a running flusher pool; stops (after a final drain and
-/// checkpoint) on drop.
+/// Handle to a running flusher pool; stops (after a final drain) on drop.
 pub struct FlusherPool {
     engine: Arc<DataEngine>,
     stop: Arc<AtomicBool>,
@@ -32,8 +31,9 @@ pub type FlusherHandle = FlusherPool;
 
 impl FlusherPool {
     /// Spawn one thread per flusher shard of `engine`. Each thread drains
-    /// its shard immediately when woken by a write and at least every
-    /// `interval` otherwise. Fails (with already-spawned shards stopped and
+    /// its shard when the writes to it pause, at once when a durability
+    /// waiter asks, and at least every `interval` while there is anything
+    /// to drain ([`DataEngine::wait_for_cycle`]). Fails (with already-spawned shards stopped and
     /// joined) if the OS refuses a thread.
     pub fn spawn(engine: Arc<DataEngine>, interval: Duration) -> Result<FlusherPool> {
         let stop = Arc::new(AtomicBool::new(false));
@@ -47,35 +47,26 @@ impl FlusherPool {
                     let stop = thread_stop;
                     let mut since_maintenance = 0u32;
                     while !stop.load(Ordering::Relaxed) {
-                        let persisted = match engine.flush_shard(shard) {
-                            Ok(n) => n,
-                            Err(_) => {
-                                // The failed cycle re-queued its keys, so
-                                // dirty_count stays > 0 and wait_for_dirty
-                                // would return immediately; back off
-                                // instead of retrying in a hot loop.
-                                std::thread::sleep(Duration::from_millis(50).min(interval));
-                                0
-                            }
-                        };
-                        if persisted == 0 {
-                            engine.wait_for_dirty(shard, interval, &stop);
+                        if engine.flush_shard(shard).is_err() {
+                            // The failed cycle re-queued its keys; back off
+                            // instead of retrying in a hot loop.
+                            std::thread::sleep(Duration::from_millis(50).min(interval));
                         }
-                        // Periodic maintenance on one shard only, roughly
-                        // once per 64 drain cycles.
-                        if shard == 0 {
-                            since_maintenance += 1;
-                            if since_maintenance >= 64 {
-                                since_maintenance = 0;
-                                let _ = engine.compact_if_needed();
+                        // Periodic maintenance, roughly once per 64 drain
+                        // cycles: every shard looks after its own log, one
+                        // of them after expiry.
+                        since_maintenance += 1;
+                        if since_maintenance >= 64 {
+                            since_maintenance = 0;
+                            let _ = engine.compact_shard_if_needed(shard);
+                            if shard == 0 {
                                 let _ = engine.run_expiry_pager();
                             }
                         }
+                        engine.wait_for_cycle(shard, interval, &stop);
                     }
-                    // Final drain + checkpoint so a clean shutdown persists
-                    // everything and leaves the WAL empty.
+                    // Final drain so a clean shutdown persists everything.
                     let _ = engine.flush_shard(shard);
-                    let _ = engine.checkpoint_shard(shard);
                 });
             match spawned {
                 Ok(handle) => handles.push(handle),
@@ -175,6 +166,36 @@ mod tests {
                 "k{i} must survive restart"
             );
         }
+    }
+
+    /// Memory-acked writes are aggregated: a burst to one shard costs a
+    /// couple of group commits, not one per write — and with nobody waiting
+    /// and an interval of an hour, the pause after the burst is what drains
+    /// it.
+    #[test]
+    fn a_burst_without_waiters_is_one_group_commit_not_one_per_write() {
+        let mut cfg = EngineConfig::for_test(16);
+        cfg.flusher_shards = 1;
+        let engine = DataEngine::new(cfg).unwrap();
+        engine.activate_all();
+        let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_secs(3600)).unwrap();
+        std::thread::sleep(Duration::from_millis(30)); // let the thread reach its wait
+        let mut last = None;
+        for i in 0..200 {
+            let key = format!("k{i}");
+            last = engine.set(&key, Value::int(i), MutateMode::Upsert, Cas::WILDCARD, 0).ok();
+        }
+        let last = last.unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while engine.disk_queue_len() > 0 {
+            assert!(std::time::Instant::now() < deadline, "the quiet queue was never drained");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(engine.persisted_seqno(last.vb) >= last.seqno);
+        let commits = engine.stats().fsync_latency.count();
+        assert!(commits <= 20, "{commits} group commits for one burst of 200 writes");
+        assert_eq!(engine.stats().flushed.get(), 200);
+        flusher.shutdown();
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!                  disk-write queue       DCP publish ──► replicas,
 //!                        │                               views, GSI, XDCR
 //!                        ▼
-//!                  flusher pool ──► group-commit WAL (1 fsync/cycle)
-//!                   (N shards)        └─► append-only storage ──► mark clean
+//!                  flusher pool ──► shard log: 1 write + 1 fsync per cycle
+//!                   (N shards)        └─► index by offset ──► mark clean
 //! ```
 //!
 //! - **CAS optimistic locking** and **GETL hard locks with timeout**

@@ -37,8 +37,8 @@ pub struct EngineStats {
     pub get_latency: Arc<Histogram>,
     /// Front-end set latency (`kv.engine.set_latency`).
     pub set_latency: Arc<Histogram>,
-    /// Group-commit WAL fsync latency, one sample per drain cycle
-    /// (`kv.flusher.fsync_latency`).
+    /// Group-commit fsync latency of the shard logs, one sample per drain
+    /// cycle that wrote anything (`kv.flusher.fsync_latency`).
     pub fsync_latency: Arc<Histogram>,
 }
 

@@ -1,33 +1,35 @@
 //! Exhaustive interleaving models of the flusher shard protocol.
 //!
-//! Each model reproduces one of the three concurrency bugs found in the
-//! review of the sharded-flusher PR, as a small explicit state machine run
-//! through `cbs_common::model::Explorer` (the workspace's loom substitute —
-//! see DESIGN.md §9). Every model comes in two variants:
+//! Each model reproduces one concurrency bug of the sharded flusher as a
+//! small explicit state machine run through `cbs_common::model::Explorer`
+//! (the workspace's loom substitute — see DESIGN.md §9). Every model comes
+//! in two variants:
 //!
-//! - **buggy** — the pre-fix protocol shape. The explorer must find a
+//! - **buggy** — the broken protocol shape. The explorer must find a
 //!   counterexample (the bad interleaving is reachable). These variants are
-//!   *revert detection*: if someone re-introduces the old shape, the
-//!   matching `fixed` model stops verifying, and the buggy model here
-//!   documents exactly which schedule kills it.
+//!   *revert detection*: if someone re-introduces the shape, the matching
+//!   `fixed` model stops verifying, and the buggy model here documents
+//!   exactly which schedule kills it.
 //! - **fixed** — the shipped protocol. The explorer must verify every
 //!   interleaving clean.
 //!
-//! The three bugs:
+//! The three models:
 //!
-//! 1. `checkpoint` could truncate the WAL between a drain cycle's WAL sync
-//!    and its (unsynced) store appends → acknowledged writes unrecoverable
-//!    after a crash. Fixed by the per-shard `flush_lock` held across the
-//!    whole cycle and taken by `checkpoint_shard`.
-//! 2. `wait_for_dirty` could miss a shutdown wakeup: `stop` was set and the
+//! 1. A compaction that swaps the shard's log without holding the shard's
+//!    flush lock loses the records a drain cycle appends while the live
+//!    ones are being copied: they are acknowledged durable, and the file
+//!    they are in has just been replaced. Fixed by running the compaction
+//!    under the per-shard `flush_lock`, like every other writer of the log.
+//! 2. `wait_for_cycle` could miss a shutdown wakeup: `stop` was set and the
 //!    condvar notified between the flusher's stop check and its wait
 //!    registration → thread slept a full interval (forever, with a long
 //!    one). Fixed by the generation counter bumped under the signal lock
 //!    plus a stop recheck inside the wait loop.
-//! 3. A failed drain dropped its snapshotted keys (queue already taken,
-//!    counter already decremented) → items stranded dirty-but-unqueued and
-//!    `wait_persisted` callers hung. Fixed by re-enqueueing the snapshot
-//!    (deduped against newer writes) and restoring the counter.
+//! 3. A failed drain dropped its snapshotted keys → items stranded
+//!    dirty-but-unqueued and `wait_persisted` callers hung. Fixed by
+//!    re-enqueueing the snapshot (deduped against newer writes) and listing
+//!    its vBuckets as dirty again; the queue-depth gauge counts a key until
+//!    a commit that carried it has succeeded.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -36,21 +38,22 @@
 use cbs_common::model::{Explorer, Step, Violation};
 
 // ---------------------------------------------------------------------------
-// Model 1: drain cycle vs. checkpoint (WAL truncation)
+// Model 1: drain cycle vs. compaction swap
 // ---------------------------------------------------------------------------
 
-/// One record moving through a drain cycle while a checkpoint runs. Lock
-/// regions are single atomic steps, matching the real code's granularity.
+/// One record moving through a drain cycle while the shard's log is
+/// compacted. Lock regions are single atomic steps, matching the real
+/// code's granularity.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct CkptState {
-    /// Which thread holds the shard flush lock (0 = flusher, 1 = checkpoint).
+struct SwapState {
+    /// Which thread holds the shard flush lock (0 = flusher, 1 = compactor).
     flush_lock: Option<u8>,
-    /// Record is covered by a synced WAL.
-    wal: bool,
-    /// Record appended to the vbstore but not fsynced.
-    store_unsynced: bool,
-    /// Record fsynced in the vbstore.
-    store_synced: bool,
+    /// The compaction has renamed the new file over the log: appends and
+    /// recovery now see the new file.
+    swapped: bool,
+    /// The record is in the old file / in the new file.
+    in_old: bool,
+    in_new: bool,
     /// Drain cycle completed: the write is acknowledged as durable
     /// (`persisted_seqnos` bumped, `wait_persisted` released).
     acked: bool,
@@ -58,21 +61,21 @@ struct CkptState {
     c_pc: u8,
 }
 
-/// `buggy = true` models the pre-fix code where checkpoint did not take the
-/// shard flush lock.
-fn drain_vs_checkpoint(buggy: bool) -> Result<(), String> {
-    let init = CkptState {
+/// `buggy = true` models a compaction that does not take the shard flush
+/// lock.
+fn drain_vs_compaction_swap(buggy: bool) -> Result<(), String> {
+    let init = SwapState {
         flush_lock: None,
-        wal: false,
-        store_unsynced: false,
-        store_synced: false,
+        swapped: false,
+        in_old: false,
+        in_new: false,
         acked: false,
         f_pc: 0,
         c_pc: 0,
     };
     let result = Explorer::new(init)
-        // Flusher: lock → WAL append+sync → store append (unsynced) → ack+unlock.
-        .thread(|s: &mut CkptState| match s.f_pc {
+        // Flusher: lock → append+sync to the current file → index, ack, unlock.
+        .thread(|s: &mut SwapState| match s.f_pc {
             0 => {
                 if s.flush_lock.is_some() {
                     return Step::Blocked;
@@ -82,23 +85,24 @@ fn drain_vs_checkpoint(buggy: bool) -> Result<(), String> {
                 Step::Progressed
             }
             1 => {
-                s.wal = true; // append_cycle + sync: the cycle's durability point
+                // `commit`: one write, one sync_data — to whichever file is
+                // the log right now.
+                if s.swapped {
+                    s.in_new = true;
+                } else {
+                    s.in_old = true;
+                }
                 s.f_pc = 2;
                 Step::Progressed
             }
-            2 => {
-                s.store_unsynced = true; // persist_batch, no fsync
-                s.f_pc = 3;
-                Step::Progressed
-            }
             _ => {
-                s.acked = true; // mark_clean + persisted_seqnos bump
+                s.acked = true; // index + mark_clean + persisted_seqnos bump
                 s.flush_lock = None;
                 Step::Finished
             }
         })
-        // Checkpoint: [lock →] store fsync → WAL reset [→ unlock].
-        .thread(move |s: &mut CkptState| match s.c_pc {
+        // Compactor: [lock →] copy the live records → rename + switch [→ unlock].
+        .thread(move |s: &mut SwapState| match s.c_pc {
             0 => {
                 if !buggy {
                     if s.flush_lock.is_some() {
@@ -110,27 +114,25 @@ fn drain_vs_checkpoint(buggy: bool) -> Result<(), String> {
                 Step::Progressed
             }
             1 => {
-                // store.sync(): whatever was appended becomes durable
-                if s.store_unsynced {
-                    s.store_unsynced = false;
-                    s.store_synced = true;
-                }
+                // Stream what the indexes list into the new file.
+                s.in_new = s.in_old;
                 s.c_pc = 2;
                 Step::Progressed
             }
             _ => {
-                s.wal = false; // wal.reset()
+                s.swapped = true; // replace_with + per-vBucket switch
                 if !buggy {
                     s.flush_lock = None;
                 }
                 Step::Finished
             }
         })
-        // Crash safety: an acknowledged write must be recoverable — either
-        // the synced WAL still covers it or the store has fsynced it.
-        .invariant(|s: &CkptState| {
-            if s.acked && !s.wal && !s.store_synced {
-                Err("acked write recoverable from neither WAL nor store".into())
+        // Crash safety: an acknowledged write must be in the file that is
+        // the log — the only copy there is.
+        .invariant(|s: &SwapState| {
+            let in_log = if s.swapped { s.in_new } else { s.in_old };
+            if s.acked && !in_log {
+                Err("acked write is not in the shard's log".into())
             } else {
                 Ok(())
             }
@@ -143,19 +145,19 @@ fn drain_vs_checkpoint(buggy: bool) -> Result<(), String> {
 }
 
 #[test]
-fn checkpoint_cannot_truncate_unsynced_drain() {
-    drain_vs_checkpoint(false).expect("fixed protocol must verify clean");
+fn compaction_swap_cannot_lose_a_drain_cycle() {
+    drain_vs_compaction_swap(false).expect("fixed protocol must verify clean");
 }
 
 #[test]
-fn lockless_checkpoint_loses_acked_writes() {
-    let err =
-        drain_vs_checkpoint(true).expect_err("explorer must find the WAL-truncation interleaving");
-    assert!(err.contains("recoverable from neither"), "unexpected violation: {err}");
+fn lockless_compaction_swap_loses_acked_writes() {
+    let err = drain_vs_compaction_swap(true)
+        .expect_err("explorer must find the append-during-copy interleaving");
+    assert!(err.contains("not in the shard's log"), "unexpected violation: {err}");
 }
 
 // ---------------------------------------------------------------------------
-// Model 2: wait_for_dirty vs. shutdown (lost wakeup)
+// Model 2: wait_for_cycle vs. shutdown (lost wakeup)
 // ---------------------------------------------------------------------------
 
 /// A flusher thread going to sleep while shutdown fires. The condvar is
@@ -279,99 +281,137 @@ fn raw_condvar_wait_sleeps_through_shutdown() {
 
 /// One key, one flusher whose first commit fails (injected I/O error), one
 /// concurrent writer re-writing the same key. Tracks the dirty queue, the
-/// shard's dirty counter, and the cache item's dirty flag.
+/// shard's list of dirty vBuckets (the only queues a cycle visits), the
+/// cycle's snapshot, the shard's dirty counter, and the cache item's dirty
+/// flag.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct RetryState {
     /// Key present in the dirty queue.
     queued: bool,
-    /// Shard dirty_count (must always equal the queue's length).
+    /// The key's vBucket is in the shard's dirty-vBucket list.
+    listed: bool,
+    /// The flusher swapped the list out and found the vBucket in it.
+    visiting: bool,
+    /// Key held in the snapshot of a cycle that has not committed.
+    in_flight: bool,
+    /// Shard dirty_count: queued keys plus snapshotted, uncommitted ones.
     dirty_count: u8,
     /// Cache item carries unpersisted data.
     item_dirty: bool,
+    /// The writer's enqueue made the queue non-empty; it still has to list
+    /// the vBucket (a second lock, so a second step).
+    w_must_list: bool,
     f_pc: u8,
+    w_pc: u8,
     f_done: bool,
     w_done: bool,
 }
 
-/// `buggy = true` models the pre-fix error path: the failed cycle's
-/// snapshot is dropped instead of re-enqueued.
-fn failed_drain_vs_writer(buggy: bool) -> Result<(), String> {
+#[derive(Clone, Copy, PartialEq)]
+enum RetryBug {
+    None,
+    /// The failed cycle's snapshot is dropped instead of re-enqueued.
+    DropSnapshot,
+    /// The snapshot is re-enqueued but its vBucket is not listed again.
+    ForgetList,
+}
+
+fn failed_drain_vs_writer(bug: RetryBug) -> Result<(), String> {
     let init = RetryState {
         queued: true, // one pending write already acknowledged into the queue
+        listed: true,
+        visiting: false,
+        in_flight: false,
         dirty_count: 1,
         item_dirty: true,
+        w_must_list: false,
         f_pc: 0,
+        w_pc: 0,
         f_done: false,
         w_done: false,
     };
+    let swap_list = |s: &mut RetryState| {
+        s.visiting = s.listed;
+        s.listed = false;
+    };
+    // Snapshot: take the queue. The counter keeps counting the key.
+    let snapshot = |s: &mut RetryState| {
+        if s.visiting && s.queued {
+            s.queued = false;
+            s.in_flight = true;
+        }
+    };
     let result = Explorer::new(init)
-        // Flusher: snapshot → commit fails → [re-enqueue] → snapshot → commit ok.
-        .thread(move |s: &mut RetryState| match s.f_pc {
-            0 => {
-                // First drain: take the queue, decrement the counter.
-                if s.queued {
-                    s.queued = false;
-                    s.dirty_count -= 1;
+        // Flusher: list → snapshot → commit fails → [requeue] → list →
+        // snapshot → commit ok.
+        .thread(move |s: &mut RetryState| {
+            match s.f_pc {
+                0 | 3 => swap_list(s),
+                1 | 4 => snapshot(s),
+                2 => {
+                    // commit fails (injected).
+                    if s.in_flight {
+                        s.in_flight = false;
+                        if bug == RetryBug::DropSnapshot {
+                            s.dirty_count -= 1;
+                        } else {
+                            if s.queued {
+                                s.dirty_count -= 1; // a newer write counted it again
+                            }
+                            s.queued = true;
+                            s.listed |= bug != RetryBug::ForgetList;
+                        }
+                    }
                 }
-                s.f_pc = 1;
-                Step::Progressed
-            }
-            1 => {
-                // commit_cycle fails (injected). Buggy: snapshot dropped.
-                // Fixed: re-enqueue, deduped against newer writes.
-                if !buggy && !s.queued {
-                    s.queued = true;
-                    s.dirty_count += 1;
-                }
-                s.f_pc = 2;
-                Step::Progressed
-            }
-            2 => {
-                // Retry cycle: only runs if the queue has work.
-                if s.queued {
-                    s.queued = false;
-                    s.dirty_count -= 1;
-                    s.f_pc = 3;
-                } else {
+                _ => {
+                    // commit succeeds. mark_clean is seqno-guarded: if a
+                    // newer write re-queued the key meanwhile, the item stays
+                    // dirty (and queued) for the next cycle.
+                    if s.in_flight {
+                        s.in_flight = false;
+                        s.dirty_count -= 1;
+                        if !s.queued {
+                            s.item_dirty = false;
+                        }
+                    }
                     s.f_done = true;
                     return Step::Finished;
                 }
-                Step::Progressed
             }
-            _ => {
-                // commit_cycle succeeds. mark_clean is seqno-guarded: if a
-                // newer write re-queued the key meanwhile, the item stays
-                // dirty (and queued) for the next cycle.
-                if !s.queued {
-                    s.item_dirty = false;
-                }
-                s.f_done = true;
-                Step::Finished
-            }
+            s.f_pc += 1;
+            Step::Progressed
         })
-        // Writer: one more write to the same key (enqueue_dirty dedups).
+        // Writer: one more write to the same key (enqueue_dirty dedups),
+        // then, if that made the queue non-empty, list the vBucket.
         .thread(|s: &mut RetryState| {
-            s.item_dirty = true;
-            if !s.queued {
-                s.queued = true;
-                s.dirty_count += 1;
+            if s.w_pc == 0 {
+                s.item_dirty = true;
+                if !s.queued {
+                    s.queued = true;
+                    s.dirty_count += 1;
+                    s.w_must_list = true;
+                }
+                s.w_pc = 1;
+                return Step::Progressed;
             }
+            s.listed |= s.w_must_list;
             s.w_done = true;
             Step::Finished
         })
         .invariant(|s: &RetryState| {
-            // Counter consistency: dirty_count is exactly the queue length.
-            if s.dirty_count != s.queued as u8 {
+            // The gauge is exact: queued keys plus keys of the cycle in
+            // flight — it cannot read 0 while a commit is outstanding.
+            if s.dirty_count != s.queued as u8 + s.in_flight as u8 {
                 return Err(format!(
-                    "dirty_count {} != queue length {}",
-                    s.dirty_count, s.queued as u8
+                    "dirty_count {} != queued {} + in flight {}",
+                    s.dirty_count, s.queued as u8, s.in_flight as u8
                 ));
             }
             // No stranded items: once both threads are done, a dirty item
-            // must still be queued (a later cycle will retry it) — otherwise
-            // wait_persisted callers hang forever.
-            if s.f_done && s.w_done && s.item_dirty && !s.queued {
-                return Err("dirty item stranded out of the queue".into());
+            // must still be queued in a listed vBucket (a later cycle will
+            // retry it) — otherwise wait_persisted callers hang forever.
+            if s.f_done && s.w_done && s.item_dirty && !(s.queued && s.listed) {
+                return Err("dirty item stranded out of the flusher's reach".into());
             }
             Ok(())
         })
@@ -384,13 +424,20 @@ fn failed_drain_vs_writer(buggy: bool) -> Result<(), String> {
 
 #[test]
 fn failed_drain_requeues_its_snapshot() {
-    failed_drain_vs_writer(false).expect("fixed error path must verify clean");
+    failed_drain_vs_writer(RetryBug::None).expect("fixed error path must verify clean");
 }
 
 #[test]
 fn dropped_snapshot_strands_dirty_items() {
-    let err = failed_drain_vs_writer(true)
+    let err = failed_drain_vs_writer(RetryBug::DropSnapshot)
         .expect_err("explorer must find the stranded-item interleaving");
+    assert!(err.contains("stranded"), "unexpected violation: {err}");
+}
+
+#[test]
+fn requeue_without_relisting_strands_the_vbucket() {
+    let err = failed_drain_vs_writer(RetryBug::ForgetList)
+        .expect_err("explorer must find the queued-but-unlisted interleaving");
     assert!(err.contains("stranded"), "unexpected violation: {err}");
 }
 
@@ -412,7 +459,7 @@ fn models_are_exhaustively_explorable() {
     // The real bound check: re-run the three fixed models and assert they
     // explore completely (Ok), which run() only returns after visiting
     // every reachable interleaving.
-    drain_vs_checkpoint(false).unwrap();
+    drain_vs_compaction_swap(false).unwrap();
     wait_vs_shutdown(false).unwrap();
-    failed_drain_vs_writer(false).unwrap();
+    failed_drain_vs_writer(RetryBug::None).unwrap();
 }

@@ -8,28 +8,32 @@
 //!
 //! This crate reproduces that design, couchstore-style:
 //!
-//! - one append-only log file per vBucket ([`VBucketStore`]), records
-//!   CRC32-checksummed ([`record`]);
-//! - an in-memory **by-id** index (key → latest record) and **by-seqno**
-//!   index (seqno → record offset) rebuilt by scanning the log on open —
-//!   crash recovery truncates at the first torn/corrupt record, recovering
+//! - one append-only log file per flusher shard ([`BucketStore`]), holding
+//!   the records of all of the shard's vBuckets, CRC32-checksummed
+//!   ([`record`]) and written once: a drain cycle is one write and one
+//!   `sync_data`, and that log is the only on-disk copy of the documents;
+//! - per vBucket, an in-memory **by-id** index (key → latest record) and
+//!   **by-seqno** index (seqno → record offset) over its shard's log
+//!   ([`VBucketStore`]), rebuilt by scanning the logs on open — crash
+//!   recovery truncates at the first torn/corrupt record, recovering
 //!   exactly the durable prefix;
-//! - online **compaction** when the fragmentation ratio (stale bytes / file
-//!   bytes) crosses a threshold: live records are rewritten to a fresh file
-//!   which atomically replaces the old one;
+//! - online **compaction** when a log's fragmentation ratio (stale bytes /
+//!   file bytes) crosses a threshold: live records are streamed to a fresh
+//!   file which atomically replaces the old one, readers undisturbed;
 //! - by-seqno range reads, which are the backfill source for DCP streams.
 //!
-//! [`BucketStore`] aggregates per-vBucket stores under one directory.
+//! [`GroupCommitWal`] is the log file itself (framing, append, group
+//! commit, truncate); the GSI's change logs are the same type.
 
 pub mod bucket;
 pub mod record;
 pub mod vbstore;
 pub mod wal;
 
-pub use bucket::BucketStore;
+pub use bucket::{BucketStore, Cycle};
 pub use record::{DocMeta, StoredDoc};
 pub use vbstore::{StoreStats, VBucketStore};
-pub use wal::{remove_wals, replay_file, replay_wals, GroupCommitWal};
+pub use wal::{replay_file, GroupCommitWal};
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -11,6 +11,8 @@
 //! payload:
 //!   seqno u64 | cas u64 | rev u64 | flags u32 | expiry u32 |
 //!   deleted u8 | key_len u16 | key bytes | value bytes
+//!
+//! deleted: 0 = document, 1 = tombstone, 2 = vBucket purge marker
 //! ```
 //!
 //! The CRC covers the payload, so a torn write (power loss mid-append) is
@@ -18,7 +20,7 @@
 //! record — the recovery contract the paper's asynchronous-persistence
 //! design depends on: everything acknowledged as *persisted* survives.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use cbs_common::{crc32, Cas, Error, Result, RevNo, SeqNo};
 
 pub use cbs_common::DocMeta;
@@ -28,6 +30,20 @@ pub const RECORD_MAGIC: u8 = 0xC5;
 
 /// Fixed header length: magic + crc + payload length.
 pub const HEADER_LEN: usize = 1 + 4 + 4;
+
+/// Payload bytes before the key: seqno, cas, rev, flags, expiry, the
+/// `deleted` byte and the key length.
+const FIXED_LEN: usize = 8 + 8 + 8 + 4 + 4 + 1 + 2;
+
+/// Where the key starts inside an encoded record.
+pub(crate) const KEY_OFFSET: usize = HEADER_LEN + FIXED_LEN;
+
+/// Values of the payload's `deleted` byte. A purge marker is not a document
+/// version: it ends everything its vBucket wrote to the same log before it
+/// (the vBucket was handed off), so a replay never resurrects that data.
+pub(crate) const KIND_LIVE: u8 = 0;
+pub(crate) const KIND_TOMBSTONE: u8 = 1;
+pub(crate) const KIND_PURGE: u8 = 2;
 
 /// A fully decoded record: a document version (or tombstone).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,102 +61,128 @@ pub struct StoredDoc {
 impl StoredDoc {
     /// Total on-disk footprint of this record, including header.
     pub fn disk_size(&self) -> u64 {
-        (HEADER_LEN + payload_len(&self.key, &self.value)) as u64
+        (HEADER_LEN + FIXED_LEN + self.key.len() + self.value.len()) as u64
     }
 }
 
-fn payload_len(key: &str, value: &[u8]) -> usize {
-    8 + 8 + 8 + 4 + 4 + 1 + 2 + key.len() + value.len()
+/// Encode a record onto the end of `out`. Returns the number of bytes
+/// written.
+pub fn encode_record(doc: &StoredDoc, out: &mut Vec<u8>) -> usize {
+    let kind = if doc.deleted { KIND_TOMBSTONE } else { KIND_LIVE };
+    encode_record_with(out, &doc.key, &doc.meta, kind, |out| out.extend_from_slice(&doc.value))
 }
 
-/// Encode a record into `out`. Returns the number of bytes written.
-pub fn encode_record(doc: &StoredDoc, out: &mut BytesMut) -> usize {
-    let plen = payload_len(&doc.key, &doc.value);
-    out.reserve(HEADER_LEN + plen);
-    let mut payload = BytesMut::with_capacity(plen);
-    payload.put_u64_le(doc.meta.seqno.0);
-    payload.put_u64_le(doc.meta.cas.0);
-    payload.put_u64_le(doc.meta.rev.0);
-    payload.put_u32_le(doc.meta.flags);
-    payload.put_u32_le(doc.meta.expiry);
-    payload.put_u8(doc.deleted as u8);
-    payload.put_u16_le(doc.key.len() as u16);
-    payload.put_slice(doc.key.as_bytes());
-    payload.put_slice(&doc.value);
-    debug_assert_eq!(payload.len(), plen);
+/// Encode a record in place, in one pass: header placeholder, fixed fields
+/// and key, then `body` writes the value straight onto `out` (the flusher
+/// serialises JSON there), and the header is patched with the length and
+/// the CRC of the payload where it lies. No temporary buffer, one CRC.
+pub(crate) fn encode_record_with(
+    out: &mut Vec<u8>,
+    key: &str,
+    meta: &DocMeta,
+    kind: u8,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> usize {
+    let start = out.len();
+    out.reserve(HEADER_LEN + FIXED_LEN + key.len());
+    out.push(RECORD_MAGIC);
+    out.extend_from_slice(&[0u8; HEADER_LEN - 1]);
+    out.extend_from_slice(&meta.seqno.0.to_le_bytes());
+    out.extend_from_slice(&meta.cas.0.to_le_bytes());
+    out.extend_from_slice(&meta.rev.0.to_le_bytes());
+    out.extend_from_slice(&meta.flags.to_le_bytes());
+    out.extend_from_slice(&meta.expiry.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    out.extend_from_slice(key.as_bytes());
+    body(out);
+    let payload = start + HEADER_LEN;
+    let plen = (out.len() - payload) as u32;
+    let crc = crc32(&out[payload..]);
+    out[start + 1..start + 5].copy_from_slice(&crc.to_le_bytes());
+    out[start + 5..payload].copy_from_slice(&plen.to_le_bytes());
+    out.len() - start
+}
 
-    out.put_u8(RECORD_MAGIC);
-    out.put_u32_le(crc32(&payload));
-    out.put_u32_le(plen as u32);
-    out.put_slice(&payload);
-    HEADER_LEN + plen
+/// A record decoded in place: key and value borrow the input.
+pub(crate) struct RecordView<'a> {
+    pub key: &'a str,
+    pub meta: DocMeta,
+    pub kind: u8,
+    pub value: &'a [u8],
+}
+
+impl RecordView<'_> {
+    pub(crate) fn to_doc(&self) -> StoredDoc {
+        StoredDoc {
+            key: self.key.to_string(),
+            meta: self.meta,
+            deleted: self.kind != KIND_LIVE,
+            value: Bytes::copy_from_slice(self.value),
+        }
+    }
 }
 
 /// Outcome of attempting to decode one record from a buffer.
-#[derive(Debug)]
-pub enum DecodeOutcome {
+pub(crate) enum Decoded<'a> {
     /// A record was decoded, consuming `consumed` bytes.
-    Record { doc: StoredDoc, consumed: usize },
+    Record { doc: RecordView<'a>, consumed: usize },
     /// The buffer ends mid-record (torn tail): recovery stops here.
     Incomplete,
     /// The bytes at the cursor are not a valid record (corruption).
     Corrupt(String),
 }
 
-/// Try to decode one record from the front of `buf`.
-pub fn decode_record(buf: &[u8]) -> DecodeOutcome {
+/// Try to decode one record from the front of `buf` without copying it.
+pub(crate) fn decode_view(buf: &[u8]) -> Decoded<'_> {
     if buf.is_empty() {
-        return DecodeOutcome::Incomplete;
+        return Decoded::Incomplete;
     }
     if buf[0] != RECORD_MAGIC {
-        return DecodeOutcome::Corrupt(format!("bad magic byte {:#x}", buf[0]));
+        return Decoded::Corrupt(format!("bad magic byte {:#x}", buf[0]));
     }
     if buf.len() < HEADER_LEN {
-        return DecodeOutcome::Incomplete;
+        return Decoded::Incomplete;
     }
     let mut hdr = &buf[1..HEADER_LEN];
     let crc = hdr.get_u32_le();
     let plen = hdr.get_u32_le() as usize;
-    if !(35..=64 * 1024 * 1024).contains(&plen) {
-        return DecodeOutcome::Corrupt(format!("implausible payload length {plen}"));
+    if !(FIXED_LEN..=64 * 1024 * 1024).contains(&plen) {
+        return Decoded::Corrupt(format!("implausible payload length {plen}"));
     }
     if buf.len() < HEADER_LEN + plen {
-        return DecodeOutcome::Incomplete;
+        return Decoded::Incomplete;
     }
-    let payload = &buf[HEADER_LEN..HEADER_LEN + plen];
-    if crc32(payload) != crc {
-        return DecodeOutcome::Corrupt("payload checksum mismatch".to_string());
+    let mut p = &buf[HEADER_LEN..HEADER_LEN + plen];
+    if crc32(p) != crc {
+        return Decoded::Corrupt("payload checksum mismatch".to_string());
     }
-    let mut p = payload;
-    let seqno = SeqNo(p.get_u64_le());
-    let cas = Cas(p.get_u64_le());
-    let rev = RevNo(p.get_u64_le());
-    let flags = p.get_u32_le();
-    let expiry = p.get_u32_le();
-    let deleted = p.get_u8() != 0;
-    let key_len = p.get_u16_le() as usize;
-    if p.remaining() < key_len {
-        return DecodeOutcome::Corrupt("key length exceeds payload".to_string());
-    }
-    let key = match std::str::from_utf8(&p[..key_len]) {
-        Ok(s) => s.to_string(),
-        Err(_) => return DecodeOutcome::Corrupt("key is not utf-8".to_string()),
+    let meta = DocMeta {
+        seqno: SeqNo(p.get_u64_le()),
+        cas: Cas(p.get_u64_le()),
+        rev: RevNo(p.get_u64_le()),
+        flags: p.get_u32_le(),
+        expiry: p.get_u32_le(),
     };
-    p.advance(key_len);
-    let value = Bytes::copy_from_slice(p);
-    DecodeOutcome::Record {
-        doc: StoredDoc { key, meta: DocMeta { seqno, cas, rev, flags, expiry }, deleted, value },
-        consumed: HEADER_LEN + plen,
+    let kind = p.get_u8();
+    let key_len = p.get_u16_le() as usize;
+    if p.len() < key_len {
+        return Decoded::Corrupt("key length exceeds payload".to_string());
     }
+    let (key, value) = p.split_at(key_len);
+    let Ok(key) = std::str::from_utf8(key) else {
+        return Decoded::Corrupt("key is not utf-8".to_string());
+    };
+    Decoded::Record { doc: RecordView { key, meta, kind, value }, consumed: HEADER_LEN + plen }
 }
 
 /// Decode exactly one record or fail (used for random-access point reads at
 /// known offsets, where torn records are impossible).
 pub fn decode_record_strict(buf: &[u8]) -> Result<StoredDoc> {
-    match decode_record(buf) {
-        DecodeOutcome::Record { doc, .. } => Ok(doc),
-        DecodeOutcome::Incomplete => Err(Error::Storage("truncated record".to_string())),
-        DecodeOutcome::Corrupt(m) => Err(Error::Storage(m)),
+    match decode_view(buf) {
+        Decoded::Record { doc, .. } => Ok(doc.to_doc()),
+        Decoded::Incomplete => Err(Error::Storage("truncated record".to_string())),
+        Decoded::Corrupt(m) => Err(Error::Storage(m)),
     }
 }
 
@@ -166,24 +208,41 @@ mod tests {
     #[test]
     fn roundtrip() {
         let doc = sample("user::1", r#"{"name":"d"}"#, 7);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let n = encode_record(&doc, &mut buf);
         assert_eq!(n, buf.len());
         assert_eq!(n as u64, doc.disk_size());
-        match decode_record(&buf) {
-            DecodeOutcome::Record { doc: got, consumed } => {
-                assert_eq!(got, doc);
+        match decode_view(&buf) {
+            Decoded::Record { doc: got, consumed } => {
+                assert_eq!(got.to_doc(), doc);
                 assert_eq!(consumed, n);
             }
-            other => panic!("expected record, got {other:?}"),
+            _ => panic!("expected a record"),
         }
+    }
+
+    #[test]
+    fn value_is_encoded_where_it_lies() {
+        // `body` writes onto the shared buffer behind earlier records; the
+        // header is patched afterwards with the length and CRC of exactly
+        // that payload.
+        let doc = sample("k", r#"{"v":[1,2,3]}"#, 3);
+        let mut whole = vec![0xAA; 5];
+        let n = encode_record_with(&mut whole, &doc.key, &doc.meta, KIND_LIVE, |out| {
+            out.extend_from_slice(br#"{"v":"#);
+            out.extend_from_slice(b"[1,2,3]}");
+        });
+        let mut direct = Vec::new();
+        assert_eq!(encode_record(&doc, &mut direct), n);
+        assert_eq!(&whole[5..], &direct[..]);
+        assert_eq!(decode_record_strict(&whole[5..]).unwrap(), doc);
     }
 
     #[test]
     fn tombstone_roundtrip() {
         let mut doc = sample("gone", "", 9);
         doc.deleted = true;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_record(&doc, &mut buf);
         let got = decode_record_strict(&buf).unwrap();
         assert!(got.deleted);
@@ -193,30 +252,30 @@ mod tests {
     #[test]
     fn torn_tail_is_incomplete_not_corrupt() {
         let doc = sample("k", r#"{"v":1}"#, 1);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let n = encode_record(&doc, &mut buf);
         for cut in [1usize, HEADER_LEN - 1, HEADER_LEN, n - 1] {
-            match decode_record(&buf[..cut]) {
-                DecodeOutcome::Incomplete => {}
-                other => panic!("cut at {cut}: expected Incomplete, got {other:?}"),
-            }
+            assert!(
+                matches!(decode_view(&buf[..cut]), Decoded::Incomplete),
+                "cut at {cut}: expected Incomplete"
+            );
         }
     }
 
     #[test]
     fn bitflip_detected() {
         let doc = sample("k", r#"{"v":1}"#, 1);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_record(&doc, &mut buf);
-        let mut bytes = buf.to_vec();
+        let mut bytes = buf.clone();
         // Flip a payload byte.
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        assert!(matches!(decode_record(&bytes), DecodeOutcome::Corrupt(_)));
+        assert!(matches!(decode_view(&bytes), Decoded::Corrupt(_)));
         // Bad magic.
-        let mut bytes2 = buf.to_vec();
+        let mut bytes2 = buf.clone();
         bytes2[0] = 0x00;
-        assert!(matches!(decode_record(&bytes2), DecodeOutcome::Corrupt(_)));
+        assert!(matches!(decode_view(&bytes2), Decoded::Corrupt(_)));
     }
 
     #[test]

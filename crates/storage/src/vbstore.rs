@@ -1,20 +1,27 @@
-//! Per-vBucket append-only store.
+//! A vBucket's store: its in-memory index over its flusher shard's log.
 //!
-//! One log file per vBucket. All mutations append; an in-memory by-id map
-//! and by-seqno B-tree index the latest state. Fragmentation (bytes owned by
-//! superseded records) is tracked so the engine can trigger online
-//! compaction at a threshold, exactly as §4.3.3 describes.
+//! The documents of all of a shard's vBuckets share one append-only log
+//! ([`BucketStore`](crate::BucketStore)); what is per vBucket is the index:
+//! a by-id map and a by-seqno B-tree of record offsets, the high seqno, the
+//! live/stale byte counts that feed the compaction trigger, and the file
+//! handle those offsets refer to. Reads take the index lock only to look an
+//! offset up, then `read_at` the shared file — no lock on the file, no
+//! seeks. A compaction switches a vBucket's (file, offsets) pair in one
+//! step under the index lock, so a reader can never apply an offset of one
+//! generation to the file of another; the old file lives on until the last
+//! reader drops its handle.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::os::unix::fs::FileExt;
+use std::sync::Arc;
 
-use bytes::BytesMut;
 use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{Error, Result, SeqNo, VbId};
+use cbs_common::{Result, SeqNo, VbId};
 
-use crate::record::{decode_record, encode_record, DecodeOutcome, StoredDoc};
+use crate::bucket::{Cycle, ShardLog};
+use crate::record::{decode_record_strict, StoredDoc};
+use crate::wal::FRAME_PREFIX;
 
 /// Point-in-time statistics for one vBucket store.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -25,23 +32,14 @@ pub struct StoreStats {
     pub tombstones: u64,
     /// Highest persisted seqno.
     pub high_seqno: SeqNo,
-    /// Total file bytes.
+    /// Bytes this vBucket's records occupy in its shard's log.
     pub file_bytes: u64,
-    /// Bytes owned by superseded (stale) records.
+    /// Of those, bytes owned by superseded (stale) or purged records.
     pub stale_bytes: u64,
-    /// Number of compactions run since open.
+    /// Compactions of the shard's log counted against this vBucket: each
+    /// run is counted on one vBucket of the shard, so the sum over a
+    /// store's vBuckets is the number of runs.
     pub compactions: u64,
-}
-
-impl StoreStats {
-    /// Stale fraction of the file; the compaction trigger input.
-    pub fn fragmentation(&self) -> f64 {
-        if self.file_bytes == 0 {
-            0.0
-        } else {
-            self.stale_bytes as f64 / self.file_bytes as f64
-        }
-    }
 }
 
 struct IndexEntry {
@@ -51,218 +49,140 @@ struct IndexEntry {
     deleted: bool,
 }
 
+/// One record's place in the log, as the index needs it.
+pub(crate) struct Located<'a> {
+    pub key: &'a str,
+    pub seqno: SeqNo,
+    pub deleted: bool,
+    /// Offset of the record (behind its vBucket prefix) and its length.
+    pub offset: u64,
+    pub len: u32,
+}
+
 struct Inner {
-    file: File,
-    path: PathBuf,
+    /// The log generation every offset below refers to.
+    file: Arc<File>,
     /// key → latest record location.
     by_id: HashMap<String, IndexEntry>,
-    /// seqno → record offset (latest version of each key only; superseded
-    /// seqnos are pruned, mirroring couchstore's by-seqno B-tree after
-    /// compaction of in-memory state).
-    by_seqno: BTreeMap<u64, u64>,
+    /// seqno → (offset, length) of the latest version of each key only;
+    /// superseded seqnos are pruned, mirroring couchstore's by-seqno B-tree.
+    by_seqno: BTreeMap<u64, (u64, u32)>,
     high_seqno: SeqNo,
     file_bytes: u64,
     stale_bytes: u64,
     compactions: u64,
 }
 
-/// Append-only store for one vBucket.
-pub struct VBucketStore {
-    vb: VbId,
+/// The index itself; [`VBucketStore`] is the handle callers get.
+pub(crate) struct VbIndex {
     inner: OrderedMutex<Inner>,
 }
 
-impl VBucketStore {
-    /// Open (or create) the store file for `vb` inside `dir`, replaying the
-    /// log to rebuild indexes. A torn tail (crash mid-append) is truncated;
-    /// mid-file corruption is an error.
-    pub fn open(dir: &Path, vb: VbId) -> Result<VBucketStore> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("vb_{}.couch", vb.0));
-        let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-
-        let mut by_id: HashMap<String, IndexEntry> = HashMap::new();
-        let mut by_seqno: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut high_seqno = SeqNo::ZERO;
-        let mut stale_bytes = 0u64;
-        let mut offset = 0usize;
-        let valid_len;
-        loop {
-            match decode_record(&bytes[offset..]) {
-                DecodeOutcome::Record { doc, consumed } => {
-                    if let Some(prev) = by_id.get(&doc.key) {
-                        stale_bytes += prev.len as u64;
-                        by_seqno.remove(&prev.seqno.0);
-                    }
-                    high_seqno = high_seqno.max(doc.meta.seqno);
-                    by_seqno.insert(doc.meta.seqno.0, offset as u64);
-                    by_id.insert(
-                        doc.key.clone(),
-                        IndexEntry {
-                            offset: offset as u64,
-                            len: consumed as u32,
-                            seqno: doc.meta.seqno,
-                            deleted: doc.deleted,
-                        },
-                    );
-                    offset += consumed;
-                }
-                DecodeOutcome::Incomplete => {
-                    valid_len = offset;
-                    break;
-                }
-                DecodeOutcome::Corrupt(msg) => {
-                    // A corrupt record *at the tail* is a torn write from a
-                    // crash and is safely truncated. Corruption followed by
-                    // more data would mean silent loss, but we cannot
-                    // distinguish; like couchstore we recover the prefix.
-                    if offset == 0 && !bytes.is_empty() {
-                        return Err(Error::Storage(format!(
-                            "vb {} log corrupt at start: {msg}",
-                            vb.0
-                        )));
-                    }
-                    valid_len = offset;
-                    break;
-                }
-            }
-        }
-        if valid_len < bytes.len() {
-            file.set_len(valid_len as u64)?;
-            file.seek(SeekFrom::End(0))?;
-        }
-        Ok(VBucketStore {
-            vb,
+impl VbIndex {
+    pub(crate) fn new(file: Arc<File>) -> VbIndex {
+        VbIndex {
             inner: OrderedMutex::new(
                 rank::VB_STORE,
                 Inner {
                     file,
-                    path,
-                    by_id,
-                    by_seqno,
-                    high_seqno,
-                    file_bytes: valid_len as u64,
-                    stale_bytes,
+                    by_id: HashMap::new(),
+                    by_seqno: BTreeMap::new(),
+                    high_seqno: SeqNo::ZERO,
+                    file_bytes: 0,
+                    stale_bytes: 0,
                     compactions: 0,
                 },
             ),
-        })
+        }
     }
 
-    /// The vBucket this store belongs to.
-    pub fn vb(&self) -> VbId {
-        self.vb
-    }
-
-    /// Append one mutation (set or tombstone). The caller (the data
-    /// service's flusher) assigns seqnos; they must be monotone per vBucket.
-    pub fn persist(&self, doc: &StoredDoc) -> Result<()> {
+    /// Index records that are in `file` at the given offsets.
+    pub(crate) fn apply<'a>(&self, file: &Arc<File>, recs: impl Iterator<Item = Located<'a>>) {
         let mut inner = self.inner.lock();
-        let mut buf = BytesMut::new();
-        let len = encode_record(doc, &mut buf);
-        inner.file.write_all(&buf)?;
-        let offset = inner.file_bytes;
-        inner.file_bytes += len as u64;
-        if let Some(prev) = inner.by_id.get(&doc.key) {
-            let (plen, pseq) = (prev.len as u64, prev.seqno.0);
-            inner.stale_bytes += plen;
-            inner.by_seqno.remove(&pseq);
+        // Only an index created while a compaction was copying can be a
+        // generation behind, and such an index is still empty.
+        if !Arc::ptr_eq(&inner.file, file) {
+            debug_assert!(inner.by_id.is_empty());
+            inner.file = Arc::clone(file);
         }
-        inner.high_seqno = inner.high_seqno.max(doc.meta.seqno);
-        inner.by_seqno.insert(doc.meta.seqno.0, offset);
-        inner.by_id.insert(
-            doc.key.clone(),
-            IndexEntry { offset, len: len as u32, seqno: doc.meta.seqno, deleted: doc.deleted },
-        );
-        Ok(())
-    }
-
-    /// Append a batch of mutations with a single lock acquisition and a
-    /// single write syscall — the flusher's de-duplicated drain path.
-    pub fn persist_batch(&self, docs: &[StoredDoc]) -> Result<()> {
-        if docs.is_empty() {
-            return Ok(());
-        }
-        let _s = cbs_obs::span("storage.store.persist_batch");
-        let mut inner = self.inner.lock();
-        let mut buf = BytesMut::new();
-        let mut offsets = Vec::with_capacity(docs.len());
-        for doc in docs {
-            let off = buf.len();
-            let len = encode_record(doc, &mut buf);
-            offsets.push((off as u64, len as u32));
-        }
-        inner.file.write_all(&buf)?;
-        let base = inner.file_bytes;
-        inner.file_bytes += buf.len() as u64;
-        for (doc, (rel, len)) in docs.iter().zip(offsets) {
-            if let Some(prev) = inner.by_id.get(&doc.key) {
-                let (plen, pseq) = (prev.len as u64, prev.seqno.0);
-                inner.stale_bytes += plen;
-                inner.by_seqno.remove(&pseq);
+        for rec in recs {
+            let entry = IndexEntry {
+                offset: rec.offset,
+                len: rec.len,
+                seqno: rec.seqno,
+                deleted: rec.deleted,
+            };
+            inner.file_bytes += frame_bytes(rec.len);
+            match inner.by_id.get_mut(rec.key) {
+                Some(prev) => {
+                    let (plen, pseq) = (prev.len, prev.seqno.0);
+                    *prev = entry;
+                    inner.stale_bytes += frame_bytes(plen);
+                    inner.by_seqno.remove(&pseq);
+                }
+                None => {
+                    inner.by_id.insert(rec.key.to_string(), entry);
+                }
             }
-            inner.high_seqno = inner.high_seqno.max(doc.meta.seqno);
-            inner.by_seqno.insert(doc.meta.seqno.0, base + rel);
-            inner.by_id.insert(
-                doc.key.clone(),
-                IndexEntry { offset: base + rel, len, seqno: doc.meta.seqno, deleted: doc.deleted },
-            );
+            inner.by_seqno.insert(rec.seqno.0, (rec.offset, rec.len));
+            inner.high_seqno = inner.high_seqno.max(rec.seqno);
         }
-        Ok(())
     }
 
-    /// Flush OS buffers to stable storage (the "persisted" durability point).
-    pub fn sync(&self) -> Result<()> {
-        let _s = cbs_obs::span("storage.store.fsync");
-        self.inner.lock().file.sync_data()?;
-        Ok(())
-    }
-
-    /// Fetch the latest persisted version of a key (tombstones included:
-    /// callers inspect `deleted`). `None` if never written.
-    pub fn get(&self, key: &str) -> Result<Option<StoredDoc>> {
+    /// The vBucket was handed off: forget its documents. Their bytes, and
+    /// the `marker_bytes` of the purge marker, stay in the log as stale
+    /// until the next compaction.
+    pub(crate) fn purge(&self, marker_bytes: u64) {
         let mut inner = self.inner.lock();
-        let Some(entry) = inner.by_id.get(key) else {
-            return Ok(None);
-        };
-        let (offset, len) = (entry.offset, entry.len as usize);
-        let mut buf = vec![0u8; len];
-        inner.file.seek(SeekFrom::Start(offset))?;
-        inner.file.read_exact(&mut buf)?;
-        inner.file.seek(SeekFrom::End(0))?;
-        Ok(Some(crate::record::decode_record_strict(&buf)?))
+        inner.by_id.clear();
+        inner.by_seqno.clear();
+        inner.high_seqno = SeqNo::ZERO;
+        inner.file_bytes += marker_bytes;
+        inner.stale_bytes = inner.file_bytes;
     }
 
-    /// Read all persisted mutations with seqno strictly greater than
-    /// `since`, in seqno order — the DCP backfill scan.
-    pub fn changes_since(&self, since: SeqNo) -> Result<Vec<StoredDoc>> {
-        let mut inner = self.inner.lock();
-        let offsets: Vec<u64> = inner.by_seqno.range(since.0 + 1..).map(|(_, &off)| off).collect();
-        let mut out = Vec::with_capacity(offsets.len());
-        for off in offsets {
-            inner.file.seek(SeekFrom::Start(off))?;
-            // Read header to learn the length, then the payload.
-            let mut hdr = [0u8; crate::record::HEADER_LEN];
-            inner.file.read_exact(&mut hdr)?;
-            let plen = u32::from_le_bytes([hdr[5], hdr[6], hdr[7], hdr[8]]) as usize;
-            let mut rec = vec![0u8; crate::record::HEADER_LEN + plen];
-            rec[..crate::record::HEADER_LEN].copy_from_slice(&hdr);
-            inner.file.read_exact(&mut rec[crate::record::HEADER_LEN..])?;
-            out.push(crate::record::decode_record_strict(&rec)?);
+    /// What a compaction copies: the file and, in seqno order, the
+    /// `(seqno, offset, length)` of every indexed record.
+    pub(crate) fn live(&self) -> (Arc<File>, Vec<(u64, u64, u32)>) {
+        let inner = self.inner.lock();
+        let recs = inner.by_seqno.iter().map(|(&seq, &(off, len))| (seq, off, len)).collect();
+        (Arc::clone(&inner.file), recs)
+    }
+
+    /// The compaction switch: `file` holds exactly the records [`live`]
+    /// listed, at the offsets in `by_seqno`.
+    ///
+    /// [`live`]: VbIndex::live
+    pub(crate) fn switch(&self, file: Arc<File>, by_seqno: BTreeMap<u64, (u64, u32)>) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        for entry in inner.by_id.values_mut() {
+            if let Some(&(offset, _)) = by_seqno.get(&entry.seqno.0) {
+                entry.offset = offset;
+            }
         }
-        inner.file.seek(SeekFrom::End(0))?;
-        Ok(out)
+        inner.file_bytes = by_seqno.values().map(|&(_, len)| frame_bytes(len)).sum();
+        inner.stale_bytes = 0;
+        inner.by_seqno = by_seqno;
+        inner.file = file;
     }
 
-    /// All live documents (for view/index initial builds and tests).
-    pub fn scan_live(&self) -> Result<Vec<StoredDoc>> {
-        Ok(self.changes_since(SeqNo::ZERO)?.into_iter().filter(|d| !d.deleted).collect())
+    /// `(bytes, stale bytes)` of this vBucket's records in the log.
+    pub(crate) fn bytes(&self) -> (u64, u64) {
+        let inner = self.inner.lock();
+        (inner.file_bytes, inner.stale_bytes)
     }
 
-    /// Current statistics.
-    pub fn stats(&self) -> StoreStats {
+    /// True when no document or tombstone is indexed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.inner.lock().by_id.is_empty()
+    }
+
+    pub(crate) fn count_compaction(&self) {
+        self.inner.lock().compactions += 1;
+    }
+
+    pub(crate) fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();
         let tombstones = inner.by_id.values().filter(|e| e.deleted).count() as u64;
         StoreStats {
@@ -274,248 +194,87 @@ impl VBucketStore {
             compactions: inner.compactions,
         }
     }
+}
+
+fn frame_bytes(record_len: u32) -> u64 {
+    (FRAME_PREFIX + record_len as usize) as u64
+}
+
+fn read_record(file: &File, offset: u64, len: u32) -> Result<StoredDoc> {
+    let mut buf = vec![0u8; len as usize];
+    file.read_exact_at(&mut buf, offset)?;
+    decode_record_strict(&buf)
+}
+
+/// Handle to one vBucket's store: its index plus the shard log it lives in.
+pub struct VBucketStore {
+    pub(crate) vb: VbId,
+    pub(crate) log: Arc<ShardLog>,
+    pub(crate) index: Arc<VbIndex>,
+}
+
+impl VBucketStore {
+    /// The vBucket this store belongs to.
+    pub fn vb(&self) -> VbId {
+        self.vb
+    }
+
+    /// Append one mutation (set or tombstone), unsynced. The caller assigns
+    /// seqnos; they must be monotone per vBucket. Like every write to a
+    /// shard's log, it must not race a compaction or purge on that shard
+    /// (see [`BucketStore`](crate::BucketStore)).
+    pub fn persist(&self, doc: &StoredDoc) -> Result<()> {
+        self.persist_batch(std::slice::from_ref(doc))
+    }
+
+    /// Append a batch of mutations with a single write, unsynced. The
+    /// flusher's path is [`BucketStore::commit`](crate::BucketStore::commit),
+    /// which also syncs.
+    pub fn persist_batch(&self, docs: &[StoredDoc]) -> Result<()> {
+        if docs.is_empty() {
+            return Ok(());
+        }
+        let mut cycle = Cycle::new();
+        for doc in docs {
+            cycle.push_doc(self.vb, doc);
+        }
+        self.log.append(&cycle, false).map(drop)
+    }
+
+    /// Fetch the latest persisted version of a key (tombstones included:
+    /// callers inspect `deleted`). `None` if never written.
+    pub fn get(&self, key: &str) -> Result<Option<StoredDoc>> {
+        let (file, offset, len) = {
+            let inner = self.index.inner.lock();
+            let Some(entry) = inner.by_id.get(key) else {
+                return Ok(None);
+            };
+            (Arc::clone(&inner.file), entry.offset, entry.len)
+        };
+        read_record(&file, offset, len).map(Some)
+    }
+
+    /// Read all persisted mutations with seqno strictly greater than
+    /// `since`, in seqno order — the DCP backfill scan.
+    pub fn changes_since(&self, since: SeqNo) -> Result<Vec<StoredDoc>> {
+        let (file, places): (_, Vec<(u64, u32)>) = {
+            let inner = self.index.inner.lock();
+            (
+                Arc::clone(&inner.file),
+                inner.by_seqno.range(since.0 + 1..).map(|(_, &p)| p).collect(),
+            )
+        };
+        places.into_iter().map(|(offset, len)| read_record(&file, offset, len)).collect()
+    }
+
+    /// Current statistics.
+    pub fn stats(&self) -> StoreStats {
+        self.index.stats()
+    }
 
     /// Highest persisted seqno (the durability watermark used by
     /// `persist_to` observe polling).
     pub fn high_seqno(&self) -> SeqNo {
-        self.inner.lock().high_seqno
-    }
-
-    /// Run compaction if fragmentation exceeds `threshold` (0.0..1.0).
-    /// Returns true if a compaction ran.
-    pub fn maybe_compact(&self, threshold: f64) -> Result<bool> {
-        if self.stats().fragmentation() < threshold {
-            return Ok(false);
-        }
-        self.compact()?;
-        Ok(true)
-    }
-
-    /// Rewrite live records (and tombstones, which must survive for
-    /// replication metadata) to a fresh file and atomically swap it in.
-    pub fn compact(&self) -> Result<()> {
-        let _s = cbs_obs::span("storage.compaction.run");
-        let mut inner = self.inner.lock();
-        let tmp_path = inner.path.with_extension("compact");
-        // lint:allow(guard-io): the inner lock is this file's only writer
-        // exclusion; the scratch file must be created while appends are held
-        // off so the rewrite sees a frozen index.
-        let mut tmp = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-
-        // Gather live records in seqno order.
-        let offsets: Vec<u64> = inner.by_seqno.values().copied().collect();
-        let mut new_by_id = HashMap::with_capacity(inner.by_id.len());
-        let mut new_by_seqno = BTreeMap::new();
-        let mut buf = BytesMut::new();
-        let mut new_offset = 0u64;
-        for off in offsets {
-            inner.file.seek(SeekFrom::Start(off))?;
-            let mut hdr = [0u8; crate::record::HEADER_LEN];
-            inner.file.read_exact(&mut hdr)?;
-            let plen = u32::from_le_bytes([hdr[5], hdr[6], hdr[7], hdr[8]]) as usize;
-            let mut rec = vec![0u8; crate::record::HEADER_LEN + plen];
-            rec[..crate::record::HEADER_LEN].copy_from_slice(&hdr);
-            inner.file.read_exact(&mut rec[crate::record::HEADER_LEN..])?;
-            let doc = crate::record::decode_record_strict(&rec)?;
-            buf.extend_from_slice(&rec);
-            new_by_seqno.insert(doc.meta.seqno.0, new_offset);
-            new_by_id.insert(
-                doc.key.clone(),
-                IndexEntry {
-                    offset: new_offset,
-                    len: rec.len() as u32,
-                    seqno: doc.meta.seqno,
-                    deleted: doc.deleted,
-                },
-            );
-            new_offset += rec.len() as u64;
-        }
-        tmp.write_all(&buf)?;
-        tmp.sync_data()?;
-        // Atomic swap, as the paper notes compaction runs "while the system
-        // is online".
-        // lint:allow(guard-io): the rename + reopen must be atomic w.r.t.
-        // appends — releasing the lock here would let a writer append to the
-        // pre-swap file and lose the record.
-        std::fs::rename(&tmp_path, &inner.path)?;
-        // lint:allow(guard-io): same swap window as the rename above.
-        let mut file = OpenOptions::new().read(true).append(true).open(&inner.path)?;
-        file.seek(SeekFrom::End(0))?;
-        inner.file = file;
-        inner.by_id = new_by_id;
-        inner.by_seqno = new_by_seqno;
-        inner.file_bytes = new_offset;
-        inner.stale_bytes = 0;
-        inner.compactions += 1;
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::record::DocMeta;
-    use crate::scratch_dir;
-    use bytes::Bytes;
-    use cbs_common::{Cas, RevNo};
-
-    fn doc(key: &str, val: &str, seq: u64) -> StoredDoc {
-        StoredDoc {
-            key: key.to_string(),
-            meta: DocMeta {
-                seqno: SeqNo(seq),
-                cas: Cas(seq + 1),
-                rev: RevNo(seq),
-                flags: 0,
-                expiry: 0,
-            },
-            deleted: false,
-            value: Bytes::copy_from_slice(val.as_bytes()),
-        }
-    }
-
-    fn tombstone(key: &str, seq: u64) -> StoredDoc {
-        let mut d = doc(key, "", seq);
-        d.deleted = true;
-        d
-    }
-
-    #[test]
-    fn set_get_delete() {
-        let dir = scratch_dir("vbstore");
-        let s = VBucketStore::open(&dir, VbId(0)).unwrap();
-        s.persist(&doc("a", r#"{"v":1}"#, 1)).unwrap();
-        s.persist(&doc("b", r#"{"v":2}"#, 2)).unwrap();
-        let got = s.get("a").unwrap().unwrap();
-        assert_eq!(&got.value[..], br#"{"v":1}"#);
-        assert!(s.get("zzz").unwrap().is_none());
-
-        s.persist(&tombstone("a", 3)).unwrap();
-        assert!(s.get("a").unwrap().unwrap().deleted);
-        let st = s.stats();
-        assert_eq!(st.live_docs, 1);
-        assert_eq!(st.tombstones, 1);
-        assert_eq!(st.high_seqno, SeqNo(3));
-    }
-
-    #[test]
-    fn reopen_recovers_state() {
-        let dir = scratch_dir("vbstore");
-        {
-            let s = VBucketStore::open(&dir, VbId(5)).unwrap();
-            s.persist(&doc("a", r#"{"v":1}"#, 1)).unwrap();
-            s.persist(&doc("a", r#"{"v":2}"#, 2)).unwrap();
-            s.persist(&doc("b", r#"{"v":3}"#, 3)).unwrap();
-            s.sync().unwrap();
-        }
-        let s = VBucketStore::open(&dir, VbId(5)).unwrap();
-        assert_eq!(&s.get("a").unwrap().unwrap().value[..], br#"{"v":2}"#);
-        assert_eq!(s.high_seqno(), SeqNo(3));
-        let st = s.stats();
-        assert_eq!(st.live_docs, 2);
-        assert!(st.stale_bytes > 0, "superseded a@1 must count as stale");
-    }
-
-    #[test]
-    fn torn_tail_truncated_on_open() {
-        let dir = scratch_dir("vbstore");
-        let path;
-        {
-            let s = VBucketStore::open(&dir, VbId(9)).unwrap();
-            s.persist(&doc("a", r#"{"v":1}"#, 1)).unwrap();
-            s.persist(&doc("b", r#"{"v":2}"#, 2)).unwrap();
-            s.sync().unwrap();
-            path = dir.join("vb_9.couch");
-        }
-        // Simulate a torn append: chop 3 bytes off the tail.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
-
-        let s = VBucketStore::open(&dir, VbId(9)).unwrap();
-        assert!(s.get("a").unwrap().is_some(), "first record survives");
-        assert!(s.get("b").unwrap().is_none(), "torn record dropped");
-        assert_eq!(s.high_seqno(), SeqNo(1));
-        // And the store remains appendable.
-        s.persist(&doc("c", r#"{"v":3}"#, 2)).unwrap();
-        assert!(s.get("c").unwrap().is_some());
-    }
-
-    #[test]
-    fn changes_since_returns_latest_versions_in_order() {
-        let dir = scratch_dir("vbstore");
-        let s = VBucketStore::open(&dir, VbId(0)).unwrap();
-        s.persist(&doc("a", "1", 1)).unwrap();
-        s.persist(&doc("b", "2", 2)).unwrap();
-        s.persist(&doc("a", "3", 3)).unwrap(); // supersedes seq 1
-        s.persist(&tombstone("b", 4)).unwrap(); // supersedes seq 2
-        let all = s.changes_since(SeqNo::ZERO).unwrap();
-        let seqs: Vec<u64> = all.iter().map(|d| d.meta.seqno.0).collect();
-        assert_eq!(seqs, [3, 4], "only latest versions, in seqno order");
-        let tail = s.changes_since(SeqNo(3)).unwrap();
-        assert_eq!(tail.len(), 1);
-        assert!(tail[0].deleted);
-    }
-
-    #[test]
-    fn compaction_reclaims_space_and_preserves_data() {
-        let dir = scratch_dir("vbstore");
-        let s = VBucketStore::open(&dir, VbId(0)).unwrap();
-        for i in 0..100u64 {
-            s.persist(&doc("hot", &format!(r#"{{"v":{i}}}"#), i + 1)).unwrap();
-        }
-        s.persist(&doc("cold", r#"{"v":"x"}"#, 101)).unwrap();
-        let before = s.stats();
-        assert!(before.fragmentation() > 0.9);
-
-        assert!(s.maybe_compact(0.5).unwrap());
-        let after = s.stats();
-        assert_eq!(after.stale_bytes, 0);
-        assert!(after.file_bytes < before.file_bytes / 10);
-        assert_eq!(after.compactions, 1);
-        assert_eq!(&s.get("hot").unwrap().unwrap().value[..], br#"{"v":99}"#);
-        assert_eq!(&s.get("cold").unwrap().unwrap().value[..], br#"{"v":"x"}"#);
-        // Below threshold → no-op.
-        assert!(!s.maybe_compact(0.5).unwrap());
-
-        // Store still works after compaction (append + reopen).
-        s.persist(&doc("new", "1", 102)).unwrap();
-        s.sync().unwrap();
-        drop(s);
-        let s = VBucketStore::open(&dir, VbId(0)).unwrap();
-        assert_eq!(s.high_seqno(), SeqNo(102));
-        assert_eq!(s.stats().live_docs, 3);
-    }
-
-    #[test]
-    fn batch_persist_matches_individual() {
-        let dir = scratch_dir("vbstore");
-        let s = VBucketStore::open(&dir, VbId(0)).unwrap();
-        let batch: Vec<StoredDoc> =
-            (1..=10).map(|i| doc(&format!("k{i}"), &format!("{i}"), i)).collect();
-        s.persist_batch(&batch).unwrap();
-        assert_eq!(s.stats().live_docs, 10);
-        for i in 1..=10u64 {
-            let got = s.get(&format!("k{i}")).unwrap().unwrap();
-            assert_eq!(got.meta.seqno, SeqNo(i));
-        }
-        // Batch with an overwrite inside the batch itself.
-        let batch2 = vec![doc("k1", "new", 11), tombstone("k1", 12)];
-        s.persist_batch(&batch2).unwrap();
-        assert!(s.get("k1").unwrap().unwrap().deleted);
-    }
-
-    #[test]
-    fn empty_batch_is_noop() {
-        let dir = scratch_dir("vbstore");
-        let s = VBucketStore::open(&dir, VbId(0)).unwrap();
-        s.persist_batch(&[]).unwrap();
-        assert_eq!(s.stats().file_bytes, 0);
+        self.index.inner.lock().high_seqno
     }
 }

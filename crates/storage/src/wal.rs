@@ -1,15 +1,12 @@
-//! Group-commit write-ahead log for the flusher pool.
+//! The group-commit log file: CRC-framed records, one fsync per commit.
 //!
-//! The sharded flusher drains many vBuckets per cycle. Syncing each
-//! per-vBucket append-only file individually would cost one fsync per
-//! vBucket per cycle — exactly the bottleneck the paper's asynchronous
-//! disk-write queue is meant to amortize (§2.3.2). Instead, each flusher
-//! shard owns one [`GroupCommitWal`]: every drain cycle appends all of the
-//! cycle's records (across all of the shard's vBuckets) to the WAL with a
-//! single write, then issues **one** `sync()` — that sync is the durability
-//! point. The per-vBucket stores are written afterwards *without* syncing;
-//! the WAL covers them until a checkpoint syncs the touched stores and
-//! truncates the log.
+//! A [`GroupCommitWal`] is an append-only file of framed records whose
+//! owner appends a whole batch with a single write and then issues **one**
+//! `sync()` — that sync is the batch's durability point (the paper's
+//! asynchronous disk-write queue amortised, §2.3.2). It is its owner's
+//! only store, never checkpointed away: the owner replays it on open
+//! ([`replay_file`], or the store's own offset-keeping scan), cuts a torn
+//! tail off with [`GroupCommitWal::truncate_to`], and keeps appending.
 //!
 //! Record framing reuses the storage [`record`](crate::record) encoding,
 //! prefixed with the owning vBucket id:
@@ -18,56 +15,56 @@
 //! | vb u16 LE | record (magic, crc32, paylen, payload) | ...
 //! ```
 //!
-//! On engine open, [`replay_wals`] scans every `wal_*.log` in the data
-//! directory (shard count may have changed across restarts) and returns the
-//! records so the engine can re-apply any that are newer than what the
-//! per-vBucket stores recovered. A torn tail — crash mid-append — simply
-//! ends the replay, mirroring the per-vBucket recovery contract.
-//!
-//! The index service's change logs are the same type under another file
-//! name ([`GroupCommitWal::open_file`]): a log that is its owner's only
-//! store is never checkpointed away, so its owner replays it with
-//! [`replay_file`] and cuts a torn tail off ([`GroupCommitWal::truncate_to`])
-//! before appending again.
+//! Two owners use it: each flusher shard's data log inside a
+//! [`BucketStore`](crate::BucketStore) (`shard_<n>.couch`, every vBucket of
+//! the shard interleaved, indexed in memory by offset) and each GSI
+//! partition's change log ([`GroupCommitWal::open_file`]).
+//! [`GroupCommitWal::open`] names a stand-alone log `wal_<n>.log`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_common::{Result, VbId};
 
-use crate::record::{decode_record, encode_record, DecodeOutcome, StoredDoc};
+use crate::record::{decode_view, encode_record, Decoded, RecordView, StoredDoc};
+
+/// Bytes of the vBucket id in front of every record.
+pub(crate) const FRAME_PREFIX: usize = 2;
 
 struct WalInner {
-    file: File,
+    /// Shared with readers, who `read_at` record offsets without this lock.
+    file: Arc<File>,
     len: u64,
 }
 
-/// One flusher shard's write-ahead log (`wal_<shard>.log`).
+/// One append-only, group-committed log file.
 pub struct GroupCommitWal {
     path: PathBuf,
     inner: OrderedMutex<WalInner>,
 }
 
 impl GroupCommitWal {
-    /// Open (or create) the WAL for `shard` inside `dir`, appending after
-    /// any existing content.
+    /// Open (or create) the log `wal_<shard>.log` inside `dir`, appending
+    /// after any existing content.
     pub fn open(dir: &Path, shard: usize) -> Result<GroupCommitWal> {
         GroupCommitWal::open_file(dir.join(format!("wal_{shard}.log")))
     }
 
-    /// Open (or create) a log at an explicit `path` — for owners other than
-    /// the flusher shards (the GSI change log), whose files must not match
-    /// the `wal_*.log` pattern [`replay_wals`] sweeps up.
+    /// Open (or create) a log at an explicit `path`, appending after any
+    /// existing content.
     pub fn open_file(path: PathBuf) -> Result<GroupCommitWal> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let len = file.seek(SeekFrom::End(0))?;
-        Ok(GroupCommitWal { path, inner: OrderedMutex::new(rank::WAL, WalInner { file, len }) })
+        Ok(GroupCommitWal {
+            path,
+            inner: OrderedMutex::new(rank::WAL, WalInner { file: Arc::new(file), len }),
+        })
     }
 
     /// Path of the backing file.
@@ -75,45 +72,62 @@ impl GroupCommitWal {
         &self.path
     }
 
-    /// Append one drain cycle — every batch of every vBucket the shard
-    /// drained — as a single buffered write. Returns the bytes appended.
-    /// Durability requires a follow-up [`GroupCommitWal::sync`].
+    /// The open file, for positioned reads of offsets [`append`] returned.
+    ///
+    /// [`append`]: GroupCommitWal::append
+    pub fn file(&self) -> Arc<File> {
+        Arc::clone(&self.inner.lock().file)
+    }
+
+    /// Append one batch — every record of every vBucket in it — as a single
+    /// buffered write. Returns the bytes appended. Durability requires a
+    /// follow-up [`GroupCommitWal::sync`].
     pub fn append_cycle<'a, I>(&self, batches: I) -> Result<u64>
     where
         I: IntoIterator<Item = (VbId, &'a [StoredDoc])>,
     {
-        let _s = cbs_obs::span("storage.wal.append");
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for (vb, docs) in batches {
             for doc in docs {
-                buf.put_u16_le(vb.0);
+                buf.extend_from_slice(&vb.0.to_le_bytes());
                 encode_record(doc, &mut buf);
             }
         }
-        if buf.is_empty() {
-            return Ok(0);
+        if !buf.is_empty() {
+            self.append(&buf)?;
         }
-        let mut inner = self.inner.lock();
-        inner.file.write_all(&buf)?;
-        inner.len += buf.len() as u64;
         Ok(buf.len() as u64)
     }
 
+    /// Append already framed records with one write; returns the offset of
+    /// their first byte. A write that fails part-way is cut off again, so
+    /// the next append starts where this one did.
+    pub fn append(&self, frames: &[u8]) -> Result<u64> {
+        let _s = cbs_obs::span("storage.wal.append");
+        let mut inner = self.inner.lock();
+        let base = inner.len;
+        if let Err(e) = (&*inner.file).write_all(frames) {
+            let _ = inner.file.set_len(base);
+            return Err(e.into());
+        }
+        inner.len += frames.len() as u64;
+        Ok(base)
+    }
+
     /// The group commit: one fsync covering every record appended since the
-    /// previous sync, across all of the shard's vBuckets.
+    /// previous sync, across all of the batch's vBuckets.
     pub fn sync(&self) -> Result<()> {
         let _s = cbs_obs::span("storage.wal.fsync");
         self.inner.lock().file.sync_data()?;
         Ok(())
     }
 
-    /// Bytes currently in the log (checkpoint-policy input).
+    /// Bytes currently in the log.
     pub fn len_bytes(&self) -> u64 {
         self.inner.lock().len
     }
 
-    /// Truncate the log to empty. Call only after the covered per-vBucket
-    /// stores have been synced (the checkpoint contract).
+    /// Truncate the log to empty.
     pub fn reset(&self) -> Result<()> {
         self.truncate_to(0)
     }
@@ -124,84 +138,94 @@ impl GroupCommitWal {
     pub fn truncate_to(&self, len: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.file.set_len(len)?;
-        inner.file.seek(SeekFrom::End(0))?;
         inner.file.sync_data()?;
         inner.len = len;
         Ok(())
     }
+
+    /// The compaction swap: rename `other`'s (fully written and synced)
+    /// file over this log's path and continue on it. Returns the new file.
+    /// The caller keeps appends away for the duration — one that landed
+    /// between the rename and the switch would go to the unlinked file.
+    pub fn replace_with(&self, other: GroupCommitWal) -> Result<Arc<File>> {
+        std::fs::rename(&other.path, &self.path)?;
+        let (file, len) = {
+            let theirs = other.inner.lock();
+            (Arc::clone(&theirs.file), theirs.len)
+        };
+        *self.inner.lock() = WalInner { file: Arc::clone(&file), len };
+        Ok(file)
+    }
 }
 
-/// Read every `wal_*.log` under `dir` and decode its records in append
-/// order. Torn tails end that file's replay silently (the synced prefix is
-/// all that was ever acknowledged durable); a *corrupt* record — bytes
-/// fully present but failing validation — also ends it, but loudly: the
-/// discarded suffix may hold synced, acknowledged-durable records, so the
-/// loss is reported rather than silent. Files from a previous shard layout
-/// are replayed all the same (vBucket ownership is encoded per record, not
-/// per file).
-pub fn replay_wals(dir: &Path) -> Result<Vec<(VbId, StoredDoc)>> {
-    let mut out = Vec::new();
-    for path in wal_paths(dir)? {
-        replay_file(&path, &mut out)?;
+/// How much of a log a scan reads at a time.
+const SCAN_CHUNK: usize = 1 << 20;
+
+/// Walk a log file's records in append order without holding the file in
+/// memory: `visit(vb, offset of the record behind its vBucket prefix,
+/// record, its encoded length)`. Returns the length of the intact prefix.
+/// A torn tail — crash mid-append — ends the scan silently (the synced
+/// prefix is all that was ever acknowledged durable); a *corrupt* record —
+/// bytes fully present but failing validation — also ends it, but loudly:
+/// the discarded suffix may hold synced, acknowledged-durable records, so
+/// the loss is reported rather than silent.
+pub(crate) fn scan_frames(
+    path: &Path,
+    mut visit: impl FnMut(VbId, u64, &RecordView<'_>, usize),
+) -> Result<u64> {
+    let mut file = File::open(path)?;
+    // `window` holds the file's bytes from offset `base` on; `pos` is the
+    // cursor inside it.
+    let (mut window, mut base, mut pos, mut eof) = (Vec::new(), 0u64, 0usize, false);
+    loop {
+        while window.len() - pos >= FRAME_PREFIX {
+            let vb = VbId(u16::from_le_bytes([window[pos], window[pos + 1]]));
+            match decode_view(&window[pos + FRAME_PREFIX..]) {
+                Decoded::Record { doc, consumed } => {
+                    visit(vb, base + (pos + FRAME_PREFIX) as u64, &doc, consumed);
+                    pos += FRAME_PREFIX + consumed;
+                }
+                Decoded::Incomplete => break,
+                Decoded::Corrupt(msg) => {
+                    let at = base + pos as u64;
+                    eprintln!(
+                        "cbs-storage: log {} corrupt at offset {at}: {msg}; discarding the \
+                         remaining {} bytes — records after the corruption may have been \
+                         acknowledged durable",
+                        path.display(),
+                        file.metadata()?.len().saturating_sub(at),
+                    );
+                    return Ok(at);
+                }
+            }
+        }
+        if eof {
+            return Ok(base + pos as u64);
+        }
+        window.drain(..pos);
+        base += pos as u64;
+        pos = 0;
+        let have = window.len();
+        window.resize(have + SCAN_CHUNK, 0);
+        let mut got = 0;
+        while got < SCAN_CHUNK {
+            match file.read(&mut window[have + got..])? {
+                0 => break,
+                n => got += n,
+            }
+        }
+        window.truncate(have + got);
+        eof = got < SCAN_CHUNK;
     }
-    Ok(out)
 }
 
 /// Decode one log file's records in append order onto `out`, under the
-/// torn-tail / corruption contract of [`replay_wals`]. Returns the length
-/// of the intact prefix, which an owner that keeps appending to the same
-/// file passes to [`GroupCommitWal::truncate`] first.
+/// torn-tail / corruption contract of the store's own recovery scan.
+/// Returns the length of the intact prefix, which an owner that keeps
+/// appending to the same file passes to [`GroupCommitWal::truncate_to`]
+/// first.
 pub fn replay_file(path: &Path, out: &mut Vec<(VbId, StoredDoc)>) -> Result<u64> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let mut offset = 0usize;
-    while bytes.len() - offset >= 2 {
-        let vb = VbId(u16::from_le_bytes([bytes[offset], bytes[offset + 1]]));
-        match decode_record(&bytes[offset + 2..]) {
-            DecodeOutcome::Record { doc, consumed } => {
-                out.push((vb, doc));
-                offset += 2 + consumed;
-            }
-            // Torn tail (crash mid-append): expected, stop quietly.
-            DecodeOutcome::Incomplete => break,
-            DecodeOutcome::Corrupt(msg) => {
-                eprintln!(
-                    "cbs-storage: WAL {} corrupt at offset {offset}: {msg}; \
-                     discarding the remaining {} bytes of replay — records \
-                     after the corruption may have been acknowledged durable",
-                    path.display(),
-                    bytes.len() - offset,
-                );
-                break;
-            }
-        }
-    }
-    Ok(offset as u64)
-}
-
-/// Delete every `wal_*.log` under `dir` (end of replay, after the target
-/// stores have been synced).
-pub fn remove_wals(dir: &Path) -> Result<()> {
-    for path in wal_paths(dir)? {
-        std::fs::remove_file(path)?;
-    }
-    Ok(())
-}
-
-fn wal_paths(dir: &Path) -> Result<Vec<PathBuf>> {
-    let mut paths = Vec::new();
-    if !dir.exists() {
-        return Ok(paths);
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("wal_") && name.ends_with(".log") {
-            paths.push(path);
-        }
-    }
-    paths.sort();
-    Ok(paths)
+    scan_frames(path, |vb, _, rec, _| out.push((vb, rec.to_doc())))
 }
 
 #[cfg(test)]
@@ -221,6 +245,12 @@ mod tests {
         }
     }
 
+    fn replay(wal: &GroupCommitWal) -> Vec<(u16, String, u64)> {
+        let mut out = Vec::new();
+        replay_file(wal.path(), &mut out).unwrap();
+        out.into_iter().map(|(vb, d)| (vb.0, d.key, d.meta.seqno.0)).collect()
+    }
+
     #[test]
     fn append_sync_replay_roundtrip() {
         let dir = scratch_dir("wal");
@@ -231,11 +261,26 @@ mod tests {
         assert!(n > 0);
         assert_eq!(wal.len_bytes(), n);
         wal.sync().unwrap();
+        assert_eq!(
+            replay(&wal),
+            [(0, "a".to_string(), 1), (0, "b".to_string(), 2), (7, "c".to_string(), 1)]
+        );
+    }
 
-        let replayed = replay_wals(&dir).unwrap();
-        let got: Vec<(u16, &str, u64)> =
-            replayed.iter().map(|(vb, d)| (vb.0, d.key.as_str(), d.meta.seqno.0)).collect();
-        assert_eq!(got, [(0, "a", 1), (0, "b", 2), (7, "c", 1)]);
+    #[test]
+    fn append_returns_offsets_readable_through_the_shared_file() {
+        use std::os::unix::fs::FileExt;
+        let dir = scratch_dir("wal");
+        let wal = GroupCommitWal::open(&dir, 0).unwrap();
+        let mut first = Vec::new();
+        encode_record(&doc("a", 1), &mut first);
+        let mut second = Vec::new();
+        encode_record(&doc("b", 2), &mut second);
+        assert_eq!(wal.append(&first).unwrap(), 0);
+        assert_eq!(wal.append(&second).unwrap(), first.len() as u64);
+        let mut back = vec![0u8; second.len()];
+        wal.file().read_exact_at(&mut back, first.len() as u64).unwrap();
+        assert_eq!(back, second);
     }
 
     #[test]
@@ -246,29 +291,47 @@ mod tests {
         wal.append_cycle([(VbId(1), b.as_slice())]).unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.len_bytes(), 0);
-        assert!(replay_wals(&dir).unwrap().is_empty());
+        assert!(replay(&wal).is_empty());
         // Still appendable after reset.
         wal.append_cycle([(VbId(1), b.as_slice())]).unwrap();
-        assert_eq!(replay_wals(&dir).unwrap().len(), 1);
+        assert_eq!(replay(&wal).len(), 1);
     }
 
     #[test]
-    fn replay_merges_multiple_shards_and_survives_reopen() {
+    fn replace_with_continues_on_the_other_file() {
         let dir = scratch_dir("wal");
-        {
-            let w0 = GroupCommitWal::open(&dir, 0).unwrap();
-            let w1 = GroupCommitWal::open(&dir, 1).unwrap();
-            let b0 = vec![doc("a", 1)];
-            let b1 = vec![doc("b", 1)];
-            w0.append_cycle([(VbId(0), b0.as_slice())]).unwrap();
-            w1.append_cycle([(VbId(9), b1.as_slice())]).unwrap();
-            w0.sync().unwrap();
-            w1.sync().unwrap();
-        }
-        let replayed = replay_wals(&dir).unwrap();
-        assert_eq!(replayed.len(), 2);
-        remove_wals(&dir).unwrap();
-        assert!(replay_wals(&dir).unwrap().is_empty());
+        let wal = GroupCommitWal::open(&dir, 0).unwrap();
+        let old = vec![doc("old", 1), doc("old2", 2)];
+        wal.append_cycle([(VbId(1), old.as_slice())]).unwrap();
+        let other = GroupCommitWal::open_file(dir.join("wal_0.compact")).unwrap();
+        let kept = vec![doc("old2", 2)];
+        other.append_cycle([(VbId(1), kept.as_slice())]).unwrap();
+        other.sync().unwrap();
+        wal.replace_with(other).unwrap();
+        assert!(!dir.join("wal_0.compact").exists());
+        let more = vec![doc("new", 3)];
+        wal.append_cycle([(VbId(1), more.as_slice())]).unwrap();
+        assert_eq!(replay(&wal), [(1, "old2".to_string(), 2), (1, "new".to_string(), 3)]);
+        assert_eq!(wal.len_bytes(), std::fs::metadata(wal.path()).unwrap().len());
+    }
+
+    #[test]
+    fn scan_crosses_chunk_boundaries() {
+        let dir = scratch_dir("wal");
+        let wal = GroupCommitWal::open(&dir, 0).unwrap();
+        let big = StoredDoc { value: Bytes::from(vec![b'x'; 300_000]), ..doc("big", 0) };
+        let docs: Vec<StoredDoc> = (1..=9)
+            .map(|i| StoredDoc { meta: DocMeta { seqno: SeqNo(i), ..big.meta }, ..big.clone() })
+            .collect();
+        let n = wal.append_cycle([(VbId(2), docs.as_slice())]).unwrap();
+        assert!(n as usize > 2 * SCAN_CHUNK);
+        let mut out = Vec::new();
+        assert_eq!(replay_file(wal.path(), &mut out).unwrap(), n);
+        assert_eq!(
+            out.iter().map(|(_, d)| d.meta.seqno.0).collect::<Vec<_>>(),
+            (1..=9).collect::<Vec<_>>()
+        );
+        assert!(out.iter().all(|(_, d)| d.value.len() == 300_000));
     }
 
     #[test]
@@ -278,17 +341,13 @@ mod tests {
         let b = vec![doc("a", 1), doc("b", 2), doc("c", 3)];
         wal.append_cycle([(VbId(4), b.as_slice())]).unwrap();
         wal.sync().unwrap();
-        let path = wal.path().to_path_buf();
-        drop(wal);
         // Flip a payload byte in the middle record: replay keeps the intact
         // prefix and stops (loudly) at the corruption.
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = std::fs::read(wal.path()).unwrap();
         let off = (2 + b[0].disk_size() as usize) + 2 + crate::record::HEADER_LEN;
         bytes[off] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let replayed = replay_wals(&dir).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].1.key, "a");
+        std::fs::write(wal.path(), &bytes).unwrap();
+        assert_eq!(replay(&wal), [(4, "a".to_string(), 1)]);
     }
 
     #[test]
@@ -298,15 +357,15 @@ mod tests {
         let b = vec![doc("a", 1), doc("b", 2)];
         wal.append_cycle([(VbId(4), b.as_slice())]).unwrap();
         wal.sync().unwrap();
-        let path = wal.path().to_path_buf();
-        drop(wal);
         // Chop 3 bytes off the tail: the second record is torn.
-        let len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        let len = std::fs::metadata(wal.path()).unwrap().len();
+        let f = OpenOptions::new().write(true).open(wal.path()).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
-        let replayed = replay_wals(&dir).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].1.key, "a");
+        let mut out = Vec::new();
+        let intact = replay_file(wal.path(), &mut out).unwrap();
+        assert_eq!(intact, 2 + b[0].disk_size());
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].1.key, "a");
     }
 }

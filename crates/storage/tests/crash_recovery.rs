@@ -1,193 +1,222 @@
-//! Property-based crash-recovery tests: any prefix of the append-only log
-//! that survives a crash must recover to a consistent, correct state.
+//! Property-based crash-recovery tests: any prefix of a shard's append-only
+//! log that survives a crash must recover to a consistent, correct state of
+//! every vBucket in it.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeMap;
+use std::path::Path;
+
 use bytes::Bytes;
 use cbs_common::{Cas, DocMeta, RevNo, SeqNo, VbId};
-use cbs_storage::{scratch_dir, StoredDoc, VBucketStore};
+use cbs_storage::{scratch_dir, BucketStore, Cycle, StoredDoc};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+
+const VBS: u16 = 4;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Set { key: u8, val: String },
-    Del { key: u8 },
+    Set { vb: u16, key: u8, val: String },
+    Del { vb: u16, key: u8 },
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (any::<u8>(), "[a-z0-9]{0,40}").prop_map(|(key, val)| Op::Set { key: key % 24, val }),
-            any::<u8>().prop_map(|key| Op::Del { key: key % 24 }),
+            (0..VBS, any::<u8>(), "[a-z0-9]{0,40}").prop_map(|(vb, key, val)| Op::Set {
+                vb,
+                key: key % 12,
+                val
+            }),
+            (0..VBS, any::<u8>()).prop_map(|(vb, key)| Op::Del { vb, key: key % 12 }),
         ],
         1..60,
     )
 }
 
-/// Replay `ops` into a fresh store, returning the expected final state
-/// (key → Some(value) | None for tombstone).
-fn apply_ops(store: &VBucketStore, ops: &[Op]) -> Vec<(String, Option<String>)> {
-    let mut model: std::collections::BTreeMap<String, Option<String>> = Default::default();
-    for (i, op) in ops.iter().enumerate() {
-        let seq = SeqNo(i as u64 + 1);
-        match op {
-            Op::Set { key, val } => {
-                let k = format!("k{key}");
-                store
-                    .persist(&StoredDoc {
-                        key: k.clone(),
-                        meta: DocMeta {
-                            seqno: seq,
-                            cas: Cas(i as u64 + 1),
-                            rev: RevNo(1),
-                            flags: 0,
-                            expiry: 0,
-                        },
-                        deleted: false,
-                        value: Bytes::from(val.clone()),
-                    })
-                    .unwrap();
-                model.insert(k, Some(val.clone()));
-            }
-            Op::Del { key } => {
-                let k = format!("k{key}");
-                store
-                    .persist(&StoredDoc {
-                        key: k.clone(),
-                        meta: DocMeta { seqno: seq, ..Default::default() },
-                        deleted: true,
-                        value: Bytes::new(),
-                    })
-                    .unwrap();
-                model.insert(k, None);
-            }
+/// Batch sizes to cut an op sequence into (cycled through).
+fn arb_split() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(1usize..9, 1..8)
+}
+
+/// The ops as the records the flusher would write: seqnos count per vBucket.
+fn to_docs(ops: &[Op]) -> Vec<(VbId, StoredDoc)> {
+    let mut next = [0u64; VBS as usize];
+    ops.iter()
+        .enumerate()
+        .map(|(i, op)| {
+            let (vb, key, val) = match op {
+                Op::Set { vb, key, val } => (*vb, key, Some(val)),
+                Op::Del { vb, key } => (*vb, key, None),
+            };
+            next[vb as usize] += 1;
+            let doc = StoredDoc {
+                key: format!("k{key}"),
+                meta: DocMeta {
+                    seqno: SeqNo(next[vb as usize]),
+                    cas: Cas(i as u64 + 1),
+                    rev: RevNo(1),
+                    flags: 0,
+                    expiry: 0,
+                },
+                deleted: val.is_none(),
+                value: val.map(|v| Bytes::from(v.clone())).unwrap_or_default(),
+            };
+            (VbId(vb), doc)
+        })
+        .collect()
+}
+
+/// Expected state after `docs`: per vBucket, key → latest version.
+fn model(docs: &[(VbId, StoredDoc)]) -> BTreeMap<(VbId, String), StoredDoc> {
+    docs.iter().map(|(vb, d)| ((*vb, d.key.clone()), d.clone())).collect()
+}
+
+/// Commit `docs` as group commits of the given sizes; returns the log's
+/// length after each commit.
+fn commit_in_batches(store: &BucketStore, docs: &[(VbId, StoredDoc)], split: &[usize]) -> Vec<u64> {
+    let (mut rest, mut lens) = (docs, Vec::new());
+    for size in split.iter().cycle() {
+        if rest.is_empty() {
+            break;
         }
+        let (batch, tail) = rest.split_at((*size).min(rest.len()));
+        let mut cycle = Cycle::new();
+        for (vb, doc) in batch {
+            cycle.push_doc(*vb, doc);
+        }
+        store.commit(0, &cycle).unwrap();
+        lens.push(store.log_bytes(0));
+        rest = tail;
     }
-    model.into_iter().collect()
+    lens
+}
+
+/// The store holds exactly `expected`: by id, by seqno and in its counters.
+fn assert_state(
+    store: &BucketStore,
+    expected: &BTreeMap<(VbId, String), StoredDoc>,
+) -> Result<(), TestCaseError> {
+    for vb in (0..VBS).map(VbId) {
+        let s = store.vb(vb).unwrap();
+        let mut want: Vec<&StoredDoc> =
+            expected.iter().filter(|((v, _), _)| *v == vb).map(|(_, d)| d).collect();
+        for doc in &want {
+            let got = s.get(&doc.key).unwrap();
+            prop_assert_eq!(got.as_ref(), Some(*doc));
+        }
+        want.sort_by_key(|d| d.meta.seqno);
+        // changes_since(0) yields the latest versions in seqno order.
+        let changes = s.changes_since(SeqNo::ZERO).unwrap();
+        prop_assert_eq!(changes.iter().collect::<Vec<_>>(), want.clone());
+        let high = want.last().map(|d| d.meta.seqno).unwrap_or(SeqNo::ZERO);
+        prop_assert_eq!(s.high_seqno(), high);
+        let stats = s.stats();
+        prop_assert_eq!(stats.live_docs + stats.tombstones, want.len() as u64);
+    }
+    Ok(())
+}
+
+fn log_path(dir: &Path) -> std::path::PathBuf {
+    dir.join("shard_0.couch")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Clean reopen recovers exactly the final state.
+    /// Clean reopen recovers exactly the final state of every vBucket.
     #[test]
-    fn reopen_recovers_exact_state(ops in arb_ops()) {
+    fn reopen_recovers_exact_state(ops in arb_ops(), split in arb_split()) {
         let dir = scratch_dir("crash-prop");
-        let expected = {
-            let store = VBucketStore::open(&dir, VbId(0)).unwrap();
-            let model = apply_ops(&store, &ops);
-            store.sync().unwrap();
-            model
+        let docs = to_docs(&ops);
+        commit_in_batches(&BucketStore::open(dir.clone()).unwrap(), &docs, &split);
+        let store = BucketStore::open(dir).unwrap();
+        assert_state(&store, &model(&docs))?;
+        let accounted: u64 =
+            store.open_vbs().into_iter().map(|vb| store.vb(vb).unwrap().stats().file_bytes).sum();
+        prop_assert_eq!(accounted, store.log_bytes(0));
+    }
+
+    /// A crash keeps every synced batch and any part of what was appended
+    /// after the last sync; cutting the file at ANY byte offset (a torn or
+    /// lost tail) still recovers a valid prefix: the store opens, its state
+    /// is that of a prefix of the op sequence which covers every batch
+    /// synced before the cut, and what is appended after recovery is
+    /// reachable by the next recovery.
+    #[test]
+    fn arbitrary_truncation_recovers_a_prefix(
+        ops in arb_ops(),
+        split in arb_split(),
+        unsynced in 0usize..6,
+        cut_fraction in 0.0f64..1.0,
+    ) {
+        let dir = scratch_dir("crash-prop");
+        let docs = to_docs(&ops);
+        let synced_docs = docs.len() - unsynced.min(docs.len() - 1);
+        let synced_lens = {
+            let store = BucketStore::open(dir.clone()).unwrap();
+            let lens = commit_in_batches(&store, &docs[..synced_docs], &split);
+            for (vb, doc) in &docs[synced_docs..] {
+                store.vb(*vb).unwrap().persist(doc).unwrap(); // written, not synced
+            }
+            lens
         };
-        let store = VBucketStore::open(&dir, VbId(0)).unwrap();
-        for (key, val) in &expected {
-            let got = store.get(key).unwrap();
-            match val {
-                Some(v) => {
-                    let doc = got.expect("live doc present");
-                    prop_assert!(!doc.deleted);
-                    prop_assert_eq!(&doc.value[..], v.as_bytes());
-                }
-                None => {
-                    let doc = got.expect("tombstone present");
-                    prop_assert!(doc.deleted);
-                }
-            }
-        }
-        // changes_since(0) yields latest versions in seqno order.
-        let changes = store.changes_since(SeqNo::ZERO).unwrap();
-        let mut last = 0u64;
-        for c in &changes {
-            prop_assert!(c.meta.seqno.0 > last, "strictly increasing seqnos");
-            last = c.meta.seqno.0;
-        }
-        prop_assert_eq!(changes.len(), expected.len());
-    }
-
-    /// Truncating the file at ANY byte offset (torn write) still recovers
-    /// a valid prefix: the store opens, and every recovered record matches
-    /// a prefix of the op sequence.
-    #[test]
-    fn arbitrary_truncation_recovers_a_prefix(ops in arb_ops(), cut_fraction in 0.0f64..1.0) {
-        let dir = scratch_dir("crash-prop");
-        {
-            let store = VBucketStore::open(&dir, VbId(0)).unwrap();
-            apply_ops(&store, &ops);
-            store.sync().unwrap();
-        }
-        let path = dir.join("vb_0.couch");
-        let len = std::fs::metadata(&path).unwrap().len();
+        let len = std::fs::metadata(log_path(&dir)).unwrap().len();
         let cut = (len as f64 * cut_fraction) as u64;
-        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(cut).unwrap();
-        drop(f);
+        std::fs::OpenOptions::new().write(true).open(log_path(&dir)).unwrap().set_len(cut).unwrap();
 
-        // Recovery must succeed and expose a consistent prefix.
-        let store = VBucketStore::open(&dir, VbId(0)).unwrap();
-        let recovered = store.changes_since(SeqNo::ZERO).unwrap();
-        let high = store.high_seqno();
-        // Every recovered seqno is within the written range and the high
-        // watermark equals the max recovered seqno.
-        let max_seq = recovered.iter().map(|d| d.meta.seqno.0).max().unwrap_or(0);
-        prop_assert_eq!(high.0, max_seq);
-        prop_assert!(max_seq <= ops.len() as u64);
-        // Each recovered latest-version record matches the model state at
-        // the recovered high-seqno prefix of the op sequence.
-        let prefix_ops = &ops[..max_seq as usize];
-        let mut model: std::collections::HashMap<String, (u64, Option<String>)> = Default::default();
-        for (i, op) in prefix_ops.iter().enumerate() {
-            match op {
-                Op::Set { key, val } => {
-                    model.insert(format!("k{key}"), (i as u64 + 1, Some(val.clone())));
-                }
-                Op::Del { key } => {
-                    model.insert(format!("k{key}"), (i as u64 + 1, None));
-                }
-            }
-        }
-        prop_assert_eq!(recovered.len(), model.len());
-        for doc in &recovered {
-            let (seq, val) = model.get(&doc.key).expect("recovered key was written");
-            prop_assert_eq!(doc.meta.seqno.0, *seq);
-            match val {
-                Some(v) => {
-                    prop_assert!(!doc.deleted);
-                    prop_assert_eq!(&doc.value[..], v.as_bytes());
-                }
-                None => prop_assert!(doc.deleted),
-            }
-        }
-        // And the store accepts new writes after recovery.
-        store
-            .persist(&StoredDoc {
-                key: "post-recovery".to_string(),
-                meta: DocMeta { seqno: SeqNo(max_seq + 1), ..Default::default() },
-                deleted: false,
-                value: Bytes::from_static(b"ok"),
-            })
-            .unwrap();
-        prop_assert!(store.get("post-recovery").unwrap().is_some());
+        // Which records lie wholly inside the cut.
+        let mut end = 0u64;
+        let survivors = docs.iter().take_while(|(_, d)| { end += 2 + d.disk_size(); end <= cut }).count();
+        let batches_before_cut: usize = synced_lens.iter().filter(|l| **l <= cut).count();
+        let covered: usize =
+            split.iter().cycle().take(batches_before_cut).sum::<usize>().min(synced_docs);
+        prop_assert!(survivors >= covered, "a synced batch was lost");
+
+        let store = BucketStore::open(dir.clone()).unwrap();
+        assert_state(&store, &model(&docs[..survivors]))?;
+
+        // The store accepts new writes after recovery, behind the intact
+        // prefix — the torn bytes are gone, not written over or after.
+        let post = StoredDoc {
+            key: "post-recovery".to_string(),
+            meta: DocMeta { seqno: SeqNo(1_000), ..Default::default() },
+            deleted: false,
+            value: Bytes::from_static(b"ok"),
+        };
+        let mut cycle = Cycle::new();
+        cycle.push_doc(VbId(1), &post);
+        store.commit(0, &cycle).unwrap();
+        drop(store);
+        let store = BucketStore::open(dir).unwrap();
+        let mut expected = model(&docs[..survivors]);
+        expected.insert((VbId(1), post.key.clone()), post);
+        assert_state(&store, &expected)?;
     }
 
-    /// Compaction never changes logical state, at any point in history.
+    /// Compaction never changes logical state, at any point in history —
+    /// nor does reopening the compacted log.
     #[test]
-    fn compaction_preserves_state(ops in arb_ops()) {
+    fn compaction_preserves_state(ops in arb_ops(), split in arb_split()) {
         let dir = scratch_dir("crash-prop");
-        let store = VBucketStore::open(&dir, VbId(0)).unwrap();
-        let expected = apply_ops(&store, &ops);
-        let before: Vec<_> = store.changes_since(SeqNo::ZERO).unwrap();
-        store.compact().unwrap();
-        let after: Vec<_> = store.changes_since(SeqNo::ZERO).unwrap();
+        let store = BucketStore::open(dir.clone()).unwrap();
+        let docs = to_docs(&ops);
+        commit_in_batches(&store, &docs, &split);
+        let before: Vec<_> =
+            (0..VBS).map(|vb| store.vb(VbId(vb)).unwrap().changes_since(SeqNo::ZERO).unwrap()).collect();
+        prop_assert!(store.compact_shard(0, 0.0).unwrap());
+        let after: Vec<_> =
+            (0..VBS).map(|vb| store.vb(VbId(vb)).unwrap().changes_since(SeqNo::ZERO).unwrap()).collect();
         prop_assert_eq!(before, after, "compaction is logically invisible");
-        prop_assert_eq!(store.stats().stale_bytes, 0);
-        for (key, val) in &expected {
-            let doc = store.get(key).unwrap().expect("still present");
-            match val {
-                Some(v) => prop_assert_eq!(&doc.value[..], v.as_bytes()),
-                None => prop_assert!(doc.deleted),
-            }
-        }
+        assert_state(&store, &model(&docs))?;
+        let stale: u64 =
+            store.open_vbs().into_iter().map(|vb| store.vb(vb).unwrap().stats().stale_bytes).sum();
+        prop_assert_eq!(stale, 0);
+        prop_assert_eq!(store.log_bytes(0), std::fs::metadata(log_path(&dir)).unwrap().len());
+        drop(store);
+        assert_state(&BucketStore::open(dir).unwrap(), &model(&docs))?;
     }
 }

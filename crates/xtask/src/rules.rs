@@ -48,9 +48,10 @@ pub const YCSB_CRATE: &str = "ycsb";
 
 /// Filesystem namespace operations: calls that create, destroy, rename or
 /// enumerate directory entries (as opposed to reading/writing an already
-/// owned file handle, which the WAL and vbstore do under their own locks by
-/// design). `VBucketStore::open` is on the list because it opens and scans
-/// the backing file.
+/// owned file handle, which the log and the vBucket indexes do under their
+/// own locks by design). `GroupCommitWal::open{,_file}` and
+/// `ShardLog::recover` are on the list because they open (and the latter
+/// scans) a log file.
 pub const FS_NAMESPACE_OPS: &[&str] = &[
     "File::open",
     "File::create",
@@ -64,7 +65,8 @@ pub const FS_NAMESPACE_OPS: &[&str] = &[
     "fs::read_dir",
     "fs::copy",
     "fs::hard_link",
-    "VBucketStore::open",
+    "GroupCommitWal::open",
+    "ShardLog::recover",
 ];
 
 const KNOWN_RULES: &[&str] = &[

@@ -133,7 +133,13 @@ trace_smoke() {
 # it), so the workspace's test stage does not build it. Its unit tests pin
 # the metric names against BENCHMARK.json; `--smoke` drives all four
 # workloads end to end at tiny sizes and exits non-zero on a wrong answer.
+# The yardstick itself must be the committed one: a change that claims a
+# gain cannot quietly edit what measures it.
 perfbench_smoke() {
+    if ! git diff --quiet HEAD -- perfbench BENCHMARK.json; then
+        echo "    perfbench/ or BENCHMARK.json differs from HEAD"
+        return 1
+    fi
     cargo test --quiet --release --manifest-path perfbench/Cargo.toml || return 1
     cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- --smoke >/dev/null
 }
