@@ -1,12 +1,13 @@
-//! Shared plumbing for the figure-regeneration binaries.
+//! Shared plumbing for the ablation and companion binaries.
 //!
-//! Every binary prints a self-describing table of the same series the
-//! paper reports, so `cargo run -p cbs-bench --release --bin fig15_ycsb_a`
-//! regenerates Figure 15's data directly. Scale knobs come from the
-//! environment so CI can run small and a workstation can run big:
+//! The paper's two figures (Fig. 15 YCSB-A, Fig. 16 YCSB-E) are the
+//! `kv_hot_a` and `n1ql_scan_e` workloads of `perfbench/` (the repo's
+//! benchmark, `BENCHMARK.json`); what is left here are the design-choice
+//! ablations and the staleness / transaction companions. Every binary
+//! prints a self-describing table. Scale knobs come from the environment
+//! so CI can run small and a workstation can run big:
 //!
-//! - `CBS_RECORDS` — dataset size (default varies per experiment; the
-//!   paper used 10M documents on physical hardware);
+//! - `CBS_RECORDS` — dataset size (default varies per experiment);
 //! - `CBS_OPS` — operations per client thread;
 //! - `CBS_NODES` — cluster size (default 4, like the paper).
 
@@ -17,29 +18,6 @@ use cbs_core::{ClusterConfig, CouchbaseCluster};
 /// Read a scale knob from the environment.
 pub fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// The client-thread sweep. The paper used 4 YCSB clients × {12..32}
-/// threads = 48..128 total, against 4 physical servers (§10.1). In this
-/// in-process simulation, everything shares one machine, so absolute
-/// thread counts are rescaled to the host's parallelism: the sweep runs
-/// {1, 2, 3, 4, 6, 8} × available cores, preserving the *shape*
-/// (throughput grows with concurrency, then saturates). Set
-/// `CBS_PAPER_THREADS=1` to force the paper's literal 48..128 sweep.
-pub fn paper_thread_sweep() -> Vec<usize> {
-    if std::env::var("CBS_PAPER_THREADS").is_ok() {
-        return vec![48, 64, 80, 96, 112, 128];
-    }
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    [1usize, 2, 3, 4, 6, 8].iter().map(|f| f * cores).collect()
-}
-
-/// Build the paper's benchmark topology: "the data, index and query
-/// services running on all nodes of a 4-node cluster" (§10.1, Figure 14).
-pub fn paper_cluster(nodes: usize) -> Arc<CouchbaseCluster> {
-    let mut cfg = ClusterConfig::for_test(cbs_common::NUM_VBUCKETS, 1);
-    cfg.cache_quota = 2 << 30;
-    CouchbaseCluster::homogeneous(nodes, cfg)
 }
 
 /// Smaller topology for ablations that don't need 1024 vBuckets.
@@ -53,129 +31,14 @@ pub fn print_header(title: &str, columns: &[&str]) {
     println!("{}", columns.join("\t"));
 }
 
-/// Format ops/sec human-readably.
-pub fn fmt_tput(ops_per_sec: f64) -> String {
-    if ops_per_sec >= 1000.0 {
-        format!("{:.1}K", ops_per_sec / 1000.0)
-    } else {
-        format!("{ops_per_sec:.0}")
-    }
-}
-
-/// One point of a figure's thread sweep: throughput plus the latency
-/// percentiles of the run's merged histogram snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
-    /// Total client threads at this point.
-    pub threads: usize,
-    /// Measured throughput.
-    pub ops_per_sec: f64,
-    /// Median latency.
-    pub p50: std::time::Duration,
-    /// 95th-percentile latency.
-    pub p95: std::time::Duration,
-    /// 99th-percentile latency.
-    pub p99: std::time::Duration,
-}
-
-impl SweepPoint {
-    /// Build a sweep point from one [`cbs_ycsb::RunSummary`], pulling the
-    /// percentiles out of its merged `cbs-obs` histogram snapshot.
-    pub fn from_summary(threads: usize, summary: &cbs_ycsb::RunSummary) -> SweepPoint {
-        SweepPoint {
-            threads,
-            ops_per_sec: summary.throughput(),
-            p50: summary.latency_percentile(50.0),
-            p95: summary.latency_percentile(95.0),
-            p99: summary.latency_percentile(99.0),
-        }
-    }
-}
-
-/// Write a figure's sweep series as `BENCH_<name>.json` in `dir`. The
-/// format is deliberately flat so run-to-run diffs stay readable: one
-/// object per sweep point, latencies in microseconds.
-pub fn write_bench_json_to(
-    dir: &std::path::Path,
-    name: &str,
-    series: &[SweepPoint],
-) -> std::io::Result<std::path::PathBuf> {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"bench\": \"{name}\",\n"));
-    s.push_str("  \"unit\": \"ops_per_sec\",\n");
-    s.push_str("  \"series\": [\n");
-    for (i, pt) in series.iter().enumerate() {
-        let sep = if i + 1 < series.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"threads\": {}, \"ops_per_sec\": {:.1}, \
-             \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}{sep}\n",
-            pt.threads,
-            pt.ops_per_sec,
-            pt.p50.as_secs_f64() * 1e6,
-            pt.p95.as_secs_f64() * 1e6,
-            pt.p99.as_secs_f64() * 1e6,
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, s)?;
-    Ok(path)
-}
-
-/// Write `BENCH_<name>.json` at the repository root (two levels above this
-/// crate), where the figure binaries leave their machine-readable output.
-pub fn write_bench_json(name: &str, series: &[SweepPoint]) -> std::io::Result<std::path::PathBuf> {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    write_bench_json_to(&root, name, series)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_scales_to_host_and_honours_paper_override() {
-        let sweep = paper_thread_sweep();
-        assert_eq!(sweep.len(), 6, "six points like the paper's 48..128 sweep");
-        assert!(sweep.windows(2).all(|w| w[0] < w[1]), "monotone concurrency");
-        std::env::set_var("CBS_PAPER_THREADS", "1");
-        let paper = paper_thread_sweep();
-        std::env::remove_var("CBS_PAPER_THREADS");
-        assert_eq!(paper, vec![48, 64, 80, 96, 112, 128]);
-    }
 
     #[test]
     fn env_parsing() {
         std::env::set_var("CBS_TEST_KNOB", "42");
         assert_eq!(env_u64("CBS_TEST_KNOB", 7), 42);
         assert_eq!(env_u64("CBS_TEST_KNOB_MISSING", 7), 7);
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_tput(178_000.0), "178.0K");
-        assert_eq!(fmt_tput(540.0), "540");
-    }
-
-    #[test]
-    fn bench_json_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("cbs-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let us = std::time::Duration::from_micros;
-        let series = [
-            SweepPoint { threads: 4, ops_per_sec: 1234.5, p50: us(10), p95: us(50), p99: us(90) },
-            SweepPoint { threads: 8, ops_per_sec: 2469.0, p50: us(20), p95: us(80), p99: us(150) },
-        ];
-        let path = write_bench_json_to(&dir, "fig_test", &series).unwrap();
-        assert_eq!(path.file_name().unwrap(), "BENCH_fig_test.json");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"bench\": \"fig_test\""));
-        assert!(text.contains(
-            "{\"threads\": 4, \"ops_per_sec\": 1234.5, \
-             \"p50_us\": 10.0, \"p95_us\": 50.0, \"p99_us\": 90.0},"
-        ));
-        assert!(text.contains("{\"threads\": 8, \"ops_per_sec\": 2469.0,"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

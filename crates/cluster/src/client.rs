@@ -3,16 +3,23 @@
 //! a hash function (CRC32) to every document that needs to be stored in
 //! Couchbase, and the document can then be sent directly from the client
 //! to the server where it should reside" (Figure 5).
+//!
+//! Durability (§2.3.2) is a wait, not a poll: [`SmartClient::observe`] turns
+//! its timeout into one `Deadline`, blocks on the active copy's persisted
+//! watermark for `persist_to_master`, and for `replicate_to = k` parks on the
+//! `Signal` the bucket's engines share until any *k* replica copies have
+//! applied the seqno (DESIGN.md decision 10).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cluster::Cluster;
 use crate::map::ClusterMap;
+use crate::node::Node;
 use cbs_common::sync::{rank, OrderedRwLock};
-use cbs_common::{vbucket_for_key, Cas, Error, Result, VbId};
+use cbs_common::{vbucket_for_key, Cas, Deadline, Error, Result, VbId};
 use cbs_json::SharedValue;
-use cbs_kv::{GetResult, MutateMode, MutationResult};
+use cbs_kv::{DataEngine, GetResult, MutateMode, MutationResult};
 
 /// How many times the client refreshes its map and retries after routing
 /// errors before giving up.
@@ -101,11 +108,7 @@ impl SmartClient {
     /// Route an operation to the active node of the key's vBucket,
     /// refreshing the map and retrying on routing errors (the
     /// NOT_MY_VBUCKET dance).
-    fn with_engine<T>(
-        &self,
-        key: &str,
-        op: impl Fn(&cbs_kv::DataEngine) -> Result<T>,
-    ) -> Result<T> {
+    fn with_engine<T>(&self, key: &str, op: impl Fn(&DataEngine) -> Result<T>) -> Result<T> {
         let mut last_err = Error::Cluster("unreachable".to_string());
         for attempt in 0..MAX_RETRIES {
             let vb = self.vb_for_key(key);
@@ -247,8 +250,10 @@ impl SmartClient {
         })
     }
 
-    /// Wait (observe-style polling) until a mutation satisfies the given
-    /// durability requirement.
+    /// Block until a mutation satisfies the given durability requirement:
+    /// persisted on the active copy and/or applied on `replicate_to` of its
+    /// replica copies — any of them, so that one cut-off replica does not
+    /// hold up an ack another can give. `timeout` bounds the whole wait.
     pub fn observe(
         &self,
         key: &str,
@@ -259,42 +264,48 @@ impl SmartClient {
         // Child when called under upsert_durable's root; an app calling
         // observe directly gets its own root.
         let _span = self.trace.mint("client.kv.observe");
-        let map = self.map.read().clone();
+        let deadline = Deadline::after(timeout);
         let vb = mutation.vb;
-        if durability.replicate_to as usize > map.replica_nodes(vb).len() {
+        let wanted = durability.replicate_to as usize;
+        // Copy out the two entries this needs, not the whole map.
+        let (active, replicas) = {
+            let map = self.map.read();
+            (map.active_node(vb), map.replica_nodes(vb).to_vec())
+        };
+        if wanted > replicas.len() {
             return Err(Error::DurabilityImpossible(format!(
-                "replicate_to={} but only {} replicas configured",
-                durability.replicate_to,
-                map.replica_nodes(vb).len()
+                "replicate_to={wanted} but only {} replicas configured",
+                replicas.len()
             )));
         }
-        let deadline = cbs_common::time::Deadline::after(timeout);
         if durability.persist_to_master {
-            let node = self.cluster.node(map.active_node(vb))?;
-            node.engine(&self.bucket)?.wait_persisted(vb, mutation.seqno, timeout)?;
+            let engine = self.cluster.node(active)?.engine(&self.bucket)?;
+            engine.wait_persisted_by(vb, mutation.seqno, deadline)?;
         }
-        if durability.replicate_to > 0 {
-            loop {
-                let mut satisfied = 0u8;
-                for r in map.replica_nodes(vb) {
-                    if let Ok(node) = self.cluster.node(*r) {
-                        if let Ok(engine) = node.engine(&self.bucket) {
-                            if engine.high_seqno(vb) >= mutation.seqno {
-                                satisfied += 1;
-                            }
-                        }
-                    }
-                }
-                if satisfied >= durability.replicate_to {
-                    break;
-                }
-                if deadline.expired() {
-                    return Err(Error::Timeout(format!(
-                        "replication of {key} to {} replicas",
-                        durability.replicate_to
-                    )));
-                }
-                std::thread::sleep(Duration::from_micros(200));
+        if wanted > 0 {
+            // Resolved once, up front: the predicate runs under the signal's
+            // leaf lock and may read atomics only (liveness, high seqnos).
+            let copies: Vec<(Arc<Node>, Arc<DataEngine>)> = replicas
+                .iter()
+                .filter_map(|id| {
+                    let node = self.cluster.node(*id).ok()?;
+                    let engine = node.engine_unchecked(&self.bucket)?;
+                    Some((node, engine))
+                })
+                .collect();
+            let acked = || {
+                let applied = copies.iter().filter(|(node, engine)| {
+                    node.is_alive() && engine.high_seqno(vb) >= mutation.seqno
+                });
+                applied.count() >= wanted
+            };
+            // Every engine of the bucket advances its high seqnos on the
+            // same signal, so any replica apply re-tests `acked`.
+            let replicated = copies
+                .first()
+                .is_some_and(|(_, any)| any.seqno_signal().wait_until(deadline, acked));
+            if !replicated {
+                return Err(Error::Timeout(format!("replication of {key} to {wanted} replicas")));
             }
         }
         Ok(())

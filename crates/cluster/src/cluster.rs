@@ -178,8 +178,11 @@ impl Cluster {
         if data_nodes.is_empty() {
             return Err(Error::Cluster("no data nodes available".to_string()));
         }
+        // What the bucket's engines wake on a replica apply: shared, so that
+        // a durable write waits once for whichever replica copy acks first.
+        let seqno_signal = Arc::new(cbs_common::Signal::default());
         for node in self.inner.nodes.read().iter() {
-            node.create_bucket(bucket)?;
+            node.create_bucket(bucket, &seqno_signal)?;
         }
         let ids: Vec<NodeId> = data_nodes.iter().map(|n| n.id()).collect();
         let map =
@@ -198,7 +201,10 @@ impl Cluster {
         // Start the DCP pump (replication + GSI feed) for this bucket.
         let inner = Arc::clone(&self.inner);
         let bucket_name = bucket.to_string();
-        let topo: TopologyFn = Box::new(move || topology_snapshot(&inner, &bucket_name));
+        let refresh: TopologyFn = Box::new(move |built_epoch| {
+            let moved = inner.maps.read().get(&bucket_name)?.epoch != built_epoch;
+            moved.then(|| topology_snapshot(&inner, &bucket_name))
+        });
         let lag = Arc::new(ReplicationLagTable::new(
             bucket,
             self.inner.cfg.num_vbuckets,
@@ -208,8 +214,9 @@ impl Cluster {
         // (its single writer from here on) starts: stats and the
         // `system:replication` catalog read rows the instant the bucket
         // exists instead of racing the pump's first cycle.
-        lag.observe(&topology_snapshot(&self.inner, bucket));
-        let pump = ReplicationPump::spawn(bucket.to_string(), topo, Arc::clone(&lag));
+        let topo = topology_snapshot(&self.inner, bucket);
+        lag.observe(&topo);
+        let pump = ReplicationPump::spawn(bucket.to_string(), topo, refresh, Arc::clone(&lag));
         self.pumps.lock().insert(bucket.to_string(), PumpEntry { _pump: pump, lag });
         Ok(())
     }
@@ -385,7 +392,17 @@ impl Cluster {
             Node::new(id, services, &self.inner.cfg).with_trace_store(&self.inner.trace_store),
         );
         for bucket in self.buckets() {
-            node.create_bucket(&bucket)?;
+            // The signal the bucket's engines already share; a bucket with
+            // no data node yet gets its first one here.
+            let seqno_signal = self
+                .inner
+                .nodes
+                .read()
+                .iter()
+                .find_map(|n| n.engine_unchecked(&bucket))
+                .map(|e| Arc::clone(e.seqno_signal()))
+                .unwrap_or_default();
+            node.create_bucket(&bucket, &seqno_signal)?;
         }
         self.inner.nodes.write().push(node);
         self.inner.events.record_event_with_help(

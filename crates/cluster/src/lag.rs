@@ -268,31 +268,6 @@ impl ReplicationLagTable {
         out
     }
 
-    /// Per-vBucket (max, mean) replica lag over occupied slots, for the
-    /// cbstats operator table. vBuckets with no measurable replica are
-    /// omitted.
-    pub fn per_vb_lag(&self) -> Vec<(u16, u64, f64)> {
-        let mut out = Vec::new();
-        for (v, vb_slots) in self.slots.iter().enumerate() {
-            let mut max = 0u64;
-            let mut sum = 0u64;
-            let mut n = 0u64;
-            for slot in vb_slots {
-                if slot.node.load(Ordering::Relaxed) == EMPTY_NODE {
-                    continue;
-                }
-                let lag = slot.lag.load(Ordering::Relaxed);
-                max = max.max(lag);
-                sum += lag;
-                n += 1;
-            }
-            if n > 0 {
-                out.push((v as u16, max, sum as f64 / n as f64));
-            }
-        }
-        out
-    }
-
     /// The bucket's staleness summary row (`system:staleness`).
     pub fn staleness_row(&self) -> StalenessRow {
         StalenessRow {

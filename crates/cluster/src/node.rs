@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Error, NodeId, Result};
+use cbs_common::{Error, NodeId, Result, Signal};
 use cbs_index::IndexManager;
 use cbs_kv::{DataEngine, EngineConfig, FlusherHandle};
 use cbs_views::ViewEngine;
@@ -99,6 +99,11 @@ impl Node {
     /// rebalance re-integrates it).
     pub fn revive(&self) {
         self.alive.store(true, Ordering::SeqCst);
+        // Liveness is part of a durability waiter's predicate
+        // (`SmartClient::observe`): what changes it wakes them.
+        for engine in self.engines.read().ready.values() {
+            engine.seqno_signal().notify();
+        }
     }
 
     fn check_alive(&self) -> Result<()> {
@@ -110,13 +115,15 @@ impl Node {
     }
 
     /// Create this node's slice of a bucket (data-service nodes only).
+    /// `seqno_signal` is the one the bucket's engines on every node share
+    /// ([`EngineConfig::seqno_signal`]).
     ///
     /// Engine construction opens data files and spawns the flusher thread;
     /// none of that happens under the engine-map lock. The map is write-
     /// locked twice — once to reserve the name (so a concurrent creator of
     /// the same bucket errors instead of racing on the data directory) and
     /// once to publish the finished engine.
-    pub fn create_bucket(&self, bucket: &str) -> Result<()> {
+    pub fn create_bucket(&self, bucket: &str, seqno_signal: &Arc<Signal>) -> Result<()> {
         if !self.services.data {
             return Ok(());
         }
@@ -138,6 +145,7 @@ impl Node {
             lock_timeout: std::time::Duration::from_secs(15),
             flusher_shards: self.cfg.flusher_shards,
             trace: self.trace.clone(),
+            seqno_signal: Arc::clone(seqno_signal),
         })
         .and_then(|engine| {
             let flusher = FlusherHandle::spawn(Arc::clone(&engine), self.cfg.flush_interval)?;
@@ -211,8 +219,9 @@ mod tests {
     fn node_lifecycle() {
         let cfg = ClusterConfig::for_test(16, 1);
         let node = Node::new(NodeId(0), ServiceSet::all(), &cfg);
-        node.create_bucket("default").unwrap();
-        assert!(node.create_bucket("default").is_err());
+        let signal = Arc::new(Signal::default());
+        node.create_bucket("default", &signal).unwrap();
+        assert!(node.create_bucket("default", &signal).is_err());
         assert!(node.engine("default").is_ok());
         assert!(node.view_engine("default").is_ok());
         assert!(node.index_manager().is_ok());
@@ -229,7 +238,7 @@ mod tests {
     fn service_gating() {
         let cfg = ClusterConfig::for_test(16, 1);
         let query_node = Node::new(NodeId(1), ServiceSet::query_only(), &cfg);
-        query_node.create_bucket("b").unwrap(); // no-op without data service
+        query_node.create_bucket("b", &Default::default()).unwrap(); // no-op without data service
         assert!(query_node.engine("b").is_err());
         assert!(query_node.index_manager().is_err());
 

@@ -41,8 +41,10 @@ pub struct PumpTopology {
     pub injector: Option<Arc<dyn FaultInjector>>,
 }
 
-/// Callback the pump uses to fetch a fresh topology when the epoch moves.
-pub type TopologyFn = Box<dyn Fn() -> PumpTopology + Send>;
+/// Callback the pump polls with the map epoch its streams were built at:
+/// `None` while the bucket's map is still at that epoch — the only thing the
+/// pump acts on — else a fresh topology to rebuild against.
+pub type TopologyFn = Box<dyn Fn(u64) -> Option<PumpTopology> + Send>;
 
 struct VbStreams {
     repl: Option<(NodeId, DcpStream)>,
@@ -56,31 +58,27 @@ pub struct ReplicationPump {
 }
 
 impl ReplicationPump {
-    /// Spawn the pump. `lag` is the bucket's replication-lag table; the
-    /// pump samples it once per cycle after draining the streams.
+    /// Spawn the pump on the topology the bucket was created with; `refresh`
+    /// tells it when the map has moved on. `lag` is the bucket's
+    /// replication-lag table; the pump samples it once per cycle after
+    /// draining the streams.
     pub fn spawn(
         bucket: String,
-        topology: TopologyFn,
+        topo: PumpTopology,
+        refresh: TopologyFn,
         lag: Arc<ReplicationLagTable>,
     ) -> ReplicationPump {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name(format!("dcp-pump-{bucket}"))
-            .spawn(move || pump_loop(&bucket, topology, stop2, &lag))
+            .spawn(move || pump_loop(&bucket, topo, refresh, stop2, &lag))
             .expect("spawn replication pump");
         ReplicationPump { stop, handle: Some(handle) }
     }
-
-    /// Stop the pump.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
 }
 
+/// Dropping the pump stops it and joins its thread.
 impl Drop for ReplicationPump {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
@@ -90,9 +88,14 @@ impl Drop for ReplicationPump {
     }
 }
 
-fn pump_loop(bucket: &str, topology: TopologyFn, stop: Arc<AtomicBool>, lag: &ReplicationLagTable) {
+fn pump_loop(
+    bucket: &str,
+    mut topo: PumpTopology,
+    refresh: TopologyFn,
+    stop: Arc<AtomicBool>,
+    lag: &ReplicationLagTable,
+) {
     let mut built_epoch: u64 = u64::MAX;
-    let mut topo = topology();
     let nvb = topo.map.num_vbuckets() as usize;
     let mut streams: Vec<VbStreams> =
         (0..nvb).map(|_| VbStreams { repl: None, gsi: None }).collect();
@@ -256,17 +259,11 @@ fn pump_loop(bucket: &str, topology: TopologyFn, stop: Arc<AtomicBool>, lag: &Re
 
         if moved == 0 {
             std::thread::sleep(Duration::from_millis(1));
-            // Idle: check for topology changes.
-            let fresh = topology();
-            if fresh.map.epoch != built_epoch {
-                topo = fresh;
-            }
-        } else {
-            // Busy: still poll the epoch occasionally (cheap).
-            let fresh = topology();
-            if fresh.map.epoch != built_epoch {
-                topo = fresh;
-            }
+        }
+        // One epoch comparison per cycle; a topology is assembled only when
+        // the map has moved (or a drop asked for a rebuild).
+        if let Some(fresh) = refresh(built_epoch) {
+            topo = fresh;
         }
     }
 }

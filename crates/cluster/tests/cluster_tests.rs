@@ -4,8 +4,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use cbs_cluster::{Cluster, ClusterConfig, ClusterDatastore, Durability, ServiceSet, SmartClient};
-use cbs_common::{NodeId, VbId};
+use cbs_cluster::{
+    Cluster, ClusterConfig, ClusterDatastore, Durability, FaultAction, FaultInjector, ServiceSet,
+    SmartClient,
+};
+use cbs_common::{Error, NodeId, SeqNo, VbId};
 use cbs_json::Value;
 use cbs_n1ql::QueryOptions;
 use cbs_views::{MapExpr, MapFn, Stale, ViewDef, ViewQuery};
@@ -91,6 +94,69 @@ fn durability_replicate_and_persist() {
         )
         .unwrap_err();
     assert!(matches!(err, cbs_common::Error::DurabilityImpossible(_)));
+}
+
+/// Drops every replication delivery to the nodes whose bit is set.
+#[derive(Debug, Default)]
+struct CutOff(std::sync::atomic::AtomicU32);
+
+impl CutOff {
+    fn set(&self, nodes: &[NodeId]) {
+        let bits = nodes.iter().fold(0, |bits, n| bits | 1 << n.0);
+        self.0.store(bits, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl FaultInjector for CutOff {
+    fn repl_delivery(&self, _: VbId, _: SeqNo, dst: NodeId, _: u32) -> FaultAction {
+        if self.0.load(std::sync::atomic::Ordering::SeqCst) & (1 << dst.0) != 0 {
+            FaultAction::Drop
+        } else {
+            FaultAction::Deliver
+        }
+    }
+}
+
+/// `replicate_to = 1` over two replicas is "any one of them": a replica that
+/// gets nothing must not delay the ack the other gives. And when nobody can
+/// ack, the wait ends in `Timeout` at its deadline — it neither hangs nor
+/// overruns.
+#[test]
+fn observe_takes_any_replica_ack_and_times_out_at_its_deadline() {
+    let cut = Arc::new(CutOff::default());
+    let cfg = ClusterConfig::for_chaos(64, 2, Arc::clone(&cut) as Arc<dyn FaultInjector>);
+    let cluster = Cluster::homogeneous(3, cfg);
+    cluster.create_bucket("default").unwrap();
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    let vb = client.vb_for_key("k");
+    let replicas = cluster.map("default").unwrap().replica_nodes(vb).to_vec();
+    assert_eq!(replicas.len(), 2);
+    let high = |node: NodeId| cluster.node(node).unwrap().engine("default").unwrap().high_seqno(vb);
+    let one = Durability { replicate_to: 1, persist_to_master: false };
+
+    cut.set(&replicas[..1]);
+    let started = std::time::Instant::now();
+    let m = client.upsert_durable("k", doc(1), one, Duration::from_secs(20)).unwrap();
+    assert!(started.elapsed() < Duration::from_secs(10), "waited for the cut-off replica");
+    assert!(high(replicas[0]) < m.seqno, "the cut-off replica did not get it");
+    assert!(high(replicas[1]) >= m.seqno);
+    // Both copies are beyond what one replica alone can give.
+    let both = Durability { replicate_to: 2, persist_to_master: false };
+    let err = client.observe("k", m, both, Duration::from_millis(50)).unwrap_err();
+    assert!(matches!(err, Error::Timeout(_)), "{err:?}");
+
+    cut.set(&replicas);
+    let started = std::time::Instant::now();
+    let err = client.upsert_durable("k", doc(2), one, Duration::from_millis(150)).unwrap_err();
+    let took = started.elapsed();
+    assert!(matches!(err, Error::Timeout(_)), "{err:?}");
+    assert!(took >= Duration::from_millis(150), "gave up before the deadline: {took:?}");
+    assert!(took < Duration::from_secs(5), "overran the deadline: {took:?}");
+
+    // Reconnected, the replicas catch up and the same requirement is met.
+    cut.set(&[]);
+    let m = client.upsert_durable("k", doc(3), both, Duration::from_secs(20)).unwrap();
+    assert!(high(replicas[0]) >= m.seqno && high(replicas[1]) >= m.seqno);
 }
 
 #[test]

@@ -24,6 +24,9 @@ pub enum Error {
     CasMismatch(String),
     /// The document is hard-locked (GETL) by another client.
     Locked(String),
+    /// The key is this many bytes long, more than a stored record can hold
+    /// (65 535; memcached's `E2BIG`).
+    KeyTooLong(usize),
     /// The contacted node does not currently own the vBucket — the client's
     /// cluster map is stale and must be refreshed (the memcached
     /// `NOT_MY_VBUCKET` response).
@@ -78,6 +81,7 @@ impl fmt::Display for Error {
         match self {
             Error::KeyNotFound(k) => write!(f, "key not found: {k}"),
             Error::KeyExists(k) => write!(f, "key already exists: {k}"),
+            Error::KeyTooLong(n) => write!(f, "key too long: {n} bytes (at most 65535)"),
             Error::CasMismatch(k) => write!(f, "CAS mismatch on key: {k}"),
             Error::Locked(k) => write!(f, "key is locked: {k}"),
             Error::NotMyVbucket(vb) => write!(f, "not my vbucket: {vb:?}"),

@@ -4,7 +4,9 @@
 //! workspace: identifier newtypes ([`VbId`], [`SeqNo`], [`Cas`], [`NodeId`]),
 //! the CRC32 key-hashing routine that maps document IDs onto the 1024 logical
 //! partitions (vBuckets) described in §4.1 of the paper, the shared error
-//! type, and a monotonic CAS clock.
+//! type, a monotonic CAS clock, the rank-ordered locks, and the one seqno
+//! watermark ([`Watermarks`] over a [`Signal`]) every "wait until seqno X is
+//! persisted / replicated / indexed" blocks on.
 
 pub mod crc32;
 pub mod error;
@@ -18,7 +20,7 @@ pub use crc32::{crc32, vbucket_for_key};
 pub use error::{Error, Result};
 pub use ids::{Cas, IndexId, NodeId, RevNo, SeqNo, VbId};
 pub use meta::DocMeta;
-pub use sync::{LockRank, OrderedMutex, OrderedRwLock};
+pub use sync::{LockRank, OrderedMutex, OrderedRwLock, Signal, Watermarks};
 pub use time::{CasClock, Deadline};
 
 /// The fixed number of logical partitions (vBuckets) per bucket.

@@ -20,8 +20,19 @@
 //! acquisition graph": it enforces a single total order up front, so an
 //! inversion is caught the first time it executes on any one thread, without
 //! needing the two conflicting threads to actually interleave.
+//!
+//! Beside the locks lives the workspace's one way to block on progress:
+//! [`Watermarks`] (a per-vBucket vector of monotone seqnos) over a
+//! [`Signal`] (waiter count + leaf-ranked mutex + condvar). Every "wait until
+//! seqno X is persisted / replicated / indexed" is a wait on one of these.
 
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use crate::error::{Error, Result};
+use crate::ids::{SeqNo, VbId};
+use crate::time::Deadline;
 
 /// A position in the global lock order, plus a stable name for diagnostics.
 ///
@@ -118,9 +129,6 @@ pub mod rank {
     /// Per-vBucket index interior (file handle, by-id/by-seqno offsets,
     /// seqnos, byte counts).
     pub const VB_STORE: LockRank = LockRank::new(80, "storage.vbstore");
-    /// Durability waiters' seat (condvar signalled after each commit cycle) —
-    /// innermost: nothing else is acquired while it is held.
-    pub const PERSIST_WAITERS: LockRank = LockRank::new(90, "kv.persist_waiters");
     /// GSI index-manager registry ((keyspace, name) → instance). Held (as
     /// a read guard) while probing per-instance state on list paths.
     pub const INDEX_REGISTRY: LockRank = LockRank::new(100, "index.manager.registry");
@@ -133,9 +141,6 @@ pub mod rank {
     pub const FTS_REGISTRY: LockRank = LockRank::new(106, "fts.service.registry");
     /// Per-FTS-index inverted index.
     pub const FTS_INDEX: LockRank = LockRank::new(107, "fts.index.inverted");
-    /// Per-FTS-index vBucket watermark vector (condvar seat for
-    /// consistent-search waits).
-    pub const FTS_WATERMARKS: LockRank = LockRank::new(108, "fts.index.watermarks");
     /// Query-service request log, in-flight table. Leaf: statement-scoped
     /// insert/remove only, nothing acquired under it.
     pub const REQLOG_ACTIVE: LockRank = LockRank::new(110, "n1ql.reqlog.active");
@@ -171,6 +176,12 @@ pub mod rank {
     /// Cluster-wide committed/aborted transaction ring feeding the
     /// `system:transactions` catalog. Leaf.
     pub const TXN_LOG: LockRank = LockRank::new(144, "cluster.txn.log");
+    /// A [`super::Signal`]'s condvar seat — where every seqno waiter parks
+    /// (persisted, replicated, GSI- and FTS-indexed). The leaf of the whole
+    /// order: a notifier may hold anything (a replica apply holds its vB
+    /// metadata lock), and nothing is acquired under it — wait predicates
+    /// read atomics only.
+    pub const SEQNO_WAITERS: LockRank = LockRank::new(150, "common.seqno.waiters");
 }
 
 #[cfg(feature = "lock-order")]
@@ -526,12 +537,255 @@ impl<T: ?Sized> DerefMut for OrderedRwLockWriteGuard<'_, T> {
     }
 }
 
+/// What seqno waiters park on (DESIGN.md "one seqno watermark"). Progress
+/// lives in `SeqCst` atomics the caller owns — a [`Watermarks`] vector, or
+/// several engines' at once. A notifier publishes its progress and *then*
+/// loads the waiter count, locking and broadcasting only if it is non-zero;
+/// a waiter registers and *then* tests its predicate, under the lock, before
+/// every park. One of the two sees the other, so no wake-up is missed
+/// (`tests/signal_models.rs` checks it and both ways of breaking it) and a
+/// notify nobody waits for is one load.
+#[derive(Debug)]
+pub struct Signal {
+    waiters: AtomicUsize,
+    seat: OrderedMutex<()>,
+    cv: parking_lot::Condvar,
+}
+
+impl Default for Signal {
+    fn default() -> Signal {
+        Signal {
+            waiters: AtomicUsize::new(0),
+            seat: OrderedMutex::new(rank::SEQNO_WAITERS, ()),
+            cv: parking_lot::Condvar::new(),
+        }
+    }
+}
+
+impl Signal {
+    /// Threads inside [`Signal::wait_until`], past its fast path.
+    pub fn waiters(&self) -> usize {
+        self.waiters.load(Ordering::SeqCst)
+    }
+
+    /// Wake every waiter to re-test its predicate. Call *after* publishing
+    /// the progress.
+    #[inline]
+    pub fn notify(&self) {
+        if self.waiters() != 0 {
+            let _seat = self.seat.lock();
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until `reached()` holds or `deadline` passes, never longer;
+    /// returns whether it held. `reached` runs under the leaf lock: it may
+    /// read atomics, nothing else.
+    pub fn wait_until(&self, deadline: Deadline, reached: impl Fn() -> bool) -> bool {
+        if reached() {
+            return true;
+        }
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut seat = self.seat.lock();
+        let mut held = reached();
+        while !held && !self.cv.wait_until(seat.inner_mut(), deadline.instant()).timed_out() {
+            held = reached();
+        }
+        drop(seat);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        held || reached()
+    }
+}
+
+/// One stage's progress per vBucket — highest assigned, persisted, GSI- or
+/// FTS-indexed seqno — and the one way to wait for it. Monotone except for
+/// [`Watermarks::reset`].
+pub struct Watermarks {
+    /// Which stage this is, for timeout messages.
+    stage: &'static str,
+    seqnos: Box<[AtomicU64]>,
+    signal: Arc<Signal>,
+}
+
+impl Watermarks {
+    /// `num_vbuckets` zeroes on a signal of their own.
+    pub fn new(stage: &'static str, num_vbuckets: u16) -> Watermarks {
+        Watermarks::sharing(stage, num_vbuckets, Arc::default())
+    }
+
+    /// The same on a signal shared with other vectors, so that one waiter
+    /// can watch several (a durable write: any *k* of *n* replica copies).
+    pub fn sharing(stage: &'static str, num_vbuckets: u16, signal: Arc<Signal>) -> Watermarks {
+        let seqnos = (0..num_vbuckets).map(|_| AtomicU64::new(0)).collect();
+        Watermarks { stage, seqnos, signal }
+    }
+
+    /// Threads blocked in a wait on this vector's signal.
+    pub fn waiters(&self) -> usize {
+        self.signal.waiters()
+    }
+
+    #[inline]
+    pub fn get(&self, vb: VbId) -> SeqNo {
+        SeqNo(self.seqnos[vb.index()].load(Ordering::SeqCst))
+    }
+
+    pub fn snapshot(&self) -> Vec<SeqNo> {
+        self.seqnos.iter().map(|s| SeqNo(s.load(Ordering::SeqCst))).collect()
+    }
+
+    /// Allocate the next seqno of `vb`. Wakes nobody: waiters wait for a
+    /// later stage to reach a seqno, not for its assignment.
+    #[inline]
+    pub fn next(&self, vb: VbId) -> SeqNo {
+        SeqNo(self.seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1)
+    }
+
+    /// `vb` has reached `seqno` (no-op if it was already further).
+    #[inline]
+    pub fn advance(&self, vb: VbId, seqno: SeqNo) {
+        self.advance_all([(vb, seqno)]);
+    }
+
+    /// A batch of advances and one wake-up. A vBucket beyond the vector is
+    /// ignored.
+    #[inline]
+    pub fn advance_all(&self, reached: impl IntoIterator<Item = (VbId, SeqNo)>) {
+        for (vb, seqno) in reached {
+            if let Some(slot) = self.seqnos.get(vb.index()) {
+                slot.fetch_max(seqno.0, Ordering::SeqCst);
+            }
+        }
+        self.signal.notify();
+    }
+
+    /// `vb` was purged: back to zero. Nobody is woken — a waiter on the old
+    /// lineage is not to be satisfied by the new one, and times out.
+    pub fn reset(&self, vb: VbId) {
+        self.seqnos[vb.index()].store(0, Ordering::SeqCst);
+    }
+
+    /// Block until `vb` has reached `seqno`; [`Error::Timeout`] at `deadline`.
+    pub fn wait(&self, vb: VbId, seqno: SeqNo, deadline: Deadline) -> Result<()> {
+        self.wait_for(deadline, || self.get(vb) >= seqno)
+    }
+
+    /// Block until every vBucket has reached its entry of `target` (the
+    /// `request_plus` vector); [`Error::Timeout`] at `deadline`. A non-zero
+    /// entry beyond the vector is never reached.
+    pub fn wait_all(&self, target: &[SeqNo], deadline: Deadline) -> Result<()> {
+        let at = |vb| self.seqnos.get(vb).map_or(0, |s: &AtomicU64| s.load(Ordering::SeqCst));
+        self.wait_for(deadline, || target.iter().enumerate().all(|(vb, want)| at(vb) >= want.0))
+    }
+
+    fn wait_for(&self, deadline: Deadline, reached: impl Fn() -> bool) -> Result<()> {
+        if self.signal.wait_until(deadline, reached) {
+            return Ok(());
+        }
+        Err(Error::Timeout(format!("{} did not reach the awaited seqno in time", self.stage)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const LOW: LockRank = LockRank::new(1, "test.low");
     const HIGH: LockRank = LockRank::new(2, "test.high");
+
+    /// Spin until a thread is parked (or about to park): forces "waiter
+    /// first, then progress" without sleeping.
+    fn until_waiting(waiters: impl Fn() -> usize) {
+        while waiters() == 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    fn soon() -> Deadline {
+        Deadline::after(std::time::Duration::from_secs(10))
+    }
+
+    fn at_once() -> Deadline {
+        Deadline::after(std::time::Duration::from_millis(20))
+    }
+
+    #[test]
+    fn watermarks_allocate_advance_and_reset() {
+        let w = Watermarks::new("test", 4);
+        assert_eq!(w.next(VbId(1)), SeqNo(1));
+        assert_eq!(w.next(VbId(1)), SeqNo(2));
+        w.advance(VbId(2), SeqNo(9));
+        w.advance(VbId(2), SeqNo(4)); // monotone: a lower seqno is a no-op
+        w.advance(VbId(77), SeqNo(1)); // beyond the vector: ignored
+        assert_eq!(w.snapshot(), [SeqNo(0), SeqNo(2), SeqNo(9), SeqNo(0)]);
+        w.reset(VbId(2));
+        assert_eq!(w.get(VbId(2)), SeqNo::ZERO);
+        assert_eq!(w.waiters(), 0);
+    }
+
+    #[test]
+    fn wait_returns_when_reached_and_times_out_when_not() {
+        let w = Arc::new(Watermarks::new("test", 2));
+        w.advance(VbId(0), SeqNo(3));
+        w.wait(VbId(0), SeqNo(3), at_once()).expect("already there: no park");
+        let started = std::time::Instant::now();
+        let err = w.wait(VbId(0), SeqNo(4), at_once()).expect_err("nobody advances");
+        assert!(matches!(err, Error::Timeout(_)), "{err:?}");
+        assert!(started.elapsed() < std::time::Duration::from_secs(5), "returned by the deadline");
+        assert_eq!(w.waiters(), 0, "a timed-out waiter deregisters");
+
+        let w2 = Arc::clone(&w);
+        let waiter = std::thread::spawn(move || w2.wait(VbId(1), SeqNo(2), soon()));
+        until_waiting(|| w.waiters());
+        w.advance(VbId(1), SeqNo(1)); // a wake-up that is not enough
+        w.advance(VbId(1), SeqNo(2));
+        waiter.join().expect("waiter thread").expect("woken by the advance");
+    }
+
+    #[test]
+    fn wait_all_needs_every_entry_and_never_reaches_beyond_the_vector() {
+        let w = Arc::new(Watermarks::new("test", 3));
+        w.wait_all(&[SeqNo::ZERO; 5], at_once()).expect("zeros beyond the vector are fine");
+        let w2 = Arc::clone(&w);
+        let waiter =
+            std::thread::spawn(move || w2.wait_all(&[SeqNo(1), SeqNo(0), SeqNo(2)], soon()));
+        until_waiting(|| w.waiters());
+        w.advance_all([(VbId(0), SeqNo(1)), (VbId(2), SeqNo(5))]);
+        waiter.join().expect("waiter thread").expect("both entries reached");
+        let beyond = [SeqNo(0), SeqNo(0), SeqNo(0), SeqNo(1)];
+        assert!(matches!(w.wait_all(&beyond, at_once()), Err(Error::Timeout(_))));
+    }
+
+    #[test]
+    fn reset_leaves_a_waiter_on_the_old_lineage_to_time_out() {
+        let w = Arc::new(Watermarks::new("test", 1));
+        w.advance(VbId(0), SeqNo(5));
+        let w2 = Arc::clone(&w);
+        let waiter = std::thread::spawn(move || w2.wait(VbId(0), SeqNo(6), at_once()));
+        until_waiting(|| w.waiters());
+        w.reset(VbId(0));
+        w.advance(VbId(0), SeqNo(1)); // the new lineage, far from 6
+        assert!(matches!(waiter.join().expect("waiter thread"), Err(Error::Timeout(_))));
+    }
+
+    #[test]
+    fn one_waiter_watches_several_vectors_through_a_shared_signal() {
+        let signal = Arc::new(Signal::default());
+        let copies: Vec<Arc<Watermarks>> =
+            (0..3).map(|_| Arc::new(Watermarks::sharing("test", 1, Arc::clone(&signal)))).collect();
+        let watched = copies.clone();
+        let sig = Arc::clone(&signal);
+        // Any two of the three copies at seqno 1.
+        let waiter = std::thread::spawn(move || {
+            sig.wait_until(soon(), || {
+                watched.iter().filter(|c| c.get(VbId(0)) >= SeqNo(1)).count() >= 2
+            })
+        });
+        until_waiting(|| signal.waiters());
+        copies[2].advance(VbId(0), SeqNo(1));
+        copies[0].advance(VbId(0), SeqNo(1)); // copy 1 never acks
+        assert!(waiter.join().expect("waiter thread"));
+    }
 
     #[test]
     fn increasing_rank_order_is_fine() {

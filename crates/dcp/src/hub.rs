@@ -125,19 +125,6 @@ impl DcpHub {
         Ok(DcpStream::new(vb, since, high, rx))
     }
 
-    /// Open streams for many vBuckets, merged into independent streams
-    /// (one per vb). Convenience for consumers like the view engine that
-    /// track per-vb cursors.
-    pub fn open_streams(
-        &self,
-        vbs: &[VbId],
-        since: &[SeqNo],
-        source: &dyn BackfillSource,
-    ) -> Result<Vec<DcpStream>> {
-        assert_eq!(vbs.len(), since.len());
-        vbs.iter().zip(since).map(|(&vb, &s)| self.open_stream(vb, s, source)).collect()
-    }
-
     /// Number of live subscribers on a vBucket (diagnostics).
     pub fn subscriber_count(&self, vb: VbId) -> usize {
         self.vbs[vb.index()].lock().subscribers.len()

@@ -14,9 +14,10 @@
 //! - [`index`]: the reverse (inverted) index — term → postings with
 //!   per-document, per-field positions — supporting **term**, **prefix**
 //!   and **phrase** search with TF-IDF ranking;
-//! - [`service`]: a DCP consumer maintaining one or more search indexes
-//!   over a bucket, with per-vBucket watermarks so searches can demand
-//!   the same `request_plus`-style consistency the GSI service offers.
+//! - [`service`]: a DCP consumer (fed by the cluster's replication pump)
+//!   maintaining one or more search indexes over a bucket, each with a
+//!   per-vBucket `cbs_common::Watermarks` vector so searches can demand the
+//!   same `request_plus`-style consistency the GSI service offers.
 
 pub mod analyzer;
 pub mod index;
@@ -24,4 +25,4 @@ pub mod service;
 
 pub use analyzer::tokenize;
 pub use index::{InvertedIndex, SearchHit, SearchQuery};
-pub use service::{FtsFeed, FtsIndexDef, FtsService};
+pub use service::{FtsIndexDef, FtsService};

@@ -1,21 +1,20 @@
 //! The FTS service: DCP-fed search indexes with consistency watermarks.
 //!
 //! Mirrors the GSI service's shape (§4.3.4 / Figure 9): the service
-//! "receive[s] data mutations via in-memory DCP" (§6.1.3) and maintains
-//! per-vBucket seqno watermarks so a search can require the same
+//! "receive[s] data mutations via in-memory DCP" (§6.1.3) and keeps a
+//! per-vBucket seqno [`Watermarks`] vector per index — the same type, hence
+//! the same wait, as a GSI partition — so a search can require the
 //! at-least-this-seqno consistency a `request_plus` N1QL query gets.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Error, Result, SeqNo, VbId};
+use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock, Watermarks};
+use cbs_common::{Deadline, Error, Result, SeqNo};
 use cbs_dcp::DcpItem;
 use cbs_json::JsonPath;
 use cbs_obs::{span, Counter, Histogram, Registry};
-use parking_lot::Condvar;
 
 use crate::index::{InvertedIndex, SearchHit, SearchQuery};
 
@@ -34,8 +33,9 @@ pub struct FtsIndexDef {
 struct FtsInstance {
     def: FtsIndexDef,
     index: OrderedMutex<InvertedIndex>,
-    watermarks: OrderedMutex<Vec<SeqNo>>,
-    watermark_cv: Condvar,
+    /// Per vBucket, the seqno up to which the index has seen the source;
+    /// what a consistent search waits on.
+    marks: Watermarks,
 }
 
 impl FtsInstance {
@@ -60,31 +60,7 @@ impl FtsInstance {
                 }
             }
         }
-        let mut w = self.watermarks.lock();
-        let i = item.vb.index();
-        if i < w.len() && w[i] < item.meta.seqno {
-            w[i] = item.meta.seqno;
-        }
-        drop(w);
-        self.watermark_cv.notify_all();
-    }
-
-    fn wait_consistent(&self, target: &[SeqNo], timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        let mut w = self.watermarks.lock();
-        loop {
-            let caught_up = target
-                .iter()
-                .enumerate()
-                .all(|(vb, &s)| w.get(vb).copied().unwrap_or(SeqNo::ZERO) >= s);
-            if caught_up {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(Error::Timeout("FTS index catch-up".to_string()));
-            }
-            self.watermark_cv.wait_until(w.inner_mut(), deadline);
-        }
+        self.marks.advance(item.vb, item.meta.seqno);
     }
 }
 
@@ -129,11 +105,7 @@ impl FtsService {
             Arc::new(FtsInstance {
                 def,
                 index: OrderedMutex::new(rank::FTS_INDEX, InvertedIndex::new()),
-                watermarks: OrderedMutex::new(
-                    rank::FTS_WATERMARKS,
-                    vec![SeqNo::ZERO; self.num_vbuckets as usize],
-                ),
-                watermark_cv: Condvar::new(),
+                marks: Watermarks::new("FTS index", self.num_vbuckets),
             }),
         );
         Ok(())
@@ -201,7 +173,7 @@ impl FtsService {
         let start = Instant::now();
         let inst = self.instance(keyspace, name)?;
         if let Some(target) = min_seqnos {
-            inst.wait_consistent(target, timeout)?;
+            inst.marks.wait_all(target, Deadline::after(timeout))?;
         }
         let hits = inst.index.lock().search(query, limit);
         self.search_latency.record(start.elapsed());
@@ -216,70 +188,10 @@ impl FtsService {
     }
 }
 
-/// Background pump wiring a data engine's DCP into an [`FtsService`] —
-/// "another type of service [...] that will receive data mutations via
-/// in-memory DCP" (§6.1.3).
-pub struct FtsFeed {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl FtsFeed {
-    /// Stream every vBucket of `engine` from seqno 0 into `service`.
-    pub fn spawn(
-        service: Arc<FtsService>,
-        keyspace: String,
-        engine: Arc<cbs_kv::DataEngine>,
-    ) -> Result<FtsFeed> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let n = service.num_vbuckets;
-        let mut streams = Vec::with_capacity(n as usize);
-        for vb in 0..n {
-            streams.push(engine.open_dcp_stream(VbId(vb), SeqNo::ZERO)?);
-        }
-        let handle = std::thread::Builder::new()
-            .name(format!("fts-feed-{keyspace}"))
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    let mut any = false;
-                    for stream in streams.iter_mut() {
-                        for item in stream.drain_available() {
-                            service.apply_dcp(&keyspace, &item);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            })
-            .expect("spawn fts feed");
-        Ok(FtsFeed { stop, handle: Some(handle) })
-    }
-
-    /// Stop the feed.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for FtsFeed {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_common::{Cas, DocMeta};
+    use cbs_common::{Cas, DocMeta, VbId};
     use cbs_json::Value;
     use cbs_kv::{DataEngine, EngineConfig, MutateMode};
 
@@ -431,7 +343,20 @@ mod tests {
             fields: None,
         })
         .unwrap();
-        let feed = FtsFeed::spawn(Arc::clone(&svc), "b".to_string(), Arc::clone(&engine)).unwrap();
+        // The pump's FTS leg in miniature: streams from seqno 0, drained into
+        // the service until told to stop.
+        let mut streams: Vec<_> =
+            (0..8).map(|vb| engine.open_dcp_stream(VbId(vb), SeqNo::ZERO).unwrap()).collect();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (feed_svc, feed_stop) = (Arc::clone(&svc), Arc::clone(&stop));
+        let feed = std::thread::spawn(move || {
+            while !feed_stop.load(std::sync::atomic::Ordering::Relaxed) {
+                for item in streams.iter_mut().flat_map(|s| s.drain_available()) {
+                    feed_svc.apply_dcp("b", &item);
+                }
+                std::thread::yield_now();
+            }
+        });
         // Live write after feed start.
         engine
             .set(
@@ -455,7 +380,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(hits.len(), 2);
-        feed.shutdown();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        feed.join().unwrap();
         let _ = Value::Null;
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! We use an ordered map keyed by [`IndexKey`] under N1QL collation, plus a
 //! reverse map (doc → its current keys) so updates and deletes remove stale
-//! entries. A per-vBucket seqno watermark vector supports `request_plus`
-//! waits.
+//! entries. A per-vBucket seqno [`Watermarks`] vector beside the tree is
+//! what `request_plus` waits on — without touching the tree lock.
 //!
 //! # Batches, the change log and recovery
 //!
@@ -25,8 +25,8 @@
 //!
 //! `apply_batch` is write-ahead: it appends the whole batch with one write
 //! and one `sync` **before** it takes the tree lock, then mutates the tree
-//! and advances the watermarks under a single acquisition and notifies
-//! waiters once. So the lock order is WAL → released → tree, a scan never
+//! under a single acquisition — each watermark advancing right behind its
+//! op — and wakes waiters once. So the lock order is WAL → released → tree, a scan never
 //! queues behind an fsync, the watermark (hence `request_plus`) never runs
 //! ahead of the synced log, and a failed commit leaves tree and watermarks
 //! untouched. [`IndexStorage::MemoryOptimized`] is the same path with no
@@ -39,14 +39,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{DocMeta, Error, Result, SeqNo, VbId};
+use cbs_common::sync::{rank, OrderedMutex, Watermarks};
+use cbs_common::{Deadline, DocMeta, Error, Result, SeqNo, VbId};
 use cbs_json::Value;
 use cbs_storage::{GroupCommitWal, StoredDoc};
-use parking_lot::Condvar;
 
 use crate::defs::{IndexKey, IndexStorage, ScanConsistency, ScanRange};
 
@@ -189,14 +187,15 @@ struct Tree {
     /// Live (key, doc) pair count, maintained incrementally so stats and
     /// cardinality snapshots stay O(1) under the tree lock.
     live_entries: u64,
-    watermarks: Vec<SeqNo>,
     stats: IndexerStats,
 }
 
 impl Tree {
+    /// A stale or filtered-out mutation changes nothing here, and still
+    /// counts for consistency: the caller advances the watermark to
+    /// [`IndexOp::position`] either way.
     fn apply(&mut self, op: IndexOp) {
-        let (vb, seqno) = op.position();
-        if let IndexOp::Put { doc_id, keys, .. } = op {
+        if let IndexOp::Put { doc_id, keys, seqno, .. } = op {
             let stale = matches!(self.doc_keys.get(&doc_id), Some((s, _)) if *s >= seqno);
             if !stale {
                 self.remove_doc(&doc_id);
@@ -211,9 +210,6 @@ impl Tree {
                 self.stats.applied += 1;
             }
         }
-        // A stale or filtered-out mutation still counts for consistency.
-        let watermark = &mut self.watermarks[vb.index()];
-        *watermark = (*watermark).max(seqno);
     }
 
     fn remove_doc(&mut self, doc_id: &str) {
@@ -235,7 +231,10 @@ impl Tree {
 /// One index partition's storage + watermark state.
 pub struct Indexer {
     tree: OrderedMutex<Tree>,
-    watermark_cv: Condvar,
+    /// Per vBucket, the seqno up to which the tree has seen the source.
+    /// Advanced only after the op is in the tree (and, in Standard mode, in
+    /// the synced log).
+    marks: Watermarks,
     /// The change log; `None` in memory-optimized mode.
     log: Option<GroupCommitWal>,
 }
@@ -283,17 +282,19 @@ impl Indexer {
             log.truncate_to(intact)?;
         }
         let indexer = Indexer::with_log(num_vbuckets, Some(log));
-        let mut t = indexer.tree.lock();
-        for (vb, doc) in records {
-            if vb.0 >= num_vbuckets {
-                return Err(Error::Index(format!(
-                    "index log: vBucket {} but the bucket has {num_vbuckets}",
-                    vb.0
-                )));
-            }
-            t.apply(IndexOp::from_record(vb, doc)?);
-        }
-        drop(t);
+        let ops: Vec<IndexOp> = records
+            .into_iter()
+            .map(|(vb, doc)| {
+                if vb.0 >= num_vbuckets {
+                    return Err(Error::Index(format!(
+                        "index log: vBucket {} but the bucket has {num_vbuckets}",
+                        vb.0
+                    )));
+                }
+                IndexOp::from_record(vb, doc)
+            })
+            .collect::<Result<_>>()?;
+        indexer.apply(&mut indexer.tree.lock(), ops);
         Ok(indexer)
     }
 
@@ -305,20 +306,19 @@ impl Indexer {
                     entries: BTreeMap::new(),
                     doc_keys: HashMap::new(),
                     live_entries: 0,
-                    watermarks: vec![SeqNo::ZERO; num_vbuckets as usize],
                     stats: IndexerStats::default(),
                 },
             ),
-            watermark_cv: Condvar::new(),
+            marks: Watermarks::new("GSI partition", num_vbuckets),
             log,
         }
     }
 
     /// Apply a batch of changes in order: commit it to the change log
     /// (Standard mode: one append, one sync, tree lock not held), then
-    /// mutate the tree and advance the watermarks under one lock
-    /// acquisition and wake `request_plus` waiters once. On a failed commit
-    /// nothing is applied and no watermark moves.
+    /// mutate the tree under one lock acquisition, each watermark moving
+    /// right behind its op, and wake `request_plus` waiters once. On a
+    /// failed commit nothing is applied and no watermark moves.
     pub fn apply_batch(&self, ops: Vec<IndexOp>) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
@@ -329,33 +329,28 @@ impl Indexer {
             log.sync()?;
         }
         let mut t = self.tree.lock();
-        for op in ops {
-            t.apply(op);
-        }
+        self.apply(&mut t, ops);
         t.stats.disk_syncs += u64::from(self.log.is_some());
-        drop(t);
-        self.watermark_cv.notify_all();
         Ok(())
+    }
+
+    /// Ops into the tree, each watermark moving right behind its op — never
+    /// ahead of it, so a scan that follows a satisfied wait sees the entries
+    /// — and one wake-up after the last.
+    fn apply(&self, t: &mut Tree, ops: Vec<IndexOp>) {
+        self.marks.advance_all(ops.into_iter().map(|op| {
+            let reached = op.position();
+            t.apply(op);
+            reached
+        }));
     }
 
     /// Wait until the index is caught up to the required consistency point
     /// (`request_plus` = the seqno vector snapshotted at query admission).
-    pub fn wait_consistent(&self, consistency: &ScanConsistency, timeout: Duration) -> Result<()> {
-        let ScanConsistency::AtPlus(target) = consistency else { return Ok(()) };
-        let deadline = Instant::now() + timeout;
-        let mut t = self.tree.lock();
-        loop {
-            let caught_up = target
-                .iter()
-                .enumerate()
-                .all(|(vb, &s)| t.watermarks.get(vb).copied().unwrap_or(SeqNo::ZERO) >= s);
-            if caught_up {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(Error::Timeout("index catch-up for request_plus".to_string()));
-            }
-            self.watermark_cv.wait_until(t.inner_mut(), deadline);
+    pub fn wait_consistent(&self, consistency: &ScanConsistency, deadline: Deadline) -> Result<()> {
+        match consistency {
+            ScanConsistency::AtPlus(target) => self.marks.wait_all(target, deadline),
+            ScanConsistency::NotBounded => Ok(()),
         }
     }
 
@@ -407,7 +402,7 @@ impl Indexer {
 
     /// Current watermark vector.
     pub fn watermarks(&self) -> Vec<SeqNo> {
-        self.tree.lock().watermarks.clone()
+        self.marks.snapshot()
     }
 
     /// Statistics snapshot.
@@ -460,9 +455,14 @@ impl Indexer {
 mod tests {
     use super::*;
     use cbs_json::Value;
+    use std::time::Duration;
 
     fn key1(v: Value) -> IndexKey {
         IndexKey(vec![Some(v)])
+    }
+
+    fn after_ms(ms: u64) -> Deadline {
+        Deadline::after(Duration::from_millis(ms))
     }
 
     fn memopt() -> Indexer {
@@ -616,18 +616,16 @@ mod tests {
         // Already satisfied: returns immediately.
         let mut target = vec![SeqNo::ZERO; 8];
         target[3] = SeqNo(5);
-        idx.wait_consistent(&ScanConsistency::AtPlus(target), Duration::from_millis(10)).unwrap();
+        idx.wait_consistent(&ScanConsistency::AtPlus(target), after_ms(10)).unwrap();
 
         // Unsatisfied: times out.
         let mut target = vec![SeqNo::ZERO; 8];
         target[0] = SeqNo(100);
-        let err = idx
-            .wait_consistent(&ScanConsistency::AtPlus(target), Duration::from_millis(30))
-            .unwrap_err();
+        let err = idx.wait_consistent(&ScanConsistency::AtPlus(target), after_ms(30)).unwrap_err();
         assert!(matches!(err, Error::Timeout(_)));
 
         // NotBounded never waits.
-        idx.wait_consistent(&ScanConsistency::NotBounded, Duration::from_millis(1)).unwrap();
+        idx.wait_consistent(&ScanConsistency::NotBounded, after_ms(1)).unwrap();
     }
 
     #[test]
@@ -638,7 +636,7 @@ mod tests {
         let waiter = std::thread::spawn(move || {
             let mut target = vec![SeqNo::ZERO; 8];
             target[0] = SeqNo(3);
-            idx2.wait_consistent(&ScanConsistency::AtPlus(target), Duration::from_secs(5))
+            idx2.wait_consistent(&ScanConsistency::AtPlus(target), after_ms(5000))
         });
         std::thread::sleep(Duration::from_millis(20));
         advance(&idx, VbId(0), SeqNo(3));
@@ -723,7 +721,7 @@ mod tests {
         assert_eq!(idx.stats().disk_syncs, 0);
         let mut target = vec![SeqNo::ZERO; 4];
         target[0] = SeqNo(1);
-        let wait = idx.wait_consistent(&ScanConsistency::AtPlus(target), Duration::from_millis(20));
+        let wait = idx.wait_consistent(&ScanConsistency::AtPlus(target), after_ms(20));
         assert!(matches!(wait, Err(Error::Timeout(_))));
     }
 

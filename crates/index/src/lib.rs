@@ -25,8 +25,10 @@
 //! array indexes (§6.1.2), primary indexes over GSI (§3.3.3), deferred
 //! builds, range-partitioned indexes, covering scans (§5.1.2), standard
 //! (disk-synced) vs memory-optimized (§6.1.1) storage modes, and
-//! `request_plus`/`not_bounded` scan consistency via per-vBucket seqno
-//! watermarks (§3.2.3).
+//! `request_plus`/`not_bounded` scan consistency (§3.2.3): each partition
+//! keeps a per-vBucket `cbs_common::Watermarks` vector beside its tree, a
+//! `request_plus` scan blocks on it without touching the tree lock, and a
+//! scan's timeout is one deadline over all partitions.
 
 pub mod defs;
 pub mod indexer;

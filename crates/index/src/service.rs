@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Error, Result, SeqNo, VbId};
+use cbs_common::{Deadline, Error, Result, SeqNo, VbId};
 use cbs_dcp::{BackfillSource, DcpItem};
 use cbs_obs::{span, Counter, Registry};
 
@@ -267,7 +267,8 @@ impl IndexManager {
     }
 
     /// Scan an index: wait for the requested consistency on every
-    /// partition, then scatter/gather ("it does scatter/gather for queries
+    /// partition — `timeout` bounds the whole wait, not each partition's —
+    /// then scatter/gather ("it does scatter/gather for queries
     /// in case of a partitioned GSI index", §4.3.4) and merge in collation
     /// order.
     pub fn scan(
@@ -286,8 +287,10 @@ impl IndexManager {
             return Err(Error::Index(format!("index {name} is not online")));
         }
         let partitions = inst.router.partitions();
-        for p in partitions {
-            p.wait_consistent(consistency, timeout)?;
+        // One deadline over all partitions; `not_bounded` reads no clock.
+        if let ScanConsistency::AtPlus(_) = consistency {
+            let deadline = Deadline::after(timeout);
+            partitions.iter().try_for_each(|p| p.wait_consistent(consistency, deadline))?;
         }
         // Scatter...
         let partials: Vec<Vec<IndexEntry>> =
@@ -317,7 +320,7 @@ impl IndexManager {
         }
         let p = inst.router.def().partition_for(key.leading());
         let partition = &inst.router.partitions()[p];
-        partition.wait_consistent(consistency, timeout)?;
+        partition.wait_consistent(consistency, Deadline::after(timeout))?;
         Ok(partition.lookup(key))
     }
 
@@ -656,6 +659,50 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rows.len(), 5);
+    }
+
+    /// `timeout` bounds the whole consistency wait. Three partitions catch
+    /// up one after the other, each 60 ms after the one before; the fourth
+    /// never does. With the timeout handed to every partition afresh the
+    /// scan would sit through all of them and fail after 3 × 60 + 100 ms;
+    /// against one deadline it fails at 100 ms, waiting on the second.
+    #[test]
+    fn request_plus_timeout_is_not_multiplied_by_the_partition_count() {
+        let e = engine();
+        let m = manager(16);
+        let def = IndexDef {
+            partition_splits: vec![Value::int(10), Value::int(20), Value::int(30)],
+            ..IndexDef::simple("age", "b", "age")
+        };
+        m.create_and_build(def, e.as_ref()).unwrap();
+        let inst = m.instance("b", "age").unwrap();
+        assert_eq!(inst.router.partitions().len(), 4);
+        let mut target = vec![SeqNo::ZERO; 16];
+        target[0] = SeqNo(1);
+
+        let started = std::time::Instant::now();
+        let (scanned, took) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for p in &inst.router.partitions()[..3] {
+                    std::thread::sleep(Duration::from_millis(60));
+                    let caught_up =
+                        crate::indexer::IndexOp::Advance { vb: VbId(0), seqno: SeqNo(1) };
+                    p.apply_batch(vec![caught_up]).unwrap();
+                }
+            });
+            let scanned = m.scan(
+                "b",
+                "age",
+                &ScanRange::all(),
+                &ScanConsistency::AtPlus(target),
+                Duration::from_millis(100),
+                0,
+            );
+            (scanned, started.elapsed())
+        });
+        assert!(matches!(scanned, Err(Error::Timeout(_))), "{scanned:?}");
+        assert!(took >= Duration::from_millis(100), "returned before its deadline: {took:?}");
+        assert!(took < Duration::from_millis(200), "timeout multiplied: {took:?}");
     }
 
     #[test]

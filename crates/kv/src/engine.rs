@@ -1,17 +1,19 @@
 //! The data engine: memory-first write path, KV API, vBucket states.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbs_cache::{CacheLookup, ObjectCache};
-use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{vbucket_for_key, Cas, CasClock, DocMeta, Error, Result, RevNo, SeqNo, VbId};
+use cbs_common::sync::{rank, OrderedMutex, Watermarks};
+use cbs_common::{
+    vbucket_for_key, Cas, CasClock, Deadline, DocMeta, Error, Result, RevNo, SeqNo, VbId,
+};
 use cbs_dcp::{BackfillSource, DcpHub, DcpItem, DcpKind, DcpStream};
 use cbs_json::{SharedValue, Value};
 use cbs_obs::{span, Gauge, Registry, SpanGuard, TraceContext};
-use cbs_storage::{BucketStore, Cycle, StoredDoc};
+use cbs_storage::{check_key_len, BucketStore, Cycle, StoredDoc};
 use parking_lot::Condvar;
 
 use crate::now_secs;
@@ -134,12 +136,14 @@ pub struct DataEngine {
     hub: DcpHub,
     clock: CasClock,
     vbs: Vec<OrderedMutex<VbMeta>>,
-    high_seqnos: Vec<AtomicU64>,
-    persisted_seqnos: Vec<AtomicU64>,
+    /// Highest seqno per vBucket: assigned here on an active copy, applied
+    /// on a replica. On the signal `cfg.seqno_signal` hands in, so that one
+    /// durability waiter can watch this vector on several engines.
+    high: Watermarks,
+    /// Highest persisted seqno per vBucket; `wait_persisted` parks on it.
+    persisted: Watermarks,
     dirty: Vec<OrderedMutex<DirtyQueue>>,
     shards: Vec<FlushShard>,
-    persist_mutex: OrderedMutex<()>,
-    persist_cv: Condvar,
     registry: Arc<Registry>,
     stats: EngineStats,
 }
@@ -177,14 +181,12 @@ impl DataEngine {
                     )
                 })
                 .collect(),
-            high_seqnos: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            persisted_seqnos: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            high: Watermarks::sharing("replication", n, Arc::clone(&cfg.seqno_signal)),
+            persisted: Watermarks::new("persistence", n),
             dirty: (0..n)
                 .map(|_| OrderedMutex::new(rank::DIRTY_QUEUE, DirtyQueue::default()))
                 .collect(),
             shards,
-            persist_mutex: OrderedMutex::new(rank::PERSIST_WAITERS, ()),
-            persist_cv: Condvar::new(),
             stats: EngineStats::new(&registry),
             registry,
             cfg,
@@ -277,8 +279,8 @@ impl DataEngine {
     pub fn recover_vb(&self, vb: VbId) -> Result<()> {
         let s = self.store.vb(vb)?;
         let high = s.high_seqno();
-        self.high_seqnos[vb.index()].fetch_max(high.0, Ordering::SeqCst);
-        self.persisted_seqnos[vb.index()].fetch_max(high.0, Ordering::SeqCst);
+        self.high.advance(vb, high);
+        self.persisted.advance(vb, high);
         for doc in s.changes_since(SeqNo::ZERO)? {
             if doc.deleted {
                 let _ = self.cache.delete(vb, &doc.key, doc.meta, false);
@@ -304,8 +306,8 @@ impl DataEngine {
         let dropped = self.dirty[vb.index()].lock().take().0.len() as u64;
         sh.dirty_count.sub(dropped);
         self.store.drop_vb(vb)?;
-        self.high_seqnos[vb.index()].store(0, Ordering::SeqCst);
-        self.persisted_seqnos[vb.index()].store(0, Ordering::SeqCst);
+        self.high.reset(vb);
+        self.persisted.reset(vb);
         Ok(())
     }
 
@@ -316,12 +318,18 @@ impl DataEngine {
 
     /// Highest assigned seqno for a vBucket.
     pub fn high_seqno(&self, vb: VbId) -> SeqNo {
-        SeqNo(self.high_seqnos[vb.index()].load(Ordering::SeqCst))
+        self.high.get(vb)
+    }
+
+    /// What a replica apply on this engine — on any engine of the bucket —
+    /// wakes: park here to wait for [`DataEngine::high_seqno`]s to move.
+    pub fn seqno_signal(&self) -> &Arc<cbs_common::Signal> {
+        &self.cfg.seqno_signal
     }
 
     /// Highest persisted seqno for a vBucket.
     pub fn persisted_seqno(&self, vb: VbId) -> SeqNo {
-        SeqNo(self.persisted_seqnos[vb.index()].load(Ordering::SeqCst))
+        self.persisted.get(vb)
     }
 
     /// The high-seqno vector across all vBuckets — the consistency token
@@ -330,7 +338,7 @@ impl DataEngine {
     /// until the index is updated up to the maximum sequence number for
     /// each vBucket").
     pub fn seqno_vector(&self) -> Vec<SeqNo> {
-        self.high_seqnos.iter().map(|a| SeqNo(a.load(Ordering::SeqCst))).collect()
+        self.high.snapshot()
     }
 
     // ------------------------------------------------------------------
@@ -416,6 +424,7 @@ impl DataEngine {
         // replication pump then file their spans under it.
         let ctx = trace.ctx();
         let start = Instant::now();
+        check_key_len(key)?;
         let value: SharedValue = value.into();
         let vb = self.vb_for_key(key);
         let mut meta = self.vbs[vb.index()].lock();
@@ -441,7 +450,7 @@ impl DataEngine {
                 return Err(Error::CasMismatch(key.to_string()));
             }
         }
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
+        let seqno = self.high.next(vb);
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev_rev.next(), flags: 0, expiry };
         self.cache.set(vb, key, new_meta, value.clone(), true)?;
@@ -461,6 +470,7 @@ impl DataEngine {
     pub fn delete(&self, key: &str, cas_check: Cas) -> Result<MutationResult> {
         let trace = self.trace("kv.engine.delete");
         let ctx = trace.ctx();
+        check_key_len(key)?;
         let vb = self.vb_for_key(key);
         let mut meta = self.vbs[vb.index()].lock();
         if meta.state != VbState::Active {
@@ -476,7 +486,7 @@ impl DataEngine {
         if !cas_check.is_wildcard() && !via_lock_token && prev.cas != cas_check {
             return Err(Error::CasMismatch(key.to_string()));
         }
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
+        let seqno = self.high.next(vb);
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
         self.cache.delete(vb, key, new_meta, true)?;
@@ -560,7 +570,7 @@ impl DataEngine {
             Some((m, false)) if m.seqno == prev.seqno => {}
             _ => return,
         }
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
+        let seqno = self.high.next(vb);
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
         if self.cache.delete(vb, key, new_meta, true).is_ok() {
@@ -594,6 +604,7 @@ impl DataEngine {
             _ => span("kv.engine.replica_apply"),
         };
         let ctx = trace.ctx();
+        check_key_len(&item.key)?;
         let vb = item.vb;
         let meta = self.vbs[vb.index()].lock();
         if !matches!(meta.state, VbState::Replica | VbState::Pending) {
@@ -604,7 +615,7 @@ impl DataEngine {
         // seqnos decide which version is newest.
         if let Some((existing, _)) = self.cache.peek_meta(vb, &item.key) {
             if existing.seqno >= item.meta.seqno {
-                self.high_seqnos[vb.index()].fetch_max(item.meta.seqno.0, Ordering::SeqCst);
+                self.high.advance(vb, item.meta.seqno);
                 return Ok(());
             }
         }
@@ -621,7 +632,7 @@ impl DataEngine {
                 true,
             )?;
         }
-        self.high_seqnos[vb.index()].fetch_max(item.meta.seqno.0, Ordering::SeqCst);
+        self.high.advance(vb, item.meta.seqno);
         self.enqueue_dirty_traced(vb, &item.key, ctx);
         drop(meta);
         self.stats.replica_applies.inc();
@@ -639,6 +650,7 @@ impl DataEngine {
         value: Option<SharedValue>,
         deleted: bool,
     ) -> Result<bool> {
+        check_key_len(key)?;
         let vb = self.vb_for_key(key);
         let mut vbmeta = self.vbs[vb.index()].lock();
         if vbmeta.state != VbState::Active {
@@ -652,7 +664,7 @@ impl DataEngine {
         }
         // Apply: new local seqno, but preserve the origin's rev/cas so both
         // clusters converge to identical metadata.
-        let seqno = SeqNo(self.high_seqnos[vb.index()].fetch_add(1, Ordering::SeqCst) + 1);
+        let seqno = self.high.next(vb);
         let new_meta = DocMeta { seqno, ..incoming };
         let value = value.unwrap_or_else(|| SharedValue::new(Value::Null));
         if deleted {
@@ -679,8 +691,14 @@ impl DataEngine {
 
     /// Block until `seqno` of `vb` is persisted, or `timeout` elapses.
     pub fn wait_persisted(&self, vb: VbId, seqno: SeqNo, timeout: Duration) -> Result<()> {
+        self.wait_persisted_by(vb, seqno, Deadline::after(timeout))
+    }
+
+    /// [`DataEngine::wait_persisted`] against a deadline the caller shares
+    /// with its other waits.
+    pub fn wait_persisted_by(&self, vb: VbId, seqno: SeqNo, deadline: Deadline) -> Result<()> {
         let _s = span("kv.engine.wait_persisted");
-        if self.persisted_seqno(vb) >= seqno {
+        if self.persisted.get(vb) >= seqno {
             return Ok(());
         }
         // Tell the shard's flusher that someone is waiting, so that it
@@ -689,20 +707,9 @@ impl DataEngine {
         sh.persist_waiters.fetch_add(1, Ordering::SeqCst);
         sh.signal.lock().gen += 1;
         sh.signal_cv.notify_all();
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.persist_mutex.lock();
-        while self.persisted_seqno(vb) < seqno && Instant::now() < deadline {
-            self.persist_cv.wait_until(guard.inner_mut(), deadline);
-        }
-        drop(guard);
+        let reached = self.persisted.wait(vb, seqno, deadline);
         sh.persist_waiters.fetch_sub(1, Ordering::SeqCst);
-        if self.persisted_seqno(vb) < seqno {
-            return Err(Error::Timeout(format!(
-                "persistence of {vb:?} {seqno:?} (persisted {:?})",
-                self.persisted_seqno(vb)
-            )));
-        }
-        Ok(())
+        reached
     }
 
     // ------------------------------------------------------------------
@@ -840,6 +847,7 @@ impl DataEngine {
         // `kv.flusher.wal_commit` span covering the group commit.
         let mut traced: Vec<TraceContext> = Vec::new();
         let mut batch = Vec::new();
+        let mut encoded = Ok(());
         for vb in dirty_vbs {
             // Snapshot the queue and the high seqno atomically w.r.t.
             // writers (both sides take the vb mutex).
@@ -868,13 +876,19 @@ impl DataEngine {
                 if let Some(ctx) = ctxs.get(&**key) {
                     traced.push(*ctx);
                 }
-                cycle.push(vb, key, &meta, value.is_none(), |out| {
+                let pushed = cycle.push(vb, key, &meta, value.is_none(), |out| {
                     if let Some(v) = &value {
                         v.write_json(out);
                     }
                 });
+                encoded = encoded.and(pushed);
             }
             snapshots.push((vb, keys, ctxs, high));
+        }
+        if let Err(e) = encoded {
+            // Unreachable while every entry point checks its key.
+            self.requeue(sh, snapshots);
+            return Err(e);
         }
 
         if !cycle.is_empty() {
@@ -903,18 +917,8 @@ impl DataEngine {
         }
         // Only now do the snapshotted keys leave the gauge: a reader of
         // `disk_queue_len() == 0` may conclude that everything is durable.
-        let mut drained = 0u64;
-        for (vb, keys, _, high) in &snapshots {
-            self.persisted_seqnos[vb.index()].fetch_max(high.0, Ordering::SeqCst);
-            drained += keys.len() as u64;
-        }
-        sh.dirty_count.sub(drained);
-        // Wake durability waiters even on empty drains (their seqno may
-        // have been covered by a previous partial drain).
-        {
-            let _guard = self.persist_mutex.lock();
-            self.persist_cv.notify_all();
-        }
+        self.persisted.advance_all(snapshots.iter().map(|(vb, _, _, high)| (*vb, *high)));
+        sh.dirty_count.sub(snapshots.iter().map(|(_, keys, ..)| keys.len() as u64).sum());
         Ok(cycle.len() as u64)
     }
 
@@ -1286,6 +1290,66 @@ mod tests {
         let m = e.set("a", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         let err = e.wait_persisted(m.vb, m.seqno, Duration::from_millis(40)).unwrap_err();
         assert!(matches!(err, Error::Timeout(_)));
+    }
+
+    /// A purge resets the vBucket's watermarks: a waiter on the old lineage
+    /// is not satisfied by what was persisted before, nor by the first
+    /// seqnos of the new lineage — it times out at its deadline.
+    #[test]
+    fn a_waiter_on_a_purged_vbucket_times_out() {
+        let e = engine();
+        let m = e.set("k", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        e.flush_once().unwrap();
+        assert_eq!(e.persisted_seqno(m.vb), SeqNo(1));
+        let e2 = Arc::clone(&e);
+        let waiter = std::thread::spawn(move || {
+            let started = Instant::now();
+            let waited = e2.wait_persisted(m.vb, SeqNo(2), Duration::from_millis(300));
+            (waited, started.elapsed())
+        });
+        while e.persisted.waiters() == 0 {
+            std::thread::yield_now();
+        }
+        e.purge_vb(m.vb).unwrap();
+        assert_eq!(e.persisted_seqno(m.vb), SeqNo::ZERO);
+        // The vBucket starts over; its first write persists as seqno 1.
+        e.set_vb_state(m.vb, VbState::Active);
+        e.set("k", doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        e.flush_once().unwrap();
+        assert_eq!(e.persisted_seqno(m.vb), SeqNo(1));
+        let (waited, took) = waiter.join().unwrap();
+        assert!(matches!(waited, Err(Error::Timeout(_))), "{waited:?}");
+        assert!(took >= Duration::from_millis(300) && took < Duration::from_secs(5), "{took:?}");
+        assert_eq!(e.persisted.waiters(), 0);
+    }
+
+    /// A key longer than a record's `u16` length field is refused at every
+    /// entry point that could write one, before anything changes.
+    #[test]
+    fn over_long_key_is_rejected_before_anything_changes() {
+        let e = engine();
+        let key = "k".repeat(70_000);
+        let vb = e.vb_for_key(&key);
+        let too_long = Err(Error::KeyTooLong(70_000));
+        let meta = DocMeta { seqno: SeqNo(5), cas: Cas(1), rev: RevNo(1), flags: 0, expiry: 0 };
+
+        let set = e.set(&key, doc(1), MutateMode::Upsert, Cas::WILDCARD, 0);
+        assert_eq!(set.map(|_| ()), too_long);
+        assert_eq!(e.delete(&key, Cas::WILDCARD).map(|_| ()), too_long);
+        assert_eq!(e.set_with_meta(&key, meta, Some(doc(1).into()), false).map(|_| ()), too_long);
+        e.set_vb_state(vb, VbState::Replica);
+        assert_eq!(e.apply_replica(&DcpItem::mutation(vb, key.as_str(), meta, doc(1))), too_long);
+        e.set_vb_state(vb, VbState::Active);
+
+        assert!(e.cache.peek_meta(vb, &key).is_none(), "nothing cached");
+        assert_eq!(e.disk_queue_len(), 0, "nothing queued");
+        assert_eq!(e.high_seqno(vb), SeqNo::ZERO, "no seqno allocated or applied");
+        assert_eq!(e.flush_once().unwrap(), 0);
+        // The longest representable key is fine, end to end.
+        let longest = "k".repeat(cbs_storage::MAX_KEY_LEN);
+        e.set(&longest, doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        assert_eq!(e.flush_once().unwrap(), 1);
+        assert_eq!(e.get(&longest).unwrap().value, doc(2));
     }
 
     #[test]

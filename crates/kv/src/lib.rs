@@ -21,9 +21,13 @@
 //!
 //! - **CAS optimistic locking** and **GETL hard locks with timeout**
 //!   (§3.1.1);
-//! - **durability options**: callers can wait for persistence
-//!   (`wait_persisted`) and the cluster layer composes replication waits
-//!   (§2.3.2 "Durability guarantees");
+//! - **durability options** (§2.3.2 "Durability guarantees"): the engine
+//!   keeps two per-vBucket [`cbs_common::Watermarks`] — the high seqno
+//!   (assigned on an active copy, applied on a replica) and the persisted
+//!   seqno. `wait_persisted` blocks on the second; the cluster layer's
+//!   `replicate_to` blocks on the first across the replica engines, which
+//!   share one `Signal` per bucket ([`EngineConfig::seqno_signal`]). Nothing
+//!   polls and every wait ends at its deadline (DESIGN.md decision 10);
 //! - **TTL expiry** (lazy, on access);
 //! - **vBucket states** (`Active`/`Replica`/`Pending`/`Dead`) driving
 //!   failover and rebalance transitions (§4.3.1);

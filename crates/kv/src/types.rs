@@ -107,6 +107,10 @@ pub struct EngineConfig {
     /// disables tracing of direct engine calls and cross-boundary
     /// stitching; span recording then costs one TLS read.
     pub trace: Option<cbs_obs::TraceSink>,
+    /// What this engine's replica applies wake. The engines of one bucket
+    /// are handed the same one, so that a durable write parks once and is
+    /// woken by whichever replica copy applies it first.
+    pub seqno_signal: std::sync::Arc<cbs_common::Signal>,
 }
 
 impl EngineConfig {
@@ -121,6 +125,7 @@ impl EngineConfig {
             lock_timeout: std::time::Duration::from_secs(15),
             flusher_shards: 4,
             trace: None,
+            seqno_signal: Default::default(),
         }
     }
 }

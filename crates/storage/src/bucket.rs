@@ -73,7 +73,8 @@ impl Cycle {
     /// Add one document version; `body` writes its value (nothing, for a
     /// tombstone) straight into the cycle's buffer. A vBucket's records
     /// must be pushed in seqno order, so that a torn tail always leaves a
-    /// seqno prefix.
+    /// seqno prefix. A key no record can hold is refused and nothing is
+    /// added.
     pub fn push(
         &mut self,
         vb: VbId,
@@ -81,17 +82,19 @@ impl Cycle {
         meta: &DocMeta,
         deleted: bool,
         body: impl FnOnce(&mut Vec<u8>),
-    ) {
+    ) -> Result<()> {
         let at = self.buf.len();
         self.buf.extend_from_slice(&vb.0.to_le_bytes());
         let kind = if deleted { KIND_TOMBSTONE } else { KIND_LIVE };
-        let len = encode_record_with(&mut self.buf, key, meta, kind, body) as u32;
+        let len = encode_record_with(&mut self.buf, key, meta, kind, body)
+            .inspect_err(|_| self.buf.truncate(at))? as u32;
         self.recs.push(CycleRec { vb, seqno: meta.seqno, deleted, at, len, key_len: key.len() });
+        Ok(())
     }
 
     /// Add an already serialised document version.
-    pub fn push_doc(&mut self, vb: VbId, doc: &StoredDoc) {
-        self.push(vb, &doc.key, &doc.meta, doc.deleted, |out| out.extend_from_slice(&doc.value));
+    pub fn push_doc(&mut self, vb: VbId, doc: &StoredDoc) -> Result<()> {
+        self.push(vb, &doc.key, &doc.meta, doc.deleted, |out| out.extend_from_slice(&doc.value))
     }
 
     /// Number of records.
@@ -238,7 +241,7 @@ impl ShardLog {
             return Ok(());
         }
         let mut frame = vb.0.to_le_bytes().to_vec();
-        encode_record_with(&mut frame, "", &DocMeta::default(), KIND_PURGE, |_| {});
+        encode_record_with(&mut frame, "", &DocMeta::default(), KIND_PURGE, |_| {})?;
         self.write(&frame, false)?;
         index.purge(frame.len() as u64);
         Ok(())
@@ -568,24 +571,30 @@ mod tests {
         {
             let bs = BucketStore::open_sharded(dir.clone(), 2, 8).unwrap();
             let mut cycle = Cycle::new();
-            cycle.push_doc(VbId(0), &doc_with("a", r#"{"v":1}"#, 1));
-            cycle.push_doc(VbId(0), &doc_with("b", r#"{"v":3}"#, 2));
-            cycle.push_doc(VbId(3), &doc("c", 1));
+            cycle.push_doc(VbId(0), &doc_with("a", r#"{"v":1}"#, 1)).unwrap();
+            cycle.push_doc(VbId(0), &doc_with("b", r#"{"v":3}"#, 2)).unwrap();
+            cycle.push_doc(VbId(3), &doc("c", 1)).unwrap();
             assert_eq!(cycle.len(), 3);
             bs.commit(0, &cycle).unwrap();
             let mut cycle = Cycle::new();
-            cycle.push(
-                VbId(0),
-                "a",
-                &DocMeta { seqno: SeqNo(3), ..Default::default() },
-                false,
-                |o| o.extend_from_slice(br#"{"v":2}"#),
-            );
+            cycle
+                .push(
+                    VbId(0),
+                    "a",
+                    &DocMeta { seqno: SeqNo(3), ..Default::default() },
+                    false,
+                    |o| o.extend_from_slice(br#"{"v":2}"#),
+                )
+                .unwrap();
+            // Refused whole: neither the frame prefix nor a record is left.
+            let long = "k".repeat(70_000);
+            let refused = cycle.push(VbId(0), &long, &DocMeta::default(), false, |_| {});
+            assert_eq!(refused, Err(cbs_common::Error::KeyTooLong(70_000)));
             let recs: Vec<_> = cycle.records().collect();
             assert_eq!(recs, [(VbId(0), "a", SeqNo(3))]);
             bs.commit(0, &cycle).unwrap();
             let mut cycle = Cycle::new();
-            cycle.push_doc(VbId(7), &doc("z", 1));
+            cycle.push_doc(VbId(7), &doc("z", 1)).unwrap();
             bs.commit(1, &cycle).unwrap();
         }
         let bs = BucketStore::open_sharded(dir, 2, 8).unwrap();

@@ -31,7 +31,7 @@ pub mod vbstore;
 pub mod wal;
 
 pub use bucket::{BucketStore, Cycle};
-pub use record::{DocMeta, StoredDoc};
+pub use record::{check_key_len, DocMeta, StoredDoc, MAX_KEY_LEN};
 pub use vbstore::{StoreStats, VBucketStore};
 pub use wal::{replay_file, GroupCommitWal};
 

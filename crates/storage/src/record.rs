@@ -65,9 +65,21 @@ impl StoredDoc {
     }
 }
 
+/// The longest key a record can hold: its length field is a `u16`.
+pub const MAX_KEY_LEN: usize = u16::MAX as usize;
+
+/// Refuse a key no record can hold. Every engine entry point that writes
+/// calls this before it assigns a seqno.
+pub fn check_key_len(key: &str) -> Result<()> {
+    if key.len() > MAX_KEY_LEN {
+        return Err(Error::KeyTooLong(key.len()));
+    }
+    Ok(())
+}
+
 /// Encode a record onto the end of `out`. Returns the number of bytes
-/// written.
-pub fn encode_record(doc: &StoredDoc, out: &mut Vec<u8>) -> usize {
+/// written; an over-long key is refused with `out` untouched.
+pub fn encode_record(doc: &StoredDoc, out: &mut Vec<u8>) -> Result<usize> {
     let kind = if doc.deleted { KIND_TOMBSTONE } else { KIND_LIVE };
     encode_record_with(out, &doc.key, &doc.meta, kind, |out| out.extend_from_slice(&doc.value))
 }
@@ -82,7 +94,8 @@ pub(crate) fn encode_record_with(
     meta: &DocMeta,
     kind: u8,
     body: impl FnOnce(&mut Vec<u8>),
-) -> usize {
+) -> Result<usize> {
+    check_key_len(key)?;
     let start = out.len();
     out.reserve(HEADER_LEN + FIXED_LEN + key.len());
     out.push(RECORD_MAGIC);
@@ -101,7 +114,7 @@ pub(crate) fn encode_record_with(
     let crc = crc32(&out[payload..]);
     out[start + 1..start + 5].copy_from_slice(&crc.to_le_bytes());
     out[start + 5..payload].copy_from_slice(&plen.to_le_bytes());
-    out.len() - start
+    Ok(out.len() - start)
 }
 
 /// A record decoded in place: key and value borrow the input.
@@ -209,7 +222,7 @@ mod tests {
     fn roundtrip() {
         let doc = sample("user::1", r#"{"name":"d"}"#, 7);
         let mut buf = Vec::new();
-        let n = encode_record(&doc, &mut buf);
+        let n = encode_record(&doc, &mut buf).unwrap();
         assert_eq!(n, buf.len());
         assert_eq!(n as u64, doc.disk_size());
         match decode_view(&buf) {
@@ -231,9 +244,10 @@ mod tests {
         let n = encode_record_with(&mut whole, &doc.key, &doc.meta, KIND_LIVE, |out| {
             out.extend_from_slice(br#"{"v":"#);
             out.extend_from_slice(b"[1,2,3]}");
-        });
+        })
+        .unwrap();
         let mut direct = Vec::new();
-        assert_eq!(encode_record(&doc, &mut direct), n);
+        assert_eq!(encode_record(&doc, &mut direct).unwrap(), n);
         assert_eq!(&whole[5..], &direct[..]);
         assert_eq!(decode_record_strict(&whole[5..]).unwrap(), doc);
     }
@@ -243,7 +257,7 @@ mod tests {
         let mut doc = sample("gone", "", 9);
         doc.deleted = true;
         let mut buf = Vec::new();
-        encode_record(&doc, &mut buf);
+        encode_record(&doc, &mut buf).unwrap();
         let got = decode_record_strict(&buf).unwrap();
         assert!(got.deleted);
         assert!(got.value.is_empty());
@@ -253,7 +267,7 @@ mod tests {
     fn torn_tail_is_incomplete_not_corrupt() {
         let doc = sample("k", r#"{"v":1}"#, 1);
         let mut buf = Vec::new();
-        let n = encode_record(&doc, &mut buf);
+        let n = encode_record(&doc, &mut buf).unwrap();
         for cut in [1usize, HEADER_LEN - 1, HEADER_LEN, n - 1] {
             assert!(
                 matches!(decode_view(&buf[..cut]), Decoded::Incomplete),
@@ -266,7 +280,7 @@ mod tests {
     fn bitflip_detected() {
         let doc = sample("k", r#"{"v":1}"#, 1);
         let mut buf = Vec::new();
-        encode_record(&doc, &mut buf);
+        encode_record(&doc, &mut buf).unwrap();
         let mut bytes = buf.clone();
         // Flip a payload byte.
         let last = bytes.len() - 1;
@@ -276,6 +290,24 @@ mod tests {
         let mut bytes2 = buf.clone();
         bytes2[0] = 0x00;
         assert!(matches!(decode_view(&bytes2), Decoded::Corrupt(_)));
+    }
+
+    /// The key length is a `u16` on disk: a longer key is refused with the
+    /// buffer untouched, never truncated into a record that decodes as
+    /// something else.
+    #[test]
+    fn over_long_key_is_refused_not_truncated() {
+        let longest = sample(&"k".repeat(MAX_KEY_LEN), "{}", 1);
+        let mut buf = Vec::new();
+        encode_record(&longest, &mut buf).unwrap();
+        assert_eq!(decode_record_strict(&buf).unwrap(), longest);
+
+        let too_long = sample(&"k".repeat(70_000), "{}", 1);
+        let mut buf = vec![7u8; 3];
+        assert_eq!(encode_record(&too_long, &mut buf), Err(Error::KeyTooLong(70_000)));
+        assert_eq!(buf, [7u8; 3]);
+        assert_eq!(check_key_len(&too_long.key), Err(Error::KeyTooLong(70_000)));
+        assert_eq!(check_key_len(&longest.key), Ok(()));
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl VBucketStore {
         }
         let mut cycle = Cycle::new();
         for doc in docs {
-            cycle.push_doc(self.vb, doc);
+            cycle.push_doc(self.vb, doc)?;
         }
         self.log.append(&cycle, false).map(drop)
     }

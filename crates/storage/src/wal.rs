@@ -90,7 +90,7 @@ impl GroupCommitWal {
         for (vb, docs) in batches {
             for doc in docs {
                 buf.extend_from_slice(&vb.0.to_le_bytes());
-                encode_record(doc, &mut buf);
+                encode_record(doc, &mut buf)?;
             }
         }
         if !buf.is_empty() {
@@ -273,9 +273,9 @@ mod tests {
         let dir = scratch_dir("wal");
         let wal = GroupCommitWal::open(&dir, 0).unwrap();
         let mut first = Vec::new();
-        encode_record(&doc("a", 1), &mut first);
+        encode_record(&doc("a", 1), &mut first).unwrap();
         let mut second = Vec::new();
-        encode_record(&doc("b", 2), &mut second);
+        encode_record(&doc("b", 2), &mut second).unwrap();
         assert_eq!(wal.append(&first).unwrap(), 0);
         assert_eq!(wal.append(&second).unwrap(), first.len() as u64);
         let mut back = vec![0u8; second.len()];

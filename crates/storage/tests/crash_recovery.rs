@@ -86,7 +86,7 @@ fn commit_in_batches(store: &BucketStore, docs: &[(VbId, StoredDoc)], split: &[u
         let (batch, tail) = rest.split_at((*size).min(rest.len()));
         let mut cycle = Cycle::new();
         for (vb, doc) in batch {
-            cycle.push_doc(*vb, doc);
+            cycle.push_doc(*vb, doc).unwrap();
         }
         store.commit(0, &cycle).unwrap();
         lens.push(store.log_bytes(0));
@@ -188,7 +188,7 @@ proptest! {
             value: Bytes::from_static(b"ok"),
         };
         let mut cycle = Cycle::new();
-        cycle.push_doc(VbId(1), &post);
+        cycle.push_doc(VbId(1), &post).unwrap();
         store.commit(0, &cycle).unwrap();
         drop(store);
         let store = BucketStore::open(dir).unwrap();

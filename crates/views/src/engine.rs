@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Error, Result, SeqNo, VbId};
+use cbs_common::{Deadline, Error, Result, SeqNo, VbId};
 use cbs_dcp::DcpStream;
 use cbs_json::Value;
 use cbs_kv::{DataEngine, VbState};
@@ -210,15 +210,17 @@ impl ViewEngine {
     }
 
     /// Update and wait until every view has processed at least the current
-    /// key-value document set (the `stale=false` contract).
+    /// key-value document set (the `stale=false` contract). `timeout`
+    /// bounds the whole update, not each vBucket's share of it.
     pub fn update_to_current(&self, ddoc_name: &str, timeout: Duration) -> Result<()> {
         let _s = span("views.engine.update");
+        let deadline = Deadline::after(timeout);
         let state = self.ddoc(ddoc_name)?;
         let target = self.engine.seqno_vector();
         let mut streams = state.streams.lock();
         for (vbi, stream) in streams.iter_mut().enumerate() {
             let goal = target[vbi];
-            let items = stream.drain_until(goal, timeout);
+            let items = stream.drain_until(goal, deadline.remaining());
             self.items_indexed.add(items.len() as u64);
             let mut views = state.views.lock();
             for item in &items {
@@ -440,6 +442,28 @@ mod tests {
         assert_eq!(res.rows.len(), 1);
         assert_eq!(res.rows[0].value, Value::from("Dipti@cb.com"));
         assert_eq!(res.rows[0].id.as_deref(), Some("borkar123"));
+    }
+
+    /// `stale=false` against vBuckets whose streams will never deliver (a
+    /// replica's applies are not published to its hub): the update fails
+    /// with `Timeout` at its one deadline, however many vBuckets are stuck
+    /// — not after a timeout per vBucket, and not never.
+    #[test]
+    fn update_to_current_gives_up_at_one_deadline_over_many_stuck_vbuckets() {
+        let (e, ve) = setup();
+        put(&e, "u1", "Alice", 30);
+        let active = e.vb_for_key("u1");
+        for vb in (0..16).map(VbId).filter(|&vb| vb != active) {
+            e.set_vb_state(vb, VbState::Replica);
+            let meta = cbs_common::DocMeta { seqno: SeqNo(3), ..Default::default() };
+            e.apply_replica(&cbs_dcp::DcpItem::mutation(vb, "r", meta, Value::int(1))).unwrap();
+        }
+        let started = std::time::Instant::now();
+        let updated = ve.update_to_current("profiles", Duration::from_millis(50));
+        let took = started.elapsed();
+        assert!(matches!(updated, Err(Error::Timeout(_))), "{updated:?}");
+        assert!(took >= Duration::from_millis(50), "gave up early: {took:?}");
+        assert!(took < Duration::from_millis(50 * 15), "one timeout per vBucket: {took:?}");
     }
 
     #[test]

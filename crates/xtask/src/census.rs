@@ -138,6 +138,7 @@ mod tests {
         ("cluster", Tree::Lib),
         ("cluster", Tree::Tests),
         ("common", Tree::Lib),
+        ("common", Tree::Tests),
         ("core", Tree::Lib),
         ("core", Tree::Tests),
         ("dcp", Tree::Lib),

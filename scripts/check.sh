@@ -18,9 +18,9 @@
 #                                 / guard-across-blocking / raw-lock static
 #                                 analysis (SARIF at target/analyze.sarif)
 #   4. cargo clippy -D warnings   workspace lint walls ([workspace.lints])
-#   5. model suite                lock-order detector + flusher and txn
-#                                 protocol models (exhaustive interleaving
-#                                 search)
+#   5. model suite                lock-order detector + seqno-signal, flusher
+#                                 and txn protocol models (exhaustive
+#                                 interleaving search)
 #   6. chaos + txn smoke          fixed-seed fault-injection run (<10s)
 #                                 against a 3-node cluster, plus the
 #                                 serializability replay and transactional
@@ -62,7 +62,7 @@ chaos_smoke() {
 
 # Prepared-statement fast-path smoke: PREPARE once, EXECUTE hot against a
 # live cluster, and require a ≥99% plan-cache hit rate plus a populated
-# `system:prepareds` catalog — the fig16 YCSB-E fast path end to end.
+# `system:prepareds` catalog — the YCSB-E (`n1ql_scan_e`) fast path end to end.
 plancache_smoke() {
     cargo test --quiet --test plancache plancache_smoke -- --exact
 }
@@ -174,9 +174,12 @@ run "xtask analyze (interprocedural)" cargo xtask analyze --sarif target/analyze
 run "clippy (deny warnings)" cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 # Concurrency model suite: the lock-order detector's own tests, the
-# mini-loom explorer, and the exhaustive flusher-protocol models that pin
-# the PR-1 race fixes (checkpoint/drain, shutdown wakeup, failed-drain).
+# mini-loom explorer, the model of the one seqno waiter (`Signal`: no
+# missed wake-up; both ways of breaking it are caught), and the exhaustive
+# flusher-protocol models that pin the PR-1 race fixes (checkpoint/drain,
+# shutdown wakeup, failed-drain).
 run "lock-order + explorer (cbs-common)" cargo test --quiet -p cbs-common --features lock-order
+run "seqno signal protocol model" cargo test --quiet -p cbs-common --test signal_models
 run "flusher protocol models" cargo test --quiet -p cbs-kv --test flusher_models
 run "txn protocol models" cargo test --quiet -p cbs-txn --test txn_models
 run_stage chaos-smoke
