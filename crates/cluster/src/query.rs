@@ -14,6 +14,7 @@ use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{Error, Result, SeqNo};
 use cbs_index::{IndexDef, IndexEntry, ScanConsistency, ScanRange};
 use cbs_json::Value;
+use cbs_n1ql::datastore::{index_row, keyspace_row, node_row};
 use cbs_n1ql::{Datastore, KeyspaceStats, QueryOptions, QueryResult, StatsCache};
 
 /// Cluster-backed datastore for the query engine. One instance per bucket
@@ -273,15 +274,8 @@ impl Datastore for ClusterDatastore {
                                 Ok(cbs_index::IndexState::Building) => "building",
                                 _ => "deferred",
                             };
-                            rows.entry(format!("{bucket}/{}", def.name)).or_insert_with(|| {
-                                Value::object([
-                                    ("name", Value::from(def.name.as_str())),
-                                    ("keyspace", Value::from(bucket.as_str())),
-                                    ("isPrimary", Value::Bool(def.primary)),
-                                    ("state", Value::from(state)),
-                                    ("using", Value::from("gsi")),
-                                ])
-                            });
+                            let (key, row) = index_row(&bucket, &def, state);
+                            rows.entry(key).or_insert(row);
                         }
                     }
                 }
@@ -299,13 +293,7 @@ impl Datastore for ClusterDatastore {
                             count += engine.scan_active_docs()?.len();
                         }
                     }
-                    rows.push((
-                        bucket.clone(),
-                        Value::object([
-                            ("name", Value::from(bucket.as_str())),
-                            ("count", Value::from(count)),
-                        ]),
-                    ));
+                    rows.push(keyspace_row(&bucket, count));
                 }
                 Ok(rows)
             }
@@ -315,25 +303,14 @@ impl Datastore for ClusterDatastore {
                 .iter()
                 .map(|node| {
                     let s = node.services();
-                    let mut services = Vec::new();
-                    if s.data {
-                        services.push(Value::from("kv"));
-                    }
-                    if s.index {
-                        services.push(Value::from("index"));
-                    }
-                    if s.query {
-                        services.push(Value::from("n1ql"));
-                    }
+                    let services: Vec<&str> =
+                        [(s.data, "kv"), (s.index, "index"), (s.query, "n1ql")]
+                            .iter()
+                            .filter(|(runs, _)| *runs)
+                            .map(|(_, name)| *name)
+                            .collect();
                     let name = format!("n{}", node.id().0);
-                    (
-                        name.clone(),
-                        Value::object([
-                            ("name", Value::from(name.as_str())),
-                            ("alive", Value::Bool(node.is_alive())),
-                            ("services", Value::Array(services)),
-                        ]),
-                    )
+                    node_row(&name, node.is_alive(), &services)
                 })
                 .collect()),
             "system:replication" => {

@@ -205,18 +205,30 @@ fn every_system_catalog_answers_on_both_datastores() {
     let cluster = seeded_cluster(5);
     let mem = cbs_n1ql::MemoryDatastore::new();
     mem.create_keyspace("default");
+    cbs_n1ql::query(&mem, "CREATE INDEX by_age ON default(age)", &QueryOptions::default()).unwrap();
     assert_eq!(cbs_n1ql::SYSTEM_CATALOGS.len(), 11);
+    // `SELECT *` wraps each catalog row under the catalog's own name.
+    let fields = |rows: &[Value], catalog: &str| -> Vec<String> {
+        let row = rows[0].get_field(catalog.trim_start_matches("system:")).unwrap();
+        row.as_object().unwrap().iter().map(|(k, _)| k.to_string()).collect()
+    };
     for catalog in cbs_n1ql::SYSTEM_CATALOGS {
         let stmt = format!("SELECT * FROM {catalog}");
         let on_cluster = cluster.query(&stmt, &QueryOptions::default());
         let on_memory = cbs_n1ql::query(&mem, &stmt, &QueryOptions::default());
         assert!(on_cluster.is_ok(), "{catalog} on the cluster: {:?}", on_cluster.err());
         assert!(on_memory.is_ok(), "{catalog} on the memory datastore: {:?}", on_memory.err());
+        let (on_cluster, on_memory) = (on_cluster.unwrap().rows, on_memory.unwrap().rows);
         // Catalogs both sides can fill are filled on both sides.
-        let both_live = ["system:active_requests", "system:keyspaces", "system:nodes"];
+        let both_live =
+            ["system:active_requests", "system:indexes", "system:keyspaces", "system:nodes"];
         if both_live.contains(&catalog) {
-            assert!(!on_cluster.unwrap().rows.is_empty(), "{catalog}: cluster rows");
-            assert!(!on_memory.unwrap().rows.is_empty(), "{catalog}: memory rows");
+            assert!(!on_cluster.is_empty(), "{catalog}: cluster rows");
+            assert!(!on_memory.is_empty(), "{catalog}: memory rows");
+        }
+        // ...and the three both shape have one set of fields.
+        if ["system:indexes", "system:keyspaces", "system:nodes"].contains(&catalog) {
+            assert_eq!(fields(&on_cluster, catalog), fields(&on_memory, catalog), "{catalog}");
         }
     }
     let bogus = "SELECT * FROM system:bogus";

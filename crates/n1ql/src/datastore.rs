@@ -144,6 +144,39 @@ pub const SYSTEM_CATALOGS: [&str; 11] = [
     "system:events",
 ];
 
+/// One `system:indexes` row; `state` is `online`, `building` or `deferred`.
+/// Every datastore shapes its catalog rows through this and the two
+/// functions below, so a catalog has one set of fields.
+pub fn index_row(keyspace: &str, def: &IndexDef, state: &str) -> (String, Value) {
+    (
+        format!("{keyspace}/{}", def.name),
+        Value::object([
+            ("name", Value::from(def.name.as_str())),
+            ("keyspace", Value::from(keyspace)),
+            ("isPrimary", Value::Bool(def.primary)),
+            ("state", Value::from(state)),
+            ("using", Value::from("gsi")),
+        ]),
+    )
+}
+
+/// One `system:keyspaces` row; `count` is the number of live documents.
+pub fn keyspace_row(name: &str, count: usize) -> (String, Value) {
+    (name.to_string(), Value::object([("name", Value::from(name)), ("count", Value::from(count))]))
+}
+
+/// One `system:nodes` row; `services` are the service names the node runs.
+pub fn node_row(name: &str, alive: bool, services: &[&str]) -> (String, Value) {
+    (
+        name.to_string(),
+        Value::object([
+            ("name", Value::from(name)),
+            ("alive", Value::Bool(alive)),
+            ("services", Value::Array(services.iter().map(|s| Value::from(*s)).collect())),
+        ]),
+    )
+}
+
 #[derive(Default)]
 struct MemKeyspace {
     docs: BTreeMap<String, Value>,
@@ -442,15 +475,10 @@ impl Datastore for MemoryDatastore {
                 let mut rows = Vec::new();
                 for (ks_name, ks) in map.iter() {
                     for (def, online) in &ks.indexes {
-                        rows.push((
-                            format!("{ks_name}/{}", def.name),
-                            Value::object([
-                                ("name", Value::from(def.name.as_str())),
-                                ("keyspace", Value::from(ks_name.as_str())),
-                                ("isPrimary", Value::Bool(def.primary)),
-                                ("state", Value::from(if *online { "online" } else { "deferred" })),
-                                ("using", Value::from("gsi")),
-                            ]),
+                        rows.push(index_row(
+                            ks_name,
+                            def,
+                            if *online { "online" } else { "deferred" },
                         ));
                     }
                 }
@@ -458,27 +486,9 @@ impl Datastore for MemoryDatastore {
             }
             "system:keyspaces" => {
                 let map = self.keyspaces.read();
-                Ok(map
-                    .iter()
-                    .map(|(name, ks)| {
-                        (
-                            name.clone(),
-                            Value::object([
-                                ("name", Value::from(name.as_str())),
-                                ("count", Value::from(ks.docs.len())),
-                            ]),
-                        )
-                    })
-                    .collect())
+                Ok(map.iter().map(|(name, ks)| keyspace_row(name, ks.docs.len())).collect())
             }
-            "system:nodes" => Ok(vec![(
-                "mem".to_string(),
-                Value::object([
-                    ("name", Value::from("mem")),
-                    ("alive", Value::Bool(true)),
-                    ("services", Value::Array(vec![Value::from("n1ql")])),
-                ]),
-            )]),
+            "system:nodes" => Ok(vec![node_row("mem", true, &["n1ql"])]),
             // No cluster behind a memory datastore — no transactions,
             // replication pumps, stitched traces or lifecycle events: the
             // catalogs exist (queries don't error) but have no rows.

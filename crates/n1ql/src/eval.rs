@@ -596,11 +596,6 @@ mod tests {
     use super::*;
     use crate::parser::parse_expression;
 
-    fn ctx_with(row: &Value, metas: &HashMap<String, String>) -> String {
-        let _ = (row, metas);
-        String::new()
-    }
-
     fn run(expr: &str, doc: &str) -> Result<Option<Value>> {
         let row = Value::object([("d", cbs_json::parse(doc).unwrap())]);
         let metas: HashMap<String, String> =
@@ -615,7 +610,6 @@ mod tests {
             aggs: None,
         };
         let e = parse_expression(expr)?;
-        let _ = ctx_with(&row, &metas);
         eval(&e, &ctx)
     }
 

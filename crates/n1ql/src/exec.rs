@@ -1,9 +1,13 @@
 //! The pipelined query executor (§4.5.3, Figure 11).
 //!
-//! Operator order: Scan → Fetch → Join/Nest/Unnest → Filter → Group /
-//! Aggregate → Having → InitialProject → Distinct → Sort → Offset/Limit →
-//! FinalProject. "Note that not all queries will have every operator in
-//! their plan" — absent clauses skip their operator.
+//! A SELECT runs as one loop over the plan's operator list
+//! ([`SelectPlan::operators`]: Scan → Fetch → Join/Nest/Unnest → Filter →
+//! Group → InitialProject → Distinct → Sort → Offset → Limit →
+//! FinalProject; "not all queries will have every operator in their
+//! plan"). The loop is the only place an operator is timed and its stats
+//! recorded, under the name the plan gives it, so PROFILE cannot show an
+//! operator that did not run or miss one that did. Which operators exist,
+//! and whether LIMIT bounds the index scan, were decided at plan time.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -15,8 +19,8 @@ use cbs_obs::span;
 
 use crate::ast::*;
 use crate::datastore::Datastore;
-use crate::eval::{collect_aggregates, eval, expr_fingerprint, truth, EvalCtx, Truth};
-use crate::plan::{AccessPath, JoinStrategy, QueryPlan, SelectPlan};
+use crate::eval::{eval, expr_fingerprint, truth, EvalCtx, Truth};
+use crate::plan::{AccessPath, Operator, QueryPlan, SelectPlan};
 use crate::profile::{PhaseTimes, Prof};
 
 /// Request-level options (parameters + consistency, §3.2.3).
@@ -115,17 +119,36 @@ pub struct QueryResult {
     pub phases: PhaseTimes,
 }
 
-/// One pipeline row: alias bindings plus per-alias document IDs.
+/// One pipeline row, the same type from scan to FinalProject: alias
+/// bindings plus per-alias document IDs, then what later operators add.
 #[derive(Debug, Clone)]
 struct Row {
     obj: Value,
     metas: HashMap<String, String>,
+    /// The row's group's aggregate values, by fingerprint (set by Group).
+    aggs: Option<HashMap<String, Value>>,
+    /// The projection (set by InitialProject).
+    out: Value,
 }
 
-/// A row staged for projection: (pipeline row, aggregate environment).
-type StagedRow = (Row, Option<HashMap<String, Value>>);
-/// A projected row retaining its source for ORDER BY evaluation.
-type ProjectedRow = (Row, Option<HashMap<String, Value>>, Value);
+impl Row {
+    fn empty() -> Row {
+        Row { obj: Value::empty_object(), metas: HashMap::new(), aggs: None, out: Value::Null }
+    }
+
+    /// A row that so far is only a document ID (Fetch binds the document).
+    fn keyed(alias: &str, key: String) -> Row {
+        let mut row = Row::empty();
+        row.metas.insert(alias.to_string(), key);
+        row
+    }
+
+    fn of_doc(alias: &str, key: String, doc: Value) -> Row {
+        let mut row = Row::keyed(alias, key);
+        row.obj.insert_field(alias, doc);
+        row
+    }
+}
 
 /// Execute a planned statement.
 pub fn execute(ds: &dyn Datastore, plan: &QueryPlan, opts: &QueryOptions) -> Result<QueryResult> {
@@ -171,394 +194,265 @@ fn exec_select(
     opts: &QueryOptions,
     prof: &mut Prof,
 ) -> Result<QueryResult> {
-    let sel = &plan.select;
-    let mut metrics = QueryMetrics::default();
-
-    let (alias, keyspace) = match &sel.from {
-        Some(f) => (f.alias.clone(), f.keyspace.clone()),
-        None => (String::new(), String::new()),
+    let (alias, keyspace) = match &plan.select.from {
+        Some(f) => (f.alias.as_str(), f.keyspace.as_str()),
+        None => ("", ""),
     };
-    let empty_ctx_row = Value::empty_object();
-    let empty_metas = HashMap::new();
+    let mut run = SelectRun {
+        ds,
+        plan,
+        opts,
+        alias,
+        keyspace,
+        metrics: QueryMetrics::default(),
+        rows: Vec::new(),
+        result: Vec::new(),
+    };
+    for &op in plan.operators() {
+        let t0 = prof.start();
+        let items_in = run.rows.len() as u64;
+        let items_out = run.step(op)?;
+        prof.record(op.name(), items_in, items_out as u64, t0);
+    }
+    Ok(QueryResult { rows: run.result, metrics: run.metrics, ..Default::default() })
+}
 
-    // --- Scan + Fetch ---------------------------------------------------
-    let mut rows: Vec<Row> = match &plan.access {
-        AccessPath::ExpressionOnly => {
-            let t0 = prof.start();
-            prof.record("DummyScan", 0, 1, t0);
-            vec![Row { obj: Value::empty_object(), metas: HashMap::new() }]
-        }
-        AccessPath::KeyScan { keys } => {
-            let t_scan = prof.start();
-            let ctx = EvalCtx {
-                row: &empty_ctx_row,
-                metas: &empty_metas,
-                default_alias: None,
-                pos_params: &opts.pos_params,
-                named_params: &opts.named_params,
-                aggs: None,
-            };
-            let v = eval(keys, &ctx)?;
-            let key_list: Vec<String> = match v {
-                Some(Value::String(s)) => vec![s],
-                Some(Value::Array(items)) => {
-                    items.into_iter().filter_map(|i| i.as_str().map(str::to_string)).collect()
-                }
-                _ => return Err(Error::Eval("USE KEYS requires a string or array".to_string())),
-            };
-            prof.record("KeyScan", 0, key_list.len() as u64, t_scan);
-            let t_fetch = prof.start();
-            let n_keys = key_list.len() as u64;
-            let mut out = Vec::new();
-            {
+/// One execution of a [`SelectPlan`]: the rows in flight between operators.
+struct SelectRun<'a> {
+    ds: &'a dyn Datastore,
+    plan: &'a SelectPlan,
+    opts: &'a QueryOptions,
+    /// Alias and keyspace of the FROM clause's primary term ("" without).
+    alias: &'a str,
+    keyspace: &'a str,
+    metrics: QueryMetrics,
+    rows: Vec<Row>,
+    /// What FinalProject leaves: the projections alone.
+    result: Vec<Value>,
+}
+
+impl SelectRun<'_> {
+    /// Run one operator over `self.rows`; returns how many rows it hands on.
+    fn step(&mut self, op: Operator) -> Result<usize> {
+        let (ds, sel, opts, alias) = (self.ds, &self.plan.select, self.opts, self.alias);
+        // Reachable only if `SelectPlan::new` listed an operator for a
+        // clause the statement does not have.
+        let unplanned = || Error::Plan(format!("{} has no clause to run", op.name()));
+        let rows = std::mem::take(&mut self.rows);
+        self.rows = match op {
+            Operator::KeyScan
+            | Operator::IndexScan
+            | Operator::PrimaryScan
+            | Operator::DummyScan => self.scan()?,
+            // A primary scan returns whole documents: nothing left to fetch.
+            Operator::Fetch if matches!(self.plan.access, AccessPath::PrimaryScan) => rows,
+            Operator::Fetch => {
                 let _fetch = span("n1ql.exec.fetch");
-                for key in key_list {
-                    metrics.fetches += 1;
-                    if let Some(doc) = ds.fetch(&keyspace, &key)? {
-                        out.push(make_row(&alias, &key, doc));
+                let mut out = Vec::with_capacity(rows.len());
+                for mut row in rows {
+                    // A key or index scan's row carries its document ID.
+                    let Some(key) = row.metas.get(alias) else { continue };
+                    self.metrics.fetches += 1;
+                    if let Some(doc) = ds.fetch(self.keyspace, key)? {
+                        row.obj.insert_field(alias, doc);
+                        out.push(row);
                     }
                 }
-            }
-            prof.record("Fetch", n_keys, out.len() as u64, t_fetch);
-            out
-        }
-        AccessPath::IndexScan { index, range: spec, covering } => {
-            let t_scan = prof.start();
-            let cons = consistency_for(ds, &keyspace, opts);
-            // Plans keep scan bounds symbolic so the plan cache can serve
-            // every parameter binding; bind this request's values now.
-            let range = &spec.resolve(opts)?;
-            // Only push LIMIT into the index when no later operator can
-            // drop rows (no WHERE re-filter gaps exist: filters run after,
-            // so pushdown is only safe for covering==false? Actually the
-            // WHERE may contain residual conjuncts; be conservative).
-            let pushdown_limit = if sel.where_is_fully_served_by(range, index)
-                && sel.order_by.is_empty()
-                && sel.group_by.is_empty()
-                && !sel.distinct
-                && sel.offset.is_none()
-            {
-                eval_limit(sel.limit.as_ref(), opts)?.unwrap_or(0)
-            } else {
-                0
-            };
-            // The scan span covers only the GSI call so the indexScan phase
-            // does not absorb fetch time; nested `index.manager.scan` spans
-            // land inside it (cross-service attribution).
-            let entries = {
-                let _scan = span("n1ql.exec.index_scan");
-                ds.index_scan(&keyspace, &index.name, range, &cons, opts.timeout, pushdown_limit)?
-            };
-            metrics.index_entries += entries.len();
-            let n_entries = entries.len() as u64;
-            if *covering {
-                let out: Vec<Row> = entries
-                    .iter()
-                    .map(|e| make_covered_row(&alias, &e.doc_id, index, &e.key.0))
-                    .collect();
-                prof.record("IndexScan", 0, out.len() as u64, t_scan);
                 out
-            } else {
-                prof.record("IndexScan", 0, n_entries, t_scan);
-                let t_fetch = prof.start();
-                let mut out = Vec::new();
-                {
-                    let _fetch = span("n1ql.exec.fetch");
-                    for e in entries {
-                        metrics.fetches += 1;
-                        if let Some(doc) = ds.fetch(&keyspace, &e.doc_id)? {
-                            out.push(make_row(&alias, &e.doc_id, doc));
+            }
+            // Left to right, the textual order (§4.5.3 join order).
+            Operator::Join(i) | Operator::HashJoin(i) | Operator::Nest(i) | Operator::Unnest(i) => {
+                let from_op = sel.from.as_ref().and_then(|f| f.ops.get(i)).ok_or_else(unplanned)?;
+                let hash = matches!(op, Operator::HashJoin(_));
+                apply_from_op(ds, from_op, hash, rows, opts, alias, &mut self.metrics)?
+            }
+            Operator::Filter => {
+                let where_ = sel.where_.as_ref().ok_or_else(unplanned)?;
+                let mut kept = Vec::with_capacity(rows.len());
+                for row in rows {
+                    if truth(&eval(where_, &ctx_for(&row, alias, opts))?) == Truth::True {
+                        kept.push(row);
+                    }
+                }
+                kept
+            }
+            Operator::Group => {
+                let mut groups: Vec<(Vec<Option<Value>>, Vec<Row>)> = Vec::new();
+                for row in rows {
+                    let ctx = ctx_for(&row, alias, opts);
+                    let mut key = Vec::with_capacity(sel.group_by.len());
+                    for g in &sel.group_by {
+                        key.push(eval(g, &ctx)?);
+                    }
+                    match groups.iter_mut().find(|(k, _)| group_key_eq(k, &key)) {
+                        Some((_, members)) => members.push(row),
+                        None => groups.push((key, vec![row])),
+                    }
+                }
+                // Global aggregation with zero rows still yields one (empty) group.
+                if groups.is_empty() && sel.group_by.is_empty() {
+                    groups.push((Vec::new(), Vec::new()));
+                }
+                let mut out = Vec::with_capacity(groups.len());
+                for (_, members) in groups {
+                    let aggs = compute_aggregates(self.plan.aggregates(), &members, alias, opts)?;
+                    // The group's first member stands for it from here on.
+                    let mut rep = members.into_iter().next().unwrap_or_else(Row::empty);
+                    rep.aggs = Some(aggs);
+                    let keep = match &sel.having {
+                        Some(having) => {
+                            truth(&eval(having, &ctx_for(&rep, alias, opts))?) == Truth::True
+                        }
+                        None => true,
+                    };
+                    if keep {
+                        out.push(rep);
+                    }
+                }
+                out
+            }
+            Operator::InitialProject => {
+                let _proj = span("n1ql.exec.project");
+                let mut rows = rows;
+                for row in &mut rows {
+                    row.out = project(sel, row, alias, opts)?;
+                }
+                rows
+            }
+            Operator::Distinct => {
+                let mut rows = rows;
+                let mut seen: Vec<String> = Vec::new();
+                rows.retain(|row| {
+                    let fp = row.out.to_json_string();
+                    if seen.contains(&fp) {
+                        false
+                    } else {
+                        seen.push(fp);
+                        true
+                    }
+                });
+                rows
+            }
+            Operator::Sort => {
+                let mut keyed: Vec<(Vec<Option<Value>>, Row)> = Vec::with_capacity(rows.len());
+                for mut row in rows {
+                    // ORDER BY may reference projected aliases too: merge
+                    // them in (only `out` is read after the sort).
+                    if let Some(pairs) = row.out.as_object() {
+                        for (k, v) in pairs {
+                            if row.obj.get_field(k).is_none() {
+                                row.obj.insert_field(k, v.clone());
+                            }
                         }
                     }
+                    let ctx = ctx_for(&row, alias, opts);
+                    let mut keys = Vec::with_capacity(sel.order_by.len());
+                    for o in &sel.order_by {
+                        keys.push(eval(&o.expr, &ctx)?);
+                    }
+                    keyed.push((keys, row));
                 }
-                prof.record("Fetch", n_entries, out.len() as u64, t_fetch);
-                out
+                keyed.sort_by(|(a, _), (b, _)| {
+                    for ((ka, kb), o) in a.iter().zip(b).zip(&sel.order_by) {
+                        let ord = cmp_missing(ka.as_ref(), kb.as_ref());
+                        if ord != std::cmp::Ordering::Equal {
+                            return if o.desc { ord.reverse() } else { ord };
+                        }
+                    }
+                    std::cmp::Ordering::Equal
+                });
+                keyed.into_iter().map(|(_, row)| row).collect()
             }
-        }
-        AccessPath::PrimaryScan => {
-            let t_scan = prof.start();
-            let docs = {
-                let _scan = span("n1ql.exec.primary_scan");
-                if keyspace.starts_with("system:") {
-                    // `system:` catalogs are materialized directly from
-                    // service state, not from a bucket.
-                    ds.system_scan(&keyspace)?
+            Operator::Offset => {
+                let mut rows = rows;
+                let offset = eval_limit(sel.offset.as_ref(), opts)?.unwrap_or(0);
+                rows.drain(..offset.min(rows.len()));
+                rows
+            }
+            Operator::Limit => {
+                let mut rows = rows;
+                if let Some(limit) = eval_limit(sel.limit.as_ref(), opts)? {
+                    rows.truncate(limit);
+                }
+                rows
+            }
+            Operator::FinalProject => {
+                self.result = rows.into_iter().map(|row| row.out).collect();
+                return Ok(self.result.len());
+            }
+        };
+        Ok(self.rows.len())
+    }
+
+    /// The plan's access path: the rows the pipeline starts from.
+    fn scan(&mut self) -> Result<Vec<Row>> {
+        let (ds, opts, alias, keyspace) = (self.ds, self.opts, self.alias, self.keyspace);
+        Ok(match &self.plan.access {
+            AccessPath::ExpressionOnly => vec![Row::empty()],
+            AccessPath::KeyScan { keys } => {
+                let no_row = Row::empty();
+                match eval(keys, &ctx_for(&no_row, "", opts))? {
+                    Some(Value::String(s)) => vec![Row::keyed(alias, s)],
+                    Some(Value::Array(items)) => items
+                        .into_iter()
+                        .filter_map(|i| i.as_str().map(|s| Row::keyed(alias, s.to_string())))
+                        .collect(),
+                    _ => {
+                        return Err(Error::Eval("USE KEYS requires a string or array".to_string()))
+                    }
+                }
+            }
+            AccessPath::IndexScan { index, range: spec, covering } => {
+                let cons = consistency_for(ds, keyspace, opts);
+                // Plans keep scan bounds symbolic so the plan cache can serve
+                // every parameter binding; bind this request's values now.
+                let range = &spec.resolve(opts)?;
+                let limit = if self.plan.limit_pushdown() {
+                    eval_limit(self.plan.select.limit.as_ref(), opts)?.unwrap_or(0)
                 } else {
-                    ds.primary_scan(&keyspace)?
-                }
-            };
-            metrics.fetches += docs.len();
-            let n_docs = docs.len() as u64;
-            let out: Vec<Row> = docs.into_iter().map(|(k, v)| make_row(&alias, &k, v)).collect();
-            prof.record("PrimaryScan", 0, n_docs, t_scan);
-            // The primary scan returns whole documents; the Fetch operator
-            // the plan shows is a pass-through here.
-            let t_fetch = prof.start();
-            prof.record("Fetch", n_docs, n_docs, t_fetch);
-            out
-        }
-    };
-
-    // --- Join / Nest / Unnest (left-to-right, §4.5.3 join order) --------
-    if let Some(from) = &sel.from {
-        for (i, op) in from.ops.iter().enumerate() {
-            let t0 = prof.start();
-            let items_in = rows.len() as u64;
-            let strategy = plan.join_strategies.get(i).copied().unwrap_or_default();
-            rows = apply_from_op(ds, op, strategy, rows, opts, &alias, &mut metrics)?;
-            match op {
-                FromOp::Join { .. } => match strategy {
-                    JoinStrategy::Hash => prof.record("HashJoin", items_in, rows.len() as u64, t0),
-                    JoinStrategy::NestedLoop => {
-                        prof.record("Join", items_in, rows.len() as u64, t0)
+                    0
+                };
+                // The scan span covers only the GSI call so the indexScan phase
+                // does not absorb fetch time; nested `index.manager.scan` spans
+                // land inside it (cross-service attribution).
+                let entries = {
+                    let _scan = span("n1ql.exec.index_scan");
+                    ds.index_scan(keyspace, &index.name, range, &cons, opts.timeout, limit)?
+                };
+                self.metrics.index_entries += entries.len();
+                entries
+                    .into_iter()
+                    .map(|e| {
+                        if *covering {
+                            make_covered_row(alias, e.doc_id, index, &e.key.0)
+                        } else {
+                            Row::keyed(alias, e.doc_id)
+                        }
+                    })
+                    .collect()
+            }
+            AccessPath::PrimaryScan => {
+                let docs = {
+                    let _scan = span("n1ql.exec.primary_scan");
+                    if keyspace.starts_with("system:") {
+                        // `system:` catalogs are materialized directly from
+                        // service state, not from a bucket.
+                        ds.system_scan(keyspace)?
+                    } else {
+                        ds.primary_scan(keyspace)?
                     }
-                },
-                FromOp::Nest { .. } => prof.record("Nest", items_in, rows.len() as u64, t0),
-                FromOp::Unnest { .. } => prof.record("Unnest", items_in, rows.len() as u64, t0),
+                };
+                self.metrics.fetches += docs.len();
+                docs.into_iter().map(|(k, v)| Row::of_doc(alias, k, v)).collect()
             }
-        }
+        })
     }
-
-    // --- Filter ----------------------------------------------------------
-    if let Some(where_) = &sel.where_ {
-        let t0 = prof.start();
-        let items_in = rows.len() as u64;
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let ctx = ctx_for(&row, &alias, opts, None);
-            if truth(&eval(where_, &ctx)?) == Truth::True {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-        prof.record("Filter", items_in, rows.len() as u64, t0);
-    }
-
-    // --- Group / Aggregate -----------------------------------------------
-    let mut aggregates = Vec::new();
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            collect_aggregates(expr, &mut aggregates);
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect_aggregates(h, &mut aggregates);
-    }
-    for o in &sel.order_by {
-        collect_aggregates(&o.expr, &mut aggregates);
-    }
-    let grouped = !sel.group_by.is_empty() || !aggregates.is_empty();
-
-    // Pairs of (representative row, aggregate env).
-    let mut staged: Vec<StagedRow> = Vec::new();
-    let t_group = prof.start();
-    let group_items_in = rows.len() as u64;
-    if grouped {
-        let mut groups: Vec<(Vec<Option<Value>>, Vec<Row>)> = Vec::new();
-        for row in rows {
-            let ctx = ctx_for(&row, &alias, opts, None);
-            let mut key = Vec::with_capacity(sel.group_by.len());
-            for g in &sel.group_by {
-                key.push(eval(g, &ctx)?);
-            }
-            match groups.iter_mut().find(|(k, _)| group_key_eq(k, &key)) {
-                Some((_, members)) => members.push(row),
-                None => groups.push((key, vec![row])),
-            }
-        }
-        // Global aggregation with zero rows still yields one (empty) group.
-        if groups.is_empty() && sel.group_by.is_empty() {
-            groups.push((Vec::new(), Vec::new()));
-        }
-        for (_, members) in groups {
-            let aggs = compute_aggregates(&aggregates, &members, &alias, opts)?;
-            let rep = members
-                .into_iter()
-                .next()
-                .unwrap_or(Row { obj: Value::empty_object(), metas: HashMap::new() });
-            staged.push((rep, Some(aggs)));
-        }
-        // HAVING.
-        if let Some(having) = &sel.having {
-            let mut kept = Vec::new();
-            for (row, aggs) in staged {
-                let ctx = ctx_for(&row, &alias, opts, aggs.as_ref());
-                if truth(&eval(having, &ctx)?) == Truth::True {
-                    kept.push((row, aggs));
-                }
-            }
-            staged = kept;
-        }
-        prof.record("Group", group_items_in, staged.len() as u64, t_group);
-    } else {
-        staged = rows.into_iter().map(|r| (r, None)).collect();
-    }
-
-    // --- InitialProject ----------------------------------------------------
-    let mut projected: Vec<ProjectedRow> = Vec::new();
-    {
-        let _proj = span("n1ql.exec.project");
-        let t0 = prof.start();
-        let items_in = staged.len() as u64;
-        for (row, aggs) in staged {
-            let out = project(sel, &row, &alias, opts, aggs.as_ref())?;
-            projected.push((row, aggs, out));
-        }
-        prof.record("InitialProject", items_in, projected.len() as u64, t0);
-    }
-
-    // --- Distinct ----------------------------------------------------------
-    if sel.distinct {
-        let t0 = prof.start();
-        let items_in = projected.len() as u64;
-        let mut seen: Vec<String> = Vec::new();
-        projected.retain(|(_, _, out)| {
-            let fp = out.to_json_string();
-            if seen.contains(&fp) {
-                false
-            } else {
-                seen.push(fp);
-                true
-            }
-        });
-        prof.record("Distinct", items_in, projected.len() as u64, t0);
-    }
-
-    // --- Sort ----------------------------------------------------------------
-    if !sel.order_by.is_empty() {
-        let t_sort = prof.start();
-        let sort_items = projected.len() as u64;
-        let mut keyed: Vec<(Vec<Option<Value>>, Value)> = Vec::with_capacity(projected.len());
-        for (row, aggs, out) in projected {
-            // ORDER BY may reference projected aliases too: merge them in.
-            let mut sort_row = row.obj.clone();
-            if let Some(pairs) = out.as_object() {
-                for (k, v) in pairs {
-                    if sort_row.get_field(k).is_none() {
-                        sort_row.insert_field(k, v.clone());
-                    }
-                }
-            }
-            let merged = Row { obj: sort_row, metas: row.metas.clone() };
-            let ctx = ctx_for(&merged, &alias, opts, aggs.as_ref());
-            let mut keys = Vec::with_capacity(sel.order_by.len());
-            for o in &sel.order_by {
-                keys.push(eval(&o.expr, &ctx)?);
-            }
-            keyed.push((keys, out));
-        }
-        let descs: Vec<bool> = sel.order_by.iter().map(|o| o.desc).collect();
-        keyed.sort_by(|(a, _), (b, _)| {
-            for (i, (ka, kb)) in a.iter().zip(b.iter()).enumerate() {
-                let mut ord = cmp_missing(ka.as_ref(), kb.as_ref());
-                if descs[i] {
-                    ord = ord.reverse();
-                }
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        projected = keyed
-            .into_iter()
-            .map(|(_, out)| (Row { obj: Value::empty_object(), metas: HashMap::new() }, None, out))
-            .collect();
-        prof.record("Sort", sort_items, projected.len() as u64, t_sort);
-    }
-
-    // --- Offset / Limit ---------------------------------------------------
-    if sel.offset.is_some() {
-        let t0 = prof.start();
-        let items_in = projected.len() as u64;
-        let offset = eval_limit(sel.offset.as_ref(), opts)?.unwrap_or(0);
-        if offset > 0 {
-            projected.drain(..offset.min(projected.len()));
-        }
-        prof.record("Offset", items_in, projected.len() as u64, t0);
-    }
-    if sel.limit.is_some() {
-        let t0 = prof.start();
-        let items_in = projected.len() as u64;
-        if let Some(limit) = eval_limit(sel.limit.as_ref(), opts)? {
-            projected.truncate(limit);
-        }
-        prof.record("Limit", items_in, projected.len() as u64, t0);
-    }
-
-    // --- FinalProject ------------------------------------------------------
-    let t_final = prof.start();
-    let final_items_in = projected.len() as u64;
-    let rows: Vec<Value> = projected.into_iter().map(|(_, _, out)| out).collect();
-    prof.record("FinalProject", final_items_in, rows.len() as u64, t_final);
-    Ok(QueryResult { rows, metrics, ..Default::default() })
-}
-
-impl Select {
-    /// True when the WHERE clause is exactly the predicate pushed into the
-    /// index range — i.e. the scan alone enforces it. Conservative: only
-    /// single-conjunct ranges on the leading key qualify.
-    fn where_is_fully_served_by(&self, _range: &cbs_index::ScanRange, index: &IndexDef) -> bool {
-        match &self.where_ {
-            None => true,
-            Some(w) => {
-                let conjuncts = crate::planner::split_conjuncts(w);
-                conjuncts.len() == 1
-                    && matches!(&conjuncts[0], Expr::Binary(op, l, r)
-                        if matches!(op, BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
-                        && is_leading_key_operand(l, r, index, self))
-            }
-        }
-    }
-}
-
-fn is_leading_key_operand(l: &Expr, r: &Expr, index: &IndexDef, sel: &Select) -> bool {
-    let alias = sel.from.as_ref().map(|f| f.alias.as_str()).unwrap_or("");
-    let leading = &index.keys[0];
-    let is_key = |e: &Expr| match (e, leading) {
-        (Expr::MetaId(a), KeyExpr::DocId) => a.as_deref().is_none_or(|x| x == alias),
-        (Expr::Path(_), KeyExpr::Path(_)) => {
-            // Re-use the planner's normalization via fingerprint comparison.
-            crate::planner::split_conjuncts(e).len() == 1 && path_expr_matches(e, leading, alias)
-        }
-        _ => false,
-    };
-    let is_const =
-        |e: &Expr| matches!(e, Expr::Literal(_) | Expr::PosParam(_) | Expr::NamedParam(_));
-    (is_key(l) && is_const(r)) || (is_key(r) && is_const(l))
-}
-
-fn path_expr_matches(e: &Expr, key: &KeyExpr, alias: &str) -> bool {
-    let (Expr::Path(parts), KeyExpr::Path(path)) = (e, key) else { return false };
-    let mut rendered = String::new();
-    for p in parts {
-        match p {
-            PathPart::Field(f) => {
-                if !rendered.is_empty() {
-                    rendered.push('.');
-                }
-                rendered.push_str(f);
-            }
-            PathPart::Index(i) => rendered.push_str(&format!("[{i}]")),
-        }
-    }
-    let target = path.to_path_string();
-    rendered == target || rendered == format!("{alias}.{target}")
 }
 
 fn eval_limit(e: Option<&Expr>, opts: &QueryOptions) -> Result<Option<usize>> {
     let Some(e) = e else { return Ok(None) };
-    let row = Value::empty_object();
-    let metas = HashMap::new();
-    let ctx = EvalCtx {
-        row: &row,
-        metas: &metas,
-        default_alias: None,
-        pos_params: &opts.pos_params,
-        named_params: &opts.named_params,
-        aggs: None,
-    };
-    match eval(e, &ctx)? {
+    let no_row = Row::empty();
+    match eval(e, &ctx_for(&no_row, "", opts))? {
         Some(v) => {
             v.as_i64().filter(|n| *n >= 0).map(|n| Some(n as usize)).ok_or_else(|| {
                 Error::Eval("LIMIT/OFFSET must be a non-negative integer".to_string())
@@ -568,46 +462,33 @@ fn eval_limit(e: Option<&Expr>, opts: &QueryOptions) -> Result<Option<usize>> {
     }
 }
 
-fn make_row(alias: &str, key: &str, doc: Value) -> Row {
-    let mut obj = Value::empty_object();
-    obj.insert_field(alias, doc);
-    let mut metas = HashMap::new();
-    metas.insert(alias.to_string(), key.to_string());
-    Row { obj, metas }
-}
-
 /// Build a pseudo-document from index key components (covering scans):
 /// each indexed path is materialized at its position in an empty object.
-fn make_covered_row(alias: &str, doc_id: &str, index: &IndexDef, comps: &[Option<Value>]) -> Row {
+fn make_covered_row(alias: &str, doc_id: String, index: &IndexDef, comps: &[Option<Value>]) -> Row {
     let mut doc = Value::empty_object();
     for (key_expr, comp) in index.keys.iter().zip(comps) {
         if let (KeyExpr::Path(path), Some(v)) = (key_expr, comp) {
             path.set(&mut doc, v.clone());
         }
     }
-    make_row(alias, doc_id, doc)
+    Row::of_doc(alias, doc_id, doc)
 }
 
-fn ctx_for<'a>(
-    row: &'a Row,
-    alias: &'a str,
-    opts: &'a QueryOptions,
-    aggs: Option<&'a HashMap<String, Value>>,
-) -> EvalCtx<'a> {
+fn ctx_for<'a>(row: &'a Row, alias: &'a str, opts: &'a QueryOptions) -> EvalCtx<'a> {
     EvalCtx {
         row: &row.obj,
         metas: &row.metas,
         default_alias: if alias.is_empty() { None } else { Some(alias) },
         pos_params: &opts.pos_params,
         named_params: &opts.named_params,
-        aggs,
+        aggs: row.aggs.as_ref(),
     }
 }
 
 fn apply_from_op(
     ds: &dyn Datastore,
     op: &FromOp,
-    strategy: JoinStrategy,
+    hash_join: bool,
     rows: Vec<Row>,
     opts: &QueryOptions,
     primary_alias: &str,
@@ -617,7 +498,7 @@ fn apply_from_op(
     // then probe per outer key — chosen by the planner when the outer side
     // would otherwise pay more per-key fetches than one inner scan costs.
     let hash_table: Option<HashMap<String, Value>> =
-        if let (FromOp::Join { keyspace, .. }, JoinStrategy::Hash) = (op, strategy) {
+        if let (FromOp::Join { keyspace, .. }, true) = (op, hash_join) {
             let docs = ds.primary_scan(keyspace)?;
             metrics.fetches += docs.len();
             Some(docs.into_iter().collect())
@@ -626,7 +507,7 @@ fn apply_from_op(
         };
     let mut out = Vec::new();
     for row in rows {
-        let ctx = ctx_for(&row, primary_alias, opts, None);
+        let ctx = ctx_for(&row, primary_alias, opts);
         match op {
             FromOp::Join { keyspace, alias, on_keys, left_outer } => {
                 let keys = eval_keys(on_keys, &ctx)?;
@@ -722,7 +603,7 @@ fn compute_aggregates(
                     .ok_or_else(|| Error::Eval(format!("{name} requires an argument")))?;
                 let mut vals: Vec<Value> = Vec::new();
                 for row in members {
-                    let ctx = ctx_for(row, alias, opts, None);
+                    let ctx = ctx_for(row, alias, opts);
                     if let Some(v) = eval(arg, &ctx)? {
                         if !v.is_null() {
                             vals.push(v);
@@ -776,14 +657,8 @@ fn int_if_possible(f: f64) -> Value {
     }
 }
 
-fn project(
-    sel: &Select,
-    row: &Row,
-    alias: &str,
-    opts: &QueryOptions,
-    aggs: Option<&HashMap<String, Value>>,
-) -> Result<Value> {
-    let ctx = ctx_for(row, alias, opts, aggs);
+fn project(sel: &Select, row: &Row, alias: &str, opts: &QueryOptions) -> Result<Value> {
+    let ctx = ctx_for(row, alias, opts);
     let mut out = Value::empty_object();
     let mut anon = 0usize;
     for item in &sel.items {

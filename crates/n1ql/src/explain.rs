@@ -1,10 +1,14 @@
 //! EXPLAIN rendering (§4.5.3: "an EXPLAIN statement can be used before any
 //! N1QL statement to request information about the execution plan").
+//!
+//! EXPLAIN shows the plan's own operator list — the one the executor runs
+//! — and PROFILE is that rendering with the executor's stats attached; no
+//! clause of the statement is consulted to decide what ran.
 
 use cbs_json::Value;
 
-use crate::ast::{Expr, FromOp, SelectItem, Statement, UnaryOp};
-use crate::plan::{AccessPath, JoinStrategy, QueryPlan, RangeSpec};
+use crate::ast::{Expr, FromOp, Statement, UnaryOp};
+use crate::plan::{AccessPath, Operator, QueryPlan, RangeSpec, SelectPlan};
 
 /// Render a symbolic scan-range bound for EXPLAIN: literals print their
 /// value, parameters print their placeholder (`"$1"`, `"$name"`).
@@ -32,101 +36,45 @@ fn range_to_value(spec: &RangeSpec) -> Value {
     ])
 }
 
-/// Render a plan as the JSON object EXPLAIN returns: an `operators` array
-/// in pipeline order, mirroring Figure 11. The scan operator carries the
-/// optimizer's `cost`/`cardinality` estimate and whether statistics
+/// Render a plan as the JSON object EXPLAIN returns: the plan's operator
+/// list in pipeline order, mirroring Figure 11. The scan operator carries
+/// the optimizer's `cost`/`cardinality` estimate and whether statistics
 /// backed it (`statsUsed`).
 pub fn explain_to_value(plan: &QueryPlan) -> Value {
-    match plan {
-        QueryPlan::Select(p) => {
-            let mut ops: Vec<Value> = Vec::new();
-            let mut scan = match &p.access {
-                AccessPath::KeyScan { .. } => Value::object([("operator", Value::from("KeyScan"))]),
-                AccessPath::IndexScan { index, range, covering } => Value::object([
-                    ("operator", Value::from("IndexScan")),
-                    ("index", Value::from(index.name.as_str())),
-                    ("using", Value::from("gsi")),
-                    ("covering", Value::Bool(*covering)),
-                    ("range", range_to_value(range)),
-                ]),
-                AccessPath::PrimaryScan => {
-                    Value::object([("operator", Value::from("PrimaryScan"))])
-                }
-                AccessPath::ExpressionOnly => {
-                    Value::object([("operator", Value::from("DummyScan"))])
-                }
-            };
-            if !matches!(p.access, AccessPath::ExpressionOnly | AccessPath::KeyScan { .. }) {
-                scan.insert_field("cost", Value::float(p.estimate.cost));
-                scan.insert_field("cardinality", Value::float(p.estimate.cardinality));
-                scan.insert_field("statsUsed", Value::Bool(p.estimate.based_on_stats));
-            }
-            ops.push(scan);
-            if p.fetch && !matches!(p.access, AccessPath::ExpressionOnly) {
-                ops.push(Value::object([("operator", Value::from("Fetch"))]));
-            }
-            if let Some(from) = &p.select.from {
-                for (i, op) in from.ops.iter().enumerate() {
-                    let strategy = p.join_strategies.get(i).copied().unwrap_or_default();
-                    let (name, ks) = match op {
-                        FromOp::Join { keyspace, .. } => (
-                            match strategy {
-                                JoinStrategy::Hash => "HashJoin",
-                                JoinStrategy::NestedLoop => "Join",
-                            },
-                            Some(keyspace.clone()),
-                        ),
-                        FromOp::Nest { keyspace, .. } => ("Nest", Some(keyspace.clone())),
-                        FromOp::Unnest { .. } => ("Unnest", None),
-                    };
-                    let mut o = Value::object([("operator", Value::from(name))]);
-                    if let Some(ks) = ks {
-                        o.insert_field("keyspace", Value::from(ks));
-                    }
-                    ops.push(o);
-                }
-            }
-            if p.select.where_.is_some() {
-                ops.push(Value::object([("operator", Value::from("Filter"))]));
-            }
-            if !p.select.group_by.is_empty() || has_aggregate(&p.select.items) {
-                ops.push(Value::object([("operator", Value::from("Group"))]));
-            }
-            ops.push(Value::object([("operator", Value::from("InitialProject"))]));
-            if p.select.distinct {
-                ops.push(Value::object([("operator", Value::from("Distinct"))]));
-            }
-            if !p.select.order_by.is_empty() {
-                ops.push(Value::object([("operator", Value::from("Sort"))]));
-            }
-            if p.select.offset.is_some() {
-                ops.push(Value::object([("operator", Value::from("Offset"))]));
-            }
-            if p.select.limit.is_some() {
-                ops.push(Value::object([("operator", Value::from("Limit"))]));
-            }
-            ops.push(Value::object([("operator", Value::from("FinalProject"))]));
-            Value::object([("plan", Value::object([("operators", Value::Array(ops))]))])
+    let ops = match plan {
+        QueryPlan::Select(p) => p.operators().iter().map(|op| operator_to_value(p, *op)).collect(),
+        QueryPlan::Direct(stmt) => {
+            vec![Value::object([("operator", Value::from(direct_name(stmt)))])]
         }
-        QueryPlan::Direct(stmt) => Value::object([(
-            "plan",
-            Value::object([(
-                "operators",
-                Value::Array(vec![Value::object([("operator", Value::from(direct_name(stmt)))])]),
-            )]),
-        )]),
-    }
+    };
+    Value::object([("plan", Value::object([("operators", Value::Array(ops))]))])
 }
 
-fn has_aggregate(items: &[SelectItem]) -> bool {
-    items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => {
-            let mut aggs = Vec::new();
-            crate::eval::collect_aggregates(expr, &mut aggs);
-            !aggs.is_empty()
+/// One node of the EXPLAIN tree: the operator's name plus what the plan
+/// knows about it.
+fn operator_to_value(p: &SelectPlan, op: Operator) -> Value {
+    let mut node = Value::object([("operator", Value::from(op.name()))]);
+    match op {
+        Operator::IndexScan | Operator::PrimaryScan => {
+            if let AccessPath::IndexScan { index, range, covering } = &p.access {
+                node.insert_field("index", Value::from(index.name.as_str()));
+                node.insert_field("using", Value::from("gsi"));
+                node.insert_field("covering", Value::Bool(*covering));
+                node.insert_field("range", range_to_value(range));
+            }
+            node.insert_field("cost", Value::float(p.estimate.cost));
+            node.insert_field("cardinality", Value::float(p.estimate.cardinality));
+            node.insert_field("statsUsed", Value::Bool(p.estimate.based_on_stats));
         }
-        _ => false,
-    })
+        Operator::Join(i) | Operator::HashJoin(i) | Operator::Nest(i) => {
+            let from_op = p.select.from.as_ref().and_then(|f| f.ops.get(i));
+            if let Some(FromOp::Join { keyspace, .. } | FromOp::Nest { keyspace, .. }) = from_op {
+                node.insert_field("keyspace", Value::from(keyspace.as_str()));
+            }
+        }
+        _ => {}
+    }
+    node
 }
 
 pub(crate) fn direct_name(stmt: &Statement) -> &'static str {
@@ -145,37 +93,13 @@ pub(crate) fn direct_name(stmt: &Statement) -> &'static str {
     }
 }
 
-/// One-line plan summary for the request log:
-/// `IndexScan(age) -> Fetch -> Filter -> FinalProject`.
-pub fn plan_summary(plan: &QueryPlan) -> String {
-    let tree = explain_to_value(plan);
-    let ops = tree
-        .get_field("plan")
-        .and_then(|p| p.get_field("operators"))
-        .and_then(|o| o.as_array())
-        .map(|ops| {
-            ops.iter()
-                .map(|o| {
-                    let name =
-                        o.get_field("operator").and_then(|v| v.as_str()).unwrap_or("?").to_string();
-                    match o.get_field("index").and_then(|v| v.as_str()) {
-                        Some(idx) => format!("{name}({idx})"),
-                        None => name,
-                    }
-                })
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_default();
-    ops.join(" -> ")
-}
-
-/// Render the PROFILE result row: the EXPLAIN-shaped operator tree with
-/// each operator annotated by its runtime `#stats`, plus `phaseTimes`
-/// rollups and request-level metrics.
+/// Render the PROFILE result row: the EXPLAIN tree with each operator
+/// annotated by its runtime `#stats`, plus `phaseTimes` rollups and
+/// request-level metrics.
 ///
-/// Operators are matched to stats sequentially by name — the executor
-/// records them in pipeline order, the same order EXPLAIN emits. An
-/// operator the executor never reached keeps its plan-only shape.
+/// The executor records one stat per operator it runs, in the order of the
+/// list EXPLAIN renders, so stats meet operators by position. An operator
+/// a failed run never reached keeps its plan-only shape.
 pub fn profile_to_value(
     plan: &QueryPlan,
     prof: &crate::profile::Prof,
@@ -183,22 +107,13 @@ pub fn profile_to_value(
     metrics: &crate::exec::QueryMetrics,
 ) -> Value {
     let mut tree = explain_to_value(plan);
-    let stats = prof.ops();
-    let mut next = 0usize;
     if let Some(ops) = tree
         .get_field_mut("plan")
         .and_then(|p| p.get_field_mut("operators"))
         .and_then(|o| o.as_array_mut())
     {
-        for op in ops.iter_mut() {
-            let Some(name) = op.get_field("operator").and_then(|v| v.as_str()).map(str::to_string)
-            else {
-                continue;
-            };
-            if let Some(found) = stats[next..].iter().position(|s| s.operator == name) {
-                op.insert_field("#stats", stats[next + found].to_value());
-                next += found + 1;
-            }
+        for (op, stat) in ops.iter_mut().zip(prof.ops()) {
+            op.insert_field("#stats", stat.to_value());
         }
     }
     tree.insert_field("phaseTimes", phases.to_value());

@@ -53,7 +53,7 @@ pub use datastore::{Datastore, MemoryDatastore, SYSTEM_CATALOGS};
 pub use exec::{execute, execute_with_profile, QueryOptions, QueryResult};
 pub use lexer::tokenize;
 pub use parser::parse_statement;
-pub use plan::{AccessPath, JoinStrategy, PlanEstimate, QueryPlan, RangeSpec};
+pub use plan::{AccessPath, JoinStrategy, Operator, PlanEstimate, QueryPlan, RangeSpec};
 pub use planner::build_plan;
 pub use profile::{OpStat, PhaseTimes, Prof, RequestLog};
 pub use stats::{IndexStat, KeyspaceStats, StatsCache};
@@ -89,12 +89,12 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
     let outcome = run_request(ds, statement, opts);
     let phases = request.subtree(Phases::from_spans);
     match outcome {
-        Ok((mut result, plan_summary, profiled)) => {
+        Ok(Executed { mut result, plan, prof }) => {
             result.phases = phases;
             if let (Some(log), Some(id)) = (log, req_id) {
                 log.complete(
                     id,
-                    &plan_summary,
+                    plan.summary(),
                     result.metrics.result_count as u64,
                     0,
                     result.metrics.mutation_count as u64,
@@ -103,7 +103,7 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
                     opts.slow_threshold,
                 );
             }
-            if let Some((plan, prof)) = profiled {
+            if let Some(prof) = prof {
                 // PROFILE returns one row: the annotated plan. The metrics
                 // keep describing the *inner* execution (result_count is
                 // what the pipeline produced, not 1).
@@ -187,14 +187,17 @@ fn insert_if_cacheable(
     }
 }
 
-/// Parse/plan/execute, returning the result plus the plan summary for the
-/// request log and, for `PROFILE`, the plan + collected operator stats.
-#[allow(clippy::type_complexity)] // one internal call site
-fn run_request(
-    ds: &dyn Datastore,
-    statement: &str,
-    opts: &QueryOptions,
-) -> Result<(QueryResult, String, Option<(QueryPlan, Prof)>)> {
+/// What a request ran: its result, the plan it ran (the request log keeps
+/// the plan's summary for slow or failed requests) and, for `PROFILE`, the
+/// collected operator stats.
+struct Executed {
+    result: QueryResult,
+    plan: Arc<QueryPlan>,
+    prof: Option<Prof>,
+}
+
+/// Parse/plan/execute.
+fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result<Executed> {
     // Hot path: `EXECUTE <name>` resolves the prepared statement and its
     // cached plan on text alone — no lexer, no parser, no planner.
     if let Some(rest) = strip_keyword(statement, "execute") {
@@ -216,8 +219,7 @@ fn run_request(
     if strip_keyword(statement, "select").is_some() {
         if let Some(cache) = ds.plan_cache() {
             if let Some(plan) = cache.lookup(statement) {
-                let summary = explain::plan_summary(&plan);
-                return Ok((execute(ds, &plan, opts)?, summary, None));
+                return Ok(Executed { result: execute(ds, &plan, opts)?, plan, prof: None });
             }
         }
     }
@@ -228,43 +230,31 @@ fn run_request(
         let _s = cbs_obs::span("n1ql.query.parse");
         parse_statement(statement)?
     };
-    if let Statement::Explain(inner) = stmt {
-        let plan = {
-            let _s = cbs_obs::span("n1ql.query.plan");
-            build_plan(ds, &inner, opts)?
-        };
-        let summary = explain::plan_summary(&plan);
-        let result =
-            QueryResult { rows: vec![explain::explain_to_value(&plan)], ..Default::default() };
-        return Ok((result, summary, None));
-    }
-    if let Statement::Profile(inner) = stmt {
-        let plan = {
-            let _s = cbs_obs::span("n1ql.query.plan");
-            build_plan(ds, &inner, opts)?
-        };
-        let summary = explain::plan_summary(&plan);
-        let mut prof = Prof::on();
-        let result = execute_with_profile(ds, &plan, opts, &mut prof)?;
-        return Ok((result, summary, Some((plan, prof))));
-    }
+    // `build_plan` plans the inner statement of EXPLAIN / PROFILE.
     let plan = Arc::new({
         let _s = cbs_obs::span("n1ql.query.plan");
         build_plan(ds, &stmt, opts)?
     });
-    if let (Some(cache), Some(at_plan)) = (ds.plan_cache(), epochs_at_plan.as_ref()) {
-        insert_if_cacheable(cache, statement, &plan, at_plan);
+    match stmt {
+        Statement::Explain(_) => {
+            let rows = vec![explain::explain_to_value(&plan)];
+            Ok(Executed { result: QueryResult { rows, ..Default::default() }, plan, prof: None })
+        }
+        Statement::Profile(_) => {
+            let mut prof = Prof::on();
+            let result = execute_with_profile(ds, &plan, opts, &mut prof)?;
+            Ok(Executed { result, plan, prof: Some(prof) })
+        }
+        _ => {
+            if let (Some(cache), Some(at_plan)) = (ds.plan_cache(), epochs_at_plan.as_ref()) {
+                insert_if_cacheable(cache, statement, &plan, at_plan);
+            }
+            Ok(Executed { result: execute(ds, &plan, opts)?, plan, prof: None })
+        }
     }
-    let summary = explain::plan_summary(&plan);
-    Ok((execute(ds, &plan, opts)?, summary, None))
 }
 
-#[allow(clippy::type_complexity)]
-fn run_execute(
-    ds: &dyn Datastore,
-    name: &str,
-    opts: &QueryOptions,
-) -> Result<(QueryResult, String, Option<(QueryPlan, Prof)>)> {
+fn run_execute(ds: &dyn Datastore, name: &str, opts: &QueryOptions) -> Result<Executed> {
     let cache = ds
         .plan_cache()
         .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
@@ -289,20 +279,18 @@ fn run_execute(
             plan
         }
     };
-    let summary = explain::plan_summary(&plan);
     let start = Instant::now();
     let result = execute(ds, &plan, opts)?;
     prepared.record_use(start.elapsed());
-    Ok((result, summary, None))
+    Ok(Executed { result, plan, prof: None })
 }
 
-#[allow(clippy::type_complexity)]
 fn run_prepare(
     ds: &dyn Datastore,
     name: &str,
     inner_text: &str,
     opts: &QueryOptions,
-) -> Result<(QueryResult, String, Option<(QueryPlan, Prof)>)> {
+) -> Result<Executed> {
     let cache = ds
         .plan_cache()
         .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
@@ -321,8 +309,7 @@ fn run_prepare(
     insert_if_cacheable(cache, inner_text, &plan, &at_plan);
     cache.prepare(name, inner_text);
     let row = Value::object([("name", Value::from(name)), ("statement", Value::from(inner_text))]);
-    let result = QueryResult { rows: vec![row], ..Default::default() };
-    Ok((result, format!("Prepare({name})"), None))
+    Ok(Executed { result: QueryResult { rows: vec![row], ..Default::default() }, plan, prof: None })
 }
 
 #[cfg(test)]

@@ -1,8 +1,15 @@
 //! Query plan representation (the output of §4.5.3's planner).
+//!
+//! A [`SelectPlan`] carries its pipeline as a list of [`Operator`]s, built
+//! in one constructor together with what else follows from the statement's
+//! shape (the aggregate calls, whether LIMIT may move into the index scan,
+//! the one-line summary). The executor, EXPLAIN, PROFILE and the request
+//! log all read that list; nothing else decides which operators exist.
 
 use cbs_index::IndexDef;
 
-use crate::ast::{Expr, Select, Statement};
+use crate::ast::{Expr, FromOp, Select, SelectItem, Statement};
+use crate::eval::collect_aggregates;
 
 /// A scan-range *specification*: bound expressions (literals or
 /// parameters) captured at plan time and resolved against the request's
@@ -99,32 +106,200 @@ pub enum AccessPath {
     ExpressionOnly,
 }
 
-impl AccessPath {
-    /// Operator name as shown by EXPLAIN (matching Couchbase's spelling).
-    pub fn operator_name(&self) -> &'static str {
+/// One operator of a SELECT pipeline (§4.5.3, Figure 11). A plan lists its
+/// operators once ([`SelectPlan::operators`]); the executor runs that list,
+/// EXPLAIN renders it and PROFILE hangs runtime stats on it by position, so
+/// none of them can name or run an operator the plan does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Operator {
+    /// `USE KEYS`: the document IDs are given.
+    KeyScan,
+    /// Range scan over a secondary or primary index.
+    IndexScan,
+    /// Full scan of the keyspace (or of a `system:` catalog).
+    PrimaryScan,
+    /// No FROM clause: one empty row.
+    DummyScan,
+    /// Document IDs → documents, through the data service.
+    Fetch,
+    /// Key-based nested-loop join; the payload of this and the next three
+    /// is the position in `select.from.ops`.
+    Join(usize),
+    /// Join probing a hash table built over the inner keyspace.
+    HashJoin(usize),
+    /// `NEST`: matching inner documents collected into one array.
+    Nest(usize),
+    /// `UNNEST`: one row per element of an array-valued path.
+    Unnest(usize),
+    /// WHERE.
+    Filter,
+    /// GROUP BY, the aggregates and HAVING.
+    Group,
+    /// Evaluates the projection list.
+    InitialProject,
+    /// DISTINCT over the projected rows.
+    Distinct,
+    /// ORDER BY.
+    Sort,
+    /// OFFSET.
+    Offset,
+    /// LIMIT.
+    Limit,
+    /// Strips each row down to its projection.
+    FinalProject,
+}
+
+impl Operator {
+    /// The operator's name (Couchbase's spelling) — the only place the
+    /// SELECT pipeline's operator names are written.
+    pub fn name(self) -> &'static str {
         match self {
-            AccessPath::KeyScan { .. } => "KeyScan",
-            AccessPath::IndexScan { .. } => "IndexScan",
-            AccessPath::PrimaryScan => "PrimaryScan",
-            AccessPath::ExpressionOnly => "DummyScan",
+            Operator::KeyScan => "KeyScan",
+            Operator::IndexScan => "IndexScan",
+            Operator::PrimaryScan => "PrimaryScan",
+            Operator::DummyScan => "DummyScan",
+            Operator::Fetch => "Fetch",
+            Operator::Join(_) => "Join",
+            Operator::HashJoin(_) => "HashJoin",
+            Operator::Nest(_) => "Nest",
+            Operator::Unnest(_) => "Unnest",
+            Operator::Filter => "Filter",
+            Operator::Group => "Group",
+            Operator::InitialProject => "InitialProject",
+            Operator::Distinct => "Distinct",
+            Operator::Sort => "Sort",
+            Operator::Offset => "Offset",
+            Operator::Limit => "Limit",
+            Operator::FinalProject => "FinalProject",
         }
     }
 }
 
-/// A planned SELECT.
+/// A planned SELECT: the statement, the access path chosen for its primary
+/// keyspace, and everything that follows from the statement's *shape* —
+/// fixed here once so a cached plan costs a request nothing to interpret.
+/// None of it depends on parameter values (DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
-    /// The statement (the executor interprets its clauses).
+    /// The statement (operators evaluate its clauses).
     pub select: Select,
     /// Chosen access path for the primary keyspace.
     pub access: AccessPath,
-    /// Whether a Fetch of full documents is required (false when covering).
-    pub fetch: bool,
     /// Cost/cardinality estimate for the chosen access path.
     pub estimate: PlanEstimate,
-    /// Join algorithm per FROM op, parallel to `select.from.ops` (Unnest
-    /// entries are always [`JoinStrategy::NestedLoop`]).
-    pub join_strategies: Vec<JoinStrategy>,
+    operators: Vec<Operator>,
+    aggregates: Vec<Expr>,
+    limit_pushdown: bool,
+    summary: String,
+}
+
+impl SelectPlan {
+    /// The one place a SELECT pipeline is written down. `joins` is the
+    /// algorithm per FROM op (missing entries mean nested loop);
+    /// `range_serves_where` says the index range alone enforces the whole
+    /// WHERE clause.
+    pub(crate) fn new(
+        select: Select,
+        access: AccessPath,
+        estimate: PlanEstimate,
+        joins: &[JoinStrategy],
+        range_serves_where: bool,
+    ) -> SelectPlan {
+        // Wherever an aggregate call sits, the Group operator computes it.
+        let mut aggregates = Vec::new();
+        for item in &select.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                collect_aggregates(expr, &mut aggregates);
+            }
+        }
+        if let Some(h) = &select.having {
+            collect_aggregates(h, &mut aggregates);
+        }
+        for o in &select.order_by {
+            collect_aggregates(&o.expr, &mut aggregates);
+        }
+
+        let (scan, fetch) = match &access {
+            AccessPath::KeyScan { .. } => (Operator::KeyScan, true),
+            AccessPath::IndexScan { covering, .. } => (Operator::IndexScan, !covering),
+            // The scan returns whole documents; Fetch is listed (as in
+            // Couchbase's plans) and passes them through.
+            AccessPath::PrimaryScan => (Operator::PrimaryScan, true),
+            AccessPath::ExpressionOnly => (Operator::DummyScan, false),
+        };
+        let mut operators = vec![scan];
+        if fetch {
+            operators.push(Operator::Fetch);
+        }
+        let from_ops = select.from.iter().flat_map(|f| &f.ops);
+        operators.extend(from_ops.enumerate().map(|(i, op)| match op {
+            FromOp::Join { .. } if joins.get(i) == Some(&JoinStrategy::Hash) => {
+                Operator::HashJoin(i)
+            }
+            FromOp::Join { .. } => Operator::Join(i),
+            FromOp::Nest { .. } => Operator::Nest(i),
+            FromOp::Unnest { .. } => Operator::Unnest(i),
+        }));
+        let clauses = [
+            (select.where_.is_some(), Operator::Filter),
+            (!select.group_by.is_empty() || !aggregates.is_empty(), Operator::Group),
+            (true, Operator::InitialProject),
+            (select.distinct, Operator::Distinct),
+            (!select.order_by.is_empty(), Operator::Sort),
+            (select.offset.is_some(), Operator::Offset),
+            (select.limit.is_some(), Operator::Limit),
+            (true, Operator::FinalProject),
+        ];
+        operators.extend(clauses.iter().filter(|(present, _)| *present).map(|(_, op)| *op));
+
+        // LIMIT may move into the index scan only if every operator between
+        // the two hands on exactly the rows it was given: anything that can
+        // drop (an inner join, a residual filter, OFFSET), merge (Group,
+        // Distinct), multiply (Join, Unnest) or reorder (Sort) rows must
+        // see the whole range first.
+        let limit_pushdown = scan == Operator::IndexScan
+            && operators.iter().position(|op| *op == Operator::Limit).is_some_and(|limit| {
+                operators[1..limit].iter().all(|op| match op {
+                    Operator::Fetch | Operator::InitialProject => true,
+                    Operator::Filter => range_serves_where,
+                    _ => false,
+                })
+            });
+
+        let summary = operators
+            .iter()
+            .map(|op| match (&access, op) {
+                (AccessPath::IndexScan { index, .. }, Operator::IndexScan) => {
+                    format!("{}({})", op.name(), index.name)
+                }
+                _ => op.name().to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(" -> ");
+
+        SelectPlan { select, access, estimate, operators, aggregates, limit_pushdown, summary }
+    }
+
+    /// The pipeline, in execution order.
+    pub fn operators(&self) -> &[Operator] {
+        &self.operators
+    }
+
+    /// Whether documents are fetched from the data service (false for a
+    /// covering index scan, §5.1.2).
+    pub fn fetch(&self) -> bool {
+        self.operators.contains(&Operator::Fetch)
+    }
+
+    /// The distinct aggregate calls of the projection, HAVING and ORDER BY.
+    pub(crate) fn aggregates(&self) -> &[Expr] {
+        &self.aggregates
+    }
+
+    /// Whether the index scan may stop after LIMIT entries.
+    pub fn limit_pushdown(&self) -> bool {
+        self.limit_pushdown
+    }
 }
 
 /// A fully planned statement.
@@ -138,6 +313,15 @@ pub enum QueryPlan {
 }
 
 impl QueryPlan {
+    /// One-line summary for the request log:
+    /// `IndexScan(age) -> Fetch -> Filter -> InitialProject -> FinalProject`.
+    pub fn summary(&self) -> &str {
+        match self {
+            QueryPlan::Select(p) => &p.summary,
+            QueryPlan::Direct(stmt) => crate::explain::direct_name(stmt),
+        }
+    }
+
     /// Keyspaces whose DDL/data changes invalidate this plan — the plan
     /// cache records these with their epochs at insert time.
     pub fn dependencies(&self) -> Vec<String> {
@@ -147,13 +331,12 @@ impl QueryPlan {
                 deps.push(from.keyspace.clone());
                 for op in &from.ops {
                     match op {
-                        crate::ast::FromOp::Join { keyspace, .. }
-                        | crate::ast::FromOp::Nest { keyspace, .. } => {
+                        FromOp::Join { keyspace, .. } | FromOp::Nest { keyspace, .. } => {
                             if !deps.contains(keyspace) {
                                 deps.push(keyspace.clone());
                             }
                         }
-                        crate::ast::FromOp::Unnest { .. } => {}
+                        FromOp::Unnest { .. } => {}
                     }
                 }
             }

@@ -93,27 +93,70 @@ fn unresolved_bound(e: &Expr) -> Error {
 }
 
 fn plan_select(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Result<SelectPlan> {
-    let Some(from) = &sel.from else {
-        return Ok(SelectPlan {
-            select: sel.clone(),
-            access: AccessPath::ExpressionOnly,
-            fetch: false,
-            estimate: PlanEstimate::default(),
-            join_strategies: Vec::new(),
-        });
+    let chosen = choose_access(ds, sel, opts)?;
+    let joins = match &sel.from {
+        Some(from) => choose_join_strategies(ds, from, &chosen.estimate),
+        None => Vec::new(),
     };
-    let nested_loops = vec![JoinStrategy::NestedLoop; from.ops.len()];
+    Ok(SelectPlan::new(
+        sel.clone(),
+        chosen.access,
+        chosen.estimate,
+        &joins,
+        chosen.range_serves_where,
+    ))
+}
+
+/// The access path for a SELECT's primary keyspace, as priced.
+struct ChosenAccess {
+    access: AccessPath,
+    estimate: PlanEstimate,
+    /// The index range alone enforces the whole WHERE clause.
+    range_serves_where: bool,
+}
+
+impl ChosenAccess {
+    /// An access path the planner did not price.
+    fn unpriced(access: AccessPath) -> ChosenAccess {
+        ChosenAccess { access, estimate: PlanEstimate::default(), range_serves_where: false }
+    }
+}
+
+/// A sargable index with the range it would scan.
+struct Candidate {
+    index: IndexDef,
+    range: RangeSpec,
+    range_serves_where: bool,
+    covering: bool,
+    /// Rule score: prefer bounded ranges, covering, secondary over primary.
+    /// Score ≤ 1 means "unbounded non-covering primary" — just a
+    /// PrimaryScan in disguise.
+    score: u32,
+}
+
+impl Candidate {
+    fn chosen(self, estimate: PlanEstimate) -> ChosenAccess {
+        ChosenAccess {
+            access: AccessPath::IndexScan {
+                index: self.index,
+                range: self.range,
+                covering: self.covering,
+            },
+            estimate,
+            range_serves_where: self.range_serves_where,
+        }
+    }
+}
+
+fn choose_access(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Result<ChosenAccess> {
+    let Some(from) = &sel.from else {
+        return Ok(ChosenAccess::unpriced(AccessPath::ExpressionOnly));
+    };
     // `system:` catalogs are served whole by the datastore (no indexes, no
     // primary-index requirement); the rest of the pipeline — Filter, Group,
     // Sort, Limit — applies unchanged on top of the scan.
     if from.keyspace.starts_with("system:") {
-        return Ok(SelectPlan {
-            select: sel.clone(),
-            access: AccessPath::PrimaryScan,
-            fetch: true,
-            estimate: PlanEstimate::default(),
-            join_strategies: nested_loops,
-        });
+        return Ok(ChosenAccess::unpriced(AccessPath::PrimaryScan));
     }
     if !ds.keyspace_exists(&from.keyspace) {
         return Err(Error::Plan(format!("no such keyspace: {}", from.keyspace)));
@@ -132,42 +175,34 @@ fn plan_select(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Result<
 
     // 1. USE KEYS → KeyScan.
     if let Some(keys) = &from.use_keys {
-        return Ok(SelectPlan {
-            select: sel.clone(),
-            access: AccessPath::KeyScan { keys: keys.clone() },
-            fetch: true,
-            estimate: PlanEstimate::default(),
-            join_strategies: nested_loops,
-        });
+        return Ok(ChosenAccess::unpriced(AccessPath::KeyScan { keys: keys.clone() }));
     }
 
     // 2. Collect sargable index candidates.
     let conjuncts = sel.where_.as_ref().map(split_conjuncts).unwrap_or_default();
     let indexes = ds.list_indexes(&from.keyspace);
-    let mut candidates: Vec<(IndexDef, RangeSpec, bool, u32)> = Vec::new();
+    let mut candidates: Vec<Candidate> = Vec::new();
     for def in &indexes {
-        let Some(spec) = sargable_spec(def, &from.alias, &conjuncts) else { continue };
+        let Some((range, range_serves_where)) = sargable_spec(def, &from.alias, &conjuncts) else {
+            continue;
+        };
         if !partial_index_applicable(def, &from.alias, &conjuncts) {
             continue;
         }
         let covering = covering_ok(def, &from.alias, sel);
-        // Rule score: prefer bounded ranges, covering, secondary over
-        // primary. Score ≤ 1 means "unbounded non-covering primary" — just
-        // a PrimaryScan in disguise.
-        let mut score = 0u32;
-        if spec.has_low() {
-            score += 4;
+        let score = 4 * u32::from(range.has_low())
+            + 4 * u32::from(range.has_high())
+            + 2 * u32::from(covering)
+            + u32::from(!def.primary);
+        if score > 1 {
+            candidates.push(Candidate {
+                index: def.clone(),
+                range,
+                range_serves_where,
+                covering,
+                score,
+            });
         }
-        if spec.has_high() {
-            score += 4;
-        }
-        if covering {
-            score += 2;
-        }
-        if !def.primary {
-            score += 1;
-        }
-        candidates.push((def.clone(), spec, covering, score));
     }
     let have_primary = indexes.iter().any(|d| d.primary);
 
@@ -176,14 +211,11 @@ fn plan_select(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Result<
     // model has nothing to price with, so fall back to the rules).
     let stats = ds.keyspace_stats(&from.keyspace).filter(|s| s.doc_count > 0);
     if let Some(stats) = stats {
-        let mut best: Option<(IndexDef, RangeSpec, bool, PlanEstimate)> = None;
-        for (def, spec, covering, score) in &candidates {
-            if *score <= 1 {
-                continue;
-            }
-            let est = estimate_index_scan(spec, def, &stats, *covering, opts);
-            if best.as_ref().is_none_or(|(_, _, _, b)| est.cost < b.cost) {
-                best = Some((def.clone(), spec.clone(), *covering, est));
+        let mut best: Option<(Candidate, PlanEstimate)> = None;
+        for cand in candidates {
+            let est = estimate_index_scan(&cand.range, &cand.index, &stats, cand.covering, opts);
+            if best.as_ref().is_none_or(|(_, b)| est.cost < b.cost) {
+                best = Some((cand, est));
             }
         }
         let primary_est = PlanEstimate {
@@ -191,61 +223,32 @@ fn plan_select(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Result<
             cardinality: stats.doc_count as f64,
             based_on_stats: true,
         };
-        if let Some((index, range, covering, estimate)) = best {
-            if !have_primary || estimate.cost < primary_est.cost {
-                let join_strategies = choose_join_strategies(ds, from, Some(&estimate));
-                return Ok(SelectPlan {
-                    select: sel.clone(),
-                    access: AccessPath::IndexScan { index, range, covering },
-                    fetch: !covering,
-                    estimate,
-                    join_strategies,
-                });
+        return match best {
+            Some((cand, est)) if !have_primary || est.cost < primary_est.cost => {
+                Ok(cand.chosen(est))
             }
-        }
-        if have_primary {
-            let join_strategies = choose_join_strategies(ds, from, Some(&primary_est));
-            return Ok(SelectPlan {
-                select: sel.clone(),
-                access: AccessPath::PrimaryScan,
-                fetch: true,
+            _ if have_primary => Ok(ChosenAccess {
                 estimate: primary_est,
-                join_strategies,
-            });
-        }
-        return Err(no_index_error(&from.keyspace));
+                ..ChosenAccess::unpriced(AccessPath::PrimaryScan)
+            }),
+            _ => Err(no_index_error(&from.keyspace)),
+        };
     }
 
-    // Rule-based fallback (no statistics): highest score wins.
-    let mut best: Option<(IndexDef, RangeSpec, bool, u32)> = None;
+    // Rule-based fallback (no statistics): highest score wins, the first
+    // of equals.
+    let mut best: Option<Candidate> = None;
     for cand in candidates {
-        if best.as_ref().is_none_or(|(_, _, _, s)| cand.3 > *s) {
+        if best.as_ref().is_none_or(|b| cand.score > b.score) {
             best = Some(cand);
         }
     }
-    if let Some((index, range, covering, score)) = best {
-        if score > 1 {
-            return Ok(SelectPlan {
-                select: sel.clone(),
-                access: AccessPath::IndexScan { index, range, covering },
-                fetch: !covering,
-                estimate: PlanEstimate::default(),
-                join_strategies: nested_loops,
-            });
-        }
+    match best {
+        Some(cand) => Ok(cand.chosen(PlanEstimate::default())),
+        // 3. PrimaryScan requires a primary index to exist (§3.3.3 / §5.1.1).
+        None if have_primary => Ok(ChosenAccess::unpriced(AccessPath::PrimaryScan)),
+        None => Err(no_index_error(&from.keyspace)),
     }
-
-    // 3. PrimaryScan requires a primary index to exist (§3.3.3 / §5.1.1).
-    if have_primary {
-        return Ok(SelectPlan {
-            select: sel.clone(),
-            access: AccessPath::PrimaryScan,
-            fetch: true,
-            estimate: PlanEstimate::default(),
-            join_strategies: nested_loops,
-        });
-    }
-    Err(no_index_error(&from.keyspace))
 }
 
 fn no_index_error(keyspace: &str) -> Error {
@@ -331,15 +334,15 @@ fn range_selectivity(spec: &RangeSpec, istat: Option<&IndexStat>, opts: &QueryOp
 fn choose_join_strategies(
     ds: &dyn Datastore,
     from: &FromClause,
-    outer: Option<&PlanEstimate>,
+    outer: &PlanEstimate,
 ) -> Vec<JoinStrategy> {
     from.ops
         .iter()
         .map(|op| match op {
             FromOp::Join { keyspace, .. } => {
-                let Some(outer) = outer.filter(|e| e.based_on_stats) else {
+                if !outer.based_on_stats {
                     return JoinStrategy::NestedLoop;
-                };
+                }
                 let Some(inner) = ds.keyspace_stats(keyspace.as_str()).filter(|s| s.doc_count > 0)
                 else {
                     return JoinStrategy::NestedLoop;
@@ -440,11 +443,13 @@ pub(crate) fn const_value(e: &Expr, opts: &QueryOptions) -> Option<Value> {
 }
 
 /// Derive the symbolic leading-key range an index can serve for these
-/// conjuncts (`None` if the index is not sargable for this query).
-fn sargable_spec(def: &IndexDef, alias: &str, conjuncts: &[Expr]) -> Option<RangeSpec> {
+/// conjuncts (`None` if the index is not sargable for this query), and
+/// whether that range alone enforces the whole WHERE clause — what has to
+/// hold before a LIMIT may stop the scan early.
+fn sargable_spec(def: &IndexDef, alias: &str, conjuncts: &[Expr]) -> Option<(RangeSpec, bool)> {
     let leading = &def.keys[0];
     let mut spec = RangeSpec::default();
-    let mut matched = false;
+    let mut matched = 0usize;
 
     for c in conjuncts {
         // ANY x IN <arr> SATISFIES x = $v END ↔ array index on <arr>.
@@ -457,7 +462,9 @@ fn sargable_spec(def: &IndexDef, alias: &str, conjuncts: &[Expr]) -> Option<Rang
                         let var_matches =
                             matches!(l.as_ref(), Expr::Path(p) if render_parts(p) == *var);
                         if var_matches && is_const_expr(r) {
-                            return Some(RangeSpec::exact((**r).clone()));
+                            // One entry per array element: the same
+                            // document can appear twice in the range.
+                            return Some((RangeSpec::exact((**r).clone()), false));
                         }
                     }
                 }
@@ -477,7 +484,7 @@ fn sargable_spec(def: &IndexDef, alias: &str, conjuncts: &[Expr]) -> Option<Rang
                 {
                     spec.lows.push(((**low).clone(), true));
                     spec.highs.push(((**high).clone(), true));
-                    matched = true;
+                    matched += 1;
                 }
                 continue;
             }
@@ -505,14 +512,18 @@ fn sargable_spec(def: &IndexDef, alias: &str, conjuncts: &[Expr]) -> Option<Rang
             BinOp::Le => spec.highs.push((const_side.clone(), true)),
             _ => continue,
         }
-        matched = true;
+        matched += 1;
     }
-    if matched || def.primary {
-        // A primary index can always serve an unbounded scan.
-        Some(spec)
-    } else {
-        None
+    // A primary index can always serve an unbounded scan.
+    if matched == 0 && !def.primary {
+        return None;
     }
+    // Every conjunct became a bound, and no entry inside the bounds fails
+    // the predicate: a NULL leading key sorts below every upper bound yet
+    // compares as NULL, so an upper-bound-only range over a document path
+    // can hold rows the Filter still drops.
+    let null_free = spec.has_low() || matches!(leading, KeyExpr::DocId);
+    Some((spec, matched == conjuncts.len() && null_free))
 }
 
 fn flip(op: BinOp) -> BinOp {
@@ -628,12 +639,7 @@ fn expr_covered(e: &Expr, def: &IndexDef, alias: &str) -> bool {
     match e {
         Expr::Literal(_) | Expr::PosParam(_) | Expr::NamedParam(_) => true,
         Expr::MetaId(a) => a.as_deref().is_none_or(|x| x == alias),
-        Expr::Path(parts) => {
-            def.keys.iter().any(|k| matches_key_expr(e, k, alias)) || {
-                let _ = parts;
-                false
-            }
-        }
+        Expr::Path(_) => def.keys.iter().any(|k| matches_key_expr(e, k, alias)),
         Expr::Unary(_, a) => expr_covered(a, def, alias),
         Expr::Binary(_, a, b) => expr_covered(a, def, alias) && expr_covered(b, def, alias),
         Expr::IsCheck(_, a) => expr_covered(a, def, alias),
@@ -703,10 +709,10 @@ mod tests {
     fn index_scan_with_range_pushdown() {
         let ds = ds_with_index(vec![IndexDef::simple("age", "b", "age")]);
         let p = plan(&ds, "SELECT name FROM b WHERE age > 21 AND age <= 40");
-        match p.access {
+        match &p.access {
             AccessPath::IndexScan { index, range, covering } => {
                 assert_eq!(index.name, "age");
-                let r = resolved(&range);
+                let r = resolved(range);
                 assert_eq!(r.low, Some(Value::int(21)));
                 assert!(!r.low_inclusive);
                 assert_eq!(r.high, Some(Value::int(40)));
@@ -715,7 +721,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert!(p.fetch);
+        assert!(p.fetch());
     }
 
     #[test]
@@ -740,7 +746,7 @@ mod tests {
             AccessPath::IndexScan { covering, .. } => assert!(covering),
             other => panic!("{other:?}"),
         }
-        assert!(!p.fetch, "covering index avoids the Fetch operator (§5.1.2)");
+        assert!(!p.fetch(), "covering index avoids the Fetch operator (§5.1.2)");
     }
 
     #[test]
@@ -854,6 +860,44 @@ mod tests {
         let ds = MemoryDatastore::new();
         let p = plan(&ds, "SELECT 1+1 AS two");
         assert!(matches!(p.access, AccessPath::ExpressionOnly));
+    }
+
+    #[test]
+    fn limit_pushdown_decision_table() {
+        let ds = ds_with_index(vec![
+            IndexDef::primary("#primary", "b"),
+            IndexDef::simple("age", "b", "age"),
+        ]);
+        ds.create_keyspace("c");
+        let table: &[(&str, bool)] = &[
+            // perfbench's `ycsb_scan` and a secondary-index range: the
+            // range is the whole WHERE, nothing else touches the row count.
+            ("SELECT meta().id AS id FROM b WHERE meta().id >= $start LIMIT $lim", true),
+            ("SELECT name FROM b WHERE age >= $1 LIMIT 3", true),
+            ("SELECT name FROM b WHERE age > $1 AND age <= 40 LIMIT 3", true),
+            ("SELECT meta().id AS id FROM b LIMIT 3", true),
+            // No LIMIT to push.
+            ("SELECT name FROM b WHERE age >= $1", false),
+            // The Filter still drops rows: a residual conjunct, or NULL keys
+            // under an upper bound.
+            ("SELECT name FROM b WHERE age >= $1 AND name = 'x' LIMIT 3", false),
+            ("SELECT name FROM b WHERE age < $1 LIMIT 3", false),
+            // Operators that reorder, merge, drop or multiply rows.
+            ("SELECT name FROM b WHERE age >= $1 ORDER BY age LIMIT 3", false),
+            ("SELECT age FROM b WHERE age >= $1 GROUP BY age LIMIT 3", false),
+            ("SELECT COUNT(*) AS n FROM b WHERE age >= $1 LIMIT 3", false),
+            ("SELECT 1 AS one FROM b WHERE age >= $1 HAVING COUNT(*) > 0 LIMIT 3", false),
+            ("SELECT DISTINCT age FROM b WHERE age >= $1 LIMIT 3", false),
+            ("SELECT name FROM b WHERE age >= $1 LIMIT 3 OFFSET 1", false),
+            ("SELECT b.name FROM b JOIN c ON KEYS b.ref WHERE b.age >= $1 LIMIT 3", false),
+            ("SELECT b.name FROM b NEST c ON KEYS b.ref WHERE b.age >= $1 LIMIT 3", false),
+            ("SELECT b.name, t FROM b UNNEST b.tags t WHERE b.age >= $1 LIMIT 3", false),
+        ];
+        for (q, expected) in table {
+            let p = plan(&ds, q);
+            assert!(matches!(p.access, AccessPath::IndexScan { .. }), "{q}: {:?}", p.access);
+            assert_eq!(p.limit_pushdown(), *expected, "{q}: {:?}", p.operators());
+        }
     }
 
     // ----- cost model -----

@@ -5,10 +5,12 @@
 //! this module is the repro's equivalent. Three pieces:
 //!
 //! - [`Prof`] — the operator-stat collector threaded through the executor.
-//!   Each pipeline operator records items_in / items_out and its exclusive
-//!   kernel time (the stages run sequentially, so per-stage wall time *is*
-//!   exclusive time). Disabled collectors are a no-op: a `PROFILE`-less
-//!   query pays one branch per operator and allocates nothing extra.
+//!   The executor's loop over the plan's operator list records, for each
+//!   operator it runs, items_in / items_out and its exclusive kernel time
+//!   (the stages run sequentially, so per-stage wall time *is* exclusive
+//!   time); the n-th stat therefore belongs to the n-th operator EXPLAIN
+//!   shows. Disabled collectors are a no-op: a `PROFILE`-less query pays
+//!   one branch per operator and allocates nothing extra.
 //! - [`PhaseTimes`] — plan / indexScan / primaryScan / fetch / run rollups
 //!   extracted from the request's cbs-obs spans (the ones a kept trace
 //!   shows), so cross-service time (GSI scans, KV fetches) is attributed
@@ -25,33 +27,10 @@ use cbs_common::sync::{rank, OrderedMutex};
 use cbs_json::Value;
 use cbs_obs::SpanRec;
 
-/// Every operator name the executor can emit, in pipeline order. The
-/// `profile-coverage` xtask lint cross-checks that `exec.rs` records stats
-/// for each of these.
-pub const OPERATORS: &[&str] = &[
-    "KeyScan",
-    "IndexScan",
-    "PrimaryScan",
-    "DummyScan",
-    "Fetch",
-    "Join",
-    "HashJoin",
-    "Nest",
-    "Unnest",
-    "Filter",
-    "Group",
-    "InitialProject",
-    "Distinct",
-    "Sort",
-    "Offset",
-    "Limit",
-    "FinalProject",
-];
-
 /// Runtime stats for one executed operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpStat {
-    /// Operator name, matching EXPLAIN's spelling.
+    /// Operator name ([`crate::Operator::name`], or the DML/DDL name).
     pub operator: &'static str,
     /// Rows entering the operator.
     pub items_in: u64,
@@ -94,11 +73,6 @@ impl Prof {
         Prof::default()
     }
 
-    /// Whether stats are being kept.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Start timing an operator kernel. `None` (no clock read) when
     /// disabled.
     #[inline]
@@ -128,12 +102,6 @@ impl Prof {
     /// The recorded operator stats, in execution order.
     pub fn ops(&self) -> &[OpStat] {
         &self.ops
-    }
-
-    /// Rows produced by the last operator (the query's result count as the
-    /// pipeline saw it), 0 when nothing was recorded.
-    pub fn final_items_out(&self) -> u64 {
-        self.ops.last().map(|o| o.items_out).unwrap_or(0)
     }
 }
 
@@ -494,7 +462,6 @@ mod tests {
         assert!(t0.is_none());
         p.record("Filter", 10, 5, t0);
         assert!(p.ops().is_empty());
-        assert_eq!(p.final_items_out(), 0);
     }
 
     #[test]
@@ -506,7 +473,7 @@ mod tests {
         p.record("Fetch", 7, 6, t1);
         assert_eq!(p.ops().len(), 2);
         assert_eq!(p.ops()[0].operator, "IndexScan");
-        assert_eq!(p.final_items_out(), 6);
+        assert_eq!(p.ops()[1].items_out, 6);
         let v = p.ops()[1].to_value();
         assert_eq!(v.get_field("#itemsIn").and_then(|v| v.as_i64()), Some(7));
     }

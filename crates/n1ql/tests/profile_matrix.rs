@@ -1,12 +1,16 @@
 //! PROFILE equivalence matrix: for a spread of plan shapes, the profiled
 //! run must tell the same story as the plain run — the final operator's
-//! `#itemsOut` equals the plain result count, the annotated tree carries
-//! `#stats` on executed operators, and the phase rollups never exceed the
-//! request's elapsed time.
+//! `#itemsOut` equals the plain result count, the operators EXPLAIN lists,
+//! the ones PROFILE annotates with `#stats` and the ones the executor ran
+//! are one sequence, and the phase rollups never exceed the request's
+//! elapsed time.
 
 use cbs_index::IndexDef;
 use cbs_json::Value;
-use cbs_n1ql::{query, Datastore, MemoryDatastore, QueryOptions};
+use cbs_n1ql::{
+    build_plan, execute_with_profile, parse_statement, query, Datastore, MemoryDatastore, Prof,
+    QueryOptions,
+};
 
 fn ds() -> MemoryDatastore {
     let ds = MemoryDatastore::new();
@@ -36,13 +40,21 @@ fn ds() -> MemoryDatastore {
     ds
 }
 
-/// Operators in the annotated tree that carry runtime `#stats`.
-fn stats_ops(profile_row: &Value) -> Vec<(String, i64, i64)> {
-    profile_row
-        .get_field("plan")
+/// The operator nodes of an EXPLAIN or PROFILE row.
+fn operators(row: &Value) -> &[Value] {
+    row.get_field("plan")
         .and_then(|p| p.get_field("operators"))
         .and_then(Value::as_array)
-        .expect("PROFILE row has plan.operators")
+        .expect("row has plan.operators")
+}
+
+fn names(ops: &[Value]) -> Vec<&str> {
+    ops.iter().map(|op| op.get_field("operator").and_then(Value::as_str).unwrap_or("?")).collect()
+}
+
+/// Operators in the annotated tree that carry runtime `#stats`.
+fn stats_ops(profile_row: &Value) -> Vec<(String, i64, i64)> {
+    operators(profile_row)
         .iter()
         .filter_map(|op| {
             let stats = op.get_field("#stats")?;
@@ -77,6 +89,13 @@ fn profile_matches_plain_execution_across_plan_shapes() {
         "SELECT p.name, o.item FROM profiles p JOIN orders o ON KEYS p.order_ids",
         // Unnest.
         "SELECT p.name, t FROM profiles p UNNEST p.tags t",
+        // Nest.
+        "SELECT p.name, o FROM profiles p NEST orders o ON KEYS p.order_ids",
+        // Group whose only aggregate sits in HAVING / in ORDER BY.
+        "SELECT 1 AS one FROM profiles HAVING COUNT(*) > 0",
+        "SELECT 1 AS one FROM profiles ORDER BY COUNT(*)",
+        // A system: catalog.
+        "SELECT name FROM system:keyspaces",
     ];
     for stmt in matrix {
         let t0 = std::time::Instant::now();
@@ -99,6 +118,22 @@ fn profile_matches_plain_execution_across_plan_shapes() {
         let row = &profiled.rows[0];
         let ops = stats_ops(row);
         assert!(!ops.is_empty(), "{stmt}: at least one operator has #stats");
+
+        // One operator list: what EXPLAIN shows is what PROFILE annotates —
+        // every operator, none without `#stats` — and what the executor ran.
+        let explained = query(&ds, &format!("EXPLAIN {stmt}"), &QueryOptions::default())
+            .unwrap_or_else(|e| panic!("explain {stmt}: {e}"));
+        let listed = names(operators(&explained.rows[0]));
+        assert_eq!(names(operators(row)), listed, "{stmt}: PROFILE tree == EXPLAIN tree");
+        let annotated: Vec<&str> = ops.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(annotated, listed, "{stmt}: every listed operator carries #stats");
+        let plan = build_plan(&ds, &parse_statement(stmt).unwrap(), &QueryOptions::default())
+            .unwrap_or_else(|e| panic!("plan {stmt}: {e}"));
+        let mut prof = Prof::on();
+        execute_with_profile(&ds, &plan, &QueryOptions::default(), &mut prof)
+            .unwrap_or_else(|e| panic!("execute {stmt}: {e}"));
+        let ran: Vec<&str> = prof.ops().iter().map(|s| s.operator).collect();
+        assert_eq!(ran, listed, "{stmt}: the executor ran exactly the listed operators");
         let (last_op, _, items_out) = ops.last().unwrap();
         assert_eq!(last_op, "FinalProject", "{stmt}: pipeline ends in FinalProject");
         assert_eq!(

@@ -235,6 +235,72 @@ fn ycsb_workload_e_query() {
     assert_eq!(ids, ["u2", "u3", "u4"]);
     // Covered by the primary index: zero document fetches.
     assert_eq!(res.metrics.fetches, 0);
+    // Nothing between the scan and LIMIT can change the row count, so the
+    // scan stops after $2 entries.
+    assert_eq!(res.metrics.index_entries, 3);
+}
+
+/// Five documents whose first two fall out of an inner join / nest /
+/// unnest and whose first has a NULL `n`, plus the join's inner keyspace.
+fn limit_ds() -> MemoryDatastore {
+    let ds = MemoryDatastore::new();
+    ds.create_keyspace("b");
+    ds.create_keyspace("c");
+    let b = [
+        ("k0", r#"{"ref":"gone","tags":[],"n":null}"#),
+        ("k1", r#"{"ref":"gone","tags":[],"n":1}"#),
+        ("k2", r#"{"ref":"c2","tags":["x"],"n":2}"#),
+        ("k3", r#"{"ref":"c3","tags":["y"],"n":3}"#),
+        ("k4", r#"{"ref":"c4","tags":["z"],"n":4}"#),
+    ];
+    ds.load("b", b.iter().map(|(k, v)| (k.to_string(), cbs_json::parse(v).unwrap())));
+    let c = [("c2", r#"{"v":2}"#), ("c3", r#"{"v":3}"#), ("c4", r#"{"v":4}"#)];
+    ds.load("c", c.iter().map(|(k, v)| (k.to_string(), cbs_json::parse(v).unwrap())));
+    ds.create_index(IndexDef::primary("#b", "b")).unwrap();
+    ds.create_index(IndexDef::primary("#c", "c")).unwrap();
+    ds.create_index(IndexDef::simple("by_n", "b", "n")).unwrap();
+    ds
+}
+
+fn ids(rows: &[Value]) -> Vec<&str> {
+    rows.iter().map(|r| r.get_field("id").and_then(Value::as_str).unwrap_or("?")).collect()
+}
+
+#[test]
+fn limit_counts_groups_not_scanned_entries() {
+    let ds = limit_ds();
+    let res = query(
+        &ds,
+        r#"SELECT COUNT(*) AS n FROM b WHERE meta().id >= "k0" LIMIT 2"#,
+        &QueryOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(res.rows, [Value::object([("n", Value::int(5))])]);
+    assert_eq!(res.metrics.index_entries, 5, "the aggregate sees the whole range");
+}
+
+#[test]
+fn limit_applies_after_operators_that_drop_rows() {
+    let ds = limit_ds();
+    for from in ["JOIN c ON KEYS b.ref", "NEST c ON KEYS b.ref", "UNNEST b.tags t"] {
+        let q =
+            format!(r#"SELECT meta(b).id AS id FROM b {from} WHERE meta(b).id >= "k0" LIMIT 2"#);
+        assert_eq!(ids(&run(&ds, &q)), ["k2", "k3"], "{q}");
+    }
+    let joined = run(
+        &ds,
+        r#"SELECT meta(b).id AS id, c.v FROM b JOIN c ON KEYS b.ref WHERE meta(b).id >= "k0" LIMIT 2"#,
+    );
+    assert_eq!(joined[0].get_field("v"), Some(&Value::int(2)));
+    assert_eq!(joined[1].get_field("v"), Some(&Value::int(3)));
+}
+
+#[test]
+fn limit_skips_null_keys_below_an_upper_bound() {
+    // k0's NULL `n` sorts inside the range `n < 10` but fails the predicate.
+    let ds = limit_ds();
+    let rows = run(&ds, "SELECT meta().id AS id FROM b WHERE n < 10 LIMIT 2");
+    assert_eq!(ids(&rows), ["k1", "k2"]);
 }
 
 #[test]

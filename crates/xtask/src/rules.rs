@@ -1,7 +1,7 @@
 //! The repo-invariant rules.
 //!
-//! Six rules, each encoding a convention this codebase relies on for
-//! correctness but which `rustc`/`clippy` cannot express:
+//! Eight rules (`KNOWN_RULES`), each encoding a convention this codebase
+//! relies on for correctness but which `rustc`/`clippy` cannot express:
 //!
 //! | rule                | scope                          | invariant                                                |
 //! |---------------------|--------------------------------|----------------------------------------------------------|
@@ -18,6 +18,8 @@
 //! |                     | root `tests/chaos*.rs` suite   | (`thread_rng`, `Instant::now`, `SystemTime`) — every     |
 //! |                     |                                | chaos decision must derive from the printed seed so a    |
 //! |                     |                                | failure replays exactly                                  |
+//! | `txn-determinism`   | txn (lib + tests) and the      | the same contract for the transaction scheduler and its  |
+//! |                     | bench crate's txn benches      | battery (`TXN_SEED` replay, byte-stable bench JSON)      |
 //! | `ycsb-hot-parse`    | ycsb (lib)                     | no ad-hoc N1QL construction or parser/planner calls in   |
 //! |                     |                                | the benchmark hot loop — PREPARE once at setup, EXECUTE  |
 //! |                     |                                | per operation (the fig16 fast path)                      |
@@ -77,7 +79,6 @@ const KNOWN_RULES: &[&str] = &[
     "obs-naming",
     "chaos-determinism",
     "txn-determinism",
-    "profile-coverage",
     "ycsb-hot-parse",
 ];
 
@@ -86,31 +87,6 @@ const KNOWN_RULES: &[&str] = &[
 /// their suppression/staleness hygiene is checked by the analyzer (which
 /// knows where its findings land), not by `apply_allows` here.
 pub const ANALYZE_RULES: &[&str] = &["lock-order", "guard-blocking", "raw-lock"];
-
-/// Mirror of `cbs_n1ql::profile::OPERATORS` (xtask deliberately has no
-/// dependencies). Every operator the N1QL executor can emit must record
-/// runtime stats through the profiler so PROFILE trees stay complete; the
-/// `profile-coverage` rule fails the lint when an operator is added to the
-/// executor without instrumentation.
-pub(crate) const PROFILE_OPERATORS: &[&str] = &[
-    "KeyScan",
-    "IndexScan",
-    "PrimaryScan",
-    "DummyScan",
-    "Fetch",
-    "Join",
-    "HashJoin",
-    "Nest",
-    "Unnest",
-    "Filter",
-    "Group",
-    "InitialProject",
-    "Distinct",
-    "Sort",
-    "Offset",
-    "Limit",
-    "FinalProject",
-];
 
 /// Registration call sites whose first argument, when it is a string
 /// literal, must be a well-formed cbs-obs metric/event name. Dynamic names
@@ -185,9 +161,6 @@ pub fn lint_file(crate_name: &str, rel_path: &str, src: &str) -> Vec<Finding> {
         rule_ycsb_hot_parse(&m, &orig_lines, rel_path, &mut findings);
     }
     rule_obs_naming(&m, &orig_lines, rel_path, &mut findings);
-    if crate_name == "n1ql" && rel_path.ends_with("src/exec.rs") {
-        rule_profile_coverage(src, rel_path, &mut findings);
-    }
 
     apply_allows(&m, rel_path, findings)
 }
@@ -609,54 +582,6 @@ fn rule_obs_naming(m: &Masked, orig_lines: &[&str], rel: &str, out: &mut Vec<Fin
     }
 }
 
-/// `profile-coverage`: the N1QL executor must record profiling stats for
-/// every operator in [`PROFILE_OPERATORS`] (the PROFILE statement attaches
-/// them to the EXPLAIN tree by name), and must not record under an
-/// operator-style name the mirror does not know — either direction of
-/// drift breaks PROFILE silently. Only literal `record("Name"` calls
-/// count: recording through a variable hides the name from both this lint
-/// and the reader.
-fn rule_profile_coverage(src: &str, rel: &str, out: &mut Vec<Finding>) {
-    for op in PROFILE_OPERATORS {
-        if !src.contains(&format!("record(\"{op}\"")) {
-            out.push(Finding {
-                file: rel.to_string(),
-                line: 1,
-                rule: "profile-coverage",
-                msg: format!(
-                    "operator `{op}` never records profiling stats — add \
-                     `prof.record(\"{op}\", items_in, items_out, t0)` to the executor, or \
-                     update the PROFILE_OPERATORS mirror together with \
-                     `cbs_n1ql::profile::OPERATORS`"
-                ),
-            });
-        }
-    }
-    for (idx, line) in src.lines().enumerate() {
-        let mut search = 0usize;
-        while let Some(pos) = line[search..].find("record(\"") {
-            let at = search + pos + "record(\"".len();
-            search = at;
-            let name: String = line[at..].chars().take_while(|c| *c != '"').collect();
-            // Only operator-style (UpperCamelCase) literals are checked;
-            // lowercase names belong to metrics, not pipeline operators.
-            if name.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                && !PROFILE_OPERATORS.contains(&name.as_str())
-            {
-                out.push(Finding {
-                    file: rel.to_string(),
-                    line: idx + 1,
-                    rule: "profile-coverage",
-                    msg: format!(
-                        "operator `{name}` is not in the PROFILE_OPERATORS mirror — PROFILE \
-                         cannot match its stats to a plan node"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// The cbs-obs naming convention, re-stated here because xtask deliberately
 /// has no dependencies (mirror of `cbs_obs::is_valid_metric_name`).
 fn is_valid_obs_name(name: &str) -> bool {
@@ -1024,52 +949,6 @@ fn f(&self) {
         assert!(f[0].render().starts_with("crates/x/src/lib.rs:1: [unwrap]"));
     }
 
-    /// A synthetic executor body that records every known operator.
-    fn full_coverage_body() -> String {
-        let mut body = String::from("fn run(prof: &mut Profile) {\n");
-        for op in PROFILE_OPERATORS {
-            body.push_str(&format!("    prof.record(\"{op}\", 0, 0, t0);\n"));
-        }
-        body.push_str("}\n");
-        body
-    }
-
-    fn lint_exec(src: &str) -> Vec<Finding> {
-        lint_file("n1ql", "crates/n1ql/src/exec.rs", src)
-    }
-
-    #[test]
-    fn profile_coverage_clean_when_every_operator_records() {
-        let f = lint_exec(&full_coverage_body());
-        assert!(f.iter().all(|f| f.rule != "profile-coverage"), "{f:?}");
-    }
-
-    #[test]
-    fn profile_coverage_flags_missing_operator() {
-        let src = full_coverage_body().replace("prof.record(\"Sort\", 0, 0, t0);\n", "");
-        let f = lint_exec(&src);
-        let hits: Vec<_> = f.iter().filter(|f| f.rule == "profile-coverage").collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].msg.contains("`Sort` never records"));
-    }
-
-    #[test]
-    fn profile_coverage_flags_unknown_operator_name() {
-        let mut src = full_coverage_body();
-        src.push_str("fn extra(prof: &mut Profile) { prof.record(\"Scanner\", 0, 0, t0); }\n");
-        let f = lint_exec(&src);
-        assert!(
-            f.iter().any(|f| f.rule == "profile-coverage"
-                && f.msg.contains("`Scanner` is not in the PROFILE_OPERATORS mirror")),
-            "{f:?}"
-        );
-        // Dynamic and lowercase-literal record calls are out of scope.
-        let mut ok = full_coverage_body();
-        ok.push_str("fn d(prof: &mut Profile) { prof.record(name, 0, 0, t0); }\n");
-        ok.push_str("fn m(h: &H) { h.record(\"latency\", 1); }\n");
-        assert!(lint_exec(&ok).iter().all(|f| f.rule != "profile-coverage"));
-    }
-
     #[test]
     fn ycsb_hot_parse_flags_adhoc_select_and_front_end_calls() {
         let src = "fn scan(c: &C) {\n    c.query(&format!(\"SELECT * FROM {b} WHERE x >= $1\"), &o);\n    let s = parse_statement(text);\n}\n";
@@ -1087,14 +966,5 @@ fn f(&self) {
         assert!(lint("ycsb", test_src).is_empty());
         let allowed = "fn f(c: &C) {\n    // lint:allow(ycsb-hot-parse): one-shot verification query after the run\n    c.query(&format!(\"SELECT COUNT(*) FROM {b}\"), &o);\n}\n";
         assert!(lint("ycsb", allowed).is_empty());
-    }
-
-    #[test]
-    fn profile_coverage_only_applies_to_the_executor() {
-        // The same uninstrumented source elsewhere in the crate is fine.
-        let f = lint_file("n1ql", "crates/n1ql/src/plan.rs", "fn f() {}\n");
-        assert!(f.iter().all(|f| f.rule != "profile-coverage"));
-        let g = lint_file("kv", "crates/kv/src/exec.rs", "fn f() {}\n");
-        assert!(g.iter().all(|f| f.rule != "profile-coverage"));
     }
 }

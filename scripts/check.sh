@@ -28,7 +28,10 @@
 #   7. full test suite            (skipped with --quick)
 #   8. perfbench smoke            the benchmark package (its own workspace):
 #                                 unit tests, then every workload at --smoke
-#                                 sizes with its in-run correctness checks
+#                                 sizes with its in-run correctness checks,
+#                                 then the n1ql_scan_e counts that repeat
+#                                 exactly (allocations per scan, pushdown,
+#                                 plan-cache hits) against their ceilings
 #   9. TSan / Miri subset         best-effort: requires nightly toolchain
 #                                 with rust-src / miri; skipped gracefully
 #                                 when the components are not installed.
@@ -141,7 +144,28 @@ perfbench_smoke() {
         return 1
     fi
     cargo test --quiet --release --manifest-path perfbench/Cargo.toml || return 1
-    cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- --smoke >/dev/null
+    cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- --smoke >/dev/null \
+        || return 1
+    # Counts that repeat exactly per seed are gated here (ROADMAP "yardstick"
+    # (i)): a traced smoke scan's client-thread allocations (680.47 since
+    # PR 20, 806.07 before), LIMIT still bounding the index scan, and every
+    # EXECUTE served from the plan cache.
+    local line allocs examined hits
+    line="$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
+        --workload n1ql_scan_e --smoke --trace 1 2>/dev/null | tail -n 1)" || return 1
+    allocs="$(result_metric "$line" client.allocs_per_read)"
+    examined="$(result_metric "$line" index.rows_examined_per_row_returned)"
+    hits="$(result_metric "$line" n1ql.plancache_hit_ratio)"
+    awk -v a="$allocs" -v e="$examined" -v h="$hits" \
+        'BEGIN { exit !(a != "" && a <= 685 && e == 1 && h >= 1) }' && return 0
+    echo "    n1ql_scan_e: allocs_per_read=$allocs (ceiling 685)," \
+        "rows_examined_per_row_returned=$examined (want 1), plancache_hit_ratio=$hits (want 1)"
+    return 1
+}
+
+# The value of one metric on a perfbench result line (its last stdout line).
+result_metric() {
+    echo "$1" | grep -o "\"$2\": {\"value\": [0-9.e+-]*" | grep -o '[0-9.e+-]*$'
 }
 
 # Single-stage entry points: `check.sh <name>-smoke` runs just that stage.

@@ -90,6 +90,29 @@ proptest! {
             let b2 = cbs_n1ql::query(&mem, &q, &QueryOptions::default()).unwrap().rows;
             prop_assert_eq!(a, b2, "query: {}", q);
         }
+        // LIMIT above an aggregate and above an inner join that drops the
+        // inactive documents: agreeing is not enough, the answers are known.
+        let count = Value::object([("n", Value::from(docs.len()))]);
+        let first_two: Vec<Value> = docs
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.get_field("active") == Some(&Value::Bool(true)))
+            .take(2)
+            .map(|(i, _)| Value::object([("id", Value::from(format!("d{i:03}")))]))
+            .collect();
+        for (q, expected) in [
+            (r#"SELECT COUNT(*) AS n FROM b WHERE META().id >= "d000" LIMIT 2"#, vec![count]),
+            (
+                r#"SELECT META(b).id AS id FROM b JOIN b c ON KEYS CASE WHEN b.active THEN META(b).id END
+                   WHERE META(b).id >= "d000" LIMIT 2"#,
+                first_two,
+            ),
+        ] {
+            let a = cluster.query(q, &QueryOptions::default().request_plus()).unwrap().rows;
+            let b2 = cbs_n1ql::query(&mem, q, &QueryOptions::default()).unwrap().rows;
+            prop_assert_eq!(&a, &expected, "cluster: {}", q);
+            prop_assert_eq!(&b2, &expected, "memory: {}", q);
+        }
     }
 }
 
