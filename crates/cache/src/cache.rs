@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedRwLock};
-use cbs_common::{DocMeta, Error, Result, VbId};
+use cbs_common::{DocMeta, Error, Result, SeqNo, VbId};
 use cbs_json::SharedValue;
 use cbs_obs::{Counter, Gauge, Registry};
 
@@ -44,6 +44,20 @@ impl CacheItem {
         // Entry overhead + key + optional resident value.
         64 + key.len() + self.value.as_ref().map(|v| v.approx_size()).unwrap_or(0)
     }
+}
+
+/// One entry as [`ObjectCache::snapshot_vb`] copies it out.
+#[derive(Debug, Clone)]
+pub struct CacheEntry {
+    /// Document ID.
+    pub key: String,
+    /// Metadata of the cached version.
+    pub meta: DocMeta,
+    /// Tombstone marker.
+    pub deleted: bool,
+    /// The body, aliasing the cached allocation; `None` for a tombstone or
+    /// an evicted value.
+    pub value: Option<SharedValue>,
 }
 
 /// Result of a cache lookup.
@@ -215,17 +229,39 @@ impl ObjectCache {
         shard.map.get(key).map(|i| (i.meta, i.value.clone(), i.deleted, i.dirty))
     }
 
-    /// Snapshot of all *dirty* (unpersisted) entries in a vBucket. Dirty
-    /// entries always have their value resident (dirty items are pinned),
-    /// so this is the authoritative in-memory tail for DCP backfill.
-    pub fn dirty_snapshot(&self, vb: VbId) -> Vec<(String, DocMeta, bool, Option<SharedValue>)> {
+    /// Copy of every entry of a vBucket newer than `since`, taken under one
+    /// hold of the shard's read lock: a key clone and a reference-count
+    /// bump per document. This is what a DCP backfill is served from — an
+    /// entry copied without its value (evicted, so clean) is in the storage
+    /// index by then.
+    pub fn snapshot_vb(&self, vb: VbId, since: SeqNo) -> Vec<CacheEntry> {
         let shard = self.shard(vb).read();
         shard
             .map
             .iter()
-            .filter(|(_, i)| i.dirty)
-            .map(|(k, i)| (k.clone(), i.meta, i.deleted, i.value.clone()))
+            .filter(|(_, i)| i.meta.seqno > since)
+            .map(|(k, i)| CacheEntry {
+                key: k.clone(),
+                meta: i.meta,
+                deleted: i.deleted,
+                value: i.value.clone(),
+            })
             .collect()
+    }
+
+    /// Live documents among a vBucket's entries — neither tombstones nor
+    /// expired at `now` — plus those of `others` the shard does not hold
+    /// (under [`EvictionPolicy::Full`]: keys the storage index lists that
+    /// were evicted whole).
+    pub fn live_count<'a>(
+        &self,
+        vb: VbId,
+        now: u32,
+        others: impl IntoIterator<Item = &'a str>,
+    ) -> usize {
+        let shard = self.shard(vb).read();
+        let held = shard.map.values().filter(|i| !i.deleted && !i.meta.is_expired_at(now)).count();
+        held + others.into_iter().filter(|k| !shard.map.contains_key(*k)).count()
     }
 
     /// Re-install a value fetched from disk after a [`CacheLookup::ValueGone`]
@@ -246,7 +282,7 @@ impl ObjectCache {
 
     /// Flusher callback: the mutation with `seqno` has been persisted; if
     /// the entry still holds that exact version, clear its dirty bit.
-    pub fn mark_clean(&self, vb: VbId, key: &str, seqno: cbs_common::SeqNo) {
+    pub fn mark_clean(&self, vb: VbId, key: &str, seqno: SeqNo) {
         let mut shard = self.shard(vb).write();
         if let Some(item) = shard.map.get_mut(key) {
             if item.meta.seqno == seqno {
@@ -376,7 +412,6 @@ impl ObjectCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbs_common::SeqNo;
     use cbs_json::Value;
 
     fn meta(seq: u64) -> DocMeta {

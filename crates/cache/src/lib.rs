@@ -26,5 +26,5 @@
 pub mod cache;
 pub mod stats;
 
-pub use cache::{CacheItem, CacheLookup, EvictionPolicy, ObjectCache};
+pub use cache::{CacheEntry, CacheItem, CacheLookup, EvictionPolicy, ObjectCache};
 pub use stats::CacheStats;

@@ -74,10 +74,16 @@ impl ClusterInner {
     }
 
     pub fn map(&self, bucket: &str) -> Result<ClusterMap> {
+        self.read_map(bucket, ClusterMap::clone)
+    }
+
+    /// Read what a caller needs off a bucket's map under the `maps` read
+    /// guard — a path that wants one entry does not clone 1024 of them.
+    pub fn read_map<T>(&self, bucket: &str, read: impl FnOnce(&ClusterMap) -> T) -> Result<T> {
         self.maps
             .read()
             .get(bucket)
-            .cloned()
+            .map(read)
             .ok_or_else(|| Error::Cluster(format!("unknown bucket {bucket}")))
     }
 }
@@ -155,6 +161,17 @@ impl Cluster {
     /// The map for a bucket (what smart clients cache).
     pub fn map(&self, bucket: &str) -> Result<ClusterMap> {
         self.inner.map(bucket)
+    }
+
+    /// A bucket's current map epoch: what a cached topology is stale
+    /// against.
+    pub fn map_epoch(&self, bucket: &str) -> Result<u64> {
+        self.inner.read_map(bucket, |m| m.epoch)
+    }
+
+    /// Number of vBuckets a bucket is partitioned into.
+    pub fn num_vbuckets(&self, bucket: &str) -> Result<u16> {
+        self.inner.read_map(bucket, ClusterMap::num_vbuckets)
     }
 
     /// Bucket names.
@@ -583,8 +600,8 @@ impl Cluster {
 
     /// The engine currently active for a vBucket.
     pub fn active_engine(&self, bucket: &str, vb: VbId) -> Result<Arc<cbs_kv::DataEngine>> {
-        let map = self.inner.map(bucket)?;
-        self.inner.node(map.active_node(vb))?.engine(bucket)
+        let active = self.inner.read_map(bucket, |m| m.active_node(vb))?;
+        self.inner.node(active)?.engine(bucket)
     }
 
     /// Cluster-wide high-seqno vector for a bucket (the `request_plus`

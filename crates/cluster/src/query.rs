@@ -290,7 +290,7 @@ impl Datastore for ClusterDatastore {
                             continue;
                         }
                         if let Ok(engine) = node.engine(&bucket) {
-                            count += engine.scan_active_docs()?.len();
+                            count += engine.active_doc_count()?;
                         }
                     }
                     rows.push(keyspace_row(&bucket, count));

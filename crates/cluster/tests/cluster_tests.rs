@@ -566,3 +566,163 @@ fn expected_outcomes_do_not_evict_a_genuinely_failed_trace() {
     let failed: Vec<_> = traces.iter().filter(|t| t.failed).map(|t| t.root_name).collect();
     assert_eq!(failed, vec!["client.kv.unlock"], "only the timeout counts as a failure");
 }
+
+// ---------------------------------------------------------------------------
+// Memory-first backfill: an index build reads only what the cache evicted
+// ---------------------------------------------------------------------------
+
+const BUILD_DOCS: usize = 400;
+
+fn padded_doc(i: usize) -> Value {
+    Value::object([("i", Value::from(i)), ("pad", Value::from("x".repeat(1000)))])
+}
+
+/// `BUILD_DOCS` padded documents minus every tenth, deleted again, all
+/// persisted. A write refused under a tight quota (`TempOom`) is retried
+/// once the flusher has made room.
+fn load_for_build(cluster: &Arc<Cluster>) -> Vec<String> {
+    let client = SmartClient::connect(Arc::clone(cluster), "default").unwrap();
+    for i in 0..BUILD_DOCS {
+        let key = format!("doc-{i:04}");
+        let stored =
+            wait_until(Duration::from_secs(20), || match client.upsert(&key, padded_doc(i)) {
+                Ok(_) => true,
+                Err(Error::TempOom) => false,
+                Err(e) => panic!("upsert {key}: {e}"),
+            });
+        assert!(stored, "{key} never admitted");
+        if i % 10 == 0 {
+            client.remove(&key, cbs_common::Cas::WILDCARD).unwrap();
+        }
+    }
+    wait_all_persisted(cluster);
+    (0..BUILD_DOCS).filter(|i| i % 10 != 0).map(|i| format!("doc-{i:04}")).collect()
+}
+
+fn engines_of(cluster: &Cluster) -> Vec<Arc<cbs_kv::DataEngine>> {
+    cluster.nodes().iter().map(|n| n.engine("default").unwrap()).collect()
+}
+
+fn wait_all_persisted(cluster: &Cluster) {
+    let engines = engines_of(cluster);
+    assert!(wait_until(Duration::from_secs(20), || {
+        engines.iter().all(|e| e.disk_queue_len() == 0)
+    }));
+}
+
+/// Documents the engines' backfills have read from their shard logs.
+fn backfill_disk_reads(cluster: &Cluster) -> u64 {
+    engines_of(cluster).iter().map(|e| e.stats().backfill_from_disk.get()).sum()
+}
+
+/// `CREATE PRIMARY INDEX`; returns how many documents the build read from
+/// disk.
+fn build_primary_index(cluster: &Arc<Cluster>) -> u64 {
+    let before = backfill_disk_reads(cluster);
+    ClusterDatastore::new(Arc::clone(cluster))
+        .query("CREATE PRIMARY INDEX ON default", &QueryOptions::default())
+        .unwrap();
+    backfill_disk_reads(cluster) - before
+}
+
+/// The primary index's ids of the `doc-` keys, in index order.
+fn primary_scan(cluster: &Arc<Cluster>) -> Vec<String> {
+    let rows = ClusterDatastore::new(Arc::clone(cluster))
+        .query(
+            "SELECT META().id AS id FROM default ORDER BY META().id",
+            &QueryOptions::default().request_plus(),
+        )
+        .unwrap()
+        .rows;
+    let ids = rows.iter().map(|r| r.get_field("id").and_then(Value::as_str).unwrap().to_string());
+    ids.filter(|id| id.starts_with("doc-")).collect()
+}
+
+#[test]
+fn primary_index_build_reads_only_what_the_cache_evicted() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+    // (a) Fully resident, with a writer running through the build and the
+    // scans: nothing is read from disk, and request_plus sees every
+    // acknowledged key.
+    let cfg = ClusterConfig::for_test(64, 0);
+    let resident = Cluster::homogeneous(2, cfg.clone());
+    resident.create_bucket("default").unwrap();
+    let live = load_for_build(&resident);
+    let acked = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let scan_resident = std::thread::scope(|s| {
+        s.spawn(|| {
+            let client = SmartClient::connect(Arc::clone(&resident), "default").unwrap();
+            for i in 0.. {
+                if stop.load(SeqCst) {
+                    break;
+                }
+                client.upsert(&format!("w-{i:06}"), doc(i)).unwrap();
+                acked.store(i as usize + 1, SeqCst);
+            }
+        });
+        while acked.load(SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(build_primary_index(&resident), 0, "a resident bucket is built from memory");
+        let ds = ClusterDatastore::new(Arc::clone(&resident));
+        for _ in 0..5 {
+            let promised = acked.load(SeqCst);
+            let rows = ds
+                .query(
+                    "SELECT META().id AS id FROM default WHERE META().id LIKE 'w-%'",
+                    &QueryOptions::default().request_plus(),
+                )
+                .unwrap()
+                .rows;
+            let seen: std::collections::HashSet<&str> =
+                rows.iter().filter_map(|r| r.get_field("id").and_then(Value::as_str)).collect();
+            for i in 0..promised {
+                assert!(seen.contains(format!("w-{i:06}").as_str()), "w-{i:06} acked, not scanned");
+            }
+        }
+        stop.store(true, SeqCst);
+        primary_scan(&resident)
+    });
+    assert_eq!(scan_resident, live);
+
+    // (b) The same documents under a quota that keeps about a quarter of
+    // the values: the build reads exactly the evicted ones, once each.
+    let evicting = Cluster::homogeneous(
+        2,
+        ClusterConfig { cache_quota: 100_000, ..ClusterConfig::for_test(64, 0) },
+    );
+    evicting.create_bucket("default").unwrap();
+    assert_eq!(load_for_build(&evicting), live);
+    let evicted: u64 = engines_of(&evicting)
+        .iter()
+        .map(|e| e.cache_stats())
+        .map(|c| c.items - c.resident_items)
+        .sum();
+    let share = evicted as f64 / live.len() as f64;
+    assert!((0.5..0.95).contains(&share), "{evicted} of {} values evicted", live.len());
+    assert_eq!(build_primary_index(&evicting), evicted);
+    assert_eq!(primary_scan(&evicting), live);
+    // Counting the keyspace needs no values either.
+    let rows = ClusterDatastore::new(Arc::clone(&evicting))
+        .query("SELECT * FROM system:keyspaces", &QueryOptions::default())
+        .unwrap()
+        .rows;
+    let count = rows[0].get_field("keyspaces").and_then(|r| r.get_field("count"));
+    assert_eq!(count, Some(&Value::from(live.len())));
+    assert_eq!(backfill_disk_reads(&evicting), evicted, "the count read nothing more");
+
+    // (c) The engines of (a) dropped and re-created from their shard logs,
+    // warmed up as a restart does: served from memory again.
+    wait_all_persisted(&resident);
+    drop(resident);
+    let restarted = Cluster::homogeneous(2, cfg);
+    restarted.create_bucket("default").unwrap();
+    for engine in engines_of(&restarted) {
+        for vb in (0..64).map(VbId) {
+            engine.recover_vb(vb).unwrap();
+        }
+    }
+    assert_eq!(build_primary_index(&restarted), 0, "warm-up made the bucket resident again");
+    assert_eq!(primary_scan(&restarted), live);
+}

@@ -112,8 +112,7 @@ pub mod rank {
     pub const DCP_CHANNEL: LockRank = LockRank::new(25, "kv.dcp.channel");
     /// Managed-cache shard (vBucket-sharded object table). Taken under the
     /// vB metadata lock (lazy expiry) and under the DCP channel (a stream
-    /// open snapshots dirty residents during backfill); acquires nothing
-    /// itself.
+    /// open copies the shard during backfill); acquires nothing itself.
     pub const CACHE_SHARD: LockRank = LockRank::new(27, "kv.cache.shard");
     /// Per-vBucket dirty-key queue (taken under the vB metadata lock when a
     /// mutation enqueues).

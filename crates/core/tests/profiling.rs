@@ -231,6 +231,11 @@ fn every_system_catalog_answers_on_both_datastores() {
             assert_eq!(fields(&on_cluster, catalog), fields(&on_memory, catalog), "{catalog}");
         }
     }
+    // `system:keyspaces` counts live documents: upserted minus deleted.
+    cluster.bucket("default").unwrap().remove("user::0", cbs_core::Cas::WILDCARD).unwrap();
+    let rows = cluster.query("SELECT * FROM system:keyspaces", &QueryOptions::default()).unwrap();
+    let count = rows.rows[0].get_field("keyspaces").and_then(|r| r.get_field("count"));
+    assert_eq!(count, Some(&Value::int(4)));
     let bogus = "SELECT * FROM system:bogus";
     assert!(cluster.query(bogus, &QueryOptions::default()).is_err());
     assert!(cbs_n1ql::query(&mem, bogus, &QueryOptions::default()).is_err());

@@ -12,12 +12,13 @@ use crate::item::DcpItem;
 use crate::stream::{DcpEvent, DcpStream};
 
 /// Source of historical changes for stream backfill. Implemented by the data
-/// service: it merges the storage engine's by-seqno index with the dirty
-/// (not-yet-persisted) in-memory tail, so a stream opened at seqno 0 sees
+/// service, memory first: resident documents come from the cache and only
+/// evicted ones from the storage engine, so a stream opened at seqno 0 sees
 /// every acknowledged write even before the flusher has run.
 pub trait BackfillSource: Send + Sync {
     /// Latest versions of all documents in `vb` with seqno > `since`, in
-    /// seqno order, and the vBucket's current high seqno.
+    /// seqno order, and the snapshot's high seqno — at least `since` and
+    /// every returned seqno; live delivery resumes above it.
     fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)>;
 }
 

@@ -19,8 +19,9 @@
 //!
 //! 1. a **backfill snapshot**: the latest version of every document whose
 //!    seqno is in `(s, h]`, where `h` is the vBucket's high seqno at open
-//!    time (read through the producer's [`BackfillSource`] — storage plus
-//!    the dirty in-memory tail, so memory-first writes are never missed);
+//!    time (read through the producer's [`BackfillSource`] — the cache,
+//!    plus storage for what the cache evicted, so memory-first writes are
+//!    never missed and resident documents are never re-read);
 //! 2. the **live tail**: every mutation with seqno `> h`, pushed by the
 //!    data service at write time (memory-to-memory, before persistence —
 //!    this is what makes replication and indexing "memory-first").

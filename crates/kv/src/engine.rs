@@ -1,11 +1,11 @@
 //! The data engine: memory-first write path, KV API, vBucket states.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cbs_cache::{CacheLookup, ObjectCache};
+use cbs_cache::{CacheLookup, EvictionPolicy, ObjectCache};
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{
     vbucket_for_key, Cas, CasClock, Deadline, DocMeta, Error, Result, RevNo, SeqNo, VbId,
@@ -389,7 +389,7 @@ impl DataEngine {
             }
             CacheLookup::Miss => {
                 // Under full eviction the document may still be on disk.
-                if self.cache.policy() == cbs_cache::EvictionPolicy::Full {
+                if self.cache.policy() == EvictionPolicy::Full {
                     let _bg = span("kv.engine.bg_fetch");
                     if let Some(stored) = self.store.vb(vb)?.get(key)? {
                         if !stored.deleted && !stored.meta.is_expired_at(now_secs()) {
@@ -828,10 +828,10 @@ impl DataEngine {
     /// with one write and a **single** `sync_data` — the durability point
     /// for the whole cycle, and the only copy written. Only then are the
     /// records indexed, the items marked clean and `persisted_seqno`
-    /// advanced, in that order: `backfill` reads the dirty tail first and
-    /// the index second, so an item must never be clean-but-unindexed —
-    /// that ordering pair is what keeps stream open race-free against a
-    /// concurrent drain.
+    /// advanced, in that order: `backfill` copies the cache first and lists
+    /// the index second, and only clean items are evicted, so an item must
+    /// never be clean-but-unindexed — that ordering pair is what keeps
+    /// stream open race-free against a concurrent drain.
     pub fn flush_shard(&self, shard: usize) -> Result<u64> {
         let sh = &self.shards[shard];
         // The root of the flusher thread's segment (a child span when a
@@ -1020,9 +1020,25 @@ impl DataEngine {
     // Scans (PrimaryScan support for N1QL, initial index builds)
     // ------------------------------------------------------------------
 
+    /// Number of live documents — no tombstones, nothing expired — in the
+    /// `Active` vBuckets, from metadata alone: the cache's, and under full
+    /// eviction the storage index's for entries evicted whole (whose TTL,
+    /// not being indexed, counts as not yet passed).
+    pub fn active_doc_count(&self) -> Result<usize> {
+        let now = now_secs();
+        let full = self.cache.policy() == EvictionPolicy::Full;
+        let mut count = 0;
+        for vb in self.vbs_in_state(VbState::Active) {
+            let persisted = if full { self.store.vb(vb)?.live_keys() } else { Vec::new() };
+            count += self.cache.live_count(vb, now, persisted.iter().map(String::as_str));
+        }
+        Ok(count)
+    }
+
     /// Every live document in every `Active` vBucket. This is the
     /// "PrimaryScan [...] equivalent of a full table scan" data source
-    /// (§4.5.3); deliberately expensive.
+    /// (§4.5.3); only documents the cache no longer holds are read from
+    /// disk.
     pub fn scan_active_docs(&self) -> Result<Vec<Document>> {
         let mut out = Vec::new();
         for vb in self.vbs_in_state(VbState::Active) {
@@ -1045,37 +1061,93 @@ impl DataEngine {
     }
 }
 
-/// Merge-based backfill: persisted changes plus the dirty in-memory tail.
+/// Memory-first backfill (§4.3.2): the vBucket's cache shard, and from the
+/// log only the records of what the cache no longer holds.
 impl BackfillSource for DataEngine {
     fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
-        // Snapshot order matters: dirty tail FIRST, store SECOND. The
-        // flusher indexes the records before clearing dirty bits, so an item
-        // that leaves the dirty set mid-backfill is guaranteed to show up
-        // in the store read. The reverse order can lose a just-flushed
-        // item from both snapshots (it then sits below the stream's
-        // `start_after` and is never delivered).
-        let dirty = self.cache.dirty_snapshot(vb);
+        // Snapshot order matters: cache FIRST, storage index SECOND. The
+        // flusher indexes a record before `mark_clean` and eviction drops
+        // only clean values (clean entries, under full eviction), so what
+        // the cache copy holds without its value, or no longer holds, is in
+        // the index listed afterwards — never in neither. The reverse order
+        // can miss a version persisted and evicted between the two: not yet
+        // in the listing, no longer in the copy. It then sits below the
+        // stream's `start_after` and is never delivered.
+        let entries = self.cache.snapshot_vb(vb, since);
+        let mut items = Vec::with_capacity(entries.len());
+        let mut evicted: Vec<String> = Vec::new();
+        for entry in entries {
+            match (entry.deleted, entry.value) {
+                (true, _) => items.push(DcpItem::deletion(vb, entry.key, entry.meta)),
+                (false, Some(value)) => {
+                    items.push(DcpItem::mutation(vb, entry.key, entry.meta, value));
+                }
+                (false, None) => evicted.push(entry.key),
+            }
+        }
+        let from_memory = items.len();
+        // A record may be newer than the entry it is read for (a write
+        // persisted since the copy): it is then the key's latest version.
+        let records = if self.cache.policy() == EvictionPolicy::Full {
+            // Whole entries go too: every indexed key the copy did not supply.
+            let held: HashSet<&str> = items.iter().map(|i| i.key.as_str()).collect();
+            self.store.vb(vb)?.locate_since(since, |key| !held.contains(key)).read()?
+        } else if evicted.is_empty() {
+            Vec::new()
+        } else {
+            self.store.vb(vb)?.locate(evicted.iter().map(String::as_str)).read()?
+        };
+        for doc in records {
+            items.push(stored_to_item(vb, doc)?);
+        }
+        self.stats.backfill_from_memory.add(from_memory as u64);
+        self.stats.backfill_from_disk.add((items.len() - from_memory) as u64);
+        items.sort_unstable_by_key(|i| i.meta.seqno);
+        let high = items.last().map_or(since, |i| i.meta.seqno);
+        Ok((items, high))
+    }
+}
+
+#[cfg(test)]
+impl DataEngine {
+    /// The disk-first backfill this engine used to run — every persisted
+    /// record read, decoded and parsed, merged with the dirty tail, latest
+    /// version per key — kept as the oracle `backfill_equivalence` compares
+    /// [`BackfillSource::backfill`] against. Quiescent callers only.
+    fn backfill_disk_first(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
+        let dirty: Vec<_> = self
+            .cache
+            .keys(vb)
+            .into_iter()
+            .filter_map(|key| match self.cache.peek_item(vb, &key)? {
+                (meta, value, deleted, true) => Some((key, meta, deleted, value)),
+                _ => None,
+            })
+            .collect();
         let stored = self.store.vb(vb)?.changes_since(since)?;
         let mut high = since;
-        // Latest version per key wins.
         let mut latest: HashMap<String, DcpItem> = HashMap::new();
+        let mut merge = |item: DcpItem| match latest.get(&item.key) {
+            Some(existing) if existing.meta.seqno >= item.meta.seqno => {}
+            _ => {
+                latest.insert(item.key.clone(), item);
+            }
+        };
         for doc in stored {
             high = high.max(doc.meta.seqno);
-            let item = stored_to_item(vb, &doc)?;
-            merge_latest(&mut latest, item);
+            merge(stored_to_item(vb, doc)?);
         }
         for (key, meta, deleted, value) in dirty {
             high = high.max(meta.seqno);
             if meta.seqno <= since {
                 continue;
             }
-            let item = if deleted {
+            merge(if deleted {
                 DcpItem::deletion(vb, key, meta)
             } else {
                 let value = value.unwrap_or_else(|| SharedValue::new(Value::Null));
                 DcpItem::mutation(vb, key, meta, value)
-            };
-            merge_latest(&mut latest, item);
+            });
         }
         let mut items: Vec<DcpItem> = latest.into_values().collect();
         items.sort_by_key(|i| i.meta.seqno);
@@ -1083,20 +1155,12 @@ impl BackfillSource for DataEngine {
     }
 }
 
-fn merge_latest(map: &mut HashMap<String, DcpItem>, item: DcpItem) {
-    match map.get(&item.key) {
-        Some(existing) if existing.meta.seqno >= item.meta.seqno => {}
-        _ => {
-            map.insert(item.key.clone(), item);
-        }
-    }
-}
-
-fn stored_to_item(vb: VbId, doc: &StoredDoc) -> Result<DcpItem> {
+fn stored_to_item(vb: VbId, doc: StoredDoc) -> Result<DcpItem> {
     if doc.deleted {
-        Ok(DcpItem::deletion(vb, doc.key.clone(), doc.meta))
+        Ok(DcpItem::deletion(vb, doc.key, doc.meta))
     } else {
-        Ok(DcpItem::mutation(vb, doc.key.clone(), doc.meta, parse_stored_value(doc)?))
+        let value = parse_stored_value(&doc)?;
+        Ok(DcpItem::mutation(vb, doc.key, doc.meta, value))
     }
 }
 
@@ -1113,6 +1177,9 @@ fn incoming_wins(incoming: &DocMeta, existing: &DocMeta) -> bool {
     (incoming.rev, incoming.cas, incoming.expiry, incoming.flags)
         > (existing.rev, existing.cas, existing.expiry, existing.flags)
 }
+
+#[cfg(test)]
+mod backfill_equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -33,9 +33,10 @@
 //!   failover and rebalance transitions (§4.3.1);
 //! - **replica apply** and **set-with-meta** paths used by intra-cluster
 //!   replication and XDCR;
-//! - a [`cbs_dcp::BackfillSource`] implementation that merges the storage
-//!   engine's by-seqno index with the dirty in-memory tail, so DCP streams
-//!   see every acknowledged write.
+//! - a memory-first [`cbs_dcp::BackfillSource`] implementation: a stream
+//!   open is served from the vBucket's cache shard and reads from the log
+//!   only the documents the cache has evicted, so DCP streams see every
+//!   acknowledged write — flushed or not — without re-reading resident data.
 
 pub mod engine;
 pub mod flusher;

@@ -33,6 +33,11 @@ pub struct EngineStats {
     pub xdcr_applies: Arc<Counter>,
     /// XDCR set-with-meta rejects (existing won; `kv.engine.xdcr_rejects`).
     pub xdcr_rejects: Arc<Counter>,
+    /// Backfill items served from the cache (`kv.backfill.items_from_memory`).
+    pub backfill_from_memory: Arc<Counter>,
+    /// Backfill items read from the shard logs — documents whose value, or
+    /// whole entry, the cache had evicted (`kv.backfill.items_from_disk`).
+    pub backfill_from_disk: Arc<Counter>,
     /// Front-end get latency (`kv.engine.get_latency`).
     pub get_latency: Arc<Histogram>,
     /// Front-end set latency (`kv.engine.set_latency`).
@@ -56,6 +61,8 @@ impl EngineStats {
             replica_applies: registry.counter("kv.engine.replica_applies"),
             xdcr_applies: registry.counter("kv.engine.xdcr_applies"),
             xdcr_rejects: registry.counter("kv.engine.xdcr_rejects"),
+            backfill_from_memory: registry.counter("kv.backfill.items_from_memory"),
+            backfill_from_disk: registry.counter("kv.backfill.items_from_disk"),
             get_latency: registry.histogram("kv.engine.get_latency"),
             set_latency: registry.histogram("kv.engine.set_latency"),
             fsync_latency: registry.histogram("kv.flusher.fsync_latency"),

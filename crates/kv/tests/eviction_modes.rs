@@ -150,3 +150,46 @@ fn expiry_pager_reaps_without_access() {
     // Second sweep is a no-op.
     assert_eq!(engine.run_expiry_pager(), 0);
 }
+
+/// A stream open holds the vBucket's DCP channel across `backfill`, and a
+/// writer of that vBucket waits in `publish` for as long. Over resident
+/// documents — persisted and clean, so a disk-first backfill would read
+/// every one back — that wait includes no log read.
+#[test]
+fn stream_open_over_a_resident_vbucket_reads_no_log() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const DOCS: i64 = 500;
+    const OPENS: u64 = 20;
+    let engine = DataEngine::new(EngineConfig::for_test(1)).unwrap();
+    engine.activate_all();
+    let vb = cbs_common::VbId(0);
+    for i in 0..DOCS {
+        engine.set(&format!("k{i}"), big_doc(i), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+    }
+    engine.flush_once().unwrap();
+    assert_eq!(engine.disk_queue_len(), 0);
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut i = 0;
+            while !stop.load(Ordering::SeqCst) {
+                let key = format!("k{}", i % DOCS);
+                engine.set(&key, big_doc(i), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+                i += 1;
+            }
+        });
+        for _ in 0..OPENS {
+            let mut stream = engine.open_dcp_stream(vb, cbs_common::SeqNo::ZERO).unwrap();
+            let items = stream.drain_available();
+            assert!(items.windows(2).all(|p| p[0].meta.seqno < p[1].meta.seqno), "no gap, no dup");
+            let keys: std::collections::HashSet<&str> =
+                items.iter().map(|i| i.key.as_str()).collect();
+            assert_eq!(keys.len() as i64, DOCS, "every document, beside the writer");
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
+    let stats = engine.stats();
+    assert_eq!(stats.backfill_from_disk.get(), 0);
+    assert_eq!(stats.backfill_from_memory.get(), OPENS * DOCS as u64);
+}

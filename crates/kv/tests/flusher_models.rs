@@ -13,7 +13,7 @@
 //! - **fixed** — the shipped protocol. The explorer must verify every
 //!   interleaving clean.
 //!
-//! The three models:
+//! The four models:
 //!
 //! 1. A compaction that swaps the shard's log without holding the shard's
 //!    flush lock loses the records a drain cycle appends while the live
@@ -30,6 +30,14 @@
 //!    re-enqueueing the snapshot (deduped against newer writes) and listing
 //!    its vBuckets as dirty again; the queue-depth gauge counts a key until
 //!    a commit that carried it has succeeded.
+//! 4. The memory-first DCP backfill reads two things that a writer, the
+//!    flusher and the evictor all change under it: the cache shard and the
+//!    storage index. It is sound because of an ordering *pair* — backfill
+//!    copies the cache before it lists the index; the flusher indexes a
+//!    record before it marks the item clean (and only clean items are
+//!    evicted). Break either half and an acknowledged version can be in
+//!    neither snapshot: value-less or absent in the cache copy, not yet in
+//!    the index listing.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -442,11 +450,193 @@ fn requeue_without_relisting_strands_the_vbucket() {
 }
 
 // ---------------------------------------------------------------------------
+// Model 4: memory-first backfill vs. writer, flusher and evictor
+// ---------------------------------------------------------------------------
+
+/// One key of one vBucket. Version 1 is acknowledged and dirty at the
+/// start; the writer adds version 2. Each lock region of the real code is
+/// one step: a cache-shard hold, an index-lock hold.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct BackfillState {
+    /// The cache entry: resident at all (full eviction drops whole
+    /// entries), its version, whether its value is resident, its dirty bit.
+    c_present: bool,
+    c_seq: u8,
+    c_value: bool,
+    c_dirty: bool,
+    /// Seqno of the key's record in the storage index (0 = none).
+    indexed: u8,
+    /// Highest acknowledged seqno.
+    acked: u8,
+    /// Flusher: the version its current cycle snapshotted (0 = nothing).
+    f_seq: u8,
+    f_pc: u8,
+    e_pc: u8,
+    /// Backfill: what was acknowledged when it began — the least it may
+    /// return; its cache copy (seqno, 0 = no entry; value resident); the
+    /// seqno the index listed; the seqno it returned.
+    b_must: u8,
+    b_copy: (u8, bool),
+    b_listed: u8,
+    b_got: u8,
+    b_pc: u8,
+    b_done: bool,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum BackfillBug {
+    None,
+    /// Backfill lists the storage index before it copies the cache.
+    IndexBeforeCache,
+    /// The flusher marks the item clean before its record is indexed.
+    CleanBeforeIndex,
+}
+
+/// `full` selects full eviction (the evictor drops the whole entry) over
+/// value-only eviction (it drops the value, metadata stays).
+fn backfill_vs_writer_flusher_evictor(bug: BackfillBug, full: bool) -> Result<(), String> {
+    let init = BackfillState {
+        c_present: true,
+        c_seq: 1,
+        c_value: true,
+        c_dirty: true,
+        indexed: 0,
+        acked: 1,
+        f_seq: 0,
+        f_pc: 0,
+        e_pc: 0,
+        b_must: 0,
+        b_copy: (0, false),
+        b_listed: 0,
+        b_got: 0,
+        b_pc: 0,
+        b_done: false,
+    };
+    let copy_cache = |s: &mut BackfillState| {
+        s.b_copy = if s.c_present { (s.c_seq, s.c_value) } else { (0, false) };
+    };
+    let list_index = |s: &mut BackfillState| s.b_listed = s.indexed;
+    let index_record = |s: &mut BackfillState| s.indexed = s.indexed.max(s.f_seq);
+    // Seqno-guarded, like `ObjectCache::mark_clean`.
+    let mark_clean = |s: &mut BackfillState| {
+        if s.f_seq != 0 && s.c_present && s.c_seq == s.f_seq {
+            s.c_dirty = false;
+        }
+    };
+    let result = Explorer::new(init)
+        // Writer: cache set (dirty, value resident) under the vb lock, ack.
+        .thread(|s: &mut BackfillState| {
+            (s.c_present, s.c_seq, s.c_value, s.c_dirty) = (true, 2, true, true);
+            s.acked = 2;
+            Step::Finished
+        })
+        // Flusher, two drain cycles: snapshot the dirty version → commit and
+        // index its record → mark it clean.
+        .thread(move |s: &mut BackfillState| {
+            match s.f_pc % 3 {
+                0 => s.f_seq = if s.c_present && s.c_dirty { s.c_seq } else { 0 },
+                1 if bug == BackfillBug::CleanBeforeIndex => mark_clean(s),
+                1 => index_record(s),
+                _ if bug == BackfillBug::CleanBeforeIndex => index_record(s),
+                _ => mark_clean(s),
+            }
+            s.f_pc += 1;
+            if s.f_pc == 6 {
+                Step::Finished
+            } else {
+                Step::Progressed
+            }
+        })
+        // Evictor, two passes: only a clean resident value is a victim.
+        .thread(move |s: &mut BackfillState| {
+            if s.c_present && s.c_value && !s.c_dirty {
+                if full {
+                    s.c_present = false;
+                } else {
+                    s.c_value = false;
+                }
+            }
+            s.e_pc += 1;
+            if s.e_pc == 2 {
+                Step::Finished
+            } else {
+                Step::Progressed
+            }
+        })
+        // Backfill: cache copy → index listing → read the listed record
+        // for what the copy could not supply.
+        .thread(move |s: &mut BackfillState| {
+            let index_first = bug == BackfillBug::IndexBeforeCache;
+            match s.b_pc {
+                0 => {
+                    s.b_must = s.acked;
+                    if index_first {
+                        list_index(s)
+                    } else {
+                        copy_cache(s)
+                    }
+                }
+                1 if index_first => copy_cache(s),
+                1 => list_index(s),
+                _ => {
+                    // Records are immutable once appended: reading the one
+                    // listed needs nothing from the shared state.
+                    s.b_got = if s.b_copy.1 { s.b_copy.0 } else { s.b_listed };
+                    s.b_done = true;
+                    return Step::Finished;
+                }
+            }
+            s.b_pc += 1;
+            Step::Progressed
+        })
+        .invariant(|s: &BackfillState| {
+            if s.b_done && s.b_got < s.b_must {
+                return Err(format!(
+                    "backfill returned seqno {} of a key acknowledged at {} before it began",
+                    s.b_got, s.b_must
+                ));
+            }
+            Ok(())
+        })
+        .run();
+    match result {
+        Ok(_) => Ok(()),
+        Err(cex) => Err(cex.to_string()),
+    }
+}
+
+#[test]
+fn memory_first_backfill_never_loses_an_acknowledged_version() {
+    for full in [false, true] {
+        backfill_vs_writer_flusher_evictor(BackfillBug::None, full)
+            .expect("shipped ordering pair must verify clean");
+    }
+}
+
+#[test]
+fn listing_the_index_before_copying_the_cache_loses_an_evicted_version() {
+    for full in [false, true] {
+        let err = backfill_vs_writer_flusher_evictor(BackfillBug::IndexBeforeCache, full)
+            .expect_err("explorer must find flush + evict between listing and copy");
+        assert!(err.contains("acknowledged at"), "unexpected violation: {err}");
+    }
+}
+
+#[test]
+fn marking_clean_before_indexing_loses_an_evicted_version() {
+    for full in [false, true] {
+        let err = backfill_vs_writer_flusher_evictor(BackfillBug::CleanBeforeIndex, full)
+            .expect_err("explorer must find the clean-but-unindexed eviction");
+        assert!(err.contains("acknowledged at"), "unexpected violation: {err}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Meta: the models are small enough to stay exhaustive
 // ---------------------------------------------------------------------------
 
 /// Guard against the models silently outgrowing exhaustive exploration: all
-/// three verify within a tight state bound, so `cargo test` stays fast.
+/// four verify within a tight state bound, so `cargo test` stays fast.
 #[test]
 fn models_are_exhaustively_explorable() {
     let stats = Explorer::new(0u8)
@@ -456,10 +646,12 @@ fn models_are_exhaustively_explorable() {
         })
         .check();
     assert!(stats.states >= 1);
-    // The real bound check: re-run the three fixed models and assert they
+    // The real bound check: re-run the four fixed models and assert they
     // explore completely (Ok), which run() only returns after visiting
     // every reachable interleaving.
     drain_vs_compaction_swap(false).unwrap();
     wait_vs_shutdown(false).unwrap();
     failed_drain_vs_writer(RetryBug::None).unwrap();
+    backfill_vs_writer_flusher_evictor(BackfillBug::None, false).unwrap();
+    backfill_vs_writer_flusher_evictor(BackfillBug::None, true).unwrap();
 }

@@ -20,7 +20,9 @@
 //! - online **compaction** when a log's fragmentation ratio (stale bytes /
 //!   file bytes) crosses a threshold: live records are streamed to a fresh
 //!   file which atomically replaces the old one, readers undisturbed;
-//! - by-seqno range reads, which are the backfill source for DCP streams.
+//! - by-seqno range reads (warm-up after a restart, re-homing) and no-I/O
+//!   record listings ([`RecordList`]) — how a DCP backfill reads exactly the
+//!   documents the cache no longer holds.
 //!
 //! [`GroupCommitWal`] is the log file itself (framing, append, group
 //! commit, truncate); the GSI's change logs are the same type.
@@ -32,7 +34,7 @@ pub mod wal;
 
 pub use bucket::{BucketStore, Cycle};
 pub use record::{check_key_len, DocMeta, StoredDoc, MAX_KEY_LEN};
-pub use vbstore::{StoreStats, VBucketStore};
+pub use vbstore::{RecordList, StoreStats, VBucketStore};
 pub use wal::{replay_file, GroupCommitWal};
 
 use std::path::PathBuf;

@@ -206,6 +206,22 @@ fn read_record(file: &File, offset: u64, len: u32) -> Result<StoredDoc> {
     decode_record_strict(&buf)
 }
 
+/// Records of one vBucket, listed from its index without touching the log:
+/// the file generation the listing was taken in and each record's place in
+/// it. The handle keeps that generation readable across a compaction.
+pub struct RecordList {
+    file: Arc<File>,
+    places: Vec<(u64, u32)>,
+}
+
+impl RecordList {
+    /// Read and decode the listed records, in offset order.
+    pub fn read(mut self) -> Result<Vec<StoredDoc>> {
+        self.places.sort_unstable();
+        self.places.iter().map(|&(offset, len)| read_record(&self.file, offset, len)).collect()
+    }
+}
+
 /// Handle to one vBucket's store: its index plus the shard log it lives in.
 pub struct VBucketStore {
     pub(crate) vb: VbId,
@@ -255,7 +271,7 @@ impl VBucketStore {
     }
 
     /// Read all persisted mutations with seqno strictly greater than
-    /// `since`, in seqno order — the DCP backfill scan.
+    /// `since`, in seqno order — the warm-up and re-homing scan.
     pub fn changes_since(&self, since: SeqNo) -> Result<Vec<StoredDoc>> {
         let (file, places): (_, Vec<(u64, u32)>) = {
             let inner = self.index.inner.lock();
@@ -265,6 +281,41 @@ impl VBucketStore {
             )
         };
         places.into_iter().map(|(offset, len)| read_record(&file, offset, len)).collect()
+    }
+
+    /// List the latest persisted record of each of `keys` (a key never
+    /// written is skipped). No I/O: [`RecordList::read`] does that.
+    pub fn locate<'a>(&self, keys: impl IntoIterator<Item = &'a str>) -> RecordList {
+        let inner = self.index.inner.lock();
+        let places = keys
+            .into_iter()
+            .filter_map(|k| inner.by_id.get(k))
+            .map(|e| (e.offset, e.len))
+            .collect();
+        RecordList { file: Arc::clone(&inner.file), places }
+    }
+
+    /// List the latest persisted record of every key `want` accepts whose
+    /// seqno is greater than `since`. No I/O, like [`VBucketStore::locate`].
+    pub fn locate_since(&self, since: SeqNo, mut want: impl FnMut(&str) -> bool) -> RecordList {
+        let inner = self.index.inner.lock();
+        let mut places = Vec::new();
+        if inner.high_seqno > since {
+            places.extend(
+                inner
+                    .by_id
+                    .iter()
+                    .filter(|(key, e)| e.seqno > since && want(key))
+                    .map(|(_, e)| (e.offset, e.len)),
+            );
+        }
+        RecordList { file: Arc::clone(&inner.file), places }
+    }
+
+    /// Keys of the persisted live documents (tombstones left out).
+    pub fn live_keys(&self) -> Vec<String> {
+        let inner = self.index.inner.lock();
+        inner.by_id.iter().filter(|(_, e)| !e.deleted).map(|(k, _)| k.clone()).collect()
     }
 
     /// Current statistics.

@@ -8,6 +8,7 @@ use std::time::Duration;
 use cbs_cluster::Cluster;
 use cbs_common::{Result, SeqNo, VbId};
 use cbs_dcp::DcpStream;
+use cbs_kv::DataEngine;
 use cbs_obs::{Counter, Gauge, Registry};
 
 use crate::filter::KeyFilter;
@@ -75,8 +76,8 @@ impl XdcrLink {
         filter: Option<KeyFilter>,
     ) -> Result<XdcrLink> {
         // Validate both ends up front.
-        source.map(bucket)?;
-        destination.map(bucket)?;
+        source.num_vbuckets(bucket)?;
+        destination.num_vbuckets(bucket)?;
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(Registry::new("xdcr"));
         let stats = Arc::new(XdcrStats::new(&registry));
@@ -126,21 +127,19 @@ fn link_loop(
     stop: Arc<AtomicBool>,
     stats: Arc<XdcrStats>,
 ) {
-    let nvb = match source.map(bucket) {
-        Ok(m) => m.num_vbuckets() as usize,
-        Err(_) => return,
-    };
+    let Ok(nvb) = source.num_vbuckets(bucket) else { return };
+    let nvb = nvb as usize;
+    // Per source vBucket, resolved once per map epoch: the active engine
+    // (the lag gauges read its high seqno every cycle) and its stream.
+    let mut engines: Vec<Option<Arc<DataEngine>>> = vec![None; nvb];
     let mut streams: Vec<Option<DcpStream>> = (0..nvb).map(|_| None).collect();
     let mut cursors: Vec<SeqNo> = vec![SeqNo::ZERO; nvb];
     let mut built_epoch = u64::MAX;
 
     while !stop.load(Ordering::Relaxed) {
         // (Re)build source streams when the source topology changes.
-        let map = match source.map(bucket) {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        if map.epoch != built_epoch {
+        let Ok(epoch) = source.map_epoch(bucket) else { return };
+        if epoch != built_epoch {
             for v in 0..nvb {
                 let vb = VbId(v as u16);
                 // Restart from zero: a promoted replica may be *behind* the
@@ -151,12 +150,11 @@ fn link_loop(
                 if built_epoch != u64::MAX {
                     cursors[v] = SeqNo::ZERO;
                 }
-                streams[v] = source
-                    .active_engine(bucket, vb)
-                    .and_then(|e| e.open_dcp_stream(vb, cursors[v]))
-                    .ok();
+                engines[v] = source.active_engine(bucket, vb).ok();
+                streams[v] =
+                    engines[v].as_ref().and_then(|e| e.open_dcp_stream(vb, cursors[v]).ok());
             }
-            built_epoch = map.epoch;
+            built_epoch = epoch;
         }
 
         let mut moved = 0usize;
@@ -174,7 +172,7 @@ fn link_loop(
                 // *destination's* partitioning (it may differ from ours).
                 let dest_vb = VbId(cbs_common::vbucket_for_key(
                     item.key.as_bytes(),
-                    destination.map(bucket).map(|m| m.num_vbuckets()).unwrap_or(1024),
+                    destination.num_vbuckets(bucket).unwrap_or(1024),
                 ));
                 match destination.active_engine(bucket, dest_vb).and_then(|e| {
                     e.set_with_meta(&item.key, item.meta, item.value.clone(), item.is_deletion())
@@ -200,10 +198,9 @@ fn link_loop(
         // source active's high seqno — the link's unshipped backlog.
         let mut lag_max = 0u64;
         let mut lag_total = 0u64;
-        for (v, cursor) in cursors.iter().enumerate().take(nvb) {
-            let vb = VbId(v as u16);
-            if let Ok(src) = source.active_engine(bucket, vb) {
-                let lag = src.high_seqno(vb).0.saturating_sub(cursor.0);
+        for (v, (src, cursor)) in engines.iter().zip(&cursors).enumerate() {
+            if let Some(src) = src {
+                let lag = src.high_seqno(VbId(v as u16)).0.saturating_sub(cursor.0);
                 lag_max = lag_max.max(lag);
                 lag_total += lag;
             }

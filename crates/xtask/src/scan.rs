@@ -294,9 +294,15 @@ fn parse_allow(comment: &str, line: usize, out: &mut Vec<(usize, String, bool)>)
 
 /// Mark lines inside `#[cfg(test)] { ... }` blocks (test modules, gated
 /// impls). The attribute arms on sight of `cfg(test`; the next `{` opens
-/// the exempt region, which closes when brace depth returns.
+/// the exempt region, which closes when brace depth returns. A file that
+/// gates itself with the inner attribute `#![cfg(test)]` (a unit-test
+/// module in a file of its own) is exempt from that line on.
 fn mark_test_lines(lines: &[String]) -> Vec<bool> {
     let mut flags = vec![false; lines.len()];
+    if let Some(gate) = lines.iter().position(|l| l.trim_start().starts_with("#![cfg(test)]")) {
+        flags[gate..].fill(true);
+        return flags;
+    }
     let mut depth = 0i32;
     let mut armed = false;
     let mut skip_above: Option<i32> = None;
@@ -433,6 +439,13 @@ fn also_hot() {}
         assert!(!m.test_lines[0]);
         assert!(m.test_lines[3]);
         assert!(!m.test_lines[5]);
+    }
+
+    #[test]
+    fn file_gated_by_inner_cfg_test_is_all_test() {
+        let m =
+            mask("//! A unit-test module.\n#![cfg(test)]\nuse x::{A};\nfn t() { y.unwrap(); }\n");
+        assert_eq!(m.test_lines, [false, true, true, true]);
     }
 
     #[test]

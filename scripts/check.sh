@@ -19,8 +19,10 @@
 #                                 analysis (SARIF at target/analyze.sarif)
 #   4. cargo clippy -D warnings   workspace lint walls ([workspace.lints])
 #   5. model suite                lock-order detector + seqno-signal, flusher
-#                                 and txn protocol models (exhaustive
-#                                 interleaving search)
+#                                 (incl. backfill ordering) and txn protocol
+#                                 models (exhaustive interleaving search),
+#                                 and the memory-first backfill against its
+#                                 disk-first oracle (property suite)
 #   6. chaos + txn smoke          fixed-seed fault-injection run (<10s)
 #                                 against a 3-node cluster, plus the
 #                                 serializability replay and transactional
@@ -201,10 +203,14 @@ run "clippy (deny warnings)" cargo clippy --workspace --all-targets --quiet -- -
 # mini-loom explorer, the model of the one seqno waiter (`Signal`: no
 # missed wake-up; both ways of breaking it are caught), and the exhaustive
 # flusher-protocol models that pin the PR-1 race fixes (checkpoint/drain,
-# shutdown wakeup, failed-drain).
+# shutdown wakeup, failed-drain) and the backfill ordering pair (cache copy
+# before index listing, index before mark_clean) — whose other half, that
+# the memory-first backfill returns what the disk-first one did, is the
+# property suite beside it.
 run "lock-order + explorer (cbs-common)" cargo test --quiet -p cbs-common --features lock-order
 run "seqno signal protocol model" cargo test --quiet -p cbs-common --test signal_models
 run "flusher protocol models" cargo test --quiet -p cbs-kv --test flusher_models
+run "backfill equivalence (oracle)" cargo test --quiet -p cbs-kv --lib backfill_equivalence
 run "txn protocol models" cargo test --quiet -p cbs-txn --test txn_models
 run_stage chaos-smoke
 run_stage plancache-smoke
