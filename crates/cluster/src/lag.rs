@@ -7,15 +7,18 @@
 //! history legal; this table is the complementary *measuring* instrument:
 //! every pump cycle it samples, per (vBucket, replica), the seqno distance
 //! between the active copy and the replica, and how many cycles the
-//! replica has been continuously behind.
+//! replica has been continuously behind. A **cycle** is a drain of the
+//! pump's feed that moved something (or a resubscription): the pump parks
+//! while its bucket is idle, so the clock counts bursts of replication
+//! work, not time — it stands still on an idle bucket.
 //!
 //! Everything here is atomics — the table lives inside the pump entry
 //! (rank `CLUSTER_PUMPS` map) but is read lock-free by `Cluster::stats()`,
 //! the `system:replication` / `system:staleness` catalogs, and the
 //! Prometheus export. The logical clock is the pump cycle counter: lag-age
 //! is measured in cycles, and the windowed lag-age histogram rotates every
-//! [`LAG_WINDOW_CYCLES`] cycles so snapshots answer "how far behind are
-//! replicas *now*", not "since boot".
+//! [`LAG_WINDOW_CYCLES`] cycles so snapshots answer "how far behind were
+//! replicas over the last few hundred drains", not "since boot".
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,9 +28,10 @@ use cbs_obs::{Counter, Gauge, Registry, WindowedHistogram, WindowedSnapshot};
 
 use crate::replication::PumpTopology;
 
-/// Pump cycles per lag-age window: with the pump's ~1 ms idle cadence a
-/// window is roughly 64 ms, so the 8-window ring covers the last ~half
-/// second of replication behaviour.
+/// Pump cycles per lag-age window. A cycle is a drain that moved
+/// something, so a window is 64 such drains — under a steady writer about
+/// 64 deliveries, on an idle bucket no time at all — and the 8-window ring
+/// covers the last ~512 of them.
 pub const LAG_WINDOW_CYCLES: u64 = 64;
 
 /// Sentinel for "this replica slot is unused / unmeasurable".
@@ -76,8 +80,8 @@ pub struct ReplicationLagRow {
     pub replica: NodeId,
     /// Seqno distance active − replica at the last pump cycle.
     pub lag: u64,
-    /// Consecutive pump cycles this replica has been behind (0 when caught
-    /// up).
+    /// Consecutive pump cycles — drains that moved something — this
+    /// replica has been behind (0 when caught up).
     pub age_cycles: u64,
 }
 
@@ -86,7 +90,8 @@ pub struct ReplicationLagRow {
 pub struct StalenessRow {
     /// Bucket the summary describes.
     pub bucket: String,
-    /// Pump cycles completed (the logical clock).
+    /// Pump cycles completed (the logical clock: it advances only when the
+    /// pump delivered something or resubscribed).
     pub cycles: u64,
     /// vBuckets with at least one lagging replica at the last cycle.
     pub lagging_vbuckets: u64,
@@ -99,7 +104,8 @@ pub struct StalenessRow {
     pub lag_age: WindowedSnapshot,
 }
 
-/// Lock-free per-bucket lag table, updated by the pump every cycle.
+/// Lock-free per-bucket lag table, updated by the pump on every cycle (a
+/// drain that moved something).
 #[derive(Debug)]
 pub struct ReplicationLagTable {
     bucket: String,
@@ -170,7 +176,8 @@ impl ReplicationLagTable {
         self.cycle.load(Ordering::Relaxed)
     }
 
-    /// Called by the pump once per cycle: sample every (vBucket, replica)
+    /// Called by the pump once per cycle — after a drain that moved
+    /// something, or a resubscription: sample every (vBucket, replica)
     /// seqno distance from the topology it just pumped with, maintain the
     /// lag-age episodes, and refresh the aggregate gauges. Single-writer
     /// (the pump thread); readers are lock-free.

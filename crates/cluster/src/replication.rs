@@ -3,12 +3,13 @@
 //!
 //! "This mutation [...] is also pushed into the in-memory replication
 //! queue to be replicated to other nodes within the cluster" (§4.2, Figure
-//! 6). The pump owns, per vBucket, a DCP stream from the current active
-//! copy; items fan out to every replica engine (memory-to-memory) and, a
-//! drained batch at a time, to the index-service managers that maintain an
-//! index on the bucket. When the cluster map epoch changes
-//! (failover, rebalance) the pump rebuilds its streams, resuming from the
-//! destinations' high seqnos / its own index cursor.
+//! 6). The pump owns one DCP feed, subscribed once per vBucket on the
+//! current active copy, and blocks on it; each drained item fans out to every
+//! replica engine (memory-to-memory) and, a drained batch at a time, to the
+//! index-service managers that maintain an index on the bucket. When the
+//! cluster map epoch changes (failover, rebalance) the pump resubscribes a
+//! fresh feed, resuming from the lowest of the destinations' high seqnos
+//! and its own index cursor.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,7 +18,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cbs_common::{NodeId, SeqNo, VbId};
-use cbs_dcp::DcpStream;
+use cbs_dcp::{DcpFeed, DcpItem};
 use cbs_fts::FtsService;
 use cbs_index::IndexManager;
 use cbs_kv::DataEngine;
@@ -26,7 +27,7 @@ use crate::fault::{FaultAction, FaultInjector};
 use crate::lag::ReplicationLagTable;
 use crate::map::ClusterMap;
 
-/// A snapshot of everything the pump needs to (re)build streams.
+/// A snapshot of everything the pump needs to (re)subscribe its feed.
 pub struct PumpTopology {
     /// Current map.
     pub map: ClusterMap,
@@ -41,15 +42,10 @@ pub struct PumpTopology {
     pub injector: Option<Arc<dyn FaultInjector>>,
 }
 
-/// Callback the pump polls with the map epoch its streams were built at:
+/// Callback the pump polls with the map epoch its feed was subscribed at:
 /// `None` while the bucket's map is still at that epoch — the only thing the
 /// pump acts on — else a fresh topology to rebuild against.
 pub type TopologyFn = Box<dyn Fn(u64) -> Option<PumpTopology> + Send>;
-
-struct VbStreams {
-    repl: Option<(NodeId, DcpStream)>,
-    gsi: Option<(NodeId, DcpStream)>,
-}
 
 /// Background pump for one bucket.
 pub struct ReplicationPump {
@@ -60,8 +56,8 @@ pub struct ReplicationPump {
 impl ReplicationPump {
     /// Spawn the pump on the topology the bucket was created with; `refresh`
     /// tells it when the map has moved on. `lag` is the bucket's
-    /// replication-lag table; the pump samples it once per cycle after
-    /// draining the streams.
+    /// replication-lag table; the pump samples it after every drain that
+    /// moved something.
     pub fn spawn(
         bucket: String,
         topo: PumpTopology,
@@ -97,8 +93,7 @@ fn pump_loop(
 ) {
     let mut built_epoch: u64 = u64::MAX;
     let nvb = topo.map.num_vbuckets() as usize;
-    let mut streams: Vec<VbStreams> =
-        (0..nvb).map(|_| VbStreams { repl: None, gsi: None }).collect();
+    let mut feed = DcpFeed::default();
     // Per-vb GSI delivery cursor (seqnos survive failover, so resuming by
     // cursor on the new active is correct).
     let mut gsi_cursors: Vec<SeqNo> = vec![SeqNo::ZERO; nvb];
@@ -106,119 +101,104 @@ fn pump_loop(
     // injector so it can drop attempt 0 and let the retry through. Entries
     // are removed once the site is past its fault window.
     let mut attempts: HashMap<(u16, u64, u32), u32> = HashMap::new();
-    let mut gsi_batch: Vec<cbs_dcp::DcpItem> = Vec::new();
+    let mut batch: Vec<DcpItem> = Vec::new();
+    let mut gsi_batch: Vec<DcpItem> = Vec::new();
 
     while !stop.load(Ordering::Relaxed) {
-        // Rebuild on epoch change (or when a stream's source died).
-        if topo.map.epoch != built_epoch {
-            for (v, slot) in streams.iter_mut().enumerate() {
+        // Resubscribe on epoch change or connection reset: a fresh feed
+        // (what the old one still queued goes with it), each vBucket from
+        // the lowest seqno a destination still needs. Replaying below the
+        // others' resume points is harmless: replica applies are
+        // seqno-guarded and the GSI side is filtered by its cursor below.
+        let rebuilt = topo.map.epoch != built_epoch;
+        if rebuilt {
+            feed = DcpFeed::default();
+            for (v, cursor) in gsi_cursors.iter().enumerate() {
                 let vb = VbId(v as u16);
-                let active = topo.map.active_node(vb);
-                // Replication stream: resume from the lowest replica high
-                // seqno so no destination misses anything.
-                slot.repl = None;
-                let dsts: Vec<Arc<DataEngine>> = topo
+                let Some(src) = topo.engines.get(&topo.map.active_node(vb)) else { continue };
+                let since = topo
                     .map
                     .replica_nodes(vb)
                     .iter()
-                    .filter_map(|n| topo.engines.get(n).cloned())
-                    .collect();
-                if !dsts.is_empty() {
-                    if let Some(src) = topo.engines.get(&active) {
-                        let since =
-                            dsts.iter().map(|d| d.high_seqno(vb)).min().unwrap_or(SeqNo::ZERO);
-                        if let Ok(s) = src.open_dcp_stream(vb, since) {
-                            slot.repl = Some((active, s));
-                        }
-                    }
-                }
-                // GSI/FTS stream: resume from the pump's own cursor.
-                slot.gsi = None;
-                if !topo.index_managers.is_empty() || !topo.fts_services.is_empty() {
-                    if let Some(src) = topo.engines.get(&active) {
-                        if let Ok(s) = src.open_dcp_stream(vb, gsi_cursors[v]) {
-                            slot.gsi = Some((active, s));
-                        }
-                    }
-                }
+                    .filter_map(|n| topo.engines.get(n))
+                    .map(|dst| dst.high_seqno(vb))
+                    .fold(*cursor, SeqNo::min);
+                let _ = src.subscribe_dcp(&feed, vb, since);
             }
             built_epoch = topo.map.epoch;
         }
 
-        let mut moved = 0usize;
+        // Park until something is published; the bound is only how often
+        // `stop` and the map epoch are re-read.
+        feed.drain(Duration::from_millis(1), &mut batch);
+        let moved = !batch.is_empty();
         let mut dropped = false;
-        for (v, slot) in streams.iter_mut().enumerate() {
-            let vb = VbId(v as u16);
-            if let Some((_, stream)) = &mut slot.repl {
-                // Destinations cut off by a dropped delivery this cycle.
-                // A drop models a connection reset: everything after the
-                // dropped item is lost for that destination too, so its
-                // applied set stays a contiguous seqno prefix and the
-                // rebuild (which resumes from the replicas' minimum high
-                // seqno) redelivers the hole. Delivering *past* a drop
-                // would advance the replica's high seqno over the gap and
-                // the missing item could never be recovered.
-                let mut cut: Vec<NodeId> = Vec::new();
-                for item in stream.drain_available() {
-                    for dst_node in topo.map.replica_nodes(vb) {
-                        if cut.contains(dst_node) {
-                            continue;
+        // (vBucket, destination) pairs cut off by a dropped delivery this
+        // cycle. A drop models a connection reset: everything after the
+        // dropped item is lost for that destination too, so its applied set
+        // stays a contiguous seqno prefix and the resubscription (from the
+        // replicas' minimum high seqno) redelivers the hole. Delivering
+        // *past* a drop would advance the replica's high seqno over the gap
+        // and the missing item could never be recovered.
+        let mut cut: Vec<(VbId, NodeId)> = Vec::new();
+        for item in batch.drain(..) {
+            let vb = item.vb;
+            for dst_node in topo.map.replica_nodes(vb) {
+                if cut.contains(&(vb, *dst_node)) {
+                    continue;
+                }
+                let Some(dst) = topo.engines.get(dst_node) else { continue };
+                let action = match &topo.injector {
+                    Some(inj) => {
+                        let site = (vb.0, item.meta.seqno.0, dst_node.0);
+                        let attempt = *attempts.entry(site).or_insert(0);
+                        let a = inj.repl_delivery(vb, item.meta.seqno, *dst_node, attempt);
+                        if a == FaultAction::Drop {
+                            attempts.insert(site, attempt + 1);
+                        } else {
+                            attempts.remove(&site);
                         }
-                        let Some(dst) = topo.engines.get(dst_node) else { continue };
-                        let action = match &topo.injector {
-                            Some(inj) => {
-                                let site = (vb.0, item.meta.seqno.0, dst_node.0);
-                                let attempt = *attempts.entry(site).or_insert(0);
-                                let a = inj.repl_delivery(vb, item.meta.seqno, *dst_node, attempt);
-                                if a == FaultAction::Drop {
-                                    attempts.insert(site, attempt + 1);
-                                } else {
-                                    attempts.remove(&site);
-                                }
-                                a
-                            }
-                            None => FaultAction::Deliver,
-                        };
-                        // Stitch the originating op's trace across the pump
-                        // thread: the deliver span opens a segment under the
-                        // carried context and covers injected faults plus
-                        // the replica apply, which nests under it.
-                        let _deliver = match (item.trace, dst.trace_sink()) {
-                            (Some(ctx), Some(sink)) => {
-                                Some(sink.child_of("cluster.replication.deliver", ctx))
-                            }
-                            _ => None,
-                        };
-                        match action {
-                            FaultAction::Deliver => {
-                                let _ = dst.apply_replica(&item);
-                            }
-                            FaultAction::Duplicate => {
-                                let _ = dst.apply_replica(&item);
-                                let _ = dst.apply_replica(&item);
-                            }
-                            FaultAction::Delay(d) => {
-                                std::thread::sleep(d);
-                                let _ = dst.apply_replica(&item);
-                            }
-                            FaultAction::Drop => {
-                                dropped = true;
-                                cut.push(*dst_node);
-                            }
-                        }
+                        a
                     }
-                    moved += 1;
+                    None => FaultAction::Deliver,
+                };
+                // Stitch the originating op's trace across the pump
+                // thread: the deliver span opens a segment under the
+                // carried context and covers injected faults plus the
+                // replica apply, which nests under it.
+                let _deliver = match (item.trace, dst.trace_sink()) {
+                    (Some(ctx), Some(sink)) => {
+                        Some(sink.child_of("cluster.replication.deliver", ctx))
+                    }
+                    _ => None,
+                };
+                match action {
+                    FaultAction::Deliver => {
+                        let _ = dst.apply_replica(&item);
+                    }
+                    FaultAction::Duplicate => {
+                        let _ = dst.apply_replica(&item);
+                        let _ = dst.apply_replica(&item);
+                    }
+                    FaultAction::Delay(d) => {
+                        std::thread::sleep(d);
+                        let _ = dst.apply_replica(&item);
+                    }
+                    FaultAction::Drop => {
+                        dropped = true;
+                        cut.push((vb, *dst_node));
+                    }
                 }
             }
-            if let Some((_, stream)) = &mut slot.gsi {
-                gsi_batch.extend(stream.drain_available());
+            if item.meta.seqno > gsi_cursors[vb.index()] {
+                gsi_batch.push(item);
             }
         }
 
-        // What this cycle's GSI streams held is one batch — one index-log
-        // commit per index, after every replica has been served — and goes
-        // only to managers that maintain an index on this bucket (the
-        // others return at once, uncounted).
+        // What this drain held above the GSI cursors is one batch — one
+        // index-log commit per index, after every replica has been served —
+        // and goes only to managers that maintain an index on this bucket
+        // (the others return at once, uncounted).
         if !gsi_batch.is_empty() {
             let mut committed = true;
             for mgr in &topo.index_managers {
@@ -234,10 +214,9 @@ fn pump_loop(
                     let cursor = &mut gsi_cursors[item.vb.index()];
                     *cursor = (*cursor).max(item.meta.seqno);
                 }
-                moved += gsi_batch.len();
             } else {
                 // An index log refused the batch (its manager counted it):
-                // keep the cursors, so the rebuild below redelivers —
+                // keep the cursors, so the resubscription redelivers —
                 // applies are idempotent.
                 dropped = true;
             }
@@ -245,23 +224,19 @@ fn pump_loop(
         }
 
         if dropped {
-            // Connection-reset semantics for drops: tear the streams down;
-            // the rebuild reopens each replication stream from the
-            // replicas' minimum high seqno and each GSI stream from its
-            // cursor, redelivering what was lost.
+            // Connection reset: resubscribe, redelivering what was lost.
             built_epoch = u64::MAX;
         }
 
         // Sample per-(vBucket, replica) seqno lag against the topology this
-        // cycle pumped with. The cycle counter is the lag table's logical
-        // clock (window rotation included) — no wall-clock reads.
-        lag.observe(&topo);
-
-        if moved == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+        // cycle pumped with, unless it was idle (lag cannot have changed).
+        // The cycle counter is the lag table's logical clock (window
+        // rotation included) — no wall-clock reads.
+        if moved || rebuilt {
+            lag.observe(&topo);
         }
         // One epoch comparison per cycle; a topology is assembled only when
-        // the map has moved (or a drop asked for a rebuild).
+        // the map has moved (or a drop asked for a resubscription).
         if let Some(fresh) = refresh(built_epoch) {
             topo = fresh;
         }

@@ -726,3 +726,97 @@ fn primary_index_build_reads_only_what_the_cache_evicted() {
     assert_eq!(build_primary_index(&restarted), 0, "warm-up made the bucket resident again");
     assert_eq!(primary_scan(&restarted), live);
 }
+
+/// Every replica copy has caught up with its active copy.
+fn replicas_caught_up(cluster: &Cluster) -> bool {
+    let map = cluster.map("default").unwrap();
+    (0..map.num_vbuckets()).map(VbId).all(|vb| {
+        let high = cluster.active_engine("default", vb).unwrap().high_seqno(vb);
+        let engine = |n: &NodeId| cluster.node(*n).unwrap().engine("default").unwrap();
+        map.replica_nodes(vb).iter().all(|n| engine(n).high_seqno(vb) == high)
+    })
+}
+
+/// The pump is one subscriber per vBucket — replicas, GSI and FTS share
+/// it — and it cycles only when something was published: counted, not timed.
+#[test]
+fn pump_holds_one_subscription_per_vbucket_and_idles_without_cycling() {
+    let cluster = small_cluster(4, 1);
+    assert!(!cluster.index_managers().is_empty(), "index (and FTS) services are fed");
+    let lag = cluster.replication_lag("default").unwrap();
+    // Cycle 1 primes the lag table at bucket creation; 2 is the pump's
+    // subscription pass.
+    assert!(wait_until(Duration::from_secs(10), || lag.cycle() >= 2));
+    for vb in (0..64).map(VbId) {
+        let active = cluster.active_engine("default", vb).unwrap();
+        assert_eq!(active.hub().subscriber_count(vb), 1, "{vb:?}");
+    }
+
+    let idle = lag.cycle();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(lag.cycle(), idle, "an idle bucket's pump must stay parked");
+
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    const WRITES: u64 = 25;
+    load_docs(&client, WRITES as usize);
+    assert!(wait_until(Duration::from_secs(10), || replicas_caught_up(&cluster)));
+    let cycled = lag.cycle() - idle;
+    assert!((1..=WRITES).contains(&cycled), "{cycled} cycles for {WRITES} writes");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(lag.cycle() - idle, cycled, "parked again once the writes are delivered");
+}
+
+/// Drops the first delivery attempt of every fourth seqno.
+#[derive(Debug, Default)]
+struct DropFirstAttempt(std::sync::atomic::AtomicUsize);
+
+impl FaultInjector for DropFirstAttempt {
+    fn repl_delivery(&self, _: VbId, seqno: SeqNo, _: NodeId, attempt: u32) -> FaultAction {
+        if attempt == 0 && seqno.0 % 4 == 2 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            FaultAction::Drop
+        } else {
+            FaultAction::Deliver
+        }
+    }
+}
+
+/// A dropped delivery resets the pump's one feed: the cut replica is
+/// redelivered the hole, and the GSI side — which shares the subscription —
+/// neither misses a key nor is handed the replay at or below its cursor.
+#[test]
+fn dropped_delivery_is_redelivered_and_the_replay_is_filtered_from_gsi() {
+    use cbs_dcp::BackfillSource;
+    let drops = Arc::new(DropFirstAttempt::default());
+    let cfg = ClusterConfig::for_chaos(8, 1, Arc::clone(&drops) as Arc<dyn FaultInjector>);
+    let cluster = Cluster::homogeneous(3, cfg);
+    cluster.create_bucket("default").unwrap();
+    build_primary_index(&cluster);
+    let applied = || cluster.stats().counter("index.manager.items_applied");
+    let applied_before = applied();
+
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    load_docs(&client, 200);
+    assert!(wait_until(Duration::from_secs(20), || replicas_caught_up(&cluster)));
+    assert!(drops.0.load(std::sync::atomic::Ordering::SeqCst) > 0, "nothing was dropped");
+
+    // Each replica copy holds exactly what its active copy holds: no hole
+    // was skipped over.
+    let map = cluster.map("default").unwrap();
+    let versions = |engine: &cbs_kv::DataEngine, vb| -> Vec<(String, SeqNo)> {
+        let (items, _) = engine.backfill(vb, SeqNo::ZERO).unwrap();
+        items.into_iter().map(|i| (i.key, i.meta.seqno)).collect()
+    };
+    for vb in (0..8).map(VbId) {
+        let active = versions(&cluster.active_engine("default", vb).unwrap(), vb);
+        for replica in map.replica_nodes(vb) {
+            let engine = cluster.node(*replica).unwrap().engine("default").unwrap();
+            assert_eq!(versions(&engine, vb), active, "{vb:?} on {replica:?}");
+        }
+    }
+
+    let mut acked: Vec<String> = (0..200).map(|i| format!("doc-{i}")).collect();
+    acked.sort();
+    assert_eq!(primary_scan(&cluster), acked);
+    assert_eq!(applied() - applied_before, 200, "each write is handed to the index once");
+}

@@ -6,10 +6,10 @@ use std::sync::Arc;
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_common::{Result, SeqNo, VbId};
 use cbs_obs::{span, Counter, Registry};
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::Sender;
 
 use crate::item::DcpItem;
-use crate::stream::{DcpEvent, DcpStream};
+use crate::stream::{DcpEvent, DcpFeed, DcpStream};
 
 /// Source of historical changes for stream backfill. Implemented by the data
 /// service, memory first: resident documents come from the cache and only
@@ -26,8 +26,6 @@ struct Subscriber {
     sender: Sender<DcpEvent>,
     /// Deliver only items with seqno strictly greater than this.
     start_after: SeqNo,
-    /// Lazily removed once the receiving side is gone.
-    dead: bool,
 }
 
 struct VbChannel {
@@ -36,10 +34,11 @@ struct VbChannel {
 
 /// Per-bucket DCP fan-out. The data service owns one hub per bucket and
 /// calls [`DcpHub::publish`] inside the vBucket critical section that
-/// assigned the mutation's seqno; consumers call [`DcpHub::open_stream`].
+/// assigned the mutation's seqno; consumers call [`DcpHub::subscribe`]
+/// (or [`DcpHub::open_stream`] for a single vBucket).
 pub struct DcpHub {
     /// Rank `DCP_CHANNEL`: publishes take this under the vB metadata lock;
-    /// stream opens hold it across `backfill`, which descends into the
+    /// subscriptions hold it across `backfill`, which descends into the
     /// storage ranks — both orders are increasing.
     vbs: Vec<OrderedMutex<VbChannel>>,
     items_published: Arc<Counter>,
@@ -67,63 +66,57 @@ impl DcpHub {
         }
     }
 
-    /// Fan a freshly acknowledged mutation out to the live tails of every
-    /// open stream on its vBucket. MUST be called in seqno order per
+    /// Fan a freshly acknowledged mutation out to every feed subscribed to
+    /// its vBucket. MUST be called in seqno order per
     /// vBucket (the data service guarantees this by publishing inside the
     /// vBucket write lock).
     pub fn publish(&self, item: &DcpItem) {
         let _s = span("kv.dcp.publish");
         self.items_published.inc();
-        let mut chan = self.vbs[item.vb.index()].lock();
         let seq = item.meta.seqno;
-        for sub in chan.subscribers.iter_mut() {
-            if seq > sub.start_after
-                && !sub.dead
-                && sub.sender.send(DcpEvent::Item(item.clone())).is_err()
-            {
-                sub.dead = true;
-            }
-        }
-        chan.subscribers.retain(|s| !s.dead);
+        // A failed send means the feed is gone: prune its subscription.
+        self.vbs[item.vb.index()].lock().subscribers.retain(|sub| {
+            seq <= sub.start_after || sub.sender.send(DcpEvent::Item(item.clone())).is_ok()
+        });
     }
 
-    /// Open a stream over one vBucket resuming after `since`.
+    /// Subscribe `feed` to one vBucket resuming after `since`; returns the
+    /// backfill snapshot's high seqno `h`.
     ///
-    /// The returned stream yields a snapshot-marker event, then backfilled
-    /// items in `(since, h]`, then live items `> h` — with no gaps and no
-    /// duplicates (registration and the `h` snapshot happen atomically with
-    /// respect to publishes on this vBucket).
+    /// The feed is queued a snapshot marker, then backfilled items in
+    /// `(since, h]`, then receives live items `> h` — no gap, no duplicate:
+    /// backfill, registration and queueing happen under the vb lock, so
+    /// publishers on *this* vBucket (only) wait until the snapshot is queued.
+    pub fn subscribe(
+        &self,
+        feed: &DcpFeed,
+        vb: VbId,
+        since: SeqNo,
+        source: &dyn BackfillSource,
+    ) -> Result<SeqNo> {
+        self.streams_opened.inc();
+        let mut chan = self.vbs[vb.index()].lock();
+        let (items, high) = source.backfill(vb, since)?;
+        chan.subscribers.push(Subscriber { sender: feed.tx.clone(), start_after: high });
+        let _ = feed.tx.send(DcpEvent::SnapshotMarker { vb, start: since.next(), end: high });
+        for item in items {
+            debug_assert!(item.meta.seqno > since && item.meta.seqno <= high);
+            let _ = feed.tx.send(DcpEvent::Item(item));
+        }
+        Ok(high)
+    }
+
+    /// Open a stream over one vBucket resuming after `since`: a fresh feed
+    /// with this one subscription, handed over with its cursor.
     pub fn open_stream(
         &self,
         vb: VbId,
         since: SeqNo,
         source: &dyn BackfillSource,
     ) -> Result<DcpStream> {
-        self.streams_opened.inc();
-        let (tx, rx) = unbounded();
-        // Register first, under the vb lock, against a consistent high
-        // seqno. `backfill` takes no locks that conflict with publishers
-        // on *other* vbuckets; publishers on *this* vb block until
-        // registration completes, which is exactly the race-freedom we need.
-        let high = {
-            let mut chan = self.vbs[vb.index()].lock();
-            let (items, high) = source.backfill(vb, since)?;
-            chan.subscribers.push(Subscriber {
-                sender: tx.clone(),
-                start_after: high,
-                dead: false,
-            });
-            // Queue the snapshot into the same channel ahead of any live
-            // item (we still hold the vb lock, so nothing can be published
-            // before these sends complete).
-            let _ = tx.send(DcpEvent::SnapshotMarker { vb, start: since.next(), end: high });
-            for item in items {
-                debug_assert!(item.meta.seqno > since && item.meta.seqno <= high);
-                let _ = tx.send(DcpEvent::Item(item));
-            }
-            high
-        };
-        Ok(DcpStream::new(vb, since, high, rx))
+        let feed = DcpFeed::default();
+        let high = self.subscribe(&feed, vb, since, source)?;
+        Ok(DcpStream::new(vb, since, high, feed.rx))
     }
 
     /// Number of live subscribers on a vBucket (diagnostics).
@@ -265,5 +258,107 @@ mod tests {
             let expect: Vec<u64> = (1..=500).collect();
             assert_eq!(seqs, expect, "vb {vb} must deliver in order without loss");
         }
+    }
+
+    #[test]
+    fn one_feed_over_two_hubs_is_ordered_and_gapless_across_the_hand_off() {
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        use std::time::{Duration, Instant};
+        const BACKFILLED: u64 = 100;
+        const LAST: u64 = 400;
+        // Hub 0 publishes vBuckets 0..4, hub 1 vBuckets 4..8; a backfill
+        // source holds the first `BACKFILLED` seqnos of each.
+        let hubs = [DcpHub::new(8), DcpHub::new(8)];
+        let history = |vb| (1..=BACKFILLED).map(|seq| item(vb, &format!("k{seq}"), seq)).collect();
+        let backfill = VecBackfill { items: (0..8).map(history).collect() };
+        let subscribed = AtomicBool::new(false);
+        let feed = DcpFeed::default();
+        let mut got: Vec<Vec<u64>> = vec![Vec::new(); 8];
+        std::thread::scope(|s| {
+            for (h, hub) in hubs.iter().enumerate() {
+                let subscribed = &subscribed;
+                s.spawn(move || {
+                    for seq in 1..=LAST {
+                        // The publishers are mid-stream while the feed
+                        // subscribes; they only hold at the end of what the
+                        // static backfill covers.
+                        while seq > BACKFILLED && !subscribed.load(SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        for vb in (h as u16 * 4)..(h as u16 * 4 + 4) {
+                            hub.publish(&item(vb, &format!("k{seq}"), seq));
+                        }
+                    }
+                });
+            }
+            for vb in 0..8u16 {
+                let high = hubs[vb as usize / 4].subscribe(&feed, VbId(vb), SeqNo::ZERO, &backfill);
+                assert_eq!(high.unwrap(), SeqNo(BACKFILLED));
+            }
+            subscribed.store(true, SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let mut batch = Vec::new();
+            while got.iter().any(|seqs| seqs.len() < LAST as usize) && Instant::now() < deadline {
+                feed.drain(Duration::from_millis(50), &mut batch);
+                for i in batch.drain(..) {
+                    got[i.vb.index()].push(i.meta.seqno.0);
+                }
+            }
+        });
+        let expect: Vec<u64> = (1..=LAST).collect();
+        for (vb, seqs) in got.iter().enumerate() {
+            assert_eq!(seqs, &expect, "vb {vb}: in order, no gap, no duplicate");
+        }
+    }
+
+    #[test]
+    fn dropping_a_feed_prunes_every_subscription_on_its_next_publish() {
+        let hubs = [DcpHub::new(4), DcpHub::new(4)];
+        let feed = DcpFeed::default();
+        for hub in &hubs {
+            for vb in 0..3 {
+                hub.subscribe(&feed, VbId(vb), SeqNo::ZERO, &EmptyBackfill).unwrap();
+            }
+        }
+        drop(feed);
+        for hub in &hubs {
+            for vb in 0..2 {
+                assert_eq!(hub.subscriber_count(VbId(vb)), 1);
+                hub.publish(&item(vb, "a", 1));
+                assert_eq!(hub.subscriber_count(VbId(vb)), 0, "pruned by the publish");
+            }
+            assert_eq!(hub.subscriber_count(VbId(2)), 1, "not published to yet");
+        }
+    }
+
+    #[test]
+    fn blocked_drain_wakes_on_any_subscribed_vbucket_and_at_its_bound_otherwise() {
+        use std::time::{Duration, Instant};
+        let hub = DcpHub::new(4);
+        let feed = DcpFeed::default();
+        for vb in 0..4 {
+            hub.subscribe(&feed, VbId(vb), SeqNo::ZERO, &EmptyBackfill).unwrap();
+        }
+        let mut out = Vec::new();
+        feed.drain(Duration::ZERO, &mut out); // the four snapshot markers
+        assert!(out.is_empty());
+
+        let started = Instant::now();
+        feed.drain(Duration::from_millis(40), &mut out);
+        assert!(out.is_empty() && started.elapsed() >= Duration::from_millis(40));
+
+        let about_to_park = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                about_to_park.wait();
+                hub.publish(&item(3, "a", 1));
+            });
+            let started = Instant::now();
+            about_to_park.wait();
+            feed.drain(Duration::from_secs(30), &mut out);
+            assert!(started.elapsed() < Duration::from_secs(10), "woken by the publish");
+        });
+        assert_eq!(out.len(), 1);
+        assert_eq!((out[0].vb, out[0].meta.seqno), (VbId(3), SeqNo(1)));
     }
 }

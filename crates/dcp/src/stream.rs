@@ -1,33 +1,63 @@
-//! Consumer-side stream handle.
+//! Consumer-side handles: the multi-vBucket [`DcpFeed`] and the
+//! single-vBucket [`DcpStream`].
 
 use std::time::{Duration, Instant};
 
 use cbs_common::{SeqNo, VbId};
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::item::DcpItem;
 
-/// Events delivered over a stream.
+/// Events delivered over a feed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DcpEvent {
     /// Marks the start of a consistent snapshot covering `[start, end]`
-    /// (backfill range at stream open).
+    /// (backfill range at subscription time).
     SnapshotMarker {
         /// vBucket.
         vb: VbId,
         /// First seqno that may follow.
         start: SeqNo,
-        /// High seqno at stream-open time.
+        /// High seqno at subscription time.
         end: SeqNo,
     },
     /// A document change.
     Item(DcpItem),
 }
 
-/// An open DCP stream over one vBucket.
-///
-/// Tracks the **cursor** (last seqno observed) so consumers can checkpoint
-/// and later resume with `open_stream(vb, cursor, ...)`.
+/// One consumer's queue: [`DcpHub::subscribe`](crate::DcpHub::subscribe)
+/// adds a vBucket to it, on any number of hubs. Dropping the feed ends every
+/// subscription (pruned on the vBucket's next publish); a consumer that must
+/// resume elsewhere subscribes a fresh feed from its own resume points.
+pub struct DcpFeed {
+    pub(crate) tx: Sender<DcpEvent>,
+    pub(crate) rx: Receiver<DcpEvent>,
+}
+
+impl Default for DcpFeed {
+    fn default() -> DcpFeed {
+        let (tx, rx) = unbounded();
+        DcpFeed { tx, rx }
+    }
+}
+
+impl DcpFeed {
+    /// Wait up to `wait` (`ZERO`: not at all) for the first event, then
+    /// append every queued item to `out`, skipping snapshot markers.
+    pub fn drain(&self, wait: Duration, out: &mut Vec<DcpItem>) {
+        let mut next = self.rx.recv_timeout(wait).ok();
+        while let Some(ev) = next {
+            if let DcpEvent::Item(item) = ev {
+                out.push(item);
+            }
+            next = self.rx.try_recv().ok();
+        }
+    }
+}
+
+/// The receiving half of a feed subscribed to one vBucket, plus its
+/// **cursor** (last seqno observed), so consumers can checkpoint and later
+/// resume with `open_stream(vb, cursor, ...)`.
 pub struct DcpStream {
     vb: VbId,
     cursor: SeqNo,
@@ -56,30 +86,23 @@ impl DcpStream {
         self.snapshot_end
     }
 
+    fn advance(&mut self, ev: Option<DcpEvent>) -> Option<DcpEvent> {
+        if let Some(DcpEvent::Item(i)) = &ev {
+            self.cursor = self.cursor.max(i.meta.seqno);
+        }
+        ev
+    }
+
     /// Non-blocking poll for the next event.
     pub fn try_next(&mut self) -> Option<DcpEvent> {
-        match self.rx.try_recv() {
-            Ok(ev) => {
-                if let DcpEvent::Item(i) = &ev {
-                    self.cursor = self.cursor.max(i.meta.seqno);
-                }
-                Some(ev)
-            }
-            Err(_) => None,
-        }
+        let ev = self.rx.try_recv().ok();
+        self.advance(ev)
     }
 
     /// Blocking receive with timeout.
     pub fn next_timeout(&mut self, timeout: Duration) -> Option<DcpEvent> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(ev) => {
-                if let DcpEvent::Item(i) = &ev {
-                    self.cursor = self.cursor.max(i.meta.seqno);
-                }
-                Some(ev)
-            }
-            Err(_) => None,
-        }
+        let ev = self.rx.recv_timeout(timeout).ok();
+        self.advance(ev)
     }
 
     /// Drain every item currently queued (snapshot markers are skipped).

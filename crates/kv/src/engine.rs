@@ -10,7 +10,7 @@ use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{
     vbucket_for_key, Cas, CasClock, Deadline, DocMeta, Error, Result, RevNo, SeqNo, VbId,
 };
-use cbs_dcp::{BackfillSource, DcpHub, DcpItem, DcpKind, DcpStream};
+use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind, DcpStream};
 use cbs_json::{SharedValue, Value};
 use cbs_obs::{span, Gauge, Registry, SpanGuard, TraceContext};
 use cbs_storage::{check_key_len, BucketStore, Cycle, StoredDoc};
@@ -223,6 +223,12 @@ impl DataEngine {
     /// Open a DCP stream over one vBucket, backfilled from this engine.
     pub fn open_dcp_stream(&self, vb: VbId, since: SeqNo) -> Result<DcpStream> {
         self.hub.open_stream(vb, since, self)
+    }
+
+    /// Subscribe `feed` to one vBucket, backfilled from this engine; returns
+    /// the snapshot's high seqno.
+    pub fn subscribe_dcp(&self, feed: &DcpFeed, vb: VbId, since: SeqNo) -> Result<SeqNo> {
+        self.hub.subscribe(feed, vb, since, self)
     }
 
     /// Statistics handles.

@@ -190,21 +190,30 @@ fn histories_reach_evicted_and_dirty_states() {
 
 /// Callers that hold no lock (an index build, a primary scan) run `backfill`
 /// against live writers, drain cycles and eviction passes. The reader runs
-/// for as long as the writer does, so every round races it.
+/// for as long as the writer does, so every round races it — and the writer
+/// keeps going (past `WRITES`, up to one deadline) until the reader has
+/// raced it for more than `ROUNDS` rounds and been served from disk, so
+/// what the test reaches does not depend on how fast the writer is.
 #[test]
 fn backfill_beside_a_writer_returns_every_acknowledged_key_once() {
     use parking_lot::Mutex;
     const WRITES: u64 = 3_000;
+    const ROUNDS: u64 = 10;
     for policy in [EvictionPolicy::ValueOnly, EvictionPolicy::Full] {
         let dir = cbs_storage::scratch_dir("backfill-eq");
         let e = open(&dir, policy);
         // key → vBucket and seqno of its last acknowledged write.
         let acked: Mutex<HashMap<String, (VbId, SeqNo)>> = Mutex::new(HashMap::new());
         let writing = AtomicBool::new(true);
+        let raced = AtomicBool::new(false);
+        let deadline = cbs_common::Deadline::after(std::time::Duration::from_secs(60));
         let mut rounds = 0u64;
         std::thread::scope(|s| {
             s.spawn(|| {
-                for i in 0..WRITES {
+                for i in 0.. {
+                    if (i >= WRITES && raced.load(Ordering::SeqCst)) || deadline.expired() {
+                        break;
+                    }
                     let key = format!("k{}", i % u64::from(KEYS));
                     let done = if i % 7 == 3 {
                         e.delete(&key, Cas::WILDCARD)
@@ -247,9 +256,12 @@ fn backfill_beside_a_writer_returns_every_acknowledged_key_once() {
                     assert!(got >= Some(*seqno), "{key}@{seqno:?} acked, backfill has {got:?}");
                 }
                 rounds += 1;
+                if rounds > ROUNDS && e.stats.backfill_from_disk.get() > 0 {
+                    raced.store(true, Ordering::SeqCst);
+                }
             }
         });
-        assert!(rounds > 10, "only {rounds} backfills raced the writer");
+        assert!(rounds > ROUNDS, "only {rounds} backfills raced the writer");
         assert!(e.stats.backfill_from_disk.get() > 0, "nothing was evicted under the reader");
         check_against_oracle(&e).unwrap();
         let _ = std::fs::remove_dir_all(dir);

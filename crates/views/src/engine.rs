@@ -3,8 +3,8 @@
 //!
 //! "Views are eventually consistent with respect to the underlying stored
 //! documents; they are kept up-to-date asynchronously, on demand, based on
-//! document writes/updates" (§3.1.2). The engine holds DCP streams per
-//! design document and drains them when an update is demanded:
+//! document writes/updates" (§3.1.2). The engine holds one DCP feed per
+//! design document and drains it when an update is demanded:
 //!
 //! - `stale=false` — "wait for the view indexer to finish processing
 //!   changes that correspond to the current key-value document set and then
@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
 use cbs_common::{Deadline, Error, Result, SeqNo, VbId};
-use cbs_dcp::DcpStream;
+use cbs_dcp::{DcpFeed, DcpItem};
 use cbs_json::Value;
 use cbs_kv::{DataEngine, VbState};
 use cbs_obs::{span, Counter};
@@ -116,9 +116,33 @@ struct ViewState {
     emitted: HashMap<String, Value>,
 }
 
+/// A design document's change feed over every vBucket of the local engine,
+/// and the last seqno of each vBucket its views have indexed.
+struct DdocFeed {
+    feed: DcpFeed,
+    cursors: Vec<SeqNo>,
+}
+
 struct DdocState {
     views: OrderedMutex<HashMap<String, ViewState>>,
-    streams: OrderedMutex<Vec<DcpStream>>,
+    streams: OrderedMutex<DdocFeed>,
+}
+
+impl DdocState {
+    /// Wait up to `wait` for changes, then index everything queued (the
+    /// incremental view update pass). The caller's `streams` guard is held
+    /// across the apply, so a cursor never runs ahead of the views.
+    fn pull(&self, streams: &mut DdocFeed, wait: Duration) -> usize {
+        let mut items = Vec::new();
+        streams.feed.drain(wait, &mut items);
+        let mut views = self.views.lock();
+        for item in &items {
+            let cursor = &mut streams.cursors[item.vb.index()];
+            *cursor = (*cursor).max(item.meta.seqno);
+            apply_item(&mut views, item);
+        }
+        items.len()
+    }
 }
 
 /// The view engine for one bucket on one node.
@@ -154,9 +178,9 @@ impl ViewEngine {
             return Err(Error::View(format!("design doc {} already exists", ddoc.name)));
         }
         let n = self.engine.config().num_vbuckets;
-        let mut streams = Vec::with_capacity(n as usize);
+        let streams = DdocFeed { feed: DcpFeed::default(), cursors: vec![SeqNo::ZERO; n as usize] };
         for vb in 0..n {
-            streams.push(self.engine.open_dcp_stream(VbId(vb), SeqNo::ZERO)?);
+            self.engine.subscribe_dcp(&streams.feed, VbId(vb), SeqNo::ZERO)?;
         }
         let views = ddoc
             .views
@@ -204,36 +228,36 @@ impl ViewEngine {
     /// incremental view update pass).
     pub fn update(&self, ddoc_name: &str) -> Result<usize> {
         let _s = span("views.engine.update");
-        let n = update_state(&self.ddoc(ddoc_name)?);
+        let state = self.ddoc(ddoc_name)?;
+        let n = state.pull(&mut state.streams.lock(), Duration::ZERO);
         self.items_indexed.add(n as u64);
         Ok(n)
     }
 
     /// Update and wait until every view has processed at least the current
-    /// key-value document set (the `stale=false` contract). `timeout`
-    /// bounds the whole update, not each vBucket's share of it.
+    /// key-value document set (the `stale=false` contract) of the vBuckets
+    /// this node holds `Active` — the only ones its hub publishes and its
+    /// queries serve; a replica copy's applies never reach the feed.
+    /// `timeout` bounds the whole update, not each vBucket's share of it.
     pub fn update_to_current(&self, ddoc_name: &str, timeout: Duration) -> Result<()> {
         let _s = span("views.engine.update");
         let deadline = Deadline::after(timeout);
         let state = self.ddoc(ddoc_name)?;
-        let target = self.engine.seqno_vector();
+        let goals: Vec<(usize, SeqNo)> = (self.engine.seqno_vector().into_iter().enumerate())
+            .filter(|(v, _)| self.engine.vb_state(VbId(*v as u16)) == VbState::Active)
+            .collect();
         let mut streams = state.streams.lock();
-        for (vbi, stream) in streams.iter_mut().enumerate() {
-            let goal = target[vbi];
-            let items = stream.drain_until(goal, deadline.remaining());
-            self.items_indexed.add(items.len() as u64);
-            let mut views = state.views.lock();
-            for item in &items {
-                apply_item(&mut views, item);
-            }
-            if stream.cursor() < goal {
+        loop {
+            let behind = goals.iter().find(|(v, goal)| streams.cursors[*v] < *goal);
+            let Some((vbi, goal)) = behind else { return Ok(()) };
+            if deadline.expired() {
                 return Err(Error::Timeout(format!(
                     "view update for vb {vbi}: cursor {:?} < goal {goal:?}",
-                    stream.cursor()
+                    streams.cursors[*vbi]
                 )));
             }
+            self.items_indexed.add(state.pull(&mut streams, deadline.remaining()) as u64);
         }
-        Ok(())
     }
 
     /// Query a view (§3.1.2 semantics, including the `stale` parameter).
@@ -253,7 +277,7 @@ impl ViewEngine {
             let state = self.ddoc(ddoc_name)?;
             let items_indexed = self.items_indexed.clone();
             std::thread::spawn(move || {
-                items_indexed.add(update_state(&state) as u64);
+                items_indexed.add(state.pull(&mut state.streams.lock(), Duration::ZERO) as u64);
             });
         }
         Ok(result)
@@ -340,20 +364,7 @@ impl ViewEngine {
     }
 }
 
-fn update_state(state: &Arc<DdocState>) -> usize {
-    let items: Vec<cbs_dcp::DcpItem> = {
-        let mut streams = state.streams.lock();
-        streams.iter_mut().flat_map(|s| s.drain_available()).collect()
-    };
-    let n = items.len();
-    let mut views = state.views.lock();
-    for item in &items {
-        apply_item(&mut views, item);
-    }
-    n
-}
-
-fn apply_item(views: &mut HashMap<String, ViewState>, item: &cbs_dcp::DcpItem) {
+fn apply_item(views: &mut HashMap<String, ViewState>, item: &DcpItem) {
     for view in views.values_mut() {
         // Remove the row this doc previously emitted (if any).
         if let Some(old_key) = view.emitted.remove(&item.key) {
@@ -444,26 +455,46 @@ mod tests {
         assert_eq!(res.rows[0].id.as_deref(), Some("borkar123"));
     }
 
-    /// `stale=false` against vBuckets whose streams will never deliver (a
-    /// replica's applies are not published to its hub): the update fails
-    /// with `Timeout` at its one deadline, however many vBuckets are stuck
-    /// — not after a timeout per vBucket, and not never.
+    /// Give every vBucket but `keep` a replica copy that has applied seqno 3
+    /// — applies the local hub never publishes, so no feed ever sees them.
+    fn replica_applies_elsewhere(e: &DataEngine, keep: VbId) {
+        for vb in (0..16).map(VbId).filter(|&vb| vb != keep) {
+            e.set_vb_state(vb, VbState::Replica);
+            let meta = cbs_common::DocMeta { seqno: SeqNo(3), ..Default::default() };
+            e.apply_replica(&DcpItem::mutation(vb, "r", meta, Value::int(1))).unwrap();
+        }
+    }
+
+    /// `stale=false` against *active* vBuckets whose feed will never deliver
+    /// (copies promoted after taking replica applies, which are not
+    /// published): the update fails with `Timeout` at its one deadline,
+    /// however many vBuckets are stuck — not after a timeout per vBucket,
+    /// and not never.
     #[test]
     fn update_to_current_gives_up_at_one_deadline_over_many_stuck_vbuckets() {
         let (e, ve) = setup();
         put(&e, "u1", "Alice", 30);
-        let active = e.vb_for_key("u1");
-        for vb in (0..16).map(VbId).filter(|&vb| vb != active) {
-            e.set_vb_state(vb, VbState::Replica);
-            let meta = cbs_common::DocMeta { seqno: SeqNo(3), ..Default::default() };
-            e.apply_replica(&cbs_dcp::DcpItem::mutation(vb, "r", meta, Value::int(1))).unwrap();
-        }
+        replica_applies_elsewhere(&e, e.vb_for_key("u1"));
+        e.activate_all();
         let started = std::time::Instant::now();
         let updated = ve.update_to_current("profiles", Duration::from_millis(50));
         let took = started.elapsed();
         assert!(matches!(updated, Err(Error::Timeout(_))), "{updated:?}");
         assert!(took >= Duration::from_millis(50), "gave up early: {took:?}");
         assert!(took < Duration::from_millis(50 * 15), "one timeout per vBucket: {took:?}");
+    }
+
+    /// Replica copies that advance after the design document was created do
+    /// not delay `stale=false`: the update waits only on the vBuckets this
+    /// node holds active — the ones its queries serve.
+    #[test]
+    fn replica_applies_do_not_delay_stale_false() {
+        let (e, ve) = setup();
+        put(&e, "u1", "Alice", 30);
+        replica_applies_elsewhere(&e, e.vb_for_key("u1"));
+        ve.update_to_current("profiles", Duration::from_secs(5)).unwrap();
+        let res = ve.query("profiles", "by_name", &ViewQuery::default()).unwrap();
+        assert_eq!(res.rows.len(), 1, "the active vBucket's document is indexed");
     }
 
     #[test]

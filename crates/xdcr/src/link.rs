@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use cbs_cluster::Cluster;
 use cbs_common::{Result, SeqNo, VbId};
-use cbs_dcp::DcpStream;
+use cbs_dcp::{DcpFeed, DcpItem};
 use cbs_kv::DataEngine;
 use cbs_obs::{Counter, Gauge, Registry};
 
@@ -101,13 +101,8 @@ impl XdcrLink {
         &self.registry
     }
 
-    /// Stop the link.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop the link (what dropping it does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for XdcrLink {
@@ -129,17 +124,19 @@ fn link_loop(
 ) {
     let Ok(nvb) = source.num_vbuckets(bucket) else { return };
     let nvb = nvb as usize;
-    // Per source vBucket, resolved once per map epoch: the active engine
-    // (the lag gauges read its high seqno every cycle) and its stream.
+    // One feed over the source actives, resubscribed once per map epoch;
+    // the engines are kept for the lag gauges, which read their high seqnos.
     let mut engines: Vec<Option<Arc<DataEngine>>> = vec![None; nvb];
-    let mut streams: Vec<Option<DcpStream>> = (0..nvb).map(|_| None).collect();
+    let mut feed = DcpFeed::default();
     let mut cursors: Vec<SeqNo> = vec![SeqNo::ZERO; nvb];
     let mut built_epoch = u64::MAX;
+    let mut batch: Vec<DcpItem> = Vec::new();
 
     while !stop.load(Ordering::Relaxed) {
-        // (Re)build source streams when the source topology changes.
+        // Resubscribe when the source topology changes.
         let Ok(epoch) = source.map_epoch(bucket) else { return };
         if epoch != built_epoch {
+            feed = DcpFeed::default();
             for v in 0..nvb {
                 let vb = VbId(v as u16);
                 // Restart from zero: a promoted replica may be *behind* the
@@ -151,23 +148,24 @@ fn link_loop(
                     cursors[v] = SeqNo::ZERO;
                 }
                 engines[v] = source.active_engine(bucket, vb).ok();
-                streams[v] =
-                    engines[v].as_ref().and_then(|e| e.open_dcp_stream(vb, cursors[v]).ok());
+                if let Some(e) = &engines[v] {
+                    let _ = e.subscribe_dcp(&feed, vb, cursors[v]);
+                }
             }
             built_epoch = epoch;
         }
 
-        let mut moved = 0usize;
-        for v in 0..nvb {
-            let Some(stream) = streams[v].as_mut() else { continue };
-            for item in stream.drain_available() {
-                cursors[v] = cursors[v].max(item.meta.seqno);
-                if let Some(f) = &filter {
-                    if !f.matches(&item.key) {
-                        stats.filtered.inc();
-                        continue;
-                    }
-                }
+        // Park until the source publishes; the bound is only how often
+        // `stop` and the map epoch are re-read.
+        feed.drain(Duration::from_millis(1), &mut batch);
+        if batch.is_empty() {
+            continue;
+        }
+        for item in batch.drain(..) {
+            let v = item.vb.index();
+            if filter.as_ref().is_some_and(|f| !f.matches(&item.key)) {
+                stats.filtered.inc();
+            } else {
                 // Topology-aware routing: hash the key against the
                 // *destination's* partitioning (it may differ from ours).
                 let dest_vb = VbId(cbs_common::vbucket_for_key(
@@ -177,25 +175,23 @@ fn link_loop(
                 match destination.active_engine(bucket, dest_vb).and_then(|e| {
                     e.set_with_meta(&item.key, item.meta, item.value.clone(), item.is_deletion())
                 }) {
-                    Ok(true) => {
-                        stats.shipped.inc();
-                    }
-                    Ok(false) => {
-                        stats.rejected.inc();
-                    }
+                    Ok(true) => stats.shipped.inc(),
+                    Ok(false) => stats.rejected.inc(),
                     Err(_) => {
                         // Destination temporarily unavailable (failover in
-                        // progress): retry on the next pass by rewinding
-                        // the cursor. Stream rebuild will re-deliver.
-                        cursors[v] = SeqNo(cursors[v].0.saturating_sub(1));
-                        built_epoch = u64::MAX; // force rebuild
+                        // progress): a connection reset. The rest of this
+                        // batch goes with the feed; the resubscription
+                        // redelivers from the cursors, this item included.
+                        built_epoch = u64::MAX;
+                        break;
                     }
                 }
-                moved += 1;
             }
+            cursors[v] = cursors[v].max(item.meta.seqno);
         }
         // Cursor lag: how far each vBucket's consumed cursor trails the
-        // source active's high seqno — the link's unshipped backlog.
+        // source active's high seqno — the link's unshipped backlog. An
+        // idle link's lag cannot have changed, so only moved cycles sample.
         let mut lag_max = 0u64;
         let mut lag_total = 0u64;
         for (v, (src, cursor)) in engines.iter().zip(&cursors).enumerate() {
@@ -207,10 +203,6 @@ fn link_loop(
         }
         stats.cursor_lag_max.set(lag_max);
         stats.cursor_lag_total.set(lag_total);
-
-        if moved == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
     }
 }
 

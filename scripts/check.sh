@@ -22,7 +22,8 @@
 #                                 (incl. backfill ordering) and txn protocol
 #                                 models (exhaustive interleaving search),
 #                                 and the memory-first backfill against its
-#                                 disk-first oracle (property suite)
+#                                 disk-first oracle (property suite; debug
+#                                 and --release)
 #   6. chaos + txn smoke          fixed-seed fault-injection run (<10s)
 #                                 against a 3-node cluster, plus the
 #                                 serializability replay and transactional
@@ -211,6 +212,9 @@ run "lock-order + explorer (cbs-common)" cargo test --quiet -p cbs-common --feat
 run "seqno signal protocol model" cargo test --quiet -p cbs-common --test signal_models
 run "flusher protocol models" cargo test --quiet -p cbs-kv --test flusher_models
 run "backfill equivalence (oracle)" cargo test --quiet -p cbs-kv --lib backfill_equivalence
+# Once more under the profile perfbench and tier-1's build use: its racing
+# test must not depend on how fast the writer is.
+run "backfill equivalence (release)" cargo test --quiet --release -p cbs-kv --lib backfill_equivalence
 run "txn protocol models" cargo test --quiet -p cbs-txn --test txn_models
 run_stage chaos-smoke
 run_stage plancache-smoke
