@@ -7,7 +7,7 @@ use std::sync::Arc;
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
 use cbs_common::{Error, NodeId, Result, Signal};
 use cbs_index::IndexManager;
-use cbs_kv::{DataEngine, EngineConfig, FlusherHandle};
+use cbs_kv::{DataEngine, EngineConfig, FlusherPool};
 use cbs_views::ViewEngine;
 
 use crate::config::{ClusterConfig, ServiceSet};
@@ -37,7 +37,7 @@ pub struct Node {
     /// Per-bucket view engines (co-located with data, §3.3.1).
     view_engines: OrderedRwLock<HashMap<String, Arc<ViewEngine>>>,
     /// Flusher threads, one per bucket.
-    flushers: OrderedMutex<Vec<FlusherHandle>>,
+    flushers: OrderedMutex<Vec<FlusherPool>>,
     /// GSI manager (index service only).
     index_mgr: Option<Arc<IndexManager>>,
     /// Trace sink on this node's lane (`n<id>`), handed to every engine
@@ -148,7 +148,7 @@ impl Node {
             seqno_signal: Arc::clone(seqno_signal),
         })
         .and_then(|engine| {
-            let flusher = FlusherHandle::spawn(Arc::clone(&engine), self.cfg.flush_interval)?;
+            let flusher = FlusherPool::spawn(Arc::clone(&engine), self.cfg.flush_interval)?;
             Ok((engine, flusher))
         });
         let (engine, flusher) = match built {

@@ -349,6 +349,33 @@ fn view_scatter_gather_across_nodes() {
     assert_eq!(res.rows[0].value, Value::int(expected));
 }
 
+/// A replica copy promoted by failover took its documents as replica
+/// applies, which its node's hub never published: the design document's
+/// feed is rebuilt from its cursors, so `stale=false` returns every row
+/// well inside its 30 s deadline.
+#[test]
+fn view_stale_false_covers_vbuckets_promoted_by_failover() {
+    let cluster = small_cluster(2, 1);
+    let ddoc = cbs_views::DesignDoc {
+        name: "dd".to_string(),
+        views: vec![("by_v".to_string(), ViewDef { map: MapFn::on_field("v"), reduce: None })],
+    };
+    cluster.create_design_doc("default", ddoc).unwrap();
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    load_docs(&client, 80);
+    assert!(wait_until(Duration::from_secs(10), || replicas_caught_up(&cluster)));
+
+    let victim = NodeId(1);
+    cluster.kill_node(victim).unwrap();
+    assert!(cluster.failover(victim).unwrap() > 0, "the victim owned active vBuckets");
+
+    let started = std::time::Instant::now();
+    let q = ViewQuery { stale: Stale::False, ..Default::default() };
+    let res = cluster.view_query("default", "dd", "by_v", &q).unwrap();
+    assert_eq!(res.rows.len(), 80, "rows of the promoted vBuckets included");
+    assert!(started.elapsed() < Duration::from_secs(10), "took {:?}", started.elapsed());
+}
+
 #[test]
 fn mds_query_only_cluster_is_rejected_without_query_service() {
     // Data+index nodes but no query node: N1QL requests must be refused.

@@ -18,7 +18,7 @@ use crate::ids::Cas;
 /// wall-clock read point for the workspace: hot-path and simulated-cluster
 /// code must route through `cbs_common::time` rather than calling
 /// `SystemTime::now` / `Instant::now` directly, so time access stays at one
-/// auditable choke point (`cargo xtask lint` enforces this for the cluster
+/// auditable choke point (`cargo xtask analyze` enforces this for the cluster
 /// transport).
 pub fn now_unix_secs() -> u32 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs() as u32).unwrap_or(0)

@@ -112,7 +112,11 @@ pub struct IndexDef {
 }
 
 impl IndexDef {
-    /// A plain single-key secondary index.
+    /// A plain single-key secondary index over a literal path (tests,
+    /// benches, examples). Panics on a malformed path: every caller passes
+    /// a string literal; `CREATE INDEX` text goes through the N1QL parser
+    /// and `cbs_json::parse_path`'s `Result` instead.
+    #[allow(clippy::expect_used)]
     pub fn simple(name: &str, keyspace: &str, path: &str) -> IndexDef {
         IndexDef {
             name: name.to_string(),

@@ -62,14 +62,14 @@ impl Projector {
     /// Compute the key versions a mutation produces for one index
     /// definition.
     pub fn project(def: &IndexDef, item: &DcpItem) -> ProjectedOp {
-        if item.is_deletion() {
+        // A deletion — or a mutation with no body, which has nothing to index.
+        let Some(doc) = item.value.as_ref().filter(|_| !item.is_deletion()) else {
             return ProjectedOp::Remove {
                 doc_id: item.key.clone(),
                 vb: item.vb,
                 seqno: item.meta.seqno,
             };
-        }
-        let doc = item.value.as_ref().expect("mutation carries a value");
+        };
         let keys = Self::keys_for(def, &item.key, doc);
         ProjectedOp::Update { doc_id: item.key.clone(), keys, vb: item.vb, seqno: item.meta.seqno }
     }

@@ -384,8 +384,7 @@ impl IndexManager {
 
 fn merge_sorted(mut partials: Vec<Vec<IndexEntry>>) -> Vec<IndexEntry> {
     match partials.len() {
-        0 => Vec::new(),
-        1 => partials.pop().unwrap(),
+        0 | 1 => partials.pop().unwrap_or_default(),
         _ => {
             let mut all: Vec<IndexEntry> = partials.into_iter().flatten().collect();
             all.sort_by(|a, b| a.key.cmp(&b.key).then_with(|| a.doc_id.cmp(&b.doc_id)));

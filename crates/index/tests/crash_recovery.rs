@@ -3,6 +3,10 @@
 //! watermarks of a prefix of the change stream that includes every synced
 //! batch the surviving bytes cover — never more, never a torn mix.
 
+// Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
+// allow-unwrap-in-tests config covers #[test] fns but not file helpers).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use cbs_common::{SeqNo, VbId};
 use cbs_index::{IndexKey, IndexOp, IndexStorage, Indexer, ScanRange};
 use cbs_json::Value;

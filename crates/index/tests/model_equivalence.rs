@@ -4,6 +4,10 @@
 //! and any split of a change stream into batches ends in the state that
 //! item-by-item apply reaches.
 
+// Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
+// allow-unwrap-in-tests config covers #[test] fns but not file helpers).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 use std::sync::Arc;
 

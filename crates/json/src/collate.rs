@@ -83,7 +83,7 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
             }
             for k in xk {
                 // Both objects have the key (key lists are equal).
-                let c = cmp_values(a.get_field(k).unwrap(), b.get_field(k).unwrap());
+                let c = cmp_missing(a.get_field(k), b.get_field(k));
                 if c != Ordering::Equal {
                     return c;
                 }

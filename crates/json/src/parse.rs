@@ -281,7 +281,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("malformed number"))?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Number(Number::Int(i)));

@@ -75,7 +75,10 @@ impl JsonPath {
                         return true;
                     }
                     let Value::Object(pairs) = cur else { unreachable!() };
-                    cur = &mut pairs.iter_mut().find(|(k, _)| k == name).unwrap().1;
+                    let Some((_, next)) = pairs.iter_mut().find(|(k, _)| k == name) else {
+                        return false;
+                    };
+                    cur = next;
                 }
                 PathStep::Index(idx) => {
                     let Value::Array(items) = cur else { return false };

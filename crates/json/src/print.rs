@@ -30,7 +30,11 @@ pub fn to_json_pretty(v: &Value, indent: usize) -> String {
     into_string(out)
 }
 
-/// The writer only ever emits ASCII punctuation and whole runs of `&str`.
+/// The writer only ever emits ASCII punctuation and whole runs of `&str`,
+/// so the bytes are UTF-8 by construction — the invariant is local to this
+/// file, and a lossy or checked-and-propagated conversion would put an
+/// error path on every serialization.
+#[allow(clippy::expect_used)]
 fn into_string(out: Vec<u8>) -> String {
     String::from_utf8(out).expect("serializer output is UTF-8 by construction")
 }

@@ -26,9 +26,6 @@ pub struct FlusherPool {
     handles: Vec<JoinHandle<()>>,
 }
 
-/// The pre-pool name, kept so single-flusher call sites read naturally.
-pub type FlusherHandle = FlusherPool;
-
 impl FlusherPool {
     /// Spawn one thread per flusher shard of `engine`. Each thread drains
     /// its shard when the writes to it pause, at once when a durability

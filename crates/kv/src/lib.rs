@@ -44,7 +44,7 @@ pub mod stats;
 pub mod types;
 
 pub use engine::DataEngine;
-pub use flusher::{FlusherHandle, FlusherPool};
+pub use flusher::FlusherPool;
 pub use stats::EngineStats;
 pub use types::{
     Document, EngineConfig, GetResult, MutateMode, MutationResult, VbState, VbucketStats,

@@ -12,7 +12,7 @@ use std::time::Duration;
 use cbs_cache::EvictionPolicy;
 use cbs_common::Cas;
 use cbs_json::Value;
-use cbs_kv::{DataEngine, EngineConfig, FlusherHandle, MutateMode};
+use cbs_kv::{DataEngine, EngineConfig, FlusherPool, MutateMode};
 
 fn engine_with(policy: EvictionPolicy, quota: usize) -> Arc<DataEngine> {
     let mut cfg = EngineConfig::for_test(16);
@@ -31,7 +31,7 @@ fn big_doc(i: i64) -> Value {
 fn value_eviction_background_fetches_from_disk() {
     // Quota small enough that values must be evicted once clean.
     let engine = engine_with(EvictionPolicy::ValueOnly, 300_000);
-    let flusher = FlusherHandle::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
+    let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
     let n = 300i64;
     let mut written = 0;
     for i in 0..n {
@@ -74,7 +74,7 @@ fn value_eviction_background_fetches_from_disk() {
 #[test]
 fn full_eviction_still_serves_all_documents() {
     let engine = engine_with(EvictionPolicy::Full, 300_000);
-    let flusher = FlusherHandle::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
+    let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_millis(2)).unwrap();
     let n = 200i64;
     for i in 0..n {
         loop {

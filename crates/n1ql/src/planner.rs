@@ -602,9 +602,9 @@ fn conjunct_implies(c: &Expr, f: &FilterCond, alias: &str) -> bool {
 /// §5.1.2 covering detection: every expression the query needs must be
 /// answerable from the index key components (or META().id).
 fn covering_ok(def: &IndexDef, alias: &str, sel: &Select) -> bool {
-    // Joins/nests/unnests and star projections need full documents.
-    let from = sel.from.as_ref().expect("covering check only with FROM");
-    if !from.ops.is_empty() {
+    // Joins/nests/unnests and star projections need full documents (and a
+    // SELECT without FROM scans no index to be covered by).
+    if sel.from.as_ref().is_none_or(|from| !from.ops.is_empty()) {
         return false;
     }
     if sel.items.iter().any(|i| matches!(i, SelectItem::Star | SelectItem::AliasStar(_))) {

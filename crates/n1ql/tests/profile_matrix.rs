@@ -5,6 +5,10 @@
 //! are one sequence, and the phase rollups never exceed the request's
 //! elapsed time.
 
+// Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
+// allow-unwrap-in-tests config covers #[test] fns but not file helpers).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use cbs_index::IndexDef;
 use cbs_json::Value;
 use cbs_n1ql::{

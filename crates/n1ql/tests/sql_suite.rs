@@ -4,6 +4,10 @@
 //! same shape the paper's examples use: profiles with nested objects and
 //! arrays, plus orders referenced by key.
 
+// Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
+// allow-unwrap-in-tests config covers #[test] fns but not file helpers).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
 use cbs_index::IndexDef;
 use cbs_json::Value;
 use cbs_n1ql::{query, Datastore, MemoryDatastore, QueryOptions};

@@ -10,7 +10,7 @@
 //! Metric names follow the `service.component.metric` convention — exactly
 //! three dot-separated segments of `[a-z][a-z0-9_]*` (see DESIGN.md §10).
 //! Registration asserts the convention; the `obs-naming` rule in
-//! `cargo xtask lint` catches violations statically.
+//! `cargo xtask analyze` catches violations statically.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -56,8 +56,8 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
             .unwrap_or(0),
         n
     ));
-    // lint:allow(unwrap): test/bench scaffolding — a scratch dir that cannot
-    // be created should abort the run loudly, there is nothing to recover.
+    // Test/bench scaffolding — a scratch dir that cannot be created should
+    // abort the run loudly, there is nothing to recover.
     #[allow(clippy::expect_used)]
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir

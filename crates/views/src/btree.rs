@@ -377,12 +377,11 @@ impl ViewBTree {
             self.entries -= 1;
             // Shrink the root when it has a single child.
             while let Node::Internal { children, .. } = &mut self.root {
-                if children.len() == 1 {
-                    let only = children.pop().unwrap();
-                    self.root = only;
-                } else {
+                if children.len() != 1 {
                     break;
                 }
+                let Some(only) = children.pop() else { break };
+                self.root = only;
             }
         }
         removed

@@ -116,11 +116,42 @@ struct ViewState {
     emitted: HashMap<String, Value>,
 }
 
-/// A design document's change feed over every vBucket of the local engine,
-/// and the last seqno of each vBucket its views have indexed.
+/// A design document's change feed over the vBuckets the local engine holds
+/// `Active`, and the last seqno of each vBucket its views have indexed.
 struct DdocFeed {
     feed: DcpFeed,
     cursors: Vec<SeqNo>,
+    /// The vBuckets `feed` is subscribed to: the ones that were `Active`
+    /// when it was built.
+    active: Vec<bool>,
+}
+
+impl DdocFeed {
+    /// Rebuild the feed from the cursors if the vBuckets `engine` holds
+    /// `Active` are no longer the ones it is subscribed to. Only the active
+    /// copy publishes on its node's hub — what a copy took as a replica
+    /// never reaches a live subscription — so a vBucket promoted by
+    /// failover (or moved in by rebalance) is backfilled from where the
+    /// views stand. A fresh feed rather than one more subscription on the
+    /// old one, which would deliver the overlap twice. The comparison is
+    /// made when the views are updated or queried: a copy demoted *and*
+    /// promoted again between two such calls goes unnoticed.
+    fn follow(&mut self, engine: &DataEngine) -> Result<()> {
+        let active: Vec<bool> = (0..self.cursors.len())
+            .map(|v| engine.vb_state(VbId(v as u16)) == VbState::Active)
+            .collect();
+        if active == self.active {
+            return Ok(());
+        }
+        self.feed = DcpFeed::default();
+        // Nothing is subscribed until every subscription below has succeeded.
+        self.active.fill(false);
+        for (v, _) in active.iter().enumerate().filter(|(_, a)| **a) {
+            engine.subscribe_dcp(&self.feed, VbId(v as u16), self.cursors[v])?;
+        }
+        self.active = active;
+        Ok(())
+    }
 }
 
 struct DdocState {
@@ -177,11 +208,13 @@ impl ViewEngine {
         if map.contains_key(&ddoc.name) {
             return Err(Error::View(format!("design doc {} already exists", ddoc.name)));
         }
-        let n = self.engine.config().num_vbuckets;
-        let streams = DdocFeed { feed: DcpFeed::default(), cursors: vec![SeqNo::ZERO; n as usize] };
-        for vb in 0..n {
-            self.engine.subscribe_dcp(&streams.feed, VbId(vb), SeqNo::ZERO)?;
-        }
+        let n = self.engine.config().num_vbuckets as usize;
+        let mut streams = DdocFeed {
+            feed: DcpFeed::default(),
+            cursors: vec![SeqNo::ZERO; n],
+            active: vec![false; n],
+        };
+        streams.follow(&self.engine)?;
         let views = ddoc
             .views
             .into_iter()
@@ -229,24 +262,27 @@ impl ViewEngine {
     pub fn update(&self, ddoc_name: &str) -> Result<usize> {
         let _s = span("views.engine.update");
         let state = self.ddoc(ddoc_name)?;
-        let n = state.pull(&mut state.streams.lock(), Duration::ZERO);
+        let mut streams = state.streams.lock();
+        streams.follow(&self.engine)?;
+        let n = state.pull(&mut streams, Duration::ZERO);
         self.items_indexed.add(n as u64);
         Ok(n)
     }
 
     /// Update and wait until every view has processed at least the current
     /// key-value document set (the `stale=false` contract) of the vBuckets
-    /// this node holds `Active` — the only ones its hub publishes and its
-    /// queries serve; a replica copy's applies never reach the feed.
+    /// this node holds `Active` — the only ones its hub publishes, its feed
+    /// follows and its queries serve.
     /// `timeout` bounds the whole update, not each vBucket's share of it.
     pub fn update_to_current(&self, ddoc_name: &str, timeout: Duration) -> Result<()> {
         let _s = span("views.engine.update");
         let deadline = Deadline::after(timeout);
         let state = self.ddoc(ddoc_name)?;
-        let goals: Vec<(usize, SeqNo)> = (self.engine.seqno_vector().into_iter().enumerate())
-            .filter(|(v, _)| self.engine.vb_state(VbId(*v as u16)) == VbState::Active)
-            .collect();
         let mut streams = state.streams.lock();
+        streams.follow(&self.engine)?;
+        let goals: Vec<(usize, SeqNo)> = (self.engine.seqno_vector().into_iter().enumerate())
+            .filter(|(v, _)| streams.active[*v])
+            .collect();
         loop {
             let behind = goals.iter().find(|(v, goal)| streams.cursors[*v] < *goal);
             let Some((vbi, goal)) = behind else { return Ok(()) };
@@ -275,9 +311,13 @@ impl ViewEngine {
             // a view index update" — initiated in the background so the
             // query's latency stays at stale=ok levels.
             let state = self.ddoc(ddoc_name)?;
+            let engine = Arc::clone(&self.engine);
             let items_indexed = self.items_indexed.clone();
             std::thread::spawn(move || {
-                items_indexed.add(state.pull(&mut state.streams.lock(), Duration::ZERO) as u64);
+                let mut streams = state.streams.lock();
+                if streams.follow(&engine).is_ok() {
+                    items_indexed.add(state.pull(&mut streams, Duration::ZERO) as u64);
+                }
             });
         }
         Ok(result)
@@ -370,10 +410,8 @@ fn apply_item(views: &mut HashMap<String, ViewState>, item: &DcpItem) {
         if let Some(old_key) = view.emitted.remove(&item.key) {
             view.tree.remove(&old_key, &item.key);
         }
-        if item.is_deletion() {
-            continue;
-        }
-        let doc = item.value.as_ref().expect("mutation has value");
+        // A deletion — or a mutation with no body — emits nothing.
+        let Some(doc) = item.value.as_ref().filter(|_| !item.is_deletion()) else { continue };
         if let Some((k, v)) = view.def.map.map(&item.key, doc) {
             view.tree.insert(ViewEntry {
                 key: k.clone(),
@@ -456,20 +494,22 @@ mod tests {
     }
 
     /// Give every vBucket but `keep` a replica copy that has applied seqno 3
-    /// — applies the local hub never publishes, so no feed ever sees them.
+    /// — applies the local hub never publishes, so no live subscription ever
+    /// sees them.
     fn replica_applies_elsewhere(e: &DataEngine, keep: VbId) {
         for vb in (0..16).map(VbId).filter(|&vb| vb != keep) {
             e.set_vb_state(vb, VbState::Replica);
             let meta = cbs_common::DocMeta { seqno: SeqNo(3), ..Default::default() };
-            e.apply_replica(&DcpItem::mutation(vb, "r", meta, Value::int(1))).unwrap();
+            let doc = Value::object([("name", Value::from("replicated"))]);
+            e.apply_replica(&DcpItem::mutation(vb, format!("r{}", vb.0), meta, doc)).unwrap();
         }
     }
 
     /// `stale=false` against *active* vBuckets whose feed will never deliver
-    /// (copies promoted after taking replica applies, which are not
-    /// published): the update fails with `Timeout` at its one deadline,
-    /// however many vBuckets are stuck — not after a timeout per vBucket,
-    /// and not never.
+    /// (copies demoted, fed replica applies and promoted again with no view
+    /// update or query in between — the one change `follow` cannot see): the
+    /// update fails with `Timeout` at its one deadline, however many
+    /// vBuckets are stuck — not after a timeout per vBucket, and not never.
     #[test]
     fn update_to_current_gives_up_at_one_deadline_over_many_stuck_vbuckets() {
         let (e, ve) = setup();
@@ -482,6 +522,24 @@ mod tests {
         assert!(matches!(updated, Err(Error::Timeout(_))), "{updated:?}");
         assert!(took >= Duration::from_millis(50), "gave up early: {took:?}");
         assert!(took < Duration::from_millis(50 * 15), "one timeout per vBucket: {took:?}");
+    }
+
+    /// Copies promoted after taking replica applies: the feed is rebuilt from
+    /// the cursors, so `stale=false` indexes what they took as replicas.
+    #[test]
+    fn promoted_vbuckets_are_indexed_from_their_replica_applies() {
+        let (e, ve) = setup();
+        put(&e, "u1", "Alice", 30);
+        replica_applies_elsewhere(&e, e.vb_for_key("u1"));
+        assert_eq!(ve.update("profiles").unwrap(), 1, "follows the one active vBucket");
+        e.activate_all();
+        ve.update_to_current("profiles", Duration::from_secs(5)).unwrap();
+        let res = ve.query("profiles", "by_name", &ViewQuery::default()).unwrap();
+        assert_eq!(res.rows.len(), 16, "one document per vBucket, promoted ones included");
+        // A live write arrives once: the rebuilt feed replaced the first one,
+        // it is not a second subscription beside it.
+        put(&e, "u2", "Bob", 40);
+        assert_eq!(ve.update("profiles").unwrap(), 1);
     }
 
     /// Replica copies that advance after the design document was created do

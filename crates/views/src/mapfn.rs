@@ -28,7 +28,7 @@
 
 use std::cmp::Ordering;
 
-use cbs_json::{cmp_values, JsonPath, Value};
+use cbs_json::{cmp_values, JsonPath, PathStep, Value};
 
 /// An emit expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,11 @@ pub enum MapExpr {
 }
 
 impl MapExpr {
-    /// Shorthand for a field path expression.
+    /// Shorthand for a field path expression over a literal path. Panics on
+    /// a malformed path: callers pass string literals (tests, examples);
+    /// anything else builds `MapExpr::Path` from `cbs_json::parse_path`'s
+    /// `Result`.
+    #[allow(clippy::expect_used)]
     pub fn field(path: &str) -> MapExpr {
         MapExpr::Path(cbs_json::parse_path(path).expect("valid path"))
     }
@@ -88,7 +92,8 @@ pub enum MapCond {
 impl MapCond {
     /// Shorthand for the doc-type guard.
     pub fn doc_type(t: &str) -> MapCond {
-        MapCond::Eq(cbs_json::parse_path("doc_type").unwrap(), Value::from(t))
+        let path = JsonPath { steps: vec![PathStep::Field("doc_type".to_string())] };
+        MapCond::Eq(path, Value::from(t))
     }
 
     /// Evaluate against a document.
@@ -126,7 +131,9 @@ pub struct MapFn {
 
 impl MapFn {
     /// Index every document on one field (the CREATE INDEX ... USING VIEW
-    /// shape from §3.3.1).
+    /// shape from §3.3.1). A literal-path shorthand like [`MapExpr::field`],
+    /// and panics like it.
+    #[allow(clippy::expect_used)]
     pub fn on_field(path: &str) -> MapFn {
         MapFn {
             when: vec![MapCond::Exists(cbs_json::parse_path(path).expect("valid path"))],

@@ -1,12 +1,13 @@
 //! The whole-workspace semantic model the passes run on: the canonical
 //! rank table (parsed from `cbs_common::sync::rank` — the single source
-//! of truth), per-crate lock-field maps, and the DESIGN.md §9 cross-check.
+//! of truth), per-crate lock-field maps, and the DESIGN.md rank-table
+//! cross-check.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 
 use super::parse::FileModel;
-use crate::scan::mask;
+use crate::scan::Masked;
 
 /// One `pub const NAME: LockRank = LockRank::new(N, "str");` definition.
 #[derive(Debug, Clone)]
@@ -16,10 +17,10 @@ pub struct RankDef {
     pub name: String,
 }
 
-/// Parse the canonical rank table out of `crates/common/src/sync.rs`.
-/// Only definitions inside the `pub mod rank { ... }` block count.
-pub fn load_rank_table(sync_rs: &str) -> Result<Vec<RankDef>, String> {
-    let m = mask(sync_rs);
+/// Parse the canonical rank table out of `crates/common/src/sync.rs`
+/// (`m` is the mask of `sync_rs`). Only definitions inside the
+/// `pub mod rank { ... }` block count.
+pub fn load_rank_table(m: &Masked, sync_rs: &str) -> Result<Vec<RankDef>, String> {
     let mut defs = Vec::new();
     let mut depth = 0i32;
     let mut in_rank_mod: Option<i32> = None;
@@ -184,6 +185,7 @@ pub fn read(path: &Path) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::mask;
 
     const SYNC_SNIPPET: &str = r#"
 pub mod rank {
@@ -196,7 +198,7 @@ pub mod rank {
 
     #[test]
     fn rank_table_parses_consts() {
-        let defs = load_rank_table(SYNC_SNIPPET).unwrap();
+        let defs = load_rank_table(&mask(SYNC_SNIPPET), SYNC_SNIPPET).unwrap();
         assert_eq!(defs.len(), 2);
         assert_eq!(defs[0].const_name, "FLUSH_CYCLE");
         assert_eq!(defs[0].num, 10);
@@ -207,7 +209,7 @@ pub mod rank {
 
     #[test]
     fn design_cross_check_catches_drift() {
-        let defs = load_rank_table(SYNC_SNIPPET).unwrap();
+        let defs = load_rank_table(&mask(SYNC_SNIPPET), SYNC_SNIPPET).unwrap();
         let good = "| 10 | `kv.shard.flush_cycle` | x |\n| 20 | `kv.vbucket.meta` | y |\n";
         assert!(check_design_table(good, &defs).is_empty());
 
@@ -232,7 +234,7 @@ pub mod rank {
     fn real_sync_rs_rank_table_loads() {
         let root = crate::census::repo_root();
         let src = read(&root.join("crates/common/src/sync.rs")).unwrap();
-        let defs = load_rank_table(&src).unwrap();
+        let defs = load_rank_table(&mask(&src), &src).unwrap();
         assert!(defs.len() >= 16, "expected the full rank table, got {}", defs.len());
         // Strictly increasing rank numbers in declaration order — the
         // table reads top-to-bottom as the acquisition order.

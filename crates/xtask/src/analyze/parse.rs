@@ -10,7 +10,30 @@
 //! `analyze/mod.rs` pin the cases the heuristics must get right.
 
 use crate::census::Tree;
-use crate::scan::{mask, Allow};
+use crate::scan::{Allow, Masked};
+
+/// Filesystem namespace operations: calls that create, destroy, rename or
+/// enumerate directory entries (as opposed to reading/writing an already
+/// owned file handle, which the log and the vBucket indexes do under their
+/// own locks by design). `GroupCommitWal::open{,_file}` and
+/// `ShardLog::recover` are on the list because they open (and the latter
+/// scans) a log file.
+const FS_NAMESPACE_OPS: &[&str] = &[
+    "File::open",
+    "File::create",
+    "OpenOptions::new",
+    "fs::rename",
+    "fs::remove_file",
+    "fs::remove_dir_all",
+    "fs::remove_dir",
+    "fs::create_dir_all",
+    "fs::create_dir",
+    "fs::read_dir",
+    "fs::copy",
+    "fs::hard_link",
+    "GroupCommitWal::open",
+    "ShardLog::recover",
+];
 
 /// One parsed source file.
 pub struct FileModel {
@@ -21,11 +44,6 @@ pub struct FileModel {
     /// Lock fields associated with a `rank::CONST` via an
     /// `OrderedMutex::new` / `OrderedRwLock::new` construction site.
     pub ranked_fields: Vec<RankedField>,
-    /// Binding names whose construction used a raw (unranked) lock.
-    /// Only consumed by the parser's own tests today; the passes work
-    /// from `raw_ctors` (sites) and `ranked_fields` (rank map).
-    #[allow(dead_code)]
-    pub raw_fields: Vec<String>,
     /// Raw `Mutex::new` / `RwLock::new` construction sites outside
     /// `#[cfg(test)]` (the raw-lock pass; `Condvar` is exempt — it cannot
     /// be ranked and its seat mutex is what gets ranked).
@@ -34,7 +52,7 @@ pub struct FileModel {
     /// `self.field.method(...)` resolve through the field's declared type
     /// instead of by bare method name.
     pub field_types: Vec<(String, String)>,
-    /// `lint:allow` directives, for the analyzer's own rules.
+    /// The file's `lint:allow` directives.
     pub allows: Vec<Allow>,
 }
 
@@ -227,7 +245,6 @@ const EXTERNAL_PATH_HEADS: &[&str] = &[
     "parking_lot",
     "rand",
     "proptest",
-    "criterion",
     "bytes",
     "Vec",
     "String",
@@ -257,19 +274,19 @@ const EXTERNAL_PATH_HEADS: &[&str] = &[
 const KEYWORDS: &[&str] =
     &["if", "while", "for", "match", "loop", "return", "fn", "in", "as", "move", "else"];
 
-/// Parse one file into its semantic model. `known_fields` is consulted to
-/// decide whether a `.lock()` receiver is a tracked lock; pass the fields
-/// discovered by [`scan_fields`] across the whole crate first.
+/// Parse one masked file into its semantic model. `known_ranked` and
+/// `known_raw` are consulted to decide whether a `.lock()` receiver is a
+/// tracked lock; pass the fields discovered by [`scan_fields`] across the
+/// whole crate first.
 pub fn parse_file(
     rel: &str,
     crate_name: &str,
     tree: Tree,
-    src: &str,
+    m: Masked,
     known_ranked: &[String],
     known_raw: &[String],
 ) -> FileModel {
-    let m = mask(src);
-    let (ranked_fields, raw_fields, raw_ctors) = scan_ctors(&m.lines, &m.test_lines);
+    let (ranked_fields, _, raw_ctors) = scan_ctors(&m.lines, &m.test_lines);
     let field_types = scan_field_types(&m.lines, &m.test_lines);
     let fns = scan_fns(&m.lines, &m.test_lines, known_ranked, known_raw);
     FileModel {
@@ -278,7 +295,6 @@ pub fn parse_file(
         tree,
         fns,
         ranked_fields,
-        raw_fields,
         raw_ctors,
         field_types,
         allows: m.allows,
@@ -375,8 +391,7 @@ fn scan_field_types(lines: &[String], test_lines: &[bool]) -> Vec<(String, Strin
 
 /// First pass over a crate's files: just the lock-field discovery, so
 /// guard tracking in *other* files of the crate knows the field names.
-pub fn scan_fields(src: &str) -> (Vec<RankedField>, Vec<String>) {
-    let m = mask(src);
+pub fn scan_fields(m: &Masked) -> (Vec<RankedField>, Vec<String>) {
     let (ranked, raw, _) = scan_ctors(&m.lines, &m.test_lines);
     (ranked, raw)
 }
@@ -846,7 +861,7 @@ fn line_tokens(line: &str) -> Vec<Tok> {
     }
 
     // Blocking ops: fs namespace ops, sleeps, condvar waits.
-    for op in crate::rules::FS_NAMESPACE_OPS {
+    for op in FS_NAMESPACE_OPS {
         let mut from = 0;
         while let Some(p) = line[from..].find(op) {
             let at = from + p;
@@ -1051,7 +1066,7 @@ mod tests {
     fn model(src: &str, ranked: &[&str], raw: &[&str]) -> FileModel {
         let ranked: Vec<String> = ranked.iter().map(|s| s.to_string()).collect();
         let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
-        parse_file("t.rs", "t", Tree::Lib, src, &ranked, &raw)
+        parse_file("t.rs", "t", Tree::Lib, crate::scan::mask(src), &ranked, &raw)
     }
 
     #[test]
@@ -1071,7 +1086,7 @@ impl H {
         assert_eq!(m.ranked_fields.len(), 1, "{:?}", m.ranked_fields);
         assert_eq!(m.ranked_fields[0].field, "vbs");
         assert_eq!(m.ranked_fields[0].rank_const.as_deref(), Some("DCP_CHANNEL"));
-        assert_eq!(m.raw_fields, vec!["raw".to_string()]);
+        assert_eq!(scan_fields(&crate::scan::mask(src)).1, ["raw"]);
         assert_eq!(m.raw_ctors.len(), 1);
     }
 

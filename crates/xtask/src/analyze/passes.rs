@@ -6,10 +6,9 @@
 //!    call path). The pass also builds the global rank graph and reports
 //!    cycles, plus any `rank::CONST` reference the canonical table does
 //!    not define.
-//! 2. **guard-blocking** — the interprocedural generalization of the
-//!    `guard-io` lint rule: a ranked/raw guard held across a call whose
-//!    *transitive* callees perform filesystem namespace ops, sleeps, or
-//!    condvar waits.
+//! 2. **guard-blocking** — a ranked/raw guard held across a filesystem
+//!    namespace op, sleep or condvar wait, directly or through a call
+//!    whose *transitive* callees perform one.
 //! 3. **raw-lock** — raw (unranked) lock constructions in library code
 //!    outside the explicit allowlist.
 //!
@@ -22,19 +21,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use super::model::Workspace;
 use super::parse::{Callee, FnModel, HeldGuard, Step};
+use super::Finding;
 use crate::census::Tree;
-
-/// An analyzer finding. Unlike the line lint's [`crate::rules::Finding`]
-/// it carries a witness: the chain of acquire sites and call edges that
-/// makes an interprocedural report checkable by a human.
-#[derive(Debug, Clone)]
-pub struct Finding {
-    pub rule: &'static str,
-    pub file: String,
-    pub line: usize,
-    pub msg: String,
-    pub witness: Vec<String>,
-}
 
 /// A function, identified by (file index, fn index) into the workspace.
 pub type FnId = (usize, usize);
@@ -283,13 +271,8 @@ pub fn lock_order(g: &Graph<'_>) -> (Vec<Finding>, BTreeMap<(String, String), St
                 }
                 Step::Call { line, held, .. } => {
                     // Propagate entry ∪ local guard ranks to each callee.
+                    // (The call edge is appended to each witness per callee.)
                     let mut out: BTreeMap<String, Witness> = entry_state.clone();
-                    for (rc, w) in out.iter_mut() {
-                        let _ = rc;
-                        // keep the caller's witness; the call edge is
-                        // appended below per-callee.
-                        let _ = w;
-                    }
                     for hg in held {
                         for rc in g.guard_ranks(id, hg) {
                             out.entry(rc).or_insert_with(|| {

@@ -1,8 +1,8 @@
 //! The workspace file census: every `.rs` tree cargo actually builds.
 //!
-//! Both `cargo xtask lint` and `cargo xtask analyze` walk the same census,
-//! so a new source tree (a crate gaining `benches/`, a new root example)
-//! is covered by both the moment it exists. The census test below pins the
+//! `cargo xtask analyze` walks this census, so a new source tree (a crate
+//! gaining `benches/`, a new root example) is covered the moment it
+//! exists. The census test below pins the
 //! discovered (crate, tree) set against an expected list — adding a tree
 //! is a one-line diff there, but it can never *silently* escape coverage.
 
@@ -46,8 +46,8 @@ pub fn repo_root() -> PathBuf {
 
 /// Collect every `.rs` file cargo builds under `root`: `crates/*/{src,
 /// tests,benches,examples}` plus the root package's `src/`, `tests/`,
-/// `benches/` and `examples/`. The `xtask` crate itself is excluded (the
-/// linter's own docs spell out directive syntax the scanner would read as
+/// `benches/` and `examples/`. The `xtask` crate itself is excluded (its
+/// own docs spell out directive syntax the scanner would read as
 /// malformed directives). Sorted by path.
 pub fn collect(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut out = Vec::new();
@@ -127,10 +127,9 @@ mod tests {
     /// repository. When a crate gains a `tests/`, `benches/` or
     /// `examples/` tree (or a new crate appears), add it here — the point
     /// is that a new tree shows up as a test failure, not as silently
-    /// unlinted code.
+    /// unanalyzed code.
     const EXPECTED_TREES: &[(&str, Tree)] = &[
         ("bench", Tree::Lib),
-        ("bench", Tree::Benches),
         ("cache", Tree::Lib),
         ("cache", Tree::Tests),
         ("chaos", Tree::Lib),
@@ -181,7 +180,7 @@ mod tests {
             missing.is_empty() && extra.is_empty(),
             "source-tree census drifted.\n  missing (expected but not found): {missing:?}\n  \
              unpinned (found but not in EXPECTED_TREES — new trees must be added there so \
-             lint+analyze coverage is acknowledged): {extra:?}"
+             analyze coverage is acknowledged): {extra:?}"
         );
     }
 
@@ -194,8 +193,5 @@ mod tests {
             && f.tree == Tree::Examples
             && f.crate_name == ROOT_CRATE));
         assert!(files.iter().any(|f| f.rel == "tests/chaos_kv.rs" && f.tree == Tree::Tests));
-        assert!(files.iter().any(|f| f.rel == "crates/bench/benches/micro.rs"
-            && f.tree == Tree::Benches
-            && f.crate_name == "bench"));
     }
 }

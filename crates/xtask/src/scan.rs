@@ -1,7 +1,7 @@
 //! A masking scanner for Rust source.
 //!
-//! The lint rules in [`crate::rules`] are textual: they look for forbidden
-//! tokens (`.unwrap()`, `std::sync::Mutex`, `Instant::now`, ...) in *code*.
+//! The analyzer's passes ([`crate::analyze`]) are textual: they look for
+//! tokens (`Instant::now`, `.lock()`, `fs::rename`, ...) in *code*.
 //! To avoid false positives on comments and string literals, this module
 //! produces a **masked** copy of each file — same shape (identical line
 //! count and column positions), but with every comment and every string /
@@ -12,8 +12,8 @@
 //!
 //! - `// lint:allow(<rule>): <reason>` directives (the suppression
 //!   mechanism — see [`Allow`]);
-//! - which lines sit inside a `#[cfg(test)]` block, so hot-path rules can
-//!   exempt unit-test modules.
+//! - which lines sit inside a `#[cfg(test)]` block, so rules can exempt
+//!   unit-test modules.
 //!
 //! This is deliberately *not* a full lexer (no `syn` in the approved
 //! dependency set). It handles the constructs that would otherwise corrupt
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn allow_target_skips_comment_continuation_lines() {
-        let src = "// lint:allow(guard-io): the rename must happen under the\n// compaction lock because concurrent writers append to it\nstd::fs::rename(a, b);\n";
+        let src = "// lint:allow(guard-blocking): the rename must happen under the\n// compaction lock because concurrent writers append to it\nstd::fs::rename(a, b);\n";
         let m = mask(src);
         assert_eq!(m.allows[0].target_line, 3);
     }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Pre-PR verification gate (DESIGN.md §9). Run from anywhere in the repo.
+# Pre-PR verification gate (DESIGN.md §9, §14). Run from anywhere in the repo.
 #
 #   scripts/check.sh                 # full gate: static analysis + models + tests
 #   scripts/check.sh --quick         # static analysis + concurrency models only
@@ -12,30 +12,32 @@
 #
 # Stages:
 #   1. cargo fmt --check          formatting (rustfmt.toml)
-#   2. cargo xtask lint           repo-invariant lint (hot-path unwraps,
-#                                 std::sync, guard-across-I/O, wall-clock)
-#   3. cargo xtask analyze        whole-workspace interprocedural lock-order
-#                                 / guard-across-blocking / raw-lock static
-#                                 analysis (SARIF at target/analyze.sarif)
-#   4. cargo clippy -D warnings   workspace lint walls ([workspace.lints])
-#   5. model suite                lock-order detector + seqno-signal, flusher
+#   2. cargo clippy -D warnings   what a compiler-backed tool can check: the
+#                                 no-panic wall ([lints.clippy] unwrap_used /
+#                                 expect_used), std::sync locks banned
+#                                 (clippy.toml), dbg!/todo!
+#   3. cargo xtask analyze        the one hand-written checker: interprocedural
+#                                 lock-order / guard-across-blocking / raw-lock
+#                                 analysis, plus the clock-read and metric-
+#                                 naming conventions (DESIGN.md §14)
+#   4. model suite                lock-order detector + seqno-signal, flusher
 #                                 (incl. backfill ordering) and txn protocol
 #                                 models (exhaustive interleaving search),
 #                                 and the memory-first backfill against its
 #                                 disk-first oracle (property suite; debug
 #                                 and --release)
-#   6. chaos + txn smoke          fixed-seed fault-injection run (<10s)
+#   5. chaos + txn smoke          fixed-seed fault-injection run (<10s)
 #                                 against a 3-node cluster, plus the
 #                                 serializability replay and transactional
 #                                 chaos run; seed sweeps honor CHAOS_SEEDS=n
-#   7. full test suite            (skipped with --quick)
-#   8. perfbench smoke            the benchmark package (its own workspace):
+#   6. full test suite            (skipped with --quick)
+#   7. perfbench smoke            the benchmark package (its own workspace):
 #                                 unit tests, then every workload at --smoke
 #                                 sizes with its in-run correctness checks,
 #                                 then the n1ql_scan_e counts that repeat
 #                                 exactly (allocations per scan, pushdown,
 #                                 plan-cache hits) against their ceilings
-#   9. TSan / Miri subset         best-effort: requires nightly toolchain
+#   8. TSan / Miri subset         best-effort: requires nightly toolchain
 #                                 with rust-src / miri; skipped gracefully
 #                                 when the components are not installed.
 set -u
@@ -196,9 +198,8 @@ if stage_label "${1:-}" >/dev/null; then
 fi
 
 run "fmt" cargo fmt --all --check
-run "xtask lint" cargo xtask lint
-run "xtask analyze (interprocedural)" cargo xtask analyze --sarif target/analyze.sarif
 run "clippy (deny warnings)" cargo clippy --workspace --all-targets --quiet -- -D warnings
+run "xtask analyze" cargo xtask analyze
 
 # Concurrency model suite: the lock-order detector's own tests, the
 # mini-loom explorer, the model of the one seqno waiter (`Signal`: no
