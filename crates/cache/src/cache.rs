@@ -1,8 +1,10 @@
 //! The cache proper: per-vBucket hash tables, NRU eviction, memory quota.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{DocMeta, Error, Result, SeqNo, VbId};
 use cbs_json::SharedValue;
@@ -27,9 +29,11 @@ pub enum EvictionPolicy {
 pub struct CacheItem {
     /// Document metadata — always resident while the entry exists.
     pub meta: DocMeta,
-    /// The document body, shared immutably with every reader that hit this
-    /// entry (zero-copy read path); `None` when the value has been evicted.
-    pub value: Option<SharedValue>,
+    /// The version's encoded document (`SharedValue::json`), shared with
+    /// every reader that hit this entry, the DCP item that carried it and
+    /// the flusher that persists it; `None` when the value has been
+    /// evicted.
+    pub value: Option<Bytes>,
     /// Tombstone marker: the document is deleted (entry retained until the
     /// deletion is persisted and replicated).
     pub deleted: bool,
@@ -41,8 +45,14 @@ pub struct CacheItem {
 
 impl CacheItem {
     fn mem_size(&self, key: &str) -> usize {
-        // Entry overhead + key + optional resident value.
-        64 + key.len() + self.value.as_ref().map(|v| v.approx_size()).unwrap_or(0)
+        // Entry overhead + key + optional resident encoding.
+        64 + key.len() + self.value.as_ref().map_or(0, Bytes::len)
+    }
+
+    /// A handle on the resident version for a caller: a reference-count
+    /// bump, never a decode.
+    fn shared(&self) -> Option<SharedValue> {
+        self.value.clone().map(SharedValue::from_json)
     }
 }
 
@@ -77,13 +87,8 @@ pub enum CacheLookup {
     Miss,
 }
 
-struct Shard {
-    map: HashMap<String, CacheItem>,
-    /// Clock hand for NRU: iteration order isn't stable across mutations,
-    /// so we keep it as a simple pass counter (a full pass clears all
-    /// reference bits).
-    _pad: (),
-}
+/// One vBucket's hash table.
+type Shard = HashMap<String, CacheItem>;
 
 /// The object-managed cache for one bucket on one node.
 ///
@@ -94,6 +99,10 @@ pub struct ObjectCache {
     shards: Vec<OrderedRwLock<Shard>>,
     policy: EvictionPolicy,
     quota: usize,
+    /// The NRU clock's hand: the shard the next eviction sweep visits, so
+    /// a pass resumes where the last one stopped instead of re-walking the
+    /// shards it already emptied.
+    hand: AtomicUsize,
     mem_used: Arc<Gauge>,
     items_gauge: Arc<Gauge>,
     resident_gauge: Arc<Gauge>,
@@ -126,12 +135,11 @@ impl ObjectCache {
         registry.gauge("kv.cache.quota").set(quota as u64);
         ObjectCache {
             shards: (0..num_vbuckets)
-                .map(|_| {
-                    OrderedRwLock::new(rank::CACHE_SHARD, Shard { map: HashMap::new(), _pad: () })
-                })
+                .map(|_| OrderedRwLock::new(rank::CACHE_SHARD, Shard::new()))
                 .collect(),
             policy,
             quota,
+            hand: AtomicUsize::new(0),
             mem_used: registry.gauge("kv.cache.mem_used"),
             items_gauge: registry.gauge("kv.cache.items"),
             resident_gauge: registry.gauge("kv.cache.resident_items"),
@@ -147,8 +155,9 @@ impl ObjectCache {
     }
 
     /// Insert or replace an entry (a front-end write: dirty until the
-    /// flusher persists it). Fails with `TempOom` when over quota and no
-    /// clean items can be evicted to make room.
+    /// flusher persists it). The entry keeps the version's encoding only —
+    /// a handle's decoded tree is dropped here. Fails with `TempOom` when
+    /// over quota and no clean items can be evicted to make room.
     pub fn set(
         &self,
         vb: VbId,
@@ -158,11 +167,8 @@ impl ObjectCache {
         dirty: bool,
     ) -> Result<()> {
         let _s = cbs_obs::span("kv.cache.set");
-        self.admit(
-            vb,
-            key,
-            CacheItem { meta, value: Some(value.into()), deleted: false, dirty, referenced: true },
-        )
+        let value = Some(value.into().into_json());
+        self.admit(vb, key, CacheItem { meta, value, deleted: false, dirty, referenced: true })
     }
 
     /// Record a deletion tombstone (dirty until persisted).
@@ -170,36 +176,48 @@ impl ObjectCache {
         self.admit(vb, key, CacheItem { meta, value: None, deleted: true, dirty, referenced: true })
     }
 
+    /// Admission charges the net growth: the entry being replaced is
+    /// credited, so an overwrite that does not grow the cache goes in even
+    /// when the quota is full of dirty items.
     fn admit(&self, vb: VbId, key: &str, item: CacheItem) -> Result<()> {
         let add = item.mem_size(key);
-        if self.mem_used.get() as usize + add > (self.quota as f64 * HIGH_WATERMARK) as usize {
-            self.evict_to_watermark();
-            if self.mem_used.get() as usize + add > self.quota {
-                self.tmp_ooms.inc();
-                return Err(Error::TempOom);
-            }
-        }
         let mut shard = self.shard(vb).write();
-        let old = shard.map.insert(key.to_string(), item);
-        let removed = old.map(|o| o.mem_size(key)).unwrap_or(0);
+        let growth = add.saturating_sub(shard.get(key).map_or(0, |old| old.mem_size(key)));
+        if self.mem_used.get() as usize + growth > self.high_watermark() {
+            // An eviction pass takes every shard's lock: release ours first.
+            drop(shard);
+            self.make_room(growth)?;
+            shard = self.shard(vb).write();
+        }
+        let removed = match shard.get_mut(key) {
+            Some(slot) => std::mem::replace(slot, item).mem_size(key),
+            None => {
+                shard.insert(key.to_string(), item);
+                0
+            }
+        };
         drop(shard);
         self.mem_used.add(add as u64);
         self.mem_used.sub(removed as u64);
         Ok(())
     }
 
+    fn high_watermark(&self) -> usize {
+        (self.quota as f64 * HIGH_WATERMARK) as usize
+    }
+
     /// Look up a key.
     pub fn get(&self, vb: VbId, key: &str) -> CacheLookup {
         let mut shard = self.shard(vb).write();
-        match shard.map.get_mut(key) {
+        match shard.get_mut(key) {
             Some(item) => {
                 item.referenced = true;
                 if item.deleted {
                     self.hits.inc();
                     CacheLookup::Tombstone { meta: item.meta }
-                } else if let Some(v) = &item.value {
+                } else if let Some(value) = item.shared() {
                     self.hits.inc();
-                    CacheLookup::Hit { meta: item.meta, value: v.clone() }
+                    CacheLookup::Hit { meta: item.meta, value }
                 } else {
                     self.misses.inc();
                     CacheLookup::ValueGone { meta: item.meta }
@@ -215,7 +233,7 @@ impl ObjectCache {
     /// Metadata-only peek that does not touch reference bits or counters.
     pub fn peek_meta(&self, vb: VbId, key: &str) -> Option<(DocMeta, bool)> {
         let shard = self.shard(vb).read();
-        shard.map.get(key).map(|i| (i.meta, i.deleted))
+        shard.get(key).map(|i| (i.meta, i.deleted))
     }
 
     /// Full-entry peek (meta, value, deleted, dirty) without side effects.
@@ -226,7 +244,7 @@ impl ObjectCache {
         key: &str,
     ) -> Option<(DocMeta, Option<SharedValue>, bool, bool)> {
         let shard = self.shard(vb).read();
-        shard.map.get(key).map(|i| (i.meta, i.value.clone(), i.deleted, i.dirty))
+        shard.get(key).map(|i| (i.meta, i.shared(), i.deleted, i.dirty))
     }
 
     /// Copy of every entry of a vBucket newer than `since`, taken under one
@@ -237,14 +255,13 @@ impl ObjectCache {
     pub fn snapshot_vb(&self, vb: VbId, since: SeqNo) -> Vec<CacheEntry> {
         let shard = self.shard(vb).read();
         shard
-            .map
             .iter()
             .filter(|(_, i)| i.meta.seqno > since)
             .map(|(k, i)| CacheEntry {
                 key: k.clone(),
                 meta: i.meta,
                 deleted: i.deleted,
-                value: i.value.clone(),
+                value: i.shared(),
             })
             .collect()
     }
@@ -260,31 +277,70 @@ impl ObjectCache {
         others: impl IntoIterator<Item = &'a str>,
     ) -> usize {
         let shard = self.shard(vb).read();
-        let held = shard.map.values().filter(|i| !i.deleted && !i.meta.is_expired_at(now)).count();
-        held + others.into_iter().filter(|k| !shard.map.contains_key(*k)).count()
+        let held = shard.values().filter(|i| !i.deleted && !i.meta.is_expired_at(now)).count();
+        held + others.into_iter().filter(|k| !shard.contains_key(*k)).count()
     }
 
-    /// Re-install a value fetched from disk after a [`CacheLookup::ValueGone`]
-    /// (the background-fetch completion path). Keeps the entry's dirtiness
-    /// (it must be clean — evicted values are by definition persisted).
-    pub fn repopulate(&self, vb: VbId, key: &str, value: impl Into<SharedValue>) {
+    /// Install the version a background fetch read from disk, `meta` being
+    /// that record's own — but only while it is still the version the
+    /// cache should hold: over a value-evicted entry of that very seqno, or
+    /// (full eviction) where the key is absent. A write that landed while
+    /// the fetch read the log wins either way: its newer entry keeps its
+    /// own body (no stale body under its metadata), and a dirty entry is
+    /// never replaced by a clean copy of an older version — the flusher
+    /// would skip it as clean and the write would be lost.
+    pub fn repopulate(&self, vb: VbId, key: &str, meta: DocMeta, value: impl Into<SharedValue>) {
+        let json = value.into().into_json();
+        let len = json.len();
+        let fill =
+            CacheItem { meta, value: Some(json), deleted: false, dirty: false, referenced: true };
+        let full = self.policy == EvictionPolicy::Full;
+        // Evicted whole, the entry comes back through admission like a write.
+        if full && self.peek_meta(vb, key).is_none() && self.make_room(fill.mem_size(key)).is_err()
+        {
+            return;
+        }
         let mut shard = self.shard(vb).write();
-        if let Some(item) = shard.map.get_mut(key) {
-            if item.value.is_none() && !item.deleted {
-                let value = value.into();
-                let add = value.approx_size();
-                item.value = Some(value);
-                item.referenced = true;
-                self.mem_used.add(add as u64);
+        let added = match shard.get_mut(key) {
+            // Its value was evicted, so the entry was clean: `fill` is it
+            // with the value back.
+            Some(item)
+                if item.meta.seqno == meta.seqno && item.value.is_none() && !item.deleted =>
+            {
+                *item = fill;
+                len
+            }
+            Some(_) => 0,
+            None if full => {
+                let size = fill.mem_size(key);
+                shard.insert(key.to_string(), fill);
+                size
+            }
+            None => 0,
+        };
+        drop(shard);
+        self.mem_used.add(added as u64);
+    }
+
+    /// Admission for `growth` more bytes: past the high watermark an
+    /// eviction pass runs first, and `TempOom` is the answer when even that
+    /// leaves no room under the quota.
+    fn make_room(&self, growth: usize) -> Result<()> {
+        if self.mem_used.get() as usize + growth > self.high_watermark() {
+            self.evict_to_watermark();
+            if self.mem_used.get() as usize + growth > self.quota {
+                self.tmp_ooms.inc();
+                return Err(Error::TempOom);
             }
         }
+        Ok(())
     }
 
     /// Flusher callback: the mutation with `seqno` has been persisted; if
     /// the entry still holds that exact version, clear its dirty bit.
     pub fn mark_clean(&self, vb: VbId, key: &str, seqno: SeqNo) {
         let mut shard = self.shard(vb).write();
-        if let Some(item) = shard.map.get_mut(key) {
+        if let Some(item) = shard.get_mut(key) {
             if item.meta.seqno == seqno {
                 item.dirty = false;
             }
@@ -295,7 +351,7 @@ impl ObjectCache {
     /// purging persisted tombstones).
     pub fn remove(&self, vb: VbId, key: &str) {
         let mut shard = self.shard(vb).write();
-        if let Some(old) = shard.map.remove(key) {
+        if let Some(old) = shard.remove(key) {
             self.mem_used.sub(old.mem_size(key) as u64);
         }
     }
@@ -303,79 +359,60 @@ impl ObjectCache {
     /// Drop every entry of a vBucket (rebalance hand-off / failover).
     pub fn clear_vb(&self, vb: VbId) {
         let mut shard = self.shard(vb).write();
-        let freed: usize = shard.map.iter().map(|(k, i)| i.mem_size(k)).sum();
-        shard.map.clear();
+        let freed: usize = shard.iter().map(|(k, i)| i.mem_size(k)).sum();
+        shard.clear();
         self.mem_used.sub(freed as u64);
     }
 
     /// All resident keys of a vBucket (diagnostics / tests).
     pub fn keys(&self, vb: VbId) -> Vec<String> {
-        self.shard(vb).read().map.keys().cloned().collect()
+        self.shard(vb).read().keys().cloned().collect()
     }
 
-    /// Run one NRU second-chance pass aiming for the low watermark.
+    /// Run the NRU second-chance clock until the low watermark is reached.
     ///
-    /// Pass 1 clears reference bits of recently used items and evicts
-    /// unreferenced clean ones; a second pass (if still over target) evicts
-    /// any clean item. Dirty items are always pinned.
+    /// The hand sweeps one shard at a time from where the last pass
+    /// stopped. A first turn of the clock clears the reference bits of
+    /// recently used items and evicts unreferenced clean ones; a second
+    /// turn (if still over target) evicts any clean item. Dirty items are
+    /// always pinned.
     pub fn evict_to_watermark(&self) {
         let target = (self.quota as f64 * LOW_WATERMARK) as usize;
-        for pass in 0..2 {
-            if self.mem_used.get() as usize <= target {
-                return;
-            }
-            for shard in &self.shards {
+        for second_chance in [true, false] {
+            for _ in 0..self.shards.len() {
                 if self.mem_used.get() as usize <= target {
                     return;
                 }
-                let mut s = shard.write();
-                let mut freed = 0usize;
-                let mut evicted = 0u64;
-                match self.policy {
-                    EvictionPolicy::ValueOnly => {
-                        for item in s.map.values_mut() {
-                            if item.dirty {
-                                continue;
-                            }
-                            let Some(size) = item.value.as_ref().map(|v| v.approx_size()) else {
-                                continue;
-                            };
-                            if item.referenced && pass == 0 {
-                                item.referenced = false;
-                                continue;
-                            }
-                            item.value = None;
-                            freed += size;
-                            evicted += 1;
-                        }
-                    }
-                    EvictionPolicy::Full => {
-                        let victims: Vec<String> = s
-                            .map
-                            .iter_mut()
-                            .filter_map(|(k, item)| {
-                                if item.dirty || item.deleted {
-                                    return None;
-                                }
-                                if item.referenced && pass == 0 {
-                                    item.referenced = false;
-                                    return None;
-                                }
-                                Some(k.clone())
-                            })
-                            .collect();
-                        for k in victims {
-                            if let Some(item) = s.map.remove(&k) {
-                                freed += item.mem_size(&k);
-                                evicted += 1;
-                            }
-                        }
-                    }
-                }
+                let at = self.hand.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+                let (freed, evicted) = self.sweep(&mut self.shards[at].write(), second_chance);
                 self.mem_used.sub(freed as u64);
                 self.evictions.add(evicted);
             }
         }
+    }
+
+    /// Evict one shard's clean victims; returns (bytes freed, evictions).
+    fn sweep(&self, shard: &mut Shard, second_chance: bool) -> (usize, u64) {
+        let (mut freed, mut evicted) = (0usize, 0u64);
+        let full = self.policy == EvictionPolicy::Full;
+        shard.retain(|key, item| {
+            let resident = if full { !item.deleted } else { item.value.is_some() };
+            if item.dirty || !resident {
+                return true;
+            }
+            if item.referenced && second_chance {
+                item.referenced = false;
+                return true;
+            }
+            evicted += 1;
+            if full {
+                freed += item.mem_size(key);
+                return false;
+            }
+            freed += item.value.take().map_or(0, |v| v.len());
+            true
+        });
+        (freed, evicted)
     }
 
     /// The configured eviction policy.
@@ -391,8 +428,8 @@ impl ObjectCache {
         let mut resident = 0u64;
         for shard in &self.shards {
             let s = shard.read();
-            items += s.map.len() as u64;
-            resident += s.map.values().filter(|i| i.value.is_some() || i.deleted).count() as u64;
+            items += s.len() as u64;
+            resident += s.values().filter(|i| i.value.is_some() || i.deleted).count() as u64;
         }
         self.items_gauge.set(items);
         self.resident_gauge.set(resident);
@@ -422,6 +459,19 @@ mod tests {
         Value::object([("pad", Value::from("x".repeat(n)))])
     }
 
+    /// A cache whose quota is mostly held by one dirty (so unevictable)
+    /// entry: every eviction pass then stays over the low watermark and
+    /// drops every clean value it may.
+    fn pinned_cache(policy: EvictionPolicy) -> ObjectCache {
+        let c = ObjectCache::new(4, 10_000, policy);
+        c.set(VbId(3), "ballast", meta(1), Value::from("b".repeat(7_800)), true).unwrap();
+        c
+    }
+
+    fn resident(c: &ObjectCache, vb: VbId, key: &str) -> bool {
+        matches!(c.peek_item(vb, key), Some((_, Some(_), _, _)))
+    }
+
     #[test]
     fn set_get_roundtrip() {
         let c = ObjectCache::new(16, 1 << 20, EvictionPolicy::ValueOnly);
@@ -437,6 +487,19 @@ mod tests {
         let st = c.stats();
         assert_eq!(st.hits, 1);
         assert_eq!(st.misses, 1);
+    }
+
+    #[test]
+    fn an_entry_is_charged_its_key_and_encoded_length() {
+        let c = ObjectCache::new(4, 1 << 20, EvictionPolicy::ValueOnly);
+        let doc = SharedValue::new(big_doc(100));
+        let encoded = doc.json().len();
+        c.set(VbId(0), "key", meta(1), doc.clone(), true).unwrap();
+        assert_eq!(c.stats().mem_used, 64 + "key".len() + encoded);
+        // The entry holds the caller's encoding, not a copy, and no tree.
+        let CacheLookup::Hit { value, .. } = c.get(VbId(0), "key") else { panic!("resident") };
+        assert!(SharedValue::ptr_eq(&value, &doc));
+        assert!(!value.is_decoded());
     }
 
     #[test]
@@ -469,6 +532,33 @@ mod tests {
         // Every admitted item still has its value.
         let st = c.stats();
         assert_eq!(st.items, st.resident_items);
+    }
+
+    /// Admission charges net growth: in a cache full of dirty items an
+    /// overwrite of the same size replaces what it frees, while a write
+    /// that grows the cache is still refused.
+    #[test]
+    fn admission_credits_the_entry_being_replaced() {
+        let c = ObjectCache::new(4, 50_000, EvictionPolicy::ValueOnly);
+        let mut admitted = 0;
+        while c.set(VbId(0), &format!("k{admitted}"), meta(admitted), big_doc(1000), true).is_ok() {
+            admitted += 1;
+        }
+        let full = c.stats();
+        assert_eq!(full.tmp_ooms, 1);
+        assert!(full.mem_used + 1_100 > full.quota, "no room for another document: {full:?}");
+        c.set(VbId(0), "k0", meta(admitted + 1), big_doc(1000), true)
+            .expect("a same-size overwrite needs no room");
+        assert_eq!(c.stats().mem_used, full.mem_used);
+        assert_eq!(
+            c.set(VbId(0), "k1", meta(admitted + 2), big_doc(3000), true),
+            Err(Error::TempOom),
+            "an overwrite that grows the cache past its quota is refused"
+        );
+        assert_eq!(
+            c.set(VbId(0), "new", meta(admitted + 3), big_doc(1000), true),
+            Err(Error::TempOom)
+        );
     }
 
     #[test]
@@ -516,42 +606,104 @@ mod tests {
 
     #[test]
     fn repopulate_after_value_eviction() {
-        let c = ObjectCache::new(4, 1 << 20, EvictionPolicy::ValueOnly);
-        c.set(VbId(0), "a", meta(1), Value::int(1), false).unwrap();
-        // Force-evict by direct manipulation: a full clock pass twice.
-        c.evict_to_watermark(); // under watermark: no-op
-                                // Simulate: mark clean then evict via a tiny quota cache instead.
-        let c = ObjectCache::new(1, 2_000, EvictionPolicy::ValueOnly);
-        for i in 0..20 {
-            let k = format!("k{i}");
-            let _ = c.set(VbId(0), &k, meta(i), big_doc(50), false);
-        }
+        let c = pinned_cache(EvictionPolicy::ValueOnly);
+        c.set(VbId(0), "a", meta(5), big_doc(50), false).unwrap();
+        let used = c.stats().mem_used;
         c.evict_to_watermark();
+        assert_eq!(c.get(VbId(0), "a"), CacheLookup::ValueGone { meta: meta(5) });
+        c.repopulate(VbId(0), "a", meta(5), big_doc(50));
+        assert_eq!(
+            c.get(VbId(0), "a"),
+            CacheLookup::Hit { meta: meta(5), value: big_doc(50).into() }
+        );
+        assert_eq!(c.stats().mem_used, used, "the value is charged again");
+    }
+
+    /// Value-only eviction, the engine's calls in the order a racing
+    /// writer interleaves them: `get` sees the value gone at seqno 5 and
+    /// reads v5 from the log; meanwhile v6 is written, persisted and its
+    /// value evicted; then the fetch completes. v5 must not be installed
+    /// under v6's metadata.
+    #[test]
+    fn a_background_fetch_does_not_install_a_superseded_version() {
+        let (vb, c) = (VbId(0), pinned_cache(EvictionPolicy::ValueOnly));
+        c.set(vb, "k", meta(5), Value::from("v5"), true).unwrap();
+        c.mark_clean(vb, "k", SeqNo(5));
         c.evict_to_watermark();
-        // Find a gone value and repopulate it.
-        let key = (0..20)
-            .map(|i| format!("k{i}"))
-            .find(|k| matches!(c.get(VbId(0), k), CacheLookup::ValueGone { .. }));
-        if let Some(k) = key {
-            c.repopulate(VbId(0), &k, big_doc(50));
-            assert!(matches!(c.get(VbId(0), &k), CacheLookup::Hit { .. }));
-        }
+        let CacheLookup::ValueGone { meta: seen } = c.get(vb, "k") else { panic!("evicted") };
+        assert_eq!(seen.seqno, SeqNo(5)); // ...and the fetch reads v5 from disk.
+        c.set(vb, "k", meta(6), Value::from("v6"), true).unwrap();
+        c.mark_clean(vb, "k", SeqNo(6)); // the flusher persisted v6
+        c.evict_to_watermark();
+        c.repopulate(vb, "k", meta(5), Value::from("v5")); // the fetch completes
+        assert_eq!(c.get(vb, "k"), CacheLookup::ValueGone { meta: meta(6) });
+    }
+
+    /// Full eviction, same race: `get` misses and reads v5 from the log
+    /// while a writer creates a dirty v6. Installing v5 clean over it would
+    /// make the flusher skip v6 — a lost write.
+    #[test]
+    fn a_background_fetch_does_not_overwrite_a_newer_dirty_write() {
+        let (vb, c) = (VbId(0), pinned_cache(EvictionPolicy::Full));
+        c.set(vb, "k", meta(5), Value::from("v5"), true).unwrap();
+        c.mark_clean(vb, "k", SeqNo(5));
+        c.evict_to_watermark();
+        assert_eq!(c.get(vb, "k"), CacheLookup::Miss); // ...the fetch reads v5 from disk.
+        c.set(vb, "k", meta(6), Value::from("v6"), true).unwrap();
+        c.repopulate(vb, "k", meta(5), Value::from("v5")); // the fetch completes
+        let (m, value, deleted, dirty) = c.peek_item(vb, "k").unwrap();
+        assert_eq!(
+            (m, value, deleted, dirty),
+            (meta(6), Some(Value::from("v6").into()), false, true)
+        );
+        // Without the race, the fetched version comes back as a clean entry.
+        c.mark_clean(vb, "k", SeqNo(6));
+        c.evict_to_watermark();
+        assert_eq!(c.get(vb, "k"), CacheLookup::Miss);
+        c.repopulate(vb, "k", meta(6), Value::from("v6"));
+        assert_eq!(c.peek_item(vb, "k").map(|i| (i.0, i.3)), Some((meta(6), false)));
     }
 
     #[test]
     fn mark_clean_only_applies_to_matching_seqno() {
-        let c = ObjectCache::new(4, 1 << 20, EvictionPolicy::ValueOnly);
-        c.set(VbId(0), "a", meta(1), Value::int(1), true).unwrap();
-        c.set(VbId(0), "a", meta(2), Value::int(2), true).unwrap(); // newer dirty version
-        c.mark_clean(VbId(0), "a", SeqNo(1)); // stale persistence callback
-                                              // Still dirty: the seqno-2 version hasn't been persisted.
-                                              // (Observable via eviction behaviour: dirty is pinned.)
-        let shard_has_dirty = {
-            // peek through stats: a tiny quota won't evict it
-            true
+        let (vb, c) = (VbId(0), pinned_cache(EvictionPolicy::ValueOnly));
+        c.set(vb, "a", meta(1), Value::int(1), true).unwrap();
+        c.set(vb, "a", meta(2), Value::int(2), true).unwrap(); // newer dirty version
+        c.mark_clean(vb, "a", SeqNo(1)); // stale persistence callback
+        c.evict_to_watermark();
+        assert!(resident(&c, vb, "a"), "v2 is still dirty, so pinned");
+        c.mark_clean(vb, "a", SeqNo(2));
+        c.evict_to_watermark();
+        assert!(!resident(&c, vb, "a"), "persisted, v2 is evictable");
+    }
+
+    /// The clock's hand resumes where the last pass stopped. Every shard
+    /// holds ~20 KB of clean values; a pass frees one shard's worth. After
+    /// the hand has passed shards 0 and 1, the next victim is shard 2 —
+    /// not shard 0 again, whose refilled values had their reference bit
+    /// cleared by a restarting clock and would go first.
+    #[test]
+    fn eviction_hand_resumes_where_the_last_pass_stopped() {
+        let c = ObjectCache::new(4, 100_000, EvictionPolicy::ValueOnly);
+        let key = |vb: u16, i: u64| format!("k{vb}-{i}");
+        let fill = |vb: u16| {
+            for i in 0..10 {
+                c.set(VbId(vb), &key(vb, i), meta(i), Value::from("x".repeat(1990)), false)
+                    .unwrap();
+            }
         };
-        assert!(shard_has_dirty);
-        c.mark_clean(VbId(0), "a", SeqNo(2));
+        let shard_resident = |vb: u16| (0..10).all(|i| resident(&c, VbId(vb), &key(vb, i)));
+        let shard_evicted = |vb: u16| (0..10).all(|i| !resident(&c, VbId(vb), &key(vb, i)));
+        (0..4).for_each(fill);
+        assert_eq!(c.stats().evictions, 0, "fits under the high watermark");
+        c.evict_to_watermark();
+        assert!(shard_evicted(0) && shard_resident(1) && shard_resident(2));
+        fill(0);
+        c.evict_to_watermark();
+        assert!(shard_resident(0) && shard_evicted(1) && shard_resident(2));
+        fill(1);
+        c.evict_to_watermark();
+        assert!(shard_resident(0) && shard_resident(1) && shard_evicted(2) && shard_resident(3));
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //! - **value eviction** (default): values of clean items are evicted under
 //!   memory pressure, keys + metadata stay resident;
 //! - **full eviction** (opt-in): whole entries may be dropped;
-//! - an NRU (not-recently-used) second-chance clock chooses victims;
-//! - a memory **quota** with high/low watermarks; writes that cannot be
-//!   admitted even after an eviction pass fail with
-//!   [`cbs_common::Error::TempOom`] (memcached `TMPFAIL` semantics — clients
-//!   back off and retry);
+//! - an NRU (not-recently-used) second-chance clock chooses victims, its
+//!   hand resuming where the last pass stopped;
+//! - a value is its encoded JSON bytes (`cbs_json::SharedValue`), and an
+//!   entry is charged its key plus their length;
+//! - a memory **quota** with high/low watermarks; writes whose growth (net
+//!   of the entry they replace) cannot be admitted even after an eviction
+//!   pass fail with [`cbs_common::Error::TempOom`] (memcached `TMPFAIL`
+//!   semantics — clients back off and retry);
 //! - *dirty* (not-yet-persisted) items are pinned: the asynchronous flusher
 //!   (`cbs-kv`) marks them clean once the storage engine has them, which is
 //!   what makes them evictable.

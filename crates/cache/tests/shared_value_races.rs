@@ -1,5 +1,5 @@
-//! Concurrency properties of Arc-shared document bodies (the zero-copy
-//! read path).
+//! Concurrency properties of shared encoded document versions (the
+//! zero-copy read path).
 //!
 //! A writer cycles a hot key through set / evict / repopulate while
 //! readers hammer `get`. Readers must never observe:
@@ -7,8 +7,8 @@
 //! - a **torn** document (fields from two different versions mixed);
 //! - a **stale** version after a newer one was visible;
 //! - a **deep copy**: every hit must alias the writer's own allocation
-//!   for that version (`SharedValue::ptr_eq`), proving a cache hit is an
-//!   `Arc` pointer bump and never a clone of the document body.
+//!   for that version (`SharedValue::ptr_eq`), proving a cache hit is a
+//!   reference-count bump on the encoded bytes and never a copy of them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -147,7 +147,7 @@ proptest! {
                 }
                 WriterOp::Evict => cache.evict_to_watermark(),
                 WriterOp::Repopulate => {
-                    cache.repopulate(vb, "hot", docs[version as usize].clone());
+                    cache.repopulate(vb, "hot", meta(version), docs[version as usize].clone());
                 }
             }
         }
@@ -162,8 +162,8 @@ proptest! {
         // if evicted), and older versions have exactly one owner again.
         for (n, d) in docs.iter().enumerate() {
             if (n as u64) < version {
-                prop_assert_eq!(
-                    SharedValue::ref_count(d), 1,
+                prop_assert!(
+                    SharedValue::is_unique(d),
                     "superseded v{} must have been released by the cache", n
                 );
             }

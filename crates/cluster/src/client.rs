@@ -148,9 +148,9 @@ impl SmartClient {
         self.traced("client.kv.get", || self.with_engine(key, |e| e.get(key)))
     }
 
-    /// KV upsert. The value is wrapped in a [`SharedValue`] once up front;
-    /// retries (and the engine's cache/DCP hand-offs) reuse that single
-    /// allocation instead of deep-cloning the document per attempt.
+    /// KV upsert. The value is a [`SharedValue`], encoded once when it was
+    /// built: retries and the engine's cache/DCP/flusher hand-offs share
+    /// those bytes.
     pub fn upsert(&self, key: &str, value: impl Into<SharedValue>) -> Result<MutationResult> {
         let value = value.into();
         self.traced("client.kv.upsert", || {

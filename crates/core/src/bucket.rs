@@ -107,9 +107,9 @@ impl Bucket {
         for _ in 0..max_retries {
             let current = self.get(key)?;
             let mut value = current.value;
-            // Copy-on-write: clones the document only if it is still
-            // shared with the cache (which it is, right after a get).
-            transform(value.make_mut());
+            // The edit decodes this handle's copy; the cache's bytes are
+            // untouched, and the edited tree is re-encoded when it is done.
+            transform(&mut value.make_mut());
             match self.client.upsert_with_cas(key, value, current.meta.cas) {
                 Ok(m) => return Ok(m),
                 Err(Error::CasMismatch(_)) => continue,

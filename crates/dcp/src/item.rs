@@ -18,8 +18,9 @@ pub enum DcpKind {
 
 /// One change flowing over DCP.
 ///
-/// The body is a [`SharedValue`]: cloning an item (per-subscriber fan-out in
-/// the hub) bumps a reference count instead of deep-copying the JSON tree.
+/// The body is a [`SharedValue`], the version's encoded bytes: cloning an
+/// item (per-subscriber fan-out in the hub) bumps a reference count, and a
+/// consumer that reads the body decodes it into its own handle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcpItem {
     /// Originating vBucket.

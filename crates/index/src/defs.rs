@@ -144,6 +144,12 @@ impl IndexDef {
         }
     }
 
+    /// Whether projecting a document reads its body: false only for keys
+    /// over the document ID alone with no filter (a primary index).
+    pub fn reads_body(&self) -> bool {
+        !self.filter.is_empty() || self.keys.iter().any(|k| *k != KeyExpr::DocId)
+    }
+
     /// Number of range partitions.
     pub fn num_partitions(&self) -> usize {
         self.partition_splits.len() + 1

@@ -70,6 +70,9 @@ impl Projector {
                 seqno: item.meta.seqno,
             };
         };
+        // A definition over the document ID alone (a primary index) never
+        // looks at the body, so the body is not decoded for it.
+        let doc = if def.reads_body() { doc.as_value() } else { &Value::Null };
         let keys = Self::keys_for(def, &item.key, doc);
         ProjectedOp::Update { doc_id: item.key.clone(), keys, vb: item.vb, seqno: item.meta.seqno }
     }
@@ -262,6 +265,24 @@ mod tests {
         let def = IndexDef::primary("#primary", "b");
         let keys = Projector::keys_for(&def, "the-doc", &Value::empty_object());
         assert_eq!(keys, vec![IndexKey(vec![Some(Value::from("the-doc"))])]);
+    }
+
+    #[test]
+    fn a_primary_index_projects_without_decoding_the_body() {
+        let stored = DcpItem::mutation(
+            VbId(0),
+            "the-doc",
+            DocMeta { seqno: SeqNo(1), ..Default::default() },
+            cbs_json::SharedValue::from_json(bytes::Bytes::from_static(br#"{"a":1}"#)),
+        );
+        let op = Projector::project(&IndexDef::primary("#primary", "b"), &stored);
+        let expected = vec![IndexKey(vec![Some(Value::from("the-doc"))])];
+        assert!(matches!(op, ProjectedOp::Update { keys, .. } if keys == expected));
+        assert!(!stored.value.as_ref().unwrap().is_decoded());
+        // A secondary index does read it.
+        let op = Projector::project(&IndexDef::simple("a", "b", "a"), &stored);
+        assert!(matches!(op, ProjectedOp::Update { keys, .. } if keys.len() == 1));
+        assert!(stored.value.as_ref().unwrap().is_decoded());
     }
 
     #[test]

@@ -556,6 +556,24 @@ mod tests {
         assert_eq!(stats.applied, 5000);
     }
 
+    /// A primary index is over document IDs alone: building it decodes no
+    /// body, resident or read from disk. A secondary index decodes each.
+    #[test]
+    fn a_primary_index_build_decodes_nothing() {
+        let e = engine();
+        for i in 0..100 {
+            e.set(&format!("u{i:03}"), profile("x", i), MutateMode::Upsert, Cas::WILDCARD, 0)
+                .unwrap();
+        }
+        let m = manager(16);
+        let before = cbs_json::SharedValue::decodes_on_this_thread();
+        m.create_and_build(IndexDef::primary("#primary", "b"), e.as_ref()).unwrap();
+        assert_eq!(m.index_stats("b", "#primary").unwrap().docs, 100);
+        assert_eq!(cbs_json::SharedValue::decodes_on_this_thread(), before);
+        m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref()).unwrap();
+        assert_eq!(cbs_json::SharedValue::decodes_on_this_thread(), before + 100);
+    }
+
     /// Items are counted where they are projected: a manager with no
     /// maintained index on the keyspace is not a destination.
     #[test]

@@ -27,7 +27,7 @@ pub mod value;
 pub use collate::{cmp_missing, cmp_values, CollatedValue, TypeRank};
 pub use parse::{parse, ParseError};
 pub use path::{parse_path, JsonPath, PathStep};
-pub use shared::SharedValue;
+pub use shared::{SharedValue, ValueMut};
 pub use value::{Number, Value};
 
 #[cfg(test)]

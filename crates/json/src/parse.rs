@@ -32,7 +32,13 @@ impl std::error::Error for ParseError {}
 ///
 /// Trailing whitespace is allowed; any other trailing content is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    parse_bytes(input.as_bytes())
+}
+
+/// [`parse`] over raw bytes — a stored document's encoding — checking
+/// UTF-8 as it goes instead of up front.
+pub(crate) fn parse_bytes(input: &[u8]) -> Result<Value, ParseError> {
+    let mut p = Parser { bytes: input, pos: 0 };
     p.skip_ws();
     let v = p.parse_value(0)?;
     p.skip_ws();
@@ -176,8 +182,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             if self.pos > start {
-                // Safe: input is &str, and we only stopped on ASCII
-                // boundaries, so this slice is valid UTF-8.
+                // A run stops only at ASCII bytes, so it holds whole
+                // characters; raw-byte input is checked for UTF-8 here.
                 out.push_str(
                     std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8 in string"))?,
@@ -384,6 +390,13 @@ mod tests {
     #[test]
     fn whitespace_tolerated() {
         assert_eq!(p(" \t\n{ \"a\" :\r1 } \n"), Value::object([("a", Value::int(1))]));
+    }
+
+    #[test]
+    fn raw_bytes_are_checked_for_utf8() {
+        let text = r#"{"a":"é"}"#;
+        assert_eq!(parse_bytes(text.as_bytes()), parse(text));
+        assert!(parse_bytes(b"\"\xff\"").is_err());
     }
 
     #[test]

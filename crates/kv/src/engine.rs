@@ -281,7 +281,8 @@ impl DataEngine {
     /// Recover a vBucket's persisted data after a restart: resume seqno
     /// counters from the log and *warm up* the cache with keys, metadata
     /// and values (ep-engine's warmup phase — required because under
-    /// value-only eviction a cache miss is authoritative).
+    /// value-only eviction a cache miss is authoritative). Each record's
+    /// bytes become the cached version as read: nothing is parsed.
     pub fn recover_vb(&self, vb: VbId) -> Result<()> {
         let s = self.store.vb(vb)?;
         let high = s.high_seqno();
@@ -291,7 +292,7 @@ impl DataEngine {
             if doc.deleted {
                 let _ = self.cache.delete(vb, &doc.key, doc.meta, false);
             } else {
-                let value = parse_stored_value(&doc)?;
+                let value = SharedValue::from_json(doc.value);
                 let _ = self.cache.set(vb, &doc.key, doc.meta, value, false);
             }
         }
@@ -389,26 +390,35 @@ impl DataEngine {
                 let stored = self.store.vb(vb)?.get(key)?.ok_or_else(|| {
                     Error::Storage(format!("meta resident but no disk copy: {key}"))
                 })?;
-                let value = SharedValue::new(parse_stored_value(&stored)?);
-                self.cache.repopulate(vb, key, value.clone());
-                Ok(GetResult { value, meta })
+                self.fetched(vb, stored)
             }
-            CacheLookup::Miss => {
+            CacheLookup::Miss if self.cache.policy() == EvictionPolicy::Full => {
                 // Under full eviction the document may still be on disk.
-                if self.cache.policy() == EvictionPolicy::Full {
-                    let _bg = span("kv.engine.bg_fetch");
-                    if let Some(stored) = self.store.vb(vb)?.get(key)? {
-                        if !stored.deleted && !stored.meta.is_expired_at(now_secs()) {
-                            self.stats.bg_fetches.inc();
-                            let value = SharedValue::new(parse_stored_value(&stored)?);
-                            let _ = self.cache.set(vb, key, stored.meta, value.clone(), false);
-                            return Ok(GetResult { value, meta: stored.meta });
-                        }
+                let _bg = span("kv.engine.bg_fetch");
+                match self.store.vb(vb)?.get(key)? {
+                    Some(stored) if !stored.deleted && !stored.meta.is_expired_at(now_secs()) => {
+                        self.stats.bg_fetches.inc();
+                        self.fetched(vb, stored)
                     }
+                    _ => Err(Error::KeyNotFound(key.to_string())),
                 }
-                Err(Error::KeyNotFound(key.to_string()))
             }
+            CacheLookup::Miss => Err(Error::KeyNotFound(key.to_string())),
         }
+    }
+
+    /// Complete a background fetch with the record it read: answered with
+    /// that record's own metadata (a write may have superseded the version
+    /// the lookup saw), and installed only if the cache still wants that
+    /// version ([`ObjectCache::repopulate`]). The bytes are wrapped as
+    /// read — the body is decoded only if the caller reads it.
+    fn fetched(&self, vb: VbId, stored: StoredDoc) -> Result<GetResult> {
+        if stored.deleted || stored.meta.is_expired_at(now_secs()) {
+            return Err(Error::KeyNotFound(stored.key));
+        }
+        let value = SharedValue::from_json(stored.value);
+        self.cache.repopulate(vb, &stored.key, stored.meta, value.clone());
+        Ok(GetResult { value, meta: stored.meta })
     }
 
     /// Write a document. `cas_check` of [`Cas::WILDCARD`] skips the
@@ -423,8 +433,9 @@ impl DataEngine {
         cas_check: Cas,
         expiry: u32,
     ) -> Result<MutationResult> {
-        // One shared allocation serves the cache, the DCP item, and every
-        // subscriber — the zero-copy write path.
+        // One encoded allocation serves the cache, the DCP item, every
+        // subscriber, the replica copies and both flushers — the zero-copy
+        // write path. It was encoded where it was built (`SharedValue::new`).
         let trace = self.trace("kv.engine.set");
         // `Some` only inside a sampled operation: the flusher and the
         // replication pump then file their spans under it.
@@ -628,8 +639,8 @@ impl DataEngine {
         if item.is_deletion() {
             self.cache.delete(vb, &item.key, item.meta, true)?;
         } else {
-            // Reference-count bump: the replica shares the active copy's
-            // document allocation.
+            // Reference-count bump: the replica stores the active copy's
+            // encoded bytes, which its flusher persists as they are.
             self.cache.set(
                 vb,
                 &item.key,
@@ -829,7 +840,7 @@ impl DataEngine {
     }
 
     /// Drain one shard's dirty vBuckets to the storage engine: each listed
-    /// queue is snapshotted, its documents serialised straight into the
+    /// queue is snapshotted, its documents' bytes copied straight into the
     /// cycle's record buffer, and the buffer is appended to the shard's log
     /// with one write and a **single** `sync_data` — the durability point
     /// for the whole cycle, and the only copy written. Only then are the
@@ -882,11 +893,8 @@ impl DataEngine {
                 if let Some(ctx) = ctxs.get(&**key) {
                     traced.push(*ctx);
                 }
-                let pushed = cycle.push(vb, key, &meta, value.is_none(), |out| {
-                    if let Some(v) = &value {
-                        v.write_json(out);
-                    }
-                });
+                let json = value.as_ref().map_or(&[][..], |v| v.json());
+                let pushed = cycle.push(vb, key, &meta, value.is_none(), json);
                 encoded = encoded.and(pushed);
             }
             snapshots.push((vb, keys, ctxs, high));
@@ -1103,9 +1111,7 @@ impl BackfillSource for DataEngine {
         } else {
             self.store.vb(vb)?.locate(evicted.iter().map(String::as_str)).read()?
         };
-        for doc in records {
-            items.push(stored_to_item(vb, doc)?);
-        }
+        items.extend(records.into_iter().map(|doc| stored_to_item(vb, doc)));
         self.stats.backfill_from_memory.add(from_memory as u64);
         self.stats.backfill_from_disk.add((items.len() - from_memory) as u64);
         items.sort_unstable_by_key(|i| i.meta.seqno);
@@ -1141,7 +1147,7 @@ impl DataEngine {
         };
         for doc in stored {
             high = high.max(doc.meta.seqno);
-            merge(stored_to_item(vb, doc)?);
+            merge(stored_to_item(vb, doc));
         }
         for (key, meta, deleted, value) in dirty {
             high = high.max(meta.seqno);
@@ -1161,19 +1167,13 @@ impl DataEngine {
     }
 }
 
-fn stored_to_item(vb: VbId, doc: StoredDoc) -> Result<DcpItem> {
+/// A record read from the log as a DCP item, its bytes wrapped as read.
+fn stored_to_item(vb: VbId, doc: StoredDoc) -> DcpItem {
     if doc.deleted {
-        Ok(DcpItem::deletion(vb, doc.key, doc.meta))
+        DcpItem::deletion(vb, doc.key, doc.meta)
     } else {
-        let value = parse_stored_value(&doc)?;
-        Ok(DcpItem::mutation(vb, doc.key, doc.meta, value))
+        DcpItem::mutation(vb, doc.key, doc.meta, SharedValue::from_json(doc.value))
     }
-}
-
-fn parse_stored_value(doc: &StoredDoc) -> Result<Value> {
-    let text = std::str::from_utf8(&doc.value)
-        .map_err(|_| Error::Storage(format!("non-utf8 value for {}", doc.key)))?;
-    cbs_json::parse(text).map_err(|e| Error::Json(format!("{}: {e}", doc.key)))
 }
 
 /// XDCR conflict resolution (§4.6.1): higher rev (update count) wins; ties
@@ -1613,6 +1613,108 @@ mod tests {
         let final_v = e.get("ctr").unwrap().value.get_field("v").unwrap().as_i64().unwrap();
         assert_eq!(final_v, 400, "CAS must make increments atomic");
         assert_eq!(successes.load(Ordering::Relaxed), 400);
+    }
+
+    /// One encoding per version: the writer's bytes are what the DCP item
+    /// carries, what the active's flusher copies into its cycle and what
+    /// the replica copy stores — one allocation, never re-serialised.
+    #[test]
+    fn a_version_is_encoded_once_and_shared_by_cache_dcp_and_replica() {
+        let active = engine();
+        let replica = DataEngine::new(EngineConfig::for_test(16)).unwrap();
+        let vb = active.vb_for_key("k");
+        replica.set_vb_state(vb, VbState::Replica);
+        let mut stream = active.open_dcp_stream(vb, SeqNo::ZERO).unwrap();
+        let written = SharedValue::new(doc(1));
+        active.set("k", written.clone(), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        let item = stream.drain_available().remove(0);
+        replica.apply_replica(&item).unwrap();
+
+        let carried = item.value.as_ref().unwrap();
+        let cached = |e: &DataEngine| e.cache.peek_item(vb, "k").and_then(|(_, v, ..)| v).unwrap();
+        assert!(SharedValue::ptr_eq(&written, carried), "the DCP item carries the writer's bytes");
+        assert!(SharedValue::ptr_eq(&cached(&active), carried), "what the active flushes");
+        assert!(SharedValue::ptr_eq(&cached(&replica), carried), "what the replica stores");
+        for e in [&active, &replica] {
+            assert_eq!(e.flush_once().unwrap(), 1);
+            let record = e.store.vb(vb).unwrap().get("k").unwrap().unwrap();
+            assert_eq!(record.value, *written.json(), "the cycle holds those bytes as they are");
+        }
+        assert!(!carried.is_decoded() && !cached(&replica).is_decoded());
+    }
+
+    /// An engine whose clean values were partly evicted: keys `p0..p39`,
+    /// all persisted, about a quarter of them readable only from disk.
+    fn partly_evicted() -> Arc<DataEngine> {
+        let mut cfg = EngineConfig::for_test(16);
+        cfg.cache_quota = 20_000;
+        let e = DataEngine::new(cfg).unwrap();
+        e.activate_all();
+        for i in 0..40 {
+            let body = Value::object([("i", Value::int(i)), ("pad", Value::from("x".repeat(400)))]);
+            e.set(&format!("p{i}"), body, MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        }
+        e.flush_once().unwrap();
+        e.cache.evict_to_watermark();
+        e
+    }
+
+    fn evicted_key(e: &DataEngine) -> String {
+        (0..40)
+            .map(|i| format!("p{i}"))
+            .find(|k| matches!(e.cache.peek_item(e.vb_for_key(k), k), Some((_, None, ..))))
+            .unwrap()
+    }
+
+    /// A path that only moves a document — a get nobody reads, a
+    /// background fetch, a disk backfill, warm-up — decodes nothing.
+    #[test]
+    fn paths_that_do_not_read_the_body_decode_nothing() {
+        let e = partly_evicted();
+        let gone = evicted_key(&e);
+        let before = SharedValue::decodes_on_this_thread();
+
+        let resident = e.get("p39").unwrap();
+        let fetched = e.get(&gone).unwrap();
+        assert_eq!(e.stats().bg_fetches.get(), 1);
+        assert!(!resident.value.is_decoded() && !fetched.value.is_decoded());
+        let disk_before = e.stats().backfill_from_disk.get();
+        for vb in 0..16 {
+            e.backfill(VbId(vb), SeqNo::ZERO).unwrap();
+        }
+        assert!(e.stats().backfill_from_disk.get() > disk_before, "some items came from disk");
+        let dir = e.config().data_dir.clone();
+        drop(e);
+        let mut cfg = EngineConfig::for_test(16);
+        cfg.data_dir = dir;
+        let warm = DataEngine::new(cfg).unwrap();
+        for vb in 0..16 {
+            warm.recover_vb(VbId(vb)).unwrap();
+        }
+        assert_eq!(warm.cache_stats().items, 40);
+        assert_eq!(SharedValue::decodes_on_this_thread(), before);
+
+        // Reading a body decodes it — in the reader's handle only.
+        assert_eq!(
+            fetched.value.get_field("i").and_then(Value::as_i64),
+            Some(gone[1..].parse().unwrap())
+        );
+        assert_eq!(SharedValue::decodes_on_this_thread(), before + 1);
+    }
+
+    /// Reading a `get` result decodes into the reader's handle: the cached
+    /// version stays bytes, and the cache is charged nothing for the tree.
+    #[test]
+    fn reading_a_get_result_leaves_the_cache_untouched() {
+        let e = engine();
+        e.set("k", doc(5), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        let used = e.registry().gauge("kv.cache.mem_used").get();
+        let got = e.get("k").unwrap();
+        assert_eq!(got.value.get_field("v"), Some(&Value::int(5)));
+        assert!(got.value.is_decoded());
+        let cached = e.cache.peek_item(e.vb_for_key("k"), "k").and_then(|(_, v, ..)| v).unwrap();
+        assert!(SharedValue::ptr_eq(&cached, &got.value) && !cached.is_decoded());
+        assert_eq!(e.registry().gauge("kv.cache.mem_used").get(), used);
     }
 
     #[test]

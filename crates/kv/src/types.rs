@@ -36,7 +36,8 @@ pub enum MutateMode {
 }
 
 /// A read result. The body is a [`SharedValue`]: on a cache hit it aliases
-/// the cached document (a reference-count bump, never a deep clone).
+/// the cached encoding (a reference-count bump, never a copy), and it is
+/// decoded — into this handle only — when the caller first reads it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GetResult {
     /// Document body.

@@ -5,7 +5,7 @@
 //! Each flusher shard owns one log file, `shard_<n>.couch` — a
 //! [`GroupCommitWal`] holding the records of all of the shard's vBuckets,
 //! interleaved in commit order — and that log is the *only* on-disk copy
-//! of their documents. A drain cycle is serialised once into a [`Cycle`],
+//! of their documents. A drain cycle is encoded once into a [`Cycle`],
 //! appended with one write and made durable with one `sync_data`
 //! ([`BucketStore::commit`]); the records are then indexed by offset in
 //! their vBuckets' [`VBucketStore`]s, which is all a read needs.
@@ -70,23 +70,23 @@ impl Cycle {
         Cycle::default()
     }
 
-    /// Add one document version; `body` writes its value (nothing, for a
-    /// tombstone) straight into the cycle's buffer. A vBucket's records
-    /// must be pushed in seqno order, so that a torn tail always leaves a
-    /// seqno prefix. A key no record can hold is refused and nothing is
-    /// added.
+    /// Add one document version; its encoded `value` (empty, for a
+    /// tombstone) is copied straight into the cycle's buffer. A vBucket's
+    /// records must be pushed in seqno order, so that a torn tail always
+    /// leaves a seqno prefix. A key no record can hold is refused and
+    /// nothing is added.
     pub fn push(
         &mut self,
         vb: VbId,
         key: &str,
         meta: &DocMeta,
         deleted: bool,
-        body: impl FnOnce(&mut Vec<u8>),
+        value: &[u8],
     ) -> Result<()> {
         let at = self.buf.len();
         self.buf.extend_from_slice(&vb.0.to_le_bytes());
         let kind = if deleted { KIND_TOMBSTONE } else { KIND_LIVE };
-        let len = encode_record_with(&mut self.buf, key, meta, kind, body)
+        let len = encode_record_with(&mut self.buf, key, meta, kind, value)
             .inspect_err(|_| self.buf.truncate(at))? as u32;
         self.recs.push(CycleRec { vb, seqno: meta.seqno, deleted, at, len, key_len: key.len() });
         Ok(())
@@ -94,7 +94,7 @@ impl Cycle {
 
     /// Add an already serialised document version.
     pub fn push_doc(&mut self, vb: VbId, doc: &StoredDoc) -> Result<()> {
-        self.push(vb, &doc.key, &doc.meta, doc.deleted, |out| out.extend_from_slice(&doc.value))
+        self.push(vb, &doc.key, &doc.meta, doc.deleted, &doc.value)
     }
 
     /// Number of records.
@@ -241,7 +241,7 @@ impl ShardLog {
             return Ok(());
         }
         let mut frame = vb.0.to_le_bytes().to_vec();
-        encode_record_with(&mut frame, "", &DocMeta::default(), KIND_PURGE, |_| {})?;
+        encode_record_with(&mut frame, "", &DocMeta::default(), KIND_PURGE, &[])?;
         self.write(&frame, false)?;
         index.purge(frame.len() as u64);
         Ok(())
@@ -583,12 +583,12 @@ mod tests {
                     "a",
                     &DocMeta { seqno: SeqNo(3), ..Default::default() },
                     false,
-                    |o| o.extend_from_slice(br#"{"v":2}"#),
+                    br#"{"v":2}"#,
                 )
                 .unwrap();
             // Refused whole: neither the frame prefix nor a record is left.
             let long = "k".repeat(70_000);
-            let refused = cycle.push(VbId(0), &long, &DocMeta::default(), false, |_| {});
+            let refused = cycle.push(VbId(0), &long, &DocMeta::default(), false, &[]);
             assert_eq!(refused, Err(cbs_common::Error::KeyTooLong(70_000)));
             let recs: Vec<_> = cycle.records().collect();
             assert_eq!(recs, [(VbId(0), "a", SeqNo(3))]);

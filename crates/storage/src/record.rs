@@ -81,23 +81,23 @@ pub fn check_key_len(key: &str) -> Result<()> {
 /// written; an over-long key is refused with `out` untouched.
 pub fn encode_record(doc: &StoredDoc, out: &mut Vec<u8>) -> Result<usize> {
     let kind = if doc.deleted { KIND_TOMBSTONE } else { KIND_LIVE };
-    encode_record_with(out, &doc.key, &doc.meta, kind, |out| out.extend_from_slice(&doc.value))
+    encode_record_with(out, &doc.key, &doc.meta, kind, &doc.value)
 }
 
-/// Encode a record in place, in one pass: header placeholder, fixed fields
-/// and key, then `body` writes the value straight onto `out` (the flusher
-/// serialises JSON there), and the header is patched with the length and
-/// the CRC of the payload where it lies. No temporary buffer, one CRC.
+/// Encode a record in place, in one pass: header placeholder, fixed fields,
+/// key and value (a document's encoded bytes, copied as they are), then the
+/// header is patched with the length and the CRC of the payload where it
+/// lies. No temporary buffer, one CRC.
 pub(crate) fn encode_record_with(
     out: &mut Vec<u8>,
     key: &str,
     meta: &DocMeta,
     kind: u8,
-    body: impl FnOnce(&mut Vec<u8>),
+    value: &[u8],
 ) -> Result<usize> {
     check_key_len(key)?;
     let start = out.len();
-    out.reserve(HEADER_LEN + FIXED_LEN + key.len());
+    out.reserve(HEADER_LEN + FIXED_LEN + key.len() + value.len());
     out.push(RECORD_MAGIC);
     out.extend_from_slice(&[0u8; HEADER_LEN - 1]);
     out.extend_from_slice(&meta.seqno.0.to_le_bytes());
@@ -108,7 +108,7 @@ pub(crate) fn encode_record_with(
     out.push(kind);
     out.extend_from_slice(&(key.len() as u16).to_le_bytes());
     out.extend_from_slice(key.as_bytes());
-    body(out);
+    out.extend_from_slice(value);
     let payload = start + HEADER_LEN;
     let plen = (out.len() - payload) as u32;
     let crc = crc32(&out[payload..]);
@@ -236,16 +236,12 @@ mod tests {
 
     #[test]
     fn value_is_encoded_where_it_lies() {
-        // `body` writes onto the shared buffer behind earlier records; the
+        // The record lands on the shared buffer behind earlier records; the
         // header is patched afterwards with the length and CRC of exactly
         // that payload.
         let doc = sample("k", r#"{"v":[1,2,3]}"#, 3);
         let mut whole = vec![0xAA; 5];
-        let n = encode_record_with(&mut whole, &doc.key, &doc.meta, KIND_LIVE, |out| {
-            out.extend_from_slice(br#"{"v":"#);
-            out.extend_from_slice(b"[1,2,3]}");
-        })
-        .unwrap();
+        let n = encode_record_with(&mut whole, &doc.key, &doc.meta, KIND_LIVE, &doc.value).unwrap();
         let mut direct = Vec::new();
         assert_eq!(encode_record(&doc, &mut direct).unwrap(), n);
         assert_eq!(&whole[5..], &direct[..]);

@@ -192,9 +192,8 @@ pub fn run_workload(
                             let key = key_for(workload.next_key_index(&mut rng, n));
                             match bucket.get(&key) {
                                 Ok(g) => {
-                                    // Copy-on-write: the shared document is
-                                    // cloned only because the cache still
-                                    // aliases it.
+                                    // The edit decodes this handle's copy and
+                                    // re-encodes it; the cached bytes stay.
                                     let mut v = g.value;
                                     v.make_mut().insert_field("field0", Value::from("modified"));
                                     bucket.upsert(&key, v).is_ok()

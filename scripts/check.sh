@@ -36,7 +36,8 @@
 #                                 sizes with its in-run correctness checks,
 #                                 then the n1ql_scan_e counts that repeat
 #                                 exactly (allocations per scan, pushdown,
-#                                 plan-cache hits) against their ceilings
+#                                 plan-cache hits) and kv_hot_a's
+#                                 allocations per get against their ceilings
 #   8. TSan / Miri subset         best-effort: requires nightly toolchain
 #                                 with rust-src / miri; skipped gracefully
 #                                 when the components are not installed.
@@ -162,9 +163,20 @@ perfbench_smoke() {
     examined="$(result_metric "$line" index.rows_examined_per_row_returned)"
     hits="$(result_metric "$line" n1ql.plancache_hit_ratio)"
     awk -v a="$allocs" -v e="$examined" -v h="$hits" \
-        'BEGIN { exit !(a != "" && a <= 685 && e == 1 && h >= 1) }' && return 0
-    echo "    n1ql_scan_e: allocs_per_read=$allocs (ceiling 685)," \
-        "rows_examined_per_row_returned=$examined (want 1), plancache_hit_ratio=$hits (want 1)"
+        'BEGIN { exit !(a != "" && a <= 685 && e == 1 && h >= 1) }' || {
+        echo "    n1ql_scan_e: allocs_per_read=$allocs (ceiling 685)," \
+            "rows_examined_per_row_returned=$examined (want 1), plancache_hit_ratio=$hits (want 1)"
+        return 1
+    }
+    # A KV get hands out the cached bytes undecoded: one allocation per get
+    # (1.0 at PR 24), plus the bodies the benchmark reads to check its model
+    # — every 64th get, ~24 allocations to decode one (1.3746 since PR 25).
+    # One more allocation per get would read ≥ 2.37.
+    line="$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
+        --workload kv_hot_a --smoke --trace 1 2>/dev/null | tail -n 1)" || return 1
+    allocs="$(result_metric "$line" client.allocs_per_read)"
+    awk -v a="$allocs" 'BEGIN { exit !(a != "" && a <= 1.4) }' && return 0
+    echo "    kv_hot_a: allocs_per_read=$allocs (ceiling 1.4)"
     return 1
 }
 
