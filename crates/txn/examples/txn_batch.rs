@@ -1,25 +1,30 @@
 //! Transaction batch scaling: the Block-STM scheduler's conflict cost as
 //! a function of worker count, on seeded random multi-document
-//! workloads — the transactional companion to the fig15/16 figures.
+//! workloads — the transactional companion to perfbench's workloads.
 //!
 //! Uses the *deterministic wave driver* ([`cbs_txn::run_deterministic`]):
 //! conflicts, re-executions and logical step counts are a pure function
 //! of `(seed, workers)`, never of thread interleaving, so the emitted
-//! JSON is byte-identical across replays of the same seed. Throughput is
-//! reported as a proxy — committed transactions per logical scheduler
-//! step — rather than wall-clock, for the same reason.
+//! JSON is byte-identical across replays. Throughput is reported as a
+//! proxy — committed transactions per logical scheduler step — rather
+//! than wall-clock, for the same reason.
 //!
 //! ```text
-//! cargo run -p cbs-bench --release --bin txn_batch
-//! TXN_BENCH_SEED=7 TXN_BENCH_TXNS=64 TXN_BENCH_KEYS=8 \
-//!     cargo run -p cbs-bench --release --bin txn_batch
+//! cargo run -q --release -p cbs-txn --example txn_batch
 //! ```
 //!
-//! Writes `BENCH_txn_batch.json` at the repo root.
+//! Writes `BENCH_txn_batch.json` at the repo root; the run reproduces the
+//! committed file exactly.
 
-use cbs_bench::{env_u64, print_header};
 use cbs_txn::run_deterministic;
 use cbs_txn::spec::{batch_from_seed, initial_state, serial_witness, state_reader, txn_fns};
+
+/// The workload the committed artifact was made with.
+const SEED: u64 = 0xB10C;
+const BATCHES: u64 = 8;
+const TXNS: usize = 48;
+const KEYS: usize = 12;
+const MAX_OPS: usize = 5;
 
 struct Point {
     workers: usize,
@@ -39,26 +44,20 @@ impl Point {
 }
 
 fn main() {
-    let seed = env_u64("TXN_BENCH_SEED", 0xB10C);
-    let batches = env_u64("TXN_BENCH_BATCHES", 8);
-    let txns = env_u64("TXN_BENCH_TXNS", 48) as usize;
-    let keys = env_u64("TXN_BENCH_KEYS", 12) as usize;
-    let max_ops = env_u64("TXN_BENCH_OPS", 5) as usize;
-
     println!("Transaction batch scaling: deterministic wave model, seeded workloads");
     println!(
-        "config: seed {seed:#x}, {batches} batches x {txns} txns, {keys} hot keys, \
-         <= {max_ops} ops/txn"
+        "config: seed {SEED:#x}, {BATCHES} batches x {TXNS} txns, {KEYS} hot keys, \
+         <= {MAX_OPS} ops/txn"
     );
 
     let mut points = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let mut point =
             Point { workers, committed: 0, aborted: 0, re_executions: 0, logical_steps: 0 };
-        for b in 0..batches {
+        for b in 0..BATCHES {
             let batch =
-                batch_from_seed(seed.wrapping_add(b.wrapping_mul(7919)), keys, txns, max_ops);
-            let initial = initial_state(batch.seed, keys);
+                batch_from_seed(SEED.wrapping_add(b.wrapping_mul(7919)), KEYS, TXNS, MAX_OPS);
+            let initial = initial_state(batch.seed, KEYS);
             let fns = txn_fns(&batch);
             let reader = state_reader(&initial);
             let report = run_deterministic(&fns, &reader, workers);
@@ -67,7 +66,7 @@ fn main() {
             // every batch against the pure witness before counting it.
             let (_, want) = serial_witness(&batch, initial.clone());
             let got: Vec<bool> = report.outcomes.iter().map(|o| o.is_committed()).collect();
-            assert_eq!(got, want, "wave driver diverged from serial witness (seed {seed:#x})");
+            assert_eq!(got, want, "wave driver diverged from serial witness (batch {b})");
 
             point.committed += report.committed() as u64;
             point.aborted += report.aborted() as u64;
@@ -77,10 +76,8 @@ fn main() {
         points.push(point);
     }
 
-    print_header(
-        "txn batch scaling (wave model)",
-        &["workers", "committed", "aborted", "re_exec", "steps", "txns/step"],
-    );
+    println!("\n== txn batch scaling (wave model) ==");
+    println!("workers\tcommitted\taborted\tre_exec\tsteps\ttxns/step");
     for p in &points {
         println!(
             "{}\t{}\t{}\t{}\t{}\t{:.4}",
@@ -96,11 +93,11 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"txn_batch\",\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"batches\": {batches},\n"));
-    json.push_str(&format!("  \"txns_per_batch\": {txns},\n"));
-    json.push_str(&format!("  \"keys\": {keys},\n"));
-    json.push_str(&format!("  \"max_ops\": {max_ops},\n"));
+    json.push_str(&format!("  \"seed\": {SEED},\n"));
+    json.push_str(&format!("  \"batches\": {BATCHES},\n"));
+    json.push_str(&format!("  \"txns_per_batch\": {TXNS},\n"));
+    json.push_str(&format!("  \"keys\": {KEYS},\n"));
+    json.push_str(&format!("  \"max_ops\": {MAX_OPS},\n"));
     json.push_str("  \"series\": [\n");
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(

@@ -129,11 +129,11 @@ mod tests {
     /// is that a new tree shows up as a test failure, not as silently
     /// unanalyzed code.
     const EXPECTED_TREES: &[(&str, Tree)] = &[
-        ("bench", Tree::Lib),
         ("cache", Tree::Lib),
         ("cache", Tree::Tests),
         ("chaos", Tree::Lib),
         ("chaos", Tree::Tests),
+        ("chaos", Tree::Examples),
         ("cluster", Tree::Lib),
         ("cluster", Tree::Tests),
         ("common", Tree::Lib),
@@ -155,10 +155,10 @@ mod tests {
         ("storage", Tree::Tests),
         ("txn", Tree::Lib),
         ("txn", Tree::Tests),
+        ("txn", Tree::Examples),
         ("views", Tree::Lib),
         ("views", Tree::Tests),
         ("xdcr", Tree::Lib),
-        ("ycsb", Tree::Lib),
         (ROOT_CRATE, Tree::Lib),
         (ROOT_CRATE, Tree::Tests),
         (ROOT_CRATE, Tree::Examples),

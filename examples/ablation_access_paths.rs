@@ -10,19 +10,26 @@
 //!
 //! Shape checks: KV get < USE KEYS < covering IndexScan < non-covering
 //! IndexScan < PrimaryScan; PrimaryScan time grows ~linearly with N.
+//!
+//! ```text
+//! cargo run -q --release --example ablation_access_paths
+//! CBS_RECORDS=2000 CBS_OPS=100 cargo run -q --release --example ablation_access_paths
+//! ```
 
 use std::time::Instant;
 
-use cbs_bench::{env_u64, print_header, small_cluster};
-use cbs_core::{QueryOptions, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::Histogram;
+use couchbase_repro::{ClusterConfig, CouchbaseCluster, QueryOptions, Value};
+
+fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
 
 fn main() {
     let n = env_u64("CBS_RECORDS", 5_000);
     let reps = env_u64("CBS_OPS", 300);
-    let cluster = small_cluster(2, 0);
-    cluster.create_bucket("default").expect("bucket");
-    let bucket = cluster.bucket("default").expect("handle");
+    let cluster = CouchbaseCluster::homogeneous(2, ClusterConfig::for_test(128, 0));
+    let bucket = cluster.create_bucket("default").expect("bucket");
     for i in 0..n {
         bucket
             .upsert(
@@ -39,12 +46,13 @@ fn main() {
     cluster.query("CREATE INDEX age_idx ON default(age)", &opts).expect("gsi");
 
     println!("Ablation A3: access-path latency hierarchy ({n} docs, {reps} reps each)");
-    print_header("access paths", &["path", "mean", "p95"]);
+    println!("\n== access paths ==");
+    println!("path\tmean\tp95");
 
-    let mut rows: Vec<(&str, LatencyHistogram)> = Vec::new();
+    let mut rows: Vec<(&str, Histogram)> = Vec::new();
 
     // 1. Raw KV get.
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let key = format!("doc{:08}", i % n);
         let t = Instant::now();
@@ -54,7 +62,7 @@ fn main() {
     rows.push(("kv get", h));
 
     // 2. N1QL USE KEYS.
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let key = format!("doc{:08}", i % n);
         let t = Instant::now();
@@ -66,7 +74,7 @@ fn main() {
     rows.push(("N1QL USE KEYS", h));
 
     // 3. Covering index scan (only `age` + meta().id needed).
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let age = i % 80;
         let t = Instant::now();
@@ -78,7 +86,7 @@ fn main() {
     rows.push(("IndexScan (covering)", h));
 
     // 4. Non-covering index scan (`name` forces a Fetch per row, §4.5.1).
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for i in 0..reps {
         let age = i % 80;
         let t = Instant::now();
@@ -90,7 +98,7 @@ fn main() {
     rows.push(("IndexScan + Fetch", h));
 
     // 5. PrimaryScan (predicate no index can serve).
-    let mut h = LatencyHistogram::new();
+    let h = Histogram::new();
     for _ in 0..reps.min(50) {
         let t = Instant::now();
         cluster.query("SELECT name FROM default WHERE name = 'u17'", &opts).expect("primary scan");
@@ -99,7 +107,12 @@ fn main() {
     rows.push(("PrimaryScan (full)", h));
 
     for (name, h) in &rows {
-        println!("{name}\t{:?}\t{:?}", h.mean(), h.percentile(95.0));
+        let h = h.snapshot();
+        println!(
+            "{name}\t{:?}\t{:?}",
+            h.mean().unwrap_or_default(),
+            h.percentile(95.0).unwrap_or_default()
+        );
     }
 
     // Linear-growth check for PrimaryScan (§4.5.3).

@@ -8,18 +8,25 @@
 //! waiting for persistence."
 //!
 //! Shape check: latency(none) < latency(replicate_to=1) < latency(persist).
+//!
+//! ```text
+//! cargo run -q --release --example ablation_durability
+//! CBS_OPS=200 cargo run -q --release --example ablation_durability
+//! ```
 
 use std::time::{Duration, Instant};
 
-use cbs_bench::{env_u64, print_header, small_cluster};
-use cbs_core::{Durability, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::Histogram;
+use couchbase_repro::{ClusterConfig, CouchbaseCluster, Durability, Value};
+
+fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
 
 fn main() {
     let writes = env_u64("CBS_OPS", 2_000);
-    let cluster = small_cluster(3, 1);
-    cluster.create_bucket("default").expect("bucket");
-    let bucket = cluster.bucket("default").expect("bucket handle");
+    let cluster = CouchbaseCluster::homogeneous(3, ClusterConfig::for_test(128, 1));
+    let bucket = cluster.create_bucket("default").expect("bucket");
 
     let configs: Vec<(&str, Option<Durability>)> = vec![
         ("memory-only (default ack)", None),
@@ -33,11 +40,12 @@ fn main() {
 
     println!("Ablation A1: per-write latency under the §2.3.2 durability options");
     println!("{writes} writes per configuration, 3-node cluster, 1 replica");
-    print_header("durability ablation", &["option", "mean", "p50", "p95", "p99"]);
+    println!("\n== durability ablation ==");
+    println!("option\tmean\tp50\tp95\tp99");
 
     let mut means = Vec::new();
     for (name, durability) in configs {
-        let mut hist = LatencyHistogram::new();
+        let hist = Histogram::new();
         for i in 0..writes {
             let key = format!("dur-{name}-{i}");
             let value = Value::object([("i", Value::from(i))]);
@@ -54,17 +62,18 @@ fn main() {
             }
             hist.record(start.elapsed());
         }
+        let h = hist.snapshot();
+        let mean = h.mean().unwrap_or_default();
         println!(
-            "{name}\t{:?}\t{:?}\t{:?}\t{:?}",
-            hist.mean(),
-            hist.percentile(50.0),
-            hist.percentile(95.0),
-            hist.percentile(99.0)
+            "{name}\t{mean:?}\t{:?}\t{:?}\t{:?}",
+            h.percentile(50.0).unwrap_or_default(),
+            h.percentile(95.0).unwrap_or_default(),
+            h.percentile(99.0).unwrap_or_default()
         );
-        means.push((name, hist.mean()));
+        means.push(mean);
     }
     println!(
         "\nshape: memory ack ({:?}) < replicate ({:?}) < persist ({:?}) — matching §2.3.2",
-        means[0].1, means[1].1, means[2].1
+        means[0], means[1], means[2]
     );
 }

@@ -9,19 +9,26 @@
 //!
 //! Shape check: KV p99 with separated services ≤ KV p99 co-located, under
 //! the same concurrent query pressure.
+//!
+//! ```text
+//! cargo run -q --release --example ablation_mds
+//! CBS_OPS=2000 cargo run -q --release --example ablation_mds
+//! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cbs_bench::{env_u64, print_header};
-use cbs_core::{ClusterConfig, CouchbaseCluster, QueryOptions, ServiceSet, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::{Histogram, HistogramSnapshot};
+use couchbase_repro::{ClusterConfig, CouchbaseCluster, QueryOptions, ServiceSet, Value};
 
-fn run_topology(name: &str, services: Vec<ServiceSet>, kv_ops: u64) -> (String, LatencyHistogram) {
+fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+fn run_topology(services: Vec<ServiceSet>, kv_ops: u64) -> HistogramSnapshot {
     let cluster = CouchbaseCluster::with_services(services, ClusterConfig::for_test(128, 0));
-    cluster.create_bucket("default").expect("bucket");
-    let bucket = cluster.bucket("default").expect("handle");
+    let bucket = cluster.create_bucket("default").expect("bucket");
     for i in 0..5_000 {
         bucket.upsert(&format!("d{i}"), Value::object([("n", Value::int(i))])).expect("seed");
     }
@@ -44,7 +51,7 @@ fn run_topology(name: &str, services: Vec<ServiceSet>, kv_ops: u64) -> (String, 
     }
 
     // Foreground KV workload.
-    let mut hist = LatencyHistogram::new();
+    let hist = Histogram::new();
     for i in 0..kv_ops {
         let key = format!("d{}", i % 5_000);
         let t = Instant::now();
@@ -55,33 +62,36 @@ fn run_topology(name: &str, services: Vec<ServiceSet>, kv_ops: u64) -> (String, 
     for q in queriers {
         let _ = q.join();
     }
-    (name.to_string(), hist)
+    hist.snapshot()
 }
 
 fn main() {
     let kv_ops = env_u64("CBS_OPS", 20_000);
     println!("Ablation A6: MDS — KV latency under concurrent heavy queries ({kv_ops} gets)");
-    print_header("topologies", &["topology", "kv mean", "kv p95", "kv p99"]);
+    println!("\n== topologies ==");
+    println!("topology\tkv mean\tkv p95\tkv p99");
 
-    let results = vec![
-        run_topology("co-located (4x all services)", vec![ServiceSet::all(); 4], kv_ops),
-        run_topology(
+    let results = [
+        ("co-located (4x all services)", run_topology(vec![ServiceSet::all(); 4], kv_ops)),
+        (
             "separated (2x data, 1x index, 1x query)",
-            vec![
-                ServiceSet::data_only(),
-                ServiceSet::data_only(),
-                ServiceSet::index_only(),
-                ServiceSet::query_only(),
-            ],
-            kv_ops,
+            run_topology(
+                vec![
+                    ServiceSet::data_only(),
+                    ServiceSet::data_only(),
+                    ServiceSet::index_only(),
+                    ServiceSet::query_only(),
+                ],
+                kv_ops,
+            ),
         ),
     ];
-    for (name, hist) in &results {
+    for (name, h) in &results {
         println!(
             "{name}\t{:?}\t{:?}\t{:?}",
-            hist.mean(),
-            hist.percentile(95.0),
-            hist.percentile(99.0)
+            h.mean().unwrap_or_default(),
+            h.percentile(95.0).unwrap_or_default(),
+            h.percentile(99.0).unwrap_or_default()
         );
     }
     println!("\nshape: separating services isolates the KV front-end from query load (§4.4, §2.2)");

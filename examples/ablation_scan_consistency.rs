@@ -9,20 +9,27 @@
 //!
 //! Shape check: request_plus p50/p95 > not_bounded p50/p95 while a writer
 //! keeps the index permanently behind.
+//!
+//! ```text
+//! cargo run -q --release --example ablation_scan_consistency
+//! CBS_OPS=50 cargo run -q --release --example ablation_scan_consistency
+//! ```
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cbs_bench::{env_u64, print_header, small_cluster};
-use cbs_core::{QueryOptions, Value};
-use cbs_ycsb::LatencyHistogram;
+use cbs_obs::Histogram;
+use couchbase_repro::{ClusterConfig, CouchbaseCluster, QueryOptions, Value};
+
+fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
 
 fn main() {
     let queries = env_u64("CBS_OPS", 300);
-    let cluster = small_cluster(2, 0);
-    cluster.create_bucket("default").expect("bucket");
-    let bucket = cluster.bucket("default").expect("handle");
+    let cluster = CouchbaseCluster::homogeneous(2, ClusterConfig::for_test(128, 0));
+    let bucket = cluster.create_bucket("default").expect("bucket");
     for i in 0..2_000 {
         bucket.upsert(&format!("d{i}"), Value::object([("n", Value::int(i))])).expect("seed");
     }
@@ -34,7 +41,6 @@ fn main() {
     let stop = Arc::new(AtomicBool::new(false));
     let writer = {
         let stop = Arc::clone(&stop);
-        let bucket = cluster.bucket("default").expect("handle");
         std::thread::spawn(move || {
             let mut i = 2_000i64;
             while !stop.load(Ordering::Relaxed) {
@@ -49,33 +55,35 @@ fn main() {
     };
 
     println!("Ablation A2: scan_consistency=not_bounded vs request_plus under write load");
-    print_header("scan consistency ablation", &["consistency", "mean", "p50", "p95", "p99"]);
+    println!("\n== scan consistency ablation ==");
+    println!("consistency\tmean\tp50\tp95\tp99");
     let statement = "SELECT COUNT(*) AS n FROM default WHERE n >= 500";
-    let mut results = Vec::new();
+    let mut means = Vec::new();
     for (name, opts) in [
         ("not_bounded", QueryOptions::default()),
         ("request_plus", QueryOptions::default().request_plus()),
     ] {
-        let mut hist = LatencyHistogram::new();
+        let hist = Histogram::new();
         for _ in 0..queries {
             let start = Instant::now();
             cluster.query(statement, &opts).expect("query");
             hist.record(start.elapsed());
         }
+        let h = hist.snapshot();
+        let mean = h.mean().unwrap_or_default();
         println!(
-            "{name}\t{:?}\t{:?}\t{:?}\t{:?}",
-            hist.mean(),
-            hist.percentile(50.0),
-            hist.percentile(95.0),
-            hist.percentile(99.0)
+            "{name}\t{mean:?}\t{:?}\t{:?}\t{:?}",
+            h.percentile(50.0).unwrap_or_default(),
+            h.percentile(95.0).unwrap_or_default(),
+            h.percentile(99.0).unwrap_or_default()
         );
-        results.push((name, hist.mean()));
+        means.push(mean);
     }
     stop.store(true, Ordering::Relaxed);
     let writes = writer.join().expect("writer");
     println!("\nbackground writes during measurement: {writes}");
     println!(
         "shape: request_plus mean ({:?}) > not_bounded mean ({:?}) — the index catch-up wait (§3.2.3)",
-        results[1].1, results[0].1
+        means[1], means[0]
     );
 }

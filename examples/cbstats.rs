@@ -1,6 +1,6 @@
 //! cbstats: the operator surface of `cbs-obs` (DESIGN.md §10).
 //!
-//! Drives a short YCSB workload-A burst against a small cluster, then
+//! Drives a short 50/50 get/upsert burst against a small cluster, then
 //! prints what an operator would pull from `cbstats` on a real Couchbase
 //! deployment: per-node topology, per-service op counters, latency
 //! percentiles from the merged histogram snapshots, the slow-op log with
@@ -14,10 +14,9 @@
 //! CBS_TRACE_EXPORT=target/trace.json cargo run --release --example cbstats
 //! ```
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use cbs_ycsb::{run_workload, LoadPhase, WorkloadSpec};
-use couchbase_repro::{ClusterConfig, CouchbaseCluster, Durability, QueryOptions};
+use couchbase_repro::{ClusterConfig, CouchbaseCluster, Durability, QueryOptions, Value};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -53,15 +52,38 @@ fn main() {
     let records = env_u64("CBS_RECORDS", 2_000);
     let ops_per_thread = env_u64("CBS_OPS", 250);
 
-    println!("cbstats demo: {nodes}-node cluster, YCSB-A burst ({records} docs)");
+    println!("cbstats demo: {nodes}-node cluster, get/upsert burst ({records} docs)");
     let cluster = CouchbaseCluster::homogeneous(nodes, ClusterConfig::for_test(64, 1));
-    cluster.create_bucket("ycsb").expect("create bucket");
+    let bucket = cluster.create_bucket("ycsb").expect("create bucket");
 
-    // Generate load on every access path the stats cover.
-    let spec = WorkloadSpec::a(records);
-    LoadPhase::run(&cluster, "ycsb", &spec, 4).expect("load phase");
-    let summary = run_workload(&cluster, "ycsb", &spec, 4, ops_per_thread).expect("run phase");
-    println!("{}", summary.report_row());
+    // Generate load on the KV path: load the documents, then 4 client
+    // threads alternate get and upsert over scattered keys.
+    let doc =
+        |i: u64| Value::object([("i", Value::from(i)), ("field0", Value::from("x".repeat(100)))]);
+    for i in 0..records {
+        bucket.upsert(&format!("user{i:04}"), doc(i)).expect("load");
+    }
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let bucket = &bucket;
+            s.spawn(move || {
+                for n in 0..ops_per_thread {
+                    let i = (t * ops_per_thread + n).wrapping_mul(0x9E37_79B9) % records;
+                    let key = format!("user{i:04}");
+                    if n % 2 == 0 {
+                        bucket.get(&key).expect("get");
+                    } else {
+                        bucket.upsert(&key, doc(i)).expect("upsert");
+                    }
+                }
+            });
+        }
+    });
+    println!(
+        "burst: 4 threads x {ops_per_thread} ops (50% get / 50% upsert) in {:.1?}",
+        start.elapsed()
+    );
 
     // Deliberately slow operation for the slow-op log: with the threshold
     // at zero, every operation counts as slow and is kept. A primary scan
@@ -189,8 +211,8 @@ fn main() {
         .expect("prepare");
     for i in 0..20 {
         let opts = QueryOptions::with_named_args([
-            ("start", couchbase_repro::Value::from(format!("user{i:04}"))),
-            ("lim", couchbase_repro::Value::int(10)),
+            ("start", Value::from(format!("user{i:04}"))),
+            ("lim", Value::int(10)),
         ]);
         cluster.query("EXECUTE hot", &opts).expect("execute prepared");
     }
@@ -223,15 +245,9 @@ fn main() {
     // flusher WAL commit, one trace id across every lane.
     let store = std::sync::Arc::clone(cluster.inner().trace_store());
     store.set_sample_every(1);
-    let bucket = cluster.bucket("ycsb").expect("bucket handle");
     let durability = Durability { replicate_to: 1, persist_to_master: true };
     bucket
-        .upsert_durable(
-            "trace::demo",
-            couchbase_repro::Value::int(1),
-            durability,
-            Duration::from_secs(5),
-        )
+        .upsert_durable("trace::demo", Value::int(1), durability, Duration::from_secs(5))
         .expect("durable traced write (needs >= 2 nodes and 1 replica)");
     // The replica-side spans are recorded by the replication pump threads;
     // wait for the durable trace to carry them before rendering.

@@ -5,8 +5,9 @@
 #   scripts/check.sh --quick         # static analysis + concurrency models only
 #   scripts/check.sh chaos-smoke     # fixed-seed chaos smoke run only (<10s)
 #   scripts/check.sh plancache-smoke # prepared-statement fast path only (<10s)
-#   scripts/check.sh staleness-smoke # measure-mode staleness replay only (<30s)
-#   scripts/check.sh txn-smoke       # serializability replay + txn chaos (<15s)
+#   scripts/check.sh staleness-smoke # staleness artifacts regenerate unchanged (<30s)
+#   scripts/check.sh txn-smoke       # serializability replay + txn chaos + the
+#                                    # txn-batch artifact regenerates unchanged (<30s)
 #   scripts/check.sh trace-smoke     # stitched causal trace + Chrome export (<60s)
 #   scripts/check.sh perfbench-smoke # the benchmark's unit tests + --smoke run
 #
@@ -28,8 +29,9 @@
 #                                 and --release)
 #   5. chaos + txn smoke          fixed-seed fault-injection run (<10s)
 #                                 against a 3-node cluster, plus the
-#                                 serializability replay and transactional
-#                                 chaos run; seed sweeps honor CHAOS_SEEDS=n
+#                                 serializability replay, transactional
+#                                 chaos run and BENCH_txn_batch.json
+#                                 regeneration; seed sweeps honor CHAOS_SEEDS=n
 #   6. full test suite            (skipped with --quick)
 #   7. perfbench smoke            the benchmark package (its own workspace):
 #                                 unit tests, then every workload at --smoke
@@ -41,12 +43,18 @@
 #   8. TSan / Miri subset         best-effort: requires nightly toolchain
 #                                 with rust-src / miri; skipped gracefully
 #                                 when the components are not installed.
+#
+# Every mode ends by checking that no stage changed a tracked file: the
+# gate may regenerate an artifact only to compare it, never to rewrite it.
 set -u
 
 cd "$(dirname "$0")/.." || exit 2
 
 QUICK=0
 [ "${1:-}" = "--quick" ] && QUICK=1
+
+tracked_fingerprint() { git diff HEAD --binary | cksum; }
+TRACKED_AT_START="$(tracked_fingerprint)"
 
 FAILED=0
 run() {
@@ -81,36 +89,30 @@ plancache_smoke() {
 # the serial witness, bit-stably), then the transactional chaos run —
 # snapshot transactions under a jittery transport through the
 # fractured-read / txn-atomicity checker. Failures print `TXN_SEED=…` /
-# `TXN_CHAOS_SEED=…` one-line replay commands.
+# `TXN_CHAOS_SEED=…` one-line replay commands. Last, the txn-batch
+# companion reruns at its committed config and must reproduce
+# BENCH_txn_batch.json byte for byte.
 txn_smoke() {
     TXN_SEED=48879 cargo test --quiet -p cbs-txn --test serializability \
         txn_seed_replay -- --exact || return 1
-    cargo test --quiet --test chaos_txn txn_chaos_smoke -- --exact
+    cargo test --quiet --test chaos_txn txn_chaos_smoke -- --exact || return 1
+    artifact_regenerates cbs-txn txn_batch BENCH_txn_batch.json
 }
 
-# Staleness smoke: replay the seeded fault plans in chaos measure mode
-# and require populated BENCH_staleness_*.json artifacts whose bytes are
-# stable across a replay — same seed, same file, bit for bit.
+# Staleness smoke: replay the seeded fault plans in chaos measure mode at
+# the committed config; the BENCH_staleness_*.json it writes must equal
+# the committed ones — one check for determinism and for drift.
 staleness_smoke() {
-    local out snap
-    out="$(CHAOS_RUNS=16 cargo run --quiet -p cbs-bench --bin staleness 2>/dev/null)" || return 1
-    echo "$out" | grep -q "failover@" || { echo "    no failover phase in the table"; return 1; }
-    for p in quiet lossy jittery; do
-        grep -q '"bench": "staleness"' "BENCH_staleness_$p.json" 2>/dev/null \
-            || { echo "    BENCH_staleness_$p.json missing or malformed"; return 1; }
-        grep -q '"phases": \[' "BENCH_staleness_$p.json" \
-            || { echo "    BENCH_staleness_$p.json has no phase breakdown"; return 1; }
-    done
-    snap="$(mktemp)"
-    cp BENCH_staleness_lossy.json "$snap"
-    CHAOS_RUNS=16 cargo run --quiet -p cbs-bench --bin staleness >/dev/null 2>&1 \
-        || { rm -f "$snap"; return 1; }
-    if ! cmp -s "$snap" BENCH_staleness_lossy.json; then
-        echo "    replay is not byte-identical (determinism regression)"
-        rm -f "$snap"
-        return 1
-    fi
-    rm -f "$snap"
+    artifact_regenerates cbs-chaos staleness 'BENCH_staleness_*.json'
+}
+
+# Run example $2 of package $1 and require that the tracked files matching
+# $3, which it rewrites, came out byte-identical.
+artifact_regenerates() {
+    cargo run --quiet --release -p "$1" --example "$2" >/dev/null || return 1
+    git diff --exit-code --stat -- "$3" && return 0
+    echo "    $2 no longer reproduces $3 (determinism or drift); restore with git checkout -- '$3'"
+    return 1
 }
 
 # Causal-tracing smoke (DESIGN.md §10): drive cbstats with full sampling
@@ -190,8 +192,8 @@ stage_label() {
     case "$1" in
         chaos-smoke) echo "chaos smoke (fixed seed)" ;;
         plancache-smoke) echo "plancache smoke (PREPARE/EXECUTE hit rate)" ;;
-        txn-smoke) echo "txn smoke (serializability replay + txn chaos)" ;;
-        staleness-smoke) echo "staleness smoke (measure-mode replay)" ;;
+        txn-smoke) echo "txn smoke (serializability replay + txn chaos + txn_batch artifact)" ;;
+        staleness-smoke) echo "staleness smoke (artifacts regenerate unchanged)" ;;
         trace-smoke) echo "trace smoke (stitched causal trace + export)" ;;
         perfbench-smoke) echo "perfbench smoke (benchmark tests + --smoke)" ;;
         *) return 1 ;;
@@ -199,14 +201,25 @@ stage_label() {
 }
 run_stage() { run "$(stage_label "$1")" "${1//-/_}"; }
 
-if stage_label "${1:-}" >/dev/null; then
-    run_stage "$1"
+# Exit with the gate's verdict ($1 names the mode), after the last check:
+# the tracked files are what they were when the gate started.
+finish() {
+    if [ "$(tracked_fingerprint)" != "$TRACKED_AT_START" ]; then
+        echo "==> tracked files changed while the gate ran"
+        git diff HEAD --stat
+        FAILED=1
+    fi
     if [ "$FAILED" -ne 0 ]; then
-        echo "check.sh $1: FAILED"
+        echo "$1: FAILED"
         exit 1
     fi
-    echo "check.sh $1: passed"
+    echo "$1: all stages passed"
     exit 0
+}
+
+if stage_label "${1:-}" >/dev/null; then
+    run_stage "$1"
+    finish "check.sh $1"
 fi
 
 run "fmt" cargo fmt --all --check
@@ -233,14 +246,7 @@ run_stage chaos-smoke
 run_stage plancache-smoke
 run_stage txn-smoke
 
-if [ "$QUICK" -eq 1 ]; then
-    if [ "$FAILED" -ne 0 ]; then
-        echo "check.sh --quick: FAILED"
-        exit 1
-    fi
-    echo "check.sh --quick: all stages passed"
-    exit 0
-fi
+[ "$QUICK" -eq 1 ] && finish "check.sh --quick"
 
 run "full test suite" cargo test --quiet --workspace
 
@@ -302,8 +308,4 @@ else
     echo "==> Miri: skipped (miri component not installed)"
 fi
 
-if [ "$FAILED" -ne 0 ]; then
-    echo "check.sh: FAILED"
-    exit 1
-fi
-echo "check.sh: all stages passed"
+finish "check.sh"
