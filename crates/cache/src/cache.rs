@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedRwLock};
-use cbs_common::{DocMeta, Error, Result, SeqNo, VbId};
+use cbs_common::{DocKey, DocMeta, Error, Result, SeqNo, VbId};
 use cbs_json::SharedValue;
 use cbs_obs::{Counter, Gauge, Registry};
 
@@ -60,7 +60,7 @@ impl CacheItem {
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
     /// Document ID.
-    pub key: String,
+    pub key: DocKey,
     /// Metadata of the cached version.
     pub meta: DocMeta,
     /// Tombstone marker.
@@ -88,7 +88,7 @@ pub enum CacheLookup {
 }
 
 /// One vBucket's hash table.
-type Shard = HashMap<String, CacheItem>;
+type Shard = HashMap<DocKey, CacheItem>;
 
 /// The object-managed cache for one bucket on one node.
 ///
@@ -192,7 +192,7 @@ impl ObjectCache {
         let removed = match shard.get_mut(key) {
             Some(slot) => std::mem::replace(slot, item).mem_size(key),
             None => {
-                shard.insert(key.to_string(), item);
+                shard.insert(DocKey::from(key), item);
                 0
             }
         };
@@ -313,7 +313,7 @@ impl ObjectCache {
             Some(_) => 0,
             None if full => {
                 let size = fill.mem_size(key);
-                shard.insert(key.to_string(), fill);
+                shard.insert(DocKey::from(key), fill);
                 size
             }
             None => 0,
@@ -365,7 +365,7 @@ impl ObjectCache {
     }
 
     /// All resident keys of a vBucket (diagnostics / tests).
-    pub fn keys(&self, vb: VbId) -> Vec<String> {
+    pub fn keys(&self, vb: VbId) -> Vec<DocKey> {
         self.shard(vb).read().keys().cloned().collect()
     }
 

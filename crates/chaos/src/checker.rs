@@ -383,7 +383,7 @@ fn vb_doc_state(engine: &DataEngine, vb: VbId) -> HashMap<String, i64> {
         } else {
             Some(item.value.as_ref().and_then(|v| v.as_i64()).unwrap_or(i64::MIN))
         };
-        let entry = latest.entry(item.key.clone()).or_insert((0, None));
+        let entry = latest.entry(item.key.into()).or_insert((0, None));
         if item.meta.seqno.0 >= entry.0 {
             *entry = (item.meta.seqno.0, value);
         }

@@ -109,7 +109,7 @@ impl SmartClient {
     /// refreshing the map and retrying on routing errors (the
     /// NOT_MY_VBUCKET dance).
     fn with_engine<T>(&self, key: &str, op: impl Fn(&DataEngine) -> Result<T>) -> Result<T> {
-        let mut last_err = Error::Cluster("unreachable".to_string());
+        let mut last_err = None;
         for attempt in 0..MAX_RETRIES {
             let vb = self.vb_for_key(key);
             let node_id = self.map.read().active_node(vb);
@@ -130,7 +130,7 @@ impl SmartClient {
                 Err(
                     e @ (Error::VbucketNotActive(_) | Error::NotMyVbucket(_) | Error::NodeDown(_)),
                 ) => {
-                    last_err = e;
+                    last_err = Some(e);
                     self.refresh_map()?;
                     // Brief backoff: the topology change may still be
                     // propagating (mid-failover).
@@ -139,7 +139,8 @@ impl SmartClient {
                 Err(other) => return Err(other),
             }
         }
-        Err(last_err)
+        // Built only once the retries are spent: routing is on every op.
+        Err(last_err.unwrap_or_else(|| Error::Cluster("unreachable".to_string())))
     }
 
     /// KV get (§3.1.1: "only the cluster node hosting the data with that

@@ -832,7 +832,7 @@ fn dropped_delivery_is_redelivered_and_the_replay_is_filtered_from_gsi() {
     let map = cluster.map("default").unwrap();
     let versions = |engine: &cbs_kv::DataEngine, vb| -> Vec<(String, SeqNo)> {
         let (items, _) = engine.backfill(vb, SeqNo::ZERO).unwrap();
-        items.into_iter().map(|i| (i.key, i.meta.seqno)).collect()
+        items.into_iter().map(|i| (i.key.into(), i.meta.seqno)).collect()
     };
     for vb in (0..8).map(VbId) {
         let active = versions(&cluster.active_engine("default", vb).unwrap(), vb);

@@ -125,7 +125,7 @@ pub mod rank {
     pub const WAL: LockRank = LockRank::new(60, "storage.wal");
     /// Per-shard-log vBucket → index map (lookup/create).
     pub const BUCKET_MAP: LockRank = LockRank::new(70, "storage.bucket_map");
-    /// Per-vBucket index interior (file handle, by-id/by-seqno offsets,
+    /// Per-vBucket index interior (file handle, by-id record places,
     /// seqnos, byte counts).
     pub const VB_STORE: LockRank = LockRank::new(80, "storage.vbstore");
     /// GSI index-manager registry ((keyspace, name) → instance). Held (as

@@ -1,6 +1,6 @@
 //! DCP stream items.
 
-use cbs_common::{DocMeta, VbId};
+use cbs_common::{DocKey, DocMeta, VbId};
 use cbs_json::SharedValue;
 use cbs_obs::TraceContext;
 
@@ -18,15 +18,16 @@ pub enum DcpKind {
 
 /// One change flowing over DCP.
 ///
-/// The body is a [`SharedValue`], the version's encoded bytes: cloning an
-/// item (per-subscriber fan-out in the hub) bumps a reference count, and a
+/// The body is a [`SharedValue`], the version's encoded bytes, and the key
+/// a [`DocKey`]: cloning an item (per-subscriber fan-out in the hub) copies
+/// a short key inline and bumps a reference count — no allocation — and a
 /// consumer that reads the body decodes it into its own handle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcpItem {
     /// Originating vBucket.
     pub vb: VbId,
     /// Document ID.
-    pub key: String,
+    pub key: DocKey,
     /// Full metadata of this version (seqno, cas, rev, flags, expiry).
     pub meta: DocMeta,
     /// Change kind.
@@ -44,7 +45,7 @@ impl DcpItem {
     /// Convenience: construct a mutation item.
     pub fn mutation(
         vb: VbId,
-        key: impl Into<String>,
+        key: impl Into<DocKey>,
         meta: DocMeta,
         value: impl Into<SharedValue>,
     ) -> DcpItem {
@@ -59,7 +60,7 @@ impl DcpItem {
     }
 
     /// Convenience: construct a deletion item.
-    pub fn deletion(vb: VbId, key: impl Into<String>, meta: DocMeta) -> DcpItem {
+    pub fn deletion(vb: VbId, key: impl Into<DocKey>, meta: DocMeta) -> DcpItem {
         DcpItem { vb, key: key.into(), meta, kind: DcpKind::Deletion, value: None, trace: None }
     }
 

@@ -65,7 +65,7 @@ impl Projector {
         // A deletion — or a mutation with no body, which has nothing to index.
         let Some(doc) = item.value.as_ref().filter(|_| !item.is_deletion()) else {
             return ProjectedOp::Remove {
-                doc_id: item.key.clone(),
+                doc_id: item.key.to_string(),
                 vb: item.vb,
                 seqno: item.meta.seqno,
             };
@@ -74,7 +74,12 @@ impl Projector {
         // looks at the body, so the body is not decoded for it.
         let doc = if def.reads_body() { doc.as_value() } else { &Value::Null };
         let keys = Self::keys_for(def, &item.key, doc);
-        ProjectedOp::Update { doc_id: item.key.clone(), keys, vb: item.vb, seqno: item.meta.seqno }
+        ProjectedOp::Update {
+            doc_id: item.key.to_string(),
+            keys,
+            vb: item.vb,
+            seqno: item.meta.seqno,
+        }
     }
 
     /// The index keys a document produces under `def` (empty if filtered

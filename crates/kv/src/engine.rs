@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use cbs_cache::{CacheLookup, EvictionPolicy, ObjectCache};
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{
-    vbucket_for_key, Cas, CasClock, Deadline, DocMeta, Error, Result, RevNo, SeqNo, VbId,
+    vbucket_for_key, Cas, CasClock, Deadline, DocKey, DocMeta, Error, Result, RevNo, SeqNo, VbId,
 };
 use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind, DcpStream};
 use cbs_json::{SharedValue, Value};
@@ -24,7 +24,7 @@ use crate::types::{Document, EngineConfig, GetResult, MutateMode, MutationResult
 /// the trace contexts attached to them, kept around so a failed commit can
 /// re-enqueue both, and the vBucket's high seqno at the snapshot — what is
 /// persisted once the cycle has committed.
-type DirtySnapshot = (VbId, Vec<Arc<str>>, HashMap<Arc<str>, TraceContext>, SeqNo);
+type DirtySnapshot = (VbId, Vec<DocKey>, HashMap<DocKey, TraceContext>, SeqNo);
 
 /// Per-vBucket mutable state, guarded by one mutex per vBucket. The mutex
 /// also serializes the write path (seqno assignment → cache → dirty queue →
@@ -33,39 +33,35 @@ struct VbMeta {
     state: VbState,
     /// GETL hard locks: key → (lock token, expiry instant). "This lock will
     /// be released after a certain timeout to avoid deadlocks" (§3.1.1).
-    locks: HashMap<String, (Cas, Instant)>,
+    locks: HashMap<DocKey, (Cas, Instant)>,
 }
 
 /// Per-vBucket disk-write queue with de-duplication: "asynchrony [...]
 /// provides an opportunity for repeated updates to an object to be
-/// aggregated at the level of persistence" (§2.3.2). Keys are `Arc<str>`
-/// shared between the ordered queue and the de-dup set, so each enqueued
-/// key costs one allocation, not two.
+/// aggregated at the level of persistence" (§2.3.2). A short key is copied
+/// inline into both the ordered queue and the de-dup set, so queueing one
+/// allocates nothing once the buffers have grown.
 #[derive(Default)]
 struct DirtyQueue {
-    keys: Vec<Arc<str>>,
-    queued: std::collections::HashSet<Arc<str>>,
+    keys: Vec<DocKey>,
+    queued: HashSet<DocKey>,
     /// Causal trace contexts of queued writes (DESIGN.md §10): the flusher
     /// records a `kv.flusher.wal_commit` span against each at the group
     /// commit that persists the key. Only traced writes pay the entry.
-    ctxs: HashMap<Arc<str>, TraceContext>,
+    ctxs: HashMap<DocKey, TraceContext>,
 }
 
 impl DirtyQueue {
     fn enqueue(&mut self, key: &str) -> bool {
-        if self.queued.contains(key) {
-            return false;
-        }
-        self.enqueue_shared(Arc::from(key))
+        !self.queued.contains(key) && self.enqueue_key(DocKey::from(key))
     }
 
-    /// Enqueue an already-shared key (the flusher's error path re-queuing
-    /// a failed cycle's snapshot) without reallocating it.
-    fn enqueue_shared(&mut self, key: Arc<str>) -> bool {
-        if self.queued.contains(&*key) {
+    /// Enqueue a key already held as a [`DocKey`] (the flusher's error path
+    /// re-queuing a failed cycle's snapshot).
+    fn enqueue_key(&mut self, key: DocKey) -> bool {
+        if !self.queued.insert(key.clone()) {
             return false;
         }
-        self.queued.insert(Arc::clone(&key));
         self.keys.push(key);
         true
     }
@@ -73,12 +69,14 @@ impl DirtyQueue {
     /// Remember the trace that last dirtied `key` (latest write wins, which
     /// matches de-duplication: the retained version is the newest).
     fn attach_ctx(&mut self, key: &str, ctx: TraceContext) {
-        if let Some(shared) = self.queued.get(key) {
-            self.ctxs.insert(Arc::clone(shared), ctx);
+        if let Some(queued) = self.queued.get(key) {
+            self.ctxs.insert(queued.clone(), ctx);
         }
     }
 
-    fn take(&mut self) -> (Vec<Arc<str>>, HashMap<Arc<str>, TraceContext>) {
+    /// Hand the queue to the flusher. The ordered queue moves out whole;
+    /// the de-dup set keeps its table.
+    fn take(&mut self) -> (Vec<DocKey>, HashMap<DocKey, TraceContext>) {
         self.queued.clear();
         (std::mem::take(&mut self.keys), std::mem::take(&mut self.ctxs))
     }
@@ -532,7 +530,7 @@ impl DataEngine {
         }
         let token = self.clock.next();
         let deadline = Instant::now() + duration.unwrap_or(self.cfg.lock_timeout);
-        meta.locks.insert(key.to_string(), (token, deadline));
+        meta.locks.insert(DocKey::from(key), (token, deadline));
         Ok(GetResult { value: result.value, meta: DocMeta { cas: token, ..result.meta } })
     }
 
@@ -594,7 +592,7 @@ impl DataEngine {
             self.enqueue_dirty(vb, key);
             self.hub.publish(&DcpItem {
                 vb,
-                key: key.to_string(),
+                key: DocKey::from(key),
                 meta: new_meta,
                 kind: DcpKind::Expiration,
                 value: None,
@@ -948,7 +946,7 @@ impl DataEngine {
         for (vb, keys, ctxs, _) in snapshots {
             let mut queue = self.dirty[vb.index()].lock();
             for key in keys {
-                if !queue.enqueue_shared(key) {
+                if !queue.enqueue_key(key) {
                     twice += 1;
                 }
             }
@@ -1044,7 +1042,7 @@ impl DataEngine {
         let mut count = 0;
         for vb in self.vbs_in_state(VbState::Active) {
             let persisted = if full { self.store.vb(vb)?.live_keys() } else { Vec::new() };
-            count += self.cache.live_count(vb, now, persisted.iter().map(String::as_str));
+            count += self.cache.live_count(vb, now, persisted.iter().map(DocKey::as_str));
         }
         Ok(count)
     }
@@ -1065,7 +1063,7 @@ impl DataEngine {
                     continue;
                 }
                 out.push(Document {
-                    id: item.key,
+                    id: item.key.into(),
                     value: item.value.map(SharedValue::into_value).unwrap_or(Value::Null),
                     meta: item.meta,
                 });
@@ -1089,7 +1087,7 @@ impl BackfillSource for DataEngine {
         // stream's `start_after` and is never delivered.
         let entries = self.cache.snapshot_vb(vb, since);
         let mut items = Vec::with_capacity(entries.len());
-        let mut evicted: Vec<String> = Vec::new();
+        let mut evicted: Vec<DocKey> = Vec::new();
         for entry in entries {
             match (entry.deleted, entry.value) {
                 (true, _) => items.push(DcpItem::deletion(vb, entry.key, entry.meta)),
@@ -1109,7 +1107,7 @@ impl BackfillSource for DataEngine {
         } else if evicted.is_empty() {
             Vec::new()
         } else {
-            self.store.vb(vb)?.locate(evicted.iter().map(String::as_str)).read()?
+            self.store.vb(vb)?.locate(evicted.iter().map(DocKey::as_str)).read()?
         };
         items.extend(records.into_iter().map(|doc| stored_to_item(vb, doc)));
         self.stats.backfill_from_memory.add(from_memory as u64);
@@ -1138,7 +1136,7 @@ impl DataEngine {
             .collect();
         let stored = self.store.vb(vb)?.changes_since(since)?;
         let mut high = since;
-        let mut latest: HashMap<String, DcpItem> = HashMap::new();
+        let mut latest: HashMap<DocKey, DcpItem> = HashMap::new();
         let mut merge = |item: DcpItem| match latest.get(&item.key) {
             Some(existing) if existing.meta.seqno >= item.meta.seqno => {}
             _ => {

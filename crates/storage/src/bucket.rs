@@ -31,7 +31,7 @@
 //!   the log, and each vBucket's (file, offsets) pair is switched under
 //!   that vBucket's own lock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -267,22 +267,22 @@ impl ShardLog {
         let mut moved = Vec::with_capacity(indexes.len());
         let (mut chunk, mut peak, mut at) = (Vec::new(), 0usize, 0u64);
         for (vb, index) in &indexes {
-            let (file, recs) = index.live();
-            let mut by_seqno = BTreeMap::new();
-            for (seqno, offset, len) in recs {
-                if !chunk.is_empty() && chunk.len() + FRAME_PREFIX + len as usize > chunk_limit {
+            let (file, mut places) = index.in_seqno_order(SeqNo::ZERO);
+            for place in &mut places {
+                let len = place.len as usize;
+                if !chunk.is_empty() && chunk.len() + FRAME_PREFIX + len > chunk_limit {
                     fresh.append(&chunk)?;
                     chunk.clear();
                 }
                 chunk.extend_from_slice(&vb.0.to_le_bytes());
                 let start = chunk.len();
-                chunk.resize(start + len as usize, 0);
-                file.read_exact_at(&mut chunk[start..], offset)?;
+                chunk.resize(start + len, 0);
+                file.read_exact_at(&mut chunk[start..], place.offset)?;
                 peak = peak.max(chunk.len());
-                by_seqno.insert(seqno, (at + FRAME_PREFIX as u64, len));
-                at += (FRAME_PREFIX + len as usize) as u64;
+                place.offset = at + FRAME_PREFIX as u64;
+                at += (FRAME_PREFIX + len) as u64;
             }
-            moved.push(by_seqno);
+            moved.push(places);
         }
         if !chunk.is_empty() {
             fresh.append(&chunk)?;
@@ -290,8 +290,8 @@ impl ShardLog {
         drop(chunk);
         fresh.sync()?;
         let file = self.wal.replace_with(fresh)?;
-        for ((_, index), by_seqno) in indexes.iter().zip(moved) {
-            index.switch(Arc::clone(&file), by_seqno);
+        for ((_, index), places) in indexes.iter().zip(&moved) {
+            index.switch(Arc::clone(&file), places);
         }
         if let Some((_, first)) = indexes.first() {
             first.count_compaction();

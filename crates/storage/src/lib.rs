@@ -12,16 +12,16 @@
 //!   the records of all of the shard's vBuckets, CRC32-checksummed
 //!   ([`record`]) and written once: a drain cycle is one write and one
 //!   `sync_data`, and that log is the only on-disk copy of the documents;
-//! - per vBucket, an in-memory **by-id** index (key → latest record) and
-//!   **by-seqno** index (seqno → record offset) over its shard's log
-//!   ([`VBucketStore`]), rebuilt by scanning the logs on open — crash
-//!   recovery truncates at the first torn/corrupt record, recovering
-//!   exactly the durable prefix;
+//! - per vBucket, one in-memory **by-id** index (key → offset, length and
+//!   seqno of its latest record) over its shard's log ([`VBucketStore`]),
+//!   rebuilt by scanning the logs on open — crash recovery truncates at the
+//!   first torn/corrupt record, recovering exactly the durable prefix;
 //! - online **compaction** when a log's fragmentation ratio (stale bytes /
 //!   file bytes) crosses a threshold: live records are streamed to a fresh
 //!   file which atomically replaces the old one, readers undisturbed;
-//! - by-seqno range reads (warm-up after a restart, re-homing) and no-I/O
-//!   record listings ([`RecordList`]) — how a DCP backfill reads exactly the
+//! - seqno-ordered reads — the by-id entries sorted on demand — for
+//!   warm-up after a restart, re-homing and compaction, and no-I/O record
+//!   listings ([`RecordList`]): how a DCP backfill reads exactly the
 //!   documents the cache no longer holds.
 //!
 //! [`GroupCommitWal`] is the log file itself (framing, append, group

@@ -23,7 +23,7 @@
 use bytes::{Buf, Bytes};
 use cbs_common::{crc32, Cas, Error, Result, RevNo, SeqNo};
 
-pub use cbs_common::DocMeta;
+pub use cbs_common::{check_key_len, DocMeta, MAX_KEY_LEN};
 
 /// Record magic byte — cheap misalignment detection during recovery scans.
 pub const RECORD_MAGIC: u8 = 0xC5;
@@ -63,18 +63,6 @@ impl StoredDoc {
     pub fn disk_size(&self) -> u64 {
         (HEADER_LEN + FIXED_LEN + self.key.len() + self.value.len()) as u64
     }
-}
-
-/// The longest key a record can hold: its length field is a `u16`.
-pub const MAX_KEY_LEN: usize = u16::MAX as usize;
-
-/// Refuse a key no record can hold. Every engine entry point that writes
-/// calls this before it assigns a seqno.
-pub fn check_key_len(key: &str) -> Result<()> {
-    if key.len() > MAX_KEY_LEN {
-        return Err(Error::KeyTooLong(key.len()));
-    }
-    Ok(())
 }
 
 /// Encode a record onto the end of `out`. Returns the number of bytes

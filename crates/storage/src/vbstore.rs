@@ -2,22 +2,23 @@
 //!
 //! The documents of all of a shard's vBuckets share one append-only log
 //! ([`BucketStore`](crate::BucketStore)); what is per vBucket is the index:
-//! a by-id map and a by-seqno B-tree of record offsets, the high seqno, the
-//! live/stale byte counts that feed the compaction trigger, and the file
-//! handle those offsets refer to. Reads take the index lock only to look an
-//! offset up, then `read_at` the shared file — no lock on the file, no
-//! seeks. A compaction switches a vBucket's (file, offsets) pair in one
+//! one by-id map of each key's latest record (its offset, length and
+//! seqno), the high seqno, the live/stale byte counts that feed the
+//! compaction trigger, and the file handle those offsets refer to. Seqno
+//! order — warm-up, re-homing, compaction — is the by-id entries sorted on
+//! demand. Reads take the index lock only to look an offset up, then
+//! `read_at` the shared file — no lock on the file, no seeks. A compaction switches a vBucket's (file, offsets) pair in one
 //! step under the index lock, so a reader can never apply an offset of one
 //! generation to the file of another; the old file lives on until the last
 //! reader drops its handle.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{Result, SeqNo, VbId};
+use cbs_common::{DocKey, Result, SeqNo, VbId};
 
 use crate::bucket::{Cycle, ShardLog};
 use crate::record::{decode_record_strict, StoredDoc};
@@ -49,6 +50,15 @@ struct IndexEntry {
     deleted: bool,
 }
 
+/// A version's seqno and where its record is in a log generation.
+#[derive(Clone, Copy)]
+pub(crate) struct Place {
+    pub seqno: SeqNo,
+    /// Offset of the record (behind its vBucket prefix) and its length.
+    pub offset: u64,
+    pub len: u32,
+}
+
 /// One record's place in the log, as the index needs it.
 pub(crate) struct Located<'a> {
     pub key: &'a str,
@@ -63,10 +73,7 @@ struct Inner {
     /// The log generation every offset below refers to.
     file: Arc<File>,
     /// key → latest record location.
-    by_id: HashMap<String, IndexEntry>,
-    /// seqno → (offset, length) of the latest version of each key only;
-    /// superseded seqnos are pruned, mirroring couchstore's by-seqno B-tree.
-    by_seqno: BTreeMap<u64, (u64, u32)>,
+    by_id: HashMap<DocKey, IndexEntry>,
     high_seqno: SeqNo,
     file_bytes: u64,
     stale_bytes: u64,
@@ -86,7 +93,6 @@ impl VbIndex {
                 Inner {
                     file,
                     by_id: HashMap::new(),
-                    by_seqno: BTreeMap::new(),
                     high_seqno: SeqNo::ZERO,
                     file_bytes: 0,
                     stale_bytes: 0,
@@ -115,16 +121,13 @@ impl VbIndex {
             inner.file_bytes += frame_bytes(rec.len);
             match inner.by_id.get_mut(rec.key) {
                 Some(prev) => {
-                    let (plen, pseq) = (prev.len, prev.seqno.0);
-                    *prev = entry;
-                    inner.stale_bytes += frame_bytes(plen);
-                    inner.by_seqno.remove(&pseq);
+                    let stale = frame_bytes(std::mem::replace(prev, entry).len);
+                    inner.stale_bytes += stale;
                 }
                 None => {
-                    inner.by_id.insert(rec.key.to_string(), entry);
+                    inner.by_id.insert(DocKey::from(rec.key), entry);
                 }
             }
-            inner.by_seqno.insert(rec.seqno.0, (rec.offset, rec.len));
             inner.high_seqno = inner.high_seqno.max(rec.seqno);
         }
     }
@@ -135,35 +138,38 @@ impl VbIndex {
     pub(crate) fn purge(&self, marker_bytes: u64) {
         let mut inner = self.inner.lock();
         inner.by_id.clear();
-        inner.by_seqno.clear();
         inner.high_seqno = SeqNo::ZERO;
         inner.file_bytes += marker_bytes;
         inner.stale_bytes = inner.file_bytes;
     }
 
-    /// What a compaction copies: the file and, in seqno order, the
-    /// `(seqno, offset, length)` of every indexed record.
-    pub(crate) fn live(&self) -> (Arc<File>, Vec<(u64, u64, u32)>) {
+    /// The file and every indexed record newer than `since`, in seqno
+    /// order: what `changes_since` reads and a compaction copies.
+    pub(crate) fn in_seqno_order(&self, since: SeqNo) -> (Arc<File>, Vec<Place>) {
         let inner = self.inner.lock();
-        let recs = inner.by_seqno.iter().map(|(&seq, &(off, len))| (seq, off, len)).collect();
-        (Arc::clone(&inner.file), recs)
+        let mut places: Vec<Place> = inner
+            .by_id
+            .values()
+            .filter(|e| e.seqno > since)
+            .map(|e| Place { seqno: e.seqno, offset: e.offset, len: e.len })
+            .collect();
+        places.sort_unstable_by_key(|p| p.seqno);
+        (Arc::clone(&inner.file), places)
     }
 
-    /// The compaction switch: `file` holds exactly the records [`live`]
-    /// listed, at the offsets in `by_seqno`.
-    ///
-    /// [`live`]: VbIndex::live
-    pub(crate) fn switch(&self, file: Arc<File>, by_seqno: BTreeMap<u64, (u64, u32)>) {
+    /// The compaction switch: `file` holds exactly the records
+    /// [`in_seqno_order`](VbIndex::in_seqno_order) listed, at the places
+    /// in `moved` (seqno order).
+    pub(crate) fn switch(&self, file: Arc<File>, moved: &[Place]) {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         for entry in inner.by_id.values_mut() {
-            if let Some(&(offset, _)) = by_seqno.get(&entry.seqno.0) {
-                entry.offset = offset;
+            if let Ok(i) = moved.binary_search_by_key(&entry.seqno, |p| p.seqno) {
+                entry.offset = moved[i].offset;
             }
         }
-        inner.file_bytes = by_seqno.values().map(|&(_, len)| frame_bytes(len)).sum();
+        inner.file_bytes = moved.iter().map(|p| frame_bytes(p.len)).sum();
         inner.stale_bytes = 0;
-        inner.by_seqno = by_seqno;
         inner.file = file;
     }
 
@@ -273,14 +279,8 @@ impl VBucketStore {
     /// Read all persisted mutations with seqno strictly greater than
     /// `since`, in seqno order — the warm-up and re-homing scan.
     pub fn changes_since(&self, since: SeqNo) -> Result<Vec<StoredDoc>> {
-        let (file, places): (_, Vec<(u64, u32)>) = {
-            let inner = self.index.inner.lock();
-            (
-                Arc::clone(&inner.file),
-                inner.by_seqno.range(since.0 + 1..).map(|(_, &p)| p).collect(),
-            )
-        };
-        places.into_iter().map(|(offset, len)| read_record(&file, offset, len)).collect()
+        let (file, places) = self.index.in_seqno_order(since);
+        places.into_iter().map(|p| read_record(&file, p.offset, p.len)).collect()
     }
 
     /// List the latest persisted record of each of `keys` (a key never
@@ -313,7 +313,7 @@ impl VBucketStore {
     }
 
     /// Keys of the persisted live documents (tombstones left out).
-    pub fn live_keys(&self) -> Vec<String> {
+    pub fn live_keys(&self) -> Vec<DocKey> {
         let inner = self.index.inner.lock();
         inner.by_id.iter().filter(|(_, e)| !e.deleted).map(|(k, _)| k.clone()).collect()
     }

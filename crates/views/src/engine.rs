@@ -407,7 +407,7 @@ impl ViewEngine {
 fn apply_item(views: &mut HashMap<String, ViewState>, item: &DcpItem) {
     for view in views.values_mut() {
         // Remove the row this doc previously emitted (if any).
-        if let Some(old_key) = view.emitted.remove(&item.key) {
+        if let Some(old_key) = view.emitted.remove(item.key.as_str()) {
             view.tree.remove(&old_key, &item.key);
         }
         // A deletion — or a mutation with no body — emits nothing.
@@ -415,11 +415,11 @@ fn apply_item(views: &mut HashMap<String, ViewState>, item: &DcpItem) {
         if let Some((k, v)) = view.def.map.map(&item.key, doc) {
             view.tree.insert(ViewEntry {
                 key: k.clone(),
-                doc_id: item.key.clone(),
+                doc_id: item.key.to_string(),
                 value: v,
                 vb: item.vb,
             });
-            view.emitted.insert(item.key.clone(), k);
+            view.emitted.insert(item.key.to_string(), k);
         }
     }
 }
