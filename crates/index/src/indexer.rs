@@ -4,10 +4,12 @@
 //! and manages the on-disk index tree data structure. It also provides the
 //! interface for the query client to run index scans" (§4.3.4).
 //!
-//! We use an ordered map keyed by [`IndexKey`] under N1QL collation, plus a
-//! reverse map (doc → its current keys) so updates and deletes remove stale
-//! entries. A per-vBucket seqno [`Watermarks`] vector beside the tree is
-//! what `request_plus` waits on — without touching the tree lock.
+//! The tree is one ordered set of `(key, doc id)` entries, [`IndexKey`]
+//! under N1QL collation first and the id second, so a scan is one walk in
+//! row order. A back index (doc → its current keys) lets updates and
+//! deletes remove stale entries. Doc ids are [`DocKey`]s, inline up to 22
+//! bytes. A per-vBucket seqno [`Watermarks`] vector beside the tree is what
+//! `request_plus` waits on — without touching the tree lock.
 //!
 //! # Batches, the change log and recovery
 //!
@@ -37,12 +39,13 @@
 //! the intact prefix through the same apply function, cuts a torn tail off,
 //! and ends with exactly the tree and watermarks of the synced batches.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
-use cbs_common::{Deadline, DocMeta, Error, Result, SeqNo, VbId};
+use cbs_common::{Deadline, DocKey, DocMeta, Error, Result, SeqNo, VbId};
 use cbs_json::Value;
 use cbs_storage::{GroupCommitWal, StoredDoc};
 
@@ -55,7 +58,7 @@ pub struct IndexEntry {
     pub key: IndexKey,
     /// The document ID ("An index simply returns the document ID for each
     /// attribute match", §4.5.1).
-    pub doc_id: String,
+    pub doc_id: DocKey,
 }
 
 /// What the optimizer's statistics layer reads off one partition: entry
@@ -96,7 +99,7 @@ pub enum IndexOp {
     /// out, leading key MISSING, or moved to another partition.
     Put {
         /// Document ID.
-        doc_id: String,
+        doc_id: DocKey,
         /// The document's current keys in this partition.
         keys: Vec<IndexKey>,
         /// Originating vBucket.
@@ -127,7 +130,7 @@ impl IndexOp {
     fn to_record(&self) -> (VbId, StoredDoc) {
         let (vb, seqno) = self.position();
         let (key, flags, keys) = match self {
-            IndexOp::Put { doc_id, keys, .. } => (doc_id.clone(), 0, keys.as_slice()),
+            IndexOp::Put { doc_id, keys, .. } => (doc_id.to_string(), 0, keys.as_slice()),
             IndexOp::Advance { .. } => (String::new(), LOG_FLAG_ADVANCE, &[][..]),
         };
         let doc = StoredDoc {
@@ -144,7 +147,8 @@ impl IndexOp {
         if doc.meta.flags == LOG_FLAG_ADVANCE {
             return Ok(IndexOp::Advance { vb, seqno });
         }
-        Ok(IndexOp::Put { doc_id: doc.key, keys: keys_from_json(&doc.value)?, vb, seqno })
+        let keys = keys_from_json(&doc.value)?;
+        Ok(IndexOp::Put { doc_id: DocKey::from(doc.key), keys, vb, seqno })
     }
 }
 
@@ -177,16 +181,24 @@ fn keys_from_json(bytes: &[u8]) -> Result<Vec<IndexKey>> {
         .collect()
 }
 
+/// One live entry: the composite key, then the document it came from.
+/// Tuple order is scan order.
+type Entry = (IndexKey, DocKey);
+
 struct Tree {
-    entries: BTreeMap<IndexKey, BTreeSet<String>>,
-    /// doc → (seqno of the version indexed, its keys). The seqno makes
-    /// apply idempotent and order-tolerant per document, so catch-up
-    /// backfills can interleave with the live DCP feed safely — and log
-    /// replay needs no ordering of its own.
-    doc_keys: HashMap<String, (SeqNo, Vec<IndexKey>)>,
-    /// Live (key, doc) pair count, maintained incrementally so stats and
-    /// cardinality snapshots stay O(1) under the tree lock.
-    live_entries: u64,
+    /// Every live entry — one per (key, doc) pair, a document with several
+    /// keys (an array index) having several.
+    entries: BTreeSet<Entry>,
+    /// The back index: doc → (seqno of the version indexed, its keys). The
+    /// seqno makes apply idempotent and order-tolerant per document, so
+    /// catch-up backfills can interleave with the live DCP feed safely —
+    /// and log replay needs no ordering of its own. The keys live as long
+    /// as the document is indexed, so they are held without spare capacity.
+    docs: HashMap<DocKey, (SeqNo, Box<[IndexKey]>)>,
+    /// Distinct composite keys in `entries`. It and `stats.docs` are
+    /// maintained on insert and remove, so stats and cardinality snapshots
+    /// stay O(1) under the tree lock.
+    distinct_keys: u64,
     stats: IndexerStats,
 }
 
@@ -196,35 +208,48 @@ impl Tree {
     /// [`IndexOp::position`] either way.
     fn apply(&mut self, op: IndexOp) {
         if let IndexOp::Put { doc_id, keys, seqno, .. } = op {
-            let stale = matches!(self.doc_keys.get(&doc_id), Some((s, _)) if *s >= seqno);
+            let stale = matches!(self.docs.get(&doc_id), Some((s, _)) if *s >= seqno);
             if !stale {
                 self.remove_doc(&doc_id);
                 for key in &keys {
-                    if self.entries.entry(key.clone()).or_default().insert(doc_id.clone()) {
-                        self.live_entries += 1;
-                    }
+                    self.insert((key.clone(), doc_id.clone()));
                 }
+                self.stats.docs += u64::from(!keys.is_empty());
                 // Kept even when `keys` is empty: the tombstone's seqno
                 // stops late-arriving older versions resurrecting entries.
-                self.doc_keys.insert(doc_id, (seqno, keys));
+                self.docs.insert(doc_id, (seqno, keys.into_boxed_slice()));
                 self.stats.applied += 1;
             }
         }
     }
 
     fn remove_doc(&mut self, doc_id: &str) {
-        if let Some((_, old_keys)) = self.doc_keys.remove(doc_id) {
-            for key in old_keys {
-                if let Some(docs) = self.entries.get_mut(&key) {
-                    if docs.remove(doc_id) {
-                        self.live_entries -= 1;
-                    }
-                    if docs.is_empty() {
-                        self.entries.remove(&key);
-                    }
-                }
+        let Some((mut id, (_, keys))) = self.docs.remove_entry(doc_id) else { return };
+        self.stats.docs -= u64::from(!keys.is_empty());
+        for key in keys.into_vec() {
+            // The id moves through each probe instead of being cloned: a
+            // long one is a heap allocation.
+            let entry = (key, id);
+            if self.entries.remove(&entry) && !self.key_has_other_entries(&entry) {
+                self.distinct_keys -= 1;
             }
+            id = entry.1;
         }
+    }
+
+    fn insert(&mut self, entry: Entry) {
+        let shared = self.key_has_other_entries(&entry);
+        if self.entries.insert(entry) && !shared {
+            self.distinct_keys += 1;
+        }
+    }
+
+    /// Whether a document other than `entry`'s has an entry under its key:
+    /// such an entry is `entry`'s neighbour in the set.
+    fn key_has_other_entries(&self, entry: &Entry) -> bool {
+        let same_key = |e: Option<&Entry>| e.is_some_and(|(k, _)| k.cmp(&entry.0).is_eq());
+        same_key(self.entries.range(..entry).next_back())
+            || same_key(self.entries.range((Bound::Excluded(entry), Bound::Unbounded)).next())
     }
 }
 
@@ -303,9 +328,9 @@ impl Indexer {
             tree: OrderedMutex::new(
                 rank::INDEX_TREE,
                 Tree {
-                    entries: BTreeMap::new(),
-                    doc_keys: HashMap::new(),
-                    live_entries: 0,
+                    entries: BTreeSet::new(),
+                    docs: HashMap::new(),
+                    distinct_keys: 0,
                     stats: IndexerStats::default(),
                 },
             ),
@@ -355,22 +380,21 @@ impl Indexer {
     }
 
     /// Range scan over the leading key. Entries come back in full collation
-    /// order; `limit` of 0 means unlimited.
+    /// order, ties by doc id; `limit` of 0 means unlimited.
     pub fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry> {
         let mut t = self.tree.lock();
         t.stats.scans += 1;
         let mut out = Vec::new();
         // Seek straight to the lower bound instead of walking from the
-        // smallest key: `IndexKey([low])` sorts at-or-before every key
-        // whose leading component is >= low (equal prefixes order by
-        // length), so everything below the range is skipped in O(log n).
-        // An exclusive low bound still filters via `contains` below; that
-        // only re-checks the duplicate set of the boundary value.
-        let iter = match &range.low {
-            Some(low) => t.entries.range(IndexKey(vec![Some(low.clone())])..),
-            None => t.entries.range(..),
-        };
-        for (key, docs) in iter {
+        // smallest entry: `(IndexKey([low]), "")` sorts at-or-before every
+        // entry whose leading component is >= low (equal prefixes order by
+        // length, and "" is the smallest id), so everything below the range
+        // is skipped in O(log n). An exclusive low bound still filters via
+        // `contains` below; that only re-checks the boundary value's entries.
+        let seek =
+            range.low.as_ref().map(|low| (IndexKey(vec![Some(low.clone())]), DocKey::from("")));
+        let lower = seek.as_ref().map_or(Bound::Unbounded, Bound::Included);
+        for (key, doc_id) in t.entries.range((lower, Bound::Unbounded)) {
             let Some(leading) = key.leading() else { continue };
             if let Some(high) = &range.high {
                 // Early exit once past the upper bound (B-tree order).
@@ -383,21 +407,21 @@ impl Indexer {
             if !range.contains(leading) {
                 continue;
             }
-            for doc_id in docs {
-                out.push(IndexEntry { key: key.clone(), doc_id: doc_id.clone() });
-                if limit > 0 && out.len() >= limit {
-                    return out;
-                }
+            out.push(IndexEntry { key: key.clone(), doc_id: doc_id.clone() });
+            if limit > 0 && out.len() >= limit {
+                break;
             }
         }
         out
     }
 
-    /// Exact-match lookup on the full composite key.
-    pub fn lookup(&self, key: &IndexKey) -> Vec<String> {
+    /// Exact-match lookup on the full composite key, in doc id order.
+    pub fn lookup(&self, key: &IndexKey) -> Vec<DocKey> {
         let mut t = self.tree.lock();
         t.stats.scans += 1;
-        t.entries.get(key).map(|s| s.iter().cloned().collect()).unwrap_or_default()
+        let seek = (key.clone(), DocKey::from(""));
+        let hits = t.entries.range(&seek..).take_while(|(k, _)| k.cmp(key).is_eq());
+        hits.map(|(_, doc_id)| doc_id.clone()).collect()
     }
 
     /// Current watermark vector.
@@ -408,31 +432,29 @@ impl Indexer {
     /// Statistics snapshot.
     pub fn stats(&self) -> IndexerStats {
         let t = self.tree.lock();
-        let mut s = t.stats;
-        s.entries = t.live_entries;
-        s.docs = t.doc_keys.values().filter(|(_, k)| !k.is_empty()).count() as u64;
-        s
+        IndexerStats { entries: t.entries.len() as u64, ..t.stats }
     }
 
     /// O(1) cardinality snapshot for the cost-based optimizer: live entry
     /// count, distinct composite keys, and the min/max leading-key values.
     pub fn cardinality(&self) -> IndexCardinality {
         let t = self.tree.lock();
+        let leading = |e: Option<&Entry>| e.and_then(|(k, _)| k.leading().cloned());
         IndexCardinality {
-            entries: t.live_entries,
-            distinct_keys: t.entries.len() as u64,
-            min_leading: t.entries.keys().next().and_then(|k| k.leading().cloned()),
-            max_leading: t.entries.keys().next_back().and_then(|k| k.leading().cloned()),
+            entries: t.entries.len() as u64,
+            distinct_keys: t.distinct_keys,
+            min_leading: leading(t.entries.first()),
+            max_leading: leading(t.entries.last()),
         }
     }
 
     /// Every document the partition has a version of — tombstones
     /// included — with that version's seqno and keys, sorted by id: the
     /// whole state behind the tree, for equivalence and recovery checks.
-    pub fn doc_versions(&self) -> Vec<(String, SeqNo, Vec<IndexKey>)> {
+    pub fn doc_versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
         let t = self.tree.lock();
         let mut out: Vec<_> =
-            t.doc_keys.iter().map(|(d, (s, k))| (d.clone(), *s, k.clone())).collect();
+            t.docs.iter().map(|(d, (s, k))| (d.clone(), *s, k.to_vec())).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -470,7 +492,7 @@ mod tests {
     }
 
     fn put(doc_id: &str, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) -> IndexOp {
-        IndexOp::Put { doc_id: doc_id.to_string(), keys, vb, seqno }
+        IndexOp::Put { doc_id: doc_id.into(), keys, vb, seqno }
     }
 
     /// The per-item path: a batch of one.

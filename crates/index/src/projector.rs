@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use cbs_common::{Result, SeqNo, VbId};
+use cbs_common::{DocKey, Result, SeqNo, VbId};
 use cbs_dcp::DcpItem;
 use cbs_json::Value;
 
@@ -23,7 +23,7 @@ pub enum ProjectedOp {
     /// any previous entries must be removed.
     Update {
         /// Document ID.
-        doc_id: String,
+        doc_id: DocKey,
         /// New key versions (several for array indexes).
         keys: Vec<IndexKey>,
         /// Originating vBucket.
@@ -34,7 +34,7 @@ pub enum ProjectedOp {
     /// The document was deleted/expired: remove it.
     Remove {
         /// Document ID.
-        doc_id: String,
+        doc_id: DocKey,
         /// Originating vBucket.
         vb: VbId,
         /// Mutation seqno.
@@ -65,7 +65,7 @@ impl Projector {
         // A deletion — or a mutation with no body, which has nothing to index.
         let Some(doc) = item.value.as_ref().filter(|_| !item.is_deletion()) else {
             return ProjectedOp::Remove {
-                doc_id: item.key.to_string(),
+                doc_id: item.key.clone(),
                 vb: item.vb,
                 seqno: item.meta.seqno,
             };
@@ -74,12 +74,7 @@ impl Projector {
         // looks at the body, so the body is not decoded for it.
         let doc = if def.reads_body() { doc.as_value() } else { &Value::Null };
         let keys = Self::keys_for(def, &item.key, doc);
-        ProjectedOp::Update {
-            doc_id: item.key.to_string(),
-            keys,
-            vb: item.vb,
-            seqno: item.meta.seqno,
-        }
+        ProjectedOp::Update { doc_id: item.key.clone(), keys, vb: item.vb, seqno: item.meta.seqno }
     }
 
     /// The index keys a document produces under `def` (empty if filtered
@@ -176,9 +171,8 @@ impl Router {
         result
     }
 
-    /// Group a document's keys by destination partition. The tree keeps
-    /// these vectors for as long as the document is indexed, so they are
-    /// handed over without spare capacity.
+    /// Group a document's keys by destination partition: by the leading
+    /// component, so equal keys always share a partition.
     fn keys_by_partition(&self, keys: Vec<IndexKey>) -> Vec<Vec<IndexKey>> {
         if self.partitions.len() == 1 {
             return vec![keys];
@@ -187,7 +181,6 @@ impl Router {
         for key in keys {
             homes[self.def.partition_for(key.leading())].push(key);
         }
-        homes.iter_mut().for_each(Vec::shrink_to_fit);
         homes
     }
 }
@@ -311,7 +304,7 @@ mod tests {
         let router = Router::new(def.clone(), vec![Arc::clone(&p0), Arc::clone(&p1)]);
 
         let update = |age: i64, seq: u64| ProjectedOp::Update {
-            doc_id: "d".to_string(),
+            doc_id: "d".into(),
             keys: vec![IndexKey(vec![Some(Value::int(age))])],
             vb: VbId(0),
             seqno: SeqNo(seq),
@@ -326,7 +319,7 @@ mod tests {
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 1);
 
         // Remove clears everywhere.
-        let remove = ProjectedOp::Remove { doc_id: "d".to_string(), vb: VbId(0), seqno: SeqNo(3) };
+        let remove = ProjectedOp::Remove { doc_id: "d".into(), vb: VbId(0), seqno: SeqNo(3) };
         router.route(vec![remove], &[(VbId(1), SeqNo(7))]).unwrap();
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
         // Watermarks advanced on both partitions throughout.

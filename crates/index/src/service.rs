@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Deadline, Error, Result, SeqNo, VbId};
+use cbs_common::{Deadline, DocKey, Error, Result, SeqNo, VbId};
 use cbs_dcp::{BackfillSource, DcpItem};
 use cbs_obs::{span, Counter, Registry};
 
@@ -311,7 +311,7 @@ impl IndexManager {
         key: &IndexKey,
         consistency: &ScanConsistency,
         timeout: Duration,
-    ) -> Result<Vec<String>> {
+    ) -> Result<Vec<DocKey>> {
         let _s = span("index.manager.lookup");
         self.lookups.inc();
         let inst = self.instance(keyspace, name)?;
@@ -328,13 +328,10 @@ impl IndexManager {
     /// sum; leading-key bounds take the min/max across partitions. Feeds
     /// the query service's statistics layer (selectivity estimation).
     ///
-    /// `distinct_keys` is an **upper bound**, not an exact count:
-    /// documents are routed to partitions by id, not by key, so the same
-    /// composite key can appear in several partitions and the
-    /// per-partition sum double-counts it. Equality selectivity derived
-    /// as `1 / distinct_keys` therefore *underestimates* the matching
-    /// rows, biasing the optimizer toward index scans — conservative for
-    /// the bias we want, and documented in DESIGN.md §13.
+    /// `distinct_keys` is exact: the router sends every key to the
+    /// partition of its leading component, so equal composite keys always
+    /// share a partition and the per-partition counts add up (DESIGN.md
+    /// §13).
     pub fn index_cardinality(&self, keyspace: &str, name: &str) -> Result<IndexCardinality> {
         let inst = self.instance(keyspace, name)?;
         let mut total = IndexCardinality::default();
@@ -676,6 +673,32 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rows.len(), 5);
+    }
+
+    /// Keys go to partitions by their leading component, so a key shared
+    /// by many documents lives in one partition and the summed
+    /// `distinct_keys` is the true count.
+    #[test]
+    fn partitioned_distinct_keys_are_exact() {
+        let e = engine();
+        for i in 0..60 {
+            e.set(&format!("u{i}"), profile("x", i % 7), MutateMode::Upsert, Cas::WILDCARD, 0)
+                .unwrap();
+        }
+        let m = manager(16);
+        let def = IndexDef {
+            partition_splits: vec![Value::int(2), Value::int(5)],
+            ..IndexDef::simple("age", "b", "age")
+        };
+        m.create_and_build(def, e.as_ref()).unwrap();
+        let inst = m.instance("b", "age").unwrap();
+        let per_partition: Vec<u64> =
+            inst.router.partitions().iter().map(|p| p.cardinality().distinct_keys).collect();
+        assert_eq!(per_partition, [2, 3, 2], "ages 0-1, 2-4, 5-6");
+        let c = m.index_cardinality("b", "age").unwrap();
+        assert_eq!((c.entries, c.distinct_keys), (60, 7));
+        assert_eq!((c.min_leading, c.max_leading), (Some(Value::int(0)), Some(Value::int(6))));
+        assert_eq!(m.index_stats("b", "age").unwrap().docs, 60);
     }
 
     /// `timeout` bounds the whole consistency wait. Three partitions catch

@@ -7,7 +7,7 @@
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use cbs_common::{SeqNo, VbId};
+use cbs_common::{DocKey, SeqNo, VbId};
 use cbs_index::{IndexKey, IndexOp, IndexStorage, Indexer, ScanRange};
 use cbs_json::Value;
 use cbs_storage::scratch_dir;
@@ -22,14 +22,14 @@ fn arb_ops() -> impl Strategy<Value = Vec<IndexOp>> {
         prop_oneof![
             4 => (0u8..12, -20i64..20, any::<bool>(), 1u64..100).prop_map(move |(d, k, tag, seq)| {
                 IndexOp::Put {
-                    doc_id: format!("d{d}"),
+                    doc_id: format!("d{d}").into(),
                     keys: vec![key(k, tag)],
                     vb: VbId(u16::from(d) % VBS),
                     seqno: SeqNo(seq),
                 }
             }),
             2 => (0u8..12, 1u64..100).prop_map(|(d, seq)| IndexOp::Put {
-                doc_id: format!("d{d}"),
+                doc_id: format!("d{d}").into(),
                 keys: Vec::new(),
                 vb: VbId(u16::from(d) % VBS),
                 seqno: SeqNo(seq),
@@ -43,7 +43,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<IndexOp>> {
 
 /// Everything observable about an indexer's state: per-document versions,
 /// watermarks, live entries.
-type State = (Vec<(String, SeqNo, Vec<IndexKey>)>, Vec<SeqNo>, usize);
+type State = (Vec<(DocKey, SeqNo, Vec<IndexKey>)>, Vec<SeqNo>, usize);
 
 fn state(idx: &Indexer) -> State {
     (idx.doc_versions(), idx.watermarks(), idx.scan(&ScanRange::all(), 0).len())
@@ -104,7 +104,7 @@ proptest! {
         // The torn tail is gone from the file, so what is appended next is
         // reachable by the next recovery.
         let more = IndexOp::Put {
-            doc_id: "after".to_string(),
+            doc_id: "after".into(),
             keys: vec![IndexKey(vec![Some(Value::int(7))])],
             vb: VbId(0),
             seqno: SeqNo(1000),

@@ -1,0 +1,86 @@
+//! What an indexed document costs in memory. A memory-optimized GSI
+//! partition lives entirely on the heap (§6.1.1), so its bytes per entry
+//! set how large an index a node can hold. The tree keeps one ordered set
+//! of (key, doc id) entries and one back index, both with inline doc ids:
+//! a primary index over 16-byte ids holds a few heap blocks per document,
+//! not a B-tree node per key.
+//!
+//! Runs under a global allocator that tracks the calling thread's live
+//! bytes (allocated minus freed), so the harness's other threads do not
+//! disturb the count.
+
+// Tests unwrap freely; the crate's unwrap_used deny targets lib code.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use cbs_common::{DocKey, SeqNo, VbId};
+use cbs_index::{IndexDef, IndexStorage, Indexer, ProjectedOp, Projector, Router};
+use cbs_json::Value;
+
+struct LiveBytes;
+
+thread_local! {
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn add(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+}
+
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        add(layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add(-(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        add(new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LiveBytes = LiveBytes;
+
+const DOCS: u64 = 10_000;
+const VBUCKETS: u16 = 16;
+
+/// 10 000 documents with 16-byte ids routed into a memory-optimized
+/// primary index, a batch per vBucket as an index build commits them.
+#[test]
+fn a_primary_index_holds_at_most_320_bytes_per_document() {
+    let def = IndexDef { storage: IndexStorage::MemoryOptimized, ..IndexDef::primary("#p", "b") };
+    let partition = Arc::new(Indexer::new(VBUCKETS, def.storage, None, "p0").unwrap());
+    let router = Router::new(def.clone(), vec![Arc::clone(&partition)]);
+
+    let before = live();
+    for vb in 0..VBUCKETS {
+        let ops: Vec<ProjectedOp> = (0..DOCS)
+            .filter(|i| i % u64::from(VBUCKETS) == u64::from(vb))
+            .map(|i| {
+                let doc_id = DocKey::from(format!("user{i:012}"));
+                assert_eq!(doc_id.len(), 16);
+                let keys = Projector::keys_for(&def, &doc_id, &Value::Null);
+                ProjectedOp::Update { doc_id, keys, vb: VbId(vb), seqno: SeqNo(i + 1) }
+            })
+            .collect();
+        router.route(ops, &[]).unwrap();
+    }
+    let per_doc = (live() - before) / DOCS as i64;
+
+    let stats = partition.stats();
+    assert_eq!((stats.docs, stats.entries), (DOCS, DOCS));
+    assert!(per_doc <= 320, "{per_doc} B of live heap per indexed document");
+}

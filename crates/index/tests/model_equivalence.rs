@@ -1,43 +1,102 @@
-//! Property tests: the indexer agrees with a naive model under any
-//! interleaving of updates, removals and scans — including out-of-order
-//! (stale) deliveries, which the per-document seqno guard must suppress —
-//! and any split of a change stream into batches ends in the state that
-//! item-by-item apply reaches.
+//! Property tests: the indexer agrees with a naive model — scans, exact
+//! lookups and the counters kept beside the tree (`cardinality()`,
+//! `stats()`) — under any interleaving of updates, removals and scans,
+//! including out-of-order (stale) deliveries, which the per-document seqno
+//! guard must suppress, keys shared by many documents, and a key one
+//! document emits twice. Any split of a change stream into batches ends in
+//! the state that item-by-item apply reaches.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use cbs_common::{SeqNo, VbId};
 use cbs_index::{
-    IndexDef, IndexKey, IndexOp, IndexStorage, Indexer, ProjectedOp, Router, ScanRange,
+    IndexCardinality, IndexDef, IndexKey, IndexOp, IndexStorage, Indexer, ProjectedOp, Router,
+    ScanRange,
 };
 use cbs_json::Value;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Update doc `d` with key value `k` at sequence `seq`.
-    Update { d: u8, k: i64, seq: u64 },
+    /// Index doc `d` under keys `ks` at sequence `seq`: none (filtered
+    /// out), one, or several (an array index) — possibly one key twice.
+    Update { d: u8, ks: Vec<i64>, seq: u64 },
     /// Remove doc `d` at sequence `seq`.
     Remove { d: u8, seq: u64 },
 }
 
+/// Twelve documents over thirteen key values, so many documents share a key.
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (any::<u8>(), -20i64..20, 1u64..100).prop_map(|(d, k, seq)| Op::Update {
-                d: d % 12,
-                k,
-                seq
-            }),
-            (any::<u8>(), 1u64..100).prop_map(|(d, seq)| Op::Remove { d: d % 12, seq }),
+            4 => (0u8..12, prop::collection::vec(-6i64..7, 1..2), 1u64..100)
+                .prop_map(|(d, ks, seq)| Op::Update { d, ks, seq }),
+            1 => (0u8..12, prop::collection::vec(-6i64..7, 0..4), 1u64..100)
+                .prop_map(|(d, ks, seq)| Op::Update { d, ks, seq }),
+            1 => (0u8..12, -6i64..7, 1u64..100)
+                .prop_map(|(d, k, seq)| Op::Update { d, ks: vec![k, k], seq }),
+            2 => (0u8..12, 1u64..100).prop_map(|(d, seq)| Op::Remove { d, seq }),
         ],
         1..80,
     )
+}
+
+fn key(k: i64) -> IndexKey {
+    IndexKey(vec![Some(Value::int(k))])
+}
+
+fn keys(ks: &[i64]) -> Vec<IndexKey> {
+    ks.iter().map(|&k| key(k)).collect()
+}
+
+/// The naive model: doc → (last applied seq, its keys).
+#[derive(Default)]
+struct Model(HashMap<String, (u64, Vec<i64>)>);
+
+impl Model {
+    fn apply(&mut self, op: &Op) {
+        let (d, ks, seq) = match op {
+            Op::Update { d, ks, seq } => (d, ks.clone(), seq),
+            Op::Remove { d, seq } => (d, Vec::new(), seq),
+        };
+        let e = self.0.entry(format!("d{d}")).or_insert((0, Vec::new()));
+        if *seq > e.0 {
+            *e = (*seq, ks);
+        }
+    }
+
+    /// Live (key, doc) entries in scan order; a key a document emits twice
+    /// is one entry.
+    fn entries(&self) -> BTreeSet<(i64, String)> {
+        self.0.iter().flat_map(|(d, (_, ks))| ks.iter().map(move |&k| (k, d.clone()))).collect()
+    }
+
+    fn cardinality(&self) -> IndexCardinality {
+        let entries = self.entries();
+        let distinct: BTreeSet<i64> = entries.iter().map(|(k, _)| *k).collect();
+        IndexCardinality {
+            entries: entries.len() as u64,
+            distinct_keys: distinct.len() as u64,
+            min_leading: distinct.first().map(|&k| Value::int(k)),
+            max_leading: distinct.last().map(|&k| Value::int(k)),
+        }
+    }
+
+    fn docs(&self) -> u64 {
+        self.0.values().filter(|(_, ks)| !ks.is_empty()).count() as u64
+    }
+}
+
+fn rows(idx: &Indexer, range: &ScanRange) -> Vec<(i64, String)> {
+    idx.scan(range, 0)
+        .into_iter()
+        .map(|e| (e.key.0[0].as_ref().unwrap().as_i64().unwrap(), e.doc_id.to_string()))
+        .collect()
 }
 
 proptest! {
@@ -46,52 +105,19 @@ proptest! {
     #[test]
     fn indexer_matches_model(ops in arb_ops()) {
         let idx = Indexer::new(4, IndexStorage::MemoryOptimized, None, "prop").unwrap();
-        // Model: doc → (last applied seq, Some(key) | None).
-        let mut model: HashMap<String, (u64, Option<i64>)> = HashMap::new();
+        let mut model = Model::default();
         for op in &ops {
-            match op {
-                Op::Update { d, k, seq } => {
-                    let doc = format!("d{d}");
-                    idx.apply_batch(vec![IndexOp::Put {
-                        doc_id: doc.clone(),
-                        keys: vec![IndexKey(vec![Some(Value::int(*k))])],
-                        vb: VbId(0),
-                        seqno: SeqNo(*seq),
-                    }])
-                    .unwrap();
-                    let e = model.entry(doc).or_insert((0, None));
-                    if *seq > e.0 {
-                        *e = (*seq, Some(*k));
-                    }
-                }
-                Op::Remove { d, seq } => {
-                    let doc = format!("d{d}");
-                    idx.apply_batch(vec![IndexOp::Put {
-                        doc_id: doc.clone(),
-                        keys: Vec::new(),
-                        vb: VbId(0),
-                        seqno: SeqNo(*seq),
-                    }])
-                    .unwrap();
-                    let e = model.entry(doc).or_insert((0, None));
-                    if *seq > e.0 {
-                        *e = (*seq, None);
-                    }
-                }
-            }
+            let (d, ks, seq) = match op {
+                Op::Update { d, ks, seq } => (d, keys(ks), seq),
+                Op::Remove { d, seq } => (d, Vec::new(), seq),
+            };
+            let put = IndexOp::Put { doc_id: format!("d{d}").into(), keys: ks, vb: VbId(0), seqno: SeqNo(*seq) };
+            idx.apply_batch(vec![put]).unwrap();
+            model.apply(op);
         }
         // Full scan must equal the model's live set, sorted by (key, doc).
-        let mut expected: Vec<(i64, String)> = model
-            .iter()
-            .filter_map(|(d, (_, k))| k.map(|k| (k, d.clone())))
-            .collect();
-        expected.sort();
-        let scanned: Vec<(i64, String)> = idx
-            .scan(&ScanRange::all(), 0)
-            .into_iter()
-            .map(|e| (e.key.0[0].as_ref().unwrap().as_i64().unwrap(), e.doc_id))
-            .collect();
-        prop_assert_eq!(scanned, expected);
+        let expected: Vec<(i64, String)> = model.entries().into_iter().collect();
+        prop_assert_eq!(rows(&idx, &ScanRange::all()), expected.clone());
 
         // Range scans agree too.
         let range = ScanRange {
@@ -100,19 +126,21 @@ proptest! {
             high: Some(Value::int(5)),
             high_inclusive: false,
         };
-        let in_range: Vec<(i64, String)> = model
-            .iter()
-            .filter_map(|(d, (_, k))| k.map(|k| (k, d.clone())))
-            .filter(|(k, _)| (-5..5).contains(k))
-            .collect();
-        let mut in_range = in_range;
-        in_range.sort();
-        let scanned: Vec<(i64, String)> = idx
-            .scan(&range, 0)
-            .into_iter()
-            .map(|e| (e.key.0[0].as_ref().unwrap().as_i64().unwrap(), e.doc_id))
-            .collect();
-        prop_assert_eq!(scanned, in_range);
+        let in_range: Vec<(i64, String)> =
+            expected.iter().filter(|(k, _)| (-5..5).contains(k)).cloned().collect();
+        prop_assert_eq!(rows(&idx, &range), in_range);
+
+        // So do the counters, and every exact lookup.
+        prop_assert_eq!(idx.cardinality(), model.cardinality());
+        let stats = idx.stats();
+        prop_assert_eq!(stats.entries, expected.len() as u64);
+        prop_assert_eq!(stats.docs, model.docs());
+        for k in -6..7 {
+            let hits: Vec<String> = idx.lookup(&key(k)).iter().map(|d| d.to_string()).collect();
+            let want: Vec<String> =
+                expected.iter().filter(|(kk, _)| *kk == k).map(|(_, d)| d.clone()).collect();
+            prop_assert_eq!(hits, want, "lookup {}", k);
+        }
 
         // Watermark equals the max seq delivered.
         let max_seq = ops
@@ -144,14 +172,14 @@ fn partitioned_router() -> Router {
 
 fn projected(op: &Op) -> ProjectedOp {
     match op {
-        Op::Update { d, k, seq } => ProjectedOp::Update {
-            doc_id: format!("d{d}"),
-            keys: vec![IndexKey(vec![Some(Value::int(*k))])],
+        Op::Update { d, ks, seq } => ProjectedOp::Update {
+            doc_id: format!("d{d}").into(),
+            keys: keys(ks),
             vb: VbId(u16::from(d % 4)),
             seqno: SeqNo(*seq),
         },
         Op::Remove { d, seq } => ProjectedOp::Remove {
-            doc_id: format!("d{d}"),
+            doc_id: format!("d{d}").into(),
             vb: VbId(u16::from(d % 4)),
             seqno: SeqNo(*seq),
         },
@@ -163,7 +191,7 @@ proptest! {
 
     /// Any split of an op sequence (updates, deletes, duplicates, stale
     /// seqnos, partition-key moves) into batches yields the entries,
-    /// per-document versions, watermarks and `applied` count of
+    /// per-document versions, watermarks, counters and `applied` count of
     /// item-by-item apply, on every partition.
     #[test]
     fn any_batch_split_matches_item_by_item(
@@ -188,7 +216,8 @@ proptest! {
             prop_assert_eq!(a.scan(&ScanRange::all(), 0), b.scan(&ScanRange::all(), 0));
             prop_assert_eq!(a.doc_versions(), b.doc_versions());
             prop_assert_eq!(a.watermarks(), b.watermarks());
-            prop_assert_eq!(a.stats().applied, b.stats().applied);
+            prop_assert_eq!(a.stats(), b.stats());
+            prop_assert_eq!(a.cardinality(), b.cardinality());
         }
     }
 }

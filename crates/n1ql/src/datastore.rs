@@ -362,7 +362,7 @@ impl Datastore for MemoryDatastore {
             for key in Projector::keys_for(def, doc_id, doc) {
                 let Some(lead) = key.leading() else { continue };
                 if range.contains(lead) {
-                    entries.push(IndexEntry { key: key.clone(), doc_id: doc_id.clone() });
+                    entries.push(IndexEntry { key, doc_id: doc_id.as_str().into() });
                 }
             }
         }

@@ -424,9 +424,9 @@ impl SelectRun<'_> {
                     .into_iter()
                     .map(|e| {
                         if *covering {
-                            make_covered_row(alias, e.doc_id, index, &e.key.0)
+                            make_covered_row(alias, e.doc_id.into(), index, &e.key.0)
                         } else {
-                            Row::keyed(alias, e.doc_id)
+                            Row::keyed(alias, e.doc_id.into())
                         }
                     })
                     .collect()

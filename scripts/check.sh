@@ -156,19 +156,22 @@ perfbench_smoke() {
     cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- --smoke >/dev/null \
         || return 1
     # Counts that repeat exactly per seed are gated here (ROADMAP "yardstick"
-    # (i)): a traced smoke scan's client-thread allocations (680.47 since
-    # PR 20, 806.07 before), LIMIT still bounding the index scan, and every
-    # EXECUTE served from the plan cache.
-    local line allocs examined hits
+    # (i)): a traced smoke scan's client-thread allocations (680.47; 806.07
+    # before the one-pipeline executor), LIMIT still bounding the scan, every
+    # EXECUTE served from the plan cache, and every insert applied to the
+    # index exactly once (no double or lost apply on the projector's path).
+    local line allocs examined hits applied
     line="$(cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
         --workload n1ql_scan_e --smoke --trace 1 2>/dev/null | tail -n 1)" || return 1
     allocs="$(result_metric "$line" client.allocs_per_read)"
     examined="$(result_metric "$line" index.rows_examined_per_row_returned)"
     hits="$(result_metric "$line" n1ql.plancache_hit_ratio)"
-    awk -v a="$allocs" -v e="$examined" -v h="$hits" \
-        'BEGIN { exit !(a != "" && a <= 685 && e == 1 && h >= 1) }' || {
+    applied="$(result_metric "$line" index.items_applied_per_insert)"
+    awk -v a="$allocs" -v e="$examined" -v h="$hits" -v p="$applied" \
+        'BEGIN { exit !(a != "" && a <= 685 && e == 1 && h >= 1 && p != "" && p == 1) }' || {
         echo "    n1ql_scan_e: allocs_per_read=$allocs (ceiling 685)," \
-            "rows_examined_per_row_returned=$examined (want 1), plancache_hit_ratio=$hits (want 1)"
+            "rows_examined_per_row_returned=$examined (want 1), plancache_hit_ratio=$hits (want 1)," \
+            "items_applied_per_insert=$applied (want 1)"
         return 1
     }
     # A routed KV get allocates nothing: the cached bytes go out undecoded
