@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cbs_common::{NodeId, VbId};
+use cbs_kv::DataEngine;
 use cbs_obs::{Counter, Gauge, Registry, WindowedHistogram, WindowedSnapshot};
 
 use crate::replication::PumpTopology;
@@ -188,6 +189,18 @@ impl ReplicationLagTable {
         // so seeded chaos runs stay deterministic.
         self.lag_age.advance_to(cycle / LAG_WINDOW_CYCLES);
 
+        // The topology's engines by node id (ids are dense), resolved once
+        // per sample: the loop below looks two of them up per vBucket.
+        let mut by_node: Vec<Option<&DataEngine>> = Vec::new();
+        for (node, engine) in &topo.engines {
+            let i = node.0 as usize;
+            if i >= by_node.len() {
+                by_node.resize(i + 1, None);
+            }
+            by_node[i] = Some(engine);
+        }
+        let engine = |node: NodeId| by_node.get(node.0 as usize).copied().flatten();
+
         let mut max = 0u64;
         let mut total = 0u64;
         let mut lagging_vbs = 0u64;
@@ -200,7 +213,7 @@ impl ReplicationLagTable {
                 continue;
             }
             let active = topo.map.active_node(vb);
-            let src_high = topo.engines.get(&active).map(|e| e.high_seqno(vb));
+            let src_high = engine(active).map(|e| e.high_seqno(vb));
             let replicas = topo.map.replica_nodes(vb);
             let mut vb_lagging = false;
             for (i, slot) in vb_slots.iter().enumerate() {
@@ -214,7 +227,7 @@ impl ReplicationLagTable {
                         continue;
                     }
                 };
-                let Some(dst) = topo.engines.get(&replica) else {
+                let Some(dst) = engine(replica) else {
                     self.finish_episode(slot, cycle);
                     slot.clear();
                     continue;

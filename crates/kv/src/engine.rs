@@ -13,7 +13,7 @@ use cbs_common::{
 use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind, DcpStream};
 use cbs_json::{SharedValue, Value};
 use cbs_obs::{span, Gauge, Registry, SpanGuard, TraceContext};
-use cbs_storage::{check_key_len, BucketStore, Cycle, StoredDoc};
+use cbs_storage::{check_key_len, BucketStore, Cycle, StoredDoc, CYCLE_SLICE};
 use parking_lot::Condvar;
 
 use crate::now_secs;
@@ -838,15 +838,17 @@ impl DataEngine {
     }
 
     /// Drain one shard's dirty vBuckets to the storage engine: each listed
-    /// queue is snapshotted, its documents' bytes copied straight into the
-    /// cycle's record buffer, and the buffer is appended to the shard's log
-    /// with one write and a **single** `sync_data` — the durability point
-    /// for the whole cycle, and the only copy written. Only then are the
-    /// records indexed, the items marked clean and `persisted_seqno`
-    /// advanced, in that order: `backfill` copies the cache first and lists
-    /// the index second, and only clean items are evicted, so an item must
-    /// never be clean-but-unindexed — that ordering pair is what keeps
-    /// stream open race-free against a concurrent drain.
+    /// queue is snapshotted and its documents' bytes copied straight into
+    /// the cycle's record buffer, which goes to the shard's log every
+    /// [`CYCLE_SLICE`] bytes, unsynced and unindexed; the commit appends
+    /// the rest and issues the cycle's **single** `sync_data` — the
+    /// durability point for the whole cycle, and the only copy written.
+    /// Only then are the records indexed, the items marked clean and
+    /// `persisted_seqno` advanced, in that order: `backfill` copies the
+    /// cache first and lists the index second, and only clean items are
+    /// evicted, so an item must never be clean-but-unindexed — that
+    /// ordering pair is what keeps stream open race-free against a
+    /// concurrent drain.
     pub fn flush_shard(&self, shard: usize) -> Result<u64> {
         let sh = &self.shards[shard];
         // The root of the flusher thread's segment (a child span when a
@@ -855,15 +857,15 @@ impl DataEngine {
         // children. Idle wake-ups have nothing to explain.
         let _trace = (sh.dirty_count.get() > 0).then(|| self.trace("kv.flusher.cycle"));
         let _flush = sh.flush_lock.lock();
-        let dirty_vbs = std::mem::take(&mut sh.signal.lock().dirty_vbs);
+        let mut dirty_vbs = std::mem::take(&mut sh.signal.lock().dirty_vbs).into_iter();
         let mut cycle = Cycle::new();
         let mut snapshots: Vec<DirtySnapshot> = Vec::new();
         // Trace contexts persisted by this cycle: each gets one
         // `kv.flusher.wal_commit` span covering the group commit.
         let mut traced: Vec<TraceContext> = Vec::new();
         let mut batch = Vec::new();
-        let mut encoded = Ok(());
-        for vb in dirty_vbs {
+        let mut filled = Ok(());
+        for vb in dirty_vbs.by_ref() {
             // Snapshot the queue and the high seqno atomically w.r.t.
             // writers (both sides take the vb mutex).
             let (keys, ctxs, high) = {
@@ -892,20 +894,33 @@ impl DataEngine {
                     traced.push(*ctx);
                 }
                 let json = value.as_ref().map_or(&[][..], |v| v.json());
-                let pushed = cycle.push(vb, key, &meta, value.is_none(), json);
-                encoded = encoded.and(pushed);
+                // A refused key is unreachable while every entry point
+                // checks its key.
+                filled = cycle.push(vb, key, &meta, value.is_none(), json);
+                if filled.is_ok() && cycle.buffered_bytes() >= CYCLE_SLICE {
+                    filled = self.store.append_slice(shard, &mut cycle);
+                }
+                if filled.is_err() {
+                    break;
+                }
             }
             snapshots.push((vb, keys, ctxs, high));
+            if filled.is_err() {
+                break;
+            }
         }
-        if let Err(e) = encoded {
-            // Unreachable while every entry point checks its key.
+        if let Err(e) = filled {
+            // Nothing of the cycle stays in the log; its keys go back, and
+            // the vBuckets it did not reach stay listed.
+            self.store.abandon(shard, &mut cycle);
+            sh.signal.lock().dirty_vbs.extend(dirty_vbs);
             self.requeue(sh, snapshots);
             return Err(e);
         }
 
         if !cycle.is_empty() {
             let commit_start = (self.cfg.trace.is_some() && !traced.is_empty()).then(Instant::now);
-            match self.store.commit(shard, &cycle) {
+            match self.store.commit(shard, &mut cycle) {
                 Ok(fsync) => self.stats.fsync_latency.record(fsync),
                 Err(e) => {
                     self.requeue(sh, snapshots);
@@ -983,7 +998,9 @@ impl DataEngine {
     /// Compact one shard's log if its stale fraction has reached the
     /// threshold (§4.3.3: "Compaction is periodically run, based on a
     /// fragmentation threshold"); returns whether it ran. Readers carry on
-    /// throughout; the shard's drain cycles wait.
+    /// throughout; the shard's drain cycles wait. One log of the engine
+    /// compacts at a time: while another one is, this returns `Ok(false)`
+    /// at once and the shard tries again at its next maintenance turn.
     pub fn compact_shard_if_needed(&self, shard: usize) -> Result<bool> {
         let _flush = self.shards[shard].flush_lock.lock();
         // lint:allow(guard-blocking): the compaction swap (new file renamed

@@ -8,7 +8,8 @@
 //! sleep on a condvar and are woken by `enqueue_dirty`, so a write starts
 //! persisting immediately rather than after a polling interval. Every
 //! thread also compacts its own log when its fragmentation crosses the
-//! threshold; shard 0's runs the expiry pager as well (§4.3.3).
+//! threshold and no other shard of the engine is compacting; shard 0's runs
+//! the expiry pager as well (§4.3.3).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,8 +51,9 @@ impl FlusherPool {
                             std::thread::sleep(Duration::from_millis(50).min(interval));
                         }
                         // Periodic maintenance, roughly once per 64 drain
-                        // cycles: every shard looks after its own log, one
-                        // of them after expiry.
+                        // cycles: every shard looks after its own log (one
+                        // that finds another compacting waits for its next
+                        // turn), one of them after expiry.
                         since_maintenance += 1;
                         if since_maintenance >= 64 {
                             since_maintenance = 0;

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use cbs_common::{Cas, Error, SeqNo, VbId};
 use cbs_json::Value;
 use cbs_kv::{DataEngine, EngineConfig, FlusherPool, MutateMode, MutationResult};
+use cbs_storage::CYCLE_SLICE;
 
 const VBS: u16 = 16;
 
@@ -64,6 +65,21 @@ fn failed_commit_keeps_every_key_queued_and_counted_once() {
     assert!(e.storage_stats().iter().all(|(_, s)| s.file_bytes == 0), "nothing was indexed");
     let err = e.wait_persisted(a.vb, a.seqno, Duration::from_millis(20)).unwrap_err();
     assert!(matches!(err, Error::Timeout(_)));
+
+    // A cycle larger than one slice: the failure lands in the append of its
+    // first slice, mid-cycle, and changes no more than a failed commit.
+    let pad = Value::from("p".repeat(1_000));
+    for i in 0..100 {
+        let body = Value::object([("pad", pad.clone())]);
+        e.set(&format!("big{i}"), body, MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+    }
+    const { assert!(100 * 1_000 > CYCLE_SLICE, "the cycle spans more than one slice") };
+    for round in 0..2 {
+        assert!(matches!(e.flush_once(), Err(Error::Io(_))), "round {round}");
+        assert_eq!((e.disk_queue_len(), queued(&e)), (103, 103), "round {round}");
+    }
+    assert_eq!(e.stats().flushed.get(), 0);
+    assert!(e.storage_stats().iter().all(|(_, s)| s.file_bytes == 0), "nothing was indexed");
 }
 
 /// `disk_queue_len() == 0` means durable: a key leaves the gauge only

@@ -13,7 +13,7 @@
 //! - **fixed** — the shipped protocol. The explorer must verify every
 //!   interleaving clean.
 //!
-//! The four models:
+//! The five models:
 //!
 //! 1. A compaction that swaps the shard's log without holding the shard's
 //!    flush lock loses the records a drain cycle appends while the live
@@ -38,6 +38,10 @@
 //!    evicted). Break either half and an acknowledged version can be in
 //!    neither snapshot: value-less or absent in the cache copy, not yet in
 //!    the index listing.
+//! 5. A drain cycle reaches its log in slices under one sync. Indexing a
+//!    slice as soon as it is appended lets a reader look up an offset that
+//!    a failed sync then cuts off the log: it reads past the end. Fixed by
+//!    indexing the whole cycle only after its one sync has succeeded.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -632,11 +636,105 @@ fn marking_clean_before_indexing_loses_an_evicted_version() {
 }
 
 // ---------------------------------------------------------------------------
+// Model 5: sliced commit vs. a reader, with a sync that may fail
+// ---------------------------------------------------------------------------
+
+/// A cycle of two slices on its way to the log, a reader looking an offset
+/// up in the index and reading the log there, and a disk that may fail the
+/// cycle's sync. Offsets count slices: slice 1 ends at 1, slice 2 at 2.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct SliceState {
+    /// How far the log reaches.
+    log: u8,
+    /// The furthest offset the index points at (0 = nothing indexed).
+    indexed: u8,
+    /// The disk has failed: the cycle's sync returns an error.
+    sync_fails: bool,
+    f_pc: u8,
+    /// The offset the reader looked up, and whether it read past the log.
+    r_offset: u8,
+    r_past_end: bool,
+    r_pc: u8,
+}
+
+/// `buggy = true` indexes each slice as it is appended instead of the
+/// whole cycle after its sync.
+fn sliced_commit_vs_reader(buggy: bool) -> Result<(), String> {
+    let init = SliceState {
+        log: 0,
+        indexed: 0,
+        sync_fails: false,
+        f_pc: 0,
+        r_offset: 0,
+        r_past_end: false,
+        r_pc: 0,
+    };
+    let result = Explorer::new(init)
+        // Flusher: append slice 1 → append slice 2 → sync, then index — or,
+        // on a failed sync, cut the log back to the cycle's first byte.
+        .thread(move |s: &mut SliceState| {
+            if s.f_pc < 2 {
+                s.log += 1; // `append_slice`
+                if buggy {
+                    s.indexed = s.log;
+                }
+                s.f_pc += 1;
+                return Step::Progressed;
+            }
+            if s.sync_fails {
+                s.log = 0;
+            } else if !buggy {
+                s.indexed = s.log;
+            }
+            Step::Finished
+        })
+        // The disk fails at some point, before or after the sync.
+        .thread(|s: &mut SliceState| {
+            s.sync_fails = true;
+            Step::Finished
+        })
+        // Reader: look the offset up under the index lock → read there.
+        .thread(|s: &mut SliceState| {
+            if s.r_pc == 0 {
+                s.r_offset = s.indexed;
+                s.r_pc = 1;
+                return Step::Progressed;
+            }
+            s.r_past_end = s.r_offset > s.log;
+            Step::Finished
+        })
+        .invariant(|s: &SliceState| {
+            if s.r_past_end {
+                Err("a reader followed an index entry past the end of the log".into())
+            } else {
+                Ok(())
+            }
+        })
+        .run();
+    match result {
+        Ok(_) => Ok(()),
+        Err(cex) => Err(cex.to_string()),
+    }
+}
+
+#[test]
+fn indexing_after_the_one_sync_never_points_past_the_log() {
+    sliced_commit_vs_reader(false).expect("index-after-sync must verify clean");
+}
+
+#[test]
+fn indexing_each_slice_points_past_a_cut_back_log() {
+    let err = sliced_commit_vs_reader(true)
+        .expect_err("explorer must find the read after a failed sync cut the log back");
+    assert!(err.contains("past the end of the log"), "unexpected violation: {err}");
+}
+
+// ---------------------------------------------------------------------------
 // Meta: the models are small enough to stay exhaustive
 // ---------------------------------------------------------------------------
 
 /// Guard against the models silently outgrowing exhaustive exploration: all
-/// four verify within a tight state bound, so `cargo test` stays fast.
+/// five verify within a tight state bound, so `cargo test` stays fast.
 #[test]
 fn models_are_exhaustively_explorable() {
     let stats = Explorer::new(0u8)
@@ -646,7 +744,7 @@ fn models_are_exhaustively_explorable() {
         })
         .check();
     assert!(stats.states >= 1);
-    // The real bound check: re-run the four fixed models and assert they
+    // The real bound check: re-run the five fixed models and assert they
     // explore completely (Ok), which run() only returns after visiting
     // every reachable interleaving.
     drain_vs_compaction_swap(false).unwrap();
@@ -654,4 +752,5 @@ fn models_are_exhaustively_explorable() {
     failed_drain_vs_writer(RetryBug::None).unwrap();
     backfill_vs_writer_flusher_evictor(BackfillBug::None, false).unwrap();
     backfill_vs_writer_flusher_evictor(BackfillBug::None, true).unwrap();
+    sliced_commit_vs_reader(false).unwrap();
 }

@@ -5,15 +5,18 @@
 //! Each flusher shard owns one log file, `shard_<n>.couch` — a
 //! [`GroupCommitWal`] holding the records of all of the shard's vBuckets,
 //! interleaved in commit order — and that log is the *only* on-disk copy
-//! of their documents. A drain cycle is encoded once into a [`Cycle`],
-//! appended with one write and made durable with one `sync_data`
-//! ([`BucketStore::commit`]); the records are then indexed by offset in
-//! their vBuckets' [`VBucketStore`]s, which is all a read needs.
+//! of their documents. A drain cycle is encoded once into a [`Cycle`] and
+//! reaches the log in slices of [`CYCLE_SLICE`] bytes
+//! ([`BucketStore::append_slice`]), unsynced and unindexed; its one
+//! `sync_data` ([`BucketStore::commit`]) makes all of it durable, and only
+//! then are the records indexed by offset in their vBuckets'
+//! [`VBucketStore`]s, which is all a read needs. A slice or a sync that
+//! fails cuts the log back to the cycle's first byte.
 //!
 //! **One log, one writer.** Appends, purges and compactions of one shard
-//! must not overlap; the data engine runs all three under the shard's flush
-//! lock. Reads need no such care: they go through the per-vBucket index
-//! locks and positioned reads only.
+//! must not overlap — a cycle's slices included; the data engine runs all
+//! three under the shard's flush lock. Reads need no such care: they go
+//! through the per-vBucket index locks and positioned reads only.
 //!
 //! - **Recovery** is one scan of each log that rebuilds the indexes; a torn
 //!   tail is cut off, mid-file corruption is reported and cut off (the
@@ -27,9 +30,10 @@
 //!   behind it.
 //! - **Compaction** ([`BucketStore::compact_shard`]) runs when the stale
 //!   fraction of a log crosses the threshold (§4.3.3): live records are
-//!   streamed to a fresh file in bounded chunks, the file is renamed over
-//!   the log, and each vBucket's (file, offsets) pair is switched under
-//!   that vBucket's own lock.
+//!   streamed to a fresh file through one 64 KiB buffer, the file
+//!   is renamed over the log, and each vBucket's (file, offsets) pair is
+//!   switched under that vBucket's own lock. One log of a store compacts
+//!   at a time: a shard that finds another one compacting skips its turn.
 
 use std::collections::HashMap;
 use std::os::unix::fs::FileExt;
@@ -41,27 +45,42 @@ use std::time::{Duration, Instant};
 use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{DocMeta, Result, SeqNo, VbId};
 
-use crate::record::{
-    encode_record_with, StoredDoc, KEY_OFFSET, KIND_LIVE, KIND_PURGE, KIND_TOMBSTONE,
-};
+use crate::record::{encode_record_with, StoredDoc, KIND_LIVE, KIND_PURGE, KIND_TOMBSTONE};
 use crate::vbstore::{Located, VBucketStore, VbIndex};
 use crate::wal::{scan_frames, GroupCommitWal, FRAME_PREFIX};
 
-/// One drain cycle's records, encoded: what [`BucketStore::commit`] writes.
+/// A drain cycle goes to its log a slice of about this many bytes at a
+/// time ([`BucketStore::append_slice`]): what a cycle buffers, however many
+/// records it carries.
+pub const CYCLE_SLICE: usize = 64 << 10;
+
+/// One drain cycle: its records, encoded, and their keys. Frames leave the
+/// buffer a slice at a time; the keys and places stay for the indexing that
+/// follows the cycle's sync.
 #[derive(Default)]
 pub struct Cycle {
+    /// Frames not appended yet.
     buf: Vec<u8>,
+    /// Every record's key, back to back.
+    keys: String,
     recs: Vec<CycleRec>,
+    /// Where the cycle's first byte landed in the log, once a slice has.
+    base: Option<u64>,
+    /// Bytes of the cycle already in the log.
+    appended: u64,
 }
 
 struct CycleRec {
     vb: VbId,
     seqno: SeqNo,
     deleted: bool,
-    /// Where the record's frame starts in `buf`, and the record's length.
-    at: usize,
+    /// Where the record's frame starts, counted from the cycle's first
+    /// byte, and the record's length.
+    at: u64,
     len: u32,
-    key_len: usize,
+    /// Where the key starts in `keys`, and its length.
+    key_at: usize,
+    key_len: u16,
 }
 
 impl Cycle {
@@ -88,7 +107,16 @@ impl Cycle {
         let kind = if deleted { KIND_TOMBSTONE } else { KIND_LIVE };
         let len = encode_record_with(&mut self.buf, key, meta, kind, value)
             .inspect_err(|_| self.buf.truncate(at))? as u32;
-        self.recs.push(CycleRec { vb, seqno: meta.seqno, deleted, at, len, key_len: key.len() });
+        self.recs.push(CycleRec {
+            vb,
+            seqno: meta.seqno,
+            deleted,
+            at: self.appended + at as u64,
+            len,
+            key_at: self.keys.len(),
+            key_len: key.len() as u16, // `encode_record_with` checked it
+        });
+        self.keys.push_str(key);
         Ok(())
     }
 
@@ -107,20 +135,24 @@ impl Cycle {
         self.recs.is_empty()
     }
 
+    /// Bytes pushed since the last slice went to the log: a caller appends
+    /// a slice once this reaches [`CYCLE_SLICE`].
+    pub fn buffered_bytes(&self) -> usize {
+        self.buf.len()
+    }
+
     /// `(vBucket, key, seqno)` of every record, in push order.
     pub fn records(&self) -> impl Iterator<Item = (VbId, &str, SeqNo)> + '_ {
         self.recs.iter().map(|rec| (rec.vb, self.key(rec), rec.seqno))
     }
 
     fn key(&self, rec: &CycleRec) -> &str {
-        let start = rec.at + FRAME_PREFIX + KEY_OFFSET;
-        // It went in as a `&str`.
-        std::str::from_utf8(&self.buf[start..start + rec.key_len]).unwrap_or_default()
+        &self.keys[rec.key_at..rec.key_at + rec.key_len as usize]
     }
 }
 
 /// Compaction copies this much at a time.
-const COMPACT_CHUNK: usize = 1 << 20;
+const COMPACT_CHUNK: usize = 64 << 10;
 
 /// One shard's log and the indexes of the vBuckets in it.
 pub(crate) struct ShardLog {
@@ -179,20 +211,36 @@ impl ShardLog {
         all
     }
 
-    /// One write and, if asked for, one `sync_data`. A failed sync cuts the
-    /// log back to where it was. Returns the offset the frames landed at
-    /// and the time the sync took.
-    fn write(&self, frames: &[u8], sync: bool) -> Result<(u64, Duration)> {
-        let base = self.wal.append(frames)?;
-        let sync_start = Instant::now();
-        if sync {
-            if let Err(e) = self.wal.sync() {
-                let _ = self.wal.truncate_to(base);
-                return Err(e);
+    /// Append what `cycle` has buffered, unsynced and unindexed, right
+    /// behind its earlier slices. On an error the cycle is abandoned.
+    fn append_slice(&self, cycle: &mut Cycle) -> Result<()> {
+        if cycle.buf.is_empty() {
+            return Ok(());
+        }
+        match self.wal.append(&cycle.buf) {
+            Ok(at) => {
+                let base = *cycle.base.get_or_insert(at);
+                // The offsets the cycle will index assume its slices are
+                // contiguous: the one-writer rule above.
+                assert_eq!(at, base + cycle.appended, "a write landed inside the cycle");
+                cycle.appended += cycle.buf.len() as u64;
+                cycle.buf.clear();
+                Ok(())
+            }
+            Err(e) => {
+                self.abandon(cycle);
+                Err(e)
             }
         }
-        self.unsynced.store(!sync, Ordering::SeqCst);
-        Ok((base, sync_start.elapsed()))
+    }
+
+    /// Give `cycle` up: cut the log back to the cycle's first byte and
+    /// empty the cycle.
+    fn abandon(&self, cycle: &mut Cycle) {
+        if let Some(base) = cycle.base {
+            let _ = self.wal.truncate_to(base);
+        }
+        *cycle = Cycle::default();
     }
 
     /// Sync the log if anything appended to it is not synced yet.
@@ -206,11 +254,24 @@ impl ShardLog {
         Ok(())
     }
 
-    /// Append `cycle` with one write, sync it if asked to, then index its
-    /// records. On an error nothing is indexed and the log is as it was.
-    /// Returns the time the sync took.
-    pub(crate) fn append(&self, cycle: &Cycle, sync: bool) -> Result<Duration> {
-        let (base, synced_in) = self.write(&cycle.buf, sync)?;
+    /// Append the rest of `cycle`, sync the whole of it if asked to, then
+    /// index its records. On an error nothing is indexed, the log is as it
+    /// was before the cycle's first slice and the cycle is empty. Returns
+    /// the time the sync took.
+    pub(crate) fn append(&self, cycle: &mut Cycle, sync: bool) -> Result<Duration> {
+        self.append_slice(cycle)?;
+        let Some(base) = cycle.base else {
+            return Ok(Duration::ZERO); // nothing was pushed
+        };
+        let sync_start = Instant::now();
+        if sync {
+            if let Err(e) = self.wal.sync() {
+                self.abandon(cycle);
+                return Err(e);
+            }
+        }
+        let synced_in = sync_start.elapsed();
+        self.unsynced.store(!sync, Ordering::SeqCst);
         let _s = cbs_obs::span("storage.store.index");
         let file = self.wal.file();
         // A vBucket's records are pushed together: one index lock per run.
@@ -219,7 +280,7 @@ impl ShardLog {
                 key: cycle.key(rec),
                 seqno: rec.seqno,
                 deleted: rec.deleted,
-                offset: base + (rec.at + FRAME_PREFIX) as u64,
+                offset: base + rec.at + FRAME_PREFIX as u64,
                 len: rec.len,
             });
             self.index(run[0].vb).apply(&file, places);
@@ -242,7 +303,8 @@ impl ShardLog {
         }
         let mut frame = vb.0.to_le_bytes().to_vec();
         encode_record_with(&mut frame, "", &DocMeta::default(), KIND_PURGE, &[])?;
-        self.write(&frame, false)?;
+        self.wal.append(&frame)?;
+        self.unsynced.store(true, Ordering::SeqCst);
         index.purge(frame.len() as u64);
         Ok(())
     }
@@ -265,7 +327,8 @@ impl ShardLog {
         }
         let indexes = self.indexes();
         let mut moved = Vec::with_capacity(indexes.len());
-        let (mut chunk, mut peak, mut at) = (Vec::new(), 0usize, 0u64);
+        // Sized once: only a record larger than the limit grows it.
+        let (mut chunk, mut peak, mut at) = (Vec::with_capacity(chunk_limit), 0usize, 0u64);
         for (vb, index) in &indexes {
             let (file, mut places) = index.in_seqno_order(SeqNo::ZERO);
             for place in &mut places {
@@ -311,6 +374,9 @@ pub struct BucketStore {
     dir: PathBuf,
     num_vbuckets: u16,
     shards: Vec<Arc<ShardLog>>,
+    /// Taken while one of the logs compacts: the store's compactions run
+    /// one at a time, so their copy buffers and I/O do not pile up.
+    compacting: AtomicBool,
 }
 
 fn shard_path(dir: &Path, shard: usize) -> PathBuf {
@@ -349,7 +415,12 @@ impl BucketStore {
                 }
             }
         }
-        let mut store = BucketStore { dir, num_vbuckets, shards: Vec::new() };
+        let mut store = BucketStore {
+            dir,
+            num_vbuckets,
+            shards: Vec::new(),
+            compacting: AtomicBool::new(false),
+        };
         for shard in 0..shards.max(1) {
             store.shards.push(Arc::new(ShardLog::recover(shard_path(&store.dir, shard))?));
         }
@@ -413,13 +484,29 @@ impl BucketStore {
         Ok(VBucketStore { vb, log, index })
     }
 
-    /// The flusher's write: append `cycle` — records of `shard`'s vBuckets
-    /// only — to the shard's log with one write, make it durable with one
-    /// `sync_data`, then index the records. Returns the time the sync took.
-    /// An error leaves the log and the indexes as they were.
-    pub fn commit(&self, shard: usize, cycle: &Cycle) -> Result<Duration> {
+    /// Append what `cycle` has buffered to `shard`'s log — unsynced and
+    /// unindexed: nothing reads it before [`commit`](BucketStore::commit).
+    /// Between its slices and its commit a cycle must be the only writer of
+    /// the log. On an error the log is cut back to the cycle's first byte
+    /// and the cycle is emptied.
+    pub fn append_slice(&self, shard: usize, cycle: &mut Cycle) -> Result<()> {
+        self.shards[shard].append_slice(cycle)
+    }
+
+    /// The flusher's write: append the rest of `cycle` — records of
+    /// `shard`'s vBuckets only — to the shard's log, make all of it durable
+    /// with one `sync_data`, then index the records. Returns the time the
+    /// sync took. An error leaves the indexes as they were and the log as
+    /// it was before the cycle's first slice, and empties the cycle.
+    pub fn commit(&self, shard: usize, cycle: &mut Cycle) -> Result<Duration> {
         debug_assert!(cycle.recs.iter().all(|rec| self.shard_of(rec.vb) == shard));
         self.shards[shard].append(cycle, true)
+    }
+
+    /// Give up a cycle that will not be committed: the log is cut back to
+    /// its first byte and the cycle is emptied.
+    pub fn abandon(&self, shard: usize, cycle: &mut Cycle) {
+        self.shards[shard].abandon(cycle);
     }
 
     /// Forget a vBucket's documents (rebalance hand-off: the paper's *dead*
@@ -457,15 +544,21 @@ impl BucketStore {
     }
 
     /// Compact `shard`'s log if the stale fraction of its bytes has reached
-    /// `threshold`; returns whether it ran.
+    /// `threshold` and no other log of the store is compacting; returns
+    /// whether it ran. A shard that finds another one compacting does not
+    /// wait: it is asked again at its next turn.
     pub fn compact_shard(&self, shard: usize, threshold: f64) -> Result<bool> {
         let log = &self.shards[shard];
         let (bytes, stale) = log.usage();
         if bytes == 0 || (stale as f64 / bytes as f64) < threshold {
             return Ok(false);
         }
-        log.compact(COMPACT_CHUNK)?;
-        Ok(true)
+        if self.compacting.swap(true, Ordering::SeqCst) {
+            return Ok(false);
+        }
+        let ran = log.compact(COMPACT_CHUNK);
+        self.compacting.store(false, Ordering::SeqCst);
+        ran.map(|_| true)
     }
 
     /// Run [`compact_shard`](BucketStore::compact_shard) on every log;
@@ -575,7 +668,7 @@ mod tests {
             cycle.push_doc(VbId(0), &doc_with("b", r#"{"v":3}"#, 2)).unwrap();
             cycle.push_doc(VbId(3), &doc("c", 1)).unwrap();
             assert_eq!(cycle.len(), 3);
-            bs.commit(0, &cycle).unwrap();
+            bs.commit(0, &mut cycle).unwrap();
             let mut cycle = Cycle::new();
             cycle
                 .push(
@@ -592,10 +685,10 @@ mod tests {
             assert_eq!(refused, Err(cbs_common::Error::KeyTooLong(70_000)));
             let recs: Vec<_> = cycle.records().collect();
             assert_eq!(recs, [(VbId(0), "a", SeqNo(3))]);
-            bs.commit(0, &cycle).unwrap();
+            bs.commit(0, &mut cycle).unwrap();
             let mut cycle = Cycle::new();
             cycle.push_doc(VbId(7), &doc("z", 1)).unwrap();
-            bs.commit(1, &cycle).unwrap();
+            bs.commit(1, &mut cycle).unwrap();
         }
         let bs = BucketStore::open_sharded(dir, 2, 8).unwrap();
         let s = bs.vb(VbId(0)).unwrap();
@@ -729,6 +822,34 @@ mod tests {
         }
         bs.vb(VbId(1)).unwrap().persist(&doc("only", 1)).unwrap();
         assert_eq!(bs.compact_all(0.5).unwrap(), 1, "only the fragmented log compacts");
+    }
+
+    /// A store compacts one log at a time: while another log holds the
+    /// flag, a fragmented log is left exactly as it is, and the same call
+    /// compacts it once the flag is free again.
+    #[test]
+    fn one_log_compacts_at_a_time() {
+        let bs = BucketStore::open_sharded(scratch_dir("bucket"), 2, 2).unwrap();
+        let s = bs.vb(VbId(0)).unwrap();
+        for i in 0..50 {
+            s.persist(&doc_with("same-key", &format!(r#"{{"v":{i}}}"#), i + 1)).unwrap();
+        }
+        let (bytes, stats) = (bs.log_bytes(0), s.stats());
+        let latest = s.get("same-key").unwrap();
+
+        bs.compacting.store(true, Ordering::SeqCst); // another log is compacting
+        assert!(!bs.compact_shard(0, 0.5).unwrap(), "the flag is taken: no run");
+        assert_eq!(bs.log_bytes(0), bytes);
+        assert_eq!(disk_bytes(&bs), bytes);
+        assert_eq!(s.stats(), stats, "the index is untouched");
+        assert_eq!(s.get("same-key").unwrap(), latest);
+
+        bs.compacting.store(false, Ordering::SeqCst);
+        assert!(bs.compact_shard(0, 0.5).unwrap());
+        assert!(bs.log_bytes(0) < bytes);
+        assert_eq!(s.stats().compactions, 1);
+        assert_eq!(s.get("same-key").unwrap(), latest);
+        assert!(!bs.compacting.load(Ordering::SeqCst), "a run gives the flag back");
     }
 
     /// Readers never see the switch: a thread looping `get` and

@@ -10,15 +10,17 @@
 //!
 //! - one append-only log file per flusher shard ([`BucketStore`]), holding
 //!   the records of all of the shard's vBuckets, CRC32-checksummed
-//!   ([`record`]) and written once: a drain cycle is one write and one
-//!   `sync_data`, and that log is the only on-disk copy of the documents;
+//!   ([`record`]) and written once: a drain cycle is appended in 64 KiB
+//!   slices under one `sync_data` and indexed after it, and that log is
+//!   the only on-disk copy of the documents;
 //! - per vBucket, one in-memory **by-id** index (key → offset, length and
 //!   seqno of its latest record) over its shard's log ([`VBucketStore`]),
 //!   rebuilt by scanning the logs on open — crash recovery truncates at the
 //!   first torn/corrupt record, recovering exactly the durable prefix;
 //! - online **compaction** when a log's fragmentation ratio (stale bytes /
-//!   file bytes) crosses a threshold: live records are streamed to a fresh
-//!   file which atomically replaces the old one, readers undisturbed;
+//!   file bytes) crosses a threshold: live records are streamed through a
+//!   64 KiB buffer to a fresh file which atomically replaces the old one,
+//!   readers undisturbed — one log of a store at a time;
 //! - seqno-ordered reads — the by-id entries sorted on demand — for
 //!   warm-up after a restart, re-homing and compaction, and no-I/O record
 //!   listings ([`RecordList`]): how a DCP backfill reads exactly the
@@ -32,7 +34,7 @@ pub mod record;
 pub mod vbstore;
 pub mod wal;
 
-pub use bucket::{BucketStore, Cycle};
+pub use bucket::{BucketStore, Cycle, CYCLE_SLICE};
 pub use record::{check_key_len, DocMeta, StoredDoc, MAX_KEY_LEN};
 pub use vbstore::{RecordList, StoreStats, VBucketStore};
 pub use wal::{replay_file, GroupCommitWal};

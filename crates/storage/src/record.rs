@@ -35,9 +35,6 @@ pub const HEADER_LEN: usize = 1 + 4 + 4;
 /// `deleted` byte and the key length.
 const FIXED_LEN: usize = 8 + 8 + 8 + 4 + 4 + 1 + 2;
 
-/// Where the key starts inside an encoded record.
-pub(crate) const KEY_OFFSET: usize = HEADER_LEN + FIXED_LEN;
-
 /// Values of the payload's `deleted` byte. A purge marker is not a document
 /// version: it ends everything its vBucket wrote to the same log before it
 /// (the vBucket was handed off), so a replay never resurrects that data.

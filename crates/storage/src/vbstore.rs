@@ -144,15 +144,16 @@ impl VbIndex {
     }
 
     /// The file and every indexed record newer than `since`, in seqno
-    /// order: what `changes_since` reads and a compaction copies.
+    /// order: what `changes_since` reads and a compaction copies. Sized
+    /// once, at 24 bytes per indexed record, rather than grown by doubling.
     pub(crate) fn in_seqno_order(&self, since: SeqNo) -> (Arc<File>, Vec<Place>) {
         let inner = self.inner.lock();
-        let mut places: Vec<Place> = inner
-            .by_id
-            .values()
-            .filter(|e| e.seqno > since)
-            .map(|e| Place { seqno: e.seqno, offset: e.offset, len: e.len })
-            .collect();
+        let mut places = Vec::with_capacity(inner.by_id.len());
+        places.extend(inner.by_id.values().filter(|e| e.seqno > since).map(|e| Place {
+            seqno: e.seqno,
+            offset: e.offset,
+            len: e.len,
+        }));
         places.sort_unstable_by_key(|p| p.seqno);
         (Arc::clone(&inner.file), places)
     }
@@ -260,7 +261,7 @@ impl VBucketStore {
         for doc in docs {
             cycle.push_doc(self.vb, doc)?;
         }
-        self.log.append(&cycle, false).map(drop)
+        self.log.append(&mut cycle, false).map(drop)
     }
 
     /// Fetch the latest persisted version of a key (tombstones included:

@@ -1,10 +1,10 @@
 //! The group-commit log file: CRC-framed records, one fsync per commit.
 //!
 //! A [`GroupCommitWal`] is an append-only file of framed records whose
-//! owner appends a whole batch with a single write and then issues **one**
-//! `sync()` — that sync is the batch's durability point (the paper's
-//! asynchronous disk-write queue amortised, §2.3.2). It is its owner's
-//! only store, never checkpointed away: the owner replays it on open
+//! owner appends a whole batch — in one write, or a slice at a time — and
+//! then issues **one** `sync()`: that sync is the batch's durability point
+//! (the paper's asynchronous disk-write queue amortised, §2.3.2). It is its
+//! owner's only store, never checkpointed away: the owner replays it on open
 //! ([`replay_file`], or the store's own offset-keeping scan), cuts a torn
 //! tail off with [`GroupCommitWal::truncate_to`], and keeps appending.
 //!
@@ -138,8 +138,9 @@ impl GroupCommitWal {
     pub fn truncate_to(&self, len: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.file.set_len(len)?;
-        inner.file.sync_data()?;
+        // The file is this long now, whether or not the sync below holds.
         inner.len = len;
+        inner.file.sync_data()?;
         Ok(())
     }
 

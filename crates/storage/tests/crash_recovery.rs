@@ -88,7 +88,7 @@ fn commit_in_batches(store: &BucketStore, docs: &[(VbId, StoredDoc)], split: &[u
         for (vb, doc) in batch {
             cycle.push_doc(*vb, doc).unwrap();
         }
-        store.commit(0, &cycle).unwrap();
+        store.commit(0, &mut cycle).unwrap();
         lens.push(store.log_bytes(0));
         rest = tail;
     }
@@ -122,6 +122,28 @@ fn assert_state(
 
 fn log_path(dir: &Path) -> std::path::PathBuf {
     dir.join("shard_0.couch")
+}
+
+/// After which pushed records a cycle appends a slice (cycled through).
+fn arb_slices() -> impl Strategy<Value = Vec<bool>> {
+    prop::collection::vec(any::<bool>(), 1..16)
+}
+
+/// Two stores read the same: every vBucket's statistics, its changes in
+/// seqno order and every key a test op can write.
+fn assert_same(a: &BucketStore, b: &BucketStore) -> Result<(), TestCaseError> {
+    for vb in (0..VBS).map(VbId) {
+        let (a, b) = (a.vb(vb).unwrap(), b.vb(vb).unwrap());
+        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert_eq!(
+            a.changes_since(SeqNo::ZERO).unwrap(),
+            b.changes_since(SeqNo::ZERO).unwrap()
+        );
+        for key in (0..12).map(|k| format!("k{k}")) {
+            prop_assert_eq!(a.get(&key).unwrap(), b.get(&key).unwrap());
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -189,7 +211,7 @@ proptest! {
         };
         let mut cycle = Cycle::new();
         cycle.push_doc(VbId(1), &post).unwrap();
-        store.commit(0, &cycle).unwrap();
+        store.commit(0, &mut cycle).unwrap();
         drop(store);
         let store = BucketStore::open(dir).unwrap();
         let mut expected = model(&docs[..survivors]);
@@ -218,5 +240,87 @@ proptest! {
         prop_assert_eq!(store.log_bytes(0), std::fs::metadata(log_path(&dir)).unwrap().len());
         drop(store);
         assert_state(&BucketStore::open(dir).unwrap(), &model(&docs))?;
+    }
+
+    /// Slicing is invisible on disk: the same cycles committed whole and
+    /// committed after slices at arbitrary points leave byte-identical
+    /// logs and stores that read the same. Between slices nothing of the
+    /// cycle is indexed — the sliced store reads as the other one, which
+    /// has not seen the cycle yet.
+    #[test]
+    fn slicing_a_cycle_is_invisible(ops in arb_ops(), split in arb_split(), slices in arb_slices()) {
+        let (whole_dir, sliced_dir) = (scratch_dir("slice-prop"), scratch_dir("slice-prop"));
+        let whole = BucketStore::open(whole_dir.clone()).unwrap();
+        let sliced = BucketStore::open(sliced_dir.clone()).unwrap();
+        let docs = to_docs(&ops);
+        let (mut slice_after, mut rest) = (slices.iter().cycle(), &docs[..]);
+        for size in split.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at((*size).min(rest.len()));
+            let mut cycle = Cycle::new();
+            for (vb, doc) in batch {
+                cycle.push_doc(*vb, doc).unwrap();
+                if *slice_after.next().unwrap() {
+                    sliced.append_slice(0, &mut cycle).unwrap();
+                    prop_assert_eq!(cycle.buffered_bytes(), 0);
+                    assert_same(&whole, &sliced)?;
+                    if rest.len() == docs.len() {
+                        // The first cycle: nothing at all is indexed yet.
+                        prop_assert_eq!(sliced.vb(*vb).unwrap().get(&doc.key).unwrap(), None);
+                        prop_assert_eq!(sliced.vb(*vb).unwrap().stats().file_bytes, 0);
+                    }
+                }
+            }
+            sliced.commit(0, &mut cycle).unwrap();
+            let mut cycle = Cycle::new();
+            for (vb, doc) in batch {
+                cycle.push_doc(*vb, doc).unwrap();
+            }
+            whole.commit(0, &mut cycle).unwrap();
+            rest = tail;
+        }
+        assert_same(&whole, &sliced)?;
+        assert_state(&sliced, &model(&docs))?;
+        let on_disk = |dir: &Path| std::fs::read(log_path(dir)).unwrap();
+        prop_assert_eq!(on_disk(&whole_dir), on_disk(&sliced_dir), "byte-identical logs");
+    }
+
+    /// A store dropped between two slices of a cycle — a crash before the
+    /// cycle's sync — reopens to exactly the complete frames appended so
+    /// far, as if one write of the whole cycle had been torn there.
+    #[test]
+    fn a_crash_between_slices_keeps_the_appended_frames(
+        ops in arb_ops(),
+        slices in arb_slices(),
+        committed in 0usize..60,
+    ) {
+        let dir = scratch_dir("slice-prop");
+        let docs = to_docs(&ops);
+        let committed = committed.min(docs.len() - 1);
+        let appended = {
+            let store = BucketStore::open(dir.clone()).unwrap();
+            let mut cycle = Cycle::new();
+            for (vb, doc) in &docs[..committed] {
+                cycle.push_doc(*vb, doc).unwrap();
+            }
+            store.commit(0, &mut cycle).unwrap();
+            let (mut cycle, mut appended) = (Cycle::new(), 0);
+            for ((vb, doc), slice) in docs[committed..].iter().zip(slices.iter().cycle()) {
+                cycle.push_doc(*vb, doc).unwrap();
+                if *slice {
+                    store.append_slice(0, &mut cycle).unwrap();
+                    appended = cycle.len();
+                }
+            }
+            appended // the store and the cycle are dropped unsynced
+        };
+        let kept = &docs[..committed + appended];
+        let store = BucketStore::open(dir.clone()).unwrap();
+        assert_state(&store, &model(kept))?;
+        let frames: u64 = kept.iter().map(|(_, d)| 2 + d.disk_size()).sum();
+        prop_assert_eq!(store.log_bytes(0), frames);
+        prop_assert_eq!(std::fs::metadata(log_path(&dir)).unwrap().len(), frames);
     }
 }

@@ -48,7 +48,7 @@ fn write_log(spec: &[(u16, u8, Option<u16>)]) -> Log {
                 let body = value.as_deref().unwrap_or_default().as_bytes();
                 cycle.push(VbId(vb), &format!("k{key}"), &meta, len.is_none(), body).unwrap();
             }
-            store.commit(0, &cycle).unwrap();
+            store.commit(0, &mut cycle).unwrap();
         }
     }
     let path = log_path(&dir);

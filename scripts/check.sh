@@ -244,7 +244,8 @@ run "xtask analyze" cargo xtask analyze
 # mini-loom explorer, the model of the one seqno waiter (`Signal`: no
 # missed wake-up; both ways of breaking it are caught), and the exhaustive
 # flusher-protocol models that pin the PR-1 race fixes (checkpoint/drain,
-# shutdown wakeup, failed-drain) and the backfill ordering pair (cache copy
+# shutdown wakeup, failed-drain), the sliced commit (a cycle is indexed only
+# after its one sync) and the backfill ordering pair (cache copy
 # before index listing, index before mark_clean) — whose other half, that
 # the memory-first backfill returns what the disk-first one did, is the
 # property suite beside it.
