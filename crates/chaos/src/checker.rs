@@ -36,7 +36,7 @@ use std::fmt;
 use std::time::Duration;
 
 use cbs_cluster::Cluster;
-use cbs_common::{SeqNo, VbId};
+use cbs_common::{Deadline, SeqNo, VbId};
 use cbs_kv::DataEngine;
 
 use crate::history::{Ack, History, OpKind, OpRecord, TxnEventKind};
@@ -377,7 +377,7 @@ fn vb_doc_state(engine: &DataEngine, vb: VbId) -> HashMap<String, i64> {
     let Ok(mut stream) = engine.open_dcp_stream(vb, SeqNo::ZERO) else {
         return HashMap::new();
     };
-    for item in stream.drain_until(high, Duration::from_secs(5)) {
+    for item in stream.drain_until(high, Deadline::after(Duration::from_secs(5))) {
         let value = if item.is_deletion() {
             None
         } else {

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Error, NodeId, Result, SeqNo, VbId};
+use cbs_common::{Deadline, Error, NodeId, Result, SeqNo, VbId};
+use cbs_dcp::FeedWaker;
 use cbs_json::Value;
 use cbs_kv::VbState;
 use cbs_views::{ViewQuery, ViewResult, ViewRow};
@@ -16,15 +17,17 @@ use crate::config::{ClusterConfig, ServiceSet};
 use crate::lag::ReplicationLagTable;
 use crate::map::ClusterMap;
 use crate::node::Node;
-use crate::replication::{PumpTopology, ReplicationPump, TopologyFn};
+use crate::replication::{PumpTopology, ReplicationPump};
 
-/// A bucket's running pump plus its lock-free lag table. The table is
-/// shared out (`Arc`) to stats/catalog readers; the pump thread is the
-/// table's single writer.
+/// A bucket's running pump, its lock-free lag table and the feeds its map
+/// installs wake. The table is shared out (`Arc`) to stats/catalog readers;
+/// the pump thread is the table's single writer.
 struct PumpEntry {
     /// Held for its `Drop`: removing the entry stops the pump thread.
     _pump: ReplicationPump,
     lag: Arc<ReplicationLagTable>,
+    /// Woken by every map install: the pump's feed and each XDCR link's.
+    watchers: Vec<FeedWaker>,
 }
 
 pub(crate) struct ClusterInner {
@@ -163,12 +166,6 @@ impl Cluster {
         self.inner.map(bucket)
     }
 
-    /// A bucket's current map epoch: what a cached topology is stale
-    /// against.
-    pub fn map_epoch(&self, bucket: &str) -> Result<u64> {
-        self.inner.read_map(bucket, |m| m.epoch)
-    }
-
     /// Number of vBuckets a bucket is partitioned into.
     pub fn num_vbuckets(&self, bucket: &str) -> Result<u16> {
         self.inner.read_map(bucket, ClusterMap::num_vbuckets)
@@ -203,7 +200,7 @@ impl Cluster {
         }
         let ids: Vec<NodeId> = data_nodes.iter().map(|n| n.id()).collect();
         let map =
-            ClusterMap::balanced(1, self.inner.cfg.num_vbuckets, &ids, self.inner.cfg.num_replicas);
+            ClusterMap::balanced(0, self.inner.cfg.num_vbuckets, &ids, self.inner.cfg.num_replicas);
         // Activate placement on the engines.
         for node in &data_nodes {
             let engine = node.engine(bucket)?;
@@ -214,14 +211,11 @@ impl Cluster {
                 engine.set_vb_state(vb, VbState::Replica);
             }
         }
-        self.inner.maps.write().insert(bucket.to_string(), map);
-        // Start the DCP pump (replication + GSI feed) for this bucket.
-        let inner = Arc::clone(&self.inner);
-        let bucket_name = bucket.to_string();
-        let refresh: TopologyFn = Box::new(move |built_epoch| {
-            let moved = inner.maps.read().get(&bucket_name)?.epoch != built_epoch;
-            moved.then(|| topology_snapshot(&inner, &bucket_name))
+        self.install_map(bucket, |installed| {
+            *installed = map;
+            (true, ())
         });
+        // Start the DCP pump (replication + GSI feed) for this bucket.
         let lag = Arc::new(ReplicationLagTable::new(
             bucket,
             self.inner.cfg.num_vbuckets,
@@ -231,11 +225,44 @@ impl Cluster {
         // (its single writer from here on) starts: stats and the
         // `system:replication` catalog read rows the instant the bucket
         // exists instead of racing the pump's first cycle.
-        let topo = topology_snapshot(&self.inner, bucket);
-        lag.observe(&topo);
-        let pump = ReplicationPump::spawn(bucket.to_string(), topo, refresh, Arc::clone(&lag));
-        self.pumps.lock().insert(bucket.to_string(), PumpEntry { _pump: pump, lag });
+        lag.observe(&topology_snapshot(&self.inner, bucket));
+        let pump = ReplicationPump::spawn(bucket, Arc::clone(&self.inner), Arc::clone(&lag));
+        let waker = pump.waker.clone();
+        let watchers = vec![waker.clone()];
+        self.pumps.lock().insert(bucket.to_string(), PumpEntry { _pump: pump, lag, watchers });
+        // In case the pump read its first map before it was a watcher.
+        waker.wake();
         Ok(())
+    }
+
+    /// Wake `waker` after every change to `bucket`'s map, until its feed is
+    /// gone (an XDCR link registers before it first reads the map).
+    pub fn watch_map(&self, bucket: &str, waker: FeedWaker) -> Result<()> {
+        let mut pumps = self.pumps.lock();
+        let entry = pumps
+            .get_mut(bucket)
+            .ok_or_else(|| Error::Cluster(format!("unknown bucket {bucket}")))?;
+        entry.watchers.push(waker);
+        Ok(())
+    }
+
+    /// The one way a bucket's map changes: `change` edits it (an empty one
+    /// for a new bucket) in place under the write guard and says whether it
+    /// did; a change bumps the epoch and then wakes the bucket's watchers.
+    fn install_map<T>(&self, bucket: &str, change: impl FnOnce(&mut ClusterMap) -> (bool, T)) -> T {
+        let mut maps = self.inner.maps.write();
+        let map = maps.entry(bucket.to_string()).or_default();
+        let (changed, out) = change(map);
+        if changed {
+            map.epoch += 1;
+        }
+        drop(maps);
+        if changed {
+            if let Some(entry) = self.pumps.lock().get_mut(bucket) {
+                entry.watchers.retain(FeedWaker::wake);
+            }
+        }
+        out
     }
 
     // ------------------------------------------------------------------
@@ -269,60 +296,52 @@ impl Cluster {
         let mut promoted = 0usize;
         let buckets = self.buckets();
         for bucket in buckets {
-            // Flight-recorder rows for this bucket's promotions, recorded
-            // after the maps write guard drops.
-            let mut promotions: Vec<(VbId, NodeId)> = Vec::new();
-            // Mutate the installed map in place under the write lock: a
-            // clone-mutate-insert here would clobber concurrent updates
-            // (a rebalance mover's takeover, another failover) that landed
-            // between the clone and the insert — a lost-update race that
-            // can leave a vBucket pointing at a node that no longer owns
-            // it.
-            let mut maps = self.inner.maps.write();
-            let Some(map) = maps.get_mut(&bucket) else { continue };
-            let mut changed = false;
-            for v in 0..map.num_vbuckets() {
-                let vb = VbId(v);
-                if map.active_node(vb) == dead {
-                    // Promote the most caught-up replica that is alive AND
-                    // still serves the bucket right now (a candidate dying
-                    // between the liveness check and the promotion is just
-                    // skipped; the next failover pass will handle it).
-                    // Choosing the highest seqno both minimises data loss
-                    // and keeps every surviving sibling a strict prefix of
-                    // the new active's lineage — promoting a lagging
-                    // replica would strand the sibling's extra seqnos in a
-                    // divergent branch the pump can never reconcile.
-                    let candidate = map
-                        .replica_nodes(vb)
-                        .iter()
-                        .copied()
-                        .filter_map(|r| {
-                            self.inner
-                                .node(r)
-                                .ok()
-                                .filter(|n| n.is_alive())
-                                .and_then(|n| n.engine(&bucket).ok())
-                                .map(|e| (r, e))
-                        })
-                        .max_by_key(|(_, e)| e.high_seqno(vb));
-                    if let Some((new_active, engine)) = candidate {
-                        engine.set_vb_state(vb, VbState::Active);
-                        map.active[vb.index()] = new_active;
-                        map.replicas[vb.index()].retain(|r| *r != new_active && *r != dead);
-                        promoted += 1;
+            // In place, not clone-mutate-insert, which would clobber a
+            // concurrent install (a rebalance mover's takeover, another
+            // failover). The promotions are recorded once it is installed.
+            let promotions = self.install_map(&bucket, |map| {
+                let mut promotions: Vec<(VbId, NodeId)> = Vec::new();
+                let mut changed = false;
+                for v in 0..map.num_vbuckets() {
+                    let vb = VbId(v);
+                    if map.active_node(vb) == dead {
+                        // Promote the most caught-up replica that is alive AND
+                        // still serves the bucket right now (a candidate dying
+                        // between the liveness check and the promotion is just
+                        // skipped; the next failover pass will handle it).
+                        // Choosing the highest seqno both minimises data loss
+                        // and keeps every surviving sibling a strict prefix of
+                        // the new active's lineage — promoting a lagging
+                        // replica would strand the sibling's extra seqnos in a
+                        // divergent branch the pump can never reconcile.
+                        let candidate = map
+                            .replica_nodes(vb)
+                            .iter()
+                            .copied()
+                            .filter_map(|r| {
+                                self.inner
+                                    .node(r)
+                                    .ok()
+                                    .filter(|n| n.is_alive())
+                                    .and_then(|n| n.engine(&bucket).ok())
+                                    .map(|e| (r, e))
+                            })
+                            .max_by_key(|(_, e)| e.high_seqno(vb));
+                        if let Some((new_active, engine)) = candidate {
+                            engine.set_vb_state(vb, VbState::Active);
+                            map.active[vb.index()] = new_active;
+                            map.replicas[vb.index()].retain(|r| *r != new_active && *r != dead);
+                            changed = true;
+                            promotions.push((vb, new_active));
+                        }
+                    } else if map.replicas[vb.index()].contains(&dead) {
+                        map.replicas[vb.index()].retain(|r| *r != dead);
                         changed = true;
-                        promotions.push((vb, new_active));
                     }
-                } else if map.replicas[vb.index()].contains(&dead) {
-                    map.replicas[vb.index()].retain(|r| *r != dead);
-                    changed = true;
                 }
-            }
-            if changed {
-                map.epoch += 1;
-            }
-            drop(maps);
+                (changed, promotions)
+            });
+            promoted += promotions.len();
             for (vb, new_active) in promotions {
                 self.inner.events.record_event_with_help(
                     "cluster.events.replica_promotion",
@@ -349,18 +368,19 @@ impl Cluster {
         Ok(promoted)
     }
 
-    /// Install a cluster map verbatim, bypassing promotion and backfill
-    /// entirely. Test hook for chaos "teeth" tests that deliberately
-    /// re-introduce known failover bugs (e.g. routing a vBucket to a node
-    /// that skipped replica promotion) to prove the history checker catches
-    /// them. Never called by production code.
+    /// Install a cluster map's placement verbatim (at the next epoch),
+    /// bypassing promotion and backfill entirely. Test hook for chaos
+    /// "teeth" tests that deliberately re-introduce known failover bugs
+    /// (e.g. routing a vBucket to a node that skipped replica promotion) to
+    /// prove the history checker catches them. Never called by production
+    /// code.
     #[doc(hidden)]
     pub fn debug_install_map(&self, bucket: &str, map: ClusterMap) -> Result<()> {
-        let mut maps = self.inner.maps.write();
-        if !maps.contains_key(bucket) {
-            return Err(Error::Cluster(format!("unknown bucket {bucket}")));
-        }
-        maps.insert(bucket.to_string(), map);
+        self.inner.read_map(bucket, |_| ())?;
+        self.install_map(bucket, |installed| {
+            *installed = ClusterMap { epoch: installed.epoch, ..map };
+            (true, ())
+        });
         Ok(())
     }
 
@@ -512,7 +532,8 @@ impl Cluster {
                             .engine(&bucket)?;
                         let mut stream = src.open_dcp_stream(vb, engine.high_seqno(vb))?;
                         let goal = src.high_seqno(vb);
-                        for item in stream.drain_until(goal, Duration::from_secs(30)) {
+                        let until = Deadline::after(Duration::from_secs(30));
+                        for item in stream.drain_until(goal, until) {
                             engine.apply_replica(&item)?;
                         }
                     }
@@ -521,20 +542,15 @@ impl Cluster {
                 // map state, then decide removals from the same consistent
                 // view: a replica that a concurrent failover just promoted
                 // to active must be neither listed nor purged.
-                let removals: Vec<NodeId> = {
-                    let mut maps = self.inner.maps.write();
-                    let map = maps
-                        .get_mut(&bucket)
-                        .ok_or_else(|| Error::Cluster(format!("bucket {bucket} disappeared")))?;
+                let removals: Vec<NodeId> = self.install_map(&bucket, |map| {
                     let active = map.active_node(vb);
                     let new_chain: Vec<NodeId> =
                         wanted.iter().copied().filter(|r| *r != active).collect();
-                    if map.replicas[vb.index()] != new_chain {
-                        map.replicas[vb.index()] = new_chain;
-                        map.epoch += 1;
-                    }
-                    have.into_iter().filter(|r| !wanted.contains(r) && *r != active).collect()
-                };
+                    let changed = map.replicas[vb.index()] != new_chain;
+                    map.replicas[vb.index()] = new_chain;
+                    let removals = have.into_iter().filter(|r| !wanted.contains(r) && *r != active);
+                    (changed, removals.collect())
+                });
                 for r in removals {
                     if let Ok(node) = self.inner.node(r) {
                         if let Ok(engine) = node.engine(&bucket) {
@@ -558,10 +574,10 @@ impl Cluster {
         dst.set_vb_state(vb, VbState::Pending);
         let mut stream = src.open_dcp_stream(vb, dst.high_seqno(vb))?;
         // Backfill + catch up to the source's current high seqno.
-        let deadline = cbs_common::time::Deadline::after(Duration::from_secs(60));
+        let deadline = Deadline::after(Duration::from_secs(60));
         loop {
             let goal = src.high_seqno(vb);
-            for item in stream.drain_until(goal, Duration::from_millis(200)) {
+            for item in stream.drain_until(goal, deadline) {
                 dst.apply_replica(&item)?;
             }
             if stream.cursor() >= goal {
@@ -581,13 +597,11 @@ impl Cluster {
         // Install the map change so clients re-route (epoch bump per move:
         // "the cluster updates each connected client library with the new
         // cluster map").
-        {
-            let mut maps = self.inner.maps.write();
-            let map = maps.get_mut(bucket).expect("bucket exists");
+        self.install_map(bucket, |map| {
             map.active[vb.index()] = dst_id;
             map.replicas[vb.index()].retain(|r| *r != dst_id);
-            map.epoch += 1;
-        }
+            (true, ())
+        });
         // The source no longer owns the partition at all ("Dead: this
         // server is not in any way responsible for this partition").
         src.purge_vb(vb)?;
@@ -867,7 +881,7 @@ impl Drop for AutoFailover {
     }
 }
 
-fn topology_snapshot(inner: &Arc<ClusterInner>, bucket: &str) -> PumpTopology {
+pub(crate) fn topology_snapshot(inner: &ClusterInner, bucket: &str) -> PumpTopology {
     let map = inner.map(bucket).expect("bucket exists while pump runs");
     let mut engines = HashMap::new();
     for node in inner.nodes.read().iter() {

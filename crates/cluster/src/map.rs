@@ -4,8 +4,9 @@
 
 use cbs_common::{NodeId, VbId};
 
-/// One bucket's vBucket→node placement at a given epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One bucket's vBucket→node placement at a given epoch (the default: none,
+/// at epoch 0 — what a bucket's first install starts from).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterMap {
     /// Monotonically increasing version; bumped on failover / rebalance so
     /// clients can detect staleness ("the cluster updates each connected

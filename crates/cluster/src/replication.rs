@@ -6,23 +6,23 @@
 //! 6). The pump owns one DCP feed, subscribed once per vBucket on the
 //! current active copy, and blocks on it; each drained item fans out to every
 //! replica engine (memory-to-memory) and, a drained batch at a time, to the
-//! index-service managers that maintain an index on the bucket. When the
-//! cluster map epoch changes (failover, rebalance) the pump resubscribes a
-//! fresh feed, resuming from the lowest of the destinations' high seqnos
-//! and its own index cursor.
+//! index-service managers that maintain an index on the bucket. A map
+//! install (failover, rebalance) wakes the same feed; when the map epoch has
+//! moved, the pump resubscribes, resuming from the lowest of the
+//! destinations' high seqnos and its own index cursor.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use cbs_common::{NodeId, SeqNo, VbId};
-use cbs_dcp::{DcpFeed, DcpItem};
+use cbs_dcp::{DcpFeed, DcpItem, FeedWaker};
 use cbs_fts::FtsService;
 use cbs_index::IndexManager;
 use cbs_kv::DataEngine;
 
+use crate::cluster::{topology_snapshot, ClusterInner};
 use crate::fault::{FaultAction, FaultInjector};
 use crate::lag::ReplicationLagTable;
 use crate::map::ClusterMap;
@@ -42,42 +42,42 @@ pub struct PumpTopology {
     pub injector: Option<Arc<dyn FaultInjector>>,
 }
 
-/// Callback the pump polls with the map epoch its feed was subscribed at:
-/// `None` while the bucket's map is still at that epoch — the only thing the
-/// pump acts on — else a fresh topology to rebuild against.
-pub type TopologyFn = Box<dyn Fn(u64) -> Option<PumpTopology> + Send>;
-
 /// Background pump for one bucket.
 pub struct ReplicationPump {
     stop: Arc<AtomicBool>,
+    /// Wakes the pump's feed: a watcher of the bucket's map.
+    pub(crate) waker: FeedWaker,
     handle: Option<JoinHandle<()>>,
 }
 
 impl ReplicationPump {
-    /// Spawn the pump on the topology the bucket was created with; `refresh`
-    /// tells it when the map has moved on. `lag` is the bucket's
-    /// replication-lag table; the pump samples it after every drain that
-    /// moved something.
-    pub fn spawn(
-        bucket: String,
-        topo: PumpTopology,
-        refresh: TopologyFn,
+    /// Spawn the pump; the caller makes its `waker` a watcher of the
+    /// bucket's map (and wakes it once, for whatever was installed before).
+    /// `lag` is the bucket's replication-lag table; the pump samples it
+    /// after every drain that moved something.
+    pub(crate) fn spawn(
+        bucket: &str,
+        inner: Arc<ClusterInner>,
         lag: Arc<ReplicationLagTable>,
     ) -> ReplicationPump {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        let feed = DcpFeed::default();
+        let waker = feed.waker();
+        let bucket = bucket.to_string();
         let handle = std::thread::Builder::new()
             .name(format!("dcp-pump-{bucket}"))
-            .spawn(move || pump_loop(&bucket, topo, refresh, stop2, &lag))
+            .spawn(move || pump_loop(&bucket, &inner, feed, &stop2, &lag))
             .expect("spawn replication pump");
-        ReplicationPump { stop, handle: Some(handle) }
+        ReplicationPump { stop, waker, handle: Some(handle) }
     }
 }
 
-/// Dropping the pump stops it and joins its thread.
+/// Dropping the pump wakes it to stop and joins its thread.
 impl Drop for ReplicationPump {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.waker.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -86,33 +86,31 @@ impl Drop for ReplicationPump {
 
 fn pump_loop(
     bucket: &str,
-    mut topo: PumpTopology,
-    refresh: TopologyFn,
-    stop: Arc<AtomicBool>,
+    inner: &ClusterInner,
+    mut feed: DcpFeed,
+    stop: &AtomicBool,
     lag: &ReplicationLagTable,
 ) {
-    let mut built_epoch: u64 = u64::MAX;
-    let nvb = topo.map.num_vbuckets() as usize;
-    let mut feed = DcpFeed::default();
+    let mut topo = topology_snapshot(inner, bucket);
     // Per-vb GSI delivery cursor (seqnos survive failover, so resuming by
     // cursor on the new active is correct).
-    let mut gsi_cursors: Vec<SeqNo> = vec![SeqNo::ZERO; nvb];
+    let mut gsi_cursors: Vec<SeqNo> = vec![SeqNo::ZERO; topo.map.num_vbuckets() as usize];
     // Redelivery counts per (vb, seqno, dst) site, consulted by the fault
     // injector so it can drop attempt 0 and let the retry through. Entries
     // are removed once the site is past its fault window.
     let mut attempts: HashMap<(u16, u64, u32), u32> = HashMap::new();
     let mut batch: Vec<DcpItem> = Vec::new();
     let mut gsi_batch: Vec<DcpItem> = Vec::new();
+    let mut subscribe = true;
 
+    // `stop` is read once per cycle, after any reset, so the wake that
+    // came with it is either drained below or queued after the read.
     while !stop.load(Ordering::Relaxed) {
-        // Resubscribe on epoch change or connection reset: a fresh feed
-        // (what the old one still queued goes with it), each vBucket from
-        // the lowest seqno a destination still needs. Replaying below the
-        // others' resume points is harmless: replica applies are
-        // seqno-guarded and the GSI side is filtered by its cursor below.
-        let rebuilt = topo.map.epoch != built_epoch;
-        if rebuilt {
-            feed = DcpFeed::default();
+        // Subscribe each vBucket from the lowest seqno a destination still
+        // needs. Replaying below the others' resume points is harmless:
+        // replica applies are seqno-guarded and the GSI side is filtered by
+        // its cursor below.
+        if subscribe {
             for (v, cursor) in gsi_cursors.iter().enumerate() {
                 let vb = VbId(v as u16);
                 let Some(src) = topo.engines.get(&topo.map.active_node(vb)) else { continue };
@@ -125,12 +123,11 @@ fn pump_loop(
                     .fold(*cursor, SeqNo::min);
                 let _ = src.subscribe_dcp(&feed, vb, since);
             }
-            built_epoch = topo.map.epoch;
+            lag.observe(&topo);
         }
 
-        // Park until something is published; the bound is only how often
-        // `stop` and the map epoch are re-read.
-        feed.drain(Duration::from_millis(1), &mut batch);
+        // Park until something is published or the feed is woken.
+        let woken = feed.drain(None, &mut batch);
         let moved = !batch.is_empty();
         let mut dropped = false;
         // (vBucket, destination) pairs cut off by a dropped delivery this
@@ -223,22 +220,21 @@ fn pump_loop(
             gsi_batch.clear();
         }
 
-        if dropped {
-            // Connection reset: resubscribe, redelivering what was lost.
-            built_epoch = u64::MAX;
-        }
-
         // Sample per-(vBucket, replica) seqno lag against the topology this
-        // cycle pumped with, unless it was idle (lag cannot have changed).
-        // The cycle counter is the lag table's logical clock (window
-        // rotation included) — no wall-clock reads.
-        if moved || rebuilt {
+        // cycle pumped with. The cycle counter is the lag table's logical
+        // clock (window rotation included) — no wall-clock reads.
+        if moved {
             lag.observe(&topo);
         }
-        // One epoch comparison per cycle; a topology is assembled only when
-        // the map has moved (or a drop asked for a resubscription).
-        if let Some(fresh) = refresh(built_epoch) {
-            topo = fresh;
+        // A connection reset resubscribes at once; a wake does only if the
+        // map has moved past the topology the feed was built from.
+        let map_moved = || inner.read_map(bucket, |m| m.epoch).is_ok_and(|e| e != topo.map.epoch);
+        subscribe = dropped || (woken && map_moved());
+        if subscribe {
+            // A fresh queue (what the old one still held goes with it), its
+            // waker re-pointed *before* the topology is read.
+            feed.reset();
+            topo = topology_snapshot(inner, bucket);
         }
     }
 }

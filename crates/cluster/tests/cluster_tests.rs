@@ -847,3 +847,46 @@ fn dropped_delivery_is_redelivered_and_the_replay_is_filtered_from_gsi() {
     assert_eq!(primary_scan(&cluster), acked);
     assert_eq!(applied() - applied_before, 200, "each write is handed to the index once");
 }
+
+/// Voluntary context switches, summed, of this process's threads whose name
+/// starts with `prefix` (`None`: no such thread). Linux only: read from
+/// `/proc/self/task/*/status`.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(prefix: &str) -> Option<u64> {
+    let mut total = None;
+    for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
+        let name = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        if !name.starts_with(prefix) {
+            continue;
+        }
+        let status = std::fs::read_to_string(task.path().join("status")).unwrap_or_default();
+        let switches = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+        *total.get_or_insert(0) += switches.and_then(|n| n.trim().parse::<u64>().ok())?;
+    }
+    total
+}
+
+/// An idle bucket's pump stays parked — nothing wakes it while nothing is
+/// published and no map is installed — and dropping it wakes it to stop
+/// rather than leaving it a flag to poll.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_pump_stays_parked_and_stops_on_drop() {
+    // A bucket name of its own: the thread is `dcp-pump-idle`, not shared
+    // with the other tests' pumps in this process.
+    let cluster = Cluster::homogeneous(4, ClusterConfig::for_test(64, 1));
+    cluster.create_bucket("idle").unwrap();
+    let lag = cluster.replication_lag("idle").unwrap();
+    assert!(wait_until(Duration::from_secs(10), || lag.cycle() >= 2), "the pump subscribed");
+    std::thread::sleep(Duration::from_millis(20));
+
+    let before = voluntary_switches("dcp-pump-idle").expect("the pump thread runs");
+    std::thread::sleep(Duration::from_millis(500));
+    let woke = voluntary_switches("dcp-pump-idle").unwrap() - before;
+    assert!(woke <= 5, "an idle pump woke {woke} times in 500 ms");
+
+    let started = std::time::Instant::now();
+    drop(cluster);
+    assert!(started.elapsed() < Duration::from_secs(1), "drop took {:?}", started.elapsed());
+    assert_eq!(voluntary_switches("dcp-pump-idle"), None, "the pump thread was joined");
+}

@@ -72,8 +72,10 @@ pub mod rank {
     /// nodes for bucket creation and topology snapshots, which descend
     /// into the per-node maps below.
     pub const CLUSTER_NODES: LockRank = LockRank::new(3, "cluster.topology.nodes");
-    /// Orchestrator's bucket → DCP-pump registry. Insert/remove only;
-    /// pumps are constructed before and joined after the guarded window.
+    /// Orchestrator's bucket → DCP-pump registry (pump, lag table, map
+    /// watchers). A map install wakes the watchers under it (rank
+    /// `DCP_FEED_WAKER`) after dropping the maps guard; pumps are spawned
+    /// before and joined after the guarded window.
     pub const CLUSTER_PUMPS: LockRank = LockRank::new(4, "cluster.topology.pumps");
     /// Node-wide bucket → data-engine map. Above every KV/storage rank:
     /// bucket create/delete may open engines (and therefore files) while
@@ -110,6 +112,11 @@ pub mod rank {
     /// under the vB metadata lock when a mutation publishes; a stream open
     /// holds it across `backfill`, which descends into the storage ranks.
     pub const DCP_CHANNEL: LockRank = LockRank::new(25, "kv.dcp.channel");
+    /// The queue a DCP feed's wakers send to, re-pointed when the feed is
+    /// reset. Taken under the cluster's pump registry (a map install wakes
+    /// the bucket's watchers) and a design document's feed lock; a channel
+    /// send is all that happens under it.
+    pub const DCP_FEED_WAKER: LockRank = LockRank::new(26, "kv.dcp.feed_waker");
     /// Managed-cache shard (vBucket-sharded object table). Taken under the
     /// vB metadata lock (lazy expiry) and under the DCP channel (a stream
     /// open copies the shard during backfill); acquires nothing itself.

@@ -95,13 +95,14 @@ impl DcpHub {
         source: &dyn BackfillSource,
     ) -> Result<SeqNo> {
         self.streams_opened.inc();
+        let tx = feed.tx.lock().clone();
         let mut chan = self.vbs[vb.index()].lock();
         let (items, high) = source.backfill(vb, since)?;
-        chan.subscribers.push(Subscriber { sender: feed.tx.clone(), start_after: high });
-        let _ = feed.tx.send(DcpEvent::SnapshotMarker { vb, start: since.next(), end: high });
+        chan.subscribers.push(Subscriber { sender: tx.clone(), start_after: high });
+        let _ = tx.send(DcpEvent::SnapshotMarker { vb, start: since.next(), end: high });
         for item in items {
             debug_assert!(item.meta.seqno > since && item.meta.seqno <= high);
-            let _ = feed.tx.send(DcpEvent::Item(item));
+            let _ = tx.send(DcpEvent::Item(item));
         }
         Ok(high)
     }
@@ -115,8 +116,8 @@ impl DcpHub {
         source: &dyn BackfillSource,
     ) -> Result<DcpStream> {
         let feed = DcpFeed::default();
-        let high = self.subscribe(&feed, vb, since, source)?;
-        Ok(DcpStream::new(vb, since, high, feed.rx))
+        self.subscribe(&feed, vb, since, source)?;
+        Ok(DcpStream::new(feed, since))
     }
 
     /// Number of live subscribers on a vBucket (diagnostics).
@@ -134,29 +135,26 @@ impl BackfillSource for EmptyBackfill {
     }
 }
 
-/// A static, in-memory backfill source (tests and rebalance movers).
-pub struct VecBackfill {
-    /// Items per vBucket, each list in seqno order.
-    pub items: Vec<Vec<DcpItem>>,
-}
-
-impl BackfillSource for VecBackfill {
-    fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
-        let all = &self.items[vb.index()];
-        let high = all.last().map(|i| i.meta.seqno).unwrap_or(SeqNo::ZERO);
-        Ok((all.iter().filter(|i| i.meta.seqno > since).cloned().collect(), high))
-    }
-}
-
-/// Shared handle type used throughout the workspace.
-pub type SharedHub = Arc<DcpHub>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::item::DcpKind;
     use cbs_common::DocMeta;
     use cbs_json::Value;
+
+    /// A static, in-memory backfill source.
+    struct VecBackfill {
+        /// Items per vBucket, each list in seqno order.
+        items: Vec<Vec<DcpItem>>,
+    }
+
+    impl BackfillSource for VecBackfill {
+        fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
+            let all = &self.items[vb.index()];
+            let high = all.last().map(|i| i.meta.seqno).unwrap_or(SeqNo::ZERO);
+            Ok((all.iter().filter(|i| i.meta.seqno > since).cloned().collect(), high))
+        }
+    }
 
     fn item(vb: u16, key: &str, seq: u64) -> DcpItem {
         DcpItem::mutation(
@@ -169,11 +167,14 @@ mod tests {
 
     #[test]
     fn live_stream_receives_published_items() {
+        use cbs_common::Deadline;
+        use std::time::Duration;
         let hub = DcpHub::new(4);
-        let mut stream = hub.open_stream(VbId(1), SeqNo::ZERO, &EmptyBackfill).unwrap();
+        let feed = DcpFeed::default();
+        hub.subscribe(&feed, VbId(1), SeqNo::ZERO, &EmptyBackfill).unwrap();
         // Snapshot marker for the empty backfill.
-        match stream.try_next() {
-            Some(DcpEvent::SnapshotMarker { start, end, .. }) => {
+        match feed.rx.try_recv() {
+            Ok(DcpEvent::SnapshotMarker { start, end, .. }) => {
                 assert_eq!(start, SeqNo(1));
                 assert_eq!(end, SeqNo::ZERO);
             }
@@ -182,12 +183,9 @@ mod tests {
         hub.publish(&item(1, "a", 1));
         hub.publish(&item(1, "b", 2));
         hub.publish(&item(2, "other-vb", 1)); // different vb: not delivered
-        let got: Vec<u64> = std::iter::from_fn(|| stream.try_next())
-            .filter_map(|e| match e {
-                DcpEvent::Item(i) => Some(i.meta.seqno.0),
-                _ => None,
-            })
-            .collect();
+        let mut out = Vec::new();
+        feed.drain(Some(Deadline::after(Duration::ZERO)), &mut out);
+        let got: Vec<u64> = out.iter().map(|i| i.meta.seqno.0).collect();
         assert_eq!(got, [1, 2]);
     }
 
@@ -262,6 +260,7 @@ mod tests {
 
     #[test]
     fn one_feed_over_two_hubs_is_ordered_and_gapless_across_the_hand_off() {
+        use cbs_common::Deadline;
         use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
         use std::time::{Duration, Instant};
         const BACKFILLED: u64 = 100;
@@ -299,7 +298,7 @@ mod tests {
             let deadline = Instant::now() + Duration::from_secs(20);
             let mut batch = Vec::new();
             while got.iter().any(|seqs| seqs.len() < LAST as usize) && Instant::now() < deadline {
-                feed.drain(Duration::from_millis(50), &mut batch);
+                feed.drain(Some(Deadline::after(Duration::from_millis(50))), &mut batch);
                 for i in batch.drain(..) {
                     got[i.vb.index()].push(i.meta.seqno.0);
                 }
@@ -333,6 +332,7 @@ mod tests {
 
     #[test]
     fn blocked_drain_wakes_on_any_subscribed_vbucket_and_at_its_bound_otherwise() {
+        use cbs_common::Deadline;
         use std::time::{Duration, Instant};
         let hub = DcpHub::new(4);
         let feed = DcpFeed::default();
@@ -340,11 +340,11 @@ mod tests {
             hub.subscribe(&feed, VbId(vb), SeqNo::ZERO, &EmptyBackfill).unwrap();
         }
         let mut out = Vec::new();
-        feed.drain(Duration::ZERO, &mut out); // the four snapshot markers
+        feed.drain(Some(Deadline::after(Duration::ZERO)), &mut out); // the four snapshot markers
         assert!(out.is_empty());
 
         let started = Instant::now();
-        feed.drain(Duration::from_millis(40), &mut out);
+        feed.drain(Some(Deadline::after(Duration::from_millis(40))), &mut out);
         assert!(out.is_empty() && started.elapsed() >= Duration::from_millis(40));
 
         let about_to_park = std::sync::Barrier::new(2);
@@ -355,7 +355,7 @@ mod tests {
             });
             let started = Instant::now();
             about_to_park.wait();
-            feed.drain(Duration::from_secs(30), &mut out);
+            assert!(!feed.drain(None, &mut out), "an item is not a wake");
             assert!(started.elapsed() < Duration::from_secs(10), "woken by the publish");
         });
         assert_eq!(out.len(), 1);

@@ -17,8 +17,10 @@
 //! A consumer owns a [`DcpFeed`] — one queue — and calls
 //! [`DcpHub::subscribe`] once per vBucket it wants, on whichever hubs hold
 //! them. It then parks in [`DcpFeed::drain`] and is woken by the publish
-//! itself, not by a timer. A [`DcpStream`] is the single-vBucket case: a
-//! feed with one subscription plus the cursor of what it delivered.
+//! itself, not by a timer. Whatever else it follows — a bucket's cluster
+//! map, its own shutdown — wakes it on the same queue through a
+//! [`FeedWaker`]. A [`DcpStream`] is the single-vBucket case: a feed with
+//! one subscription plus the cursor of what it delivered.
 //!
 //! A subscription to a vBucket resuming after seqno `s` delivers, in seqno
 //! order (events of different vBuckets interleave, each in its own order):
@@ -41,4 +43,4 @@ pub mod stream;
 
 pub use hub::{BackfillSource, DcpHub};
 pub use item::{DcpItem, DcpKind};
-pub use stream::{DcpEvent, DcpFeed, DcpStream};
+pub use stream::{DcpEvent, DcpFeed, DcpStream, FeedWaker};

@@ -1,7 +1,7 @@
 //! The data engine: memory-first write path, KV API, vBucket states.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -134,6 +134,8 @@ pub struct DataEngine {
     hub: DcpHub,
     clock: CasClock,
     vbs: Vec<OrderedMutex<VbMeta>>,
+    /// Bumped by every vBucket state change.
+    vb_state_epoch: AtomicU64,
     /// Highest seqno per vBucket: assigned here on an active copy, applied
     /// on a replica. On the signal `cfg.seqno_signal` hands in, so that one
     /// durability waiter can watch this vector on several engines.
@@ -179,6 +181,7 @@ impl DataEngine {
                     )
                 })
                 .collect(),
+            vb_state_epoch: AtomicU64::new(0),
             high: Watermarks::sharing("replication", n, Arc::clone(&cfg.seqno_signal)),
             persisted: Watermarks::new("persistence", n),
             dirty: (0..n)
@@ -250,13 +253,20 @@ impl DataEngine {
     // vBucket state management (driven by the cluster manager)
     // ------------------------------------------------------------------
 
-    /// Set a vBucket's state.
+    /// Set a vBucket's state, then bump [`DataEngine::vb_state_epoch`].
     pub fn set_vb_state(&self, vb: VbId, state: VbState) {
         let mut meta = self.vbs[vb.index()].lock();
         meta.state = state;
         if state == VbState::Dead {
             meta.locks.clear();
         }
+        self.vb_state_epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// How many vBucket state changes this engine has made: read it
+    /// *before* the states it is to vouch for.
+    pub fn vb_state_epoch(&self) -> u64 {
+        self.vb_state_epoch.load(Ordering::SeqCst)
     }
 
     /// Read a vBucket's state.

@@ -30,7 +30,9 @@
 //! [`rank::TXN_BASE`]. No transaction lock is ever held across a user
 //! closure or an engine call.
 
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -175,9 +177,18 @@ enum ExecOutcome {
     Ok,
     /// Closure hit an estimate marker mid-read; must re-execute.
     Conflict,
-    /// Closure returned a user error; the transaction aborts (unless its
-    /// reads turn out to be stale, in which case it re-executes).
+    /// Closure returned a user error or panicked; the transaction aborts
+    /// (unless its reads turn out to be stale, in which case it
+    /// re-executes).
     Abort(Error),
+}
+
+/// What a transaction body that panicked is reported as having failed with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    let msg = (payload.downcast_ref::<&str>().copied())
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload");
+    format!("transaction body panicked: {msg}")
 }
 
 /// Everything one execution attempt produced.
@@ -326,7 +337,12 @@ impl<'b> BatchCore<'b> {
             reads: Vec::new(),
             writes: BTreeMap::new(),
         };
-        let result = (self.txns[idx])(&mut ctx);
+        // A body may see an inconsistent snapshot and panic on it: the
+        // panic is the incarnation's failure, recorded with the reads that
+        // led to it, and validation decides whether it stands (never a
+        // conflict, which would re-execute a deterministic panic forever).
+        let result = panic::catch_unwind(AssertUnwindSafe(|| (self.txns[idx])(&mut ctx)))
+            .unwrap_or_else(|payload| Err(Error::Eval(panic_message(&*payload))));
         let TxnCtx { reads, writes, .. } = ctx;
         match result {
             Ok(()) => {
@@ -686,5 +702,64 @@ mod tests {
         let report = run_batch(&txns, &no_base, 2);
         assert_eq!(report.committed(), 3);
         assert_eq!(int(report.final_state().get("k").cloned().flatten()), 3);
+    }
+
+    type Driver = fn(&[TxnFn], BaseReader<'_>, usize) -> BatchReport;
+    const DRIVERS: [Driver; 2] = [run_batch, run_deterministic];
+
+    /// Txn 1 panics unless it sees txn 0's write: a speculative execution
+    /// that runs before txn 0's does (always, in a deterministic wave of
+    /// two) panics on a read that validation then finds stale, so it
+    /// re-executes and commits.
+    #[test]
+    fn a_body_that_panics_only_on_a_stale_read_commits() {
+        for (run, at_least) in DRIVERS.into_iter().zip([0, 1]) {
+            let panics = Arc::new(AtomicU64::new(0));
+            let seen = Arc::clone(&panics);
+            let txns: Vec<TxnFn> = vec![
+                Arc::new(|ctx: &mut TxnCtx<'_>| ctx.insert("k", Value::from(1i64))),
+                Arc::new(move |ctx: &mut TxnCtx<'_>| {
+                    let Some(k) = ctx.get("k")? else {
+                        seen.fetch_add(1, Ordering::Relaxed);
+                        panic!("txn 0's write is missing");
+                    };
+                    ctx.upsert("copy", k);
+                    Ok(())
+                }),
+            ];
+            let report = run(&txns, &no_base, 2);
+            assert_eq!(report.committed(), 2, "{:?}", report.outcomes);
+            assert_eq!(int(report.final_state().get("copy").cloned().flatten()), 1);
+            let panicked = panics.load(Ordering::Relaxed);
+            assert!(panicked >= at_least, "the deterministic wave always panics");
+            assert_eq!(report.re_executions, panicked, "each panic was a stale read re-run");
+        }
+    }
+
+    /// A body that panics on what it validly read fails for real: the
+    /// transaction is reported `Aborted` with the panic's message, the
+    /// others commit and the batch returns.
+    #[test]
+    fn a_body_that_panics_on_a_valid_read_is_aborted() {
+        for run in DRIVERS {
+            let txns: Vec<TxnFn> = vec![
+                Arc::new(|ctx: &mut TxnCtx<'_>| ctx.insert("a", Value::from(1i64))),
+                Arc::new(|ctx: &mut TxnCtx<'_>| {
+                    ctx.upsert("b", Value::from(2i64));
+                    ctx.get("missing")?.expect("a key nobody writes");
+                    Ok(())
+                }),
+                Arc::new(|ctx: &mut TxnCtx<'_>| ctx.insert("c", Value::from(3i64))),
+            ];
+            let report = run(&txns, &no_base, 3);
+            assert_eq!(report.committed(), 2);
+            match &report.outcomes[1] {
+                TxnOutcome::Aborted(Error::Eval(msg)) => {
+                    assert!(msg.contains("panicked: a key nobody writes"), "{msg}");
+                }
+                other => panic!("expected a panic abort, got {other:?}"),
+            }
+            assert!(!report.final_state().contains_key("b"), "the panicked write leaked");
+        }
     }
 }

@@ -124,32 +124,35 @@ struct DdocFeed {
     /// The vBuckets `feed` is subscribed to: the ones that were `Active`
     /// when it was built.
     active: Vec<bool>,
+    /// The engine's vBucket-state epoch, read before `active` was; `None`
+    /// until every subscription of the feed has succeeded.
+    epoch: Option<u64>,
 }
 
 impl DdocFeed {
-    /// Rebuild the feed from the cursors if the vBuckets `engine` holds
-    /// `Active` are no longer the ones it is subscribed to. Only the active
-    /// copy publishes on its node's hub — what a copy took as a replica
-    /// never reaches a live subscription — so a vBucket promoted by
-    /// failover (or moved in by rebalance) is backfilled from where the
-    /// views stand. A fresh feed rather than one more subscription on the
-    /// old one, which would deliver the overlap twice. The comparison is
-    /// made when the views are updated or queried: a copy demoted *and*
-    /// promoted again between two such calls goes unnoticed.
+    /// Rebuild the feed from the cursors if `engine` has changed a vBucket's
+    /// state since it was built. Only the active copy publishes on its
+    /// node's hub — what a copy took as a replica never reaches a live
+    /// subscription — so a vBucket promoted by failover (or moved in by
+    /// rebalance) is backfilled from where the views stand. A reset feed
+    /// rather than one more subscription on the old one, which would
+    /// deliver the overlap twice. The epoch is read before the states, so a
+    /// copy demoted and promoted again between two calls is followed too.
     fn follow(&mut self, engine: &DataEngine) -> Result<()> {
-        let active: Vec<bool> = (0..self.cursors.len())
-            .map(|v| engine.vb_state(VbId(v as u16)) == VbState::Active)
-            .collect();
-        if active == self.active {
+        let epoch = engine.vb_state_epoch();
+        if self.epoch == Some(epoch) {
             return Ok(());
         }
-        self.feed = DcpFeed::default();
-        // Nothing is subscribed until every subscription below has succeeded.
-        self.active.fill(false);
-        for (v, _) in active.iter().enumerate().filter(|(_, a)| **a) {
-            engine.subscribe_dcp(&self.feed, VbId(v as u16), self.cursors[v])?;
+        self.feed.reset();
+        self.epoch = None;
+        for (v, active) in self.active.iter_mut().enumerate() {
+            let vb = VbId(v as u16);
+            *active = engine.vb_state(vb) == VbState::Active;
+            if *active {
+                engine.subscribe_dcp(&self.feed, vb, self.cursors[v])?;
+            }
         }
-        self.active = active;
+        self.epoch = Some(epoch);
         Ok(())
     }
 }
@@ -160,12 +163,12 @@ struct DdocState {
 }
 
 impl DdocState {
-    /// Wait up to `wait` for changes, then index everything queued (the
+    /// Wait until `until` for changes, then index everything queued (the
     /// incremental view update pass). The caller's `streams` guard is held
     /// across the apply, so a cursor never runs ahead of the views.
-    fn pull(&self, streams: &mut DdocFeed, wait: Duration) -> usize {
+    fn pull(&self, streams: &mut DdocFeed, until: Deadline) -> usize {
         let mut items = Vec::new();
-        streams.feed.drain(wait, &mut items);
+        streams.feed.drain(Some(until), &mut items);
         let mut views = self.views.lock();
         for item in &items {
             let cursor = &mut streams.cursors[item.vb.index()];
@@ -213,6 +216,7 @@ impl ViewEngine {
             feed: DcpFeed::default(),
             cursors: vec![SeqNo::ZERO; n],
             active: vec![false; n],
+            epoch: None,
         };
         streams.follow(&self.engine)?;
         let views = ddoc
@@ -264,7 +268,7 @@ impl ViewEngine {
         let state = self.ddoc(ddoc_name)?;
         let mut streams = state.streams.lock();
         streams.follow(&self.engine)?;
-        let n = state.pull(&mut streams, Duration::ZERO);
+        let n = state.pull(&mut streams, Deadline::after(Duration::ZERO));
         self.items_indexed.add(n as u64);
         Ok(n)
     }
@@ -292,7 +296,7 @@ impl ViewEngine {
                     streams.cursors[*vbi]
                 )));
             }
-            self.items_indexed.add(state.pull(&mut streams, deadline.remaining()) as u64);
+            self.items_indexed.add(state.pull(&mut streams, deadline) as u64);
         }
     }
 
@@ -316,7 +320,8 @@ impl ViewEngine {
             std::thread::spawn(move || {
                 let mut streams = state.streams.lock();
                 if streams.follow(&engine).is_ok() {
-                    items_indexed.add(state.pull(&mut streams, Duration::ZERO) as u64);
+                    items_indexed
+                        .add(state.pull(&mut streams, Deadline::after(Duration::ZERO)) as u64);
                 }
             });
         }
@@ -434,7 +439,13 @@ mod tests {
     fn setup() -> (Arc<DataEngine>, ViewEngine) {
         let e = DataEngine::new(EngineConfig::for_test(16)).unwrap();
         e.activate_all();
-        let ve = ViewEngine::new(Arc::clone(&e));
+        let ve = profiles(&e);
+        (e, ve)
+    }
+
+    /// A view engine on `e` with the `profiles` design document.
+    fn profiles(e: &Arc<DataEngine>) -> ViewEngine {
+        let ve = ViewEngine::new(Arc::clone(e));
         ve.create_design_doc(DesignDoc {
             name: "profiles".to_string(),
             views: vec![
@@ -463,7 +474,7 @@ mod tests {
             ],
         })
         .unwrap();
-        (e, ve)
+        ve
     }
 
     fn put(e: &DataEngine, id: &str, name: &str, age: i64) {
@@ -506,22 +517,51 @@ mod tests {
     }
 
     /// `stale=false` against *active* vBuckets whose feed will never deliver
-    /// (copies demoted, fed replica applies and promoted again with no view
-    /// update or query in between — the one change `follow` cannot see): the
-    /// update fails with `Timeout` at its one deadline, however many
-    /// vBuckets are stuck — not after a timeout per vBucket, and not never.
+    /// (warmed up from their logs after the design document subscribed: no
+    /// hub publishes a warm-up and no state changes, so nothing tells the
+    /// feed): the update fails with `Timeout` at its one deadline, however
+    /// many vBuckets are stuck — not after a timeout per vBucket, and not
+    /// never.
     #[test]
     fn update_to_current_gives_up_at_one_deadline_over_many_stuck_vbuckets() {
-        let (e, ve) = setup();
-        put(&e, "u1", "Alice", 30);
-        replica_applies_elsewhere(&e, e.vb_for_key("u1"));
+        let cfg = EngineConfig::for_test(16);
+        let before_restart = DataEngine::new(cfg.clone()).unwrap();
+        before_restart.activate_all();
+        for i in 0..40 {
+            put(&before_restart, &format!("u{i}"), "Alice", 30);
+        }
+        before_restart.flush_once().unwrap();
+        drop(before_restart);
+        let e = DataEngine::new(cfg).unwrap();
         e.activate_all();
+        let ve = profiles(&e);
+        for vb in (0..16).map(VbId) {
+            e.recover_vb(vb).unwrap();
+        }
+        let stuck = e.seqno_vector().iter().filter(|high| **high > SeqNo::ZERO).count();
+        assert!(stuck > 8, "only {stuck} vBuckets warmed up");
         let started = std::time::Instant::now();
         let updated = ve.update_to_current("profiles", Duration::from_millis(50));
         let took = started.elapsed();
         assert!(matches!(updated, Err(Error::Timeout(_))), "{updated:?}");
         assert!(took >= Duration::from_millis(50), "gave up early: {took:?}");
         assert!(took < Duration::from_millis(50 * 15), "one timeout per vBucket: {took:?}");
+    }
+
+    /// Copies demoted, fed replica applies and promoted again with no view
+    /// update or query in between: the state epoch moved, so the feed is
+    /// rebuilt from the cursors and `stale=false` indexes what they took as
+    /// replicas.
+    #[test]
+    fn vbuckets_demoted_and_promoted_between_two_updates_are_followed() {
+        let (e, ve) = setup();
+        put(&e, "u1", "Alice", 30);
+        replica_applies_elsewhere(&e, e.vb_for_key("u1"));
+        e.activate_all();
+        ve.update_to_current("profiles", Duration::from_secs(5)).unwrap();
+        let q = ViewQuery { stale: Stale::Ok, ..Default::default() };
+        let res = ve.query("profiles", "by_name", &q).unwrap();
+        assert_eq!(res.rows.len(), 16, "one document per vBucket, promoted ones included");
     }
 
     /// Copies promoted after taking replica applies: the feed is rebuilt from

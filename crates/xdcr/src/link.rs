@@ -3,11 +3,10 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use cbs_cluster::Cluster;
 use cbs_common::{Result, SeqNo, VbId};
-use cbs_dcp::{DcpFeed, DcpItem};
+use cbs_dcp::{DcpFeed, DcpItem, FeedWaker};
 use cbs_kv::DataEngine;
 use cbs_obs::{Counter, Gauge, Registry};
 
@@ -61,6 +60,7 @@ impl XdcrStats {
 /// bi-directional topologies, as in Figure 12).
 pub struct XdcrLink {
     stop: Arc<AtomicBool>,
+    waker: FeedWaker,
     stats: Arc<XdcrStats>,
     registry: Arc<Registry>,
     handle: Option<JoinHandle<()>>,
@@ -78,6 +78,11 @@ impl XdcrLink {
         // Validate both ends up front.
         source.num_vbuckets(bucket)?;
         destination.num_vbuckets(bucket)?;
+        // The feed follows the source's map from before the link first
+        // reads it.
+        let feed = DcpFeed::default();
+        let waker = feed.waker();
+        source.watch_map(bucket, waker.clone())?;
         let stop = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(Registry::new("xdcr"));
         let stats = Arc::new(XdcrStats::new(&registry));
@@ -86,9 +91,9 @@ impl XdcrLink {
         let bucket = bucket.to_string();
         let handle = std::thread::Builder::new()
             .name(format!("xdcr-{bucket}"))
-            .spawn(move || link_loop(source, destination, &bucket, filter, stop2, stats2))
+            .spawn(move || link_loop(&source, &destination, &bucket, filter, feed, &stop2, &stats2))
             .expect("spawn xdcr link");
-        Ok(XdcrLink { stop, stats, registry, handle: Some(handle) })
+        Ok(XdcrLink { stop, waker, stats, registry, handle: Some(handle) })
     }
 
     /// Link counters.
@@ -105,9 +110,11 @@ impl XdcrLink {
     pub fn shutdown(self) {}
 }
 
+/// Dropping the link wakes it to stop and joins its thread.
 impl Drop for XdcrLink {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.waker.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -115,52 +122,51 @@ impl Drop for XdcrLink {
 }
 
 fn link_loop(
-    source: Arc<Cluster>,
-    destination: Arc<Cluster>,
+    source: &Cluster,
+    destination: &Cluster,
     bucket: &str,
     filter: Option<KeyFilter>,
-    stop: Arc<AtomicBool>,
-    stats: Arc<XdcrStats>,
+    mut feed: DcpFeed,
+    stop: &AtomicBool,
+    stats: &XdcrStats,
 ) {
     let Ok(nvb) = source.num_vbuckets(bucket) else { return };
     let nvb = nvb as usize;
-    // One feed over the source actives, resubscribed once per map epoch;
-    // the engines are kept for the lag gauges, which read their high seqnos.
+    // One feed over the source actives, resubscribed when a wake finds the
+    // map epoch moved; the engines are kept for the lag gauges, which read
+    // their high seqnos.
     let mut engines: Vec<Option<Arc<DataEngine>>> = vec![None; nvb];
-    let mut feed = DcpFeed::default();
     let mut cursors: Vec<SeqNo> = vec![SeqNo::ZERO; nvb];
-    let mut built_epoch = u64::MAX;
+    let mut built_epoch = None;
+    let mut subscribe = true;
     let mut batch: Vec<DcpItem> = Vec::new();
 
+    // `stop` is read once per cycle, after any reset, so the wake that
+    // came with it is either drained below or queued after the read.
     while !stop.load(Ordering::Relaxed) {
-        // Resubscribe when the source topology changes.
-        let Ok(epoch) = source.map_epoch(bucket) else { return };
-        if epoch != built_epoch {
-            feed = DcpFeed::default();
-            for v in 0..nvb {
+        if subscribe {
+            let Ok(map) = source.map(bucket) else { return };
+            // Restart from zero after a map change: a promoted replica may
+            // be *behind* the consumed cursor (async replication), and its
+            // new writes would reuse already-consumed seqnos and be skipped
+            // forever. Re-shipping is idempotent — destination conflict
+            // resolution rejects items it already has.
+            if built_epoch.is_some_and(|built| built != map.epoch) {
+                cursors.fill(SeqNo::ZERO);
+            }
+            for (v, engine) in engines.iter_mut().enumerate() {
                 let vb = VbId(v as u16);
-                // Restart from zero: a promoted replica may be *behind* the
-                // consumed cursor (async replication), and its new writes
-                // would reuse already-consumed seqnos and be skipped
-                // forever. Re-shipping is idempotent — destination conflict
-                // resolution rejects items it already has.
-                if built_epoch != u64::MAX {
-                    cursors[v] = SeqNo::ZERO;
-                }
-                engines[v] = source.active_engine(bucket, vb).ok();
-                if let Some(e) = &engines[v] {
+                *engine = source.node(map.active_node(vb)).and_then(|n| n.engine(bucket)).ok();
+                if let Some(e) = engine {
                     let _ = e.subscribe_dcp(&feed, vb, cursors[v]);
                 }
             }
-            built_epoch = epoch;
+            built_epoch = Some(map.epoch);
         }
 
-        // Park until the source publishes; the bound is only how often
-        // `stop` and the map epoch are re-read.
-        feed.drain(Duration::from_millis(1), &mut batch);
-        if batch.is_empty() {
-            continue;
-        }
+        // Park until the source publishes or the feed is woken.
+        let woken = feed.drain(None, &mut batch);
+        let mut reset = false;
         for item in batch.drain(..) {
             let v = item.vb.index();
             if filter.as_ref().is_some_and(|f| !f.matches(&item.key)) {
@@ -182,16 +188,22 @@ fn link_loop(
                         // progress): a connection reset. The rest of this
                         // batch goes with the feed; the resubscription
                         // redelivers from the cursors, this item included.
-                        built_epoch = u64::MAX;
+                        reset = true;
                         break;
                     }
                 }
             }
             cursors[v] = cursors[v].max(item.meta.seqno);
         }
+        // A connection reset resubscribes at once; a wake does only if the
+        // source map has moved past the epoch the feed was built at.
+        subscribe = reset || (woken && source.map(bucket).ok().map(|m| m.epoch) != built_epoch);
+        if subscribe {
+            // A fresh queue, its waker re-pointed *before* the map is read.
+            feed.reset();
+        }
         // Cursor lag: how far each vBucket's consumed cursor trails the
-        // source active's high seqno — the link's unshipped backlog. An
-        // idle link's lag cannot have changed, so only moved cycles sample.
+        // source active's high seqno — the link's unshipped backlog.
         let mut lag_max = 0u64;
         let mut lag_total = 0u64;
         for (v, (src, cursor)) in engines.iter().zip(&cursors).enumerate() {
@@ -212,6 +224,7 @@ mod tests {
     use cbs_cluster::{ClusterConfig, SmartClient};
     use cbs_common::DocMeta;
     use cbs_json::Value;
+    use std::time::Duration;
 
     fn two_clusters() -> (Arc<Cluster>, Arc<Cluster>) {
         // Different sizes: topology-aware routing must handle different
@@ -364,5 +377,51 @@ mod tests {
             "XDCR re-opens streams from the promoted actives"
         );
         link.shutdown();
+    }
+
+    /// Voluntary context switches, summed, of this process's threads whose
+    /// name starts with `prefix` (`None`: no such thread). Linux only.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches(prefix: &str) -> Option<u64> {
+        let mut total = None;
+        for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
+            let name = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            if !name.starts_with(prefix) {
+                continue;
+            }
+            let status = std::fs::read_to_string(task.path().join("status")).unwrap_or_default();
+            let switches = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+            *total.get_or_insert(0) += switches.and_then(|n| n.trim().parse::<u64>().ok())?;
+        }
+        total
+    }
+
+    /// An idle link stays parked — nothing wakes it while the source
+    /// publishes nothing and installs no map — and dropping it wakes it to
+    /// stop rather than leaving it a flag to poll.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn idle_link_stays_parked_and_stops_on_drop() {
+        // A bucket name of its own: the thread is `xdcr-parked`, not shared
+        // with the other tests' links in this process.
+        let src = Cluster::homogeneous(2, ClusterConfig::for_test(32, 0));
+        let dst = Cluster::homogeneous(2, ClusterConfig::for_test(32, 0));
+        src.create_bucket("parked").unwrap();
+        dst.create_bucket("parked").unwrap();
+        let link = XdcrLink::start(Arc::clone(&src), Arc::clone(&dst), "parked", None).unwrap();
+        SmartClient::connect(Arc::clone(&src), "parked").unwrap().upsert("k", doc(1)).unwrap();
+        let dst_client = SmartClient::connect(Arc::clone(&dst), "parked").unwrap();
+        assert!(wait_for(Duration::from_secs(10), || dst_client.get("k").is_ok()));
+        std::thread::sleep(Duration::from_millis(20));
+
+        let before = voluntary_switches("xdcr-parked").expect("the link thread runs");
+        std::thread::sleep(Duration::from_millis(500));
+        let woke = voluntary_switches("xdcr-parked").unwrap() - before;
+        assert!(woke <= 5, "an idle link woke {woke} times in 500 ms");
+
+        let started = std::time::Instant::now();
+        drop(link);
+        assert!(started.elapsed() < Duration::from_secs(1), "drop took {:?}", started.elapsed());
+        assert_eq!(voluntary_switches("xdcr-parked"), None, "the link thread was joined");
     }
 }

@@ -21,12 +21,13 @@
 #                                 lock-order / guard-across-blocking / raw-lock
 #                                 analysis, plus the clock-read and metric-
 #                                 naming conventions (DESIGN.md §14)
-#   4. model suite                lock-order detector + seqno-signal, flusher
-#                                 (incl. backfill ordering) and txn protocol
-#                                 models (exhaustive interleaving search),
-#                                 and the memory-first backfill against its
-#                                 disk-first oracle (property suite; debug
-#                                 and --release)
+#   4. model suite                lock-order detector + seqno-signal, feed
+#                                 wake, flusher (incl. backfill ordering) and
+#                                 txn protocol models (exhaustive interleaving
+#                                 search), the memory-first backfill against
+#                                 its disk-first oracle (property suite; debug
+#                                 and --release), and 50 standalone runs of
+#                                 the Block-STM test that panics on a stale read
 #   5. chaos + txn smoke          fixed-seed fault-injection run (<10s)
 #                                 against a 3-node cluster, plus the
 #                                 serializability replay, transactional
@@ -201,6 +202,21 @@ result_metric() {
     echo "$1" | grep -o "\"$2\": {\"value\": [0-9.e+-]*" | grep -o '[0-9.e+-]*$'
 }
 
+# Block-STM survives a body that fails on a speculative read: run alone
+# (its own process, output to a file), `insert_remove_semantics` panics on
+# a stale read in most runs, and the scheduler must absorb that every time.
+# Fifty runs, no retry; a hang counts as a failure.
+txn_standalone() {
+    local bin log=target/txn_standalone.log
+    bin="$(cargo test --quiet -p cbs-txn --lib --no-run --message-format=json 2>/dev/null \
+        | grep -o '"executable":"[^"]*"' | tail -n 1 | cut -d'"' -f4)"
+    [ -x "$bin" ] || { echo "    cbs-txn unit-test binary not found"; return 1; }
+    for i in $(seq 1 50); do
+        timeout 60 "$bin" scheduler::tests::insert_remove_semantics --exact >"$log" 2>&1 \
+            || { echo "    run $i of 50 failed (output: $log)"; return 1; }
+    done
+}
+
 # Single-stage entry points: `check.sh <name>-smoke` runs just that stage.
 stage_label() {
     case "$1" in
@@ -242,7 +258,9 @@ run "xtask analyze" cargo xtask analyze
 
 # Concurrency model suite: the lock-order detector's own tests, the
 # mini-loom explorer, the model of the one seqno waiter (`Signal`: no
-# missed wake-up; both ways of breaking it are caught), and the exhaustive
+# missed wake-up; both ways of breaking it are caught), the model of a map
+# install waking a DCP consumer (reset the feed, then read the epoch;
+# the other order parks on a stale topology), and the exhaustive
 # flusher-protocol models that pin the PR-1 race fixes (checkpoint/drain,
 # shutdown wakeup, failed-drain), the sliced commit (a cycle is indexed only
 # after its one sync) and the backfill ordering pair (cache copy
@@ -251,12 +269,14 @@ run "xtask analyze" cargo xtask analyze
 # property suite beside it.
 run "lock-order + explorer (cbs-common)" cargo test --quiet -p cbs-common --features lock-order
 run "seqno signal protocol model" cargo test --quiet -p cbs-common --test signal_models
+run "feed wake protocol model" cargo test --quiet -p cbs-common --test wake_models
 run "flusher protocol models" cargo test --quiet -p cbs-kv --test flusher_models
 run "backfill equivalence (oracle)" cargo test --quiet -p cbs-kv --lib backfill_equivalence
 # Once more under the profile perfbench and tier-1's build use: its racing
 # test must not depend on how fast the writer is.
 run "backfill equivalence (release)" cargo test --quiet --release -p cbs-kv --lib backfill_equivalence
 run "txn protocol models" cargo test --quiet -p cbs-txn --test txn_models
+run "txn scheduler standalone (50 runs)" txn_standalone
 run_stage chaos-smoke
 run_stage plancache-smoke
 run_stage txn-smoke
