@@ -79,7 +79,7 @@ impl ClusterConfig {
             eviction: cbs_cache::EvictionPolicy::ValueOnly,
             flush_interval: Duration::from_millis(10),
             flusher_shards: 4,
-            fragmentation_threshold: 0.6,
+            fragmentation_threshold: cbs_storage::BucketStore::FRAGMENTATION_THRESHOLD,
             fault_injector: None,
         }
     }

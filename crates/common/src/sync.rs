@@ -127,8 +127,13 @@ pub mod rank {
     /// Per-shard flusher wakeup generation counter and list of dirty
     /// vBuckets (condvar seat).
     pub const FLUSH_SIGNAL: LockRank = LockRank::new(40, "kv.shard.signal");
-    /// Group-commit log interior (file handle + length): a flusher shard's
-    /// data log or a GSI partition's change log.
+    /// A Standard GSI partition's single writer: held from a batch's filter
+    /// through its commit (one fsync) and compaction, while the partition's
+    /// tree and its log's store are taken and released under it.
+    pub const INDEX_LOG_WRITER: LockRank = LockRank::new(50, "index.partition.writer");
+    /// Group-commit log interior (file handle + length) of one log of a
+    /// `BucketStore`: a flusher shard's data log or a GSI partition's
+    /// change log.
     pub const WAL: LockRank = LockRank::new(60, "storage.wal");
     /// Per-shard-log vBucket → index map (lookup/create).
     pub const BUCKET_MAP: LockRank = LockRank::new(70, "storage.bucket_map");
@@ -141,7 +146,8 @@ pub mod rank {
     /// Per-index lifecycle state (deferred/building/online). Held across
     /// partition catch-up, which locks the partition trees.
     pub const INDEX_STATE: LockRank = LockRank::new(102, "index.instance.state");
-    /// Per-partition index B-tree. Innermost of the index ranks.
+    /// Per-partition index B-tree. Innermost of the index ranks; no
+    /// storage rank is taken under it.
     pub const INDEX_TREE: LockRank = LockRank::new(104, "index.partition.tree");
     /// FTS service registry ((keyspace, name) → instance).
     pub const FTS_REGISTRY: LockRank = LockRank::new(106, "fts.service.registry");

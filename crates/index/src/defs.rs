@@ -78,8 +78,8 @@ impl FilterCond {
 /// Index storage mode (§6.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexStorage {
-    /// Disk-backed: every applied batch is appended to a log file and
-    /// synced before being acknowledged (the "standard GSI").
+    /// Disk-backed: what every batch changes is committed to a compacted
+    /// log before it is applied (the "standard GSI").
     #[default]
     Standard,
     /// "These new indexes will reside completely in memory, dramatically

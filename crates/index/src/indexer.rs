@@ -15,29 +15,30 @@
 //!
 //! Changes arrive as batches of [`IndexOp`]s ([`Indexer::apply_batch`]);
 //! a single mutation is a batch of one. The batch is the durability unit.
-//! In [`IndexStorage::Standard`] mode the partition owns a change log — a
-//! [`GroupCommitWal`] file `<name>.gsi`, the same CRC-framed record format
-//! and torn-tail contract as the KV flusher's WAL, one record per op:
+//! In [`IndexStorage::Standard`] mode the partition owns a change log: a
+//! single-log [`BucketStore`] in `<name>.gsi/`, the KV data log's store
+//! (CRC-framed records, torn-tail recovery, compaction), keyed by doc id:
 //!
 //! ```text
 //! | vb u16 LE | record: key = doc id, seqno,
-//! |           |   value = keys as JSON `[[[c0],[],[c2]], ...]` (`[]` = MISSING);
-//! |           |   flags = 1 marks a watermark-only record (empty key, no keys)
+//! |           |   value = keys as JSON `[[[c0],[],[c2]], ...]` (`[]` = MISSING),
+//! |           |   a tombstone when the doc has no keys here;
+//! |           |   flags = 1 on the empty key: the vBucket's watermark record
 //! ```
 //!
-//! `apply_batch` is write-ahead: it appends the whole batch with one write
-//! and one `sync` **before** it takes the tree lock, then mutates the tree
-//! under a single acquisition — each watermark advancing right behind its
-//! op — and wakes waiters once. So the lock order is WAL → released → tree, a scan never
-//! queues behind an fsync, the watermark (hence `request_plus`) never runs
-//! ahead of the synced log, and a failed commit leaves tree and watermarks
-//! untouched. [`IndexStorage::MemoryOptimized`] is the same path with no
-//! log — the disk dependence §6.1.1 removes.
+//! `apply_batch` is write-ahead, under the partition's writer lock: it logs
+//! what the batch changes as one cycle (one fsync) with the tree lock not
+//! held, then mutates the tree under a single acquisition — each watermark
+//! advancing right behind its op — and wakes waiters once. A scan never
+//! queues behind an fsync, a watermark never runs ahead of the synced log,
+//! and a failed commit leaves tree and watermarks untouched.
+//! [`IndexStorage::MemoryOptimized`] is the same path with no log — the
+//! disk dependence §6.1.1 removes.
 //!
-//! Per-document seqno guards make apply idempotent and order-tolerant, so
-//! the log needs no ordering beyond its own: [`Indexer::recover`] replays
-//! the intact prefix through the same apply function, cuts a torn tail off,
-//! and ends with exactly the tree and watermarks of the synced batches.
+//! The store keeps the *last appended* record per key, the tree the
+//! *highest seqno* per doc (apply is order-tolerant). Logging only what an
+//! op changes makes the two agree, so [`Indexer::recover`] rebuilds tree
+//! and watermarks from the latest records alone (DESIGN.md decision 9).
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
@@ -47,7 +48,7 @@ use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{Deadline, DocKey, DocMeta, Error, Result, SeqNo, VbId};
 use cbs_json::Value;
-use cbs_storage::{GroupCommitWal, StoredDoc};
+use cbs_storage::{BucketStore, Cycle, StoredDoc, CYCLE_SLICE};
 
 use crate::defs::{IndexKey, IndexStorage, ScanConsistency, ScanRange};
 
@@ -86,7 +87,7 @@ pub struct IndexerStats {
     pub applied: u64,
     /// Scans served.
     pub scans: u64,
-    /// Disk syncs performed: one per committed batch (Standard mode).
+    /// Disk syncs performed: one per batch that logged anything.
     pub disk_syncs: u64,
 }
 
@@ -121,6 +122,14 @@ pub enum IndexOp {
 const LOG_FLAG_ADVANCE: u32 = 1;
 
 impl IndexOp {
+    /// Roughly what the op holds in memory (and will add to the change
+    /// log): the unit of the index build's commit threshold.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let IndexOp::Put { doc_id, keys, .. } = self else { return 48 };
+        let components = keys.iter().flat_map(|k| k.0.iter().flatten());
+        48 + doc_id.len() + components.map(Value::approx_size).sum::<usize>()
+    }
+
     fn position(&self) -> (VbId, SeqNo) {
         match self {
             IndexOp::Put { vb, seqno, .. } | IndexOp::Advance { vb, seqno } => (*vb, *seqno),
@@ -133,13 +142,10 @@ impl IndexOp {
             IndexOp::Put { doc_id, keys, .. } => (doc_id.to_string(), 0, keys.as_slice()),
             IndexOp::Advance { .. } => (String::new(), LOG_FLAG_ADVANCE, &[][..]),
         };
-        let doc = StoredDoc {
-            key,
-            meta: DocMeta { seqno, flags, ..Default::default() },
-            deleted: false,
-            value: Bytes::from(keys_to_json(keys)),
-        };
-        (vb, doc)
+        let meta = DocMeta { seqno, flags, ..Default::default() };
+        let value = if keys.is_empty() { Bytes::new() } else { Bytes::from(keys_to_json(keys)) };
+        // A document with no keys here is a tombstone.
+        (vb, StoredDoc { key, meta, deleted: flags == 0 && keys.is_empty(), value })
     }
 
     fn from_record(vb: VbId, doc: StoredDoc) -> Result<IndexOp> {
@@ -147,7 +153,7 @@ impl IndexOp {
         if doc.meta.flags == LOG_FLAG_ADVANCE {
             return Ok(IndexOp::Advance { vb, seqno });
         }
-        let keys = keys_from_json(&doc.value)?;
+        let keys = if doc.deleted { Vec::new() } else { keys_from_json(&doc.value)? };
         Ok(IndexOp::Put { doc_id: DocKey::from(doc.key), keys, vb, seqno })
     }
 }
@@ -192,7 +198,7 @@ struct Tree {
     /// The back index: doc → (seqno of the version indexed, its keys). The
     /// seqno makes apply idempotent and order-tolerant per document, so
     /// catch-up backfills can interleave with the live DCP feed safely —
-    /// and log replay needs no ordering of its own. The keys live as long
+    /// and recovery needs no ordering of its own. The keys live as long
     /// as the document is indexed, so they are held without spare capacity.
     docs: HashMap<DocKey, (SeqNo, Box<[IndexKey]>)>,
     /// Distinct composite keys in `entries`. It and `stats.docs` are
@@ -260,70 +266,62 @@ pub struct Indexer {
     /// Advanced only after the op is in the tree (and, in Standard mode, in
     /// the synced log).
     marks: Watermarks,
-    /// The change log; `None` in memory-optimized mode.
-    log: Option<GroupCommitWal>,
-}
-
-fn log_file(log_dir: &Path, name: &str) -> PathBuf {
-    log_dir.join(format!("{name}.gsi"))
+    /// The change log, behind the partition's writer lock; `None` in
+    /// memory-optimized mode.
+    log: Option<OrderedMutex<BucketStore>>,
 }
 
 impl Indexer {
     /// Create an empty indexer for `num_vbuckets` partitions of the source
     /// bucket. `log_dir` is required for [`IndexStorage::Standard`]; a log
-    /// left there under the same `name` belongs to some earlier index and
-    /// is emptied ([`Indexer::recover`] is the way to keep it).
+    /// left there under the same `name` belongs to some earlier index, and
+    /// its directory is removed if it holds any record
+    /// ([`Indexer::recover`] is the way to keep it).
     pub fn new(
         num_vbuckets: u16,
         storage: IndexStorage,
         log_dir: Option<PathBuf>,
         name: &str,
     ) -> Result<Indexer> {
-        let log = match storage {
+        let store = match storage {
             IndexStorage::Standard => {
                 let dir = log_dir
-                    .ok_or_else(|| Error::Index("standard GSI requires a log dir".to_string()))?;
-                let log = GroupCommitWal::open_file(log_file(&dir, name))?;
-                if log.len_bytes() > 0 {
-                    log.reset()?;
+                    .ok_or_else(|| Error::Index("standard GSI requires a log dir".to_string()))?
+                    .join(format!("{name}.gsi"));
+                let mut store = BucketStore::open(dir.clone())?;
+                if !store.open_vbs().is_empty() {
+                    drop(store);
+                    std::fs::remove_dir_all(&dir)?;
+                    store = BucketStore::open(dir)?;
                 }
-                Some(log)
+                Some(store)
             }
             IndexStorage::MemoryOptimized => None,
         };
-        Ok(Indexer::with_log(num_vbuckets, log))
+        Ok(Indexer::with_log(num_vbuckets, store))
     }
 
     /// Reopen a Standard-mode indexer on the log a previous instance left
-    /// in `log_dir`: replay the intact prefix, cut a torn tail off, and
-    /// carry on appending. Tree and watermarks come back exactly as of the
-    /// last synced batch (plus whatever of an unsynced one reached the
-    /// file whole).
+    /// in `log_dir`: the store cuts a torn tail off, and the latest record
+    /// of each (vBucket, key) goes through the same filter and apply as a
+    /// live batch, which refuses a vBucket the bucket lacks. Tree and
+    /// watermarks come back exactly as of the last synced batch (plus
+    /// whatever of an unsynced one reached the file whole).
     pub fn recover(num_vbuckets: u16, log_dir: &Path, name: &str) -> Result<Indexer> {
-        let log = GroupCommitWal::open_file(log_file(log_dir, name))?;
-        let mut records = Vec::new();
-        let intact = cbs_storage::replay_file(log.path(), &mut records)?;
-        if log.len_bytes() > intact {
-            log.truncate_to(intact)?;
+        let store = BucketStore::open(log_dir.join(format!("{name}.gsi")))?;
+        let mut ops = Vec::new();
+        for vb in store.open_vbs() {
+            for doc in store.vb(vb)?.changes_since(SeqNo::ZERO)? {
+                ops.push(IndexOp::from_record(vb, doc)?);
+            }
         }
-        let indexer = Indexer::with_log(num_vbuckets, Some(log));
-        let ops: Vec<IndexOp> = records
-            .into_iter()
-            .map(|(vb, doc)| {
-                if vb.0 >= num_vbuckets {
-                    return Err(Error::Index(format!(
-                        "index log: vBucket {} but the bucket has {num_vbuckets}",
-                        vb.0
-                    )));
-                }
-                IndexOp::from_record(vb, doc)
-            })
-            .collect::<Result<_>>()?;
+        let indexer = Indexer::with_log(num_vbuckets, Some(store));
+        let ops = indexer.durable_changes(ops)?;
         indexer.apply(&mut indexer.tree.lock(), ops);
         Ok(indexer)
     }
 
-    fn with_log(num_vbuckets: u16, log: Option<GroupCommitWal>) -> Indexer {
+    fn with_log(num_vbuckets: u16, store: Option<BucketStore>) -> Indexer {
         Indexer {
             tree: OrderedMutex::new(
                 rank::INDEX_TREE,
@@ -335,28 +333,77 @@ impl Indexer {
                 },
             ),
             marks: Watermarks::new("GSI partition", num_vbuckets),
-            log,
+            log: store.map(|store| OrderedMutex::new(rank::INDEX_LOG_WRITER, store)),
         }
     }
 
-    /// Apply a batch of changes in order: commit it to the change log
-    /// (Standard mode: one append, one sync, tree lock not held), then
-    /// mutate the tree under one lock acquisition, each watermark moving
-    /// right behind its op, and wake `request_plus` waiters once. On a
+    /// Apply a batch of changes in order. In Standard mode, under the
+    /// partition's writer lock: log what the batch changes (one cycle, one
+    /// sync, tree lock not held), apply it to the tree under one lock
+    /// acquisition, then compact the log if it is fragmented enough. On a
     /// failed commit nothing is applied and no watermark moves.
     pub fn apply_batch(&self, ops: Vec<IndexOp>) -> Result<()> {
-        if ops.is_empty() {
+        let Some(log) = &self.log else {
+            self.apply(&mut self.tree.lock(), ops);
             return Ok(());
-        }
-        if let Some(log) = &self.log {
-            let records: Vec<(VbId, StoredDoc)> = ops.iter().map(IndexOp::to_record).collect();
-            log.append_cycle(records.iter().map(|(vb, doc)| (*vb, std::slice::from_ref(doc))))?;
-            log.sync()?;
+        };
+        let store = log.lock();
+        let ops = self.durable_changes(ops)?;
+        let mut cycle = Cycle::new();
+        let filled = ops.iter().try_for_each(|op| {
+            let (vb, doc) = op.to_record();
+            cycle.push_doc(vb, &doc)?;
+            if cycle.buffered_bytes() >= CYCLE_SLICE {
+                store.append_slice(0, &mut cycle)?;
+            }
+            Ok(())
+        });
+        if let Err(e) = filled.and_then(|()| store.commit(0, &mut cycle)) {
+            store.abandon(0, &mut cycle);
+            return Err(e);
         }
         let mut t = self.tree.lock();
+        t.stats.disk_syncs += u64::from(!ops.is_empty());
         self.apply(&mut t, ops);
-        t.stats.disk_syncs += u64::from(self.log.is_some());
+        drop(t);
+        // lint:allow(guard-blocking): as the KV shard's flush lock does, the
+        // writer lock keeps commits out of a compaction swap, which would
+        // lose them with the old file. A failed compaction changes nothing.
+        let _ = store.compact_shard(0, BucketStore::FRAGMENTATION_THRESHOLD);
         Ok(())
+    }
+
+    /// What of `ops` changes what a reopen rebuilds: a `Put` newer than the
+    /// version the back index — or an earlier op of the batch — holds, else
+    /// the watermark an op raises, as an `Advance`. Nothing else changes
+    /// the tree or a watermark either, so what is logged is all there is
+    /// to apply. Read under one tree-lock acquisition.
+    fn durable_changes(&self, ops: Vec<IndexOp>) -> Result<Vec<IndexOp>> {
+        let mut marks = self.marks.snapshot();
+        let mut newest: HashMap<DocKey, SeqNo> = HashMap::new();
+        let mut changes = Vec::with_capacity(ops.len());
+        let t = self.tree.lock();
+        for op in ops {
+            let (vb, seqno) = op.position();
+            let num_vbuckets = marks.len();
+            let mark = marks.get_mut(vb.index()).ok_or_else(|| {
+                Error::Index(format!("vBucket {} but the bucket has {num_vbuckets}", vb.0))
+            })?;
+            let raises = seqno > *mark;
+            *mark = (*mark).max(seqno);
+            if let IndexOp::Put { doc_id, .. } = &op {
+                let held = newest.get(doc_id).or_else(|| t.docs.get(doc_id).map(|(s, _)| s));
+                if held.is_none_or(|held| seqno > *held) {
+                    newest.insert(doc_id.clone(), seqno);
+                    changes.push(op);
+                    continue;
+                }
+            }
+            if raises {
+                changes.push(IndexOp::Advance { vb, seqno });
+            }
+        }
+        Ok(changes)
     }
 
     /// Ops into the tree, each watermark moving right behind its op — never
@@ -459,17 +506,9 @@ impl Indexer {
         out
     }
 
-    /// Storage mode.
-    pub fn storage(&self) -> IndexStorage {
-        match self.log {
-            Some(_) => IndexStorage::Standard,
-            None => IndexStorage::MemoryOptimized,
-        }
-    }
-
-    /// Path of the on-disk log (Standard mode).
-    pub fn log_path(&self) -> Option<&Path> {
-        self.log.as_ref().map(GroupCommitWal::path)
+    /// Directory of the on-disk log's store (Standard mode).
+    pub fn log_path(&self) -> Option<PathBuf> {
+        self.log.as_ref().map(|log| log.lock().dir().clone())
     }
 }
 
@@ -679,7 +718,11 @@ mod tests {
         batch.push(IndexOp::Advance { vb: VbId(2), seqno: SeqNo(9) });
         idx.apply_batch(batch).unwrap();
         assert_eq!(idx.stats().disk_syncs, 3, "a batch of 102 is one commit too");
-        assert_eq!(idx.storage(), IndexStorage::Standard);
+        // A redelivered version and a watermark already reached change
+        // nothing: nothing is logged, nothing synced.
+        update(&idx, "d2", vec![key1(Value::from("b@x.com"))], VbId(0), SeqNo(2));
+        advance(&idx, VbId(2), SeqNo(9));
+        assert_eq!(idx.stats().disk_syncs, 3);
         assert!(idx.log_path().unwrap().starts_with(&dir));
 
         let (docs, marks, rows) =
@@ -702,7 +745,6 @@ mod tests {
         let mo = memopt();
         update(&mo, "d1", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
         assert_eq!(mo.stats().disk_syncs, 0);
-        assert_eq!(mo.storage(), IndexStorage::MemoryOptimized);
     }
 
     #[test]
@@ -719,8 +761,13 @@ mod tests {
         let op = put("doc", keys, VbId(3), SeqNo(8));
         let (vb, rec) = op.to_record();
         assert_eq!(IndexOp::from_record(vb, rec).unwrap(), op);
+        let removed = put("doc", Vec::new(), VbId(3), SeqNo(9));
+        let (vb, rec) = removed.to_record();
+        assert!(rec.deleted && rec.value.is_empty(), "a document with no keys is a tombstone");
+        assert_eq!(IndexOp::from_record(vb, rec).unwrap(), removed);
         let adv = IndexOp::Advance { vb: VbId(1), seqno: SeqNo(2) };
         let (vb, rec) = adv.to_record();
+        assert!(rec.key.is_empty() && !rec.deleted);
         assert_eq!(IndexOp::from_record(vb, rec).unwrap(), adv);
     }
 
@@ -731,8 +778,9 @@ mod tests {
     #[test]
     fn failed_commit_applies_nothing() {
         let dir = cbs_storage::scratch_dir("gsi-full");
-        std::os::unix::fs::symlink("/dev/full", dir.join("ix.gsi")).unwrap();
-        let idx = Indexer::new(4, IndexStorage::Standard, Some(dir), "ix").unwrap();
+        std::fs::create_dir(dir.join("ix.gsi")).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join("ix.gsi/shard_0.couch")).unwrap();
+        let idx = Indexer::recover(4, &dir, "ix").unwrap();
         for seq in 1..=2 {
             let err =
                 idx.apply_batch(vec![put("d", vec![key1(Value::int(1))], VbId(0), SeqNo(seq))]);
@@ -747,21 +795,25 @@ mod tests {
         assert!(matches!(wait, Err(Error::Timeout(_))));
     }
 
-    /// Scans never queue behind an fsync: the log is committed with the
-    /// tree lock released. `storage.wal` ranks below `index.partition.tree`,
-    /// so under the `lock-order` feature (on for every test build of this
-    /// crate) taking the WAL with the tree held panics at the acquisition —
+    /// Scans never queue behind an fsync or a compaction: the log is
+    /// committed and compacted with the tree lock released. The writer
+    /// lock and every storage rank rank below `index.partition.tree`, so
+    /// under the `lock-order` feature (on for every test build of this
+    /// crate) taking one with the tree held panics at the acquisition —
     /// every Standard-mode batch in this suite is that assertion.
     #[test]
-    fn wal_is_never_taken_under_the_tree_lock() {
-        const { assert!(rank::WAL.rank < rank::INDEX_TREE.rank) };
+    fn no_storage_rank_is_taken_under_the_tree_lock() {
+        let storage = [rank::INDEX_LOG_WRITER, rank::WAL, rank::BUCKET_MAP, rank::VB_STORE];
+        assert!(storage.iter().all(|r| r.rank < rank::INDEX_TREE.rank));
         let dir = cbs_storage::scratch_dir("gsi-order");
         let idx = Indexer::new(4, IndexStorage::Standard, Some(dir), "ix").unwrap();
-        update(&idx, "d", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
+        for seqno in 1..=20 {
+            update(&idx, "d", vec![key1(Value::int(1))], VbId(0), SeqNo(seqno));
+        }
         assert_eq!(idx.scan(&ScanRange::all(), 0).len(), 1);
-        let nested = cbs_common::sync::observed_edges()
-            .into_iter()
-            .any(|(from, to)| from.contains(rank::INDEX_TREE.name) && to.contains(rank::WAL.name));
-        assert!(!nested, "WAL acquired while holding the tree lock");
+        let nested = cbs_common::sync::observed_edges().into_iter().find(|(from, to)| {
+            from.contains(rank::INDEX_TREE.name) && storage.iter().any(|r| to.contains(r.name))
+        });
+        assert!(nested.is_none(), "a storage rank under the tree lock: {nested:?}");
     }
 }

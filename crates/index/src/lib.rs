@@ -39,5 +39,5 @@ pub use defs::{
     FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
 };
 pub use indexer::{IndexCardinality, IndexEntry, IndexOp, Indexer, IndexerStats};
-pub use projector::{ProjectedOp, Projector, Router};
+pub use projector::{Projector, Router};
 pub use service::{IndexManager, IndexState};

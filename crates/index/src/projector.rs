@@ -8,52 +8,12 @@
 
 use std::sync::Arc;
 
-use cbs_common::{DocKey, Result, SeqNo, VbId};
+use cbs_common::Result;
 use cbs_dcp::DcpItem;
 use cbs_json::Value;
 
 use crate::defs::{IndexDef, IndexKey, KeyExpr};
 use crate::indexer::{IndexOp, Indexer};
-
-/// What the projector emits for one (mutation, index) pair.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProjectedOp {
-    /// Index (or re-index) the document under these keys. Empty keys mean
-    /// the document fell out of the index (filter/MISSING leading key);
-    /// any previous entries must be removed.
-    Update {
-        /// Document ID.
-        doc_id: DocKey,
-        /// New key versions (several for array indexes).
-        keys: Vec<IndexKey>,
-        /// Originating vBucket.
-        vb: VbId,
-        /// Mutation seqno.
-        seqno: SeqNo,
-    },
-    /// The document was deleted/expired: remove it.
-    Remove {
-        /// Document ID.
-        doc_id: DocKey,
-        /// Originating vBucket.
-        vb: VbId,
-        /// Mutation seqno.
-        seqno: SeqNo,
-    },
-}
-
-impl ProjectedOp {
-    /// Roughly what the op holds in memory (and will add to the change
-    /// log): the unit of the index build's commit threshold.
-    pub fn approx_bytes(&self) -> usize {
-        let (doc_id, keys) = match self {
-            ProjectedOp::Update { doc_id, keys, .. } => (doc_id, keys.as_slice()),
-            ProjectedOp::Remove { doc_id, .. } => (doc_id, &[][..]),
-        };
-        let components = keys.iter().flat_map(|k| k.0.iter().flatten());
-        48 + doc_id.len() + components.map(Value::approx_size).sum::<usize>()
-    }
-}
 
 /// Stateless key-version extraction.
 pub struct Projector;
@@ -61,20 +21,16 @@ pub struct Projector;
 impl Projector {
     /// Compute the key versions a mutation produces for one index
     /// definition.
-    pub fn project(def: &IndexDef, item: &DcpItem) -> ProjectedOp {
+    pub fn project(def: &IndexDef, item: &DcpItem) -> IndexOp {
+        let (doc_id, vb, seqno) = (item.key.clone(), item.vb, item.meta.seqno);
         // A deletion — or a mutation with no body, which has nothing to index.
         let Some(doc) = item.value.as_ref().filter(|_| !item.is_deletion()) else {
-            return ProjectedOp::Remove {
-                doc_id: item.key.clone(),
-                vb: item.vb,
-                seqno: item.meta.seqno,
-            };
+            return IndexOp::Put { doc_id, keys: Vec::new(), vb, seqno };
         };
         // A definition over the document ID alone (a primary index) never
         // looks at the body, so the body is not decoded for it.
         let doc = if def.reads_body() { doc.as_value() } else { &Value::Null };
-        let keys = Self::keys_for(def, &item.key, doc);
-        ProjectedOp::Update { doc_id: item.key.clone(), keys, vb: item.vb, seqno: item.meta.seqno }
+        IndexOp::Put { keys: Self::keys_for(def, &doc_id, doc), doc_id, vb, seqno }
     }
 
     /// The index keys a document produces under `def` (empty if filtered
@@ -141,31 +97,30 @@ impl Router {
         &self.partitions
     }
 
-    /// Route one batch: `ops` in order, plus watermark-only advances (a
-    /// backfill snapshot's high seqno) for every partition. Each partition
-    /// commits its share as one batch. Handles the paper's
+    /// Route one batch: each partition gets its share, in order, and
+    /// commits it as one batch; a watermark-only op (a backfill snapshot's
+    /// high seqno) goes to every partition. Handles the paper's
     /// partition-key-change case ("an insert message may be sent to one
     /// indexer with a delete message being sent to another") by clearing
     /// the doc from every partition that is not its new home.
     ///
     /// Every partition is attempted; the first error is returned. A
     /// partition whose commit failed has not advanced its watermarks.
-    pub fn route(&self, ops: Vec<ProjectedOp>, advances: &[(VbId, SeqNo)]) -> Result<()> {
+    pub fn route(&self, ops: Vec<IndexOp>) -> Result<()> {
         let n = self.partitions.len();
         let mut per_partition: Vec<Vec<IndexOp>> =
-            (0..n).map(|_| Vec::with_capacity(ops.len() + advances.len())).collect();
+            (0..n).map(|_| Vec::with_capacity(ops.len())).collect();
         for op in ops {
-            let (doc_id, keys, vb, seqno) = match op {
-                ProjectedOp::Update { doc_id, keys, vb, seqno } => (doc_id, keys, vb, seqno),
-                ProjectedOp::Remove { doc_id, vb, seqno } => (doc_id, Vec::new(), vb, seqno),
+            let IndexOp::Put { doc_id, keys, vb, seqno } = op else {
+                per_partition.iter_mut().for_each(|batch| batch.push(op.clone()));
+                continue;
             };
             for (batch, keys) in per_partition.iter_mut().zip(self.keys_by_partition(keys)) {
                 batch.push(IndexOp::Put { doc_id: doc_id.clone(), keys, vb, seqno });
             }
         }
         let mut result = Ok(());
-        for (partition, mut batch) in self.partitions.iter().zip(per_partition) {
-            batch.extend(advances.iter().map(|&(vb, seqno)| IndexOp::Advance { vb, seqno }));
+        for (partition, batch) in self.partitions.iter().zip(per_partition) {
             result = result.and(partition.apply_batch(batch));
         }
         result
@@ -189,7 +144,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::defs::{FilterCond, FilterOp, IndexStorage, ScanRange};
-    use cbs_common::DocMeta;
+    use cbs_common::{DocMeta, SeqNo, VbId};
     use cbs_json::parse_path;
 
     fn item(key: &str, json: &str, seq: u64) -> DcpItem {
@@ -206,7 +161,7 @@ mod tests {
         let def = IndexDef::simple("email", "profiles", "email");
         let op = Projector::project(&def, &item("u1", r#"{"email":"a@x.com"}"#, 1));
         match op {
-            ProjectedOp::Update { doc_id, keys, .. } => {
+            IndexOp::Put { doc_id, keys, .. } => {
                 assert_eq!(doc_id, "u1");
                 assert_eq!(keys, vec![IndexKey(vec![Some(Value::from("a@x.com"))])]);
             }
@@ -214,7 +169,7 @@ mod tests {
         }
         // MISSING leading key → empty keys.
         let op = Projector::project(&def, &item("u2", r#"{"name":"no email"}"#, 2));
-        assert!(matches!(op, ProjectedOp::Update { keys, .. } if keys.is_empty()));
+        assert!(matches!(op, IndexOp::Put { keys, .. } if keys.is_empty()));
     }
 
     #[test]
@@ -275,22 +230,23 @@ mod tests {
         );
         let op = Projector::project(&IndexDef::primary("#primary", "b"), &stored);
         let expected = vec![IndexKey(vec![Some(Value::from("the-doc"))])];
-        assert!(matches!(op, ProjectedOp::Update { keys, .. } if keys == expected));
+        assert!(matches!(op, IndexOp::Put { keys, .. } if keys == expected));
         assert!(!stored.value.as_ref().unwrap().is_decoded());
         // A secondary index does read it.
         let op = Projector::project(&IndexDef::simple("a", "b", "a"), &stored);
-        assert!(matches!(op, ProjectedOp::Update { keys, .. } if keys.len() == 1));
+        assert!(matches!(op, IndexOp::Put { keys, .. } if keys.len() == 1));
         assert!(stored.value.as_ref().unwrap().is_decoded());
     }
 
     #[test]
-    fn deletion_projects_to_remove() {
+    fn deletion_projects_to_no_keys() {
         let def = IndexDef::simple("i", "b", "x");
         let del =
             DcpItem::deletion(VbId(2), "gone", DocMeta { seqno: SeqNo(9), ..Default::default() });
         assert!(matches!(
             Projector::project(&def, &del),
-            ProjectedOp::Remove { doc_id, vb, seqno } if doc_id == "gone" && vb == VbId(2) && seqno == SeqNo(9)
+            IndexOp::Put { doc_id, keys, vb, seqno }
+                if doc_id == "gone" && keys.is_empty() && vb == VbId(2) && seqno == SeqNo(9)
         ));
     }
 
@@ -303,24 +259,25 @@ mod tests {
         let p1 = Arc::new(Indexer::new(4, IndexStorage::MemoryOptimized, None, "p1").unwrap());
         let router = Router::new(def.clone(), vec![Arc::clone(&p0), Arc::clone(&p1)]);
 
-        let update = |age: i64, seq: u64| ProjectedOp::Update {
+        let update = |age: i64, seq: u64| IndexOp::Put {
             doc_id: "d".into(),
             keys: vec![IndexKey(vec![Some(Value::int(age))])],
             vb: VbId(0),
             seqno: SeqNo(seq),
         };
-        router.route(vec![update(10, 1)], &[]).unwrap();
+        router.route(vec![update(10, 1)]).unwrap();
         assert_eq!(p0.scan(&ScanRange::all(), 0).len(), 1);
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
 
         // Partition key changes: insert to p1, delete from p0 (§4.3.4).
-        router.route(vec![update(99, 2)], &[]).unwrap();
+        router.route(vec![update(99, 2)]).unwrap();
         assert_eq!(p0.scan(&ScanRange::all(), 0).len(), 0, "stale entry deleted");
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 1);
 
         // Remove clears everywhere.
-        let remove = ProjectedOp::Remove { doc_id: "d".into(), vb: VbId(0), seqno: SeqNo(3) };
-        router.route(vec![remove], &[(VbId(1), SeqNo(7))]).unwrap();
+        let remove =
+            IndexOp::Put { doc_id: "d".into(), keys: Vec::new(), vb: VbId(0), seqno: SeqNo(3) };
+        router.route(vec![remove, IndexOp::Advance { vb: VbId(1), seqno: SeqNo(7) }]).unwrap();
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
         // Watermarks advanced on both partitions throughout.
         for p in [&p0, &p1] {
@@ -328,7 +285,7 @@ mod tests {
         }
 
         // The same moves inside one batch end in the same place.
-        router.route(vec![update(10, 4), update(99, 5), update(20, 6)], &[]).unwrap();
+        router.route(vec![update(10, 4), update(99, 5), update(20, 6)]).unwrap();
         assert_eq!(p0.scan(&ScanRange::all(), 0).len(), 1);
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
     }

@@ -15,8 +15,8 @@ use cbs_dcp::{BackfillSource, DcpItem};
 use cbs_obs::{span, Counter, Registry};
 
 use crate::defs::{IndexDef, IndexKey, ScanConsistency, ScanRange};
-use crate::indexer::{IndexCardinality, IndexEntry, Indexer, IndexerStats};
-use crate::projector::{ProjectedOp, Projector, Router};
+use crate::indexer::{IndexCardinality, IndexEntry, IndexOp, Indexer, IndexerStats};
+use crate::projector::{Projector, Router};
 
 /// An index build commits whenever the projected operations it is holding
 /// reach this many bytes (and once more before the index goes `Online`),
@@ -86,14 +86,12 @@ impl IndexManager {
     /// [`IndexManager::build`] or a catch-up via feed).
     pub fn create_index(&self, def: IndexDef) -> Result<()> {
         let key = (def.keyspace.clone(), def.name.clone());
+        let exists = || Error::Index(format!("index {} already exists on {}", key.1, key.0));
         // Partition indexers open log files; build them outside the
         // registry lock so DDL doesn't stall concurrent scans, then
         // re-check for a racing duplicate at insert time.
         if self.indexes.read().contains_key(&key) {
-            return Err(Error::Index(format!(
-                "index {} already exists on {}",
-                def.name, def.keyspace
-            )));
+            return Err(exists());
         }
         let mut partitions = Vec::with_capacity(def.num_partitions());
         for p in 0..def.num_partitions() {
@@ -107,10 +105,7 @@ impl IndexManager {
         let state = if def.deferred { IndexState::Deferred } else { IndexState::Building };
         let mut map = self.indexes.write();
         if map.contains_key(&key) {
-            return Err(Error::Index(format!(
-                "index {} already exists on {}",
-                def.name, def.keyspace
-            )));
+            return Err(exists());
         }
         map.insert(
             key,
@@ -130,7 +125,7 @@ impl IndexManager {
             .remove(&(keyspace.to_string(), name.to_string()))
             .ok_or_else(|| Error::Index(format!("no such index: {name} on {keyspace}")))?;
         for log in inst.router.partitions().iter().filter_map(|p| p.log_path()) {
-            std::fs::remove_file(log)?;
+            std::fs::remove_dir_all(log)?;
         }
         Ok(())
     }
@@ -188,8 +183,7 @@ impl IndexManager {
             }
             *st = IndexState::Building;
         }
-        let mut ops: Vec<ProjectedOp> = Vec::new();
-        let mut advances = Vec::new();
+        let mut ops = Vec::new();
         let mut pending_bytes = 0;
         for vb in 0..self.num_vbuckets {
             let (items, high) = source.backfill(VbId(vb), SeqNo::ZERO)?;
@@ -198,25 +192,19 @@ impl IndexManager {
                 pending_bytes += op.approx_bytes();
                 ops.push(op);
             }
-            advances.push((VbId(vb), high));
+            ops.push(IndexOp::Advance { vb: VbId(vb), seqno: high });
             if pending_bytes >= BUILD_COMMIT_BYTES {
-                self.commit(&inst, std::mem::take(&mut ops), &advances)?;
-                advances.clear();
+                self.route(&inst, std::mem::take(&mut ops))?;
                 pending_bytes = 0;
             }
         }
-        self.commit(&inst, ops, &advances)?;
+        self.route(&inst, ops)?;
         *inst.state.lock() = IndexState::Online;
         Ok(())
     }
 
-    fn commit(
-        &self,
-        inst: &IndexInstance,
-        ops: Vec<ProjectedOp>,
-        advances: &[(VbId, SeqNo)],
-    ) -> Result<()> {
-        inst.router.route(ops, advances).inspect_err(|_| self.commit_errors.inc())
+    fn route(&self, inst: &IndexInstance, ops: Vec<IndexOp>) -> Result<()> {
+        inst.router.route(ops).inspect_err(|_| self.commit_errors.inc())
     }
 
     /// Convenience: CREATE INDEX + immediate build (the common
@@ -261,7 +249,7 @@ impl IndexManager {
         for inst in instances {
             let def = inst.router.def();
             let ops = items.iter().map(|item| Projector::project(def, item)).collect();
-            result = result.and(self.commit(&inst, ops, &[]));
+            result = result.and(self.route(&inst, ops));
         }
         result
     }
@@ -608,7 +596,8 @@ mod tests {
         assert!(m.list("b").is_empty());
 
         let dir = cbs_storage::scratch_dir("gsi-svc");
-        std::os::unix::fs::symlink("/dev/full", dir.join("b-age-p0.gsi")).unwrap();
+        std::fs::create_dir(dir.join("b-age-p0.gsi")).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join("b-age-p0.gsi/shard_0.couch")).unwrap();
         let m = IndexManager::new(16, dir);
         let errors = || m.registry().snapshot().counter("index.log.commit_errors");
         let built = m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref());

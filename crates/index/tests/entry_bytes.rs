@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use cbs_common::{DocKey, SeqNo, VbId};
-use cbs_index::{IndexDef, IndexStorage, Indexer, ProjectedOp, Projector, Router};
+use cbs_index::{IndexDef, IndexOp, IndexStorage, Indexer, Projector, Router};
 use cbs_json::Value;
 
 struct LiveBytes;
@@ -67,16 +67,16 @@ fn a_primary_index_holds_at_most_320_bytes_per_document() {
 
     let before = live();
     for vb in 0..VBUCKETS {
-        let ops: Vec<ProjectedOp> = (0..DOCS)
+        let ops: Vec<IndexOp> = (0..DOCS)
             .filter(|i| i % u64::from(VBUCKETS) == u64::from(vb))
             .map(|i| {
                 let doc_id = DocKey::from(format!("user{i:012}"));
                 assert_eq!(doc_id.len(), 16);
                 let keys = Projector::keys_for(&def, &doc_id, &Value::Null);
-                ProjectedOp::Update { doc_id, keys, vb: VbId(vb), seqno: SeqNo(i + 1) }
+                IndexOp::Put { doc_id, keys, vb: VbId(vb), seqno: SeqNo(i + 1) }
             })
             .collect();
-        router.route(ops, &[]).unwrap();
+        router.route(ops).unwrap();
     }
     let per_doc = (live() - before) / DOCS as i64;
 

@@ -1,18 +1,20 @@
 //! Hostile bytes never panic GSI recovery. `Indexer::recover` is fed
-//! arbitrary bytes, and valid `.gsi` change logs with flipped bits or a cut
-//! tail. On a damaged valid log it rebuilds exactly the tree and watermarks
-//! of the records the log's reader accepts: every record before the first
-//! damaged byte, and nothing that fails its CRC.
+//! arbitrary bytes, and valid change logs (`<name>.gsi/shard_0.couch`) with
+//! flipped bits or a cut tail. On a damaged valid log it rebuilds exactly
+//! the tree and watermarks of the records the store's recovery accepts:
+//! every record before the first damaged byte, nothing that fails its CRC,
+//! and of those the last of each (vBucket, key).
 //!
 //! The one field no CRC covers is a frame's 2-byte vBucket prefix. A flip
-//! there that still names a vBucket of the bucket moves one op's watermark;
-//! one that names a vBucket the bucket lacks makes recovery refuse the log
-//! with an error.
+//! there that still names a vBucket of the bucket moves one record to
+//! another vBucket; one that names a vBucket the bucket lacks makes
+//! recovery refuse the log with an error.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use cbs_common::{DocKey, SeqNo, VbId};
@@ -64,10 +66,10 @@ fn write_log(ops: &[IndexOp], cuts: &[bool]) -> Log {
         }
     }
     idx.apply_batch(batch).unwrap();
+    assert_eq!(state(&idx), model(ops.to_vec()));
     drop(idx);
     let bytes = std::fs::read(log_path(&dir)).unwrap();
     let records = replay(&log_path(&dir));
-    assert_eq!(records.len(), ops.len());
     let mut end = 0;
     let frames = records
         .into_iter()
@@ -82,7 +84,15 @@ fn write_log(ops: &[IndexOp], cuts: &[bool]) -> Log {
 }
 
 fn log_path(dir: &Path) -> PathBuf {
-    dir.join("ix.gsi")
+    dir.join("ix.gsi/shard_0.couch")
+}
+
+/// A scratch directory holding `bytes` as the change log of index `ix`.
+fn dir_with_log(bytes: &[u8]) -> PathBuf {
+    let dir = scratch_dir("gsi-hostile");
+    std::fs::create_dir(dir.join("ix.gsi")).unwrap();
+    std::fs::write(log_path(&dir), bytes).unwrap();
+    dir
 }
 
 fn replay(path: &Path) -> Vec<(VbId, StoredDoc)> {
@@ -146,27 +156,37 @@ fn model(ops: Vec<IndexOp>) -> State {
     state(&twin)
 }
 
-/// `op` as read back from a frame whose vBucket prefix says `vb`.
-fn from_vb(op: &IndexOp, vb: VbId) -> IndexOp {
-    match op.clone() {
-        IndexOp::Put { doc_id, keys, seqno, .. } => IndexOp::Put { doc_id, keys, vb, seqno },
-        IndexOp::Advance { seqno, .. } => IndexOp::Advance { vb, seqno },
+/// The op a log record of vBucket `vb` stands for: a watermark record
+/// (flag 1), a tombstone (no keys), or a document's keys as
+/// `[[[c0],[],[c2]], ...]`.
+fn op_of(vb: VbId, doc: &StoredDoc) -> IndexOp {
+    let seqno = doc.meta.seqno;
+    if doc.meta.flags == 1 {
+        return IndexOp::Advance { vb, seqno };
     }
+    let mut keys = Vec::new();
+    if !doc.deleted {
+        let Value::Array(list) = cbs_json::parse(std::str::from_utf8(&doc.value).unwrap()).unwrap()
+        else {
+            panic!("a key list is an array")
+        };
+        for key in list {
+            let Value::Array(components) = key else { panic!("a key is an array") };
+            keys.push(IndexKey(
+                components.into_iter().map(|c| c.as_array().unwrap().first().cloned()).collect(),
+            ));
+        }
+    }
+    IndexOp::Put { doc_id: doc.key.as_str().into(), keys, vb, seqno }
 }
 
 /// Recover from a damaged copy of `log` whose first damaged byte is at
 /// `first_damage`: the replay covers every frame that ends before it and
 /// holds only records that were written, and recovery rebuilds the model
-/// of exactly those records — or, if one names a vBucket the bucket lacks,
-/// refuses the log.
-fn recover_damaged(
-    ops: &[IndexOp],
-    log: &Log,
-    bytes: &[u8],
-    first_damage: usize,
-) -> Result<(), TestCaseError> {
-    let dir = scratch_dir("gsi-hostile");
-    std::fs::write(log_path(&dir), bytes).unwrap();
+/// of the last of those records per (vBucket, key) — or, if one names a
+/// vBucket the bucket lacks, refuses the log.
+fn recover_damaged(log: &Log, bytes: &[u8], first_damage: usize) -> Result<(), TestCaseError> {
+    let dir = dir_with_log(bytes);
     let replayed = replay(&log_path(&dir));
     let whole = log.frames.iter().take_while(|(end, ..)| *end <= first_damage).count();
     prop_assert!(replayed.len() >= whole, "{} records of {whole} undamaged", replayed.len());
@@ -182,9 +202,9 @@ fn recover_damaged(
         prop_assert!(recovered.is_err(), "a record for a vBucket the bucket lacks was applied");
     } else {
         let idx = recovered.unwrap();
-        let read: Vec<IndexOp> =
-            ops.iter().zip(&replayed).map(|(op, (vb, _))| from_vb(op, *vb)).collect();
-        prop_assert_eq!(state(&idx), model(read));
+        let latest: BTreeMap<_, _> =
+            replayed.iter().map(|(vb, doc)| ((*vb, doc.key.clone()), op_of(*vb, doc))).collect();
+        prop_assert_eq!(state(&idx), model(latest.into_values().collect()));
         drop(idx);
         let len = std::fs::metadata(log_path(&dir)).unwrap().len();
         prop_assert_eq!(len, intact as u64, "the damaged tail is cut off");
@@ -206,7 +226,7 @@ proptest! {
     ) {
         let log = write_log(&ops, &cuts);
         let (bytes, first) = damage(&log.bytes, &how);
-        recover_damaged(&ops, &log, &bytes, first)?;
+        recover_damaged(&log, &bytes, first)?;
     }
 
     /// Bytes that were never a log return `Ok` or `Err`, never panic; with
@@ -214,8 +234,7 @@ proptest! {
     /// empty index and an empty file.
     #[test]
     fn arbitrary_bytes_never_panic_recovery(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let dir = scratch_dir("gsi-hostile");
-        std::fs::write(log_path(&dir), &bytes).unwrap();
+        let dir = dir_with_log(&bytes);
         let replayed = replay(&log_path(&dir));
         let recovered = Indexer::recover(VBS, &dir, "ix");
         if replayed.is_empty() {

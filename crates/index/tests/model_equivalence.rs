@@ -15,8 +15,7 @@ use std::sync::Arc;
 
 use cbs_common::{SeqNo, VbId};
 use cbs_index::{
-    IndexCardinality, IndexDef, IndexKey, IndexOp, IndexStorage, Indexer, ProjectedOp, Router,
-    ScanRange,
+    IndexCardinality, IndexDef, IndexKey, IndexOp, IndexStorage, Indexer, Router, ScanRange,
 };
 use cbs_json::Value;
 use proptest::prelude::*;
@@ -170,19 +169,16 @@ fn partitioned_router() -> Router {
     Router::new(def, partitions)
 }
 
-fn projected(op: &Op) -> ProjectedOp {
-    match op {
-        Op::Update { d, ks, seq } => ProjectedOp::Update {
-            doc_id: format!("d{d}").into(),
-            keys: keys(ks),
-            vb: VbId(u16::from(d % 4)),
-            seqno: SeqNo(*seq),
-        },
-        Op::Remove { d, seq } => ProjectedOp::Remove {
-            doc_id: format!("d{d}").into(),
-            vb: VbId(u16::from(d % 4)),
-            seqno: SeqNo(*seq),
-        },
+fn projected(op: &Op) -> IndexOp {
+    let (d, ks, seq) = match op {
+        Op::Update { d, ks, seq } => (d, keys(ks), seq),
+        Op::Remove { d, seq } => (d, Vec::new(), seq),
+    };
+    IndexOp::Put {
+        doc_id: format!("d{d}").into(),
+        keys: ks,
+        vb: VbId(u16::from(d % 4)),
+        seqno: SeqNo(*seq),
     }
 }
 
@@ -200,17 +196,17 @@ proptest! {
     ) {
         let one_by_one = partitioned_router();
         for op in &ops {
-            one_by_one.route(vec![projected(op)], &[]).unwrap();
+            one_by_one.route(vec![projected(op)]).unwrap();
         }
         let batched = partitioned_router();
         let mut batch = Vec::new();
         for (op, cut) in ops.iter().zip(&cuts) {
             batch.push(projected(op));
             if *cut {
-                batched.route(std::mem::take(&mut batch), &[]).unwrap();
+                batched.route(std::mem::take(&mut batch)).unwrap();
             }
         }
-        batched.route(batch, &[]).unwrap();
+        batched.route(batch).unwrap();
 
         for (a, b) in one_by_one.partitions().iter().zip(batched.partitions()) {
             prop_assert_eq!(a.scan(&ScanRange::all(), 0), b.scan(&ScanRange::all(), 0));

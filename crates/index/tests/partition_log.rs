@@ -1,0 +1,120 @@
+//! A Standard partition's change log is a compacted, keyed store: what it
+//! holds is bounded by the documents indexed, not by the changes made to
+//! them, and it reopens to the live partition's state whatever order the
+//! changes came in.
+
+// Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
+// allow-unwrap-in-tests config covers #[test] fns but not file helpers).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::path::{Path, PathBuf};
+
+use cbs_common::{SeqNo, VbId};
+use cbs_index::{IndexKey, IndexOp, IndexStorage, Indexer};
+use cbs_json::Value;
+use cbs_storage::{scratch_dir, BucketStore};
+
+const VBS: u16 = 4;
+
+fn standard(dir: &Path) -> Indexer {
+    Indexer::new(VBS, IndexStorage::Standard, Some(dir.to_path_buf()), "ix").unwrap()
+}
+
+fn log_file(idx: &Indexer) -> PathBuf {
+    idx.log_path().unwrap().join("shard_0.couch")
+}
+
+fn log_bytes(idx: &Indexer) -> u64 {
+    std::fs::metadata(log_file(idx)).unwrap().len()
+}
+
+/// Document `d` of 100, at `version`: every version's record is the same
+/// size, so byte counts compare versions one for one.
+fn put(d: u64, version: u64, seqno: u64) -> IndexOp {
+    IndexOp::Put {
+        doc_id: format!("d{d:03}").into(),
+        keys: vec![IndexKey(vec![Some(Value::int(100_000 + version as i64))])],
+        vb: VbId((d % u64::from(VBS)) as u16),
+        seqno: SeqNo(seqno),
+    }
+}
+
+/// 10 000 updates to 100 documents leave a log the size of the 100 final
+/// versions, not of the 10 000 changes: within 1 / (1 − threshold) of it
+/// after every commit, and within 2× after the last.
+#[test]
+fn updates_to_few_documents_leave_a_log_of_their_size() {
+    let fresh = standard(&scratch_dir("gsi-footprint-fresh"));
+    fresh.apply_batch((0..100).map(|d| put(d, 99, d + 1)).collect()).unwrap();
+    let final_versions = log_bytes(&fresh) as f64;
+    let bound = 1.0 / (1.0 - BucketStore::FRAGMENTATION_THRESHOLD);
+
+    let idx = standard(&scratch_dir("gsi-footprint"));
+    let (mut seqno, mut peak) = (0u64, 0.0f64);
+    for round in 0..200u64 {
+        let batch: Vec<IndexOp> = (0..50)
+            .map(|i| {
+                seqno += 1;
+                put((round * 50 + i) % 100, (round * 50 + i) / 100, seqno)
+            })
+            .collect();
+        idx.apply_batch(batch).unwrap();
+        let ratio = log_bytes(&idx) as f64 / final_versions;
+        assert!(ratio < bound, "round {round}: the log is {ratio:.2}x the final versions");
+        peak = peak.max(ratio);
+    }
+    assert_eq!(seqno, 10_000);
+    let keys = |idx: &Indexer| -> Vec<_> {
+        idx.doc_versions().into_iter().map(|(doc, _, keys)| (doc, keys)).collect()
+    };
+    assert_eq!(keys(&idx), keys(&fresh), "every document at its final version");
+    let ratio = log_bytes(&idx) as f64 / final_versions;
+    assert!(ratio <= 2.0, "after the last commit the log is {ratio:.2}x the final versions");
+    assert!(peak > 1.5, "the log never grew between compactions: peak {peak:.2}x");
+}
+
+/// A build's backfill delivers a document's old version after the live
+/// feed delivered its new one; a backfill snapshot's watermark record and
+/// a live document share a seqno. The log is compacted twice and reopened:
+/// the reopened partition is the live one.
+#[test]
+fn a_reopened_log_is_the_live_partition_after_reordering_and_compaction() {
+    let dir = scratch_dir("gsi-order");
+    let idx = standard(&dir);
+    let key = |k: i64| vec![IndexKey(vec![Some(Value::int(k))])];
+    let put = |d: &str, k: i64, vb: u16, seqno: u64| IndexOp::Put {
+        doc_id: d.into(),
+        keys: key(k),
+        vb: VbId(vb),
+        seqno: SeqNo(seqno),
+    };
+    // The live feed: d at 9.
+    idx.apply_batch(vec![put("d", 9, 0, 9)]).unwrap();
+    // The build: its snapshot of vBucket 0 holds d at 5; vBucket 1's ends
+    // at 7 with e at 3.
+    idx.apply_batch(vec![
+        put("d", 5, 0, 5),
+        IndexOp::Advance { vb: VbId(0), seqno: SeqNo(5) },
+        put("e", 3, 1, 3),
+        IndexOp::Advance { vb: VbId(1), seqno: SeqNo(7) },
+    ])
+    .unwrap();
+    // Live again: f at 7 in vBucket 1, the seqno of its watermark record.
+    idx.apply_batch(vec![put("f", 7, 1, 7)]).unwrap();
+    // Churn on g until the log has been rewritten twice.
+    let (mut compactions, mut seqno, mut last) = (0, 0, log_bytes(&idx));
+    while compactions < 2 {
+        seqno += 1;
+        assert!(seqno < 1000, "no compaction after {seqno} updates");
+        idx.apply_batch(vec![put("g", seqno as i64, 2, seqno)]).unwrap();
+        let now = log_bytes(&idx);
+        compactions += usize::from(now < last);
+        last = now;
+    }
+    let live = (idx.doc_versions(), idx.watermarks());
+    assert_eq!(live.0[0], ("d".into(), SeqNo(9), key(9)), "the stale backfill version lost");
+    assert_eq!(live.1[..3], [SeqNo(9), SeqNo(7), SeqNo(seqno)]);
+    drop(idx);
+    let back = Indexer::recover(VBS, &dir, "ix").unwrap();
+    assert_eq!((back.doc_versions(), back.watermarks()), live);
+}

@@ -33,7 +33,9 @@ pub use value::{Number, Value};
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::parse::{parse_bytes, MAX_DEPTH};
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     /// Strings built from fragments, so that every byte the serializer
     /// escapes (quote, backslash, every control character) lands next to
@@ -106,6 +108,101 @@ mod proptests {
             let s = print::to_json_pretty(&v, 2);
             let back = parse(&s).expect("pretty output must re-parse");
             prop_assert_eq!(v, back);
+        }
+    }
+
+    /// JSON-shaped noise: the tokens the parser branches on, broken
+    /// escapes, control and multi-byte characters, in any order.
+    fn arb_json_noise() -> impl Strategy<Value = String> {
+        let token = prop_oneof![
+            Just("{"),
+            Just("}"),
+            Just("["),
+            Just("]"),
+            Just("\""),
+            Just("\\"),
+            Just("\\u00"),
+            Just("\\ud800"),
+            Just(":"),
+            Just(","),
+            Just("-"),
+            Just("."),
+            Just("e+"),
+            Just("0"),
+            Just("17"),
+            Just("tru"),
+            Just("null"),
+            Just(" \n"),
+            Just("\u{1}"),
+            Just("\u{e9}"),
+            Just("\u{1f600}"),
+        ];
+        prop::collection::vec(token, 0..48).prop_map(|tokens| tokens.concat())
+    }
+
+    /// What a hostile parse may return: an error, or a value that
+    /// serialises to text that parses back to it.
+    fn check_outcome(parsed: Result<Value, ParseError>) -> Result<(), TestCaseError> {
+        if let Ok(v) = parsed {
+            prop_assert_eq!(parse(&v.to_json_string()), Ok(v));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Hostile input never panics the parser: noise, and serializer
+        /// output cut short or with bits flipped (as raw bytes, so that a
+        /// flip may break UTF-8 too).
+        #[test]
+        fn hostile_input_never_panics_the_parser(
+            noise in arb_json_noise(),
+            v in arb_value(),
+            cut in 0.0f64..1.0,
+            flips in prop::collection::vec((0.0f64..1.0, 0u8..8), 0..4),
+        ) {
+            check_outcome(parse(&noise))?;
+            let mut bytes = v.to_json_string().into_bytes();
+            check_outcome(parse_bytes(&bytes[..(bytes.len() as f64 * cut) as usize]))?;
+            for (at, bit) in flips {
+                let at = (bytes.len() as f64 * at) as usize;
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= 1 << bit;
+                }
+            }
+            check_outcome(parse_bytes(&bytes))?;
+        }
+
+        /// Nesting past `MAX_DEPTH` is an error, however deep — never a
+        /// stack overflow — and nesting up to it parses.
+        #[test]
+        fn nesting_past_the_depth_limit_is_an_error(
+            shallow in 0usize..MAX_DEPTH + 1,
+            deep in MAX_DEPTH + 1..50_000,
+            kinds in prop::collection::vec(any::<bool>(), 1..4),
+        ) {
+            let nested = |depth: usize| {
+                let kind = |i: usize| kinds[i % kinds.len()];
+                let mut text: String =
+                    (0..depth).map(|i| if kind(i) { "{\"a\":" } else { "[" }).collect();
+                text.push('1');
+                text.extend((0..depth).rev().map(|i| if kind(i) { '}' } else { ']' }));
+                text
+            };
+            prop_assert!(parse(&nested(shallow)).is_ok());
+            prop_assert!(parse(&nested(deep)).is_err());
+        }
+
+        /// A shared value wrapped around foreign bytes decodes without
+        /// panicking: to what the bytes say, or to `null`.
+        #[test]
+        fn foreign_bytes_decode_without_panicking(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+            noise in arb_json_noise(),
+        ) {
+            for json in [bytes, noise.into_bytes()] {
+                let shared = SharedValue::from_json(bytes::Bytes::from(json.clone()));
+                prop_assert_eq!(shared.as_value(), &parse_bytes(&json).unwrap_or(Value::Null));
+            }
         }
     }
 }

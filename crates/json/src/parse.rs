@@ -9,7 +9,7 @@ use crate::value::{Number, Value};
 
 /// Maximum nesting depth accepted (defensive; Couchbase caps document
 /// nesting similarly).
-const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A parse failure, with byte offset for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -122,7 +122,7 @@ impl EngineConfig {
             cache_quota: 256 << 20,
             eviction: cbs_cache::EvictionPolicy::ValueOnly,
             data_dir: cbs_storage::scratch_dir("kv"),
-            fragmentation_threshold: 0.6,
+            fragmentation_threshold: cbs_storage::BucketStore::FRAGMENTATION_THRESHOLD,
             lock_timeout: std::time::Duration::from_secs(15),
             flusher_shards: 4,
             trace: None,

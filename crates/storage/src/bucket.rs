@@ -1,8 +1,10 @@
 //! Bucket-level storage: one append-only log per flusher shard, one
 //! in-memory index per vBucket.
 //!
-//! A node's data service holds one [`BucketStore`] per Couchbase bucket.
-//! Each flusher shard owns one log file, `shard_<n>.couch` — a
+//! A node's data service holds one [`BucketStore`] per Couchbase bucket,
+//! and a Standard-mode GSI partition one single-log store of its change
+//! records: the latest record of each (vBucket, key) is what either owner
+//! recovers. Each flusher shard owns one log file, `shard_<n>.couch` — a
 //! [`GroupCommitWal`] holding the records of all of the shard's vBuckets,
 //! interleaved in commit order — and that log is the *only* on-disk copy
 //! of their documents. A drain cycle is encoded once into a [`Cycle`] and
@@ -15,7 +17,8 @@
 //!
 //! **One log, one writer.** Appends, purges and compactions of one shard
 //! must not overlap — a cycle's slices included; the data engine runs all
-//! three under the shard's flush lock. Reads need no such care: they go
+//! three under the shard's flush lock, a GSI partition its commits and
+//! compactions under its writer lock. Reads need no such care: they go
 //! through the per-vBucket index locks and positioned reads only.
 //!
 //! - **Recovery** is one scan of each log that rebuilds the indexes; a torn
@@ -90,10 +93,9 @@ impl Cycle {
     }
 
     /// Add one document version; its encoded `value` (empty, for a
-    /// tombstone) is copied straight into the cycle's buffer. A vBucket's
-    /// records must be pushed in seqno order, so that a torn tail always
-    /// leaves a seqno prefix. A key no record can hold is refused and
-    /// nothing is added.
+    /// tombstone) is copied straight into the cycle's buffer. Pushed in
+    /// seqno order, a vBucket's records leave a seqno prefix behind a torn
+    /// tail. A key no record can hold is refused and nothing is added.
     pub fn push(
         &mut self,
         vb: VbId,
@@ -330,8 +332,9 @@ impl ShardLog {
         // Sized once: only a record larger than the limit grows it.
         let (mut chunk, mut peak, mut at) = (Vec::with_capacity(chunk_limit), 0usize, 0u64);
         for (vb, index) in &indexes {
-            let (file, mut places) = index.in_seqno_order(SeqNo::ZERO);
-            for place in &mut places {
+            let (file, places) = index.in_seqno_order(SeqNo::ZERO);
+            let mut moves = Vec::with_capacity(places.len());
+            for place in places {
                 let len = place.len as usize;
                 if !chunk.is_empty() && chunk.len() + FRAME_PREFIX + len > chunk_limit {
                     fresh.append(&chunk)?;
@@ -342,10 +345,10 @@ impl ShardLog {
                 chunk.resize(start + len, 0);
                 file.read_exact_at(&mut chunk[start..], place.offset)?;
                 peak = peak.max(chunk.len());
-                place.offset = at + FRAME_PREFIX as u64;
+                moves.push((place.offset, at + FRAME_PREFIX as u64));
                 at += (FRAME_PREFIX + len) as u64;
             }
-            moved.push(places);
+            moved.push(moves);
         }
         if !chunk.is_empty() {
             fresh.append(&chunk)?;
@@ -353,8 +356,8 @@ impl ShardLog {
         drop(chunk);
         fresh.sync()?;
         let file = self.wal.replace_with(fresh)?;
-        for ((_, index), places) in indexes.iter().zip(&moved) {
-            index.switch(Arc::clone(&file), places);
+        for ((_, index), moves) in indexes.iter().zip(moved) {
+            index.switch(Arc::clone(&file), moves);
         }
         if let Some((_, first)) = indexes.first() {
             first.count_compaction();
@@ -543,6 +546,11 @@ impl BucketStore {
         self.shards[shard].wal.len_bytes()
     }
 
+    /// The fragmentation threshold a log compacts at unless configured
+    /// otherwise (§4.3.3): the data engine's and the cluster's default, and
+    /// every GSI partition's.
+    pub const FRAGMENTATION_THRESHOLD: f64 = 0.6;
+
     /// Compact `shard`'s log if the stale fraction of its bytes has reached
     /// `threshold` and no other log of the store is compacting; returns
     /// whether it ran. A shard that finds another one compacting does not
@@ -559,16 +567,6 @@ impl BucketStore {
         let ran = log.compact(COMPACT_CHUNK);
         self.compacting.store(false, Ordering::SeqCst);
         ran.map(|_| true)
-    }
-
-    /// Run [`compact_shard`](BucketStore::compact_shard) on every log;
-    /// returns how many compacted.
-    pub fn compact_all(&self, threshold: f64) -> Result<usize> {
-        let mut n = 0;
-        for shard in 0..self.shards.len() {
-            n += usize::from(self.compact_shard(shard, threshold)?);
-        }
-        Ok(n)
     }
 }
 
@@ -814,14 +812,38 @@ mod tests {
     }
 
     #[test]
-    fn compact_all_counts_logs_over_the_threshold() {
+    fn only_logs_over_the_threshold_compact() {
         let bs = BucketStore::open_sharded(scratch_dir("bucket"), 2, 2).unwrap();
         let s = bs.vb(VbId(0)).unwrap();
         for i in 0..50 {
             s.persist(&doc("same-key", i + 1)).unwrap();
         }
         bs.vb(VbId(1)).unwrap().persist(&doc("only", 1)).unwrap();
-        assert_eq!(bs.compact_all(0.5).unwrap(), 1, "only the fragmented log compacts");
+        let ran: Vec<bool> = (0..2).map(|shard| bs.compact_shard(shard, 0.5).unwrap()).collect();
+        assert_eq!(ran, [true, false], "only the fragmented log compacts");
+    }
+
+    /// Two records of one vBucket may share a seqno (a GSI partition's
+    /// watermark record and a document's): compaction moves each to its own
+    /// place, so each key still reads its own record.
+    #[test]
+    fn compaction_keeps_records_that_share_a_seqno_apart() {
+        let dir = scratch_dir("bucket");
+        {
+            let bs = BucketStore::open(dir.clone()).unwrap();
+            let s = bs.vb(VbId(2)).unwrap();
+            s.persist(&doc_with("stale", "0", 1)).unwrap();
+            s.persist(&doc_with("stale", "1", 2)).unwrap();
+            s.persist_batch(&[doc_with("a", "first", 5), doc_with("b", "second", 5)]).unwrap();
+            assert!(bs.compact_shard(0, 0.0).unwrap());
+            assert_eq!(&s.get("a").unwrap().unwrap().value[..], b"first");
+            assert_eq!(&s.get("b").unwrap().unwrap().value[..], b"second");
+            assert_eq!(accounted_bytes(&bs), disk_bytes(&bs));
+        }
+        let bs = BucketStore::open(dir).unwrap();
+        let s = bs.vb(VbId(2)).unwrap();
+        assert_eq!(&s.get("a").unwrap().unwrap().value[..], b"first");
+        assert_eq!(&s.get("b").unwrap().unwrap().value[..], b"second");
     }
 
     /// A store compacts one log at a time: while another log holds the

@@ -27,7 +27,9 @@
 //!   documents the cache no longer holds.
 //!
 //! [`GroupCommitWal`] is the log file itself (framing, append, group
-//! commit, truncate); the GSI's change logs are the same type.
+//! commit, truncate). A GSI partition's change log is a single-log
+//! [`BucketStore`] too: one keyed, compacted log for everything that
+//! persists.
 
 pub mod bucket;
 pub mod record;

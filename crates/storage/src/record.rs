@@ -64,7 +64,7 @@ impl StoredDoc {
 
 /// Encode a record onto the end of `out`. Returns the number of bytes
 /// written; an over-long key is refused with `out` untouched.
-pub fn encode_record(doc: &StoredDoc, out: &mut Vec<u8>) -> Result<usize> {
+pub(crate) fn encode_record(doc: &StoredDoc, out: &mut Vec<u8>) -> Result<usize> {
     let kind = if doc.deleted { KIND_TOMBSTONE } else { KIND_LIVE };
     encode_record_with(out, &doc.key, &doc.meta, kind, &doc.value)
 }

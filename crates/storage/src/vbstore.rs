@@ -159,17 +159,22 @@ impl VbIndex {
     }
 
     /// The compaction switch: `file` holds exactly the records
-    /// [`in_seqno_order`](VbIndex::in_seqno_order) listed, at the places
-    /// in `moved` (seqno order).
-    pub(crate) fn switch(&self, file: Arc<File>, moved: &[Place]) {
+    /// [`in_seqno_order`](VbIndex::in_seqno_order) listed, each moved from
+    /// the old offset to the new one of its pair in `moved`. A record is
+    /// found by its old offset, which no other record of the generation
+    /// shares; a seqno can be shared (a GSI partition's watermark record
+    /// and a document's).
+    pub(crate) fn switch(&self, file: Arc<File>, mut moved: Vec<(u64, u64)>) {
+        moved.sort_unstable();
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
+        inner.file_bytes = 0;
         for entry in inner.by_id.values_mut() {
-            if let Ok(i) = moved.binary_search_by_key(&entry.seqno, |p| p.seqno) {
-                entry.offset = moved[i].offset;
+            if let Ok(i) = moved.binary_search_by_key(&entry.offset, |m| m.0) {
+                entry.offset = moved[i].1;
+                inner.file_bytes += frame_bytes(entry.len);
             }
         }
-        inner.file_bytes = moved.iter().map(|p| frame_bytes(p.len)).sum();
         inner.stale_bytes = 0;
         inner.file = file;
     }
@@ -243,9 +248,10 @@ impl VBucketStore {
     }
 
     /// Append one mutation (set or tombstone), unsynced. The caller assigns
-    /// seqnos; they must be monotone per vBucket. Like every write to a
-    /// shard's log, it must not race a compaction or purge on that shard
-    /// (see [`BucketStore`](crate::BucketStore)).
+    /// seqnos; appended in seqno order, a vBucket's versions leave a seqno
+    /// prefix behind a torn tail. Like every write to a shard's log, it
+    /// must not race a compaction or purge on that shard (see
+    /// [`BucketStore`](crate::BucketStore)).
     pub fn persist(&self, doc: &StoredDoc) -> Result<()> {
         self.persist_batch(std::slice::from_ref(doc))
     }

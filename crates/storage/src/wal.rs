@@ -4,9 +4,8 @@
 //! owner appends a whole batch — in one write, or a slice at a time — and
 //! then issues **one** `sync()`: that sync is the batch's durability point
 //! (the paper's asynchronous disk-write queue amortised, §2.3.2). It is its
-//! owner's only store, never checkpointed away: the owner replays it on open
-//! ([`replay_file`], or the store's own offset-keeping scan), cuts a torn
-//! tail off with [`GroupCommitWal::truncate_to`], and keeps appending.
+//! owner's only store, never checkpointed away: the owner scans it on open,
+//! cuts a torn tail off, and keeps appending.
 //!
 //! Record framing reuses the storage [`record`](crate::record) encoding,
 //! prefixed with the owning vBucket id:
@@ -15,11 +14,11 @@
 //! | vb u16 LE | record (magic, crc32, paylen, payload) | ...
 //! ```
 //!
-//! Two owners use it: each flusher shard's data log inside a
-//! [`BucketStore`](crate::BucketStore) (`shard_<n>.couch`, every vBucket of
-//! the shard interleaved, indexed in memory by offset) and each GSI
-//! partition's change log ([`GroupCommitWal::open_file`]).
-//! [`GroupCommitWal::open`] names a stand-alone log `wal_<n>.log`.
+//! One owner uses it: each log of a [`BucketStore`](crate::BucketStore)
+//! (`shard_<n>.couch`, every vBucket of the shard interleaved, indexed in
+//! memory by offset) — a flusher shard's data log, or a GSI partition's
+//! change log. [`GroupCommitWal::open`] names a stand-alone log
+//! `wal_<n>.log`; [`replay_file`] reads any log back in append order.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -55,7 +54,7 @@ impl GroupCommitWal {
 
     /// Open (or create) a log at an explicit `path`, appending after any
     /// existing content.
-    pub fn open_file(path: PathBuf) -> Result<GroupCommitWal> {
+    pub(crate) fn open_file(path: PathBuf) -> Result<GroupCommitWal> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
@@ -68,14 +67,14 @@ impl GroupCommitWal {
     }
 
     /// Path of the backing file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
     /// The open file, for positioned reads of offsets [`append`] returned.
     ///
     /// [`append`]: GroupCommitWal::append
-    pub fn file(&self) -> Arc<File> {
+    pub(crate) fn file(&self) -> Arc<File> {
         Arc::clone(&self.inner.lock().file)
     }
 
@@ -102,7 +101,7 @@ impl GroupCommitWal {
     /// Append already framed records with one write; returns the offset of
     /// their first byte. A write that fails part-way is cut off again, so
     /// the next append starts where this one did.
-    pub fn append(&self, frames: &[u8]) -> Result<u64> {
+    pub(crate) fn append(&self, frames: &[u8]) -> Result<u64> {
         let _s = cbs_obs::span("storage.wal.append");
         let mut inner = self.inner.lock();
         let base = inner.len;
@@ -123,19 +122,19 @@ impl GroupCommitWal {
     }
 
     /// Bytes currently in the log.
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.inner.lock().len
     }
 
     /// Truncate the log to empty.
-    pub fn reset(&self) -> Result<()> {
+    pub(crate) fn reset(&self) -> Result<()> {
         self.truncate_to(0)
     }
 
     /// Cut the log back to its first `len` bytes and sync. Recovery uses
     /// this to drop a torn tail before appending again — records written
     /// after garbage would be unreachable to the next replay.
-    pub fn truncate_to(&self, len: u64) -> Result<()> {
+    pub(crate) fn truncate_to(&self, len: u64) -> Result<()> {
         let mut inner = self.inner.lock();
         inner.file.set_len(len)?;
         // The file is this long now, whether or not the sync below holds.
@@ -148,7 +147,7 @@ impl GroupCommitWal {
     /// file over this log's path and continue on it. Returns the new file.
     /// The caller keeps appends away for the duration — one that landed
     /// between the rename and the switch would go to the unlinked file.
-    pub fn replace_with(&self, other: GroupCommitWal) -> Result<Arc<File>> {
+    pub(crate) fn replace_with(&self, other: GroupCommitWal) -> Result<Arc<File>> {
         std::fs::rename(&other.path, &self.path)?;
         let (file, len) = {
             let theirs = other.inner.lock();
@@ -222,9 +221,8 @@ pub(crate) fn scan_frames(
 
 /// Decode one log file's records in append order onto `out`, under the
 /// torn-tail / corruption contract of the store's own recovery scan.
-/// Returns the length of the intact prefix, which an owner that keeps
-/// appending to the same file passes to [`GroupCommitWal::truncate_to`]
-/// first.
+/// Returns the length of the intact prefix: what the store's recovery
+/// keeps of the file.
 pub fn replay_file(path: &Path, out: &mut Vec<(VbId, StoredDoc)>) -> Result<u64> {
     scan_frames(path, |vb, _, rec, _| out.push((vb, rec.to_doc())))
 }

@@ -22,12 +22,13 @@
 #                                 analysis, plus the clock-read and metric-
 #                                 naming conventions (DESIGN.md §14)
 #   4. model suite                lock-order detector + seqno-signal, feed
-#                                 wake, flusher (incl. backfill ordering) and
-#                                 txn protocol models (exhaustive interleaving
-#                                 search), the memory-first backfill against
-#                                 its disk-first oracle (property suite; debug
-#                                 and --release), and 50 standalone runs of
-#                                 the Block-STM test that panics on a stale read
+#                                 wake, flusher (incl. backfill ordering), GSI
+#                                 writer and txn protocol models (exhaustive
+#                                 interleaving search), the memory-first
+#                                 backfill against its disk-first oracle
+#                                 (property suite; debug and --release), and
+#                                 50 standalone runs of the Block-STM test
+#                                 that panics on a stale read
 #   5. chaos + txn smoke          fixed-seed fault-injection run (<10s)
 #                                 against a 3-node cluster, plus the
 #                                 serializability replay, transactional
@@ -266,11 +267,14 @@ run "xtask analyze" cargo xtask analyze
 # after its one sync) and the backfill ordering pair (cache copy
 # before index listing, index before mark_clean) — whose other half, that
 # the memory-first backfill returns what the disk-first one did, is the
-# property suite beside it.
+# property suite beside it — and the model of two writers on one GSI
+# partition (filter and commit under the writer lock; filtering before it
+# logs a stale version after a newer one).
 run "lock-order + explorer (cbs-common)" cargo test --quiet -p cbs-common --features lock-order
 run "seqno signal protocol model" cargo test --quiet -p cbs-common --test signal_models
 run "feed wake protocol model" cargo test --quiet -p cbs-common --test wake_models
 run "flusher protocol models" cargo test --quiet -p cbs-kv --test flusher_models
+run "GSI writer protocol model" cargo test --quiet -p cbs-index --test writer_models
 run "backfill equivalence (oracle)" cargo test --quiet -p cbs-kv --lib backfill_equivalence
 # Once more under the profile perfbench and tier-1's build use: its racing
 # test must not depend on how fast the writer is.
