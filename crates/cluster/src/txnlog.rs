@@ -8,6 +8,7 @@
 //! per [`crate::Cluster`]), and it is read lock-free of everything else:
 //! the ring's own leaf lock is the only one taken.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cbs_common::sync::{rank, OrderedMutex};
@@ -69,11 +70,13 @@ impl TxnLogRow {
     }
 }
 
+/// Most recent finished transactions the log retains.
+const TXN_RING_CAP: usize = 256;
+
 /// Bounded ring of finished transactions plus running totals.
 #[derive(Debug)]
 pub struct TxnLog {
-    rows: OrderedMutex<Vec<TxnLogRow>>,
-    capacity: usize,
+    rows: OrderedMutex<VecDeque<TxnLogRow>>,
     next_id: AtomicU64,
     next_batch: AtomicU64,
     commits: AtomicU64,
@@ -82,17 +85,10 @@ pub struct TxnLog {
 }
 
 impl Default for TxnLog {
+    /// An empty log retaining the most recent `TXN_RING_CAP` rows.
     fn default() -> TxnLog {
-        TxnLog::new(256)
-    }
-}
-
-impl TxnLog {
-    /// A log retaining the most recent `capacity` rows.
-    pub fn new(capacity: usize) -> TxnLog {
         TxnLog {
-            rows: OrderedMutex::new(rank::TXN_LOG, Vec::new()),
-            capacity: capacity.max(1),
+            rows: OrderedMutex::new(rank::TXN_LOG, VecDeque::new()),
             next_id: AtomicU64::new(1),
             next_batch: AtomicU64::new(1),
             commits: AtomicU64::new(0),
@@ -100,7 +96,9 @@ impl TxnLog {
             re_executions: AtomicU64::new(0),
         }
     }
+}
 
+impl TxnLog {
     /// Reserve a batch id for a new batch run.
     pub fn next_batch_id(&self) -> u64 {
         self.next_batch.fetch_add(1, Ordering::Relaxed)
@@ -117,10 +115,10 @@ impl TxnLog {
         self.re_executions
             .fetch_add(u64::from(row.incarnations.saturating_sub(1)), Ordering::Relaxed);
         let mut rows = self.rows.lock();
-        if rows.len() == self.capacity {
-            rows.remove(0);
+        if rows.len() == TXN_RING_CAP {
+            rows.pop_front();
         }
-        rows.push(row);
+        rows.push_back(row);
         id
     }
 
@@ -141,7 +139,7 @@ impl TxnLog {
 
     /// Snapshot of the retained rows, oldest first.
     pub fn rows(&self) -> Vec<TxnLogRow> {
-        self.rows.lock().clone()
+        self.rows.lock().iter().cloned().collect()
     }
 
     /// `system:transactions` rows: `(key, document)` pairs, oldest first.
@@ -169,17 +167,19 @@ mod tests {
 
     #[test]
     fn ring_caps_and_counts() {
-        let log = TxnLog::new(2);
-        log.push(row(TxnState::Committed, 1));
+        let log = TxnLog::default();
+        for _ in 0..TXN_RING_CAP {
+            log.push(row(TxnState::Committed, 1));
+        }
         log.push(row(TxnState::Committed, 3));
         log.push(row(TxnState::Aborted, 1));
-        assert_eq!(log.commits(), 2);
+        assert_eq!(log.commits(), TXN_RING_CAP as u64 + 1);
         assert_eq!(log.aborts(), 1);
         assert_eq!(log.re_executions(), 2);
         let rows = log.rows();
-        assert_eq!(rows.len(), 2, "ring dropped the oldest row");
-        assert_eq!(rows[0].id, 2);
-        assert_eq!(rows[1].id, 3);
+        assert_eq!(rows.len(), TXN_RING_CAP, "ring dropped the two oldest rows");
+        assert_eq!(rows[0].id, 3);
+        assert_eq!(rows[TXN_RING_CAP - 1].id, TXN_RING_CAP as u64 + 2);
     }
 
     #[test]

@@ -72,10 +72,26 @@ fn replication_reaches_replicas() {
     );
 }
 
+/// Each §2.3.2 requirement holds when the durable write returns:
+/// `replicate_to = 1` once a replica has applied the mutation,
+/// `persist_to_master` once the active copy has it on disk.
 #[test]
 fn durability_replicate_and_persist() {
     let cluster = small_cluster(3, 1);
     let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    let map = cluster.map("default").unwrap();
+    let engine = |node: NodeId| cluster.node(node).unwrap().engine("default").unwrap();
+
+    let replicated = Durability { replicate_to: 1, persist_to_master: false };
+    let m =
+        client.upsert_durable("replicated", doc(40), replicated, Duration::from_secs(10)).unwrap();
+    assert!(map.replica_nodes(m.vb).iter().any(|r| engine(*r).high_seqno(m.vb) >= m.seqno));
+
+    let persisted = Durability { replicate_to: 0, persist_to_master: true };
+    let m =
+        client.upsert_durable("persisted", doc(41), persisted, Duration::from_secs(10)).unwrap();
+    assert!(engine(map.active_node(m.vb)).persisted_seqno(m.vb) >= m.seqno);
+
     client
         .upsert_durable(
             "important",
@@ -146,6 +162,9 @@ fn observe_takes_any_replica_ack_and_times_out_at_its_deadline() {
     assert!(matches!(err, Error::Timeout(_)), "{err:?}");
 
     cut.set(&replicas);
+    // A memory ack waits for no replica: it returns with both cut off.
+    let m = client.upsert("k", doc(2)).unwrap();
+    assert!(high(replicas[0]) < m.seqno && high(replicas[1]) < m.seqno);
     let started = std::time::Instant::now();
     let err = client.upsert_durable("k", doc(2), one, Duration::from_millis(150)).unwrap_err();
     let took = started.elapsed();
@@ -157,6 +176,43 @@ fn observe_takes_any_replica_ack_and_times_out_at_its_deadline() {
     cut.set(&[]);
     let m = client.upsert_durable("k", doc(3), both, Duration::from_secs(20)).unwrap();
     assert!(high(replicas[0]) >= m.seqno && high(replicas[1]) >= m.seqno);
+}
+
+/// §2.3.2's ordering, memory ack ≪ replication ≪ persistence, as
+/// post-conditions: with every shard log refusing writes (a symlink to
+/// `/dev/full`), a memory-acked write and a `replicate_to = 1` write still
+/// return — replication is memory to memory — while `persist_to_master`
+/// ends in `Timeout` with the write not persisted.
+#[cfg(target_os = "linux")]
+#[test]
+fn persist_to_master_waits_for_the_disk_and_nothing_else_does() {
+    let cfg = ClusterConfig::for_test(16, 1);
+    for node in 0..2 {
+        let dir = cfg.data_root.join(format!("node{node}")).join("default");
+        std::fs::create_dir_all(&dir).unwrap();
+        for shard in 0..cfg.flusher_shards {
+            std::os::unix::fs::symlink("/dev/full", dir.join(format!("shard_{shard}.couch")))
+                .unwrap();
+        }
+    }
+    let cluster = Cluster::homogeneous(2, cfg);
+    cluster.create_bucket("default").unwrap();
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    let vb = client.vb_for_key("k");
+    let map = cluster.map("default").unwrap();
+    let active = cluster.node(map.active_node(vb)).unwrap().engine("default").unwrap();
+    let replica = cluster.node(map.replica_nodes(vb)[0]).unwrap().engine("default").unwrap();
+
+    client.upsert("k", doc(1)).unwrap();
+    let replicated = Durability { replicate_to: 1, persist_to_master: false };
+    let m = client.upsert_durable("k", doc(2), replicated, Duration::from_secs(10)).unwrap();
+    assert!(replica.high_seqno(vb) >= m.seqno);
+
+    let persisted = Durability { replicate_to: 0, persist_to_master: true };
+    let err =
+        client.upsert_durable("k", doc(3), persisted, Duration::from_millis(200)).unwrap_err();
+    assert!(matches!(err, Error::Timeout(_)), "{err:?}");
+    assert!(active.persisted_seqno(vb) < active.high_seqno(vb), "nothing reached the disk");
 }
 
 #[test]
@@ -416,6 +472,14 @@ fn mds_separated_services_work_together() {
     let map = cluster.map("b").unwrap();
     assert!(map.active_vbs(NodeId(2)).is_empty());
     assert!(map.active_vbs(NodeId(3)).is_empty());
+    // Each service's work stays on its own nodes: the documents live on the
+    // data nodes alone, and only the index node keeps an index.
+    let node = |id: u32| cluster.node(NodeId(id)).unwrap();
+    let docs = |id| node(id).engine("b").map_or(0, |e| e.scan_active_docs().unwrap().len());
+    assert_eq!(docs(0) + docs(1), 30);
+    assert_eq!((docs(2), docs(3)), (0, 0));
+    let indexes = |id| node(id).index_manager().is_ok();
+    assert_eq!([0, 1, 2, 3].map(indexes), [false, false, true, false]);
 }
 
 #[test]

@@ -61,6 +61,66 @@ fn profile_phases_cover_most_of_an_index_scan_query() {
     assert!(covered <= wall);
 }
 
+/// `(operator, #itemsIn, #itemsOut)` for each operator of a PROFILE run.
+fn profiled_operators(cluster: &CouchbaseCluster, stmt: &str) -> Vec<(String, i64, i64)> {
+    let res =
+        cluster.query(&format!("PROFILE {stmt}"), &QueryOptions::default().request_plus()).unwrap();
+    let ops = res.rows[0].get_field("plan").and_then(|p| p.get_field("operators"));
+    let count = |op: &Value, name: &str| {
+        op.get_field("#stats").and_then(|s| s.get_field(name)).and_then(Value::as_i64).unwrap()
+    };
+    ops.and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .map(|op| {
+            let name = op.get_field("operator").and_then(Value::as_str).unwrap();
+            (name.to_string(), count(op, "#itemsIn"), count(op, "#itemsOut"))
+        })
+        .collect()
+}
+
+/// §5.1's access-path hierarchy, KV < USE KEYS < covering < fetching <
+/// PrimaryScan, as the work each path's operators count on a cluster (the
+/// memory datastore's side: `n1ql/tests/queries.rs::covering_index_no_fetch`
+/// and `profile_matrix.rs`). USE KEYS scans nothing and fetches exactly the
+/// named keys; a covering scan fetches nothing; a non-covering scan
+/// fetches each row it returns; a PrimaryScan reads the whole bucket, and
+/// twice as much once the bucket doubles (§4.5.3's linear growth).
+#[test]
+fn profile_counts_pin_the_access_path_hierarchy() {
+    const N: usize = 120;
+    let cluster = seeded_cluster(N);
+    cluster.query("CREATE PRIMARY INDEX ON default", &QueryOptions::default()).unwrap();
+    let find = |ops: &[(String, i64, i64)], name: &str| ops.iter().find(|o| o.0 == name).cloned();
+
+    let ops = profiled_operators(
+        &cluster,
+        r#"SELECT name FROM default USE KEYS ["user::1", "user::2", "missing"]"#,
+    );
+    assert!(find(&ops, "IndexScan").or(find(&ops, "PrimaryScan")).is_none(), "{ops:?}");
+    let fetch = find(&ops, "Fetch").expect("USE KEYS fetches");
+    assert_eq!((fetch.1, fetch.2), (3, 2), "the named keys, two of them present: {ops:?}");
+
+    // Ages cycle over 60 values: age 20 is documents 2 and 62.
+    let ops = profiled_operators(&cluster, "SELECT age FROM default WHERE age = 20");
+    assert_eq!(find(&ops, "IndexScan").map(|o| o.2), Some(2), "{ops:?}");
+    assert!(find(&ops, "Fetch").is_none(), "a covering scan fetches nothing: {ops:?}");
+
+    let ops = profiled_operators(&cluster, "SELECT name FROM default WHERE age = 20");
+    let fetch = find(&ops, "Fetch").expect("a non-covering scan fetches");
+    assert_eq!((fetch.1, fetch.2), (2, 2), "one fetch per row: {ops:?}");
+
+    let primary = "SELECT name FROM default WHERE name = 'user17'";
+    let ops = profiled_operators(&cluster, primary);
+    assert_eq!(find(&ops, "PrimaryScan").map(|o| o.2), Some(N as i64), "{ops:?}");
+    let bucket = cluster.bucket("default").unwrap();
+    for i in N..2 * N {
+        bucket.upsert(&format!("user::{i}"), Value::object([("age", Value::int(1))])).unwrap();
+    }
+    let ops = profiled_operators(&cluster, primary);
+    assert_eq!(find(&ops, "PrimaryScan").map(|o| o.2), Some(2 * N as i64), "{ops:?}");
+}
+
 #[test]
 fn slow_queries_land_in_completed_requests() {
     let cluster = seeded_cluster(50);
@@ -97,6 +157,12 @@ fn slow_queries_land_in_completed_requests() {
         v.get_field("clientContextID").and_then(Value::as_str) == Some("probe-1")
     }));
     assert!(stats.active_requests.is_empty(), "nothing in flight between queries");
+    // ...and so does its span tree, in the slow-op log.
+    assert!(
+        stats.slow_ops.iter().any(|t| t.root_name == "n1ql.query.request" && t.spans.len() > 1),
+        "no slow-op span tree for the request: {:?}",
+        stats.slow_ops.iter().map(|t| t.root_name).collect::<Vec<_>>()
+    );
 
     // WHERE works against the catalog like any keyspace.
     let failed = cluster
@@ -190,6 +256,10 @@ fn phase_histograms_and_help_reach_prometheus() {
     assert!(merged.histogram("n1ql.phase.index_scan").count() >= 1, "index-scan phase recorded");
     assert!(merged.histogram("n1ql.phase.run").count() >= 1, "run phase recorded");
     assert!(merged.histogram("n1ql.phase.plan").count() >= 1, "plan phase recorded");
+    // The op counters merge across nodes too: every load write, and the
+    // CREATE INDEX and SELECT requests.
+    assert_eq!(merged.counter("kv.engine.sets"), 200);
+    assert_eq!(merged.counter("n1ql.query.requests"), 2);
 
     let prom = stats.prometheus();
     assert!(prom.contains("# HELP cbs_n1ql_phase_index_scan "), "HELP line rendered:\n{prom}");

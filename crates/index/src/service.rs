@@ -496,21 +496,24 @@ mod tests {
         let mut streams: Vec<_> = (0..16)
             .map(|vb| e.open_dcp_stream(VbId(vb), e.high_seqno(VbId(vb))).unwrap())
             .collect();
-        let scan_99 = |timeout| {
-            m.scan(
-                "b",
-                "age",
-                &ScanRange::exact(Value::int(99)),
-                &ScanConsistency::AtPlus(e.seqno_vector()),
-                timeout,
-                0,
-            )
+        let scan_99_at = |consistency: ScanConsistency, timeout| {
+            m.scan("b", "age", &ScanRange::exact(Value::int(99)), &consistency, timeout, 0)
         };
+        // `request_plus`: everything written before the scan.
+        let scan_99 = |timeout| scan_99_at(ScanConsistency::AtPlus(e.seqno_vector()), timeout);
 
         // Written after the index went online: `request_plus` waits for the
         // feed, and times out while the feed has not delivered.
+        let before_write = e.seqno_vector();
         e.set("new", profile("n", 99), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         assert!(matches!(scan_99(Duration::from_millis(20)), Err(Error::Timeout(_))));
+        // `not_bounded` pays no catch-up wait: given no time at all, it
+        // answers from the undrained index, without the write. So does an
+        // `at_plus` token taken before the write.
+        assert!(scan_99_at(ScanConsistency::NotBounded, Duration::ZERO).unwrap().is_empty());
+        assert!(scan_99_at(ScanConsistency::AtPlus(before_write), Duration::ZERO)
+            .unwrap()
+            .is_empty());
         assert_eq!(pump(&m, &mut streams), 1);
         let rows = scan_99(Duration::from_secs(5)).unwrap();
         assert_eq!(rows.len(), 1);

@@ -339,6 +339,7 @@ mod tests {
         assert_eq!(p(r#""é""#), Value::from("é"));
         assert_eq!(p(r#""😀""#), Value::from("😀"));
         assert_eq!(p(r#""\/""#), Value::from("/"));
+        assert_eq!(p(r#""q\"\u0041\n""#), Value::from("q\"A\n"));
     }
 
     #[test]

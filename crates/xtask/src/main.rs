@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo xtask analyze            # the static gate: exit 1 on findings
-//! cargo xtask validate-trace F   # structurally validate a Chrome trace export
 //! ```
 //!
 //! The `xtask` alias lives in `.cargo/config.toml`. `analyze` is the one
@@ -12,7 +11,6 @@
 mod analyze;
 mod census;
 mod scan;
-mod tracecheck;
 
 use std::process::ExitCode;
 
@@ -20,13 +18,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze::cmd_analyze(&args[1..]),
-        Some("validate-trace") => tracecheck::cmd_validate_trace(&args[1..]),
         other => {
             if let Some(other) = other {
                 eprintln!("xtask: unknown command `{other}`");
             }
             eprintln!("usage: cargo xtask analyze");
-            eprintln!("       cargo xtask validate-trace <trace.json>");
             ExitCode::from(2)
         }
     }

@@ -10,17 +10,20 @@
 //!
 //! ```text
 //! cargo run --release --example cbstats
-//! CBS_NODES=2 CBS_RECORDS=500 CBS_OPS=100 cargo run --release --example cbstats
-//! CBS_TRACE_EXPORT=target/trace.json cargo run --release --example cbstats
 //! ```
 
 use std::time::{Duration, Instant};
 
 use couchbase_repro::{ClusterConfig, CouchbaseCluster, Durability, QueryOptions, Value};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+/// Cluster size; the stitched durable write needs at least two nodes.
+const NODES: usize = 3;
+/// Documents loaded before the burst.
+const RECORDS: u64 = 2_000;
+/// Operations per client thread in the burst.
+const OPS_PER_THREAD: u64 = 250;
+/// Where the Chrome `trace_event` export of the retained traces goes.
+const TRACE_EXPORT: &str = "target/cbstats-trace.json";
 
 fn print_percentiles(stats: &cbs_cluster::ClusterStats, names: &[&str]) {
     println!("\n== latency percentiles (cluster-wide merged histograms) ==");
@@ -48,19 +51,15 @@ fn print_percentiles(stats: &cbs_cluster::ClusterStats, names: &[&str]) {
 }
 
 fn main() {
-    let nodes = env_u64("CBS_NODES", 3) as usize;
-    let records = env_u64("CBS_RECORDS", 2_000);
-    let ops_per_thread = env_u64("CBS_OPS", 250);
-
-    println!("cbstats demo: {nodes}-node cluster, get/upsert burst ({records} docs)");
-    let cluster = CouchbaseCluster::homogeneous(nodes, ClusterConfig::for_test(64, 1));
+    println!("cbstats demo: {NODES}-node cluster, get/upsert burst ({RECORDS} docs)");
+    let cluster = CouchbaseCluster::homogeneous(NODES, ClusterConfig::for_test(64, 1));
     let bucket = cluster.create_bucket("ycsb").expect("create bucket");
 
     // Generate load on the KV path: load the documents, then 4 client
     // threads alternate get and upsert over scattered keys.
     let doc =
         |i: u64| Value::object([("i", Value::from(i)), ("field0", Value::from("x".repeat(100)))]);
-    for i in 0..records {
+    for i in 0..RECORDS {
         bucket.upsert(&format!("user{i:04}"), doc(i)).expect("load");
     }
     let start = Instant::now();
@@ -68,8 +67,8 @@ fn main() {
         for t in 0..4u64 {
             let bucket = &bucket;
             s.spawn(move || {
-                for n in 0..ops_per_thread {
-                    let i = (t * ops_per_thread + n).wrapping_mul(0x9E37_79B9) % records;
+                for n in 0..OPS_PER_THREAD {
+                    let i = (t * OPS_PER_THREAD + n).wrapping_mul(0x9E37_79B9) % RECORDS;
                     let key = format!("user{i:04}");
                     if n % 2 == 0 {
                         bucket.get(&key).expect("get");
@@ -81,7 +80,7 @@ fn main() {
         }
     });
     println!(
-        "burst: 4 threads x {ops_per_thread} ops (50% get / 50% upsert) in {:.1?}",
+        "burst: 4 threads x {OPS_PER_THREAD} ops (50% get / 50% upsert) in {:.1?}",
         start.elapsed()
     );
 
@@ -296,24 +295,16 @@ fn main() {
         .expect("query the flight recorder");
     println!("system:events via N1QL: {} rows", event_rows.rows.len());
 
-    // CBS_TRACE_EXPORT=<path>: dump every retained trace in the Chrome
-    // `trace_event` format (load it in chrome://tracing or Perfetto;
-    // `cargo xtask validate-trace <path>` checks it structurally).
-    if let Ok(path) = std::env::var("CBS_TRACE_EXPORT") {
-        std::fs::write(&path, store.export_chrome()).expect("write trace export");
-        println!("chrome trace export written to {path}");
+    // Every retained trace in the Chrome `trace_event` format: load it in
+    // chrome://tracing or Perfetto.
+    match std::fs::write(TRACE_EXPORT, store.export_chrome()) {
+        Ok(()) => println!("chrome trace export written to {TRACE_EXPORT}"),
+        Err(e) => println!("chrome trace export not written to {TRACE_EXPORT}: {e}"),
     }
 
     let prom = stats.prometheus();
     println!("\n== prometheus sample (first 20 of {} lines) ==", prom.lines().count());
     for line in prom.lines().take(20) {
         println!("{line}");
-    }
-
-    // The operator-facing invariant the tracing exists to demonstrate: a
-    // spread distribution reports non-degenerate percentiles.
-    let kv = stats.histogram("kv.engine.get_latency");
-    if let (Some(p50), Some(p99)) = (kv.percentile(50.0), kv.percentile(99.0)) {
-        println!("\nkv get p50 {p50:.1?} < p99 {p99:.1?}: {}", p50 < p99);
     }
 }

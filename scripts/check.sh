@@ -8,7 +8,6 @@
 #   scripts/check.sh staleness-smoke # staleness artifacts regenerate unchanged (<30s)
 #   scripts/check.sh txn-smoke       # serializability replay + txn chaos + the
 #                                    # txn-batch artifact regenerates unchanged (<30s)
-#   scripts/check.sh trace-smoke     # stitched causal trace + Chrome export (<60s)
 #   scripts/check.sh perfbench-smoke # the benchmark's unit tests + --smoke run
 #
 # Stages:
@@ -34,7 +33,10 @@
 #                                 serializability replay, transactional
 #                                 chaos run and BENCH_txn_batch.json
 #                                 regeneration; seed sweeps honor CHAOS_SEEDS=n
-#   6. full test suite            (skipped with --quick)
+#   6. full test suite            (skipped with --quick) — the one place a
+#                                 claim is checked; then the cbstats demo
+#                                 runs to completion (exit status only)
+#                                 and the staleness artifacts regenerate
 #   7. perfbench smoke            the benchmark package (its own workspace):
 #                                 unit tests, then every workload at --smoke
 #                                 sizes with its in-run correctness checks,
@@ -116,31 +118,6 @@ artifact_regenerates() {
     git diff --exit-code --stat -- "$3" && return 0
     echo "    $2 no longer reproduces $3 (determinism or drift); restore with git checkout -- '$3'"
     return 1
-}
-
-# Causal-tracing smoke (DESIGN.md §10): drive cbstats with full sampling
-# and a Chrome export, require the rendered stitched trace of one durable
-# replicated write (client lane -> active engine -> replication deliver ->
-# replica apply -> WAL commit), populated trace/event catalogs, and a
-# structurally valid trace_event JSON with >= 2 node lanes
-# (`cargo xtask validate-trace`).
-trace_smoke() {
-    local out
-    out="$(CBS_NODES=2 CBS_RECORDS=500 CBS_OPS=100 CBS_TRACE_SAMPLE=1 \
-        CBS_TRACE_EXPORT=target/trace.json \
-        cargo run --quiet --release --example cbstats 2>/dev/null)" || return 1
-    echo "$out" | grep -q "completed traces" || { echo "    missing trace table"; return 1; }
-    for span in client.kv.durable kv.engine.set cluster.replication.deliver \
-        kv.engine.replica_apply kv.flusher.wal_commit; do
-        echo "$out" | grep -q "$span" || { echo "    stitched trace lacks $span"; return 1; }
-    done
-    echo "$out" | grep -Eq "system:completed_traces via N1QL: [1-9]" \
-        || { echo "    trace catalog empty"; return 1; }
-    echo "$out" | grep -Eq "system:events via N1QL: [1-9]" \
-        || { echo "    flight recorder catalog empty"; return 1; }
-    [ -s target/trace.json ] || { echo "    target/trace.json missing"; return 1; }
-    cargo run --quiet -p xtask -- validate-trace target/trace.json \
-        || { echo "    trace export failed structural validation"; return 1; }
 }
 
 # Benchmark smoke: perfbench is a package of its own (BENCHMARK.json runs
@@ -225,7 +202,6 @@ stage_label() {
         plancache-smoke) echo "plancache smoke (PREPARE/EXECUTE hit rate)" ;;
         txn-smoke) echo "txn smoke (serializability replay + txn chaos + txn_batch artifact)" ;;
         staleness-smoke) echo "staleness smoke (artifacts regenerate unchanged)" ;;
-        trace-smoke) echo "trace smoke (stitched causal trace + export)" ;;
         perfbench-smoke) echo "perfbench smoke (benchmark tests + --smoke)" ;;
         *) return 1 ;;
     esac
@@ -289,38 +265,9 @@ run_stage txn-smoke
 
 run "full test suite" cargo test --quiet --workspace
 
-# Observability smoke: drive the cbstats example against a 2-node cluster
-# and assert the operator surface comes out populated — per-service op
-# counters, non-degenerate percentiles, and at least one slow-op span tree.
-cbstats_smoke() {
-    local out
-    out="$(CBS_NODES=2 CBS_RECORDS=500 CBS_OPS=100 \
-        cargo run --quiet --release --example cbstats 2>/dev/null)" || return 1
-    echo "$out" | grep -q "kv.engine.sets" || { echo "    missing kv op counters"; return 1; }
-    echo "$out" | grep -q "n1ql.query.requests" || { echo "    missing n1ql counters"; return 1; }
-    echo "$out" | grep -q "n1ql.query.request" || { echo "    missing slow-op span tree"; return 1; }
-    echo "$out" | grep -q "p50 .* < p99 .*: true" || { echo "    degenerate percentiles"; return 1; }
-    echo "$out" | grep -q "replica lag (per vBucket" || { echo "    missing replica lag table"; return 1; }
-    echo "$out" | grep -Eq "system:replication via N1QL: [1-9]" \
-        || { echo "    replication catalog empty"; return 1; }
-}
-run "cbstats smoke (2-node cluster)" cbstats_smoke
-
-# Profiling smoke: the same cbstats run must show the query-profiling
-# surface — a PROFILE plan with per-operator stats and phase rollups, the
-# per-phase histograms, and a non-empty N1QL-queryable request log.
-obs_profile_smoke() {
-    local out
-    out="$(CBS_NODES=2 CBS_RECORDS=500 CBS_OPS=100 \
-        cargo run --quiet --release --example cbstats 2>/dev/null)" || return 1
-    echo "$out" | grep -q '"#itemsOut"' || { echo "    missing operator #stats"; return 1; }
-    echo "$out" | grep -q '"phaseTimes"' || { echo "    missing phase rollups"; return 1; }
-    echo "$out" | grep -q "n1ql.phase.plan" || { echo "    missing phase histograms"; return 1; }
-    echo "$out" | grep -Eq "system:completed_requests via N1QL: [1-9]" \
-        || { echo "    request log empty or not queryable"; return 1; }
-}
-run "obs-profile smoke (PROFILE + request log)" obs_profile_smoke
-run_stage trace-smoke
+# The operator demo keeps running end to end; what it prints is pinned by
+# the tests above, not read here.
+run "cbstats demo (runs to completion)" bash -c 'cargo run --quiet --release --example cbstats >/dev/null'
 run_stage staleness-smoke
 run_stage perfbench-smoke
 

@@ -3,8 +3,10 @@
 //! one trace that spans the client, the active node's engine, the
 //! replication pump, the replica's apply, and both WAL group commits —
 //! stitched by a single trace id with intact parent links, across thread
-//! and node boundaries.
+//! and node boundaries — and its Chrome `trace_event` export must show it
+//! on both nodes' lanes.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,6 +30,49 @@ fn wait_for_stitched_trace(
         std::thread::sleep(Duration::from_millis(2));
     }
     panic!("no matching trace within 2s; traces: {:#?}", store.completed_traces());
+}
+
+/// Parse a Chrome `trace_event` export (`TraceStore::export_chrome`) with
+/// the repo's own JSON parser and check what chrome://tracing and Perfetto
+/// need to load it: a `traceEvents` array, at least one complete (`X`)
+/// event, each in a lane a `process_name` metadata (`M`) event declares,
+/// at a numeric, non-negative `ts` and `dur`. Returns the engine-node lanes
+/// (`n<digits>`) that carry spans.
+fn chrome_export_node_lanes(export: &str) -> Vec<String> {
+    let doc = cbs_json::parse(export).expect("the export is JSON");
+    let events =
+        doc.get_field("traceEvents").and_then(Value::as_array).expect("a traceEvents array");
+    fn field<'a>(ev: &'a Value, name: &str) -> Option<&'a str> {
+        ev.get_field(name).and_then(Value::as_str)
+    }
+    let lanes: BTreeMap<i64, &str> = events
+        .iter()
+        .filter(|ev| field(ev, "ph") == Some("M") && field(ev, "name") == Some("process_name"))
+        .map(|ev| {
+            let pid = ev.get_field("pid").and_then(Value::as_i64);
+            let name = ev.get_field("args").and_then(|a| field(a, "name"));
+            (pid.expect("process_name pid"), name.expect("process_name args.name"))
+        })
+        .collect();
+    let spans: Vec<&Value> = events.iter().filter(|ev| field(ev, "ph") == Some("X")).collect();
+    assert!(!spans.is_empty(), "the export has no spans");
+    let mut node_lanes = Vec::new();
+    for ev in spans {
+        assert!(field(ev, "name").is_some_and(|n| !n.is_empty()), "unnamed span: {ev:?}");
+        for at in ["ts", "dur"] {
+            let v = ev.get_field(at).and_then(Value::as_f64);
+            assert!(v.is_some_and(|v| v >= 0.0), "{at} is not a number >= 0: {ev:?}");
+        }
+        let pid = ev.get_field("pid").and_then(Value::as_i64).expect("span pid");
+        let lane = lanes.get(&pid).unwrap_or_else(|| panic!("pid {pid} has no process_name"));
+        let node = lane
+            .strip_prefix('n')
+            .is_some_and(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()));
+        if node && !node_lanes.iter().any(|l| l == lane) {
+            node_lanes.push(lane.to_string());
+        }
+    }
+    node_lanes
 }
 
 #[test]
@@ -141,6 +186,10 @@ fn durable_write_yields_one_stitched_trace() {
         .collect();
     assert_eq!(wal_lanes.len(), 2, "active + replica WAL commits: {wal_lanes:?}");
     assert_ne!(wal_lanes[0], wal_lanes[1], "WAL commits on distinct nodes");
+
+    // The Chrome export of the same store shows the write on both nodes.
+    let export_lanes = chrome_export_node_lanes(&store.export_chrome());
+    assert!(export_lanes.len() >= 2, "export must cross >= 2 node lanes: {export_lanes:?}");
 
     // The render is operator-readable: one line per span, indented.
     let rendered = trace.render();
