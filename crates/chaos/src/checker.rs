@@ -36,7 +36,8 @@ use std::fmt;
 use std::time::Duration;
 
 use cbs_cluster::Cluster;
-use cbs_common::{Deadline, SeqNo, VbId};
+use cbs_common::{SeqNo, VbId};
+use cbs_dcp::BackfillSource;
 use cbs_kv::DataEngine;
 
 use crate::history::{Ack, History, OpKind, OpRecord, TxnEventKind};
@@ -366,29 +367,18 @@ fn check_txns(history: &History, out: &mut Vec<Violation>) {
     }
 }
 
-/// Live document state of one vBucket on one engine, rebuilt by replaying
-/// DCP from seqno zero: key → latest value (tombstoned keys excluded).
+/// Live document state of one vBucket on one engine, read from one
+/// backfill snapshot: key → latest value (tombstoned keys excluded).
 fn vb_doc_state(engine: &DataEngine, vb: VbId) -> HashMap<String, i64> {
-    let high = engine.high_seqno(vb);
-    let mut latest: HashMap<String, (u64, Option<i64>)> = HashMap::new();
-    if high == SeqNo::ZERO {
-        return HashMap::new();
-    }
-    let Ok(mut stream) = engine.open_dcp_stream(vb, SeqNo::ZERO) else {
+    let Ok((items, _)) = engine.backfill(vb, SeqNo::ZERO) else {
         return HashMap::new();
     };
-    for item in stream.drain_until(high, Deadline::after(Duration::from_secs(5))) {
-        let value = if item.is_deletion() {
-            None
-        } else {
-            Some(item.value.as_ref().and_then(|v| v.as_i64()).unwrap_or(i64::MIN))
-        };
-        let entry = latest.entry(item.key.into()).or_insert((0, None));
-        if item.meta.seqno.0 >= entry.0 {
-            *entry = (item.meta.seqno.0, value);
-        }
-    }
-    latest.into_iter().filter_map(|(k, (_, v))| v.map(|v| (k, v))).collect()
+    let live = items.into_iter().filter(|item| !item.is_deletion());
+    live.map(|item| {
+        let value = item.value.as_ref().and_then(|v| v.as_i64()).unwrap_or(i64::MIN);
+        (item.key.to_string(), value)
+    })
+    .collect()
 }
 
 /// Check live cluster state: topology sanity immediately, then replica

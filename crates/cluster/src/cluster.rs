@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Deadline, Error, NodeId, Result, SeqNo, VbId};
-use cbs_dcp::FeedWaker;
+use cbs_common::{Error, NodeId, Result, SeqNo, VbId};
+use cbs_dcp::{BackfillSource, FeedWaker};
 use cbs_json::Value;
 use cbs_kv::VbState;
 use cbs_views::{ViewQuery, ViewResult, ViewRow};
@@ -524,17 +524,18 @@ impl Cluster {
                             engine.purge_vb(vb)?;
                             engine.set_vb_state(vb, VbState::Replica);
                         }
-                        // Synchronous initial copy (backfill + catch-up);
-                        // the steady-state pump takes over from here.
+                        // Synchronous initial copy: one snapshot, up to its
+                        // resume point. The pump resumes from the replica's
+                        // high seqno after the map install, so a version
+                        // above that point — newer than writes the snapshot
+                        // may lack — is left to it.
                         let src = self
                             .inner
                             .node(self.inner.map(&bucket)?.active_node(vb))?
                             .engine(&bucket)?;
-                        let mut stream = src.open_dcp_stream(vb, engine.high_seqno(vb))?;
-                        let goal = src.high_seqno(vb);
-                        let until = Deadline::after(Duration::from_secs(30));
-                        for item in stream.drain_until(goal, until) {
-                            engine.apply_replica(&item)?;
+                        let (items, high) = src.backfill(vb, engine.high_seqno(vb))?;
+                        for item in items.iter().take_while(|i| i.meta.seqno <= high) {
+                            engine.apply_replica(item)?;
                         }
                     }
                 }
@@ -563,8 +564,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// Move one active vBucket from `src` to `dst` via DCP backfill + live
-    /// tail, finishing with the atomic takeover.
+    /// Move one active vBucket from `src` to `dst` by two backfill snapshots
+    /// around the atomic takeover.
     fn move_active_vb(&self, bucket: &str, vb: VbId, src_id: NodeId, dst_id: NodeId) -> Result<()> {
         let src = self.inner.node(src_id)?.engine(bucket)?;
         let dst = self.inner.node(dst_id)?.engine(bucket)?;
@@ -572,27 +573,17 @@ impl Cluster {
         // until they are ready to be switched to active" — our Pending
         // state.
         dst.set_vb_state(vb, VbState::Pending);
-        let mut stream = src.open_dcp_stream(vb, dst.high_seqno(vb))?;
-        // Backfill + catch up to the source's current high seqno.
-        let deadline = Deadline::after(Duration::from_secs(60));
-        loop {
-            let goal = src.high_seqno(vb);
-            for item in stream.drain_until(goal, deadline) {
-                dst.apply_replica(&item)?;
-            }
-            if stream.cursor() >= goal {
-                break;
-            }
-            if deadline.expired() {
-                return Err(Error::Timeout(format!("rebalance mover for {vb:?}")));
-            }
-        }
-        // Atomic takeover: block writes on the source, drain the last few
-        // in-flight items, flip the destination to active.
+        let copy = |since| -> Result<SeqNo> {
+            let (items, high) = src.backfill(vb, since)?;
+            items.iter().try_for_each(|item| dst.apply_replica(item))?;
+            Ok(high)
+        };
+        // The bulk of the copy while the source still takes writes; then
+        // the takeover: block writes on the source, copy what the first
+        // snapshot may lack, flip the destination to active.
+        let first = copy(dst.high_seqno(vb))?;
         src.set_vb_state(vb, VbState::Dead);
-        for item in stream.drain_available() {
-            dst.apply_replica(&item)?;
-        }
+        copy(first)?;
         dst.set_vb_state(vb, VbState::Active);
         // Install the map change so clients re-route (epoch bump per move:
         // "the cluster updates each connected client library with the new
@@ -857,12 +848,11 @@ impl Cluster {
 
     /// Set the cluster's one "slow" threshold: operations at least this
     /// slow are kept by the trace store whether sampled or not, and survive
-    /// its ring eviction (`Duration::ZERO` keeps every operation).
+    /// its ring eviction (`Duration::ZERO` keeps every operation). A query
+    /// reads the same store's threshold to decide whether its request
+    /// enters the completed-request log.
     pub fn set_slow_threshold(&self, threshold: Duration) {
         self.inner.trace_store.set_slow_threshold(threshold);
-        // Keep the request log's admission threshold in step so "slow"
-        // means the same thing for a trace and for a completed request.
-        self.inner.request_log.set_threshold(threshold);
     }
 }
 

@@ -97,12 +97,13 @@ pub mod rank {
     /// held for a whole drain cycle, purge or compaction while vB metadata,
     /// queues, the log and the vBucket indexes are touched.
     pub const FLUSH_CYCLE: LockRank = LockRank::new(10, "kv.shard.flush_cycle");
-    /// View engine's ddoc registry. Held across design-doc creation,
-    /// which opens DCP streams per vBucket (rank `DCP_CHANNEL`).
+    /// View engine's ddoc registry. Held only to look a design doc up or
+    /// to add or drop one.
     pub const VIEWS_DDOCS: LockRank = LockRank::new(12, "views.engine.ddocs");
-    /// Per-ddoc DCP stream set. Held while draining streams for
-    /// `stale=false` updates, which waits on the DCP channel.
-    pub const VIEWS_DDOC_STREAMS: LockRank = LockRank::new(14, "views.ddoc.streams");
+    /// Per-ddoc vBucket cursors. Held across a whole update pass, which
+    /// reads vBucket states and backfills (cache and storage ranks) and
+    /// takes the views lock to apply each snapshot.
+    pub const VIEWS_DDOC_CURSORS: LockRank = LockRank::new(14, "views.ddoc.cursors");
     /// Per-ddoc materialized view B-trees. Queries hold it while checking
     /// vBucket states on the engine (rank `VB_META`).
     pub const VIEWS_DDOC_VIEWS: LockRank = LockRank::new(16, "views.ddoc.views");

@@ -8,17 +8,21 @@ use cbs_common::{Result, SeqNo, VbId};
 use cbs_obs::{span, Counter, Registry};
 use crossbeam::channel::Sender;
 
+use crate::feed::{DcpEvent, DcpFeed};
 use crate::item::DcpItem;
-use crate::stream::{DcpEvent, DcpFeed, DcpStream};
 
-/// Source of historical changes for stream backfill. Implemented by the data
-/// service, memory first: resident documents come from the cache and only
-/// evicted ones from the storage engine, so a stream opened at seqno 0 sees
-/// every acknowledged write even before the flusher has run.
+/// Source of historical changes: a subscription's backfill and every
+/// catch-up snapshot. Implemented by the data service, memory first:
+/// resident documents come from the cache and only evicted ones from the
+/// storage engine, so a snapshot from seqno 0 sees every acknowledged write
+/// even before the flusher has run.
 pub trait BackfillSource: Send + Sync {
-    /// Latest versions of all documents in `vb` with seqno > `since`, in
-    /// seqno order, and the snapshot's high seqno — at least `since` and
-    /// every returned seqno; live delivery resumes above it.
+    /// The latest version of documents in `vb` with seqno > `since`, in
+    /// seqno order, and a resume point `high` (at least `since`): every
+    /// version with a seqno in `(since, high]` is returned, or superseded
+    /// by a returned version. Versions above `high` may be returned too, so
+    /// a caller resuming from `high` can be handed one again; one resuming
+    /// from the newest *returned* seqno could skip a write.
     fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)>;
 }
 
@@ -34,8 +38,7 @@ struct VbChannel {
 
 /// Per-bucket DCP fan-out. The data service owns one hub per bucket and
 /// calls [`DcpHub::publish`] inside the vBucket critical section that
-/// assigned the mutation's seqno; consumers call [`DcpHub::subscribe`]
-/// (or [`DcpHub::open_stream`] for a single vBucket).
+/// assigned the mutation's seqno; consumers call [`DcpHub::subscribe`].
 pub struct DcpHub {
     /// Rank `DCP_CHANNEL`: publishes take this under the vB metadata lock;
     /// subscriptions hold it across `backfill`, which descends into the
@@ -81,12 +84,14 @@ impl DcpHub {
     }
 
     /// Subscribe `feed` to one vBucket resuming after `since`; returns the
-    /// backfill snapshot's high seqno `h`.
+    /// newest seqno the snapshot queued, `h` (at least its resume point).
     ///
-    /// The feed is queued a snapshot marker, then backfilled items in
+    /// The feed is queued a snapshot marker, then the backfilled items in
     /// `(since, h]`, then receives live items `> h` — no gap, no duplicate:
     /// backfill, registration and queueing happen under the vb lock, so
-    /// publishers on *this* vBucket (only) wait until the snapshot is queued.
+    /// publishers on *this* vBucket (only) wait until the snapshot is
+    /// queued, and what the snapshot returned above its resume point is
+    /// already published or waiting on this lock.
     pub fn subscribe(
         &self,
         feed: &DcpFeed,
@@ -98,26 +103,26 @@ impl DcpHub {
         let tx = feed.tx.lock().clone();
         let mut chan = self.vbs[vb.index()].lock();
         let (items, high) = source.backfill(vb, since)?;
+        let high = items.last().map_or(high, |newest| newest.meta.seqno.max(high));
         chan.subscribers.push(Subscriber { sender: tx.clone(), start_after: high });
         let _ = tx.send(DcpEvent::SnapshotMarker { vb, start: since.next(), end: high });
         for item in items {
-            debug_assert!(item.meta.seqno > since && item.meta.seqno <= high);
+            debug_assert!(item.meta.seqno > since);
             let _ = tx.send(DcpEvent::Item(item));
         }
         Ok(high)
     }
 
-    /// Open a stream over one vBucket resuming after `since`: a fresh feed
-    /// with this one subscription, handed over with its cursor.
+    /// A fresh feed subscribed to one vBucket resuming after `since`.
     pub fn open_stream(
         &self,
         vb: VbId,
         since: SeqNo,
         source: &dyn BackfillSource,
-    ) -> Result<DcpStream> {
+    ) -> Result<DcpFeed> {
         let feed = DcpFeed::default();
         self.subscribe(&feed, vb, since, source)?;
-        Ok(DcpStream::new(feed, since))
+        Ok(feed)
     }
 
     /// Number of live subscribers on a vBucket (diagnostics).
@@ -154,6 +159,14 @@ mod tests {
             let high = all.last().map(|i| i.meta.seqno).unwrap_or(SeqNo::ZERO);
             Ok((all.iter().filter(|i| i.meta.seqno > since).cloned().collect(), high))
         }
+    }
+
+    /// Every item queued on `feed` now, as seqnos.
+    fn queued(feed: &DcpFeed) -> Vec<u64> {
+        use cbs_common::Deadline;
+        let mut out = Vec::new();
+        feed.drain(Some(Deadline::after(std::time::Duration::ZERO)), &mut out);
+        out.iter().map(|i| i.meta.seqno.0).collect()
     }
 
     fn item(vb: u16, key: &str, seq: u64) -> DcpItem {
@@ -193,12 +206,32 @@ mod tests {
     fn backfill_then_live_no_gap_no_dup() {
         let hub = DcpHub::new(1);
         let backfill = VecBackfill { items: vec![vec![item(0, "a", 1), item(0, "b", 2)]] };
-        let mut stream = hub.open_stream(VbId(0), SeqNo::ZERO, &backfill).unwrap();
+        let feed = hub.open_stream(VbId(0), SeqNo::ZERO, &backfill).unwrap();
         // Live mutations after open.
         hub.publish(&item(0, "c", 3));
         hub.publish(&item(0, "d", 4));
-        let seqs: Vec<u64> = stream.drain_available().iter().map(|i| i.meta.seqno.0).collect();
-        assert_eq!(seqs, [1, 2, 3, 4]);
+        assert_eq!(queued(&feed), [1, 2, 3, 4]);
+    }
+
+    /// A snapshot may return versions above its resume point (a write that
+    /// landed while it was read, already published or waiting on the
+    /// channel lock): live delivery starts above the newest one queued.
+    #[test]
+    fn items_above_the_resume_point_are_not_delivered_twice() {
+        struct Behind(Vec<DcpItem>);
+        impl BackfillSource for Behind {
+            fn backfill(&self, _vb: VbId, _since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
+                Ok((self.0.clone(), SeqNo(1)))
+            }
+        }
+        let hub = DcpHub::new(1);
+        let feed = DcpFeed::default();
+        let source = Behind(vec![item(0, "a", 1), item(0, "b", 3)]);
+        assert_eq!(hub.subscribe(&feed, VbId(0), SeqNo::ZERO, &source).unwrap(), SeqNo(3));
+        for seq in 2..=4 {
+            hub.publish(&item(0, "c", seq));
+        }
+        assert_eq!(queued(&feed), [1, 3, 4]);
     }
 
     #[test]
@@ -206,17 +239,16 @@ mod tests {
         let hub = DcpHub::new(1);
         let backfill =
             VecBackfill { items: vec![vec![item(0, "a", 1), item(0, "b", 2), item(0, "c", 3)]] };
-        let mut stream = hub.open_stream(VbId(0), SeqNo(2), &backfill).unwrap();
-        let seqs: Vec<u64> = stream.drain_available().iter().map(|i| i.meta.seqno.0).collect();
-        assert_eq!(seqs, [3], "resume after seqno 2 yields only newer items");
+        let feed = hub.open_stream(VbId(0), SeqNo(2), &backfill).unwrap();
+        assert_eq!(queued(&feed), [3], "resume after seqno 2 yields only newer items");
     }
 
     #[test]
     fn dropped_stream_is_pruned() {
         let hub = DcpHub::new(1);
-        let stream = hub.open_stream(VbId(0), SeqNo::ZERO, &EmptyBackfill).unwrap();
+        let feed = hub.open_stream(VbId(0), SeqNo::ZERO, &EmptyBackfill).unwrap();
         assert_eq!(hub.subscriber_count(VbId(0)), 1);
-        drop(stream);
+        drop(feed);
         hub.publish(&item(0, "a", 1));
         assert_eq!(hub.subscriber_count(VbId(0)), 0, "publish prunes dead subscribers");
     }
@@ -224,10 +256,11 @@ mod tests {
     #[test]
     fn deletion_items_flow() {
         let hub = DcpHub::new(1);
-        let mut stream = hub.open_stream(VbId(0), SeqNo::ZERO, &EmptyBackfill).unwrap();
+        let feed = hub.open_stream(VbId(0), SeqNo::ZERO, &EmptyBackfill).unwrap();
         let meta = DocMeta { seqno: SeqNo(1), ..Default::default() };
         hub.publish(&DcpItem::deletion(VbId(0), "gone", meta));
-        let items = stream.drain_available();
+        let mut items = Vec::new();
+        feed.drain(None, &mut items);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].kind, DcpKind::Deletion);
     }
@@ -236,7 +269,7 @@ mod tests {
     fn concurrent_publishers_and_streams() {
         use std::sync::Arc;
         let hub = Arc::new(DcpHub::new(8));
-        let mut streams: Vec<DcpStream> = (0..8)
+        let feeds: Vec<DcpFeed> = (0..8)
             .map(|vb| hub.open_stream(VbId(vb), SeqNo::ZERO, &EmptyBackfill).unwrap())
             .collect();
         let mut handles = Vec::new();
@@ -251,10 +284,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        for (vb, stream) in streams.iter_mut().enumerate() {
-            let seqs: Vec<u64> = stream.drain_available().iter().map(|i| i.meta.seqno.0).collect();
-            let expect: Vec<u64> = (1..=500).collect();
-            assert_eq!(seqs, expect, "vb {vb} must deliver in order without loss");
+        let expect: Vec<u64> = (1..=500).collect();
+        for (vb, feed) in feeds.iter().enumerate() {
+            assert_eq!(queued(feed), expect, "vb {vb} must deliver in order without loss");
         }
     }
 

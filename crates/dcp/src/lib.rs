@@ -10,37 +10,47 @@
 //! functions."
 //!
 //! Every downstream component — intra-cluster replication, the view engine,
-//! the GSI projector, XDCR — consumes the same feed type defined here.
+//! the GSI projector, XDCR — consumes the changes through the types defined
+//! here.
 //!
-//! ## One subscription path, one queue per consumer
+//! ## Two consumer kinds: a live feed, or a snapshot
 //!
-//! A consumer owns a [`DcpFeed`] — one queue — and calls
+//! A consumer that follows live writes — a bucket's replication/GSI pump,
+//! an XDCR link — owns a [`DcpFeed`] (one queue) and calls
 //! [`DcpHub::subscribe`] once per vBucket it wants, on whichever hubs hold
 //! them. It then parks in [`DcpFeed::drain`] and is woken by the publish
 //! itself, not by a timer. Whatever else it follows — a bucket's cluster
 //! map, its own shutdown — wakes it on the same queue through a
-//! [`FeedWaker`]. A [`DcpStream`] is the single-vBucket case: a feed with
-//! one subscription plus the cursor of what it delivered.
+//! [`FeedWaker`].
 //!
 //! A subscription to a vBucket resuming after seqno `s` delivers, in seqno
 //! order (events of different vBuckets interleave, each in its own order):
 //!
-//! 1. a **backfill snapshot**: the latest version of every document whose
-//!    seqno is in `(s, h]`, where `h` is the vBucket's high seqno at
-//!    subscription time (read through the producer's [`BackfillSource`] —
-//!    the cache, plus storage for what the cache evicted, so memory-first
-//!    writes are never missed and resident documents are never re-read);
-//! 2. the **live tail**: every mutation with seqno `> h`, pushed by the
-//!    data service at write time (memory-to-memory, before persistence —
-//!    this is what makes replication and indexing "memory-first").
+//! 1. a **backfill snapshot** read through the producer's
+//!    [`BackfillSource`] — the cache, plus storage for what the cache
+//!    evicted, so memory-first writes are never missed and resident
+//!    documents are never re-read;
+//! 2. the **live tail**: every mutation above the newest seqno the
+//!    snapshot queued, pushed by the data service at write time
+//!    (memory-to-memory, before persistence — this is what makes
+//!    replication and indexing "memory-first").
 //!
 //! The hand-off is race-free because registration happens inside the same
-//! per-vBucket critical section that assigns seqnos.
+//! per-vBucket critical section that publishes.
+//!
+//! A consumer that needs "everything up to now" and nothing after — a view
+//! update, a rebalance mover, a replica build, an index build, a
+//! convergence check — holds no feed. It calls
+//! [`BackfillSource::backfill`] from its own cursor and moves the cursor to
+//! the snapshot's `high`: every version at or below `high` is returned or
+//! superseded by a returned version, so the next call from there misses
+//! nothing. Items above `high` may come back too; they come back again
+//! next time, which seqno-guarded applies absorb.
 
+pub mod feed;
 pub mod hub;
 pub mod item;
-pub mod stream;
 
+pub use feed::{DcpEvent, DcpFeed, FeedWaker};
 pub use hub::{BackfillSource, DcpHub};
 pub use item::{DcpItem, DcpKind};
-pub use stream::{DcpEvent, DcpFeed, DcpStream, FeedWaker};

@@ -343,18 +343,20 @@ mod tests {
             fields: None,
         })
         .unwrap();
-        // The pump's FTS leg in miniature: streams from seqno 0, drained into
-        // the service until told to stop.
-        let mut streams: Vec<_> =
-            (0..8).map(|vb| engine.open_dcp_stream(VbId(vb), SeqNo::ZERO).unwrap()).collect();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (feed_svc, feed_stop) = (Arc::clone(&svc), Arc::clone(&stop));
+        // The pump's FTS leg in miniature: one feed over every vBucket from
+        // seqno 0, parked on and drained into the service until woken.
+        let feed = cbs_dcp::DcpFeed::default();
+        for vb in 0..8 {
+            engine.subscribe_dcp(&feed, VbId(vb), SeqNo::ZERO).unwrap();
+        }
+        let stop = feed.waker();
+        let feed_svc = Arc::clone(&svc);
         let feed = std::thread::spawn(move || {
-            while !feed_stop.load(std::sync::atomic::Ordering::Relaxed) {
-                for item in streams.iter_mut().flat_map(|s| s.drain_available()) {
+            let mut items = Vec::new();
+            while !feed.drain(None, &mut items) {
+                for item in items.drain(..) {
                     feed_svc.apply_dcp("b", &item);
                 }
-                std::thread::yield_now();
             }
         });
         // Live write after feed start.
@@ -380,7 +382,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(hits.len(), 2);
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.wake();
         feed.join().unwrap();
         let _ = Value::Null;
     }

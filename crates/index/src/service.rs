@@ -383,6 +383,7 @@ mod tests {
     use super::*;
     use crate::defs::IndexStorage;
     use cbs_common::Cas;
+    use cbs_dcp::DcpFeed;
     use cbs_json::Value;
     use cbs_kv::{DataEngine, EngineConfig, MutateMode};
 
@@ -480,10 +481,20 @@ mod tests {
         );
     }
 
-    /// The pump's GSI leg in miniature: whatever the streams hold goes to
-    /// the manager as one batch. Returns the batch's size.
-    fn pump(m: &IndexManager, streams: &mut [cbs_dcp::DcpStream]) -> usize {
-        let items: Vec<DcpItem> = streams.iter_mut().flat_map(|s| s.drain_available()).collect();
+    /// A feed over every vBucket of `e`, from its current high seqnos.
+    fn live_feed(e: &DataEngine) -> DcpFeed {
+        let feed = DcpFeed::default();
+        for vb in (0..16).map(VbId) {
+            e.subscribe_dcp(&feed, vb, e.high_seqno(vb)).unwrap();
+        }
+        feed
+    }
+
+    /// The pump's GSI leg in miniature: whatever the feed holds goes to the
+    /// manager as one batch. Returns the batch's size.
+    fn pump(m: &IndexManager, feed: &DcpFeed) -> usize {
+        let mut items = Vec::new();
+        feed.drain(Some(Deadline::after(Duration::ZERO)), &mut items);
         m.apply_batch("b", &items).unwrap();
         items.len()
     }
@@ -493,9 +504,7 @@ mod tests {
         let e = engine();
         let m = manager(16);
         m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref()).unwrap();
-        let mut streams: Vec<_> = (0..16)
-            .map(|vb| e.open_dcp_stream(VbId(vb), e.high_seqno(VbId(vb))).unwrap())
-            .collect();
+        let feed = live_feed(&e);
         let scan_99_at = |consistency: ScanConsistency, timeout| {
             m.scan("b", "age", &ScanRange::exact(Value::int(99)), &consistency, timeout, 0)
         };
@@ -514,7 +523,7 @@ mod tests {
         assert!(scan_99_at(ScanConsistency::AtPlus(before_write), Duration::ZERO)
             .unwrap()
             .is_empty());
-        assert_eq!(pump(&m, &mut streams), 1);
+        assert_eq!(pump(&m, &feed), 1);
         let rows = scan_99(Duration::from_secs(5)).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].doc_id, "new");
@@ -524,9 +533,44 @@ mod tests {
         e.delete("new", Cas::WILDCARD).unwrap();
         e.set("new", profile("n", 98), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         e.delete("new", Cas::WILDCARD).unwrap();
-        assert_eq!(pump(&m, &mut streams), 3);
+        assert_eq!(pump(&m, &feed), 3);
         assert!(scan_99(Duration::from_secs(5)).unwrap().is_empty());
         assert_eq!(m.index_stats("b", "age").unwrap().disk_syncs, syncs + 1);
+    }
+
+    /// A write the cache refuses takes no seqno, so a `request_plus` vector
+    /// read right after one names only versions the feed delivered: the
+    /// scan is answered at once, without waiting.
+    #[test]
+    fn a_request_plus_scan_right_after_a_refused_write_returns_at_once() {
+        let mut cfg = EngineConfig::for_test(16);
+        cfg.cache_quota = 64 << 10;
+        let e = DataEngine::new(cfg).unwrap();
+        e.activate_all();
+        let m = manager(16);
+        m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref()).unwrap();
+        let feed = live_feed(&e);
+        let padded =
+            |i| Value::object([("age", Value::int(i)), ("pad", Value::from("x".repeat(1_000)))]);
+        let mut written = 0;
+        let refused = loop {
+            match e.set(
+                &format!("u{written}"),
+                padded(written),
+                MutateMode::Upsert,
+                Cas::WILDCARD,
+                0,
+            ) {
+                Ok(_) => written += 1,
+                Err(err) => break err,
+            }
+            assert!(written < 10_000, "the quota never filled");
+        };
+        assert!(matches!(refused, Error::TempOom), "{refused:?}");
+        assert_eq!(pump(&m, &feed), written as usize);
+        let request_plus = ScanConsistency::AtPlus(e.seqno_vector());
+        let rows = m.scan("b", "age", &ScanRange::all(), &request_plus, Duration::ZERO, 0).unwrap();
+        assert_eq!(rows.len(), written as usize);
     }
 
     #[test]

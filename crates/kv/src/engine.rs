@@ -1,7 +1,7 @@
 //! The data engine: memory-first write path, KV API, vBucket states.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,7 +10,7 @@ use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{
     vbucket_for_key, Cas, CasClock, Deadline, DocKey, DocMeta, Error, Result, RevNo, SeqNo, VbId,
 };
-use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind, DcpStream};
+use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind};
 use cbs_json::{SharedValue, Value};
 use cbs_obs::{span, Gauge, Registry, SpanGuard, TraceContext};
 use cbs_storage::{check_key_len, BucketStore, Cycle, StoredDoc, CYCLE_SLICE};
@@ -134,11 +134,11 @@ pub struct DataEngine {
     hub: DcpHub,
     clock: CasClock,
     vbs: Vec<OrderedMutex<VbMeta>>,
-    /// Bumped by every vBucket state change.
-    vb_state_epoch: AtomicU64,
     /// Highest seqno per vBucket: assigned here on an active copy, applied
-    /// on a replica. On the signal `cfg.seqno_signal` hands in, so that one
-    /// durability waiter can watch this vector on several engines.
+    /// on a replica, either only once the cache holds the version (the
+    /// resume-point rule, DESIGN.md decision 3). On the signal
+    /// `cfg.seqno_signal` hands in, so that one durability waiter can watch
+    /// this vector on several engines.
     high: Watermarks,
     /// Highest persisted seqno per vBucket; `wait_persisted` parks on it.
     persisted: Watermarks,
@@ -181,7 +181,6 @@ impl DataEngine {
                     )
                 })
                 .collect(),
-            vb_state_epoch: AtomicU64::new(0),
             high: Watermarks::sharing("replication", n, Arc::clone(&cfg.seqno_signal)),
             persisted: Watermarks::new("persistence", n),
             dirty: (0..n)
@@ -221,13 +220,8 @@ impl DataEngine {
         }
     }
 
-    /// Open a DCP stream over one vBucket, backfilled from this engine.
-    pub fn open_dcp_stream(&self, vb: VbId, since: SeqNo) -> Result<DcpStream> {
-        self.hub.open_stream(vb, since, self)
-    }
-
     /// Subscribe `feed` to one vBucket, backfilled from this engine; returns
-    /// the snapshot's high seqno.
+    /// the seqno above which live delivery starts.
     pub fn subscribe_dcp(&self, feed: &DcpFeed, vb: VbId, since: SeqNo) -> Result<SeqNo> {
         self.hub.subscribe(feed, vb, since, self)
     }
@@ -253,20 +247,13 @@ impl DataEngine {
     // vBucket state management (driven by the cluster manager)
     // ------------------------------------------------------------------
 
-    /// Set a vBucket's state, then bump [`DataEngine::vb_state_epoch`].
+    /// Set a vBucket's state.
     pub fn set_vb_state(&self, vb: VbId, state: VbState) {
         let mut meta = self.vbs[vb.index()].lock();
         meta.state = state;
         if state == VbState::Dead {
             meta.locks.clear();
         }
-        self.vb_state_epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// How many vBucket state changes this engine has made: read it
-    /// *before* the states it is to vouch for.
-    pub fn vb_state_epoch(&self) -> u64 {
-        self.vb_state_epoch.load(Ordering::SeqCst)
     }
 
     /// Read a vBucket's state.
@@ -290,12 +277,11 @@ impl DataEngine {
     /// counters from the log and *warm up* the cache with keys, metadata
     /// and values (ep-engine's warmup phase — required because under
     /// value-only eviction a cache miss is authoritative). Each record's
-    /// bytes become the cached version as read: nothing is parsed.
+    /// bytes become the cached version as read: nothing is parsed. The
+    /// seqno counters move only once the cache is loaded.
     pub fn recover_vb(&self, vb: VbId) -> Result<()> {
         let s = self.store.vb(vb)?;
         let high = s.high_seqno();
-        self.high.advance(vb, high);
-        self.persisted.advance(vb, high);
         for doc in s.changes_since(SeqNo::ZERO)? {
             if doc.deleted {
                 let _ = self.cache.delete(vb, &doc.key, doc.meta, false);
@@ -304,6 +290,8 @@ impl DataEngine {
                 let _ = self.cache.set(vb, &doc.key, doc.meta, value, false);
             }
         }
+        self.high.advance(vb, high);
+        self.persisted.advance(vb, high);
         Ok(())
     }
 
@@ -475,10 +463,13 @@ impl DataEngine {
                 return Err(Error::CasMismatch(key.to_string()));
             }
         }
-        let seqno = self.high.next(vb);
+        // The next seqno, taken only once the cache has admitted the
+        // version (under the vBucket lock): a refused write takes none.
+        let seqno = self.high.get(vb).next();
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev_rev.next(), flags: 0, expiry };
         self.cache.set(vb, key, new_meta, value.clone(), true)?;
+        self.high.next(vb);
         self.enqueue_dirty_traced(vb, key, ctx);
         meta.locks.remove(key);
         let mut item = DcpItem::mutation(vb, key, new_meta, value);
@@ -511,10 +502,11 @@ impl DataEngine {
         if !cas_check.is_wildcard() && !via_lock_token && prev.cas != cas_check {
             return Err(Error::CasMismatch(key.to_string()));
         }
-        let seqno = self.high.next(vb);
+        let seqno = self.high.get(vb).next();
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
         self.cache.delete(vb, key, new_meta, true)?;
+        self.high.next(vb);
         self.enqueue_dirty_traced(vb, key, ctx);
         meta.locks.remove(key);
         let mut item = DcpItem::deletion(vb, key, new_meta);
@@ -595,10 +587,11 @@ impl DataEngine {
             Some((m, false)) if m.seqno == prev.seqno => {}
             _ => return,
         }
-        let seqno = self.high.next(vb);
+        let seqno = self.high.get(vb).next();
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
         if self.cache.delete(vb, key, new_meta, true).is_ok() {
+            self.high.next(vb);
             self.enqueue_dirty(vb, key);
             self.hub.publish(&DcpItem {
                 vb,
@@ -689,7 +682,7 @@ impl DataEngine {
         }
         // Apply: new local seqno, but preserve the origin's rev/cas so both
         // clusters converge to identical metadata.
-        let seqno = self.high.next(vb);
+        let seqno = self.high.get(vb).next();
         let new_meta = DocMeta { seqno, ..incoming };
         let value = value.unwrap_or_else(|| SharedValue::new(Value::Null));
         if deleted {
@@ -697,6 +690,7 @@ impl DataEngine {
         } else {
             self.cache.set(vb, key, new_meta, value.clone(), true)?;
         }
+        self.high.next(vb);
         self.enqueue_dirty(vb, key);
         vbmeta.locks.remove(key);
         let item = if deleted {
@@ -1104,14 +1098,20 @@ impl DataEngine {
 /// log only the records of what the cache no longer holds.
 impl BackfillSource for DataEngine {
     fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
+        // The resume point is read before anything else: every seqno at or
+        // below it names a version the cache had admitted by then, which
+        // the snapshot below returns or supersedes. The newest seqno the
+        // snapshot happens to return is no such point: a value-evicted key
+        // rewritten and persisted between the cache copy and the log read
+        // comes back newer than writes to other keys made in between.
+        let high = self.high.get(vb).max(since);
         // Snapshot order matters: cache FIRST, storage index SECOND. The
         // flusher indexes a record before `mark_clean` and eviction drops
         // only clean values (clean entries, under full eviction), so what
         // the cache copy holds without its value, or no longer holds, is in
         // the index listed afterwards — never in neither. The reverse order
         // can miss a version persisted and evicted between the two: not yet
-        // in the listing, no longer in the copy. It then sits below the
-        // stream's `start_after` and is never delivered.
+        // in the listing, no longer in the copy.
         let entries = self.cache.snapshot_vb(vb, since);
         let mut items = Vec::with_capacity(entries.len());
         let mut evicted: Vec<DocKey> = Vec::new();
@@ -1125,6 +1125,8 @@ impl BackfillSource for DataEngine {
             }
         }
         let from_memory = items.len();
+        #[cfg(test)]
+        backfill_equivalence::between_copy_and_log_read();
         // A record may be newer than the entry it is read for (a write
         // persisted since the copy): it is then the key's latest version.
         let records = if self.cache.policy() == EvictionPolicy::Full {
@@ -1140,7 +1142,6 @@ impl BackfillSource for DataEngine {
         self.stats.backfill_from_memory.add(from_memory as u64);
         self.stats.backfill_from_disk.add((items.len() - from_memory) as u64);
         items.sort_unstable_by_key(|i| i.meta.seqno);
-        let high = items.last().map_or(since, |i| i.meta.seqno);
         Ok((items, high))
     }
 }
@@ -1224,6 +1225,20 @@ mod tests {
 
     fn doc(v: i64) -> Value {
         Value::object([("v", Value::int(v))])
+    }
+
+    /// A fresh feed subscribed to `vb` after `since`.
+    fn feed_from(e: &DataEngine, vb: VbId, since: SeqNo) -> DcpFeed {
+        let feed = DcpFeed::default();
+        e.subscribe_dcp(&feed, vb, since).unwrap();
+        feed
+    }
+
+    /// Every item queued on `feed` now.
+    fn queued(feed: &DcpFeed) -> Vec<DcpItem> {
+        let mut out = Vec::new();
+        feed.drain(Some(Deadline::after(Duration::ZERO)), &mut out);
+        out
     }
 
     #[test]
@@ -1451,19 +1466,19 @@ mod tests {
     }
 
     #[test]
-    fn dcp_stream_sees_memory_first_writes() {
+    fn dcp_feed_sees_memory_first_writes() {
         let e = engine();
         e.set("a", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         let vb = e.vb_for_key("a");
         // No flush has run: the write exists only in memory.
-        let mut stream = e.open_dcp_stream(vb, SeqNo::ZERO).unwrap();
-        let items = stream.drain_available();
+        let feed = feed_from(&e, vb, SeqNo::ZERO);
+        let items = queued(&feed);
         assert_eq!(items.len(), 1);
         assert_eq!(items[0].key, "a");
-        // Live tail after open.
+        // Live tail after the subscription.
         if e.vb_for_key("c") == vb {
             e.set("c", doc(3), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
-            assert_eq!(stream.drain_available().len(), 1);
+            assert_eq!(queued(&feed).len(), 1);
         }
     }
 
@@ -1478,6 +1493,38 @@ mod tests {
         assert_eq!(items.len(), 1, "one latest version of 'a'");
         assert_eq!(items[0].value.as_ref().unwrap(), &doc(2));
         assert_eq!(high, SeqNo(2));
+    }
+
+    /// A write the cache refuses takes no seqno: with the quota full of
+    /// dirty items and no flusher, a refused `set` and a refused
+    /// `set_with_meta` leave the high seqno where it was, and the next
+    /// accepted write takes the one after it.
+    #[test]
+    fn a_refused_write_takes_no_seqno() {
+        let mut cfg = EngineConfig::for_test(1);
+        cfg.cache_quota = 64 << 10;
+        let e = DataEngine::new(cfg).unwrap();
+        e.activate_all();
+        let (vb, pad) = (VbId(0), || Value::from("x".repeat(1_000)));
+        let mut written = 0;
+        let refused = loop {
+            match e.set(&format!("k{written}"), pad(), MutateMode::Upsert, Cas::WILDCARD, 0) {
+                Ok(_) => written += 1,
+                Err(err) => break err,
+            }
+            assert!(written < 10_000, "the quota never filled");
+        };
+        assert!(matches!(refused, Error::TempOom), "{refused:?}");
+        let high = e.high_seqno(vb);
+        assert_eq!(high, SeqNo(written));
+        let incoming = DocMeta { rev: RevNo(3), ..DocMeta::default() };
+        let xdcr = e.set_with_meta("remote", incoming, Some(SharedValue::new(pad())), false);
+        assert!(matches!(xdcr, Err(Error::TempOom)), "{xdcr:?}");
+        assert_eq!(e.high_seqno(vb), high);
+
+        e.flush_once().unwrap();
+        let next = e.set("k0", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        assert_eq!((next.seqno, e.high_seqno(vb)), (high.next(), high.next()));
     }
 
     #[test]
@@ -1649,10 +1696,10 @@ mod tests {
         let replica = DataEngine::new(EngineConfig::for_test(16)).unwrap();
         let vb = active.vb_for_key("k");
         replica.set_vb_state(vb, VbState::Replica);
-        let mut stream = active.open_dcp_stream(vb, SeqNo::ZERO).unwrap();
+        let feed = feed_from(&active, vb, SeqNo::ZERO);
         let written = SharedValue::new(doc(1));
         active.set("k", written.clone(), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
-        let item = stream.drain_available().remove(0);
+        let item = queued(&feed).remove(0);
         replica.apply_replica(&item).unwrap();
 
         let carried = item.value.as_ref().unwrap();

@@ -10,7 +10,8 @@
 //! mid-history, the high seqno and one past it. A second test runs the
 //! lock-free caller case: a writer, flusher and evictor busy during
 //! `backfill`, which must still return every acknowledged key once, in
-//! seqno order, none above its `high`.
+//! seqno order — and a consumer that chains its snapshots, each resuming
+//! from the last one's `high`, must miss no write.
 //!
 //! (A unit-test module rather than a file under `tests/`: the oracle is
 //! `#[cfg(test)]` and reads the engine's private cache and store.)
@@ -19,6 +20,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use super::*;
+use std::sync::atomic::AtomicU64;
+
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -188,51 +191,145 @@ fn histories_reach_evicted_and_dirty_states() {
     }
 }
 
-/// Callers that hold no lock (an index build, a primary scan) run `backfill`
-/// against live writers, drain cycles and eviction passes. The reader runs
-/// for as long as the writer does, so every round races it — and the writer
-/// keeps going (past `WRITES`, up to one deadline) until the reader has
-/// raced it for more than `ROUNDS` rounds and been served from disk, so
-/// what the test reaches does not depend on how fast the writer is.
+thread_local! {
+    /// Run by `backfill` on this thread between its cache copy and its log
+    /// read, with no lock held.
+    static BETWEEN_COPY_AND_LOG_READ: std::cell::RefCell<Option<Box<dyn Fn()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+pub(super) fn between_copy_and_log_read() {
+    BETWEEN_COPY_AND_LOG_READ.with_borrow(|hook| hook.as_ref().map(|hook| hook()));
+}
+
+/// What the writer and the flusher have done so far, and whether the
+/// writer still runs.
+#[derive(Default)]
+struct Progress {
+    writes: AtomicU64,
+    flushes: AtomicU64,
+    writing: AtomicBool,
+}
+
+impl Progress {
+    /// Yield until `done` holds or the writer has stopped.
+    fn until(&self, done: impl Fn(&Progress) -> bool) {
+        while self.writing.load(Ordering::SeqCst) && !done(self) {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// What a chaining consumer has applied: key → (seqno, value) of the newest
+/// version its passes returned (`None` for a tombstone).
+type Applied = HashMap<DocKey, (SeqNo, Option<SharedValue>)>;
+
+/// key → vBucket, seqno and value (`None`: deleted) of its last
+/// acknowledged write.
+type Acked = HashMap<String, (VbId, SeqNo, Option<Value>)>;
+
+/// One pass of a consumer that catches up by snapshots alone (a view
+/// update, a rebalance mover): resume from `cursor`, apply, move the cursor
+/// to the snapshot's `high`.
+fn chained_pass(e: &DataEngine, vb: VbId, cursor: &mut SeqNo, applied: &mut Applied) {
+    let (items, high) = e.backfill(vb, *cursor).unwrap();
+    for item in items {
+        if applied.get(&item.key).is_none_or(|(seqno, _)| *seqno < item.meta.seqno) {
+            applied.insert(item.key, (item.meta.seqno, item.value));
+        }
+    }
+    *cursor = high;
+}
+
+/// Callers that hold no lock (an index build, a primary scan, a view
+/// update) run `backfill` against live writers, drain cycles and eviction
+/// passes. The reader runs for as long as the writer does, so every round
+/// races it — and the writer keeps going (past `WRITES`, up to one
+/// deadline) until the reader has raced it for more than `ROUNDS` rounds
+/// and been served from disk, and a second reader has chained more than
+/// `CHAINED` passes, so what the test reaches does not depend on how fast
+/// the writer is. The chain resumes each vBucket's snapshot from the last
+/// one's `high`, and inside each of its backfills, between the cache copy
+/// and the log read, waits for every key to be rewritten and for two drain
+/// cycles to finish — so the log read returns evicted keys newer than
+/// writes the copy missed. After each pass, every write acknowledged at or
+/// below the chain's cursor is applied (or superseded), and once the
+/// writer stops one last pass leaves the chain holding exactly the
+/// acknowledged state.
 #[test]
 fn backfill_beside_a_writer_returns_every_acknowledged_key_once() {
     use parking_lot::Mutex;
     const WRITES: u64 = 3_000;
     const ROUNDS: u64 = 10;
+    const CHAINED: u64 = 40;
     for policy in [EvictionPolicy::ValueOnly, EvictionPolicy::Full] {
         let dir = cbs_storage::scratch_dir("backfill-eq");
         let e = open(&dir, policy);
-        // key → vBucket and seqno of its last acknowledged write.
-        let acked: Mutex<HashMap<String, (VbId, SeqNo)>> = Mutex::new(HashMap::new());
-        let writing = AtomicBool::new(true);
+        let acked: Mutex<Acked> = Mutex::new(HashMap::new());
+        let mut cursors = [SeqNo::ZERO; VBS as usize];
+        let mut applied = Applied::new();
+        let chained = AtomicU64::new(0);
+        let progress = Arc::new(Progress { writing: AtomicBool::new(true), ..Progress::default() });
         let raced = AtomicBool::new(false);
         let deadline = cbs_common::Deadline::after(std::time::Duration::from_secs(60));
         let mut rounds = 0u64;
-        std::thread::scope(|s| {
+        let missed = std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0.. {
-                    if (i >= WRITES && raced.load(Ordering::SeqCst)) || deadline.expired() {
+                    let raced =
+                        raced.load(Ordering::SeqCst) && chained.load(Ordering::SeqCst) > CHAINED;
+                    let failed = !progress.writing.load(Ordering::SeqCst);
+                    if (i >= WRITES && raced) || failed || deadline.expired() {
                         break;
                     }
+                    progress.writes.fetch_add(1, Ordering::SeqCst);
                     let key = format!("k{}", i % u64::from(KEYS));
-                    let done = if i % 7 == 3 {
-                        e.delete(&key, Cas::WILDCARD)
-                    } else {
-                        e.set(&key, doc((i % 5 * 300) as u16), MutateMode::Upsert, Cas::WILDCARD, 0)
+                    let value = (i % 7 != 3).then(|| doc((i % 5 * 300) as u16));
+                    let done = match &value {
+                        None => e.delete(&key, Cas::WILDCARD),
+                        Some(v) => e.set(&key, v.clone(), MutateMode::Upsert, Cas::WILDCARD, 0),
                     };
                     if let Ok(m) = done {
-                        acked.lock().insert(key, (m.vb, m.seqno));
+                        acked.lock().insert(key, (m.vb, m.seqno, value));
                     }
                 }
-                writing.store(false, Ordering::SeqCst);
+                progress.writing.store(false, Ordering::SeqCst);
             });
             s.spawn(|| {
-                while writing.load(Ordering::SeqCst) {
+                while progress.writing.load(Ordering::SeqCst) {
                     e.flush_once().unwrap();
                     e.cache.evict_to_watermark();
+                    progress.flushes.fetch_add(1, Ordering::SeqCst);
                 }
             });
-            while writing.load(Ordering::SeqCst) {
+            // Stops everything at the first write it missed.
+            let chain = s.spawn(|| {
+                let hook = Arc::clone(&progress);
+                BETWEEN_COPY_AND_LOG_READ.set(Some(Box::new(move || {
+                    let writes = hook.writes.load(Ordering::SeqCst) + u64::from(KEYS);
+                    hook.until(|p| p.writes.load(Ordering::SeqCst) >= writes);
+                    let flushes = hook.flushes.load(Ordering::SeqCst) + 2;
+                    hook.until(|p| p.flushes.load(Ordering::SeqCst) >= flushes);
+                })));
+                while progress.writing.load(Ordering::SeqCst) {
+                    let vb = VbId((chained.fetch_add(1, Ordering::SeqCst) % u64::from(VBS)) as u16);
+                    let cursor = &mut cursors[vb.index()];
+                    chained_pass(&e, vb, cursor, &mut applied);
+                    let acked = acked.lock();
+                    let mut at_or_below = acked.iter().filter(|(_, a)| a.0 == vb && a.1 <= *cursor);
+                    let missed = at_or_below.find_map(|(key, (_, seqno, _))| {
+                        let got = applied.get(key.as_str()).map(|(s, _)| *s);
+                        (got < Some(*seqno))
+                            .then(|| format!("{key}@{seqno:?}: chain at {cursor:?} has {got:?}"))
+                    });
+                    if missed.is_some() {
+                        progress.writing.store(false, Ordering::SeqCst);
+                        return missed;
+                    }
+                }
+                None
+            });
+            while progress.writing.load(Ordering::SeqCst) {
                 let vb = VbId((rounds % u64::from(VBS)) as u16);
                 let since = if rounds.is_multiple_of(3) {
                     SeqNo(e.high_seqno(vb).0 / 2)
@@ -247,11 +344,12 @@ fn backfill_beside_a_writer_returns_every_acknowledged_key_once() {
                     assert!(pair[0].meta.seqno < pair[1].meta.seqno, "seqno order: {items:?}");
                 }
                 for item in &items {
-                    assert!(item.meta.seqno > since && item.meta.seqno <= high, "{item:?}");
+                    assert!(item.meta.seqno > since, "{item:?}");
                     assert!(seen.insert(item.key.as_str()), "{} twice", item.key);
                     assert_eq!(item.value.is_some(), !item.is_deletion());
                 }
-                for (key, (_, seqno)) in before.iter().filter(|(_, a)| a.0 == vb && a.1 > since) {
+                for (key, (_, seqno, _)) in before.iter().filter(|(_, a)| a.0 == vb && a.1 > since)
+                {
                     let got = items.iter().find(|i| &i.key == key).map(|i| i.meta.seqno);
                     assert!(got >= Some(*seqno), "{key}@{seqno:?} acked, backfill has {got:?}");
                 }
@@ -260,10 +358,25 @@ fn backfill_beside_a_writer_returns_every_acknowledged_key_once() {
                     raced.store(true, Ordering::SeqCst);
                 }
             }
+            chain.join().unwrap()
         });
+        assert_eq!(missed, None, "{policy:?}: a chained pass missed a write");
         assert!(rounds > ROUNDS, "only {rounds} backfills raced the writer");
+        let chained = chained.into_inner();
+        assert!(chained > CHAINED, "only {chained} chained passes raced the writer");
         assert!(e.stats.backfill_from_disk.get() > 0, "nothing was evicted under the reader");
         check_against_oracle(&e).unwrap();
+        for vb in (0..VBS).map(VbId) {
+            chained_pass(&e, vb, &mut cursors[vb.index()], &mut applied);
+        }
+        let live = |(key, (seqno, value)): (&DocKey, &(SeqNo, Option<SharedValue>))| {
+            Some((key.to_string(), (*seqno, Value::clone(value.as_ref()?))))
+        };
+        let chain: HashMap<String, (SeqNo, Value)> = applied.iter().filter_map(live).collect();
+        let acked: HashMap<String, (SeqNo, Value)> = (acked.into_inner().into_iter())
+            .filter_map(|(key, (_, seqno, value))| Some((key, (seqno, value?))))
+            .collect();
+        assert_eq!(chain, acked, "{policy:?}: the chain's state is the acknowledged one");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -10,7 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_cache::EvictionPolicy;
-use cbs_common::Cas;
+use cbs_common::{Cas, Deadline};
+use cbs_dcp::{DcpFeed, DcpItem};
 use cbs_json::Value;
 use cbs_kv::{DataEngine, EngineConfig, FlusherPool, MutateMode};
 
@@ -21,6 +22,13 @@ fn engine_with(policy: EvictionPolicy, quota: usize) -> Arc<DataEngine> {
     let e = DataEngine::new(cfg).unwrap();
     e.activate_all();
     e
+}
+
+/// Every item queued on `feed` now.
+fn queued(feed: &DcpFeed) -> Vec<DcpItem> {
+    let mut out = Vec::new();
+    feed.drain(Some(Deadline::after(Duration::ZERO)), &mut out);
+    out
 }
 
 fn big_doc(i: i64) -> Value {
@@ -140,10 +148,11 @@ fn expiry_pager_reaps_without_access() {
     engine.set("immortal", Value::int(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
     // Watch DCP: the pager must publish an Expiration without any read.
     let vb = engine.vb_for_key("short-lived");
-    let mut stream = engine.open_dcp_stream(vb, engine.high_seqno(vb)).unwrap();
+    let feed = DcpFeed::default();
+    engine.subscribe_dcp(&feed, vb, engine.high_seqno(vb)).unwrap();
     let reaped = engine.run_expiry_pager();
     assert_eq!(reaped, 1, "exactly the expired doc");
-    let items = stream.drain_available();
+    let items = queued(&feed);
     assert!(items.iter().any(|i| i.kind == DcpKind::Expiration && i.key == "short-lived"));
     assert!(engine.get("immortal").is_ok());
     assert!(engine.get("short-lived").is_err());
@@ -151,7 +160,7 @@ fn expiry_pager_reaps_without_access() {
     assert_eq!(engine.run_expiry_pager(), 0);
 }
 
-/// A stream open holds the vBucket's DCP channel across `backfill`, and a
+/// A subscription holds the vBucket's DCP channel across `backfill`, and a
 /// writer of that vBucket waits in `publish` for as long. Over resident
 /// documents — persisted and clean, so a disk-first backfill would read
 /// every one back — that wait includes no log read.
@@ -180,8 +189,9 @@ fn stream_open_over_a_resident_vbucket_reads_no_log() {
             }
         });
         for _ in 0..OPENS {
-            let mut stream = engine.open_dcp_stream(vb, cbs_common::SeqNo::ZERO).unwrap();
-            let items = stream.drain_available();
+            let feed = DcpFeed::default();
+            engine.subscribe_dcp(&feed, vb, cbs_common::SeqNo::ZERO).unwrap();
+            let items = queued(&feed);
             assert!(items.windows(2).all(|p| p[0].meta.seqno < p[1].meta.seqno), "no gap, no dup");
             let keys: std::collections::HashSet<&str> =
                 items.iter().map(|i| i.key.as_str()).collect();

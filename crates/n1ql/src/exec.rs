@@ -38,7 +38,8 @@ pub struct QueryOptions {
     /// `system:completed_requests` / `system:active_requests` rows.
     pub client_context_id: Option<String>,
     /// Per-request override of the completed-requests threshold (`None`
-    /// uses the service-wide setting; `Some(Duration::ZERO)` always logs).
+    /// uses the slow threshold of the datastore's trace store;
+    /// `Some(Duration::ZERO)` always logs).
     pub slow_threshold: Option<Duration>,
 }
 

@@ -88,6 +88,8 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
     let mut request = ds.trace_sink().mint("n1ql.query.request");
     let outcome = run_request(ds, statement, opts);
     let phases = request.subtree(Phases::from_spans);
+    // "Slow" means the same for a completed request as for a kept trace.
+    let slow = opts.slow_threshold.unwrap_or_else(|| ds.trace_sink().store().slow_threshold());
     match outcome {
         Ok(Executed { mut result, plan, prof }) => {
             result.phases = phases;
@@ -100,7 +102,7 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
                     result.metrics.mutation_count as u64,
                     phases,
                     false,
-                    opts.slow_threshold,
+                    slow,
                 );
             }
             if let Some(prof) = prof {
@@ -115,7 +117,7 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
         Err(e) => {
             request.fail();
             if let (Some(log), Some(id)) = (log, req_id) {
-                log.complete(id, "", 0, 1, 0, phases, true, opts.slow_threshold);
+                log.complete(id, "", 0, 1, 0, phases, true, slow);
             }
             Err(e)
         }

@@ -255,14 +255,13 @@ struct ActiveRequest {
 const COMPLETED_RING_CAP: usize = 256;
 
 /// The per-query-service request log: the in-flight request set plus a
-/// bounded ring of completed requests that ran at least the configured
-/// threshold (or failed). Shared by every query node in a cluster, the way
-/// the query registry already is.
+/// bounded ring of completed requests that ran at least the slow threshold
+/// their caller passes (or failed). Shared by every query node in a
+/// cluster, the way the query registry already is.
 #[derive(Debug)]
 pub struct RequestLog {
     node: String,
     next_id: AtomicU64,
-    threshold_nanos: AtomicU64,
     /// Ranks `REQLOG_ACTIVE` / `REQLOG_COMPLETED`: leaf locks, held only
     /// for statement-scoped map edits — never across a phase of execution.
     active: OrderedMutex<BTreeMap<u64, ActiveRequest>>,
@@ -270,29 +269,14 @@ pub struct RequestLog {
 }
 
 impl RequestLog {
-    /// A fresh log for the query service labelled `node`. The admission
-    /// threshold starts at the cbs-obs default (respecting the
-    /// `CBS_SLOW_OP_MS` environment override).
+    /// A fresh log for the query service labelled `node`.
     pub fn new(node: impl Into<String>) -> RequestLog {
         RequestLog {
             node: node.into(),
             next_id: AtomicU64::new(1),
-            threshold_nanos: AtomicU64::new(
-                cbs_obs::default_slow_threshold().as_nanos().min(u64::MAX as u128) as u64,
-            ),
             active: OrderedMutex::new(rank::REQLOG_ACTIVE, BTreeMap::new()),
             completed: OrderedMutex::new(rank::REQLOG_COMPLETED, std::collections::VecDeque::new()),
         }
-    }
-
-    /// Threshold for admission into the completed ring.
-    pub fn threshold(&self) -> Duration {
-        Duration::from_nanos(self.threshold_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Set the admission threshold (`Duration::ZERO` retains everything).
-    pub fn set_threshold(&self, d: Duration) {
-        self.threshold_nanos.store(d.as_nanos().min(u64::MAX as u128) as u64, Ordering::Relaxed);
     }
 
     /// Admit a request: assign an id and track it as in-flight.
@@ -310,8 +294,7 @@ impl RequestLog {
     }
 
     /// Retire a request. It enters the completed ring when it failed or ran
-    /// at least the threshold (`threshold_override`, when given, wins over
-    /// the log-wide setting — the `QueryOptions` per-request knob).
+    /// at least `threshold` (`Duration::ZERO` retains everything).
     #[allow(clippy::too_many_arguments)] // the request's full epitaph
     pub fn complete(
         &self,
@@ -322,11 +305,10 @@ impl RequestLog {
         mutation_count: u64,
         phases: PhaseTimes,
         failed: bool,
-        threshold_override: Option<Duration>,
+        threshold: Duration,
     ) {
         let Some(req) = self.active.lock().remove(&id) else { return };
         let elapsed = req.started.elapsed();
-        let threshold = threshold_override.unwrap_or_else(|| self.threshold());
         if !failed && elapsed < threshold {
             return;
         }
@@ -481,30 +463,25 @@ mod tests {
     #[test]
     fn request_log_thresholds_and_bounds() {
         let log = RequestLog::new("q0");
-        log.set_threshold(Duration::ZERO);
         for i in 0..(COMPLETED_RING_CAP + 50) {
             let id = log.admit(&format!("SELECT {i}"), "");
-            log.complete(id, "DummyScan", 1, 0, 0, PhaseTimes::default(), false, None);
+            log.complete(id, "DummyScan", 1, 0, 0, PhaseTimes::default(), false, Duration::ZERO);
         }
         assert_eq!(log.completed().len(), COMPLETED_RING_CAP, "ring bounded");
         assert_eq!(log.active_count(), 0);
 
         // Fast requests below the threshold are not retained...
-        log.set_threshold(Duration::from_secs(3600));
+        let hour = Duration::from_secs(3600);
         let id = log.admit("SELECT fast", "ctx-1");
-        log.complete(id, "DummyScan", 1, 0, 0, PhaseTimes::default(), false, None);
+        log.complete(id, "DummyScan", 1, 0, 0, PhaseTimes::default(), false, hour);
         assert!(!log.completed().iter().any(|e| e.statement == "SELECT fast"));
         // ...but failed ones always are.
         let id = log.admit("SELECT broken", "ctx-2");
-        log.complete(id, "", 0, 1, 0, PhaseTimes::default(), true, None);
+        log.complete(id, "", 0, 1, 0, PhaseTimes::default(), true, hour);
         let completed = log.completed();
         let last = completed.last().unwrap();
         assert_eq!(last.state, "failed");
         assert_eq!(last.client_context_id, "ctx-2");
-        // ...and a per-request override beats the log-wide threshold.
-        let id = log.admit("SELECT slowish", "");
-        log.complete(id, "DummyScan", 1, 0, 0, PhaseTimes::default(), false, Some(Duration::ZERO));
-        assert!(log.completed().iter().any(|e| e.statement == "SELECT slowish"));
     }
 
     #[test]
@@ -514,7 +491,7 @@ mod tests {
         let rows = log.active_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1.get_field("state").and_then(|v| v.as_str()), Some("running"));
-        log.complete(id, "", 1, 0, 0, PhaseTimes::default(), false, None);
+        log.complete(id, "", 1, 0, 0, PhaseTimes::default(), false, Duration::ZERO);
         assert!(log.active_rows().is_empty());
     }
 }

@@ -158,6 +158,11 @@ impl TraceSink {
         TraceSink { store, lane: Arc::from(lane) }
     }
 
+    /// The store this sink records into.
+    pub fn store(&self) -> &TraceStore {
+        &self.store
+    }
+
     /// An **entry point** (`client.kv.*`, `n1ql.query.request`,
     /// `txn.batch.run`): a child span inside an open segment (`upsert`
     /// inside `upsert_durable`, a N1QL mutation inside a request), else a

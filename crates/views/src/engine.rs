@@ -1,10 +1,14 @@
-//! The per-node view engine: design documents, on-demand index updates via
-//! DCP, and `stale`-parameterised queries.
+//! The per-node view engine: design documents, on-demand index updates from
+//! backfill snapshots, and `stale`-parameterised queries.
 //!
 //! "Views are eventually consistent with respect to the underlying stored
 //! documents; they are kept up-to-date asynchronously, on demand, based on
-//! document writes/updates" (§3.1.2). The engine holds one DCP feed per
-//! design document and drains it when an update is demanded:
+//! document writes/updates" (§3.1.2). A design document holds a cursor per
+//! vBucket and nothing else between updates — no feed, no queue. An update
+//! pass visits each vBucket this node holds `Active` whose high seqno has
+//! moved past its cursor, applies a backfill snapshot from the cursor and
+//! moves the cursor to the snapshot's resume point. An update is demanded
+//! by the query's `stale` parameter:
 //!
 //! - `stale=false` — "wait for the view indexer to finish processing
 //!   changes that correspond to the current key-value document set and then
@@ -19,11 +23,10 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Deadline, Error, Result, SeqNo, VbId};
-use cbs_dcp::{DcpFeed, DcpItem};
+use cbs_common::{Error, Result, SeqNo, VbId};
+use cbs_dcp::{BackfillSource, DcpItem};
 use cbs_json::Value;
 use cbs_kv::{DataEngine, VbState};
 use cbs_obs::{span, Counter};
@@ -116,67 +119,12 @@ struct ViewState {
     emitted: HashMap<String, Value>,
 }
 
-/// A design document's change feed over the vBuckets the local engine holds
-/// `Active`, and the last seqno of each vBucket its views have indexed.
-struct DdocFeed {
-    feed: DcpFeed,
-    cursors: Vec<SeqNo>,
-    /// The vBuckets `feed` is subscribed to: the ones that were `Active`
-    /// when it was built.
-    active: Vec<bool>,
-    /// The engine's vBucket-state epoch, read before `active` was; `None`
-    /// until every subscription of the feed has succeeded.
-    epoch: Option<u64>,
-}
-
-impl DdocFeed {
-    /// Rebuild the feed from the cursors if `engine` has changed a vBucket's
-    /// state since it was built. Only the active copy publishes on its
-    /// node's hub — what a copy took as a replica never reaches a live
-    /// subscription — so a vBucket promoted by failover (or moved in by
-    /// rebalance) is backfilled from where the views stand. A reset feed
-    /// rather than one more subscription on the old one, which would
-    /// deliver the overlap twice. The epoch is read before the states, so a
-    /// copy demoted and promoted again between two calls is followed too.
-    fn follow(&mut self, engine: &DataEngine) -> Result<()> {
-        let epoch = engine.vb_state_epoch();
-        if self.epoch == Some(epoch) {
-            return Ok(());
-        }
-        self.feed.reset();
-        self.epoch = None;
-        for (v, active) in self.active.iter_mut().enumerate() {
-            let vb = VbId(v as u16);
-            *active = engine.vb_state(vb) == VbState::Active;
-            if *active {
-                engine.subscribe_dcp(&self.feed, vb, self.cursors[v])?;
-            }
-        }
-        self.epoch = Some(epoch);
-        Ok(())
-    }
-}
-
 struct DdocState {
     views: OrderedMutex<HashMap<String, ViewState>>,
-    streams: OrderedMutex<DdocFeed>,
-}
-
-impl DdocState {
-    /// Wait until `until` for changes, then index everything queued (the
-    /// incremental view update pass). The caller's `streams` guard is held
-    /// across the apply, so a cursor never runs ahead of the views.
-    fn pull(&self, streams: &mut DdocFeed, until: Deadline) -> usize {
-        let mut items = Vec::new();
-        streams.feed.drain(Some(until), &mut items);
-        let mut views = self.views.lock();
-        for item in &items {
-            let cursor = &mut streams.cursors[item.vb.index()];
-            *cursor = (*cursor).max(item.meta.seqno);
-            apply_item(&mut views, item);
-        }
-        items.len()
-    }
+    /// Per vBucket, the resume point of the last snapshot the views
+    /// applied. Held across a whole update pass, so a cursor never runs
+    /// ahead of the views and two passes do not interleave.
+    cursors: OrderedMutex<Vec<SeqNo>>,
 }
 
 /// The view engine for one bucket on one node.
@@ -212,13 +160,6 @@ impl ViewEngine {
             return Err(Error::View(format!("design doc {} already exists", ddoc.name)));
         }
         let n = self.engine.config().num_vbuckets as usize;
-        let mut streams = DdocFeed {
-            feed: DcpFeed::default(),
-            cursors: vec![SeqNo::ZERO; n],
-            active: vec![false; n],
-            epoch: None,
-        };
-        streams.follow(&self.engine)?;
         let views = ddoc
             .views
             .into_iter()
@@ -231,7 +172,7 @@ impl ViewEngine {
             ddoc.name,
             Arc::new(DdocState {
                 views: OrderedMutex::new(rank::VIEWS_DDOC_VIEWS, views),
-                streams: OrderedMutex::new(rank::VIEWS_DDOC_STREAMS, streams),
+                cursors: OrderedMutex::new(rank::VIEWS_DDOC_CURSORS, vec![SeqNo::ZERO; n]),
             }),
         );
         Ok(())
@@ -261,69 +202,46 @@ impl ViewEngine {
             .ok_or_else(|| Error::View(format!("no such design doc: {name}")))
     }
 
-    /// Drain available DCP changes into every view of a design doc (the
-    /// incremental view update pass).
+    /// Bring every view of a design doc up to the current key-value
+    /// document set of the vBuckets this node holds `Active` — the ones its
+    /// queries serve (the incremental view update pass). A vBucket whose
+    /// high seqno has not moved past the cursor is skipped without a
+    /// backfill. Returns the number of items applied.
     pub fn update(&self, ddoc_name: &str) -> Result<usize> {
         let _s = span("views.engine.update");
         let state = self.ddoc(ddoc_name)?;
-        let mut streams = state.streams.lock();
-        streams.follow(&self.engine)?;
-        let n = state.pull(&mut streams, Deadline::after(Duration::ZERO));
-        self.items_indexed.add(n as u64);
-        Ok(n)
-    }
-
-    /// Update and wait until every view has processed at least the current
-    /// key-value document set (the `stale=false` contract) of the vBuckets
-    /// this node holds `Active` — the only ones its hub publishes, its feed
-    /// follows and its queries serve.
-    /// `timeout` bounds the whole update, not each vBucket's share of it.
-    pub fn update_to_current(&self, ddoc_name: &str, timeout: Duration) -> Result<()> {
-        let _s = span("views.engine.update");
-        let deadline = Deadline::after(timeout);
-        let state = self.ddoc(ddoc_name)?;
-        let mut streams = state.streams.lock();
-        streams.follow(&self.engine)?;
-        let goals: Vec<(usize, SeqNo)> = (self.engine.seqno_vector().into_iter().enumerate())
-            .filter(|(v, _)| streams.active[*v])
-            .collect();
-        loop {
-            let behind = goals.iter().find(|(v, goal)| streams.cursors[*v] < *goal);
-            let Some((vbi, goal)) = behind else { return Ok(()) };
-            if deadline.expired() {
-                return Err(Error::Timeout(format!(
-                    "view update for vb {vbi}: cursor {:?} < goal {goal:?}",
-                    streams.cursors[*vbi]
-                )));
+        let mut cursors = state.cursors.lock();
+        let mut applied = 0;
+        for (v, cursor) in cursors.iter_mut().enumerate() {
+            let vb = VbId(v as u16);
+            if self.engine.vb_state(vb) != VbState::Active || self.engine.high_seqno(vb) <= *cursor
+            {
+                continue;
             }
-            self.items_indexed.add(state.pull(&mut streams, deadline) as u64);
+            let (items, high) = self.engine.backfill(vb, *cursor)?;
+            let mut views = state.views.lock();
+            for item in &items {
+                apply_item(&mut views, item);
+            }
+            *cursor = high;
+            applied += items.len();
         }
+        self.items_indexed.add(applied as u64);
+        Ok(applied)
     }
 
     /// Query a view (§3.1.2 semantics, including the `stale` parameter).
+    /// `stale=false` updates first; `update_after` answers first, then
+    /// updates on the caller's thread.
     pub fn query(&self, ddoc_name: &str, view_name: &str, q: &ViewQuery) -> Result<ViewResult> {
         let _s = span("views.engine.query");
         self.queries.inc();
-        match q.stale {
-            Stale::False => self.update_to_current(ddoc_name, Duration::from_secs(30))?,
-            Stale::Ok => {}
-            Stale::UpdateAfter => {}
+        if q.stale == Stale::False {
+            self.update(ddoc_name)?;
         }
         let result = self.query_current(ddoc_name, view_name, q)?;
         if q.stale == Stale::UpdateAfter {
-            // "Return the current entries from the index, but then initiate
-            // a view index update" — initiated in the background so the
-            // query's latency stays at stale=ok levels.
-            let state = self.ddoc(ddoc_name)?;
-            let engine = Arc::clone(&self.engine);
-            let items_indexed = self.items_indexed.clone();
-            std::thread::spawn(move || {
-                let mut streams = state.streams.lock();
-                if streams.follow(&engine).is_ok() {
-                    items_indexed
-                        .add(state.pull(&mut streams, Deadline::after(Duration::ZERO)) as u64);
-                }
-            });
+            self.update(ddoc_name)?;
         }
         Ok(result)
     }
@@ -516,14 +434,11 @@ mod tests {
         }
     }
 
-    /// `stale=false` against *active* vBuckets whose feed will never deliver
-    /// (warmed up from their logs after the design document subscribed: no
-    /// hub publishes a warm-up and no state changes, so nothing tells the
-    /// feed): the update fails with `Timeout` at its one deadline, however
-    /// many vBuckets are stuck — not after a timeout per vBucket, and not
-    /// never.
+    /// Documents a warm-up loads are published on no hub, and no vBucket
+    /// state changes after it: `stale=false` indexes them anyway, because
+    /// an update reads each vBucket's high seqno, not a feed.
     #[test]
-    fn update_to_current_gives_up_at_one_deadline_over_many_stuck_vbuckets() {
+    fn stale_false_after_a_warm_up_indexes_every_warmed_up_document() {
         let cfg = EngineConfig::for_test(16);
         let before_restart = DataEngine::new(cfg.clone()).unwrap();
         before_restart.activate_all();
@@ -538,34 +453,50 @@ mod tests {
         for vb in (0..16).map(VbId) {
             e.recover_vb(vb).unwrap();
         }
-        let stuck = e.seqno_vector().iter().filter(|high| **high > SeqNo::ZERO).count();
-        assert!(stuck > 8, "only {stuck} vBuckets warmed up");
-        let started = std::time::Instant::now();
-        let updated = ve.update_to_current("profiles", Duration::from_millis(50));
-        let took = started.elapsed();
-        assert!(matches!(updated, Err(Error::Timeout(_))), "{updated:?}");
-        assert!(took >= Duration::from_millis(50), "gave up early: {took:?}");
-        assert!(took < Duration::from_millis(50 * 15), "one timeout per vBucket: {took:?}");
+        let warmed = e.seqno_vector().iter().filter(|high| **high > SeqNo::ZERO).count();
+        assert!(warmed > 8, "only {warmed} vBuckets warmed up");
+        let q = ViewQuery { stale: Stale::False, ..Default::default() };
+        assert_eq!(ve.query("profiles", "by_name", &q).unwrap().rows.len(), 40);
+    }
+
+    /// A design document holds cursors, not a subscription: nothing is
+    /// queued for it between queries, and one `stale=false` query indexes
+    /// exactly what a view engine created afterwards builds from zero.
+    #[test]
+    fn a_design_doc_nobody_queries_holds_nothing() {
+        let (e, ve) = setup();
+        for vb in (0..16).map(VbId) {
+            assert_eq!(e.hub().subscriber_count(vb), 0, "{vb:?}");
+        }
+        for i in 0..10_000 {
+            put(&e, &format!("u{}", i % 3_000), &format!("n{}", i % 700), i);
+        }
+        for i in (0..3_000).step_by(7) {
+            e.delete(&format!("u{i}"), Cas::WILDCARD).unwrap();
+        }
+        let q = ViewQuery { stale: Stale::False, ..Default::default() };
+        let rows = ve.query("profiles", "by_name", &q).unwrap().rows;
+        assert_eq!(rows, profiles(&e).query("profiles", "by_name", &q).unwrap().rows);
+        assert_eq!(rows.len(), 3_000 - 3_000usize.div_ceil(7));
     }
 
     /// Copies demoted, fed replica applies and promoted again with no view
-    /// update or query in between: the state epoch moved, so the feed is
-    /// rebuilt from the cursors and `stale=false` indexes what they took as
-    /// replicas.
+    /// update or query in between: their high seqnos moved past the
+    /// cursors, so the update indexes what they took as replicas.
     #[test]
     fn vbuckets_demoted_and_promoted_between_two_updates_are_followed() {
         let (e, ve) = setup();
         put(&e, "u1", "Alice", 30);
         replica_applies_elsewhere(&e, e.vb_for_key("u1"));
         e.activate_all();
-        ve.update_to_current("profiles", Duration::from_secs(5)).unwrap();
+        ve.update("profiles").unwrap();
         let q = ViewQuery { stale: Stale::Ok, ..Default::default() };
         let res = ve.query("profiles", "by_name", &q).unwrap();
         assert_eq!(res.rows.len(), 16, "one document per vBucket, promoted ones included");
     }
 
-    /// Copies promoted after taking replica applies: the feed is rebuilt from
-    /// the cursors, so `stale=false` indexes what they took as replicas.
+    /// Copies promoted after taking replica applies are backfilled from the
+    /// cursors, so the update indexes what they took as replicas.
     #[test]
     fn promoted_vbuckets_are_indexed_from_their_replica_applies() {
         let (e, ve) = setup();
@@ -573,24 +504,24 @@ mod tests {
         replica_applies_elsewhere(&e, e.vb_for_key("u1"));
         assert_eq!(ve.update("profiles").unwrap(), 1, "follows the one active vBucket");
         e.activate_all();
-        ve.update_to_current("profiles", Duration::from_secs(5)).unwrap();
+        ve.update("profiles").unwrap();
         let res = ve.query("profiles", "by_name", &ViewQuery::default()).unwrap();
         assert_eq!(res.rows.len(), 16, "one document per vBucket, promoted ones included");
-        // A live write arrives once: the rebuilt feed replaced the first one,
-        // it is not a second subscription beside it.
+        // A later write is applied once: the other vBuckets are unchanged
+        // and skipped.
         put(&e, "u2", "Bob", 40);
         assert_eq!(ve.update("profiles").unwrap(), 1);
     }
 
-    /// Replica copies that advance after the design document was created do
-    /// not delay `stale=false`: the update waits only on the vBuckets this
-    /// node holds active — the ones its queries serve.
+    /// Replica copies that advance after the design document was created are
+    /// not indexed: the update reads only the vBuckets this node holds
+    /// active — the ones its queries serve.
     #[test]
-    fn replica_applies_do_not_delay_stale_false() {
+    fn replica_applies_are_not_indexed() {
         let (e, ve) = setup();
         put(&e, "u1", "Alice", 30);
         replica_applies_elsewhere(&e, e.vb_for_key("u1"));
-        ve.update_to_current("profiles", Duration::from_secs(5)).unwrap();
+        assert_eq!(ve.update("profiles").unwrap(), 1);
         let res = ve.query("profiles", "by_name", &ViewQuery::default()).unwrap();
         assert_eq!(res.rows.len(), 1, "the active vBucket's document is indexed");
     }
@@ -611,24 +542,14 @@ mod tests {
     }
 
     #[test]
-    fn stale_update_after_refreshes_in_background() {
+    fn stale_update_after_answers_then_updates() {
         let (e, ve) = setup();
         put(&e, "u1", "Alice", 30);
         let q = ViewQuery { stale: Stale::UpdateAfter, ..Default::default() };
         let first = ve.query("profiles", "by_name", &q).unwrap();
         assert_eq!(first.rows.len(), 0, "first query sees the unbuilt index");
-        // The update_after side effect runs in the background; poll until
-        // it has indexed u1.
-        let q2 = ViewQuery { stale: Stale::Ok, ..Default::default() };
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let second = ve.query("profiles", "by_name", &q2).unwrap();
-            if second.rows.len() == 1 {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "background update never ran");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let q = ViewQuery { stale: Stale::Ok, ..Default::default() };
+        assert_eq!(ve.query("profiles", "by_name", &q).unwrap().rows.len(), 1);
     }
 
     #[test]

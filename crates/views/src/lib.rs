@@ -23,7 +23,9 @@
 //!   a B-tree can be deactivated" — queries pass an active-vBucket set so
 //!   mid-rebalance queries never double-count a moved partition;
 //! - **`stale` query semantics** (`false` / `ok` / `update_after`): views
-//!   are "kept up-to-date asynchronously, on demand" from the DCP feed.
+//!   are "kept up-to-date asynchronously, on demand" — an update applies a
+//!   backfill snapshot of each changed vBucket from the design document's
+//!   cursor; between updates a design document holds nothing else.
 
 pub mod btree;
 pub mod engine;

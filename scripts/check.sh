@@ -25,7 +25,10 @@
 #                                 writer and txn protocol models (exhaustive
 #                                 interleaving search), the memory-first
 #                                 backfill against its disk-first oracle
-#                                 (property suite; debug and --release), and
+#                                 (property suite) and, beside a live writer,
+#                                 a consumer chaining snapshots from each
+#                                 one's `high` that must miss no write (both
+#                                 debug and --release), and
 #                                 50 standalone runs of the Block-STM test
 #                                 that panics on a stale read
 #   5. chaos + txn smoke          fixed-seed fault-injection run (<10s)
@@ -243,9 +246,11 @@ run "xtask analyze" cargo xtask analyze
 # after its one sync) and the backfill ordering pair (cache copy
 # before index listing, index before mark_clean) — whose other half, that
 # the memory-first backfill returns what the disk-first one did, is the
-# property suite beside it — and the model of two writers on one GSI
-# partition (filter and commit under the writer lock; filtering before it
-# logs a stale version after a newer one).
+# property suite beside it, and whose resume point — a consumer chaining
+# snapshots from each one's `high` beside a writer, flusher and evictor
+# misses no write — is the racing test with it — and the model of two
+# writers on one GSI partition (filter and commit under the writer lock;
+# filtering before it logs a stale version after a newer one).
 run "lock-order + explorer (cbs-common)" cargo test --quiet -p cbs-common --features lock-order
 run "seqno signal protocol model" cargo test --quiet -p cbs-common --test signal_models
 run "feed wake protocol model" cargo test --quiet -p cbs-common --test wake_models
@@ -253,7 +258,8 @@ run "flusher protocol models" cargo test --quiet -p cbs-kv --test flusher_models
 run "GSI writer protocol model" cargo test --quiet -p cbs-index --test writer_models
 run "backfill equivalence (oracle)" cargo test --quiet -p cbs-kv --lib backfill_equivalence
 # Once more under the profile perfbench and tier-1's build use: its racing
-# test must not depend on how fast the writer is.
+# test (the chained-resume property) must not depend on how fast the
+# writer is.
 run "backfill equivalence (release)" cargo test --quiet --release -p cbs-kv --lib backfill_equivalence
 run "txn protocol models" cargo test --quiet -p cbs-txn --test txn_models
 run "txn scheduler standalone (50 runs)" txn_standalone
