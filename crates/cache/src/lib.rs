@@ -26,6 +26,8 @@
 //!   (`cbs-kv`) marks them clean once the storage engine has them, which is
 //!   what makes them evictable.
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod stats;
 

@@ -28,6 +28,8 @@
 //!
 //! See DESIGN.md §11.
 
+#![deny(unsafe_code)]
+
 pub mod checker;
 pub mod history;
 pub mod measure;

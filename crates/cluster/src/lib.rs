@@ -34,6 +34,8 @@
 //!
 //! [`Datastore`]: cbs_n1ql::Datastore
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod cluster;
 pub mod config;

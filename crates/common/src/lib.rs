@@ -9,6 +9,8 @@
 //! watermark ([`Watermarks`] over a [`Signal`]) every "wait until seqno X is
 //! persisted / replicated / indexed" blocks on.
 
+#![deny(unsafe_code)]
+
 pub mod crc32;
 pub mod error;
 pub mod ids;

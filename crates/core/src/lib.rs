@@ -30,6 +30,8 @@
 //! assert_eq!(res.rows.len(), 1);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod bucket;
 pub mod cluster_handle;
 

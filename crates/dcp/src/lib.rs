@@ -47,6 +47,8 @@
 //! nothing. Items above `high` may come back too; they come back again
 //! next time, which seqno-guarded applies absorb.
 
+#![deny(unsafe_code)]
+
 pub mod feed;
 pub mod hub;
 pub mod item;

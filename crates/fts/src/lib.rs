@@ -19,6 +19,8 @@
 //!   per-vBucket `cbs_common::Watermarks` vector so searches can demand the
 //!   same `request_plus`-style consistency the GSI service offers.
 
+#![deny(unsafe_code)]
+
 pub mod analyzer;
 pub mod index;
 pub mod service;

@@ -30,6 +30,8 @@
 //! `request_plus` scan blocks on it without touching the tree lock, and a
 //! scan's timeout is one deadline over all partitions.
 
+#![deny(unsafe_code)]
+
 pub mod defs;
 pub mod indexer;
 pub mod projector;

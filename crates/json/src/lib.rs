@@ -17,6 +17,8 @@
 //!   (`missing < null < false < true < number < string < array < object`),
 //!   which is the sort order of every index B-tree in the system.
 
+#![deny(unsafe_code)]
+
 pub mod collate;
 pub mod parse;
 pub mod path;

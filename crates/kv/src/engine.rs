@@ -279,15 +279,20 @@ impl DataEngine {
     /// value-only eviction a cache miss is authoritative). Each record's
     /// bytes become the cached version as read: nothing is parsed. The
     /// seqno counters move only once the cache is loaded.
+    ///
+    /// A version the cache refuses (`TempOom`: the quota is full of
+    /// metadata, with no value left to evict) fails the warm-up with the
+    /// counters unmoved: a key the cache does not hold would read as absent,
+    /// so carrying on would lose it without a word.
     pub fn recover_vb(&self, vb: VbId) -> Result<()> {
         let s = self.store.vb(vb)?;
         let high = s.high_seqno();
         for doc in s.changes_since(SeqNo::ZERO)? {
             if doc.deleted {
-                let _ = self.cache.delete(vb, &doc.key, doc.meta, false);
+                self.cache.delete(vb, &doc.key, doc.meta, false)?;
             } else {
                 let value = SharedValue::from_json(doc.value);
-                let _ = self.cache.set(vb, &doc.key, doc.meta, value, false);
+                self.cache.set(vb, &doc.key, doc.meta, value, false)?;
             }
         }
         self.high.advance(vb, high);
@@ -1787,6 +1792,87 @@ mod tests {
         let cached = e.cache.peek_item(e.vb_for_key("k"), "k").and_then(|(_, v, ..)| v).unwrap();
         assert!(SharedValue::ptr_eq(&cached, &got.value) && !cached.is_decoded());
         assert_eq!(e.registry().gauge("kv.cache.mem_used").get(), used);
+    }
+
+    /// At the default head-sampling rate (1 in 64 entry points) an
+    /// unsampled upsert costs the write-behind path no trace work: its DCP
+    /// item carries no context, its dirty-queue entry has none, and the
+    /// group commit that persists it files no `kv.flusher.wal_commit` span.
+    #[test]
+    fn an_unsampled_upsert_carries_no_trace_downstream() {
+        let store = cbs_obs::TraceStore::new();
+        let mut cfg = EngineConfig::for_test(1);
+        cfg.trace = Some(cbs_obs::TraceSink::new(Arc::clone(&store), "n0"));
+        let e = DataEngine::new(cfg).unwrap();
+        e.activate_all();
+        let feed = feed_from(&e, VbId(0), SeqNo::ZERO);
+        let client = cbs_obs::TraceSink::new(Arc::clone(&store), "client");
+        let upsert = |key: &str| {
+            let root = client.mint("client.kv.upsert");
+            e.set(key, doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+            root.ctx()
+        };
+        let sampled = upsert("sampled").expect("the first entry point is sampled");
+        assert_eq!(upsert("unsampled"), None, "the second of 64 is not");
+
+        let items = queued(&feed);
+        let trace_of = |key: &str| {
+            items.iter().find(|i| i.key == key).map(|i| i.trace.map(|ctx| ctx.trace_id))
+        };
+        assert_eq!(trace_of("sampled"), Some(Some(sampled.trace_id)));
+        assert_eq!(trace_of("unsampled"), Some(None));
+        {
+            let queue = e.dirty[0].lock();
+            assert!(queue.queued.contains("unsampled") && queue.queued.contains("sampled"));
+            assert_eq!(queue.ctxs.keys().collect::<Vec<_>>(), [&DocKey::from("sampled")]);
+        }
+
+        assert_eq!(e.flush_once().unwrap(), 2);
+        let commits: Vec<u64> = store
+            .completed_traces()
+            .iter()
+            .filter(|t| t.span("kv.flusher.wal_commit").is_some())
+            .map(|t| t.trace_id)
+            .collect();
+        assert_eq!(commits, [sampled.trace_id], "one commit span, under the sampled write");
+    }
+
+    /// A warm-up the quota cannot hold fails loudly: the first refused
+    /// version is returned and the seqno counters stay where they were,
+    /// instead of `Ok` with documents missing.
+    #[test]
+    fn warm_up_over_quota_is_refused_not_silently_partial() {
+        let cfg = EngineConfig::for_test(1);
+        let dir = cfg.data_dir.clone();
+        {
+            let e = DataEngine::new(cfg).unwrap();
+            e.activate_all();
+            for i in 0..200 {
+                e.set(&format!("k{i}"), doc(i), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+            }
+            e.delete("k0", Cas::WILDCARD).unwrap();
+            e.flush_once().unwrap();
+        }
+        // Metadata alone is ~70 bytes a key: 200 keys do not fit in 4 KiB.
+        let mut small = EngineConfig::for_test(1);
+        small.data_dir = dir.clone();
+        small.cache_quota = 4 << 10;
+        let e = DataEngine::new(small).unwrap();
+        assert_eq!(e.recover_vb(VbId(0)), Err(Error::TempOom));
+        assert_eq!(e.high_seqno(VbId(0)), SeqNo::ZERO);
+        assert_eq!(e.persisted_seqno(VbId(0)), SeqNo::ZERO);
+        drop(e);
+
+        let mut roomy = EngineConfig::for_test(1);
+        roomy.data_dir = dir;
+        let e = DataEngine::new(roomy).unwrap();
+        e.recover_vb(VbId(0)).unwrap();
+        e.set_vb_state(VbId(0), VbState::Active);
+        assert_eq!(e.high_seqno(VbId(0)), SeqNo(201));
+        assert!(matches!(e.get("k0"), Err(Error::KeyNotFound(_))));
+        for i in 1..200 {
+            assert_eq!(e.get(&format!("k{i}")).unwrap().value, doc(i));
+        }
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //!   only the documents the cache has evicted, so DCP streams see every
 //!   acknowledged write — flushed or not — without re-reading resident data.
 
+#![deny(unsafe_code)]
+
 pub mod engine;
 pub mod flusher;
 pub mod stats;

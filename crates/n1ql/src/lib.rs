@@ -34,6 +34,8 @@
 //! and [`datastore::MemoryDatastore`] provides a self-contained
 //! implementation for tests.
 
+#![deny(unsafe_code)]
+
 pub mod ast;
 pub mod cache;
 pub mod datastore;

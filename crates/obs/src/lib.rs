@@ -27,6 +27,8 @@
 //! - [`PrometheusText`] — text exposition over any set of snapshots
 //!   ([`fmt`]).
 
+#![deny(unsafe_code)]
+
 pub mod fmt;
 pub mod metrics;
 pub mod registry;

@@ -31,6 +31,8 @@
 //! [`BucketStore`] too: one keyed, compacted log for everything that
 //! persists.
 
+#![deny(unsafe_code)]
+
 pub mod bucket;
 pub mod record;
 pub mod vbstore;

@@ -28,6 +28,8 @@
 //!   chaos checker's fractured-read rule therefore observes through
 //!   read-only transactions, which are serialized into batches.
 
+#![deny(unsafe_code)]
+
 pub mod mvmemory;
 pub mod scheduler;
 pub mod spec;

@@ -27,6 +27,8 @@
 //!   backfill snapshot of each changed vBucket from the design document's
 //!   cursor; between updates a design document holds nothing else.
 
+#![deny(unsafe_code)]
+
 pub mod btree;
 pub mod engine;
 pub mod mapfn;

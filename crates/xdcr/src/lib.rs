@@ -21,6 +21,8 @@
 //! - the link resumes per-vBucket from its own cursors and survives source
 //!   topology changes (it re-opens streams from the new active copies).
 
+#![deny(unsafe_code)]
+
 pub mod filter;
 pub mod link;
 

@@ -8,6 +8,8 @@
 //! hand-written static check (see `analyze/` and DESIGN.md §14); what
 //! clippy can enforce lives in `clippy.toml` and the `[lints]` tables.
 
+#![deny(unsafe_code)]
+
 mod analyze;
 mod census;
 mod scan;
