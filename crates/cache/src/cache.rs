@@ -1,12 +1,11 @@
 //! The cache proper: per-vBucket hash tables, NRU eviction, memory quota.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedRwLock};
-use cbs_common::{DocKey, DocMeta, Error, Result, SeqNo, VbId};
+use cbs_common::{DocKey, DocMeta, Error, KeyMap, Result, SeqNo, VbId};
 use cbs_json::SharedValue;
 use cbs_obs::{Counter, Gauge, Registry};
 
@@ -39,6 +38,11 @@ pub struct CacheItem {
     pub deleted: bool,
     /// Not yet persisted by the flusher. Dirty items are never evicted.
     pub dirty: bool,
+    /// The key is in its vBucket's disk-write queue, or in a drain cycle's
+    /// snapshot of it that has not taken the entry yet: the queue's
+    /// de-duplication (§2.3.2). A dirty write sets it; the flusher's
+    /// [`ObjectCache::take_item`] clears it.
+    queued: bool,
     /// NRU reference bit: set on access, cleared by the eviction clock.
     referenced: bool,
 }
@@ -53,6 +57,11 @@ impl CacheItem {
     /// bump, never a decode.
     fn shared(&self) -> Option<SharedValue> {
         self.value.clone().map(SharedValue::from_json)
+    }
+
+    /// A new version of the document, written as `dirty` or clean.
+    fn version(meta: DocMeta, value: Option<Bytes>, deleted: bool, dirty: bool) -> CacheItem {
+        CacheItem { meta, value, deleted, dirty, queued: false, referenced: true }
     }
 }
 
@@ -88,7 +97,7 @@ pub enum CacheLookup {
 }
 
 /// One vBucket's hash table.
-type Shard = HashMap<DocKey, CacheItem>;
+type Shard = KeyMap<CacheItem>;
 
 /// The object-managed cache for one bucket on one node.
 ///
@@ -135,7 +144,7 @@ impl ObjectCache {
         registry.gauge("kv.cache.quota").set(quota as u64);
         ObjectCache {
             shards: (0..num_vbuckets)
-                .map(|_| OrderedRwLock::new(rank::CACHE_SHARD, Shard::new()))
+                .map(|_| OrderedRwLock::new(rank::CACHE_SHARD, Shard::default()))
                 .collect(),
             policy,
             quota,
@@ -158,6 +167,11 @@ impl ObjectCache {
     /// flusher persists it). The entry keeps the version's encoding only —
     /// a handle's decoded tree is dropped here. Fails with `TempOom` when
     /// over quota and no clean items can be evicted to make room.
+    ///
+    /// `Ok(true)` when a dirty write newly queued the key: the caller then
+    /// appends it to the vBucket's disk-write queue. `Ok(false)` when it was
+    /// queued already — the write is de-duplicated into the pending one —
+    /// or the version is clean.
     pub fn set(
         &self,
         vb: VbId,
@@ -165,41 +179,65 @@ impl ObjectCache {
         meta: DocMeta,
         value: impl Into<SharedValue>,
         dirty: bool,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let _s = cbs_obs::span("kv.cache.set");
         let value = Some(value.into().into_json());
-        self.admit(vb, key, CacheItem { meta, value, deleted: false, dirty, referenced: true })
+        self.admit(vb, key, CacheItem::version(meta, value, false, dirty))
     }
 
-    /// Record a deletion tombstone (dirty until persisted).
-    pub fn delete(&self, vb: VbId, key: &str, meta: DocMeta, dirty: bool) -> Result<()> {
-        self.admit(vb, key, CacheItem { meta, value: None, deleted: true, dirty, referenced: true })
+    /// Record a deletion tombstone (dirty until persisted); returns what
+    /// [`ObjectCache::set`] does.
+    pub fn delete(&self, vb: VbId, key: &str, meta: DocMeta, dirty: bool) -> Result<bool> {
+        self.admit(vb, key, CacheItem::version(meta, None, true, dirty))
     }
 
     /// Admission charges the net growth: the entry being replaced is
     /// credited, so an overwrite that does not grow the cache goes in even
-    /// when the quota is full of dirty items.
-    fn admit(&self, vb: VbId, key: &str, item: CacheItem) -> Result<()> {
+    /// when the quota is full of dirty items. An overwrite under the high
+    /// watermark probes the table once.
+    fn admit(&self, vb: VbId, key: &str, mut item: CacheItem) -> Result<bool> {
         let add = item.mem_size(key);
         let mut shard = self.shard(vb).write();
-        let growth = add.saturating_sub(shard.get(key).map_or(0, |old| old.mem_size(key)));
-        if self.mem_used.get() as usize + growth > self.high_watermark() {
+        let growth = match shard.get_mut(key) {
+            Some(slot) => {
+                let growth = add.saturating_sub(slot.mem_size(key));
+                if !self.over_high_watermark(growth) {
+                    return Ok(self.replace(slot, item, key));
+                }
+                growth
+            }
+            None => add,
+        };
+        if self.over_high_watermark(growth) {
             // An eviction pass takes every shard's lock: release ours first.
             drop(shard);
             self.make_room(growth)?;
             shard = self.shard(vb).write();
         }
-        let removed = match shard.get_mut(key) {
-            Some(slot) => std::mem::replace(slot, item).mem_size(key),
+        Ok(match shard.get_mut(key) {
+            Some(slot) => self.replace(slot, item, key),
             None => {
+                item.queued = item.dirty;
+                let newly = item.queued;
                 shard.insert(DocKey::from(key), item);
-                0
+                self.mem_used.add(add as u64);
+                newly
             }
-        };
-        drop(shard);
-        self.mem_used.add(add as u64);
-        self.mem_used.sub(removed as u64);
-        Ok(())
+        })
+    }
+
+    /// Put `item` in `slot`, which keeps its queued bit; returns whether the
+    /// write newly queued the key.
+    fn replace(&self, slot: &mut CacheItem, mut item: CacheItem, key: &str) -> bool {
+        let newly = item.dirty && !slot.queued;
+        item.queued = item.dirty || slot.queued;
+        self.mem_used.add(item.mem_size(key) as u64);
+        self.mem_used.sub(std::mem::replace(slot, item).mem_size(key) as u64);
+        newly
+    }
+
+    fn over_high_watermark(&self, growth: usize) -> bool {
+        self.mem_used.get() as usize + growth > self.high_watermark()
     }
 
     fn high_watermark(&self) -> usize {
@@ -237,7 +275,6 @@ impl ObjectCache {
     }
 
     /// Full-entry peek (meta, value, deleted, dirty) without side effects.
-    /// The flusher uses this to read the version it is about to persist.
     pub fn peek_item(
         &self,
         vb: VbId,
@@ -245,6 +282,32 @@ impl ObjectCache {
     ) -> Option<(DocMeta, Option<SharedValue>, bool, bool)> {
         let shard = self.shard(vb).read();
         shard.get(key).map(|i| (i.meta, i.shared(), i.deleted, i.dirty))
+    }
+
+    /// The flusher takes a queued key from the entry: the queued bit is
+    /// cleared, so the next dirty write queues the key again, and the
+    /// version to persist is returned as (meta, value, deleted) — `None`
+    /// when the entry is gone, clean or not queued (listed twice).
+    pub fn take_item(&self, vb: VbId, key: &str) -> Option<(DocMeta, Option<SharedValue>, bool)> {
+        let mut shard = self.shard(vb).write();
+        let item = shard.get_mut(key).filter(|i| i.queued)?;
+        item.queued = false;
+        item.dirty.then(|| (item.meta, item.shared(), item.deleted))
+    }
+
+    /// Queue a key the flusher took again (its drain cycle failed): `true`
+    /// when the bit was set here, so the caller lists the key; `false` when
+    /// a newer write has queued — and listed — it already, or the entry is
+    /// gone.
+    pub fn requeue(&self, vb: VbId, key: &str) -> bool {
+        let mut shard = self.shard(vb).write();
+        match shard.get_mut(key) {
+            Some(item) if !item.queued => {
+                item.queued = true;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Copy of every entry of a vBucket newer than `since`, taken under one
@@ -292,8 +355,7 @@ impl ObjectCache {
     pub fn repopulate(&self, vb: VbId, key: &str, meta: DocMeta, value: impl Into<SharedValue>) {
         let json = value.into().into_json();
         let len = json.len();
-        let fill =
-            CacheItem { meta, value: Some(json), deleted: false, dirty: false, referenced: true };
+        let fill = CacheItem::version(meta, Some(json), false, false);
         let full = self.policy == EvictionPolicy::Full;
         // Evicted whole, the entry comes back through admission like a write.
         if full && self.peek_meta(vb, key).is_none() && self.make_room(fill.mem_size(key)).is_err()
@@ -519,7 +581,7 @@ mod tests {
         let mut oom = false;
         for i in 0..100 {
             match c.set(VbId(0), &format!("k{i}"), meta(i), big_doc(1000), true) {
-                Ok(()) => {}
+                Ok(newly) => assert!(newly, "a new dirty key is queued"),
                 Err(Error::TempOom) => {
                     oom = true;
                     break;
@@ -662,6 +724,32 @@ mod tests {
         assert_eq!(c.get(vb, "k"), CacheLookup::Miss);
         c.repopulate(vb, "k", meta(6), Value::from("v6"));
         assert_eq!(c.peek_item(vb, "k").map(|i| (i.0, i.3)), Some((meta(6), false)));
+    }
+
+    /// The disk-write queue's de-duplication: the first dirty write of a
+    /// key queues it, later ones join it until the flusher takes it, and a
+    /// failed cycle's key is queued again only if no newer write has.
+    #[test]
+    fn the_queued_bit_de_duplicates_the_disk_write_queue() {
+        let (vb, c) = (VbId(0), ObjectCache::new(4, 1 << 20, EvictionPolicy::Full));
+        assert_eq!(c.set(vb, "k", meta(1), Value::int(1), true), Ok(true));
+        assert_eq!(c.set(vb, "k", meta(2), Value::int(2), true), Ok(false));
+        assert_eq!(c.delete(vb, "k", meta(3), true), Ok(false));
+        assert!(!c.requeue(vb, "k"), "still queued");
+        let (m, value, deleted) = c.take_item(vb, "k").unwrap();
+        assert_eq!((m, value, deleted), (meta(3), None, true));
+        assert_eq!(c.take_item(vb, "k"), None, "taken once");
+        assert!(c.requeue(vb, "k"), "the failed cycle queues it again");
+        assert!(c.take_item(vb, "k").is_some());
+        assert_eq!(c.set(vb, "k", meta(4), Value::int(4), true), Ok(true), "queued anew");
+        assert!(!c.requeue(vb, "k"), "a newer write queued it first");
+
+        // A clean version keeps the bit (the key is still listed), and
+        // gives the flusher nothing to write.
+        assert_eq!(c.set(vb, "k", meta(5), Value::int(5), false), Ok(false));
+        assert!(!c.requeue(vb, "k"));
+        assert_eq!(c.take_item(vb, "k"), None);
+        assert!(!c.requeue(vb, "gone"));
     }
 
     #[test]

@@ -149,6 +149,20 @@ fn buggy_failover_with_flight_recorder(seed: u64) -> (Vec<cbs_chaos::Violation>,
     map.epoch += 1;
     cluster.debug_install_map(BUCKET, map).expect("install corrupted map");
     rec.event("BUGGY failover node 1 done (skipped replica promotion)", true);
+    // The pump logs its resubscription to the new map from its own thread:
+    // wait for it, so that both runs dump the same events.
+    let epoch = cluster.map(BUCKET).expect("map").epoch.to_string();
+    let resubscribed = || {
+        cluster.flight_events().iter().any(|e| {
+            e.name == "cluster.events.pump_resubscribe"
+                && e.attrs.iter().any(|(k, v)| *k == "epoch" && *v == epoch)
+        })
+    };
+    let deadline = cbs_common::Deadline::after(Duration::from_secs(30));
+    while !resubscribed() {
+        assert!(!deadline.expired(), "the pump never resubscribed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let client = SmartClient::connect(Arc::clone(&cluster), BUCKET).expect("reconnect");
     for i in 0..24 {

@@ -533,10 +533,25 @@ impl Cluster {
                             .inner
                             .node(self.inner.map(&bucket)?.active_node(vb))?
                             .engine(&bucket)?;
-                        let (items, high) = src.backfill(vb, engine.high_seqno(vb))?;
+                        let since = engine.high_seqno(vb);
+                        let (items, high) = src.backfill(vb, since)?;
+                        let mut n = 0;
                         for item in items.iter().take_while(|i| i.meta.seqno <= high) {
                             engine.apply_replica(item)?;
+                            n += 1;
                         }
+                        self.inner.events.record_event_with_help(
+                            "cluster.events.replica_build",
+                            "a rebalance copied one snapshot of a vBucket to a new replica",
+                            &[
+                                ("bucket", bucket.clone()),
+                                ("vb", vb.0.to_string()),
+                                ("to", format!("n{}", r.0)),
+                                ("since", since.0.to_string()),
+                                ("high", high.0.to_string()),
+                                ("items", n.to_string()),
+                            ],
+                        );
                     }
                 }
                 // Install the chain for this vBucket against the *current*
@@ -573,17 +588,31 @@ impl Cluster {
         // until they are ready to be switched to active" — our Pending
         // state.
         dst.set_vb_state(vb, VbState::Pending);
-        let copy = |since| -> Result<SeqNo> {
+        let copy = |pass: u8, since: SeqNo| -> Result<SeqNo> {
             let (items, high) = src.backfill(vb, since)?;
             items.iter().try_for_each(|item| dst.apply_replica(item))?;
+            self.inner.events.record_event_with_help(
+                "cluster.events.mover_pass",
+                "one snapshot pass of a rebalance moving an active vBucket",
+                &[
+                    ("bucket", bucket.to_string()),
+                    ("vb", vb.0.to_string()),
+                    ("pass", pass.to_string()),
+                    ("from", format!("n{}", src_id.0)),
+                    ("to", format!("n{}", dst_id.0)),
+                    ("since", since.0.to_string()),
+                    ("high", high.0.to_string()),
+                    ("items", items.len().to_string()),
+                ],
+            );
             Ok(high)
         };
         // The bulk of the copy while the source still takes writes; then
         // the takeover: block writes on the source, copy what the first
         // snapshot may lack, flip the destination to active.
-        let first = copy(dst.high_seqno(vb))?;
+        let first = copy(1, dst.high_seqno(vb))?;
         src.set_vb_state(vb, VbState::Dead);
-        copy(first)?;
+        copy(2, first)?;
         dst.set_vb_state(vb, VbState::Active);
         // Install the map change so clients re-route (epoch bump per move:
         // "the cluster updates each connected client library with the new

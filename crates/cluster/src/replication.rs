@@ -102,6 +102,9 @@ fn pump_loop(
     let mut batch: Vec<DcpItem> = Vec::new();
     let mut gsi_batch: Vec<DcpItem> = Vec::new();
     let mut subscribe = true;
+    // Why the next subscription happens: `None` for the first one, which
+    // the flight recorder does not log.
+    let mut resubscribe: Option<&'static str> = None;
 
     // `stop` is read once per cycle, after any reset, so the wake that
     // came with it is either drained below or queued after the read.
@@ -111,6 +114,7 @@ fn pump_loop(
         // replica applies are seqno-guarded and the GSI side is filtered by
         // its cursor below.
         if subscribe {
+            let (mut vbs, mut lowest) = (0u32, None::<(SeqNo, VbId)>);
             for (v, cursor) in gsi_cursors.iter().enumerate() {
                 let vb = VbId(v as u16);
                 let Some(src) = topo.engines.get(&topo.map.active_node(vb)) else { continue };
@@ -122,6 +126,25 @@ fn pump_loop(
                     .map(|dst| dst.high_seqno(vb))
                     .fold(*cursor, SeqNo::min);
                 let _ = src.subscribe_dcp(&feed, vb, since);
+                vbs += 1;
+                if lowest.is_none_or(|(low, _)| since < low) {
+                    lowest = Some((since, vb));
+                }
+            }
+            if let Some(reason) = resubscribe {
+                let (since, vb) = lowest.unwrap_or((SeqNo::ZERO, VbId(0)));
+                inner.events.record_event_with_help(
+                    "cluster.events.pump_resubscribe",
+                    "the replication pump resubscribed its feed: a new map or a dropped delivery",
+                    &[
+                        ("bucket", bucket.to_string()),
+                        ("reason", reason.to_string()),
+                        ("epoch", topo.map.epoch.to_string()),
+                        ("vbuckets", vbs.to_string()),
+                        ("lowest_since", since.0.to_string()),
+                        ("lowest_vb", vb.0.to_string()),
+                    ],
+                );
             }
             lag.observe(&topo);
         }
@@ -230,6 +253,7 @@ fn pump_loop(
         // map has moved past the topology the feed was built from.
         let map_moved = || inner.read_map(bucket, |m| m.epoch).is_ok_and(|e| e != topo.map.epoch);
         subscribe = dropped || (woken && map_moved());
+        resubscribe = Some(if dropped { "reset" } else { "map" });
         if subscribe {
             // A fresh queue (what the old one still held goes with it), its
             // waker re-pointed *before* the topology is read.

@@ -663,6 +663,10 @@ fn expected_outcomes_do_not_evict_a_genuinely_failed_trace() {
 // ---------------------------------------------------------------------------
 
 const BUILD_DOCS: usize = 400;
+/// The keys the writer beside `primary_index_build_reads_only_what_the_cache_evicted`'s
+/// resident build and scans overwrites in turn: the scans race live writes
+/// without their results growing with the test's length.
+const KEYS_BESIDE_THE_BUILD: usize = 2_000;
 
 fn padded_doc(i: usize) -> Value {
     Value::object([("i", Value::from(i)), ("pad", Value::from("x".repeat(1000)))])
@@ -748,8 +752,10 @@ fn primary_index_build_reads_only_what_the_cache_evicted() {
                 if stop.load(SeqCst) {
                     break;
                 }
-                client.upsert(&format!("w-{i:06}"), doc(i)).unwrap();
-                acked.store(i as usize + 1, SeqCst);
+                client
+                    .upsert(&format!("w-{:06}", i % KEYS_BESIDE_THE_BUILD), doc(i as i64))
+                    .unwrap();
+                acked.store(i + 1, SeqCst);
             }
         });
         while acked.load(SeqCst) == 0 {
@@ -757,8 +763,9 @@ fn primary_index_build_reads_only_what_the_cache_evicted() {
         }
         assert_eq!(build_primary_index(&resident), 0, "a resident bucket is built from memory");
         let ds = ClusterDatastore::new(Arc::clone(&resident));
+        let mut promised = 0;
         for _ in 0..5 {
-            let promised = acked.load(SeqCst);
+            promised = acked.load(SeqCst);
             let rows = ds
                 .query(
                     "SELECT META().id AS id FROM default WHERE META().id LIKE 'w-%'",
@@ -768,10 +775,11 @@ fn primary_index_build_reads_only_what_the_cache_evicted() {
                 .rows;
             let seen: std::collections::HashSet<&str> =
                 rows.iter().filter_map(|r| r.get_field("id").and_then(Value::as_str)).collect();
-            for i in 0..promised {
+            for i in 0..promised.min(KEYS_BESIDE_THE_BUILD) {
                 assert!(seen.contains(format!("w-{i:06}").as_str()), "w-{i:06} acked, not scanned");
             }
         }
+        assert!(acked.load(SeqCst) > promised, "the writer was still writing during the last scan");
         stop.store(true, SeqCst);
         primary_scan(&resident)
     });
@@ -953,4 +961,80 @@ fn idle_pump_stays_parked_and_stops_on_drop() {
     drop(cluster);
     assert!(started.elapsed() < Duration::from_secs(1), "drop took {:?}", started.elapsed());
     assert_eq!(voluntary_switches("dcp-pump-idle"), None, "the pump thread was joined");
+}
+
+/// The value of attribute `key` on a flight-recorder event.
+fn attr<'e>(event: &'e cbs_obs::EventRec, key: &str) -> &'e str {
+    event.attrs.iter().find(|(k, _)| *k == key).map_or("", |(_, v)| v.as_str())
+}
+
+/// What a rebalance leaves in the flight recorder to explain where each
+/// copy came from: every mover pass and replica build with its vBucket,
+/// `since`, `high` and item count, and the pump's resubscriptions with the
+/// map epoch, the vBuckets resubscribed and the lowest `since`. Two
+/// back-to-back kill, failover, revive and rebalance cycles stay in the
+/// ring whole, at the product's vBucket count.
+#[test]
+fn rebalance_leaves_mover_replica_and_pump_events() {
+    const VBS: u16 = cbs_common::NUM_VBUCKETS;
+    let cluster = Cluster::homogeneous(4, ClusterConfig::for_test(VBS, 1));
+    cluster.create_bucket("default").unwrap();
+    let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
+    load_docs(&client, 2 * VBS as usize);
+    for _ in 0..2 {
+        assert!(wait_until(Duration::from_secs(30), || replicas_caught_up(&cluster)));
+        cluster.kill_node(NodeId(3)).unwrap();
+        assert!(cluster.failover(NodeId(3)).unwrap() > 0);
+        load_docs(&client, 2 * VBS as usize); // what the moves back to n3 copy
+        cluster.node(NodeId(3)).unwrap().revive();
+        cluster.rebalance(&[]).unwrap();
+    }
+    let epoch = cluster.map("default").unwrap().epoch;
+    let resubscribed_at_last_map = || {
+        cluster.flight_events().iter().any(|e| {
+            e.name == "cluster.events.pump_resubscribe" && attr(e, "epoch") == epoch.to_string()
+        })
+    };
+    assert!(wait_until(Duration::from_secs(30), resubscribed_at_last_map));
+
+    let events: Vec<_> =
+        cluster.flight_events().into_iter().filter(|e| e.service == "cluster").collect();
+    assert_eq!(events[0].seq, 0, "nothing was evicted from the ring");
+    let named = |name: &str| events.iter().filter(|e| e.name == name).collect::<Vec<_>>();
+    for lifecycle in ["node_killed", "failover", "rebalance"] {
+        assert_eq!(named(&format!("cluster.events.{lifecycle}")).len(), 2, "{lifecycle}");
+    }
+
+    let num = |e: &cbs_obs::EventRec, key: &str| attr(e, key).parse::<u64>().unwrap();
+    let passes = named("cluster.events.mover_pass");
+    assert!(!passes.is_empty() && passes.len() % 2 == 0, "two passes per move: {passes:?}");
+    for pair in passes.chunks(2) {
+        let (first, second) = (pair[0], pair[1]);
+        assert_eq!((attr(first, "pass"), attr(second, "pass")), ("1", "2"));
+        assert_eq!(attr(first, "vb"), attr(second, "vb"));
+        assert_eq!((attr(first, "to"), attr(second, "to")), ("n3", "n3"));
+        assert_eq!(num(second, "since"), num(first, "high"), "pass 2 resumes at pass 1's high");
+        assert!(num(first, "since") <= num(first, "high"));
+        num(first, "items");
+    }
+    assert!(passes.iter().any(|e| num(e, "items") > 0), "the moves copied documents");
+
+    let builds = named("cluster.events.replica_build");
+    assert!(!builds.is_empty(), "the rebalances rebuilt replica chains");
+    for build in &builds {
+        assert!(num(build, "since") <= num(build, "high"));
+        assert!(num(build, "items") <= num(build, "high") - num(build, "since"));
+        num(build, "vb");
+    }
+
+    let resubscriptions = named("cluster.events.pump_resubscribe");
+    assert!(resubscriptions.iter().all(|e| attr(e, "reason") == "map"), "{resubscriptions:?}");
+    for e in &resubscriptions {
+        assert!(num(e, "epoch") <= epoch);
+        assert!(num(e, "vbuckets") <= u64::from(VBS));
+        assert!(num(e, "lowest_vb") < u64::from(VBS));
+        num(e, "lowest_since");
+    }
+    let last = resubscriptions.last().unwrap();
+    assert_eq!((num(last, "epoch"), num(last, "vbuckets")), (epoch, u64::from(VBS)));
 }

@@ -14,7 +14,8 @@
 //!   (storage records, ~1.2 KB each on the write-behind path), chosen at
 //!   run time when the CPU has the instruction: about 13x the table's speed
 //!   on a 1.2 KB record (0.06 µs against 0.85 µs on a 2-vCPU Xeon). It is
-//!   the product's only `unsafe` code.
+//!   one of the product's two `unsafe` blocks; the other is
+//!   `DocKey::as_str`'s unchecked UTF-8 view of an inline key.
 
 /// The IEEE 802.3 reflected polynomial used by zlib/libcouchbase.
 const POLY: u32 = 0xEDB8_8320;

@@ -8,8 +8,10 @@
 //! bytes in it; only longer keys take a heap allocation, one `Box<str>`.
 //!
 //! `Hash`, `Eq` and `Ord` are those of the key's `str`, and a `DocKey`
-//! borrows as `str`: a `HashMap<DocKey, _>` or `BTreeMap<DocKey, _>` is
-//! probed with a plain `&str`.
+//! borrows as `str`: a [`KeyMap`](crate::KeyMap) or `BTreeMap<DocKey, _>`
+//! is probed with a plain `&str`. Borrowing does no UTF-8 work — every
+//! probe compares its candidates through [`DocKey::as_str`], so the inline
+//! bytes, copied from a `str`, are not validated again.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -58,15 +60,16 @@ impl DocKey {
     }
 
     /// The key.
+    #[inline]
     pub fn as_str(&self) -> &str {
         match &self.0 {
-            // The bytes were copied out of a `str`, so they are UTF-8.
-            Repr::Inline { .. } => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            Repr::Inline { len, bytes } => inline_str(&bytes[..*len as usize]),
             Repr::Heap(key) => key,
         }
     }
 
     /// The key's bytes.
+    #[inline]
     pub fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..*len as usize],
@@ -78,6 +81,17 @@ impl DocKey {
     pub fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })
     }
+}
+
+/// An inline key's bytes as the `str` they were copied from.
+#[allow(unsafe_code)]
+#[inline]
+fn inline_str(bytes: &[u8]) -> &str {
+    debug_assert!(std::str::from_utf8(bytes).is_ok());
+    // SAFETY: `Repr::Inline` is built in one place, `From<&str>`, which
+    // copies all of a `str`'s bytes and records their length; nothing
+    // writes to them afterwards. A whole `str` is valid UTF-8.
+    unsafe { std::str::from_utf8_unchecked(bytes) }
 }
 
 impl From<&str> for DocKey {
@@ -112,12 +126,14 @@ impl From<DocKey> for String {
 
 impl Deref for DocKey {
     type Target = str;
+    #[inline]
     fn deref(&self) -> &str {
         self.as_str()
     }
 }
 
 impl Borrow<str> for DocKey {
+    #[inline]
     fn borrow(&self) -> &str {
         self.as_str()
     }
@@ -125,12 +141,14 @@ impl Borrow<str> for DocKey {
 
 impl Hash for DocKey {
     /// The hash of the key's `str`, as `Borrow<str>` requires.
+    #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_str().hash(state);
     }
 }
 
 impl PartialEq for DocKey {
+    #[inline]
     fn eq(&self, other: &DocKey) -> bool {
         self.as_bytes() == other.as_bytes()
     }

@@ -2,7 +2,8 @@
 //!
 //! This crate holds the vocabulary types used by every other crate in the
 //! workspace: identifier newtypes ([`VbId`], [`SeqNo`], [`Cas`], [`NodeId`]),
-//! the document key the KV data path stores ([`DocKey`]), the CRC32
+//! the document key the KV data path stores ([`DocKey`]) and the hasher of
+//! the tables keyed by it ([`KeyHash`]), the CRC32
 //! key-hashing routine that maps document IDs onto the 1024 logical
 //! partitions (vBuckets) described in §4.1 of the paper, the shared error
 //! type, a monotonic CAS clock, the rank-ordered locks, and the one seqno
@@ -13,6 +14,7 @@
 
 pub mod crc32;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod key;
 pub mod meta;
@@ -22,6 +24,7 @@ pub mod time;
 
 pub use crc32::{crc32, vbucket_for_key};
 pub use error::{Error, Result};
+pub use hash::{KeyHash, KeyMap};
 pub use ids::{Cas, IndexId, NodeId, RevNo, SeqNo, VbId};
 pub use key::{check_key_len, DocKey, MAX_KEY_LEN};
 pub use meta::DocMeta;

@@ -122,9 +122,6 @@ pub mod rank {
     /// vB metadata lock (lazy expiry) and under the DCP channel (a stream
     /// open copies the shard during backfill); acquires nothing itself.
     pub const CACHE_SHARD: LockRank = LockRank::new(27, "kv.cache.shard");
-    /// Per-vBucket dirty-key queue (taken under the vB metadata lock when a
-    /// mutation enqueues).
-    pub const DIRTY_QUEUE: LockRank = LockRank::new(30, "kv.vb.dirty_queue");
     /// Per-shard flusher wakeup generation counter and list of dirty
     /// vBuckets (condvar seat).
     pub const FLUSH_SIGNAL: LockRank = LockRank::new(40, "kv.shard.signal");

@@ -1,15 +1,17 @@
 //! `DocKey` against the `String` it replaces: every length round-trips —
 //! both sides of the inline boundary, multibyte UTF-8, the longest key a
 //! record holds — and `Hash`, `Eq` and `Ord` agree with the borrowed `str`
-//! that maps are probed with.
+//! that maps are probed with, under std's hasher and the key tables' own.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 
 use cbs_common::key::INLINE_LEN;
-use cbs_common::{DocKey, Error, MAX_KEY_LEN};
+use cbs_common::{DocKey, Error, KeyHash, MAX_KEY_LEN};
+use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// One to four UTF-8 bytes each.
 const PALETTE: [char; 8] = ['a', 'Z', '0', ':', 'é', 'ß', '世', '😀'];
@@ -44,8 +46,50 @@ fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
     h.finish()
 }
 
+/// Arbitrary UTF-8 of exactly 0..=64 bytes: code points of every encoded
+/// width (1 to 4 bytes), so the inline boundary (22/23 bytes) is crossed
+/// by keys that end in a multibyte character as often as by ASCII ones.
+fn utf8_key() -> impl Strategy<Value = String> {
+    let point = prop_oneof![0u32..0x80, 0x80u32..0x800, 0x800u32..0x1_0000, 0x1_0000u32..0x11_0000];
+    (0usize..65, vec(point, 0..65)).prop_map(|(len, points)| {
+        let mut s = String::with_capacity(len);
+        for c in points.into_iter().filter_map(char::from_u32) {
+            if s.len() + c.len_utf8() <= len {
+                s.push(c);
+            }
+        }
+        while s.len() < len {
+            s.push('x');
+        }
+        s
+    })
+}
+
+/// The hashing contract of a table keyed by `DocKey` and probed by `&str`,
+/// under one `BuildHasher`.
+fn probes_agree<S: BuildHasher + Default>(key: &str, other: &str) -> Result<(), TestCaseError> {
+    let build = S::default();
+    let doc_key = DocKey::from(key);
+    prop_assert_eq!(build.hash_one(&doc_key), build.hash_one(key));
+    prop_assert_eq!(doc_key.as_str(), key);
+    let mut map: HashMap<DocKey, u8, S> = HashMap::default();
+    map.insert(doc_key, 1);
+    map.insert(DocKey::from(other), 2);
+    prop_assert_eq!(map.get(key), Some(if key == other { &2 } else { &1 }));
+    prop_assert_eq!(map.get(other), Some(&2));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_key_and_its_str_hash_and_probe_alike(key in utf8_key(), other in utf8_key()) {
+        prop_assert!(key.len() <= 64);
+        probes_agree::<KeyHash>(&key, &other)?;
+        probes_agree::<RandomState>(&key, &other)?;
+        prop_assert_eq!(DocKey::from(key.as_str()).is_inline(), key.len() <= INLINE_LEN);
+    }
 
     #[test]
     fn every_length_round_trips(len in key_len(), seed in 0usize..64) {

@@ -40,13 +40,13 @@
 //! op changes makes the two agree, so [`Indexer::recover`] rebuilds tree
 //! and watermarks from the latest records alone (DESIGN.md decision 9).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
-use cbs_common::{Deadline, DocKey, DocMeta, Error, Result, SeqNo, VbId};
+use cbs_common::{Deadline, DocKey, DocMeta, Error, KeyMap, Result, SeqNo, VbId};
 use cbs_json::Value;
 use cbs_storage::{BucketStore, Cycle, StoredDoc, CYCLE_SLICE};
 
@@ -200,7 +200,7 @@ struct Tree {
     /// catch-up backfills can interleave with the live DCP feed safely —
     /// and recovery needs no ordering of its own. The keys live as long
     /// as the document is indexed, so they are held without spare capacity.
-    docs: HashMap<DocKey, (SeqNo, Box<[IndexKey]>)>,
+    docs: KeyMap<(SeqNo, Box<[IndexKey]>)>,
     /// Distinct composite keys in `entries`. It and `stats.docs` are
     /// maintained on insert and remove, so stats and cardinality snapshots
     /// stay O(1) under the tree lock.
@@ -327,7 +327,7 @@ impl Indexer {
                 rank::INDEX_TREE,
                 Tree {
                     entries: BTreeSet::new(),
-                    docs: HashMap::new(),
+                    docs: KeyMap::default(),
                     distinct_keys: 0,
                     stats: IndexerStats::default(),
                 },
@@ -380,7 +380,7 @@ impl Indexer {
     /// to apply. Read under one tree-lock acquisition.
     fn durable_changes(&self, ops: Vec<IndexOp>) -> Result<Vec<IndexOp>> {
         let mut marks = self.marks.snapshot();
-        let mut newest: HashMap<DocKey, SeqNo> = HashMap::new();
+        let mut newest: KeyMap<SeqNo> = KeyMap::default();
         let mut changes = Vec::with_capacity(ops.len());
         let t = self.tree.lock();
         for op in ops {

@@ -1,6 +1,6 @@
 //! The data engine: memory-first write path, KV API, vBucket states.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -8,7 +8,8 @@ use std::time::{Duration, Instant};
 use cbs_cache::{CacheLookup, EvictionPolicy, ObjectCache};
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{
-    vbucket_for_key, Cas, CasClock, Deadline, DocKey, DocMeta, Error, Result, RevNo, SeqNo, VbId,
+    vbucket_for_key, Cas, CasClock, Deadline, DocKey, DocMeta, Error, KeyHash, KeyMap, Result,
+    RevNo, SeqNo, VbId,
 };
 use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind};
 use cbs_json::{SharedValue, Value};
@@ -20,65 +21,47 @@ use crate::now_secs;
 use crate::stats::EngineStats;
 use crate::types::{Document, EngineConfig, GetResult, MutateMode, MutationResult, VbState};
 
-/// One vBucket's snapshotted dirty queue: the keys drained this cycle plus
-/// the trace contexts attached to them, kept around so a failed commit can
-/// re-enqueue both, and the vBucket's high seqno at the snapshot — what is
-/// persisted once the cycle has committed.
-type DirtySnapshot = (VbId, Vec<DocKey>, HashMap<DocKey, TraceContext>, SeqNo);
+/// What a drain cycle took from one vBucket: the keys whose versions it
+/// writes and the trace contexts attached to them, kept so a failed commit
+/// can queue both again; how many queue entries the shard's gauge counted
+/// for them; and the seqno the vBucket is persisted to once the cycle has
+/// committed.
+struct DirtySnapshot {
+    vb: VbId,
+    keys: Vec<DocKey>,
+    ctxs: KeyMap<TraceContext>,
+    listed: u64,
+    high: SeqNo,
+}
 
 /// Per-vBucket mutable state, guarded by one mutex per vBucket. The mutex
-/// also serializes the write path (seqno assignment → cache → dirty queue →
-/// DCP publish), which is what guarantees seqno-ordered DCP delivery.
+/// also serializes the write path (seqno assignment → cache → disk-write
+/// queue → DCP publish), which is what guarantees seqno-ordered DCP
+/// delivery.
 struct VbMeta {
     state: VbState,
     /// GETL hard locks: key → (lock token, expiry instant). "This lock will
     /// be released after a certain timeout to avoid deadlocks" (§3.1.1).
-    locks: HashMap<DocKey, (Cas, Instant)>,
-}
-
-/// Per-vBucket disk-write queue with de-duplication: "asynchrony [...]
-/// provides an opportunity for repeated updates to an object to be
-/// aggregated at the level of persistence" (§2.3.2). A short key is copied
-/// inline into both the ordered queue and the de-dup set, so queueing one
-/// allocates nothing once the buffers have grown.
-#[derive(Default)]
-struct DirtyQueue {
-    keys: Vec<DocKey>,
-    queued: HashSet<DocKey>,
+    locks: KeyMap<(Cas, Instant)>,
+    /// The disk-write queue, in the order keys were first queued. Its
+    /// de-duplication — "asynchrony [...] provides an opportunity for
+    /// repeated updates to an object to be aggregated at the level of
+    /// persistence" (§2.3.2) — is the cache entry's queued bit: a key is
+    /// appended only by the write that set it. A short key is copied
+    /// inline, so queueing one allocates nothing once the buffer has grown.
+    queue: Vec<DocKey>,
     /// Causal trace contexts of queued writes (DESIGN.md §10): the flusher
     /// records a `kv.flusher.wal_commit` span against each at the group
     /// commit that persists the key. Only traced writes pay the entry.
-    ctxs: HashMap<DocKey, TraceContext>,
+    ctxs: KeyMap<TraceContext>,
 }
 
-impl DirtyQueue {
-    fn enqueue(&mut self, key: &str) -> bool {
-        !self.queued.contains(key) && self.enqueue_key(DocKey::from(key))
-    }
-
-    /// Enqueue a key already held as a [`DocKey`] (the flusher's error path
-    /// re-queuing a failed cycle's snapshot).
-    fn enqueue_key(&mut self, key: DocKey) -> bool {
-        if !self.queued.insert(key.clone()) {
-            return false;
+impl VbMeta {
+    /// A write released any GETL lock on its key; most vBuckets hold none.
+    fn clear_lock(&mut self, key: &str) {
+        if !self.locks.is_empty() {
+            self.locks.remove(key);
         }
-        self.keys.push(key);
-        true
-    }
-
-    /// Remember the trace that last dirtied `key` (latest write wins, which
-    /// matches de-duplication: the retained version is the newest).
-    fn attach_ctx(&mut self, key: &str, ctx: TraceContext) {
-        if let Some(queued) = self.queued.get(key) {
-            self.ctxs.insert(queued.clone(), ctx);
-        }
-    }
-
-    /// Hand the queue to the flusher. The ordered queue moves out whole;
-    /// the de-dup set keeps its table.
-    fn take(&mut self) -> (Vec<DocKey>, HashMap<DocKey, TraceContext>) {
-        self.queued.clear();
-        (std::mem::take(&mut self.keys), std::mem::take(&mut self.ctxs))
     }
 }
 
@@ -142,7 +125,6 @@ pub struct DataEngine {
     high: Watermarks,
     /// Highest persisted seqno per vBucket; `wait_persisted` parks on it.
     persisted: Watermarks,
-    dirty: Vec<OrderedMutex<DirtyQueue>>,
     shards: Vec<FlushShard>,
     registry: Arc<Registry>,
     stats: EngineStats,
@@ -177,15 +159,17 @@ impl DataEngine {
                 .map(|_| {
                     OrderedMutex::new(
                         rank::VB_META,
-                        VbMeta { state: VbState::Dead, locks: HashMap::new() },
+                        VbMeta {
+                            state: VbState::Dead,
+                            locks: KeyMap::default(),
+                            queue: Vec::new(),
+                            ctxs: KeyMap::default(),
+                        },
                     )
                 })
                 .collect(),
             high: Watermarks::sharing("replication", n, Arc::clone(&cfg.seqno_signal)),
             persisted: Watermarks::new("persistence", n),
-            dirty: (0..n)
-                .map(|_| OrderedMutex::new(rank::DIRTY_QUEUE, DirtyQueue::default()))
-                .collect(),
             shards,
             stats: EngineStats::new(&registry),
             registry,
@@ -311,7 +295,11 @@ impl DataEngine {
         // next cycle (at the latest one flush interval from now), not here:
         // a rebalance purges vBuckets by the hundred.
         let _flush = sh.flush_lock.lock();
-        let dropped = self.dirty[vb.index()].lock().take().0.len() as u64;
+        let dropped = {
+            let mut meta = self.vbs[vb.index()].lock();
+            meta.ctxs.clear();
+            std::mem::take(&mut meta.queue).len() as u64
+        };
         sh.dirty_count.sub(dropped);
         self.store.drop_vb(vb)?;
         self.high.reset(vb);
@@ -473,10 +461,10 @@ impl DataEngine {
         let seqno = self.high.get(vb).next();
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev_rev.next(), flags: 0, expiry };
-        self.cache.set(vb, key, new_meta, value.clone(), true)?;
+        let newly = self.cache.set(vb, key, new_meta, value.clone(), true)?;
         self.high.next(vb);
-        self.enqueue_dirty_traced(vb, key, ctx);
-        meta.locks.remove(key);
+        self.queue_dirty(&mut meta, vb, key, newly, ctx);
+        meta.clear_lock(key);
         let mut item = DcpItem::mutation(vb, key, new_meta, value);
         item.trace = ctx;
         self.hub.publish(&item);
@@ -510,10 +498,10 @@ impl DataEngine {
         let seqno = self.high.get(vb).next();
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
-        self.cache.delete(vb, key, new_meta, true)?;
+        let newly = self.cache.delete(vb, key, new_meta, true)?;
         self.high.next(vb);
-        self.enqueue_dirty_traced(vb, key, ctx);
-        meta.locks.remove(key);
+        self.queue_dirty(&mut meta, vb, key, newly, ctx);
+        meta.clear_lock(key);
         let mut item = DcpItem::deletion(vb, key, new_meta);
         item.trace = ctx;
         self.hub.publish(&item);
@@ -583,7 +571,7 @@ impl DataEngine {
     fn lazy_expire(&self, vb: VbId, key: &str, prev: DocMeta) {
         // Expiry is observed lazily on access; issue the tombstone under
         // the vb lock like any write.
-        let meta = self.vbs[vb.index()].lock();
+        let mut meta = self.vbs[vb.index()].lock();
         if meta.state != VbState::Active {
             return;
         }
@@ -595,9 +583,9 @@ impl DataEngine {
         let seqno = self.high.get(vb).next();
         let new_meta =
             DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
-        if self.cache.delete(vb, key, new_meta, true).is_ok() {
+        if let Ok(newly) = self.cache.delete(vb, key, new_meta, true) {
             self.high.next(vb);
-            self.enqueue_dirty(vb, key);
+            self.queue_dirty(&mut meta, vb, key, newly, None);
             self.hub.publish(&DcpItem {
                 vb,
                 key: DocKey::from(key),
@@ -629,7 +617,7 @@ impl DataEngine {
         let ctx = trace.ctx();
         check_key_len(&item.key)?;
         let vb = item.vb;
-        let meta = self.vbs[vb.index()].lock();
+        let mut meta = self.vbs[vb.index()].lock();
         if !matches!(meta.state, VbState::Replica | VbState::Pending) {
             return Err(Error::VbucketNotActive(vb));
         }
@@ -642,8 +630,8 @@ impl DataEngine {
                 return Ok(());
             }
         }
-        if item.is_deletion() {
-            self.cache.delete(vb, &item.key, item.meta, true)?;
+        let newly = if item.is_deletion() {
+            self.cache.delete(vb, &item.key, item.meta, true)?
         } else {
             // Reference-count bump: the replica stores the active copy's
             // encoded bytes, which its flusher persists as they are.
@@ -653,10 +641,10 @@ impl DataEngine {
                 item.meta,
                 item.value.clone().unwrap_or_else(|| SharedValue::new(Value::Null)),
                 true,
-            )?;
-        }
+            )?
+        };
         self.high.advance(vb, item.meta.seqno);
-        self.enqueue_dirty_traced(vb, &item.key, ctx);
+        self.queue_dirty(&mut meta, vb, &item.key, newly, ctx);
         drop(meta);
         self.stats.replica_applies.inc();
         Ok(())
@@ -690,14 +678,14 @@ impl DataEngine {
         let seqno = self.high.get(vb).next();
         let new_meta = DocMeta { seqno, ..incoming };
         let value = value.unwrap_or_else(|| SharedValue::new(Value::Null));
-        if deleted {
-            self.cache.delete(vb, key, new_meta, true)?;
+        let newly = if deleted {
+            self.cache.delete(vb, key, new_meta, true)?
         } else {
-            self.cache.set(vb, key, new_meta, value.clone(), true)?;
-        }
+            self.cache.set(vb, key, new_meta, value.clone(), true)?
+        };
         self.high.next(vb);
-        self.enqueue_dirty(vb, key);
-        vbmeta.locks.remove(key);
+        self.queue_dirty(&mut vbmeta, vb, key, newly, None);
+        vbmeta.clear_lock(key);
         let item = if deleted {
             DcpItem::deletion(vb, key, new_meta)
         } else {
@@ -745,37 +733,41 @@ impl DataEngine {
         self.shards.len()
     }
 
-    fn enqueue_dirty(&self, vb: VbId, key: &str) {
-        self.enqueue_dirty_traced(vb, key, None);
-    }
-
-    fn enqueue_dirty_traced(&self, vb: VbId, key: &str, ctx: Option<TraceContext>) {
-        let (fresh, first) = {
-            let mut queue = self.dirty[vb.index()].lock();
-            let was_empty = queue.keys.is_empty();
-            let fresh = queue.enqueue(key);
-            if let Some(ctx) = ctx {
-                queue.attach_ctx(key, ctx);
-            }
-            (fresh, fresh && was_empty)
-        };
-        if fresh {
-            let shard = &self.shards[self.store.shard_of(vb)];
-            shard.dirty_count.add(1);
-            // Bump the generation under the lock, so a flusher thread that
-            // checked the counter and is about to sleep still sees the
-            // change — no missed wakeups. The same acquisition tells the
-            // flusher which vBucket to visit.
-            let mut signal = shard.signal.lock();
-            signal.gen += 1;
-            if first {
-                signal.dirty_vbs.push(vb);
-            }
-            if signal.idle {
-                shard.signal_cv.notify_all();
-            }
-        } else {
+    /// After a dirty write to `key`, under its vBucket's lock: append the
+    /// key to the disk-write queue if the write `newly` set the entry's
+    /// queued bit, else count it as de-duplicated into the pending version.
+    /// A traced write's context is attached either way (latest write wins,
+    /// which matches de-duplication: the retained version is the newest).
+    fn queue_dirty(
+        &self,
+        meta: &mut VbMeta,
+        vb: VbId,
+        key: &str,
+        newly: bool,
+        ctx: Option<TraceContext>,
+    ) {
+        if let Some(ctx) = ctx {
+            meta.ctxs.insert(DocKey::from(key), ctx);
+        }
+        if !newly {
             self.stats.dedup_writes.inc();
+            return;
+        }
+        let first = meta.queue.is_empty();
+        meta.queue.push(DocKey::from(key));
+        let shard = &self.shards[self.store.shard_of(vb)];
+        shard.dirty_count.add(1);
+        // Bump the generation under the lock, so a flusher thread that
+        // checked the counter and is about to sleep still sees the change —
+        // no missed wakeups. The same acquisition tells the flusher which
+        // vBucket to visit.
+        let mut signal = shard.signal.lock();
+        signal.gen += 1;
+        if first {
+            signal.dirty_vbs.push(vb);
+        }
+        if signal.idle {
+            shard.signal_cv.notify_all();
         }
     }
 
@@ -877,20 +869,53 @@ impl DataEngine {
         for vb in dirty_vbs.by_ref() {
             // Snapshot the queue and the high seqno atomically w.r.t.
             // writers (both sides take the vb mutex).
-            let (keys, ctxs, high) = {
-                let _meta = self.vbs[vb.index()].lock();
-                let (keys, ctxs) = self.dirty[vb.index()].lock().take();
-                (keys, ctxs, self.high_seqno(vb))
+            let (mut keys, mut ctxs, mut high) = {
+                let mut meta = self.vbs[vb.index()].lock();
+                let ctxs = std::mem::take(&mut meta.ctxs);
+                (std::mem::take(&mut meta.queue), ctxs, self.high_seqno(vb))
             };
             if keys.is_empty() {
                 continue; // listed twice, or purged since
             }
-            for (i, key) in keys.iter().enumerate() {
-                // Evicted ⇒ already clean; absent ⇒ purged.
-                if let Some((meta, value, deleted, true)) = self.cache.peek_item(vb, key) {
-                    if deleted || value.is_some() {
-                        batch.push((meta, value.filter(|_| !deleted), i));
-                    }
+            #[cfg(test)]
+            tests::flusher_at("snapshot");
+            let listed = keys.len() as u64;
+            // Take each key from its entry, which clears its queued bit: the
+            // version written is the one the entry holds now — a write since
+            // the snapshot found the bit set and was de-duplicated into it.
+            // Only the keys taken stay in the snapshot; gone ⇒ purged,
+            // clean ⇒ persisted already, not queued ⇒ listed twice.
+            let mut newest = SeqNo::ZERO;
+            keys.retain(|key| match self.cache.take_item(vb, key) {
+                Some((meta, value, deleted)) if deleted || value.is_some() => {
+                    newest = newest.max(meta.seqno);
+                    batch.push((meta, value.filter(|_| !deleted), batch.len()));
+                    true
+                }
+                _ => false,
+            });
+            if newest > high {
+                // A write de-duplicated into this cycle after its snapshot.
+                // If nothing has been queued since, every seqno up to the
+                // vBucket's high is in this cycle or an earlier one; if
+                // something has, the vBucket is listed, and the next cycle's
+                // snapshot covers the write.
+                let mut meta = self.vbs[vb.index()].lock();
+                if meta.queue.is_empty() {
+                    high = self.high_seqno(vb);
+                }
+                // Such a write's trace context went to the queue's map; the
+                // version is this cycle's, and so is the commit span. A key
+                // queued again since its take keeps its context.
+                if !meta.ctxs.is_empty() {
+                    let VbMeta { queue, ctxs: queued_ctxs, .. } = &mut *meta;
+                    queued_ctxs.retain(|key, ctx| {
+                        if queue.contains(key) {
+                            return true;
+                        }
+                        ctxs.insert(key.clone(), *ctx);
+                        false
+                    });
                 }
             }
             // By seqno, so that whatever prefix of the cycle survives a
@@ -899,7 +924,7 @@ impl DataEngine {
             batch.sort_by_key(|(meta, ..)| meta.seqno);
             for (meta, value, i) in batch.drain(..) {
                 let key = &keys[i];
-                if let Some(ctx) = ctxs.get(&**key) {
+                if let Some(ctx) = ctxs.get(key.as_str()) {
                     traced.push(*ctx);
                 }
                 let json = value.as_ref().map_or(&[][..], |v| v.json());
@@ -913,7 +938,7 @@ impl DataEngine {
                     break;
                 }
             }
-            snapshots.push((vb, keys, ctxs, high));
+            snapshots.push(DirtySnapshot { vb, keys, ctxs, listed, high });
             if filled.is_err() {
                 break;
             }
@@ -953,33 +978,38 @@ impl DataEngine {
         }
         // Only now do the snapshotted keys leave the gauge: a reader of
         // `disk_queue_len() == 0` may conclude that everything is durable.
-        self.persisted.advance_all(snapshots.iter().map(|(vb, _, _, high)| (*vb, *high)));
-        sh.dirty_count.sub(snapshots.iter().map(|(_, keys, ..)| keys.len() as u64).sum());
+        self.persisted.advance_all(snapshots.iter().map(|s| (s.vb, s.high)));
+        sh.dirty_count.sub(snapshots.iter().map(|s| s.listed).sum());
         Ok(cycle.len() as u64)
     }
 
-    /// A cycle's commit failed: put its keys back (skipping any a newer
-    /// write has re-queued) and list its vBuckets again, so the items are
-    /// retried instead of stranded dirty-but-unqueued, which would hang
-    /// `wait_persisted` callers forever. The gauge still counts the keys;
-    /// only those a newer write queued — and counted — a second time leave
-    /// it.
+    /// A cycle's commit failed: queue every key it took again — each
+    /// exactly once, skipping any a newer write has queued — and list its
+    /// vBuckets again, so the items are retried instead of stranded
+    /// dirty-but-unqueued, which would hang `wait_persisted` callers
+    /// forever. The gauge keeps counting the keys queued again; the rest
+    /// (queued by a newer write, which counted them anew, or not taken)
+    /// leave it.
     fn requeue(&self, sh: &FlushShard, snapshots: Vec<DirtySnapshot>) {
-        let mut twice = 0u64;
+        #[cfg(test)]
+        tests::flusher_at("requeue");
+        let mut left = 0u64;
         let mut vbs = Vec::with_capacity(snapshots.len());
-        for (vb, keys, ctxs, _) in snapshots {
-            let mut queue = self.dirty[vb.index()].lock();
+        for DirtySnapshot { vb, keys, ctxs, listed, .. } in snapshots {
+            let mut meta = self.vbs[vb.index()].lock();
+            let before = meta.queue.len();
             for key in keys {
-                if !queue.enqueue_key(key) {
-                    twice += 1;
+                if self.cache.requeue(vb, &key) {
+                    meta.queue.push(key);
                 }
             }
+            left += listed - (meta.queue.len() - before) as u64;
             for (key, ctx) in ctxs {
-                queue.attach_ctx(&key, ctx);
+                meta.ctxs.entry(key).or_insert(ctx);
             }
             vbs.push(vb);
         }
-        sh.dirty_count.sub(twice);
+        sh.dirty_count.sub(left);
         sh.signal.lock().dirty_vbs.extend(vbs);
     }
 
@@ -1033,12 +1063,15 @@ impl DataEngine {
     pub fn vbucket_stats(&self) -> Vec<crate::types::VbucketStats> {
         (0..self.cfg.num_vbuckets)
             .map(VbId)
-            .map(|vb| crate::types::VbucketStats {
-                vb,
-                state: self.vb_state(vb),
-                high_seqno: self.high_seqno(vb),
-                persisted_seqno: self.persisted_seqno(vb),
-                queued_items: self.dirty[vb.index()].lock().keys.len() as u64,
+            .map(|vb| {
+                let meta = self.vbs[vb.index()].lock();
+                crate::types::VbucketStats {
+                    vb,
+                    state: meta.state,
+                    high_seqno: self.high_seqno(vb),
+                    persisted_seqno: self.persisted_seqno(vb),
+                    queued_items: meta.queue.len() as u64,
+                }
             })
             .collect()
     }
@@ -1136,7 +1169,7 @@ impl BackfillSource for DataEngine {
         // persisted since the copy): it is then the key's latest version.
         let records = if self.cache.policy() == EvictionPolicy::Full {
             // Whole entries go too: every indexed key the copy did not supply.
-            let held: HashSet<&str> = items.iter().map(|i| i.key.as_str()).collect();
+            let held: HashSet<&str, KeyHash> = items.iter().map(|i| i.key.as_str()).collect();
             self.store.vb(vb)?.locate_since(since, |key| !held.contains(key)).read()?
         } else if evicted.is_empty() {
             Vec::new()
@@ -1169,7 +1202,7 @@ impl DataEngine {
             .collect();
         let stored = self.store.vb(vb)?.changes_since(since)?;
         let mut high = since;
-        let mut latest: HashMap<DocKey, DcpItem> = HashMap::new();
+        let mut latest: KeyMap<DcpItem> = KeyMap::default();
         let mut merge = |item: DcpItem| match latest.get(&item.key) {
             Some(existing) if existing.meta.seqno >= item.meta.seqno => {}
             _ => {
@@ -1221,6 +1254,20 @@ mod backfill_equivalence;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type Hook = Option<Box<dyn Fn(&str)>>;
+
+    thread_local! {
+        /// Run by `flush_shard` on this thread, with no lock but the flush
+        /// lock held, at two points: `"snapshot"`, between a vBucket's queue
+        /// snapshot and its takes, and `"requeue"`, between a failed
+        /// cycle's takes and its requeue.
+        static FLUSHER_HOOK: std::cell::RefCell<Hook> = const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn flusher_at(point: &str) {
+        FLUSHER_HOOK.with_borrow(|hook| hook.as_ref().map(|hook| hook(point)));
+    }
 
     fn engine() -> Arc<DataEngine> {
         let e = DataEngine::new(EngineConfig::for_test(16)).unwrap();
@@ -1400,6 +1447,149 @@ mod tests {
         let vb = e.vb_for_key("hot");
         let stored = e.storage_stats().into_iter().find(|(v, _)| *v == vb).unwrap().1;
         assert_eq!(stored.live_docs, 1);
+    }
+
+    /// A write that lands between a drain cycle's snapshot of the queue and
+    /// its take of the key finds the key still queued: it is de-duplicated
+    /// into the cycle, which writes it. A key first written in that window
+    /// is queued and counted for the next cycle, which persists the vBucket
+    /// past both; alone in the window, the overwrite is persisted with the
+    /// vBucket up to it by the cycle it joined — no second cycle is owed.
+    #[test]
+    fn a_write_between_snapshot_and_take_is_persisted_by_that_cycle() {
+        let e = engine();
+        let hot = e.set("hot", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        let vb = hot.vb;
+        let fresh = (0..).map(|i| format!("fresh{i}")).find(|k| e.vb_for_key(k) == vb).unwrap();
+        let writes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (hook_engine, hook_writes) = (Arc::clone(&e), Arc::clone(&writes));
+        FLUSHER_HOOK.set(Some(Box::new(move |_| {
+            let mut writes = hook_writes.lock();
+            if writes.is_empty() {
+                let set = |key: &str, v| {
+                    hook_engine.set(key, doc(v), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap()
+                };
+                writes.push(set("hot", 2));
+                let stats = hook_engine.vbucket_stats();
+                assert_eq!(stats[vb.index()].queued_items, 0, "the snapshot took the queue");
+                writes.push(set(&fresh, 1));
+                let stats = hook_engine.vbucket_stats();
+                assert_eq!(stats[vb.index()].queued_items, 1, "a new key is queued anew");
+            }
+        })));
+        assert_eq!(e.disk_queue_len(), 1);
+        assert_eq!(e.flush_once().unwrap(), 1, "the cycle writes hot's newest version");
+        let (overwrite, first) = {
+            let writes = writes.lock();
+            (writes[0], writes[1])
+        };
+        assert_eq!(e.stats().dedup_writes.get(), 1, "the overwrite was de-duplicated");
+        assert!(hot.seqno < overwrite.seqno && overwrite.seqno < first.seqno);
+        // The record is the overwrite, but with the new key queued between
+        // them the vBucket counts as persisted only up to the snapshot.
+        assert_eq!(e.persisted_seqno(vb), hot.seqno, "the new key waits for its own cycle");
+        assert_eq!((e.disk_queue_len(), e.vbucket_stats()[vb.index()].queued_items), (1, 1));
+        let stored = e.store.vb(vb).unwrap().get("hot").unwrap().unwrap();
+        assert_eq!(stored.meta.seqno, overwrite.seqno);
+
+        assert_eq!(e.flush_once().unwrap(), 1);
+        FLUSHER_HOOK.set(None);
+        assert_eq!((e.disk_queue_len(), e.vbucket_stats()[vb.index()].queued_items), (0, 0));
+        assert_eq!(e.persisted_seqno(vb), e.high_seqno(vb));
+
+        // Alone in the window, the overwrite leaves nothing queued: the
+        // cycle persists the vBucket through its seqno, and a waiter on it
+        // returns without another cycle.
+        e.set("hot", doc(3), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        let late = Arc::new(parking_lot::Mutex::new(None));
+        let (hook_engine, hook_late) = (Arc::clone(&e), Arc::clone(&late));
+        FLUSHER_HOOK.set(Some(Box::new(move |_| {
+            let mut late = hook_late.lock();
+            if late.is_none() {
+                let v = doc(4);
+                *late =
+                    Some(hook_engine.set("hot", v, MutateMode::Upsert, Cas::WILDCARD, 0).unwrap());
+            }
+        })));
+        assert_eq!(e.flush_once().unwrap(), 1);
+        FLUSHER_HOOK.set(None);
+        let late = late.lock().unwrap();
+        assert_eq!(e.stats().dedup_writes.get(), 2);
+        assert_eq!(e.disk_queue_len(), 0);
+        assert_eq!(e.persisted_seqno(vb), late.seqno);
+        e.wait_persisted(vb, late.seqno, Duration::ZERO).unwrap();
+    }
+
+    /// A traced write de-duplicated into a cycle between its snapshot and
+    /// its take is committed under its own trace: its context moves from
+    /// the queue's map to the cycle, which files its `kv.flusher.wal_commit`
+    /// span, and nothing is left for the next version of the key.
+    #[test]
+    fn a_traced_write_between_snapshot_and_take_is_committed_under_its_trace() {
+        let store = cbs_obs::TraceStore::new();
+        store.set_sample_every(1);
+        let mut cfg = EngineConfig::for_test(1);
+        cfg.trace = Some(cbs_obs::TraceSink::new(Arc::clone(&store), "n0"));
+        let e = DataEngine::new(cfg).unwrap();
+        e.activate_all();
+        e.set("hot", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        let traced = Arc::new(parking_lot::Mutex::new(None));
+        let (hook_engine, hook_traced, hook_store) =
+            (Arc::clone(&e), Arc::clone(&traced), Arc::clone(&store));
+        FLUSHER_HOOK.set(Some(Box::new(move |_| {
+            let mut traced = hook_traced.lock();
+            if traced.is_none() {
+                // Off the flusher thread, whose cycle segment is open.
+                let (e, store) = (Arc::clone(&hook_engine), Arc::clone(&hook_store));
+                *traced = std::thread::spawn(move || {
+                    let root = cbs_obs::TraceSink::new(store, "client").mint("client.kv.upsert");
+                    e.set("hot", doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+                    root.ctx()
+                })
+                .join()
+                .unwrap();
+            }
+        })));
+        assert_eq!(e.flush_once().unwrap(), 1);
+        FLUSHER_HOOK.set(None);
+        let traced = traced.lock().expect("the hook's write was sampled");
+        assert_eq!(e.stats().dedup_writes.get(), 1, "the write joined the cycle");
+        assert_eq!(e.disk_queue_len(), 0);
+        assert!(e.vbs[0].lock().ctxs.is_empty(), "no context left for the next version");
+        let commits: Vec<u64> = store
+            .completed_traces()
+            .iter()
+            .filter(|t| t.span("kv.flusher.wal_commit").is_some())
+            .map(|t| t.trace_id)
+            .collect();
+        assert_eq!(commits, [traced.trace_id]);
+    }
+
+    /// A failed cycle's requeue races a write to a key it took: the take
+    /// cleared the bit, so the write queues the key anew, and the requeue
+    /// leaves it listed once and counted once.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_write_between_a_failed_take_and_its_requeue_is_queued_once() {
+        let mut cfg = EngineConfig::for_test(1);
+        cfg.flusher_shards = 1;
+        std::os::unix::fs::symlink("/dev/full", cfg.data_dir.join("shard_0.couch")).unwrap();
+        let e = DataEngine::new(cfg).unwrap();
+        e.activate_all();
+        e.set("a", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+        let hook_engine = Arc::clone(&e);
+        FLUSHER_HOOK.set(Some(Box::new(move |point| {
+            if point == "requeue" && hook_engine.stats().sets.get() == 1 {
+                hook_engine.set("a", doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+            }
+        })));
+        assert!(matches!(e.flush_once(), Err(Error::Io(_))));
+        assert_eq!(e.stats().sets.get(), 2, "the hook wrote");
+        assert_eq!(e.stats().dedup_writes.get(), 0, "the take had cleared the bit");
+        assert_eq!((e.disk_queue_len(), e.vbucket_stats()[0].queued_items), (1, 1));
+        assert!(matches!(e.flush_once(), Err(Error::Io(_))));
+        FLUSHER_HOOK.set(None);
+        assert_eq!((e.disk_queue_len(), e.vbucket_stats()[0].queued_items), (1, 1));
     }
 
     #[test]
@@ -1822,9 +2012,12 @@ mod tests {
         assert_eq!(trace_of("sampled"), Some(Some(sampled.trace_id)));
         assert_eq!(trace_of("unsampled"), Some(None));
         {
-            let queue = e.dirty[0].lock();
-            assert!(queue.queued.contains("unsampled") && queue.queued.contains("sampled"));
-            assert_eq!(queue.ctxs.keys().collect::<Vec<_>>(), [&DocKey::from("sampled")]);
+            let meta = e.vbs[0].lock();
+            assert_eq!(
+                meta.queue.iter().map(DocKey::as_str).collect::<Vec<_>>(),
+                ["sampled", "unsampled"]
+            );
+            assert_eq!(meta.ctxs.keys().collect::<Vec<_>>(), [&DocKey::from("sampled")]);
         }
 
         assert_eq!(e.flush_once().unwrap(), 2);

@@ -20,6 +20,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use super::*;
+use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 
 use proptest::prelude::*;

@@ -27,9 +27,17 @@
 //!    plus a stop recheck inside the wait loop.
 //! 3. A failed drain dropped its snapshotted keys → items stranded
 //!    dirty-but-unqueued and `wait_persisted` callers hung. Fixed by
-//!    re-enqueueing the snapshot (deduped against newer writes) and listing
-//!    its vBuckets as dirty again; the queue-depth gauge counts a key until
-//!    a commit that carried it has succeeded.
+//!    queueing every key the cycle took again, exactly once — the cache
+//!    entry's queued bit, which a take clears, says whether a newer write
+//!    has queued it already — and listing its vBuckets as dirty again; the
+//!    queue-depth gauge counts a key until a commit that carried it has
+//!    succeeded. That the taken keys are all of them rests on the cycle
+//!    taking every snapshotted key before its first append: a cycle that
+//!    takes each key as it appends it strands the ones it had not reached
+//!    when an append fails (their bits are still set, so every later write
+//!    is de-duplicated into a queue entry that no longer exists), and one
+//!    that queues a taken key again without consulting its bit queues it
+//!    twice.
 //! 4. The memory-first DCP backfill reads two things that a writer, the
 //!    flusher and the evictor all change under it: the cache shard and the
 //!    storage index. It is sound because of an ordering *pair* — backfill
@@ -291,27 +299,38 @@ fn raw_condvar_wait_sleeps_through_shutdown() {
 // Model 3: failed drain vs. concurrent writer (stranded dirty items)
 // ---------------------------------------------------------------------------
 
-/// One key, one flusher whose first commit fails (injected I/O error), one
-/// concurrent writer re-writing the same key. Tracks the dirty queue, the
-/// shard's list of dirty vBuckets (the only queues a cycle visits), the
-/// cycle's snapshot, the shard's dirty counter, and the cache item's dirty
-/// flag.
+/// Two keys of one vBucket, both written and queued; one flusher whose
+/// first cycle fails (injected I/O error on its append); one writer that
+/// re-writes both keys. The disk-write queue's de-duplication is the cache
+/// entry's queued bit: a write appends its key to the vBucket's queue only
+/// when it sets the bit. The flusher runs `flush_shard`'s order: snapshot
+/// the queue, take every snapshotted key (which clears its bit), append —
+/// which fails — then, under the vBucket lock, queue again each key it took
+/// that no newer write has queued, and list the vBucket again. Tracks, per
+/// key, the bit, the queue, the cycle's snapshot and take, and the cache
+/// item's dirty flag; per shard, the list of dirty vBuckets (the only
+/// queues a cycle visits) and the queue-depth gauge.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct RetryState {
-    /// Key present in the dirty queue.
-    queued: bool,
-    /// The key's vBucket is in the shard's dirty-vBucket list.
+    /// The cache entry's queued bit.
+    bit: [bool; 2],
+    /// Entries of the key in the vBucket's queue.
+    queue: [u8; 2],
+    /// In the failed or the retrying cycle's snapshot, not yet taken.
+    snapped: [bool; 2],
+    /// Taken by a cycle whose commit has not returned.
+    taken: [bool; 2],
+    /// The cache item carries unpersisted data.
+    item_dirty: [bool; 2],
+    /// The vBucket is in the shard's dirty-vBucket list.
     listed: bool,
     /// The flusher swapped the list out and found the vBucket in it.
     visiting: bool,
-    /// Key held in the snapshot of a cycle that has not committed.
-    in_flight: bool,
-    /// Shard dirty_count: queued keys plus snapshotted, uncommitted ones.
+    /// Shard dirty_count: queue entries plus the snapshot's, until a commit
+    /// that carried them has succeeded.
     dirty_count: u8,
-    /// Cache item carries unpersisted data.
-    item_dirty: bool,
-    /// The writer's enqueue made the queue non-empty; it still has to list
-    /// the vBucket (a second lock, so a second step).
+    /// The writer's last write made the queue non-empty; it still has to
+    /// list the vBucket (a second lock, so a second step).
     w_must_list: bool,
     f_pc: u8,
     w_pc: u8,
@@ -322,20 +341,30 @@ struct RetryState {
 #[derive(Clone, Copy, PartialEq)]
 enum RetryBug {
     None,
-    /// The failed cycle's snapshot is dropped instead of re-enqueued.
+    /// The failed cycle's snapshot is dropped instead of queued again.
     DropSnapshot,
-    /// The snapshot is re-enqueued but its vBucket is not listed again.
+    /// The snapshot is queued again but its vBucket is not listed again.
     ForgetList,
+    /// Each key is taken as it is appended, and a failure queues again only
+    /// the keys taken: a snapshotted key the cycle had not reached keeps
+    /// its bit but is in no queue, so every later write to it is
+    /// de-duplicated into nothing.
+    TakenOnly,
+    /// A taken key is queued again without consulting its bit: a newer
+    /// write that queued it already leaves it queued twice.
+    Unconditional,
 }
 
 fn failed_drain_vs_writer(bug: RetryBug) -> Result<(), String> {
     let init = RetryState {
-        queued: true, // one pending write already acknowledged into the queue
+        bit: [true; 2], // two acknowledged writes already queued
+        queue: [1; 2],
+        snapped: [false; 2],
+        taken: [false; 2],
+        item_dirty: [true; 2],
         listed: true,
         visiting: false,
-        in_flight: false,
-        dirty_count: 1,
-        item_dirty: true,
+        dirty_count: 2,
         w_must_list: false,
         f_pc: 0,
         w_pc: 0,
@@ -346,44 +375,83 @@ fn failed_drain_vs_writer(bug: RetryBug) -> Result<(), String> {
         s.visiting = s.listed;
         s.listed = false;
     };
-    // Snapshot: take the queue. The counter keeps counting the key.
+    // Snapshot, under the vBucket lock: the queue moves to the cycle. The
+    // bits stay set until each key is taken; the gauge keeps counting.
     let snapshot = |s: &mut RetryState| {
-        if s.visiting && s.queued {
-            s.queued = false;
-            s.in_flight = true;
+        if s.visiting {
+            for k in 0..2 {
+                s.snapped[k] = s.queue[k] > 0;
+                s.queue[k] = 0;
+            }
+        }
+    };
+    // `take_item`, under the cache shard lock: clear the bit, keep the key.
+    let take = |s: &mut RetryState, k: usize| {
+        if s.snapped[k] {
+            s.snapped[k] = false;
+            s.taken[k] = s.bit[k];
+            s.bit[k] = false;
+        }
+    };
+    // A dirty write to key `k`, under the vBucket lock: the cache set tests
+    // and sets the bit; only the write that set it appends the key.
+    let write = |s: &mut RetryState, k: usize| {
+        s.item_dirty[k] = true;
+        if !s.bit[k] {
+            s.bit[k] = true;
+            s.w_must_list = s.queue == [0, 0];
+            s.queue[k] += 1;
+            s.dirty_count += 1;
         }
     };
     let result = Explorer::new(init)
-        // Flusher: list → snapshot → commit fails → [requeue] → list →
-        // snapshot → commit ok.
+        // Flusher: list → snapshot → take key 0 → take key 1 → the append
+        // fails → requeue → list again; then list → snapshot → take → take →
+        // commit ok.
         .thread(move |s: &mut RetryState| {
             match s.f_pc {
-                0 | 3 => swap_list(s),
-                1 | 4 => snapshot(s),
-                2 => {
-                    // commit fails (injected).
-                    if s.in_flight {
-                        s.in_flight = false;
-                        if bug == RetryBug::DropSnapshot {
+                0 | 6 => swap_list(s),
+                1 | 7 => snapshot(s),
+                2 | 8 => take(s, 0),
+                // Taking as it appends, the cycle fails on key 0's append
+                // before it reaches key 1.
+                3 if bug == RetryBug::TakenOnly => {}
+                3 | 9 => take(s, 1),
+                4 => {
+                    // `requeue`, under the vBucket lock. A key still in the
+                    // snapshot was never taken: it leaves the cycle and the
+                    // gauge with the rest of what is not queued again.
+                    for k in 0..2 {
+                        let (taken, snapped) = (s.taken[k], s.snapped[k]);
+                        s.taken[k] = false;
+                        s.snapped[k] = false;
+                        let requeue = match bug {
+                            RetryBug::DropSnapshot => false,
+                            RetryBug::Unconditional => taken,
+                            _ => taken && !s.bit[k], // `ObjectCache::requeue`
+                        };
+                        if requeue {
+                            s.bit[k] = true;
+                            s.queue[k] += 1;
+                        } else if taken || snapped {
+                            // A newer write queued — and counted — it anew,
+                            // or the variant lets it go.
                             s.dirty_count -= 1;
-                        } else {
-                            if s.queued {
-                                s.dirty_count -= 1; // a newer write counted it again
-                            }
-                            s.queued = true;
-                            s.listed |= bug != RetryBug::ForgetList;
                         }
                     }
                 }
+                5 => s.listed |= bug != RetryBug::ForgetList,
                 _ => {
-                    // commit succeeds. mark_clean is seqno-guarded: if a
-                    // newer write re-queued the key meanwhile, the item stays
-                    // dirty (and queued) for the next cycle.
-                    if s.in_flight {
-                        s.in_flight = false;
-                        s.dirty_count -= 1;
-                        if !s.queued {
-                            s.item_dirty = false;
+                    // The commit succeeds. `mark_clean` is seqno-guarded: a
+                    // write since the take has set the bit again, and its
+                    // item stays dirty (and queued) for the next cycle.
+                    for k in 0..2 {
+                        if s.taken[k] {
+                            s.taken[k] = false;
+                            s.dirty_count -= 1;
+                            if !s.bit[k] {
+                                s.item_dirty[k] = false;
+                            }
                         }
                     }
                     s.f_done = true;
@@ -393,37 +461,56 @@ fn failed_drain_vs_writer(bug: RetryBug) -> Result<(), String> {
             s.f_pc += 1;
             Step::Progressed
         })
-        // Writer: one more write to the same key (enqueue_dirty dedups),
-        // then, if that made the queue non-empty, list the vBucket.
-        .thread(|s: &mut RetryState| {
-            if s.w_pc == 0 {
-                s.item_dirty = true;
-                if !s.queued {
-                    s.queued = true;
-                    s.dirty_count += 1;
-                    s.w_must_list = true;
+        // Writer: write key 0, list the vBucket if that made its queue
+        // non-empty; the same for key 1.
+        .thread(move |s: &mut RetryState| {
+            match s.w_pc {
+                0 => write(s, 0),
+                2 => write(s, 1),
+                _ => {
+                    s.listed |= s.w_must_list;
+                    s.w_must_list = false;
+                    if s.w_pc == 3 {
+                        s.w_done = true;
+                        return Step::Finished;
+                    }
                 }
-                s.w_pc = 1;
-                return Step::Progressed;
             }
-            s.listed |= s.w_must_list;
-            s.w_done = true;
-            Step::Finished
+            s.w_pc += 1;
+            Step::Progressed
         })
         .invariant(|s: &RetryState| {
             // The gauge is exact: queued keys plus keys of the cycle in
             // flight — it cannot read 0 while a commit is outstanding.
-            if s.dirty_count != s.queued as u8 + s.in_flight as u8 {
+            let in_queue = s.queue.iter().sum::<u8>();
+            let in_flight = (0..2).filter(|&k| s.snapped[k] || s.taken[k]).count() as u8;
+            if s.dirty_count != in_queue + in_flight {
                 return Err(format!(
-                    "dirty_count {} != queued {} + in flight {}",
-                    s.dirty_count, s.queued as u8, s.in_flight as u8
+                    "dirty_count {} != queued {in_queue} + in flight {in_flight}",
+                    s.dirty_count
                 ));
             }
-            // No stranded items: once both threads are done, a dirty item
-            // must still be queued in a listed vBucket (a later cycle will
-            // retry it) — otherwise wait_persisted callers hang forever.
-            if s.f_done && s.w_done && s.item_dirty && !(s.queued && s.listed) {
-                return Err("dirty item stranded out of the flusher's reach".into());
+            for k in 0..2 {
+                if s.queue[k] > 1 {
+                    return Err(format!("key {k} queued twice"));
+                }
+                // The bit is the queue's de-dup set: set exactly while the
+                // key is queued or snapshotted and not yet taken.
+                if s.bit[k] != (s.queue[k] > 0 || s.snapped[k]) {
+                    return Err(format!(
+                        "key {k} stranded: queued bit {} but queue {} snapshot {}",
+                        s.bit[k], s.queue[k], s.snapped[k]
+                    ));
+                }
+                if s.item_dirty[k] && !s.bit[k] && !s.taken[k] {
+                    return Err(format!("dirty key {k} stranded: neither queued nor in flight"));
+                }
+                // Once both threads are done, a dirty item must be queued in
+                // a listed vBucket (a later cycle retries it) — otherwise
+                // wait_persisted callers hang forever.
+                if s.f_done && s.w_done && s.item_dirty[k] && !(s.queue[k] > 0 && s.listed) {
+                    return Err(format!("dirty key {k} stranded out of the flusher's reach"));
+                }
             }
             Ok(())
         })
@@ -450,7 +537,21 @@ fn dropped_snapshot_strands_dirty_items() {
 fn requeue_without_relisting_strands_the_vbucket() {
     let err = failed_drain_vs_writer(RetryBug::ForgetList)
         .expect_err("explorer must find the queued-but-unlisted interleaving");
-    assert!(err.contains("stranded"), "unexpected violation: {err}");
+    assert!(err.contains("out of the flusher's reach"), "unexpected violation: {err}");
+}
+
+#[test]
+fn requeueing_only_the_taken_keys_strands_the_rest() {
+    let err = failed_drain_vs_writer(RetryBug::TakenOnly)
+        .expect_err("explorer must find the bit-set-but-unqueued key");
+    assert!(err.contains("key 1 stranded: queued bit true"), "unexpected violation: {err}");
+}
+
+#[test]
+fn requeueing_without_the_bit_queues_a_key_twice() {
+    let err = failed_drain_vs_writer(RetryBug::Unconditional)
+        .expect_err("explorer must find the doubly queued key");
+    assert!(err.contains("queued twice"), "unexpected violation: {err}");
 }
 
 // ---------------------------------------------------------------------------

@@ -400,7 +400,7 @@ mod tests {
                 id,
                 parent: open.last().copied().unwrap_or(0),
                 name,
-                lane: "query".into(),
+                lane: cbs_obs::Lane::intern("query"),
                 start_ns: 0,
                 dur_ns: micros * 1000,
             });

@@ -21,8 +21,15 @@ use parking_lot::{Mutex, RwLock};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::window::{WindowedHistogram, WindowedSnapshot};
 
-/// Flight-recorder events retained per registry (oldest evicted first).
-const EVENT_RING_CAP: usize = 256;
+/// Flight-recorder events retained per registry (oldest evicted first); the
+/// ring grows only as events arrive. Every promotion, rebalance mover pass,
+/// replica build and pump resubscription is a cluster event: two
+/// back-to-back kill, failover, revive and rebalance cycles of a four-node
+/// cluster with one replica and 1 024 vBuckets record ~2 800 (512
+/// promotions, 1 024 mover passes, 1 024 replica builds, ~210
+/// resubscriptions), so this keeps them whole at the product's vBucket
+/// count — some 3 MB once full.
+const EVENT_RING_CAP: usize = 4_096;
 
 /// True if `name` follows the `service.component.metric` convention:
 /// exactly three dot-separated segments, each `[a-z][a-z0-9_]*`.
@@ -434,12 +441,12 @@ mod tests {
             Some("a node was failed over")
         );
         // The ring is bounded: old events evict, seq numbers keep climbing.
-        for _ in 0..600 {
+        for _ in 0..EVENT_RING_CAP + 600 {
             r.record_event("cluster.events.rebalance", &[]);
         }
         let evs = r.events();
         assert_eq!(evs.len(), EVENT_RING_CAP);
-        assert_eq!(evs.last().unwrap().seq, 601);
+        assert_eq!(evs.last().unwrap().seq, EVENT_RING_CAP as u64 + 601);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 
 use crate::metrics::Counter;
 use crate::registry::Registry;
-use crate::trace::{Segment, SpanRec, TraceContext, MAX_SPANS_PER_TRACE};
+use crate::trace::{Lane, Segment, SpanRec, TraceContext, MAX_SPANS_PER_TRACE};
 
 /// Trace slots collecting in-flight (and recently finished) traces.
 const TRACE_SLOTS: usize = 64;
@@ -82,8 +82,8 @@ pub struct CompletedTrace {
 
 impl CompletedTrace {
     /// Distinct lanes the trace touched, sorted.
-    pub fn lanes(&self) -> Vec<Arc<str>> {
-        let mut lanes: Vec<Arc<str>> = self.spans.iter().map(|s| Arc::clone(&s.lane)).collect();
+    pub fn lanes(&self) -> Vec<Lane> {
+        let mut lanes: Vec<Lane> = self.spans.iter().map(|s| s.lane).collect();
         lanes.sort();
         lanes.dedup();
         lanes
@@ -336,7 +336,7 @@ impl TraceStore {
     pub fn record_span(
         &self,
         name: &'static str,
-        lane: &Arc<str>,
+        lane: Lane,
         ctx: TraceContext,
         start: Instant,
         end: Instant,
@@ -347,7 +347,7 @@ impl TraceStore {
                 id: self.next_span.fetch_add(1, Ordering::Relaxed) + 1,
                 parent: ctx.span_id,
                 name,
-                lane: Arc::clone(lane),
+                lane,
                 start_ns: start.saturating_duration_since(s.start).as_nanos() as u64,
                 dur_ns: end.saturating_duration_since(start).as_nanos() as u64,
             }),
@@ -414,10 +414,10 @@ fn nanos(d: Duration) -> u64 {
 /// span. `pid` is the lane (alphabetical), `tid` the trace id, `ts`/`dur`
 /// are microseconds. Hand-built — this crate takes no JSON dependency.
 pub fn chrome_trace_json(traces: &[CompletedTrace]) -> String {
-    let mut lanes: Vec<Arc<str>> = traces.iter().flat_map(CompletedTrace::lanes).collect();
+    let mut lanes: Vec<Lane> = traces.iter().flat_map(CompletedTrace::lanes).collect();
     lanes.sort();
     lanes.dedup();
-    let pid_of = |lane: &Arc<str>| lanes.iter().position(|l| l == lane).unwrap_or(0) + 1;
+    let pid_of = |lane: &Lane| lanes.iter().position(|l| l == lane).unwrap_or(0) + 1;
     let mut events = Vec::new();
     for lane in &lanes {
         events.push(format!(

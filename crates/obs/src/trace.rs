@@ -23,7 +23,9 @@
 //! clock themselves.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,6 +47,55 @@ pub struct TraceContext {
     pub span_id: u64,
 }
 
+/// Where a span ran: `client`, `query`, `txn`, or a node lane (`n0`, `n1`,
+/// …). A lane label is interned once per process, when a [`TraceSink`] is
+/// bound to it, so recording a span copies a pointer: the loader, the
+/// replication pump and the flushers that record on one node's lane share
+/// no reference count. It reads as its `str`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Lane(&'static str);
+
+impl Lane {
+    /// The lane labelled `name`: one allocation per distinct label for the
+    /// life of the process (a handful — the client, query and transaction
+    /// lanes and one per node).
+    pub fn intern(name: &str) -> Lane {
+        static LABELS: parking_lot::Mutex<Vec<&'static str>> = parking_lot::Mutex::new(Vec::new());
+        let mut labels = LABELS.lock();
+        if let Some(label) = labels.iter().find(|label| **label == name) {
+            return Lane(label);
+        }
+        let label: &'static str = Box::leak(name.into());
+        labels.push(label);
+        Lane(label)
+    }
+}
+
+impl Deref for Lane {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl AsRef<str> for Lane {
+    fn as_ref(&self) -> &str {
+        self.0
+    }
+}
+
+impl fmt::Debug for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
 /// One recorded span. Offsets are nanoseconds since the owning trace's
 /// start; `parent == 0` marks the root.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,9 +108,8 @@ pub struct SpanRec {
     pub parent: u64,
     /// Span name (`service.component.op`).
     pub name: &'static str,
-    /// Where the span ran: `client`, `query`, `txn`, or a node lane
-    /// (`n0`, `n1`, …).
-    pub lane: Arc<str>,
+    /// Where the span ran.
+    pub lane: Lane,
     /// Start offset from the trace start, in nanoseconds.
     pub start_ns: u64,
     /// Span duration in nanoseconds.
@@ -104,13 +154,13 @@ thread_local! {
 impl Segment {
     /// Record a child of the innermost open span, on `lane` or (for the
     /// free [`span`]) on the parent's lane.
-    fn push(&mut self, name: &'static str, lane: Option<&Arc<str>>) -> SpanGuard {
+    fn push(&mut self, name: &'static str, lane: Option<Lane>) -> SpanGuard {
         if self.spans.len() >= MAX_SPANS_PER_TRACE {
             self.dropped += 1;
             return SpanGuard::NOOP;
         }
         let parent = &self.spans[self.cur];
-        let (parent, lane) = (parent.id, Arc::clone(lane.unwrap_or(&parent.lane)));
+        let (parent, lane) = (parent.id, lane.unwrap_or(parent.lane));
         let start = Instant::now();
         let index = self.spans.len();
         let id = self.id_base + index as u64 + 1;
@@ -143,7 +193,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 #[derive(Clone)]
 pub struct TraceSink {
     store: Arc<TraceStore>,
-    lane: Arc<str>,
+    lane: Lane,
 }
 
 impl std::fmt::Debug for TraceSink {
@@ -155,7 +205,7 @@ impl std::fmt::Debug for TraceSink {
 impl TraceSink {
     /// Bind `store` to a lane label (`client`, `n0`, …).
     pub fn new(store: Arc<TraceStore>, lane: &str) -> TraceSink {
-        TraceSink { store, lane: Arc::from(lane) }
+        TraceSink { store, lane: Lane::intern(lane) }
     }
 
     /// The store this sink records into.
@@ -192,7 +242,7 @@ impl TraceSink {
 
     /// [`TraceStore::record_span`] on this lane.
     pub fn record_span(&self, name: &'static str, ctx: TraceContext, start: Instant, end: Instant) {
-        self.store.record_span(name, &self.lane, ctx, start, end);
+        self.store.record_span(name, self.lane, ctx, start, end);
     }
 
     /// A child span inside an open segment; else open one, in the trace
@@ -201,13 +251,13 @@ impl TraceSink {
         LOCAL.with(|l| {
             let l = &mut *l.borrow_mut();
             if let Some(seg) = l.open.as_mut() {
-                return seg.push(name, Some(&self.lane));
+                return seg.push(name, Some(self.lane));
             }
             let start = Instant::now();
             let (trace_id, parent) = trace_of(start);
             let id_base = if trace_id == 0 { 0 } else { self.store.reserve_span_ids() };
             let mut spans = std::mem::take(&mut l.scratch);
-            let lane = Arc::clone(&self.lane);
+            let lane = self.lane;
             spans.push(SpanRec { id: id_base + 1, parent, name, lane, start_ns: 0, dur_ns: 0 });
             l.next_seq = l.next_seq.wrapping_add(1);
             let seg = l.open.insert(Segment {
@@ -312,6 +362,15 @@ mod tests {
         while t.elapsed() < d {
             std::hint::spin_loop();
         }
+    }
+
+    #[test]
+    fn a_lane_label_is_interned_once_and_reads_as_its_str() {
+        let owned = String::from("n7");
+        let (a, b) = (Lane::intern("n7"), Lane::intern(&owned));
+        assert!(std::ptr::eq(&*a, &*b), "one allocation per label");
+        assert_eq!((a.to_string(), format!("{a:?}")), ("n7".to_string(), "\"n7\"".to_string()));
+        assert!(a.starts_with('n') && Lane::intern("n8") != a && Lane::intern("client") < a);
     }
 
     fn sink(lane: &str) -> (Arc<TraceStore>, TraceSink) {

@@ -12,13 +12,12 @@
 //! generation to the file of another; the old file lives on until the last
 //! reader drops its handle.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{DocKey, Result, SeqNo, VbId};
+use cbs_common::{DocKey, KeyMap, Result, SeqNo, VbId};
 
 use crate::bucket::{Cycle, ShardLog};
 use crate::record::{decode_record_strict, StoredDoc};
@@ -73,7 +72,7 @@ struct Inner {
     /// The log generation every offset below refers to.
     file: Arc<File>,
     /// key → latest record location.
-    by_id: HashMap<DocKey, IndexEntry>,
+    by_id: KeyMap<IndexEntry>,
     high_seqno: SeqNo,
     file_bytes: u64,
     stale_bytes: u64,
@@ -92,7 +91,7 @@ impl VbIndex {
                 rank::VB_STORE,
                 Inner {
                     file,
-                    by_id: HashMap::new(),
+                    by_id: KeyMap::default(),
                     high_seqno: SeqNo::ZERO,
                     file_bytes: 0,
                     stale_bytes: 0,
