@@ -8,10 +8,10 @@ use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
 use cbs_common::{Error, NodeId, Result, SeqNo, VbId};
-use cbs_dcp::{BackfillSource, FeedWaker};
+use cbs_dcp::{catch_up, BackfillSource, FeedWaker};
 use cbs_json::Value;
 use cbs_kv::VbState;
-use cbs_views::{ViewQuery, ViewResult, ViewRow};
+use cbs_views::{Reduction, ViewQuery, ViewResult, ViewRow};
 
 use crate::config::{ClusterConfig, ServiceSet};
 use crate::lag::ReplicationLagTable;
@@ -525,33 +525,28 @@ impl Cluster {
                             engine.set_vb_state(vb, VbState::Replica);
                         }
                         // Synchronous initial copy: one snapshot, up to its
-                        // resume point. The pump resumes from the replica's
-                        // high seqno after the map install, so a version
-                        // above that point — newer than writes the snapshot
-                        // may lack — is left to it.
+                        // resume point, from which the pump resumes after
+                        // the map install.
                         let src = self
                             .inner
                             .node(self.inner.map(&bucket)?.active_node(vb))?
                             .engine(&bucket)?;
-                        let since = engine.high_seqno(vb);
-                        let (items, high) = src.backfill(vb, since)?;
-                        let mut n = 0;
-                        for item in items.iter().take_while(|i| i.meta.seqno <= high) {
-                            engine.apply_replica(item)?;
-                            n += 1;
+                        for (_, since, high, items) in
+                            catch_up(src.as_ref(), engine.as_ref(), [vb], 0)?
+                        {
+                            self.inner.events.record_event_with_help(
+                                "cluster.events.replica_build",
+                                "a rebalance copied one snapshot of a vBucket to a new replica",
+                                &[
+                                    ("bucket", bucket.clone()),
+                                    ("vb", vb.0.to_string()),
+                                    ("to", format!("n{}", r.0)),
+                                    ("since", since.0.to_string()),
+                                    ("high", high.0.to_string()),
+                                    ("items", items.to_string()),
+                                ],
+                            );
                         }
-                        self.inner.events.record_event_with_help(
-                            "cluster.events.replica_build",
-                            "a rebalance copied one snapshot of a vBucket to a new replica",
-                            &[
-                                ("bucket", bucket.clone()),
-                                ("vb", vb.0.to_string()),
-                                ("to", format!("n{}", r.0)),
-                                ("since", since.0.to_string()),
-                                ("high", high.0.to_string()),
-                                ("items", n.to_string()),
-                            ],
-                        );
                     }
                 }
                 // Install the chain for this vBucket against the *current*
@@ -588,31 +583,31 @@ impl Cluster {
         // until they are ready to be switched to active" — our Pending
         // state.
         dst.set_vb_state(vb, VbState::Pending);
-        let copy = |pass: u8, since: SeqNo| -> Result<SeqNo> {
-            let (items, high) = src.backfill(vb, since)?;
-            items.iter().try_for_each(|item| dst.apply_replica(item))?;
-            self.inner.events.record_event_with_help(
-                "cluster.events.mover_pass",
-                "one snapshot pass of a rebalance moving an active vBucket",
-                &[
-                    ("bucket", bucket.to_string()),
-                    ("vb", vb.0.to_string()),
-                    ("pass", pass.to_string()),
-                    ("from", format!("n{}", src_id.0)),
-                    ("to", format!("n{}", dst_id.0)),
-                    ("since", since.0.to_string()),
-                    ("high", high.0.to_string()),
-                    ("items", items.len().to_string()),
-                ],
-            );
-            Ok(high)
+        let copy = |pass: u8| -> Result<()> {
+            for (_, since, high, items) in catch_up(src.as_ref(), dst.as_ref(), [vb], 0)? {
+                self.inner.events.record_event_with_help(
+                    "cluster.events.mover_pass",
+                    "one snapshot pass of a rebalance moving an active vBucket",
+                    &[
+                        ("bucket", bucket.to_string()),
+                        ("vb", vb.0.to_string()),
+                        ("pass", pass.to_string()),
+                        ("from", format!("n{}", src_id.0)),
+                        ("to", format!("n{}", dst_id.0)),
+                        ("since", since.0.to_string()),
+                        ("high", high.0.to_string()),
+                        ("items", items.to_string()),
+                    ],
+                );
+            }
+            Ok(())
         };
         // The bulk of the copy while the source still takes writes; then
         // the takeover: block writes on the source, copy what the first
         // snapshot may lack, flip the destination to active.
-        let first = copy(1, dst.high_seqno(vb))?;
+        copy(1)?;
         src.set_vb_state(vb, VbState::Dead);
-        copy(2, first)?;
+        copy(2)?;
         dst.set_vb_state(vb, VbState::Active);
         // Install the map change so clients re-route (epoch bump per move:
         // "the cluster updates each connected client library with the new
@@ -707,11 +702,15 @@ impl Cluster {
     }
 
     /// Create a full-text search index over a bucket and build it from the
-    /// current data (catch-up happens through the pump's from-zero
-    /// streams; this call just registers the definition).
+    /// current data: registered first, so the pump feeds it from then on,
+    /// then caught up from a snapshot of each vBucket's active copy.
     pub fn create_fts_index(&self, def: cbs_fts::FtsIndexDef) -> Result<()> {
-        self.map(&def.keyspace)?; // bucket must exist
-        self.inner.fts.create_index(def)
+        let (bucket, name) = (def.keyspace.clone(), def.name.clone());
+        self.map(&bucket)?; // bucket must exist
+        self.inner.fts.create_index(def)?;
+        let active_copy =
+            |vb: VbId, since: SeqNo| self.active_engine(&bucket, vb)?.backfill(vb, since);
+        self.inner.fts.build(&bucket, &name, &active_copy)
     }
 
     /// Search a full-text index. With `consistent`, the search waits until
@@ -902,44 +901,26 @@ impl Drop for AutoFailover {
 
 pub(crate) fn topology_snapshot(inner: &ClusterInner, bucket: &str) -> PumpTopology {
     let map = inner.map(bucket).expect("bucket exists while pump runs");
-    let mut engines = HashMap::new();
-    for node in inner.nodes.read().iter() {
-        if node.is_alive() {
-            if let Ok(e) = node.engine(bucket) {
-                engines.insert(node.id(), e);
-            }
-        }
-    }
-    let index_managers = inner
-        .nodes
-        .read()
-        .iter()
-        .filter(|n| n.is_alive())
-        .filter_map(|n| n.index_manager().ok())
-        .collect();
+    let nodes: Vec<Arc<Node>> =
+        inner.nodes.read().iter().filter(|n| n.is_alive()).cloned().collect();
     PumpTopology {
         map,
-        engines,
-        index_managers,
-        fts_services: vec![Arc::clone(&inner.fts)],
+        engines: nodes.iter().filter_map(|n| Some((n.id(), n.engine(bucket).ok()?))).collect(),
+        index_managers: nodes.iter().filter_map(|n| n.index_manager().ok()).collect(),
+        fts: Arc::clone(&inner.fts),
         injector: inner.cfg.fault_injector.clone(),
     }
 }
 
 fn merge_view_results(partials: Vec<ViewResult>, q: &ViewQuery) -> ViewResult {
     let total_rows = partials.iter().map(|p| p.total_rows).sum();
+    let merge = |mut acc: ViewRow, row: ViewRow| {
+        acc.value = merge_reduced(&acc.value, &row.value);
+        acc
+    };
     if q.reduce && !q.group {
-        // Re-reduce the single-row partials. Counts/sums add; for stats we
-        // merge the JSON objects field-wise.
-        let mut rows: Vec<ViewRow> = Vec::new();
-        for p in partials {
-            for row in p.rows {
-                match rows.first_mut() {
-                    None => rows.push(row),
-                    Some(acc) => acc.value = merge_reduced(&acc.value, &row.value),
-                }
-            }
-        }
+        // Re-reduce the single-row partials into one.
+        let rows = partials.into_iter().flat_map(|p| p.rows).reduce(merge).into_iter().collect();
         return ViewResult { rows, total_rows };
     }
     // Row results (and grouped reductions) merge in key order.
@@ -947,18 +928,9 @@ fn merge_view_results(partials: Vec<ViewResult>, q: &ViewQuery) -> ViewResult {
     rows.sort_by(|a, b| cbs_json::cmp_values(&a.key, &b.key));
     if q.reduce && q.group {
         // Merge adjacent groups with equal keys.
-        let mut merged: Vec<ViewRow> = Vec::new();
-        for row in rows {
-            match merged.last_mut() {
-                Some(last)
-                    if cbs_json::cmp_values(&last.key, &row.key) == std::cmp::Ordering::Equal =>
-                {
-                    last.value = merge_reduced(&last.value, &row.value);
-                }
-                _ => merged.push(row),
-            }
-        }
-        rows = merged;
+        let same_key = |a: &ViewRow, b: &ViewRow| cbs_json::cmp_values(&a.key, &b.key).is_eq();
+        let groups = rows.chunk_by(same_key).map(|g| g.iter().cloned().reduce(merge));
+        rows = groups.flatten().collect();
     }
     if q.limit > 0 && rows.len() > q.limit {
         rows.truncate(q.limit);
@@ -968,48 +940,10 @@ fn merge_view_results(partials: Vec<ViewResult>, q: &ViewQuery) -> ViewResult {
 
 /// Combine two reduced values produced by the same reducer.
 fn merge_reduced(a: &Value, b: &Value) -> Value {
-    match (a, b) {
-        (Value::Number(_), Value::Number(_)) => {
-            // _count / _sum: addition.
-            Value::float(a.as_f64().unwrap_or(0.0) + b.as_f64().unwrap_or(0.0)).into_int_if_whole()
-        }
-        (Value::Object(_), Value::Object(_)) => {
-            // _stats objects.
-            let f = |v: &Value, k: &str| v.get_field(k).and_then(Value::as_f64);
-            let sum = f(a, "sum").unwrap_or(0.0) + f(b, "sum").unwrap_or(0.0);
-            let count = f(a, "count").unwrap_or(0.0) + f(b, "count").unwrap_or(0.0);
-            let sumsqr = f(a, "sumsqr").unwrap_or(0.0) + f(b, "sumsqr").unwrap_or(0.0);
-            let min = match (f(a, "min"), f(b, "min")) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, None) => x,
-                (None, y) => y,
-            };
-            let max = match (f(a, "max"), f(b, "max")) {
-                (Some(x), Some(y)) => Some(x.max(y)),
-                (x, None) => x,
-                (None, y) => y,
-            };
-            Value::object([
-                ("sum", Value::float(sum).into_int_if_whole()),
-                ("count", Value::float(count).into_int_if_whole()),
-                ("min", min.map(|m| Value::float(m).into_int_if_whole()).unwrap_or(Value::Null)),
-                ("max", max.map(|m| Value::float(m).into_int_if_whole()).unwrap_or(Value::Null)),
-                ("sumsqr", Value::float(sumsqr).into_int_if_whole()),
-            ])
+    match (Reduction::from_value(a), Reduction::from_value(b)) {
+        (Some(x), Some(y)) if std::mem::discriminant(&x) == std::mem::discriminant(&y) => {
+            x.combine(y).to_value()
         }
         _ => a.clone(),
-    }
-}
-
-trait IntoIntIfWhole {
-    fn into_int_if_whole(self) -> Value;
-}
-
-impl IntoIntIfWhole for Value {
-    fn into_int_if_whole(self) -> Value {
-        match self.as_f64() {
-            Some(f) if f.fract() == 0.0 && f.abs() < 9e15 => Value::int(f as i64),
-            _ => self,
-        }
     }
 }

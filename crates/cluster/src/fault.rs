@@ -21,15 +21,16 @@ pub enum FaultAction {
     /// Deliver normally.
     Deliver,
     /// Drop the message. The pump treats a drop as a connection reset: the
-    /// affected vBucket stream is torn down and rebuilt from the replicas'
-    /// high seqnos, so the item is redelivered later (messages are lost,
+    /// affected vBucket stream is torn down and rebuilt from its sinks'
+    /// resume points, so the item is redelivered later (messages are lost,
     /// the replication protocol recovers — same contract as TCP reconnect
     /// in the real system).
     Drop,
     /// Deliver after sleeping this long (network delay / slow receiver).
     Delay(Duration),
-    /// Deliver the message twice (at-least-once duplication; exercises
-    /// `apply_replica` idempotency).
+    /// Deliver the message twice: the item is in the destination's batch
+    /// twice (at-least-once duplication; exercises the replica sink's
+    /// per-document seqno guard).
     Duplicate,
 }
 

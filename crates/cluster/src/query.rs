@@ -12,6 +12,7 @@ use crate::client::SmartClient;
 use crate::cluster::Cluster;
 use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{Error, Result, SeqNo};
+use cbs_dcp::BackfillSource;
 use cbs_index::{IndexDef, IndexEntry, ScanConsistency, ScanRange};
 use cbs_json::Value;
 use cbs_n1ql::datastore::{index_row, keyspace_row, node_row};
@@ -207,11 +208,10 @@ impl Datastore for ClusterDatastore {
 
     fn build_index(&self, keyspace: &str, name: &str) -> Result<()> {
         let mgr = self.cluster.index_manager()?;
-        // Build against a cluster-wide backfill source that reads each
-        // vBucket from its active node.
-        let source =
-            ClusterBackfill { cluster: Arc::clone(&self.cluster), bucket: keyspace.to_string() };
-        mgr.build(keyspace, name, &source)
+        // The initial-build path of Figure 9: each vBucket read from
+        // whichever node is active for it.
+        let active_copy = |vb, since| self.cluster.active_engine(keyspace, vb)?.backfill(vb, since);
+        mgr.build(keyspace, name, &active_copy)
     }
 
     fn trace_sink(&self) -> &cbs_obs::TraceSink {
@@ -415,23 +415,5 @@ impl Datastore for ClusterDatastore {
             }
             other => self.service_catalog(other),
         }
-    }
-}
-
-/// A [`cbs_dcp::BackfillSource`] that reads every vBucket from whichever
-/// node is currently active for it — the initial-build path of Figure 9.
-struct ClusterBackfill {
-    cluster: Arc<Cluster>,
-    bucket: String,
-}
-
-impl cbs_dcp::BackfillSource for ClusterBackfill {
-    fn backfill(
-        &self,
-        vb: cbs_common::VbId,
-        since: SeqNo,
-    ) -> Result<(Vec<cbs_dcp::DcpItem>, SeqNo)> {
-        let engine = self.cluster.active_engine(&self.bucket, vb)?;
-        engine.backfill(vb, since)
     }
 }

@@ -4,12 +4,12 @@
 //! "This mutation [...] is also pushed into the in-memory replication
 //! queue to be replicated to other nodes within the cluster" (§4.2, Figure
 //! 6). The pump owns one DCP feed, subscribed once per vBucket on the
-//! current active copy, and blocks on it; each drained item fans out to every
-//! replica engine (memory-to-memory) and, a drained batch at a time, to the
-//! index-service managers that maintain an index on the bucket. A map
-//! install (failover, rebalance) wakes the same feed; when the map epoch has
-//! moved, the pump resubscribes, resuming from the lowest of the
-//! destinations' high seqnos and its own index cursor.
+//! current active copy, and blocks on it. Each drain is one batch per sink
+//! (`cbs_dcp::DcpSink`): per replica engine, the items of the vBuckets it
+//! replicates (memory-to-memory), then per index-service manager and search
+//! service, the whole drain. A map install (failover, rebalance) wakes the
+//! same feed; when the map epoch has moved, the pump resubscribes each
+//! vBucket from its sinks' lowest resume point.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cbs_common::{NodeId, SeqNo, VbId};
-use cbs_dcp::{DcpFeed, DcpItem, FeedWaker};
+use cbs_dcp::{DcpFeed, DcpItem, DcpSink, FeedWaker};
 use cbs_fts::FtsService;
 use cbs_index::IndexManager;
 use cbs_kv::DataEngine;
@@ -35,8 +35,8 @@ pub struct PumpTopology {
     pub engines: HashMap<NodeId, Arc<DataEngine>>,
     /// Index managers to feed.
     pub index_managers: Vec<Arc<IndexManager>>,
-    /// Full-text search services to feed (§6.1.3).
-    pub fts_services: Vec<Arc<FtsService>>,
+    /// The full-text search service to feed (§6.1.3).
+    pub fts: Arc<FtsService>,
     /// Fault hooks for replica deliveries (chaos testing; `None` in
     /// production).
     pub injector: Option<Arc<dyn FaultInjector>>,
@@ -92,15 +92,11 @@ fn pump_loop(
     lag: &ReplicationLagTable,
 ) {
     let mut topo = topology_snapshot(inner, bucket);
-    // Per-vb GSI delivery cursor (seqnos survive failover, so resuming by
-    // cursor on the new active is correct).
-    let mut gsi_cursors: Vec<SeqNo> = vec![SeqNo::ZERO; topo.map.num_vbuckets() as usize];
     // Redelivery counts per (vb, seqno, dst) site, consulted by the fault
     // injector so it can drop attempt 0 and let the retry through. Entries
     // are removed once the site is past its fault window.
     let mut attempts: HashMap<(u16, u64, u32), u32> = HashMap::new();
     let mut batch: Vec<DcpItem> = Vec::new();
-    let mut gsi_batch: Vec<DcpItem> = Vec::new();
     let mut subscribe = true;
     // Why the next subscription happens: `None` for the first one, which
     // the flight recorder does not log.
@@ -109,22 +105,23 @@ fn pump_loop(
     // `stop` is read once per cycle, after any reset, so the wake that
     // came with it is either drained below or queued after the read.
     while !stop.load(Ordering::Relaxed) {
-        // Subscribe each vBucket from the lowest seqno a destination still
-        // needs. Replaying below the others' resume points is harmless:
-        // replica applies are seqno-guarded and the GSI side is filtered by
-        // its cursor below.
+        // Subscribe each vBucket from its sinks' lowest resume point (from
+        // its high seqno if none keeps anything of it): below a sink's own
+        // resume point, a re-delivery is a no-op.
         if subscribe {
             let (mut vbs, mut lowest) = (0u32, None::<(SeqNo, VbId)>);
-            for (v, cursor) in gsi_cursors.iter().enumerate() {
-                let vb = VbId(v as u16);
+            let indexes: Vec<_> = topo.index_managers.iter().map(|m| m.sink(bucket)).collect();
+            let search = topo.fts.sink(bucket);
+            for v in 0..topo.map.num_vbuckets() {
+                let vb = VbId(v);
                 let Some(src) = topo.engines.get(&topo.map.active_node(vb)) else { continue };
-                let since = topo
-                    .map
-                    .replica_nodes(vb)
-                    .iter()
-                    .filter_map(|n| topo.engines.get(n))
-                    .map(|dst| dst.high_seqno(vb))
-                    .fold(*cursor, SeqNo::min);
+                let replicas =
+                    topo.map.replica_nodes(vb).iter().filter_map(|n| topo.engines.get(n));
+                let since = (replicas.map(|dst| dst.resume_point(vb)))
+                    .chain(indexes.iter().map(|sink| sink.resume_point(vb)))
+                    .chain([search.resume_point(vb)])
+                    .flatten()
+                    .fold(src.high_seqno(vb), SeqNo::min);
                 let _ = src.subscribe_dcp(&feed, vb, since);
                 vbs += 1;
                 if lowest.is_none_or(|(low, _)| since < low) {
@@ -149,98 +146,85 @@ fn pump_loop(
             lag.observe(&topo);
         }
 
-        // Park until something is published or the feed is woken.
+        // Park until something is published or the feed is woken; then one
+        // run per vBucket, each in seqno order (the sort is stable).
         let woken = feed.drain(None, &mut batch);
         let moved = !batch.is_empty();
+        batch.sort_by_key(|item| item.vb);
         let mut dropped = false;
-        // (vBucket, destination) pairs cut off by a dropped delivery this
-        // cycle. A drop models a connection reset: everything after the
-        // dropped item is lost for that destination too, so its applied set
-        // stays a contiguous seqno prefix and the resubscription (from the
-        // replicas' minimum high seqno) redelivers the hole. Delivering
-        // *past* a drop would advance the replica's high seqno over the gap
-        // and the missing item could never be recovered.
-        let mut cut: Vec<(VbId, NodeId)> = Vec::new();
-        for item in batch.drain(..) {
-            let vb = item.vb;
-            for dst_node in topo.map.replica_nodes(vb) {
-                if cut.contains(&(vb, *dst_node)) {
+        for (dst_node, dst) in &topo.engines {
+            let (mut items, mut upto) = (Vec::new(), Vec::new());
+            for run in batch.chunk_by(|a, b| a.vb == b.vb) {
+                let vb = run[0].vb;
+                if !topo.map.replica_nodes(vb).contains(dst_node) {
                     continue;
                 }
-                let Some(dst) = topo.engines.get(dst_node) else { continue };
-                let action = match &topo.injector {
-                    Some(inj) => {
-                        let site = (vb.0, item.meta.seqno.0, dst_node.0);
-                        let attempt = *attempts.entry(site).or_insert(0);
-                        let a = inj.repl_delivery(vb, item.meta.seqno, *dst_node, attempt);
-                        if a == FaultAction::Drop {
-                            attempts.insert(site, attempt + 1);
-                        } else {
-                            attempts.remove(&site);
+                // A drop models a connection reset: everything after the
+                // dropped item is lost for this destination too, so its
+                // applied set stays a contiguous seqno prefix and the
+                // resubscription redelivers the hole. Delivering *past* a
+                // drop would advance the replica's resume point over the
+                // gap and the missing item could never be recovered.
+                let mut mark = None;
+                for item in run {
+                    let action = match &topo.injector {
+                        Some(inj) => {
+                            let site = (vb.0, item.meta.seqno.0, dst_node.0);
+                            let attempt = *attempts.entry(site).or_insert(0);
+                            let a = inj.repl_delivery(vb, item.meta.seqno, *dst_node, attempt);
+                            if a == FaultAction::Drop {
+                                attempts.insert(site, attempt + 1);
+                            } else {
+                                attempts.remove(&site);
+                            }
+                            a
                         }
-                        a
-                    }
-                    None => FaultAction::Deliver,
-                };
-                // Stitch the originating op's trace across the pump
-                // thread: the deliver span opens a segment under the
-                // carried context and covers injected faults plus the
-                // replica apply, which nests under it.
-                let _deliver = match (item.trace, dst.trace_sink()) {
-                    (Some(ctx), Some(sink)) => {
-                        Some(sink.child_of("cluster.replication.deliver", ctx))
-                    }
-                    _ => None,
-                };
-                match action {
-                    FaultAction::Deliver => {
-                        let _ = dst.apply_replica(&item);
-                    }
-                    FaultAction::Duplicate => {
-                        let _ = dst.apply_replica(&item);
-                        let _ = dst.apply_replica(&item);
-                    }
-                    FaultAction::Delay(d) => {
-                        std::thread::sleep(d);
-                        let _ = dst.apply_replica(&item);
-                    }
-                    FaultAction::Drop => {
-                        dropped = true;
-                        cut.push((vb, *dst_node));
-                    }
+                        None => FaultAction::Deliver,
+                    };
+                    // Stitch the originating op's trace across the pump: the
+                    // deliver span covers injected faults under the carried
+                    // context, and the replica apply is its child.
+                    let deliver = match (item.trace, dst.trace_sink()) {
+                        (Some(ctx), Some(sink)) => {
+                            Some(sink.child_of("cluster.replication.deliver", ctx))
+                        }
+                        _ => None,
+                    };
+                    let copies = match action {
+                        FaultAction::Deliver => 1,
+                        FaultAction::Duplicate => 2,
+                        FaultAction::Delay(d) => {
+                            std::thread::sleep(d);
+                            1
+                        }
+                        FaultAction::Drop => {
+                            dropped = true;
+                            break;
+                        }
+                    };
+                    let trace = deliver.and_then(|span| span.ctx()).or(item.trace);
+                    items.extend(std::iter::repeat_n(DcpItem { trace, ..item.clone() }, copies));
+                    mark = Some(item.meta.seqno);
                 }
+                upto.extend(mark.map(|mark| (vb, mark)));
             }
-            if item.meta.seqno > gsi_cursors[vb.index()] {
-                gsi_batch.push(item);
+            // A replica that refused its batch (a cache full of dirty
+            // versions) keeps its resume point; the resubscription redelivers.
+            if !upto.is_empty() {
+                dropped |= dst.apply(&items, &upto).is_err();
             }
         }
 
-        // What this drain held above the GSI cursors is one batch — one
-        // index-log commit per index, after every replica has been served —
-        // and goes only to managers that maintain an index on this bucket
-        // (the others return at once, uncounted).
-        if !gsi_batch.is_empty() {
-            let mut committed = true;
+        // Then, after every replica, the bucket's indexes and search indexes:
+        // one batch each (one log commit per index), redelivered if refused.
+        if moved {
+            let runs = batch.chunk_by(|a, b| a.vb == b.vb);
+            let upto: Vec<_> = runs.map(|run| (run[0].vb, run[run.len() - 1].meta.seqno)).collect();
             for mgr in &topo.index_managers {
-                committed &= mgr.apply_batch(bucket, &gsi_batch).is_ok();
+                dropped |= mgr.sink(bucket).apply(&batch, &upto).is_err();
             }
-            for item in &gsi_batch {
-                for fts in &topo.fts_services {
-                    fts.apply_dcp(bucket, item);
-                }
-            }
-            if committed {
-                for item in &gsi_batch {
-                    let cursor = &mut gsi_cursors[item.vb.index()];
-                    *cursor = (*cursor).max(item.meta.seqno);
-                }
-            } else {
-                // An index log refused the batch (its manager counted it):
-                // keep the cursors, so the resubscription redelivers —
-                // applies are idempotent.
-                dropped = true;
-            }
-            gsi_batch.clear();
+            dropped |= topo.fts.sink(bucket).apply(&batch, &upto).is_err();
+            batch.clear();
         }
 
         // Sample per-(vBucket, replica) seqno lag against the topology this

@@ -100,12 +100,13 @@ pub mod rank {
     /// View engine's ddoc registry. Held only to look a design doc up or
     /// to add or drop one.
     pub const VIEWS_DDOCS: LockRank = LockRank::new(12, "views.engine.ddocs");
-    /// Per-ddoc vBucket cursors. Held across a whole update pass, which
-    /// reads vBucket states and backfills (cache and storage ranks) and
-    /// takes the views lock to apply each snapshot.
-    pub const VIEWS_DDOC_CURSORS: LockRank = LockRank::new(14, "views.ddoc.cursors");
-    /// Per-ddoc materialized view B-trees. Queries hold it while checking
-    /// vBucket states on the engine (rank `VB_META`).
+    /// Per-ddoc update pass. Held across a whole pass, which reads vBucket
+    /// states and backfills (cache and storage ranks) and takes the views
+    /// lock to read resume points and apply each snapshot.
+    pub const VIEWS_DDOC_PASS: LockRank = LockRank::new(14, "views.ddoc.pass");
+    /// Per-ddoc materialized view B-trees and their per-vBucket resume
+    /// points. Queries hold it while checking vBucket states on the engine
+    /// (rank `VB_META`).
     pub const VIEWS_DDOC_VIEWS: LockRank = LockRank::new(16, "views.ddoc.views");
     /// Per-vBucket metadata (state, GETL locks).
     pub const VB_META: LockRank = LockRank::new(20, "kv.vb.meta");

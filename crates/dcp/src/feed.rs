@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{Deadline, SeqNo, VbId};
+use cbs_common::Deadline;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::item::DcpItem;
@@ -12,16 +12,6 @@ use crate::item::DcpItem;
 /// Events delivered over a feed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DcpEvent {
-    /// Marks the start of a consistent snapshot covering `[start, end]`
-    /// (backfill range at subscription time).
-    SnapshotMarker {
-        /// vBucket.
-        vb: VbId,
-        /// First seqno that may follow.
-        start: SeqNo,
-        /// High seqno at subscription time.
-        end: SeqNo,
-    },
     /// A document change.
     Item(DcpItem),
     /// A control event queued by a [`FeedWaker`]: something the consumer
@@ -61,7 +51,6 @@ impl DcpFeed {
             match ev {
                 DcpEvent::Item(item) => out.push(item),
                 DcpEvent::Wake => woken = true,
-                DcpEvent::SnapshotMarker { .. } => {}
             }
             next = self.rx.try_recv().ok();
         }

@@ -1,5 +1,5 @@
 //! The DCP hub: per-vBucket publish/subscribe with race-free backfill
-//! hand-off.
+//! hand-off; the producer and consumer contracts beside it.
 
 use std::sync::Arc;
 
@@ -24,6 +24,62 @@ pub trait BackfillSource: Send + Sync {
     /// a caller resuming from `high` can be handed one again; one resuming
     /// from the newest *returned* seqno could skip a write.
     fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)>;
+}
+
+/// A closure is a source: one that picks its engine per vBucket, say.
+impl<F> BackfillSource for F
+where
+    F: Fn(VbId, SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> + Send + Sync,
+{
+    fn backfill(&self, vb: VbId, since: SeqNo) -> Result<(Vec<DcpItem>, SeqNo)> {
+        self(vb, since)
+    }
+}
+
+/// A consumer that resumes each vBucket by seqno (§4.3.2). Per vBucket, a
+/// batch holds or supersedes every version between the sink's resume point
+/// and its mark; `apply` moves the resume point to the mark, never to an
+/// item above it (a snapshot may return versions newer than its `high`:
+/// they are applied, and come back next time); re-delivering what is at or
+/// below the resume point changes nothing.
+pub trait DcpSink {
+    /// Apply `items` — of any vBuckets, each vBucket's in seqno order — and
+    /// move each vBucket of `upto` to its mark; every vBucket with items
+    /// has one. On an error a vBucket's resume point is where it was or at
+    /// its mark.
+    fn apply(&self, items: &[DcpItem], upto: &[(VbId, SeqNo)]) -> Result<()>;
+
+    /// Where a stream or snapshot of `vb` resumes; `None` if the sink keeps
+    /// nothing of it. A sink still being built reports zero.
+    fn resume_point(&self, vb: VbId) -> Option<SeqNo>;
+}
+
+/// Catch `sink` up on `vbs`: per vBucket, a snapshot from the sink's resume
+/// point, applied up to its `high`. Snapshots are gathered into one `apply`
+/// until they hold `batch` items (0: one per vBucket). Returns each
+/// snapshot's vBucket, `since`, `high` and number of items.
+pub fn catch_up<S: DcpSink + ?Sized>(
+    source: &(impl BackfillSource + ?Sized),
+    sink: &S,
+    vbs: impl IntoIterator<Item = VbId>,
+    batch: usize,
+) -> Result<Vec<(VbId, SeqNo, SeqNo, usize)>> {
+    let (mut items, mut upto, mut caught) = (Vec::new(), Vec::new(), Vec::new());
+    for vb in vbs {
+        let Some(since) = sink.resume_point(vb) else { continue };
+        let (snapshot, high) = source.backfill(vb, since)?;
+        caught.push((vb, since, high, snapshot.len()));
+        items.extend(snapshot);
+        upto.push((vb, high));
+        if items.len() >= batch {
+            sink.apply(&items, &upto)?;
+            (items, upto) = (Vec::new(), Vec::new());
+        }
+    }
+    if !upto.is_empty() {
+        sink.apply(&items, &upto)?;
+    }
+    Ok(caught)
 }
 
 struct Subscriber {
@@ -86,8 +142,8 @@ impl DcpHub {
     /// Subscribe `feed` to one vBucket resuming after `since`; returns the
     /// newest seqno the snapshot queued, `h` (at least its resume point).
     ///
-    /// The feed is queued a snapshot marker, then the backfilled items in
-    /// `(since, h]`, then receives live items `> h` — no gap, no duplicate:
+    /// The feed is queued the backfilled items in `(since, h]`, then
+    /// receives live items `> h` — no gap, no duplicate:
     /// backfill, registration and queueing happen under the vb lock, so
     /// publishers on *this* vBucket (only) wait until the snapshot is
     /// queued, and what the snapshot returned above its resume point is
@@ -105,7 +161,6 @@ impl DcpHub {
         let (items, high) = source.backfill(vb, since)?;
         let high = items.last().map_or(high, |newest| newest.meta.seqno.max(high));
         chan.subscribers.push(Subscriber { sender: tx.clone(), start_after: high });
-        let _ = tx.send(DcpEvent::SnapshotMarker { vb, start: since.next(), end: high });
         for item in items {
             debug_assert!(item.meta.seqno > since);
             let _ = tx.send(DcpEvent::Item(item));
@@ -185,14 +240,6 @@ mod tests {
         let hub = DcpHub::new(4);
         let feed = DcpFeed::default();
         hub.subscribe(&feed, VbId(1), SeqNo::ZERO, &EmptyBackfill).unwrap();
-        // Snapshot marker for the empty backfill.
-        match feed.rx.try_recv() {
-            Ok(DcpEvent::SnapshotMarker { start, end, .. }) => {
-                assert_eq!(start, SeqNo(1));
-                assert_eq!(end, SeqNo::ZERO);
-            }
-            other => panic!("expected snapshot marker, got {other:?}"),
-        }
         hub.publish(&item(1, "a", 1));
         hub.publish(&item(1, "b", 2));
         hub.publish(&item(2, "other-vb", 1)); // different vb: not delivered
@@ -372,7 +419,7 @@ mod tests {
             hub.subscribe(&feed, VbId(vb), SeqNo::ZERO, &EmptyBackfill).unwrap();
         }
         let mut out = Vec::new();
-        feed.drain(Some(Deadline::after(Duration::ZERO)), &mut out); // the four snapshot markers
+        feed.drain(Some(Deadline::after(Duration::ZERO)), &mut out);
         assert!(out.is_empty());
 
         let started = Instant::now();

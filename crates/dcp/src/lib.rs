@@ -40,12 +40,13 @@
 //!
 //! A consumer that needs "everything up to now" and nothing after — a view
 //! update, a rebalance mover, a replica build, an index build, a
-//! convergence check — holds no feed. It calls
-//! [`BackfillSource::backfill`] from its own cursor and moves the cursor to
-//! the snapshot's `high`: every version at or below `high` is returned or
-//! superseded by a returned version, so the next call from there misses
-//! nothing. Items above `high` may come back too; they come back again
-//! next time, which seqno-guarded applies absorb.
+//! convergence check — holds no feed: it reads [`BackfillSource::backfill`]
+//! from its resume point, and a sink ([`catch_up`]) applies the snapshot up
+//! to its `high`: every version at or below `high` is
+//! returned or superseded by a returned version, so the next call from there
+//! misses nothing. Items above `high` may come back too; they come back
+//! again next time, which seqno-guarded applies absorb. Every in-cluster
+//! consumer — the pump's too — is a [`DcpSink`].
 
 #![deny(unsafe_code)]
 
@@ -54,5 +55,5 @@ pub mod hub;
 pub mod item;
 
 pub use feed::{DcpEvent, DcpFeed, FeedWaker};
-pub use hub::{BackfillSource, DcpHub};
+pub use hub::{catch_up, BackfillSource, DcpHub, DcpSink};
 pub use item::{DcpItem, DcpKind};

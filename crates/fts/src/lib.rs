@@ -27,4 +27,4 @@ pub mod service;
 
 pub use analyzer::tokenize;
 pub use index::{InvertedIndex, SearchHit, SearchQuery};
-pub use service::{FtsIndexDef, FtsService};
+pub use service::{FtsIndexDef, FtsService, FtsSink};

@@ -7,12 +7,13 @@
 //! at-least-this-seqno consistency a `request_plus` N1QL query gets.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock, Watermarks};
-use cbs_common::{Deadline, Error, Result, SeqNo};
-use cbs_dcp::DcpItem;
+use cbs_common::{Deadline, Error, KeyMap, Result, SeqNo, VbId};
+use cbs_dcp::{catch_up, BackfillSource, DcpItem, DcpSink};
 use cbs_json::JsonPath;
 use cbs_obs::{span, Counter, Histogram, Registry};
 
@@ -32,16 +33,25 @@ pub struct FtsIndexDef {
 
 struct FtsInstance {
     def: FtsIndexDef,
-    index: OrderedMutex<InvertedIndex>,
+    /// The text index, and per document the seqno of the version it holds
+    /// (deletions included): an older version never replaces a newer.
+    index: OrderedMutex<(InvertedIndex, KeyMap<SeqNo>)>,
     /// Per vBucket, the seqno up to which the index has seen the source;
     /// what a consistent search waits on.
     marks: Watermarks,
+    /// Set once a build has applied a snapshot of every vBucket.
+    built: AtomicBool,
 }
 
 impl FtsInstance {
-    fn apply(&self, item: &DcpItem) {
-        {
-            let mut ix = self.index.lock();
+    fn apply(&self, items: &[DcpItem], upto: &[(VbId, SeqNo)]) {
+        let mut guard = self.index.lock();
+        let (ix, versions) = &mut *guard;
+        for item in items {
+            if versions.get(&item.key).is_some_and(|held| *held >= item.meta.seqno) {
+                continue;
+            }
+            versions.insert(item.key.clone(), item.meta.seqno);
             if item.is_deletion() {
                 ix.remove_doc(&item.key);
             } else if let Some(doc) = &item.value {
@@ -60,7 +70,7 @@ impl FtsInstance {
                 }
             }
         }
-        self.marks.advance(item.vb, item.meta.seqno);
+        self.marks.advance_all(upto.iter().copied());
     }
 }
 
@@ -104,8 +114,9 @@ impl FtsService {
             key,
             Arc::new(FtsInstance {
                 def,
-                index: OrderedMutex::new(rank::FTS_INDEX, InvertedIndex::new()),
+                index: OrderedMutex::new(rank::FTS_INDEX, Default::default()),
                 marks: Watermarks::new("FTS index", self.num_vbuckets),
+                built: AtomicBool::new(false),
             }),
         );
         Ok(())
@@ -122,13 +133,8 @@ impl FtsService {
 
     /// Index names for a keyspace.
     pub fn list(&self, keyspace: &str) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .indexes
-            .read()
-            .keys()
-            .filter(|(ks, _)| ks == keyspace)
-            .map(|(_, n)| n.clone())
-            .collect();
+        let mut v: Vec<String> =
+            self.sink(keyspace).instances.iter().map(|i| i.def.name.clone()).collect();
         v.sort();
         v
     }
@@ -141,19 +147,21 @@ impl FtsService {
             .ok_or_else(|| Error::Index(format!("no such fts index: {name}")))
     }
 
-    /// Apply one DCP item to every index of its keyspace.
-    pub fn apply_dcp(&self, keyspace: &str, item: &DcpItem) {
-        self.items_applied.inc();
-        let instances: Vec<Arc<FtsInstance>> = self
-            .indexes
-            .read()
-            .iter()
-            .filter(|((ks, _), _)| ks == keyspace)
-            .map(|(_, inst)| Arc::clone(inst))
-            .collect();
-        for inst in instances {
-            inst.apply(item);
-        }
+    /// The search indexes of `keyspace`, as one sink.
+    pub fn sink(&self, keyspace: &str) -> FtsSink<'_> {
+        let indexes = self.indexes.read();
+        let of_keyspace = indexes.iter().filter(|((ks, _), _)| ks == keyspace);
+        FtsSink { svc: self, instances: of_keyspace.map(|(_, inst)| Arc::clone(inst)).collect() }
+    }
+
+    /// Build a search index over what `source` already holds, beside the
+    /// live feed: [`catch_up`] of the index alone.
+    pub fn build(&self, keyspace: &str, name: &str, source: &dyn BackfillSource) -> Result<()> {
+        let inst = self.instance(keyspace, name)?;
+        let sink = FtsSink { svc: self, instances: vec![Arc::clone(&inst)] };
+        catch_up(source, &sink, (0..self.num_vbuckets).map(VbId), 0)?;
+        inst.built.store(true, Ordering::SeqCst);
+        Ok(())
     }
 
     /// Search. `min_seqnos` (if given) demands the index has processed at
@@ -175,7 +183,7 @@ impl FtsService {
         if let Some(target) = min_seqnos {
             inst.marks.wait_all(target, Deadline::after(timeout))?;
         }
-        let hits = inst.index.lock().search(query, limit);
+        let hits = inst.index.lock().0.search(query, limit);
         self.search_latency.record(start.elapsed());
         Ok(hits)
     }
@@ -183,8 +191,29 @@ impl FtsService {
     /// (docs, terms) sizes of one index.
     pub fn index_stats(&self, keyspace: &str, name: &str) -> Result<(usize, usize)> {
         let inst = self.instance(keyspace, name)?;
-        let ix = inst.index.lock();
+        let ix = &inst.index.lock().0;
         Ok((ix.doc_count(), ix.term_count()))
+    }
+}
+
+/// Search indexes of one keyspace as a DCP sink: one lock pass per batch.
+pub struct FtsSink<'a> {
+    svc: &'a FtsService,
+    instances: Vec<Arc<FtsInstance>>,
+}
+
+impl DcpSink for FtsSink<'_> {
+    fn apply(&self, items: &[DcpItem], upto: &[(VbId, SeqNo)]) -> Result<()> {
+        if !self.instances.is_empty() {
+            self.svc.items_applied.add(items.len() as u64);
+        }
+        self.instances.iter().for_each(|inst| inst.apply(items, upto));
+        Ok(())
+    }
+
+    fn resume_point(&self, vb: VbId) -> Option<SeqNo> {
+        let at = |i: &Arc<FtsInstance>| i.built.load(Ordering::SeqCst).then(|| i.marks.get(vb));
+        self.instances.iter().map(|i| at(i).unwrap_or(SeqNo::ZERO)).min()
     }
 }
 
@@ -194,6 +223,23 @@ mod tests {
     use cbs_common::{Cas, DocMeta, VbId};
     use cbs_json::Value;
     use cbs_kv::{DataEngine, EngineConfig, MutateMode};
+
+    /// Each vBucket's newest seqno in `items`: the marks of a stream batch.
+    fn stream_marks(items: &[DcpItem]) -> Vec<(VbId, SeqNo)> {
+        let mut upto: Vec<(VbId, SeqNo)> = Vec::new();
+        for item in items {
+            match upto.iter_mut().find(|(vb, _)| *vb == item.vb) {
+                Some((_, mark)) => *mark = (*mark).max(item.meta.seqno),
+                None => upto.push((item.vb, item.meta.seqno)),
+            }
+        }
+        upto
+    }
+
+    /// One item into every index of `b`, up to its own seqno.
+    fn apply(svc: &FtsService, item: &DcpItem) {
+        svc.sink("b").apply(std::slice::from_ref(item), &[(item.vb, item.meta.seqno)]).unwrap();
+    }
 
     fn item(vb: u16, key: &str, seq: u64, json: &str) -> DcpItem {
         DcpItem::mutation(
@@ -220,7 +266,7 @@ mod tests {
                 fields: None
             })
             .is_err());
-        svc.apply_dcp("b", &item(0, "d1", 1, r#"{"title":"hello search world"}"#));
+        apply(&svc, &item(0, "d1", 1, r#"{"title":"hello search world"}"#));
         let hits = svc
             .search(
                 "b",
@@ -246,7 +292,7 @@ mod tests {
             fields: Some(vec!["title".parse().unwrap()]),
         })
         .unwrap();
-        svc.apply_dcp("b", &item(0, "d1", 1, r#"{"title":"indexed words","body":"hidden text"}"#));
+        apply(&svc, &item(0, "d1", 1, r#"{"title":"indexed words","body":"hidden text"}"#));
         let q = |s: &str| SearchQuery::Term(s.to_string());
         assert_eq!(
             svc.search("b", "titles", &q("indexed"), 0, None, Duration::from_secs(1))
@@ -269,10 +315,10 @@ mod tests {
             fields: None,
         })
         .unwrap();
-        svc.apply_dcp("b", &item(1, "gone", 1, r#"{"t":"ephemeral"}"#));
+        apply(&svc, &item(1, "gone", 1, r#"{"t":"ephemeral"}"#));
         let del =
             DcpItem::deletion(VbId(1), "gone", DocMeta { seqno: SeqNo(2), ..Default::default() });
-        svc.apply_dcp("b", &del);
+        apply(&svc, &del);
         assert!(svc
             .search(
                 "b",
@@ -295,7 +341,7 @@ mod tests {
             fields: None,
         })
         .unwrap();
-        svc.apply_dcp("b", &item(2, "d", 5, r#"{"t":"x"}"#));
+        apply(&svc, &item(2, "d", 5, r#"{"t":"x"}"#));
         // Satisfied vector: instant.
         let mut target = vec![SeqNo::ZERO; 4];
         target[2] = SeqNo(5);
@@ -354,9 +400,8 @@ mod tests {
         let feed = std::thread::spawn(move || {
             let mut items = Vec::new();
             while !feed.drain(None, &mut items) {
-                for item in items.drain(..) {
-                    feed_svc.apply_dcp("b", &item);
-                }
+                feed_svc.sink("b").apply(&items, &stream_marks(&items)).unwrap();
+                items.clear();
             }
         });
         // Live write after feed start.

@@ -122,14 +122,6 @@ pub enum IndexOp {
 const LOG_FLAG_ADVANCE: u32 = 1;
 
 impl IndexOp {
-    /// Roughly what the op holds in memory (and will add to the change
-    /// log): the unit of the index build's commit threshold.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        let IndexOp::Put { doc_id, keys, .. } = self else { return 48 };
-        let components = keys.iter().flat_map(|k| k.0.iter().flatten());
-        48 + doc_id.len() + components.map(Value::approx_size).sum::<usize>()
-    }
-
     fn position(&self) -> (VbId, SeqNo) {
         match self {
             IndexOp::Put { vb, seqno, .. } | IndexOp::Advance { vb, seqno } => (*vb, *seqno),
@@ -212,7 +204,7 @@ impl Tree {
     /// A stale or filtered-out mutation changes nothing here, and still
     /// counts for consistency: the caller advances the watermark to
     /// [`IndexOp::position`] either way.
-    fn apply(&mut self, op: IndexOp) {
+    fn apply_op(&mut self, op: IndexOp) {
         if let IndexOp::Put { doc_id, keys, seqno, .. } = op {
             let stale = matches!(self.docs.get(&doc_id), Some((s, _)) if *s >= seqno);
             if !stale {
@@ -317,7 +309,7 @@ impl Indexer {
         }
         let indexer = Indexer::with_log(num_vbuckets, Some(store));
         let ops = indexer.durable_changes(ops)?;
-        indexer.apply(&mut indexer.tree.lock(), ops);
+        indexer.apply_ops(&mut indexer.tree.lock(), ops);
         Ok(indexer)
     }
 
@@ -344,7 +336,7 @@ impl Indexer {
     /// failed commit nothing is applied and no watermark moves.
     pub fn apply_batch(&self, ops: Vec<IndexOp>) -> Result<()> {
         let Some(log) = &self.log else {
-            self.apply(&mut self.tree.lock(), ops);
+            self.apply_ops(&mut self.tree.lock(), ops);
             return Ok(());
         };
         let store = log.lock();
@@ -364,7 +356,7 @@ impl Indexer {
         }
         let mut t = self.tree.lock();
         t.stats.disk_syncs += u64::from(!ops.is_empty());
-        self.apply(&mut t, ops);
+        self.apply_ops(&mut t, ops);
         drop(t);
         // lint:allow(guard-blocking): as the KV shard's flush lock does, the
         // writer lock keeps commits out of a compaction swap, which would
@@ -409,10 +401,10 @@ impl Indexer {
     /// Ops into the tree, each watermark moving right behind its op — never
     /// ahead of it, so a scan that follows a satisfied wait sees the entries
     /// — and one wake-up after the last.
-    fn apply(&self, t: &mut Tree, ops: Vec<IndexOp>) {
+    fn apply_ops(&self, t: &mut Tree, ops: Vec<IndexOp>) {
         self.marks.advance_all(ops.into_iter().map(|op| {
             let reached = op.position();
-            t.apply(op);
+            t.apply_op(op);
             reached
         }));
     }
@@ -474,6 +466,11 @@ impl Indexer {
     /// Current watermark vector.
     pub fn watermarks(&self) -> Vec<SeqNo> {
         self.marks.snapshot()
+    }
+
+    /// The seqno up to which the partition has seen `vb`.
+    pub fn watermark(&self, vb: VbId) -> SeqNo {
+        self.marks.get(vb)
     }
 
     /// Statistics snapshot.

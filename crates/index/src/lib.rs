@@ -42,4 +42,4 @@ pub use defs::{
 };
 pub use indexer::{IndexCardinality, IndexEntry, IndexOp, Indexer, IndexerStats};
 pub use projector::{Projector, Router};
-pub use service::{IndexManager, IndexState};
+pub use service::{IndexManager, IndexSink, IndexState};

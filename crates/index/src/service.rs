@@ -4,24 +4,27 @@
 //! responsible for receiving requests for indexing operations (e.g.,
 //! creation, deletion, maintenance, scan, lookup)" (§4.3.4).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::slice;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
 use cbs_common::{Deadline, DocKey, Error, Result, SeqNo, VbId};
-use cbs_dcp::{BackfillSource, DcpItem};
+use cbs_dcp::{catch_up, BackfillSource, DcpItem, DcpSink};
+use cbs_json::Value;
 use cbs_obs::{span, Counter, Registry};
 
 use crate::defs::{IndexDef, IndexKey, ScanConsistency, ScanRange};
 use crate::indexer::{IndexCardinality, IndexEntry, IndexOp, Indexer, IndexerStats};
 use crate::projector::{Projector, Router};
 
-/// An index build commits whenever the projected operations it is holding
-/// reach this many bytes (and once more before the index goes `Online`),
-/// so its memory is bounded by this and not by the size of the index.
-const BUILD_COMMIT_BYTES: usize = 256 << 10;
+/// An index build commits whenever the snapshots it is holding reach this
+/// many items (and once more before the index goes `Online`), so its memory
+/// is bounded by this and not by the size of the index.
+const BUILD_BATCH_ITEMS: usize = 4096;
 
 /// Lifecycle state of an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,27 +135,35 @@ impl IndexManager {
 
     /// List definitions for a keyspace (the Query Catalog's view, §4.3.5).
     pub fn list(&self, keyspace: &str) -> Vec<IndexDef> {
-        self.indexes
-            .read()
-            .iter()
-            .filter(|((ks, _), _)| ks == keyspace)
-            .map(|(_, inst)| inst.router.def().clone())
-            .collect()
+        self.instances(keyspace, |_| true).iter().map(|i| i.router.def().clone()).collect()
     }
 
     /// List only scannable (Online) definitions — what the planner may use.
     pub fn list_online(&self, keyspace: &str) -> Vec<IndexDef> {
-        self.indexes
-            .read()
-            .iter()
-            .filter(|((ks, _), inst)| ks == keyspace && *inst.state.lock() == IndexState::Online)
-            .map(|(_, inst)| inst.router.def().clone())
-            .collect()
+        let online = self.instances(keyspace, |state| state == IndexState::Online);
+        online.iter().map(|i| i.router.def().clone()).collect()
+    }
+
+    /// The indexes of `keyspace` in a state `keep` accepts.
+    fn instances(
+        &self,
+        keyspace: &str,
+        keep: impl Fn(IndexState) -> bool,
+    ) -> Vec<Arc<IndexInstance>> {
+        let indexes = self.indexes.read();
+        let kept = indexes.iter().filter(|((ks, _), i)| ks == keyspace && keep(*i.state.lock()));
+        kept.map(|(_, inst)| Arc::clone(inst)).collect()
     }
 
     /// Current state of an index.
     pub fn state(&self, keyspace: &str, name: &str) -> Result<IndexState> {
         Ok(*self.instance(keyspace, name)?.state.lock())
+    }
+
+    fn online(&self, keyspace: &str, name: &str) -> Result<Arc<IndexInstance>> {
+        let inst = self.instance(keyspace, name)?;
+        let online = *inst.state.lock() == IndexState::Online;
+        online.then_some(inst).ok_or_else(|| Error::Index(format!("index {name} is not online")))
     }
 
     fn instance(&self, keyspace: &str, name: &str) -> Result<Arc<IndexInstance>> {
@@ -165,13 +176,10 @@ impl IndexManager {
 
     /// Catch-up build from a backfill source (BUILD INDEX for deferred
     /// indexes; also the initial build when an index is created over
-    /// existing data). Safe to run while the live feed is applying newer
-    /// mutations — per-document seqno guards make replay idempotent.
-    ///
-    /// Each vBucket's snapshot joins the pending batch, which is committed
-    /// every [`BUILD_COMMIT_BYTES`] and once at the end; the index goes
-    /// `Online` only after that last commit, and stays `Building` if any
-    /// commit fails.
+    /// existing data): [`catch_up`] of the index alone, from zero — a
+    /// `Building` index vouches for no prefix — beside the live feed, in
+    /// batches of [`BUILD_BATCH_ITEMS`] spanning vBuckets. The index goes
+    /// `Online` after the last, and stays `Building` if a commit fails.
     pub fn build(&self, keyspace: &str, name: &str, source: &dyn BackfillSource) -> Result<()> {
         let _s = span("index.manager.build");
         self.builds.inc();
@@ -183,22 +191,8 @@ impl IndexManager {
             }
             *st = IndexState::Building;
         }
-        let mut ops = Vec::new();
-        let mut pending_bytes = 0;
-        for vb in 0..self.num_vbuckets {
-            let (items, high) = source.backfill(VbId(vb), SeqNo::ZERO)?;
-            for item in &items {
-                let op = Projector::project(inst.router.def(), item);
-                pending_bytes += op.approx_bytes();
-                ops.push(op);
-            }
-            ops.push(IndexOp::Advance { vb: VbId(vb), seqno: high });
-            if pending_bytes >= BUILD_COMMIT_BYTES {
-                self.route(&inst, std::mem::take(&mut ops))?;
-                pending_bytes = 0;
-            }
-        }
-        self.route(&inst, ops)?;
+        let sink = IndexSink { mgr: self, instances: vec![Arc::clone(&inst)] };
+        catch_up(source, &sink, (0..self.num_vbuckets).map(VbId), BUILD_BATCH_ITEMS)?;
         *inst.state.lock() = IndexState::Online;
         Ok(())
     }
@@ -210,48 +204,24 @@ impl IndexManager {
     /// Convenience: CREATE INDEX + immediate build (the common
     /// non-deferred path).
     pub fn create_and_build(&self, def: IndexDef, source: &dyn BackfillSource) -> Result<()> {
-        let (ks, name) = (def.keyspace.clone(), def.name.clone());
-        let deferred = def.deferred;
+        let (ks, name, deferred) = (def.keyspace.clone(), def.name.clone(), def.deferred);
         self.create_index(def)?;
-        if !deferred {
-            self.build(&ks, &name, source)?;
-        }
-        Ok(())
-    }
-
-    /// Apply one DCP item: [`IndexManager::apply_batch`] with a batch of
-    /// one. A failed commit is counted (`index.log.commit_errors`) and
-    /// leaves the watermark where it was.
-    pub fn apply_dcp(&self, keyspace: &str, item: &DcpItem) {
-        // The error is already counted; a caller that must react to it
-        // (the pump redelivers) calls `apply_batch`.
-        let _counted = self.apply_batch(keyspace, std::slice::from_ref(item));
-    }
-
-    /// Apply a batch of DCP items, in order, to every non-deferred index
-    /// of `keyspace` hosted here (projector → router, Figure 9): one log
-    /// commit per index partition for the whole batch. A manager hosting
-    /// no such index does nothing and counts nothing. Every index is
-    /// attempted; the first commit error is returned.
-    pub fn apply_batch(&self, keyspace: &str, items: &[DcpItem]) -> Result<()> {
-        let instances: Vec<Arc<IndexInstance>> = self
-            .indexes
-            .read()
-            .iter()
-            .filter(|((ks, _), inst)| ks == keyspace && *inst.state.lock() != IndexState::Deferred)
-            .map(|(_, inst)| Arc::clone(inst))
-            .collect();
-        if instances.is_empty() || items.is_empty() {
+        if deferred {
             return Ok(());
         }
-        self.items_applied.add(items.len() as u64);
-        let mut result = Ok(());
-        for inst in instances {
-            let def = inst.router.def();
-            let ops = items.iter().map(|item| Projector::project(def, item)).collect();
-            result = result.and(self.route(&inst, ops));
-        }
-        result
+        self.build(&ks, &name, source)
+    }
+
+    /// Apply one DCP item up to its own seqno. A failed commit is counted
+    /// (`index.log.commit_errors`) and leaves the watermark where it was.
+    pub fn apply_dcp(&self, keyspace: &str, item: &DcpItem) {
+        let _counted =
+            self.sink(keyspace).apply(slice::from_ref(item), &[(item.vb, item.meta.seqno)]);
+    }
+
+    /// The non-deferred indexes of `keyspace` hosted here, as one sink.
+    pub fn sink(&self, keyspace: &str) -> IndexSink<'_> {
+        IndexSink { mgr: self, instances: self.instances(keyspace, |s| s != IndexState::Deferred) }
     }
 
     /// Scan an index: wait for the requested consistency on every
@@ -270,10 +240,7 @@ impl IndexManager {
     ) -> Result<Vec<IndexEntry>> {
         let _s = span("index.manager.scan");
         self.scans.inc();
-        let inst = self.instance(keyspace, name)?;
-        if *inst.state.lock() != IndexState::Online {
-            return Err(Error::Index(format!("index {name} is not online")));
-        }
+        let inst = self.online(keyspace, name)?;
         let partitions = inst.router.partitions();
         // One deadline over all partitions; `not_bounded` reads no clock.
         if let ScanConsistency::AtPlus(_) = consistency {
@@ -302,10 +269,7 @@ impl IndexManager {
     ) -> Result<Vec<DocKey>> {
         let _s = span("index.manager.lookup");
         self.lookups.inc();
-        let inst = self.instance(keyspace, name)?;
-        if *inst.state.lock() != IndexState::Online {
-            return Err(Error::Index(format!("index {name} is not online")));
-        }
+        let inst = self.online(keyspace, name)?;
         let p = inst.router.def().partition_for(key.leading());
         let partition = &inst.router.partitions()[p];
         partition.wait_consistent(consistency, Deadline::after(timeout))?;
@@ -327,26 +291,8 @@ impl IndexManager {
             let c = p.cardinality();
             total.entries += c.entries;
             total.distinct_keys += c.distinct_keys;
-            total.min_leading = match (total.min_leading.take(), c.min_leading) {
-                (Some(a), Some(b)) => {
-                    Some(if cbs_json::cmp_values(&b, &a) == std::cmp::Ordering::Less {
-                        b
-                    } else {
-                        a
-                    })
-                }
-                (a, b) => a.or(b),
-            };
-            total.max_leading = match (total.max_leading.take(), c.max_leading) {
-                (Some(a), Some(b)) => {
-                    Some(if cbs_json::cmp_values(&b, &a) == std::cmp::Ordering::Greater {
-                        b
-                    } else {
-                        a
-                    })
-                }
-                (a, b) => a.or(b),
-            };
+            total.min_leading = extreme(total.min_leading.take(), c.min_leading, Ordering::Less);
+            total.max_leading = extreme(total.max_leading.take(), c.max_leading, Ordering::Greater);
         }
         Ok(total)
     }
@@ -367,6 +313,65 @@ impl IndexManager {
     }
 }
 
+/// Indexes of one keyspace as a DCP sink (projector → router, Figure 9):
+/// one log commit per index partition per batch.
+pub struct IndexSink<'a> {
+    mgr: &'a IndexManager,
+    instances: Vec<Arc<IndexInstance>>,
+}
+
+impl DcpSink for IndexSink<'_> {
+    /// What is at or below the resume point is a re-delivery: neither
+    /// projected nor counted. A version above its vBucket's mark is indexed
+    /// *as of* the mark: it guards the document, and no watermark passes
+    /// the mark before the writes below it are delivered. Every index is
+    /// attempted; the first commit error is returned.
+    fn apply(&self, items: &[DcpItem], upto: &[(VbId, SeqNo)]) -> Result<()> {
+        if self.instances.is_empty() {
+            return Ok(());
+        }
+        let bounds: Vec<_> =
+            upto.iter().map(|&(vb, mark)| (vb, self.resume_point(vb), mark)).collect();
+        let items: Vec<(&DcpItem, SeqNo)> = (items.iter())
+            .filter_map(|item| {
+                let &(_, at, mark) = bounds.iter().find(|(vb, ..)| *vb == item.vb)?;
+                (Some(item.meta.seqno) > at).then_some((item, mark))
+            })
+            .collect();
+        self.mgr.items_applied.add(items.len() as u64);
+        let advances = upto.iter().map(|&(vb, seqno)| IndexOp::Advance { vb, seqno });
+        let mut result = Ok(());
+        for inst in &self.instances {
+            let puts = items.iter().map(|&(item, mark)| {
+                match Projector::project(inst.router.def(), item) {
+                    IndexOp::Put { doc_id, keys, vb, seqno } => {
+                        IndexOp::Put { doc_id, keys, vb, seqno: seqno.min(mark) }
+                    }
+                    advance => advance,
+                }
+            });
+            result = result.and(self.mgr.route(inst, puts.chain(advances.clone()).collect()));
+        }
+        result
+    }
+
+    fn resume_point(&self, vb: VbId) -> Option<SeqNo> {
+        let resume = |inst: &Arc<IndexInstance>| match *inst.state.lock() {
+            IndexState::Online => inst.router.partitions().iter().map(|p| p.watermark(vb)).min(),
+            _ => Some(SeqNo::ZERO),
+        };
+        self.instances.iter().filter_map(resume).min()
+    }
+}
+
+/// Of two optional key bounds, `b` if it compares `wins` to `a`, else `a`.
+fn extreme(a: Option<Value>, b: Option<Value>, wins: Ordering) -> Option<Value> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(if cbs_json::cmp_values(&b, &a) == wins { b } else { a }),
+        (a, b) => a.or(b),
+    }
+}
+
 fn merge_sorted(mut partials: Vec<Vec<IndexEntry>>) -> Vec<IndexEntry> {
     match partials.len() {
         0 | 1 => partials.pop().unwrap_or_default(),
@@ -384,7 +389,6 @@ mod tests {
     use crate::defs::IndexStorage;
     use cbs_common::Cas;
     use cbs_dcp::DcpFeed;
-    use cbs_json::Value;
     use cbs_kv::{DataEngine, EngineConfig, MutateMode};
 
     fn manager(n: u16) -> IndexManager {
@@ -481,6 +485,18 @@ mod tests {
         );
     }
 
+    /// Each vBucket's newest seqno in `items`: the marks of a stream batch.
+    fn stream_marks(items: &[DcpItem]) -> Vec<(VbId, SeqNo)> {
+        let mut upto: Vec<(VbId, SeqNo)> = Vec::new();
+        for item in items {
+            match upto.iter_mut().find(|(vb, _)| *vb == item.vb) {
+                Some((_, mark)) => *mark = (*mark).max(item.meta.seqno),
+                None => upto.push((item.vb, item.meta.seqno)),
+            }
+        }
+        upto
+    }
+
     /// A feed over every vBucket of `e`, from its current high seqnos.
     fn live_feed(e: &DataEngine) -> DcpFeed {
         let feed = DcpFeed::default();
@@ -491,11 +507,11 @@ mod tests {
     }
 
     /// The pump's GSI leg in miniature: whatever the feed holds goes to the
-    /// manager as one batch. Returns the batch's size.
+    /// manager's sink as one batch. Returns the batch's size.
     fn pump(m: &IndexManager, feed: &DcpFeed) -> usize {
         let mut items = Vec::new();
         feed.drain(Some(Deadline::after(Duration::ZERO)), &mut items);
-        m.apply_batch("b", &items).unwrap();
+        m.sink("b").apply(&items, &stream_marks(&items)).unwrap();
         items.len()
     }
 
@@ -573,8 +589,65 @@ mod tests {
         assert_eq!(rows.len(), written as usize);
     }
 
+    /// A build's snapshot may return a version above its resume point — a
+    /// value-evicted key rewritten and persisted between the engine's cache
+    /// copy and its log read — while a write to another key made in that
+    /// window is not delivered yet. The source below is the engine's
+    /// backfill with that window forced open, as `BETWEEN_COPY_AND_LOG_READ`
+    /// does in `cbs-kv`: after the copy, a writer writes `c` and rewrites
+    /// `a`, a drain cycle persists both, and the read returns `a` as
+    /// persisted. That version must guard `a` without moving the watermark
+    /// past `c`: a `request_plus` scan sees every write at or below its
+    /// target.
     #[test]
-    fn build_commits_by_bytes_not_by_item() {
+    fn a_build_racing_a_writer_moves_no_watermark_past_its_snapshot() {
+        let e = engine();
+        let upsert =
+            |key: &str, age| e.set(key, profile(key, age), MutateMode::Upsert, Cas::WILDCARD, 0);
+        upsert("a", 1).unwrap();
+        let vb = e.vb_for_key("a");
+        let c = (0..).map(|i| format!("c{i}")).find(|k| e.vb_for_key(k) == vb).unwrap();
+        let feed = live_feed(&e);
+        let before = e.seqno_vector();
+        let raced = std::sync::atomic::AtomicBool::new(false);
+        let racing = |v: VbId, since: SeqNo| -> Result<(Vec<DcpItem>, SeqNo)> {
+            let (mut items, high) = e.backfill(v, since)?;
+            if v == vb && !raced.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                upsert(&c, 2)?;
+                upsert("a", 3)?;
+                e.flush_once()?;
+                let (persisted, _) = e.backfill(v, high)?;
+                for item in &mut items {
+                    if let Some(newer) = persisted.iter().find(|p| p.key == item.key) {
+                        *item = newer.clone();
+                    }
+                }
+            }
+            Ok((items, high))
+        };
+        let m = manager(16);
+        m.create_and_build(IndexDef::simple("age", "b", "age"), &racing).unwrap();
+        let scan = |target, timeout| {
+            let rows =
+                m.scan("b", "age", &ScanRange::all(), &ScanConsistency::AtPlus(target), timeout, 0);
+            let age = |r: &IndexEntry| r.key.0[0].as_ref().and_then(Value::as_i64);
+            rows.map(|rows| rows.iter().map(|r| (r.doc_id.to_string(), age(r))).collect::<Vec<_>>())
+        };
+        // At the snapshot's resume point: `a`, at the version that came back.
+        assert_eq!(scan(before, Duration::ZERO).unwrap(), [("a".to_string(), Some(3))]);
+        // At the writer's: not answered without `c`.
+        let target = e.seqno_vector();
+        if let Ok(rows) = scan(target.clone(), Duration::ZERO) {
+            assert!(rows.iter().any(|(id, _)| *id == c), "answered without {c}: {rows:?}");
+        }
+        // The drain cycle delivers both writes.
+        assert_eq!(pump(&m, &feed), 2);
+        let both = [(c.clone(), Some(2)), ("a".to_string(), Some(3))];
+        assert_eq!(scan(target, Duration::from_secs(5)).unwrap(), both);
+    }
+
+    #[test]
+    fn build_commits_in_batches_not_per_item() {
         let e = engine();
         for i in 0..5000 {
             e.set(&format!("u{i:05}"), profile("x", i), MutateMode::Upsert, Cas::WILDCARD, 0)
@@ -613,7 +686,8 @@ mod tests {
         let e = engine();
         let m = manager(16);
         let applied = || m.registry().snapshot().counter("index.manager.items_applied");
-        let item = DcpItem::mutation(VbId(0), "k", Default::default(), profile("a", 1));
+        let meta = cbs_common::DocMeta { seqno: SeqNo(1), ..Default::default() };
+        let item = DcpItem::mutation(VbId(0), "k", meta, profile("a", 1));
         m.apply_dcp("b", &item);
         let deferred = IndexDef { deferred: true, ..IndexDef::simple("later", "b", "age") };
         m.create_and_build(deferred, e.as_ref()).unwrap();
@@ -622,7 +696,7 @@ mod tests {
         assert_eq!(applied(), 0);
         m.create_and_build(IndexDef::simple("age", "b", "age"), e.as_ref()).unwrap();
         m.create_and_build(IndexDef::simple("name", "b", "name"), e.as_ref()).unwrap();
-        m.apply_batch("b", &[item.clone(), item]).unwrap();
+        m.sink("b").apply(&[item.clone(), item], &[(VbId(0), SeqNo(1))]).unwrap();
         assert_eq!(applied(), 2, "per item, not per index");
     }
 
@@ -659,7 +733,7 @@ mod tests {
             cbs_common::DocMeta { seqno: SeqNo(9), ..Default::default() },
             profile("a", 1),
         );
-        assert!(m.apply_batch("b", std::slice::from_ref(&item)).is_err());
+        assert!(m.sink("b").apply(slice::from_ref(&item), &[(VbId(0), SeqNo(9))]).is_err());
         m.apply_dcp("b", &item);
         assert_eq!(errors(), 3);
         assert_eq!(m.index_stats("b", "age").unwrap().entries, 0);

@@ -11,7 +11,7 @@ use cbs_common::{
     vbucket_for_key, Cas, CasClock, Deadline, DocKey, DocMeta, Error, KeyHash, KeyMap, Result,
     RevNo, SeqNo, VbId,
 };
-use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind};
+use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind, DcpSink};
 use cbs_json::{SharedValue, Value};
 use cbs_obs::{span, Gauge, Registry, SpanGuard, TraceContext};
 use cbs_storage::{check_key_len, BucketStore, Cycle, StoredDoc, CYCLE_SLICE};
@@ -586,14 +586,8 @@ impl DataEngine {
         if let Ok(newly) = self.cache.delete(vb, key, new_meta, true) {
             self.high.next(vb);
             self.queue_dirty(&mut meta, vb, key, newly, None);
-            self.hub.publish(&DcpItem {
-                vb,
-                key: DocKey::from(key),
-                meta: new_meta,
-                kind: DcpKind::Expiration,
-                value: None,
-                trace: None,
-            });
+            let deletion = DcpItem::deletion(vb, key, new_meta);
+            self.hub.publish(&DcpItem { kind: DcpKind::Expiration, ..deletion });
             self.stats.expirations.inc();
         }
     }
@@ -602,50 +596,29 @@ impl DataEngine {
     // Replication / XDCR apply paths
     // ------------------------------------------------------------------
 
-    /// Apply a replicated mutation to a `Replica`/`Pending` vBucket,
-    /// preserving the active copy's metadata (seqno, CAS, rev).
-    pub fn apply_replica(&self, item: &DcpItem) -> Result<()> {
-        // Stitch onto the originating client op's trace. Inside the pump's
-        // `cluster.replication.deliver` span the apply nests under the hop
-        // that carried it; a caller that opened none gets a segment under
-        // the context shipped on the DCP item. Unsampled items cost one
-        // TLS read.
+    /// One replicated version with the active copy's metadata, under its
+    /// vBucket's lock; per-document seqnos decide which version is newest.
+    fn replicate_one(&self, meta: &mut VbMeta, item: &DcpItem) -> Result<()> {
+        // Stitch onto the originating client op's trace: a segment under
+        // the context the item carries (the pump's deliver span).
         let trace = match (item.trace, &self.cfg.trace) {
             (Some(ctx), Some(sink)) => sink.child_of("kv.engine.replica_apply", ctx),
             _ => span("kv.engine.replica_apply"),
         };
-        let ctx = trace.ctx();
         check_key_len(&item.key)?;
-        let vb = item.vb;
-        let mut meta = self.vbs[vb.index()].lock();
-        if !matches!(meta.state, VbState::Replica | VbState::Pending) {
-            return Err(Error::VbucketNotActive(vb));
-        }
-        // Idempotency / reorder guard: a rebalance mover and the steady
-        // replication stream may both deliver this vBucket; per-document
-        // seqnos decide which version is newest.
-        if let Some((existing, _)) = self.cache.peek_meta(vb, &item.key) {
-            if existing.seqno >= item.meta.seqno {
-                self.high.advance(vb, item.meta.seqno);
-                return Ok(());
-            }
+        let (vb, held) = (item.vb, self.cache.peek_meta(item.vb, &item.key));
+        if held.is_some_and(|(held, _)| held.seqno >= item.meta.seqno) {
+            return Ok(());
         }
         let newly = if item.is_deletion() {
             self.cache.delete(vb, &item.key, item.meta, true)?
         } else {
             // Reference-count bump: the replica stores the active copy's
             // encoded bytes, which its flusher persists as they are.
-            self.cache.set(
-                vb,
-                &item.key,
-                item.meta,
-                item.value.clone().unwrap_or_else(|| SharedValue::new(Value::Null)),
-                true,
-            )?
+            let value = item.value.clone().unwrap_or_else(|| SharedValue::new(Value::Null));
+            self.cache.set(vb, &item.key, item.meta, value, true)?
         };
-        self.high.advance(vb, item.meta.seqno);
-        self.queue_dirty(&mut meta, vb, &item.key, newly, ctx);
-        drop(meta);
+        self.queue_dirty(meta, vb, &item.key, newly, trace.ctx());
         self.stats.replica_applies.inc();
         Ok(())
     }
@@ -1184,6 +1157,32 @@ impl BackfillSource for DataEngine {
     }
 }
 
+/// A replica copy (§4.1.1) as a DCP sink: `Replica`/`Pending` vBuckets
+/// only, one vBucket-lock pass per vBucket of a batch; the resume point is
+/// the high seqno.
+impl DcpSink for DataEngine {
+    fn apply(&self, items: &[DcpItem], upto: &[(VbId, SeqNo)]) -> Result<()> {
+        let mut result = Ok(());
+        for &(vb, mark) in upto {
+            let mut meta = self.vbs[vb.index()].lock();
+            let applied = match meta.state {
+                VbState::Replica | VbState::Pending => (items.iter().filter(|i| i.vb == vb))
+                    .try_for_each(|i| self.replicate_one(&mut meta, i)),
+                _ => Err(Error::VbucketNotActive(vb)),
+            };
+            match applied {
+                Ok(()) => self.high.advance(vb, mark),
+                Err(e) => result = Err(e),
+            }
+        }
+        result
+    }
+
+    fn resume_point(&self, vb: VbId) -> Option<SeqNo> {
+        Some(self.high.get(vb))
+    }
+}
+
 #[cfg(test)]
 impl DataEngine {
     /// The disk-first backfill this engine used to run — every persisted
@@ -1254,6 +1253,11 @@ mod backfill_equivalence;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One replicated item, applied up to its own seqno.
+    fn replicate(e: &DataEngine, item: &DcpItem) -> Result<()> {
+        e.apply(std::slice::from_ref(item), &[(item.vb, item.meta.seqno)])
+    }
 
     type Hook = Option<Box<dyn Fn(&str)>>;
 
@@ -1646,7 +1650,7 @@ mod tests {
         assert_eq!(e.delete(&key, Cas::WILDCARD).map(|_| ()), too_long);
         assert_eq!(e.set_with_meta(&key, meta, Some(doc(1).into()), false).map(|_| ()), too_long);
         e.set_vb_state(vb, VbState::Replica);
-        assert_eq!(e.apply_replica(&DcpItem::mutation(vb, key.as_str(), meta, doc(1))), too_long);
+        assert_eq!(replicate(&e, &DcpItem::mutation(vb, key.as_str(), meta, doc(1))), too_long);
         e.set_vb_state(vb, VbState::Active);
 
         assert!(e.cache.peek_meta(vb, &key).is_none(), "nothing cached");
@@ -1728,14 +1732,14 @@ mod tests {
         let vb = VbId(3);
         e.set_vb_state(vb, VbState::Replica);
         let meta = DocMeta { seqno: SeqNo(42), cas: Cas(777), rev: RevNo(5), flags: 1, expiry: 0 };
-        e.apply_replica(&DcpItem::mutation(vb, "k", meta, doc(1))).unwrap();
+        replicate(&e, &DcpItem::mutation(vb, "k", meta, doc(1))).unwrap();
         assert_eq!(e.high_seqno(vb), SeqNo(42));
         // Promote and read: metadata identical to the active copy's.
         e.set_vb_state(vb, VbState::Active);
         let g = e.get_in_vb(vb, "k").unwrap();
         assert_eq!(g.meta, meta);
         // Replica apply to an Active vb is rejected.
-        assert!(e.apply_replica(&DcpItem::mutation(vb, "k2", meta, doc(2))).is_err());
+        assert!(replicate(&e, &DcpItem::mutation(vb, "k2", meta, doc(2))).is_err());
     }
 
     #[test]
@@ -1895,7 +1899,7 @@ mod tests {
         let written = SharedValue::new(doc(1));
         active.set("k", written.clone(), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         let item = queued(&feed).remove(0);
-        replica.apply_replica(&item).unwrap();
+        replicate(&replica, &item).unwrap();
 
         let carried = item.value.as_ref().unwrap();
         let cached = |e: &DataEngine| e.cache.peek_item(vb, "k").and_then(|(_, v, ..)| v).unwrap();

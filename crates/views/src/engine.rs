@@ -3,12 +3,12 @@
 //!
 //! "Views are eventually consistent with respect to the underlying stored
 //! documents; they are kept up-to-date asynchronously, on demand, based on
-//! document writes/updates" (§3.1.2). A design document holds a cursor per
-//! vBucket and nothing else between updates — no feed, no queue. An update
-//! pass visits each vBucket this node holds `Active` whose high seqno has
-//! moved past its cursor, applies a backfill snapshot from the cursor and
-//! moves the cursor to the snapshot's resume point. An update is demanded
-//! by the query's `stale` parameter:
+//! document writes/updates" (§3.1.2). A design document is a DCP sink
+//! (`cbs_dcp::DcpSink`) that holds a resume point per vBucket and nothing
+//! else between updates — no feed, no queue. An update pass is one
+//! `cbs_dcp::catch_up` of the vBuckets this node holds `Active` whose high
+//! seqno has moved past their resume point. An update is demanded by the
+//! query's `stale` parameter:
 //!
 //! - `stale=false` — "wait for the view indexer to finish processing
 //!   changes that correspond to the current key-value document set and then
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
 use cbs_common::{Error, Result, SeqNo, VbId};
-use cbs_dcp::{BackfillSource, DcpItem};
+use cbs_dcp::{catch_up, BackfillSource, DcpItem, DcpSink};
 use cbs_json::Value;
 use cbs_kv::{DataEngine, VbState};
 use cbs_obs::{span, Counter};
@@ -119,18 +119,38 @@ struct ViewState {
     emitted: HashMap<String, Value>,
 }
 
-struct DdocState {
-    views: OrderedMutex<HashMap<String, ViewState>>,
-    /// Per vBucket, the resume point of the last snapshot the views
-    /// applied. Held across a whole update pass, so a cursor never runs
-    /// ahead of the views and two passes do not interleave.
-    cursors: OrderedMutex<Vec<SeqNo>>,
+/// A design document, a DCP sink of its node's active vBuckets: every view
+/// sees each item above its vBucket's resume point, in order; what is at or
+/// below it is a re-delivery.
+pub struct DesignDocIndex {
+    /// Held across a whole update pass, so two passes do not interleave.
+    pass: OrderedMutex<()>,
+    /// The views, and per vBucket the resume point they are applied up to.
+    indexed: OrderedMutex<(HashMap<String, ViewState>, Vec<SeqNo>)>,
+}
+
+impl DcpSink for DesignDocIndex {
+    fn apply(&self, items: &[DcpItem], upto: &[(VbId, SeqNo)]) -> Result<()> {
+        let (views, cursors) = &mut *self.indexed.lock();
+        let news = |i: &&DcpItem| cursors.get(i.vb.index()).is_some_and(|at| i.meta.seqno > *at);
+        items.iter().filter(news).for_each(|item| apply_item(views, item));
+        for &(vb, mark) in upto {
+            if let Some(at) = cursors.get_mut(vb.index()) {
+                *at = (*at).max(mark);
+            }
+        }
+        Ok(())
+    }
+
+    fn resume_point(&self, vb: VbId) -> Option<SeqNo> {
+        self.indexed.lock().1.get(vb.index()).copied()
+    }
 }
 
 /// The view engine for one bucket on one node.
 pub struct ViewEngine {
     engine: Arc<DataEngine>,
-    ddocs: OrderedRwLock<HashMap<String, Arc<DdocState>>>,
+    ddocs: OrderedRwLock<HashMap<String, Arc<DesignDocIndex>>>,
     queries: Arc<Counter>,
     items_indexed: Arc<Counter>,
 }
@@ -168,11 +188,12 @@ impl ViewEngine {
                 (name, ViewState { def, tree: ViewBTree::new(reducer), emitted: HashMap::new() })
             })
             .collect();
+        let indexed = (views, vec![SeqNo::ZERO; n]);
         map.insert(
             ddoc.name,
-            Arc::new(DdocState {
-                views: OrderedMutex::new(rank::VIEWS_DDOC_VIEWS, views),
-                cursors: OrderedMutex::new(rank::VIEWS_DDOC_CURSORS, vec![SeqNo::ZERO; n]),
+            Arc::new(DesignDocIndex {
+                pass: OrderedMutex::new(rank::VIEWS_DDOC_PASS, ()),
+                indexed: OrderedMutex::new(rank::VIEWS_DDOC_VIEWS, indexed),
             }),
         );
         Ok(())
@@ -194,7 +215,8 @@ impl ViewEngine {
         v
     }
 
-    fn ddoc(&self, name: &str) -> Result<Arc<DdocState>> {
+    /// A design document, as a DCP sink.
+    pub fn ddoc(&self, name: &str) -> Result<Arc<DesignDocIndex>> {
         self.ddocs
             .read()
             .get(name)
@@ -204,28 +226,24 @@ impl ViewEngine {
 
     /// Bring every view of a design doc up to the current key-value
     /// document set of the vBuckets this node holds `Active` — the ones its
-    /// queries serve (the incremental view update pass). A vBucket whose
-    /// high seqno has not moved past the cursor is skipped without a
-    /// backfill. Returns the number of items applied.
+    /// queries serve (the incremental view update pass): a [`catch_up`] of
+    /// those whose high seqno has moved past the resume point. Returns the
+    /// number of items applied.
     pub fn update(&self, ddoc_name: &str) -> Result<usize> {
         let _s = span("views.engine.update");
         let state = self.ddoc(ddoc_name)?;
-        let mut cursors = state.cursors.lock();
-        let mut applied = 0;
-        for (v, cursor) in cursors.iter_mut().enumerate() {
-            let vb = VbId(v as u16);
-            if self.engine.vb_state(vb) != VbState::Active || self.engine.high_seqno(vb) <= *cursor
-            {
-                continue;
-            }
-            let (items, high) = self.engine.backfill(vb, *cursor)?;
-            let mut views = state.views.lock();
-            for item in &items {
-                apply_item(&mut views, item);
-            }
-            *cursor = high;
-            applied += items.len();
-        }
+        let _pass = state.pass.lock();
+        let behind = |vb: &VbId| {
+            self.engine.vb_state(*vb) == VbState::Active
+                && state.resume_point(*vb).is_some_and(|at| self.engine.high_seqno(*vb) > at)
+        };
+        let vbs: Vec<VbId> =
+            (0..self.engine.config().num_vbuckets).map(VbId).filter(behind).collect();
+        // Spelled out rather than `&*self.engine`, so the static lock-order
+        // gate sees the backfill under the pass lock.
+        let snapshot = |vb: VbId, since: SeqNo| self.engine.backfill(vb, since);
+        let applied =
+            catch_up(&snapshot, state.as_ref(), vbs, 0)?.iter().map(|&(.., items)| items).sum();
         self.items_indexed.add(applied as u64);
         Ok(applied)
     }
@@ -248,33 +266,25 @@ impl ViewEngine {
 
     fn query_current(&self, ddoc_name: &str, view_name: &str, q: &ViewQuery) -> Result<ViewResult> {
         let state = self.ddoc(ddoc_name)?;
-        let views = state.views.lock();
-        let view = views
+        let indexed = state.indexed.lock();
+        let view = indexed
+            .0
             .get(view_name)
             .ok_or_else(|| Error::View(format!("no such view: {view_name} in {ddoc_name}")))?;
 
         // Only serve entries from vBuckets active on this node: "parts of a
         // B-tree can be deactivated as needed [to] maintain consistency when
         // querying a view index during rebalancing or failover" (§4.3.3).
-        let n = self.engine.config().num_vbuckets as usize;
-        let mut all_active = true;
-        let active: Vec<bool> = (0..n)
-            .map(|vb| {
-                let is_active = self.engine.vb_state(VbId(vb as u16)) == VbState::Active;
-                all_active &= is_active;
-                is_active
-            })
-            .collect();
-        let filter: Option<&[bool]> = if all_active { None } else { Some(&active) };
+        let vbs = 0..self.engine.config().num_vbuckets;
+        let active: Vec<bool> =
+            vbs.map(|vb| self.engine.vb_state(VbId(vb)) == VbState::Active).collect();
+        let filter = (!active.iter().all(|a| *a)).then_some(&active[..]);
 
         let entries: Vec<ViewEntry> = if q.keys.is_empty() {
             view.tree.scan(&q.range, filter)
         } else {
-            let mut out = Vec::new();
-            for k in &q.keys {
-                out.extend(view.tree.scan(&KeyRange::exact(k.clone()), filter));
-            }
-            out
+            let exact = |k: &Value| view.tree.scan(&KeyRange::exact(k.clone()), filter);
+            q.keys.iter().flat_map(exact).collect()
         };
         let total_rows = view.tree.len();
 
@@ -285,19 +295,14 @@ impl ViewEngine {
                 .ok_or_else(|| Error::View(format!("view {view_name} has no reduce function")))?;
             if q.group {
                 // Group by distinct key, in key order.
-                let mut rows: Vec<ViewRow> = Vec::new();
-                let mut i = 0;
-                while i < entries.len() {
-                    let key = entries[i].key.clone();
-                    let mut acc = reducer.empty();
-                    while i < entries.len()
-                        && cbs_json::cmp_values(&entries[i].key, &key) == std::cmp::Ordering::Equal
-                    {
-                        acc = acc.combine(reducer.of_value(&entries[i].value));
-                        i += 1;
-                    }
-                    rows.push(ViewRow { id: None, key, value: acc.to_value() });
-                }
+                let same_key =
+                    |a: &ViewEntry, b: &ViewEntry| cbs_json::cmp_values(&a.key, &b.key).is_eq();
+                let group = |g: &[ViewEntry]| {
+                    let acc = g.iter().map(|e| reducer.of_value(&e.value));
+                    let value = acc.fold(reducer.empty(), Reduction::combine).to_value();
+                    ViewRow { id: None, key: g[0].key.clone(), value }
+                };
+                let rows = entries.chunk_by(same_key).map(group).collect();
                 return Ok(ViewResult { rows, total_rows });
             }
             // Un-grouped reduce: one row. Use the pre-computed tree
@@ -430,7 +435,8 @@ mod tests {
             e.set_vb_state(vb, VbState::Replica);
             let meta = cbs_common::DocMeta { seqno: SeqNo(3), ..Default::default() };
             let doc = Value::object([("name", Value::from("replicated"))]);
-            e.apply_replica(&DcpItem::mutation(vb, format!("r{}", vb.0), meta, doc)).unwrap();
+            let item = DcpItem::mutation(vb, format!("r{}", vb.0), meta, doc);
+            e.apply(&[item], &[(vb, meta.seqno)]).unwrap();
         }
     }
 

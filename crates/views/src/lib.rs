@@ -35,6 +35,8 @@ pub mod mapfn;
 pub mod reduce;
 
 pub use btree::{KeyRange, ViewBTree, ViewEntry};
-pub use engine::{DesignDoc, Stale, ViewDef, ViewEngine, ViewQuery, ViewResult, ViewRow};
+pub use engine::{
+    DesignDoc, DesignDocIndex, Stale, ViewDef, ViewEngine, ViewQuery, ViewResult, ViewRow,
+};
 pub use mapfn::{MapCond, MapExpr, MapFn};
 pub use reduce::{Reducer, Reduction};

@@ -88,6 +88,23 @@ impl Reduction {
         }
     }
 
+    /// Read back what [`Reduction::to_value`] rendered (a count reads as a
+    /// sum, which renders the same): how one node's partial is re-reduced
+    /// with another's.
+    pub fn from_value(v: &Value) -> Option<Reduction> {
+        let f = |k: &str| v.get_field(k).and_then(Value::as_f64);
+        match v {
+            Value::Object(_) => Some(Reduction::Stats {
+                sum: f("sum")?,
+                count: f("count")? as u64,
+                min: f("min"),
+                max: f("max"),
+                sumsqr: f("sumsqr")?,
+            }),
+            _ => v.as_f64().map(Reduction::Sum),
+        }
+    }
+
     /// Render as the JSON a view query returns.
     pub fn to_value(&self) -> Value {
         match self {
@@ -123,6 +140,16 @@ fn opt_merge(a: Option<f64>, b: Option<f64>, f: fn(f64, f64) -> f64) -> Option<f
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_value_reads_back_what_to_value_renders() {
+        let stats = |x| Reducer::Stats.of_value(&Value::float(x));
+        let partials = [Reduction::Count(7), Reduction::Sum(3.5), stats(4.0).combine(stats(1.5))];
+        for r in partials.iter().chain([&Reducer::Stats.empty()]) {
+            let back = Reduction::from_value(&r.to_value()).map(|b| b.to_value().to_json_string());
+            assert_eq!(back, Some(r.to_value().to_json_string()), "{r:?}");
+        }
+    }
 
     #[test]
     fn count_monoid() {

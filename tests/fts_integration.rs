@@ -115,3 +115,29 @@ fn fts_errors() {
         .fts_search("b", "nope", &SearchQuery::Term("t".to_string()), 0, false)
         .is_err());
 }
+
+/// An index created over a loaded bucket is built from it: a search finds
+/// every document written before the index existed, and a consistent
+/// search answers at once instead of waiting for writes the feed will
+/// never deliver again.
+#[test]
+fn fts_index_created_after_the_load_finds_every_document() {
+    let cluster = CouchbaseCluster::homogeneous(2, ClusterConfig::for_test(32, 1));
+    let bucket = cluster.create_bucket("wiki").unwrap();
+    for i in 0..20 {
+        bucket.upsert(&format!("a{i}"), article(&format!("Entry {i}"), "loaded first")).unwrap();
+    }
+    cluster
+        .create_fts_index(FtsIndexDef {
+            name: "late".to_string(),
+            keyspace: "wiki".to_string(),
+            fields: None,
+        })
+        .unwrap();
+
+    let loaded = SearchQuery::Term("loaded".to_string());
+    assert_eq!(cluster.fts_search("wiki", "late", &loaded, 0, false).unwrap().len(), 20);
+    let started = std::time::Instant::now();
+    assert_eq!(cluster.fts_search("wiki", "late", &loaded, 0, true).unwrap().len(), 20);
+    assert!(started.elapsed() < Duration::from_secs(5), "{:?}", started.elapsed());
+}
