@@ -150,7 +150,7 @@ pub struct TxnChaosOutcome {
     pub history: History,
     /// Every violation (history rules + live cluster checks); empty = pass.
     pub violations: Vec<Violation>,
-    /// Committed transactions (from the cluster's txn log).
+    /// Committed transactions (`txn.batch.commits` on the query registry).
     pub commits: u64,
     /// Aborted transactions.
     pub aborts: u64,
@@ -298,13 +298,13 @@ pub fn run_txn_chaos(cfg: &TxnChaosConfig) -> TxnChaosOutcome {
     let history = rec.finish();
     let mut violations = check_history(&history);
     violations.extend(check_cluster(&cluster, BUCKET, Duration::from_secs(10)));
-    let log = cluster.txn_log();
+    let counts = cluster.query_registry().snapshot();
     TxnChaosOutcome {
         config: cfg.clone(),
         history,
         violations,
-        commits: log.commits(),
-        aborts: log.aborts(),
-        re_executions: log.re_executions(),
+        commits: counts.counter("txn.batch.commits"),
+        aborts: counts.counter("txn.batch.aborts"),
+        re_executions: counts.counter("txn.batch.re_executions"),
     }
 }

@@ -791,8 +791,7 @@ impl Cluster {
     }
 
     /// Freeze every registry in the cluster into one typed snapshot:
-    /// per node, per service, per bucket, per vBucket — plus the slow-op
-    /// log (the trace store's slow traces, span trees included).
+    /// per node, per service, per bucket, per vBucket.
     pub fn stats(&self) -> crate::stats::ClusterStats {
         let buckets = self.buckets();
         let mut nodes = Vec::new();
@@ -825,23 +824,11 @@ impl Cluster {
         for registry in [&self.inner.query_registry, self.inner.fts.registry()] {
             cluster_services.push(registry.snapshot());
         }
-        // Replication-lag surfaces: each bucket's `cluster.replication.*`
-        // registry joins the cluster services, and the live per-(vBucket,
-        // replica) rows ride along for `system:replication`.
-        let mut replication = Vec::new();
+        // Each bucket's `cluster.replication.*` registry.
         for lag in self.lag_tables() {
             cluster_services.push(lag.registry().snapshot());
-            replication.extend(lag.rows());
         }
-        crate::stats::ClusterStats {
-            nodes,
-            cluster_services,
-            slow_ops: self.inner.trace_store.slow_traces(),
-            completed_requests: self.inner.request_log.completed_rows(),
-            active_requests: self.inner.request_log.active_rows(),
-            prepareds: self.inner.plan_cache.prepared_rows(),
-            replication,
-        }
+        crate::stats::ClusterStats { nodes, cluster_services }
     }
 
     /// The cluster-wide trace store: completed span trees stitched across
@@ -855,21 +842,14 @@ impl Cluster {
         &self.inner.events
     }
 
-    /// Every flight-recorder event in the cluster — lifecycle events from
-    /// the cluster manager, the query service (plan-cache invalidations)
-    /// and the txn coordinator, plus any recorded on node engines — sorted
-    /// by (service, seq) for a deterministic postmortem timeline.
+    /// Every flight-recorder event in the cluster, sorted by (service,
+    /// seq) for a deterministic postmortem timeline. Two registries record
+    /// events: the cluster's events registry (the cluster manager and the
+    /// pumps) and the query registry (plan-cache invalidations and the txn
+    /// coordinator).
     pub fn flight_events(&self) -> Vec<cbs_obs::EventRec> {
         let mut evs = self.inner.events.events();
         evs.extend(self.inner.query_registry.events());
-        evs.extend(self.inner.fts.registry().events());
-        for node in self.nodes() {
-            for bucket in self.buckets() {
-                if let Some(engine) = node.engine_unchecked(&bucket) {
-                    evs.extend(engine.registry().events());
-                }
-            }
-        }
         evs.sort_by(|a, b| (a.service.as_str(), a.seq).cmp(&(b.service.as_str(), b.seq)));
         evs
     }

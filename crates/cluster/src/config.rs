@@ -2,7 +2,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::fault::FaultInjector;
 
@@ -56,13 +55,9 @@ pub struct ClusterConfig {
     pub cache_quota: usize,
     /// Cache eviction policy.
     pub eviction: cbs_cache::EvictionPolicy,
-    /// Flusher drain interval.
-    pub flush_interval: Duration,
     /// Flusher shards per bucket engine (each group-commits a static slice
     /// of vBuckets with one fsync per drain cycle).
     pub flusher_shards: usize,
-    /// Storage fragmentation threshold for compaction.
-    pub fragmentation_threshold: f64,
     /// Optional fault-injection hooks for the simulated transport (chaos
     /// testing). `None` in production configurations.
     pub fault_injector: Option<Arc<dyn FaultInjector>>,
@@ -77,9 +72,7 @@ impl ClusterConfig {
             data_root: cbs_storage::scratch_dir("cluster"),
             cache_quota: 256 << 20,
             eviction: cbs_cache::EvictionPolicy::ValueOnly,
-            flush_interval: Duration::from_millis(10),
             flusher_shards: 4,
-            fragmentation_threshold: cbs_storage::BucketStore::FRAGMENTATION_THRESHOLD,
             fault_injector: None,
         }
     }

@@ -14,9 +14,10 @@
 //!
 //! Everything here is atomics — the table lives inside the pump entry
 //! (rank `CLUSTER_PUMPS` map) but is read lock-free by `Cluster::stats()`,
-//! the `system:replication` / `system:staleness` catalogs, and the
-//! Prometheus export. The logical clock is the pump cycle counter: lag-age
-//! is measured in cycles, and the windowed lag-age histogram rotates every
+//! the `system:replication` / `system:staleness` catalogs (whose rows the
+//! table shapes itself), and the Prometheus export. The logical clock is
+//! the `cluster.replication.cycles` counter: lag-age is measured in
+//! cycles, and the windowed lag-age histogram rotates every
 //! [`LAG_WINDOW_CYCLES`] cycles so snapshots answer "how far behind were
 //! replicas over the last few hundred drains", not "since boot".
 
@@ -24,8 +25,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cbs_common::{NodeId, VbId};
+use cbs_json::Value;
 use cbs_kv::DataEngine;
-use cbs_obs::{Counter, Gauge, Registry, WindowedHistogram, WindowedSnapshot};
+use cbs_obs::{Counter, Gauge, Registry, WindowedHistogram};
 
 use crate::replication::PumpTopology;
 
@@ -69,49 +71,12 @@ impl ReplicaSlot {
     }
 }
 
-/// One live lag measurement, as surfaced through `ClusterStats` and the
-/// `system:replication` catalog.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicationLagRow {
-    /// Bucket the measurement belongs to.
-    pub bucket: String,
-    /// vBucket id.
-    pub vb: u16,
-    /// Replica node the lag is measured against.
-    pub replica: NodeId,
-    /// Seqno distance active − replica at the last pump cycle.
-    pub lag: u64,
-    /// Consecutive pump cycles — drains that moved something — this
-    /// replica has been behind (0 when caught up).
-    pub age_cycles: u64,
-}
-
-/// Per-bucket staleness summary, as surfaced through `system:staleness`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StalenessRow {
-    /// Bucket the summary describes.
-    pub bucket: String,
-    /// Pump cycles completed (the logical clock: it advances only when the
-    /// pump delivered something or resubscribed).
-    pub cycles: u64,
-    /// vBuckets with at least one lagging replica at the last cycle.
-    pub lagging_vbuckets: u64,
-    /// Largest per-replica seqno lag at the last cycle.
-    pub lag_max: u64,
-    /// Sum of per-replica seqno lags at the last cycle.
-    pub lag_total: u64,
-    /// Windowed lag-age distribution (in pump cycles): one sample per
-    /// resolved lag episode, covering the live windows only.
-    pub lag_age: WindowedSnapshot,
-}
-
 /// Lock-free per-bucket lag table, updated by the pump on every cycle (a
 /// drain that moved something).
 #[derive(Debug)]
 pub struct ReplicationLagTable {
     bucket: String,
     registry: Arc<Registry>,
-    cycle: AtomicU64,
     /// `slots[vb][replica_position]`, capacity fixed at construction.
     slots: Vec<Vec<ReplicaSlot>>,
     lag_max: Arc<Gauge>,
@@ -150,7 +115,6 @@ impl ReplicationLagTable {
         ReplicationLagTable {
             bucket: bucket.to_string(),
             registry,
-            cycle: AtomicU64::new(0),
             slots: (0..num_vbuckets)
                 .map(|_| (0..num_replicas.max(1)).map(|_| ReplicaSlot::new()).collect())
                 .collect(),
@@ -172,9 +136,9 @@ impl ReplicationLagTable {
         &self.registry
     }
 
-    /// Pump cycles observed so far.
+    /// Pump cycles observed so far (`cluster.replication.cycles`).
     pub fn cycle(&self) -> u64 {
-        self.cycle.load(Ordering::Relaxed)
+        self.cycles.get()
     }
 
     /// Called by the pump once per cycle — after a drain that moved
@@ -183,8 +147,8 @@ impl ReplicationLagTable {
     /// lag-age episodes, and refresh the aggregate gauges. Single-writer
     /// (the pump thread); readers are lock-free.
     pub fn observe(&self, topo: &PumpTopology) {
-        let cycle = self.cycle.fetch_add(1, Ordering::Relaxed) + 1;
         self.cycles.inc();
+        let cycle = self.cycle();
         // Rotate the lag-age window on the logical clock, never wall time,
         // so seeded chaos runs stay deterministic.
         self.lag_age.advance_to(cycle / LAG_WINDOW_CYCLES);
@@ -265,38 +229,52 @@ impl ReplicationLagTable {
         }
     }
 
-    /// Live per-(vBucket, replica) rows, one per occupied slot.
-    pub fn rows(&self) -> Vec<ReplicationLagRow> {
-        let cycle = self.cycle.load(Ordering::Relaxed);
+    /// `system:replication` rows, one per occupied (vBucket, replica)
+    /// slot, keyed `<bucket>/vb<vb>/r<node>`.
+    pub fn replication_rows(&self) -> Vec<(String, Value)> {
+        let cycle = self.cycle();
         let mut out = Vec::new();
-        for (v, vb_slots) in self.slots.iter().enumerate() {
+        for (vb, vb_slots) in self.slots.iter().enumerate() {
             for slot in vb_slots {
                 let node = slot.node.load(Ordering::Relaxed);
                 if node == EMPTY_NODE {
                     continue;
                 }
                 let since = slot.behind_since.load(Ordering::Relaxed);
-                out.push(ReplicationLagRow {
-                    bucket: self.bucket.clone(),
-                    vb: v as u16,
-                    replica: NodeId(node),
-                    lag: slot.lag.load(Ordering::Relaxed),
-                    age_cycles: if since == CAUGHT_UP { 0 } else { cycle.saturating_sub(since) },
-                });
+                let age_cycles = if since == CAUGHT_UP { 0 } else { cycle.saturating_sub(since) };
+                out.push((
+                    format!("{}/vb{vb}/r{node}", self.bucket),
+                    Value::object([
+                        ("bucket", Value::from(self.bucket.as_str())),
+                        ("vb", Value::from(vb as u64)),
+                        ("replica", Value::from(format!("n{node}"))),
+                        ("lag", Value::from(slot.lag.load(Ordering::Relaxed))),
+                        ("ageCycles", Value::from(age_cycles)),
+                    ]),
+                ));
             }
         }
         out
     }
 
-    /// The bucket's staleness summary row (`system:staleness`).
-    pub fn staleness_row(&self) -> StalenessRow {
-        StalenessRow {
-            bucket: self.bucket.clone(),
-            cycles: self.cycle(),
-            lagging_vbuckets: self.lagging_vbuckets.get(),
-            lag_max: self.lag_max.get(),
-            lag_total: self.lag_total.get(),
-            lag_age: self.lag_age.windowed_snapshot(),
-        }
+    /// The bucket's `system:staleness` row, keyed by bucket: the aggregate
+    /// lag gauges plus the windowed lag-age distribution (values are pump
+    /// cycles).
+    pub fn staleness_row(&self) -> (String, Value) {
+        let lag_age = self.lag_age.windowed_snapshot();
+        let cycles = |p: f64| lag_age.merged.percentile(p).map_or(0, |d| d.as_nanos() as u64);
+        let row = Value::object([
+            ("bucket", Value::from(self.bucket.as_str())),
+            ("cycles", Value::from(self.cycle())),
+            ("laggingVbuckets", Value::from(self.lagging_vbuckets.get())),
+            ("lagMax", Value::from(self.lag_max.get())),
+            ("lagTotal", Value::from(self.lag_total.get())),
+            ("windowEpoch", Value::from(lag_age.epoch)),
+            ("lagAgeEpisodes", Value::from(lag_age.merged.count())),
+            ("lagAgeP50Cycles", Value::from(cycles(50.0))),
+            ("lagAgeP95Cycles", Value::from(cycles(95.0))),
+            ("lagAgeP99Cycles", Value::from(cycles(99.0))),
+        ]);
+        (self.bucket.clone(), row)
     }
 }

@@ -52,7 +52,7 @@ pub use client::{Durability, SmartClient};
 pub use cluster::{AutoFailover, Cluster};
 pub use config::{ClusterConfig, ServiceSet};
 pub use fault::{FaultAction, FaultInjector};
-pub use lag::{ReplicationLagRow, ReplicationLagTable, StalenessRow, LAG_WINDOW_CYCLES};
+pub use lag::{ReplicationLagTable, LAG_WINDOW_CYCLES};
 pub use map::ClusterMap;
 pub use node::Node;
 pub use query::ClusterDatastore;

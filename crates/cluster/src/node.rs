@@ -12,6 +12,10 @@ use cbs_views::ViewEngine;
 
 use crate::config::{ClusterConfig, ServiceSet};
 
+/// The longest a node's flusher shard leaves queued writes undrained
+/// ([`FlusherPool::spawn`]'s interval).
+const FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
+
 /// Bucket → engine map plus in-flight creation reservations. Both live
 /// under one lock so "already exists" covers buckets still being built
 /// without holding the lock across engine construction (file I/O).
@@ -141,14 +145,12 @@ impl Node {
             cache_quota: self.cfg.cache_quota,
             eviction: self.cfg.eviction,
             data_dir: self.cfg.data_root.join(format!("node{}", self.id.0)).join(bucket),
-            fragmentation_threshold: self.cfg.fragmentation_threshold,
-            lock_timeout: std::time::Duration::from_secs(15),
             flusher_shards: self.cfg.flusher_shards,
             trace: self.trace.clone(),
             seqno_signal: Arc::clone(seqno_signal),
         })
         .and_then(|engine| {
-            let flusher = FlusherPool::spawn(Arc::clone(&engine), self.cfg.flush_interval)?;
+            let flusher = FlusherPool::spawn(Arc::clone(&engine), FLUSH_INTERVAL)?;
             Ok((engine, flusher))
         });
         let (engine, flusher) = match built {

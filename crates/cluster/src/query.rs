@@ -313,51 +313,13 @@ impl Datastore for ClusterDatastore {
                     node_row(&name, node.is_alive(), &services)
                 })
                 .collect()),
+            // Live lag rows straight from each pump's lag table, which
+            // shapes them; no locks held while reading.
             "system:replication" => {
-                // Live per-(bucket, vBucket, replica) seqno lag straight
-                // from each pump's lag table — no locks held while reading.
-                let mut rows = Vec::new();
-                for lag in self.cluster.lag_tables() {
-                    for row in lag.rows() {
-                        rows.push((
-                            format!("{}/vb{}/r{}", row.bucket, row.vb, row.replica.0),
-                            Value::object([
-                                ("bucket", Value::from(row.bucket.as_str())),
-                                ("vb", Value::from(u64::from(row.vb))),
-                                ("replica", Value::from(format!("n{}", row.replica.0))),
-                                ("lag", Value::from(row.lag)),
-                                ("ageCycles", Value::from(row.age_cycles)),
-                            ]),
-                        ));
-                    }
-                }
-                Ok(rows)
+                Ok(self.cluster.lag_tables().iter().flat_map(|t| t.replication_rows()).collect())
             }
             "system:staleness" => {
-                // One summary row per bucket: aggregate lag gauges plus the
-                // windowed lag-age distribution (values are pump cycles).
-                let mut rows = Vec::new();
-                for lag in self.cluster.lag_tables() {
-                    let s = lag.staleness_row();
-                    let cycles =
-                        |p: f64| s.lag_age.merged.percentile(p).map_or(0, |d| d.as_nanos() as u64);
-                    rows.push((
-                        s.bucket.clone(),
-                        Value::object([
-                            ("bucket", Value::from(s.bucket.as_str())),
-                            ("cycles", Value::from(s.cycles)),
-                            ("laggingVbuckets", Value::from(s.lagging_vbuckets)),
-                            ("lagMax", Value::from(s.lag_max)),
-                            ("lagTotal", Value::from(s.lag_total)),
-                            ("windowEpoch", Value::from(s.lag_age.epoch)),
-                            ("lagAgeEpisodes", Value::from(s.lag_age.merged.count())),
-                            ("lagAgeP50Cycles", Value::from(cycles(50.0))),
-                            ("lagAgeP95Cycles", Value::from(cycles(95.0))),
-                            ("lagAgeP99Cycles", Value::from(cycles(99.0))),
-                        ]),
-                    ));
-                }
-                Ok(rows)
+                Ok(self.cluster.lag_tables().iter().map(|t| t.staleness_row()).collect())
             }
             "system:completed_traces" => {
                 // Completed traces (root-done slots + the completed

@@ -11,12 +11,10 @@
 //! have recorded.
 
 use cbs_common::NodeId;
-use cbs_json::Value;
 use cbs_kv::VbucketStats;
-use cbs_obs::{CompletedTrace, HistogramSnapshot, PrometheusText, RegistrySnapshot};
+use cbs_obs::{HistogramSnapshot, PrometheusText, RegistrySnapshot};
 
 use crate::config::ServiceSet;
-use crate::lag::ReplicationLagRow;
 
 /// One bucket's data-service stats on one node.
 #[derive(Debug, Clone)]
@@ -44,29 +42,17 @@ pub struct NodeStats {
     pub service_metrics: Vec<RegistrySnapshot>,
 }
 
-/// A full cluster statistics snapshot ([`crate::Cluster::stats`]).
+/// A full cluster statistics snapshot ([`crate::Cluster::stats`]):
+/// registry snapshots and per-vBucket detail only. Rows — requests,
+/// prepared statements, replication lag, traces — are the `system:`
+/// catalogs' and the trace store's, read from there.
 #[derive(Debug, Clone)]
 pub struct ClusterStats {
     /// Per-node breakdown.
     pub nodes: Vec<NodeStats>,
-    /// Cluster-singleton services (query, full-text search).
+    /// Cluster-singleton services (query, full-text search, each bucket's
+    /// replication lag table).
     pub cluster_services: Vec<RegistrySnapshot>,
-    /// The slow-op log: completed traces at or above the cluster's slow
-    /// threshold, with full span trees, oldest first.
-    pub slow_ops: Vec<CompletedTrace>,
-    /// The query service's retained completed requests (slow or failed),
-    /// oldest first — the rows of `system:completed_requests`, keyed by
-    /// request id.
-    pub completed_requests: Vec<(String, Value)>,
-    /// Requests in flight at snapshot time — the rows of
-    /// `system:active_requests`, keyed by request id.
-    pub active_requests: Vec<(String, Value)>,
-    /// Prepared statements registered with the query service — the rows of
-    /// `system:prepareds`, keyed by prepared name.
-    pub prepareds: Vec<(String, Value)>,
-    /// Live per-(bucket, vBucket, replica) seqno-lag measurements from the
-    /// replication pumps — the rows of `system:replication`.
-    pub replication: Vec<ReplicationLagRow>,
 }
 
 impl ClusterStats {
@@ -95,24 +81,6 @@ impl ClusterStats {
     /// Cluster-wide histogram (bucket-merged across nodes) by metric name.
     pub fn histogram(&self, name: &str) -> HistogramSnapshot {
         self.merged().histogram(name)
-    }
-
-    /// Per-vBucket `(bucket, vb, max, mean)` replica lag derived from the
-    /// live replication rows, so an operator can spot one lagging replica
-    /// without running a chaos workload. vBuckets with no replicas are
-    /// omitted.
-    pub fn per_vb_replica_lag(&self) -> Vec<(String, u16, u64, f64)> {
-        let mut acc: std::collections::BTreeMap<(String, u16), (u64, u64, u64)> =
-            std::collections::BTreeMap::new();
-        for row in &self.replication {
-            let e = acc.entry((row.bucket.clone(), row.vb)).or_insert((0, 0, 0));
-            e.0 = e.0.max(row.lag);
-            e.1 += row.lag;
-            e.2 += 1;
-        }
-        acc.into_iter()
-            .map(|((bucket, vb), (max, sum, n))| (bucket, vb, max, sum as f64 / n as f64))
-            .collect()
     }
 
     /// Prometheus text exposition of the whole snapshot, labelled by

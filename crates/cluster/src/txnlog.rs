@@ -6,13 +6,15 @@
 //! query-service request log it is shared across nodes (in-process the
 //! coordinator is a client-side library, so "cluster-wide" means one ring
 //! per [`crate::Cluster`]), and it is read lock-free of everything else:
-//! the ring's own leaf lock is the only one taken.
+//! the ring's own leaf lock is the only one taken. Running totals are not
+//! kept here: the coordinator counts them once, as `txn.batch.*` on the
+//! cluster's query registry.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_json::Value;
+use cbs_obs::Ring;
 
 /// Terminal state of a logged transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,27 +75,21 @@ impl TxnLogRow {
 /// Most recent finished transactions the log retains.
 const TXN_RING_CAP: usize = 256;
 
-/// Bounded ring of finished transactions plus running totals.
+/// Bounded ring of finished transactions and the id counters.
 #[derive(Debug)]
 pub struct TxnLog {
-    rows: OrderedMutex<VecDeque<TxnLogRow>>,
+    rows: OrderedMutex<Ring<TxnLogRow>>,
     next_id: AtomicU64,
     next_batch: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    re_executions: AtomicU64,
 }
 
 impl Default for TxnLog {
     /// An empty log retaining the most recent `TXN_RING_CAP` rows.
     fn default() -> TxnLog {
         TxnLog {
-            rows: OrderedMutex::new(rank::TXN_LOG, VecDeque::new()),
+            rows: OrderedMutex::new(rank::TXN_LOG, Ring::new(TXN_RING_CAP)),
             next_id: AtomicU64::new(1),
             next_batch: AtomicU64::new(1),
-            commits: AtomicU64::new(0),
-            aborts: AtomicU64::new(0),
-            re_executions: AtomicU64::new(0),
         }
     }
 }
@@ -108,43 +104,13 @@ impl TxnLog {
     pub fn push(&self, mut row: TxnLogRow) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         row.id = id;
-        match row.state {
-            TxnState::Committed => self.commits.fetch_add(1, Ordering::Relaxed),
-            TxnState::Aborted => self.aborts.fetch_add(1, Ordering::Relaxed),
-        };
-        self.re_executions
-            .fetch_add(u64::from(row.incarnations.saturating_sub(1)), Ordering::Relaxed);
-        let mut rows = self.rows.lock();
-        if rows.len() == TXN_RING_CAP {
-            rows.pop_front();
-        }
-        rows.push_back(row);
+        self.rows.lock().push(row);
         id
-    }
-
-    /// Committed transactions since startup.
-    pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-
-    /// Aborted transactions since startup.
-    pub fn aborts(&self) -> u64 {
-        self.aborts.load(Ordering::Relaxed)
-    }
-
-    /// Conflict re-executions since startup.
-    pub fn re_executions(&self) -> u64 {
-        self.re_executions.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of the retained rows, oldest first.
-    pub fn rows(&self) -> Vec<TxnLogRow> {
-        self.rows.lock().iter().cloned().collect()
     }
 
     /// `system:transactions` rows: `(key, document)` pairs, oldest first.
     pub fn catalog_rows(&self) -> Vec<(String, Value)> {
-        self.rows().iter().map(|r| (format!("txn{}", r.id), r.to_value())).collect()
+        self.rows.lock().iter().map(|r| (format!("txn{}", r.id), r.to_value())).collect()
     }
 }
 
@@ -166,20 +132,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_caps_and_counts() {
+    fn ring_caps_and_ids_climb() {
         let log = TxnLog::default();
         for _ in 0..TXN_RING_CAP {
             log.push(row(TxnState::Committed, 1));
         }
         log.push(row(TxnState::Committed, 3));
         log.push(row(TxnState::Aborted, 1));
-        assert_eq!(log.commits(), TXN_RING_CAP as u64 + 1);
-        assert_eq!(log.aborts(), 1);
-        assert_eq!(log.re_executions(), 2);
-        let rows = log.rows();
-        assert_eq!(rows.len(), TXN_RING_CAP, "ring dropped the two oldest rows");
-        assert_eq!(rows[0].id, 3);
-        assert_eq!(rows[TXN_RING_CAP - 1].id, TXN_RING_CAP as u64 + 2);
+        let ids: Vec<u64> = log.rows.lock().iter().map(|r| r.id).collect();
+        assert_eq!(ids.len(), TXN_RING_CAP, "ring dropped the two oldest rows");
+        assert_eq!(ids[0], 3);
+        assert_eq!(ids[TXN_RING_CAP - 1], TXN_RING_CAP as u64 + 2);
     }
 
     #[test]

@@ -113,17 +113,6 @@ impl From<std::io::Error> for Error {
     }
 }
 
-impl Error {
-    /// True for conditions a client is expected to retry after refreshing
-    /// state (stale map, transient OOM, lock contention).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Error::NotMyVbucket(_) | Error::TempOom | Error::Locked(_) | Error::VbucketNotActive(_)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +123,6 @@ mod tests {
         assert!(e.to_string().contains("user::1"));
         let e = Error::NotMyVbucket(VbId(7));
         assert!(e.to_string().contains("vb:7"));
-    }
-
-    #[test]
-    fn retryability() {
-        assert!(Error::NotMyVbucket(VbId(1)).is_retryable());
-        assert!(Error::TempOom.is_retryable());
-        assert!(Error::Locked("k".into()).is_retryable());
-        assert!(!Error::KeyNotFound("k".into()).is_retryable());
-        assert!(!Error::CasMismatch("k".into()).is_retryable());
     }
 
     #[test]

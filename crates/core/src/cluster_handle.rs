@@ -44,7 +44,7 @@ impl CouchbaseCluster {
     }
 
     /// The cbstats surface: freeze every metric in the cluster — per node,
-    /// per service, per bucket, per vBucket — plus the slow-op log.
+    /// per service, per bucket, per vBucket.
     pub fn stats(&self) -> cbs_cluster::ClusterStats {
         self.cluster.stats()
     }

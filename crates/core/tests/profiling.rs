@@ -151,17 +151,18 @@ fn slow_queries_land_in_completed_requests() {
     assert!(plan.contains("IndexScan(by_age)"), "plan summary names the index: {plan}");
     assert!(entry.get_field("phaseTimes").is_some());
 
-    // The same rows ride the cbstats snapshot.
-    let stats = cluster.stats();
-    assert!(stats.completed_requests.iter().any(|(_, v)| {
+    // The catalogs' row source, the request log, holds the same rows.
+    let log = cluster.inner().request_log();
+    assert!(log.completed_rows().iter().any(|(_, v)| {
         v.get_field("clientContextID").and_then(Value::as_str) == Some("probe-1")
     }));
-    assert!(stats.active_requests.is_empty(), "nothing in flight between queries");
-    // ...and so does its span tree, in the slow-op log.
+    assert!(log.active_rows().is_empty(), "nothing in flight between queries");
+    // ...and the trace store keeps its span tree in the slow-op log.
+    let slow_ops = cluster.inner().trace_store().slow_traces();
     assert!(
-        stats.slow_ops.iter().any(|t| t.root_name == "n1ql.query.request" && t.spans.len() > 1),
+        slow_ops.iter().any(|t| t.root_name == "n1ql.query.request" && t.spans.len() > 1),
         "no slow-op span tree for the request: {:?}",
-        stats.slow_ops.iter().map(|t| t.root_name).collect::<Vec<_>>()
+        slow_ops.iter().map(|t| t.root_name).collect::<Vec<_>>()
     );
 
     // WHERE works against the catalog like any keyspace.
@@ -187,7 +188,7 @@ fn per_request_threshold_override_beats_cluster_setting() {
             &QueryOptions::default().client_context_id("kept").slow_threshold(Duration::ZERO),
         )
         .unwrap();
-    let rows = cluster.stats().completed_requests;
+    let rows = cluster.inner().request_log().completed_rows();
     let ids: Vec<&str> = rows
         .iter()
         .filter_map(|(_, v)| v.get_field("clientContextID").and_then(Value::as_str))

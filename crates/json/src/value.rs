@@ -138,15 +138,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Borrow as bool.
-    #[inline]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Borrow as f64 (any number).
     #[inline]
     pub fn as_f64(&self) -> Option<f64> {

@@ -85,6 +85,10 @@ struct FlushSignal {
 /// A filling cycle is drained once no new key has been queued for this long.
 const FLUSH_QUIET: Duration = Duration::from_millis(1);
 
+/// GETL's lock timeout when the caller gives none ("this lock will be
+/// released after a certain timeout to avoid deadlocks", §3.1.1).
+const GETL_TIMEOUT: Duration = Duration::from_secs(15);
+
 /// One flusher shard: a static slice of vBuckets drained together into the
 /// shard's log (`BucketStore` shard of the same number), each cycle
 /// group-committed through a single fsync.
@@ -524,7 +528,7 @@ impl DataEngine {
             }
         }
         let token = self.clock.next();
-        let deadline = Instant::now() + duration.unwrap_or(self.cfg.lock_timeout);
+        let deadline = Instant::now() + duration.unwrap_or(GETL_TIMEOUT);
         meta.locks.insert(DocKey::from(key), (token, deadline));
         Ok(GetResult { value: result.value, meta: DocMeta { cas: token, ..result.meta } })
     }
@@ -1018,7 +1022,7 @@ impl DataEngine {
         // lint:allow(guard-blocking): the compaction swap (new file renamed
         // over the log) must exclude the shard's appends — records written
         // while the live ones are copied would be lost with the old file.
-        self.store.compact_shard(shard, self.cfg.fragmentation_threshold)
+        self.store.compact_shard(shard, BucketStore::FRAGMENTATION_THRESHOLD)
     }
 
     /// Run [`DataEngine::compact_shard_if_needed`] on every shard; returns

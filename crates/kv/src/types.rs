@@ -94,12 +94,6 @@ pub struct EngineConfig {
     pub eviction: cbs_cache::EvictionPolicy,
     /// Storage directory.
     pub data_dir: std::path::PathBuf,
-    /// Compaction trigger: stale-byte fraction (§4.3.3 "based on a
-    /// fragmentation threshold").
-    pub fragmentation_threshold: f64,
-    /// GETL default lock timeout ("this lock will be released after a
-    /// certain timeout to avoid deadlocks", §3.1.1).
-    pub lock_timeout: std::time::Duration,
     /// Number of flusher shards: each owns a static slice of vBuckets and
     /// group-commits its drain cycles with one fsync. Clamped to
     /// `1..=num_vbuckets`.
@@ -122,8 +116,6 @@ impl EngineConfig {
             cache_quota: 256 << 20,
             eviction: cbs_cache::EvictionPolicy::ValueOnly,
             data_dir: cbs_storage::scratch_dir("kv"),
-            fragmentation_threshold: cbs_storage::BucketStore::FRAGMENTATION_THRESHOLD,
-            lock_timeout: std::time::Duration::from_secs(15),
             flusher_shards: 4,
             trace: None,
             seqno_signal: Default::default(),
@@ -140,6 +132,5 @@ mod tests {
         assert_eq!(VbState::default(), VbState::Dead);
         let cfg = EngineConfig::for_test(16);
         assert_eq!(cfg.num_vbuckets, 16);
-        assert!(cfg.fragmentation_threshold > 0.0);
     }
 }

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_json::Value;
-use cbs_obs::SpanRec;
+use cbs_obs::{Ring, SpanRec};
 
 /// Runtime stats for one executed operator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,7 +265,7 @@ pub struct RequestLog {
     /// Ranks `REQLOG_ACTIVE` / `REQLOG_COMPLETED`: leaf locks, held only
     /// for statement-scoped map edits — never across a phase of execution.
     active: OrderedMutex<BTreeMap<u64, ActiveRequest>>,
-    completed: OrderedMutex<std::collections::VecDeque<RequestEntry>>,
+    completed: OrderedMutex<Ring<RequestEntry>>,
 }
 
 impl RequestLog {
@@ -275,7 +275,7 @@ impl RequestLog {
             node: node.into(),
             next_id: AtomicU64::new(1),
             active: OrderedMutex::new(rank::REQLOG_ACTIVE, BTreeMap::new()),
-            completed: OrderedMutex::new(rank::REQLOG_COMPLETED, std::collections::VecDeque::new()),
+            completed: OrderedMutex::new(rank::REQLOG_COMPLETED, Ring::new(COMPLETED_RING_CAP)),
         }
     }
 
@@ -324,11 +324,7 @@ impl RequestLog {
             phases,
             client_context_id: req.client_context_id,
         };
-        let mut ring = self.completed.lock();
-        if ring.len() >= COMPLETED_RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(entry);
+        self.completed.lock().push(entry);
     }
 
     /// Retained completed requests, oldest first.
@@ -364,11 +360,6 @@ impl RequestLog {
                 )
             })
             .collect()
-    }
-
-    /// Number of in-flight requests.
-    pub fn active_count(&self) -> usize {
-        self.active.lock().len()
     }
 }
 
@@ -468,7 +459,7 @@ mod tests {
             log.complete(id, "DummyScan", 1, 0, 0, PhaseTimes::default(), false, Duration::ZERO);
         }
         assert_eq!(log.completed().len(), COMPLETED_RING_CAP, "ring bounded");
-        assert_eq!(log.active_count(), 0);
+        assert_eq!(log.active_rows().len(), 0);
 
         // Fast requests below the threshold are not retained...
         let hour = Duration::from_secs(3600);

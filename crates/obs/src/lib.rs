@@ -24,6 +24,8 @@
 //! - [`Registry::record_event`] — the black-box flight recorder: bounded
 //!   per-service rings of structured, timestamp-free lifecycle events
 //!   ([`registry`]).
+//! - [`Ring`] — the one bounded log every retained history above (and the
+//!   query and transaction logs) is kept in ([`ring`]).
 //! - [`PrometheusText`] — text exposition over any set of snapshots
 //!   ([`fmt`]).
 
@@ -32,6 +34,7 @@
 pub mod fmt;
 pub mod metrics;
 pub mod registry;
+pub mod ring;
 pub mod store;
 pub mod trace;
 pub mod window;
@@ -41,6 +44,7 @@ pub use metrics::{
     bucket_index, Counter, Gauge, Histogram, HistogramSnapshot, HistogramTimer, NUM_BUCKETS,
 };
 pub use registry::{is_valid_metric_name, EventRec, Registry, RegistrySnapshot};
+pub use ring::Ring;
 pub use store::{chrome_trace_json, default_slow_threshold, CompletedTrace, TraceStore};
 pub use trace::{span, Lane, SpanGuard, SpanRec, TraceContext, TraceSink, MAX_SPANS_PER_TRACE};
 pub use window::{WindowedHistogram, WindowedSnapshot, WINDOW_SLOTS};

@@ -12,13 +12,14 @@
 //! Registration asserts the convention; the `obs-naming` rule in
 //! `cargo xtask analyze` catches violations statically.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::ring::Ring;
 use crate::window::{WindowedHistogram, WindowedSnapshot};
 
 /// Flight-recorder events retained per registry (oldest evicted first); the
@@ -66,7 +67,7 @@ pub struct Registry {
     windowed: RwLock<BTreeMap<String, Arc<WindowedHistogram>>>,
     help: RwLock<BTreeMap<String, String>>,
     event_seq: AtomicU64,
-    events: Mutex<VecDeque<EventRec>>,
+    events: Mutex<Ring<EventRec>>,
 }
 
 impl std::fmt::Debug for Registry {
@@ -89,7 +90,7 @@ impl Registry {
             windowed: RwLock::new(BTreeMap::new()),
             help: RwLock::new(BTreeMap::new()),
             event_seq: AtomicU64::new(0),
-            events: Mutex::new(VecDeque::new()),
+            events: Mutex::new(Ring::new(EVENT_RING_CAP)),
         }
     }
 
@@ -224,11 +225,7 @@ impl Registry {
             name,
             attrs: attrs.to_vec(),
         };
-        let mut ring = self.events.lock();
-        if ring.len() >= EVENT_RING_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(rec);
+        self.events.lock().push(rec);
     }
 
     /// [`Registry::record_event`] plus a `# HELP` description in one call

@@ -30,7 +30,6 @@
 //!   replication pump files its delivery segment, so finished traces stay
 //!   in their slot, still accepting segments, until a new trace needs it.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,6 +38,7 @@ use parking_lot::Mutex;
 
 use crate::metrics::Counter;
 use crate::registry::Registry;
+use crate::ring::Ring;
 use crate::trace::{Lane, Segment, SpanRec, TraceContext, MAX_SPANS_PER_TRACE};
 
 /// Trace slots collecting in-flight (and recently finished) traces.
@@ -171,7 +171,7 @@ struct Slot {
 /// registry.
 pub struct TraceStore {
     slots: Vec<Mutex<Option<Slot>>>,
-    ring: Mutex<VecDeque<CompletedTrace>>,
+    ring: Mutex<Ring<CompletedTrace>>,
     next_trace: AtomicU64,
     next_span: AtomicU64,
     sample_tick: AtomicU64,
@@ -194,7 +194,7 @@ impl TraceStore {
         let registry = Arc::new(Registry::new("obs"));
         Arc::new(TraceStore {
             slots: (0..TRACE_SLOTS).map(|_| Mutex::new(None)).collect(),
-            ring: Mutex::new(VecDeque::new()),
+            ring: Mutex::new(Ring::new(COMPLETED_RING_CAP)),
             next_trace: AtomicU64::new(0),
             next_span: AtomicU64::new(0),
             sample_tick: AtomicU64::new(0),
@@ -364,15 +364,13 @@ impl TraceStore {
     /// it, evict the oldest unremarkable (not slow, not failed) trace.
     /// Returns an empty span buffer for reuse — the evicted trace's.
     fn retire(&self, trace: CompletedTrace) -> Vec<SpanRec> {
-        let mut ring = self.ring.lock();
-        ring.push_back(trace);
-        if ring.len() <= COMPLETED_RING_CAP {
-            return Vec::new();
-        }
         let slow = self.slow_threshold();
-        let victim = ring.iter().position(|t| !t.failed && t.total < slow).unwrap_or(0);
+        let unremarkable = |t: &CompletedTrace| !t.failed && t.total < slow;
+        let Some(victim) = self.ring.lock().push_evicting(trace, unremarkable) else {
+            return Vec::new();
+        };
         self.evicted.inc();
-        let mut spans = ring.remove(victim).map(|t| t.spans).unwrap_or_default();
+        let mut spans = victim.spans;
         spans.clear();
         spans
     }

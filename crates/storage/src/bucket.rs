@@ -546,9 +546,8 @@ impl BucketStore {
         self.shards[shard].wal.len_bytes()
     }
 
-    /// The fragmentation threshold a log compacts at unless configured
-    /// otherwise (§4.3.3): the data engine's and the cluster's default, and
-    /// every GSI partition's.
+    /// The fragmentation threshold every log compacts at (§4.3.3): the data
+    /// engine's and every GSI partition's.
     pub const FRAGMENTATION_THRESHOLD: f64 = 0.6;
 
     /// Compact `shard`'s log if the stale fraction of its bytes has reached

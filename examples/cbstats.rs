@@ -103,8 +103,7 @@ fn main() {
     println!("\n== PROFILE SELECT COUNT(*) AS n FROM ycsb ==");
     println!("{}", cbs_json::print::to_json_pretty(&profiled.rows[0], 2));
 
-    // Freeze everything, the slow-op log (the trace store's slow traces)
-    // included.
+    // Freeze every registry and the per-vBucket detail.
     let stats = cluster.stats();
 
     println!("\n== topology ==");
@@ -151,14 +150,22 @@ fn main() {
         ],
     );
 
-    // Consistency observability: per-vBucket replica seqno lag from the
-    // replication pumps, summarized from the same `ClusterStats` rows
-    // that `system:replication` serves.
-    let per_vb = stats.per_vb_replica_lag();
+    // Consistency observability: per-vBucket replica seqno lag, rolled up
+    // by N1QL over the live rows the replication pumps' lag tables serve.
+    let per_vb = cluster
+        .query(
+            "SELECT bucket, vb, MAX(lag) AS lag_max, AVG(lag) AS lag_avg \
+             FROM system:replication GROUP BY bucket, vb ORDER BY bucket, vb",
+            &QueryOptions::default(),
+        )
+        .expect("roll up the replication catalog")
+        .rows;
     println!("\n== replica lag (per vBucket, seqnos behind the active) ==");
     println!("{:<8} {:>4} {:>8} {:>8}", "bucket", "vb", "max", "mean");
-    for (bucket, vb, max, mean) in per_vb.iter().take(8) {
-        println!("{bucket:<8} {vb:>4} {max:>8} {mean:>8.2}");
+    for row in per_vb.iter().take(8) {
+        let num = |name: &str| row.get_field(name).and_then(Value::as_f64).unwrap_or(0.0);
+        let bucket = row.get_field("bucket").and_then(Value::as_str).unwrap_or("?");
+        println!("{bucket:<8} {:>4} {:>8} {:>8.2}", num("vb"), num("lag_max"), num("lag_avg"));
     }
     if per_vb.len() > 8 {
         println!("... {} more vBuckets", per_vb.len() - 8);
@@ -170,33 +177,25 @@ fn main() {
     for row in &stale_rows.rows {
         println!("{}", row.to_json_string());
     }
-    let repl_rows = cluster
-        .query("SELECT * FROM system:replication", &QueryOptions::default())
-        .expect("query the replication catalog");
-    println!("system:replication via N1QL: {} rows", repl_rows.rows.len());
 
-    // The request log: what `system:completed_requests` / `system:
-    // active_requests` serve, straight off the snapshot.
-    println!("\n== completed requests ({} retained) ==", stats.completed_requests.len());
-    for (id, req) in stats.completed_requests.iter().rev().take(5) {
-        let field = |name: &str| {
-            req.get_field(name).and_then(cbs_json::Value::as_str).unwrap_or("?").to_string()
-        };
+    // The request log is a keyspace: the query service introspects itself.
+    let completed = cluster
+        .query("SELECT * FROM system:completed_requests", &QueryOptions::default())
+        .expect("query the request log")
+        .rows;
+    println!("\n== completed requests ({} retained) ==", completed.len());
+    for row in completed.iter().rev().take(5) {
+        let req = row.get_field("completed_requests").unwrap_or(row);
+        let field = |name: &str| req.get_field(name).and_then(Value::as_str).unwrap_or("?");
         println!(
-            "{id}: [{}] {} | {} | {}",
+            "{}: [{}] {} | {} | {}",
+            field("requestId"),
             field("state"),
             field("statement"),
             field("elapsedTime"),
             field("plan"),
         );
     }
-    println!("active requests in flight: {}", stats.active_requests.len());
-
-    // The same log is a keyspace: the query service can introspect itself.
-    let log_rows = cluster
-        .query("SELECT * FROM system:completed_requests", &QueryOptions::default())
-        .expect("query the request log");
-    println!("\nsystem:completed_requests via N1QL: {} rows", log_rows.rows.len());
 
     // Prepared statements: PREPARE caches the plan, EXECUTE skips the
     // front end entirely, and system:prepareds shows the registry — the
@@ -230,8 +229,9 @@ fn main() {
         100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
 
-    println!("\n== slow ops ({} captured, slowest first) ==", stats.slow_ops.len());
-    let mut slowest: Vec<_> = stats.slow_ops.iter().collect();
+    let slow_ops = cluster.inner().trace_store().slow_traces();
+    println!("\n== slow ops ({} captured, slowest first) ==", slow_ops.len());
+    let mut slowest: Vec<_> = slow_ops.iter().collect();
     slowest.sort_by_key(|op| std::cmp::Reverse(op.total));
     for op in slowest.iter().take(3) {
         println!("[{}] {:.1?}", op.root_name, op.total);

@@ -63,8 +63,9 @@ fn plancache_smoke() {
     assert!(text.contains("smoke"), "system:prepareds missing entry: {text}");
     assert!(text.contains("\"uses\":100"), "expected 100 uses in {text}");
 
-    // And the snapshot surface carries the same rows for cbstats.
-    assert!(stats.prepareds.iter().any(|(name, _)| name == "smoke"));
+    // And the catalog's row source, the plan cache, keys it by name.
+    let prepareds = cluster.inner().plan_cache().prepared_rows();
+    assert!(prepareds.iter().any(|(name, _)| name == "smoke"));
 }
 
 /// CREATE INDEX and DROP INDEX bump the keyspace epoch: cached plans that

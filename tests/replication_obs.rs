@@ -1,7 +1,7 @@
 //! Consistency observability end to end: the replication pumps' lag
 //! tables feed `system:replication` / `system:staleness` N1QL catalogs,
-//! the `ClusterStats` snapshot, and the Prometheus export — all live,
-//! while a workload is running.
+//! the `ClusterStats` registry snapshot, and the Prometheus export — all
+//! live, while a workload is running.
 
 use std::time::Duration;
 
@@ -101,8 +101,9 @@ fn system_staleness_summarizes_per_bucket() {
     }
 }
 
-/// The same lag rows ride the `ClusterStats` snapshot (cbstats surface)
-/// and the Prometheus exposition.
+/// The per-vBucket lag rollup cbstats prints is N1QL over
+/// `system:replication`, and the lag table's registry rides the
+/// `ClusterStats` snapshot and the Prometheus exposition.
 #[test]
 fn cluster_stats_and_prometheus_carry_replication_lag() {
     let cluster = CouchbaseCluster::homogeneous(3, ClusterConfig::for_test(8, 1));
@@ -111,15 +112,30 @@ fn cluster_stats_and_prometheus_carry_replication_lag() {
         bucket.upsert(&format!("k{i}"), Value::from(i)).unwrap();
     }
 
-    let ok = wait_until(Duration::from_secs(10), || !cluster.stats().replication.is_empty());
-    assert!(ok, "ClusterStats.replication never populated");
+    let opts = QueryOptions::default();
+    let ok = wait_until(Duration::from_secs(10), || {
+        !cluster.query("SELECT * FROM system:replication", &opts).unwrap().rows.is_empty()
+    });
+    assert!(ok, "system:replication never populated");
+
+    let per_vb = cluster
+        .query(
+            "SELECT bucket, vb, MAX(lag) AS lag_max, AVG(lag) AS lag_avg \
+             FROM system:replication GROUP BY bucket, vb",
+            &opts,
+        )
+        .unwrap()
+        .rows;
+    assert!(!per_vb.is_empty(), "per-vBucket lag table empty");
+    for row in &per_vb {
+        let (text, field) = (row.to_json_string(), |f| row.get_field(f).and_then(Value::as_f64));
+        assert_eq!(row.get_field("bucket"), Some(&Value::from("app")), "{text}");
+        assert!(field("vb").is_some_and(|vb| vb < 8.0), "vb out of range: {text}");
+        let (max, avg) = (field("lag_max"), field("lag_avg"));
+        assert!(max.zip(avg).is_some_and(|(m, a)| a <= m), "avg above max: {text}");
+    }
 
     let stats = cluster.stats();
-    assert!(stats.replication.iter().all(|r| r.bucket == "app"));
-    let per_vb = stats.per_vb_replica_lag();
-    assert!(!per_vb.is_empty(), "per-vBucket lag table empty");
-    assert!(per_vb.iter().all(|(b, vb, max, mean)| b == "app" && *vb < 8 && *mean <= *max as f64));
-
     // The pump's logical clock is a counter, so the merged snapshot sees it.
     assert!(stats.counter("cluster.replication.cycles") > 0);
 
