@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 
 use cbs_common::SeqNo;
-use cbs_json::{cmp_missing, JsonPath, Value};
+use cbs_json::{cmp_missing, cmp_str, cmp_values, JsonPath, Value};
 
 /// An index key expression — what `CREATE INDEX ... ON bucket(expr)`
 /// extracts from each document.
@@ -28,6 +28,16 @@ impl KeyExpr {
             KeyExpr::DocId => Some(Value::from(doc_id)),
         }
     }
+}
+
+/// How a partition holds its entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One `(key, doc id)` pair per key a document has: a secondary index.
+    Keys,
+    /// The document ids alone, for an index whose only key is the id (a
+    /// primary index): each entry's key is [`IndexKey::ID`].
+    Ids,
 }
 
 /// Comparison operator for partial-index filters.
@@ -63,7 +73,7 @@ impl FilterCond {
     /// Does `doc` satisfy this condition? MISSING fields never match.
     pub fn matches(&self, doc: &Value) -> bool {
         let Some(actual) = self.path.eval(doc) else { return false };
-        let ord = cbs_json::cmp_values(actual, &self.value);
+        let ord = cmp_values(actual, &self.value);
         match self.op {
             FilterOp::Eq => ord == Ordering::Equal,
             FilterOp::Ne => ord != Ordering::Equal,
@@ -150,6 +160,16 @@ impl IndexDef {
         !self.filter.is_empty() || self.keys.iter().any(|k| *k != KeyExpr::DocId)
     }
 
+    /// How this index's partitions hold their entries: an index over the
+    /// document id alone keeps just the ids.
+    pub fn layout(&self) -> Layout {
+        if self.keys == [KeyExpr::DocId] {
+            Layout::Ids
+        } else {
+            Layout::Keys
+        }
+    }
+
     /// Number of range partitions.
     pub fn num_partitions(&self) -> usize {
         self.partition_splits.len() + 1
@@ -192,6 +212,10 @@ impl Ord for IndexKey {
 }
 
 impl IndexKey {
+    /// The key of an entry of an index over the id alone ([`Layout::Ids`]):
+    /// no component, as the entry's document id is its key.
+    pub const ID: IndexKey = IndexKey(Vec::new());
+
     /// The leading (first) component.
     pub fn leading(&self) -> Option<&Value> {
         self.0.first().and_then(|o| o.as_ref())
@@ -231,21 +255,33 @@ impl ScanRange {
     /// fully-unbounded ranges (GSI does not serve MISSING leading keys at
     /// all; the indexer never stores them — see the projector).
     pub fn contains(&self, v: &Value) -> bool {
-        if let Some(low) = &self.low {
-            match cbs_json::cmp_values(v, low) {
-                Ordering::Less => return false,
-                Ordering::Equal if !self.low_inclusive => return false,
-                _ => {}
-            }
-        }
-        if let Some(high) = &self.high {
-            match cbs_json::cmp_values(v, high) {
-                Ordering::Greater => return false,
-                Ordering::Equal if !self.high_inclusive => return false,
-                _ => {}
-            }
-        }
-        true
+        self.above_low(|low| cmp_values(v, low)) && self.below_high(|high| cmp_values(v, high))
+    }
+
+    /// Does a document id, which collates as a string, fall inside the
+    /// range? The leading key of an index over the id alone.
+    pub fn contains_id(&self, id: &str) -> bool {
+        self.above_low(|low| cmp_str(id, low)) && self.below_high(|high| cmp_str(id, high))
+    }
+
+    /// Whether a value that compares to the low bound as `vs_low` says is
+    /// at or above it.
+    pub(crate) fn above_low(&self, vs_low: impl FnOnce(&Value) -> Ordering) -> bool {
+        self.low.as_ref().is_none_or(|low| match vs_low(low) {
+            Ordering::Less => false,
+            Ordering::Equal => self.low_inclusive,
+            Ordering::Greater => true,
+        })
+    }
+
+    /// Whether a value that compares to the high bound as `vs_high` says
+    /// is at or below it.
+    pub(crate) fn below_high(&self, vs_high: impl FnOnce(&Value) -> Ordering) -> bool {
+        self.high.as_ref().is_none_or(|high| match vs_high(high) {
+            Ordering::Less => true,
+            Ordering::Equal => self.high_inclusive,
+            Ordering::Greater => false,
+        })
     }
 }
 

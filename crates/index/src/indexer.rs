@@ -4,12 +4,15 @@
 //! and manages the on-disk index tree data structure. It also provides the
 //! interface for the query client to run index scans" (§4.3.4).
 //!
-//! The tree is one ordered set of `(key, doc id)` entries, [`IndexKey`]
-//! under N1QL collation first and the id second, so a scan is one walk in
-//! row order. A back index (doc → its current keys) lets updates and
-//! deletes remove stale entries. Doc ids are [`DocKey`]s, inline up to 22
-//! bytes. A per-vBucket seqno [`Watermarks`] vector beside the tree is what
-//! `request_plus` waits on — without touching the tree lock.
+//! The tree is an ordered set in row order, in one of two [`Layout`]s. A
+//! secondary index keeps `(key, doc id)` entries, [`IndexKey`] under N1QL
+//! collation first and the id second, and a back index (doc → its seqno
+//! and current keys) that lets updates and deletes remove stale entries.
+//! An index over the id alone (a primary index) keeps the ids alone, each
+//! once, and a back index of seqnos: no key and no heap block per entry.
+//! Doc ids are [`DocKey`]s, inline up to 22 bytes. A per-vBucket seqno
+//! [`Watermarks`] vector beside the tree is what `request_plus` waits on —
+//! without touching the tree lock.
 //!
 //! # Batches, the change log and recovery
 //!
@@ -22,6 +25,7 @@
 //! ```text
 //! | vb u16 LE | record: key = doc id, seqno,
 //! |           |   value = keys as JSON `[[[c0],[],[c2]], ...]` (`[]` = MISSING),
+//! |           |   empty for a doc indexed under its id alone ([`IndexKey::ID`]),
 //! |           |   a tombstone when the doc has no keys here;
 //! |           |   flags = 1 on the empty key: the vBucket's watermark record
 //! ```
@@ -44,18 +48,19 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
-use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{Deadline, DocKey, DocMeta, Error, KeyMap, Result, SeqNo, VbId};
-use cbs_json::Value;
+use cbs_json::{cmp_str, cmp_values, Value};
 use cbs_storage::{BucketStore, Cycle, StoredDoc, CYCLE_SLICE};
 
-use crate::defs::{IndexKey, IndexStorage, ScanConsistency, ScanRange};
+use crate::defs::{IndexKey, IndexStorage, Layout, ScanConsistency, ScanRange};
 
 /// One scan result row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
-    /// The composite index key (usable for covering scans, §5.1.2).
+    /// The composite index key (usable for covering scans, §5.1.2);
+    /// [`IndexKey::ID`] in an index over the id alone, whose key is
+    /// `doc_id`.
     pub key: IndexKey,
     /// The document ID ("An index simply returns the document ID for each
     /// attribute match", §4.5.1).
@@ -96,8 +101,9 @@ pub struct IndexerStats {
 #[derive(Debug, Clone, PartialEq)]
 pub enum IndexOp {
     /// As of `seqno`, `doc_id` is indexed under exactly `keys` (array
-    /// indexes emit several). Empty `keys` removes it: deleted, filtered
-    /// out, leading key MISSING, or moved to another partition.
+    /// indexes emit several; an index over the id alone, [`IndexKey::ID`]).
+    /// Empty `keys` removes it: deleted, filtered out, leading key MISSING,
+    /// or moved to another partition.
     Put {
         /// Document ID.
         doc_id: DocKey,
@@ -128,24 +134,38 @@ impl IndexOp {
         }
     }
 
-    fn to_record(&self) -> (VbId, StoredDoc) {
+    /// Encode the op's log record straight into `cycle`.
+    fn push_record(&self, cycle: &mut Cycle) -> Result<()> {
         let (vb, seqno) = self.position();
-        let (key, flags, keys) = match self {
-            IndexOp::Put { doc_id, keys, .. } => (doc_id.to_string(), 0, keys.as_slice()),
-            IndexOp::Advance { .. } => (String::new(), LOG_FLAG_ADVANCE, &[][..]),
+        let IndexOp::Put { doc_id, keys, .. } = self else {
+            let meta = DocMeta { seqno, flags: LOG_FLAG_ADVANCE, ..Default::default() };
+            return cycle.push(vb, "", &meta, false, &[]);
         };
-        let meta = DocMeta { seqno, flags, ..Default::default() };
-        let value = if keys.is_empty() { Bytes::new() } else { Bytes::from(keys_to_json(keys)) };
-        // A document with no keys here is a tombstone.
-        (vb, StoredDoc { key, meta, deleted: flags == 0 && keys.is_empty(), value })
+        let meta = DocMeta { seqno, ..Default::default() };
+        match keys.as_slice() {
+            // A document with no keys here is a tombstone.
+            [] => cycle.push(vb, doc_id, &meta, true, &[]),
+            [key] if *key == IndexKey::ID => cycle.push(vb, doc_id, &meta, false, &[]),
+            keys => cycle.push(vb, doc_id, &meta, false, keys_to_json(keys).as_bytes()),
+        }
     }
 
-    fn from_record(vb: VbId, doc: StoredDoc) -> Result<IndexOp> {
+    /// Decode a record of a partition in `layout`; a live record that does
+    /// not fit it, an id alone in a secondary index's log or a key list in
+    /// a primary one's, is refused.
+    fn from_record(vb: VbId, layout: Layout, doc: StoredDoc) -> Result<IndexOp> {
         let seqno = doc.meta.seqno;
         if doc.meta.flags == LOG_FLAG_ADVANCE {
             return Ok(IndexOp::Advance { vb, seqno });
         }
-        let keys = if doc.deleted { Vec::new() } else { keys_from_json(&doc.value)? };
+        let keys = match (doc.deleted, layout) {
+            (true, _) => Vec::new(),
+            (false, Layout::Keys) => keys_from_json(&doc.value)?,
+            (false, Layout::Ids) if doc.value.is_empty() => vec![IndexKey::ID],
+            (false, Layout::Ids) => {
+                return Err(Error::Index("index log: a key list in a primary index".to_string()))
+            }
+        };
         Ok(IndexOp::Put { doc_id: DocKey::from(doc.key), keys, vb, seqno })
     }
 }
@@ -179,51 +199,59 @@ fn keys_from_json(bytes: &[u8]) -> Result<Vec<IndexKey>> {
         .collect()
 }
 
+/// A partition's live entries in scan order, and its back index: the seqno
+/// of the version of each document it holds, a tombstone's included. The
+/// seqno makes apply idempotent and order-tolerant per document, so
+/// catch-up backfills can interleave with the live DCP feed safely — and
+/// recovery needs no ordering of its own.
+trait Entries: Send {
+    /// The seqno of the version of `doc_id` held, if any.
+    fn version(&self, doc_id: &str) -> Option<SeqNo>;
+
+    /// Index `doc_id` under exactly `keys` as of `seqno`, unless the
+    /// version held is as new: then nothing changes and this is false.
+    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, seqno: SeqNo) -> bool;
+
+    /// Live entries, and documents that have one.
+    fn counts(&self) -> (u64, u64);
+
+    fn cardinality(&self) -> IndexCardinality;
+
+    /// Range scan over the leading key, in row order; at most `limit` rows.
+    fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry>;
+
+    /// Exact-match lookup on the full composite key, in doc id order.
+    fn lookup(&self, key: &IndexKey) -> Vec<DocKey>;
+
+    /// Every document held, tombstones included, with its version's seqno
+    /// and keys, in no particular order.
+    fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)>;
+}
+
 /// One live entry: the composite key, then the document it came from.
 /// Tuple order is scan order.
 type Entry = (IndexKey, DocKey);
 
-struct Tree {
+/// A secondary index's entries ([`Layout::Keys`]).
+#[derive(Default)]
+struct KeyEntries {
     /// Every live entry — one per (key, doc) pair, a document with several
     /// keys (an array index) having several.
     entries: BTreeSet<Entry>,
-    /// The back index: doc → (seqno of the version indexed, its keys). The
-    /// seqno makes apply idempotent and order-tolerant per document, so
-    /// catch-up backfills can interleave with the live DCP feed safely —
-    /// and recovery needs no ordering of its own. The keys live as long
-    /// as the document is indexed, so they are held without spare capacity.
+    /// The back index: doc → (seqno, its keys). The keys live as long as
+    /// the document is indexed, so they are held without spare capacity.
     docs: KeyMap<(SeqNo, Box<[IndexKey]>)>,
-    /// Distinct composite keys in `entries`. It and `stats.docs` are
-    /// maintained on insert and remove, so stats and cardinality snapshots
-    /// stay O(1) under the tree lock.
+    /// Distinct composite keys in `entries`, and documents with an entry.
+    /// Both are maintained on insert and remove, so stats and cardinality
+    /// snapshots stay O(1) under the tree lock.
     distinct_keys: u64,
-    stats: IndexerStats,
+    indexed_docs: u64,
 }
 
-impl Tree {
-    /// A stale or filtered-out mutation changes nothing here, and still
-    /// counts for consistency: the caller advances the watermark to
-    /// [`IndexOp::position`] either way.
-    fn apply_op(&mut self, op: IndexOp) {
-        if let IndexOp::Put { doc_id, keys, seqno, .. } = op {
-            let stale = matches!(self.docs.get(&doc_id), Some((s, _)) if *s >= seqno);
-            if !stale {
-                self.remove_doc(&doc_id);
-                for key in &keys {
-                    self.insert((key.clone(), doc_id.clone()));
-                }
-                self.stats.docs += u64::from(!keys.is_empty());
-                // Kept even when `keys` is empty: the tombstone's seqno
-                // stops late-arriving older versions resurrecting entries.
-                self.docs.insert(doc_id, (seqno, keys.into_boxed_slice()));
-                self.stats.applied += 1;
-            }
-        }
-    }
-
+impl KeyEntries {
     fn remove_doc(&mut self, doc_id: &str) {
         let Some((mut id, (_, keys))) = self.docs.remove_entry(doc_id) else { return };
-        self.stats.docs -= u64::from(!keys.is_empty());
+        self.indexed_docs -= u64::from(!keys.is_empty());
         for key in keys.into_vec() {
             // The id moves through each probe instead of being cloned: a
             // long one is a heap allocation.
@@ -251,6 +279,175 @@ impl Tree {
     }
 }
 
+impl Entries for KeyEntries {
+    fn version(&self, doc_id: &str) -> Option<SeqNo> {
+        self.docs.get(doc_id).map(|(seqno, _)| *seqno)
+    }
+
+    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, seqno: SeqNo) -> bool {
+        if self.version(&doc_id).is_some_and(|held| held >= seqno) {
+            return false;
+        }
+        self.remove_doc(&doc_id);
+        for key in &keys {
+            self.insert((key.clone(), doc_id.clone()));
+        }
+        self.indexed_docs += u64::from(!keys.is_empty());
+        // Kept even when `keys` is empty: the tombstone's seqno stops
+        // late-arriving older versions resurrecting entries.
+        self.docs.insert(doc_id, (seqno, keys.into_boxed_slice()));
+        true
+    }
+
+    fn counts(&self) -> (u64, u64) {
+        (self.entries.len() as u64, self.indexed_docs)
+    }
+
+    fn cardinality(&self) -> IndexCardinality {
+        let leading = |e: Option<&Entry>| e.and_then(|(k, _)| k.leading().cloned());
+        IndexCardinality {
+            entries: self.entries.len() as u64,
+            distinct_keys: self.distinct_keys,
+            min_leading: leading(self.entries.first()),
+            max_leading: leading(self.entries.last()),
+        }
+    }
+
+    fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry> {
+        let mut out = Vec::new();
+        // Seek straight to the lower bound instead of walking from the
+        // smallest entry: `(IndexKey([low]), "")` sorts at-or-before every
+        // entry whose leading component is >= low (equal prefixes order by
+        // length, and "" is the smallest id), so everything below the range
+        // is skipped in O(log n). An exclusive low bound still filters
+        // below; that only re-checks the boundary value's entries.
+        let seek =
+            range.low.as_ref().map(|low| (IndexKey(vec![Some(low.clone())]), DocKey::from("")));
+        let lower = seek.as_ref().map_or(Bound::Unbounded, Bound::Included);
+        for (key, doc_id) in self.entries.range((lower, Bound::Unbounded)) {
+            let Some(leading) = key.leading() else { continue };
+            // Early exit once past the upper bound (B-tree order).
+            if !range.below_high(|high| cmp_values(leading, high)) {
+                break;
+            }
+            if !range.above_low(|low| cmp_values(leading, low)) {
+                continue;
+            }
+            out.push(IndexEntry { key: key.clone(), doc_id: doc_id.clone() });
+            if out.len() == limit {
+                break;
+            }
+        }
+        out
+    }
+
+    fn lookup(&self, key: &IndexKey) -> Vec<DocKey> {
+        let seek = (key.clone(), DocKey::from(""));
+        let hits = self.entries.range(&seek..).take_while(|(k, _)| k.cmp(key).is_eq());
+        hits.map(|(_, doc_id)| doc_id.clone()).collect()
+    }
+
+    fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
+        self.docs.iter().map(|(d, (s, k))| (d.clone(), *s, k.to_vec())).collect()
+    }
+}
+
+/// An index over the id alone ([`Layout::Ids`]): each live document's id
+/// once, in the ordered set, and each held version's seqno in the back
+/// index. The id is the key, so an entry's key is [`IndexKey::ID`].
+#[derive(Default)]
+struct IdEntries {
+    ids: BTreeSet<DocKey>,
+    docs: KeyMap<SeqNo>,
+}
+
+impl IdEntries {
+    /// Where the ids inside `range` start, or `None` when no id can be
+    /// inside it. Every id collates as a string, so a low bound of another
+    /// type is below all of them or above all of them.
+    fn seek(range: &ScanRange) -> Option<Bound<&str>> {
+        match &range.low {
+            None => Some(Bound::Unbounded),
+            Some(Value::String(low)) if range.low_inclusive => Some(Bound::Included(low)),
+            Some(Value::String(low)) => Some(Bound::Excluded(low)),
+            Some(low) => cmp_str("", low).is_gt().then_some(Bound::Unbounded),
+        }
+    }
+}
+
+impl Entries for IdEntries {
+    fn version(&self, doc_id: &str) -> Option<SeqNo> {
+        self.docs.get(doc_id).copied()
+    }
+
+    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, seqno: SeqNo) -> bool {
+        match self.docs.get_mut(&doc_id) {
+            Some(held) if *held >= seqno => return false,
+            Some(held) => *held = seqno,
+            // Kept even for a removal: the tombstone's seqno stops
+            // late-arriving older versions resurrecting the id.
+            None => {
+                self.docs.insert(doc_id.clone(), seqno);
+            }
+        }
+        if keys.is_empty() {
+            self.ids.remove(&doc_id);
+        } else {
+            self.ids.insert(doc_id);
+        }
+        true
+    }
+
+    fn counts(&self) -> (u64, u64) {
+        (self.ids.len() as u64, self.ids.len() as u64)
+    }
+
+    fn cardinality(&self) -> IndexCardinality {
+        let leading = |id: Option<&DocKey>| id.map(|id| Value::from(id.as_str()));
+        IndexCardinality {
+            entries: self.ids.len() as u64,
+            distinct_keys: self.ids.len() as u64,
+            min_leading: leading(self.ids.first()),
+            max_leading: leading(self.ids.last()),
+        }
+    }
+
+    fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry> {
+        let Some(start) = IdEntries::seek(range) else { return Vec::new() };
+        let from = self.ids.range::<str, _>((start, Bound::Unbounded));
+        let inside = from.take_while(|id| range.below_high(|high| cmp_str(id, high)));
+        let row = |id: &DocKey| IndexEntry { key: IndexKey::ID, doc_id: id.clone() };
+        inside.take(if limit == 0 { usize::MAX } else { limit }).map(row).collect()
+    }
+
+    fn lookup(&self, key: &IndexKey) -> Vec<DocKey> {
+        let [Some(Value::String(id))] = key.0.as_slice() else { return Vec::new() };
+        self.ids.get(id.as_str()).cloned().into_iter().collect()
+    }
+
+    fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
+        let keys =
+            |id: &DocKey| if self.ids.contains(id) { vec![IndexKey::ID] } else { Vec::new() };
+        self.docs.iter().map(|(id, seqno)| (id.clone(), *seqno, keys(id))).collect()
+    }
+}
+
+struct Tree {
+    entries: Box<dyn Entries>,
+    stats: IndexerStats,
+}
+
+impl Tree {
+    /// A stale or filtered-out mutation changes nothing here, and still
+    /// counts for consistency: the caller advances the watermark to
+    /// [`IndexOp::position`] either way.
+    fn apply_op(&mut self, op: IndexOp) {
+        if let IndexOp::Put { doc_id, keys, seqno, .. } = op {
+            self.stats.applied += u64::from(self.entries.put(doc_id, keys, seqno));
+        }
+    }
+}
+
 /// One index partition's storage + watermark state.
 pub struct Indexer {
     tree: OrderedMutex<Tree>,
@@ -271,6 +468,7 @@ impl Indexer {
     /// ([`Indexer::recover`] is the way to keep it).
     pub fn new(
         num_vbuckets: u16,
+        layout: Layout,
         storage: IndexStorage,
         log_dir: Option<PathBuf>,
         name: &str,
@@ -290,7 +488,7 @@ impl Indexer {
             }
             IndexStorage::MemoryOptimized => None,
         };
-        Ok(Indexer::with_log(num_vbuckets, store))
+        Ok(Indexer::with_log(num_vbuckets, layout, store))
     }
 
     /// Reopen a Standard-mode indexer on the log a previous instance left
@@ -299,30 +497,34 @@ impl Indexer {
     /// live batch, which refuses a vBucket the bucket lacks. Tree and
     /// watermarks come back exactly as of the last synced batch (plus
     /// whatever of an unsynced one reached the file whole).
-    pub fn recover(num_vbuckets: u16, log_dir: &Path, name: &str) -> Result<Indexer> {
+    pub fn recover(
+        num_vbuckets: u16,
+        layout: Layout,
+        log_dir: &Path,
+        name: &str,
+    ) -> Result<Indexer> {
         let store = BucketStore::open(log_dir.join(format!("{name}.gsi")))?;
         let mut ops = Vec::new();
         for vb in store.open_vbs() {
             for doc in store.vb(vb)?.changes_since(SeqNo::ZERO)? {
-                ops.push(IndexOp::from_record(vb, doc)?);
+                ops.push(IndexOp::from_record(vb, layout, doc)?);
             }
         }
-        let indexer = Indexer::with_log(num_vbuckets, Some(store));
+        let indexer = Indexer::with_log(num_vbuckets, layout, Some(store));
         let ops = indexer.durable_changes(ops)?;
         indexer.apply_ops(&mut indexer.tree.lock(), ops);
         Ok(indexer)
     }
 
-    fn with_log(num_vbuckets: u16, store: Option<BucketStore>) -> Indexer {
+    fn with_log(num_vbuckets: u16, layout: Layout, store: Option<BucketStore>) -> Indexer {
+        let entries: Box<dyn Entries> = match layout {
+            Layout::Keys => Box::<KeyEntries>::default(),
+            Layout::Ids => Box::<IdEntries>::default(),
+        };
         Indexer {
             tree: OrderedMutex::new(
                 rank::INDEX_TREE,
-                Tree {
-                    entries: BTreeSet::new(),
-                    docs: KeyMap::default(),
-                    distinct_keys: 0,
-                    stats: IndexerStats::default(),
-                },
+                Tree { entries, stats: IndexerStats::default() },
             ),
             marks: Watermarks::new("GSI partition", num_vbuckets),
             log: store.map(|store| OrderedMutex::new(rank::INDEX_LOG_WRITER, store)),
@@ -343,8 +545,7 @@ impl Indexer {
         let ops = self.durable_changes(ops)?;
         let mut cycle = Cycle::new();
         let filled = ops.iter().try_for_each(|op| {
-            let (vb, doc) = op.to_record();
-            cycle.push_doc(vb, &doc)?;
+            op.push_record(&mut cycle)?;
             if cycle.buffered_bytes() >= CYCLE_SLICE {
                 store.append_slice(0, &mut cycle)?;
             }
@@ -384,8 +585,8 @@ impl Indexer {
             let raises = seqno > *mark;
             *mark = (*mark).max(seqno);
             if let IndexOp::Put { doc_id, .. } = &op {
-                let held = newest.get(doc_id).or_else(|| t.docs.get(doc_id).map(|(s, _)| s));
-                if held.is_none_or(|held| seqno > *held) {
+                let held = newest.get(doc_id).copied().or_else(|| t.entries.version(doc_id));
+                if held.is_none_or(|held| seqno > held) {
                     newest.insert(doc_id.clone(), seqno);
                     changes.push(op);
                     continue;
@@ -423,44 +624,15 @@ impl Indexer {
     pub fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry> {
         let mut t = self.tree.lock();
         t.stats.scans += 1;
-        let mut out = Vec::new();
-        // Seek straight to the lower bound instead of walking from the
-        // smallest entry: `(IndexKey([low]), "")` sorts at-or-before every
-        // entry whose leading component is >= low (equal prefixes order by
-        // length, and "" is the smallest id), so everything below the range
-        // is skipped in O(log n). An exclusive low bound still filters via
-        // `contains` below; that only re-checks the boundary value's entries.
-        let seek =
-            range.low.as_ref().map(|low| (IndexKey(vec![Some(low.clone())]), DocKey::from("")));
-        let lower = seek.as_ref().map_or(Bound::Unbounded, Bound::Included);
-        for (key, doc_id) in t.entries.range((lower, Bound::Unbounded)) {
-            let Some(leading) = key.leading() else { continue };
-            if let Some(high) = &range.high {
-                // Early exit once past the upper bound (B-tree order).
-                match cbs_json::cmp_values(leading, high) {
-                    std::cmp::Ordering::Greater => break,
-                    std::cmp::Ordering::Equal if !range.high_inclusive => break,
-                    _ => {}
-                }
-            }
-            if !range.contains(leading) {
-                continue;
-            }
-            out.push(IndexEntry { key: key.clone(), doc_id: doc_id.clone() });
-            if limit > 0 && out.len() >= limit {
-                break;
-            }
-        }
-        out
+        t.entries.scan(range, limit)
     }
 
-    /// Exact-match lookup on the full composite key, in doc id order.
+    /// Exact-match lookup on the full composite key, in doc id order. In
+    /// an index over the id alone the key is the id, as a string.
     pub fn lookup(&self, key: &IndexKey) -> Vec<DocKey> {
         let mut t = self.tree.lock();
         t.stats.scans += 1;
-        let seek = (key.clone(), DocKey::from(""));
-        let hits = t.entries.range(&seek..).take_while(|(k, _)| k.cmp(key).is_eq());
-        hits.map(|(_, doc_id)| doc_id.clone()).collect()
+        t.entries.lookup(key)
     }
 
     /// Current watermark vector.
@@ -476,29 +648,22 @@ impl Indexer {
     /// Statistics snapshot.
     pub fn stats(&self) -> IndexerStats {
         let t = self.tree.lock();
-        IndexerStats { entries: t.entries.len() as u64, ..t.stats }
+        let (entries, docs) = t.entries.counts();
+        IndexerStats { entries, docs, ..t.stats }
     }
 
     /// O(1) cardinality snapshot for the cost-based optimizer: live entry
-    /// count, distinct composite keys, and the min/max leading-key values.
+    /// count, distinct composite keys, and the min/max leading-key values
+    /// (an id, as a string, in an index over the id alone).
     pub fn cardinality(&self) -> IndexCardinality {
-        let t = self.tree.lock();
-        let leading = |e: Option<&Entry>| e.and_then(|(k, _)| k.leading().cloned());
-        IndexCardinality {
-            entries: t.entries.len() as u64,
-            distinct_keys: t.distinct_keys,
-            min_leading: leading(t.entries.first()),
-            max_leading: leading(t.entries.last()),
-        }
+        self.tree.lock().entries.cardinality()
     }
 
     /// Every document the partition has a version of — tombstones
     /// included — with that version's seqno and keys, sorted by id: the
     /// whole state behind the tree, for equivalence and recovery checks.
     pub fn doc_versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
-        let t = self.tree.lock();
-        let mut out: Vec<_> =
-            t.docs.iter().map(|(d, (s, k))| (d.clone(), *s, k.to_vec())).collect();
+        let mut out = self.tree.lock().entries.versions();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -524,7 +689,7 @@ mod tests {
     }
 
     fn memopt() -> Indexer {
-        Indexer::new(8, IndexStorage::MemoryOptimized, None, "t").unwrap()
+        Indexer::new(8, Layout::Keys, IndexStorage::MemoryOptimized, None, "t").unwrap()
     }
 
     fn put(doc_id: &str, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) -> IndexOp {
@@ -704,7 +869,9 @@ mod tests {
     #[test]
     fn standard_mode_syncs_once_per_batch_and_recovers() {
         let dir = cbs_storage::scratch_dir("gsi");
-        let idx = Indexer::new(4, IndexStorage::Standard, Some(dir.clone()), "email_idx").unwrap();
+        let idx =
+            Indexer::new(4, Layout::Keys, IndexStorage::Standard, Some(dir.clone()), "email_idx")
+                .unwrap();
         update(&idx, "d1", vec![key1(Value::from("a@x.com"))], VbId(0), SeqNo(1));
         update(&idx, "d2", vec![key1(Value::from("b@x.com"))], VbId(0), SeqNo(2));
         assert_eq!(idx.stats().disk_syncs, 2, "a batch of one is one commit");
@@ -725,7 +892,7 @@ mod tests {
         let (docs, marks, rows) =
             (idx.doc_versions(), idx.watermarks(), idx.scan(&ScanRange::all(), 0));
         drop(idx);
-        let back = Indexer::recover(4, &dir, "email_idx").unwrap();
+        let back = Indexer::recover(4, Layout::Keys, &dir, "email_idx").unwrap();
         assert_eq!(back.doc_versions(), docs);
         assert_eq!(back.watermarks(), marks);
         assert_eq!(back.scan(&ScanRange::all(), 0), rows);
@@ -733,15 +900,32 @@ mod tests {
         // `new` over the same name starts empty: the log was someone else's.
         drop(back);
         let fresh =
-            Indexer::new(4, IndexStorage::Standard, Some(dir.clone()), "email_idx").unwrap();
+            Indexer::new(4, Layout::Keys, IndexStorage::Standard, Some(dir.clone()), "email_idx")
+                .unwrap();
         assert!(fresh.doc_versions().is_empty());
         drop(fresh);
-        assert!(Indexer::recover(4, &dir, "email_idx").unwrap().doc_versions().is_empty());
+        assert!(Indexer::recover(4, Layout::Keys, &dir, "email_idx")
+            .unwrap()
+            .doc_versions()
+            .is_empty());
 
         // Memory-optimized never syncs.
         let mo = memopt();
         update(&mo, "d1", vec![key1(Value::int(1))], VbId(0), SeqNo(1));
         assert_eq!(mo.stats().disk_syncs, 0);
+    }
+
+    /// Each op through a real log and back: what `push_record` encodes is
+    /// what `from_record` decodes.
+    fn roundtrip(op: &IndexOp, layout: Layout) -> (StoredDoc, IndexOp) {
+        let store = BucketStore::open(cbs_storage::scratch_dir("gsi-record")).unwrap();
+        let mut cycle = Cycle::new();
+        op.push_record(&mut cycle).unwrap();
+        store.commit(0, &mut cycle).unwrap();
+        let vb = op.position().0;
+        let mut docs = store.vb(vb).unwrap().changes_since(SeqNo::ZERO).unwrap();
+        let doc = docs.pop().unwrap();
+        (doc.clone(), IndexOp::from_record(vb, layout, doc).unwrap())
     }
 
     #[test]
@@ -756,16 +940,22 @@ mod tests {
             assert!(keys_from_json(bad.as_bytes()).is_err(), "{bad}");
         }
         let op = put("doc", keys, VbId(3), SeqNo(8));
-        let (vb, rec) = op.to_record();
-        assert_eq!(IndexOp::from_record(vb, rec).unwrap(), op);
+        let (rec, back) = roundtrip(&op, Layout::Keys);
+        assert_eq!(back, op);
+        assert!(IndexOp::from_record(VbId(3), Layout::Ids, rec).is_err(), "keys in a primary log");
         let removed = put("doc", Vec::new(), VbId(3), SeqNo(9));
-        let (vb, rec) = removed.to_record();
+        let (rec, back) = roundtrip(&removed, Layout::Keys);
         assert!(rec.deleted && rec.value.is_empty(), "a document with no keys is a tombstone");
-        assert_eq!(IndexOp::from_record(vb, rec).unwrap(), removed);
+        assert_eq!(back, removed);
+        let by_id = put("doc", vec![IndexKey::ID], VbId(3), SeqNo(10));
+        let (rec, back) = roundtrip(&by_id, Layout::Ids);
+        assert!(!rec.deleted && rec.value.is_empty(), "an id alone is the record's key");
+        assert_eq!(back, by_id);
+        assert!(IndexOp::from_record(VbId(3), Layout::Keys, rec).is_err(), "an id in a keyed log");
         let adv = IndexOp::Advance { vb: VbId(1), seqno: SeqNo(2) };
-        let (vb, rec) = adv.to_record();
+        let (rec, back) = roundtrip(&adv, Layout::Keys);
         assert!(rec.key.is_empty() && !rec.deleted);
-        assert_eq!(IndexOp::from_record(vb, rec).unwrap(), adv);
+        assert_eq!(back, adv);
     }
 
     /// A log that cannot take the batch: nothing is applied, no watermark
@@ -777,7 +967,7 @@ mod tests {
         let dir = cbs_storage::scratch_dir("gsi-full");
         std::fs::create_dir(dir.join("ix.gsi")).unwrap();
         std::os::unix::fs::symlink("/dev/full", dir.join("ix.gsi/shard_0.couch")).unwrap();
-        let idx = Indexer::recover(4, &dir, "ix").unwrap();
+        let idx = Indexer::recover(4, Layout::Keys, &dir, "ix").unwrap();
         for seq in 1..=2 {
             let err =
                 idx.apply_batch(vec![put("d", vec![key1(Value::int(1))], VbId(0), SeqNo(seq))]);
@@ -803,7 +993,7 @@ mod tests {
         let storage = [rank::INDEX_LOG_WRITER, rank::WAL, rank::BUCKET_MAP, rank::VB_STORE];
         assert!(storage.iter().all(|r| r.rank < rank::INDEX_TREE.rank));
         let dir = cbs_storage::scratch_dir("gsi-order");
-        let idx = Indexer::new(4, IndexStorage::Standard, Some(dir), "ix").unwrap();
+        let idx = Indexer::new(4, Layout::Keys, IndexStorage::Standard, Some(dir), "ix").unwrap();
         for seqno in 1..=20 {
             update(&idx, "d", vec![key1(Value::int(1))], VbId(0), SeqNo(seqno));
         }

@@ -38,7 +38,8 @@ pub mod projector;
 pub mod service;
 
 pub use defs::{
-    FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
+    FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, Layout, ScanConsistency,
+    ScanRange,
 };
 pub use indexer::{IndexCardinality, IndexEntry, IndexOp, Indexer, IndexerStats};
 pub use projector::{Projector, Router};

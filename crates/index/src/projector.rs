@@ -12,7 +12,7 @@ use cbs_common::Result;
 use cbs_dcp::DcpItem;
 use cbs_json::Value;
 
-use crate::defs::{IndexDef, IndexKey, KeyExpr};
+use crate::defs::{IndexDef, IndexKey, KeyExpr, Layout};
 use crate::indexer::{IndexOp, Indexer};
 
 /// Stateless key-version extraction.
@@ -34,11 +34,15 @@ impl Projector {
     }
 
     /// The index keys a document produces under `def` (empty if filtered
-    /// out or leading key MISSING).
+    /// out or leading key MISSING). An index over the id alone yields
+    /// [`IndexKey::ID`], no component: the entry's id is its key.
     pub fn keys_for(def: &IndexDef, doc_id: &str, doc: &Value) -> Vec<IndexKey> {
         // Partial-index filter (§3.3.4): all conjuncts must hold.
         if !def.filter.iter().all(|c| c.matches(doc)) {
             return Vec::new();
+        }
+        if def.layout() == Layout::Ids {
+            return vec![IndexKey::ID];
         }
         // Array index (§6.1.2): if the leading expression is ArrayElements,
         // fan out one key per element.
@@ -115,7 +119,8 @@ impl Router {
                 per_partition.iter_mut().for_each(|batch| batch.push(op.clone()));
                 continue;
             };
-            for (batch, keys) in per_partition.iter_mut().zip(self.keys_by_partition(keys)) {
+            let homes = self.keys_by_partition(&doc_id, keys);
+            for (batch, keys) in per_partition.iter_mut().zip(homes) {
                 batch.push(IndexOp::Put { doc_id: doc_id.clone(), keys, vb, seqno });
             }
         }
@@ -127,14 +132,20 @@ impl Router {
     }
 
     /// Group a document's keys by destination partition: by the leading
-    /// component, so equal keys always share a partition.
-    fn keys_by_partition(&self, keys: Vec<IndexKey>) -> Vec<Vec<IndexKey>> {
+    /// component, so equal keys always share a partition. The key of an
+    /// index over the id alone has no component: the id leads.
+    fn keys_by_partition(&self, doc_id: &str, keys: Vec<IndexKey>) -> Vec<Vec<IndexKey>> {
         if self.partitions.len() == 1 {
             return vec![keys];
         }
         let mut homes: Vec<Vec<IndexKey>> = vec![Vec::new(); self.partitions.len()];
         for key in keys {
-            homes[self.def.partition_for(key.leading())].push(key);
+            let home = if key == IndexKey::ID {
+                self.def.partition_for(Some(&Value::from(doc_id)))
+            } else {
+                self.def.partition_for(key.leading())
+            };
+            homes[home].push(key);
         }
         homes
     }
@@ -214,10 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn primary_index_uses_doc_id() {
+    fn primary_index_keys_a_document_by_its_id_alone() {
         let def = IndexDef::primary("#primary", "b");
         let keys = Projector::keys_for(&def, "the-doc", &Value::empty_object());
-        assert_eq!(keys, vec![IndexKey(vec![Some(Value::from("the-doc"))])]);
+        assert_eq!(keys, vec![IndexKey::ID], "no component: the id is the key");
     }
 
     #[test]
@@ -229,8 +240,7 @@ mod tests {
             cbs_json::SharedValue::from_json(bytes::Bytes::from_static(br#"{"a":1}"#)),
         );
         let op = Projector::project(&IndexDef::primary("#primary", "b"), &stored);
-        let expected = vec![IndexKey(vec![Some(Value::from("the-doc"))])];
-        assert!(matches!(op, IndexOp::Put { keys, .. } if keys == expected));
+        assert!(matches!(op, IndexOp::Put { keys, .. } if keys == [IndexKey::ID]));
         assert!(!stored.value.as_ref().unwrap().is_decoded());
         // A secondary index does read it.
         let op = Projector::project(&IndexDef::simple("a", "b", "a"), &stored);
@@ -255,8 +265,10 @@ mod tests {
         // Range-partitioned on age at split 50.
         let mut def = IndexDef::simple("age", "b", "age");
         def.partition_splits = vec![Value::int(50)];
-        let p0 = Arc::new(Indexer::new(4, IndexStorage::MemoryOptimized, None, "p0").unwrap());
-        let p1 = Arc::new(Indexer::new(4, IndexStorage::MemoryOptimized, None, "p1").unwrap());
+        let partition = |name| {
+            Indexer::new(4, Layout::Keys, IndexStorage::MemoryOptimized, None, name).unwrap()
+        };
+        let (p0, p1) = (Arc::new(partition("p0")), Arc::new(partition("p1")));
         let router = Router::new(def.clone(), vec![Arc::clone(&p0), Arc::clone(&p1)]);
 
         let update = |age: i64, seq: u64| IndexOp::Put {
@@ -288,5 +300,27 @@ mod tests {
         router.route(vec![update(10, 4), update(99, 5), update(20, 6)]).unwrap();
         assert_eq!(p0.scan(&ScanRange::all(), 0).len(), 1);
         assert_eq!(p1.scan(&ScanRange::all(), 0).len(), 0);
+    }
+
+    #[test]
+    fn router_homes_a_primary_key_by_its_id() {
+        let def = IndexDef {
+            partition_splits: vec![Value::from("m")],
+            storage: IndexStorage::MemoryOptimized,
+            ..IndexDef::primary("#p", "b")
+        };
+        let partition =
+            |name| Arc::new(Indexer::new(4, def.layout(), def.storage, None, name).unwrap());
+        let router = Router::new(def.clone(), vec![partition("p0"), partition("p1")]);
+        let put = |id: &str, seq| {
+            let keys = Projector::keys_for(&def, id, &Value::Null);
+            IndexOp::Put { doc_id: id.into(), keys, vb: VbId(0), seqno: SeqNo(seq) }
+        };
+        router.route(vec![put("apple", 1), put("zebra", 2), put("m", 3)]).unwrap();
+        let ids = |p: &Indexer| -> Vec<String> {
+            p.scan(&ScanRange::all(), 0).iter().map(|e| e.doc_id.to_string()).collect()
+        };
+        assert_eq!(ids(&router.partitions()[0]), ["apple"]);
+        assert_eq!(ids(&router.partitions()[1]), ["m", "zebra"], "a split point goes right");
     }
 }

@@ -100,6 +100,7 @@ impl IndexManager {
         for p in 0..def.num_partitions() {
             partitions.push(Arc::new(Indexer::new(
                 self.num_vbuckets,
+                def.layout(),
                 def.storage,
                 Some(self.log_dir.clone()),
                 &format!("{}-{}-p{}", def.keyspace, def.name, p),

@@ -5,7 +5,8 @@
 //! is what was appended since the log was last written whole: by its first
 //! batch, or by a compaction, whose new file is synced before it replaces
 //! the log. A second run numbers the ops as a live feed does, so that the
-//! log compacts between batches.
+//! log compacts between batches; a third runs a primary index's partition,
+//! whose records are the ids alone.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -15,7 +16,7 @@ use std::os::unix::fs::MetadataExt;
 use std::path::Path;
 
 use cbs_common::{DocKey, SeqNo, VbId};
-use cbs_index::{IndexKey, IndexOp, IndexStorage, Indexer, ScanRange};
+use cbs_index::{IndexKey, IndexOp, IndexStorage, Indexer, Layout, ScanRange};
 use cbs_json::Value;
 use cbs_storage::scratch_dir;
 use proptest::prelude::*;
@@ -63,17 +64,23 @@ fn inode(path: &Path) -> u64 {
 }
 
 /// The state item-by-item apply of `ops` reaches, on a log-less twin.
-fn model(ops: &[IndexOp]) -> State {
-    let twin = Indexer::new(VBS, IndexStorage::MemoryOptimized, None, "twin").unwrap();
+fn model(layout: Layout, ops: &[IndexOp]) -> State {
+    let twin = Indexer::new(VBS, layout, IndexStorage::MemoryOptimized, None, "twin").unwrap();
     twin.apply_batch(ops.to_vec()).unwrap();
     state(&twin)
 }
 
 /// Commit `ops` in batches ending at each `cut`, lose the last `lost`
 /// bytes appended since the log was last written whole, and reopen.
-fn lose_a_tail_and_reopen(ops: &[IndexOp], cuts: &[bool], lost: u64) -> Result<(), TestCaseError> {
+fn lose_a_tail_and_reopen(
+    layout: Layout,
+    ops: &[IndexOp],
+    cuts: &[bool],
+    lost: u64,
+) -> Result<(), TestCaseError> {
+    let model = |ops: &[IndexOp]| model(layout, ops);
     let dir = scratch_dir("gsi-crash");
-    let idx = Indexer::new(VBS, IndexStorage::Standard, Some(dir.clone()), "ix").unwrap();
+    let idx = Indexer::new(VBS, layout, IndexStorage::Standard, Some(dir.clone()), "ix").unwrap();
     let log = idx.log_path().unwrap().join("shard_0.couch");
     // (ops committed, log length) after each batch, from the empty log
     // on — or from the last compaction, which wrote the state after its
@@ -100,7 +107,7 @@ fn lose_a_tail_and_reopen(ops: &[IndexOp], cuts: &[bool], lost: u64) -> Result<(
     let kept = len.saturating_sub(lost).max(synced[0].1);
     std::fs::OpenOptions::new().write(true).open(&log).unwrap().set_len(kept).unwrap();
 
-    let back = Indexer::recover(VBS, &dir, "ix").unwrap();
+    let back = Indexer::recover(VBS, layout, &dir, "ix").unwrap();
     // Every batch the surviving bytes cover is there; of the batch the
     // cut fell in, only whole records — so the state is that of some
     // op prefix between the two batch boundaries.
@@ -117,15 +124,15 @@ fn lose_a_tail_and_reopen(ops: &[IndexOp], cuts: &[bool], lost: u64) -> Result<(
 
     // The torn tail is gone from the file, so what is appended next is
     // reachable by the next recovery.
-    let more = IndexOp::Put {
-        doc_id: "after".into(),
-        keys: vec![IndexKey(vec![Some(Value::int(7))])],
-        vb: VbId(0),
-        seqno: SeqNo(1000),
+    let key = match layout {
+        Layout::Keys => IndexKey(vec![Some(Value::int(7))]),
+        Layout::Ids => IndexKey::ID,
     };
+    let more =
+        IndexOp::Put { doc_id: "after".into(), keys: vec![key], vb: VbId(0), seqno: SeqNo(1000) };
     back.apply_batch(vec![more.clone()]).unwrap();
     drop(back);
-    let again = Indexer::recover(VBS, &dir, "ix").unwrap();
+    let again = Indexer::recover(VBS, layout, &dir, "ix").unwrap();
     let mut expected = ops[..n].to_vec();
     expected.push(more);
     prop_assert_eq!(state(&again), model(&expected));
@@ -143,6 +150,19 @@ fn in_feed_order(mut ops: Vec<IndexOp>) -> Vec<IndexOp> {
     ops
 }
 
+/// `ops` as a primary index's router hands them over: a document is there
+/// under its id alone, or not at all.
+fn by_id(mut ops: Vec<IndexOp>) -> Vec<IndexOp> {
+    for op in &mut ops {
+        if let IndexOp::Put { keys, .. } = op {
+            if !keys.is_empty() {
+                *keys = vec![IndexKey::ID];
+            }
+        }
+    }
+    ops
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -152,7 +172,7 @@ proptest! {
         cuts in prop::collection::vec(any::<bool>(), 60),
         lost in 0u64..400,
     ) {
-        lose_a_tail_and_reopen(&ops, &cuts, lost)?;
+        lose_a_tail_and_reopen(Layout::Keys, &ops, &cuts, lost)?;
     }
 
     #[test]
@@ -161,6 +181,15 @@ proptest! {
         cuts in prop::collection::vec(any::<bool>(), 60),
         lost in 0u64..400,
     ) {
-        lose_a_tail_and_reopen(&ops, &cuts, lost)?;
+        lose_a_tail_and_reopen(Layout::Keys, &ops, &cuts, lost)?;
+    }
+
+    #[test]
+    fn a_primary_partition_reopens_to_a_synced_prefix(
+        ops in arb_ops().prop_map(by_id),
+        cuts in prop::collection::vec(any::<bool>(), 60),
+        lost in 0u64..400,
+    ) {
+        lose_a_tail_and_reopen(Layout::Ids, &ops, &cuts, lost)?;
     }
 }

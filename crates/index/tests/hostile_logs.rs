@@ -19,7 +19,8 @@ use std::path::{Path, PathBuf};
 
 use cbs_common::{DocKey, SeqNo, VbId};
 use cbs_index::{
-    IndexCardinality, IndexEntry, IndexKey, IndexOp, IndexStorage, Indexer, IndexerStats, ScanRange,
+    IndexCardinality, IndexEntry, IndexKey, IndexOp, IndexStorage, Indexer, IndexerStats, Layout,
+    ScanRange,
 };
 use cbs_json::Value;
 use cbs_storage::{replay_file, scratch_dir, StoredDoc};
@@ -57,7 +58,8 @@ struct Log {
 /// `ops` through a Standard-mode indexer, a batch ending at each `cut`.
 fn write_log(ops: &[IndexOp], cuts: &[bool]) -> Log {
     let dir = scratch_dir("gsi-hostile-src");
-    let idx = Indexer::new(VBS, IndexStorage::Standard, Some(dir.clone()), "ix").unwrap();
+    let idx =
+        Indexer::new(VBS, Layout::Keys, IndexStorage::Standard, Some(dir.clone()), "ix").unwrap();
     let mut batch = Vec::new();
     for (op, cut) in ops.iter().zip(cuts.iter().chain(std::iter::repeat(&false))) {
         batch.push(op.clone());
@@ -151,7 +153,8 @@ fn state(idx: &Indexer) -> State {
 
 /// The state item-by-item apply of `ops` reaches, on a log-less twin.
 fn model(ops: Vec<IndexOp>) -> State {
-    let twin = Indexer::new(VBS, IndexStorage::MemoryOptimized, None, "twin").unwrap();
+    let twin =
+        Indexer::new(VBS, Layout::Keys, IndexStorage::MemoryOptimized, None, "twin").unwrap();
     twin.apply_batch(ops).unwrap();
     state(&twin)
 }
@@ -197,7 +200,7 @@ fn recover_damaged(log: &Log, bytes: &[u8], first_damage: usize) -> Result<(), T
     }
     let intact = replayed.last().map_or(0, |_| log.frames[replayed.len() - 1].0);
 
-    let recovered = Indexer::recover(VBS, &dir, "ix");
+    let recovered = Indexer::recover(VBS, Layout::Keys, &dir, "ix");
     if replayed.iter().any(|(vb, _)| vb.0 >= VBS) {
         prop_assert!(recovered.is_err(), "a record for a vBucket the bucket lacks was applied");
     } else {
@@ -236,7 +239,7 @@ proptest! {
     fn arbitrary_bytes_never_panic_recovery(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
         let dir = dir_with_log(&bytes);
         let replayed = replay(&log_path(&dir));
-        let recovered = Indexer::recover(VBS, &dir, "ix");
+        let recovered = Indexer::recover(VBS, Layout::Keys, &dir, "ix");
         if replayed.is_empty() {
             let idx = recovered.unwrap();
             prop_assert_eq!(state(&idx), model(Vec::new()));

@@ -3,8 +3,10 @@
 //! `stats()`) — under any interleaving of updates, removals and scans,
 //! including out-of-order (stale) deliveries, which the per-document seqno
 //! guard must suppress, keys shared by many documents, and a key one
-//! document emits twice. Any split of a change stream into batches ends in
-//! the state that item-by-item apply reaches.
+//! document emits twice. A primary index, whose key is the id, agrees with
+//! the same model under range bounds of every JSON type. Any split of a
+//! change stream into batches ends in the state that item-by-item apply
+//! reaches.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -15,7 +17,8 @@ use std::sync::Arc;
 
 use cbs_common::{SeqNo, VbId};
 use cbs_index::{
-    IndexCardinality, IndexDef, IndexKey, IndexOp, IndexStorage, Indexer, Router, ScanRange,
+    IndexCardinality, IndexDef, IndexKey, IndexOp, IndexStorage, Indexer, Layout, Projector,
+    Router, ScanRange,
 };
 use cbs_json::Value;
 use proptest::prelude::*;
@@ -103,7 +106,7 @@ proptest! {
 
     #[test]
     fn indexer_matches_model(ops in arb_ops()) {
-        let idx = Indexer::new(4, IndexStorage::MemoryOptimized, None, "prop").unwrap();
+        let idx = Indexer::new(4, Layout::Keys, IndexStorage::MemoryOptimized, None, "prop").unwrap();
         let mut model = Model::default();
         for op in &ops {
             let (d, ks, seq) = match op {
@@ -153,6 +156,92 @@ proptest! {
     }
 }
 
+/// A scan bound of any JSON type: numbers, `null` and booleans sort below
+/// every id, arrays and objects above; strings land before, between, on
+/// and after the ids `d0`..`d11`.
+fn arb_bound() -> impl Strategy<Value = Option<Value>> {
+    let strings = ["", "d", "d0", "d1", "d10", "d11", "d15", "d5", "d9", "e"];
+    prop_oneof![
+        1 => Just(None),
+        1 => (-3i64..3).prop_map(|n| Some(Value::int(n))),
+        1 => Just(Some(Value::Null)),
+        1 => Just(Some(Value::Bool(false))),
+        4 => (0..strings.len()).prop_map(move |i| Some(Value::from(strings[i]))),
+        1 => Just(Some(Value::Array(vec![Value::from("d1")]))),
+        1 => Just(Some(Value::empty_object())),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// A primary index over the same op streams: a document with any keys
+    /// is there under its id, one with none is not. Scans, lookups and
+    /// counters agree with the model, the id as a `Value::String` compared
+    /// under collation.
+    #[test]
+    fn primary_indexer_matches_model(
+        ops in arb_ops(),
+        low in arb_bound(),
+        low_inclusive in any::<bool>(),
+        high in arb_bound(),
+        high_inclusive in any::<bool>(),
+    ) {
+        let def = IndexDef { storage: IndexStorage::MemoryOptimized, ..IndexDef::primary("#p", "b") };
+        let idx = Indexer::new(4, def.layout(), def.storage, None, "prop").unwrap();
+        let mut model = Model::default();
+        for op in &ops {
+            let (d, seq, indexed) = match op {
+                Op::Update { d, ks, seq } => (d, seq, !ks.is_empty()),
+                Op::Remove { d, seq } => (d, seq, false),
+            };
+            let doc_id = format!("d{d}");
+            let keys = if indexed { Projector::keys_for(&def, &doc_id, &Value::Null) } else { Vec::new() };
+            let put = IndexOp::Put { doc_id: doc_id.into(), keys, vb: VbId(0), seqno: SeqNo(*seq) };
+            idx.apply_batch(vec![put]).unwrap();
+            model.apply(op);
+        }
+        let live: BTreeSet<String> =
+            model.0.iter().filter(|(_, (_, ks))| !ks.is_empty()).map(|(d, _)| d.clone()).collect();
+        let ids = |range: &ScanRange, limit| -> Vec<String> {
+            let rows = idx.scan(range, limit);
+            assert!(rows.iter().all(|e| e.key == IndexKey::ID), "an entry carries a key");
+            rows.into_iter().map(|e| e.doc_id.to_string()).collect()
+        };
+        prop_assert_eq!(ids(&ScanRange::all(), 0), live.iter().cloned().collect::<Vec<_>>());
+
+        let range = ScanRange { low, low_inclusive, high, high_inclusive };
+        let in_range: Vec<String> =
+            live.iter().filter(|d| range.contains(&Value::from(d.as_str()))).cloned().collect();
+        prop_assert_eq!(ids(&range, 0), in_range.clone());
+        for limit in [1, 3] {
+            prop_assert_eq!(&ids(&range, limit)[..], &in_range[..in_range.len().min(limit)]);
+        }
+
+        let n = live.len() as u64;
+        let leading = |d: Option<&String>| d.map(|d| Value::from(d.as_str()));
+        let cardinality = IndexCardinality {
+            entries: n,
+            distinct_keys: n,
+            min_leading: leading(live.first()),
+            max_leading: leading(live.last()),
+        };
+        prop_assert_eq!(idx.cardinality(), cardinality);
+        let stats = idx.stats();
+        prop_assert_eq!((stats.entries, stats.docs), (n, n));
+        for d in 0..13 {
+            let id = format!("d{d}");
+            let hits: Vec<String> = idx
+                .lookup(&IndexKey(vec![Some(Value::from(id.as_str()))]))
+                .iter()
+                .map(|d| d.to_string())
+                .collect();
+            let want: Vec<String> = live.get(&id).cloned().into_iter().collect();
+            prop_assert_eq!(hits, want, "lookup {}", id);
+        }
+    }
+}
+
 /// A two-partition index on `k`, split at 0: negative keys live in
 /// partition 0, the rest in partition 1, so an update that changes the
 /// sign of `k` moves the document between partitions.
@@ -162,7 +251,14 @@ fn partitioned_router() -> Router {
     let partitions = (0..2)
         .map(|p| {
             Arc::new(
-                Indexer::new(4, IndexStorage::MemoryOptimized, None, &format!("p{p}")).unwrap(),
+                Indexer::new(
+                    4,
+                    Layout::Keys,
+                    IndexStorage::MemoryOptimized,
+                    None,
+                    &format!("p{p}"),
+                )
+                .unwrap(),
             )
         })
         .collect();

@@ -1,7 +1,8 @@
 //! A Standard partition's change log is a compacted, keyed store: what it
 //! holds is bounded by the documents indexed, not by the changes made to
 //! them, and it reopens to the live partition's state whatever order the
-//! changes came in.
+//! changes came in — a primary index's partition, whose records carry no
+//! keys, included.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -10,14 +11,14 @@
 use std::path::{Path, PathBuf};
 
 use cbs_common::{SeqNo, VbId};
-use cbs_index::{IndexKey, IndexOp, IndexStorage, Indexer};
+use cbs_index::{IndexKey, IndexOp, IndexStorage, Indexer, Layout, ScanRange};
 use cbs_json::Value;
 use cbs_storage::{scratch_dir, BucketStore};
 
 const VBS: u16 = 4;
 
 fn standard(dir: &Path) -> Indexer {
-    Indexer::new(VBS, IndexStorage::Standard, Some(dir.to_path_buf()), "ix").unwrap()
+    Indexer::new(VBS, Layout::Keys, IndexStorage::Standard, Some(dir.to_path_buf()), "ix").unwrap()
 }
 
 fn log_file(idx: &Indexer) -> PathBuf {
@@ -115,6 +116,55 @@ fn a_reopened_log_is_the_live_partition_after_reordering_and_compaction() {
     assert_eq!(live.0[0], ("d".into(), SeqNo(9), key(9)), "the stale backfill version lost");
     assert_eq!(live.1[..3], [SeqNo(9), SeqNo(7), SeqNo(seqno)]);
     drop(idx);
-    let back = Indexer::recover(VBS, &dir, "ix").unwrap();
+    let back = Indexer::recover(VBS, Layout::Keys, &dir, "ix").unwrap();
     assert_eq!((back.doc_versions(), back.watermarks()), live);
+}
+
+/// A Standard primary partition's log holds the ids alone: applied,
+/// dropped and reopened, it scans, counts and guards as the live one did,
+/// and it does not reopen as a secondary index.
+#[test]
+fn a_primary_partition_reopens_to_its_scans_and_cardinality() {
+    let dir = scratch_dir("gsi-primary");
+    let open = || Indexer::new(VBS, Layout::Ids, IndexStorage::Standard, Some(dir.clone()), "ix");
+    let idx = open().unwrap();
+    let put = |d: u64, present: bool, seqno: u64| IndexOp::Put {
+        doc_id: format!("user{d:012}").into(),
+        keys: if present { vec![IndexKey::ID] } else { Vec::new() },
+        vb: VbId((d % u64::from(VBS)) as u16),
+        seqno: SeqNo(seqno),
+    };
+    idx.apply_batch((0..200).map(|d| put(d, true, d + 1)).collect()).unwrap();
+    // Deletes, a re-insert and a redelivered older version.
+    idx.apply_batch((0..200).step_by(3).map(|d| put(d, false, 1_000 + d)).collect()).unwrap();
+    idx.apply_batch(vec![put(3, true, 2_000), put(6, true, 7), put(9, true, 8)]).unwrap();
+    let range = ScanRange {
+        low: Some(Value::from("user000000000050")),
+        low_inclusive: false,
+        high: Some(Value::from("user000000000090")),
+        high_inclusive: true,
+    };
+    let observed = |idx: &Indexer| {
+        let stats = idx.stats();
+        (
+            idx.scan(&ScanRange::all(), 0),
+            idx.scan(&range, 0),
+            idx.cardinality(),
+            (stats.entries, stats.docs),
+            idx.doc_versions(),
+            idx.watermarks(),
+        )
+    };
+    let live = observed(&idx);
+    assert_eq!(live.0.len(), 134, "200 ids less 67 deleted, one back");
+    assert_eq!(live.2.min_leading, Some(Value::from("user000000000001")));
+    drop(idx);
+    // Its id-only records do not fit a secondary index; refused, the log
+    // stays as it was.
+    assert!(Indexer::recover(VBS, Layout::Keys, &dir, "ix").is_err());
+    let back = Indexer::recover(VBS, Layout::Ids, &dir, "ix").unwrap();
+    assert_eq!(observed(&back), live);
+    // The tombstones' seqnos came back too: an older version stays out.
+    back.apply_batch(vec![put(6, true, 9)]).unwrap();
+    assert_eq!(back.scan(&ScanRange::all(), 0).len(), 134);
 }

@@ -21,7 +21,7 @@ use crate::value::Value;
 /// Type rank in the collation order. MISSING is handled out-of-band by
 /// [`cmp_missing`] since documents never contain it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TypeRank {
+enum TypeRank {
     /// `null`
     Null = 1,
     /// `false` then `true`
@@ -37,7 +37,7 @@ pub enum TypeRank {
 }
 
 /// The collation rank of a value's type.
-pub fn type_rank(v: &Value) -> TypeRank {
+fn type_rank(v: &Value) -> TypeRank {
     match v {
         Value::Null => TypeRank::Null,
         Value::Bool(_) => TypeRank::Boolean,
@@ -105,22 +105,13 @@ pub fn cmp_missing(a: Option<&Value>, b: Option<&Value>) -> Ordering {
     }
 }
 
-/// A wrapper giving [`Value`] `Ord` under collation, usable directly as a
-/// `BTreeMap` key in index implementations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CollatedValue(pub Value);
-
-impl Eq for CollatedValue {}
-
-impl PartialOrd for CollatedValue {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for CollatedValue {
-    fn cmp(&self, other: &Self) -> Ordering {
-        cmp_values(&self.0, &other.0)
+/// A string against a value under collation, without building a
+/// `Value::String` for it: how an index over document ids compares an id
+/// with a scan bound.
+pub fn cmp_str(s: &str, v: &Value) -> Ordering {
+    match v {
+        Value::String(t) => s.cmp(t),
+        other => TypeRank::String.cmp(&type_rank(other)),
     }
 }
 
@@ -190,14 +181,13 @@ mod tests {
     }
 
     #[test]
-    fn collated_value_usable_in_btreemap() {
-        use std::collections::BTreeMap;
-        let mut m = BTreeMap::new();
-        m.insert(CollatedValue(v("\"b\"")), 1);
-        m.insert(CollatedValue(v("null")), 2);
-        m.insert(CollatedValue(v("10")), 3);
-        m.insert(CollatedValue(v("\"a\"")), 4);
-        let order: Vec<i32> = m.values().copied().collect();
-        assert_eq!(order, [2, 3, 4, 1]);
+    fn a_str_collates_as_its_string_value() {
+        let ladder = ["null", "true", "7", "\"\"", "\"id\"", "\"idz\"", "[]", "{}"].map(v);
+        for s in ["", "id", "id1", "\u{e9}"] {
+            let as_value = Value::from(s);
+            for bound in &ladder {
+                assert_eq!(cmp_str(s, bound), cmp_values(&as_value, bound), "{s:?} vs {bound:?}");
+            }
+        }
     }
 }

@@ -26,7 +26,7 @@ pub mod print;
 pub mod shared;
 pub mod value;
 
-pub use collate::{cmp_missing, cmp_values, CollatedValue, TypeRank};
+pub use collate::{cmp_missing, cmp_str, cmp_values};
 pub use parse::{parse, ParseError};
 pub use path::{parse_path, JsonPath, PathStep};
 pub use shared::{SharedValue, ValueMut};

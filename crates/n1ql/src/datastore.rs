@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{Error, Result, SeqNo};
-use cbs_index::{IndexDef, IndexEntry, Projector, ScanConsistency, ScanRange};
+use cbs_index::{IndexDef, IndexEntry, IndexKey, Projector, ScanConsistency, ScanRange};
 use cbs_json::Value;
 
 use crate::cache::PlanCache;
@@ -360,8 +360,14 @@ impl Datastore for MemoryDatastore {
         let mut entries = Vec::new();
         for (doc_id, doc) in &ks.docs {
             for key in Projector::keys_for(def, doc_id, doc) {
-                let Some(lead) = key.leading() else { continue };
-                if range.contains(lead) {
+                // An index over the id alone returns its entries without a
+                // key, as the GSI does: the id is the key.
+                let inside = if key == IndexKey::ID {
+                    range.contains_id(doc_id)
+                } else {
+                    key.leading().is_some_and(|lead| range.contains(lead))
+                };
+                if inside {
                     entries.push(IndexEntry { key, doc_id: doc_id.as_str().into() });
                 }
             }
@@ -438,6 +444,12 @@ impl Datastore for MemoryDatastore {
                 let mut max_leading: Option<Value> = None;
                 for (doc_id, doc) in &ks.docs {
                     for key in Projector::keys_for(def, doc_id, doc) {
+                        // An index over the id alone counts and bounds ids.
+                        let key = if key == IndexKey::ID {
+                            IndexKey(vec![Some(Value::from(doc_id.as_str()))])
+                        } else {
+                            key
+                        };
                         entries += 1;
                         if let Some(lead) = key.leading() {
                             let replace_min = min_leading.as_ref().is_none_or(|m| {
@@ -549,6 +561,14 @@ mod tests {
             .unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].doc_id, "d7");
+        // A primary index's entries are ids without a key, as in the GSI.
+        ds.create_index(IndexDef::primary("#primary", "b")).unwrap();
+        let range = ScanRange { low_inclusive: false, ..ScanRange::at_least(Value::from("d7")) };
+        let consistency = ScanConsistency::NotBounded;
+        let rows = ds.index_scan("b", "#primary", &range, &consistency, Duration::ZERO, 0).unwrap();
+        let ids: Vec<&str> = rows.iter().map(|e| e.doc_id.as_str()).collect();
+        assert_eq!(ids, ["d8", "d9"]);
+        assert!(rows.iter().all(|e| e.key == IndexKey::ID));
     }
 
     #[test]
