@@ -234,13 +234,6 @@ impl History {
         self.ops.is_empty()
     }
 
-    /// Logical times of lossy events, sorted.
-    pub fn lossy_times(&self) -> Vec<u64> {
-        let mut t: Vec<u64> = self.events.iter().filter(|e| e.lossy).map(|e| e.at).collect();
-        t.sort_unstable();
-        t
-    }
-
     /// Whether any lossy event falls strictly inside `(after, before)`.
     pub fn lossy_within(&self, after: u64, before: u64) -> bool {
         self.events.iter().any(|e| e.lossy && e.at > after && e.at < before)
@@ -275,7 +268,6 @@ mod tests {
         rec.event("failover node 2", true);
         let h = rec.finish();
         let at = h.events[1].at;
-        assert_eq!(h.lossy_times(), vec![at]);
         assert!(h.lossy_within(at - 1, at + 1));
         assert!(!h.lossy_within(at, at + 1), "window is exclusive");
     }

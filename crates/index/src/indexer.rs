@@ -220,9 +220,6 @@ trait Entries: Send {
     /// Range scan over the leading key, in row order; at most `limit` rows.
     fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry>;
 
-    /// Exact-match lookup on the full composite key, in doc id order.
-    fn lookup(&self, key: &IndexKey) -> Vec<DocKey>;
-
     /// Every document held, tombstones included, with its version's seqno
     /// and keys, in no particular order.
     fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)>;
@@ -341,12 +338,6 @@ impl Entries for KeyEntries {
         out
     }
 
-    fn lookup(&self, key: &IndexKey) -> Vec<DocKey> {
-        let seek = (key.clone(), DocKey::from(""));
-        let hits = self.entries.range(&seek..).take_while(|(k, _)| k.cmp(key).is_eq());
-        hits.map(|(_, doc_id)| doc_id.clone()).collect()
-    }
-
     fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
         self.docs.iter().map(|(d, (s, k))| (d.clone(), *s, k.to_vec())).collect()
     }
@@ -418,11 +409,6 @@ impl Entries for IdEntries {
         let inside = from.take_while(|id| range.below_high(|high| cmp_str(id, high)));
         let row = |id: &DocKey| IndexEntry { key: IndexKey::ID, doc_id: id.clone() };
         inside.take(if limit == 0 { usize::MAX } else { limit }).map(row).collect()
-    }
-
-    fn lookup(&self, key: &IndexKey) -> Vec<DocKey> {
-        let [Some(Value::String(id))] = key.0.as_slice() else { return Vec::new() };
-        self.ids.get(id.as_str()).cloned().into_iter().collect()
     }
 
     fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
@@ -627,14 +613,6 @@ impl Indexer {
         t.entries.scan(range, limit)
     }
 
-    /// Exact-match lookup on the full composite key, in doc id order. In
-    /// an index over the id alone the key is the id, as a string.
-    pub fn lookup(&self, key: &IndexKey) -> Vec<DocKey> {
-        let mut t = self.tree.lock();
-        t.stats.scans += 1;
-        t.entries.lookup(key)
-    }
-
     /// Current watermark vector.
     pub fn watermarks(&self) -> Vec<SeqNo> {
         self.marks.snapshot()
@@ -823,8 +801,9 @@ mod tests {
         let idx = memopt();
         update(&idx, "a", vec![key1(Value::from("x"))], VbId(0), SeqNo(1));
         update(&idx, "b", vec![key1(Value::from("x"))], VbId(0), SeqNo(2));
-        let hits = idx.lookup(&key1(Value::from("x")));
-        assert_eq!(hits, ["a", "b"]);
+        let hits = idx.scan(&ScanRange::exact(Value::from("x")), 0);
+        let ids: Vec<&str> = hits.iter().map(|e| &*e.doc_id).collect();
+        assert_eq!(ids, ["a", "b"]);
     }
 
     #[test]

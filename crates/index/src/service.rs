@@ -12,12 +12,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
-use cbs_common::{Deadline, DocKey, Error, Result, SeqNo, VbId};
+use cbs_common::{Deadline, Error, Result, SeqNo, VbId};
 use cbs_dcp::{catch_up, BackfillSource, DcpItem, DcpSink};
 use cbs_json::Value;
 use cbs_obs::{span, Counter, Registry};
 
-use crate::defs::{IndexDef, IndexKey, ScanConsistency, ScanRange};
+use crate::defs::{IndexDef, ScanConsistency, ScanRange};
 use crate::indexer::{IndexCardinality, IndexEntry, IndexOp, Indexer, IndexerStats};
 use crate::projector::{Projector, Router};
 
@@ -50,7 +50,6 @@ pub struct IndexManager {
     indexes: OrderedRwLock<HashMap<(String, String), Arc<IndexInstance>>>,
     registry: Arc<Registry>,
     scans: Arc<Counter>,
-    lookups: Arc<Counter>,
     items_applied: Arc<Counter>,
     builds: Arc<Counter>,
     commit_errors: Arc<Counter>,
@@ -65,7 +64,6 @@ impl IndexManager {
             log_dir,
             indexes: OrderedRwLock::new(rank::INDEX_REGISTRY, HashMap::new()),
             scans: registry.counter("index.manager.scans"),
-            lookups: registry.counter("index.manager.lookups"),
             items_applied: registry.counter("index.manager.items_applied"),
             builds: registry.counter("index.manager.builds"),
             commit_errors: registry.counter("index.log.commit_errors"),
@@ -257,24 +255,6 @@ impl IndexManager {
             merged.truncate(limit);
         }
         Ok(merged)
-    }
-
-    /// Exact composite-key lookup.
-    pub fn lookup(
-        &self,
-        keyspace: &str,
-        name: &str,
-        key: &IndexKey,
-        consistency: &ScanConsistency,
-        timeout: Duration,
-    ) -> Result<Vec<DocKey>> {
-        let _s = span("index.manager.lookup");
-        self.lookups.inc();
-        let inst = self.online(keyspace, name)?;
-        let p = inst.router.def().partition_for(key.leading());
-        let partition = &inst.router.partitions()[p];
-        partition.wait_consistent(consistency, Deadline::after(timeout))?;
-        Ok(partition.lookup(key))
     }
 
     /// Aggregate cardinality across an index's partitions: entry counts
@@ -857,7 +837,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_routes_to_single_partition() {
+    fn exact_scan_over_partitioned_index() {
         let e = engine();
         e.set("u1", profile("x", 5), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         e.set("u2", profile("y", 50), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
@@ -868,17 +848,17 @@ mod tests {
         };
         m.create_and_build(def, e.as_ref()).unwrap();
         let hits = m
-            .lookup(
+            .scan(
                 "b",
                 "age",
-                &IndexKey(vec![Some(Value::int(50))]),
+                &ScanRange::exact(Value::int(50)),
                 &ScanConsistency::NotBounded,
                 Duration::from_secs(1),
+                0,
             )
             .unwrap();
-        assert_eq!(hits, ["u2"]);
-        let stats = m.index_stats("b", "age").unwrap();
-        assert_eq!(stats.scans, 1, "only one partition was probed");
+        let ids: Vec<&str> = hits.iter().map(|e| &*e.doc_id).collect();
+        assert_eq!(ids, ["u2"]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests: the indexer agrees with a naive model — scans, exact
-//! lookups and the counters kept beside the tree (`cardinality()`,
+//! Property tests: the indexer agrees with a naive model — range scans,
+//! exact-key scans and the counters kept beside the tree (`cardinality()`,
 //! `stats()`) — under any interleaving of updates, removals and scans,
 //! including out-of-order (stale) deliveries, which the per-document seqno
 //! guard must suppress, keys shared by many documents, and a key one
@@ -132,16 +132,15 @@ proptest! {
             expected.iter().filter(|(k, _)| (-5..5).contains(k)).cloned().collect();
         prop_assert_eq!(rows(&idx, &range), in_range);
 
-        // So do the counters, and every exact lookup.
+        // So do the counters, and every equality probe (an exact range).
         prop_assert_eq!(idx.cardinality(), model.cardinality());
         let stats = idx.stats();
         prop_assert_eq!(stats.entries, expected.len() as u64);
         prop_assert_eq!(stats.docs, model.docs());
         for k in -6..7 {
-            let hits: Vec<String> = idx.lookup(&key(k)).iter().map(|d| d.to_string()).collect();
-            let want: Vec<String> =
-                expected.iter().filter(|(kk, _)| *kk == k).map(|(_, d)| d.clone()).collect();
-            prop_assert_eq!(hits, want, "lookup {}", k);
+            let want: Vec<(i64, String)> =
+                expected.iter().filter(|(kk, _)| *kk == k).cloned().collect();
+            prop_assert_eq!(rows(&idx, &ScanRange::exact(Value::int(k))), want, "exact {}", k);
         }
 
         // Watermark equals the max seq delivered.
@@ -176,8 +175,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// A primary index over the same op streams: a document with any keys
-    /// is there under its id, one with none is not. Scans, lookups and
-    /// counters agree with the model, the id as a `Value::String` compared
+    /// is there under its id, one with none is not. Scans, exact-id scans
+    /// and counters agree with the model, the id as a `Value::String` compared
     /// under collation.
     #[test]
     fn primary_indexer_matches_model(
@@ -231,13 +230,8 @@ proptest! {
         prop_assert_eq!((stats.entries, stats.docs), (n, n));
         for d in 0..13 {
             let id = format!("d{d}");
-            let hits: Vec<String> = idx
-                .lookup(&IndexKey(vec![Some(Value::from(id.as_str()))]))
-                .iter()
-                .map(|d| d.to_string())
-                .collect();
             let want: Vec<String> = live.get(&id).cloned().into_iter().collect();
-            prop_assert_eq!(hits, want, "lookup {}", id);
+            prop_assert_eq!(ids(&ScanRange::exact(Value::from(id.as_str())), 0), want, "exact {}", id);
         }
     }
 }

@@ -249,13 +249,6 @@ impl Value {
         None
     }
 
-    /// N1QL truthiness: only `true` is true in a WHERE clause. (null,
-    /// MISSING, and every non-boolean condition value filter the row out.)
-    #[inline]
-    pub fn is_truthy(&self) -> bool {
-        matches!(self, Value::Bool(true))
-    }
-
     /// Rough in-memory footprint in bytes, used by the cache's memory
     /// accounting (`cbs-cache`). Deliberately simple and deterministic.
     pub fn approx_size(&self) -> usize {
@@ -391,15 +384,6 @@ mod tests {
     fn non_finite_floats_become_null() {
         assert!(Value::float(f64::NAN).is_null());
         assert!(Value::float(f64::INFINITY).is_null());
-    }
-
-    #[test]
-    fn truthiness_is_strict() {
-        assert!(Value::Bool(true).is_truthy());
-        assert!(!Value::Bool(false).is_truthy());
-        assert!(!Value::int(1).is_truthy());
-        assert!(!Value::Null.is_truthy());
-        assert!(!Value::from("true").is_truthy());
     }
 
     #[test]

@@ -147,7 +147,7 @@ pub struct OrderKey {
 }
 
 /// A SELECT statement.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Select {
     /// DISTINCT?
     pub distinct: bool,

@@ -8,6 +8,8 @@
 //! recorded, under the name the plan gives it, so PROFILE cannot show an
 //! operator that did not run or miss one that did. Which operators exist,
 //! and whether LIMIT bounds the index scan, were decided at plan time.
+//! UPDATE and DELETE run the same loop: their pipeline ends in
+//! `SendUpdate` or `SendDelete` instead of the projection.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -20,7 +22,8 @@ use cbs_obs::span;
 use crate::ast::*;
 use crate::datastore::Datastore;
 use crate::eval::{eval, expr_fingerprint, truth, EvalCtx, Truth};
-use crate::plan::{AccessPath, Operator, QueryPlan, SelectPlan};
+use crate::plan::{AccessPath, Mutation, Operator, QueryPlan, SelectPlan};
+use crate::planner::{flip, render_parts};
 use crate::profile::{PhaseTimes, Prof};
 
 /// Request-level options (parameters + consistency, §3.2.3).
@@ -175,18 +178,8 @@ pub fn execute_with_profile(
     Ok(result)
 }
 
-fn consistency_for(ds: &dyn Datastore, keyspace: &str, opts: &QueryOptions) -> ScanConsistency {
-    if opts.request_plus {
-        // Snapshot the seqno vector at admission (§4.2): the index must
-        // catch up to at least this point before the scan runs.
-        ScanConsistency::AtPlus(ds.seqno_vector(keyspace))
-    } else {
-        ScanConsistency::NotBounded
-    }
-}
-
 // ----------------------------------------------------------------------
-// SELECT pipeline
+// The operator pipeline (SELECT, UPDATE, DELETE)
 // ----------------------------------------------------------------------
 
 fn exec_select(
@@ -381,6 +374,39 @@ impl SelectRun<'_> {
                 self.result = rows.into_iter().map(|row| row.out).collect();
                 return Ok(self.result.len());
             }
+            Operator::SendUpdate => {
+                let Some(Mutation::Update { set, unset }) = &self.plan.mutation else {
+                    return Err(unplanned());
+                };
+                for mut row in rows {
+                    // In order, on the row's own document: each SET sees
+                    // what the clauses before it left.
+                    for (path, expr) in set {
+                        let v = eval(expr, &ctx_for(&row, alias, opts))?.unwrap_or(Value::Null);
+                        if let Some(doc) = row.obj.get_field_mut(alias) {
+                            path.set(doc, v);
+                        }
+                    }
+                    let (Some(key), Some(mut doc)) =
+                        (row.metas.get(alias), row.obj.remove_field(alias))
+                    else {
+                        continue;
+                    };
+                    for path in unset {
+                        path.remove(&mut doc);
+                    }
+                    ds.replace(self.keyspace, key, doc)?;
+                    self.metrics.mutation_count += 1;
+                }
+                Vec::new()
+            }
+            Operator::SendDelete => {
+                for key in rows.iter().filter_map(|row| row.metas.get(alias)) {
+                    ds.delete(self.keyspace, key)?;
+                    self.metrics.mutation_count += 1;
+                }
+                Vec::new()
+            }
         };
         Ok(self.rows.len())
     }
@@ -390,21 +416,21 @@ impl SelectRun<'_> {
         let (ds, opts, alias, keyspace) = (self.ds, self.opts, self.alias, self.keyspace);
         Ok(match &self.plan.access {
             AccessPath::ExpressionOnly => vec![Row::empty()],
-            AccessPath::KeyScan { keys } => {
-                let no_row = Row::empty();
-                match eval(keys, &ctx_for(&no_row, "", opts))? {
-                    Some(Value::String(s)) => vec![Row::keyed(alias, s)],
-                    Some(Value::Array(items)) => items
-                        .into_iter()
-                        .filter_map(|i| i.as_str().map(|s| Row::keyed(alias, s.to_string())))
-                        .collect(),
-                    _ => {
-                        return Err(Error::Eval("USE KEYS requires a string or array".to_string()))
-                    }
-                }
-            }
+            AccessPath::KeyScan { keys } => doc_ids(eval_const(keys, opts)?)
+                .ok_or_else(|| Error::Eval("USE KEYS requires a string or array".to_string()))?
+                .into_iter()
+                .map(|id| Row::keyed(alias, id))
+                .collect(),
             AccessPath::IndexScan { index, range: spec, covering } => {
-                let cons = consistency_for(ds, keyspace, opts);
+                // `request_plus` snapshots the seqno vector at admission
+                // (§4.2): the index catches up to it before the scan runs.
+                // DML always waits, so it sees every write acknowledged
+                // before it, as a scan of the data service would.
+                let cons = if opts.request_plus || self.plan.mutation.is_some() {
+                    ScanConsistency::AtPlus(ds.seqno_vector(keyspace))
+                } else {
+                    ScanConsistency::NotBounded
+                };
                 // Plans keep scan bounds symbolic so the plan cache can serve
                 // every parameter binding; bind this request's values now.
                 let range = &spec.resolve(opts)?;
@@ -450,10 +476,15 @@ impl SelectRun<'_> {
     }
 }
 
+/// Evaluate `e` with no row in scope: literals and this request's
+/// parameters only.
+pub(crate) fn eval_const(e: &Expr, opts: &QueryOptions) -> Result<Option<Value>> {
+    eval(e, &ctx_for(&Row::empty(), "", opts))
+}
+
 fn eval_limit(e: Option<&Expr>, opts: &QueryOptions) -> Result<Option<usize>> {
     let Some(e) = e else { return Ok(None) };
-    let no_row = Row::empty();
-    match eval(e, &ctx_for(&no_row, "", opts))? {
+    match eval_const(e, opts)? {
         Some(v) => {
             v.as_i64().filter(|n| *n >= 0).map(|n| Some(n as usize)).ok_or_else(|| {
                 Error::Eval("LIMIT/OFFSET must be a non-negative integer".to_string())
@@ -511,7 +542,7 @@ fn apply_from_op(
         let ctx = ctx_for(&row, primary_alias, opts);
         match op {
             FromOp::Join { keyspace, alias, on_keys, left_outer } => {
-                let keys = eval_keys(on_keys, &ctx)?;
+                let keys = doc_ids(eval(on_keys, &ctx)?).unwrap_or_default();
                 let mut matched = false;
                 for key in &keys {
                     let doc = match &hash_table {
@@ -534,7 +565,7 @@ fn apply_from_op(
                 }
             }
             FromOp::Nest { keyspace, alias, on_keys, left_outer } => {
-                let keys = eval_keys(on_keys, &ctx)?;
+                let keys = doc_ids(eval(on_keys, &ctx)?).unwrap_or_default();
                 let mut nested = Vec::new();
                 for key in &keys {
                     metrics.fetches += 1;
@@ -571,14 +602,19 @@ fn apply_from_op(
     Ok(out)
 }
 
-fn eval_keys(e: &Expr, ctx: &EvalCtx<'_>) -> Result<Vec<String>> {
-    Ok(match eval(e, ctx)? {
-        Some(Value::String(s)) => vec![s],
-        Some(Value::Array(items)) => {
-            items.into_iter().filter_map(|i| i.as_str().map(str::to_string)).collect()
-        }
-        _ => Vec::new(),
-    })
+/// The document IDs a USE KEYS or ON KEYS value names: a string, or an
+/// array's strings (`None` for any other value).
+fn doc_ids(v: Option<Value>) -> Option<Vec<String>> {
+    match v? {
+        Value::String(s) => Some(vec![s]),
+        Value::Array(items) => Some(
+            items
+                .into_iter()
+                .filter_map(|i| if let Value::String(s) = i { Some(s) } else { None })
+                .collect(),
+        ),
+        _ => None,
+    }
 }
 
 fn group_key_eq(a: &[Option<Value>], b: &[Option<Value>]) -> bool {
@@ -720,7 +756,7 @@ fn default_name(e: &Expr, anon: &mut usize) -> String {
 }
 
 // ----------------------------------------------------------------------
-// DML / DDL
+// INSERT / UPSERT / DDL
 // ----------------------------------------------------------------------
 
 fn exec_direct(
@@ -741,25 +777,15 @@ fn exec_direct_inner(
     stmt: &Statement,
     opts: &QueryOptions,
 ) -> Result<QueryResult> {
-    let row = Value::empty_object();
-    let metas = HashMap::new();
-    let ctx = EvalCtx {
-        row: &row,
-        metas: &metas,
-        default_alias: None,
-        pos_params: &opts.pos_params,
-        named_params: &opts.named_params,
-        aggs: None,
-    };
     let mut metrics = QueryMetrics::default();
     match stmt {
         Statement::Insert { keyspace, values } | Statement::Upsert { keyspace, values } => {
             let upsert = matches!(stmt, Statement::Upsert { .. });
             for (k, v) in values {
-                let key = eval(k, &ctx)?
+                let key = eval_const(k, opts)?
                     .and_then(|v| v.as_str().map(str::to_string))
                     .ok_or_else(|| Error::Eval("KEY must evaluate to a string".to_string()))?;
-                let value = eval(v, &ctx)?.unwrap_or(Value::Null);
+                let value = eval_const(v, opts)?.unwrap_or(Value::Null);
                 if upsert {
                     ds.upsert(keyspace, &key, value)?;
                 } else {
@@ -769,47 +795,8 @@ fn exec_direct_inner(
             }
             Ok(QueryResult { rows: Vec::new(), metrics, ..Default::default() })
         }
-        Statement::Update { keyspace, use_keys, set, unset, where_, limit } => {
-            let targets = dml_targets(ds, keyspace, use_keys, where_, limit, opts)?;
-            for (key, mut doc) in targets {
-                for (path, expr) in set {
-                    let ctx_doc = dml_ctx(&doc, keyspace, &key);
-                    let named = opts.named_params.clone();
-                    let c2 = EvalCtx {
-                        row: &ctx_doc.0,
-                        metas: &ctx_doc.1,
-                        default_alias: Some(keyspace),
-                        pos_params: &opts.pos_params,
-                        named_params: &named,
-                        aggs: None,
-                    };
-                    let v = eval(expr, &c2)?.unwrap_or(Value::Null);
-                    let jp = cbs_json::parse_path(path)
-                        .map_err(|e| Error::Plan(format!("bad SET path {path}: {e}")))?;
-                    jp.set(&mut doc, v);
-                }
-                for path in unset {
-                    let jp = cbs_json::parse_path(path)
-                        .map_err(|e| Error::Plan(format!("bad UNSET path {path}: {e}")))?;
-                    jp.remove(&mut doc);
-                }
-                ds.replace(keyspace, &key, doc)?;
-                metrics.mutation_count += 1;
-            }
-            Ok(QueryResult { rows: Vec::new(), metrics, ..Default::default() })
-        }
-        Statement::Delete { keyspace, use_keys, where_, limit } => {
-            let targets = dml_targets(ds, keyspace, use_keys, where_, limit, opts)?;
-            for (key, _) in targets {
-                ds.delete(keyspace, &key)?;
-                metrics.mutation_count += 1;
-            }
-            Ok(QueryResult { rows: Vec::new(), metrics, ..Default::default() })
-        }
-        Statement::CreateIndex {
-            name, keyspace, keys, where_, using_view, defer_build, ..
-        } => {
-            let def = index_def_from_ast(name, keyspace, keys, where_, *using_view, *defer_build)?;
+        Statement::CreateIndex { name, keyspace, keys, where_, defer_build, .. } => {
+            let def = index_def_from_ast(name, keyspace, keys, where_, *defer_build)?;
             ds.create_index(def)?;
             bump_plan_epoch(ds, keyspace);
             Ok(QueryResult::default())
@@ -837,9 +824,11 @@ fn exec_direct_inner(
             "PREPARE/EXECUTE require a prepared-statement cache (issue via the query service)"
                 .to_string(),
         )),
-        Statement::Select(_) | Statement::Explain(_) | Statement::Profile(_) => {
-            unreachable!("handled before exec_direct")
-        }
+        Statement::Select(_)
+        | Statement::Update { .. }
+        | Statement::Delete { .. }
+        | Statement::Explain(_)
+        | Statement::Profile(_) => unreachable!("never planned as a direct statement"),
     }
 }
 
@@ -851,79 +840,14 @@ fn bump_plan_epoch(ds: &dyn Datastore, keyspace: &str) {
     }
 }
 
-fn dml_ctx(doc: &Value, alias: &str, key: &str) -> (Value, HashMap<String, String>) {
-    let mut row = Value::empty_object();
-    row.insert_field(alias, doc.clone());
-    let mut metas = HashMap::new();
-    metas.insert(alias.to_string(), key.to_string());
-    (row, metas)
-}
-
-fn dml_targets(
-    ds: &dyn Datastore,
-    keyspace: &str,
-    use_keys: &Option<Expr>,
-    where_: &Option<Expr>,
-    limit: &Option<Expr>,
-    opts: &QueryOptions,
-) -> Result<Vec<(String, Value)>> {
-    let row = Value::empty_object();
-    let metas = HashMap::new();
-    let ctx = EvalCtx {
-        row: &row,
-        metas: &metas,
-        default_alias: None,
-        pos_params: &opts.pos_params,
-        named_params: &opts.named_params,
-        aggs: None,
-    };
-    let mut candidates: Vec<(String, Value)> = match use_keys {
-        Some(e) => {
-            let mut out = Vec::new();
-            for key in eval_keys(e, &ctx)? {
-                if let Some(doc) = ds.fetch(keyspace, &key)? {
-                    out.push((key, doc));
-                }
-            }
-            out
-        }
-        None => ds.primary_scan(keyspace)?,
-    };
-    if let Some(w) = where_ {
-        let mut kept = Vec::new();
-        for (key, doc) in candidates {
-            let (r, m) = dml_ctx(&doc, keyspace, &key);
-            let c2 = EvalCtx {
-                row: &r,
-                metas: &m,
-                default_alias: Some(keyspace),
-                pos_params: &opts.pos_params,
-                named_params: &opts.named_params,
-                aggs: None,
-            };
-            if truth(&eval(w, &c2)?) == Truth::True {
-                kept.push((key, doc));
-            }
-        }
-        candidates = kept;
-    }
-    if let Some(n) = eval_limit(limit.as_ref(), opts)? {
-        candidates.truncate(n);
-    }
-    Ok(candidates)
-}
-
 /// Translate CREATE INDEX AST into an [`IndexDef`]. The WHERE clause must
 /// be a conjunction of `path op literal` conditions (§3.3.4's selective
 /// indexes).
-pub fn index_def_from_ast(
+fn index_def_from_ast(
     name: &str,
     keyspace: &str,
     keys: &[IndexKeySpec],
     where_: &Option<Expr>,
-    // `USING VIEW` and `USING GSI` share the scan interface here (see
-    // DESIGN.md); the flag is accepted for syntax fidelity.
-    _using_view: bool,
     defer_build: bool,
 ) -> Result<IndexDef> {
     let mut key_exprs = Vec::with_capacity(keys.len());
@@ -959,38 +883,16 @@ fn filter_cond_from_expr(e: &Expr) -> Result<FilterCond> {
             "partial-index WHERE must be comparisons of a path and a literal".to_string(),
         ));
     };
-    let (path_expr, lit, op) = match (l.as_ref(), r.as_ref()) {
-        (Expr::Path(_), Expr::Literal(v)) => (l.as_ref(), v.clone(), *op),
-        (Expr::Literal(v), Expr::Path(_)) => {
-            let flipped = match op {
-                BinOp::Lt => BinOp::Gt,
-                BinOp::Le => BinOp::Ge,
-                BinOp::Gt => BinOp::Lt,
-                BinOp::Ge => BinOp::Le,
-                other => *other,
-            };
-            (r.as_ref(), v.clone(), flipped)
-        }
+    let (parts, lit, op) = match (l.as_ref(), r.as_ref()) {
+        (Expr::Path(parts), Expr::Literal(v)) => (parts, v.clone(), *op),
+        (Expr::Literal(v), Expr::Path(parts)) => (parts, v.clone(), flip(*op)),
         _ => {
             return Err(Error::Plan(
                 "partial-index WHERE must compare a path with a literal".to_string(),
             ))
         }
     };
-    let Expr::Path(parts) = path_expr else { unreachable!() };
-    let mut path_str = String::new();
-    for p in parts {
-        match p {
-            PathPart::Field(f) => {
-                if !path_str.is_empty() {
-                    path_str.push('.');
-                }
-                path_str.push_str(f);
-            }
-            PathPart::Index(i) => path_str.push_str(&format!("[{i}]")),
-        }
-    }
-    let path = cbs_json::parse_path(&path_str).map_err(Error::Plan)?;
+    let path = cbs_json::parse_path(&render_parts(parts)).map_err(Error::Plan)?;
     let fop = match op {
         BinOp::Eq => FilterOp::Eq,
         BinOp::Ne => FilterOp::Ne,

@@ -81,15 +81,18 @@ pub(crate) fn direct_name(stmt: &Statement) -> &'static str {
     match stmt {
         Statement::Insert { .. } => "SendInsert",
         Statement::Upsert { .. } => "SendUpsert",
-        Statement::Update { .. } => "SendUpdate",
-        Statement::Delete { .. } => "SendDelete",
         Statement::CreateIndex { .. } => "CreateIndex",
         Statement::CreatePrimaryIndex { .. } => "CreatePrimaryIndex",
         Statement::DropIndex { .. } => "DropIndex",
         Statement::BuildIndex { .. } => "BuildIndexes",
         Statement::Prepare { .. } => "Prepare",
         Statement::Execute { .. } => "Execute",
-        Statement::Select(_) | Statement::Explain(_) | Statement::Profile(_) => "Sequence",
+        // Never planned as a direct statement.
+        Statement::Select(_)
+        | Statement::Update { .. }
+        | Statement::Delete { .. }
+        | Statement::Explain(_)
+        | Statement::Profile(_) => "Sequence",
     }
 }
 

@@ -11,7 +11,9 @@
 //!   KEYS` (general theta-joins are linguistically rejected, §3.2.4),
 //!   `WHERE`, `GROUP BY`/`HAVING` with aggregates, `DISTINCT`,
 //!   `ORDER BY`, `LIMIT`/`OFFSET`;
-//! - **DML**: `INSERT`, `UPSERT`, `UPDATE`, `DELETE` (§3.2.2);
+//! - **DML**: `INSERT`, `UPSERT`, `UPDATE`, `DELETE` (§3.2.2); UPDATE and
+//!   DELETE run the SELECT pipeline of their target rows, ending in
+//!   `SendUpdate` / `SendDelete`;
 //! - **DDL**: `CREATE [PRIMARY] INDEX ... USING GSI/VIEW`, partial-index
 //!   `WHERE`, `WITH {"defer_build": true}`, `DROP INDEX`, `BUILD INDEX`;
 //! - the **planner** (§4.5.3) picks per-keyspace access paths — `KeyScan`
@@ -172,8 +174,8 @@ fn take_ident(s: &str) -> Option<(&str, &str)> {
 }
 
 /// Cache a plan under its statement text when it is worth caching: only
-/// SELECT pipelines over a real (non-`system:`) keyspace — DML/DDL plans
-/// are trivial to rebuild, and `system:` content changes per request.
+/// pipelines over a real (non-`system:`) keyspace — direct plans are
+/// trivial to rebuild, and `system:` content changes per request.
 /// `at_plan` is the epoch snapshot taken before planning started, so a
 /// DDL racing the planner stamps the entry stale instead of valid.
 fn insert_if_cacheable(
@@ -249,8 +251,12 @@ fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Resu
             let result = execute_with_profile(ds, &plan, opts, &mut prof)?;
             Ok(Executed { result, plan, prof: Some(prof) })
         }
-        _ => {
-            if let (Some(cache), Some(at_plan)) = (ds.plan_cache(), epochs_at_plan.as_ref()) {
+        stmt => {
+            // Ad hoc, only a SELECT's text is looked up (above); EXECUTE
+            // looks up a prepared UPDATE or DELETE too.
+            if let (Statement::Select(_), Some(cache), Some(at_plan)) =
+                (stmt, ds.plan_cache(), epochs_at_plan.as_ref())
+            {
                 insert_if_cacheable(cache, statement, &plan, at_plan);
             }
             Ok(Executed { result: execute(ds, &plan, opts)?, plan, prof: None })

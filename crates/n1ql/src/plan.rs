@@ -5,8 +5,11 @@
 //! shape (the aggregate calls, whether LIMIT may move into the index scan,
 //! the one-line summary). The executor, EXPLAIN, PROFILE and the request
 //! log all read that list; nothing else decides which operators exist.
+//! UPDATE and DELETE are the same pipeline over their target rows, ending
+//! in a [`Mutation`] instead of the projection.
 
 use cbs_index::IndexDef;
+use cbs_json::JsonPath;
 
 use crate::ast::{Expr, FromOp, Select, SelectItem, Statement};
 use crate::eval::collect_aggregates;
@@ -106,10 +109,11 @@ pub enum AccessPath {
     ExpressionOnly,
 }
 
-/// One operator of a SELECT pipeline (§4.5.3, Figure 11). A plan lists its
-/// operators once ([`SelectPlan::operators`]); the executor runs that list,
-/// EXPLAIN renders it and PROFILE hangs runtime stats on it by position, so
-/// none of them can name or run an operator the plan does not have.
+/// One operator of a SELECT, UPDATE or DELETE pipeline (§4.5.3, Figure 11).
+/// A plan lists its operators once ([`SelectPlan::operators`]); the
+/// executor runs that list, EXPLAIN renders it and PROFILE hangs runtime
+/// stats on it by position, so none of them can name or run an operator
+/// the plan does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Operator {
     /// `USE KEYS`: the document IDs are given.
@@ -147,11 +151,15 @@ pub enum Operator {
     Limit,
     /// Strips each row down to its projection.
     FinalProject,
+    /// Writes each row's document back with the SET and UNSET applied.
+    SendUpdate,
+    /// Deletes each row's document.
+    SendDelete,
 }
 
 impl Operator {
-    /// The operator's name (Couchbase's spelling) — the only place the
-    /// SELECT pipeline's operator names are written.
+    /// The operator's name (Couchbase's spelling) — the only place a
+    /// pipeline's operator names are written.
     pub fn name(self) -> &'static str {
         match self {
             Operator::KeyScan => "KeyScan",
@@ -171,22 +179,39 @@ impl Operator {
             Operator::Offset => "Offset",
             Operator::Limit => "Limit",
             Operator::FinalProject => "FinalProject",
+            Operator::SendUpdate => "SendUpdate",
+            Operator::SendDelete => "SendDelete",
         }
     }
+}
+
+/// What an UPDATE or DELETE does to each of its target rows. Paths are
+/// parsed at plan time, so a bad one fails the plan before any write.
+#[derive(Debug, Clone)]
+pub enum Mutation {
+    /// The SET `path = expr` clauses, applied in order to the document in
+    /// place, then the UNSET paths removed.
+    Update { set: Vec<(JsonPath, Expr)>, unset: Vec<JsonPath> },
+    /// Remove the document.
+    Delete,
 }
 
 /// A planned SELECT: the statement, the access path chosen for its primary
 /// keyspace, and everything that follows from the statement's *shape* —
 /// fixed here once so a cached plan costs a request nothing to interpret.
-/// None of it depends on parameter values (DESIGN.md §13).
+/// None of it depends on parameter values (DESIGN.md §13). An UPDATE or
+/// DELETE plans as the SELECT of its target rows plus its [`Mutation`].
 #[derive(Debug, Clone)]
 pub struct SelectPlan {
-    /// The statement (operators evaluate its clauses).
+    /// The statement (operators evaluate its clauses); for DML, the
+    /// `FROM ks [USE KEYS] [WHERE] [LIMIT]` of its target rows.
     pub select: Select,
     /// Chosen access path for the primary keyspace.
     pub access: AccessPath,
     /// Cost/cardinality estimate for the chosen access path.
     pub estimate: PlanEstimate,
+    /// The UPDATE or DELETE that ends the pipeline (`None` for a SELECT).
+    pub mutation: Option<Mutation>,
     operators: Vec<Operator>,
     aggregates: Vec<Expr>,
     limit_pushdown: bool,
@@ -194,16 +219,17 @@ pub struct SelectPlan {
 }
 
 impl SelectPlan {
-    /// The one place a SELECT pipeline is written down. `joins` is the
-    /// algorithm per FROM op (missing entries mean nested loop);
-    /// `range_serves_where` says the index range alone enforces the whole
-    /// WHERE clause.
+    /// The one place a pipeline is written down. `joins` is the algorithm
+    /// per FROM op (missing entries mean nested loop); `range_serves_where`
+    /// says the index range alone enforces the whole WHERE clause; a
+    /// `mutation` ends the pipeline in place of the projection.
     pub(crate) fn new(
         select: Select,
         access: AccessPath,
         estimate: PlanEstimate,
         joins: &[JoinStrategy],
         range_serves_where: bool,
+        mutation: Option<Mutation>,
     ) -> SelectPlan {
         // Wherever an aggregate call sits, the Group operator computes it.
         let mut aggregates = Vec::new();
@@ -240,15 +266,18 @@ impl SelectPlan {
             FromOp::Nest { .. } => Operator::Nest(i),
             FromOp::Unnest { .. } => Operator::Unnest(i),
         }));
+        let project = mutation.is_none();
         let clauses = [
             (select.where_.is_some(), Operator::Filter),
             (!select.group_by.is_empty() || !aggregates.is_empty(), Operator::Group),
-            (true, Operator::InitialProject),
+            (project, Operator::InitialProject),
             (select.distinct, Operator::Distinct),
             (!select.order_by.is_empty(), Operator::Sort),
             (select.offset.is_some(), Operator::Offset),
             (select.limit.is_some(), Operator::Limit),
-            (true, Operator::FinalProject),
+            (project, Operator::FinalProject),
+            (matches!(mutation, Some(Mutation::Update { .. })), Operator::SendUpdate),
+            (matches!(mutation, Some(Mutation::Delete)), Operator::SendDelete),
         ];
         operators.extend(clauses.iter().filter(|(present, _)| *present).map(|(_, op)| *op));
 
@@ -277,7 +306,16 @@ impl SelectPlan {
             .collect::<Vec<_>>()
             .join(" -> ");
 
-        SelectPlan { select, access, estimate, operators, aggregates, limit_pushdown, summary }
+        SelectPlan {
+            select,
+            access,
+            estimate,
+            mutation,
+            operators,
+            aggregates,
+            limit_pushdown,
+            summary,
+        }
     }
 
     /// The pipeline, in execution order.
@@ -306,9 +344,9 @@ impl SelectPlan {
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)] // plans are built once per query, never stored in bulk
 pub enum QueryPlan {
-    /// SELECT pipeline.
+    /// An operator pipeline: a SELECT, or an UPDATE or DELETE.
     Select(SelectPlan),
-    /// DML / DDL statements execute directly from their AST.
+    /// INSERT, UPSERT and DDL execute directly from their AST.
     Direct(Statement),
 }
 

@@ -27,13 +27,17 @@
 //! probe per key) when statistics say the outer side would otherwise pay
 //! more KV fetches than one inner scan costs.
 //!
+//! UPDATE and DELETE plan as the SELECT of their target rows (`FROM ks
+//! [USE KEYS] [WHERE] [LIMIT]`), through the same access-path choice, with
+//! the mutation as the pipeline's last operator. No index covers them:
+//! they write whole documents back.
+//!
 //! Scan ranges stay *symbolic* in the plan ([`RangeSpec`]): bounds are
 //! literal/parameter expressions resolved per request, so a cached plan
 //! serves every parameter binding of a prepared statement. Cost formulas
 //! and constants are documented in DESIGN.md §13.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 use cbs_common::{Error, Result};
 use cbs_index::{FilterCond, FilterOp, IndexDef, KeyExpr, ScanRange};
@@ -41,9 +45,10 @@ use cbs_json::Value;
 
 use crate::ast::*;
 use crate::datastore::Datastore;
-use crate::eval::{eval, EvalCtx};
-use crate::exec::QueryOptions;
-use crate::plan::{AccessPath, JoinStrategy, PlanEstimate, QueryPlan, RangeSpec, SelectPlan};
+use crate::exec::{eval_const, QueryOptions};
+use crate::plan::{
+    AccessPath, JoinStrategy, Mutation, PlanEstimate, QueryPlan, RangeSpec, SelectPlan,
+};
 use crate::stats::{IndexStat, KeyspaceStats};
 
 /// Cost of fetching one full document from the data service (a network
@@ -61,7 +66,40 @@ const BOUNDED_SELECTIVITY: f64 = 0.1;
 /// Plan a statement.
 pub fn build_plan(ds: &dyn Datastore, stmt: &Statement, opts: &QueryOptions) -> Result<QueryPlan> {
     match stmt {
-        Statement::Select(sel) => Ok(QueryPlan::Select(plan_select(ds, sel, opts)?)),
+        Statement::Select(sel) => Ok(QueryPlan::Select(plan_select(ds, sel.clone(), None, opts)?)),
+        // The pipeline of a DML statement is the SELECT of its target rows,
+        // ending in the mutation.
+        Statement::Update { keyspace, use_keys, where_, limit, .. }
+        | Statement::Delete { keyspace, use_keys, where_, limit } => {
+            if keyspace.starts_with("system:") {
+                return Err(Error::Plan(format!("{keyspace} is read-only")));
+            }
+            let path = |p: &String| {
+                cbs_json::parse_path(p).map_err(|e| Error::Plan(format!("bad path {p}: {e}")))
+            };
+            let mutation = match stmt {
+                Statement::Update { set, unset, .. } => Mutation::Update {
+                    set: set
+                        .iter()
+                        .map(|(p, e)| Ok((path(p)?, e.clone())))
+                        .collect::<Result<_>>()?,
+                    unset: unset.iter().map(path).collect::<Result<_>>()?,
+                },
+                _ => Mutation::Delete,
+            };
+            let targets = Select {
+                from: Some(FromClause {
+                    keyspace: keyspace.clone(),
+                    alias: keyspace.clone(),
+                    use_keys: use_keys.clone(),
+                    ops: Vec::new(),
+                }),
+                where_: where_.clone(),
+                limit: limit.clone(),
+                ..Select::default()
+            };
+            Ok(QueryPlan::Select(plan_select(ds, targets, Some(mutation), opts)?))
+        }
         Statement::Explain(inner) | Statement::Profile(inner) => build_plan(ds, inner, opts),
         other => Ok(QueryPlan::Direct(other.clone())),
     }
@@ -92,18 +130,24 @@ fn unresolved_bound(e: &Expr) -> Error {
     })
 }
 
-fn plan_select(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Result<SelectPlan> {
-    let chosen = choose_access(ds, sel, opts)?;
+fn plan_select(
+    ds: &dyn Datastore,
+    sel: Select,
+    mutation: Option<Mutation>,
+    opts: &QueryOptions,
+) -> Result<SelectPlan> {
+    let chosen = choose_access(ds, &sel, mutation.is_none(), opts)?;
     let joins = match &sel.from {
         Some(from) => choose_join_strategies(ds, from, &chosen.estimate),
         None => Vec::new(),
     };
     Ok(SelectPlan::new(
-        sel.clone(),
+        sel,
         chosen.access,
         chosen.estimate,
         &joins,
         chosen.range_serves_where,
+        mutation,
     ))
 }
 
@@ -148,7 +192,14 @@ impl Candidate {
     }
 }
 
-fn choose_access(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Result<ChosenAccess> {
+/// `may_cover`: whether an index holding every path the statement reads
+/// may stand in for the documents (false for DML, which writes them).
+fn choose_access(
+    ds: &dyn Datastore,
+    sel: &Select,
+    may_cover: bool,
+    opts: &QueryOptions,
+) -> Result<ChosenAccess> {
     let Some(from) = &sel.from else {
         return Ok(ChosenAccess::unpriced(AccessPath::ExpressionOnly));
     };
@@ -189,7 +240,7 @@ fn choose_access(ds: &dyn Datastore, sel: &Select, opts: &QueryOptions) -> Resul
         if !partial_index_applicable(def, &from.alias, &conjuncts) {
             continue;
         }
-        let covering = covering_ok(def, &from.alias, sel);
+        let covering = may_cover && covering_ok(def, &from.alias, sel);
         let score = 4 * u32::from(range.has_low())
             + 4 * u32::from(range.has_high())
             + 2 * u32::from(covering)
@@ -391,7 +442,7 @@ fn path_matches(parts: &[PathPart], path: &cbs_json::JsonPath, alias: &str) -> b
     rendered == target || rendered == format!("{alias}.{target}")
 }
 
-fn render_parts(parts: &[PathPart]) -> String {
+pub(crate) fn render_parts(parts: &[PathPart]) -> String {
     let mut s = String::new();
     for p in parts {
         match p {
@@ -425,18 +476,8 @@ fn is_const_expr(e: &Expr) -> bool {
 
 /// Evaluate a bound expression against a request's parameters.
 pub(crate) fn const_value(e: &Expr, opts: &QueryOptions) -> Option<Value> {
-    let row = Value::empty_object();
-    let metas = HashMap::new();
-    let ctx = EvalCtx {
-        row: &row,
-        metas: &metas,
-        default_alias: None,
-        pos_params: &opts.pos_params,
-        named_params: &opts.named_params,
-        aggs: None,
-    };
     if is_const_expr(e) {
-        eval(e, &ctx).ok().flatten()
+        eval_const(e, opts).ok().flatten()
     } else {
         None
     }
@@ -526,7 +567,7 @@ fn sargable_spec(def: &IndexDef, alias: &str, conjuncts: &[Expr]) -> Option<(Ran
     Some((spec, matched == conjuncts.len() && null_free))
 }
 
-fn flip(op: BinOp) -> BinOp {
+pub(crate) fn flip(op: BinOp) -> BinOp {
     match op {
         BinOp::Lt => BinOp::Gt,
         BinOp::Le => BinOp::Ge,

@@ -206,6 +206,24 @@ fn profile_of_dml_and_failed_statements() {
         Some(&Value::from("Zoe"))
     );
 
+    // UPDATE runs the SELECT pipeline of its target rows, ending in
+    // SendUpdate; every operator carries its stats.
+    let res = query(
+        &ds,
+        "PROFILE UPDATE profiles SET senior = true WHERE age >= 30",
+        &QueryOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(res.metrics.mutation_count, 4, "Alice, Carol, Eve, Zoe");
+    assert!(res.metrics.index_entries > 0, "the age index found the targets");
+    let stats = stats_ops(&res.rows[0]);
+    let ran: Vec<&str> = stats.iter().map(|(name, _, _)| name.as_str()).collect();
+    assert_eq!(ran, ["IndexScan", "Fetch", "Filter", "SendUpdate"]);
+    assert_eq!(names(operators(&res.rows[0])), ran);
+    let send = &stats[3];
+    assert_eq!(send.1, res.metrics.mutation_count as i64, "SendUpdate #itemsIn");
+    assert_eq!(send.2, 0, "DML returns no rows");
+
     // A failing statement under PROFILE still fails.
     assert!(query(&ds, "PROFILE SELECT * FROM nowhere", &QueryOptions::default()).is_err());
 }

@@ -352,6 +352,18 @@ fn dml_roundtrip() {
     let res = query(&ds, "DELETE FROM profiles WHERE age < 20", &QueryOptions::default()).unwrap();
     assert_eq!(res.metrics.mutation_count, 1); // Dan
     assert!(run(&ds, "SELECT name FROM profiles WHERE name = 'Dan'").is_empty());
+    // SET clauses apply in order, each seeing what the ones before it left.
+    let res =
+        query(&ds, "UPDATE profiles USE KEYS 'u9' SET a = 1, b = a + 1", &QueryOptions::default())
+            .unwrap();
+    assert_eq!(res.metrics.mutation_count, 1);
+    let rows = run(&ds, "SELECT a, b FROM profiles USE KEYS 'u9'");
+    assert_eq!(rows, [cbs_json::parse(r#"{"a":1,"b":2}"#).unwrap()]);
+    // `system:` catalogs are read-only.
+    for q in ["DELETE FROM `system:keyspaces`", "UPDATE `system:prepareds` SET x = 1"] {
+        let err = query(&ds, q, &QueryOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("read-only"), "{q}: {err}");
+    }
 }
 
 #[test]

@@ -251,7 +251,7 @@ fn sql_suite_golden_results() {
 fn sql_suite_index_paths_agree_with_primary() {
     // Re-run every age-referencing case on a datastore WITHOUT the
     // secondary index: results must be identical (the index is purely an
-    // access-path optimization).
+    // access-path optimization), and so must what UPDATE and DELETE leave.
     let with_index = fixture();
     let without_index = {
         let ds = fixture();
@@ -268,4 +268,46 @@ fn sql_suite_index_paths_agree_with_primary() {
             (x, y) => panic!("{name}: one path errored: {x:?} vs {y:?}"),
         }
     }
+
+    // UPDATE and DELETE run the same pipeline as SELECT, so they find the
+    // same documents on either access path.
+    let delete = "DELETE FROM p WHERE age < 30";
+    assert_eq!(explained(&with_index, delete), ["IndexScan(age)", "Fetch", "Filter", "SendDelete"]);
+    assert_eq!(explained(&without_index, delete), ["PrimaryScan", "Fetch", "Filter", "SendDelete"]);
+    assert_eq!(
+        explained(&with_index, r#"DELETE FROM p USE KEYS ["p2"]"#),
+        ["KeyScan", "Fetch", "SendDelete"]
+    );
+    let dml = [
+        (r#"UPDATE p USE KEYS ["p1","p2"] SET senior = true WHERE age >= 30"#, 1),
+        ("UPDATE p SET senior = true WHERE age >= 30", 2),
+        (r#"DELETE FROM p USE KEYS ["p2","p5"] WHERE age < 30"#, 1),
+        (delete, 1),
+    ];
+    for (sql, mutations) in dml {
+        for ds in [&with_index, &without_index] {
+            assert_eq!(query(ds, sql, &opts).unwrap().metrics.mutation_count, mutations, "{sql}");
+        }
+    }
+    let docs = with_index.primary_scan("p").unwrap();
+    assert_eq!(docs, without_index.primary_scan("p").unwrap());
+    let senior: Vec<(&str, bool)> = docs
+        .iter()
+        .map(|(k, d)| (k.as_str(), d.get_field("senior") == Some(&Value::Bool(true))))
+        .collect();
+    assert_eq!(senior, [("p1", true), ("p4", true), ("p5", false)]);
+}
+
+/// EXPLAIN's operator names, an index scan's with its index.
+fn explained(ds: &MemoryDatastore, sql: &str) -> Vec<String> {
+    let rows = query(ds, &format!("EXPLAIN {sql}"), &QueryOptions::default()).unwrap().rows;
+    let ops = rows[0].get_field("plan").and_then(|p| p.get_field("operators"));
+    let name = |op: &Value| {
+        let name = op.get_field("operator").and_then(Value::as_str).unwrap_or("?");
+        match op.get_field("index").and_then(Value::as_str) {
+            Some(index) => format!("{name}({index})"),
+            None => name.to_string(),
+        }
+    };
+    ops.and_then(Value::as_array).unwrap().iter().map(name).collect()
 }

@@ -268,8 +268,13 @@ mod tests {
         assert_eq!(dst_client.get("k7").unwrap().value, doc(7));
         // Deletions replicate too.
         src_client.remove("k7", cbs_common::Cas::WILDCARD).unwrap();
-        assert!(wait_for(Duration::from_secs(10), || dst_client.get("k7").is_err()));
-        assert!(link.stats().shipped.get() >= 51);
+        // The destination shows the deletion inside `set_with_meta`; the
+        // link counts it as shipped only after that call returns.
+        assert!(
+            wait_for(Duration::from_secs(10), || dst_client.get("k7").is_err()
+                && link.stats().shipped.get() >= 51),
+            "the deletion replicates and is counted as shipped"
+        );
         link.shutdown();
     }
 

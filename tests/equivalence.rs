@@ -113,6 +113,30 @@ proptest! {
             prop_assert_eq!(&a, &expected, "cluster: {}", q);
             prop_assert_eq!(&b2, &expected, "memory: {}", q);
         }
+        // UPDATE and DELETE through a GSI index on the cluster (its only
+        // index), through the primary on the reference. Neither request asks
+        // for request_plus: DML waits for the index anyway, so the write
+        // just before it is among its targets.
+        cluster.query("CREATE INDEX by_age ON b(age)", &QueryOptions::default()).unwrap();
+        cluster.query("DROP INDEX b.`#primary`", &QueryOptions::default()).unwrap();
+        let late = Value::object([("age", Value::int(100))]);
+        bucket.upsert("late", late.clone()).unwrap();
+        Datastore::upsert(&mem, "b", "late", late).unwrap();
+        for q in [
+            format!("UPDATE b SET older = true, age = age + 1 WHERE age > {pivot}"),
+            format!("DELETE FROM b WHERE age < {pivot}"),
+        ] {
+            let explain = cluster.query(&format!("EXPLAIN {q}"), &QueryOptions::default()).unwrap();
+            prop_assert!(explain.rows[0].to_json_string().contains("by_age"), "{}", explain.rows[0]);
+            let a = cluster.query(&q, &QueryOptions::default()).unwrap().metrics.mutation_count;
+            let b2 = cbs_n1ql::query(&mem, &q, &QueryOptions::default()).unwrap().metrics.mutation_count;
+            prop_assert_eq!(a, b2, "mutations: {}", q);
+        }
+        let q = "SELECT META().id AS id, b.* FROM b WHERE age >= 0 ORDER BY id";
+        let a = cluster.query(q, &QueryOptions::default().request_plus()).unwrap().rows;
+        let b2 = cbs_n1ql::query(&mem, q, &QueryOptions::default()).unwrap().rows;
+        prop_assert!(a.iter().any(|r| r.get_field("id") == Some(&Value::from("late"))));
+        prop_assert_eq!(a, b2, "documents left by UPDATE and DELETE");
     }
 }
 
