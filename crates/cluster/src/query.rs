@@ -138,22 +138,6 @@ impl Datastore for ClusterDatastore {
         }
     }
 
-    fn primary_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        // Fan out to every data node's active vBuckets.
-        let mut out = Vec::new();
-        for node in self.cluster.nodes() {
-            if !node.is_alive() || !node.services().data {
-                continue;
-            }
-            let engine = node.engine(keyspace)?;
-            for doc in engine.scan_active_docs()? {
-                out.push((doc.id, doc.value));
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(out)
-    }
-
     fn insert(&self, keyspace: &str, key: &str, value: Value) -> Result<()> {
         self.client(keyspace)?.insert(key, value).map(|_| ())
     }

@@ -48,8 +48,8 @@ fn placement_spreads_data_across_nodes() {
     // Every node should hold some active documents.
     for node in cluster.nodes() {
         let engine = node.engine("default").unwrap();
-        let docs = engine.scan_active_docs().unwrap();
-        assert!(!docs.is_empty(), "node {:?} owns no documents", node.id());
+        let docs = engine.active_doc_count().unwrap();
+        assert!(docs > 0, "node {:?} owns no documents", node.id());
     }
     // And every doc reads back through the client.
     for i in 0..200 {
@@ -270,7 +270,7 @@ fn rebalance_in_moves_data_to_new_node() {
     }
     // And the new node actually serves some of it.
     let engine = cluster.node(new_node).unwrap().engine("default").unwrap();
-    assert!(!engine.scan_active_docs().unwrap().is_empty());
+    assert!(engine.active_doc_count().unwrap() > 0);
 }
 
 #[test]
@@ -475,7 +475,7 @@ fn mds_separated_services_work_together() {
     // Each service's work stays on its own nodes: the documents live on the
     // data nodes alone, and only the index node keeps an index.
     let node = |id: u32| cluster.node(NodeId(id)).unwrap();
-    let docs = |id| node(id).engine("b").map_or(0, |e| e.scan_active_docs().unwrap().len());
+    let docs = |id| node(id).engine("b").map_or(0, |e| e.active_doc_count().unwrap());
     assert_eq!(docs(0) + docs(1), 30);
     assert_eq!((docs(2), docs(3)), (0, 0));
     let indexes = |id| node(id).index_manager().is_ok();
@@ -495,6 +495,7 @@ fn orchestrator_election() {
 #[test]
 fn view_results_consistent_during_vbucket_deactivation() {
     // §4.3.3: view queries must not double-count or leak moved partitions.
+    use cbs_dcp::BackfillSource;
     let cluster = small_cluster(2, 0);
     let client = SmartClient::connect(Arc::clone(&cluster), "default").unwrap();
     for i in 0..80 {
@@ -524,12 +525,8 @@ fn view_results_consistent_during_vbucket_deactivation() {
     let vb = VbId(0);
     let owner = cluster.node(map.active_node(vb)).unwrap();
     let engine = owner.engine("default").unwrap();
-    let owned_docs = engine
-        .scan_active_docs()
-        .unwrap()
-        .into_iter()
-        .filter(|d| engine.vb_for_key(&d.id) == vb)
-        .count();
+    let (items, _) = engine.backfill(vb, SeqNo::ZERO).unwrap();
+    let owned_docs = items.iter().filter(|item| !item.is_deletion()).count();
     engine.set_vb_state(vb, cbs_kv::VbState::Dead);
     let q2 = ViewQuery { stale: Stale::Ok, ..Default::default() };
     let after = cluster.view_query("default", "dd", "v", &q2).unwrap().rows.len();

@@ -61,6 +61,10 @@ fn profile_phases_cover_most_of_an_index_scan_query() {
     assert!(covered <= wall);
 }
 
+fn op_name(op: &Value) -> &str {
+    op.get_field("operator").and_then(Value::as_str).unwrap()
+}
+
 /// `(operator, #itemsIn, #itemsOut)` for each operator of a PROFILE run.
 fn profiled_operators(cluster: &CouchbaseCluster, stmt: &str) -> Vec<(String, i64, i64)> {
     let res =
@@ -72,10 +76,7 @@ fn profiled_operators(cluster: &CouchbaseCluster, stmt: &str) -> Vec<(String, i6
     ops.and_then(Value::as_array)
         .unwrap()
         .iter()
-        .map(|op| {
-            let name = op.get_field("operator").and_then(Value::as_str).unwrap();
-            (name.to_string(), count(op, "#itemsIn"), count(op, "#itemsOut"))
-        })
+        .map(|op| (op_name(op).to_string(), count(op, "#itemsIn"), count(op, "#itemsOut")))
         .collect()
 }
 
@@ -84,8 +85,10 @@ fn profiled_operators(cluster: &CouchbaseCluster, stmt: &str) -> Vec<(String, i6
 /// memory datastore's side: `n1ql/tests/queries.rs::covering_index_no_fetch`
 /// and `profile_matrix.rs`). USE KEYS scans nothing and fetches exactly the
 /// named keys; a covering scan fetches nothing; a non-covering scan
-/// fetches each row it returns; a PrimaryScan reads the whole bucket, and
-/// twice as much once the bucket doubles (§4.5.3's linear growth).
+/// fetches each row it returns; a PrimaryScan scans the whole primary index
+/// and fetches every id it returns, twice as many once the bucket doubles
+/// (§4.5.3's linear growth). A PrimaryScan waits for the index to hold every
+/// write acknowledged before it, whatever the request asks.
 #[test]
 fn profile_counts_pin_the_access_path_hierarchy() {
     const N: usize = 120;
@@ -111,14 +114,25 @@ fn profile_counts_pin_the_access_path_hierarchy() {
     assert_eq!((fetch.1, fetch.2), (2, 2), "one fetch per row: {ops:?}");
 
     let primary = "SELECT name FROM default WHERE name = 'user17'";
-    let ops = profiled_operators(&cluster, primary);
-    assert_eq!(find(&ops, "PrimaryScan").map(|o| o.2), Some(N as i64), "{ops:?}");
+    let full_scan = |ops: &[(String, i64, i64)], n: usize| {
+        let n = n as i64;
+        assert_eq!(find(ops, "PrimaryScan").map(|o| o.2), Some(n), "{ops:?}");
+        let fetch = find(ops, "Fetch").expect("a PrimaryScan fetches");
+        assert_eq!((fetch.1, fetch.2), (n, n), "one fetch per scanned id: {ops:?}");
+    };
+    full_scan(&profiled_operators(&cluster, primary), N);
     let bucket = cluster.bucket("default").unwrap();
     for i in N..2 * N {
         bucket.upsert(&format!("user::{i}"), Value::object([("age", Value::int(1))])).unwrap();
     }
-    let ops = profiled_operators(&cluster, primary);
-    assert_eq!(find(&ops, "PrimaryScan").map(|o| o.2), Some(2 * N as i64), "{ops:?}");
+    let count = "SELECT COUNT(age) AS n FROM default";
+    let plan = cluster.query(&format!("EXPLAIN {count}"), &QueryOptions::default()).unwrap();
+    let listed = plan.rows[0].get_field("plan").and_then(|p| p.get_field("operators"));
+    let listed: Vec<&str> = listed.and_then(Value::as_array).unwrap().iter().map(op_name).collect();
+    assert_eq!(listed[..2], ["PrimaryScan", "Fetch"]);
+    let counted = cluster.query(count, &QueryOptions::default()).unwrap().rows;
+    assert_eq!(counted, [Value::object([("n", Value::from(2 * N))])], "not_bounded sees all");
+    full_scan(&profiled_operators(&cluster, primary), 2 * N);
 }
 
 #[test]

@@ -19,7 +19,7 @@ use parking_lot::Condvar;
 
 use crate::now_secs;
 use crate::stats::EngineStats;
-use crate::types::{Document, EngineConfig, GetResult, MutateMode, MutationResult, VbState};
+use crate::types::{EngineConfig, GetResult, MutateMode, MutationResult, VbState};
 
 /// What a drain cycle took from one vBucket: the keys whose versions it
 /// writes and the trace contexts attached to them, kept so a failed commit
@@ -1082,31 +1082,6 @@ impl DataEngine {
         }
         Ok(count)
     }
-
-    /// Every live document in every `Active` vBucket. This is the
-    /// "PrimaryScan [...] equivalent of a full table scan" data source
-    /// (§4.5.3); only documents the cache no longer holds are read from
-    /// disk.
-    pub fn scan_active_docs(&self) -> Result<Vec<Document>> {
-        let mut out = Vec::new();
-        for vb in self.vbs_in_state(VbState::Active) {
-            let (items, _) = self.backfill(vb, SeqNo::ZERO)?;
-            for item in items {
-                if item.is_deletion() {
-                    continue;
-                }
-                if item.meta.is_expired_at(now_secs()) {
-                    continue;
-                }
-                out.push(Document {
-                    id: item.key.into(),
-                    value: item.value.map(SharedValue::into_value).unwrap_or(Value::Null),
-                    meta: item.meta,
-                });
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Memory-first backfill (§4.3.2): the vBucket's cache shard, and from the
@@ -1823,20 +1798,6 @@ mod tests {
         assert!(matches!(e.get("k"), Err(Error::KeyNotFound(_))));
         assert_eq!(e.high_seqno(gone), SeqNo::ZERO, "a vBucket created again starts over");
         assert_eq!(e.get(&kept.0).unwrap().value, doc(2));
-    }
-
-    #[test]
-    fn scan_active_docs_sees_memory_and_disk() {
-        let e = engine();
-        e.set("a", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
-        e.flush_once().unwrap();
-        e.set("b", doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
-        e.set("c", doc(3), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
-        e.delete("c", Cas::WILDCARD).unwrap();
-        let mut docs = e.scan_active_docs().unwrap();
-        docs.sort_by(|a, b| a.id.cmp(&b.id));
-        let ids: Vec<&str> = docs.iter().map(|d| d.id.as_str()).collect();
-        assert_eq!(ids, ["a", "b"]);
     }
 
     #[test]

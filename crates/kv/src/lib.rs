@@ -48,9 +48,7 @@ pub mod types;
 pub use engine::DataEngine;
 pub use flusher::FlusherPool;
 pub use stats::EngineStats;
-pub use types::{
-    Document, EngineConfig, GetResult, MutateMode, MutationResult, VbState, VbucketStats,
-};
+pub use types::{EngineConfig, GetResult, MutateMode, MutationResult, VbState, VbucketStats};
 
 /// Current unix time in seconds (expiry granularity). Delegates to the
 /// workspace's single wall-clock read point (`cbs_common::time`).

@@ -1,7 +1,7 @@
 //! Data-service vocabulary types.
 
 use cbs_common::{Cas, DocMeta, SeqNo, VbId};
-use cbs_json::{SharedValue, Value};
+use cbs_json::SharedValue;
 
 /// Lifecycle state of a vBucket on a node (paper §4.3.1):
 ///
@@ -55,17 +55,6 @@ pub struct MutationResult {
     pub seqno: SeqNo,
     /// Fresh CAS of the new version.
     pub cas: Cas,
-}
-
-/// A full document (used by scans and tests).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Document {
-    /// Document ID.
-    pub id: String,
-    /// Body.
-    pub value: Value,
-    /// Metadata.
-    pub meta: DocMeta,
 }
 
 /// Per-vBucket operational snapshot (the `cbstats vbucket` surface).

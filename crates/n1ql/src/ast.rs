@@ -208,12 +208,11 @@ pub enum Statement {
         keyspace: String,
         keys: Vec<IndexKeySpec>,
         where_: Option<Expr>,
-        using_view: bool,
         defer_build: bool,
         num_partitions: usize,
     },
     /// `CREATE PRIMARY INDEX [name] ON ks [USING ...] [WITH ...]`.
-    CreatePrimaryIndex { name: String, keyspace: String, using_view: bool, defer_build: bool },
+    CreatePrimaryIndex { name: String, keyspace: String, defer_build: bool },
     /// `DROP INDEX ks.name`.
     DropIndex { keyspace: String, name: String },
     /// `BUILD INDEX ON ks(name, ...)`.

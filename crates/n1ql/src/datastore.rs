@@ -5,8 +5,10 @@
 //! the document ID for each attribute match found during index scans. This
 //! ID is then used by the query service to fetch the document itself."
 //!
-//! [`Datastore`] is that boundary: document fetch/scan/DML on the data
-//! service side, index DDL and scans on the index service side. The
+//! [`Datastore`] is that boundary: document fetch and DML on the data
+//! service side, index DDL and scans on the index service side. Every
+//! keyspace read is an index scan followed by fetches; only the `system:`
+//! catalogs are handed over whole ([`Datastore::system_scan`]). The
 //! cluster facade (`cbs-core`) implements it over real services;
 //! [`MemoryDatastore`] is a faithful single-process implementation for
 //! tests.
@@ -31,10 +33,6 @@ pub trait Datastore: Send + Sync {
 
     /// Fetch one document by primary key (the Fetch operator).
     fn fetch(&self, keyspace: &str, key: &str) -> Result<Option<Value>>;
-
-    /// Every live document (the PrimaryScan data source). Deliberately
-    /// expensive, like the paper says.
-    fn primary_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>>;
 
     /// INSERT semantics (error on existing key).
     fn insert(&self, keyspace: &str, key: &str, value: Value) -> Result<()>;
@@ -267,18 +265,6 @@ impl Datastore for MemoryDatastore {
             .docs
             .get(key)
             .cloned())
-    }
-
-    fn primary_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        Ok(self
-            .keyspaces
-            .read()
-            .get(keyspace)
-            .ok_or_else(|| Error::Plan(format!("no such keyspace: {keyspace}")))?
-            .docs
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect())
     }
 
     fn insert(&self, keyspace: &str, key: &str, value: Value) -> Result<()> {

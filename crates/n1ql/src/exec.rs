@@ -11,11 +11,13 @@
 //! UPDATE and DELETE run the same loop: their pipeline ends in
 //! `SendUpdate` or `SendDelete` instead of the projection.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use cbs_common::{Error, Result};
-use cbs_index::{FilterCond, FilterOp, IndexDef, IndexStorage, KeyExpr, ScanConsistency};
+use cbs_index::{
+    FilterCond, FilterOp, IndexDef, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
+};
 use cbs_json::{cmp_missing, Value};
 use cbs_obs::span;
 
@@ -238,13 +240,11 @@ impl SelectRun<'_> {
             | Operator::IndexScan
             | Operator::PrimaryScan
             | Operator::DummyScan => self.scan()?,
-            // A primary scan returns whole documents: nothing left to fetch.
-            Operator::Fetch if matches!(self.plan.access, AccessPath::PrimaryScan) => rows,
             Operator::Fetch => {
                 let _fetch = span("n1ql.exec.fetch");
                 let mut out = Vec::with_capacity(rows.len());
                 for mut row in rows {
-                    // A key or index scan's row carries its document ID.
+                    // A scan's row carries its document ID.
                     let Some(key) = row.metas.get(alias) else { continue };
                     self.metrics.fetches += 1;
                     if let Some(doc) = ds.fetch(self.keyspace, key)? {
@@ -255,10 +255,9 @@ impl SelectRun<'_> {
                 out
             }
             // Left to right, the textual order (§4.5.3 join order).
-            Operator::Join(i) | Operator::HashJoin(i) | Operator::Nest(i) | Operator::Unnest(i) => {
+            Operator::Join(i) | Operator::Nest(i) | Operator::Unnest(i) => {
                 let from_op = sel.from.as_ref().and_then(|f| f.ops.get(i)).ok_or_else(unplanned)?;
-                let hash = matches!(op, Operator::HashJoin(_));
-                apply_from_op(ds, from_op, hash, rows, opts, alias, &mut self.metrics)?
+                apply_from_op(ds, from_op, rows, opts, alias, &mut self.metrics)?
             }
             Operator::Filter => {
                 let where_ = sel.where_.as_ref().ok_or_else(unplanned)?;
@@ -315,16 +314,8 @@ impl SelectRun<'_> {
             }
             Operator::Distinct => {
                 let mut rows = rows;
-                let mut seen: Vec<String> = Vec::new();
-                rows.retain(|row| {
-                    let fp = row.out.to_json_string();
-                    if seen.contains(&fp) {
-                        false
-                    } else {
-                        seen.push(fp);
-                        true
-                    }
-                });
+                let mut seen = HashSet::new();
+                rows.retain(|row| seen.insert(row.out.to_json_string()));
                 rows
             }
             Operator::Sort => {
@@ -414,65 +405,66 @@ impl SelectRun<'_> {
     /// The plan's access path: the rows the pipeline starts from.
     fn scan(&mut self) -> Result<Vec<Row>> {
         let (ds, opts, alias, keyspace) = (self.ds, self.opts, self.alias, self.keyspace);
-        Ok(match &self.plan.access {
-            AccessPath::ExpressionOnly => vec![Row::empty()],
-            AccessPath::KeyScan { keys } => doc_ids(eval_const(keys, opts)?)
-                .ok_or_else(|| Error::Eval("USE KEYS requires a string or array".to_string()))?
-                .into_iter()
-                .map(|id| Row::keyed(alias, id))
-                .collect(),
-            AccessPath::IndexScan { index, range: spec, covering } => {
-                // `request_plus` snapshots the seqno vector at admission
-                // (§4.2): the index catches up to it before the scan runs.
-                // DML always waits, so it sees every write acknowledged
-                // before it, as a scan of the data service would.
-                let cons = if opts.request_plus || self.plan.mutation.is_some() {
-                    ScanConsistency::AtPlus(ds.seqno_vector(keyspace))
-                } else {
-                    ScanConsistency::NotBounded
-                };
-                // Plans keep scan bounds symbolic so the plan cache can serve
-                // every parameter binding; bind this request's values now.
-                let range = &spec.resolve(opts)?;
-                let limit = if self.plan.limit_pushdown() {
-                    eval_limit(self.plan.select.limit.as_ref(), opts)?.unwrap_or(0)
-                } else {
-                    0
-                };
-                // The scan span covers only the GSI call so the indexScan phase
-                // does not absorb fetch time; nested `index.manager.scan` spans
-                // land inside it (cross-service attribution).
-                let entries = {
-                    let _scan = span("n1ql.exec.index_scan");
-                    ds.index_scan(keyspace, &index.name, range, &cons, opts.timeout, limit)?
-                };
-                self.metrics.index_entries += entries.len();
-                entries
+        let (index, range, covering, span_name) = match &self.plan.access {
+            AccessPath::ExpressionOnly => return Ok(vec![Row::empty()]),
+            AccessPath::KeyScan { keys } => {
+                return Ok(doc_ids(eval_const(keys, opts)?)
+                    .ok_or_else(|| Error::Eval("USE KEYS requires a string or array".to_string()))?
                     .into_iter()
-                    .map(|e| {
-                        if *covering {
-                            make_covered_row(alias, e.doc_id.into(), index, &e.key.0)
-                        } else {
-                            Row::keyed(alias, e.doc_id.into())
-                        }
-                    })
-                    .collect()
+                    .map(|id| Row::keyed(alias, id))
+                    .collect())
             }
-            AccessPath::PrimaryScan => {
-                let docs = {
+            AccessPath::SystemScan => {
+                let rows = {
                     let _scan = span("n1ql.exec.primary_scan");
-                    if keyspace.starts_with("system:") {
-                        // `system:` catalogs are materialized directly from
-                        // service state, not from a bucket.
-                        ds.system_scan(keyspace)?
-                    } else {
-                        ds.primary_scan(keyspace)?
-                    }
+                    ds.system_scan(keyspace)?
                 };
-                self.metrics.fetches += docs.len();
-                docs.into_iter().map(|(k, v)| Row::of_doc(alias, k, v)).collect()
+                return Ok(rows.into_iter().map(|(k, v)| Row::of_doc(alias, k, v)).collect());
             }
-        })
+            // Plans keep scan bounds symbolic so the plan cache can serve
+            // every parameter binding; bind this request's values now.
+            AccessPath::IndexScan { index, range, covering } => {
+                (index, range.resolve(opts)?, *covering, "n1ql.exec.index_scan")
+            }
+            AccessPath::PrimaryScan { index } => {
+                (index, ScanRange::all(), false, "n1ql.exec.primary_scan")
+            }
+        };
+        // `request_plus` snapshots the seqno vector at admission (§4.2): the
+        // index catches up to it before the scan runs. DML and a full scan
+        // always wait, so they see every write acknowledged before them, as
+        // a read of the data service would.
+        let wait = opts.request_plus
+            || self.plan.mutation.is_some()
+            || matches!(self.plan.access, AccessPath::PrimaryScan { .. });
+        let cons = if wait {
+            ScanConsistency::AtPlus(ds.seqno_vector(keyspace))
+        } else {
+            ScanConsistency::NotBounded
+        };
+        let limit = if self.plan.limit_pushdown() {
+            eval_limit(self.plan.select.limit.as_ref(), opts)?.unwrap_or(0)
+        } else {
+            0
+        };
+        // The scan span covers only the GSI call so the scan phase does not
+        // absorb fetch time; nested `index.manager.scan` spans land inside
+        // it (cross-service attribution).
+        let entries = {
+            let _scan = span(span_name);
+            ds.index_scan(keyspace, &index.name, &range, &cons, opts.timeout, limit)?
+        };
+        self.metrics.index_entries += entries.len();
+        Ok(entries
+            .into_iter()
+            .map(|e| {
+                if covering {
+                    make_covered_row(alias, e.doc_id.into(), index, &e.key.0)
+                } else {
+                    Row::keyed(alias, e.doc_id.into())
+                }
+            })
+            .collect())
     }
 }
 
@@ -520,23 +512,11 @@ fn ctx_for<'a>(row: &'a Row, alias: &'a str, opts: &'a QueryOptions) -> EvalCtx<
 fn apply_from_op(
     ds: &dyn Datastore,
     op: &FromOp,
-    hash_join: bool,
     rows: Vec<Row>,
     opts: &QueryOptions,
     primary_alias: &str,
     metrics: &mut QueryMetrics,
 ) -> Result<Vec<Row>> {
-    // Hash join: scan the inner keyspace once into a key → document table,
-    // then probe per outer key — chosen by the planner when the outer side
-    // would otherwise pay more per-key fetches than one inner scan costs.
-    let hash_table: Option<HashMap<String, Value>> =
-        if let (FromOp::Join { keyspace, .. }, true) = (op, hash_join) {
-            let docs = ds.primary_scan(keyspace)?;
-            metrics.fetches += docs.len();
-            Some(docs.into_iter().collect())
-        } else {
-            None
-        };
     let mut out = Vec::new();
     for row in rows {
         let ctx = ctx_for(&row, primary_alias, opts);
@@ -545,14 +525,8 @@ fn apply_from_op(
                 let keys = doc_ids(eval(on_keys, &ctx)?).unwrap_or_default();
                 let mut matched = false;
                 for key in &keys {
-                    let doc = match &hash_table {
-                        Some(table) => table.get(key).cloned(),
-                        None => {
-                            metrics.fetches += 1;
-                            ds.fetch(keyspace, key)?
-                        }
-                    };
-                    if let Some(doc) = doc {
+                    metrics.fetches += 1;
+                    if let Some(doc) = ds.fetch(keyspace, key)? {
                         let mut new = row.clone();
                         new.obj.insert_field(alias, doc);
                         new.metas.insert(alias.clone(), key.clone());
@@ -648,16 +622,8 @@ fn compute_aggregates(
                     }
                 }
                 if *distinct {
-                    let mut seen: Vec<String> = Vec::new();
-                    vals.retain(|v| {
-                        let fp = v.to_json_string();
-                        if seen.contains(&fp) {
-                            false
-                        } else {
-                            seen.push(fp);
-                            true
-                        }
-                    });
+                    let mut seen = HashSet::new();
+                    vals.retain(|v| seen.insert(v.to_json_string()));
                 }
                 match name.as_str() {
                     "COUNT" => Value::from(vals.len()),
@@ -867,9 +833,8 @@ fn index_def_from_ast(
         keyspace: keyspace.to_string(),
         keys: key_exprs,
         filter,
-        // `USING VIEW` indexes are served through the same scan interface
-        // in this reproduction (see DESIGN.md substitutions); both live on
-        // Standard storage like the disk-resident view B-trees.
+        // `USING GSI` and `USING VIEW` build the same index: a Standard GSI
+        // (DESIGN.md substitutions).
         storage: IndexStorage::Standard,
         primary: false,
         deferred: defer_build,

@@ -66,7 +66,7 @@ fn operator_to_value(p: &SelectPlan, op: Operator) -> Value {
             node.insert_field("cardinality", Value::float(p.estimate.cardinality));
             node.insert_field("statsUsed", Value::Bool(p.estimate.based_on_stats));
         }
-        Operator::Join(i) | Operator::HashJoin(i) | Operator::Nest(i) => {
+        Operator::Join(i) | Operator::Nest(i) => {
             let from_op = p.select.from.as_ref().and_then(|f| f.ops.get(i));
             if let Some(FromOp::Join { keyspace, .. } | FromOp::Nest { keyspace, .. }) = from_op {
                 node.insert_field("keyspace", Value::from(keyspace.as_str()));

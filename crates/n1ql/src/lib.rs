@@ -18,11 +18,11 @@
 //!   `WHERE`, `WITH {"defer_build": true}`, `DROP INDEX`, `BUILD INDEX`;
 //! - the **planner** (§4.5.3) picks per-keyspace access paths — `KeyScan`
 //!   (USE KEYS), `IndexScan` (a qualifying, sargable online GSI; covering
-//!   detection per §5.1.2), or `PrimaryScan` ("quite expensive") — costing
-//!   candidates against keyspace statistics when available ([`stats`]) and
-//!   building the operator pipeline of Figure 11: Scan → Fetch → Filter →
-//!   Join/Nest/Unnest → Group/Aggregate → Project → Distinct → Sort →
-//!   Limit/Offset;
+//!   detection per §5.1.2), or `PrimaryScan` (a full scan of the primary
+//!   index, "quite expensive") — costing candidates against keyspace
+//!   statistics when available ([`stats`]) and building the operator
+//!   pipeline of Figure 11: Scan → Fetch → Join/Nest/Unnest → Filter →
+//!   Group/Aggregate → Project → Distinct → Sort → Offset/Limit;
 //! - **PREPARE / EXECUTE** backed by an invalidation-aware plan cache
 //!   ([`cache`]): `EXECUTE <name>` skips the lexer, parser and planner
 //!   entirely, and DDL bumps keyspace epochs so stale plans re-plan
@@ -57,7 +57,7 @@ pub use datastore::{Datastore, MemoryDatastore, SYSTEM_CATALOGS};
 pub use exec::{execute, execute_with_profile, QueryOptions, QueryResult};
 pub use lexer::tokenize;
 pub use parser::parse_statement;
-pub use plan::{AccessPath, JoinStrategy, Operator, PlanEstimate, QueryPlan, RangeSpec};
+pub use plan::{AccessPath, Operator, PlanEstimate, QueryPlan, RangeSpec};
 pub use planner::build_plan;
 pub use profile::{OpStat, PhaseTimes, Prof, RequestLog};
 pub use stats::{IndexStat, KeyspaceStats, StatsCache};
@@ -193,6 +193,27 @@ fn insert_if_cacheable(
     }
 }
 
+/// Parse and plan `text`, each step under its span. The plan-cache epochs
+/// are snapshotted before parsing (empty without a cache), so a DDL
+/// landing while the plan is under construction stamps it stale
+/// (cache.rs).
+fn parse_and_plan(
+    ds: &dyn Datastore,
+    text: &str,
+    opts: &QueryOptions,
+) -> Result<(Statement, Arc<QueryPlan>, HashMap<String, u64>)> {
+    let at_plan = ds.plan_cache().map(PlanCache::epoch_snapshot).unwrap_or_default();
+    let stmt = {
+        let _s = cbs_obs::span("n1ql.query.parse");
+        parse_statement(text)?
+    };
+    let plan = {
+        let _s = cbs_obs::span("n1ql.query.plan");
+        build_plan(ds, &stmt, opts)?
+    };
+    Ok((stmt, Arc::new(plan), at_plan))
+}
+
 /// What a request ran: its result, the plan it ran (the request log keeps
 /// the plan's summary for slow or failed requests) and, for `PROFILE`, the
 /// collected operator stats.
@@ -229,18 +250,8 @@ fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Resu
             }
         }
     }
-    // Epochs are snapshotted before parse/plan so a DDL landing while
-    // the plan is under construction invalidates it (cache.rs).
-    let epochs_at_plan = ds.plan_cache().map(|c| c.epoch_snapshot());
-    let stmt = {
-        let _s = cbs_obs::span("n1ql.query.parse");
-        parse_statement(statement)?
-    };
     // `build_plan` plans the inner statement of EXPLAIN / PROFILE.
-    let plan = Arc::new({
-        let _s = cbs_obs::span("n1ql.query.plan");
-        build_plan(ds, &stmt, opts)?
-    });
+    let (stmt, plan, at_plan) = parse_and_plan(ds, statement, opts)?;
     match stmt {
         Statement::Explain(_) => {
             let rows = vec![explain::explain_to_value(&plan)];
@@ -254,10 +265,8 @@ fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Resu
         stmt => {
             // Ad hoc, only a SELECT's text is looked up (above); EXECUTE
             // looks up a prepared UPDATE or DELETE too.
-            if let (Statement::Select(_), Some(cache), Some(at_plan)) =
-                (stmt, ds.plan_cache(), epochs_at_plan.as_ref())
-            {
-                insert_if_cacheable(cache, statement, &plan, at_plan);
+            if let (Statement::Select(_), Some(cache)) = (stmt, ds.plan_cache()) {
+                insert_if_cacheable(cache, statement, &plan, &at_plan);
             }
             Ok(Executed { result: execute(ds, &plan, opts)?, plan, prof: None })
         }
@@ -276,15 +285,7 @@ fn run_execute(ds: &dyn Datastore, name: &str, opts: &QueryOptions) -> Result<Ex
         None => {
             // Invalidated (DDL epoch bump) or evicted: re-plan from the
             // prepared text against the *current* index topology.
-            let at_plan = cache.epoch_snapshot();
-            let stmt = {
-                let _s = cbs_obs::span("n1ql.query.parse");
-                parse_statement(&prepared.statement)?
-            };
-            let plan = Arc::new({
-                let _s = cbs_obs::span("n1ql.query.plan");
-                build_plan(ds, &stmt, opts)?
-            });
+            let (_, plan, at_plan) = parse_and_plan(ds, &prepared.statement, opts)?;
             insert_if_cacheable(cache, &prepared.statement, &plan, &at_plan);
             plan
         }
@@ -304,18 +305,10 @@ fn run_prepare(
     let cache = ds
         .plan_cache()
         .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
-    let at_plan = cache.epoch_snapshot();
-    let stmt = {
-        let _s = cbs_obs::span("n1ql.query.parse");
-        parse_statement(inner_text)?
-    };
+    let (stmt, plan, at_plan) = parse_and_plan(ds, inner_text, opts)?;
     if matches!(stmt, Statement::Prepare { .. } | Statement::Execute { .. }) {
         return Err(Error::Plan("cannot PREPARE a PREPARE/EXECUTE statement".to_string()));
     }
-    let plan = Arc::new({
-        let _s = cbs_obs::span("n1ql.query.plan");
-        build_plan(ds, &stmt, opts)?
-    });
     insert_if_cacheable(cache, inner_text, &plan, &at_plan);
     cache.prepare(name, inner_text);
     let row = Value::object([("name", Value::from(name)), ("statement", Value::from(inner_text))]);

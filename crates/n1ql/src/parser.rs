@@ -435,8 +435,8 @@ impl Parser {
             };
             self.expect_kw("on")?;
             let keyspace = self.expect_ident()?;
-            let (using_view, defer_build, _parts) = self.parse_index_tail()?;
-            return Ok(Statement::CreatePrimaryIndex { name, keyspace, using_view, defer_build });
+            let (defer_build, _parts) = self.parse_index_tail()?;
+            return Ok(Statement::CreatePrimaryIndex { name, keyspace, defer_build });
         }
         self.expect_kw("index")?;
         let name = self.expect_ident()?;
@@ -467,28 +467,15 @@ impl Parser {
         }
         self.expect_punct(")")?;
         let where_ = if self.eat_kw("where") { Some(self.parse_expr()?) } else { None };
-        let (using_view, defer_build, num_partitions) = self.parse_index_tail()?;
-        Ok(Statement::CreateIndex {
-            name,
-            keyspace,
-            keys,
-            where_,
-            using_view,
-            defer_build,
-            num_partitions,
-        })
+        let (defer_build, num_partitions) = self.parse_index_tail()?;
+        Ok(Statement::CreateIndex { name, keyspace, keys, where_, defer_build, num_partitions })
     }
 
-    /// `[USING GSI|VIEW] [WITH {...}]` — returns (using_view, defer_build,
-    /// num_partitions).
-    fn parse_index_tail(&mut self) -> Result<(bool, bool, usize)> {
-        let mut using_view = false;
-        if self.eat_kw("using") {
-            if self.eat_kw("view") {
-                using_view = true;
-            } else {
-                self.expect_kw("gsi")?;
-            }
+    /// `[USING GSI|VIEW] [WITH {...}]` — returns (defer_build,
+    /// num_partitions). Both index types build the same Standard GSI.
+    fn parse_index_tail(&mut self) -> Result<(bool, usize)> {
+        if self.eat_kw("using") && !self.eat_kw("view") {
+            self.expect_kw("gsi")?;
         }
         let mut defer_build = false;
         let mut num_partitions = 1usize;
@@ -509,7 +496,7 @@ impl Parser {
                 return Err(self.err("WITH requires an object literal"));
             }
         }
-        Ok((using_view, defer_build, num_partitions))
+        Ok((defer_build, num_partitions))
     }
 
     fn parse_drop_index(&mut self) -> Result<Statement> {
@@ -1092,16 +1079,14 @@ mod tests {
     #[test]
     fn index_ddl() {
         // §3.3 examples.
-        let st = parse_statement("CREATE INDEX email ON `Profile` (email) USING VIEW").unwrap();
-        assert!(matches!(st, Statement::CreateIndex { using_view: true, .. }));
-
+        let view = parse_statement("CREATE INDEX email ON `Profile` (email) USING VIEW").unwrap();
         let st = parse_statement("CREATE INDEX email ON `Profile` (email) USING GSI").unwrap();
+        assert_eq!(view, st, "USING VIEW builds the same index as USING GSI");
         match st {
-            Statement::CreateIndex { name, keyspace, keys, using_view, .. } => {
+            Statement::CreateIndex { name, keyspace, keys, .. } => {
                 assert_eq!(name, "email");
                 assert_eq!(keyspace, "Profile");
                 assert_eq!(keys[0].path, "email");
-                assert!(!using_view);
             }
             other => panic!("{other:?}"),
         }

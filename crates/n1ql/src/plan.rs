@@ -66,18 +66,6 @@ pub struct PlanEstimate {
     pub based_on_stats: bool,
 }
 
-/// Join algorithm chosen per FROM operation (§4.5.3: "determine the type
-/// of the join operation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinStrategy {
-    /// Key-based nested loop: one KV fetch per outer-row key (§3.2.4).
-    #[default]
-    NestedLoop,
-    /// Build a hash table over the inner keyspace once, probe per key —
-    /// wins when the outer side produces more fetches than one inner scan.
-    Hash,
-}
-
 /// How the primary keyspace of a SELECT is accessed (§4.5.3 "Keyspace
 /// (bucket) scan — There are three types of scans").
 #[derive(Debug, Clone)]
@@ -103,8 +91,15 @@ pub enum AccessPath {
         covering: bool,
     },
     /// *PrimaryScan access*: "the equivalent of a full table scan [...]
-    /// quite expensive."
-    PrimaryScan,
+    /// quite expensive." An unbounded scan of the keyspace's primary index;
+    /// Fetch then reads each document it names.
+    PrimaryScan {
+        /// The primary index scanned.
+        index: IndexDef,
+    },
+    /// A `system:` catalog: rows materialized by the datastore from service
+    /// state, whole, so nothing is fetched. Its operator is `PrimaryScan`.
+    SystemScan,
     /// No FROM clause at all (`SELECT 1+1`).
     ExpressionOnly,
 }
@@ -120,17 +115,16 @@ pub enum Operator {
     KeyScan,
     /// Range scan over a secondary or primary index.
     IndexScan,
-    /// Full scan of the keyspace (or of a `system:` catalog).
+    /// Full scan of the primary index (or of a `system:` catalog).
     PrimaryScan,
     /// No FROM clause: one empty row.
     DummyScan,
     /// Document IDs → documents, through the data service.
     Fetch,
-    /// Key-based nested-loop join; the payload of this and the next three
-    /// is the position in `select.from.ops`.
+    /// Key-based nested-loop join: one KV fetch per outer-row key (§3.2.4).
+    /// The payload of this and the next two is the position in
+    /// `select.from.ops`.
     Join(usize),
-    /// Join probing a hash table built over the inner keyspace.
-    HashJoin(usize),
     /// `NEST`: matching inner documents collected into one array.
     Nest(usize),
     /// `UNNEST`: one row per element of an array-valued path.
@@ -168,7 +162,6 @@ impl Operator {
             Operator::DummyScan => "DummyScan",
             Operator::Fetch => "Fetch",
             Operator::Join(_) => "Join",
-            Operator::HashJoin(_) => "HashJoin",
             Operator::Nest(_) => "Nest",
             Operator::Unnest(_) => "Unnest",
             Operator::Filter => "Filter",
@@ -219,15 +212,13 @@ pub struct SelectPlan {
 }
 
 impl SelectPlan {
-    /// The one place a pipeline is written down. `joins` is the algorithm
-    /// per FROM op (missing entries mean nested loop); `range_serves_where`
-    /// says the index range alone enforces the whole WHERE clause; a
-    /// `mutation` ends the pipeline in place of the projection.
+    /// The one place a pipeline is written down. `range_serves_where` says
+    /// the index range alone enforces the whole WHERE clause; a `mutation`
+    /// ends the pipeline in place of the projection.
     pub(crate) fn new(
         select: Select,
         access: AccessPath,
         estimate: PlanEstimate,
-        joins: &[JoinStrategy],
         range_serves_where: bool,
         mutation: Option<Mutation>,
     ) -> SelectPlan {
@@ -248,9 +239,8 @@ impl SelectPlan {
         let (scan, fetch) = match &access {
             AccessPath::KeyScan { .. } => (Operator::KeyScan, true),
             AccessPath::IndexScan { covering, .. } => (Operator::IndexScan, !covering),
-            // The scan returns whole documents; Fetch is listed (as in
-            // Couchbase's plans) and passes them through.
-            AccessPath::PrimaryScan => (Operator::PrimaryScan, true),
+            AccessPath::PrimaryScan { .. } => (Operator::PrimaryScan, true),
+            AccessPath::SystemScan => (Operator::PrimaryScan, false),
             AccessPath::ExpressionOnly => (Operator::DummyScan, false),
         };
         let mut operators = vec![scan];
@@ -259,9 +249,6 @@ impl SelectPlan {
         }
         let from_ops = select.from.iter().flat_map(|f| &f.ops);
         operators.extend(from_ops.enumerate().map(|(i, op)| match op {
-            FromOp::Join { .. } if joins.get(i) == Some(&JoinStrategy::Hash) => {
-                Operator::HashJoin(i)
-            }
             FromOp::Join { .. } => Operator::Join(i),
             FromOp::Nest { .. } => Operator::Nest(i),
             FromOp::Unnest { .. } => Operator::Unnest(i),

@@ -16,16 +16,16 @@
 //!    selectivity × entry cost, plus a fetch cost unless covering) and
 //!    compared against the full **PrimaryScan**; without statistics the
 //!    original rule-based scoring decides, exactly as before.
-//! 3. an online primary index → **PrimaryScan** (full scan — allowed but
-//!    "quite expensive");
+//! 3. an online primary index → **PrimaryScan** (full scan of that index,
+//!    then a Fetch per document — allowed but "quite expensive");
 //! 4. otherwise the query is rejected, exactly like real N1QL's "no index
 //!    available" error.
 //!
-//! Join order is the textual order (N1QL 4.x key-join semantics). The
-//! join *algorithm* is chosen per FROM op: a key-based nested loop
-//! (§3.2.4) by default, or a hash join (build the inner keyspace once,
-//! probe per key) when statistics say the outer side would otherwise pay
-//! more KV fetches than one inner scan costs.
+//! A `system:` catalog has one path of its own, **SystemScan**: the
+//! datastore hands over the catalog's rows whole.
+//!
+//! Join order is the textual order (N1QL 4.x key-join semantics), and a
+//! join is the key-based nested loop of KV fetches (§3.2.4).
 //!
 //! UPDATE and DELETE plan as the SELECT of their target rows (`FROM ks
 //! [USE KEYS] [WHERE] [LIMIT]`), through the same access-path choice, with
@@ -46,9 +46,7 @@ use cbs_json::Value;
 use crate::ast::*;
 use crate::datastore::Datastore;
 use crate::exec::{eval_const, QueryOptions};
-use crate::plan::{
-    AccessPath, JoinStrategy, Mutation, PlanEstimate, QueryPlan, RangeSpec, SelectPlan,
-};
+use crate::plan::{AccessPath, Mutation, PlanEstimate, QueryPlan, RangeSpec, SelectPlan};
 use crate::stats::{IndexStat, KeyspaceStats};
 
 /// Cost of fetching one full document from the data service (a network
@@ -137,18 +135,7 @@ fn plan_select(
     opts: &QueryOptions,
 ) -> Result<SelectPlan> {
     let chosen = choose_access(ds, &sel, mutation.is_none(), opts)?;
-    let joins = match &sel.from {
-        Some(from) => choose_join_strategies(ds, from, &chosen.estimate),
-        None => Vec::new(),
-    };
-    Ok(SelectPlan::new(
-        sel,
-        chosen.access,
-        chosen.estimate,
-        &joins,
-        chosen.range_serves_where,
-        mutation,
-    ))
+    Ok(SelectPlan::new(sel, chosen.access, chosen.estimate, chosen.range_serves_where, mutation))
 }
 
 /// The access path for a SELECT's primary keyspace, as priced.
@@ -207,7 +194,7 @@ fn choose_access(
     // primary-index requirement); the rest of the pipeline — Filter, Group,
     // Sort, Limit — applies unchanged on top of the scan.
     if from.keyspace.starts_with("system:") {
-        return Ok(ChosenAccess::unpriced(AccessPath::PrimaryScan));
+        return Ok(ChosenAccess::unpriced(AccessPath::SystemScan));
     }
     if !ds.keyspace_exists(&from.keyspace) {
         return Err(Error::Plan(format!("no such keyspace: {}", from.keyspace)));
@@ -255,7 +242,10 @@ fn choose_access(
             });
         }
     }
-    let have_primary = indexes.iter().any(|d| d.primary);
+    let primary = indexes
+        .iter()
+        .find(|d| d.primary)
+        .map(|index| AccessPath::PrimaryScan { index: index.clone() });
 
     // Cost-based selection when statistics exist (doc_count == 0 means the
     // keyspace is empty or stats were never collected — either way the
@@ -274,15 +264,13 @@ fn choose_access(
             cardinality: stats.doc_count as f64,
             based_on_stats: true,
         };
-        return match best {
-            Some((cand, est)) if !have_primary || est.cost < primary_est.cost => {
-                Ok(cand.chosen(est))
+        return match (best, primary) {
+            (Some((cand, est)), None) => Ok(cand.chosen(est)),
+            (Some((cand, est)), Some(_)) if est.cost < primary_est.cost => Ok(cand.chosen(est)),
+            (_, Some(access)) => {
+                Ok(ChosenAccess { estimate: primary_est, ..ChosenAccess::unpriced(access) })
             }
-            _ if have_primary => Ok(ChosenAccess {
-                estimate: primary_est,
-                ..ChosenAccess::unpriced(AccessPath::PrimaryScan)
-            }),
-            _ => Err(no_index_error(&from.keyspace)),
+            (None, None) => Err(no_index_error(&from.keyspace)),
         };
     }
 
@@ -294,11 +282,11 @@ fn choose_access(
             best = Some(cand);
         }
     }
-    match best {
-        Some(cand) => Ok(cand.chosen(PlanEstimate::default())),
+    match (best, primary) {
+        (Some(cand), _) => Ok(cand.chosen(PlanEstimate::default())),
         // 3. PrimaryScan requires a primary index to exist (§3.3.3 / §5.1.1).
-        None if have_primary => Ok(ChosenAccess::unpriced(AccessPath::PrimaryScan)),
-        None => Err(no_index_error(&from.keyspace)),
+        (None, Some(access)) => Ok(ChosenAccess::unpriced(access)),
+        (None, None) => Err(no_index_error(&from.keyspace)),
     }
 }
 
@@ -331,9 +319,9 @@ fn estimate_index_scan(
 /// plan itself stays parameter-independent).
 ///
 /// This is deliberate *bind peeking*: for a plan destined for the cache
-/// (PREPARE, or the first ad-hoc run of a SELECT) the access path and
-/// join strategy priced from the first binding are frozen in and reused
-/// for every later binding, until an epoch bump or eviction re-plans.
+/// (PREPARE, or the first ad-hoc run of a SELECT) the access path priced
+/// from the first binding is frozen in and reused for every later
+/// binding, until an epoch bump or eviction re-plans.
 /// An unrepresentative first binding can therefore lock in a worse plan
 /// than the parameter-free defaults would pick — the tradeoff, and why
 /// we accept it, is documented in DESIGN.md §13.
@@ -375,41 +363,6 @@ fn range_selectivity(spec: &RangeSpec, istat: Option<&IndexStat>, opts: &QueryOp
         (true, false) | (false, true) => HALF_BOUNDED_SELECTIVITY,
         (false, false) => 1.0,
     }
-}
-
-/// Pick the join algorithm per FROM op. A hash join builds the inner
-/// keyspace once (N fetch-equivalents at entry cost) and probes per outer
-/// row; a nested loop pays one KV fetch per outer-row key. Requires
-/// statistics on both sides — without them the safe default is the
-/// paper's key-based nested loop (§3.2.4). Nest/Unnest always nest.
-fn choose_join_strategies(
-    ds: &dyn Datastore,
-    from: &FromClause,
-    outer: &PlanEstimate,
-) -> Vec<JoinStrategy> {
-    from.ops
-        .iter()
-        .map(|op| match op {
-            FromOp::Join { keyspace, .. } => {
-                if !outer.based_on_stats {
-                    return JoinStrategy::NestedLoop;
-                }
-                let Some(inner) = ds.keyspace_stats(keyspace.as_str()).filter(|s| s.doc_count > 0)
-                else {
-                    return JoinStrategy::NestedLoop;
-                };
-                let inner_n = inner.doc_count as f64;
-                let nested_cost = outer.cardinality * C_FETCH;
-                let hash_cost = inner_n * C_INDEX_ENTRY + outer.cardinality * 0.1;
-                if nested_cost > hash_cost {
-                    JoinStrategy::Hash
-                } else {
-                    JoinStrategy::NestedLoop
-                }
-            }
-            FromOp::Nest { .. } | FromOp::Unnest { .. } => JoinStrategy::NestedLoop,
-        })
-        .collect()
 }
 
 /// Split a WHERE tree on AND.
@@ -843,7 +796,7 @@ mod tests {
         let ds = ds_with_index(vec![IndexDef::primary("#primary", "b")]);
         let p = plan(&ds, "SELECT * FROM b WHERE name = 'x'");
         // name has no index: full scan through the primary index.
-        assert!(matches!(p.access, AccessPath::PrimaryScan));
+        assert!(matches!(p.access, AccessPath::PrimaryScan { .. }));
     }
 
     #[test]
@@ -860,7 +813,7 @@ mod tests {
         assert!(matches!(p.access, AccessPath::IndexScan { index, .. } if index.name == "over21"));
         // Query that does NOT imply the filter: falls back to primary scan.
         let p = plan(&ds, "SELECT age FROM b WHERE age > 10");
-        assert!(matches!(p.access, AccessPath::PrimaryScan));
+        assert!(matches!(p.access, AccessPath::PrimaryScan { .. }));
     }
 
     #[test]
@@ -980,7 +933,7 @@ mod tests {
         // age >= 0 selects everything: 100 entries + 100 fetches (cost
         // 600) is worse than a straight primary scan (cost 500).
         let p = plan(&ds, "SELECT name FROM b WHERE age >= 0");
-        assert!(matches!(p.access, AccessPath::PrimaryScan), "{:?}", p.access);
+        assert!(matches!(p.access, AccessPath::PrimaryScan { .. }), "{:?}", p.access);
         assert!(p.estimate.based_on_stats);
         assert_eq!(p.estimate.cardinality, 100.0);
     }

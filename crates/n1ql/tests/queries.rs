@@ -86,6 +86,9 @@ fn covering_index_no_fetch() {
     let text = plan[0].to_json_string();
     assert!(text.contains("\"covering\":true"), "{text}");
     assert!(!text.contains("Fetch"), "covering scan needs no Fetch: {text}");
+    // Nor does a `system:` catalog: the datastore hands over its rows whole.
+    let text = run(&ds, "EXPLAIN SELECT * FROM system:indexes")[0].to_json_string();
+    assert!(text.contains("PrimaryScan") && !text.contains("Fetch"), "{text}");
     let rows = run(&ds, "SELECT age FROM profiles WHERE age >= 30 ORDER BY age");
     let ages: Vec<i64> =
         rows.iter().map(|r| r.get_field("age").unwrap().as_i64().unwrap()).collect();

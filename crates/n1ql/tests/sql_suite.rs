@@ -289,11 +289,16 @@ fn sql_suite_index_paths_agree_with_primary() {
             assert_eq!(query(ds, sql, &opts).unwrap().metrics.mutation_count, mutations, "{sql}");
         }
     }
-    let docs = with_index.primary_scan("p").unwrap();
-    assert_eq!(docs, without_index.primary_scan("p").unwrap());
+    let all = "SELECT META().id, p FROM p ORDER BY META().id";
+    let docs = query(&with_index, all, &opts).unwrap().rows;
+    assert_eq!(docs, query(&without_index, all, &opts).unwrap().rows);
     let senior: Vec<(&str, bool)> = docs
         .iter()
-        .map(|(k, d)| (k.as_str(), d.get_field("senior") == Some(&Value::Bool(true))))
+        .map(|row| {
+            let id = row.get_field("id").and_then(Value::as_str).unwrap();
+            let doc = row.get_field("p").unwrap();
+            (id, doc.get_field("senior") == Some(&Value::Bool(true)))
+        })
         .collect();
     assert_eq!(senior, [("p1", true), ("p4", true), ("p5", false)]);
 }

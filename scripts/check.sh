@@ -38,8 +38,10 @@
 #                                 regeneration; seed sweeps honor CHAOS_SEEDS=n
 #   6. full test suite            (skipped with --quick) — the one place a
 #                                 claim is checked; then the cbstats demo
-#                                 runs to completion (exit status only)
-#                                 and the staleness artifacts regenerate
+#                                 and the product_catalog and quickstart
+#                                 examples run to completion (exit status
+#                                 only) and the staleness artifacts
+#                                 regenerate
 #   7. perfbench smoke            the benchmark package (its own workspace):
 #                                 unit tests, then every workload at --smoke
 #                                 sizes with its in-run correctness checks,
@@ -273,9 +275,14 @@ run_stage txn-smoke
 
 run "full test suite" cargo test --quiet --workspace
 
-# The operator demo keeps running end to end; what it prints is pinned by
-# the tests above, not read here.
+# The operator demo and the N1QL examples keep running end to end; what
+# they print is pinned by the tests above, not read here. `product_catalog`
+# is the one cluster run of JOIN, NEST, UNNEST and UPDATE outside the tests;
+# both examples `.expect` every query, so a failed one fails the stage.
 run "cbstats demo (runs to completion)" bash -c 'cargo run --quiet --release --example cbstats >/dev/null'
+run "N1QL examples (run to completion)" bash -c \
+    'cargo run --quiet --release --example product_catalog >/dev/null &&
+     cargo run --quiet --release --example quickstart >/dev/null'
 run_stage staleness-smoke
 run_stage perfbench-smoke
 

@@ -1,9 +1,11 @@
 //! Property-based cross-component equivalence tests.
 //!
 //! The load-bearing invariant of the whole indexing architecture: for any
-//! data set and any (sargable) predicate, an IndexScan-based plan must
-//! return exactly the rows a PrimaryScan-based evaluation returns — the
-//! index is an optimization, never a semantic change. Likewise the
+//! data set and any (sargable) predicate, a secondary-index plan must
+//! return exactly the rows a PrimaryScan returns — the index is an
+//! optimization, never a semantic change. Both sides of that comparison
+//! read through the index service (a PrimaryScan scans the primary index,
+//! then fetches), so the ground truth is the second property: the
 //! cluster-backed datastore must agree with the in-memory reference
 //! datastore on the same documents and queries.
 
