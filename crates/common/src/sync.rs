@@ -130,9 +130,9 @@ pub mod rank {
     /// through its commit (one fsync) and compaction, while the partition's
     /// tree and its log's store are taken and released under it.
     pub const INDEX_LOG_WRITER: LockRank = LockRank::new(50, "index.partition.writer");
-    /// Group-commit log interior (file handle + length) of one log of a
-    /// `BucketStore`: a flusher shard's data log or a GSI partition's
-    /// change log.
+    /// Group-commit log interior (file handle + length) of one
+    /// `CommitLog`: a `BucketStore`'s flusher shard data log or a GSI
+    /// partition's change log.
     pub const WAL: LockRank = LockRank::new(60, "storage.wal");
     /// Per-shard-log vBucket → index map (lookup/create).
     pub const BUCKET_MAP: LockRank = LockRank::new(70, "storage.bucket_map");
@@ -678,22 +678,44 @@ impl Watermarks {
 
     /// Block until `vb` has reached `seqno`; [`Error::Timeout`] at `deadline`.
     pub fn wait(&self, vb: VbId, seqno: SeqNo, deadline: Deadline) -> Result<()> {
-        self.wait_for(deadline, || self.get(vb) >= seqno)
+        self.wait_for(deadline, || std::iter::once((vb.index(), seqno)))
     }
 
     /// Block until every vBucket has reached its entry of `target` (the
     /// `request_plus` vector); [`Error::Timeout`] at `deadline`. A non-zero
     /// entry beyond the vector is never reached.
     pub fn wait_all(&self, target: &[SeqNo], deadline: Deadline) -> Result<()> {
-        let at = |vb| self.seqnos.get(vb).map_or(0, |s: &AtomicU64| s.load(Ordering::SeqCst));
-        self.wait_for(deadline, || target.iter().enumerate().all(|(vb, want)| at(vb) >= want.0))
+        self.wait_for(deadline, || target.iter().copied().enumerate())
     }
 
-    fn wait_for(&self, deadline: Deadline, reached: impl Fn() -> bool) -> Result<()> {
-        if self.signal.wait_until(deadline, reached) {
+    /// The seqno entry `vb` has reached; zero beyond the vector.
+    fn at(&self, vb: usize) -> SeqNo {
+        SeqNo(self.seqnos.get(vb).map_or(0, |s| s.load(Ordering::SeqCst)))
+    }
+
+    /// Wait until each `(vb, seqno)` that `target` lists is reached. The timeout
+    /// names the first vBucket still behind, where it is and what it was
+    /// awaited at, and how many vBuckets are behind.
+    fn wait_for<I>(&self, deadline: Deadline, target: impl Fn() -> I) -> Result<()>
+    where
+        I: Iterator<Item = (usize, SeqNo)>,
+    {
+        if self.signal.wait_until(deadline, || target().all(|(vb, want)| self.at(vb) >= want)) {
             return Ok(());
         }
-        Err(Error::Timeout(format!("{} did not reach the awaited seqno in time", self.stage)))
+        let mut behind = target().filter(|&(vb, want)| self.at(vb) < want);
+        let lagging = match behind.next() {
+            Some((vb, want)) => {
+                let n = 1 + behind.count();
+                let at = self.at(vb).0;
+                format!(": vBucket {vb} is at {at}, awaited {}; {n} vBucket(s) behind", want.0)
+            }
+            None => String::new(), // reached since the deadline passed
+        };
+        Err(Error::Timeout(format!(
+            "{} did not reach the awaited seqno in time{lagging}",
+            self.stage
+        )))
     }
 }
 
@@ -765,6 +787,27 @@ mod tests {
         waiter.join().expect("waiter thread").expect("both entries reached");
         let beyond = [SeqNo(0), SeqNo(0), SeqNo(0), SeqNo(1)];
         assert!(matches!(w.wait_all(&beyond, at_once()), Err(Error::Timeout(_))));
+    }
+
+    /// A timed-out wait says which vBucket held it up: the first one
+    /// behind, its watermark and its target, and how many were behind.
+    #[test]
+    fn a_timeout_names_the_first_lagging_vbucket() {
+        let w = Watermarks::new("GSI partition", 4);
+        w.advance_all([(VbId(0), SeqNo(9)), (VbId(1), SeqNo(3)), (VbId(3), SeqNo(1))]);
+        let target = [SeqNo(9), SeqNo(7), SeqNo(0), SeqNo(2), SeqNo(4)];
+        let Err(Error::Timeout(msg)) = w.wait_all(&target, at_once()) else {
+            panic!("vBuckets 1 and 3 are behind, and 4 is beyond the vector")
+        };
+        assert_eq!(
+            msg,
+            "GSI partition did not reach the awaited seqno in time: vBucket 1 is at 3, \
+             awaited 7; 3 vBucket(s) behind"
+        );
+        let Err(Error::Timeout(msg)) = w.wait(VbId(2), SeqNo(5), at_once()) else {
+            panic!("vBucket 2 is at zero")
+        };
+        assert!(msg.ends_with(": vBucket 2 is at 0, awaited 5; 1 vBucket(s) behind"), "{msg}");
     }
 
     #[test]

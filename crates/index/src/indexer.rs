@@ -19,8 +19,9 @@
 //! Changes arrive as batches of [`IndexOp`]s ([`Indexer::apply_batch`]);
 //! a single mutation is a batch of one. The batch is the durability unit.
 //! In [`IndexStorage::Standard`] mode the partition owns a change log: a
-//! single-log [`BucketStore`] in `<name>.gsi/`, the KV data log's store
-//! (CRC-framed records, torn-tail recovery, compaction), keyed by doc id:
+//! [`CommitLog`] at `<name>.gsi/shard_0.couch`, the file and writer
+//! protocol of a KV data log (CRC-framed records, sliced commits, torn-tail
+//! recovery, the rename swap), one record per logged op:
 //!
 //! ```text
 //! | vb u16 LE | record: key = doc id, seqno,
@@ -39,10 +40,16 @@
 //! [`IndexStorage::MemoryOptimized`] is the same path with no log — the
 //! disk dependence §6.1.1 removes.
 //!
-//! The store keeps the *last appended* record per key, the tree the
-//! *highest seqno* per doc (apply is order-tolerant). Logging only what an
-//! op changes makes the two agree, so [`Indexer::recover`] rebuilds tree
-//! and watermarks from the latest records alone (DESIGN.md decision 9).
+//! The tree is the log's only index. [`Indexer::recover`] replays every
+//! record in file order through the same filter and apply as a live batch:
+//! apply keeps the highest seqno per document and a watermark record raises
+//! its vBucket's mark, so no order of the records is needed. The filter
+//! logs only what an op changes, which keeps the log small. Once the log
+//! holds 1 / (1 − [`BucketStore::FRAGMENTATION_THRESHOLD`]) times the
+//! records its rewrite would, the writer rewrites it *from the tree*: each
+//! held document's version under the vBucket it came from, then a
+//! watermark record for each vBucket whose mark no document record carries
+//! (DESIGN.md decision 9).
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -51,7 +58,7 @@ use std::path::{Path, PathBuf};
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{Deadline, DocKey, DocMeta, Error, KeyMap, Result, SeqNo, VbId};
 use cbs_json::{cmp_str, cmp_values, Value};
-use cbs_storage::{BucketStore, Cycle, StoredDoc, CYCLE_SLICE};
+use cbs_storage::{BucketStore, CommitLog, Cycle, StoredDoc, CYCLE_SLICE};
 
 use crate::defs::{IndexKey, IndexStorage, Layout, ScanConsistency, ScanRange};
 
@@ -136,17 +143,11 @@ impl IndexOp {
 
     /// Encode the op's log record straight into `cycle`.
     fn push_record(&self, cycle: &mut Cycle) -> Result<()> {
-        let (vb, seqno) = self.position();
-        let IndexOp::Put { doc_id, keys, .. } = self else {
-            let meta = DocMeta { seqno, flags: LOG_FLAG_ADVANCE, ..Default::default() };
-            return cycle.push(vb, "", &meta, false, &[]);
-        };
-        let meta = DocMeta { seqno, ..Default::default() };
-        match keys.as_slice() {
-            // A document with no keys here is a tombstone.
-            [] => cycle.push(vb, doc_id, &meta, true, &[]),
-            [key] if *key == IndexKey::ID => cycle.push(vb, doc_id, &meta, false, &[]),
-            keys => cycle.push(vb, doc_id, &meta, false, keys_to_json(keys).as_bytes()),
+        match self {
+            IndexOp::Put { doc_id, keys, vb, seqno } => {
+                push_version(cycle, *vb, doc_id, *seqno, keys)
+            }
+            IndexOp::Advance { vb, seqno } => push_mark(cycle, *vb, *seqno),
         }
     }
 
@@ -168,6 +169,31 @@ impl IndexOp {
         };
         Ok(IndexOp::Put { doc_id: DocKey::from(doc.key), keys, vb, seqno })
     }
+}
+
+/// Encode the record of `doc_id`, indexed under exactly `keys` as of
+/// `seqno`, straight into `cycle`.
+fn push_version(
+    cycle: &mut Cycle,
+    vb: VbId,
+    doc_id: &str,
+    seqno: SeqNo,
+    keys: &[IndexKey],
+) -> Result<()> {
+    let meta = DocMeta { seqno, ..Default::default() };
+    match keys {
+        // A document with no keys here is a tombstone.
+        [] => cycle.push(vb, doc_id, &meta, true, &[]),
+        [key] if *key == IndexKey::ID => cycle.push(vb, doc_id, &meta, false, &[]),
+        keys => cycle.push(vb, doc_id, &meta, false, keys_to_json(keys).as_bytes()),
+    }
+}
+
+/// Encode a record that only raises `vb`'s watermark to `seqno`: the
+/// vBucket's empty key, flagged.
+fn push_mark(cycle: &mut Cycle, vb: VbId, seqno: SeqNo) -> Result<()> {
+    let meta = DocMeta { seqno, flags: LOG_FLAG_ADVANCE, ..Default::default() };
+    cycle.push(vb, "", &meta, false, &[])
 }
 
 /// `[[[c0],[],[c2]], ...]`: one array per key, one array per component,
@@ -200,17 +226,27 @@ fn keys_from_json(bytes: &[u8]) -> Result<Vec<IndexKey>> {
 }
 
 /// A partition's live entries in scan order, and its back index: the seqno
-/// of the version of each document it holds, a tombstone's included. The
-/// seqno makes apply idempotent and order-tolerant per document, so
-/// catch-up backfills can interleave with the live DCP feed safely — and
-/// recovery needs no ordering of its own.
+/// of the version of each document it holds, a tombstone's included, and
+/// the vBucket that version came from. The seqno makes apply idempotent
+/// and order-tolerant per document, so catch-up backfills can interleave
+/// with the live DCP feed safely — and a replay of the change log needs no
+/// ordering of its own. The vBucket is where a rewrite of the log puts the
+/// document's record: a replayed record raises its vBucket's watermark.
 trait Entries: Send {
     /// The seqno of the version of `doc_id` held, if any.
     fn version(&self, doc_id: &str) -> Option<SeqNo>;
 
-    /// Index `doc_id` under exactly `keys` as of `seqno`, unless the
-    /// version held is as new: then nothing changes and this is false.
-    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, seqno: SeqNo) -> bool;
+    /// Index `doc_id` under exactly `keys` as of `vb`'s `seqno`, unless
+    /// the version held is as new: then nothing changes and this is false.
+    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) -> bool;
+
+    /// Documents held, tombstones included.
+    fn held(&self) -> u64;
+
+    /// Visit the documents held, tombstones included, in the back index's
+    /// order from the `skip`-th on, until `visit` returns false. The order
+    /// stays the same while nothing is put.
+    fn visit(&self, skip: usize, visit: &mut dyn FnMut(&DocKey, Held<'_>) -> bool);
 
     /// Live entries, and documents that have one.
     fn counts(&self) -> (u64, u64);
@@ -219,10 +255,14 @@ trait Entries: Send {
 
     /// Range scan over the leading key, in row order; at most `limit` rows.
     fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry>;
+}
 
-    /// Every document held, tombstones included, with its version's seqno
-    /// and keys, in no particular order.
-    fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)>;
+/// The version of one document the back index holds.
+struct Held<'a> {
+    seqno: SeqNo,
+    vb: VbId,
+    /// Its keys in this partition: none for a tombstone.
+    keys: &'a [IndexKey],
 }
 
 /// One live entry: the composite key, then the document it came from.
@@ -235,9 +275,10 @@ struct KeyEntries {
     /// Every live entry — one per (key, doc) pair, a document with several
     /// keys (an array index) having several.
     entries: BTreeSet<Entry>,
-    /// The back index: doc → (seqno, its keys). The keys live as long as
-    /// the document is indexed, so they are held without spare capacity.
-    docs: KeyMap<(SeqNo, Box<[IndexKey]>)>,
+    /// The back index: doc → (seqno, vBucket, its keys). The keys live as
+    /// long as the document is indexed, so they are held without spare
+    /// capacity.
+    docs: KeyMap<(SeqNo, VbId, Box<[IndexKey]>)>,
     /// Distinct composite keys in `entries`, and documents with an entry.
     /// Both are maintained on insert and remove, so stats and cardinality
     /// snapshots stay O(1) under the tree lock.
@@ -247,7 +288,7 @@ struct KeyEntries {
 
 impl KeyEntries {
     fn remove_doc(&mut self, doc_id: &str) {
-        let Some((mut id, (_, keys))) = self.docs.remove_entry(doc_id) else { return };
+        let Some((mut id, (_, _, keys))) = self.docs.remove_entry(doc_id) else { return };
         self.indexed_docs -= u64::from(!keys.is_empty());
         for key in keys.into_vec() {
             // The id moves through each probe instead of being cloned: a
@@ -278,10 +319,10 @@ impl KeyEntries {
 
 impl Entries for KeyEntries {
     fn version(&self, doc_id: &str) -> Option<SeqNo> {
-        self.docs.get(doc_id).map(|(seqno, _)| *seqno)
+        self.docs.get(doc_id).map(|(seqno, ..)| *seqno)
     }
 
-    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, seqno: SeqNo) -> bool {
+    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) -> bool {
         if self.version(&doc_id).is_some_and(|held| held >= seqno) {
             return false;
         }
@@ -292,8 +333,20 @@ impl Entries for KeyEntries {
         self.indexed_docs += u64::from(!keys.is_empty());
         // Kept even when `keys` is empty: the tombstone's seqno stops
         // late-arriving older versions resurrecting entries.
-        self.docs.insert(doc_id, (seqno, keys.into_boxed_slice()));
+        self.docs.insert(doc_id, (seqno, vb, keys.into_boxed_slice()));
         true
+    }
+
+    fn held(&self) -> u64 {
+        self.docs.len() as u64
+    }
+
+    fn visit(&self, skip: usize, visit: &mut dyn FnMut(&DocKey, Held<'_>) -> bool) {
+        for (id, (seqno, vb, keys)) in self.docs.iter().skip(skip) {
+            if !visit(id, Held { seqno: *seqno, vb: *vb, keys }) {
+                break;
+            }
+        }
     }
 
     fn counts(&self) -> (u64, u64) {
@@ -337,20 +390,20 @@ impl Entries for KeyEntries {
         }
         out
     }
-
-    fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
-        self.docs.iter().map(|(d, (s, k))| (d.clone(), *s, k.to_vec())).collect()
-    }
 }
 
 /// An index over the id alone ([`Layout::Ids`]): each live document's id
-/// once, in the ordered set, and each held version's seqno in the back
-/// index. The id is the key, so an entry's key is [`IndexKey::ID`].
+/// once, in the ordered set, and each held version's seqno and vBucket in
+/// the back index. The id is the key, so an entry's key is
+/// [`IndexKey::ID`].
 #[derive(Default)]
 struct IdEntries {
     ids: BTreeSet<DocKey>,
-    docs: KeyMap<SeqNo>,
+    docs: KeyMap<(SeqNo, VbId)>,
 }
+
+/// The keys of a live document in an index over the id alone.
+const ID_ALONE: &[IndexKey] = &[IndexKey::ID];
 
 impl IdEntries {
     /// Where the ids inside `range` start, or `None` when no id can be
@@ -368,17 +421,17 @@ impl IdEntries {
 
 impl Entries for IdEntries {
     fn version(&self, doc_id: &str) -> Option<SeqNo> {
-        self.docs.get(doc_id).copied()
+        self.docs.get(doc_id).map(|(seqno, _)| *seqno)
     }
 
-    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, seqno: SeqNo) -> bool {
+    fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) -> bool {
         match self.docs.get_mut(&doc_id) {
-            Some(held) if *held >= seqno => return false,
-            Some(held) => *held = seqno,
+            Some((held, _)) if *held >= seqno => return false,
+            Some(held) => *held = (seqno, vb),
             // Kept even for a removal: the tombstone's seqno stops
             // late-arriving older versions resurrecting the id.
             None => {
-                self.docs.insert(doc_id.clone(), seqno);
+                self.docs.insert(doc_id.clone(), (seqno, vb));
             }
         }
         if keys.is_empty() {
@@ -387,6 +440,19 @@ impl Entries for IdEntries {
             self.ids.insert(doc_id);
         }
         true
+    }
+
+    fn held(&self) -> u64 {
+        self.docs.len() as u64
+    }
+
+    fn visit(&self, skip: usize, visit: &mut dyn FnMut(&DocKey, Held<'_>) -> bool) {
+        for (id, (seqno, vb)) in self.docs.iter().skip(skip) {
+            let keys = if self.ids.contains(id) { ID_ALONE } else { &[] };
+            if !visit(id, Held { seqno: *seqno, vb: *vb, keys }) {
+                break;
+            }
+        }
     }
 
     fn counts(&self) -> (u64, u64) {
@@ -410,12 +476,6 @@ impl Entries for IdEntries {
         let row = |id: &DocKey| IndexEntry { key: IndexKey::ID, doc_id: id.clone() };
         inside.take(if limit == 0 { usize::MAX } else { limit }).map(row).collect()
     }
-
-    fn versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
-        let keys =
-            |id: &DocKey| if self.ids.contains(id) { vec![IndexKey::ID] } else { Vec::new() };
-        self.docs.iter().map(|(id, seqno)| (id.clone(), *seqno, keys(id))).collect()
-    }
 }
 
 struct Tree {
@@ -428,11 +488,40 @@ impl Tree {
     /// counts for consistency: the caller advances the watermark to
     /// [`IndexOp::position`] either way.
     fn apply_op(&mut self, op: IndexOp) {
-        if let IndexOp::Put { doc_id, keys, seqno, .. } = op {
-            self.stats.applied += u64::from(self.entries.put(doc_id, keys, seqno));
+        if let IndexOp::Put { doc_id, keys, vb, seqno } = op {
+            self.stats.applied += u64::from(self.entries.put(doc_id, keys, vb, seqno));
         }
     }
 }
+
+/// A Standard partition's change log, behind the partition's writer lock.
+struct PartitionLog {
+    file: CommitLog,
+    /// Records in the file.
+    records: u64,
+    /// Watermark records the last rewrite wrote: with one record per
+    /// document held, what the trigger takes a rewrite to write.
+    marks: u64,
+}
+
+impl PartitionLog {
+    /// Whether the records a rewrite would drop have reached the store's
+    /// fragmentation threshold, with `held` documents in the tree.
+    fn fragmented(&self, held: u64) -> bool {
+        let live = held + self.marks;
+        self.records > live
+            && (self.records - live) as f64 / self.records as f64
+                >= BucketStore::FRAGMENTATION_THRESHOLD
+    }
+}
+
+/// The log file of a partition whose log directory is `dir`.
+fn log_file(dir: &Path) -> PathBuf {
+    dir.join("shard_0.couch")
+}
+
+/// A replay applies the log's records this many at a time.
+const REPLAY_BATCH: usize = 4096;
 
 /// One index partition's storage + watermark state.
 pub struct Indexer {
@@ -443,7 +532,7 @@ pub struct Indexer {
     marks: Watermarks,
     /// The change log, behind the partition's writer lock; `None` in
     /// memory-optimized mode.
-    log: Option<OrderedMutex<BucketStore>>,
+    log: Option<OrderedMutex<PartitionLog>>,
 }
 
 impl Indexer {
@@ -459,50 +548,60 @@ impl Indexer {
         log_dir: Option<PathBuf>,
         name: &str,
     ) -> Result<Indexer> {
-        let store = match storage {
-            IndexStorage::Standard => {
-                let dir = log_dir
-                    .ok_or_else(|| Error::Index("standard GSI requires a log dir".to_string()))?
-                    .join(format!("{name}.gsi"));
-                let mut store = BucketStore::open(dir.clone())?;
-                if !store.open_vbs().is_empty() {
-                    drop(store);
-                    std::fs::remove_dir_all(&dir)?;
-                    store = BucketStore::open(dir)?;
-                }
-                Some(store)
+        let mut indexer = Indexer::empty(num_vbuckets, layout);
+        if storage == IndexStorage::Standard {
+            let dir = log_dir
+                .ok_or_else(|| Error::Index("standard GSI requires a log dir".to_string()))?
+                .join(format!("{name}.gsi"));
+            let mut held = false;
+            let mut file = CommitLog::open(log_file(&dir), |_, _| held = true)?;
+            if held {
+                drop(file);
+                std::fs::remove_dir_all(&dir)?;
+                file = CommitLog::open(log_file(&dir), |_, _| {})?;
             }
-            IndexStorage::MemoryOptimized => None,
-        };
-        Ok(Indexer::with_log(num_vbuckets, layout, store))
+            indexer.hold_log(PartitionLog { file, records: 0, marks: 0 });
+        }
+        Ok(indexer)
     }
 
     /// Reopen a Standard-mode indexer on the log a previous instance left
-    /// in `log_dir`: the store cuts a torn tail off, and the latest record
-    /// of each (vBucket, key) goes through the same filter and apply as a
-    /// live batch, which refuses a vBucket the bucket lacks. Tree and
-    /// watermarks come back exactly as of the last synced batch (plus
-    /// whatever of an unsynced one reached the file whole).
+    /// in `log_dir`: the log's torn tail is cut off, and every intact record
+    /// goes, in file order, through the same filter and apply as a live
+    /// batch, which refuses a vBucket the bucket lacks. Tree and watermarks
+    /// come back exactly as of the last synced batch (plus whatever of an
+    /// unsynced one reached the file whole); `applied` counts one version
+    /// per document held.
     pub fn recover(
         num_vbuckets: u16,
         layout: Layout,
         log_dir: &Path,
         name: &str,
     ) -> Result<Indexer> {
-        let store = BucketStore::open(log_dir.join(format!("{name}.gsi")))?;
-        let mut ops = Vec::new();
-        for vb in store.open_vbs() {
-            for doc in store.vb(vb)?.changes_since(SeqNo::ZERO)? {
-                ops.push(IndexOp::from_record(vb, layout, doc)?);
+        let mut indexer = Indexer::empty(num_vbuckets, layout);
+        let (mut batch, mut records, mut replayed) = (Vec::new(), 0u64, Ok(()));
+        let path = log_file(&log_dir.join(format!("{name}.gsi")));
+        let file = CommitLog::open(path, |vb, doc| {
+            records += 1;
+            if replayed.is_ok() {
+                replayed = IndexOp::from_record(vb, layout, doc).and_then(|op| {
+                    batch.push(op);
+                    if batch.len() < REPLAY_BATCH {
+                        return Ok(());
+                    }
+                    indexer.replay(std::mem::take(&mut batch))
+                });
             }
-        }
-        let indexer = Indexer::with_log(num_vbuckets, layout, Some(store));
-        let ops = indexer.durable_changes(ops)?;
-        indexer.apply_ops(&mut indexer.tree.lock(), ops);
+        })?;
+        replayed.and_then(|()| indexer.replay(batch))?;
+        let mut t = indexer.tree.lock();
+        t.stats.applied = t.entries.held();
+        drop(t);
+        indexer.hold_log(PartitionLog { file, records, marks: 0 });
         Ok(indexer)
     }
 
-    fn with_log(num_vbuckets: u16, layout: Layout, store: Option<BucketStore>) -> Indexer {
+    fn empty(num_vbuckets: u16, layout: Layout) -> Indexer {
         let entries: Box<dyn Entries> = match layout {
             Layout::Keys => Box::<KeyEntries>::default(),
             Layout::Ids => Box::<IdEntries>::default(),
@@ -513,42 +612,109 @@ impl Indexer {
                 Tree { entries, stats: IndexerStats::default() },
             ),
             marks: Watermarks::new("GSI partition", num_vbuckets),
-            log: store.map(|store| OrderedMutex::new(rank::INDEX_LOG_WRITER, store)),
+            log: None,
         }
+    }
+
+    fn hold_log(&mut self, log: PartitionLog) {
+        self.log = Some(OrderedMutex::new(rank::INDEX_LOG_WRITER, log));
+    }
+
+    /// Replayed records into the tree, as a batch that is already logged.
+    fn replay(&self, ops: Vec<IndexOp>) -> Result<()> {
+        let ops = self.durable_changes(ops)?;
+        self.apply_ops(&mut self.tree.lock(), ops);
+        Ok(())
     }
 
     /// Apply a batch of changes in order. In Standard mode, under the
     /// partition's writer lock: log what the batch changes (one cycle, one
     /// sync, tree lock not held), apply it to the tree under one lock
-    /// acquisition, then compact the log if it is fragmented enough. On a
-    /// failed commit nothing is applied and no watermark moves.
+    /// acquisition, then rewrite the log if enough of it is superseded. On
+    /// a failed commit nothing is applied and no watermark moves.
     pub fn apply_batch(&self, ops: Vec<IndexOp>) -> Result<()> {
         let Some(log) = &self.log else {
             self.apply_ops(&mut self.tree.lock(), ops);
             return Ok(());
         };
-        let store = log.lock();
+        let mut log = log.lock();
         let ops = self.durable_changes(ops)?;
         let mut cycle = Cycle::new();
         let filled = ops.iter().try_for_each(|op| {
             op.push_record(&mut cycle)?;
             if cycle.buffered_bytes() >= CYCLE_SLICE {
-                store.append_slice(0, &mut cycle)?;
+                log.file.append_slice(&mut cycle)?;
             }
             Ok(())
         });
-        if let Err(e) = filled.and_then(|()| store.commit(0, &mut cycle)) {
-            store.abandon(0, &mut cycle);
+        if let Err(e) = filled.and_then(|()| log.file.commit(&mut cycle).map(drop)) {
+            log.file.abandon(&mut cycle);
             return Err(e);
         }
+        log.records += ops.len() as u64;
         let mut t = self.tree.lock();
         t.stats.disk_syncs += u64::from(!ops.is_empty());
         self.apply_ops(&mut t, ops);
+        let held = t.entries.held();
         drop(t);
-        // lint:allow(guard-blocking): as the KV shard's flush lock does, the
-        // writer lock keeps commits out of a compaction swap, which would
-        // lose them with the old file. A failed compaction changes nothing.
-        let _ = store.compact_shard(0, BucketStore::FRAGMENTATION_THRESHOLD);
+        if log.fragmented(held) {
+            // lint:allow(guard-blocking): as the KV shard's flush lock does,
+            // the writer lock keeps commits out of the rewrite's swap, which
+            // would lose them with the old file. A failed rewrite changes
+            // nothing.
+            let _ = self.rewrite(&mut log);
+        }
+        Ok(())
+    }
+
+    /// Rewrite the change log from the tree, after the batch it follows is
+    /// applied and with the writer lock held, so the tree and watermarks
+    /// stand still: each held document's version, tombstones included,
+    /// under the vBucket it came from, then a watermark record for each
+    /// vBucket whose mark no document record carries. A replay of the new
+    /// file rebuilds the same tree and watermarks. The tree lock is taken
+    /// once per slice and never held across a write: each slice walks the
+    /// back index again to where the last one stopped, as a hash table
+    /// keeps no cursor across a release of its lock. A failed rewrite
+    /// leaves the log as it was.
+    fn rewrite(&self, log: &mut PartitionLog) -> Result<()> {
+        let _s = cbs_obs::span("index.log.rewrite");
+        let fresh = log.file.rewrite()?;
+        let marks = self.marks.snapshot();
+        // Per vBucket, the highest seqno a document record carries.
+        let mut carried = vec![SeqNo::ZERO; marks.len()];
+        let (mut cycle, mut written) = (Cycle::new(), 0usize);
+        loop {
+            let mut pushed = Ok(());
+            self.tree.lock().entries.visit(written, &mut |id, held| {
+                pushed = push_version(&mut cycle, held.vb, id, held.seqno, held.keys);
+                if let Some(high) = carried.get_mut(held.vb.index()) {
+                    *high = (*high).max(held.seqno);
+                }
+                written += 1;
+                pushed.is_ok() && cycle.buffered_bytes() < CYCLE_SLICE
+            });
+            pushed?;
+            let full = cycle.buffered_bytes() >= CYCLE_SLICE;
+            fresh.append(&mut cycle)?;
+            if !full {
+                break;
+            }
+        }
+        let mut mark_records = 0;
+        for (vb, (mark, high)) in marks.into_iter().zip(carried).enumerate() {
+            if mark > high {
+                push_mark(&mut cycle, VbId(vb as u16), mark)?;
+                mark_records += 1;
+            }
+            if cycle.buffered_bytes() >= CYCLE_SLICE {
+                fresh.append(&mut cycle)?;
+            }
+        }
+        fresh.append(&mut cycle)?;
+        log.file.install(fresh, |_| ())?;
+        log.records = written as u64 + mark_records;
+        log.marks = mark_records;
         Ok(())
     }
 
@@ -641,14 +807,21 @@ impl Indexer {
     /// included — with that version's seqno and keys, sorted by id: the
     /// whole state behind the tree, for equivalence and recovery checks.
     pub fn doc_versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
-        let mut out = self.tree.lock().entries.versions();
+        let mut out = Vec::new();
+        self.tree.lock().entries.visit(0, &mut |id, held| {
+            out.push((id.clone(), held.seqno, held.keys.to_vec()));
+            true
+        });
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    /// Directory of the on-disk log's store (Standard mode).
+    /// Directory of the on-disk change log (Standard mode).
     pub fn log_path(&self) -> Option<PathBuf> {
-        self.log.as_ref().map(|log| log.lock().dir().clone())
+        let dir = |log: &OrderedMutex<PartitionLog>| {
+            log.lock().file.path().parent().map(Path::to_path_buf)
+        };
+        self.log.as_ref().and_then(dir)
     }
 }
 
@@ -897,13 +1070,16 @@ mod tests {
     /// Each op through a real log and back: what `push_record` encodes is
     /// what `from_record` decodes.
     fn roundtrip(op: &IndexOp, layout: Layout) -> (StoredDoc, IndexOp) {
-        let store = BucketStore::open(cbs_storage::scratch_dir("gsi-record")).unwrap();
+        let path = log_file(&cbs_storage::scratch_dir("gsi-record"));
+        let log = CommitLog::open(path.clone(), |_, _| {}).unwrap();
         let mut cycle = Cycle::new();
         op.push_record(&mut cycle).unwrap();
-        store.commit(0, &mut cycle).unwrap();
-        let vb = op.position().0;
-        let mut docs = store.vb(vb).unwrap().changes_since(SeqNo::ZERO).unwrap();
-        let doc = docs.pop().unwrap();
+        log.commit(&mut cycle).unwrap();
+        drop(log);
+        let mut records = Vec::new();
+        CommitLog::open(path, |vb, doc| records.push((vb, doc))).unwrap();
+        let (vb, doc) = records.pop().unwrap();
+        assert!(records.is_empty() && vb == op.position().0);
         (doc.clone(), IndexOp::from_record(vb, layout, doc).unwrap())
     }
 

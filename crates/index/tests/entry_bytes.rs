@@ -3,7 +3,8 @@
 //! set how large an index a node can hold. A secondary index keeps one
 //! ordered set of (key, doc id) entries and one back index of keys; a
 //! primary index keeps the ids alone and a back index of seqnos. Both hold
-//! inline doc ids.
+//! inline doc ids. A Standard partition holds the same on the heap: its
+//! change log keeps no index of its own.
 //!
 //! Runs under a global allocator that tracks the calling thread's live
 //! bytes (allocated minus freed), so the harness's other threads do not
@@ -19,6 +20,7 @@ use std::sync::Arc;
 use cbs_common::{DocKey, SeqNo, VbId};
 use cbs_index::{IndexDef, IndexOp, IndexStorage, Indexer, Projector, Router};
 use cbs_json::Value;
+use cbs_storage::scratch_dir;
 
 struct LiveBytes;
 
@@ -58,12 +60,13 @@ const DOCS: u64 = 10_000;
 const VBUCKETS: u16 = 16;
 
 /// Live heap per document once `DOCS` documents with 16-byte ids are
-/// routed into a memory-optimized partition of `def`, a batch per vBucket
+/// routed into a partition of `def` kept in `storage`, a batch per vBucket
 /// as an index build commits them; `doc(i)` is document `i`'s body.
-fn bytes_per_document(def: IndexDef, doc: impl Fn(u64) -> Value) -> i64 {
-    let def = IndexDef { storage: IndexStorage::MemoryOptimized, ..def };
+fn bytes_per_document(def: IndexDef, storage: IndexStorage, doc: impl Fn(u64) -> Value) -> i64 {
+    let def = IndexDef { storage, ..def };
+    let log_dir = (storage == IndexStorage::Standard).then(|| scratch_dir("gsi-entry-bytes"));
     let partition =
-        Arc::new(Indexer::new(VBUCKETS, def.layout(), def.storage, None, "p0").unwrap());
+        Arc::new(Indexer::new(VBUCKETS, def.layout(), def.storage, log_dir, "p0").unwrap());
     let router = Router::new(def.clone(), vec![Arc::clone(&partition)]);
 
     let before = live();
@@ -90,8 +93,17 @@ fn bytes_per_document(def: IndexDef, doc: impl Fn(u64) -> Value) -> i64 {
 /// id in its back index: no key and no heap block per entry.
 #[test]
 fn a_primary_index_holds_at_most_128_bytes_per_document() {
-    let per_doc = bytes_per_document(IndexDef::primary("#p", "b"), |_| Value::Null);
+    let per_doc =
+        bytes_per_document(IndexDef::primary("#p", "b"), IndexStorage::MemoryOptimized, no_body);
     assert!(per_doc <= 128, "{per_doc} B of live heap per indexed document");
+}
+
+fn no_body(_: u64) -> Value {
+    Value::Null
+}
+
+fn email(i: u64) -> Value {
+    Value::object([("email", Value::from(format!("mail{i:012}")))])
 }
 
 /// A secondary index over one path keeps its `(key, id)` entries and its
@@ -100,7 +112,27 @@ fn a_primary_index_holds_at_most_128_bytes_per_document() {
 #[test]
 fn a_secondary_index_over_16_byte_strings_holds_at_most_292_bytes_per_document() {
     let def = IndexDef::simple("email", "b", "email");
-    let email = |i: u64| Value::object([("email", Value::from(format!("mail{i:012}")))]);
-    let per_doc = bytes_per_document(def, email);
+    let per_doc = bytes_per_document(def, IndexStorage::MemoryOptimized, email);
     assert!(per_doc <= 292, "{per_doc} B of live heap per indexed document");
+}
+
+/// Live heap per document of a Standard partition of `def` beyond a
+/// memory-optimized one's.
+fn standard_over_memory_optimized(def: IndexDef, doc: impl Fn(u64) -> Value) -> i64 {
+    let memory = bytes_per_document(def.clone(), IndexStorage::MemoryOptimized, &doc);
+    bytes_per_document(def, IndexStorage::Standard, &doc) - memory
+}
+
+/// A Standard partition's change log is indexed by the tree alone: it
+/// holds no record index of its own, which cost ~90 B per id.
+#[test]
+fn a_standard_primary_partition_holds_at_most_8_bytes_per_document_more() {
+    let extra = standard_over_memory_optimized(IndexDef::primary("#p", "b"), no_body);
+    assert!(extra <= 8, "{extra} B of live heap per document beyond memory-optimized");
+}
+
+#[test]
+fn a_standard_secondary_partition_holds_at_most_8_bytes_per_document_more() {
+    let extra = standard_over_memory_optimized(IndexDef::simple("email", "b", "email"), email);
+    assert!(extra <= 8, "{extra} B of live heap per document beyond memory-optimized");
 }

@@ -8,6 +8,7 @@
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 
 use cbs_common::{SeqNo, VbId};
@@ -167,4 +168,152 @@ fn a_primary_partition_reopens_to_its_scans_and_cardinality() {
     // The tombstones' seqnos came back too: an older version stays out.
     back.apply_batch(vec![put(6, true, 9)]).unwrap();
     assert_eq!(back.scan(&ScanRange::all(), 0).len(), 134);
+}
+
+/// Tree and watermarks: what a reopen must bring back.
+type State = (Vec<(cbs_common::DocKey, SeqNo, Vec<IndexKey>)>, Vec<SeqNo>);
+
+fn state(idx: &Indexer) -> State {
+    (idx.doc_versions(), idx.watermarks())
+}
+
+/// The file behind the log's path: a rewrite renames a new one over it.
+fn inode(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().ino()
+}
+
+/// Round `round` of updates to the 100 documents: 50 of them, each at its
+/// next version.
+fn round_of_updates(round: u64) -> Vec<IndexOp> {
+    (0..50).map(|i| round * 50 + i).map(|n| put(n % 100, n / 100, n + 1)).collect()
+}
+
+/// A crash while the log was being rewritten leaves a half-written
+/// `shard_0.compact` beside the log it was to replace: the partition
+/// reopens to that log's state, the leftover is deleted, and the reopened
+/// log keeps working.
+#[test]
+fn a_rewrite_cut_short_leaves_the_log_it_was_replacing() {
+    let dir = scratch_dir("gsi-rewrite-crash");
+    let idx = standard(&dir);
+    let log = log_file(&idx);
+    idx.apply_batch(round_of_updates(0)).unwrap();
+    idx.apply_batch(round_of_updates(1)).unwrap();
+    let (before, old_log, file) = (state(&idx), std::fs::read(&log).unwrap(), inode(&log));
+    let mut round = 2;
+    while inode(&log) == file {
+        assert!(round < 20, "no rewrite after {round} rounds");
+        idx.apply_batch(round_of_updates(round)).unwrap();
+        round += 1;
+    }
+    let rewritten = std::fs::read(&log).unwrap();
+    drop(idx);
+
+    // The crash: the rename never happened.
+    std::fs::write(&log, &old_log).unwrap();
+    let leftover = log.with_extension("compact");
+    std::fs::write(&leftover, &rewritten[..rewritten.len() / 2]).unwrap();
+    let back = Indexer::recover(VBS, Layout::Keys, &dir, "ix").unwrap();
+    assert_eq!(state(&back), before);
+    assert!(!leftover.exists(), "the unfinished rewrite is deleted");
+    assert_eq!(std::fs::read(&log).unwrap(), old_log, "the log is untouched");
+
+    back.apply_batch(round_of_updates(2)).unwrap();
+    let after = state(&back);
+    drop(back);
+    assert_eq!(state(&Indexer::recover(VBS, Layout::Keys, &dir, "ix").unwrap()), after);
+}
+
+/// The log is rewritten, then two more batches are committed and the
+/// second is torn by a crash: the partition reopens to the state after the
+/// first of them and a whole-record prefix of the second.
+#[test]
+fn a_torn_tail_after_a_rewrite_reopens_to_a_prefix_of_the_batches() {
+    let dir = scratch_dir("gsi-rewrite-torn");
+    let idx = standard(&dir);
+    let log = log_file(&idx);
+    let (file, mut ops, mut round) = (inode(&log), Vec::new(), 0);
+    while inode(&log) == file {
+        assert!(round < 20, "no rewrite after {round} rounds");
+        let batch = round_of_updates(round);
+        ops.extend(batch.iter().cloned());
+        idx.apply_batch(batch).unwrap();
+        round += 1;
+    }
+    let (file, mut ends) = (inode(&log), vec![(ops.len(), std::fs::metadata(&log).unwrap().len())]);
+    for round in round..round + 2 {
+        let batch = round_of_updates(round);
+        ops.extend(batch.iter().cloned());
+        idx.apply_batch(batch).unwrap();
+        ends.push((ops.len(), std::fs::metadata(&log).unwrap().len()));
+    }
+    assert_eq!(inode(&log), file, "no second rewrite");
+    assert_eq!(state(&idx), model(&ops));
+    drop(idx);
+
+    // The crash: half of the last batch's bytes never reached the disk.
+    let [.., (committed, kept_whole), (_, len)] = ends[..] else { unreachable!() };
+    let kept = kept_whole + (len - kept_whole) / 2;
+    std::fs::OpenOptions::new().write(true).open(&log).unwrap().set_len(kept).unwrap();
+    let recovered = state(&Indexer::recover(VBS, Layout::Keys, &dir, "ix").unwrap());
+    let prefix = (committed..ops.len()).find(|&n| model(&ops[..n]) == recovered);
+    assert!(prefix.is_some_and(|n| n > committed), "no op prefix of the torn batch matches");
+}
+
+/// The state item-by-item apply of `ops` reaches, on a log-less twin.
+fn model(ops: &[IndexOp]) -> State {
+    let twin =
+        Indexer::new(VBS, Layout::Keys, IndexStorage::MemoryOptimized, None, "twin").unwrap();
+    twin.apply_batch(ops.to_vec()).unwrap();
+    state(&twin)
+}
+
+/// A rewrite of a log several slices long streams it a slice at a time:
+/// the new file holds each document once, under its own vBucket, and one
+/// watermark record, for the vBucket whose mark is past its documents;
+/// the reopened partition is the live one.
+#[test]
+fn a_rewrite_of_many_slices_reopens_to_the_live_partition() {
+    const DOCS: u64 = 3_000;
+    let dir = scratch_dir("gsi-rewrite-slices");
+    let idx = standard(&dir);
+    let log = log_file(&idx);
+    let put = |d: u64, version: u64, seqno: u64| IndexOp::Put {
+        doc_id: format!("document-{d:08}").into(),
+        keys: vec![IndexKey(vec![Some(Value::from(format!("key-{version:04}-{d:08}")))])],
+        vb: VbId((d % u64::from(VBS)) as u16),
+        seqno: SeqNo(seqno),
+    };
+    let mut seqno = 0;
+    let mut version_of_all = |idx: &Indexer, version: u64| {
+        let batch = (0..DOCS).map(|d| put(d, version, seqno + d + 1)).collect();
+        seqno += DOCS;
+        idx.apply_batch(batch).unwrap();
+    };
+    version_of_all(&idx, 0);
+    idx.apply_batch(vec![IndexOp::Advance { vb: VbId(3), seqno: SeqNo(1_000_000) }]).unwrap();
+    let (file, mut version) = (inode(&log), 0);
+    while inode(&log) == file {
+        version += 1;
+        assert!(version < 5, "no rewrite after {version} versions of every document");
+        version_of_all(&idx, version);
+    }
+    let len = std::fs::metadata(&log).unwrap().len();
+    assert!(len > 3 * cbs_storage::CYCLE_SLICE as u64, "a {len}-byte log is not several slices");
+
+    let mut records = Vec::new();
+    cbs_storage::replay_file(&log, &mut records).unwrap();
+    let (marks, docs): (Vec<_>, Vec<_>) = records.iter().partition(|(_, doc)| doc.key.is_empty());
+    assert_eq!(docs.len() as u64, DOCS, "one record per document");
+    for (vb, doc) in docs {
+        let d: u64 = doc.key["document-".len()..].parse().unwrap();
+        assert_eq!(vb.0, (d % u64::from(VBS)) as u16, "{} under a foreign vBucket", doc.key);
+    }
+    assert_eq!(marks.len(), 1);
+    assert_eq!((marks[0].0, marks[0].1.meta.seqno), (VbId(3), SeqNo(1_000_000)));
+
+    let live = state(&idx);
+    assert_eq!(live.1[3], SeqNo(1_000_000));
+    drop(idx);
+    assert_eq!(state(&Indexer::recover(VBS, Layout::Keys, &dir, "ix").unwrap()), live);
 }

@@ -1,29 +1,30 @@
 //! Exhaustive interleaving model of two writers on one Standard GSI
-//! partition (DESIGN.md decision 9, "the filter").
+//! partition (DESIGN.md decision 9, "the rewrite").
 //!
 //! An index build's backfill op d@5 and a live op d@9 for the same document
 //! race on one partition. Each writer filters its op against the tree (an
 //! op no newer than the version the tree holds is not logged), commits what
-//! is left to the log, and applies the op to the tree, which keeps the
-//! highest seqno whatever the order. A reopen reads the *last* record the
-//! log holds for d.
+//! is left to the log, applies the op to the tree, which keeps the highest
+//! seqno whatever the order, and then rewrites the log from the tree, as a
+//! fragmented log is rewritten. A reopen replays every record the log holds
+//! and keeps the highest seqno for d.
 //!
 //! Two variants:
 //!
-//! - **filter under the writer lock** (shipped): filter, commit and apply
-//!   happen under the partition's writer lock — verifies clean: a reopen
-//!   never reads a version older than one a scan has seen, and once both
-//!   writers are done it reads exactly the tree's.
-//! - **filter before the writer lock**: both writers can pass the filter
-//!   before either applies, so the backfill's d@5 is logged after the live
-//!   d@9 and a reopen would bring d@5 back.
+//! - **snapshot after apply** (shipped): the rewrite reads the tree after
+//!   the batch it follows is applied, all under the partition's writer lock
+//!   — verifies clean: a reopen never reads a version older than one a scan
+//!   has seen, and once both writers are done it reads exactly the tree's.
+//! - **snapshot before apply**: the rewrite's snapshot of the tree is taken
+//!   before its own batch is applied, so the new file lacks the op that was
+//!   just committed, and a reopen loses an acknowledged version.
 
 use cbs_common::model::{Explorer, Step};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Variant {
-    FilterUnderLock,
-    FilterBeforeLock,
+    SnapshotAfterApply,
+    SnapshotBeforeApply,
 }
 
 /// The two writers' versions of d: the build's backfill, the live feed.
@@ -35,25 +36,35 @@ struct State {
     writer: Option<usize>,
     /// The version of d the tree holds (0 = none).
     tree: u8,
-    /// The last record the log holds for d (0 = none): what a reopen reads.
+    /// The highest version of d the log holds (0 = none): what a reopen
+    /// replays to.
     logged: u8,
-    /// Per writer: program counter, and whether its op passed the filter.
+    /// Per writer: program counter, whether its op passed the filter, and
+    /// the tree version its rewrite will write.
     pc: [u8; 2],
     passed: [bool; 2],
+    snapshot: [u8; 2],
 }
 
-const FILTER: u8 = 0;
-const LOCK: u8 = 1;
+const LOCK: u8 = 0;
+const FILTER: u8 = 1;
 const COMMIT: u8 = 2;
 const APPLY: u8 = 3;
-const DONE: u8 = 4;
+const SNAPSHOT: u8 = 4;
+const REWRITE: u8 = 5;
+const DONE: u8 = 6;
 
+/// The step after `pc`; the variants differ only in where the rewrite's
+/// snapshot sits.
 fn next_pc(pc: u8, variant: Variant) -> u8 {
     match (pc, variant) {
-        (LOCK, Variant::FilterUnderLock) => FILTER,
-        (FILTER, Variant::FilterUnderLock) | (LOCK, Variant::FilterBeforeLock) => COMMIT,
-        (FILTER, Variant::FilterBeforeLock) => LOCK,
-        _ => APPLY,
+        (LOCK, _) => FILTER,
+        (FILTER, _) => COMMIT,
+        (COMMIT, Variant::SnapshotAfterApply) => APPLY,
+        (APPLY, Variant::SnapshotAfterApply) => SNAPSHOT,
+        (COMMIT, Variant::SnapshotBeforeApply) => SNAPSHOT,
+        (SNAPSHOT, Variant::SnapshotBeforeApply) => APPLY,
+        _ => REWRITE,
     }
 }
 
@@ -64,13 +75,19 @@ fn writer_step(s: &mut State, me: usize, variant: Variant) -> Step {
         LOCK => s.writer = Some(me),
         // One tree-lock acquisition: the version the back index holds.
         FILTER => s.passed[me] = seqno > s.tree,
-        // One cycle, one fsync: the op is logged if it passed.
-        COMMIT if s.passed[me] => s.logged = seqno,
+        // One cycle, one fsync: the op is logged if it passed, and a
+        // replay keeps the highest version it reads.
+        COMMIT if s.passed[me] => s.logged = s.logged.max(seqno),
         COMMIT => {}
-        // Apply is order-tolerant: the tree keeps the highest seqno. Then
-        // the writer lock is released.
+        // Apply is order-tolerant: the tree keeps the highest seqno.
+        APPLY => s.tree = s.tree.max(seqno),
+        // The rewrite reads the tree a slice at a time; one document is
+        // one slice.
+        SNAPSHOT => s.snapshot[me] = s.tree,
+        // The new file, holding the snapshot, is renamed over the log.
+        // Then the writer lock is released.
         _ => {
-            s.tree = s.tree.max(seqno);
+            s.logged = s.snapshot[me];
             s.writer = None;
             s.pc[me] = DONE;
             return Step::Finished;
@@ -81,11 +98,14 @@ fn writer_step(s: &mut State, me: usize, variant: Variant) -> Step {
 }
 
 fn two_writers(variant: Variant) -> Result<cbs_common::model::Stats, String> {
-    let start = match variant {
-        Variant::FilterUnderLock => LOCK,
-        Variant::FilterBeforeLock => FILTER,
+    let init = State {
+        writer: None,
+        tree: 0,
+        logged: 0,
+        pc: [LOCK; 2],
+        passed: [false; 2],
+        snapshot: [0; 2],
     };
-    let init = State { writer: None, tree: 0, logged: 0, pc: [start; 2], passed: [false; 2] };
     Explorer::new(init)
         .thread(move |s: &mut State| writer_step(s, 0, variant))
         .thread(move |s: &mut State| writer_step(s, 1, variant))
@@ -106,15 +126,15 @@ fn two_writers(variant: Variant) -> Result<cbs_common::model::Stats, String> {
 }
 
 #[test]
-fn filtering_under_the_writer_lock_logs_the_trees_version() {
+fn a_rewrite_of_the_tree_after_apply_keeps_every_acknowledged_version() {
     let stats =
-        two_writers(Variant::FilterUnderLock).expect("the shipped protocol must verify clean");
+        two_writers(Variant::SnapshotAfterApply).expect("the shipped protocol must verify clean");
     assert!(stats.complete_executions >= 2, "both orders of the two writers run");
 }
 
 #[test]
-fn filtering_before_the_writer_lock_brings_a_stale_version_back() {
-    let err = two_writers(Variant::FilterBeforeLock)
-        .expect_err("explorer must find both writers passing the filter");
-    assert!(err.contains("a reopen would read d@5"), "unexpected violation: {err}");
+fn a_rewrite_of_the_tree_before_apply_loses_an_acknowledged_version() {
+    let err = two_writers(Variant::SnapshotBeforeApply)
+        .expect_err("explorer must find the rewrite dropping the batch it follows");
+    assert!(err.contains("a reopen would read d@"), "unexpected violation: {err}");
 }

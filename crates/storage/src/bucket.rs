@@ -1,24 +1,23 @@
 //! Bucket-level storage: one append-only log per flusher shard, one
 //! in-memory index per vBucket.
 //!
-//! A node's data service holds one [`BucketStore`] per Couchbase bucket,
-//! and a Standard-mode GSI partition one single-log store of its change
-//! records: the latest record of each (vBucket, key) is what either owner
-//! recovers. Each flusher shard owns one log file, `shard_<n>.couch` — a
-//! [`GroupCommitWal`] holding the records of all of the shard's vBuckets,
+//! A node's data service holds one [`BucketStore`] per Couchbase bucket:
+//! the latest record of each (vBucket, key) is what it recovers and reads.
+//! Each flusher shard owns one log file, `shard_<n>.couch` — a
+//! [`CommitLog`] holding the records of all of the shard's vBuckets,
 //! interleaved in commit order — and that log is the *only* on-disk copy
 //! of their documents. A drain cycle is encoded once into a [`Cycle`] and
-//! reaches the log in slices of [`CYCLE_SLICE`] bytes
+//! reaches the log in slices of [`CYCLE_SLICE`](crate::CYCLE_SLICE) bytes
 //! ([`BucketStore::append_slice`]), unsynced and unindexed; its one
 //! `sync_data` ([`BucketStore::commit`]) makes all of it durable, and only
 //! then are the records indexed by offset in their vBuckets'
 //! [`VBucketStore`]s, which is all a read needs. A slice or a sync that
-//! fails cuts the log back to the cycle's first byte.
+//! fails cuts the log back to the cycle's first byte. (A Standard GSI
+//! partition holds a bare [`CommitLog`] instead: its tree indexes it.)
 //!
 //! **One log, one writer.** Appends, purges and compactions of one shard
 //! must not overlap — a cycle's slices included; the data engine runs all
-//! three under the shard's flush lock, a GSI partition its commits and
-//! compactions under its writer lock. Reads need no such care: they go
+//! three under the shard's flush lock. Reads need no such care: they go
 //! through the per-vBucket index locks and positioned reads only.
 //!
 //! - **Recovery** is one scan of each log that rebuilds the indexes; a torn
@@ -33,168 +32,61 @@
 //!   behind it.
 //! - **Compaction** ([`BucketStore::compact_shard`]) runs when the stale
 //!   fraction of a log crosses the threshold (§4.3.3): live records are
-//!   streamed to a fresh file through one 64 KiB buffer, the file
-//!   is renamed over the log, and each vBucket's (file, offsets) pair is
-//!   switched under that vBucket's own lock. One log of a store compacts
-//!   at a time: a shard that finds another one compacting skips its turn.
+//!   streamed to a fresh file through one 64 KiB buffer, the file is
+//!   renamed over the log ([`CommitLog::install`]), and each vBucket's
+//!   (file, offsets) pair is switched under that vBucket's own lock. One
+//!   log of a store compacts at a time: a shard that finds another one
+//!   compacting skips its turn.
 
 use std::collections::HashMap;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{DocMeta, Result, SeqNo, VbId};
 
-use crate::record::{encode_record_with, StoredDoc, KIND_LIVE, KIND_PURGE, KIND_TOMBSTONE};
+use crate::log::{sync_dir, CommitLog, Cycle};
+use crate::record::{encode_record_with, KIND_PURGE, KIND_TOMBSTONE};
 use crate::vbstore::{Located, VBucketStore, VbIndex};
-use crate::wal::{scan_frames, GroupCommitWal, FRAME_PREFIX};
-
-/// A drain cycle goes to its log a slice of about this many bytes at a
-/// time ([`BucketStore::append_slice`]): what a cycle buffers, however many
-/// records it carries.
-pub const CYCLE_SLICE: usize = 64 << 10;
-
-/// One drain cycle: its records, encoded, and their keys. Frames leave the
-/// buffer a slice at a time; the keys and places stay for the indexing that
-/// follows the cycle's sync.
-#[derive(Default)]
-pub struct Cycle {
-    /// Frames not appended yet.
-    buf: Vec<u8>,
-    /// Every record's key, back to back.
-    keys: String,
-    recs: Vec<CycleRec>,
-    /// Where the cycle's first byte landed in the log, once a slice has.
-    base: Option<u64>,
-    /// Bytes of the cycle already in the log.
-    appended: u64,
-}
-
-struct CycleRec {
-    vb: VbId,
-    seqno: SeqNo,
-    deleted: bool,
-    /// Where the record's frame starts, counted from the cycle's first
-    /// byte, and the record's length.
-    at: u64,
-    len: u32,
-    /// Where the key starts in `keys`, and its length.
-    key_at: usize,
-    key_len: u16,
-}
-
-impl Cycle {
-    /// An empty cycle.
-    pub fn new() -> Cycle {
-        Cycle::default()
-    }
-
-    /// Add one document version; its encoded `value` (empty, for a
-    /// tombstone) is copied straight into the cycle's buffer. Pushed in
-    /// seqno order, a vBucket's records leave a seqno prefix behind a torn
-    /// tail. A key no record can hold is refused and nothing is added.
-    pub fn push(
-        &mut self,
-        vb: VbId,
-        key: &str,
-        meta: &DocMeta,
-        deleted: bool,
-        value: &[u8],
-    ) -> Result<()> {
-        let at = self.buf.len();
-        self.buf.extend_from_slice(&vb.0.to_le_bytes());
-        let kind = if deleted { KIND_TOMBSTONE } else { KIND_LIVE };
-        let len = encode_record_with(&mut self.buf, key, meta, kind, value)
-            .inspect_err(|_| self.buf.truncate(at))? as u32;
-        self.recs.push(CycleRec {
-            vb,
-            seqno: meta.seqno,
-            deleted,
-            at: self.appended + at as u64,
-            len,
-            key_at: self.keys.len(),
-            key_len: key.len() as u16, // `encode_record_with` checked it
-        });
-        self.keys.push_str(key);
-        Ok(())
-    }
-
-    /// Add an already serialised document version.
-    pub fn push_doc(&mut self, vb: VbId, doc: &StoredDoc) -> Result<()> {
-        self.push(vb, &doc.key, &doc.meta, doc.deleted, &doc.value)
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.recs.len()
-    }
-
-    /// True when nothing was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.recs.is_empty()
-    }
-
-    /// Bytes pushed since the last slice went to the log: a caller appends
-    /// a slice once this reaches [`CYCLE_SLICE`].
-    pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `(vBucket, key, seqno)` of every record, in push order.
-    pub fn records(&self) -> impl Iterator<Item = (VbId, &str, SeqNo)> + '_ {
-        self.recs.iter().map(|rec| (rec.vb, self.key(rec), rec.seqno))
-    }
-
-    fn key(&self, rec: &CycleRec) -> &str {
-        &self.keys[rec.key_at..rec.key_at + rec.key_len as usize]
-    }
-}
+use crate::wal::FRAME_PREFIX;
 
 /// Compaction copies this much at a time.
 const COMPACT_CHUNK: usize = 64 << 10;
 
 /// One shard's log and the indexes of the vBuckets in it.
 pub(crate) struct ShardLog {
-    wal: GroupCommitWal,
+    log: CommitLog,
     vbs: OrderedRwLock<HashMap<VbId, Arc<VbIndex>>>,
-    /// Something was appended that no `sync_data` has covered yet.
-    unsynced: AtomicBool,
 }
 
 impl ShardLog {
     /// Open the log at `path` and rebuild the indexes from its intact
     /// prefix, cutting a torn or corrupt tail off.
     fn recover(path: PathBuf) -> Result<ShardLog> {
-        let log = ShardLog {
-            wal: GroupCommitWal::open_file(path)?,
+        let shard = ShardLog {
+            log: CommitLog::create(path)?,
             vbs: OrderedRwLock::new(rank::BUCKET_MAP, HashMap::new()),
-            unsynced: AtomicBool::new(false),
         };
-        if log.wal.len_bytes() > 0 {
-            let file = log.wal.file();
-            let intact = scan_frames(log.wal.path(), |vb, offset, rec, len| {
-                let index = log.index(vb);
-                if rec.kind == KIND_PURGE {
-                    index.purge((FRAME_PREFIX + len) as u64);
-                } else {
-                    let place = Located {
-                        key: rec.key,
-                        seqno: rec.meta.seqno,
-                        deleted: rec.kind == KIND_TOMBSTONE,
-                        offset,
-                        len: len as u32,
-                    };
-                    index.apply(&file, std::iter::once(place));
-                }
-            })?;
-            if intact < log.wal.len_bytes() {
-                log.wal.truncate_to(intact)?;
+        let file = shard.log.file();
+        shard.log.scan(|vb, offset, rec, len| {
+            let index = shard.index(vb);
+            if rec.kind == KIND_PURGE {
+                index.purge((FRAME_PREFIX + len) as u64);
+            } else {
+                let place = Located {
+                    key: rec.key,
+                    seqno: rec.meta.seqno,
+                    deleted: rec.kind == KIND_TOMBSTONE,
+                    offset,
+                    len: len as u32,
+                };
+                index.apply(&file, std::iter::once(place));
             }
-        }
-        Ok(log)
+        })?;
+        Ok(shard)
     }
 
     /// The index of `vb`, created empty on first use.
@@ -202,7 +94,7 @@ impl ShardLog {
         if let Some(index) = self.vbs.read().get(&vb) {
             return Arc::clone(index);
         }
-        let file = self.wal.file();
+        let file = self.log.file();
         Arc::clone(self.vbs.write().entry(vb).or_insert_with(|| Arc::new(VbIndex::new(file))))
     }
 
@@ -213,69 +105,16 @@ impl ShardLog {
         all
     }
 
-    /// Append what `cycle` has buffered, unsynced and unindexed, right
-    /// behind its earlier slices. On an error the cycle is abandoned.
-    fn append_slice(&self, cycle: &mut Cycle) -> Result<()> {
-        if cycle.buf.is_empty() {
-            return Ok(());
-        }
-        match self.wal.append(&cycle.buf) {
-            Ok(at) => {
-                let base = *cycle.base.get_or_insert(at);
-                // The offsets the cycle will index assume its slices are
-                // contiguous: the one-writer rule above.
-                assert_eq!(at, base + cycle.appended, "a write landed inside the cycle");
-                cycle.appended += cycle.buf.len() as u64;
-                cycle.buf.clear();
-                Ok(())
-            }
-            Err(e) => {
-                self.abandon(cycle);
-                Err(e)
-            }
-        }
-    }
-
-    /// Give `cycle` up: cut the log back to the cycle's first byte and
-    /// empty the cycle.
-    fn abandon(&self, cycle: &mut Cycle) {
-        if let Some(base) = cycle.base {
-            let _ = self.wal.truncate_to(base);
-        }
-        *cycle = Cycle::default();
-    }
-
-    /// Sync the log if anything appended to it is not synced yet.
-    fn sync_pending(&self) -> Result<()> {
-        if self.unsynced.swap(false, Ordering::SeqCst) {
-            if let Err(e) = self.wal.sync() {
-                self.unsynced.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
     /// Append the rest of `cycle`, sync the whole of it if asked to, then
     /// index its records. On an error nothing is indexed, the log is as it
     /// was before the cycle's first slice and the cycle is empty. Returns
     /// the time the sync took.
     pub(crate) fn append(&self, cycle: &mut Cycle, sync: bool) -> Result<Duration> {
-        self.append_slice(cycle)?;
-        let Some(base) = cycle.base else {
+        let Some((base, synced_in)) = self.log.write(cycle, sync)? else {
             return Ok(Duration::ZERO); // nothing was pushed
         };
-        let sync_start = Instant::now();
-        if sync {
-            if let Err(e) = self.wal.sync() {
-                self.abandon(cycle);
-                return Err(e);
-            }
-        }
-        let synced_in = sync_start.elapsed();
-        self.unsynced.store(!sync, Ordering::SeqCst);
         let _s = cbs_obs::span("storage.store.index");
-        let file = self.wal.file();
+        let file = self.log.file();
         // A vBucket's records are pushed together: one index lock per run.
         for run in cycle.recs.chunk_by(|a, b| a.vb == b.vb) {
             let places = run.iter().map(|rec| Located {
@@ -305,8 +144,7 @@ impl ShardLog {
         }
         let mut frame = vb.0.to_le_bytes().to_vec();
         encode_record_with(&mut frame, "", &DocMeta::default(), KIND_PURGE, &[])?;
-        self.wal.append(&frame)?;
-        self.unsynced.store(true, Ordering::SeqCst);
+        self.log.append_unsynced(&frame)?;
         index.purge(frame.len() as u64);
         Ok(())
     }
@@ -323,10 +161,7 @@ impl ShardLog {
     /// throughout; the caller keeps writers away.
     fn compact(&self, chunk_limit: usize) -> Result<usize> {
         let _s = cbs_obs::span("storage.compaction.run");
-        let fresh = GroupCommitWal::open_file(self.wal.path().with_extension("compact"))?;
-        if fresh.len_bytes() > 0 {
-            fresh.reset()?; // left behind by a run that failed
-        }
+        let fresh = self.log.rewrite()?;
         let indexes = self.indexes();
         let mut moved = Vec::with_capacity(indexes.len());
         // Sized once: only a record larger than the limit grows it.
@@ -337,7 +172,7 @@ impl ShardLog {
             for place in places {
                 let len = place.len as usize;
                 if !chunk.is_empty() && chunk.len() + FRAME_PREFIX + len > chunk_limit {
-                    fresh.append(&chunk)?;
+                    fresh.append_frames(&chunk)?;
                     chunk.clear();
                 }
                 chunk.extend_from_slice(&vb.0.to_le_bytes());
@@ -351,23 +186,19 @@ impl ShardLog {
             moved.push(moves);
         }
         if !chunk.is_empty() {
-            fresh.append(&chunk)?;
+            fresh.append_frames(&chunk)?;
         }
         drop(chunk);
-        fresh.sync()?;
-        let file = self.wal.replace_with(fresh)?;
-        for ((_, index), moves) in indexes.iter().zip(moved) {
-            index.switch(Arc::clone(&file), moves);
-        }
-        if let Some((_, first)) = indexes.first() {
-            first.count_compaction();
-        }
-        // Make the rename itself durable before the caller lets the next
-        // commit in: a record acknowledged in the new file must not be
-        // lost to a crash that brings the old directory entry back.
-        if let Some(dir) = self.wal.path().parent() {
-            sync_dir(dir)?;
-        }
+        // Each vBucket's (file, offsets) pair switches before the directory
+        // is synced, and before the caller lets the next commit in.
+        self.log.install(fresh, |file| {
+            for ((_, index), moves) in indexes.iter().zip(moved) {
+                index.switch(Arc::clone(file), moves);
+            }
+            if let Some((_, first)) = indexes.first() {
+                first.count_compaction();
+            }
+        })?;
         Ok(peak)
     }
 }
@@ -384,11 +215,6 @@ pub struct BucketStore {
 
 fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard_{shard}.couch"))
-}
-
-/// Make the directory's entries — a log just created or renamed — durable.
-fn sync_dir(dir: &Path) -> Result<()> {
-    Ok(std::fs::File::open(dir)?.sync_all()?)
 }
 
 impl BucketStore {
@@ -410,9 +236,8 @@ impl BucketStore {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             let Some(stem) = name.strip_prefix("shard_") else { continue };
-            if stem.ends_with(".compact") {
-                std::fs::remove_file(&path)?; // an unfinished compaction
-            } else if let Some(Ok(n)) = stem.strip_suffix(".couch").map(str::parse::<usize>) {
+            // An unfinished compaction beside a log goes when the log opens.
+            if let Some(Ok(n)) = stem.strip_suffix(".couch").map(str::parse::<usize>) {
                 if n >= shards.max(1) {
                     surplus.push(path);
                 }
@@ -462,7 +287,7 @@ impl BucketStore {
         }
         homes.dedup(); // vBuckets come in order, and so do their shards
         for home in &homes {
-            self.shards[*home].wal.sync()?;
+            self.shards[*home].log.sync_pending()?;
         }
         Ok(!homes.is_empty())
     }
@@ -493,7 +318,7 @@ impl BucketStore {
     /// the log. On an error the log is cut back to the cycle's first byte
     /// and the cycle is emptied.
     pub fn append_slice(&self, shard: usize, cycle: &mut Cycle) -> Result<()> {
-        self.shards[shard].append_slice(cycle)
+        self.shards[shard].log.append_slice(cycle)
     }
 
     /// The flusher's write: append the rest of `cycle` — records of
@@ -509,7 +334,7 @@ impl BucketStore {
     /// Give up a cycle that will not be committed: the log is cut back to
     /// its first byte and the cycle is emptied.
     pub fn abandon(&self, shard: usize, cycle: &mut Cycle) {
-        self.shards[shard].abandon(cycle);
+        self.shards[shard].log.abandon(cycle);
     }
 
     /// Forget a vBucket's documents (rebalance hand-off: the paper's *dead*
@@ -527,7 +352,7 @@ impl BucketStore {
     /// marker, stand-alone `persist`s): what the flusher calls on a cycle
     /// with nothing to commit.
     pub fn sync_pending(&self, shard: usize) -> Result<()> {
-        self.shards[shard].sync_pending()
+        self.shards[shard].log.sync_pending()
     }
 
     /// vBuckets with an index, in order.
@@ -543,7 +368,7 @@ impl BucketStore {
 
     /// Bytes in `shard`'s log.
     pub fn log_bytes(&self, shard: usize) -> u64 {
-        self.shards[shard].wal.len_bytes()
+        self.shards[shard].log.len_bytes()
     }
 
     /// The fragmentation threshold every log compacts at (§4.3.3): the data
@@ -572,6 +397,7 @@ impl BucketStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::StoredDoc;
     use crate::{scratch_dir, StoreStats};
     use bytes::Bytes;
 
@@ -822,8 +648,8 @@ mod tests {
         assert_eq!(ran, [true, false], "only the fragmented log compacts");
     }
 
-    /// Two records of one vBucket may share a seqno (a GSI partition's
-    /// watermark record and a document's): compaction moves each to its own
+    /// Two records of one vBucket may share a seqno (the store takes
+    /// whatever seqnos its caller gives): compaction moves each to its own
     /// place, so each key still reads its own record.
     #[test]
     fn compaction_keeps_records_that_share_a_seqno_apart() {

@@ -27,18 +27,23 @@
 //!   documents the cache no longer holds.
 //!
 //! [`GroupCommitWal`] is the log file itself (framing, append, group
-//! commit, truncate). A GSI partition's change log is a single-log
-//! [`BucketStore`] too: one keyed, compacted log for everything that
-//! persists.
+//! commit, truncate); [`CommitLog`] is its writer's protocol (sliced
+//! commits, abandon, torn-tail recovery on open, the rewrite swap), which
+//! each shard log of a [`BucketStore`] wraps. A Standard GSI partition's
+//! change log is a bare [`CommitLog`]: the partition's tree is its only
+//! index, a reopen replays every record, and a rewrite writes the tree's
+//! state (`cbs-index`'s `Indexer`).
 
 #![deny(unsafe_code)]
 
 pub mod bucket;
+pub mod log;
 pub mod record;
 pub mod vbstore;
 pub mod wal;
 
-pub use bucket::{BucketStore, Cycle, CYCLE_SLICE};
+pub use bucket::BucketStore;
+pub use log::{CommitLog, Cycle, Rewrite, CYCLE_SLICE};
 pub use record::{check_key_len, DocMeta, StoredDoc, MAX_KEY_LEN};
 pub use vbstore::{RecordList, StoreStats, VBucketStore};
 pub use wal::{replay_file, GroupCommitWal};

@@ -19,7 +19,8 @@ use std::sync::Arc;
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_common::{DocKey, KeyMap, Result, SeqNo, VbId};
 
-use crate::bucket::{Cycle, ShardLog};
+use crate::bucket::ShardLog;
+use crate::log::Cycle;
 use crate::record::{decode_record_strict, StoredDoc};
 use crate::wal::FRAME_PREFIX;
 
@@ -161,8 +162,8 @@ impl VbIndex {
     /// [`in_seqno_order`](VbIndex::in_seqno_order) listed, each moved from
     /// the old offset to the new one of its pair in `moved`. A record is
     /// found by its old offset, which no other record of the generation
-    /// shares; a seqno can be shared (a GSI partition's watermark record
-    /// and a document's).
+    /// shares; a seqno can be shared, as the store takes whatever seqnos
+    /// its caller gives.
     pub(crate) fn switch(&self, file: Arc<File>, mut moved: Vec<(u64, u64)>) {
         moved.sort_unstable();
         let mut guard = self.inner.lock();

@@ -14,11 +14,12 @@
 //! | vb u16 LE | record (magic, crc32, paylen, payload) | ...
 //! ```
 //!
-//! One owner uses it: each log of a [`BucketStore`](crate::BucketStore)
-//! (`shard_<n>.couch`, every vBucket of the shard interleaved, indexed in
-//! memory by offset) — a flusher shard's data log, or a GSI partition's
-//! change log. [`GroupCommitWal::open`] names a stand-alone log
-//! `wal_<n>.log`; [`replay_file`] reads any log back in append order.
+//! One owner uses it, a [`CommitLog`](crate::CommitLog): a flusher shard's
+//! data log (each log of a [`BucketStore`](crate::BucketStore),
+//! `shard_<n>.couch`, every vBucket of the shard interleaved, indexed in
+//! memory by offset) or a GSI partition's change log.
+//! [`GroupCommitWal::open`] names a stand-alone log `wal_<n>.log`;
+//! [`replay_file`] reads any log back in append order.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};

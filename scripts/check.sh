@@ -253,8 +253,9 @@ run "xtask analyze" cargo xtask analyze
 # property suite beside it, and whose resume point — a consumer chaining
 # snapshots from each one's `high` beside a writer, flusher and evictor
 # misses no write — is the racing test with it — and the model of two
-# writers on one GSI partition (filter and commit under the writer lock;
-# filtering before it logs a stale version after a newer one).
+# writers on one GSI partition (a reopen replays every record and keeps the
+# highest seqno; a rewrite of the log from the tree taken before the batch
+# it follows is applied loses an acknowledged op).
 run "lock-order + explorer (cbs-common)" cargo test --quiet -p cbs-common --features lock-order
 run "seqno signal protocol model" cargo test --quiet -p cbs-common --test signal_models
 run "feed wake protocol model" cargo test --quiet -p cbs-common --test wake_models
