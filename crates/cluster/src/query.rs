@@ -16,7 +16,7 @@ use cbs_dcp::BackfillSource;
 use cbs_index::{IndexDef, IndexEntry, ScanConsistency, ScanRange};
 use cbs_json::Value;
 use cbs_n1ql::datastore::{index_row, keyspace_row, node_row};
-use cbs_n1ql::{Datastore, KeyspaceStats, QueryOptions, QueryResult, StatsCache};
+use cbs_n1ql::{Datastore, KeyspaceStats, QueryOptions, QueryResult};
 
 /// Cluster-backed datastore for the query engine. One instance per bucket
 /// per query node.
@@ -24,9 +24,6 @@ pub struct ClusterDatastore {
     cluster: Arc<Cluster>,
     /// One smart client per keyspace (bucket) the service has touched.
     clients: OrderedRwLock<Vec<Arc<SmartClient>>>,
-    /// Lazily collected keyspace/index statistics for the cost-based
-    /// planner, memoized per plan-cache epoch.
-    stats_cache: StatsCache,
     requests: Arc<cbs_obs::Counter>,
     errors: Arc<cbs_obs::Counter>,
     latency: Arc<cbs_obs::Histogram>,
@@ -50,7 +47,6 @@ impl ClusterDatastore {
             cluster,
             query_trace,
             clients: OrderedRwLock::new(rank::QUERY_CLIENTS, Vec::new()),
-            stats_cache: StatsCache::new(),
             requests: registry.counter_with_help("n1ql.query.requests", "N1QL statements received"),
             errors: registry.counter_with_help("n1ql.query.errors", "N1QL statements that failed"),
             latency: registry
@@ -210,35 +206,23 @@ impl Datastore for ClusterDatastore {
         Some(self.cluster.plan_cache())
     }
 
-    /// Optimizer statistics, derived from the index service: each online
-    /// index reports live entries / distinct keys / leading-key bounds,
-    /// and the keyspace document count is taken from the widest index's
-    /// per-document counter (a primary index sees every document). No
-    /// online index means no statistics — the planner falls back to its
-    /// rule-based ordering.
-    fn keyspace_stats(&self, keyspace: &str) -> Option<Arc<KeyspaceStats>> {
-        let epoch = self.cluster.plan_cache().epoch(keyspace);
-        self.stats_cache.get_or_refresh(keyspace, epoch, || {
-            let mgr = self.cluster.index_manager().ok()?;
-            let mut doc_count = 0u64;
-            let mut indexes = Vec::new();
-            for def in mgr.list_online(keyspace) {
-                let Ok(stats) = mgr.index_stats(keyspace, &def.name) else { continue };
-                doc_count = doc_count.max(stats.docs);
-                let Ok(card) = mgr.index_cardinality(keyspace, &def.name) else { continue };
-                indexes.push(cbs_n1ql::IndexStat {
-                    name: def.name.clone(),
-                    entries: card.entries,
-                    distinct_keys: card.distinct_keys,
-                    min_leading: card.min_leading,
-                    max_leading: card.max_leading,
-                });
-            }
-            if doc_count == 0 {
-                return None;
-            }
-            Some(KeyspaceStats { doc_count, indexes })
-        })
+    /// Optimizer statistics, read from the index service's counters as
+    /// the planner asks: each online index reports live entries, distinct
+    /// keys and leading-key bounds, and the keyspace document count is the
+    /// widest index's per-document counter (a primary index sees every
+    /// document). Each read is O(partitions). No online index means no
+    /// statistics — the planner falls back to its rule-based ordering.
+    fn keyspace_stats(&self, keyspace: &str) -> Option<KeyspaceStats> {
+        let mgr = self.cluster.index_manager().ok()?;
+        let mut doc_count = 0u64;
+        let mut indexes = Vec::new();
+        for def in mgr.list_online(keyspace) {
+            let Ok(stats) = mgr.index_stats(keyspace, &def.name) else { continue };
+            doc_count = doc_count.max(stats.docs);
+            let Ok(card) = mgr.index_cardinality(keyspace, &def.name) else { continue };
+            indexes.push((def.name, card));
+        }
+        (doc_count > 0).then_some(KeyspaceStats { doc_count, indexes })
     }
 
     /// The `system:` catalog keyspaces, backed live by cluster state — the

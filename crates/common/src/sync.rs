@@ -160,9 +160,6 @@ pub mod rank {
     /// In-memory test datastore's keyspace table. Leaf: document
     /// mutations and scans only.
     pub const N1QL_KEYSPACES: LockRank = LockRank::new(125, "n1ql.memds.keyspaces");
-    /// Optimizer statistics memo (epoch-stamped per-keyspace snapshots).
-    /// Leaf: collection closures run between, never under, the lock.
-    pub const N1QL_STATS: LockRank = LockRank::new(130, "n1ql.stats");
     /// Plan-cache shard (statement → plan). Lookup consults the epoch
     /// table while holding a shard, so shards precede epochs.
     pub const N1QL_PLAN_SHARD: LockRank = LockRank::new(132, "n1ql.plancache.shard");

@@ -27,7 +27,7 @@ pub mod shared;
 pub mod value;
 
 pub use collate::{cmp_missing, cmp_str, cmp_values};
-pub use parse::{parse, ParseError};
+pub use parse::{parse, ParseError, MAX_DEPTH};
 pub use path::{parse_path, JsonPath, PathStep};
 pub use shared::{SharedValue, ValueMut};
 pub use value::{Number, Value};
@@ -35,7 +35,7 @@ pub use value::{Number, Value};
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::parse::{parse_bytes, MAX_DEPTH};
+    use crate::parse::parse_bytes;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 

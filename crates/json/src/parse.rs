@@ -8,8 +8,9 @@
 use crate::value::{Number, Value};
 
 /// Maximum nesting depth accepted (defensive; Couchbase caps document
-/// nesting similarly).
-pub(crate) const MAX_DEPTH: usize = 128;
+/// nesting similarly). The N1QL parser holds statements to the same
+/// budget.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parse failure, with byte offset for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]

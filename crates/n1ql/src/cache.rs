@@ -158,7 +158,7 @@ impl PlanCache {
     }
 
     /// Current epoch of a keyspace (0 until first bumped).
-    pub fn epoch(&self, keyspace: &str) -> u64 {
+    fn epoch(&self, keyspace: &str) -> u64 {
         self.epochs.read().get(keyspace).copied().unwrap_or(0)
     }
 

@@ -14,17 +14,35 @@
 //! tests.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{Error, Result, SeqNo};
-use cbs_index::{IndexDef, IndexEntry, IndexKey, Projector, ScanConsistency, ScanRange};
+use cbs_index::{
+    IndexCardinality, IndexDef, IndexEntry, IndexKey, Projector, ScanConsistency, ScanRange,
+};
 use cbs_json::Value;
 
 use crate::cache::PlanCache;
 use crate::profile::RequestLog;
-use crate::stats::{IndexStat, KeyspaceStats, StatsCache};
+
+/// What the cost-based planner prices access paths with: a keyspace's
+/// live document count and the cardinality of each online index. It is
+/// read from the datastore each time a statement is planned.
+#[derive(Debug, Clone, Default)]
+pub struct KeyspaceStats {
+    /// Live document count.
+    pub doc_count: u64,
+    /// One entry per online index: its name and cardinality.
+    pub indexes: Vec<(String, IndexCardinality)>,
+}
+
+impl KeyspaceStats {
+    /// The cardinality of a named index, when known.
+    pub fn index(&self, name: &str) -> Option<&IndexCardinality> {
+        self.indexes.iter().find(|(n, _)| n == name).map(|(_, card)| card)
+    }
+}
 
 /// Abstract data + index access for the query engine.
 pub trait Datastore: Send + Sync {
@@ -119,12 +137,10 @@ pub trait Datastore: Send + Sync {
         None
     }
 
-    /// Keyspace statistics for the cost-based planner (doc counts, per-
-    /// index cardinality). `None` means unavailable — the planner falls
-    /// back to rule-based access-path selection.
-    fn keyspace_stats(&self, _keyspace: &str) -> Option<Arc<KeyspaceStats>> {
-        None
-    }
+    /// Keyspace statistics for the cost-based planner (doc count, per-
+    /// index cardinality), as of now. `None` means unavailable — the
+    /// planner falls back to rule-based access-path selection.
+    fn keyspace_stats(&self, keyspace: &str) -> Option<KeyspaceStats>;
 }
 
 /// Every `system:` catalog keyspace [`Datastore::system_scan`] serves.
@@ -190,7 +206,6 @@ pub struct MemoryDatastore {
     keyspaces: OrderedRwLock<BTreeMap<String, MemKeyspace>>,
     request_log: RequestLog,
     plan_cache: PlanCache,
-    stats_cache: StatsCache,
     trace: cbs_obs::TraceSink,
 }
 
@@ -200,7 +215,6 @@ impl Default for MemoryDatastore {
             keyspaces: OrderedRwLock::new(rank::N1QL_KEYSPACES, BTreeMap::new()),
             request_log: RequestLog::new("mem"),
             plan_cache: PlanCache::new(),
-            stats_cache: StatsCache::new(),
             trace: cbs_obs::TraceSink::new(cbs_obs::TraceStore::new(), "mem"),
         }
     }
@@ -237,8 +251,8 @@ impl MemoryDatastore {
     }
 
     /// Drop every document in a keyspace (a bucket flush). Indexes stay
-    /// defined; the keyspace epoch is bumped so cached plans and
-    /// statistics are invalidated.
+    /// defined; the keyspace epoch is bumped so cached plans are
+    /// invalidated.
     pub fn flush_keyspace(&self, keyspace: &str) -> Result<()> {
         let mut map = self.keyspaces.write();
         let ks = map
@@ -409,61 +423,42 @@ impl Datastore for MemoryDatastore {
         Some(&self.plan_cache)
     }
 
-    fn keyspace_stats(&self, keyspace: &str) -> Option<Arc<KeyspaceStats>> {
-        let epoch = self.plan_cache.epoch(keyspace);
-        self.stats_cache.get_or_refresh(keyspace, epoch, || {
-            let map = self.keyspaces.read();
-            let ks = map.get(keyspace)?;
-            if ks.docs.is_empty() {
-                // "Unavailable": nothing is memoized, so a later load is
-                // picked up without needing a DDL epoch bump.
-                return None;
+    /// Projects every online index over the live documents. An empty
+    /// keyspace has no statistics.
+    fn keyspace_stats(&self, keyspace: &str) -> Option<KeyspaceStats> {
+        let map = self.keyspaces.read();
+        let ks = map.get(keyspace).filter(|ks| !ks.docs.is_empty())?;
+        let mut indexes = Vec::new();
+        for (def, online) in &ks.indexes {
+            if !*online {
+                continue;
             }
-            let mut indexes = Vec::new();
-            for (def, online) in &ks.indexes {
-                if !*online {
-                    continue;
+            let mut entries = 0u64;
+            let mut distinct = BTreeSet::new();
+            for (doc_id, doc) in &ks.docs {
+                for key in Projector::keys_for(def, doc_id, doc) {
+                    // An index over the id alone counts and bounds ids.
+                    let key = if key == IndexKey::ID {
+                        IndexKey(vec![Some(Value::from(doc_id.as_str()))])
+                    } else {
+                        key
+                    };
+                    entries += 1;
+                    distinct.insert(key);
                 }
-                let mut entries = 0u64;
-                let mut distinct = BTreeSet::new();
-                let mut min_leading: Option<Value> = None;
-                let mut max_leading: Option<Value> = None;
-                for (doc_id, doc) in &ks.docs {
-                    for key in Projector::keys_for(def, doc_id, doc) {
-                        // An index over the id alone counts and bounds ids.
-                        let key = if key == IndexKey::ID {
-                            IndexKey(vec![Some(Value::from(doc_id.as_str()))])
-                        } else {
-                            key
-                        };
-                        entries += 1;
-                        if let Some(lead) = key.leading() {
-                            let replace_min = min_leading.as_ref().is_none_or(|m| {
-                                cbs_json::cmp_values(lead, m) == std::cmp::Ordering::Less
-                            });
-                            if replace_min {
-                                min_leading = Some(lead.clone());
-                            }
-                            let replace_max = max_leading.as_ref().is_none_or(|m| {
-                                cbs_json::cmp_values(lead, m) == std::cmp::Ordering::Greater
-                            });
-                            if replace_max {
-                                max_leading = Some(lead.clone());
-                            }
-                        }
-                        distinct.insert(key);
-                    }
-                }
-                indexes.push(IndexStat {
-                    name: def.name.clone(),
-                    entries,
-                    distinct_keys: distinct.len() as u64,
-                    min_leading,
-                    max_leading,
-                });
             }
-            Some(KeyspaceStats { doc_count: ks.docs.len() as u64, indexes })
-        })
+            // Keys sort by collation, so the first and last hold the
+            // leading-key bounds.
+            let leading = |key: Option<&IndexKey>| key.and_then(|k| k.leading().cloned());
+            let card = IndexCardinality {
+                entries,
+                distinct_keys: distinct.len() as u64,
+                min_leading: leading(distinct.first()),
+                max_leading: leading(distinct.last()),
+            };
+            indexes.push((def.name.clone(), card));
+        }
+        Some(KeyspaceStats { doc_count: ks.docs.len() as u64, indexes })
     }
 
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {

@@ -208,7 +208,7 @@ pub fn eval(e: &Expr, ctx: &EvalCtx<'_>) -> Result<Option<Value>> {
                 Error::Eval("aggregate expression not computed by Group operator".to_string())
             })
         }
-        Expr::Func { name, args, .. } => eval_scalar_fn(name, args, ctx),
+        Expr::Func { name, args, .. } => eval_scalar_fn(name, eval_args(args, ctx)?),
         Expr::CountStar => unreachable!("handled by aggregate arm"),
         Expr::ArrayLit(items) => {
             let mut out = Vec::with_capacity(items.len());
@@ -435,11 +435,17 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     pi == p.len()
 }
 
-fn eval_scalar_fn(name: &str, args: &[Expr], ctx: &EvalCtx<'_>) -> Result<Option<Value>> {
-    let mut vals: Vec<Option<Value>> = Vec::with_capacity(args.len());
+/// A function's arguments, evaluated. Kept apart from the function bodies
+/// so that nested calls recurse through small frames.
+fn eval_args(args: &[Expr], ctx: &EvalCtx<'_>) -> Result<Vec<Option<Value>>> {
+    let mut vals = Vec::with_capacity(args.len());
     for a in args {
         vals.push(eval(a, ctx)?);
     }
+    Ok(vals)
+}
+
+fn eval_scalar_fn(name: &str, vals: Vec<Option<Value>>) -> Result<Option<Value>> {
     let arity_err =
         || Error::Eval(format!("wrong number of arguments to {name} ({} given)", vals.len()));
     match name {

@@ -11,12 +11,12 @@
 //! UPDATE and DELETE run the same loop: their pipeline ends in
 //! `SendUpdate` or `SendDelete` instead of the projection.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use cbs_common::{Error, Result};
 use cbs_index::{
-    FilterCond, FilterOp, IndexDef, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
+    FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
 };
 use cbs_json::{cmp_missing, Value};
 use cbs_obs::span;
@@ -270,24 +270,28 @@ impl SelectRun<'_> {
                 kept
             }
             Operator::Group => {
-                let mut groups: Vec<(Vec<Option<Value>>, Vec<Row>)> = Vec::new();
+                // Groups in first-seen order, each found through one map
+                // ordered by collation (see `collated`): O(rows × log groups).
+                let mut groups: Vec<Vec<Row>> = Vec::new();
+                let mut slots = BTreeMap::new();
                 for row in rows {
                     let ctx = ctx_for(&row, alias, opts);
                     let mut key = Vec::with_capacity(sel.group_by.len());
                     for g in &sel.group_by {
                         key.push(eval(g, &ctx)?);
                     }
-                    match groups.iter_mut().find(|(k, _)| group_key_eq(k, &key)) {
-                        Some((_, members)) => members.push(row),
-                        None => groups.push((key, vec![row])),
+                    let slot = *slots.entry(IndexKey(key)).or_insert(groups.len());
+                    if slot == groups.len() {
+                        groups.push(Vec::new());
                     }
+                    groups[slot].push(row);
                 }
                 // Global aggregation with zero rows still yields one (empty) group.
                 if groups.is_empty() && sel.group_by.is_empty() {
-                    groups.push((Vec::new(), Vec::new()));
+                    groups.push(Vec::new());
                 }
                 let mut out = Vec::with_capacity(groups.len());
-                for (_, members) in groups {
+                for members in groups {
                     let aggs = compute_aggregates(self.plan.aggregates(), &members, alias, opts)?;
                     // The group's first member stands for it from here on.
                     let mut rep = members.into_iter().next().unwrap_or_else(Row::empty);
@@ -314,8 +318,8 @@ impl SelectRun<'_> {
             }
             Operator::Distinct => {
                 let mut rows = rows;
-                let mut seen = HashSet::new();
-                rows.retain(|row| seen.insert(row.out.to_json_string()));
+                let mut seen = BTreeSet::new();
+                rows.retain(|row| seen.insert(collated(&row.out)));
                 rows
             }
             Operator::Sort => {
@@ -591,11 +595,12 @@ fn doc_ids(v: Option<Value>) -> Option<Vec<String>> {
     }
 }
 
-fn group_key_eq(a: &[Option<Value>], b: &[Option<Value>]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(x, y)| cmp_missing(x.as_ref(), y.as_ref()) == std::cmp::Ordering::Equal)
+/// A value as a key of an ordered set or map: `IndexKey`'s order is N1QL
+/// collation (`cmp_missing`), the one "same value" of GROUP BY, DISTINCT
+/// and an aggregate's DISTINCT. `1` and `1.0` are the same, as are two
+/// objects with the same fields in another order; MISSING is not NULL.
+fn collated(v: &Value) -> IndexKey {
+    IndexKey(vec![Some(v.clone())])
 }
 
 fn compute_aggregates(
@@ -622,8 +627,8 @@ fn compute_aggregates(
                     }
                 }
                 if *distinct {
-                    let mut seen = HashSet::new();
-                    vals.retain(|v| seen.insert(v.to_json_string()));
+                    let mut seen = BTreeSet::new();
+                    vals.retain(|v| seen.insert(collated(v)));
                 }
                 match name.as_str() {
                     "COUNT" => Value::from(vals.len()),

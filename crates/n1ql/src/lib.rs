@@ -20,7 +20,7 @@
 //!   (USE KEYS), `IndexScan` (a qualifying, sargable online GSI; covering
 //!   detection per §5.1.2), or `PrimaryScan` (a full scan of the primary
 //!   index, "quite expensive") — costing candidates against keyspace
-//!   statistics when available ([`stats`]) and building the operator
+//!   statistics when available ([`KeyspaceStats`]) and building the operator
 //!   pipeline of Figure 11: Scan → Fetch → Join/Nest/Unnest → Filter →
 //!   Group/Aggregate → Project → Distinct → Sort → Offset/Limit;
 //! - **PREPARE / EXECUTE** backed by an invalidation-aware plan cache
@@ -49,18 +49,16 @@ pub mod parser;
 pub mod plan;
 pub mod planner;
 pub mod profile;
-pub mod stats;
 
 pub use ast::Statement;
 pub use cache::{PlanCache, PreparedEntry};
-pub use datastore::{Datastore, MemoryDatastore, SYSTEM_CATALOGS};
+pub use datastore::{Datastore, KeyspaceStats, MemoryDatastore, SYSTEM_CATALOGS};
 pub use exec::{execute, execute_with_profile, QueryOptions, QueryResult};
 pub use lexer::tokenize;
 pub use parser::parse_statement;
 pub use plan::{AccessPath, Operator, PlanEstimate, QueryPlan, RangeSpec};
 pub use planner::build_plan;
 pub use profile::{OpStat, PhaseTimes, Prof, RequestLog};
-pub use stats::{IndexStat, KeyspaceStats, StatsCache};
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -1,7 +1,7 @@
 //! Recursive-descent N1QL parser.
 
 use cbs_common::{Error, Result};
-use cbs_json::Value;
+use cbs_json::{Value, MAX_DEPTH};
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
@@ -9,7 +9,7 @@ use crate::lexer::{tokenize, Token};
 /// Parse one statement (optionally terminated by `;`).
 pub fn parse_statement(input: &str) -> Result<Statement> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let stmt = p.parse_statement()?;
     p.eat_punct(";");
     if p.pos < p.tokens.len() {
@@ -21,7 +21,7 @@ pub fn parse_statement(input: &str) -> Result<Statement> {
 /// Parse a stand-alone expression (used by tests and the view/index DDL).
 pub fn parse_expression(input: &str) -> Result<Expr> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let e = p.parse_expr()?;
     if p.pos < p.tokens.len() {
         return Err(p.err("trailing tokens after expression"));
@@ -32,7 +32,43 @@ pub fn parse_expression(input: &str) -> Result<Expr> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How deeply the production being parsed nests (see `enter`).
+    depth: usize,
 }
+
+// Binding powers, loosest first. A loop that parses at power `min` takes
+// every operator of power `min` or more.
+const BP_OR: u8 = 1;
+const BP_AND: u8 = 2;
+/// Prefix NOT: its operand may hold a comparison, not an AND.
+const BP_NOT: u8 = 3;
+/// `=` `!=` `<` …, `IS`, `[NOT] BETWEEN | IN | LIKE`: non-associative.
+const BP_COMPARE: u8 = 4;
+const BP_CONCAT: u8 = 5;
+const BP_ADD: u8 = 6;
+const BP_MUL: u8 = 7;
+/// Prefix minus: its operand is a postfix expression.
+const BP_NEG: u8 = 8;
+
+/// The binary operators: keyword or punctuation, operator, power.
+const BINARY: [(&str, BinOp, u8); 16] = [
+    ("or", BinOp::Or, BP_OR),
+    ("and", BinOp::And, BP_AND),
+    ("==", BinOp::Eq, BP_COMPARE),
+    ("=", BinOp::Eq, BP_COMPARE),
+    ("!=", BinOp::Ne, BP_COMPARE),
+    ("<>", BinOp::Ne, BP_COMPARE),
+    ("<=", BinOp::Le, BP_COMPARE),
+    (">=", BinOp::Ge, BP_COMPARE),
+    ("<", BinOp::Lt, BP_COMPARE),
+    (">", BinOp::Gt, BP_COMPARE),
+    ("||", BinOp::Concat, BP_CONCAT),
+    ("+", BinOp::Add, BP_ADD),
+    ("-", BinOp::Sub, BP_ADD),
+    ("*", BinOp::Mul, BP_MUL),
+    ("/", BinOp::Div, BP_MUL),
+    ("%", BinOp::Mod, BP_MUL),
+];
 
 impl Parser {
     fn err(&self, msg: &str) -> Error {
@@ -108,11 +144,22 @@ impl Parser {
 
     fn parse_statement(&mut self) -> Result<Statement> {
         if self.eat_kw("explain") {
-            return Ok(Statement::Explain(Box::new(self.parse_statement()?)));
+            return Ok(Statement::Explain(Box::new(self.nested(Self::parse_statement)?)));
         }
         if self.eat_kw("profile") {
-            return Ok(Statement::Profile(Box::new(self.parse_statement()?)));
+            return Ok(Statement::Profile(Box::new(self.nested(Self::parse_statement)?)));
         }
+        if self.eat_kw("prepare") {
+            let name = self.expect_ident()?;
+            self.expect_kw("from")?;
+            let stmt = Box::new(self.nested(Self::parse_statement)?);
+            return Ok(Statement::Prepare { name, stmt });
+        }
+        self.parse_leaf_statement()
+    }
+
+    /// A statement that holds no other statement.
+    fn parse_leaf_statement(&mut self) -> Result<Statement> {
         if self.at_kw("select") {
             return Ok(Statement::Select(self.parse_select()?));
         }
@@ -133,12 +180,6 @@ impl Parser {
         }
         if self.at_kw("build") {
             return self.parse_build_index();
-        }
-        if self.eat_kw("prepare") {
-            let name = self.expect_ident()?;
-            self.expect_kw("from")?;
-            let stmt = Box::new(self.parse_statement()?);
-            return Ok(Statement::Prepare { name, stmt });
         }
         if self.eat_kw("execute") {
             let name = self.expect_ident()?;
@@ -530,155 +571,121 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.parse_bp(BP_OR)
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_kw("or") {
-            let right = self.parse_and()?;
-            left = Expr::Binary(BinOp::Or, Box::new(left), Box::new(right));
+    /// One level deeper in the statement's tree. Every level is a frame
+    /// of recursion here and in the planner and executor, so past
+    /// [`MAX_DEPTH`] levels the statement is refused rather than the
+    /// thread's stack overrun.
+    fn enter(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(&format!("statement nests deeper than {MAX_DEPTH} levels")));
         }
+        Ok(())
+    }
+
+    /// Parse one nesting level deeper (see [`Parser::enter`]).
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.enter()?;
+        let parsed = parse(self)?;
+        self.depth -= 1;
+        Ok(parsed)
+    }
+
+    /// An expression whose operators all bind at least `min` tightly: a
+    /// prefix operand, then a loop over the infix operators. A chain of
+    /// left-associative operators is built by the loop, one tree level
+    /// per operator, and each level counts against the depth budget until
+    /// the chain ends.
+    fn parse_bp(&mut self, min: u8) -> Result<Expr> {
+        let depth = self.depth;
+        let mut left = if min <= BP_NOT && self.eat_kw("not") {
+            self.enter()?;
+            Expr::Unary(UnaryOp::Not, Box::new(self.parse_bp(BP_NOT)?))
+        } else if self.eat_punct("-") {
+            self.enter()?;
+            Expr::Unary(UnaryOp::Neg, Box::new(self.parse_bp(BP_NEG)?))
+        } else {
+            self.parse_postfix()?
+        };
+        let mut compared = false;
+        while let Some((power, op)) = self.infix().filter(|&(power, _)| power >= min) {
+            // A comparison is not an operand of another comparison, nor of
+            // anything tighter: `a = b = c` and `a IS NULL || b` are errors.
+            if compared && power >= BP_COMPARE {
+                return Err(self.err("a comparison cannot be an operand here; parenthesize it"));
+            }
+            compared = power == BP_COMPARE;
+            self.enter()?;
+            left = match op {
+                Some(op) => {
+                    self.pos += 1;
+                    // Left-associative: the right operand binds one step
+                    // tighter.
+                    let right = self.parse_bp(power + 1)?;
+                    Expr::Binary(op, Box::new(left), Box::new(right))
+                }
+                None => self.parse_suffix(left)?,
+            };
+        }
+        self.depth = depth;
         Ok(left)
     }
 
-    fn parse_and(&mut self) -> Result<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_kw("and") {
-            let right = self.parse_not()?;
-            left = Expr::Binary(BinOp::And, Box::new(left), Box::new(right));
+    /// The infix operator at the cursor, if any: its binding power, and
+    /// the binary operator it is (`None` for the comparison suffixes).
+    fn infix(&self) -> Option<(u8, Option<BinOp>)> {
+        let t = self.peek()?;
+        if let Some(&(_, op, power)) = BINARY.iter().find(|(s, ..)| t.is_kw(s) || t.is_punct(s)) {
+            return Some((power, Some(op)));
         }
-        Ok(left)
+        let suffix = |t: &Token| t.is_kw("between") || t.is_kw("in") || t.is_kw("like");
+        let negated = t.is_kw("not") && self.peek2().is_some_and(suffix);
+        (t.is_kw("is") || suffix(t) || negated).then_some((BP_COMPARE, None))
     }
 
-    fn parse_not(&mut self) -> Result<Expr> {
-        if self.eat_kw("not") {
-            return Ok(Expr::Unary(UnaryOp::Not, Box::new(self.parse_not()?)));
-        }
-        self.parse_comparison()
-    }
-
-    fn parse_comparison(&mut self) -> Result<Expr> {
-        let left = self.parse_concat()?;
-        // IS checks.
+    /// The comparison suffix at the cursor, applied to `left`: `IS [NOT]
+    /// NULL | MISSING | VALUED` or `[NOT] BETWEEN | IN | LIKE …`.
+    fn parse_suffix(&mut self, left: Expr) -> Result<Expr> {
+        let left = Box::new(left);
         if self.eat_kw("is") {
             let negated = self.eat_kw("not");
-            let check = if self.eat_kw("null") {
-                if negated {
-                    IsCheck::NotNull
-                } else {
-                    IsCheck::Null
+            let word = ["null", "missing", "valued"].into_iter().find(|w| self.eat_kw(w));
+            let check = match (word, negated) {
+                (Some("null"), false) => IsCheck::Null,
+                (Some("null"), true) => IsCheck::NotNull,
+                (Some("missing"), false) => IsCheck::Missing,
+                (Some("missing"), true) => IsCheck::NotMissing,
+                (Some(_), false) => IsCheck::Valued,
+                (Some(_), true) => {
+                    let msg = "IS NOT VALUED is not supported; use IS NULL OR IS MISSING";
+                    return Err(self.err(msg));
                 }
-            } else if self.eat_kw("missing") {
-                if negated {
-                    IsCheck::NotMissing
-                } else {
-                    IsCheck::Missing
-                }
-            } else if self.eat_kw("valued") {
-                if negated {
-                    return Err(
-                        self.err("IS NOT VALUED is not supported; use IS NULL OR IS MISSING")
-                    );
-                }
-                IsCheck::Valued
-            } else {
-                return Err(self.err("expected NULL, MISSING or VALUED after IS"));
+                (None, _) => return Err(self.err("expected NULL, MISSING or VALUED after IS")),
             };
-            return Ok(Expr::IsCheck(check, Box::new(left)));
+            return Ok(Expr::IsCheck(check, left));
         }
-        let negated = self.at_kw("not")
-            && self.peek2().is_some_and(|t| t.is_kw("between") || t.is_kw("in") || t.is_kw("like"));
-        if negated {
-            self.pos += 1;
-        }
+        // `infix` takes a NOT only before BETWEEN, IN or LIKE.
+        let negated = self.eat_kw("not");
         if self.eat_kw("between") {
-            let low = self.parse_concat()?;
+            let low = Box::new(self.parse_bp(BP_CONCAT)?);
             self.expect_kw("and")?;
-            let high = self.parse_concat()?;
-            return Ok(Expr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
-                negated,
-            });
+            let high = Box::new(self.parse_bp(BP_CONCAT)?);
+            return Ok(Expr::Between { expr: left, low, high, negated });
         }
         if self.eat_kw("in") {
-            let list = self.parse_concat()?;
-            return Ok(Expr::In { expr: Box::new(left), list: Box::new(list), negated });
+            let list = Box::new(self.parse_bp(BP_CONCAT)?);
+            return Ok(Expr::In { expr: left, list, negated });
         }
-        if self.eat_kw("like") {
-            let pattern = self.parse_concat()?;
-            return Ok(Expr::Like { expr: Box::new(left), pattern: Box::new(pattern), negated });
-        }
-        for (p, op) in [
-            ("==", BinOp::Eq),
-            ("=", BinOp::Eq),
-            ("!=", BinOp::Ne),
-            ("<>", BinOp::Ne),
-            ("<=", BinOp::Le),
-            (">=", BinOp::Ge),
-            ("<", BinOp::Lt),
-            (">", BinOp::Gt),
-        ] {
-            if self.eat_punct(p) {
-                let right = self.parse_concat()?;
-                return Ok(Expr::Binary(op, Box::new(left), Box::new(right)));
-            }
-        }
-        Ok(left)
-    }
-
-    fn parse_concat(&mut self) -> Result<Expr> {
-        let mut left = self.parse_additive()?;
-        while self.eat_punct("||") {
-            let right = self.parse_additive()?;
-            left = Expr::Binary(BinOp::Concat, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            if self.eat_punct("+") {
-                let r = self.parse_multiplicative()?;
-                left = Expr::Binary(BinOp::Add, Box::new(left), Box::new(r));
-            } else if self.eat_punct("-") {
-                let r = self.parse_multiplicative()?;
-                left = Expr::Binary(BinOp::Sub, Box::new(left), Box::new(r));
-            } else {
-                return Ok(left);
-            }
-        }
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            if self.eat_punct("*") {
-                let r = self.parse_unary()?;
-                left = Expr::Binary(BinOp::Mul, Box::new(left), Box::new(r));
-            } else if self.eat_punct("/") {
-                let r = self.parse_unary()?;
-                left = Expr::Binary(BinOp::Div, Box::new(left), Box::new(r));
-            } else if self.eat_punct("%") {
-                let r = self.parse_unary()?;
-                left = Expr::Binary(BinOp::Mod, Box::new(left), Box::new(r));
-            } else {
-                return Ok(left);
-            }
-        }
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr> {
-        if self.eat_punct("-") {
-            return Ok(Expr::Unary(UnaryOp::Neg, Box::new(self.parse_unary()?)));
-        }
-        self.parse_postfix()
+        self.expect_kw("like")?;
+        let pattern = Box::new(self.parse_bp(BP_CONCAT)?);
+        Ok(Expr::Like { expr: left, pattern, negated })
     }
 
     fn parse_postfix(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut e = self.parse_primary()?;
         loop {
             if self.eat_punct(".") {
@@ -690,6 +697,8 @@ impl Parser {
                     }
                 }
             } else if self.peek().is_some_and(|t| t.is_punct("[")) && matches!(e, Expr::Path(_)) {
+                // A subscript steps one level into a value.
+                self.enter()?;
                 self.pos += 1;
                 let idx = match self.bump() {
                     Some(Token::Int(i)) => i,
@@ -704,12 +713,17 @@ impl Parser {
                     parts.push(PathPart::Index(idx));
                 }
             } else {
+                self.depth = depth;
                 return Ok(e);
             }
         }
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
+        if let Some(&Token::Punct(open @ ("(" | "[" | "{"))) = self.peek() {
+            self.pos += 1;
+            return self.nested(|p| p.parse_bracketed(open));
+        }
         match self.peek().cloned() {
             Some(Token::Int(i)) => {
                 self.pos += 1;
@@ -731,14 +745,25 @@ impl Parser {
                 self.pos += 1;
                 Ok(Expr::NamedParam(n))
             }
-            Some(Token::Punct("(")) => {
+            Some(Token::QuotedIdent(s)) => {
                 self.pos += 1;
+                Ok(Expr::Path(vec![PathPart::Field(s)]))
+            }
+            Some(Token::Ident(word)) => self.parse_ident_primary(word),
+            other => Err(self.err(&format!("unexpected token {other:?}"))),
+        }
+    }
+
+    /// A parenthesized expression, an array literal or an object literal,
+    /// its `open`ing bracket consumed.
+    fn parse_bracketed(&mut self, open: &str) -> Result<Expr> {
+        match open {
+            "(" => {
                 let e = self.parse_expr()?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
-            Some(Token::Punct("[")) => {
-                self.pos += 1;
+            "[" => {
                 let mut items = Vec::new();
                 if !self.eat_punct("]") {
                     loop {
@@ -751,8 +776,7 @@ impl Parser {
                 }
                 Ok(Expr::ArrayLit(items))
             }
-            Some(Token::Punct("{")) => {
-                self.pos += 1;
+            _ => {
                 let mut pairs = Vec::new();
                 if !self.eat_punct("}") {
                     loop {
@@ -771,12 +795,6 @@ impl Parser {
                 }
                 Ok(Expr::ObjectLit(pairs))
             }
-            Some(Token::QuotedIdent(s)) => {
-                self.pos += 1;
-                Ok(Expr::Path(vec![PathPart::Field(s)]))
-            }
-            Some(Token::Ident(word)) => self.parse_ident_primary(word),
-            other => Err(self.err(&format!("unexpected token {other:?}"))),
         }
     }
 
@@ -856,15 +874,16 @@ impl Parser {
             return Ok(Expr::Func { name: "MISSING".to_string(), args: vec![], distinct: false });
         }
         if word.eq_ignore_ascii_case("case") {
-            return self.parse_case();
+            return self.nested(Self::parse_case);
         }
         if word.eq_ignore_ascii_case("any") || word.eq_ignore_ascii_case("every") {
-            return self.parse_any_every(word.eq_ignore_ascii_case("any"));
+            let any = word.eq_ignore_ascii_case("any");
+            return self.nested(|p| p.parse_any_every(any));
         }
         if word.eq_ignore_ascii_case("array")
             && !self.peek2().is_some_and(|t| t.is_punct("(") || t.is_punct(".") || t.is_punct("["))
         {
-            return self.parse_array_comp();
+            return self.nested(Self::parse_array_comp);
         }
         // Function call?
         if self.peek2().is_some_and(|t| t.is_punct("(")) {
@@ -889,22 +908,27 @@ impl Parser {
                 self.expect_punct(")")?;
                 return Ok(Expr::CountStar);
             }
-            let distinct = self.eat_kw("distinct");
-            let mut args = Vec::new();
-            if !self.eat_punct(")") {
-                loop {
-                    args.push(self.parse_expr()?);
-                    if !self.eat_punct(",") {
-                        break;
-                    }
-                }
-                self.expect_punct(")")?;
-            }
-            return Ok(Expr::Func { name: word.to_uppercase(), args, distinct });
+            return self.nested(|p| p.parse_call(word));
         }
         // Plain path start.
         self.pos += 1;
         Ok(Expr::Path(vec![PathPart::Field(word)]))
+    }
+
+    /// A function call's arguments, its name and `(` consumed.
+    fn parse_call(&mut self, name: String) -> Result<Expr> {
+        let distinct = self.eat_kw("distinct");
+        let mut args = Vec::new();
+        if !self.eat_punct(")") {
+            loop {
+                args.push(self.parse_expr()?);
+                if !self.eat_punct(",") {
+                    break;
+                }
+            }
+            self.expect_punct(")")?;
+        }
+        Ok(Expr::Func { name: name.to_uppercase(), args, distinct })
     }
 
     fn parse_case(&mut self) -> Result<Expr> {

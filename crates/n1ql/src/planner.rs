@@ -40,14 +40,13 @@
 use std::cmp::Ordering;
 
 use cbs_common::{Error, Result};
-use cbs_index::{FilterCond, FilterOp, IndexDef, KeyExpr, ScanRange};
+use cbs_index::{FilterCond, FilterOp, IndexCardinality, IndexDef, KeyExpr, ScanRange};
 use cbs_json::Value;
 
 use crate::ast::*;
-use crate::datastore::Datastore;
+use crate::datastore::{Datastore, KeyspaceStats};
 use crate::exec::{eval_const, QueryOptions};
 use crate::plan::{AccessPath, Mutation, PlanEstimate, QueryPlan, RangeSpec, SelectPlan};
-use crate::stats::{IndexStat, KeyspaceStats};
 
 /// Cost of fetching one full document from the data service (a network
 /// round trip plus deserialization — the dominant term, §5.1.2).
@@ -248,8 +247,8 @@ fn choose_access(
         .map(|index| AccessPath::PrimaryScan { index: index.clone() });
 
     // Cost-based selection when statistics exist (doc_count == 0 means the
-    // keyspace is empty or stats were never collected — either way the
-    // model has nothing to price with, so fall back to the rules).
+    // keyspace is empty or no online index has counted it yet — either way
+    // the model has nothing to price with, so fall back to the rules).
     let stats = ds.keyspace_stats(&from.keyspace).filter(|s| s.doc_count > 0);
     if let Some(stats) = stats {
         let mut best: Option<(Candidate, PlanEstimate)> = None;
@@ -325,7 +324,11 @@ fn estimate_index_scan(
 /// An unrepresentative first binding can therefore lock in a worse plan
 /// than the parameter-free defaults would pick — the tradeoff, and why
 /// we accept it, is documented in DESIGN.md §13.
-fn range_selectivity(spec: &RangeSpec, istat: Option<&IndexStat>, opts: &QueryOptions) -> f64 {
+fn range_selectivity(
+    spec: &RangeSpec,
+    istat: Option<&IndexCardinality>,
+    opts: &QueryOptions,
+) -> f64 {
     if spec.is_unbounded() {
         return 1.0;
     }

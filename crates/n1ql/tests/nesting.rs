@@ -1,0 +1,70 @@
+//! No statement can overrun a thread's stack. The parser counts nesting on
+//! every recursive production and refuses a statement that nests deeper
+//! than `cbs_json::MAX_DEPTH` levels with a parse error; up to that depth,
+//! statements plan and run. The test runs on the default test thread, in
+//! debug and in release (frames differ between the two).
+
+// Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
+// allow-unwrap-in-tests config covers #[test] fns but not file helpers).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use cbs_common::Error;
+use cbs_index::IndexDef;
+use cbs_json::{Value, MAX_DEPTH};
+use cbs_n1ql::{query, Datastore, MemoryDatastore, QueryOptions};
+
+/// Each recursive production, nested `n` levels deep, as a statement.
+fn nested_statements(n: usize) -> Vec<(&'static str, String)> {
+    let wrap = |open: &str, inner: &str, close: &str| {
+        format!("SELECT {}{inner}{} AS x FROM p", open.repeat(n), close.repeat(n))
+    };
+    vec![
+        ("parentheses", wrap("(", "1", ")")),
+        ("NOT", wrap("NOT ", "true", "")),
+        ("unary minus", wrap("- ", "1", "")),
+        ("array literal", wrap("[", "1", "]")),
+        ("object literal", wrap("{\"a\":", "1", "}")),
+        ("subscripts", wrap("", "v", "[0]")),
+        ("CASE", wrap("CASE WHEN true THEN ", "1", " END")),
+        ("ANY … SATISFIES", wrap("ANY v IN a SATISFIES ", "true", " END")),
+        ("EVERY … SATISFIES", wrap("EVERY v IN a SATISFIES ", "true", " END")),
+        ("ARRAY … FOR", wrap("ARRAY ", "1", " FOR v IN a END")),
+        ("function arguments", wrap("ABS(", "1", ")")),
+        ("binary operators", wrap("", "1", " + 1")),
+        ("EXPLAIN", format!("{}SELECT 1 AS x FROM p", "EXPLAIN ".repeat(n))),
+    ]
+}
+
+fn datastore() -> MemoryDatastore {
+    let ds = MemoryDatastore::new();
+    ds.create_keyspace("p");
+    let doc = Value::object([("v", Value::int(1)), ("a", Value::Array(vec![Value::int(1)]))]);
+    ds.load("p", [("k1".to_string(), doc)]);
+    ds.create_index(IndexDef::primary("#primary", "p")).unwrap();
+    ds
+}
+
+#[test]
+fn statements_up_to_the_budget_run() {
+    let ds = datastore();
+    for (production, statement) in nested_statements(MAX_DEPTH) {
+        let result = query(&ds, &statement, &QueryOptions::default());
+        assert!(result.is_ok(), "{production}, {MAX_DEPTH} levels: {:?}", result.err());
+    }
+}
+
+#[test]
+fn deeper_statements_are_refused_and_the_process_lives() {
+    let ds = datastore();
+    for n in [MAX_DEPTH + 1, 1_000, 100_000] {
+        for (production, statement) in nested_statements(n) {
+            match query(&ds, &statement, &QueryOptions::default()) {
+                Err(Error::Parse(msg)) => assert!(msg.contains("nests deeper"), "{msg}"),
+                other => panic!("{production}, {n} levels: {other:?}"),
+            }
+        }
+    }
+    // The datastore still answers.
+    let rows = query(&ds, "SELECT v FROM p", &QueryOptions::default()).unwrap().rows;
+    assert_eq!(rows, [Value::object([("v", Value::int(1))])]);
+}

@@ -40,8 +40,9 @@
 #                                 claim is checked; then the cbstats demo
 #                                 and the product_catalog and quickstart
 #                                 examples run to completion (exit status
-#                                 only) and the staleness artifacts
-#                                 regenerate
+#                                 only), the N1QL nesting-budget test runs
+#                                 again in release and the staleness
+#                                 artifacts regenerate
 #   7. perfbench smoke            the benchmark package (its own workspace):
 #                                 unit tests, then every workload at --smoke
 #                                 sizes with its in-run correctness checks,
@@ -284,6 +285,10 @@ run "cbstats demo (runs to completion)" bash -c 'cargo run --quiet --release --e
 run "N1QL examples (run to completion)" bash -c \
     'cargo run --quiet --release --example product_catalog >/dev/null &&
      cargo run --quiet --release --example quickstart >/dev/null'
+# Stack frames differ between profiles: the parser's nesting budget must
+# keep the deepest accepted statement inside a test thread's stack, and
+# refuse deeper ones, in the optimised build too.
+run "N1QL nesting budget (release)" cargo test --quiet --release -p cbs-n1ql --test nesting
 run_stage staleness-smoke
 run_stage perfbench-smoke
 
