@@ -45,8 +45,8 @@ pub(crate) struct ClusterInner {
     /// feeding `system:active_requests` / `system:completed_requests`.
     /// Shared across query nodes the way the registry is.
     pub request_log: Arc<cbs_n1ql::RequestLog>,
-    /// The query service's prepared-statement / plan cache, shared across
-    /// query nodes like the registry ("a prepared statement is usable on
+    /// The query service's prepared-statement registry (each entry holds
+    /// its plan), shared across query nodes like the registry ("a prepared statement is usable on
     /// any query node"). Its `n1ql.plancache.*` metrics live in
     /// `query_registry`.
     pub plan_cache: Arc<cbs_n1ql::PlanCache>,
@@ -761,7 +761,7 @@ impl Cluster {
         &self.inner.request_log
     }
 
-    /// The query service's prepared-statement / plan cache — the live
+    /// The query service's prepared-statement registry — the live
     /// backing store of the `system:prepareds` keyspace.
     pub fn plan_cache(&self) -> &Arc<cbs_n1ql::PlanCache> {
         &self.inner.plan_cache

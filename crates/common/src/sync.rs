@@ -160,13 +160,11 @@ pub mod rank {
     /// In-memory test datastore's keyspace table. Leaf: document
     /// mutations and scans only.
     pub const N1QL_KEYSPACES: LockRank = LockRank::new(125, "n1ql.memds.keyspaces");
-    /// Plan-cache shard (statement → plan). Lookup consults the epoch
-    /// table while holding a shard, so shards precede epochs.
-    pub const N1QL_PLAN_SHARD: LockRank = LockRank::new(132, "n1ql.plancache.shard");
-    /// Plan-cache keyspace epoch table. Taken under a plan-cache shard on
-    /// the lookup staleness re-check.
+    /// Plan-cache keyspace epoch table. Leaf: an EXECUTE reads it for
+    /// its stamp check after releasing the registry guard, and an epoch
+    /// bump releases it before taking the registry.
     pub const N1QL_PLAN_EPOCHS: LockRank = LockRank::new(134, "n1ql.plancache.epochs");
-    /// Prepared-statement registry. Leaf.
+    /// Prepared-statement registry (name → entry holding its plan). Leaf.
     pub const N1QL_PREPARED: LockRank = LockRank::new(136, "n1ql.plancache.prepared");
     /// Transaction scheduler's per-batch state (statuses, commit
     /// frontier, execution records). Held while resolving multi-version

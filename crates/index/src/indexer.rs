@@ -243,10 +243,11 @@ trait Entries: Send {
     /// Documents held, tombstones included.
     fn held(&self) -> u64;
 
-    /// Visit the documents held, tombstones included, in the back index's
-    /// order from the `skip`-th on, until `visit` returns false. The order
-    /// stays the same while nothing is put.
-    fn visit(&self, skip: usize, visit: &mut dyn FnMut(&DocKey, Held<'_>) -> bool);
+    /// The version of `doc_id` held, if any, with its keys.
+    fn held_version(&self, doc_id: &str) -> Option<Held<'_>>;
+
+    /// Visit every document held, tombstones included.
+    fn visit(&self, visit: &mut dyn FnMut(&DocKey, Held<'_>));
 
     /// Live entries, and documents that have one.
     fn counts(&self) -> (u64, u64);
@@ -255,6 +256,18 @@ trait Entries: Send {
 
     /// Range scan over the leading key, in row order; at most `limit` rows.
     fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry>;
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Back-index entries this thread has visited or looked up.
+    static BACK_INDEX_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// One step through a back index: what a rewrite's cost is counted in.
+fn count_back_index_step() {
+    #[cfg(test)]
+    BACK_INDEX_STEPS.with(|steps| steps.set(steps.get() + 1));
 }
 
 /// The version of one document the back index holds.
@@ -341,11 +354,16 @@ impl Entries for KeyEntries {
         self.docs.len() as u64
     }
 
-    fn visit(&self, skip: usize, visit: &mut dyn FnMut(&DocKey, Held<'_>) -> bool) {
-        for (id, (seqno, vb, keys)) in self.docs.iter().skip(skip) {
-            if !visit(id, Held { seqno: *seqno, vb: *vb, keys }) {
-                break;
-            }
+    fn held_version(&self, doc_id: &str) -> Option<Held<'_>> {
+        count_back_index_step();
+        let (seqno, vb, keys) = self.docs.get(doc_id)?;
+        Some(Held { seqno: *seqno, vb: *vb, keys })
+    }
+
+    fn visit(&self, visit: &mut dyn FnMut(&DocKey, Held<'_>)) {
+        for (id, (seqno, vb, keys)) in self.docs.iter() {
+            count_back_index_step();
+            visit(id, Held { seqno: *seqno, vb: *vb, keys });
         }
     }
 
@@ -406,6 +424,15 @@ struct IdEntries {
 const ID_ALONE: &[IndexKey] = &[IndexKey::ID];
 
 impl IdEntries {
+    /// The keys a held document has: its id, unless it is a tombstone.
+    fn keys_of(&self, doc_id: &str) -> &'static [IndexKey] {
+        if self.ids.contains(doc_id) {
+            ID_ALONE
+        } else {
+            &[]
+        }
+    }
+
     /// Where the ids inside `range` start, or `None` when no id can be
     /// inside it. Every id collates as a string, so a low bound of another
     /// type is below all of them or above all of them.
@@ -446,12 +473,16 @@ impl Entries for IdEntries {
         self.docs.len() as u64
     }
 
-    fn visit(&self, skip: usize, visit: &mut dyn FnMut(&DocKey, Held<'_>) -> bool) {
-        for (id, (seqno, vb)) in self.docs.iter().skip(skip) {
-            let keys = if self.ids.contains(id) { ID_ALONE } else { &[] };
-            if !visit(id, Held { seqno: *seqno, vb: *vb, keys }) {
-                break;
-            }
+    fn held_version(&self, doc_id: &str) -> Option<Held<'_>> {
+        count_back_index_step();
+        let (seqno, vb) = self.docs.get(doc_id)?;
+        Some(Held { seqno: *seqno, vb: *vb, keys: self.keys_of(doc_id) })
+    }
+
+    fn visit(&self, visit: &mut dyn FnMut(&DocKey, Held<'_>)) {
+        for (id, (seqno, vb)) in self.docs.iter() {
+            count_back_index_step();
+            visit(id, Held { seqno: *seqno, vb: *vb, keys: self.keys_of(id) });
         }
     }
 
@@ -673,9 +704,11 @@ impl Indexer {
     /// under the vBucket it came from, then a watermark record for each
     /// vBucket whose mark no document record carries. A replay of the new
     /// file rebuilds the same tree and watermarks. The tree lock is taken
-    /// once per slice and never held across a write: each slice walks the
-    /// back index again to where the last one stopped, as a hash table
-    /// keeps no cursor across a release of its lock. A failed rewrite
+    /// once per slice and never held across a write. A hash table keeps no
+    /// cursor across a release of its lock, so the held ids are copied
+    /// once, in one walk of the back index, and each slice looks up the
+    /// next of them: a rewrite costs two back-index steps per document,
+    /// and the copy lives only as long as the rewrite. A failed rewrite
     /// leaves the log as it was.
     fn rewrite(&self, log: &mut PartitionLog) -> Result<()> {
         let _s = cbs_obs::span("index.log.rewrite");
@@ -683,23 +716,26 @@ impl Indexer {
         let marks = self.marks.snapshot();
         // Per vBucket, the highest seqno a document record carries.
         let mut carried = vec![SeqNo::ZERO; marks.len()];
-        let (mut cycle, mut written) = (Cycle::new(), 0usize);
-        loop {
-            let mut pushed = Ok(());
-            self.tree.lock().entries.visit(written, &mut |id, held| {
-                pushed = push_version(&mut cycle, held.vb, id, held.seqno, held.keys);
+        let (mut cycle, mut written) = (Cycle::new(), 0u64);
+        let mut ids = Vec::new();
+        self.tree.lock().entries.visit(&mut |id, _| ids.push(id.clone()));
+        let mut ids = ids.iter();
+        while ids.len() > 0 {
+            let t = self.tree.lock();
+            // The writer lock is held: every id is still there.
+            for held_id in ids.by_ref() {
+                let Some(held) = t.entries.held_version(held_id) else { continue };
+                push_version(&mut cycle, held.vb, held_id, held.seqno, held.keys)?;
                 if let Some(high) = carried.get_mut(held.vb.index()) {
                     *high = (*high).max(held.seqno);
                 }
                 written += 1;
-                pushed.is_ok() && cycle.buffered_bytes() < CYCLE_SLICE
-            });
-            pushed?;
-            let full = cycle.buffered_bytes() >= CYCLE_SLICE;
-            fresh.append(&mut cycle)?;
-            if !full {
-                break;
+                if cycle.buffered_bytes() >= CYCLE_SLICE {
+                    break;
+                }
             }
+            drop(t);
+            fresh.append(&mut cycle)?;
         }
         let mut mark_records = 0;
         for (vb, (mark, high)) in marks.into_iter().zip(carried).enumerate() {
@@ -713,7 +749,7 @@ impl Indexer {
         }
         fresh.append(&mut cycle)?;
         log.file.install(fresh, |_| ())?;
-        log.records = written as u64 + mark_records;
+        log.records = written + mark_records;
         log.marks = mark_records;
         Ok(())
     }
@@ -808,9 +844,8 @@ impl Indexer {
     /// whole state behind the tree, for equivalence and recovery checks.
     pub fn doc_versions(&self) -> Vec<(DocKey, SeqNo, Vec<IndexKey>)> {
         let mut out = Vec::new();
-        self.tree.lock().entries.visit(0, &mut |id, held| {
+        self.tree.lock().entries.visit(&mut |id, held| {
             out.push((id.clone(), held.seqno, held.keys.to_vec()));
-            true
         });
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -1135,6 +1170,36 @@ mod tests {
         target[0] = SeqNo(1);
         let wait = idx.wait_consistent(&ScanConsistency::AtPlus(target), after_ms(20));
         assert!(matches!(wait, Err(Error::Timeout(_))));
+    }
+
+    /// A rewrite walks the back index once and then looks each document
+    /// up once: not a walk from the start per 64 KiB slice, which for this
+    /// partition's ~50 slices would be millions of steps.
+    #[test]
+    fn a_rewrite_takes_two_back_index_steps_per_document() {
+        const DOCS: u64 = 100_000;
+        let dir = cbs_storage::scratch_dir("gsi-rewrite-steps");
+        let idx =
+            Indexer::new(4, Layout::Ids, IndexStorage::Standard, Some(dir.clone()), "ix").unwrap();
+        let vb = |i: u64| VbId((i % 4) as u16);
+        let batch = (0..DOCS)
+            .map(|i| put(&format!("d{i:06}"), vec![IndexKey::ID], vb(i), SeqNo(i / 4 + 1)));
+        idx.apply_batch(batch.collect()).unwrap();
+        remove(&idx, "d000000", VbId(0), SeqNo(DOCS));
+        let (docs, marks) = (idx.doc_versions(), idx.watermarks());
+
+        let steps = || BACK_INDEX_STEPS.with(std::cell::Cell::get);
+        let before = steps();
+        let log = idx.log.as_ref().unwrap();
+        idx.rewrite(&mut log.lock()).unwrap();
+        let taken = steps() - before;
+        assert!(taken <= 2 * DOCS, "{taken} back-index steps to rewrite {DOCS} documents");
+        assert_eq!(log.lock().records, DOCS, "one record per document, tombstone included");
+
+        drop(idx);
+        let back = Indexer::recover(4, Layout::Ids, &dir, "ix").unwrap();
+        assert_eq!(back.doc_versions(), docs);
+        assert_eq!(back.watermarks(), marks);
     }
 
     /// Scans never queue behind an fsync or a compaction: the log is

@@ -46,6 +46,27 @@ pub enum Expr {
     ArrayComp { expr: Box<Expr>, var: String, source: Box<Expr>, when: Option<Box<Expr>> },
 }
 
+impl Expr {
+    /// The expressions this one is computed from, in order. The bodies of
+    /// ANY/EVERY … SATISFIES and ARRAY … FOR see a bound variable, not the
+    /// row, so they are not listed, nor is their source.
+    pub(crate) fn operands(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Unary(_, a) | Expr::IsCheck(_, a) => vec![a],
+            Expr::Binary(_, a, b)
+            | Expr::In { expr: a, list: b, .. }
+            | Expr::Like { expr: a, pattern: b, .. } => vec![a, b],
+            Expr::Between { expr, low, high, .. } => vec![expr, low, high],
+            Expr::Func { args, .. } | Expr::ArrayLit(args) => args.iter().collect(),
+            Expr::ObjectLit(pairs) => pairs.iter().map(|(_, v)| v).collect(),
+            Expr::Case { arms, else_ } => {
+                arms.iter().flat_map(|(c, v)| [c, v]).chain(else_.as_deref()).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
 /// One step of a path expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PathPart {
@@ -218,7 +239,7 @@ pub enum Statement {
     /// `BUILD INDEX ON ks(name, ...)`.
     BuildIndex { keyspace: String, names: Vec<String> },
     /// `PREPARE <name> FROM <statement>` — plan once, register under a
-    /// name for later `EXECUTE` (backed by the plan cache).
+    /// name for later `EXECUTE` (the entry holds the plan).
     Prepare { name: String, stmt: Box<Statement> },
     /// `EXECUTE <name>` — run a previously prepared statement, binding
     /// this request's positional/named parameters.

@@ -131,8 +131,8 @@ pub trait Datastore: Send + Sync {
         None
     }
 
-    /// The plan cache + prepared-statement registry, when this datastore
-    /// has one. `None` disables plan caching and PREPARE/EXECUTE.
+    /// The prepared-statement registry, when this datastore has one.
+    /// `None` disables PREPARE/EXECUTE.
     fn plan_cache(&self) -> Option<&PlanCache> {
         None
     }
@@ -251,7 +251,7 @@ impl MemoryDatastore {
     }
 
     /// Drop every document in a keyspace (a bucket flush). Indexes stay
-    /// defined; the keyspace epoch is bumped so cached plans are
+    /// defined; the keyspace epoch is bumped so prepared plans are
     /// invalidated.
     pub fn flush_keyspace(&self, keyspace: &str) -> Result<()> {
         let mut map = self.keyspaces.write();

@@ -14,6 +14,9 @@ use cbs_json::{cmp_values, Value};
 
 use crate::ast::{BinOp, Expr, IsCheck, PathPart, UnaryOp};
 
+/// What evaluating an expression gives: `Ok(None)` is MISSING.
+type Eval = Result<Option<Value>>;
+
 /// Evaluation context: one pipeline row plus query parameters.
 pub struct EvalCtx<'a> {
     /// The row object: alias → bound value (keyspace documents, unnest
@@ -57,226 +60,213 @@ pub fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
         }
         return; // aggregates never nest in N1QL
     }
-    match e {
-        Expr::Unary(_, a) => collect_aggregates(a, out),
-        Expr::Binary(_, a, b) => {
-            collect_aggregates(a, out);
-            collect_aggregates(b, out);
-        }
-        Expr::IsCheck(_, a) => collect_aggregates(a, out),
-        Expr::Between { expr, low, high, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::In { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(list, out);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(pattern, out);
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out);
-            }
-        }
-        Expr::ArrayLit(items) => {
-            for i in items {
-                collect_aggregates(i, out);
-            }
-        }
-        Expr::ObjectLit(pairs) => {
-            for (_, v) in pairs {
-                collect_aggregates(v, out);
-            }
-        }
-        Expr::Case { arms, else_ } => {
-            for (c, v) in arms {
-                collect_aggregates(c, out);
-                collect_aggregates(v, out);
-            }
-            if let Some(e2) = else_ {
-                collect_aggregates(e2, out);
-            }
-        }
-        _ => {}
+    for operand in e.operands() {
+        collect_aggregates(operand, out);
     }
 }
 
 /// Evaluate an expression; `Ok(None)` is MISSING.
-pub fn eval(e: &Expr, ctx: &EvalCtx<'_>) -> Result<Option<Value>> {
+///
+/// Nested expressions recurse through here once per level, so every arm
+/// is one call: the work of an operator happens in a function of its own,
+/// and only the functions that evaluate operands (`eval_binary`,
+/// `eval_operands`, ...) stay on the recursion path, with small frames.
+pub fn eval(e: &Expr, ctx: &EvalCtx<'_>) -> Eval {
     match e {
         Expr::Literal(v) => Ok(Some(v.clone())),
         Expr::Path(parts) => Ok(resolve_path(parts, ctx)),
-        Expr::MetaId(alias) => {
-            let key = match alias {
-                Some(a) => ctx.metas.get(a),
-                None => match ctx.default_alias {
-                    Some(a) => ctx.metas.get(a),
-                    // Single meta: unambiguous.
-                    None if ctx.metas.len() == 1 => ctx.metas.values().next(),
-                    None => None,
-                },
-            };
-            Ok(key.map(|k| Value::from(k.as_str())))
-        }
-        Expr::PosParam(n) => ctx
-            .pos_params
-            .get(n.checked_sub(1).ok_or_else(|| Error::Eval("$0 is invalid".to_string()))?)
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| Error::Eval(format!("missing positional parameter ${n}"))),
-        Expr::NamedParam(n) => ctx
-            .named_params
-            .get(n)
-            .cloned()
-            .map(Some)
+        Expr::MetaId(alias) => Ok(meta_id(alias.as_deref(), ctx)),
+        Expr::PosParam(n) => pos_param(*n, ctx),
+        Expr::NamedParam(n) => (ctx.named_params.get(n).cloned().map(Some))
             .ok_or_else(|| Error::Eval(format!("missing named parameter ${n}"))),
-        Expr::Unary(op, inner) => {
-            let v = eval(inner, ctx)?;
-            Ok(match op {
-                UnaryOp::Neg => match v {
-                    Some(Value::Number(n)) => Some(norm_num(Value::float(-n.as_f64()))),
-                    Some(_) => Some(Value::Null),
-                    None => None,
-                },
-                UnaryOp::Not => match truth(&v) {
-                    Truth::True => Some(Value::Bool(false)),
-                    Truth::False => Some(Value::Bool(true)),
-                    Truth::Null => Some(Value::Null),
-                    Truth::Missing => None,
-                },
-            })
-        }
+        Expr::Unary(op, inner) => eval(inner, ctx).map(|v| unary(*op, v)),
         Expr::Binary(op, a, b) => eval_binary(*op, a, b, ctx),
-        Expr::IsCheck(check, inner) => {
-            let v = eval(inner, ctx)?;
-            Ok(Some(Value::Bool(match check {
-                IsCheck::Null => matches!(v, Some(Value::Null)),
-                IsCheck::NotNull => !matches!(v, Some(Value::Null)) && v.is_some(),
-                IsCheck::Missing => v.is_none(),
-                IsCheck::NotMissing => v.is_some(),
-                IsCheck::Valued => v.is_some() && !matches!(v, Some(Value::Null)),
-            })))
-        }
+        Expr::IsCheck(check, inner) => eval(inner, ctx).map(|v| is_check(*check, v)),
         Expr::Between { expr, low, high, negated } => {
-            let v = eval(expr, ctx)?;
-            let lo = eval(low, ctx)?;
-            let hi = eval(high, ctx)?;
-            match (v, lo, hi) {
-                (Some(v), Some(lo), Some(hi)) => {
-                    if v.is_null() || lo.is_null() || hi.is_null() {
-                        return Ok(Some(Value::Null));
-                    }
-                    let inside = cmp_values(&v, &lo) != Ordering::Less
-                        && cmp_values(&v, &hi) != Ordering::Greater;
-                    Ok(Some(Value::Bool(inside != *negated)))
-                }
-                _ => Ok(None),
-            }
+            eval_operands([expr, low, high], ctx).map(|[v, lo, hi]| between(v, lo, hi, *negated))
         }
         Expr::In { expr, list, negated } => {
-            let v = eval(expr, ctx)?;
-            let l = eval(list, ctx)?;
-            match (v, l) {
-                (Some(v), Some(Value::Array(items))) => {
-                    let found = items.iter().any(|i| cmp_values(i, &v) == Ordering::Equal);
-                    Ok(Some(Value::Bool(found != *negated)))
-                }
-                (Some(_), Some(_)) => Ok(Some(Value::Null)),
-                _ => Ok(None),
-            }
+            eval_operands([expr, list], ctx).map(|[v, l]| in_list(v, l, *negated))
         }
         Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, ctx)?;
-            let p = eval(pattern, ctx)?;
-            match (v, p) {
-                (Some(Value::String(s)), Some(Value::String(pat))) => {
-                    Ok(Some(Value::Bool(like_match(&s, &pat) != *negated)))
-                }
-                (Some(_), Some(_)) => Ok(Some(Value::Null)),
-                _ => Ok(None),
-            }
+            eval_operands([expr, pattern], ctx).map(|[v, p]| like(v, p, *negated))
         }
-        Expr::CountStar | Expr::Func { .. } if is_aggregate(e) => {
-            let aggs = ctx.aggs.ok_or_else(|| {
-                Error::Eval("aggregate function outside GROUP BY context".to_string())
-            })?;
-            aggs.get(&expr_fingerprint(e)).cloned().map(Some).ok_or_else(|| {
-                Error::Eval("aggregate expression not computed by Group operator".to_string())
-            })
-        }
-        Expr::Func { name, args, .. } => eval_scalar_fn(name, eval_args(args, ctx)?),
+        Expr::CountStar | Expr::Func { .. } if is_aggregate(e) => aggregate(e, ctx),
+        Expr::Func { name, args, .. } => eval_args(args, ctx).and_then(|v| eval_scalar_fn(name, v)),
         Expr::CountStar => unreachable!("handled by aggregate arm"),
-        Expr::ArrayLit(items) => {
-            let mut out = Vec::with_capacity(items.len());
-            for i in items {
-                out.push(eval(i, ctx)?.unwrap_or(Value::Null));
-            }
-            Ok(Some(Value::Array(out)))
-        }
-        Expr::ObjectLit(pairs) => {
-            let mut obj = Value::empty_object();
-            for (k, v) in pairs {
-                if let Some(val) = eval(v, ctx)? {
-                    obj.insert_field(k, val);
-                }
-            }
-            Ok(Some(obj))
-        }
-        Expr::Case { arms, else_ } => {
-            for (cond, val) in arms {
-                if truth(&eval(cond, ctx)?) == Truth::True {
-                    return eval(val, ctx);
-                }
-            }
-            match else_ {
-                Some(e2) => eval(e2, ctx),
-                None => Ok(Some(Value::Null)),
-            }
-        }
-        Expr::AnyEvery { any, var, source, cond } => {
-            let src = eval(source, ctx)?;
-            let Some(Value::Array(items)) = src else {
-                return Ok(Some(Value::Bool(!*any)));
-            };
-            let mut result = !*any; // ANY starts false, EVERY starts true
-            for item in items {
-                let mut row = ctx.row.clone();
-                row.insert_field(var, item);
-                let sub = EvalCtx { row: &row, ..*ctx };
-                let t = truth(&eval(cond, &sub)?) == Truth::True;
-                if *any && t {
-                    result = true;
-                    break;
-                }
-                if !*any && !t {
-                    result = false;
-                    break;
-                }
-            }
-            Ok(Some(Value::Bool(result)))
-        }
+        Expr::ArrayLit(items) => eval_args(items, ctx).map(array_of),
+        Expr::ObjectLit(pairs) => eval_object(pairs, ctx),
+        Expr::Case { arms, else_ } => eval_case(arms, else_.as_deref(), ctx),
+        Expr::AnyEvery { any, var, source, cond } => eval_any_every(*any, var, source, cond, ctx),
         Expr::ArrayComp { expr, var, source, when } => {
-            let src = eval(source, ctx)?;
-            let Some(Value::Array(items)) = src else { return Ok(Some(Value::Array(vec![]))) };
-            let mut out = Vec::new();
-            for item in items {
-                let mut row = ctx.row.clone();
-                row.insert_field(var, item);
-                let sub = EvalCtx { row: &row, ..*ctx };
-                if let Some(w) = when {
-                    if truth(&eval(w, &sub)?) != Truth::True {
-                        continue;
-                    }
-                }
-                out.push(eval(expr, &sub)?.unwrap_or(Value::Null));
-            }
-            Ok(Some(Value::Array(out)))
+            eval_array_comp(expr, var, source, when.as_deref(), ctx)
         }
     }
+}
+
+fn meta_id(alias: Option<&str>, ctx: &EvalCtx<'_>) -> Option<Value> {
+    let key = match alias.or(ctx.default_alias) {
+        Some(a) => ctx.metas.get(a),
+        // Single meta: unambiguous.
+        None if ctx.metas.len() == 1 => ctx.metas.values().next(),
+        None => None,
+    };
+    key.map(|k| Value::from(k.as_str()))
+}
+
+fn pos_param(n: usize, ctx: &EvalCtx<'_>) -> Eval {
+    let i = n.checked_sub(1).ok_or_else(|| Error::Eval("$0 is invalid".to_string()))?;
+    let missing = || Error::Eval(format!("missing positional parameter ${n}"));
+    ctx.pos_params.get(i).cloned().map(Some).ok_or_else(missing)
+}
+
+fn unary(op: UnaryOp, v: Option<Value>) -> Option<Value> {
+    match op {
+        UnaryOp::Neg => match v {
+            Some(Value::Number(n)) => Some(norm_num(Value::float(-n.as_f64()))),
+            Some(_) => Some(Value::Null),
+            None => None,
+        },
+        UnaryOp::Not => match truth(&v) {
+            Truth::True => Some(Value::Bool(false)),
+            Truth::False => Some(Value::Bool(true)),
+            Truth::Null => Some(Value::Null),
+            Truth::Missing => None,
+        },
+    }
+}
+
+fn is_check(check: IsCheck, v: Option<Value>) -> Option<Value> {
+    Some(Value::Bool(match check {
+        IsCheck::Null => matches!(v, Some(Value::Null)),
+        IsCheck::NotNull => !matches!(v, Some(Value::Null)) && v.is_some(),
+        IsCheck::Missing => v.is_none(),
+        IsCheck::NotMissing => v.is_some(),
+        IsCheck::Valued => v.is_some() && !matches!(v, Some(Value::Null)),
+    }))
+}
+
+/// The operands of a BETWEEN, IN or LIKE, evaluated in order.
+fn eval_operands<const N: usize>(
+    exprs: [&Expr; N],
+    ctx: &EvalCtx<'_>,
+) -> Result<[Option<Value>; N]> {
+    let mut vals = [const { None }; N];
+    for (slot, e) in vals.iter_mut().zip(exprs) {
+        *slot = eval(e, ctx)?;
+    }
+    Ok(vals)
+}
+
+fn between(v: Option<Value>, lo: Option<Value>, hi: Option<Value>, negated: bool) -> Option<Value> {
+    let (Some(v), Some(lo), Some(hi)) = (v, lo, hi) else { return None };
+    if v.is_null() || lo.is_null() || hi.is_null() {
+        return Some(Value::Null);
+    }
+    let inside = cmp_values(&v, &lo) != Ordering::Less && cmp_values(&v, &hi) != Ordering::Greater;
+    Some(Value::Bool(inside != negated))
+}
+
+fn in_list(v: Option<Value>, list: Option<Value>, negated: bool) -> Option<Value> {
+    match (v, list) {
+        (Some(v), Some(Value::Array(items))) => {
+            let found = items.iter().any(|i| cmp_values(i, &v) == Ordering::Equal);
+            Some(Value::Bool(found != negated))
+        }
+        (Some(_), Some(_)) => Some(Value::Null),
+        _ => None,
+    }
+}
+
+fn like(v: Option<Value>, pattern: Option<Value>, negated: bool) -> Option<Value> {
+    match (v, pattern) {
+        (Some(Value::String(s)), Some(Value::String(pat))) => {
+            Some(Value::Bool(like_match(&s, &pat) != negated))
+        }
+        (Some(_), Some(_)) => Some(Value::Null),
+        _ => None,
+    }
+}
+
+fn aggregate(e: &Expr, ctx: &EvalCtx<'_>) -> Eval {
+    let aggs = ctx
+        .aggs
+        .ok_or_else(|| Error::Eval("aggregate function outside GROUP BY context".to_string()))?;
+    aggs.get(&expr_fingerprint(e)).cloned().map(Some).ok_or_else(|| {
+        Error::Eval("aggregate expression not computed by Group operator".to_string())
+    })
+}
+
+fn array_of(items: Vec<Option<Value>>) -> Option<Value> {
+    Some(Value::Array(items.into_iter().map(|v| v.unwrap_or(Value::Null)).collect()))
+}
+
+fn eval_object(pairs: &[(String, Expr)], ctx: &EvalCtx<'_>) -> Eval {
+    let mut obj = Value::empty_object();
+    for (k, v) in pairs {
+        if let Some(val) = eval(v, ctx)? {
+            obj.insert_field(k, val);
+        }
+    }
+    Ok(Some(obj))
+}
+
+fn eval_case(arms: &[(Expr, Expr)], else_: Option<&Expr>, ctx: &EvalCtx<'_>) -> Eval {
+    for (cond, val) in arms {
+        if truth(&eval(cond, ctx)?) == Truth::True {
+            return eval(val, ctx);
+        }
+    }
+    match else_ {
+        Some(e) => eval(e, ctx),
+        None => Ok(Some(Value::Null)),
+    }
+}
+
+fn eval_any_every(any: bool, var: &str, source: &Expr, cond: &Expr, ctx: &EvalCtx<'_>) -> Eval {
+    let Some(Value::Array(items)) = eval(source, ctx)? else {
+        return Ok(Some(Value::Bool(!any)));
+    };
+    // ANY is true at the first item that satisfies, EVERY false at the
+    // first that does not.
+    for item in items {
+        let row = bind(ctx.row, var, item);
+        if (truth(&eval(cond, &EvalCtx { row: &row, ..*ctx })?) == Truth::True) == any {
+            return Ok(Some(Value::Bool(any)));
+        }
+    }
+    Ok(Some(Value::Bool(!any)))
+}
+
+fn eval_array_comp(
+    expr: &Expr,
+    var: &str,
+    source: &Expr,
+    when: Option<&Expr>,
+    ctx: &EvalCtx<'_>,
+) -> Eval {
+    let Some(Value::Array(items)) = eval(source, ctx)? else {
+        return Ok(Some(Value::Array(vec![])));
+    };
+    let mut out = Vec::new();
+    for item in items {
+        let row = bind(ctx.row, var, item);
+        let sub = EvalCtx { row: &row, ..*ctx };
+        if let Some(w) = when {
+            if truth(&eval(w, &sub)?) != Truth::True {
+                continue;
+            }
+        }
+        out.push(eval(expr, &sub)?.unwrap_or(Value::Null));
+    }
+    Ok(Some(Value::Array(out)))
+}
+
+/// `row` with `var` bound to `item` (an ANY/EVERY or ARRAY … FOR variable).
+fn bind(row: &Value, var: &str, item: Value) -> Value {
+    let mut row = row.clone();
+    row.insert_field(var, item);
+    row
 }
 
 fn resolve_path(parts: &[PathPart], ctx: &EvalCtx<'_>) -> Option<Value> {
@@ -324,29 +314,34 @@ pub fn truth(v: &Option<Value>) -> Truth {
     }
 }
 
-fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: &EvalCtx<'_>) -> Result<Option<Value>> {
+fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: &EvalCtx<'_>) -> Eval {
     // Logical operators use Kleene truth tables.
     if matches!(op, BinOp::And | BinOp::Or) {
         let ta = truth(&eval(a, ctx)?);
-        let tb = truth(&eval(b, ctx)?);
-        return Ok(match (op, ta, tb) {
-            (BinOp::And, Truth::False, _) | (BinOp::And, _, Truth::False) => {
-                Some(Value::Bool(false))
-            }
-            (BinOp::And, Truth::True, Truth::True) => Some(Value::Bool(true)),
-            (BinOp::Or, Truth::True, _) | (BinOp::Or, _, Truth::True) => Some(Value::Bool(true)),
-            (BinOp::Or, Truth::False, Truth::False) => Some(Value::Bool(false)),
-            (_, Truth::Missing, _) | (_, _, Truth::Missing) => None,
-            _ => Some(Value::Null),
-        });
+        return Ok(logical(op, ta, truth(&eval(b, ctx)?)));
     }
-    let va = eval(a, ctx)?;
-    let vb = eval(b, ctx)?;
-    let (Some(va), Some(vb)) = (va, vb) else { return Ok(None) };
+    eval_operands([a, b], ctx).map(|[va, vb]| binary(op, va, vb))
+}
+
+fn logical(op: BinOp, ta: Truth, tb: Truth) -> Option<Value> {
+    match (op, ta, tb) {
+        (BinOp::And, Truth::False, _) | (BinOp::And, _, Truth::False) => Some(Value::Bool(false)),
+        (BinOp::And, Truth::True, Truth::True) => Some(Value::Bool(true)),
+        (BinOp::Or, Truth::True, _) | (BinOp::Or, _, Truth::True) => Some(Value::Bool(true)),
+        (BinOp::Or, Truth::False, Truth::False) => Some(Value::Bool(false)),
+        (_, Truth::Missing, _) | (_, _, Truth::Missing) => None,
+        _ => Some(Value::Null),
+    }
+}
+
+/// A comparison, concatenation or arithmetic operator applied to its
+/// evaluated operands.
+fn binary(op: BinOp, va: Option<Value>, vb: Option<Value>) -> Option<Value> {
+    let (Some(va), Some(vb)) = (va, vb) else { return None };
     // Comparisons.
     if matches!(op, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
         if va.is_null() || vb.is_null() {
-            return Ok(Some(Value::Null));
+            return Some(Value::Null);
         }
         let ord = cmp_values(&va, &vb);
         let result = match op {
@@ -358,37 +353,28 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, ctx: &EvalCtx<'_>) -> Result<Optio
             BinOp::Ge => ord != Ordering::Less,
             _ => unreachable!(),
         };
-        return Ok(Some(Value::Bool(result)));
+        return Some(Value::Bool(result));
     }
     if op == BinOp::Concat {
-        return Ok(Some(match (va.as_str(), vb.as_str()) {
+        return Some(match (va.as_str(), vb.as_str()) {
             (Some(x), Some(y)) => Value::from(format!("{x}{y}")),
             _ => Value::Null,
-        }));
+        });
     }
     // Arithmetic.
     let (Some(x), Some(y)) = (va.as_f64(), vb.as_f64()) else {
-        return Ok(Some(Value::Null));
+        return Some(Value::Null);
     };
     let result = match op {
         BinOp::Add => x + y,
         BinOp::Sub => x - y,
         BinOp::Mul => x * y,
-        BinOp::Div => {
-            if y == 0.0 {
-                return Ok(Some(Value::Null));
-            }
-            x / y
-        }
-        BinOp::Mod => {
-            if y == 0.0 {
-                return Ok(Some(Value::Null));
-            }
-            x % y
-        }
+        BinOp::Div | BinOp::Mod if y == 0.0 => return Some(Value::Null),
+        BinOp::Div => x / y,
+        BinOp::Mod => x % y,
         _ => unreachable!(),
     };
-    Ok(Some(norm_num(Value::float(result))))
+    Some(norm_num(Value::float(result)))
 }
 
 /// Collapse integral floats back to ints so arithmetic on ints stays int.
@@ -445,7 +431,7 @@ fn eval_args(args: &[Expr], ctx: &EvalCtx<'_>) -> Result<Vec<Option<Value>>> {
     Ok(vals)
 }
 
-fn eval_scalar_fn(name: &str, vals: Vec<Option<Value>>) -> Result<Option<Value>> {
+fn eval_scalar_fn(name: &str, vals: Vec<Option<Value>>) -> Eval {
     let arity_err =
         || Error::Eval(format!("wrong number of arguments to {name} ({} given)", vals.len()));
     match name {
@@ -602,7 +588,7 @@ mod tests {
     use super::*;
     use crate::parser::parse_expression;
 
-    fn run(expr: &str, doc: &str) -> Result<Option<Value>> {
+    fn run(expr: &str, doc: &str) -> Eval {
         let row = Value::object([("d", cbs_json::parse(doc).unwrap())]);
         let metas: HashMap<String, String> =
             [("d".to_string(), "doc-1".to_string())].into_iter().collect();

@@ -425,7 +425,7 @@ impl SelectRun<'_> {
                 };
                 return Ok(rows.into_iter().map(|(k, v)| Row::of_doc(alias, k, v)).collect());
             }
-            // Plans keep scan bounds symbolic so the plan cache can serve
+            // Plans keep scan bounds symbolic so a prepared plan can serve
             // every parameter binding; bind this request's values now.
             AccessPath::IndexScan { index, range, covering } => {
                 (index, range.resolve(opts)?, *covering, "n1ql.exec.index_scan")
@@ -803,8 +803,8 @@ fn exec_direct_inner(
     }
 }
 
-/// DDL changed the index topology: invalidate every cached plan that
-/// depends on this keyspace (and force a statistics recollect).
+/// DDL changed the index topology: invalidate every prepared plan that
+/// depends on this keyspace.
 fn bump_plan_epoch(ds: &dyn Datastore, keyspace: &str) {
     if let Some(cache) = ds.plan_cache() {
         cache.bump_epoch(keyspace);

@@ -23,10 +23,11 @@
 //!   statistics when available ([`KeyspaceStats`]) and building the operator
 //!   pipeline of Figure 11: Scan → Fetch → Join/Nest/Unnest → Filter →
 //!   Group/Aggregate → Project → Distinct → Sort → Offset/Limit;
-//! - **PREPARE / EXECUTE** backed by an invalidation-aware plan cache
-//!   ([`cache`]): `EXECUTE <name>` skips the lexer, parser and planner
+//! - **PREPARE / EXECUTE**: a prepared statement holds its own plan
+//!   ([`cache`]), so `EXECUTE <name>` skips the lexer, parser and planner
 //!   entirely, and DDL bumps keyspace epochs so stale plans re-plan
-//!   instead of scanning dead indexes;
+//!   instead of scanning dead indexes; an ad-hoc statement is planned on
+//!   every request;
 //! - **scan consistency** per request: `not_bounded` or `request_plus`
 //!   (§3.2.3), the latter snapshotting the data service's seqno vector at
 //!   admission and waiting for the index to catch up.
@@ -60,7 +61,6 @@ pub use plan::{AccessPath, Operator, PlanEstimate, QueryPlan, RangeSpec};
 pub use planner::build_plan;
 pub use profile::{OpStat, PhaseTimes, Prof, RequestLog};
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,7 +83,7 @@ use profile::PhaseTimes as Phases;
 ///
 /// `PREPARE <name> FROM <stmt>` / `EXECUTE <name>` ride the datastore's
 /// [`PlanCache`]; hot prepared statements skip lexing, parsing and
-/// planning entirely.
+/// planning entirely. Any other statement is parsed and planned here.
 pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result<QueryResult> {
     let log = ds.request_log();
     let req_id = log.map(|l| l.admit(statement, opts.client_context_id.as_deref().unwrap_or("")));
@@ -171,36 +171,12 @@ fn take_ident(s: &str) -> Option<(&str, &str)> {
     }
 }
 
-/// Cache a plan under its statement text when it is worth caching: only
-/// pipelines over a real (non-`system:`) keyspace — direct plans are
-/// trivial to rebuild, and `system:` content changes per request.
-/// `at_plan` is the epoch snapshot taken before planning started, so a
-/// DDL racing the planner stamps the entry stale instead of valid.
-fn insert_if_cacheable(
-    cache: &PlanCache,
-    text: &str,
-    plan: &Arc<QueryPlan>,
-    at_plan: &HashMap<String, u64>,
-) {
-    if let QueryPlan::Select(p) = plan.as_ref() {
-        if let Some(from) = &p.select.from {
-            if !from.keyspace.starts_with("system:") {
-                cache.insert(text, Arc::clone(plan), plan.dependencies(), at_plan);
-            }
-        }
-    }
-}
-
-/// Parse and plan `text`, each step under its span. The plan-cache epochs
-/// are snapshotted before parsing (empty without a cache), so a DDL
-/// landing while the plan is under construction stamps it stale
-/// (cache.rs).
+/// Parse and plan `text`, each step under its span.
 fn parse_and_plan(
     ds: &dyn Datastore,
     text: &str,
     opts: &QueryOptions,
-) -> Result<(Statement, Arc<QueryPlan>, HashMap<String, u64>)> {
-    let at_plan = ds.plan_cache().map(PlanCache::epoch_snapshot).unwrap_or_default();
+) -> Result<(Statement, Arc<QueryPlan>)> {
     let stmt = {
         let _s = cbs_obs::span("n1ql.query.parse");
         parse_statement(text)?
@@ -209,7 +185,7 @@ fn parse_and_plan(
         let _s = cbs_obs::span("n1ql.query.plan");
         build_plan(ds, &stmt, opts)?
     };
-    Ok((stmt, Arc::new(plan), at_plan))
+    Ok((stmt, Arc::new(plan)))
 }
 
 /// What a request ran: its result, the plan it ran (the request log keeps
@@ -224,14 +200,15 @@ struct Executed {
 /// Parse/plan/execute.
 fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result<Executed> {
     // Hot path: `EXECUTE <name>` resolves the prepared statement and its
-    // cached plan on text alone — no lexer, no parser, no planner.
+    // plan on text alone — no lexer, no parser, no planner.
     if let Some(rest) = strip_keyword(statement, "execute") {
         if let Some(name) = simple_ident(rest) {
             return run_execute(ds, name, opts);
         }
     }
-    // `PREPARE <name> FROM <stmt>`: the inner statement *text* is the plan
-    // cache key, so peel it off here rather than losing it to the AST.
+    // `PREPARE <name> FROM <stmt>`: the inner statement *text* is what a
+    // re-plan parses again, so peel it off here rather than losing it to
+    // the AST.
     if let Some(rest) = strip_keyword(statement, "prepare") {
         if let Some((name, after)) = take_ident(rest) {
             if let Some(inner_text) = strip_keyword(after, "from") {
@@ -240,16 +217,9 @@ fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Resu
             }
         }
     }
-    // Ad-hoc SELECTs consult the plan cache by full statement text.
-    if strip_keyword(statement, "select").is_some() {
-        if let Some(cache) = ds.plan_cache() {
-            if let Some(plan) = cache.lookup(statement) {
-                return Ok(Executed { result: execute(ds, &plan, opts)?, plan, prof: None });
-            }
-        }
-    }
+    // An ad-hoc statement is planned from current statistics every time.
     // `build_plan` plans the inner statement of EXPLAIN / PROFILE.
-    let (stmt, plan, at_plan) = parse_and_plan(ds, statement, opts)?;
+    let (stmt, plan) = parse_and_plan(ds, statement, opts)?;
     match stmt {
         Statement::Explain(_) => {
             let rows = vec![explain::explain_to_value(&plan)];
@@ -260,14 +230,7 @@ fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Resu
             let result = execute_with_profile(ds, &plan, opts, &mut prof)?;
             Ok(Executed { result, plan, prof: Some(prof) })
         }
-        stmt => {
-            // Ad hoc, only a SELECT's text is looked up (above); EXECUTE
-            // looks up a prepared UPDATE or DELETE too.
-            if let (Statement::Select(_), Some(cache)) = (stmt, ds.plan_cache()) {
-                insert_if_cacheable(cache, statement, &plan, &at_plan);
-            }
-            Ok(Executed { result: execute(ds, &plan, opts)?, plan, prof: None })
-        }
+        _ => Ok(Executed { result: execute(ds, &plan, opts)?, plan, prof: None }),
     }
 }
 
@@ -278,16 +241,10 @@ fn run_execute(ds: &dyn Datastore, name: &str, opts: &QueryOptions) -> Result<Ex
     let prepared = cache
         .get_prepared(name)
         .ok_or_else(|| Error::Plan(format!("no such prepared statement: {name}")))?;
-    let plan = match cache.lookup(&prepared.statement) {
-        Some(plan) => plan,
-        None => {
-            // Invalidated (DDL epoch bump) or evicted: re-plan from the
-            // prepared text against the *current* index topology.
-            let (_, plan, at_plan) = parse_and_plan(ds, &prepared.statement, opts)?;
-            insert_if_cacheable(cache, &prepared.statement, &plan, &at_plan);
-            plan
-        }
-    };
+    // Dropped or stale after DDL: re-plan from the prepared text against
+    // the *current* index topology.
+    let plan =
+        cache.plan_for(&prepared, || Ok(parse_and_plan(ds, &prepared.statement, opts)?.1))?;
     let start = Instant::now();
     let result = execute(ds, &plan, opts)?;
     prepared.record_use(start.elapsed());
@@ -303,12 +260,13 @@ fn run_prepare(
     let cache = ds
         .plan_cache()
         .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
-    let (stmt, plan, at_plan) = parse_and_plan(ds, inner_text, opts)?;
-    if matches!(stmt, Statement::Prepare { .. } | Statement::Execute { .. }) {
-        return Err(Error::Plan("cannot PREPARE a PREPARE/EXECUTE statement".to_string()));
-    }
-    insert_if_cacheable(cache, inner_text, &plan, &at_plan);
-    cache.prepare(name, inner_text);
+    let plan = cache.prepare(name, inner_text, || {
+        let (stmt, plan) = parse_and_plan(ds, inner_text, opts)?;
+        if matches!(stmt, Statement::Prepare { .. } | Statement::Execute { .. }) {
+            return Err(Error::Plan("cannot PREPARE a PREPARE/EXECUTE statement".to_string()));
+        }
+        Ok(plan)
+    })?;
     let row = Value::object([("name", Value::from(name)), ("statement", Value::from(inner_text))]);
     Ok(Executed { result: QueryResult { rows: vec![row], ..Default::default() }, plan, prof: None })
 }

@@ -15,7 +15,7 @@ pub fn parse_statement(input: &str) -> Result<Statement> {
     if p.pos < p.tokens.len() {
         return Err(p.err("trailing tokens after statement"));
     }
-    Ok(stmt)
+    Ok(*stmt)
 }
 
 /// Parse a stand-alone expression (used by tests and the view/index DDL).
@@ -27,6 +27,31 @@ pub fn parse_expression(input: &str) -> Result<Expr> {
         return Err(p.err("trailing tokens after expression"));
     }
     Ok(e)
+}
+
+/// Reserved words cannot start an expression (matches N1QL's
+/// reserved-keyword rules; quote with backticks to use them as field
+/// names).
+const RESERVED: &str = "select from where group by having order limit offset and or not join \
+    inner left outer nest unnest on keys as use set unset into values between like when then else \
+    end is in satisfies distinct asc desc insert upsert update delete create drop build index explain";
+
+fn is_reserved(word: &str) -> bool {
+    RESERVED.split_whitespace().any(|k| word.eq_ignore_ascii_case(k))
+}
+
+/// A primary that holds expressions (see `Parser::compound_at`).
+enum Compound {
+    Paren,
+    ArrayLit,
+    ObjectLit,
+    Case,
+    /// ANY (`true`) or EVERY (`false`) … SATISFIES.
+    AnyEvery(bool),
+    /// ARRAY … FOR.
+    ArrayFor,
+    /// A function call, by name.
+    Call(String),
 }
 
 struct Parser {
@@ -142,50 +167,53 @@ impl Parser {
     // Statements
     // ------------------------------------------------------------------
 
-    fn parse_statement(&mut self) -> Result<Statement> {
-        if self.eat_kw("explain") {
-            return Ok(Statement::Explain(Box::new(self.nested(Self::parse_statement)?)));
-        }
-        if self.eat_kw("profile") {
-            return Ok(Statement::Profile(Box::new(self.nested(Self::parse_statement)?)));
-        }
-        if self.eat_kw("prepare") {
+    /// A statement, boxed: EXPLAIN, PROFILE and PREPARE recurse here once
+    /// per level, and a `Statement` is large enough that holding one by
+    /// value would make each level's frame several times bigger.
+    fn parse_statement(&mut self) -> Result<Box<Statement>> {
+        let Some(kind) = ["explain", "profile", "prepare"].into_iter().find(|kw| self.eat_kw(kw))
+        else {
+            return self.parse_leaf_statement();
+        };
+        let name = if kind == "prepare" {
             let name = self.expect_ident()?;
             self.expect_kw("from")?;
-            let stmt = Box::new(self.nested(Self::parse_statement)?);
-            return Ok(Statement::Prepare { name, stmt });
-        }
-        self.parse_leaf_statement()
+            name
+        } else {
+            String::new()
+        };
+        self.enter()?;
+        let stmt = self.parse_statement()?;
+        self.depth -= 1;
+        Ok(Box::new(match kind {
+            "explain" => Statement::Explain(stmt),
+            "profile" => Statement::Profile(stmt),
+            _ => Statement::Prepare { name, stmt },
+        }))
     }
 
     /// A statement that holds no other statement.
-    fn parse_leaf_statement(&mut self) -> Result<Statement> {
-        if self.at_kw("select") {
-            return Ok(Statement::Select(self.parse_select()?));
-        }
-        if self.at_kw("insert") || self.at_kw("upsert") {
-            return self.parse_insert_upsert();
-        }
-        if self.at_kw("update") {
-            return self.parse_update();
-        }
-        if self.at_kw("delete") {
-            return self.parse_delete();
-        }
-        if self.at_kw("create") {
-            return self.parse_create_index();
-        }
-        if self.at_kw("drop") {
-            return self.parse_drop_index();
-        }
-        if self.at_kw("build") {
-            return self.parse_build_index();
-        }
-        if self.eat_kw("execute") {
-            let name = self.expect_ident()?;
-            return Ok(Statement::Execute { name });
-        }
-        Err(self.err(&format!("unsupported statement start: {:?}", self.peek())))
+    fn parse_leaf_statement(&mut self) -> Result<Box<Statement>> {
+        let stmt = if self.at_kw("select") {
+            Statement::Select(self.parse_select()?)
+        } else if self.at_kw("insert") || self.at_kw("upsert") {
+            self.parse_insert_upsert()?
+        } else if self.at_kw("update") {
+            self.parse_update()?
+        } else if self.at_kw("delete") {
+            self.parse_delete()?
+        } else if self.at_kw("create") {
+            self.parse_create_index()?
+        } else if self.at_kw("drop") {
+            self.parse_drop_index()?
+        } else if self.at_kw("build") {
+            self.parse_build_index()?
+        } else if self.eat_kw("execute") {
+            Statement::Execute { name: self.expect_ident()? }
+        } else {
+            return Err(self.err(&format!("unsupported statement start: {:?}", self.peek())));
+        };
+        Ok(Box::new(stmt))
     }
 
     fn parse_select(&mut self) -> Result<Select> {
@@ -586,30 +614,19 @@ impl Parser {
         Ok(())
     }
 
-    /// Parse one nesting level deeper (see [`Parser::enter`]).
-    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
-        self.enter()?;
-        let parsed = parse(self)?;
-        self.depth -= 1;
-        Ok(parsed)
-    }
-
     /// An expression whose operators all bind at least `min` tightly: a
     /// prefix operand, then a loop over the infix operators. A chain of
     /// left-associative operators is built by the loop, one tree level
     /// per operator, and each level counts against the depth budget until
     /// the chain ends.
+    ///
+    /// Every nested production recurses through here, `parse_prefix`,
+    /// `parse_postfix` and `parse_primary`, so those four do little
+    /// themselves: the work of each production is in a function of its
+    /// own, whose frame is on the stack only while that production is.
     fn parse_bp(&mut self, min: u8) -> Result<Expr> {
         let depth = self.depth;
-        let mut left = if min <= BP_NOT && self.eat_kw("not") {
-            self.enter()?;
-            Expr::Unary(UnaryOp::Not, Box::new(self.parse_bp(BP_NOT)?))
-        } else if self.eat_punct("-") {
-            self.enter()?;
-            Expr::Unary(UnaryOp::Neg, Box::new(self.parse_bp(BP_NEG)?))
-        } else {
-            self.parse_postfix()?
-        };
+        let mut left = self.parse_prefix(min)?;
         let mut compared = false;
         while let Some((power, op)) = self.infix().filter(|&(power, _)| power >= min) {
             // A comparison is not an operand of another comparison, nor of
@@ -618,20 +635,35 @@ impl Parser {
                 return Err(self.err("a comparison cannot be an operand here; parenthesize it"));
             }
             compared = power == BP_COMPARE;
-            self.enter()?;
-            left = match op {
-                Some(op) => {
-                    self.pos += 1;
-                    // Left-associative: the right operand binds one step
-                    // tighter.
-                    let right = self.parse_bp(power + 1)?;
-                    Expr::Binary(op, Box::new(left), Box::new(right))
-                }
-                None => self.parse_suffix(left)?,
-            };
+            left = self.parse_infix(left, power, op)?;
         }
         self.depth = depth;
         Ok(left)
+    }
+
+    /// A prefix NOT or minus and its operand, one level deeper, or else a
+    /// postfix expression.
+    fn parse_prefix(&mut self, min: u8) -> Result<Expr> {
+        let (op, power) = if min <= BP_NOT && self.eat_kw("not") {
+            (UnaryOp::Not, BP_NOT)
+        } else if self.eat_punct("-") {
+            (UnaryOp::Neg, BP_NEG)
+        } else {
+            return self.parse_postfix();
+        };
+        self.enter()?;
+        Ok(Expr::Unary(op, Box::new(self.parse_bp(power)?)))
+    }
+
+    /// The infix operator at the cursor applied to `left`, one level
+    /// deeper.
+    fn parse_infix(&mut self, left: Expr, power: u8, op: Option<BinOp>) -> Result<Expr> {
+        self.enter()?;
+        let Some(op) = op else { return self.parse_suffix(left) };
+        self.pos += 1;
+        // Left-associative: the right operand binds one step tighter.
+        let right = self.parse_bp(power + 1)?;
+        Ok(Expr::Binary(op, Box::new(left), Box::new(right)))
     }
 
     /// The infix operator at the cursor, if any: its binding power, and
@@ -685,8 +717,13 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr> {
+        let e = self.parse_primary()?;
+        self.parse_path_steps(e)
+    }
+
+    /// The `.field` and `[index]` steps after a primary.
+    fn parse_path_steps(&mut self, mut e: Expr) -> Result<Expr> {
         let depth = self.depth;
-        let mut e = self.parse_primary()?;
         loop {
             if self.eat_punct(".") {
                 let field = self.expect_ident()?;
@@ -719,11 +756,59 @@ impl Parser {
         }
     }
 
+    /// A primary; one that holds expressions is one level deeper.
     fn parse_primary(&mut self) -> Result<Expr> {
-        if let Some(&Token::Punct(open @ ("(" | "[" | "{"))) = self.peek() {
-            self.pos += 1;
-            return self.nested(|p| p.parse_bracketed(open));
-        }
+        let Some(compound) = self.compound_at() else { return self.parse_leaf_primary() };
+        self.enter()?;
+        let e = match compound {
+            Compound::Paren => self.parse_paren(),
+            Compound::ArrayLit => self.parse_array_lit(),
+            Compound::ObjectLit => self.parse_object_lit(),
+            Compound::Case => self.parse_case(),
+            Compound::AnyEvery(any) => self.parse_any_every(any),
+            Compound::ArrayFor => self.parse_array_comp(),
+            Compound::Call(name) => self.parse_call(name),
+        };
+        self.depth -= 1;
+        e
+    }
+
+    /// The primary at the cursor if it holds expressions, its opening
+    /// token(s) consumed; `None`, consuming nothing, for any other.
+    fn compound_at(&mut self) -> Option<Compound> {
+        let compound = match self.peek()? {
+            Token::Punct("(") => Compound::Paren,
+            Token::Punct("[") => Compound::ArrayLit,
+            Token::Punct("{") => Compound::ObjectLit,
+            Token::Ident(word) => {
+                let is = |kw: &str| word.eq_ignore_ascii_case(kw);
+                let next_is = |p: &str| self.peek2().is_some_and(|t| t.is_punct(p));
+                // Words `parse_ident_primary` reads whatever follows them.
+                let count_star = self.tokens.get(self.pos + 2).is_some_and(|t| t.is_punct("*"));
+                let leaf = is_reserved(word)
+                    || (is("count") && count_star)
+                    || ["true", "false", "null", "missing", "meta"].into_iter().any(is);
+                if is("case") {
+                    Compound::Case
+                } else if is("any") || is("every") {
+                    Compound::AnyEvery(is("any"))
+                } else if is("array") && !(next_is("(") || next_is(".") || next_is("[")) {
+                    Compound::ArrayFor
+                } else if next_is("(") && !leaf {
+                    Compound::Call(word.clone())
+                } else {
+                    return None;
+                }
+            }
+            _ => return None,
+        };
+        self.pos += if matches!(compound, Compound::Call(_)) { 2 } else { 1 };
+        Some(compound)
+    }
+
+    /// A primary that holds no expression: a literal, a parameter,
+    /// `META().id`, `COUNT(*)` or the start of a path.
+    fn parse_leaf_primary(&mut self) -> Result<Expr> {
         match self.peek().cloned() {
             Some(Token::Int(i)) => {
                 self.pos += 1;
@@ -754,104 +839,51 @@ impl Parser {
         }
     }
 
-    /// A parenthesized expression, an array literal or an object literal,
-    /// its `open`ing bracket consumed.
-    fn parse_bracketed(&mut self, open: &str) -> Result<Expr> {
-        match open {
-            "(" => {
-                let e = self.parse_expr()?;
-                self.expect_punct(")")?;
-                Ok(e)
-            }
-            "[" => {
-                let mut items = Vec::new();
-                if !self.eat_punct("]") {
-                    loop {
-                        items.push(self.parse_expr()?);
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
-                    self.expect_punct("]")?;
+    /// A parenthesized expression, its `(` consumed.
+    fn parse_paren(&mut self) -> Result<Expr> {
+        let e = self.parse_expr()?;
+        self.expect_punct(")")?;
+        Ok(e)
+    }
+
+    /// An array literal, its `[` consumed.
+    fn parse_array_lit(&mut self) -> Result<Expr> {
+        let mut items = Vec::new();
+        if !self.eat_punct("]") {
+            loop {
+                items.push(self.parse_expr()?);
+                if !self.eat_punct(",") {
+                    break;
                 }
-                Ok(Expr::ArrayLit(items))
             }
-            _ => {
-                let mut pairs = Vec::new();
-                if !self.eat_punct("}") {
-                    loop {
-                        let key = match self.bump() {
-                            Some(Token::Str(s)) => s,
-                            Some(Token::Ident(s)) | Some(Token::QuotedIdent(s)) => s,
-                            other => return Err(self.err(&format!("bad object key: {other:?}"))),
-                        };
-                        self.expect_punct(":")?;
-                        pairs.push((key, self.parse_expr()?));
-                        if !self.eat_punct(",") {
-                            break;
-                        }
-                    }
-                    self.expect_punct("}")?;
-                }
-                Ok(Expr::ObjectLit(pairs))
-            }
+            self.expect_punct("]")?;
         }
+        Ok(Expr::ArrayLit(items))
+    }
+
+    /// An object literal, its `{` consumed.
+    fn parse_object_lit(&mut self) -> Result<Expr> {
+        let mut pairs = Vec::new();
+        if !self.eat_punct("}") {
+            loop {
+                let key = match self.bump() {
+                    Some(Token::Str(s)) => s,
+                    Some(Token::Ident(s)) | Some(Token::QuotedIdent(s)) => s,
+                    other => return Err(self.err(&format!("bad object key: {other:?}"))),
+                };
+                self.expect_punct(":")?;
+                pairs.push((key, self.parse_expr()?));
+                if !self.eat_punct(",") {
+                    break;
+                }
+            }
+            self.expect_punct("}")?;
+        }
+        Ok(Expr::ObjectLit(pairs))
     }
 
     fn parse_ident_primary(&mut self, word: String) -> Result<Expr> {
-        // Reserved words cannot start an expression (matches N1QL's
-        // reserved-keyword rules; quote with backticks to use them as
-        // field names).
-        const RESERVED: &[&str] = &[
-            "select",
-            "from",
-            "where",
-            "group",
-            "by",
-            "having",
-            "order",
-            "limit",
-            "offset",
-            "and",
-            "or",
-            "not",
-            "join",
-            "inner",
-            "left",
-            "outer",
-            "nest",
-            "unnest",
-            "on",
-            "keys",
-            "as",
-            "use",
-            "set",
-            "unset",
-            "into",
-            "values",
-            "between",
-            "like",
-            "when",
-            "then",
-            "else",
-            "end",
-            "is",
-            "in",
-            "satisfies",
-            "distinct",
-            "asc",
-            "desc",
-            "insert",
-            "upsert",
-            "update",
-            "delete",
-            "create",
-            "drop",
-            "build",
-            "index",
-            "explain",
-        ];
-        if RESERVED.iter().any(|k| word.eq_ignore_ascii_case(k)) {
+        if is_reserved(&word) {
             return Err(self.err(&format!("reserved word '{word}' cannot start an expression")));
         }
         // Keyword literals.
@@ -873,23 +905,11 @@ impl Parser {
             // evaluate to MISSING via a dedicated function.
             return Ok(Expr::Func { name: "MISSING".to_string(), args: vec![], distinct: false });
         }
-        if word.eq_ignore_ascii_case("case") {
-            return self.nested(Self::parse_case);
-        }
-        if word.eq_ignore_ascii_case("any") || word.eq_ignore_ascii_case("every") {
-            let any = word.eq_ignore_ascii_case("any");
-            return self.nested(|p| p.parse_any_every(any));
-        }
-        if word.eq_ignore_ascii_case("array")
-            && !self.peek2().is_some_and(|t| t.is_punct("(") || t.is_punct(".") || t.is_punct("["))
-        {
-            return self.nested(Self::parse_array_comp);
-        }
-        // Function call?
+        // `compound_at` takes every other call.
         if self.peek2().is_some_and(|t| t.is_punct("(")) {
             self.pos += 2; // ident + '('
-                           // META() / META(alias) followed by .id
             if word.eq_ignore_ascii_case("meta") {
+                // META() / META(alias) followed by .id
                 let alias = if self.eat_punct(")") {
                     None
                 } else {
@@ -904,11 +924,9 @@ impl Parser {
                 }
                 return Ok(Expr::MetaId(alias));
             }
-            if word.eq_ignore_ascii_case("count") && self.eat_punct("*") {
-                self.expect_punct(")")?;
-                return Ok(Expr::CountStar);
-            }
-            return self.nested(|p| p.parse_call(word));
+            self.expect_punct("*")?;
+            self.expect_punct(")")?;
+            return Ok(Expr::CountStar);
         }
         // Plain path start.
         self.pos += 1;
@@ -932,7 +950,6 @@ impl Parser {
     }
 
     fn parse_case(&mut self) -> Result<Expr> {
-        self.expect_kw("case")?;
         let mut arms = Vec::new();
         while self.eat_kw("when") {
             let cond = self.parse_expr()?;
@@ -949,7 +966,6 @@ impl Parser {
     }
 
     fn parse_any_every(&mut self, any: bool) -> Result<Expr> {
-        self.pos += 1; // ANY / EVERY
         let var = self.expect_ident()?;
         self.expect_kw("in")?;
         let source = self.parse_expr()?;
@@ -960,7 +976,6 @@ impl Parser {
     }
 
     fn parse_array_comp(&mut self) -> Result<Expr> {
-        self.expect_kw("array")?;
         let expr = self.parse_expr()?;
         self.expect_kw("for")?;
         let var = self.expect_ident()?;

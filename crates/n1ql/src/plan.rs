@@ -191,7 +191,7 @@ pub enum Mutation {
 
 /// A planned SELECT: the statement, the access path chosen for its primary
 /// keyspace, and everything that follows from the statement's *shape* —
-/// fixed here once so a cached plan costs a request nothing to interpret.
+/// fixed here once so a prepared plan costs a request nothing to interpret.
 /// None of it depends on parameter values (DESIGN.md §13). An UPDATE or
 /// DELETE plans as the SELECT of its target rows plus its [`Mutation`].
 #[derive(Debug, Clone)]

@@ -33,8 +33,8 @@
 //! they write whole documents back.
 //!
 //! Scan ranges stay *symbolic* in the plan ([`RangeSpec`]): bounds are
-//! literal/parameter expressions resolved per request, so a cached plan
-//! serves every parameter binding of a prepared statement. Cost formulas
+//! literal/parameter expressions resolved per request, so a prepared plan
+//! serves every parameter binding of its statement. Cost formulas
 //! and constants are documented in DESIGN.md §13.
 
 use std::cmp::Ordering;
@@ -62,6 +62,12 @@ const BOUNDED_SELECTIVITY: f64 = 0.1;
 
 /// Plan a statement.
 pub fn build_plan(ds: &dyn Datastore, stmt: &Statement, opts: &QueryOptions) -> Result<QueryPlan> {
+    // EXPLAIN and PROFILE plan the statement they wrap, however deep: a
+    // loop, not a recursion through this large frame.
+    let mut stmt = stmt;
+    while let Statement::Explain(inner) | Statement::Profile(inner) = stmt {
+        stmt = inner;
+    }
     match stmt {
         Statement::Select(sel) => Ok(QueryPlan::Select(plan_select(ds, sel.clone(), None, opts)?)),
         // The pipeline of a DML statement is the SELECT of its target rows,
@@ -97,7 +103,6 @@ pub fn build_plan(ds: &dyn Datastore, stmt: &Statement, opts: &QueryOptions) -> 
             };
             Ok(QueryPlan::Select(plan_select(ds, targets, Some(mutation), opts)?))
         }
-        Statement::Explain(inner) | Statement::Profile(inner) => build_plan(ds, inner, opts),
         other => Ok(QueryPlan::Direct(other.clone())),
     }
 }
@@ -317,10 +322,10 @@ fn estimate_index_scan(
 /// current request's parameters when they resolve (advisory only — the
 /// plan itself stays parameter-independent).
 ///
-/// This is deliberate *bind peeking*: for a plan destined for the cache
-/// (PREPARE, or the first ad-hoc run of a SELECT) the access path priced
-/// from the first binding is frozen in and reused for every later
-/// binding, until an epoch bump or eviction re-plans.
+/// This is deliberate *bind peeking*: for a prepared plan the access path
+/// priced from the binding present at PREPARE (or at the EXECUTE that
+/// re-plans it) is frozen in and reused for every later binding, until
+/// an epoch bump re-plans.
 /// An unrepresentative first binding can therefore lock in a worse plan
 /// than the parameter-free defaults would pick — the tradeoff, and why
 /// we accept it, is documented in DESIGN.md §13.
@@ -634,33 +639,11 @@ fn covering_ok(def: &IndexDef, alias: &str, sel: &Select) -> bool {
 
 fn expr_covered(e: &Expr, def: &IndexDef, alias: &str) -> bool {
     match e {
-        Expr::Literal(_) | Expr::PosParam(_) | Expr::NamedParam(_) => true,
         Expr::MetaId(a) => a.as_deref().is_none_or(|x| x == alias),
         Expr::Path(_) => def.keys.iter().any(|k| matches_key_expr(e, k, alias)),
-        Expr::Unary(_, a) => expr_covered(a, def, alias),
-        Expr::Binary(_, a, b) => expr_covered(a, def, alias) && expr_covered(b, def, alias),
-        Expr::IsCheck(_, a) => expr_covered(a, def, alias),
-        Expr::Between { expr, low, high, .. } => {
-            expr_covered(expr, def, alias)
-                && expr_covered(low, def, alias)
-                && expr_covered(high, def, alias)
-        }
-        Expr::In { expr, list, .. } => {
-            expr_covered(expr, def, alias) && expr_covered(list, def, alias)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            expr_covered(expr, def, alias) && expr_covered(pattern, def, alias)
-        }
-        Expr::CountStar => true,
-        Expr::Func { args, .. } => args.iter().all(|a| expr_covered(a, def, alias)),
-        Expr::ArrayLit(items) => items.iter().all(|i| expr_covered(i, def, alias)),
-        Expr::ObjectLit(pairs) => pairs.iter().all(|(_, v)| expr_covered(v, def, alias)),
-        Expr::Case { arms, else_ } => {
-            arms.iter().all(|(c, v)| expr_covered(c, def, alias) && expr_covered(v, def, alias))
-                && else_.as_ref().is_none_or(|e2| expr_covered(e2, def, alias))
-        }
         // Conservative: collection predicates need the document.
         Expr::AnyEvery { .. } | Expr::ArrayComp { .. } => false,
+        _ => e.operands().into_iter().all(|o| expr_covered(o, def, alias)),
     }
 }
 

@@ -1,8 +1,9 @@
 //! No statement can overrun a thread's stack. The parser counts nesting on
 //! every recursive production and refuses a statement that nests deeper
 //! than `cbs_json::MAX_DEPTH` levels with a parse error; up to that depth,
-//! statements plan and run. The test runs on the default test thread, in
-//! debug and in release (frames differ between the two).
+//! statements plan and run. The tests run in debug and in release (frames
+//! differ between the two), on the default test thread and on a thread
+//! with a smaller stack.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -51,6 +52,25 @@ fn statements_up_to_the_budget_run() {
         let result = query(&ds, &statement, &QueryOptions::default());
         assert!(result.is_ok(), "{production}, {MAX_DEPTH} levels: {:?}", result.err());
     }
+}
+
+/// A stack well below the default test thread's 2 MiB that every
+/// production at the budget fits with more than 2× to spare in a debug
+/// build: the deepest, ARRAY … FOR, needs ~575 KiB.
+const SMALL_STACK: usize = 1280 * 1024;
+
+#[test]
+fn statements_up_to_the_budget_run_on_a_small_stack() {
+    let ds = datastore();
+    std::thread::scope(|s| {
+        let run = || {
+            for (production, statement) in nested_statements(MAX_DEPTH) {
+                let result = query(&ds, &statement, &QueryOptions::default());
+                assert!(result.is_ok(), "{production}, {MAX_DEPTH} levels: {:?}", result.err());
+            }
+        };
+        std::thread::Builder::new().stack_size(SMALL_STACK).spawn_scoped(s, run).unwrap();
+    });
 }
 
 #[test]

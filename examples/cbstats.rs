@@ -197,9 +197,10 @@ fn main() {
         );
     }
 
-    // Prepared statements: PREPARE caches the plan, EXECUTE skips the
-    // front end entirely, and system:prepareds shows the registry — the
-    // n1ql.plancache.* counters above account for every lookup.
+    // Prepared statements: PREPARE plans once and the entry holds the plan,
+    // EXECUTE skips the front end entirely, and system:prepareds shows the
+    // registry — the n1ql.plancache.* counters above count every EXECUTE: a
+    // hit when its plan was current, a miss when it re-planned.
     cluster
         .query(
             "PREPARE hot FROM SELECT meta().id AS id FROM ycsb \

@@ -4,7 +4,7 @@
 #   scripts/check.sh                 # full gate: static analysis + models + tests
 #   scripts/check.sh --quick         # static analysis + concurrency models only
 #   scripts/check.sh chaos-smoke     # fixed-seed chaos smoke run only (<10s)
-#   scripts/check.sh plancache-smoke # prepared-statement fast path only (<10s)
+#   scripts/check.sh plancache-smoke # prepared statements: all of tests/plancache.rs (<10s)
 #   scripts/check.sh staleness-smoke # staleness artifacts regenerate unchanged (<30s)
 #   scripts/check.sh txn-smoke       # serializability replay + txn chaos + the
 #                                    # txn-batch artifact regenerates unchanged (<30s)
@@ -88,11 +88,14 @@ chaos_smoke() {
     cargo test --quiet --test chaos_kv chaos_smoke -- --exact
 }
 
-# Prepared-statement fast-path smoke: PREPARE once, EXECUTE hot against a
-# live cluster, and require a ≥99% plan-cache hit rate plus a populated
-# `system:prepareds` catalog — the YCSB-E (`n1ql_scan_e`) fast path end to end.
+# Prepared-statement smoke: all of tests/plancache.rs. PREPARE once, EXECUTE
+# hot against a live cluster, and require a ≥99% plan-cache hit rate plus a
+# populated `system:prepareds` catalog — the YCSB-E (`n1ql_scan_e`) fast path
+# end to end — then the cases the prepared plan's validity rests on: DDL and
+# flush drop it and the next EXECUTE re-plans, re-PREPARE replaces it, and
+# the hit/miss counters count EXECUTEs only. Well under 10 s.
 plancache_smoke() {
-    cargo test --quiet --test plancache plancache_smoke -- --exact
+    cargo test --quiet --test plancache
 }
 
 # Transaction smoke: the serializability battery at a pinned seed (the
@@ -207,7 +210,7 @@ txn_standalone() {
 stage_label() {
     case "$1" in
         chaos-smoke) echo "chaos smoke (fixed seed)" ;;
-        plancache-smoke) echo "plancache smoke (PREPARE/EXECUTE hit rate)" ;;
+        plancache-smoke) echo "plancache smoke (PREPARE/EXECUTE hit rate, invalidation, lifecycle)" ;;
         txn-smoke) echo "txn smoke (serializability replay + txn chaos + txn_batch artifact)" ;;
         staleness-smoke) echo "staleness smoke (artifacts regenerate unchanged)" ;;
         perfbench-smoke) echo "perfbench smoke (benchmark tests + --smoke)" ;;

@@ -185,3 +185,33 @@ fn prepared_lifecycle_edges() {
     let r = cluster.query("EXECUTE p", &QueryOptions::default()).unwrap();
     assert_eq!(r.rows.len(), 2, "EXECUTE must run the re-prepared statement");
 }
+
+/// What the counters count: an EXECUTE served by its prepared plan is a
+/// hit, one that re-planned after DDL is a miss, and an ad-hoc statement,
+/// planned on every request, is neither.
+#[test]
+fn hits_and_misses_count_executes_only() {
+    let cluster = seeded_cluster(1, 100);
+    let counters = || {
+        let stats = cluster.stats();
+        (stats.counter("n1ql.plancache.hits"), stats.counter("n1ql.plancache.misses"))
+    };
+    let run = |statement: &str| cluster.query(statement, &QueryOptions::default()).unwrap();
+    let (hits0, misses0) = counters();
+    run("PREPARE old FROM SELECT name FROM default WHERE age > 97");
+    for _ in 0..3 {
+        assert_eq!(run("EXECUTE old").rows.len(), 2);
+    }
+    assert_eq!(counters(), (hits0 + 3, misses0), "PREPARE plans; every EXECUTE is a hit");
+
+    run("CREATE INDEX age_idx ON default(age)");
+    assert_eq!(run("EXECUTE old").rows.len(), 2);
+    assert_eq!(counters(), (hits0 + 3, misses0 + 1), "the first EXECUTE after DDL re-plans");
+    assert_eq!(run("EXECUTE old").rows.len(), 2);
+    assert_eq!(counters(), (hits0 + 4, misses0 + 1), "and stores the new plan");
+
+    for _ in 0..2 {
+        assert_eq!(run("SELECT name FROM default WHERE age > 97").rows.len(), 2);
+    }
+    assert_eq!(counters(), (hits0 + 4, misses0 + 1), "ad-hoc statements touch no counter");
+}

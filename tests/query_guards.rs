@@ -4,8 +4,9 @@
 //! - no statement can abort the process: one that nests too deeply is a
 //!   parse error, and the service answers the next query;
 //! - a plan is priced from the keyspace as it is when the statement is
-//!   planned, not as it was at the last index DDL. The same case runs on
-//!   the in-memory datastore.
+//!   planned, not as it was at the last index DDL, and an ad-hoc statement
+//!   is planned on every run, however often its text repeats. The same
+//!   cases run on the in-memory datastore.
 
 use std::time::Duration;
 
@@ -94,4 +95,72 @@ fn cluster_plans_from_current_statistics() {
         }
     };
     plans_from_current_statistics(&query, &load);
+}
+
+/// The stale-plan case through an ad-hoc statement: the same text, run
+/// after 10 documents and again after 990 more with no DDL in between, is
+/// planned afresh each time, so the second run is a primary scan. Each run
+/// is kept in `system:completed_requests` (zero slow threshold) under its
+/// client context id, and the plan summary is read from there.
+fn adhoc_statement_plans_from_current_statistics(
+    query: &dyn Fn(&str, QueryOptions) -> Result<Vec<Value>>,
+    load: &dyn Fn(std::ops::Range<i64>),
+) {
+    let statement = "SELECT * FROM p WHERE age >= 6";
+    let run = |id: &str| {
+        let opts = QueryOptions::default().slow_threshold(Duration::ZERO).client_context_id(id);
+        query(statement, opts).unwrap().len()
+    };
+    let plan_of = |id: &str| {
+        let rows = query("SELECT * FROM system:completed_requests", QueryOptions::default());
+        let row = rows
+            .unwrap()
+            .into_iter()
+            .filter_map(|r| r.get_field("completed_requests").cloned())
+            .find(|r| r.get_field("clientContextID").and_then(Value::as_str) == Some(id))
+            .unwrap();
+        row.get_field("plan").and_then(Value::as_str).unwrap().to_string()
+    };
+
+    load(0..10);
+    query("CREATE INDEX age_idx ON p(age)", QueryOptions::default()).unwrap();
+    query("CREATE PRIMARY INDEX ON p", QueryOptions::default()).unwrap();
+    assert_eq!(run("first"), 4);
+    let plan = plan_of("first");
+    assert!(plan.starts_with("IndexScan(age_idx) -> Fetch"), "{plan}");
+
+    load(10..1_000);
+    assert_eq!(run("second"), 994);
+    let plan = plan_of("second");
+    assert!(plan.starts_with("PrimaryScan -> Fetch"), "{plan}");
+}
+
+#[test]
+fn memory_datastore_plans_a_repeated_adhoc_statement_from_current_statistics() {
+    let ds = MemoryDatastore::new();
+    ds.create_keyspace("p");
+    let query = |s: &str, opts: QueryOptions| cbs_n1ql::query(&ds, s, &opts).map(|r| r.rows);
+    let load =
+        |ages: std::ops::Range<i64>| ds.load("p", ages.map(|a| (format!("k{a}"), person(a))));
+    adhoc_statement_plans_from_current_statistics(&query, &load);
+}
+
+#[test]
+fn cluster_plans_a_repeated_adhoc_statement_from_current_statistics() {
+    let cluster = one_node();
+    let bucket = cluster.create_bucket("p").unwrap();
+    let query = |s: &str, opts: QueryOptions| cluster.query(s, &opts).map(|r| r.rows);
+    let load = |ages: std::ops::Range<i64>| {
+        for a in ages {
+            bucket.upsert(&format!("k{a}"), person(a)).unwrap();
+        }
+        let inner = cluster.inner();
+        let Ok(mgr) = inner.index_manager() else { return };
+        let upto = ScanConsistency::AtPlus(inner.seqno_vector("p").unwrap());
+        for def in mgr.list_online("p") {
+            let timeout = Duration::from_secs(30);
+            mgr.scan("p", &def.name, &ScanRange::all(), &upto, timeout, 1).unwrap();
+        }
+    };
+    adhoc_statement_plans_from_current_statistics(&query, &load);
 }
