@@ -8,8 +8,10 @@
 //! secondary index keeps `(key, doc id)` entries, [`IndexKey`] under N1QL
 //! collation first and the id second, and a back index (doc → its seqno
 //! and current keys) that lets updates and deletes remove stale entries.
-//! An index over the id alone (a primary index) keeps the ids alone, each
-//! once, and a back index of seqnos: no key and no heap block per entry.
+//! An index over the id alone (a primary index) keeps each id once: a live
+//! one in one ordered map of versions, which is both its tree and its back
+//! index, a removed one among the tombstones. No key and no heap block per
+//! entry.
 //! Doc ids are [`DocKey`]s, inline up to 22 bytes. A per-vBucket seqno
 //! [`Watermarks`] vector beside the tree is what `request_plus` waits on —
 //! without touching the tree lock.
@@ -51,7 +53,7 @@
 //! watermark record for each vBucket whose mark no document record carries
 //! (DESIGN.md decision 9).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
@@ -410,29 +412,23 @@ impl Entries for KeyEntries {
     }
 }
 
-/// An index over the id alone ([`Layout::Ids`]): each live document's id
-/// once, in the ordered set, and each held version's seqno and vBucket in
-/// the back index. The id is the key, so an entry's key is
+/// An index over the id alone ([`Layout::Ids`]): each held document's id
+/// once, with the seqno and vBucket of its version. A live id is in the
+/// ordered map, which is both the tree and the back index; a removed one
+/// is in the tombstones only. The id is the key, so an entry's key is
 /// [`IndexKey::ID`].
 #[derive(Default)]
 struct IdEntries {
-    ids: BTreeSet<DocKey>,
-    docs: KeyMap<(SeqNo, VbId)>,
+    live: BTreeMap<DocKey, (SeqNo, VbId)>,
+    /// Kept for a removal: the tombstone's seqno stops late-arriving older
+    /// versions resurrecting the id.
+    tombstones: KeyMap<(SeqNo, VbId)>,
 }
 
 /// The keys of a live document in an index over the id alone.
 const ID_ALONE: &[IndexKey] = &[IndexKey::ID];
 
 impl IdEntries {
-    /// The keys a held document has: its id, unless it is a tombstone.
-    fn keys_of(&self, doc_id: &str) -> &'static [IndexKey] {
-        if self.ids.contains(doc_id) {
-            ID_ALONE
-        } else {
-            &[]
-        }
-    }
-
     /// Where the ids inside `range` start, or `None` when no id can be
     /// inside it. Every id collates as a string, so a low bound of another
     /// type is below all of them or above all of them.
@@ -448,61 +444,63 @@ impl IdEntries {
 
 impl Entries for IdEntries {
     fn version(&self, doc_id: &str) -> Option<SeqNo> {
-        self.docs.get(doc_id).map(|(seqno, _)| *seqno)
+        self.live.get(doc_id).or_else(|| self.tombstones.get(doc_id)).map(|(seqno, _)| *seqno)
     }
 
     fn put(&mut self, doc_id: DocKey, keys: Vec<IndexKey>, vb: VbId, seqno: SeqNo) -> bool {
-        match self.docs.get_mut(&doc_id) {
-            Some((held, _)) if *held >= seqno => return false,
-            Some(held) => *held = (seqno, vb),
-            // Kept even for a removal: the tombstone's seqno stops
-            // late-arriving older versions resurrecting the id.
-            None => {
-                self.docs.insert(doc_id.clone(), (seqno, vb));
-            }
+        if self.version(&doc_id).is_some_and(|held| held >= seqno) {
+            return false;
         }
+        // Each held id is in exactly one of the two maps.
         if keys.is_empty() {
-            self.ids.remove(&doc_id);
+            self.live.remove(&doc_id);
+            self.tombstones.insert(doc_id, (seqno, vb));
         } else {
-            self.ids.insert(doc_id);
+            self.tombstones.remove(&doc_id);
+            self.live.insert(doc_id, (seqno, vb));
         }
         true
     }
 
     fn held(&self) -> u64 {
-        self.docs.len() as u64
+        (self.live.len() + self.tombstones.len()) as u64
     }
 
     fn held_version(&self, doc_id: &str) -> Option<Held<'_>> {
         count_back_index_step();
-        let (seqno, vb) = self.docs.get(doc_id)?;
-        Some(Held { seqno: *seqno, vb: *vb, keys: self.keys_of(doc_id) })
+        if let Some(&(seqno, vb)) = self.live.get(doc_id) {
+            return Some(Held { seqno, vb, keys: ID_ALONE });
+        }
+        let &(seqno, vb) = self.tombstones.get(doc_id)?;
+        Some(Held { seqno, vb, keys: &[] })
     }
 
     fn visit(&self, visit: &mut dyn FnMut(&DocKey, Held<'_>)) {
-        for (id, (seqno, vb)) in self.docs.iter() {
+        let live = self.live.iter().map(|(id, version)| (id, version, ID_ALONE));
+        let removed = self.tombstones.iter().map(|(id, version)| (id, version, &[][..]));
+        for (id, &(seqno, vb), keys) in live.chain(removed) {
             count_back_index_step();
-            visit(id, Held { seqno: *seqno, vb: *vb, keys: self.keys_of(id) });
+            visit(id, Held { seqno, vb, keys });
         }
     }
 
     fn counts(&self) -> (u64, u64) {
-        (self.ids.len() as u64, self.ids.len() as u64)
+        (self.live.len() as u64, self.live.len() as u64)
     }
 
     fn cardinality(&self) -> IndexCardinality {
-        let leading = |id: Option<&DocKey>| id.map(|id| Value::from(id.as_str()));
+        let leading = |id: Option<(&DocKey, _)>| id.map(|(id, _)| Value::from(id.as_str()));
         IndexCardinality {
-            entries: self.ids.len() as u64,
-            distinct_keys: self.ids.len() as u64,
-            min_leading: leading(self.ids.first()),
-            max_leading: leading(self.ids.last()),
+            entries: self.live.len() as u64,
+            distinct_keys: self.live.len() as u64,
+            min_leading: leading(self.live.first_key_value()),
+            max_leading: leading(self.live.last_key_value()),
         }
     }
 
     fn scan(&self, range: &ScanRange, limit: usize) -> Vec<IndexEntry> {
         let Some(start) = IdEntries::seek(range) else { return Vec::new() };
-        let from = self.ids.range::<str, _>((start, Bound::Unbounded));
+        let from = self.live.range::<str, _>((start, Bound::Unbounded)).map(|(id, _)| id);
         let inside = from.take_while(|id| range.below_high(|high| cmp_str(id, high)));
         let row = |id: &DocKey| IndexEntry { key: IndexKey::ID, doc_id: id.clone() };
         inside.take(if limit == 0 { usize::MAX } else { limit }).map(row).collect()

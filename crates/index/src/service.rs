@@ -311,12 +311,14 @@ impl DcpSink for IndexSink<'_> {
         if self.instances.is_empty() {
             return Ok(());
         }
-        let bounds: Vec<_> =
+        // Found by binary search (a vBucket listed twice: its first mark).
+        let mut bounds: Vec<_> =
             upto.iter().map(|&(vb, mark)| (vb, self.resume_point(vb), mark)).collect();
+        bounds.sort_by_key(|&(vb, ..)| vb);
         let items: Vec<(&DcpItem, SeqNo)> = (items.iter())
             .filter_map(|item| {
-                let &(_, at, mark) = bounds.iter().find(|(vb, ..)| *vb == item.vb)?;
-                (Some(item.meta.seqno) > at).then_some((item, mark))
+                let &(vb, at, mark) = bounds.get(bounds.partition_point(|b| b.0 < item.vb))?;
+                (vb == item.vb && Some(item.meta.seqno) > at).then_some((item, mark))
             })
             .collect();
         self.mgr.items_applied.add(items.len() as u64);
@@ -679,6 +681,38 @@ mod tests {
         m.create_and_build(IndexDef::simple("name", "b", "name"), e.as_ref()).unwrap();
         m.sink("b").apply(&[item.clone(), item], &[(VbId(0), SeqNo(1))]).unwrap();
         assert_eq!(applied(), 2, "per item, not per index");
+    }
+
+    /// One batch spanning all 1 024 vBuckets, its items interleaved across
+    /// them, each vBucket with a mark of its own: every resume point lands
+    /// on its mark. Redelivered with one newer version per vBucket, only
+    /// those are applied, which holds only if each item meets its own
+    /// vBucket's resume point.
+    #[test]
+    fn a_batch_spanning_every_vbucket_moves_each_resume_point_to_its_mark() {
+        const VBS: u16 = 1024;
+        let m = manager(VBS);
+        m.create_and_build(IndexDef::primary("#p", "b"), &cbs_dcp::hub::EmptyBackfill).unwrap();
+        let item = |vb: u16, seqno: u64| {
+            let meta = cbs_common::DocMeta { seqno: SeqNo(seqno), ..Default::default() };
+            DcpItem::mutation(VbId(vb), format!("k{vb}-{seqno}").as_str(), meta, profile("a", 1))
+        };
+        let applied = || m.registry().snapshot().counter("index.manager.items_applied");
+        let mark = |vb: u16| 2 + u64::from(vb);
+        // Seqno 1 of every vBucket from the last down, then seqno 2 of
+        // every other one.
+        let mut items: Vec<DcpItem> = (0..VBS).rev().map(|vb| item(vb, 1)).collect();
+        items.extend((0..VBS).step_by(2).map(|vb| item(vb, 2)));
+        for round in 0..2 {
+            let upto: Vec<_> = (0..VBS).map(|vb| (VbId(vb), SeqNo(mark(vb) + round))).collect();
+            m.sink("b").apply(&items, &upto).unwrap();
+            for &(vb, at) in &upto {
+                assert_eq!(m.sink("b").resume_point(vb), Some(at), "round {round}, {vb:?}");
+            }
+            assert_eq!(applied(), items.len() as u64, "round {round}");
+            assert_eq!(m.index_stats("b", "#p").unwrap().docs, items.len() as u64);
+            items.extend((0..VBS).rev().map(|vb| item(vb, mark(vb) + 1)));
+        }
     }
 
     /// A log that cannot be written: CREATE fails when the log dir is

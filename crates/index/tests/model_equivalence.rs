@@ -4,7 +4,8 @@
 //! including out-of-order (stale) deliveries, which the per-document seqno
 //! guard must suppress, keys shared by many documents, and a key one
 //! document emits twice. A primary index, whose key is the id, agrees with
-//! the same model under range bounds of every JSON type. Any split of a
+//! the same model under range bounds of every JSON type, and holds each
+//! document's newest version, a removed one's as a tombstone. Any split of a
 //! change stream into batches ends in the state that item-by-item apply
 //! reaches.
 
@@ -233,6 +234,20 @@ proptest! {
             let want: Vec<String> = live.get(&id).cloned().into_iter().collect();
             prop_assert_eq!(ids(&ScanRange::exact(Value::from(id.as_str())), 0), want, "exact {}", id);
         }
+
+        // Every document seen is held at its highest seqno, a removed one
+        // as a tombstone with no key.
+        let mut versions: Vec<(String, SeqNo, Vec<IndexKey>)> = (model.0.iter())
+            .map(|(d, (seq, ks))| {
+                let keys = if ks.is_empty() { Vec::new() } else { vec![IndexKey::ID] };
+                (d.clone(), SeqNo(*seq), keys)
+            })
+            .collect();
+        versions.sort_by(|a, b| a.0.cmp(&b.0));
+        let held: Vec<(String, SeqNo, Vec<IndexKey>)> = (idx.doc_versions().into_iter())
+            .map(|(id, seqno, keys)| (id.to_string(), seqno, keys))
+            .collect();
+        prop_assert_eq!(held, versions);
     }
 }
 

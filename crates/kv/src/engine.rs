@@ -1141,12 +1141,20 @@ impl BackfillSource for DataEngine {
 /// the high seqno.
 impl DcpSink for DataEngine {
     fn apply(&self, items: &[DcpItem], upto: &[(VbId, SeqNo)]) -> Result<()> {
+        // The batch sorted by vBucket, each vBucket's run found by binary
+        // search: the sort is stable, so a run keeps its order, and a
+        // pump's batch, sorted already, costs one pass.
+        let mut by_vb: Vec<&DcpItem> = items.iter().collect();
+        by_vb.sort_by_key(|item| item.vb);
         let mut result = Ok(());
         for &(vb, mark) in upto {
+            let from = by_vb.partition_point(|item| item.vb < vb);
+            let run = &by_vb[from..][..by_vb[from..].partition_point(|item| item.vb == vb)];
             let mut meta = self.vbs[vb.index()].lock();
             let applied = match meta.state {
-                VbState::Replica | VbState::Pending => (items.iter().filter(|i| i.vb == vb))
-                    .try_for_each(|i| self.replicate_one(&mut meta, i)),
+                VbState::Replica | VbState::Pending => {
+                    run.iter().try_for_each(|item| self.replicate_one(&mut meta, item))
+                }
                 _ => Err(Error::VbucketNotActive(vb)),
             };
             match applied {
@@ -1719,6 +1727,35 @@ mod tests {
         assert_eq!(g.meta, meta);
         // Replica apply to an Active vb is rejected.
         assert!(replicate(&e, &DcpItem::mutation(vb, "k2", meta, doc(2))).is_err());
+    }
+
+    /// One batch spanning all 1 024 vBuckets, its items interleaved across
+    /// them and some vBuckets marked above their newest item: every item
+    /// is applied and every resume point lands on its mark.
+    #[test]
+    fn a_batch_spanning_every_vbucket_moves_each_resume_point_to_its_mark() {
+        const VBS: u16 = 1024;
+        let e = DataEngine::new(EngineConfig::for_test(VBS)).unwrap();
+        let item = |vb: u16, seqno: u64| {
+            let meta = DocMeta { seqno: SeqNo(seqno), ..Default::default() };
+            DcpItem::mutation(VbId(vb), format!("k{vb}").as_str(), meta, doc(seqno as i64))
+        };
+        // Seqno 1 of every vBucket from the last down, then seqno 2 of
+        // every other one.
+        let mut items: Vec<DcpItem> = (0..VBS).rev().map(|vb| item(vb, 1)).collect();
+        items.extend((0..VBS).step_by(2).map(|vb| item(vb, 2)));
+        let mark = |vb: u16| SeqNo(2 + u64::from(vb % 3));
+        let upto: Vec<_> = (0..VBS).map(|vb| (VbId(vb), mark(vb))).collect();
+        for vb in 0..VBS {
+            e.set_vb_state(VbId(vb), VbState::Replica);
+        }
+        e.apply(&items, &upto).unwrap();
+        for vb in 0..VBS {
+            assert_eq!(e.resume_point(VbId(vb)), Some(mark(vb)), "vb {vb}");
+            e.set_vb_state(VbId(vb), VbState::Active);
+            let newest = if vb % 2 == 0 { 2 } else { 1 };
+            assert_eq!(e.get_in_vb(VbId(vb), &format!("k{vb}")).unwrap().value, doc(newest));
+        }
     }
 
     #[test]

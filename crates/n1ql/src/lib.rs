@@ -262,8 +262,18 @@ fn run_prepare(
         .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
     let plan = cache.prepare(name, inner_text, || {
         let (stmt, plan) = parse_and_plan(ds, inner_text, opts)?;
-        if matches!(stmt, Statement::Prepare { .. } | Statement::Execute { .. }) {
-            return Err(Error::Plan("cannot PREPARE a PREPARE/EXECUTE statement".to_string()));
+        // An entry keeps a plan alone, and an EXPLAIN's or a PROFILE's is
+        // its inner statement's: EXECUTE would run that statement.
+        if matches!(
+            stmt,
+            Statement::Prepare { .. }
+                | Statement::Execute { .. }
+                | Statement::Explain(_)
+                | Statement::Profile(_)
+        ) {
+            return Err(Error::Plan(
+                "cannot PREPARE a PREPARE, EXECUTE, EXPLAIN or PROFILE statement".to_string(),
+            ));
         }
         Ok(plan)
     })?;

@@ -215,3 +215,40 @@ fn hits_and_misses_count_executes_only() {
     }
     assert_eq!(counters(), (hits0 + 4, misses0 + 1), "ad-hoc statements touch no counter");
 }
+
+/// A prepared statement keeps a plan alone, and an EXPLAIN's or a
+/// PROFILE's plan is its inner statement's, so EXECUTE would run that
+/// statement instead of explaining it. PREPARE refuses both and registers
+/// nothing; the ad-hoc EXPLAIN still answers with its plan row. Through
+/// the cluster and on the in-memory datastore.
+#[test]
+fn prepare_refuses_explain_and_profile() {
+    use cbs_n1ql::MemoryDatastore;
+    let cluster = seeded_cluster(1, 3);
+    let ds = MemoryDatastore::new();
+    ds.create_keyspace("default");
+    ds.load("default", (0..3).map(|i| (format!("k{i}"), Value::object([("n", Value::int(i))]))));
+    let opts = QueryOptions::default();
+    cbs_n1ql::query(&ds, "CREATE PRIMARY INDEX ON default", &opts).unwrap();
+    let run = |on_cluster: bool, statement: &str| {
+        if on_cluster {
+            cluster.query(statement, &opts)
+        } else {
+            cbs_n1ql::query(&ds, statement, &opts)
+        }
+    };
+    for on_cluster in [true, false] {
+        for (name, wrapper) in [("x", "EXPLAIN"), ("y", "PROFILE")] {
+            let prepare = format!("PREPARE {name} FROM {wrapper} SELECT n FROM default");
+            let err = run(on_cluster, &prepare).unwrap_err();
+            assert!(matches!(err, couchbase_repro::Error::Plan(_)), "{err:?}");
+            assert!(err.to_string().contains("cannot PREPARE"), "{err}");
+            let err = run(on_cluster, &format!("EXECUTE {name}")).unwrap_err();
+            assert!(err.to_string().contains("no such prepared statement"), "{err}");
+        }
+        let rows = run(on_cluster, "EXPLAIN SELECT n FROM default").unwrap().rows;
+        assert_eq!(rows.len(), 1, "one plan row: {rows:?}");
+        let plan = rows[0].to_json_string();
+        assert!(plan.contains("PrimaryScan"), "the ad-hoc EXPLAIN answers with its plan: {plan}");
+    }
+}
