@@ -113,6 +113,9 @@ pub struct ObjectCache {
     /// shards it already emptied.
     hand: AtomicUsize,
     mem_used: Arc<Gauge>,
+    /// `mem.cache_tables.bytes`: what the shards' tables hold on the heap,
+    /// moved when a table grows or is cleared.
+    table_bytes: Arc<Gauge>,
     items_gauge: Arc<Gauge>,
     resident_gauge: Arc<Gauge>,
     hits: Arc<Counter>,
@@ -150,6 +153,7 @@ impl ObjectCache {
             quota,
             hand: AtomicUsize::new(0),
             mem_used: registry.gauge("kv.cache.mem_used"),
+            table_bytes: registry.gauge("mem.cache_tables.bytes"),
             items_gauge: registry.gauge("kv.cache.items"),
             resident_gauge: registry.gauge("kv.cache.resident_items"),
             hits: registry.counter("kv.cache.hits"),
@@ -219,11 +223,22 @@ impl ObjectCache {
             None => {
                 item.queued = item.dirty;
                 let newly = item.queued;
-                shard.insert(DocKey::from(key), item);
+                self.insert_new(&mut shard, key, item);
                 self.mem_used.add(add as u64);
                 newly
             }
         })
+    }
+
+    /// Add an entry for `key`, which `shard` does not hold, charging what
+    /// the table grew by to the tables' gauge.
+    fn insert_new(&self, shard: &mut Shard, key: &str, item: CacheItem) {
+        let bytes = shard.heap_bytes();
+        shard.insert(DocKey::from(key), item);
+        let grown = shard.heap_bytes() - bytes;
+        if grown > 0 {
+            self.table_bytes.add(grown as u64);
+        }
     }
 
     /// Put `item` in `slot`, which keeps its queued bit; returns whether the
@@ -375,7 +390,7 @@ impl ObjectCache {
             Some(_) => 0,
             None if full => {
                 let size = fill.mem_size(key);
-                shard.insert(DocKey::from(key), fill);
+                self.insert_new(&mut shard, key, fill);
                 size
             }
             None => 0,
@@ -422,6 +437,7 @@ impl ObjectCache {
     pub fn clear_vb(&self, vb: VbId) {
         let mut shard = self.shard(vb).write();
         let freed: usize = shard.iter().map(|(k, i)| i.mem_size(k)).sum();
+        self.table_bytes.sub(shard.heap_bytes() as u64);
         shard.clear();
         self.mem_used.sub(freed as u64);
     }

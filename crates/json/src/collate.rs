@@ -5,7 +5,8 @@
 //!
 //! `missing < null < false < true < number < string < array < object`
 //!
-//! - numbers compare numerically across the int/float classes;
+//! - numbers compare numerically, and exactly, across the int/float
+//!   classes;
 //! - strings compare by Unicode code point;
 //! - arrays compare element-wise, shorter-is-less on a common prefix;
 //! - objects compare by sorted key list first, then by values in sorted key
@@ -73,25 +74,36 @@ pub fn cmp_values(a: &Value, b: &Value) -> Ordering {
             x.len().cmp(&y.len())
         }
         (Value::Object(x), Value::Object(y)) => {
-            let mut xk: Vec<&str> = x.iter().map(|(k, _)| k.as_str()).collect();
-            let mut yk: Vec<&str> = y.iter().map(|(k, _)| k.as_str()).collect();
-            xk.sort_unstable();
-            yk.sort_unstable();
-            let c = xk.cmp(&yk);
+            let c = by_name(x).map(|(k, _)| k).cmp(by_name(y).map(|(k, _)| k));
             if c != Ordering::Equal {
                 return c;
             }
-            for k in xk {
-                // Both objects have the key (key lists are equal).
-                let c = cmp_missing(a.get_field(k), b.get_field(k));
-                if c != Ordering::Equal {
-                    return c;
-                }
-            }
-            Ordering::Equal
+            // Both objects have the same names, so their values pair up.
+            by_name(x)
+                .zip(by_name(y))
+                .map(|((_, xv), (_, yv))| cmp_values(xv, yv))
+                .find(|c| c.is_ne())
+                .unwrap_or(Ordering::Equal)
         }
         _ => unreachable!("type ranks matched"),
     }
+}
+
+/// An object's fields in name order (a repeated name in field order),
+/// without sorting a copy: each step picks the least field after the last
+/// one, so a walk costs O(fields²) comparisons and no allocation.
+fn by_name(fields: &[(String, Value)]) -> impl Iterator<Item = (&str, &Value)> {
+    let mut last: Option<(&str, usize)> = None;
+    std::iter::from_fn(move || {
+        let next = fields
+            .iter()
+            .enumerate()
+            .map(|(at, (name, _))| (name.as_str(), at))
+            .filter(|field| last.is_none_or(|last| *field > last))
+            .min()?;
+        last = Some(next);
+        Some((next.0, &fields[next.1].1))
+    })
 }
 
 /// Comparison lifted to possibly-MISSING values: MISSING sorts before

@@ -5,12 +5,15 @@
 //! vector beats a hash map on both space and speed). Numbers keep the
 //! integer/float distinction so that integer keys index and collate exactly.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A JSON number: either an exact 64-bit integer or a double.
 ///
 /// N1QL (like SQL++) treats `1` and `1.0` as equal in comparisons but we
-/// preserve the lexical class for faithful round-tripping.
+/// preserve the lexical class for faithful round-tripping. Comparisons
+/// are exact: `9007199254740993` is greater than `9007199254740992.0`,
+/// which equals `9007199254740992`.
 #[derive(Clone, Copy, Debug)]
 pub enum Number {
     /// An integer that fits i64.
@@ -46,19 +49,40 @@ impl Number {
 
 impl PartialEq for Number {
     fn eq(&self, other: &Self) -> bool {
-        match (*self, *other) {
-            (Number::Int(a), Number::Int(b)) => a == b,
-            (a, b) => a.as_f64() == b.as_f64(),
-        }
+        self.partial_cmp(other) == Some(Ordering::Equal)
     }
 }
 
 impl PartialOrd for Number {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    /// Exact across the classes: an `Int` against a `Float` compares the
+    /// integer with the double's own value, not with the integer rounded to
+    /// a double, so the order stays transitive above 2⁵³.
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         match (*self, *other) {
-            (Number::Int(a), Number::Int(b)) => a.partial_cmp(&b),
-            (a, b) => a.as_f64().partial_cmp(&b.as_f64()),
+            (Number::Int(a), Number::Int(b)) => Some(a.cmp(&b)),
+            (Number::Float(a), Number::Float(b)) => a.partial_cmp(&b),
+            (Number::Int(a), Number::Float(b)) => cmp_int_float(a, b),
+            (Number::Float(a), Number::Int(b)) => cmp_int_float(b, a).map(Ordering::reverse),
         }
+    }
+}
+
+/// `i` against `f`, exactly: the integer part of `f` fits an `i64` once
+/// `f` is inside the `i64` range, and the fraction `f - trunc(f)` is
+/// exact in floating point.
+fn cmp_int_float(i: i64, f: f64) -> Option<Ordering> {
+    /// 2⁶³, the first double above every `i64`.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        None
+    } else if f >= TWO_63 {
+        Some(Ordering::Less)
+    } else if f < -TWO_63 {
+        Some(Ordering::Greater)
+    } else {
+        let whole = f.trunc();
+        let by_fraction = 0.0.partial_cmp(&(f - whole)).unwrap_or(Ordering::Equal);
+        Some(i.cmp(&(whole as i64)).then(by_fraction))
     }
 }
 
@@ -343,6 +367,23 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Above 2⁵³ not every `i64` is a double: an `Int` and a `Float`
+    /// compare by their exact values, not through a rounded `f64`.
+    #[test]
+    fn int_and_float_compare_exactly_above_2_53() {
+        let two_53 = 1i64 << 53;
+        let (int, float) = (Number::Int(two_53 + 1), Number::Float(two_53 as f64));
+        assert_eq!(int.partial_cmp(&float), Some(Ordering::Greater));
+        assert_eq!(float.partial_cmp(&int), Some(Ordering::Less));
+        assert_ne!(int, float);
+        assert_eq!(Number::Float(two_53 as f64), Number::Int(two_53));
+        assert!(Number::Int(two_53) < Number::Int(two_53 + 1));
+        assert!(Number::Int(i64::MAX) < Number::Float(9_223_372_036_854_775_808.0));
+        assert!(Number::Int(i64::MIN) == Number::Float(-9_223_372_036_854_775_808.0));
+        assert!(Number::Int(-3) < Number::Float(-2.5) && Number::Int(-2) > Number::Float(-2.5));
+        assert!(Number::Int(0) == Number::Float(-0.0) && Number::Int(2) > Number::Float(1.5));
+    }
 
     #[test]
     fn object_field_ops() {

@@ -143,8 +143,13 @@ impl DataEngine {
     pub fn new(cfg: EngineConfig) -> Result<Arc<DataEngine>> {
         let n = cfg.num_vbuckets;
         let num_shards = cfg.flusher_shards.clamp(1, n.max(1) as usize);
-        let store = BucketStore::open_sharded(cfg.data_dir.clone(), num_shards, n)?;
         let registry = Arc::new(Registry::new("kv"));
+        let store = BucketStore::open_sharded_with_registry(
+            cfg.data_dir.clone(),
+            num_shards,
+            n,
+            &registry,
+        )?;
         let shards = (0..num_shards)
             .map(|s| FlushShard {
                 dirty_count: registry.gauge(&format!("kv.flusher.queue_depth_s{s}")),
@@ -982,7 +987,9 @@ impl DataEngine {
             }
             left += listed - (meta.queue.len() - before) as u64;
             for (key, ctx) in ctxs {
-                meta.ctxs.entry(key).or_insert(ctx);
+                if !meta.ctxs.contains_key(&key) {
+                    meta.ctxs.insert(key, ctx);
+                }
             }
             vbs.push(vb);
         }

@@ -613,8 +613,9 @@ impl Hash for Collated {
 }
 
 /// Hash a possibly-MISSING value as collation compares it: a number by its
-/// `f64` (what `Int` against `Float` compares), `-0.0` as `0.0`, and an
-/// object's fields by sorted name.
+/// `f64`, `-0.0` as `0.0` (numbers equal under collation are one double;
+/// integers above 2⁵³ that round to one double merely share a hash), and
+/// an object's fields by sorted name.
 fn hash_collated<H: Hasher>(v: Option<&Value>, state: &mut H) {
     let Some(v) = v else { return state.write_u8(0) };
     match v {
@@ -998,5 +999,39 @@ mod tests {
             Some(&Value::int(4)),
             "null and MISSING not counted"
         );
+    }
+
+    /// 2⁵³ + 1 sorts after 2⁵³ and 2⁵³.0, which are the same value, from
+    /// every arrangement of the three: the order is transitive above 2⁵³.
+    #[test]
+    fn order_by_is_the_same_for_every_arrangement_above_2_53() {
+        let values = ["9007199254740993", "9007199254740992.0", "9007199254740992"];
+        let opts = QueryOptions::default();
+        for arrangement in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let ds = MemoryDatastore::new();
+            ds.create_keyspace("t");
+            let doc = |i: usize| parse(&format!(r#"{{"g": {}}}"#, values[arrangement[i]])).unwrap();
+            ds.load("t", (0..3).map(|i| (format!("k{i}"), doc(i))));
+            query(&ds, "CREATE PRIMARY INDEX ON t", &opts).unwrap();
+            let rows = query(&ds, "SELECT g FROM t ORDER BY g", &opts).unwrap().rows;
+            let sorted: Vec<&Value> = rows.iter().map(|r| r.get_field("g").unwrap()).collect();
+            let two_53 = Value::int(1 << 53);
+            assert!(sorted[..2].iter().all(|g| **g == two_53), "{arrangement:?}: {sorted:?}");
+            assert_eq!(sorted[2], &Value::int((1 << 53) + 1), "{arrangement:?}");
+        }
+    }
+
+    /// 9007199254740993 and 9007199254740992.0 round to the same double,
+    /// yet are different values: two groups.
+    #[test]
+    fn group_by_keeps_2_53_plus_1_apart_from_2_53() {
+        let ds = MemoryDatastore::new();
+        ds.create_keyspace("t");
+        let docs = [r#"{"g": 9007199254740993}"#, r#"{"g": 9007199254740992.0}"#];
+        ds.load("t", docs.iter().enumerate().map(|(i, d)| (format!("k{i}"), parse(d).unwrap())));
+        let opts = QueryOptions::default();
+        query(&ds, "CREATE PRIMARY INDEX ON t", &opts).unwrap();
+        let rows = query(&ds, "SELECT g, COUNT(*) AS n FROM t GROUP BY g", &opts).unwrap().rows;
+        assert_eq!(rows.len(), 2, "{rows:?}");
     }
 }

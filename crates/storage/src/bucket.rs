@@ -47,6 +47,7 @@ use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{DocMeta, Result, SeqNo, VbId};
+use cbs_obs::{Gauge, Registry};
 
 use crate::log::{sync_dir, CommitLog, Cycle};
 use crate::record::{encode_record_with, KIND_PURGE, KIND_TOMBSTONE};
@@ -60,15 +61,18 @@ const COMPACT_CHUNK: usize = 64 << 10;
 pub(crate) struct ShardLog {
     log: CommitLog,
     vbs: OrderedRwLock<HashMap<VbId, Arc<VbIndex>>>,
+    /// What the indexes' by-id tables hold on the heap, store-wide.
+    table_bytes: Arc<Gauge>,
 }
 
 impl ShardLog {
     /// Open the log at `path` and rebuild the indexes from its intact
     /// prefix, cutting a torn or corrupt tail off.
-    fn recover(path: PathBuf) -> Result<ShardLog> {
+    fn recover(path: PathBuf, table_bytes: &Arc<Gauge>) -> Result<ShardLog> {
         let shard = ShardLog {
             log: CommitLog::create(path)?,
             vbs: OrderedRwLock::new(rank::BUCKET_MAP, HashMap::new()),
+            table_bytes: Arc::clone(table_bytes),
         };
         let file = shard.log.file();
         shard.log.scan(|vb, offset, rec, len| {
@@ -95,7 +99,10 @@ impl ShardLog {
             return Arc::clone(index);
         }
         let file = self.log.file();
-        Arc::clone(self.vbs.write().entry(vb).or_insert_with(|| Arc::new(VbIndex::new(file))))
+        let bytes = Arc::clone(&self.table_bytes);
+        Arc::clone(
+            self.vbs.write().entry(vb).or_insert_with(|| Arc::new(VbIndex::new(file, bytes))),
+        )
     }
 
     fn indexes(&self) -> Vec<(VbId, Arc<VbIndex>)> {
@@ -224,12 +231,25 @@ impl BucketStore {
         BucketStore::open_sharded(dir, 1, 0)
     }
 
+    /// Open a bucket store with one log per flusher shard, registering its
+    /// gauge in a private throwaway registry (tests, standalone benches).
+    pub fn open_sharded(dir: PathBuf, shards: usize, num_vbuckets: u16) -> Result<BucketStore> {
+        BucketStore::open_sharded_with_registry(dir, shards, num_vbuckets, &Registry::new("kv"))
+    }
+
     /// Open a bucket store with one log per flusher shard; vBucket `vb` of
     /// `num_vbuckets` lives in log `vb * shards / num_vbuckets` (contiguous
     /// slices). Every log found in `dir` is scanned and its vBuckets'
     /// indexes rebuilt; records found in a log they do not belong to under
-    /// this layout are moved to the one they do.
-    pub fn open_sharded(dir: PathBuf, shards: usize, num_vbuckets: u16) -> Result<BucketStore> {
+    /// this layout are moved to the one they do. The indexes' heap bytes
+    /// are `registry`'s `mem.storage_index.bytes` gauge.
+    pub fn open_sharded_with_registry(
+        dir: PathBuf,
+        shards: usize,
+        num_vbuckets: u16,
+        registry: &Registry,
+    ) -> Result<BucketStore> {
+        let table_bytes = registry.gauge("mem.storage_index.bytes");
         std::fs::create_dir_all(&dir)?;
         let mut surplus = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
@@ -250,10 +270,11 @@ impl BucketStore {
             compacting: AtomicBool::new(false),
         };
         for shard in 0..shards.max(1) {
-            store.shards.push(Arc::new(ShardLog::recover(shard_path(&store.dir, shard))?));
+            let log = ShardLog::recover(shard_path(&store.dir, shard), &table_bytes)?;
+            store.shards.push(Arc::new(log));
         }
         for path in surplus {
-            store.rehome(&Arc::new(ShardLog::recover(path.clone())?))?;
+            store.rehome(&Arc::new(ShardLog::recover(path.clone(), &table_bytes)?))?;
             std::fs::remove_file(path)?;
         }
         for shard in 0..store.shards.len() {

@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedMutex};
 use cbs_common::{DocKey, KeyMap, Result, SeqNo, VbId};
+use cbs_obs::Gauge;
 
 use crate::bucket::ShardLog;
 use crate::log::Cycle;
@@ -83,11 +84,14 @@ struct Inner {
 /// The index itself; [`VBucketStore`] is the handle callers get.
 pub(crate) struct VbIndex {
     inner: OrderedMutex<Inner>,
+    /// The store's `mem.storage_index.bytes`: every index's by-id table.
+    table_bytes: Arc<Gauge>,
 }
 
 impl VbIndex {
-    pub(crate) fn new(file: Arc<File>) -> VbIndex {
+    pub(crate) fn new(file: Arc<File>, table_bytes: Arc<Gauge>) -> VbIndex {
         VbIndex {
+            table_bytes,
             inner: OrderedMutex::new(
                 rank::VB_STORE,
                 Inner {
@@ -125,7 +129,12 @@ impl VbIndex {
                     inner.stale_bytes += stale;
                 }
                 None => {
+                    let bytes = inner.by_id.heap_bytes();
                     inner.by_id.insert(DocKey::from(rec.key), entry);
+                    let grown = inner.by_id.heap_bytes() - bytes;
+                    if grown > 0 {
+                        self.table_bytes.add(grown as u64);
+                    }
                 }
             }
             inner.high_seqno = inner.high_seqno.max(rec.seqno);
@@ -137,6 +146,7 @@ impl VbIndex {
     /// until the next compaction.
     pub(crate) fn purge(&self, marker_bytes: u64) {
         let mut inner = self.inner.lock();
+        self.table_bytes.sub(inner.by_id.heap_bytes() as u64);
         inner.by_id.clear();
         inner.high_seqno = SeqNo::ZERO;
         inner.file_bytes += marker_bytes;
@@ -205,6 +215,12 @@ impl VbIndex {
             stale_bytes: inner.stale_bytes,
             compactions: inner.compactions,
         }
+    }
+}
+
+impl Drop for VbIndex {
+    fn drop(&mut self) {
+        self.table_bytes.sub(self.inner.lock().by_id.heap_bytes() as u64);
     }
 }
 

@@ -145,6 +145,7 @@ mod tests {
         ("index", Tree::Lib),
         ("index", Tree::Tests),
         ("json", Tree::Lib),
+        ("json", Tree::Tests),
         ("kv", Tree::Lib),
         ("kv", Tree::Tests),
         ("n1ql", Tree::Lib),

@@ -42,9 +42,11 @@
 #                                 examples run to completion (exit status
 #                                 only), the N1QL nesting-budget test runs
 #                                 again in release, the GSI model
-#                                 properties run once per seed 1..=256
-#                                 (PROPTEST_SEED, release) and the
-#                                 staleness artifacts regenerate
+#                                 properties and the key-table model
+#                                 (KeyMap against std's HashMap) run once
+#                                 per seed 1..=256 (PROPTEST_SEED,
+#                                 release) and the staleness artifacts
+#                                 regenerate
 #   7. perfbench smoke            the benchmark package (its own workspace):
 #                                 unit tests, then every workload at --smoke
 #                                 sizes with its in-run correctness checks,
@@ -193,16 +195,17 @@ result_metric() {
     echo "$1" | grep -o "\"$2\": {\"value\": [0-9.e+-]*" | grep -o '[0-9.e+-]*$'
 }
 
-# The GSI model properties over many seeds: with PROPTEST_SEED set, the
-# vendored proptest replays one case per property from that seed, so the
-# release test binary, built once, runs once per seed 1..=256 and stops at
-# the first failure, printing its seed.
-gsi_model_seeds() {
-    local bin seed log=target/gsi_model_seeds.log
-    bin="$(cargo test --quiet --release -p cbs-index --test model_equivalence --no-run \
+# Model properties over many seeds: with PROPTEST_SEED set, the vendored
+# proptest replays one case per property from that seed, so the release
+# binary of test $2 of package $1, built once, runs once per seed 1..=256
+# and stops at the first failure, printing its seed (output in
+# target/$2_seeds.log).
+model_seeds() {
+    local bin seed log="target/$2_seeds.log"
+    bin="$(cargo test --quiet --release -p "$1" --test "$2" --no-run \
         --message-format=json 2>/dev/null \
         | grep -o '"executable":"[^"]*"' | tail -n 1 | cut -d'"' -f4)"
-    [ -x "$bin" ] || { echo "    model_equivalence test binary not found"; return 1; }
+    [ -x "$bin" ] || { echo "    $2 test binary not found"; return 1; }
     for seed in $(seq 1 256); do
         PROPTEST_SEED="$seed" "$bin" >"$log" 2>&1 \
             || { echo "    PROPTEST_SEED=$seed failed (output: $log)"; return 1; }
@@ -310,7 +313,9 @@ run "N1QL examples (run to completion)" bash -c \
 # keep the deepest accepted statement inside a test thread's stack, and
 # refuse deeper ones, in the optimised build too.
 run "N1QL nesting budget (release)" cargo test --quiet --release -p cbs-n1ql --test nesting
-run "GSI model properties (release, PROPTEST_SEED=1..=256)" gsi_model_seeds
+run "GSI model properties (release, PROPTEST_SEED=1..=256)" \
+    model_seeds cbs-index model_equivalence
+run "key-table model (release, PROPTEST_SEED=1..=256)" model_seeds cbs-common key_map_model
 run_stage staleness-smoke
 run_stage perfbench-smoke
 
