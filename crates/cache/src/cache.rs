@@ -442,6 +442,18 @@ impl ObjectCache {
         self.mem_used.sub(freed as u64);
     }
 
+    /// The live entries of a vBucket whose expiry has passed at `now`, as
+    /// (key, metadata), found in one walk of its table under the read lock:
+    /// what the expiry pager reaps. Allocates nothing when none has expired.
+    pub fn expired(&self, vb: VbId, now: u32) -> Vec<(DocKey, DocMeta)> {
+        let shard = self.shard(vb).read();
+        shard
+            .iter()
+            .filter(|(_, i)| !i.deleted && i.meta.is_expired_at(now))
+            .map(|(k, i)| (k.clone(), i.meta))
+            .collect()
+    }
+
     /// All resident keys of a vBucket (diagnostics / tests).
     pub fn keys(&self, vb: VbId) -> Vec<DocKey> {
         self.shard(vb).read().keys().cloned().collect()

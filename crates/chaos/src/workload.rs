@@ -430,8 +430,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                     for node in cluster.nodes() {
                         if let Some(engine) = node.engine_unchecked(BUCKET) {
                             let _ = engine.flush_once();
-                            if let Ok(n) = engine.compact_if_needed() {
-                                compactions.fetch_add(n as u64, Ordering::Relaxed);
+                            if let Ok(true) = engine.compact_if_needed() {
+                                compactions.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                     }

@@ -55,9 +55,6 @@ pub struct ClusterConfig {
     pub cache_quota: usize,
     /// Cache eviction policy.
     pub eviction: cbs_cache::EvictionPolicy,
-    /// Flusher shards per bucket engine (each group-commits a static slice
-    /// of vBuckets with one fsync per drain cycle).
-    pub flusher_shards: usize,
     /// Optional fault-injection hooks for the simulated transport (chaos
     /// testing). `None` in production configurations.
     pub fault_injector: Option<Arc<dyn FaultInjector>>,
@@ -72,7 +69,6 @@ impl ClusterConfig {
             data_root: cbs_storage::scratch_dir("cluster"),
             cache_quota: 256 << 20,
             eviction: cbs_cache::EvictionPolicy::ValueOnly,
-            flusher_shards: 4,
             fault_injector: None,
         }
     }

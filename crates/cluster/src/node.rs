@@ -12,7 +12,7 @@ use cbs_views::ViewEngine;
 
 use crate::config::{ClusterConfig, ServiceSet};
 
-/// The longest a node's flusher shard leaves queued writes undrained
+/// The longest a bucket engine's flusher leaves queued writes undrained
 /// ([`FlusherPool::spawn`]'s interval).
 const FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
 
@@ -145,7 +145,6 @@ impl Node {
             cache_quota: self.cfg.cache_quota,
             eviction: self.cfg.eviction,
             data_dir: self.cfg.data_root.join(format!("node{}", self.id.0)).join(bucket),
-            flusher_shards: self.cfg.flusher_shards,
             trace: self.trace.clone(),
             seqno_signal: Arc::clone(seqno_signal),
         })

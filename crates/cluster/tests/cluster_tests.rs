@@ -179,7 +179,7 @@ fn observe_takes_any_replica_ack_and_times_out_at_its_deadline() {
 }
 
 /// §2.3.2's ordering, memory ack ≪ replication ≪ persistence, as
-/// post-conditions: with every shard log refusing writes (a symlink to
+/// post-conditions: with every bucket log refusing writes (a symlink to
 /// `/dev/full`), a memory-acked write and a `replicate_to = 1` write still
 /// return — replication is memory to memory — while `persist_to_master`
 /// ends in `Timeout` with the write not persisted.
@@ -190,10 +190,7 @@ fn persist_to_master_waits_for_the_disk_and_nothing_else_does() {
     for node in 0..2 {
         let dir = cfg.data_root.join(format!("node{node}")).join("default");
         std::fs::create_dir_all(&dir).unwrap();
-        for shard in 0..cfg.flusher_shards {
-            std::os::unix::fs::symlink("/dev/full", dir.join(format!("shard_{shard}.couch")))
-                .unwrap();
-        }
+        std::os::unix::fs::symlink("/dev/full", dir.join("shard_0.couch")).unwrap();
     }
     let cluster = Cluster::homogeneous(2, cfg);
     cluster.create_bucket("default").unwrap();

@@ -93,9 +93,9 @@ pub mod rank {
     /// nothing held; connecting a new client (which fetches maps) happens
     /// between the read probe and the write insert.
     pub const QUERY_CLIENTS: LockRank = LockRank::new(8, "n1ql.datastore.clients");
-    /// Per-shard flush lock, the shard log's single-writer seat — outermost:
-    /// held for a whole drain cycle, purge or compaction while vB metadata,
-    /// queues, the log and the vBucket indexes are touched.
+    /// A bucket engine's flush lock, its log's single-writer seat —
+    /// outermost: held for a whole drain cycle, purge or compaction while
+    /// vB metadata, queues, the log and the vBucket indexes are touched.
     pub const FLUSH_CYCLE: LockRank = LockRank::new(10, "kv.shard.flush_cycle");
     /// View engine's ddoc registry. Held only to look a design doc up or
     /// to add or drop one.
@@ -123,18 +123,18 @@ pub mod rank {
     /// vB metadata lock (lazy expiry) and under the DCP channel (a stream
     /// open copies the shard during backfill); acquires nothing itself.
     pub const CACHE_SHARD: LockRank = LockRank::new(27, "kv.cache.shard");
-    /// Per-shard flusher wakeup generation counter and list of dirty
-    /// vBuckets (condvar seat).
+    /// A bucket engine's flusher wakeup generation counter and list of
+    /// dirty vBuckets (condvar seat).
     pub const FLUSH_SIGNAL: LockRank = LockRank::new(40, "kv.shard.signal");
     /// A Standard GSI partition's single writer: held from a batch's filter
     /// through its commit (one fsync) and compaction, while the partition's
     /// tree and its log's store are taken and released under it.
     pub const INDEX_LOG_WRITER: LockRank = LockRank::new(50, "index.partition.writer");
     /// Group-commit log interior (file handle + length) of one
-    /// `CommitLog`: a `BucketStore`'s flusher shard data log or a GSI
-    /// partition's change log.
+    /// `CommitLog`: a `BucketStore`'s data log or a GSI partition's change
+    /// log.
     pub const WAL: LockRank = LockRank::new(60, "storage.wal");
-    /// Per-shard-log vBucket → index map (lookup/create).
+    /// A bucket log's vBucket → index map (lookup/create).
     pub const BUCKET_MAP: LockRank = LockRank::new(70, "storage.bucket_map");
     /// Per-vBucket index interior (file handle, by-id record places,
     /// seqnos, byte counts).

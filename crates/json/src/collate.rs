@@ -16,6 +16,7 @@
 //! heterogeneous documents in one bucket.
 
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 use crate::value::Value;
 
@@ -114,6 +115,35 @@ pub fn cmp_missing(a: Option<&Value>, b: Option<&Value>) -> Ordering {
         (None, Some(_)) => Ordering::Less,
         (Some(_), None) => Ordering::Greater,
         (Some(x), Some(y)) => cmp_values(x, y),
+    }
+}
+
+/// Hash a possibly-MISSING value consistently with [`cmp_missing`]: values
+/// it calls equal hash alike. A number hashes by its `f64`, `-0.0` as `0.0`
+/// (numbers equal under collation are one double; integers above 2⁵³ that
+/// round to one double merely share a hash), and an object's fields in
+/// name order — a repeated name's values in field order, as the comparison
+/// pairs them — without sorting a copy.
+pub fn hash_missing<H: Hasher>(v: Option<&Value>, state: &mut H) {
+    let Some(v) = v else { return state.write_u8(0) };
+    match v {
+        Value::Null => state.write_u8(1),
+        Value::Bool(b) => (2u8, b).hash(state),
+        Value::Number(n) => (3u8, (n.as_f64() + 0.0).to_bits()).hash(state),
+        Value::String(s) => (4u8, s).hash(state),
+        Value::Array(items) => {
+            (5u8, items.len()).hash(state);
+            for item in items {
+                hash_missing(Some(item), state);
+            }
+        }
+        Value::Object(fields) => {
+            (6u8, fields.len()).hash(state);
+            for (name, value) in by_name(fields) {
+                name.hash(state);
+                hash_missing(Some(value), state);
+            }
+        }
     }
 }
 

@@ -26,7 +26,7 @@ pub mod print;
 pub mod shared;
 pub mod value;
 
-pub use collate::{cmp_missing, cmp_str, cmp_values};
+pub use collate::{cmp_missing, cmp_str, cmp_values, hash_missing};
 pub use parse::{parse, ParseError, MAX_DEPTH};
 pub use path::{parse_path, JsonPath, PathStep};
 pub use shared::{SharedValue, ValueMut};

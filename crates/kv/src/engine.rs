@@ -23,7 +23,7 @@ use crate::types::{EngineConfig, GetResult, MutateMode, MutationResult, VbState}
 
 /// What a drain cycle took from one vBucket: the keys whose versions it
 /// writes and the trace contexts attached to them, kept so a failed commit
-/// can queue both again; how many queue entries the shard's gauge counted
+/// can queue both again; how many queue entries the engine's gauge counted
 /// for them; and the seqno the vBucket is persisted to once the cycle has
 /// committed.
 struct DirtySnapshot {
@@ -65,7 +65,7 @@ impl VbMeta {
     }
 }
 
-/// What a flusher shard's thread sleeps on.
+/// What the flusher thread sleeps on.
 #[derive(Default)]
 struct FlushSignal {
     /// Wakeup generation counter; bumped (under the lock) by
@@ -89,27 +89,25 @@ const FLUSH_QUIET: Duration = Duration::from_millis(1);
 /// released after a certain timeout to avoid deadlocks", §3.1.1).
 const GETL_TIMEOUT: Duration = Duration::from_secs(15);
 
-/// One flusher shard: a static slice of vBuckets drained together into the
-/// shard's log (`BucketStore` shard of the same number), each cycle
-/// group-committed through a single fsync.
-struct FlushShard {
-    /// Dirty keys not yet durable across this shard's vBuckets: queued, or
-    /// in a cycle that has not committed — exported as the per-shard
-    /// backpressure gauge `kv.flusher.queue_depth_s<N>`.
+/// The engine's flush state: every vBucket is drained into the bucket's
+/// one log, each drain cycle group-committed through a single fsync.
+struct FlushState {
+    /// Dirty keys not yet durable: queued, or in a cycle that has not
+    /// committed — exported as the backpressure gauge
+    /// `kv.flusher.queue_depth`.
     dirty_count: Arc<Gauge>,
     signal: OrderedMutex<FlushSignal>,
     signal_cv: Condvar,
-    /// `wait_persisted` callers blocked on this shard's vBuckets: while
-    /// there are any, the flusher drains at once instead of letting its
-    /// cycle fill.
+    /// `wait_persisted` callers blocked on this engine: while there are
+    /// any, the flusher drains at once instead of letting its cycle fill.
     persist_waiters: AtomicUsize,
-    /// The shard log's single-writer seat: serializes whole drain cycles
+    /// The log's single-writer seat: serializes whole drain cycles
     /// (snapshot → append → sync → index → mark clean), purges and
-    /// compactions of the shard. Without it a purge marker could be
-    /// overtaken by an in-flight cycle's records of the purged vBucket, a
-    /// compaction could lose the records appended while it copies, and
-    /// concurrent `flush_shard` calls on one shard (public `flush_once`
-    /// vs. the pool) could commit a key's versions out of order.
+    /// compactions. Without it a purge marker could be overtaken by an
+    /// in-flight cycle's records of the purged vBucket, a compaction could
+    /// lose the records appended while it copies, and concurrent cycles
+    /// (public `flush_once` vs. the pool) could commit a key's versions out
+    /// of order.
     flush_lock: OrderedMutex<()>,
 }
 
@@ -129,7 +127,7 @@ pub struct DataEngine {
     high: Watermarks,
     /// Highest persisted seqno per vBucket; `wait_persisted` parks on it.
     persisted: Watermarks,
-    shards: Vec<FlushShard>,
+    flush: FlushState,
     registry: Arc<Registry>,
     stats: EngineStats,
 }
@@ -137,28 +135,20 @@ pub struct DataEngine {
 impl DataEngine {
     /// Create an engine. All vBuckets start `Dead`; the cluster manager (or
     /// a test) activates the ones this node owns. Opening the store scans
-    /// the shard logs in the data directory and rebuilds every vBucket's
+    /// the bucket's log in the data directory and rebuilds every vBucket's
     /// index — that scan is the whole of crash recovery;
     /// [`DataEngine::recover_vb`] then warms the cache from it.
     pub fn new(cfg: EngineConfig) -> Result<Arc<DataEngine>> {
         let n = cfg.num_vbuckets;
-        let num_shards = cfg.flusher_shards.clamp(1, n.max(1) as usize);
         let registry = Arc::new(Registry::new("kv"));
-        let store = BucketStore::open_sharded_with_registry(
-            cfg.data_dir.clone(),
-            num_shards,
-            n,
-            &registry,
-        )?;
-        let shards = (0..num_shards)
-            .map(|s| FlushShard {
-                dirty_count: registry.gauge(&format!("kv.flusher.queue_depth_s{s}")),
-                signal: OrderedMutex::new(rank::FLUSH_SIGNAL, FlushSignal::default()),
-                signal_cv: Condvar::new(),
-                persist_waiters: AtomicUsize::new(0),
-                flush_lock: OrderedMutex::new(rank::FLUSH_CYCLE, ()),
-            })
-            .collect();
+        let store = BucketStore::open_with_registry(cfg.data_dir.clone(), &registry)?;
+        let flush = FlushState {
+            dirty_count: registry.gauge("kv.flusher.queue_depth"),
+            signal: OrderedMutex::new(rank::FLUSH_SIGNAL, FlushSignal::default()),
+            signal_cv: Condvar::new(),
+            persist_waiters: AtomicUsize::new(0),
+            flush_lock: OrderedMutex::new(rank::FLUSH_CYCLE, ()),
+        };
         Ok(Arc::new(DataEngine {
             cache: ObjectCache::new_with_registry(n, cfg.cache_quota, cfg.eviction, &registry),
             store,
@@ -179,7 +169,7 @@ impl DataEngine {
                 .collect(),
             high: Watermarks::sharing("replication", n, Arc::clone(&cfg.seqno_signal)),
             persisted: Watermarks::new("persistence", n),
-            shards,
+            flush,
             stats: EngineStats::new(&registry),
             registry,
             cfg,
@@ -297,19 +287,18 @@ impl DataEngine {
     pub fn purge_vb(&self, vb: VbId) -> Result<()> {
         self.set_vb_state(vb, VbState::Dead);
         self.cache.clear_vb(vb);
-        let sh = &self.shards[self.store.shard_of(vb)];
         // Under the flush lock, so the purge marker lands behind whatever
         // an in-flight cycle appends for this vBucket and a replay after
-        // restart cannot resurrect it. The marker is synced by the shard's
-        // next cycle (at the latest one flush interval from now), not here:
-        // a rebalance purges vBuckets by the hundred.
-        let _flush = sh.flush_lock.lock();
+        // restart cannot resurrect it. The marker is synced by the next
+        // cycle (at the latest one flush interval from now), not here: a
+        // rebalance purges vBuckets by the hundred.
+        let _flush = self.flush.flush_lock.lock();
         let dropped = {
             let mut meta = self.vbs[vb.index()].lock();
             meta.ctxs.clear();
             std::mem::take(&mut meta.queue).len() as u64
         };
-        sh.dirty_count.sub(dropped);
+        self.flush.dirty_count.sub(dropped);
         self.store.drop_vb(vb)?;
         self.high.reset(vb);
         self.persisted.reset(vb);
@@ -695,9 +684,9 @@ impl DataEngine {
         if self.persisted.get(vb) >= seqno {
             return Ok(());
         }
-        // Tell the shard's flusher that someone is waiting, so that it
-        // drains now rather than when its cycle has filled.
-        let sh = &self.shards[self.store.shard_of(vb)];
+        // Tell the flusher that someone is waiting, so that it drains now
+        // rather than when its cycle has filled.
+        let sh = &self.flush;
         sh.persist_waiters.fetch_add(1, Ordering::SeqCst);
         sh.signal.lock().gen += 1;
         sh.signal_cv.notify_all();
@@ -709,11 +698,6 @@ impl DataEngine {
     // ------------------------------------------------------------------
     // Flusher internals (driven by `crate::flusher`)
     // ------------------------------------------------------------------
-
-    /// Number of flusher shards (each served by one pool thread).
-    pub fn num_flusher_shards(&self) -> usize {
-        self.shards.len()
-    }
 
     /// After a dirty write to `key`, under its vBucket's lock: append the
     /// key to the disk-write queue if the write `newly` set the entry's
@@ -737,36 +721,36 @@ impl DataEngine {
         }
         let first = meta.queue.is_empty();
         meta.queue.push(DocKey::from(key));
-        let shard = &self.shards[self.store.shard_of(vb)];
-        shard.dirty_count.add(1);
+        let sh = &self.flush;
+        sh.dirty_count.add(1);
         // Bump the generation under the lock, so a flusher thread that
         // checked the counter and is about to sleep still sees the change —
         // no missed wakeups. The same acquisition tells the flusher which
         // vBucket to visit.
-        let mut signal = shard.signal.lock();
+        let mut signal = sh.signal.lock();
         signal.gen += 1;
         if first {
             signal.dirty_vbs.push(vb);
         }
         if signal.idle {
-            shard.signal_cv.notify_all();
+            sh.signal_cv.notify_all();
         }
     }
 
-    /// Block until `shard` should run its next drain cycle. With nothing
+    /// Block until the flusher should run its next drain cycle. With nothing
     /// queued the thread sleeps until the first write (or `interval`, so
     /// that maintenance still runs). With something queued it lets the
     /// cycle fill — "repeated updates to an object [are] aggregated at the
     /// level of persistence" (§2.3.2), and a group commit costs the same
     /// fsync for one item as for fifty — until no new key has been queued
     /// for [`FLUSH_QUIET`], `interval` has passed, or a `wait_persisted`
-    /// caller is waiting on the shard, which ends the wait at once. `stop` is
+    /// caller is waiting, which ends the wait at once. `stop` is
     /// rechecked inside the wait loops: `shutdown` sets it and then bumps
     /// the generation under the signal lock, so a thread that passed its
     /// caller's stop check but has not yet recorded the generation cannot
     /// sleep through the shutdown wakeup.
-    pub fn wait_for_cycle(&self, shard: usize, interval: Duration, stop: &AtomicBool) {
-        let sh = &self.shards[shard];
+    pub fn wait_for_cycle(&self, interval: Duration, stop: &AtomicBool) {
+        let sh = &self.flush;
         let mut signal = sh.signal.lock();
         if sh.dirty_count.get() == 0 {
             let deadline = Instant::now() + interval;
@@ -796,33 +780,23 @@ impl DataEngine {
         }
     }
 
-    /// Wake every shard's flusher thread (shutdown path).
-    pub fn wake_flushers(&self) {
-        for sh in &self.shards {
-            sh.signal.lock().gen += 1;
-            sh.signal_cv.notify_all();
-        }
+    /// Wake the flusher thread (shutdown path).
+    pub fn wake_flusher(&self) {
+        self.flush.signal.lock().gen += 1;
+        self.flush.signal_cv.notify_all();
     }
 
     /// Current disk-write queue length: items not yet durable, whether
     /// still queued or in a drain cycle whose commit has not returned.
     pub fn disk_queue_len(&self) -> u64 {
-        self.shards.iter().map(|s| s.dirty_count.get()).sum()
+        self.flush.dirty_count.get()
     }
 
-    /// Drain every shard once (synchronous persistence for tests and
-    /// single-threaded callers). Returns the number of items persisted.
-    pub fn flush_once(&self) -> Result<u64> {
-        let mut persisted = 0u64;
-        for shard in 0..self.shards.len() {
-            persisted += self.flush_shard(shard)?;
-        }
-        Ok(persisted)
-    }
-
-    /// Drain one shard's dirty vBuckets to the storage engine: each listed
-    /// queue is snapshotted and its documents' bytes copied straight into
-    /// the cycle's record buffer, which goes to the shard's log every
+    /// Run one drain cycle: every dirty vBucket of the engine goes to the
+    /// storage engine under one group commit (the flusher's cycle, and
+    /// synchronous persistence for tests and single-threaded callers).
+    /// Each listed queue is snapshotted and its documents' bytes copied
+    /// straight into the cycle's record buffer, which goes to the log every
     /// [`CYCLE_SLICE`] bytes, unsynced and unindexed; the commit appends
     /// the rest and issues the cycle's **single** `sync_data` — the
     /// durability point for the whole cycle, and the only copy written.
@@ -831,9 +805,9 @@ impl DataEngine {
     /// cache first and lists the index second, and only clean items are
     /// evicted, so an item must never be clean-but-unindexed — that
     /// ordering pair is what keeps stream open race-free against a
-    /// concurrent drain.
-    pub fn flush_shard(&self, shard: usize) -> Result<u64> {
-        let sh = &self.shards[shard];
+    /// concurrent drain. Returns the number of items persisted.
+    pub fn flush_once(&self) -> Result<u64> {
+        let sh = &self.flush;
         // The root of the flusher thread's segment (a child span when a
         // traced caller flushes synchronously): a slow drain cycle is kept
         // with its log append, group-commit fsync and indexing as
@@ -914,7 +888,7 @@ impl DataEngine {
                 // checks its key.
                 filled = cycle.push(vb, key, &meta, value.is_none(), json);
                 if filled.is_ok() && cycle.buffered_bytes() >= CYCLE_SLICE {
-                    filled = self.store.append_slice(shard, &mut cycle);
+                    filled = self.store.append_slice(&mut cycle);
                 }
                 if filled.is_err() {
                     break;
@@ -928,18 +902,18 @@ impl DataEngine {
         if let Err(e) = filled {
             // Nothing of the cycle stays in the log; its keys go back, and
             // the vBuckets it did not reach stay listed.
-            self.store.abandon(shard, &mut cycle);
+            self.store.abandon(&mut cycle);
             sh.signal.lock().dirty_vbs.extend(dirty_vbs);
-            self.requeue(sh, snapshots);
+            self.requeue(snapshots);
             return Err(e);
         }
 
         if !cycle.is_empty() {
             let commit_start = (self.cfg.trace.is_some() && !traced.is_empty()).then(Instant::now);
-            match self.store.commit(shard, &mut cycle) {
+            match self.store.commit(&mut cycle) {
                 Ok(fsync) => self.stats.fsync_latency.record(fsync),
                 Err(e) => {
-                    self.requeue(sh, snapshots);
+                    self.requeue(snapshots);
                     return Err(e);
                 }
             }
@@ -953,9 +927,9 @@ impl DataEngine {
                 self.cache.mark_clean(vb, key, seqno);
             }
             self.stats.flushed.add(cycle.len() as u64);
-        } else if let Err(e) = self.store.sync_pending(shard) {
+        } else if let Err(e) = self.store.sync_pending() {
             // Nothing to commit, but a purge marker awaited its sync.
-            self.requeue(sh, snapshots);
+            self.requeue(snapshots);
             return Err(e);
         }
         // Only now do the snapshotted keys leave the gauge: a reader of
@@ -972,7 +946,7 @@ impl DataEngine {
     /// forever. The gauge keeps counting the keys queued again; the rest
     /// (queued by a newer write, which counted them anew, or not taken)
     /// leave it.
-    fn requeue(&self, sh: &FlushShard, snapshots: Vec<DirtySnapshot>) {
+    fn requeue(&self, snapshots: Vec<DirtySnapshot>) {
         #[cfg(test)]
         tests::flusher_at("requeue");
         let mut left = 0u64;
@@ -993,53 +967,42 @@ impl DataEngine {
             }
             vbs.push(vb);
         }
-        sh.dirty_count.sub(left);
-        sh.signal.lock().dirty_vbs.extend(vbs);
+        self.flush.dirty_count.sub(left);
+        self.flush.signal.lock().dirty_vbs.extend(vbs);
     }
 
     /// The expiry pager: sweep resident metadata for expired documents and
     /// reap them (publishing DCP expirations so indexes and replicas drop
     /// them too). Complements lazy on-access expiry — without the pager an
-    /// expired-but-never-read document would linger in views/GSIs. Returns
+    /// expired-but-never-read document would linger in views/GSIs. Each
+    /// active vBucket's table is walked once and only what has expired is
+    /// copied out, so a sweep that finds nothing allocates nothing. Returns
     /// the number of documents expired.
     pub fn run_expiry_pager(&self) -> usize {
         let now = now_secs();
         let mut reaped = 0;
-        for vb in self.vbs_in_state(VbState::Active) {
-            for key in self.cache.keys(vb) {
-                if let Some((meta, deleted)) = self.cache.peek_meta(vb, &key) {
-                    if !deleted && meta.is_expired_at(now) {
-                        self.lazy_expire(vb, &key, meta);
-                        reaped += 1;
-                    }
-                }
+        for vb in (0..self.cfg.num_vbuckets).map(VbId) {
+            if self.vb_state(vb) != VbState::Active {
+                continue;
+            }
+            for (key, meta) in self.cache.expired(vb, now) {
+                self.lazy_expire(vb, &key, meta);
+                reaped += 1;
             }
         }
         reaped
     }
 
-    /// Compact one shard's log if its stale fraction has reached the
-    /// threshold (§4.3.3: "Compaction is periodically run, based on a
-    /// fragmentation threshold"); returns whether it ran. Readers carry on
-    /// throughout; the shard's drain cycles wait. One log of the engine
-    /// compacts at a time: while another one is, this returns `Ok(false)`
-    /// at once and the shard tries again at its next maintenance turn.
-    pub fn compact_shard_if_needed(&self, shard: usize) -> Result<bool> {
-        let _flush = self.shards[shard].flush_lock.lock();
+    /// Compact the log if its stale fraction has reached the threshold
+    /// (§4.3.3: "Compaction is periodically run, based on a fragmentation
+    /// threshold"); returns whether it ran. Readers carry on throughout;
+    /// drain cycles wait.
+    pub fn compact_if_needed(&self) -> Result<bool> {
+        let _flush = self.flush.flush_lock.lock();
         // lint:allow(guard-blocking): the compaction swap (new file renamed
-        // over the log) must exclude the shard's appends — records written
-        // while the live ones are copied would be lost with the old file.
-        self.store.compact_shard(shard, BucketStore::FRAGMENTATION_THRESHOLD)
-    }
-
-    /// Run [`DataEngine::compact_shard_if_needed`] on every shard; returns
-    /// how many logs were compacted.
-    pub fn compact_if_needed(&self) -> Result<usize> {
-        let mut n = 0;
-        for shard in 0..self.shards.len() {
-            n += usize::from(self.compact_shard_if_needed(shard)?);
-        }
-        Ok(n)
+        // over the log) must exclude appends — records written while the
+        // live ones are copied would be lost with the old file.
+        self.store.compact(BucketStore::FRAGMENTATION_THRESHOLD)
     }
 
     /// Per-vBucket operational snapshot (state, seqnos, queue depth) for
@@ -1061,8 +1024,8 @@ impl DataEngine {
     }
 
     /// Storage stats per vBucket with an index. Their `file_bytes`,
-    /// `stale_bytes` and `compactions` sum to the bytes in the shard logs,
-    /// the stale bytes in them and the compactions run.
+    /// `stale_bytes` and `compactions` sum to the bytes in the log, the
+    /// stale bytes in it and the compactions run.
     pub fn storage_stats(&self) -> Vec<(VbId, cbs_storage::StoreStats)> {
         self.store
             .open_vbs()
@@ -1256,7 +1219,7 @@ mod tests {
     type Hook = Option<Box<dyn Fn(&str)>>;
 
     thread_local! {
-        /// Run by `flush_shard` on this thread, with no lock but the flush
+        /// Run by `flush_once` on this thread, with no lock but the flush
         /// lock held, at two points: `"snapshot"`, between a vBucket's queue
         /// snapshot and its takes, and `"requeue"`, between a failed
         /// cycle's takes and its requeue.
@@ -1569,8 +1532,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn a_write_between_a_failed_take_and_its_requeue_is_queued_once() {
-        let mut cfg = EngineConfig::for_test(1);
-        cfg.flusher_shards = 1;
+        let cfg = EngineConfig::for_test(1);
         std::os::unix::fs::symlink("/dev/full", cfg.data_dir.join("shard_0.couch")).unwrap();
         let e = DataEngine::new(cfg).unwrap();
         e.activate_all();
@@ -1817,11 +1779,8 @@ mod tests {
             let e = DataEngine::new(cfg).unwrap();
             e.activate_all();
             gone = e.set("k", doc(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap().vb;
-            // A neighbour in the same shard log, which must survive.
-            let key = (0..).map(|i| format!("n{i}")).find(|k| {
-                let vb = e.vb_for_key(k);
-                vb != gone && e.store.shard_of(vb) == e.store.shard_of(gone)
-            });
+            // A neighbour in the same log, which must survive.
+            let key = (0..).map(|i| format!("n{i}")).find(|k| e.vb_for_key(k) != gone);
             let key = key.unwrap();
             kept = (key.clone(), e.vb_for_key(&key));
             e.set(&key, doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();

@@ -80,7 +80,6 @@ fn open(dir: &std::path::Path, policy: EvictionPolicy) -> Arc<DataEngine> {
     cfg.data_dir = dir.to_path_buf();
     cfg.eviction = policy;
     cfg.cache_quota = QUOTA;
-    cfg.flusher_shards = 2;
     let e = DataEngine::new(cfg).unwrap();
     for vb in (0..VBS).map(VbId) {
         e.recover_vb(vb).unwrap();

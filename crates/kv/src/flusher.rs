@@ -1,104 +1,65 @@
-//! The flusher pool: background threads draining the disk-write queue.
+//! The flusher: one background thread per bucket engine draining the
+//! disk-write queue.
 //!
 //! Figure 6 of the paper: mutations are acknowledged from memory and "then
-//! asynchronously written to disk via the disk write queue". The pool is
-//! that path, sharded: each thread owns a static slice of vBuckets and
-//! their log ([`DataEngine::flush_shard`]) and group-commits every drain
-//! cycle with a single fsync instead of one fsync per vBucket. Threads
-//! sleep on a condvar and are woken by `enqueue_dirty`, so a write starts
-//! persisting immediately rather than after a polling interval. Every
-//! thread also compacts its own log when its fragmentation crosses the
-//! threshold and no other shard of the engine is compacting; shard 0's runs
-//! the expiry pager as well (§4.3.3).
+//! asynchronously written to disk via the disk write queue". One thread is
+//! that path for an engine: it drains every dirty vBucket into the
+//! bucket's one log ([`DataEngine::flush_once`]) and group-commits each
+//! drain cycle with a single fsync. The thread sleeps on a condvar and is
+//! woken by `queue_dirty`, so a write starts persisting immediately rather
+//! than after a polling interval. Every 64 cycles it compacts the log if
+//! its fragmentation has crossed the threshold, and every
+//! [`EXPIRY_PAGER_PERIOD`] it runs the expiry pager (§4.3.3) — on the
+//! clock, not on the cycle count, so that a node whose durable writes run
+//! one cycle each does not sweep its cache in front of one write in 64.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cbs_common::{Error, Result};
+use cbs_common::{Deadline, Error, Result};
 
 use crate::engine::DataEngine;
 
-/// Handle to a running flusher pool; stops (after a final drain) on drop.
+/// How often the flusher thread runs the expiry pager.
+pub const EXPIRY_PAGER_PERIOD: Duration = Duration::from_secs(1);
+
+/// Drain cycles between two compaction checks.
+const CYCLES_PER_COMPACTION_CHECK: u32 = 64;
+
+/// Handle to a running flusher; stops (after a final drain) on drop.
 pub struct FlusherPool {
     engine: Arc<DataEngine>,
     stop: Arc<AtomicBool>,
-    handles: Vec<JoinHandle<()>>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl FlusherPool {
-    /// Spawn one thread per flusher shard of `engine`. Each thread drains
-    /// its shard when the writes to it pause, at once when a durability
-    /// waiter asks, and at least every `interval` while there is anything
-    /// to drain ([`DataEngine::wait_for_cycle`]). Fails (with already-spawned shards stopped and
-    /// joined) if the OS refuses a thread.
+    /// Spawn `engine`'s flusher thread, `cbs-flusher`. It drains when the
+    /// writes pause, at once when a durability waiter asks, and at least
+    /// every `interval` while there is anything to drain
+    /// ([`DataEngine::wait_for_cycle`]). Fails if the OS refuses a thread.
     pub fn spawn(engine: Arc<DataEngine>, interval: Duration) -> Result<FlusherPool> {
         let stop = Arc::new(AtomicBool::new(false));
-        let mut handles: Vec<JoinHandle<()>> = Vec::new();
-        for shard in 0..engine.num_flusher_shards() {
-            let thread_engine = Arc::clone(&engine);
-            let thread_stop = Arc::clone(&stop);
-            let spawned =
-                std::thread::Builder::new().name(format!("cbs-flusher-{shard}")).spawn(move || {
-                    let engine = thread_engine;
-                    let stop = thread_stop;
-                    let mut since_maintenance = 0u32;
-                    while !stop.load(Ordering::Relaxed) {
-                        if engine.flush_shard(shard).is_err() {
-                            // The failed cycle re-queued its keys; back off
-                            // instead of retrying in a hot loop.
-                            std::thread::sleep(Duration::from_millis(50).min(interval));
-                        }
-                        // Periodic maintenance, roughly once per 64 drain
-                        // cycles: every shard looks after its own log (one
-                        // that finds another compacting waits for its next
-                        // turn), one of them after expiry.
-                        since_maintenance += 1;
-                        if since_maintenance >= 64 {
-                            since_maintenance = 0;
-                            let _ = engine.compact_shard_if_needed(shard);
-                            if shard == 0 {
-                                let _ = engine.run_expiry_pager();
-                            }
-                        }
-                        engine.wait_for_cycle(shard, interval, &stop);
-                    }
-                    // Final drain so a clean shutdown persists everything.
-                    let _ = engine.flush_shard(shard);
-                });
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                Err(e) => {
-                    // Unwind the partial pool before reporting: stop and
-                    // join the shards that did start.
-                    stop.store(true, Ordering::Relaxed);
-                    engine.wake_flushers();
-                    for h in handles {
-                        let _ = h.join();
-                    }
-                    return Err(Error::Io(format!("spawn flusher shard {shard}: {e}")));
-                }
-            }
-        }
-        Ok(FlusherPool { engine, stop, handles })
+        let (thread_engine, thread_stop) = (Arc::clone(&engine), Arc::clone(&stop));
+        let handle = std::thread::Builder::new()
+            .name("cbs-flusher".to_string())
+            .spawn(move || run(&thread_engine, interval, &thread_stop))
+            .map_err(|e| Error::Io(format!("spawn flusher: {e}")))?;
+        Ok(FlusherPool { engine, stop, handle: Some(handle) })
     }
 
-    /// Number of shard threads in this pool.
-    pub fn num_shards(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Request stop and wait for every shard's final drain.
+    /// Request stop and wait for the final drain.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        // Kick sleeping shard threads out of their condvar waits.
-        self.engine.wake_flushers();
-        for h in self.handles.drain(..) {
+        // Kick the sleeping thread out of its condvar wait.
+        self.engine.wake_flusher();
+        if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
@@ -108,6 +69,31 @@ impl Drop for FlusherPool {
     fn drop(&mut self) {
         self.stop_and_join();
     }
+}
+
+/// The flusher thread's loop: drain, maintain, wait for the next cycle.
+fn run(engine: &DataEngine, interval: Duration, stop: &AtomicBool) {
+    let mut since_compaction_check = 0u32;
+    let mut pager_due = Deadline::after(EXPIRY_PAGER_PERIOD);
+    while !stop.load(Ordering::Relaxed) {
+        if engine.flush_once().is_err() {
+            // The failed cycle re-queued its keys; back off instead of
+            // retrying in a hot loop.
+            std::thread::sleep(Duration::from_millis(50).min(interval));
+        }
+        since_compaction_check += 1;
+        if since_compaction_check >= CYCLES_PER_COMPACTION_CHECK {
+            since_compaction_check = 0;
+            let _ = engine.compact_if_needed();
+        }
+        if pager_due.expired() {
+            engine.run_expiry_pager();
+            pager_due = Deadline::after(EXPIRY_PAGER_PERIOD);
+        }
+        engine.wait_for_cycle(interval.min(pager_due.remaining()), stop);
+    }
+    // Final drain so a clean shutdown persists everything.
+    let _ = engine.flush_once();
 }
 
 #[cfg(test)]
@@ -122,7 +108,6 @@ mod tests {
         let engine = DataEngine::new(EngineConfig::for_test(16)).unwrap();
         engine.activate_all();
         let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_millis(5)).unwrap();
-        assert!(flusher.num_shards() >= 2, "pool must actually be sharded");
         let m = engine.set("k", Value::int(1), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         // Durability wait is now satisfied by the background flusher.
         engine.wait_persisted(m.vb, m.seqno, Duration::from_secs(5)).unwrap();
@@ -131,10 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_pending_writes_across_all_shards() {
+    fn shutdown_drains_pending_writes_of_every_vbucket() {
         let engine = DataEngine::new(EngineConfig::for_test(16)).unwrap();
         engine.activate_all();
-        // A huge interval: threads only drain on wakeup or shutdown, so
+        // A huge interval: the thread only drains on wakeup or shutdown, so
         // this exercises both the condvar path and the final drain.
         let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_secs(3600)).unwrap();
         let mut vbs_hit = std::collections::HashSet::new();
@@ -144,10 +129,9 @@ mod tests {
                 .unwrap();
             vbs_hit.insert(m.vb);
         }
-        // With 16 vBuckets and 50 keys, every shard's slice gets writes.
         assert!(vbs_hit.len() > 4, "keys must spread across vBuckets");
         flusher.shutdown();
-        assert_eq!(engine.disk_queue_len(), 0, "shutdown flushes every shard's queue");
+        assert_eq!(engine.disk_queue_len(), 0, "shutdown flushes every vBucket's queue");
         // Every write is durably on disk: a fresh engine over the same
         // directory recovers all 50.
         let mut cfg2 = EngineConfig::for_test(16);
@@ -167,15 +151,13 @@ mod tests {
         }
     }
 
-    /// Memory-acked writes are aggregated: a burst to one shard costs a
+    /// Memory-acked writes are aggregated: a burst costs a
     /// couple of group commits, not one per write — and with nobody waiting
     /// and an interval of an hour, the pause after the burst is what drains
     /// it.
     #[test]
     fn a_burst_without_waiters_is_one_group_commit_not_one_per_write() {
-        let mut cfg = EngineConfig::for_test(16);
-        cfg.flusher_shards = 1;
-        let engine = DataEngine::new(cfg).unwrap();
+        let engine = DataEngine::new(EngineConfig::for_test(16)).unwrap();
         engine.activate_all();
         let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_secs(3600)).unwrap();
         std::thread::sleep(Duration::from_millis(30)); // let the thread reach its wait
@@ -204,7 +186,7 @@ mod tests {
         // Interval is effectively "never": only the enqueue_dirty wakeup
         // can trigger a drain before shutdown.
         let flusher = FlusherPool::spawn(Arc::clone(&engine), Duration::from_secs(3600)).unwrap();
-        std::thread::sleep(Duration::from_millis(30)); // let threads reach their waits
+        std::thread::sleep(Duration::from_millis(30)); // let the thread reach its wait
         let m = engine.set("wake", Value::int(7), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         engine
             .wait_persisted(m.vb, m.seqno, Duration::from_secs(5))

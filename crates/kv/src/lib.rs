@@ -15,8 +15,8 @@
 //!                  disk-write queue       DCP publish ──► replicas,
 //!                        │                               views, GSI, XDCR
 //!                        ▼
-//!                  flusher pool ──► shard log: 1 write + 1 fsync per cycle
-//!                   (N shards)        └─► index by offset ──► mark clean
+//!                  flusher thread ──► bucket log: 1 write + 1 fsync per cycle
+//!                   (one per engine)    └─► index by offset ──► mark clean
 //! ```
 //!
 //! - **CAS optimistic locking** and **GETL hard locks with timeout**
@@ -28,7 +28,8 @@
 //!   `replicate_to` blocks on the first across the replica engines, which
 //!   share one `Signal` per bucket ([`EngineConfig::seqno_signal`]). Nothing
 //!   polls and every wait ends at its deadline (DESIGN.md decision 10);
-//! - **TTL expiry** (lazy, on access);
+//! - **TTL expiry**: lazy, on access, and swept by the flusher thread's
+//!   expiry pager once per [`flusher::EXPIRY_PAGER_PERIOD`];
 //! - **vBucket states** (`Active`/`Replica`/`Pending`/`Dead`) driving
 //!   failover and rebalance transitions (§4.3.1);
 //! - **replica apply** and **set-with-meta** paths used by intra-cluster

@@ -83,10 +83,6 @@ pub struct EngineConfig {
     pub eviction: cbs_cache::EvictionPolicy,
     /// Storage directory.
     pub data_dir: std::path::PathBuf,
-    /// Number of flusher shards: each owns a static slice of vBuckets and
-    /// group-commits its drain cycles with one fsync. Clamped to
-    /// `1..=num_vbuckets`.
-    pub flusher_shards: usize,
     /// Trace sink for this engine's node lane (DESIGN.md §10). `None`
     /// disables tracing of direct engine calls and cross-boundary
     /// stitching; span recording then costs one TLS read.
@@ -105,7 +101,6 @@ impl EngineConfig {
             cache_quota: 256 << 20,
             eviction: cbs_cache::EvictionPolicy::ValueOnly,
             data_dir: cbs_storage::scratch_dir("kv"),
-            flusher_shards: 4,
             trace: None,
             seqno_signal: Default::default(),
         }

@@ -68,11 +68,9 @@ fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, i64) {
 
 const VBUCKETS: u16 = 16;
 
-/// An engine with a single flusher shard and no flusher threads.
+/// An engine with no flusher thread.
 fn engine() -> Arc<DataEngine> {
-    let mut cfg = EngineConfig::for_test(VBUCKETS);
-    cfg.flusher_shards = 1;
-    let engine = DataEngine::new(cfg).unwrap();
+    let engine = DataEngine::new(EngineConfig::for_test(VBUCKETS)).unwrap();
     engine.activate_all();
     engine
 }
@@ -96,16 +94,16 @@ fn a_drain_cycle_buffers_a_slice_not_the_cycle() {
     // A first drain grows the storage index to its size, so that the
     // measured one only overwrites entries.
     write_docs(&engine, DOCS, 0);
-    assert_eq!(engine.flush_shard(0).unwrap(), DOCS as u64);
+    assert_eq!(engine.flush_once().unwrap(), DOCS as u64);
     write_docs(&engine, DOCS, 1);
 
-    let (flushed, peak) = peak_above_start(|| engine.flush_shard(0).unwrap());
+    let (flushed, peak) = peak_above_start(|| engine.flush_once().unwrap());
     assert_eq!(flushed, DOCS as u64);
     assert_eq!(engine.disk_queue_len(), 0);
     assert!(peak <= 512 << 10, "a drain of {DOCS} documents peaked {peak} B above its start");
 }
 
-/// Compacting a shard log with more than 4 MB live streams it through one
+/// Compacting a bucket log with more than 4 MB live streams it through one
 /// small buffer: the peak is that buffer plus 24 B of new place per live
 /// record, not a share of the log.
 #[test]
@@ -122,7 +120,7 @@ fn a_compaction_streams_through_a_small_buffer() {
     assert_eq!(live, DOCS as u64);
     assert!(live_bytes >= 4_000_000, "{live_bytes} B live");
 
-    let (ran, peak) = peak_above_start(|| engine.compact_shard_if_needed(0).unwrap());
+    let (ran, peak) = peak_above_start(|| engine.compact_if_needed().unwrap());
     assert!(ran, "two thirds of the log are stale");
     assert_eq!(stats().map(|s| s.compactions).sum::<u64>(), 1);
     let bound = (256 << 10) + 24 * live as i64;

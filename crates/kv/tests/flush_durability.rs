@@ -1,7 +1,7 @@
 //! The flusher's durability contract, driven through the engine's public
 //! API with real threads and real (or really failing) log files: what the
 //! queue-depth gauge promises, what a failed commit leaves behind, and what
-//! a restart finds in the shard logs.
+//! a restart finds in the bucket's log.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -23,14 +23,12 @@ fn upsert(e: &DataEngine, key: &str, v: i64) -> MutationResult {
     e.set(key, Value::object([("v", Value::int(v))]), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap()
 }
 
-/// An engine whose shard `failing`'s log cannot take a byte: the file is a
-/// symlink to `/dev/full`, so every write to it fails with ENOSPC.
+/// An engine whose log cannot take a byte: the file is a symlink to
+/// `/dev/full`, so every write to it fails with ENOSPC.
 #[cfg(target_os = "linux")]
-fn engine_with_full_disk(shards: usize, failing: usize) -> Arc<DataEngine> {
-    let mut cfg = EngineConfig::for_test(VBS);
-    cfg.flusher_shards = shards;
-    std::os::unix::fs::symlink("/dev/full", cfg.data_dir.join(format!("shard_{failing}.couch")))
-        .unwrap();
+fn engine_with_full_disk() -> Arc<DataEngine> {
+    let cfg = EngineConfig::for_test(VBS);
+    std::os::unix::fs::symlink("/dev/full", cfg.data_dir.join("shard_0.couch")).unwrap();
     let e = DataEngine::new(cfg).unwrap();
     e.activate_all();
     e
@@ -46,7 +44,7 @@ fn queued(e: &DataEngine) -> u64 {
 #[cfg(target_os = "linux")]
 #[test]
 fn failed_commit_keeps_every_key_queued_and_counted_once() {
-    let e = engine_with_full_disk(1, 0);
+    let e = engine_with_full_disk();
     let a = upsert(&e, "a", 1);
     upsert(&e, "b", 1);
     assert_eq!(e.disk_queue_len(), 2);
@@ -110,17 +108,14 @@ fn an_empty_disk_queue_means_everything_is_persisted() {
     pool.shutdown();
 }
 
-/// Writers × the flusher pool × a shard whose every commit fails: the
-/// healthy shards keep persisting and `wait_persisted` on them returns; on
-/// the failing shard no key is ever dirty-but-unreachable — every dirty key
-/// stays queued in a vBucket the next cycle visits, counted once — and
-/// `wait_persisted` times out instead of hanging.
+/// Writers × the flusher × a log whose every commit fails: no key is ever
+/// dirty-but-unreachable — every dirty key stays queued in a vBucket the
+/// next cycle visits, counted once — and `wait_persisted` times out instead
+/// of hanging.
 #[cfg(target_os = "linux")]
 #[test]
 fn writers_flusher_and_failing_commits_never_strand_a_key() {
-    const FAILING: usize = 1;
-    let shard_of = |vb: VbId| vb.0 as usize * 4 / VBS as usize;
-    let e = engine_with_full_disk(4, FAILING);
+    let e = engine_with_full_disk();
     let pool = FlusherPool::spawn(Arc::clone(&e), Duration::from_millis(1)).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..3)
@@ -131,13 +126,8 @@ fn writers_flusher_and_failing_commits_never_strand_a_key() {
                 let mut i = 0i64;
                 while !stop.load(Ordering::Relaxed) {
                     let key = format!("w{w}-{}", i % 97);
-                    let m = upsert(&e, &key, i);
-                    if shard_of(m.vb) == FAILING {
-                        stranded_keys.insert(key);
-                    } else if i % 16 == 0 {
-                        e.wait_persisted(m.vb, m.seqno, Duration::from_secs(10))
-                            .expect("a healthy shard persists while its neighbour fails");
-                    }
+                    upsert(&e, &key, i);
+                    stranded_keys.insert(key);
                     i += 1;
                 }
                 stranded_keys
@@ -150,11 +140,10 @@ fn writers_flusher_and_failing_commits_never_strand_a_key() {
     for w in writers {
         failing_keys.extend(w.join().unwrap());
     }
-    assert!(!failing_keys.is_empty(), "the workload must reach the failing shard");
+    assert!(!failing_keys.is_empty(), "the workload must write");
     let expected = failing_keys.len() as u64;
 
-    // The healthy shards drain; the failing shard's keys stay counted,
-    // through any number of failed cycles.
+    // Every key stays counted, through any number of failed cycles.
     let deadline = Instant::now() + Duration::from_secs(10);
     while e.disk_queue_len() != expected {
         assert!(Instant::now() < deadline, "gauge {} != {expected}", e.disk_queue_len());
@@ -166,29 +155,18 @@ fn writers_flusher_and_failing_commits_never_strand_a_key() {
 
     assert_eq!(e.disk_queue_len(), expected);
     assert_eq!(queued(&e), expected, "every dirty key is in a queue");
-    let in_failing_vbs: u64 = e
-        .vbucket_stats()
-        .iter()
-        .filter(|s| shard_of(s.vb) == FAILING)
-        .map(|s| s.queued_items)
-        .sum();
-    assert_eq!(in_failing_vbs, expected);
     // ... and the queues are reachable: the next cycle visits them (and
     // fails again) rather than finding nothing to do.
-    assert!(matches!(e.flush_shard(FAILING), Err(Error::Io(_))));
+    assert!(matches!(e.flush_once(), Err(Error::Io(_))));
     assert_eq!((e.disk_queue_len(), queued(&e)), (expected, expected));
-    for shard in (0..4).filter(|s| *s != FAILING) {
-        assert_eq!(e.flush_shard(shard).unwrap(), 0, "healthy shards are drained");
-    }
-    let vb =
-        (0..VBS).map(VbId).find(|vb| shard_of(*vb) == FAILING && e.high_seqno(*vb) > SeqNo::ZERO);
-    let vb = vb.expect("a written vBucket of the failing shard");
+    let vb = (0..VBS).map(VbId).find(|vb| e.high_seqno(*vb) > SeqNo::ZERO);
+    let vb = vb.expect("a written vBucket");
     let err = e.wait_persisted(vb, e.high_seqno(vb), Duration::from_millis(20)).unwrap_err();
     assert!(matches!(err, Error::Timeout(_)));
 }
 
-/// Writes acknowledged by `wait_persisted` are in the shard logs, and the
-/// logs alone bring them back: a second engine opened on the directory
+/// Writes acknowledged by `wait_persisted` are in the bucket's log, and the
+/// log alone brings them back: a second engine opened on the directory
 /// while the first one's pool is still alive — no shutdown, no final drain
 /// — recovers every one of them.
 #[test]

@@ -79,7 +79,7 @@ fn loading_keys_allocates_for_table_growth_only() {
     for &(vb, i) in &by_vb {
         cycle.push(vb, &keys[i as usize], &meta(i), false, value.json()).unwrap();
     }
-    store.commit(0, &mut cycle).unwrap();
+    store.commit(&mut cycle).unwrap();
     let spent = allocs() - before;
 
     assert_eq!(cache.stats().items, KEYS);

@@ -71,9 +71,7 @@ impl Tables {
         let registry = Registry::new("kv");
         let cache =
             ObjectCache::new_with_registry(vbuckets, 1 << 30, EvictionPolicy::ValueOnly, &registry);
-        let store =
-            BucketStore::open_sharded_with_registry(scratch_dir(name), 1, vbuckets, &registry)
-                .unwrap();
+        let store = BucketStore::open_with_registry(scratch_dir(name), &registry).unwrap();
         // Every vBucket's (empty) index exists before anything is counted.
         for vb in 0..vbuckets {
             store.vb(VbId(vb)).unwrap();
@@ -106,7 +104,7 @@ impl Tables {
             self.cache.set(vb(key), key, meta(i as u64), value.clone(), false).unwrap();
         }
         let cached = live();
-        self.store.commit(0, &mut cycle).unwrap();
+        self.store.commit(&mut cycle).unwrap();
         let indexed = live();
         (cached - before, indexed - cached)
     }

@@ -19,7 +19,7 @@ use cbs_common::{Error, Result};
 use cbs_index::{
     FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
 };
-use cbs_json::{cmp_missing, Value};
+use cbs_json::{cmp_missing, hash_missing, Value};
 use cbs_obs::span;
 
 use crate::ast::*;
@@ -607,36 +607,7 @@ impl Hash for Collated {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.0 .0.len().hash(state);
         for component in &self.0 .0 {
-            hash_collated(component.as_ref(), state);
-        }
-    }
-}
-
-/// Hash a possibly-MISSING value as collation compares it: a number by its
-/// `f64`, `-0.0` as `0.0` (numbers equal under collation are one double;
-/// integers above 2⁵³ that round to one double merely share a hash), and
-/// an object's fields by sorted name.
-fn hash_collated<H: Hasher>(v: Option<&Value>, state: &mut H) {
-    let Some(v) = v else { return state.write_u8(0) };
-    match v {
-        Value::Null => state.write_u8(1),
-        Value::Bool(b) => (2u8, b).hash(state),
-        Value::Number(n) => (3u8, (n.as_f64() + 0.0).to_bits()).hash(state),
-        Value::String(s) => (4u8, s).hash(state),
-        Value::Array(items) => {
-            (5u8, items.len()).hash(state);
-            for item in items {
-                hash_collated(Some(item), state);
-            }
-        }
-        Value::Object(fields) => {
-            let mut names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
-            names.sort_unstable();
-            (6u8, names.len()).hash(state);
-            for name in names {
-                name.hash(state);
-                hash_collated(v.get_field(name), state);
-            }
+            hash_missing(component.as_ref(), state);
         }
     }
 }

@@ -1,13 +1,13 @@
-//! Bucket-level storage: one append-only log per flusher shard, one
+//! Bucket-level storage: one append-only log per bucket per node, one
 //! in-memory index per vBucket.
 //!
 //! A node's data service holds one [`BucketStore`] per Couchbase bucket:
 //! the latest record of each (vBucket, key) is what it recovers and reads.
-//! Each flusher shard owns one log file, `shard_<n>.couch` — a
-//! [`CommitLog`] holding the records of all of the shard's vBuckets,
-//! interleaved in commit order — and that log is the *only* on-disk copy
-//! of their documents. A drain cycle is encoded once into a [`Cycle`] and
-//! reaches the log in slices of [`CYCLE_SLICE`](crate::CYCLE_SLICE) bytes
+//! The store owns one log file, `shard_0.couch` — a [`CommitLog`] holding
+//! the records of all of the bucket's vBuckets on this node, interleaved in
+//! commit order — and that log is the *only* on-disk copy of their
+//! documents. A drain cycle is encoded once into a [`Cycle`] and reaches
+//! the log in slices of [`CYCLE_SLICE`](crate::CYCLE_SLICE) bytes
 //! ([`BucketStore::append_slice`]), unsynced and unindexed; its one
 //! `sync_data` ([`BucketStore::commit`]) makes all of it durable, and only
 //! then are the records indexed by offset in their vBuckets'
@@ -15,38 +15,33 @@
 //! fails cuts the log back to the cycle's first byte. (A Standard GSI
 //! partition holds a bare [`CommitLog`] instead: its tree indexes it.)
 //!
-//! **One log, one writer.** Appends, purges and compactions of one shard
-//! must not overlap — a cycle's slices included; the data engine runs all
-//! three under the shard's flush lock. Reads need no such care: they go
-//! through the per-vBucket index locks and positioned reads only.
+//! **One log, one writer.** Appends, purges and compactions must not
+//! overlap — a cycle's slices included; the data engine runs all three
+//! under its flush lock. Reads need no such care: they go through the
+//! per-vBucket index locks and positioned reads only.
 //!
-//! - **Recovery** is one scan of each log that rebuilds the indexes; a torn
+//! - **Recovery** is one scan of the log that rebuilds the indexes; a torn
 //!   tail is cut off, mid-file corruption is reported and cut off (the
-//!   [`replay_file`](crate::replay_file) contract). A log found under
-//!   another shard layout is re-homed: its vBuckets' live records are
-//!   appended to the logs they belong to now.
+//!   [`replay_file`](crate::replay_file) contract).
 //! - **Purge** ([`BucketStore::drop_vb`], the paper's *dead* state) appends
 //!   a marker record: everything the vBucket wrote before it is dead to
 //!   every replay that sees the marker, and counts as stale. The marker is
 //!   synced with the log's next sync — before or with anything written
 //!   behind it.
-//! - **Compaction** ([`BucketStore::compact_shard`]) runs when the stale
-//!   fraction of a log crosses the threshold (§4.3.3): live records are
-//!   streamed to a fresh file through one 64 KiB buffer, the file is
-//!   renamed over the log ([`CommitLog::install`]), and each vBucket's
-//!   (file, offsets) pair is switched under that vBucket's own lock. One
-//!   log of a store compacts at a time: a shard that finds another one
-//!   compacting skips its turn.
+//! - **Compaction** ([`BucketStore::compact`]) runs when the stale fraction
+//!   of the log crosses the threshold (§4.3.3): live records are streamed
+//!   to a fresh file through one 64 KiB buffer, the file is renamed over
+//!   the log ([`CommitLog::install`]), and each vBucket's (file, offsets)
+//!   pair is switched under that vBucket's own lock.
 
 use std::collections::HashMap;
 use std::os::unix::fs::FileExt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cbs_common::sync::{rank, OrderedRwLock};
-use cbs_common::{DocMeta, Result, SeqNo, VbId};
+use cbs_common::{DocMeta, Error, Result, SeqNo, VbId};
 use cbs_obs::{Gauge, Registry};
 
 use crate::log::{sync_dir, CommitLog, Cycle};
@@ -57,26 +52,30 @@ use crate::wal::FRAME_PREFIX;
 /// Compaction copies this much at a time.
 const COMPACT_CHUNK: usize = 64 << 10;
 
-/// One shard's log and the indexes of the vBuckets in it.
-pub(crate) struct ShardLog {
+/// The store's log, in its directory (a GSI partition's log has the same
+/// name in its own directory).
+const LOG_FILE: &str = "shard_0.couch";
+
+/// The bucket's log and the indexes of the vBuckets in it.
+pub(crate) struct BucketLog {
     log: CommitLog,
     vbs: OrderedRwLock<HashMap<VbId, Arc<VbIndex>>>,
     /// What the indexes' by-id tables hold on the heap, store-wide.
     table_bytes: Arc<Gauge>,
 }
 
-impl ShardLog {
+impl BucketLog {
     /// Open the log at `path` and rebuild the indexes from its intact
     /// prefix, cutting a torn or corrupt tail off.
-    fn recover(path: PathBuf, table_bytes: &Arc<Gauge>) -> Result<ShardLog> {
-        let shard = ShardLog {
+    fn recover(path: PathBuf, table_bytes: &Arc<Gauge>) -> Result<BucketLog> {
+        let bucket = BucketLog {
             log: CommitLog::create(path)?,
             vbs: OrderedRwLock::new(rank::BUCKET_MAP, HashMap::new()),
             table_bytes: Arc::clone(table_bytes),
         };
-        let file = shard.log.file();
-        shard.log.scan(|vb, offset, rec, len| {
-            let index = shard.index(vb);
+        let file = bucket.log.file();
+        bucket.log.scan(|vb, offset, rec, len| {
+            let index = bucket.index(vb);
             if rec.kind == KIND_PURGE {
                 index.purge((FRAME_PREFIX + len) as u64);
             } else {
@@ -90,7 +89,7 @@ impl ShardLog {
                 index.apply(&file, std::iter::once(place));
             }
         })?;
-        Ok(shard)
+        Ok(bucket)
     }
 
     /// The index of `vb`, created empty on first use.
@@ -213,104 +212,39 @@ impl ShardLog {
 /// Storage for all vBuckets of one bucket hosted on one node.
 pub struct BucketStore {
     dir: PathBuf,
-    num_vbuckets: u16,
-    shards: Vec<Arc<ShardLog>>,
-    /// Taken while one of the logs compacts: the store's compactions run
-    /// one at a time, so their copy buffers and I/O do not pile up.
-    compacting: AtomicBool,
-}
-
-fn shard_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard_{shard}.couch"))
+    log: Arc<BucketLog>,
 }
 
 impl BucketStore {
-    /// Open a stand-alone bucket store rooted at `dir` (created if absent):
-    /// one log for every vBucket.
+    /// Open a bucket store rooted at `dir` (created if absent), registering
+    /// its gauge in a private throwaway registry (tests, standalone benches).
     pub fn open(dir: PathBuf) -> Result<BucketStore> {
-        BucketStore::open_sharded(dir, 1, 0)
+        BucketStore::open_with_registry(dir, &Registry::new("kv"))
     }
 
-    /// Open a bucket store with one log per flusher shard, registering its
-    /// gauge in a private throwaway registry (tests, standalone benches).
-    pub fn open_sharded(dir: PathBuf, shards: usize, num_vbuckets: u16) -> Result<BucketStore> {
-        BucketStore::open_sharded_with_registry(dir, shards, num_vbuckets, &Registry::new("kv"))
-    }
-
-    /// Open a bucket store with one log per flusher shard; vBucket `vb` of
-    /// `num_vbuckets` lives in log `vb * shards / num_vbuckets` (contiguous
-    /// slices). Every log found in `dir` is scanned and its vBuckets'
-    /// indexes rebuilt; records found in a log they do not belong to under
-    /// this layout are moved to the one they do. The indexes' heap bytes
-    /// are `registry`'s `mem.storage_index.bytes` gauge.
-    pub fn open_sharded_with_registry(
-        dir: PathBuf,
-        shards: usize,
-        num_vbuckets: u16,
-        registry: &Registry,
-    ) -> Result<BucketStore> {
+    /// Open a bucket store rooted at `dir` (created if absent): its log is
+    /// scanned and every vBucket's index rebuilt. The indexes' heap bytes
+    /// are `registry`'s `mem.storage_index.bytes` gauge. A directory that
+    /// holds another `shard_<n>.couch` — a log of a layout with one log
+    /// per flusher shard — is refused: its vBuckets would open empty.
+    pub fn open_with_registry(dir: PathBuf, registry: &Registry) -> Result<BucketStore> {
         let table_bytes = registry.gauge("mem.storage_index.bytes");
         std::fs::create_dir_all(&dir)?;
-        let mut surplus = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            let Some(stem) = name.strip_prefix("shard_") else { continue };
-            // An unfinished compaction beside a log goes when the log opens.
-            if let Some(Ok(n)) = stem.strip_suffix(".couch").map(str::parse::<usize>) {
-                if n >= shards.max(1) {
-                    surplus.push(path);
-                }
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("shard_") && name.ends_with(".couch") && name != LOG_FILE {
+                return Err(Error::Storage(format!(
+                    "{}: {name} is a log of a sharded layout; only {LOG_FILE} is opened",
+                    dir.display()
+                )));
             }
         }
-        let mut store = BucketStore {
-            dir,
-            num_vbuckets,
-            shards: Vec::new(),
-            compacting: AtomicBool::new(false),
-        };
-        for shard in 0..shards.max(1) {
-            let log = ShardLog::recover(shard_path(&store.dir, shard), &table_bytes)?;
-            store.shards.push(Arc::new(log));
-        }
-        for path in surplus {
-            store.rehome(&Arc::new(ShardLog::recover(path.clone(), &table_bytes)?))?;
-            std::fs::remove_file(path)?;
-        }
-        for shard in 0..store.shards.len() {
-            let log = Arc::clone(&store.shards[shard]);
-            if store.rehome(&log)? {
-                log.vbs.write().retain(|vb, _| store.shard_of(*vb) == shard);
-                log.compact(COMPACT_CHUNK)?;
-            }
-        }
-        // What is acknowledged as persisted lives in these files: their
-        // directory entries must survive a crash as well.
-        sync_dir(&store.dir)?;
-        Ok(store)
-    }
-
-    /// Copy the vBuckets of `from` that live elsewhere under this layout
-    /// to their own logs, and sync those. Returns whether there were any.
-    /// A crash part-way leaves the copied records in both places; the next
-    /// open then copies only what the home log still lacks.
-    fn rehome(&self, from: &Arc<ShardLog>) -> Result<bool> {
-        let mut homes = Vec::new();
-        for (vb, index) in from.indexes() {
-            let home = self.shard_of(vb);
-            if Arc::ptr_eq(&self.shards[home], from) {
-                continue;
-            }
-            let to = self.vb(vb)?;
-            let theirs = VBucketStore { vb, log: Arc::clone(from), index };
-            to.persist_batch(&theirs.changes_since(to.high_seqno())?)?;
-            homes.push(home);
-        }
-        homes.dedup(); // vBuckets come in order, and so do their shards
-        for home in &homes {
-            self.shards[*home].log.sync_pending()?;
-        }
-        Ok(!homes.is_empty())
+        let log = Arc::new(BucketLog::recover(dir.join(LOG_FILE), &table_bytes)?);
+        // What is acknowledged as persisted lives in this file: its
+        // directory entry must survive a crash as well.
+        sync_dir(&dir)?;
+        Ok(BucketStore { dir, log })
     }
 
     /// Directory backing this bucket.
@@ -318,100 +252,78 @@ impl BucketStore {
         &self.dir
     }
 
-    /// The shard whose log holds `vb`.
-    pub fn shard_of(&self, vb: VbId) -> usize {
-        if self.num_vbuckets == 0 {
-            return 0;
-        }
-        (vb.index() * self.shards.len() / self.num_vbuckets as usize).min(self.shards.len() - 1)
-    }
-
     /// The store of a vBucket (created empty on first use).
     pub fn vb(&self, vb: VbId) -> Result<VBucketStore> {
-        let log = Arc::clone(&self.shards[self.shard_of(vb)]);
-        let index = log.index(vb);
-        Ok(VBucketStore { vb, log, index })
+        let index = self.log.index(vb);
+        Ok(VBucketStore { vb, log: Arc::clone(&self.log), index })
     }
 
-    /// Append what `cycle` has buffered to `shard`'s log — unsynced and
+    /// Append what `cycle` has buffered to the log — unsynced and
     /// unindexed: nothing reads it before [`commit`](BucketStore::commit).
     /// Between its slices and its commit a cycle must be the only writer of
     /// the log. On an error the log is cut back to the cycle's first byte
     /// and the cycle is emptied.
-    pub fn append_slice(&self, shard: usize, cycle: &mut Cycle) -> Result<()> {
-        self.shards[shard].log.append_slice(cycle)
+    pub fn append_slice(&self, cycle: &mut Cycle) -> Result<()> {
+        self.log.log.append_slice(cycle)
     }
 
-    /// The flusher's write: append the rest of `cycle` — records of
-    /// `shard`'s vBuckets only — to the shard's log, make all of it durable
-    /// with one `sync_data`, then index the records. Returns the time the
-    /// sync took. An error leaves the indexes as they were and the log as
-    /// it was before the cycle's first slice, and empties the cycle.
-    pub fn commit(&self, shard: usize, cycle: &mut Cycle) -> Result<Duration> {
-        debug_assert!(cycle.recs.iter().all(|rec| self.shard_of(rec.vb) == shard));
-        self.shards[shard].append(cycle, true)
+    /// The flusher's write: append the rest of `cycle` — records of any of
+    /// the bucket's vBuckets — to the log, make all of it durable with one
+    /// `sync_data`, then index the records. Returns the time the sync took.
+    /// An error leaves the indexes as they were and the log as it was
+    /// before the cycle's first slice, and empties the cycle.
+    pub fn commit(&self, cycle: &mut Cycle) -> Result<Duration> {
+        self.log.append(cycle, true)
     }
 
     /// Give up a cycle that will not be committed: the log is cut back to
     /// its first byte and the cycle is emptied.
-    pub fn abandon(&self, shard: usize, cycle: &mut Cycle) {
-        self.shards[shard].log.abandon(cycle);
+    pub fn abandon(&self, cycle: &mut Cycle) {
+        self.log.log.abandon(cycle);
     }
 
     /// Forget a vBucket's documents (rebalance hand-off: the paper's *dead*
     /// state — "this server is not in any way responsible for this
-    /// partition"). A purge marker is appended to its log, so no replay
+    /// partition"). A purge marker is appended to the log, so no replay
     /// that sees anything written later resurrects them; a vBucket created
-    /// again starts from nothing. The marker is durable with the shard's
-    /// next [`commit`](BucketStore::commit) or
+    /// again starts from nothing. The marker is durable with the next
+    /// [`commit`](BucketStore::commit) or
     /// [`sync_pending`](BucketStore::sync_pending).
     pub fn drop_vb(&self, vb: VbId) -> Result<()> {
-        self.shards[self.shard_of(vb)].purge(vb)
+        self.log.purge(vb)
     }
 
-    /// Sync `shard`'s log if it holds appends no sync has covered (a purge
+    /// Sync the log if it holds appends no sync has covered (a purge
     /// marker, stand-alone `persist`s): what the flusher calls on a cycle
     /// with nothing to commit.
-    pub fn sync_pending(&self, shard: usize) -> Result<()> {
-        self.shards[shard].log.sync_pending()
+    pub fn sync_pending(&self) -> Result<()> {
+        self.log.log.sync_pending()
     }
 
     /// vBuckets with an index, in order.
     pub fn open_vbs(&self) -> Vec<VbId> {
-        let mut v: Vec<VbId> = self
-            .shards
-            .iter()
-            .flat_map(|log| log.vbs.read().keys().copied().collect::<Vec<_>>())
-            .collect();
+        let mut v: Vec<VbId> = self.log.vbs.read().keys().copied().collect();
         v.sort();
         v
     }
 
-    /// Bytes in `shard`'s log.
-    pub fn log_bytes(&self, shard: usize) -> u64 {
-        self.shards[shard].log.len_bytes()
+    /// Bytes in the log.
+    pub fn log_bytes(&self) -> u64 {
+        self.log.log.len_bytes()
     }
 
     /// The fragmentation threshold every log compacts at (§4.3.3): the data
     /// engine's and every GSI partition's.
     pub const FRAGMENTATION_THRESHOLD: f64 = 0.6;
 
-    /// Compact `shard`'s log if the stale fraction of its bytes has reached
-    /// `threshold` and no other log of the store is compacting; returns
-    /// whether it ran. A shard that finds another one compacting does not
-    /// wait: it is asked again at its next turn.
-    pub fn compact_shard(&self, shard: usize, threshold: f64) -> Result<bool> {
-        let log = &self.shards[shard];
-        let (bytes, stale) = log.usage();
+    /// Compact the log if the stale fraction of its bytes has reached
+    /// `threshold`; returns whether it ran. The caller keeps writers away.
+    pub fn compact(&self, threshold: f64) -> Result<bool> {
+        let (bytes, stale) = self.log.usage();
         if bytes == 0 || (stale as f64 / bytes as f64) < threshold {
             return Ok(false);
         }
-        if self.compacting.swap(true, Ordering::SeqCst) {
-            return Ok(false);
-        }
-        let ran = log.compact(COMPACT_CHUNK);
-        self.compacting.store(false, Ordering::SeqCst);
-        ran.map(|_| true)
+        self.log.compact(COMPACT_CHUNK).map(|_| true)
     }
 }
 
@@ -440,9 +352,7 @@ mod tests {
     }
 
     fn disk_bytes(bs: &BucketStore) -> u64 {
-        (0..bs.shards.len())
-            .map(|s| std::fs::metadata(shard_path(bs.dir(), s)).unwrap().len())
-            .sum()
+        std::fs::metadata(bs.dir().join(LOG_FILE)).unwrap().len()
     }
 
     fn accounted_bytes(bs: &BucketStore) -> u64 {
@@ -465,7 +375,7 @@ mod tests {
         let st = s.stats();
         assert_eq!((st.live_docs, st.tombstones, st.high_seqno), (1, 1, SeqNo(3)));
         assert_eq!(bs.open_vbs(), vec![VbId(3), VbId(4)]);
-        assert!(!bs.dir().join("vb_3.couch").exists(), "the shard log is the only file");
+        assert!(!bs.dir().join("vb_3.couch").exists(), "the bucket log is the only file");
     }
 
     #[test]
@@ -506,13 +416,13 @@ mod tests {
     fn commit_reopen_recovers_every_vbucket_of_the_log() {
         let dir = scratch_dir("bucket");
         {
-            let bs = BucketStore::open_sharded(dir.clone(), 2, 8).unwrap();
+            let bs = BucketStore::open(dir.clone()).unwrap();
             let mut cycle = Cycle::new();
             cycle.push_doc(VbId(0), &doc_with("a", r#"{"v":1}"#, 1)).unwrap();
             cycle.push_doc(VbId(0), &doc_with("b", r#"{"v":3}"#, 2)).unwrap();
             cycle.push_doc(VbId(3), &doc("c", 1)).unwrap();
             assert_eq!(cycle.len(), 3);
-            bs.commit(0, &mut cycle).unwrap();
+            bs.commit(&mut cycle).unwrap();
             let mut cycle = Cycle::new();
             cycle
                 .push(
@@ -529,12 +439,12 @@ mod tests {
             assert_eq!(refused, Err(cbs_common::Error::KeyTooLong(70_000)));
             let recs: Vec<_> = cycle.records().collect();
             assert_eq!(recs, [(VbId(0), "a", SeqNo(3))]);
-            bs.commit(0, &mut cycle).unwrap();
+            bs.commit(&mut cycle).unwrap();
             let mut cycle = Cycle::new();
             cycle.push_doc(VbId(7), &doc("z", 1)).unwrap();
-            bs.commit(1, &mut cycle).unwrap();
+            bs.commit(&mut cycle).unwrap();
         }
-        let bs = BucketStore::open_sharded(dir, 2, 8).unwrap();
+        let bs = BucketStore::open(dir).unwrap();
         let s = bs.vb(VbId(0)).unwrap();
         assert_eq!(&s.get("a").unwrap().unwrap().value[..], br#"{"v":2}"#);
         assert_eq!(s.high_seqno(), SeqNo(3));
@@ -544,6 +454,19 @@ mod tests {
         assert!(bs.vb(VbId(3)).unwrap().get("c").unwrap().is_some());
         assert!(bs.vb(VbId(7)).unwrap().get("z").unwrap().is_some());
         assert_eq!(accounted_bytes(&bs), disk_bytes(&bs));
+    }
+
+    /// A log another layout left beside the store's own is not silently
+    /// ignored: the open fails and names it.
+    #[test]
+    fn a_log_of_a_sharded_layout_is_refused() {
+        let dir = scratch_dir("bucket");
+        BucketStore::open(dir.clone()).unwrap().vb(VbId(1)).unwrap().persist(&doc("a", 1)).unwrap();
+        std::fs::write(dir.join("shard_1.couch"), b"").unwrap();
+        let err = BucketStore::open(dir.clone()).err().unwrap();
+        assert!(err.to_string().contains("shard_1.couch"), "{err}");
+        std::fs::remove_file(dir.join("shard_1.couch")).unwrap();
+        assert!(BucketStore::open(dir).unwrap().vb(VbId(1)).unwrap().get("a").unwrap().is_some());
     }
 
     #[test]
@@ -556,7 +479,7 @@ mod tests {
             s.persist(&doc("b", 2)).unwrap();
         }
         // Simulate a torn append: chop 3 bytes off the tail.
-        let path = shard_path(&dir, 0);
+        let path = dir.join(LOG_FILE);
         let len = std::fs::metadata(&path).unwrap().len();
         std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 3).unwrap();
 
@@ -582,7 +505,7 @@ mod tests {
             bs.vb(VbId(8)).unwrap().persist(&doc("neighbour", 1)).unwrap();
             bs.drop_vb(VbId(7)).unwrap();
             bs.drop_vb(VbId(99)).unwrap(); // never written: nothing to mark
-            bs.sync_pending(0).unwrap(); // what the flusher's next cycle does
+            bs.sync_pending().unwrap(); // what the flusher's next cycle does
             let s = bs.vb(VbId(7)).unwrap();
             assert!(s.get("k").unwrap().is_none());
             assert_eq!(s.high_seqno(), SeqNo::ZERO);
@@ -606,7 +529,7 @@ mod tests {
         assert_eq!(keys, ["fresh"]);
         assert_eq!(s.high_seqno(), SeqNo(1));
         // Compaction drops the purged records and the marker for good.
-        assert!(bs.compact_shard(0, 0.1).unwrap());
+        assert!(bs.compact(0.1).unwrap());
         assert_eq!(accounted_bytes(&bs), disk_bytes(&bs));
         assert_eq!(s.stats().stale_bytes, 0);
         assert!(bs.vb(VbId(8)).unwrap().get("neighbour").unwrap().is_some());
@@ -626,14 +549,14 @@ mod tests {
             cold.persist(&doc_with(&format!("cold{i}"), &filler, i + 1)).unwrap();
         }
         cold.persist(&tombstone("cold0", 41)).unwrap();
-        assert!(!bs.compact_shard(0, 0.9).unwrap(), "below the threshold: no-op");
+        assert!(!bs.compact(0.9).unwrap(), "below the threshold: no-op");
         let before_hot = hot.changes_since(SeqNo::ZERO).unwrap();
         let before_cold = cold.changes_since(SeqNo::ZERO).unwrap();
         let before = disk_bytes(&bs);
 
         // A 4 KiB chunk limit against ~40 KiB of live records: the copy
         // buffer stays bounded by the limit, not by the log.
-        let peak = bs.shards[0].compact(4096).unwrap();
+        let peak = bs.log.compact(4096).unwrap();
         assert!(peak <= 4096, "peak copy buffer {peak}");
 
         assert_eq!(hot.changes_since(SeqNo::ZERO).unwrap(), before_hot);
@@ -657,18 +580,6 @@ mod tests {
         assert_eq!(bs.vb(VbId(1)).unwrap().stats().live_docs, 39);
     }
 
-    #[test]
-    fn only_logs_over_the_threshold_compact() {
-        let bs = BucketStore::open_sharded(scratch_dir("bucket"), 2, 2).unwrap();
-        let s = bs.vb(VbId(0)).unwrap();
-        for i in 0..50 {
-            s.persist(&doc("same-key", i + 1)).unwrap();
-        }
-        bs.vb(VbId(1)).unwrap().persist(&doc("only", 1)).unwrap();
-        let ran: Vec<bool> = (0..2).map(|shard| bs.compact_shard(shard, 0.5).unwrap()).collect();
-        assert_eq!(ran, [true, false], "only the fragmented log compacts");
-    }
-
     /// Two records of one vBucket may share a seqno (the store takes
     /// whatever seqnos its caller gives): compaction moves each to its own
     /// place, so each key still reads its own record.
@@ -681,7 +592,7 @@ mod tests {
             s.persist(&doc_with("stale", "0", 1)).unwrap();
             s.persist(&doc_with("stale", "1", 2)).unwrap();
             s.persist_batch(&[doc_with("a", "first", 5), doc_with("b", "second", 5)]).unwrap();
-            assert!(bs.compact_shard(0, 0.0).unwrap());
+            assert!(bs.compact(0.0).unwrap());
             assert_eq!(&s.get("a").unwrap().unwrap().value[..], b"first");
             assert_eq!(&s.get("b").unwrap().unwrap().value[..], b"second");
             assert_eq!(accounted_bytes(&bs), disk_bytes(&bs));
@@ -690,34 +601,6 @@ mod tests {
         let s = bs.vb(VbId(2)).unwrap();
         assert_eq!(&s.get("a").unwrap().unwrap().value[..], b"first");
         assert_eq!(&s.get("b").unwrap().unwrap().value[..], b"second");
-    }
-
-    /// A store compacts one log at a time: while another log holds the
-    /// flag, a fragmented log is left exactly as it is, and the same call
-    /// compacts it once the flag is free again.
-    #[test]
-    fn one_log_compacts_at_a_time() {
-        let bs = BucketStore::open_sharded(scratch_dir("bucket"), 2, 2).unwrap();
-        let s = bs.vb(VbId(0)).unwrap();
-        for i in 0..50 {
-            s.persist(&doc_with("same-key", &format!(r#"{{"v":{i}}}"#), i + 1)).unwrap();
-        }
-        let (bytes, stats) = (bs.log_bytes(0), s.stats());
-        let latest = s.get("same-key").unwrap();
-
-        bs.compacting.store(true, Ordering::SeqCst); // another log is compacting
-        assert!(!bs.compact_shard(0, 0.5).unwrap(), "the flag is taken: no run");
-        assert_eq!(bs.log_bytes(0), bytes);
-        assert_eq!(disk_bytes(&bs), bytes);
-        assert_eq!(s.stats(), stats, "the index is untouched");
-        assert_eq!(s.get("same-key").unwrap(), latest);
-
-        bs.compacting.store(false, Ordering::SeqCst);
-        assert!(bs.compact_shard(0, 0.5).unwrap());
-        assert!(bs.log_bytes(0) < bytes);
-        assert_eq!(s.stats().compactions, 1);
-        assert_eq!(s.get("same-key").unwrap(), latest);
-        assert!(!bs.compacting.load(Ordering::SeqCst), "a run gives the flag back");
     }
 
     /// Readers never see the switch: a thread looping `get` and
@@ -773,47 +656,11 @@ mod tests {
                 31 + round,
             ))
             .unwrap();
-            assert!(bs.compact_shard(0, 0.0).unwrap());
+            assert!(bs.compact(0.0).unwrap());
         }
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             assert!(r.join().unwrap() > 0);
         }
-    }
-
-    #[test]
-    fn layout_change_rehomes_every_vbucket() {
-        let dir = scratch_dir("bucket");
-        {
-            let bs = BucketStore::open_sharded(dir.clone(), 4, 16).unwrap();
-            for vb in 0..16u16 {
-                let s = bs.vb(VbId(vb)).unwrap();
-                s.persist_batch(&[doc(&format!("a{vb}"), 1), doc(&format!("b{vb}"), 2)]).unwrap();
-                s.persist(&doc_with(&format!("a{vb}"), "2", 3)).unwrap();
-            }
-            bs.drop_vb(VbId(5)).unwrap();
-        }
-        {
-            let bs = BucketStore::open_sharded(dir.clone(), 2, 16).unwrap();
-            assert!(!shard_path(&dir, 2).exists() && !shard_path(&dir, 3).exists());
-            for vb in (0..16u16).filter(|vb| *vb != 5) {
-                let s = bs.vb(VbId(vb)).unwrap();
-                assert_eq!(&s.get(&format!("a{vb}")).unwrap().unwrap().value[..], b"2", "vb {vb}");
-                assert!(s.get(&format!("b{vb}")).unwrap().is_some());
-                assert_eq!(s.high_seqno(), SeqNo(3));
-                s.persist(&doc(&format!("c{vb}"), 4)).unwrap();
-            }
-            assert!(bs.vb(VbId(5)).unwrap().changes_since(SeqNo::ZERO).unwrap().is_empty());
-            assert_eq!(accounted_bytes(&bs), disk_bytes(&bs), "nothing foreign is left behind");
-        }
-        // And back out to more logs than before.
-        let bs = BucketStore::open_sharded(dir, 8, 16).unwrap();
-        for vb in (0..16u16).filter(|vb| *vb != 5) {
-            let s = bs.vb(VbId(vb)).unwrap();
-            let keys: Vec<String> =
-                s.changes_since(SeqNo::ZERO).unwrap().into_iter().map(|d| d.key).collect();
-            assert_eq!(keys, [format!("b{vb}"), format!("a{vb}"), format!("c{vb}")]);
-        }
-        assert_eq!(accounted_bytes(&bs), disk_bytes(&bs));
     }
 }

@@ -8,28 +8,28 @@
 //!
 //! This crate reproduces that design, couchstore-style:
 //!
-//! - one append-only log file per flusher shard ([`BucketStore`]), holding
-//!   the records of all of the shard's vBuckets, CRC32-checksummed
+//! - one append-only log file per bucket per node ([`BucketStore`]),
+//!   holding the records of all of the bucket's vBuckets, CRC32-checksummed
 //!   ([`record`]) and written once: a drain cycle is appended in 64 KiB
 //!   slices under one `sync_data` and indexed after it, and that log is
 //!   the only on-disk copy of the documents;
 //! - per vBucket, one in-memory **by-id** index (key → offset, length and
-//!   seqno of its latest record) over its shard's log ([`VBucketStore`]),
-//!   rebuilt by scanning the logs on open — crash recovery truncates at the
+//!   seqno of its latest record) over the bucket's log ([`VBucketStore`]),
+//!   rebuilt by scanning the log on open — crash recovery truncates at the
 //!   first torn/corrupt record, recovering exactly the durable prefix;
 //! - online **compaction** when a log's fragmentation ratio (stale bytes /
 //!   file bytes) crosses a threshold: live records are streamed through a
 //!   64 KiB buffer to a fresh file which atomically replaces the old one,
-//!   readers undisturbed — one log of a store at a time;
+//!   readers undisturbed;
 //! - seqno-ordered reads — the by-id entries sorted on demand — for
-//!   warm-up after a restart, re-homing and compaction, and no-I/O record
+//!   warm-up after a restart and compaction, and no-I/O record
 //!   listings ([`RecordList`]): how a DCP backfill reads exactly the
 //!   documents the cache no longer holds.
 //!
 //! [`GroupCommitWal`] is the log file itself (framing, append, group
 //! commit, truncate); [`CommitLog`] is its writer's protocol (sliced
 //! commits, abandon, torn-tail recovery on open, the rewrite swap), which
-//! each shard log of a [`BucketStore`] wraps. A Standard GSI partition's
+//! the log of a [`BucketStore`] wraps. A Standard GSI partition's
 //! change log is a bare [`CommitLog`]: the partition's tree is its only
 //! index, a reopen replays every record, and a rewrite writes the tree's
 //! state (`cbs-index`'s `Indexer`).

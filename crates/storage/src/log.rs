@@ -12,8 +12,8 @@
 //! fresh file beside the log; [`CommitLog::install`] syncs it, renames it
 //! over the log and syncs the directory.
 //!
-//! Two owners use it. Each flusher shard's log of a
-//! [`BucketStore`](crate::BucketStore) indexes the records by key, and its
+//! Two owners use it. A [`BucketStore`](crate::BucketStore)'s one log
+//! (every vBucket of the bucket on its node) indexes the records by key, and its
 //! compaction copies the live ones. A Standard GSI partition holds one
 //! directly: its tree is the log's only index, a reopen replays every
 //! record, and a rewrite writes the tree's state.

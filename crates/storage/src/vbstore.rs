@@ -1,11 +1,11 @@
-//! A vBucket's store: its in-memory index over its flusher shard's log.
+//! A vBucket's store: its in-memory index over its bucket's log.
 //!
-//! The documents of all of a shard's vBuckets share one append-only log
+//! The documents of all of a bucket's vBuckets share one append-only log
 //! ([`BucketStore`](crate::BucketStore)); what is per vBucket is the index:
 //! one by-id map of each key's latest record (its offset, length and
 //! seqno), the high seqno, the live/stale byte counts that feed the
 //! compaction trigger, and the file handle those offsets refer to. Seqno
-//! order — warm-up, re-homing, compaction — is the by-id entries sorted on
+//! order — warm-up, compaction — is the by-id entries sorted on
 //! demand. Reads take the index lock only to look an offset up, then
 //! `read_at` the shared file — no lock on the file, no seeks. A compaction switches a vBucket's (file, offsets) pair in one
 //! step under the index lock, so a reader can never apply an offset of one
@@ -20,7 +20,7 @@ use cbs_common::sync::{rank, OrderedMutex};
 use cbs_common::{DocKey, KeyMap, Result, SeqNo, VbId};
 use cbs_obs::Gauge;
 
-use crate::bucket::ShardLog;
+use crate::bucket::BucketLog;
 use crate::log::Cycle;
 use crate::record::{decode_record_strict, StoredDoc};
 use crate::wal::FRAME_PREFIX;
@@ -34,12 +34,12 @@ pub struct StoreStats {
     pub tombstones: u64,
     /// Highest persisted seqno.
     pub high_seqno: SeqNo,
-    /// Bytes this vBucket's records occupy in its shard's log.
+    /// Bytes this vBucket's records occupy in its bucket's log.
     pub file_bytes: u64,
     /// Of those, bytes owned by superseded (stale) or purged records.
     pub stale_bytes: u64,
-    /// Compactions of the shard's log counted against this vBucket: each
-    /// run is counted on one vBucket of the shard, so the sum over a
+    /// Compactions of the bucket's log counted against this vBucket: each
+    /// run is counted on one vBucket of the log, so the sum over a
     /// store's vBuckets is the number of runs.
     pub compactions: u64,
 }
@@ -250,10 +250,10 @@ impl RecordList {
     }
 }
 
-/// Handle to one vBucket's store: its index plus the shard log it lives in.
+/// Handle to one vBucket's store: its index plus the bucket log it lives in.
 pub struct VBucketStore {
     pub(crate) vb: VbId,
-    pub(crate) log: Arc<ShardLog>,
+    pub(crate) log: Arc<BucketLog>,
     pub(crate) index: Arc<VbIndex>,
 }
 
@@ -265,8 +265,8 @@ impl VBucketStore {
 
     /// Append one mutation (set or tombstone), unsynced. The caller assigns
     /// seqnos; appended in seqno order, a vBucket's versions leave a seqno
-    /// prefix behind a torn tail. Like every write to a shard's log, it
-    /// must not race a compaction or purge on that shard (see
+    /// prefix behind a torn tail. Like every write to the bucket's log, it
+    /// must not race a compaction or purge of the log (see
     /// [`BucketStore`](crate::BucketStore)).
     pub fn persist(&self, doc: &StoredDoc) -> Result<()> {
         self.persist_batch(std::slice::from_ref(doc))
@@ -300,7 +300,7 @@ impl VBucketStore {
     }
 
     /// Read all persisted mutations with seqno strictly greater than
-    /// `since`, in seqno order — the warm-up and re-homing scan.
+    /// `since`, in seqno order — the warm-up scan.
     pub fn changes_since(&self, since: SeqNo) -> Result<Vec<StoredDoc>> {
         let (file, places) = self.index.in_seqno_order(since);
         places.into_iter().map(|p| read_record(&file, p.offset, p.len)).collect()

@@ -14,9 +14,9 @@
 //! | vb u16 LE | record (magic, crc32, paylen, payload) | ...
 //! ```
 //!
-//! One owner uses it, a [`CommitLog`](crate::CommitLog): a flusher shard's
-//! data log (each log of a [`BucketStore`](crate::BucketStore),
-//! `shard_<n>.couch`, every vBucket of the shard interleaved, indexed in
+//! One owner uses it, a [`CommitLog`](crate::CommitLog): a bucket's data
+//! log (a [`BucketStore`](crate::BucketStore)'s one file,
+//! `shard_0.couch`, every vBucket of the bucket on its node interleaved, indexed in
 //! memory by offset) or a GSI partition's change log.
 //! [`GroupCommitWal::open`] names a stand-alone log `wal_<n>.log`;
 //! [`replay_file`] reads any log back in append order.

@@ -1,4 +1,4 @@
-//! Property-based crash-recovery tests: any prefix of a shard's append-only
+//! Property-based crash-recovery tests: any prefix of a bucket's append-only
 //! log that survives a crash must recover to a consistent, correct state of
 //! every vBucket in it.
 
@@ -88,8 +88,8 @@ fn commit_in_batches(store: &BucketStore, docs: &[(VbId, StoredDoc)], split: &[u
         for (vb, doc) in batch {
             cycle.push_doc(*vb, doc).unwrap();
         }
-        store.commit(0, &mut cycle).unwrap();
-        lens.push(store.log_bytes(0));
+        store.commit(&mut cycle).unwrap();
+        lens.push(store.log_bytes());
         rest = tail;
     }
     lens
@@ -159,7 +159,7 @@ proptest! {
         assert_state(&store, &model(&docs))?;
         let accounted: u64 =
             store.open_vbs().into_iter().map(|vb| store.vb(vb).unwrap().stats().file_bytes).sum();
-        prop_assert_eq!(accounted, store.log_bytes(0));
+        prop_assert_eq!(accounted, store.log_bytes());
     }
 
     /// A crash keeps every synced batch and any part of what was appended
@@ -211,7 +211,7 @@ proptest! {
         };
         let mut cycle = Cycle::new();
         cycle.push_doc(VbId(1), &post).unwrap();
-        store.commit(0, &mut cycle).unwrap();
+        store.commit(&mut cycle).unwrap();
         drop(store);
         let store = BucketStore::open(dir).unwrap();
         let mut expected = model(&docs[..survivors]);
@@ -229,7 +229,7 @@ proptest! {
         commit_in_batches(&store, &docs, &split);
         let before: Vec<_> =
             (0..VBS).map(|vb| store.vb(VbId(vb)).unwrap().changes_since(SeqNo::ZERO).unwrap()).collect();
-        prop_assert!(store.compact_shard(0, 0.0).unwrap());
+        prop_assert!(store.compact(0.0).unwrap());
         let after: Vec<_> =
             (0..VBS).map(|vb| store.vb(VbId(vb)).unwrap().changes_since(SeqNo::ZERO).unwrap()).collect();
         prop_assert_eq!(before, after, "compaction is logically invisible");
@@ -237,7 +237,7 @@ proptest! {
         let stale: u64 =
             store.open_vbs().into_iter().map(|vb| store.vb(vb).unwrap().stats().stale_bytes).sum();
         prop_assert_eq!(stale, 0);
-        prop_assert_eq!(store.log_bytes(0), std::fs::metadata(log_path(&dir)).unwrap().len());
+        prop_assert_eq!(store.log_bytes(), std::fs::metadata(log_path(&dir)).unwrap().len());
         drop(store);
         assert_state(&BucketStore::open(dir).unwrap(), &model(&docs))?;
     }
@@ -263,7 +263,7 @@ proptest! {
             for (vb, doc) in batch {
                 cycle.push_doc(*vb, doc).unwrap();
                 if *slice_after.next().unwrap() {
-                    sliced.append_slice(0, &mut cycle).unwrap();
+                    sliced.append_slice(&mut cycle).unwrap();
                     prop_assert_eq!(cycle.buffered_bytes(), 0);
                     assert_same(&whole, &sliced)?;
                     if rest.len() == docs.len() {
@@ -273,12 +273,12 @@ proptest! {
                     }
                 }
             }
-            sliced.commit(0, &mut cycle).unwrap();
+            sliced.commit(&mut cycle).unwrap();
             let mut cycle = Cycle::new();
             for (vb, doc) in batch {
                 cycle.push_doc(*vb, doc).unwrap();
             }
-            whole.commit(0, &mut cycle).unwrap();
+            whole.commit(&mut cycle).unwrap();
             rest = tail;
         }
         assert_same(&whole, &sliced)?;
@@ -305,12 +305,12 @@ proptest! {
             for (vb, doc) in &docs[..committed] {
                 cycle.push_doc(*vb, doc).unwrap();
             }
-            store.commit(0, &mut cycle).unwrap();
+            store.commit(&mut cycle).unwrap();
             let (mut cycle, mut appended) = (Cycle::new(), 0);
             for ((vb, doc), slice) in docs[committed..].iter().zip(slices.iter().cycle()) {
                 cycle.push_doc(*vb, doc).unwrap();
                 if *slice {
-                    store.append_slice(0, &mut cycle).unwrap();
+                    store.append_slice(&mut cycle).unwrap();
                     appended = cycle.len();
                 }
             }
@@ -320,7 +320,7 @@ proptest! {
         let store = BucketStore::open(dir.clone()).unwrap();
         assert_state(&store, &model(kept))?;
         let frames: u64 = kept.iter().map(|(_, d)| 2 + d.disk_size()).sum();
-        prop_assert_eq!(store.log_bytes(0), frames);
+        prop_assert_eq!(store.log_bytes(), frames);
         prop_assert_eq!(std::fs::metadata(log_path(&dir)).unwrap().len(), frames);
     }
 }

@@ -1,6 +1,6 @@
 //! Hostile bytes never panic storage recovery. Arbitrary bytes, and valid
-//! shard logs with flipped bits, a cut tail or garbage behind them, go
-//! through the record decoder, `replay_file` and `BucketStore::open_sharded`.
+//! bucket logs with flipped bits, a cut tail or garbage behind them, go
+//! through the record decoder, `replay_file` and `BucketStore::open`.
 //! Recovery keeps the intact prefix — every record before the first damaged
 //! byte — and indexes nothing that fails its CRC: each indexed record reads
 //! back through the checked decoder as exactly the version replay saw.
@@ -20,7 +20,7 @@ use proptest::test_runner::TestCaseError;
 
 const VBUCKETS: u16 = 16;
 
-/// A valid shard log: its bytes and, in order, each frame's end offset and
+/// A valid bucket log: its bytes and, in order, each frame's end offset and
 /// record.
 #[derive(Default)]
 struct Log {
@@ -33,7 +33,7 @@ struct Log {
 fn write_log(spec: &[(u16, u8, Option<u16>)]) -> Log {
     let dir = scratch_dir("hostile-src");
     {
-        let store = BucketStore::open_sharded(dir.clone(), 1, VBUCKETS).unwrap();
+        let store = BucketStore::open(dir.clone()).unwrap();
         let mut seqnos = [0u64; VBUCKETS as usize];
         for (i, chunk) in spec.chunks(4).enumerate() {
             let mut cycle = Cycle::new();
@@ -48,7 +48,7 @@ fn write_log(spec: &[(u16, u8, Option<u16>)]) -> Log {
                 let body = value.as_deref().unwrap_or_default().as_bytes();
                 cycle.push(VbId(vb), &format!("k{key}"), &meta, len.is_none(), body).unwrap();
             }
-            store.commit(0, &mut cycle).unwrap();
+            store.commit(&mut cycle).unwrap();
         }
     }
     let path = log_path(&dir);
@@ -118,16 +118,11 @@ fn damage(log: &[u8], how: &Damage) -> (Vec<u8>, usize) {
     }
 }
 
-/// Replay `bytes` as a shard log and open a store over them with `shards`
-/// logs; check that the replay is a prefix of `log` covering every frame
-/// that ends by `first_damage`, and that the store indexes exactly the
-/// latest replayed version of each key.
-fn recover(
-    log: &Log,
-    bytes: &[u8],
-    first_damage: usize,
-    shards: usize,
-) -> Result<(), TestCaseError> {
+/// Replay `bytes` as a bucket log and open a store over them; check that
+/// the replay is a prefix of `log` covering every frame that ends by
+/// `first_damage`, and that the store indexes exactly the latest replayed
+/// version of each key.
+fn recover(log: &Log, bytes: &[u8], first_damage: usize) -> Result<(), TestCaseError> {
     let dir = scratch_dir("hostile");
     std::fs::write(log_path(&dir), bytes).unwrap();
     let mut replayed = Vec::new();
@@ -148,10 +143,8 @@ fn recover(
     }
     prop_assert_eq!(intact, replayed.last().map_or(0, |_| log.frames[replayed.len() - 1].0));
 
-    let store = BucketStore::open_sharded(dir.clone(), shards, VBUCKETS).unwrap();
-    if shards == 1 {
-        prop_assert_eq!(store.log_bytes(0), intact as u64, "the damaged tail is cut off");
-    }
+    let store = BucketStore::open(dir.clone()).unwrap();
+    prop_assert_eq!(store.log_bytes(), intact as u64, "the damaged tail is cut off");
     let latest: BTreeMap<(VbId, &str), &StoredDoc> =
         replayed.iter().map(|(vb, doc)| ((*vb, doc.key.as_str()), doc)).collect();
     for (&(vb, key), &doc) in &latest {
@@ -173,27 +166,19 @@ fn recover(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// A damaged valid log recovers its intact prefix, through a store of
-    /// one log and through one that re-homes half of the vBuckets.
+    /// A damaged valid log recovers its intact prefix.
     #[test]
-    fn a_damaged_log_recovers_its_intact_prefix(
-        spec in arb_spec(),
-        how in arb_damage(),
-        shards in 1usize..3,
-    ) {
+    fn a_damaged_log_recovers_its_intact_prefix(spec in arb_spec(), how in arb_damage()) {
         let log = write_log(&spec);
         let (bytes, first) = damage(&log.bytes, &how);
-        recover(&log, &bytes, first, shards)?;
+        recover(&log, &bytes, first)?;
     }
 
     /// Bytes that were never a log recover to nothing — they hold a record
     /// only by a CRC collision — and never panic.
     #[test]
-    fn arbitrary_bytes_never_panic_recovery(
-        bytes in prop::collection::vec(any::<u8>(), 0..2048),
-        shards in 1usize..3,
-    ) {
-        recover(&Log::default(), &bytes, 0, shards)?;
+    fn arbitrary_bytes_never_panic_recovery(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
+        recover(&Log::default(), &bytes, 0)?;
     }
 
     /// The checked decoder never panics, and accepts a buffer only if it

@@ -16,7 +16,7 @@ use crate::scan::{Allow, Masked};
 /// enumerate directory entries (as opposed to reading/writing an already
 /// owned file handle, which the log and the vBucket indexes do under their
 /// own locks by design). `GroupCommitWal::open{,_file}` and
-/// `ShardLog::recover` are on the list because they open (and the latter
+/// `BucketLog::recover` are on the list because they open (and the latter
 /// scans) a log file.
 const FS_NAMESPACE_OPS: &[&str] = &[
     "File::open",
@@ -32,7 +32,7 @@ const FS_NAMESPACE_OPS: &[&str] = &[
     "fs::copy",
     "fs::hard_link",
     "GroupCommitWal::open",
-    "ShardLog::recover",
+    "BucketLog::recover",
 ];
 
 /// One parsed source file.

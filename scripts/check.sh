@@ -42,9 +42,11 @@
 #                                 examples run to completion (exit status
 #                                 only), the N1QL nesting-budget test runs
 #                                 again in release, the GSI model
-#                                 properties and the key-table model
-#                                 (KeyMap against std's HashMap) run once
-#                                 per seed 1..=256 (PROPTEST_SEED,
+#                                 properties, the key-table model
+#                                 (KeyMap against std's HashMap) and the
+#                                 bucket log's crash-recovery properties
+#                                 (reopen, torn tail, compaction, slicing)
+#                                 run once per seed 1..=256 (PROPTEST_SEED,
 #                                 release) and the staleness artifacts
 #                                 regenerate
 #   7. perfbench smoke            the benchmark package (its own workspace):
@@ -316,6 +318,8 @@ run "N1QL nesting budget (release)" cargo test --quiet --release -p cbs-n1ql --t
 run "GSI model properties (release, PROPTEST_SEED=1..=256)" \
     model_seeds cbs-index model_equivalence
 run "key-table model (release, PROPTEST_SEED=1..=256)" model_seeds cbs-common key_map_model
+run "bucket-log crash recovery (release, PROPTEST_SEED=1..=256)" \
+    model_seeds cbs-storage crash_recovery
 run_stage staleness-smoke
 run_stage perfbench-smoke
 
