@@ -53,37 +53,5 @@ pub use workload::{
     ChaosOutcome, Profile, Schedule, TopoEvent, TopoKind, BUCKET,
 };
 
-/// SplitMix64 finalizer: the one-way mixer behind every seeded decision in
-/// this crate. Stateless, so decisions are immune to thread interleaving.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Hash a list of words into one decision value.
-pub(crate) fn mix_all(words: &[u64]) -> u64 {
-    let mut h = 0x243f_6a88_85a3_08d3; // pi digits, nothing up the sleeve
-    for &w in words {
-        h = mix64(h ^ w);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mix_is_deterministic_and_spreads() {
-        assert_eq!(mix64(42), mix64(42));
-        assert_ne!(mix64(42), mix64(43));
-        assert_eq!(mix_all(&[1, 2, 3]), mix_all(&[1, 2, 3]));
-        assert_ne!(mix_all(&[1, 2, 3]), mix_all(&[3, 2, 1]));
-        // Rough avalanche sanity: flipping one input bit flips ~half the
-        // output bits.
-        let d = (mix64(7) ^ mix64(7 | 1 << 63)).count_ones();
-        assert!((16..=48).contains(&d), "poor avalanche: {d}");
-    }
-}
+/// The stateless seeded mixer behind every decision in this crate.
+pub(crate) use cbs_txn::spec::mix_all;

@@ -4,7 +4,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cbs_common::sync::{rank, OrderedMutex, OrderedRwLock};
+use cbs_common::sync::{rank, OrderedRwLock};
 use cbs_common::{Error, NodeId, Result, Signal};
 use cbs_index::IndexManager;
 use cbs_kv::{DataEngine, EngineConfig, FlusherPool};
@@ -16,12 +16,21 @@ use crate::config::{ClusterConfig, ServiceSet};
 /// ([`FlusherPool::spawn`]'s interval).
 const FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(10);
 
-/// Bucket → engine map plus in-flight creation reservations. Both live
+/// One bucket on this node: its data engine, the view engine over it
+/// (co-located with data, §3.3.1) and the flusher thread, which stops when
+/// the slice drops.
+struct BucketSlice {
+    engine: Arc<DataEngine>,
+    views: Arc<ViewEngine>,
+    _flusher: FlusherPool,
+}
+
+/// Bucket → slice map plus in-flight creation reservations. Both live
 /// under one lock so "already exists" covers buckets still being built
 /// without holding the lock across engine construction (file I/O).
 #[derive(Default)]
-struct EngineMap {
-    ready: HashMap<String, Arc<DataEngine>>,
+struct BucketMap {
+    ready: HashMap<String, BucketSlice>,
     creating: HashSet<String>,
 }
 
@@ -34,14 +43,10 @@ pub struct Node {
     id: NodeId,
     services: ServiceSet,
     alive: AtomicBool,
-    /// Per-bucket data engines (data service only). Rank `NODE_ENGINES`:
-    /// top of the global order — engine calls under a read guard descend
-    /// into every KV/storage rank.
-    engines: OrderedRwLock<EngineMap>,
-    /// Per-bucket view engines (co-located with data, §3.3.1).
-    view_engines: OrderedRwLock<HashMap<String, Arc<ViewEngine>>>,
-    /// Flusher threads, one per bucket.
-    flushers: OrderedMutex<Vec<FlusherPool>>,
+    /// Per-bucket slices (data service only). Rank `NODE_ENGINES`: top
+    /// of the global order — engine calls under a read guard descend into
+    /// every KV/storage rank.
+    buckets: OrderedRwLock<BucketMap>,
     /// GSI manager (index service only).
     index_mgr: Option<Arc<IndexManager>>,
     /// Trace sink on this node's lane (`n<id>`), handed to every engine
@@ -63,9 +68,7 @@ impl Node {
             id,
             services,
             alive: AtomicBool::new(true),
-            engines: OrderedRwLock::new(rank::NODE_ENGINES, EngineMap::default()),
-            view_engines: OrderedRwLock::new(rank::NODE_VIEW_ENGINES, HashMap::new()),
-            flushers: OrderedMutex::new(rank::NODE_FLUSHERS, Vec::new()),
+            buckets: OrderedRwLock::new(rank::NODE_ENGINES, BucketMap::default()),
             index_mgr,
             trace: None,
             cfg: cfg.clone(),
@@ -105,8 +108,8 @@ impl Node {
         self.alive.store(true, Ordering::SeqCst);
         // Liveness is part of a durability waiter's predicate
         // (`SmartClient::observe`): what changes it wakes them.
-        for engine in self.engines.read().ready.values() {
-            engine.seqno_signal().notify();
+        for slice in self.buckets.read().ready.values() {
+            slice.engine.seqno_signal().notify();
         }
     }
 
@@ -132,7 +135,7 @@ impl Node {
             return Ok(());
         }
         {
-            let mut map = self.engines.write();
+            let mut map = self.buckets.write();
             if map.ready.contains_key(bucket) || !map.creating.insert(bucket.to_string()) {
                 return Err(Error::Cluster(format!(
                     "bucket {bucket} already exists on {:?}",
@@ -155,16 +158,14 @@ impl Node {
         let (engine, flusher) = match built {
             Ok(v) => v,
             Err(e) => {
-                self.engines.write().creating.remove(bucket);
+                self.buckets.write().creating.remove(bucket);
                 return Err(e);
             }
         };
-        let view = Arc::new(ViewEngine::new(Arc::clone(&engine)));
-        self.flushers.lock().push(flusher);
-        self.view_engines.write().insert(bucket.to_string(), view);
-        let mut map = self.engines.write();
+        let views = Arc::new(ViewEngine::new(Arc::clone(&engine)));
+        let mut map = self.buckets.write();
         map.creating.remove(bucket);
-        map.ready.insert(bucket.to_string(), engine);
+        map.ready.insert(bucket.to_string(), BucketSlice { engine, views, _flusher: flusher });
         Ok(())
     }
 
@@ -172,27 +173,24 @@ impl Node {
     /// run the data service.
     pub fn engine(&self, bucket: &str) -> Result<Arc<DataEngine>> {
         self.check_alive()?;
-        self.engines
-            .read()
-            .ready
-            .get(bucket)
-            .cloned()
+        self.engine_unchecked(bucket)
             .ok_or_else(|| Error::Cluster(format!("no data service for {bucket} on {:?}", self.id)))
     }
 
     /// Like [`Node::engine`] but ignoring liveness — used only by recovery
     /// paths that inspect a dead node's durable state.
     pub fn engine_unchecked(&self, bucket: &str) -> Option<Arc<DataEngine>> {
-        self.engines.read().ready.get(bucket).cloned()
+        self.buckets.read().ready.get(bucket).map(|slice| Arc::clone(&slice.engine))
     }
 
     /// The view engine for a bucket.
     pub fn view_engine(&self, bucket: &str) -> Result<Arc<ViewEngine>> {
         self.check_alive()?;
-        self.view_engines
+        self.buckets
             .read()
+            .ready
             .get(bucket)
-            .cloned()
+            .map(|slice| Arc::clone(&slice.views))
             .ok_or_else(|| Error::Cluster(format!("no view engine for {bucket} on {:?}", self.id)))
     }
 
@@ -206,7 +204,7 @@ impl Node {
 
     /// Buckets hosted here.
     pub fn buckets(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.engines.read().ready.keys().cloned().collect();
+        let mut v: Vec<String> = self.buckets.read().ready.keys().cloned().collect();
         v.sort();
         v
     }

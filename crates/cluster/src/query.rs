@@ -210,10 +210,10 @@ impl Datastore for ClusterDatastore {
     /// the planner asks: each online index reports live entries, distinct
     /// keys and leading-key bounds, and the keyspace document count is the
     /// widest index's per-document counter (a primary index sees every
-    /// document). Each read is O(partitions). No online index means no
-    /// statistics — the planner falls back to its rule-based ordering.
-    fn keyspace_stats(&self, keyspace: &str) -> Option<KeyspaceStats> {
-        let mgr = self.cluster.index_manager().ok()?;
+    /// document). Each read is O(partitions). No online index counts
+    /// nothing: `doc_count` 0, which the planner prices as one document.
+    fn keyspace_stats(&self, keyspace: &str) -> KeyspaceStats {
+        let Ok(mgr) = self.cluster.index_manager() else { return KeyspaceStats::default() };
         let mut doc_count = 0u64;
         let mut indexes = Vec::new();
         for def in mgr.list_online(keyspace) {
@@ -222,7 +222,7 @@ impl Datastore for ClusterDatastore {
             let Ok(card) = mgr.index_cardinality(keyspace, &def.name) else { continue };
             indexes.push((def.name, card));
         }
-        (doc_count > 0).then_some(KeyspaceStats { doc_count, indexes })
+        KeyspaceStats { doc_count, indexes }
     }
 
     /// The `system:` catalog keyspaces, backed live by cluster state — the

@@ -77,18 +77,13 @@ pub mod rank {
     /// `DCP_FEED_WAKER`) after dropping the maps guard; pumps are spawned
     /// before and joined after the guarded window.
     pub const CLUSTER_PUMPS: LockRank = LockRank::new(4, "cluster.topology.pumps");
-    /// Node-wide bucket → data-engine map. Above every KV/storage rank:
-    /// bucket create/delete may open engines (and therefore files) while
-    /// the map is consulted, so the map must sit at the very top of the
-    /// order. Engine construction itself happens *outside* the lock (see
-    /// `Node::create_bucket`); the rank guards the residual insert window.
+    /// Node-wide bucket → {data engine, view engine, flusher} map. Above
+    /// every KV/storage rank: bucket create/delete may open engines (and
+    /// therefore files) while the map is consulted, so the map must sit at
+    /// the very top of the order. Engine construction itself happens
+    /// *outside* the lock (see `Node::create_bucket`); the rank guards the
+    /// residual insert window.
     pub const NODE_ENGINES: LockRank = LockRank::new(5, "cluster.node.engines");
-    /// Node-wide list of flusher handles (spawned per bucket, drained on
-    /// shutdown). Taken after the engine map during bucket creation.
-    pub const NODE_FLUSHERS: LockRank = LockRank::new(6, "cluster.node.flushers");
-    /// Node-wide bucket → view-engine map (taken last during bucket
-    /// creation, before any KV rank).
-    pub const NODE_VIEW_ENGINES: LockRank = LockRank::new(7, "cluster.node.view_engines");
     /// Query datastore's pool of per-bucket smart clients. Taken with
     /// nothing held; connecting a new client (which fetches maps) happens
     /// between the read probe and the write insert.

@@ -192,8 +192,8 @@ fn slow_queries_land_in_completed_requests() {
 #[test]
 fn per_request_threshold_override_beats_cluster_setting() {
     let cluster = seeded_cluster(10);
-    // Cluster-wide threshold stays at the default (100ms unless the
-    // CBS_SLOW_OP_MS env says otherwise): a fast query is not retained.
+    // Cluster-wide threshold stays at the default (100ms): a fast query is
+    // not retained.
     cluster.query("SELECT 1 + 1 AS x", &QueryOptions::default().client_context_id("fast")).unwrap();
     // A zero per-request threshold retains this one regardless.
     cluster

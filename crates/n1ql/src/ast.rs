@@ -239,8 +239,9 @@ pub enum Statement {
     /// `BUILD INDEX ON ks(name, ...)`.
     BuildIndex { keyspace: String, names: Vec<String> },
     /// `PREPARE <name> FROM <statement>` — plan once, register under a
-    /// name for later `EXECUTE` (the entry holds the plan).
-    Prepare { name: String, stmt: Box<Statement> },
+    /// name for later `EXECUTE` (the entry holds the plan). `text` is the
+    /// inner statement's source, which a re-plan parses again.
+    Prepare { name: String, stmt: Box<Statement>, text: String },
     /// `EXECUTE <name>` — run a previously prepared statement, binding
     /// this request's positional/named parameters.
     Execute { name: String },

@@ -138,9 +138,10 @@ pub trait Datastore: Send + Sync {
     }
 
     /// Keyspace statistics for the cost-based planner (doc count, per-
-    /// index cardinality), as of now. `None` means unavailable — the
-    /// planner falls back to rule-based access-path selection.
-    fn keyspace_stats(&self, keyspace: &str) -> Option<KeyspaceStats>;
+    /// index cardinality), as of now. A `doc_count` of 0 means nothing has
+    /// counted the keyspace: the planner prices it as one document with
+    /// its default selectivities.
+    fn keyspace_stats(&self, keyspace: &str) -> KeyspaceStats;
 }
 
 /// Every `system:` catalog keyspace [`Datastore::system_scan`] serves.
@@ -423,11 +424,11 @@ impl Datastore for MemoryDatastore {
         Some(&self.plan_cache)
     }
 
-    /// Projects every online index over the live documents. An empty
-    /// keyspace has no statistics.
-    fn keyspace_stats(&self, keyspace: &str) -> Option<KeyspaceStats> {
+    /// Projects every online index over the live documents. An unknown
+    /// keyspace counts nothing.
+    fn keyspace_stats(&self, keyspace: &str) -> KeyspaceStats {
         let map = self.keyspaces.read();
-        let ks = map.get(keyspace).filter(|ks| !ks.docs.is_empty())?;
+        let Some(ks) = map.get(keyspace) else { return KeyspaceStats::default() };
         let mut indexes = Vec::new();
         for (def, online) in &ks.indexes {
             if !*online {
@@ -458,7 +459,7 @@ impl Datastore for MemoryDatastore {
             };
             indexes.push((def.name.clone(), card));
         }
-        Some(KeyspaceStats { doc_count: ks.docs.len() as u64, indexes })
+        KeyspaceStats { doc_count: ks.docs.len() as u64, indexes }
     }
 
     fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {

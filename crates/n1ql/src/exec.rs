@@ -815,11 +815,9 @@ fn exec_direct_inner(
             bump_plan_epoch(ds, keyspace);
             Ok(QueryResult::default())
         }
-        Statement::Prepare { .. } | Statement::Execute { .. } => Err(Error::Plan(
-            "PREPARE/EXECUTE require a prepared-statement cache (issue via the query service)"
-                .to_string(),
-        )),
         Statement::Select(_)
+        | Statement::Prepare { .. }
+        | Statement::Execute { .. }
         | Statement::Update { .. }
         | Statement::Delete { .. }
         | Statement::Explain(_)

@@ -85,10 +85,10 @@ pub(crate) fn direct_name(stmt: &Statement) -> &'static str {
         Statement::CreatePrimaryIndex { .. } => "CreatePrimaryIndex",
         Statement::DropIndex { .. } => "DropIndex",
         Statement::BuildIndex { .. } => "BuildIndexes",
-        Statement::Prepare { .. } => "Prepare",
-        Statement::Execute { .. } => "Execute",
         // Never planned as a direct statement.
         Statement::Select(_)
+        | Statement::Prepare { .. }
+        | Statement::Execute { .. }
         | Statement::Update { .. }
         | Statement::Delete { .. }
         | Statement::Explain(_)

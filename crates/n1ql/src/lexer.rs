@@ -48,10 +48,20 @@ const PUNCTS: &[&str] = &[
 
 /// Tokenize a statement.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+    Ok(tokenize_with_offsets(input)?.0)
+}
+
+/// Tokenize a statement, with the byte offset each token starts at.
+pub(crate) fn tokenize_with_offsets(input: &str) -> Result<(Vec<Token>, Vec<usize>)> {
     let bytes = input.as_bytes();
     let mut pos = 0;
     let mut out = Vec::new();
+    let mut offsets = Vec::new();
+    let mut start = 0;
     'outer: while pos < bytes.len() {
+        // A pass makes at most one token; the last one's began at `start`.
+        offsets.resize(out.len(), start);
+        start = pos;
         let b = bytes[pos];
         match b {
             b' ' | b'\t' | b'\n' | b'\r' => {
@@ -204,7 +214,8 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
         }
     }
-    Ok(out)
+    offsets.resize(out.len(), start);
+    Ok((out, offsets))
 }
 
 fn utf8_len(first_byte: u8) -> usize {

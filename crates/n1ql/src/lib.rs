@@ -160,32 +160,20 @@ fn simple_ident(s: &str) -> Option<&str> {
     }
 }
 
-/// Split one leading identifier off `s`.
-fn take_ident(s: &str) -> Option<(&str, &str)> {
-    let s = s.trim_start();
-    let end = s.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).unwrap_or(s.len());
-    if end == 0 || s[..1].chars().next().is_some_and(|c| c.is_ascii_digit()) {
-        None
-    } else {
-        Some((&s[..end], &s[end..]))
-    }
+/// Parse `text` under its span.
+fn spanned_parse(text: &str) -> Result<Statement> {
+    let _s = cbs_obs::span("n1ql.query.parse");
+    parse_statement(text)
 }
 
-/// Parse and plan `text`, each step under its span.
-fn parse_and_plan(
+/// Plan `stmt` under its span.
+fn spanned_plan(
     ds: &dyn Datastore,
-    text: &str,
+    stmt: &Statement,
     opts: &QueryOptions,
-) -> Result<(Statement, Arc<QueryPlan>)> {
-    let stmt = {
-        let _s = cbs_obs::span("n1ql.query.parse");
-        parse_statement(text)?
-    };
-    let plan = {
-        let _s = cbs_obs::span("n1ql.query.plan");
-        build_plan(ds, &stmt, opts)?
-    };
-    Ok((stmt, Arc::new(plan)))
+) -> Result<Arc<QueryPlan>> {
+    let _s = cbs_obs::span("n1ql.query.plan");
+    Ok(Arc::new(build_plan(ds, stmt, opts)?))
 }
 
 /// What a request ran: its result, the plan it ran (the request log keeps
@@ -200,26 +188,22 @@ struct Executed {
 /// Parse/plan/execute.
 fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result<Executed> {
     // Hot path: `EXECUTE <name>` resolves the prepared statement and its
-    // plan on text alone — no lexer, no parser, no planner.
-    if let Some(rest) = strip_keyword(statement, "execute") {
-        if let Some(name) = simple_ident(rest) {
-            return run_execute(ds, name, opts);
-        }
+    // plan on text alone — no lexer, no parser, no planner. Any other
+    // spelling (a quoted name, a comment) reaches the same place through
+    // the parser.
+    if let Some(name) = strip_keyword(statement, "execute").and_then(simple_ident) {
+        return run_execute(ds, name, opts);
     }
-    // `PREPARE <name> FROM <stmt>`: the inner statement *text* is what a
-    // re-plan parses again, so peel it off here rather than losing it to
-    // the AST.
-    if let Some(rest) = strip_keyword(statement, "prepare") {
-        if let Some((name, after)) = take_ident(rest) {
-            if let Some(inner_text) = strip_keyword(after, "from") {
-                let inner_text = inner_text.trim().trim_end_matches(';').trim_end();
-                return run_prepare(ds, name, inner_text, opts);
-            }
+    let stmt = match spanned_parse(statement)? {
+        Statement::Execute { name } => return run_execute(ds, &name, opts),
+        Statement::Prepare { name, stmt, text } => {
+            return run_prepare(ds, &name, &stmt, &text, opts)
         }
-    }
+        stmt => stmt,
+    };
     // An ad-hoc statement is planned from current statistics every time.
     // `build_plan` plans the inner statement of EXPLAIN / PROFILE.
-    let (stmt, plan) = parse_and_plan(ds, statement, opts)?;
+    let plan = spanned_plan(ds, &stmt, opts)?;
     match stmt {
         Statement::Explain(_) => {
             let rows = vec![explain::explain_to_value(&plan)];
@@ -243,40 +227,40 @@ fn run_execute(ds: &dyn Datastore, name: &str, opts: &QueryOptions) -> Result<Ex
         .ok_or_else(|| Error::Plan(format!("no such prepared statement: {name}")))?;
     // Dropped or stale after DDL: re-plan from the prepared text against
     // the *current* index topology.
-    let plan =
-        cache.plan_for(&prepared, || Ok(parse_and_plan(ds, &prepared.statement, opts)?.1))?;
+    let plan = cache
+        .plan_for(&prepared, || spanned_plan(ds, &spanned_parse(&prepared.statement)?, opts))?;
     let start = Instant::now();
     let result = execute(ds, &plan, opts)?;
     prepared.record_use(start.elapsed());
     Ok(Executed { result, plan, prof: None })
 }
 
+/// `PREPARE <name> FROM <stmt>`: plan `stmt` and register it under
+/// `name` with its source `inner_text`, which a re-plan parses again.
 fn run_prepare(
     ds: &dyn Datastore,
     name: &str,
+    stmt: &Statement,
     inner_text: &str,
     opts: &QueryOptions,
 ) -> Result<Executed> {
     let cache = ds
         .plan_cache()
         .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
-    let plan = cache.prepare(name, inner_text, || {
-        let (stmt, plan) = parse_and_plan(ds, inner_text, opts)?;
-        // An entry keeps a plan alone, and an EXPLAIN's or a PROFILE's is
-        // its inner statement's: EXECUTE would run that statement.
-        if matches!(
-            stmt,
-            Statement::Prepare { .. }
-                | Statement::Execute { .. }
-                | Statement::Explain(_)
-                | Statement::Profile(_)
-        ) {
-            return Err(Error::Plan(
-                "cannot PREPARE a PREPARE, EXECUTE, EXPLAIN or PROFILE statement".to_string(),
-            ));
-        }
-        Ok(plan)
-    })?;
+    // An entry keeps a plan alone, and an EXPLAIN's or a PROFILE's is its
+    // inner statement's: EXECUTE would run that statement.
+    if matches!(
+        stmt,
+        Statement::Prepare { .. }
+            | Statement::Execute { .. }
+            | Statement::Explain(_)
+            | Statement::Profile(_)
+    ) {
+        return Err(Error::Plan(
+            "cannot PREPARE a PREPARE, EXECUTE, EXPLAIN or PROFILE statement".to_string(),
+        ));
+    }
+    let plan = cache.prepare(name, inner_text, || spanned_plan(ds, stmt, opts))?;
     let row = Value::object([("name", Value::from(name)), ("statement", Value::from(inner_text))]);
     Ok(Executed { result: QueryResult { rows: vec![row], ..Default::default() }, plan, prof: None })
 }

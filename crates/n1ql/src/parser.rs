@@ -4,12 +4,11 @@ use cbs_common::{Error, Result};
 use cbs_json::{Value, MAX_DEPTH};
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{tokenize_with_offsets, Token};
 
 /// Parse one statement (optionally terminated by `;`).
 pub fn parse_statement(input: &str) -> Result<Statement> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(input)?;
     let stmt = p.parse_statement()?;
     p.eat_punct(";");
     if p.pos < p.tokens.len() {
@@ -20,8 +19,7 @@ pub fn parse_statement(input: &str) -> Result<Statement> {
 
 /// Parse a stand-alone expression (used by tests and the view/index DDL).
 pub fn parse_expression(input: &str) -> Result<Expr> {
-    let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(input)?;
     let e = p.parse_expr()?;
     if p.pos < p.tokens.len() {
         return Err(p.err("trailing tokens after expression"));
@@ -54,8 +52,11 @@ enum Compound {
     Call(String),
 }
 
-struct Parser {
+struct Parser<'a> {
+    input: &'a str,
     tokens: Vec<Token>,
+    /// The byte offset in `input` each token starts at.
+    offsets: Vec<usize>,
     pos: usize,
     /// How deeply the production being parsed nests (see `enter`).
     depth: usize,
@@ -95,7 +96,12 @@ const BINARY: [(&str, BinOp, u8); 16] = [
     ("%", BinOp::Mod, BP_MUL),
 ];
 
-impl Parser {
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Result<Parser<'a>> {
+        let (tokens, offsets) = tokenize_with_offsets(input)?;
+        Ok(Parser { input, tokens, offsets, pos: 0, depth: 0 })
+    }
+
     fn err(&self, msg: &str) -> Error {
         Error::Parse(format!("{msg} (at token {} of {})", self.pos, self.tokens.len()))
     }
@@ -183,12 +189,14 @@ impl Parser {
             String::new()
         };
         self.enter()?;
+        let start = self.offsets.get(self.pos).copied().unwrap_or(self.input.len());
         let stmt = self.parse_statement()?;
         self.depth -= 1;
+        let end = self.offsets.get(self.pos).copied().unwrap_or(self.input.len());
         Ok(Box::new(match kind {
             "explain" => Statement::Explain(stmt),
             "profile" => Statement::Profile(stmt),
-            _ => Statement::Prepare { name, stmt },
+            _ => Statement::Prepare { name, stmt, text: self.input[start..end].trim_end().into() },
         }))
     }
 

@@ -61,8 +61,9 @@ pub struct PlanEstimate {
     pub cost: f64,
     /// Estimated rows out of the scan.
     pub cardinality: f64,
-    /// True when keyspace statistics informed the estimate; false means
-    /// the planner fell back to rule-based selection.
+    /// True when counted keyspace statistics informed the estimate; false
+    /// means the keyspace was priced as one document with the default
+    /// selectivities (or the path was not priced at all).
     pub based_on_stats: bool,
 }
 

@@ -1,4 +1,4 @@
-//! The query planner (§4.5.3), now cost-based when statistics exist.
+//! The query planner (§4.5.3), cost-based.
 //!
 //! "To optimize a query, the N1QL query planner analyzes the query and
 //! available access path options for each keyspace in the query to pick an
@@ -11,11 +11,11 @@
 //! 1. `USE KEYS` → **KeyScan** (the fastest path, §5.1.1);
 //! 2. sargable candidates over the leading key of online GSIs →
 //!    **IndexScan** candidates, with covering detection (§5.1.2) and
-//!    partial-index applicability checks (§3.3.4). With keyspace
-//!    statistics available, every candidate is *priced* (range
-//!    selectivity × entry cost, plus a fetch cost unless covering) and
-//!    compared against the full **PrimaryScan**; without statistics the
-//!    original rule-based scoring decides, exactly as before.
+//!    partial-index applicability checks (§3.3.4). Every candidate is
+//!    *priced* (range selectivity × entry cost, plus a fetch cost unless
+//!    covering) and compared against the full **PrimaryScan**; a keyspace
+//!    no online index has counted yet is priced as one document with the
+//!    default selectivities.
 //! 3. an online primary index → **PrimaryScan** (full scan of that index,
 //!    then a Fetch per document — allowed but "quite expensive");
 //! 4. otherwise the query is rejected, exactly like real N1QL's "no index
@@ -103,6 +103,11 @@ pub fn build_plan(ds: &dyn Datastore, stmt: &Statement, opts: &QueryOptions) -> 
             };
             Ok(QueryPlan::Select(plan_select(ds, targets, Some(mutation), opts)?))
         }
+        // The request runs these itself (`crate::query`); they have no plan
+        // to explain or profile.
+        Statement::Prepare { .. } | Statement::Execute { .. } => {
+            Err(Error::Plan("PREPARE and EXECUTE cannot be explained or profiled".to_string()))
+        }
         other => Ok(QueryPlan::Direct(other.clone())),
     }
 }
@@ -163,10 +168,6 @@ struct Candidate {
     range: RangeSpec,
     range_serves_where: bool,
     covering: bool,
-    /// Rule score: prefer bounded ranges, covering, secondary over primary.
-    /// Score ≤ 1 means "unbounded non-covering primary" — just a
-    /// PrimaryScan in disguise.
-    score: u32,
 }
 
 impl Candidate {
@@ -232,18 +233,10 @@ fn choose_access(
             continue;
         }
         let covering = may_cover && covering_ok(def, &from.alias, sel);
-        let score = 4 * u32::from(range.has_low())
-            + 4 * u32::from(range.has_high())
-            + 2 * u32::from(covering)
-            + u32::from(!def.primary);
-        if score > 1 {
-            candidates.push(Candidate {
-                index: def.clone(),
-                range,
-                range_serves_where,
-                covering,
-                score,
-            });
+        // An unbounded scan that must fetch every document is a
+        // PrimaryScan in disguise.
+        if range.has_low() || range.has_high() || covering {
+            candidates.push(Candidate { index: def.clone(), range, range_serves_where, covering });
         }
     }
     let primary = indexes
@@ -251,47 +244,37 @@ fn choose_access(
         .find(|d| d.primary)
         .map(|index| AccessPath::PrimaryScan { index: index.clone() });
 
-    // Cost-based selection when statistics exist (doc_count == 0 means the
-    // keyspace is empty or no online index has counted it yet — either way
-    // the model has nothing to price with, so fall back to the rules).
-    let stats = ds.keyspace_stats(&from.keyspace).filter(|s| s.doc_count > 0);
-    if let Some(stats) = stats {
-        let mut best: Option<(Candidate, PlanEstimate)> = None;
-        for cand in candidates {
-            let est = estimate_index_scan(&cand.range, &cand.index, &stats, cand.covering, opts);
-            if best.as_ref().is_none_or(|(_, b)| est.cost < b.cost) {
-                best = Some((cand, est));
-            }
-        }
-        let primary_est = PlanEstimate {
-            cost: stats.doc_count as f64 * C_FETCH,
-            cardinality: stats.doc_count as f64,
-            based_on_stats: true,
-        };
-        return match (best, primary) {
-            (Some((cand, est)), None) => Ok(cand.chosen(est)),
-            (Some((cand, est)), Some(_)) if est.cost < primary_est.cost => Ok(cand.chosen(est)),
-            (_, Some(access)) => {
-                Ok(ChosenAccess { estimate: primary_est, ..ChosenAccess::unpriced(access) })
-            }
-            (None, None) => Err(no_index_error(&from.keyspace)),
-        };
+    // 3. Price every candidate against a PrimaryScan, which requires a
+    // primary index to exist (§3.3.3 / §5.1.1). doc_count == 0 means the
+    // keyspace is empty or no online index has counted it yet: price it
+    // as one document with the default selectivities.
+    let mut stats = ds.keyspace_stats(&from.keyspace);
+    let counted = stats.doc_count > 0;
+    if !counted {
+        stats = KeyspaceStats { doc_count: 1, indexes: Vec::new() };
     }
-
-    // Rule-based fallback (no statistics): highest score wins, the first
-    // of equals.
-    let mut best: Option<Candidate> = None;
+    let mut best: Option<(Candidate, PlanEstimate)> = None;
     for cand in candidates {
-        if best.as_ref().is_none_or(|b| cand.score > b.score) {
-            best = Some(cand);
+        let est = estimate_index_scan(&cand.range, &cand.index, &stats, cand.covering, opts);
+        if best.as_ref().is_none_or(|(_, b)| est.cost < b.cost) {
+            best = Some((cand, est));
         }
     }
-    match (best, primary) {
-        (Some(cand), _) => Ok(cand.chosen(PlanEstimate::default())),
-        // 3. PrimaryScan requires a primary index to exist (§3.3.3 / §5.1.1).
-        (None, Some(access)) => Ok(ChosenAccess::unpriced(access)),
-        (None, None) => Err(no_index_error(&from.keyspace)),
-    }
+    let primary_est = PlanEstimate {
+        cost: stats.doc_count as f64 * C_FETCH,
+        cardinality: stats.doc_count as f64,
+        ..PlanEstimate::default()
+    };
+    let mut chosen = match (best, primary) {
+        (Some((cand, est)), None) => cand.chosen(est),
+        (Some((cand, est)), Some(_)) if est.cost < primary_est.cost => cand.chosen(est),
+        (_, Some(access)) => {
+            ChosenAccess { estimate: primary_est, ..ChosenAccess::unpriced(access) }
+        }
+        (None, None) => return Err(no_index_error(&from.keyspace)),
+    };
+    chosen.estimate.based_on_stats = counted;
+    Ok(chosen)
 }
 
 fn no_index_error(keyspace: &str) -> Error {
@@ -315,7 +298,7 @@ fn estimate_index_scan(
     let selectivity = range_selectivity(spec, istat, opts);
     let cardinality = entries * selectivity;
     let cost = cardinality * C_INDEX_ENTRY + if covering { 0.0 } else { cardinality * C_FETCH };
-    PlanEstimate { cost, cardinality, based_on_stats: true }
+    PlanEstimate { cost, cardinality, ..PlanEstimate::default() }
 }
 
 /// Fraction of index entries a range is expected to select. Uses the
@@ -949,9 +932,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_keyspace_falls_back_to_rules() {
-        // No documents: doc_count == 0, the model has nothing to price
-        // with, so the rule-based planner decides (and says so).
+    fn uncounted_keyspace_is_priced_as_one_document() {
+        // No documents: doc_count == 0, so the model prices one document
+        // with its default selectivities (and says no statistics informed
+        // the price).
         let ds = ds_with_index(vec![
             IndexDef::simple("age", "b", "age"),
             IndexDef::primary("#primary", "b"),
@@ -959,6 +943,7 @@ mod tests {
         let p = plan(&ds, "SELECT name FROM b WHERE age > 95");
         assert!(matches!(p.access, AccessPath::IndexScan { .. }));
         assert!(!p.estimate.based_on_stats);
-        assert_eq!(p.estimate.cost, 0.0);
+        // A half-bounded range: 1/3 of one entry, plus its fetch.
+        assert!((p.estimate.cost - 2.0).abs() < 1e-9, "{}", p.estimate.cost);
     }
 }

@@ -473,3 +473,34 @@ fn case_and_string_functions_in_queries() {
     assert_eq!(rows[0].get_field("tier"), Some(&Value::from("senior")));
     assert_eq!(rows[0].get_field("loc"), Some(&Value::from("SF")));
 }
+
+/// PREPARE and EXECUTE mean the same however they are spelled: the plain
+/// `EXECUTE <name>` is resolved on its text, every other spelling by the
+/// parser, and a re-plan parses the inner text that PREPARE kept.
+#[test]
+fn prepare_and_execute_in_any_spelling() {
+    let ds = ds();
+    run(&ds, "PREPARE p FROM SELECT name FROM profiles");
+    let all = names(&run(&ds, "EXECUTE p"));
+    assert_eq!(all.len(), 5);
+    for q in ["EXECUTE `p`", "-- c\nEXECUTE p", "EXECUTE p -- c"] {
+        assert_eq!(names(&run(&ds, q)), all, "{q:?}");
+    }
+    for q in [
+        "PREPARE `q` FROM SELECT name FROM profiles",
+        "-- c\nPREPARE q FROM SELECT name FROM profiles ;",
+    ] {
+        let row = run(&ds, q);
+        assert_eq!(row[0].get_field("statement"), Some(&Value::from("SELECT name FROM profiles")));
+        assert_eq!(names(&run(&ds, "EXECUTE q")), all, "{q:?}");
+    }
+    // DDL drops the plans; the next EXECUTE re-plans from the kept text.
+    run(&ds, "CREATE INDEX by_city ON profiles(city)");
+    assert_eq!(names(&run(&ds, "EXECUTE `q`")), all);
+    assert_eq!(ds.plan_cache().unwrap().misses(), 1);
+    // Neither has a plan to explain or profile.
+    for q in ["EXPLAIN EXECUTE p", "PROFILE PREPARE r FROM SELECT 1"] {
+        let err = query(&ds, q, &QueryOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("cannot be explained"), "{q:?}: {err}");
+    }
+}

@@ -45,6 +45,6 @@ pub use metrics::{
 };
 pub use registry::{is_valid_metric_name, EventRec, Registry, RegistrySnapshot};
 pub use ring::Ring;
-pub use store::{chrome_trace_json, default_slow_threshold, CompletedTrace, TraceStore};
+pub use store::{chrome_trace_json, CompletedTrace, TraceStore};
 pub use trace::{span, Lane, SpanGuard, SpanRec, TraceContext, TraceSink, MAX_SPANS_PER_TRACE};
 pub use window::{WindowedHistogram, WindowedSnapshot, WINDOW_SLOTS};

@@ -7,11 +7,11 @@
 //!   [`TraceStore::record_span`] attributes a flusher commit — never per
 //!   span.
 //! - **Head sampling, always on.** Decided once, at mint time, by a
-//!   deterministic 1-in-N counter (`CBS_TRACE_SAMPLE`, default
-//!   [`DEFAULT_SAMPLE_EVERY`] = 64). Only sampled operations hand out a
-//!   [`TraceContext`], so nothing downstream records for the others: no
-//!   replication delivery segment, no dirty-queue context, no flusher
-//!   commit span. Sampling every operation cost +22 % CPU per operation
+//!   deterministic 1-in-N counter (default [`DEFAULT_SAMPLE_EVERY`] = 64,
+//!   [`TraceStore::set_sample_every`] changes it). Only sampled operations
+//!   hand out a [`TraceContext`], so nothing downstream records for the
+//!   others: no replication delivery segment, no dirty-queue context, no
+//!   flusher commit span. Sampling every operation cost +22 % CPU per operation
 //!   on a 50/50 read/update load, most of it on the write-behind threads;
 //!   at 1 in 64 the cost is inside a 3 % budget (DESIGN.md §10).
 //!   Unsampled operations still record their own segments, so a slow or
@@ -47,20 +47,12 @@ const TRACE_SLOTS: usize = 64;
 /// Completed traces retained for `system:completed_traces` / export.
 const COMPLETED_RING_CAP: usize = 128;
 
-/// Head-sampling rate when `CBS_TRACE_SAMPLE` is unset: 1 in 64 entry
-/// points mint a trace.
+/// Head-sampling rate a store starts with: 1 in 64 entry points mint a
+/// trace.
 pub(crate) const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
-/// The slow threshold a store starts with: `CBS_SLOW_OP_MS` (milliseconds)
-/// when set and parseable, else 100 ms. The query request log starts from
-/// the same value. Read per call so tests can vary the environment; store
-/// construction is far off any hot path.
-pub fn default_slow_threshold() -> Duration {
-    std::env::var("CBS_SLOW_OP_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map_or(Duration::from_millis(100), Duration::from_millis)
-}
+/// The slow threshold a store starts with.
+const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(100);
 
 /// A finished trace: the stitched span tree of one end-to-end operation.
 #[derive(Debug, Clone)]
@@ -186,11 +178,10 @@ pub struct TraceStore {
 }
 
 impl TraceStore {
-    /// A fresh store. The head-sampling rate comes from `CBS_TRACE_SAMPLE`
-    /// (sample 1 in N mints; default [`DEFAULT_SAMPLE_EVERY`]), the slow
-    /// threshold from [`default_slow_threshold`].
+    /// A fresh store, sampling 1 in [`DEFAULT_SAMPLE_EVERY`] mints with a
+    /// 100 ms slow threshold; `set_sample_every` and `set_slow_threshold`
+    /// change either.
     pub fn new() -> Arc<TraceStore> {
-        let sample = std::env::var("CBS_TRACE_SAMPLE").ok().and_then(|v| v.parse::<u64>().ok());
         let registry = Arc::new(Registry::new("obs"));
         Arc::new(TraceStore {
             slots: (0..TRACE_SLOTS).map(|_| Mutex::new(None)).collect(),
@@ -198,8 +189,8 @@ impl TraceStore {
             next_trace: AtomicU64::new(0),
             next_span: AtomicU64::new(0),
             sample_tick: AtomicU64::new(0),
-            sample_every: AtomicU64::new(sample.unwrap_or(DEFAULT_SAMPLE_EVERY).max(1)),
-            slow_nanos: AtomicU64::new(nanos(default_slow_threshold())),
+            sample_every: AtomicU64::new(DEFAULT_SAMPLE_EVERY),
+            slow_nanos: AtomicU64::new(nanos(DEFAULT_SLOW_THRESHOLD)),
             minted: registry
                 .counter_with_help("obs.trace.minted", "Entry points that claimed a trace slot"),
             completed: registry.counter_with_help(
@@ -536,11 +527,10 @@ mod tests {
         assert_eq!(store.completed_traces().len(), 4, "fast unsampled ops are not kept");
     }
 
-    /// With no `CBS_TRACE_SAMPLE`, a store traces 1 in 64 entry points:
-    /// sequential mints 0, 64, 128, … — ⌈n/64⌉ of n.
+    /// A new store traces 1 in 64 entry points: sequential mints 0, 64,
+    /// 128, … — ⌈n/64⌉ of n.
     #[test]
     fn default_store_samples_one_in_sixty_four() {
-        std::env::remove_var("CBS_TRACE_SAMPLE");
         let store = TraceStore::new();
         let client = TraceSink::new(Arc::clone(&store), "client");
         for n in [1u64, 63, 64, 65, 1000] {
@@ -658,22 +648,6 @@ mod tests {
         assert_eq!(owner.expect("slot's new owner").spans.len(), 1, "nothing filed under it");
         let original = traces.iter().find(|t| t.trace_id == stale.trace_id).expect("in the ring");
         assert_eq!(original.spans.len(), 1);
-    }
-
-    #[test]
-    fn env_overrides_default_slow_threshold() {
-        std::env::set_var("CBS_SLOW_OP_MS", "7");
-        let store = TraceStore::new();
-        std::env::remove_var("CBS_SLOW_OP_MS");
-        assert_eq!(store.slow_threshold(), Duration::from_millis(7));
-        // Garbage values fall back to the built-in default.
-        std::env::set_var("CBS_SLOW_OP_MS", "not-a-number");
-        let fallback = default_slow_threshold();
-        std::env::remove_var("CBS_SLOW_OP_MS");
-        assert_eq!(fallback, Duration::from_millis(100));
-        // Runtime override still wins after construction.
-        store.set_slow_threshold(Duration::from_millis(1));
-        assert_eq!(store.slow_threshold(), Duration::from_millis(1));
     }
 
     #[test]

@@ -17,7 +17,8 @@ use cbs_json::{SharedValue, Value};
 
 use crate::scheduler::{TxnCtx, TxnFn};
 
-/// splitmix64 finalizer: the workload's only source of randomness.
+/// splitmix64 finalizer: the workload's only source of randomness, and
+/// the chaos harness's.
 pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -204,6 +205,18 @@ pub fn state_reader(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix_is_deterministic_and_spreads() {
+        assert_eq!(mix64(42), mix64(42));
+        assert_ne!(mix64(42), mix64(43));
+        assert_eq!(mix_all(&[1, 2, 3]), mix_all(&[1, 2, 3]));
+        assert_ne!(mix_all(&[1, 2, 3]), mix_all(&[3, 2, 1]));
+        // Rough avalanche sanity: flipping one input bit flips ~half the
+        // output bits.
+        let d = (mix64(7) ^ mix64(7 | 1 << 63)).count_ones();
+        assert!((16..=48).contains(&d), "poor avalanche: {d}");
+    }
 
     #[test]
     fn batch_generation_is_pure() {
