@@ -135,27 +135,6 @@ impl JsonPath {
             }
         }
     }
-
-    /// Render back to source form (`a.b[0]`).
-    pub fn to_path_string(&self) -> String {
-        let mut out = String::new();
-        for step in &self.steps {
-            match step {
-                PathStep::Field(name) => {
-                    if !out.is_empty() {
-                        out.push('.');
-                    }
-                    out.push_str(name);
-                }
-                PathStep::Index(i) => {
-                    out.push('[');
-                    out.push_str(&i.to_string());
-                    out.push(']');
-                }
-            }
-        }
-        out
-    }
 }
 
 impl std::str::FromStr for JsonPath {
@@ -310,13 +289,6 @@ mod tests {
         assert_eq!(removed.get_field("sku"), Some(&Value::from("a1")));
         assert_eq!(d.get_field("orders").unwrap().as_array().unwrap().len(), 1);
         assert_eq!(parse_path("nope").unwrap().remove(&mut d), None);
-    }
-
-    #[test]
-    fn path_display_roundtrip() {
-        for p in ["a.b.c", "a[0].b", "a[-1]", "x"] {
-            assert_eq!(parse_path(p).unwrap().to_path_string(), p);
-        }
     }
 
     #[test]

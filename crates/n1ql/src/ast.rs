@@ -1,6 +1,11 @@
 //! N1QL abstract syntax.
+//!
+//! A path — in an expression, an UPDATE's SET/UNSET target or a CREATE
+//! INDEX key — is parsed once into a [`JsonPath`], the type the index
+//! service and sub-document writes use too: a backtick-quoted name is one
+//! [`cbs_json::PathStep::Field`], whatever characters it holds.
 
-use cbs_json::Value;
+use cbs_json::{JsonPath, Value};
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
@@ -8,9 +13,9 @@ pub enum Expr {
     /// Literal constant.
     Literal(Value),
     /// Identifier chain with optional array subscripts: `alias.a.b[0]`.
-    /// The first element is resolved against the row's aliases, falling
-    /// back to the sole FROM alias's document fields.
-    Path(Vec<PathPart>),
+    /// The first step, always a field, is resolved against the row's
+    /// aliases, falling back to the sole FROM alias's document fields.
+    Path(JsonPath),
     /// `META(alias).id` (alias optional when unambiguous).
     MetaId(Option<String>),
     /// Positional parameter `$n` (1-based).
@@ -65,15 +70,6 @@ impl Expr {
             _ => Vec::new(),
         }
     }
-}
-
-/// One step of a path expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PathPart {
-    /// `.field`
-    Field(String),
-    /// `[index]` — constant integer subscript.
-    Index(i64),
 }
 
 /// Unary operators.
@@ -216,8 +212,8 @@ pub enum Statement {
     Update {
         keyspace: String,
         use_keys: Option<Expr>,
-        set: Vec<(String, Expr)>,
-        unset: Vec<String>,
+        set: Vec<(JsonPath, Expr)>,
+        unset: Vec<JsonPath>,
         where_: Option<Expr>,
         limit: Option<Expr>,
     },
@@ -256,8 +252,8 @@ pub enum Statement {
 /// FOR x IN path END` for array indexes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexKeySpec {
-    /// Dotted path being indexed.
-    pub path: String,
+    /// Path being indexed.
+    pub path: JsonPath,
     /// True for array indexes (`DISTINCT ARRAY v FOR v IN <path> END`).
     pub array: bool,
 }

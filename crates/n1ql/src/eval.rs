@@ -10,9 +10,9 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use cbs_common::{Error, Result};
-use cbs_json::{cmp_values, Value};
+use cbs_json::{cmp_values, JsonPath, PathStep, Value};
 
-use crate::ast::{BinOp, Expr, IsCheck, PathPart, UnaryOp};
+use crate::ast::{BinOp, Expr, IsCheck, UnaryOp};
 
 /// What evaluating an expression gives: `Ok(None)` is MISSING.
 type Eval = Result<Option<Value>>;
@@ -30,15 +30,10 @@ pub struct EvalCtx<'a> {
     pub pos_params: &'a [Value],
     /// Named query parameters.
     pub named_params: &'a HashMap<String, Value>,
-    /// Pre-computed aggregate results, keyed by expression fingerprint
-    /// (populated by the Group operator; `None` outside aggregation).
-    pub aggs: Option<&'a HashMap<String, Value>>,
-}
-
-/// Fingerprint used to match aggregate expressions between the planner's
-/// collection pass and evaluation.
-pub fn expr_fingerprint(e: &Expr) -> String {
-    format!("{e:?}")
+    /// The plan's aggregate calls and one group's values for them, in the
+    /// same order (set once the Group operator has run; `None` outside
+    /// aggregation).
+    pub aggs: Option<(&'a [Expr], &'a [Value])>,
 }
 
 /// Is this an aggregate function call?
@@ -74,7 +69,7 @@ pub fn collect_aggregates(e: &Expr, out: &mut Vec<Expr>) {
 pub fn eval(e: &Expr, ctx: &EvalCtx<'_>) -> Eval {
     match e {
         Expr::Literal(v) => Ok(Some(v.clone())),
-        Expr::Path(parts) => Ok(resolve_path(parts, ctx)),
+        Expr::Path(path) => Ok(resolve_path(path, ctx)),
         Expr::MetaId(alias) => Ok(meta_id(alias.as_deref(), ctx)),
         Expr::PosParam(n) => pos_param(*n, ctx),
         Expr::NamedParam(n) => (ctx.named_params.get(n).cloned().map(Some))
@@ -189,10 +184,11 @@ fn like(v: Option<Value>, pattern: Option<Value>, negated: bool) -> Option<Value
 }
 
 fn aggregate(e: &Expr, ctx: &EvalCtx<'_>) -> Eval {
-    let aggs = ctx
+    let (calls, values) = ctx
         .aggs
         .ok_or_else(|| Error::Eval("aggregate function outside GROUP BY context".to_string()))?;
-    aggs.get(&expr_fingerprint(e)).cloned().map(Some).ok_or_else(|| {
+    let found = calls.iter().zip(values).find(|(call, _)| *call == e);
+    found.map(|(_, v)| Some(v.clone())).ok_or_else(|| {
         Error::Eval("aggregate expression not computed by Group operator".to_string())
     })
 }
@@ -269,26 +265,21 @@ fn bind(row: &Value, var: &str, item: Value) -> Value {
     row
 }
 
-fn resolve_path(parts: &[PathPart], ctx: &EvalCtx<'_>) -> Option<Value> {
-    let PathPart::Field(first) = &parts[0] else { return None };
-    // Try the row's own bindings (aliases, unnest vars) first.
-    let (start, rest): (&Value, &[PathPart]) = if let Some(v) = ctx.row.get_field(first) {
-        (v, &parts[1..])
-    } else if let Some(alias) = ctx.default_alias {
-        // Fall back to fields of the default keyspace's document.
-        let doc = ctx.row.get_field(alias)?;
-        (doc, parts)
-    } else {
-        return None;
+fn resolve_path(path: &JsonPath, ctx: &EvalCtx<'_>) -> Option<Value> {
+    let (PathStep::Field(first), rest) = path.steps.split_first()? else { return None };
+    // Try the row's own bindings (aliases, unnest vars) first, else fall
+    // back to fields of the default keyspace's document.
+    let (mut cur, rest) = match ctx.row.get_field(first) {
+        Some(v) => (v, rest),
+        None => (ctx.row.get_field(ctx.default_alias?)?, path.steps.as_slice()),
     };
-    let mut cur = start.clone();
-    for part in rest {
-        cur = match part {
-            PathPart::Field(f) => cur.get_field(f)?.clone(),
-            PathPart::Index(i) => cur.get_index(*i)?.clone(),
+    for step in rest {
+        cur = match step {
+            PathStep::Field(f) => cur.get_field(f)?,
+            PathStep::Index(i) => cur.get_index(*i)?,
         };
     }
-    Some(cur)
+    Some(cur.clone())
 }
 
 /// Three(ish)-valued truth of an evaluated expression.

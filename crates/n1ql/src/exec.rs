@@ -19,14 +19,14 @@ use cbs_common::{Error, Result};
 use cbs_index::{
     FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
 };
-use cbs_json::{cmp_missing, hash_missing, Value};
+use cbs_json::{cmp_missing, hash_missing, PathStep, Value};
 use cbs_obs::span;
 
 use crate::ast::*;
 use crate::datastore::Datastore;
-use crate::eval::{eval, expr_fingerprint, truth, EvalCtx, Truth};
+use crate::eval::{eval, truth, EvalCtx, Truth};
 use crate::plan::{AccessPath, Mutation, Operator, QueryPlan, SelectPlan};
-use crate::planner::{flip, render_parts};
+use crate::planner::flip;
 use crate::profile::{PhaseTimes, Prof};
 
 /// Request-level options (parameters + consistency, §3.2.3).
@@ -132,8 +132,9 @@ pub struct QueryResult {
 struct Row {
     obj: Value,
     metas: HashMap<String, String>,
-    /// The row's group's aggregate values, by fingerprint (set by Group).
-    aggs: Option<HashMap<String, Value>>,
+    /// The row's group's aggregate values, in the order of
+    /// [`SelectPlan::aggregates`] (set by Group).
+    aggs: Option<Vec<Value>>,
     /// The projection (set by InitialProject).
     out: Value,
 }
@@ -264,7 +265,7 @@ impl SelectRun<'_> {
                 let where_ = sel.where_.as_ref().ok_or_else(unplanned)?;
                 let mut kept = Vec::with_capacity(rows.len());
                 for row in rows {
-                    if truth(&eval(where_, &ctx_for(&row, alias, opts))?) == Truth::True {
+                    if truth(&eval(where_, &self.ctx(&row))?) == Truth::True {
                         kept.push(row);
                     }
                 }
@@ -276,7 +277,7 @@ impl SelectRun<'_> {
                 let mut groups: Vec<Vec<Row>> = Vec::new();
                 let mut slots = HashMap::new();
                 for row in rows {
-                    let ctx = ctx_for(&row, alias, opts);
+                    let ctx = self.ctx(&row);
                     let mut key = Vec::with_capacity(sel.group_by.len());
                     for g in &sel.group_by {
                         key.push(eval(g, &ctx)?);
@@ -298,9 +299,7 @@ impl SelectRun<'_> {
                     let mut rep = members.into_iter().next().unwrap_or_else(Row::empty);
                     rep.aggs = Some(aggs);
                     let keep = match &sel.having {
-                        Some(having) => {
-                            truth(&eval(having, &ctx_for(&rep, alias, opts))?) == Truth::True
-                        }
+                        Some(having) => truth(&eval(having, &self.ctx(&rep))?) == Truth::True,
                         None => true,
                     };
                     if keep {
@@ -313,7 +312,7 @@ impl SelectRun<'_> {
                 let _proj = span("n1ql.exec.project");
                 let mut rows = rows;
                 for row in &mut rows {
-                    row.out = project(sel, row, alias, opts)?;
+                    row.out = project(sel, &self.ctx(row))?;
                 }
                 rows
             }
@@ -335,7 +334,7 @@ impl SelectRun<'_> {
                             }
                         }
                     }
-                    let ctx = ctx_for(&row, alias, opts);
+                    let ctx = self.ctx(&row);
                     let mut keys = Vec::with_capacity(sel.order_by.len());
                     for o in &sel.order_by {
                         keys.push(eval(&o.expr, &ctx)?);
@@ -378,7 +377,7 @@ impl SelectRun<'_> {
                     // In order, on the row's own document: each SET sees
                     // what the clauses before it left.
                     for (path, expr) in set {
-                        let v = eval(expr, &ctx_for(&row, alias, opts))?.unwrap_or(Value::Null);
+                        let v = eval(expr, &self.ctx(&row))?.unwrap_or(Value::Null);
                         if let Some(doc) = row.obj.get_field_mut(alias) {
                             path.set(doc, v);
                         }
@@ -405,6 +404,13 @@ impl SelectRun<'_> {
             }
         };
         Ok(self.rows.len())
+    }
+
+    /// How an expression sees `row`: its bindings, this request's
+    /// parameters and, once Group has run, its group's aggregate values.
+    fn ctx<'b>(&'b self, row: &'b Row) -> EvalCtx<'b> {
+        let aggs = row.aggs.as_deref().map(|values| (self.plan.aggregates(), values));
+        EvalCtx { aggs, ..ctx_for(row, self.alias, self.opts) }
     }
 
     /// The plan's access path: the rows the pipeline starts from.
@@ -510,7 +516,7 @@ fn ctx_for<'a>(row: &'a Row, alias: &'a str, opts: &'a QueryOptions) -> EvalCtx<
         default_alias: if alias.is_empty() { None } else { Some(alias) },
         pos_params: &opts.pos_params,
         named_params: &opts.named_params,
-        aggs: row.aggs.as_ref(),
+        aggs: None,
     }
 }
 
@@ -632,8 +638,8 @@ fn compute_aggregates(
     members: &[Row],
     alias: &str,
     opts: &QueryOptions,
-) -> Result<HashMap<String, Value>> {
-    let mut out = HashMap::new();
+) -> Result<Vec<Value>> {
+    let mut out = Vec::with_capacity(aggregates.len());
     for agg in aggregates {
         let value = match agg {
             Expr::CountStar => Value::from(members.len()),
@@ -676,7 +682,7 @@ fn compute_aggregates(
             }
             other => return Err(Error::Eval(format!("not an aggregate: {other:?}"))),
         };
-        out.insert(expr_fingerprint(agg), value);
+        out.push(value);
     }
     Ok(out)
 }
@@ -689,23 +695,22 @@ fn int_if_possible(f: f64) -> Value {
     }
 }
 
-fn project(sel: &Select, row: &Row, alias: &str, opts: &QueryOptions) -> Result<Value> {
-    let ctx = ctx_for(row, alias, opts);
+fn project(sel: &Select, ctx: &EvalCtx<'_>) -> Result<Value> {
     let mut out = Value::empty_object();
     let mut anon = 0usize;
     for item in &sel.items {
         match item {
             SelectItem::Star => {
                 // N1QL: SELECT * returns the row object (alias → doc).
-                if let Some(pairs) = row.obj.as_object() {
+                if let Some(pairs) = ctx.row.as_object() {
                     for (k, v) in pairs {
                         out.insert_field(k, v.clone());
                     }
                 }
             }
             SelectItem::AliasStar(a) => {
-                let doc = row
-                    .obj
+                let doc = ctx
+                    .row
                     .get_field(a)
                     .ok_or_else(|| Error::Eval(format!("unknown alias in projection: {a}")))?;
                 if let Some(pairs) = doc.as_object() {
@@ -719,7 +724,7 @@ fn project(sel: &Select, row: &Row, alias: &str, opts: &QueryOptions) -> Result<
                     Some(n) => n.clone(),
                     None => default_name(expr, &mut anon),
                 };
-                if let Some(v) = eval(expr, &ctx)? {
+                if let Some(v) = eval(expr, ctx)? {
                     out.insert_field(&name, v);
                 }
                 // MISSING projections are omitted (N1QL behaviour).
@@ -733,9 +738,9 @@ fn project(sel: &Select, row: &Row, alias: &str, opts: &QueryOptions) -> Result<
 /// else gets `$1`, `$2`, ... (matching N1QL).
 fn default_name(e: &Expr, anon: &mut usize) -> String {
     match e {
-        Expr::Path(parts) => {
-            for p in parts.iter().rev() {
-                if let PathPart::Field(f) = p {
+        Expr::Path(path) => {
+            for step in path.steps.iter().rev() {
+                if let PathStep::Field(f) = step {
                     return f.clone();
                 }
             }
@@ -843,12 +848,16 @@ fn index_def_from_ast(
     where_: &Option<Expr>,
     defer_build: bool,
 ) -> Result<IndexDef> {
-    let mut key_exprs = Vec::with_capacity(keys.len());
-    for k in keys {
-        let path = cbs_json::parse_path(&k.path)
-            .map_err(|e| Error::Plan(format!("bad index key path {}: {e}", k.path)))?;
-        key_exprs.push(if k.array { KeyExpr::ArrayElements(path) } else { KeyExpr::Path(path) });
-    }
+    let key_exprs = keys
+        .iter()
+        .map(|k| {
+            if k.array {
+                KeyExpr::ArrayElements(k.path.clone())
+            } else {
+                KeyExpr::Path(k.path.clone())
+            }
+        })
+        .collect();
     let mut filter = Vec::new();
     if let Some(w) = where_ {
         for c in crate::planner::split_conjuncts(w) {
@@ -875,16 +884,15 @@ fn filter_cond_from_expr(e: &Expr) -> Result<FilterCond> {
             "partial-index WHERE must be comparisons of a path and a literal".to_string(),
         ));
     };
-    let (parts, lit, op) = match (l.as_ref(), r.as_ref()) {
-        (Expr::Path(parts), Expr::Literal(v)) => (parts, v.clone(), *op),
-        (Expr::Literal(v), Expr::Path(parts)) => (parts, v.clone(), flip(*op)),
+    let (path, lit, op) = match (l.as_ref(), r.as_ref()) {
+        (Expr::Path(path), Expr::Literal(v)) => (path.clone(), v.clone(), *op),
+        (Expr::Literal(v), Expr::Path(path)) => (path.clone(), v.clone(), flip(*op)),
         _ => {
             return Err(Error::Plan(
                 "partial-index WHERE must compare a path with a literal".to_string(),
             ))
         }
     };
-    let path = cbs_json::parse_path(&render_parts(parts)).map_err(Error::Plan)?;
     let fop = match op {
         BinOp::Eq => FilterOp::Eq,
         BinOp::Ne => FilterOp::Ne,

@@ -1,7 +1,7 @@
 //! Recursive-descent N1QL parser.
 
 use cbs_common::{Error, Result};
-use cbs_json::{Value, MAX_DEPTH};
+use cbs_json::{JsonPath, PathStep, Value, MAX_DEPTH};
 
 use crate::ast::*;
 use crate::lexer::{tokenize_with_offsets, Token};
@@ -36,6 +36,11 @@ const RESERVED: &str = "select from where group by having order limit offset and
 
 fn is_reserved(word: &str) -> bool {
     RESERVED.split_whitespace().any(|k| word.eq_ignore_ascii_case(k))
+}
+
+/// The path of one field: where every path starts.
+fn field_path(name: String) -> JsonPath {
+    JsonPath { steps: vec![PathStep::Field(name)] }
 }
 
 /// A primary that holds expressions (see `Parser::compound_at`).
@@ -345,8 +350,8 @@ impl<'a> Parser<'a> {
             } else if self.eat_kw("unnest") {
                 let path = self.parse_expr()?;
                 let alias = match &path {
-                    Expr::Path(parts) => match parts.last() {
-                        Some(PathPart::Field(f)) => self.parse_opt_alias(f)?,
+                    Expr::Path(p) => match p.steps.last() {
+                        Some(PathStep::Field(f)) => self.parse_opt_alias(f)?,
                         _ => self.parse_opt_alias("unnested")?,
                     },
                     _ => self.parse_opt_alias("unnested")?,
@@ -427,7 +432,7 @@ impl<'a> Parser<'a> {
         let mut set = Vec::new();
         if self.eat_kw("set") {
             loop {
-                let path = self.parse_raw_path()?;
+                let path = self.parse_bare_path()?;
                 self.expect_punct("=")?;
                 set.push((path, self.parse_expr()?));
                 if !self.eat_punct(",") {
@@ -438,7 +443,7 @@ impl<'a> Parser<'a> {
         let mut unset = Vec::new();
         if self.eat_kw("unset") {
             loop {
-                unset.push(self.parse_raw_path()?);
+                unset.push(self.parse_bare_path()?);
                 if !self.eat_punct(",") {
                     break;
                 }
@@ -467,29 +472,11 @@ impl<'a> Parser<'a> {
         Ok(Statement::Delete { keyspace, use_keys, where_, limit })
     }
 
-    /// A dotted path as raw text (for UPDATE SET targets and index keys).
-    fn parse_raw_path(&mut self) -> Result<String> {
-        let mut s = self.expect_ident()?;
-        loop {
-            if self.eat_punct(".") {
-                s.push('.');
-                s.push_str(&self.expect_ident()?);
-            } else if self.peek().is_some_and(|t| t.is_punct("[")) {
-                self.pos += 1;
-                match self.bump() {
-                    Some(Token::Int(i)) => {
-                        s.push('[');
-                        s.push_str(&i.to_string());
-                        s.push(']');
-                    }
-                    other => return Err(self.err(&format!("expected array index, got {other:?}"))),
-                }
-                self.expect_punct("]")?;
-            } else {
-                break;
-            }
-        }
-        Ok(s)
+    /// A path on its own: an UPDATE's SET or UNSET target, or an index
+    /// key.
+    fn parse_bare_path(&mut self) -> Result<JsonPath> {
+        let first = field_path(self.expect_ident()?);
+        self.parse_path_steps(first)
     }
 
     fn parse_create_index(&mut self) -> Result<Statement> {
@@ -532,11 +519,11 @@ impl<'a> Parser<'a> {
                     return Err(self.err("array index variable mismatch"));
                 }
                 self.expect_kw("in")?;
-                let path = self.parse_raw_path()?;
+                let path = self.parse_bare_path()?;
                 self.expect_kw("end")?;
                 keys.push(IndexKeySpec { path, array: true });
             } else {
-                keys.push(IndexKeySpec { path: self.parse_raw_path()?, array: false });
+                keys.push(IndexKeySpec { path: self.parse_bare_path()?, array: false });
             }
             if !self.eat_punct(",") {
                 break;
@@ -725,26 +712,25 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr> {
-        let e = self.parse_primary()?;
-        self.parse_path_steps(e)
+        match self.parse_primary()? {
+            Expr::Path(path) => self.parse_path_steps(path).map(Expr::Path),
+            _ if self.peek().is_some_and(|t| t.is_punct(".")) => {
+                Err(self.err("field access on non-path expressions is unsupported"))
+            }
+            e => Ok(e),
+        }
     }
 
-    /// The `.field` and `[index]` steps after a primary.
-    fn parse_path_steps(&mut self, mut e: Expr) -> Result<Expr> {
+    /// The `.field` and `[index]` steps after a path's first field: the
+    /// one path grammar, for expressions, SET/UNSET targets and index keys.
+    fn parse_path_steps(&mut self, mut path: JsonPath) -> Result<JsonPath> {
         let depth = self.depth;
         loop {
             if self.eat_punct(".") {
-                let field = self.expect_ident()?;
-                match &mut e {
-                    Expr::Path(parts) => parts.push(PathPart::Field(field)),
-                    _ => {
-                        return Err(self.err("field access on non-path expressions is unsupported"))
-                    }
-                }
-            } else if self.peek().is_some_and(|t| t.is_punct("[")) && matches!(e, Expr::Path(_)) {
+                path.steps.push(PathStep::Field(self.expect_ident()?));
+            } else if self.eat_punct("[") {
                 // A subscript steps one level into a value.
                 self.enter()?;
-                self.pos += 1;
                 let idx = match self.bump() {
                     Some(Token::Int(i)) => i,
                     Some(Token::Punct("-")) => match self.bump() {
@@ -754,12 +740,10 @@ impl<'a> Parser<'a> {
                     other => return Err(self.err(&format!("bad subscript: {other:?}"))),
                 };
                 self.expect_punct("]")?;
-                if let Expr::Path(parts) = &mut e {
-                    parts.push(PathPart::Index(idx));
-                }
+                path.steps.push(PathStep::Index(idx));
             } else {
                 self.depth = depth;
-                return Ok(e);
+                return Ok(path);
             }
         }
     }
@@ -840,7 +824,7 @@ impl<'a> Parser<'a> {
             }
             Some(Token::QuotedIdent(s)) => {
                 self.pos += 1;
-                Ok(Expr::Path(vec![PathPart::Field(s)]))
+                Ok(Expr::Path(field_path(s)))
             }
             Some(Token::Ident(word)) => self.parse_ident_primary(word),
             other => Err(self.err(&format!("unexpected token {other:?}"))),
@@ -938,7 +922,7 @@ impl<'a> Parser<'a> {
         }
         // Plain path start.
         self.pos += 1;
-        Ok(Expr::Path(vec![PathPart::Field(word)]))
+        Ok(Expr::Path(field_path(word)))
     }
 
     /// A function call's arguments, its name and `(` consumed.
@@ -998,6 +982,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cbs_json::parse_path;
 
     fn sel(s: &str) -> Select {
         match parse_statement(s).unwrap() {
@@ -1110,8 +1095,8 @@ mod tests {
         match st {
             Statement::Update { set, unset, use_keys, where_, limit, .. } => {
                 assert_eq!(set.len(), 2);
-                assert_eq!(set[0].0, "a.x");
-                assert_eq!(unset, vec!["old"]);
+                assert_eq!(set[0].0, parse_path("a.x").unwrap());
+                assert_eq!(unset, vec![parse_path("old").unwrap()]);
                 assert!(use_keys.is_some());
                 assert!(where_.is_some());
                 assert!(limit.is_some());
@@ -1133,7 +1118,7 @@ mod tests {
             Statement::CreateIndex { name, keyspace, keys, .. } => {
                 assert_eq!(name, "email");
                 assert_eq!(keyspace, "Profile");
-                assert_eq!(keys[0].path, "email");
+                assert_eq!(keys[0].path, parse_path("email").unwrap());
             }
             other => panic!("{other:?}"),
         }
@@ -1175,12 +1160,14 @@ mod tests {
         let e = parse_expression("a.b[0].c").unwrap();
         assert_eq!(
             e,
-            Expr::Path(vec![
-                PathPart::Field("a".to_string()),
-                PathPart::Field("b".to_string()),
-                PathPart::Index(0),
-                PathPart::Field("c".to_string()),
-            ])
+            Expr::Path(JsonPath {
+                steps: vec![
+                    PathStep::Field("a".to_string()),
+                    PathStep::Field("b".to_string()),
+                    PathStep::Index(0),
+                    PathStep::Field("c".to_string()),
+                ]
+            })
         );
         assert!(matches!(parse_expression("META().id").unwrap(), Expr::MetaId(None)));
         assert!(matches!(

@@ -179,8 +179,9 @@ impl Operator {
     }
 }
 
-/// What an UPDATE or DELETE does to each of its target rows. Paths are
-/// parsed at plan time, so a bad one fails the plan before any write.
+/// What an UPDATE or DELETE does to each of its target rows. Its paths
+/// are the statement's, parsed with it, so a bad one fails before any
+/// write.
 #[derive(Debug, Clone)]
 pub enum Mutation {
     /// The SET `path = expr` clauses, applied in order to the document in

@@ -24,6 +24,12 @@
 //! A `system:` catalog has one path of its own, **SystemScan**: the
 //! datastore hands over the catalog's rows whole.
 //!
+//! A path in the statement is the parser's [`JsonPath`], the type index
+//! keys hold: a predicate, a partial-index condition or a covered
+//! expression matches a key when its steps equal the key's, with or
+//! without the FROM alias as the first step (a quoted `` `a.b` `` is one
+//! step, never `a`→`b`).
+//!
 //! Join order is the textual order (N1QL 4.x key-join semantics), and a
 //! join is the key-based nested loop of KV fetches (§3.2.4).
 //!
@@ -41,7 +47,7 @@ use std::cmp::Ordering;
 
 use cbs_common::{Error, Result};
 use cbs_index::{FilterCond, FilterOp, IndexCardinality, IndexDef, KeyExpr, ScanRange};
-use cbs_json::Value;
+use cbs_json::{JsonPath, PathStep, Value};
 
 use crate::ast::*;
 use crate::datastore::{Datastore, KeyspaceStats};
@@ -77,17 +83,10 @@ pub fn build_plan(ds: &dyn Datastore, stmt: &Statement, opts: &QueryOptions) -> 
             if keyspace.starts_with("system:") {
                 return Err(Error::Plan(format!("{keyspace} is read-only")));
             }
-            let path = |p: &String| {
-                cbs_json::parse_path(p).map_err(|e| Error::Plan(format!("bad path {p}: {e}")))
-            };
             let mutation = match stmt {
-                Statement::Update { set, unset, .. } => Mutation::Update {
-                    set: set
-                        .iter()
-                        .map(|(p, e)| Ok((path(p)?, e.clone())))
-                        .collect::<Result<_>>()?,
-                    unset: unset.iter().map(path).collect::<Result<_>>()?,
-                },
+                Statement::Update { set, unset, .. } => {
+                    Mutation::Update { set: set.clone(), unset: unset.clone() }
+                }
                 _ => Mutation::Delete,
             };
             let targets = Select {
@@ -373,37 +372,19 @@ pub fn split_conjuncts(e: &Expr) -> Vec<Expr> {
 fn matches_key_expr(expr: &Expr, key: &KeyExpr, alias: &str) -> bool {
     match (expr, key) {
         (Expr::MetaId(a), KeyExpr::DocId) => a.as_deref().is_none_or(|x| x == alias),
-        (Expr::Path(parts), KeyExpr::Path(path)) => path_matches(parts, path, alias),
+        (Expr::Path(path), KeyExpr::Path(key)) => path_matches(path, key, alias),
         // ANY ... IN <path> predicates pair with ArrayElements keys; handled
         // separately in `sargable_spec`.
         _ => false,
     }
 }
 
-fn path_matches(parts: &[PathPart], path: &cbs_json::JsonPath, alias: &str) -> bool {
-    let rendered = render_parts(parts);
-    let target = path.to_path_string();
-    rendered == target || rendered == format!("{alias}.{target}")
-}
-
-pub(crate) fn render_parts(parts: &[PathPart]) -> String {
-    let mut s = String::new();
-    for p in parts {
-        match p {
-            PathPart::Field(f) => {
-                if !s.is_empty() {
-                    s.push('.');
-                }
-                s.push_str(f);
-            }
-            PathPart::Index(i) => {
-                s.push('[');
-                s.push_str(&i.to_string());
-                s.push(']');
-            }
-        }
-    }
-    s
+/// Does a path in the statement name `key`'s steps, with or without the
+/// keyspace alias as its first step?
+fn path_matches(path: &JsonPath, key: &JsonPath, alias: &str) -> bool {
+    path.steps == key.steps
+        || matches!(path.steps.split_first(),
+            Some((PathStep::Field(first), rest)) if first == alias && rest == key.steps)
 }
 
 /// Shape-only check: can this expression be resolved to a constant at
@@ -441,11 +422,11 @@ fn sargable_spec(def: &IndexDef, alias: &str, conjuncts: &[Expr]) -> Option<(Ran
         if let (Expr::AnyEvery { any: true, var, source, cond }, KeyExpr::ArrayElements(path)) =
             (c, leading)
         {
-            if let Expr::Path(src_parts) = source.as_ref() {
-                if path_matches(src_parts, path, alias) {
+            if let Expr::Path(src) = source.as_ref() {
+                if path_matches(src, path, alias) {
                     if let Expr::Binary(BinOp::Eq, l, r) = cond.as_ref() {
-                        let var_matches =
-                            matches!(l.as_ref(), Expr::Path(p) if render_parts(p) == *var);
+                        let var_matches = matches!(l.as_ref(), Expr::Path(p)
+                            if matches!(p.steps.as_slice(), [PathStep::Field(f)] if f == var));
                         if var_matches && is_const_expr(r) {
                             // One entry per array element: the same
                             // document can appear twice in the range.
@@ -568,8 +549,8 @@ fn conjunct_implies(c: &Expr, f: &FilterCond, alias: &str) -> bool {
     } else {
         return false;
     };
-    let Expr::Path(parts) = path_expr else { return false };
-    if !path_matches(parts, &f.path, alias) {
+    let Expr::Path(path) = path_expr else { return false };
+    if !path_matches(path, &f.path, alias) {
         return false;
     }
     let Expr::Literal(v) = lit else { return false };

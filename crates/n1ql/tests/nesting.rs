@@ -3,7 +3,7 @@
 //! than `cbs_json::MAX_DEPTH` levels with a parse error; up to that depth,
 //! statements plan and run. The tests run in debug and in release (frames
 //! differ between the two), on the default test thread and on a thread
-//! with a smaller stack.
+//! with a smaller stack, at fixed depths and at seeded random ones.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -13,6 +13,8 @@ use cbs_common::Error;
 use cbs_index::IndexDef;
 use cbs_json::{Value, MAX_DEPTH};
 use cbs_n1ql::{query, Datastore, MemoryDatastore, QueryOptions};
+use proptest::prelude::*;
+use proptest::test_runner::TestRunner;
 
 /// Each recursive production, nested `n` levels deep, as a statement.
 fn nested_statements(n: usize) -> Vec<(&'static str, String)> {
@@ -87,4 +89,37 @@ fn deeper_statements_are_refused_and_the_process_lives() {
     // The datastore still answers.
     let rows = query(&ds, "SELECT v FROM p", &QueryOptions::default()).unwrap().rows;
     assert_eq!(rows, [Value::object([("v", Value::int(1))])]);
+}
+
+/// Any production at any depth up to 50 000: it runs up to `MAX_DEPTH`
+/// levels and is a parse error above, on the small stack. Half the cases
+/// draw a depth within the budget and half one past it; the run is seeded
+/// (`PROPTEST_SEED` replays one case).
+#[test]
+fn any_depth_runs_or_is_refused_on_a_small_stack() {
+    let ds = datastore();
+    let productions = nested_statements(0).len();
+    let property = |(production, depth): (usize, usize)| {
+        let (name, statement) = nested_statements(depth).swap_remove(production);
+        match query(&ds, &statement, &QueryOptions::default()) {
+            Ok(_) => prop_assert!(depth <= MAX_DEPTH, "{name}, {depth} levels ran"),
+            Err(Error::Parse(msg)) if msg.contains("nests deeper") => {
+                prop_assert!(depth > MAX_DEPTH, "{name}, {depth} levels: {msg}")
+            }
+            Err(e) => prop_assert!(false, "{name}, {depth} levels: {e}"),
+        }
+        Ok(())
+    };
+    let run = || {
+        let config = ProptestConfig { cases: 32, ..ProptestConfig::default() };
+        let depths = prop_oneof![0..MAX_DEPTH + 1, MAX_DEPTH + 1..50_001];
+        TestRunner::new_named(config, "any_depth_runs_or_is_refused_on_a_small_stack")
+            .run(&(0..productions, depths), property)
+    };
+    let outcome = std::thread::scope(|s| {
+        std::thread::Builder::new().stack_size(SMALL_STACK).spawn_scoped(s, run).unwrap().join()
+    });
+    if let Err(e) = outcome.unwrap() {
+        panic!("{e}");
+    }
 }

@@ -4,8 +4,8 @@
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use cbs_index::IndexDef;
-use cbs_json::Value;
+use cbs_index::{IndexDef, KeyExpr};
+use cbs_json::{JsonPath, PathStep, Value};
 use cbs_n1ql::{query, Datastore, MemoryDatastore, QueryOptions};
 
 fn ds() -> MemoryDatastore {
@@ -367,6 +367,50 @@ fn dml_roundtrip() {
         let err = query(&ds, q, &QueryOptions::default()).unwrap_err();
         assert!(err.to_string().contains("read-only"), "{q}: {err}");
     }
+}
+
+/// A backtick-quoted name is one path step wherever a path is written: in
+/// a predicate matched against an index key, in CREATE INDEX and in an
+/// UPDATE's SET target. A field named `a.b` is not the path `a`→`b`.
+#[test]
+fn quoted_dotted_name_is_one_path_step() {
+    let ds = MemoryDatastore::new();
+    ds.create_keyspace("ks");
+    let docs =
+        [("flat", r#"{"a.b":5}"#), ("nested", r#"{"a":{"b":5}}"#), ("arr", r#"{"arr":[1,2,3]}"#)];
+    ds.load("ks", docs.iter().map(|(k, v)| (k.to_string(), cbs_json::parse(v).unwrap())));
+    ds.create_index(IndexDef::primary("#primary", "ks")).unwrap();
+    let id = |k: &str| Value::object([("id", Value::from(k))]);
+    let fetch = |k: &str| ds.fetch("ks", k).unwrap().unwrap();
+
+    // The predicate reads the field `a.b`, with or without an index on the
+    // nested path `a`→`b`, and the planner does not scan that index for it.
+    let q = "SELECT meta().id AS id FROM ks WHERE `a.b` = 5";
+    assert_eq!(run(&ds, q), [id("flat")]);
+    ds.create_index(IndexDef::simple("ab", "ks", "a.b")).unwrap();
+    assert_eq!(run(&ds, q), [id("flat")]);
+    let plan = run(&ds, &format!("EXPLAIN {q}"))[0].to_json_string();
+    assert!(plan.contains("PrimaryScan") && !plan.contains(r#""ab""#), "{plan}");
+    // The nested path is still the index's.
+    let nested = "SELECT meta().id AS id FROM ks WHERE a.b = 5";
+    assert_eq!(run(&ds, nested), [id("nested")]);
+    let plan = run(&ds, &format!("EXPLAIN {nested}"))[0].to_json_string();
+    assert!(plan.contains(r#""index":"ab""#), "{plan}");
+
+    // CREATE INDEX on a quoted name defines the one-step path.
+    run(&ds, "CREATE INDEX q ON ks(`a.b`)");
+    let def = ds.list_indexes("ks").into_iter().find(|d| d.name == "q").unwrap();
+    let one_step = JsonPath { steps: vec![PathStep::Field("a.b".to_string())] };
+    assert_eq!(def.keys, [KeyExpr::Path(one_step)]);
+    assert_eq!(run(&ds, q), [id("flat")]);
+
+    // SET on a quoted name writes that field and nothing else.
+    run(&ds, "UPDATE ks USE KEYS 'flat' SET `a.b` = 6");
+    assert_eq!(fetch("flat"), cbs_json::parse(r#"{"a.b":6}"#).unwrap());
+
+    // A SET target takes a negative subscript, as an expression does.
+    run(&ds, "UPDATE ks USE KEYS 'arr' SET arr[-1] = 9");
+    assert_eq!(fetch("arr"), cbs_json::parse(r#"{"arr":[1,2,9]}"#).unwrap());
 }
 
 #[test]

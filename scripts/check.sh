@@ -41,7 +41,9 @@
 #                                 and the product_catalog and quickstart
 #                                 examples run to completion (exit status
 #                                 only), the N1QL nesting-budget test runs
-#                                 again in release, the GSI model
+#                                 again in release (its fixed depths and
+#                                 the seeded 0…50 000 nesting proptest
+#                                 on a small stack), the GSI model
 #                                 properties, the key-table model
 #                                 (KeyMap against std's HashMap) and the
 #                                 bucket log's crash-recovery properties

@@ -13,28 +13,35 @@ use proptest::prelude::*;
 
 use couchbase_repro::{ClusterConfig, CouchbaseCluster, QueryOptions, Value};
 
+/// A document. Its field named `a.b` and its nested path `a`→`b` hold
+/// integers from disjoint ranges, so reading one for the other never finds
+/// the right value.
 fn arb_doc() -> impl Strategy<Value = Value> {
-    (0i64..100, "[a-c]{1,3}", prop::collection::vec(0i64..5, 0..4), any::<bool>()).prop_map(
-        |(age, city, nums, active)| {
+    (0i64..100, "[a-c]{1,3}", prop::collection::vec(0i64..5, 0..4), any::<bool>(), 0i64..4, 4i64..8)
+        .prop_map(|(age, city, nums, active, flat, nested)| {
             Value::object([
                 ("age", Value::int(age)),
                 ("city", Value::from(city)),
                 ("nums", Value::Array(nums.into_iter().map(Value::int).collect())),
                 ("active", Value::Bool(active)),
+                ("a.b", Value::int(flat)),
+                ("a", Value::object([("b", Value::int(nested))])),
             ])
-        },
-    )
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// IndexScan == PrimaryScan for random datasets and range predicates.
+    /// IndexScan == PrimaryScan for random datasets and range predicates,
+    /// and an index on the nested path `a`→`b` changes nothing for a
+    /// predicate on the field named `a.b`.
     #[test]
     fn index_scan_equals_primary_scan(
         docs in prop::collection::vec(arb_doc(), 1..40),
         low in 0i64..100,
         width in 1i64..50,
+        v in 0i64..4,
     ) {
         let cluster = CouchbaseCluster::homogeneous(2, ClusterConfig::for_test(16, 0));
         let bucket = cluster.create_bucket("b").unwrap();
@@ -59,6 +66,12 @@ proptest! {
         );
         let via_index = cluster.query(&q, &opts).unwrap().rows;
         prop_assert_eq!(via_primary, via_index);
+
+        let q = format!("SELECT META().id AS id FROM b WHERE `a.b` = {v} ORDER BY id");
+        let without = cluster.query(&q, &opts).unwrap().rows;
+        cluster.query("CREATE INDEX by_ab ON b(a.b)", &QueryOptions::default()).unwrap();
+        let with = cluster.query(&q, &opts).unwrap().rows;
+        prop_assert_eq!(without, with);
     }
 
     /// The cluster datastore agrees with the single-process reference
