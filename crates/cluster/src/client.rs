@@ -149,26 +149,37 @@ impl SmartClient {
         self.traced("client.kv.get", || self.with_engine(key, |e| e.get(key)))
     }
 
-    /// KV upsert. The value is a [`SharedValue`], encoded once when it was
-    /// built: retries and the engine's cache/DCP/flusher hand-offs share
-    /// those bytes.
-    pub fn upsert(&self, key: &str, value: impl Into<SharedValue>) -> Result<MutationResult> {
-        let value = value.into();
-        self.traced("client.kv.upsert", || {
-            self.with_engine(key, |e| {
-                e.set(key, value.clone(), MutateMode::Upsert, Cas::WILDCARD, 0)
+    /// One KV write, `None` a remove: traced as `name`, routed to the
+    /// key's active copy and retried on routing errors. The value is a
+    /// [`SharedValue`], encoded once when it was built: retries and the
+    /// engine's cache/DCP/flusher hand-offs share those bytes.
+    fn write(
+        &self,
+        name: &'static str,
+        key: &str,
+        value: Option<SharedValue>,
+        mode: MutateMode,
+        cas: Cas,
+        expiry: u32,
+    ) -> Result<MutationResult> {
+        self.traced(name, || {
+            self.with_engine(key, |e| match &value {
+                Some(value) => e.set(key, value.clone(), mode, cas, expiry),
+                None => e.delete(key, cas),
             })
         })
     }
 
+    /// KV upsert.
+    pub fn upsert(&self, key: &str, value: impl Into<SharedValue>) -> Result<MutationResult> {
+        let value = Some(value.into());
+        self.write("client.kv.upsert", key, value, MutateMode::Upsert, Cas::WILDCARD, 0)
+    }
+
     /// KV insert (fails on existing key).
     pub fn insert(&self, key: &str, value: impl Into<SharedValue>) -> Result<MutationResult> {
-        let value = value.into();
-        self.traced("client.kv.insert", || {
-            self.with_engine(key, |e| {
-                e.set(key, value.clone(), MutateMode::Insert, Cas::WILDCARD, 0)
-            })
-        })
+        let value = Some(value.into());
+        self.write("client.kv.insert", key, value, MutateMode::Insert, Cas::WILDCARD, 0)
     }
 
     /// KV replace with optional CAS check.
@@ -178,10 +189,7 @@ impl SmartClient {
         value: impl Into<SharedValue>,
         cas: Cas,
     ) -> Result<MutationResult> {
-        let value = value.into();
-        self.traced("client.kv.replace", || {
-            self.with_engine(key, |e| e.set(key, value.clone(), MutateMode::Replace, cas, 0))
-        })
+        self.write("client.kv.replace", key, Some(value.into()), MutateMode::Replace, cas, 0)
     }
 
     /// CAS-checked upsert.
@@ -191,15 +199,12 @@ impl SmartClient {
         value: impl Into<SharedValue>,
         cas: Cas,
     ) -> Result<MutationResult> {
-        let value = value.into();
-        self.traced("client.kv.upsert", || {
-            self.with_engine(key, |e| e.set(key, value.clone(), MutateMode::Upsert, cas, 0))
-        })
+        self.write("client.kv.upsert", key, Some(value.into()), MutateMode::Upsert, cas, 0)
     }
 
     /// KV delete.
     pub fn remove(&self, key: &str, cas: Cas) -> Result<MutationResult> {
-        self.traced("client.kv.remove", || self.with_engine(key, |e| e.delete(key, cas)))
+        self.write("client.kv.remove", key, None, MutateMode::Replace, cas, 0)
     }
 
     /// Upsert with expiry (TTL).
@@ -209,12 +214,9 @@ impl SmartClient {
         value: impl Into<SharedValue>,
         expiry: u32,
     ) -> Result<MutationResult> {
-        let value = value.into();
-        self.traced("client.kv.upsert_with_expiry", || {
-            self.with_engine(key, |e| {
-                e.set(key, value.clone(), MutateMode::Upsert, Cas::WILDCARD, expiry)
-            })
-        })
+        let value = Some(value.into());
+        let name = "client.kv.upsert_with_expiry";
+        self.write(name, key, value, MutateMode::Upsert, Cas::WILDCARD, expiry)
     }
 
     /// Get-and-lock (GETL, §3.1.1).

@@ -424,12 +424,37 @@ impl DataEngine {
         // subscriber, the replica copies and both flushers — the zero-copy
         // write path. It was encoded where it was built (`SharedValue::new`).
         let trace = self.trace("kv.engine.set");
-        // `Some` only inside a sampled operation: the flusher and the
-        // replication pump then file their spans under it.
-        let ctx = trace.ctx();
         let start = Instant::now();
+        let result = self.write(key, Some(value.into()), mode, cas_check, expiry, trace.ctx())?;
+        self.stats.sets.inc();
+        self.stats.set_latency.record(start.elapsed());
+        Ok(result)
+    }
+
+    /// Delete a document (CAS-checked like [`DataEngine::set`]): a write of
+    /// no value to a live document.
+    pub fn delete(&self, key: &str, cas_check: Cas) -> Result<MutationResult> {
+        let trace = self.trace("kv.engine.delete");
+        let result = self.write(key, None, MutateMode::Replace, cas_check, 0, trace.ctx())?;
+        self.stats.deletes.inc();
+        Ok(result)
+    }
+
+    /// A client write, `None` a deletion: refused, in this order, for an
+    /// over-long key, an inactive vBucket, a GETL lock it does not present,
+    /// the mode's rule on a live predecessor or a CAS that does not match;
+    /// else committed. `ctx` is `Some` only inside a sampled operation: the
+    /// flusher and the replication pump then file their spans under it.
+    fn write(
+        &self,
+        key: &str,
+        value: Option<SharedValue>,
+        mode: MutateMode,
+        cas_check: Cas,
+        expiry: u32,
+        ctx: Option<TraceContext>,
+    ) -> Result<MutationResult> {
         check_key_len(key)?;
-        let value: SharedValue = value.into();
         let vb = self.vb_for_key(key);
         let mut meta = self.vbs[vb.index()].lock();
         if meta.state != VbState::Active {
@@ -454,58 +479,46 @@ impl DataEngine {
                 return Err(Error::CasMismatch(key.to_string()));
             }
         }
-        // The next seqno, taken only once the cache has admitted the
-        // version (under the vBucket lock): a refused write takes none.
-        let seqno = self.high.get(vb).next();
-        let new_meta =
-            DocMeta { seqno, cas: self.clock.next(), rev: prev_rev.next(), flags: 0, expiry };
-        let newly = self.cache.set(vb, key, new_meta, value.clone(), true)?;
-        self.high.next(vb);
-        self.queue_dirty(&mut meta, vb, key, newly, ctx);
-        meta.clear_lock(key);
-        let mut item = DcpItem::mutation(vb, key, new_meta, value);
-        item.trace = ctx;
-        self.hub.publish(&item);
-
-        drop(meta);
-        self.stats.sets.inc();
-        self.stats.set_latency.record(start.elapsed());
-        Ok(MutationResult { vb, seqno, cas: new_meta.cas })
+        let version =
+            DocMeta { cas: self.clock.next(), rev: prev_rev.next(), expiry, ..DocMeta::default() };
+        let item = match value {
+            Some(value) => DcpItem::mutation(vb, key, version, value),
+            None => DcpItem::deletion(vb, key, version),
+        };
+        let committed = self.commit(&mut meta, DcpItem { trace: ctx, ..item })?;
+        Ok(MutationResult { vb, seqno: committed.seqno, cas: committed.cas })
     }
 
-    /// Delete a document (CAS-checked like [`DataEngine::set`]).
-    pub fn delete(&self, key: &str, cas_check: Cas) -> Result<MutationResult> {
-        let trace = self.trace("kv.engine.delete");
-        let ctx = trace.ctx();
-        check_key_len(key)?;
-        let vb = self.vb_for_key(key);
-        let mut meta = self.vbs[vb.index()].lock();
-        if meta.state != VbState::Active {
-            return Err(Error::VbucketNotActive(vb));
-        }
-        let via_lock_token = self.check_lock(&mut meta, key, cas_check)?;
-        // Bind the live predecessor directly: dead/expired/absent all mean
-        // "not found", and everything below needs its metadata anyway.
-        let prev = match self.cache.peek_meta(vb, key) {
-            Some((m, deleted)) if !deleted && !m.is_expired_at(now_secs()) => m,
-            _ => return Err(Error::KeyNotFound(key.to_string())),
-        };
-        if !cas_check.is_wildcard() && !via_lock_token && prev.cas != cas_check {
-            return Err(Error::CasMismatch(key.to_string()));
-        }
-        let seqno = self.high.get(vb).next();
-        let new_meta =
-            DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
-        let newly = self.cache.delete(vb, key, new_meta, true)?;
+    /// The one commit path of an active vBucket, under its lock. The item
+    /// takes the vBucket's next seqno and is admitted to the cache; only
+    /// then does the high seqno move, so a refused write takes none (the
+    /// resume-point rule, DESIGN.md decision 3). Any GETL lock on the key
+    /// goes with the version it guarded, and the item is published on DCP.
+    fn commit(&self, meta: &mut VbMeta, mut item: DcpItem) -> Result<DocMeta> {
+        let vb = item.vb;
+        item.meta.seqno = self.high.get(vb).next();
+        self.admit(meta, &item, item.trace)?;
         self.high.next(vb);
-        self.queue_dirty(&mut meta, vb, key, newly, ctx);
-        meta.clear_lock(key);
-        let mut item = DcpItem::deletion(vb, key, new_meta);
-        item.trace = ctx;
+        meta.clear_lock(&item.key);
         self.hub.publish(&item);
-        drop(meta);
-        self.stats.deletes.inc();
-        Ok(MutationResult { vb, seqno, cas: new_meta.cas })
+        Ok(item.meta)
+    }
+
+    /// Admit a version to the cache as dirty and queue its key for the
+    /// flusher, with the trace context `ctx`: an active copy's commit and a
+    /// replica's apply alike. A version the cache refuses changes nothing.
+    fn admit(&self, meta: &mut VbMeta, item: &DcpItem, ctx: Option<TraceContext>) -> Result<()> {
+        let (vb, key) = (item.vb, item.key.as_str());
+        let newly = if item.is_deletion() {
+            self.cache.delete(vb, key, item.meta, true)?
+        } else {
+            // Reference-count bump: the cache holds the item's encoded
+            // bytes, which the flusher persists as they are.
+            let value = item.value.clone().unwrap_or_else(|| SharedValue::new(Value::Null));
+            self.cache.set(vb, key, item.meta, value, true)?
+        };
+        self.queue_dirty(meta, vb, key, newly, ctx);
+        Ok(())
     }
 
     /// Read and hard-lock a document ("an application can opt to request a
@@ -578,14 +591,10 @@ impl DataEngine {
             Some((m, false)) if m.seqno == prev.seqno => {}
             _ => return,
         }
-        let seqno = self.high.get(vb).next();
-        let new_meta =
-            DocMeta { seqno, cas: self.clock.next(), rev: prev.rev.next(), flags: 0, expiry: 0 };
-        if let Ok(newly) = self.cache.delete(vb, key, new_meta, true) {
-            self.high.next(vb);
-            self.queue_dirty(&mut meta, vb, key, newly, None);
-            let deletion = DcpItem::deletion(vb, key, new_meta);
-            self.hub.publish(&DcpItem { kind: DcpKind::Expiration, ..deletion });
+        let tombstone =
+            DocMeta { cas: self.clock.next(), rev: prev.rev.next(), ..DocMeta::default() };
+        let item = DcpItem { kind: DcpKind::Expiration, ..DcpItem::deletion(vb, key, tombstone) };
+        if self.commit(&mut meta, item).is_ok() {
             self.stats.expirations.inc();
         }
     }
@@ -604,19 +613,12 @@ impl DataEngine {
             _ => span("kv.engine.replica_apply"),
         };
         check_key_len(&item.key)?;
-        let (vb, held) = (item.vb, self.cache.peek_meta(item.vb, &item.key));
+        let held = self.cache.peek_meta(item.vb, &item.key);
         if held.is_some_and(|(held, _)| held.seqno >= item.meta.seqno) {
             return Ok(());
         }
-        let newly = if item.is_deletion() {
-            self.cache.delete(vb, &item.key, item.meta, true)?
-        } else {
-            // Reference-count bump: the replica stores the active copy's
-            // encoded bytes, which its flusher persists as they are.
-            let value = item.value.clone().unwrap_or_else(|| SharedValue::new(Value::Null));
-            self.cache.set(vb, &item.key, item.meta, value, true)?
-        };
-        self.queue_dirty(meta, vb, &item.key, newly, trace.ctx());
+        // The active copy's metadata and encoded bytes, as they are.
+        self.admit(meta, item, trace.ctx())?;
         self.stats.replica_applies.inc();
         Ok(())
     }
@@ -646,23 +648,13 @@ impl DataEngine {
         }
         // Apply: new local seqno, but preserve the origin's rev/cas so both
         // clusters converge to identical metadata.
-        let seqno = self.high.get(vb).next();
-        let new_meta = DocMeta { seqno, ..incoming };
         let value = value.unwrap_or_else(|| SharedValue::new(Value::Null));
-        let newly = if deleted {
-            self.cache.delete(vb, key, new_meta, true)?
-        } else {
-            self.cache.set(vb, key, new_meta, value.clone(), true)?
-        };
-        self.high.next(vb);
-        self.queue_dirty(&mut vbmeta, vb, key, newly, None);
-        vbmeta.clear_lock(key);
         let item = if deleted {
-            DcpItem::deletion(vb, key, new_meta)
+            DcpItem::deletion(vb, key, incoming)
         } else {
-            DcpItem::mutation(vb, key, new_meta, value)
+            DcpItem::mutation(vb, key, incoming, value)
         };
-        self.hub.publish(&item);
+        self.commit(&mut vbmeta, item)?;
         drop(vbmeta);
         self.stats.xdcr_applies.inc();
         Ok(true)

@@ -19,7 +19,7 @@ use cbs_common::{Error, Result};
 use cbs_index::{
     FilterCond, FilterOp, IndexDef, IndexKey, IndexStorage, KeyExpr, ScanConsistency, ScanRange,
 };
-use cbs_json::{cmp_missing, hash_missing, PathStep, Value};
+use cbs_json::{cmp_missing, hash_missing, JsonPath, PathStep, Value};
 use cbs_obs::span;
 
 use crate::ast::*;
@@ -851,17 +851,19 @@ fn index_def_from_ast(
     let key_exprs = keys
         .iter()
         .map(|k| {
+            let path = unqualified(&k.path, keyspace);
             if k.array {
-                KeyExpr::ArrayElements(k.path.clone())
+                KeyExpr::ArrayElements(path)
             } else {
-                KeyExpr::Path(k.path.clone())
+                KeyExpr::Path(path)
             }
         })
         .collect();
     let mut filter = Vec::new();
     if let Some(w) = where_ {
         for c in crate::planner::split_conjuncts(w) {
-            filter.push(filter_cond_from_expr(&c)?);
+            let cond = filter_cond_from_expr(&c)?;
+            filter.push(FilterCond { path: unqualified(&cond.path, keyspace), ..cond });
         }
     }
     Ok(IndexDef {
@@ -876,6 +878,17 @@ fn index_def_from_ast(
         deferred: defer_build,
         partition_splits: Vec::new(),
     })
+}
+
+/// A document path as an index stores it: `ks.age` in a definition on `ks`
+/// names the field `age`, as it does in a statement's FROM `ks`.
+fn unqualified(path: &JsonPath, keyspace: &str) -> JsonPath {
+    match path.steps.split_first() {
+        Some((PathStep::Field(first), rest)) if first == keyspace => {
+            JsonPath { steps: rest.to_vec() }
+        }
+        _ => path.clone(),
+    }
 }
 
 fn filter_cond_from_expr(e: &Expr) -> Result<FilterCond> {

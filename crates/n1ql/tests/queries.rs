@@ -413,6 +413,31 @@ fn quoted_dotted_name_is_one_path_step() {
     assert_eq!(fetch("arr"), cbs_json::parse(r#"{"arr":[1,2,9]}"#).unwrap());
 }
 
+/// CREATE INDEX reads `ks.age` in a definition on `ks` as the field `age`,
+/// in a key and in a partial index's WHERE, as a statement on `ks` does:
+/// the index it builds holds the documents, and a query it serves returns
+/// what the primary index returns.
+#[test]
+fn keyspace_qualified_paths_in_create_index() {
+    for ddl in
+        ["CREATE INDEX over21 ON ks(age) WHERE ks.age > 21", "CREATE INDEX byage ON ks(ks.age)"]
+    {
+        let ds = MemoryDatastore::new();
+        ds.create_keyspace("ks");
+        let docs =
+            (15..25).map(|age| (format!("d{age}"), Value::object([("age", Value::int(age))])));
+        ds.load("ks", docs);
+        ds.create_index(IndexDef::primary("#primary", "ks")).unwrap();
+        let q = "SELECT meta().id AS id FROM ks WHERE ks.age > 21 ORDER BY id";
+        let by_primary = run(&ds, q);
+        assert_eq!(by_primary.len(), 3, "{by_primary:?}");
+        run(&ds, ddl);
+        let plan = run(&ds, &format!("EXPLAIN {q}"))[0].to_json_string();
+        assert!(plan.contains("IndexScan"), "{ddl}: {plan}");
+        assert_eq!(run(&ds, q), by_primary, "{ddl}");
+    }
+}
+
 #[test]
 fn ddl_via_n1ql() {
     let ds = ds();

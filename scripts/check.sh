@@ -45,7 +45,9 @@
 #                                 the seeded 0…50 000 nesting proptest
 #                                 on a small stack), the GSI model
 #                                 properties, the key-table model
-#                                 (KeyMap against std's HashMap) and the
+#                                 (KeyMap against std's HashMap), the KV
+#                                 write paths (every writer's commits on
+#                                 the DCP feed, against a model) and the
 #                                 bucket log's crash-recovery properties
 #                                 (reopen, torn tail, compaction, slicing)
 #                                 run once per seed 1..=256 (PROPTEST_SEED,
@@ -320,6 +322,7 @@ run "N1QL nesting budget (release)" cargo test --quiet --release -p cbs-n1ql --t
 run "GSI model properties (release, PROPTEST_SEED=1..=256)" \
     model_seeds cbs-index model_equivalence
 run "key-table model (release, PROPTEST_SEED=1..=256)" model_seeds cbs-common key_map_model
+run "KV write paths (release, PROPTEST_SEED=1..=256)" model_seeds cbs-kv write_paths
 run "bucket-log crash recovery (release, PROPTEST_SEED=1..=256)" \
     model_seeds cbs-storage crash_recovery
 run_stage staleness-smoke
