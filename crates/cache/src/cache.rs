@@ -424,15 +424,6 @@ impl ObjectCache {
         }
     }
 
-    /// Remove an entry outright (used when a vBucket is dropped, and for
-    /// purging persisted tombstones).
-    pub fn remove(&self, vb: VbId, key: &str) {
-        let mut shard = self.shard(vb).write();
-        if let Some(old) = shard.remove(key) {
-            self.mem_used.sub(old.mem_size(key) as u64);
-        }
-    }
-
     /// Drop every entry of a vBucket (rebalance hand-off / failover).
     pub fn clear_vb(&self, vb: VbId) {
         let mut shard = self.shard(vb).write();
@@ -832,16 +823,6 @@ mod tests {
         c.clear_vb(VbId(2));
         assert_eq!(c.stats().mem_used, 0);
         assert_eq!(c.get(VbId(2), "a"), CacheLookup::Miss);
-    }
-
-    #[test]
-    fn remove_frees_memory() {
-        let c = ObjectCache::new(4, 1 << 20, EvictionPolicy::ValueOnly);
-        c.set(VbId(0), "a", meta(1), big_doc(100), true).unwrap();
-        let used = c.stats().mem_used;
-        c.remove(VbId(0), "a");
-        assert!(c.stats().mem_used < used);
-        assert_eq!(c.stats().mem_used, 0);
     }
 
     #[test]

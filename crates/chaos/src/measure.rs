@@ -147,86 +147,17 @@ impl PhaseStaleness {
     }
 }
 
-/// Result of one measure-mode run.
+/// Result of one measure-mode run: its staleness numbers (a sweep of one
+/// run), history and metrics.
 #[derive(Debug)]
 pub struct StalenessOutcome {
-    /// Seed that drove workload, faults and victim selection.
-    pub seed: u64,
-    /// Fault profile name.
-    pub profile: String,
-    /// Topology schedule name.
-    pub schedule: String,
-    /// Total workload operations simulated.
-    pub ops: usize,
-    /// Per-phase staleness breakdown, in schedule order.
-    pub phases: Vec<PhaseStaleness>,
+    /// The run's staleness numbers.
+    pub summary: StalenessSweep,
     /// The recorded op/event history (same recorder the live harness
     /// uses, so the checker can audit a measured run too).
     pub history: History,
     /// Registry carrying the `chaos.staleness.*` metrics of this run.
     pub registry: Arc<Registry>,
-}
-
-impl StalenessOutcome {
-    /// Total judged reads across phases.
-    pub fn reads(&self) -> u64 {
-        self.phases.iter().map(|p| p.reads).sum()
-    }
-
-    /// Total stale reads across phases.
-    pub fn stale_reads(&self) -> u64 {
-        self.phases.iter().map(|p| p.stale_reads).sum()
-    }
-
-    /// Run-wide probability of a stale read.
-    pub fn p_stale(&self) -> f64 {
-        let reads = self.reads();
-        if reads == 0 {
-            0.0
-        } else {
-            self.stale_reads() as f64 / reads as f64
-        }
-    }
-
-    /// The run as a `BENCH_staleness_<profile>.json` document. Built by
-    /// hand with fully determined field order and formatting: the same
-    /// seed must produce a byte-identical file.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"staleness\",\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"profile\": \"{}\",\n", self.profile));
-        s.push_str(&format!("  \"schedule\": \"{}\",\n", self.schedule));
-        s.push_str(&format!("  \"ops\": {},\n", self.ops));
-        s.push_str(&format!("  \"reads\": {},\n", self.reads()));
-        s.push_str(&format!("  \"stale_reads\": {},\n", self.stale_reads()));
-        s.push_str(&format!("  \"p_stale\": {:.4},\n", self.p_stale()));
-        s.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i + 1 < self.phases.len() { "," } else { "" };
-            s.push_str(&format!(
-                "    {{\"phase\": \"{}\", \"reads\": {}, \"stale_reads\": {}, \
-                 \"p_stale\": {:.4}, \
-                 \"age_ticks\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}, \
-                 \"age_seqnos\": {{\"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}}}{sep}\n",
-                p.phase,
-                p.reads,
-                p.stale_reads,
-                p.p_stale(),
-                p.age_ticks[0],
-                p.age_ticks[1],
-                p.age_ticks[2],
-                p.age_ticks[3],
-                p.age_seqnos[0],
-                p.age_seqnos[1],
-                p.age_seqnos[2],
-                p.age_seqnos[3],
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
 }
 
 /// Per-phase accumulator (exact nearest-rank percentiles from the full
@@ -759,19 +690,12 @@ fn simulate(cfg: &ChaosConfig) -> (Vec<PhaseAcc>, History, Arc<Registry>) {
 /// per-phase staleness numbers, history, and `chaos.staleness.*` metrics.
 pub fn measure_staleness(cfg: &ChaosConfig) -> StalenessOutcome {
     let (accs, history, registry) = simulate(cfg);
-    StalenessOutcome {
-        seed: cfg.seed,
-        profile: cfg.profile.name().to_string(),
-        schedule: Schedule::by_name(&cfg.schedule, cfg.seed, cfg.ops).name,
-        ops: cfg.ops,
-        phases: accs.into_iter().map(PhaseAcc::finish).collect(),
-        history,
-        registry,
-    }
+    StalenessOutcome { summary: StalenessSweep::new(cfg, 1, accs), history, registry }
 }
 
-/// Phase-aligned aggregate of [`measure_staleness`] over `runs`
-/// consecutive seeds (`cfg.seed`, `cfg.seed + 1`, ...).
+/// Phase-aligned staleness of `runs` consecutive seeds (`cfg.seed`,
+/// `cfg.seed + 1`, ...); a single run ([`measure_staleness`]) is a sweep
+/// of one.
 ///
 /// A single run holds at most one failover window, so its stale-read
 /// count is a coin flip, not a probability. The named schedules fire at
@@ -791,11 +715,23 @@ pub struct StalenessSweep {
     pub schedule: String,
     /// Workload operations **per run**.
     pub ops: usize,
-    /// Phase-wise pooled staleness (percentiles over all runs' samples).
+    /// Phase-wise pooled staleness (percentiles over all runs' samples),
+    /// in schedule order.
     pub phases: Vec<PhaseStaleness>,
 }
 
 impl StalenessSweep {
+    fn new(cfg: &ChaosConfig, runs: u64, phases: Vec<PhaseAcc>) -> StalenessSweep {
+        StalenessSweep {
+            seed: cfg.seed,
+            runs,
+            profile: cfg.profile.name().to_string(),
+            schedule: Schedule::by_name(&cfg.schedule, cfg.seed, cfg.ops).name,
+            ops: cfg.ops,
+            phases: phases.into_iter().map(PhaseAcc::finish).collect(),
+        }
+    }
+
     /// Total judged reads across runs and phases.
     pub fn reads(&self) -> u64 {
         self.phases.iter().map(|p| p.reads).sum()
@@ -816,9 +752,9 @@ impl StalenessSweep {
         }
     }
 
-    /// The sweep as a `BENCH_staleness_<profile>.json` document — same
-    /// deterministic hand-built format as [`StalenessOutcome::to_json`],
-    /// plus the `runs` field.
+    /// The sweep as a `BENCH_staleness_<profile>.json` document. Built by
+    /// hand with fully determined field order and formatting: the same
+    /// `(cfg, runs)` must produce a byte-identical file.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
@@ -879,14 +815,7 @@ pub fn measure_staleness_sweep(cfg: &ChaosConfig, runs: u64) -> StalenessSweep {
             }
         }
     }
-    StalenessSweep {
-        seed: cfg.seed,
-        runs,
-        profile: cfg.profile.name().to_string(),
-        schedule: Schedule::by_name(&cfg.schedule, cfg.seed, cfg.ops).name,
-        ops: cfg.ops,
-        phases: agg.unwrap_or_default().into_iter().map(PhaseAcc::finish).collect(),
-    }
+    StalenessSweep::new(cfg, runs, agg.unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -905,14 +834,18 @@ mod tests {
     fn same_seed_is_byte_identical() {
         let a = measure_staleness(&cfg(42));
         let b = measure_staleness(&cfg(42));
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.summary.to_json(), b.summary.to_json());
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = measure_staleness(&cfg(1));
         let b = measure_staleness(&cfg(2));
-        assert_ne!(a.to_json(), b.to_json(), "distinct seeds produced identical staleness JSON");
+        assert_ne!(
+            a.summary.to_json(),
+            b.summary.to_json(),
+            "distinct seeds produced identical staleness JSON"
+        );
     }
 
     #[test]
@@ -924,7 +857,7 @@ mod tests {
             quiet.profile = Profile::Quiet;
             let mut jittery = cfg(s);
             jittery.profile = Profile::Jittery;
-            let (a, b) = (measure_staleness(&quiet), measure_staleness(&jittery));
+            let (a, b) = (measure_staleness(&quiet).summary, measure_staleness(&jittery).summary);
             a.stale_reads() != b.stale_reads()
                 || a.phases.iter().zip(&b.phases).any(|(x, y)| x.age_ticks != y.age_ticks)
         });
@@ -935,7 +868,7 @@ mod tests {
     fn failover_without_revive_produces_stale_reads() {
         // Across a handful of seeds, losing an unreplicated tail to
         // failover must surface at least one stale read.
-        let any_stale = (0..8u64).any(|s| measure_staleness(&cfg(s)).stale_reads() > 0);
+        let any_stale = (0..8u64).any(|s| measure_staleness(&cfg(s)).summary.stale_reads() > 0);
         assert!(any_stale, "no seed in 0..8 produced a stale read under failover-no-revive");
     }
 
@@ -944,7 +877,7 @@ mod tests {
         let mut c = ChaosConfig::new(7);
         c.profile = Profile::Quiet;
         c.schedule = "baseline".to_string();
-        let out = measure_staleness(&c);
+        let out = measure_staleness(&c).summary;
         assert!(out.reads() > 0);
         assert_eq!(out.stale_reads(), 0, "quiet baseline produced stale reads");
         assert_eq!(out.phases.len(), 1);
@@ -953,7 +886,7 @@ mod tests {
 
     #[test]
     fn phases_split_on_schedule_events() {
-        let out = measure_staleness(&cfg(5));
+        let out = measure_staleness(&cfg(5)).summary;
         // failover-no-revive = Kill@30% + FailoverDead@40% → 3 phases.
         let names: Vec<&str> = out.phases.iter().map(|p| p.phase.as_str()).collect();
         assert_eq!(out.phases.len(), 3, "phases: {names:?}");
@@ -968,14 +901,16 @@ mod tests {
     fn metrics_ride_the_registry() {
         let out = measure_staleness(&cfg(9));
         let snap = out.registry.snapshot();
-        assert_eq!(snap.counter("chaos.staleness.reads"), out.reads());
-        assert_eq!(snap.counter("chaos.staleness.stale_reads"), out.stale_reads());
+        assert_eq!(snap.counter("chaos.staleness.reads"), out.summary.reads());
+        assert_eq!(snap.counter("chaos.staleness.stale_reads"), out.summary.stale_reads());
         // The windowed age histograms rotated on the logical clock right
         // up to the final tick.
-        let final_epoch = out.ops as u64 / TICKS_PER_WINDOW;
+        let final_epoch = out.summary.ops as u64 / TICKS_PER_WINDOW;
         assert_eq!(snap.windowed("chaos.staleness.age_ticks").epoch, final_epoch);
         assert_eq!(snap.windowed("chaos.staleness.age_seqnos").epoch, final_epoch);
-        assert!(snap.windowed("chaos.staleness.age_ticks").merged.count() <= out.stale_reads());
+        assert!(
+            snap.windowed("chaos.staleness.age_ticks").merged.count() <= out.summary.stale_reads()
+        );
     }
 
     #[test]
@@ -988,8 +923,8 @@ mod tests {
     #[test]
     fn sweep_pools_runs_phasewise() {
         let sweep = measure_staleness_sweep(&cfg(0), 8);
-        let reads: u64 = (0..8).map(|s| measure_staleness(&cfg(s)).reads()).sum();
-        let stale: u64 = (0..8).map(|s| measure_staleness(&cfg(s)).stale_reads()).sum();
+        let reads: u64 = (0..8).map(|s| measure_staleness(&cfg(s)).summary.reads()).sum();
+        let stale: u64 = (0..8).map(|s| measure_staleness(&cfg(s)).summary.stale_reads()).sum();
         assert_eq!(sweep.reads(), reads, "sweep must pool every run's reads");
         assert_eq!(sweep.stale_reads(), stale, "sweep must pool every run's stale reads");
         assert!(sweep.stale_reads() > 0, "8 failover runs pooled should show staleness");

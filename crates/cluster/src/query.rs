@@ -198,12 +198,12 @@ impl Datastore for ClusterDatastore {
         &self.query_trace
     }
 
-    fn request_log(&self) -> Option<&cbs_n1ql::RequestLog> {
-        Some(self.cluster.request_log())
+    fn request_log(&self) -> &cbs_n1ql::RequestLog {
+        self.cluster.request_log()
     }
 
-    fn plan_cache(&self) -> Option<&cbs_n1ql::PlanCache> {
-        Some(self.cluster.plan_cache())
+    fn plan_cache(&self) -> &cbs_n1ql::PlanCache {
+        self.cluster.plan_cache()
     }
 
     /// Optimizer statistics, read from the index service's counters as
@@ -227,8 +227,8 @@ impl Datastore for ClusterDatastore {
 
     /// The `system:` catalog keyspaces, backed live by cluster state — the
     /// Query Catalog of §4.3.5 exposed through N1QL itself.
-    fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        match keyspace {
+    fn system_scan(&self, catalog: &str) -> Result<Vec<(String, Value)>> {
+        match catalog {
             "system:transactions" => Ok(self.cluster.txn_log().catalog_rows()),
             "system:indexes" => {
                 // Every definition on every index-service node, deduped by
@@ -343,7 +343,7 @@ impl Datastore for ClusterDatastore {
                     .collect();
                 Ok(rows)
             }
-            other => self.service_catalog(other),
+            _ => Ok(Vec::new()),
         }
     }
 }

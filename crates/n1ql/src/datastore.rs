@@ -6,10 +6,17 @@
 //! ID is then used by the query service to fetch the document itself."
 //!
 //! [`Datastore`] is that boundary: document fetch and DML on the data
-//! service side, index DDL and scans on the index service side. Every
-//! keyspace read is an index scan followed by fetches; only the `system:`
-//! catalogs are handed over whole ([`Datastore::system_scan`]). The
-//! cluster facade (`cbs-core`) implements it over real services;
+//! service side, index DDL and scans on the index service side, and the
+//! query service's own request log and plan cache. Every keyspace read is
+//! an index scan followed by fetches; only the `system:` catalogs are
+//! handed over whole. [`SYSTEM_CATALOGS`] is the one list of their names:
+//! the parser folds `system:<name>` into one keyspace name, the planner
+//! resolves it against this list (an unlisted name is no keyspace, and
+//! every catalog is read-only), and the executor serves
+//! `completed_requests`, `active_requests` and `prepareds` from the
+//! request log and plan cache and hands every other catalog to
+//! [`Datastore::system_scan`]. The cluster facade (`cbs-cluster`'s
+//! `ClusterDatastore`) implements the trait over real services;
 //! [`MemoryDatastore`] is a faithful single-process implementation for
 //! tests.
 
@@ -91,51 +98,26 @@ pub trait Datastore: Send + Sync {
     /// BUILD INDEX for deferred definitions.
     fn build_index(&self, keyspace: &str, name: &str) -> Result<()>;
 
-    /// Scan a `system:` catalog keyspace — one of [`SYSTEM_CATALOGS`] —
-    /// returning `(key, document)` rows backed live by service state. An
-    /// implementation serves the catalogs only it can (topology, indexes,
-    /// replication, traces, …) and hands every other name to
-    /// [`Datastore::service_catalog`].
-    fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        self.service_catalog(keyspace)
-    }
-
-    /// The catalogs every datastore serves the same way, from the request
-    /// log and plan cache it exposes: `system:completed_requests`,
-    /// `system:active_requests` and `system:prepareds` (empty without the
-    /// backing service). Any other name is a plan-time error.
-    fn service_catalog(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        match keyspace {
-            "system:completed_requests" => {
-                Ok(self.request_log().map(RequestLog::completed_rows).unwrap_or_default())
-            }
-            "system:active_requests" => {
-                Ok(self.request_log().map(RequestLog::active_rows).unwrap_or_default())
-            }
-            "system:prepareds" => {
-                Ok(self.plan_cache().map(PlanCache::prepared_rows).unwrap_or_default())
-            }
-            other => Err(Error::Plan(format!("no such keyspace: {other}"))),
-        }
-    }
+    /// The `(key, document)` rows of a `system:` catalog — an entry of
+    /// [`SYSTEM_CATALOGS`] other than the three the executor serves from
+    /// [`Datastore::request_log`] and [`Datastore::plan_cache`] — backed
+    /// live by service state. A catalog the datastore has no service for
+    /// has no rows.
+    fn system_scan(&self, catalog: &str) -> Result<Vec<(String, Value)>>;
 
     /// The trace sink requests are recorded on: [`crate::query`] opens
     /// each request's root span (`n1ql.query.request`) here and rolls the
     /// spans recorded under it up into [`crate::PhaseTimes`].
     fn trace_sink(&self) -> &cbs_obs::TraceSink;
 
-    /// The query service's request log, when this datastore has one. The
-    /// query pipeline admits/retires every request through it, feeding
-    /// `system:completed_requests` and `system:active_requests`.
-    fn request_log(&self) -> Option<&RequestLog> {
-        None
-    }
+    /// The query service's request log. The query pipeline admits/retires
+    /// every request through it, feeding `system:completed_requests` and
+    /// `system:active_requests`.
+    fn request_log(&self) -> &RequestLog;
 
-    /// The prepared-statement registry, when this datastore has one.
-    /// `None` disables PREPARE/EXECUTE.
-    fn plan_cache(&self) -> Option<&PlanCache> {
-        None
-    }
+    /// The prepared-statement registry (PREPARE/EXECUTE, DDL's plan
+    /// invalidation, `system:prepareds`).
+    fn plan_cache(&self) -> &PlanCache;
 
     /// Keyspace statistics for the cost-based planner (doc count, per-
     /// index cardinality), as of now. A `doc_count` of 0 means nothing has
@@ -144,7 +126,7 @@ pub trait Datastore: Send + Sync {
     fn keyspace_stats(&self, keyspace: &str) -> KeyspaceStats;
 }
 
-/// Every `system:` catalog keyspace [`Datastore::system_scan`] serves.
+/// Every `system:` catalog keyspace: the one list of their names.
 pub const SYSTEM_CATALOGS: [&str; 11] = [
     "system:completed_requests",
     "system:active_requests",
@@ -420,8 +402,8 @@ impl Datastore for MemoryDatastore {
         Err(Error::Index(format!("no such index: {name}")))
     }
 
-    fn plan_cache(&self) -> Option<&PlanCache> {
-        Some(&self.plan_cache)
+    fn plan_cache(&self) -> &PlanCache {
+        &self.plan_cache
     }
 
     /// Projects every online index over the live documents. An unknown
@@ -462,8 +444,11 @@ impl Datastore for MemoryDatastore {
         KeyspaceStats { doc_count: ks.docs.len() as u64, indexes }
     }
 
-    fn system_scan(&self, keyspace: &str) -> Result<Vec<(String, Value)>> {
-        match keyspace {
+    /// No cluster behind a memory datastore — no transactions,
+    /// replication pumps, stitched traces or lifecycle events: those
+    /// catalogs have no rows.
+    fn system_scan(&self, catalog: &str) -> Result<Vec<(String, Value)>> {
+        match catalog {
             "system:indexes" => {
                 let map = self.keyspaces.read();
                 let mut rows = Vec::new();
@@ -483,15 +468,7 @@ impl Datastore for MemoryDatastore {
                 Ok(map.iter().map(|(name, ks)| keyspace_row(name, ks.docs.len())).collect())
             }
             "system:nodes" => Ok(vec![node_row("mem", true, &["n1ql"])]),
-            // No cluster behind a memory datastore — no transactions,
-            // replication pumps, stitched traces or lifecycle events: the
-            // catalogs exist (queries don't error) but have no rows.
-            "system:transactions"
-            | "system:replication"
-            | "system:staleness"
-            | "system:completed_traces"
-            | "system:events" => Ok(Vec::new()),
-            other => self.service_catalog(other),
+            _ => Ok(Vec::new()),
         }
     }
 
@@ -499,8 +476,8 @@ impl Datastore for MemoryDatastore {
         &self.trace
     }
 
-    fn request_log(&self) -> Option<&RequestLog> {
-        Some(&self.request_log)
+    fn request_log(&self) -> &RequestLog {
+        &self.request_log
     }
 }
 

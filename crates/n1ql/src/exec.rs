@@ -425,10 +425,16 @@ impl SelectRun<'_> {
                     .map(|id| Row::keyed(alias, id))
                     .collect())
             }
-            AccessPath::SystemScan => {
+            AccessPath::SystemScan { catalog } => {
                 let rows = {
                     let _scan = span("n1ql.exec.primary_scan");
-                    ds.system_scan(keyspace)?
+                    // The query service's own catalogs first, then the datastore's.
+                    match *catalog {
+                        "system:completed_requests" => ds.request_log().completed_rows(),
+                        "system:active_requests" => ds.request_log().active_rows(),
+                        "system:prepareds" => ds.plan_cache().prepared_rows(),
+                        other => ds.system_scan(other)?,
+                    }
                 };
                 return Ok(rows.into_iter().map(|(k, v)| Row::of_doc(alias, k, v)).collect());
             }
@@ -833,9 +839,7 @@ fn exec_direct_inner(
 /// DDL changed the index topology: invalidate every prepared plan that
 /// depends on this keyspace.
 fn bump_plan_epoch(ds: &dyn Datastore, keyspace: &str) {
-    if let Some(cache) = ds.plan_cache() {
-        cache.bump_epoch(keyspace);
-    }
+    ds.plan_cache().bump_epoch(keyspace);
 }
 
 /// Translate CREATE INDEX AST into an [`IndexDef`]. The WHERE clause must

@@ -86,7 +86,7 @@ use profile::PhaseTimes as Phases;
 /// planning entirely. Any other statement is parsed and planned here.
 pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result<QueryResult> {
     let log = ds.request_log();
-    let req_id = log.map(|l| l.admit(statement, opts.client_context_id.as_deref().unwrap_or("")));
+    let req_id = log.admit(statement, opts.client_context_id.as_deref().unwrap_or(""));
     let mut request = ds.trace_sink().mint("n1ql.query.request");
     let outcome = run_request(ds, statement, opts);
     let phases = request.subtree(Phases::from_spans);
@@ -95,18 +95,16 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
     match outcome {
         Ok(Executed { mut result, plan, prof }) => {
             result.phases = phases;
-            if let (Some(log), Some(id)) = (log, req_id) {
-                log.complete(
-                    id,
-                    plan.summary(),
-                    result.metrics.result_count as u64,
-                    0,
-                    result.metrics.mutation_count as u64,
-                    phases,
-                    false,
-                    slow,
-                );
-            }
+            log.complete(
+                req_id,
+                plan.summary(),
+                result.metrics.result_count as u64,
+                0,
+                result.metrics.mutation_count as u64,
+                phases,
+                false,
+                slow,
+            );
             if let Some(prof) = prof {
                 // PROFILE returns one row: the annotated plan. The metrics
                 // keep describing the *inner* execution (result_count is
@@ -118,9 +116,7 @@ pub fn query(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Result
         }
         Err(e) => {
             request.fail();
-            if let (Some(log), Some(id)) = (log, req_id) {
-                log.complete(id, "", 0, 1, 0, phases, true, slow);
-            }
+            log.complete(req_id, "", 0, 1, 0, phases, true, slow);
             Err(e)
         }
     }
@@ -219,9 +215,7 @@ fn run_request(ds: &dyn Datastore, statement: &str, opts: &QueryOptions) -> Resu
 }
 
 fn run_execute(ds: &dyn Datastore, name: &str, opts: &QueryOptions) -> Result<Executed> {
-    let cache = ds
-        .plan_cache()
-        .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
+    let cache = ds.plan_cache();
     let prepared = cache
         .get_prepared(name)
         .ok_or_else(|| Error::Plan(format!("no such prepared statement: {name}")))?;
@@ -244,9 +238,6 @@ fn run_prepare(
     inner_text: &str,
     opts: &QueryOptions,
 ) -> Result<Executed> {
-    let cache = ds
-        .plan_cache()
-        .ok_or_else(|| Error::Plan("no prepared-statement cache available".to_string()))?;
     // An entry keeps a plan alone, and an EXPLAIN's or a PROFILE's is its
     // inner statement's: EXECUTE would run that statement.
     if matches!(
@@ -260,7 +251,7 @@ fn run_prepare(
             "cannot PREPARE a PREPARE, EXECUTE, EXPLAIN or PROFILE statement".to_string(),
         ));
     }
-    let plan = cache.prepare(name, inner_text, || spanned_plan(ds, stmt, opts))?;
+    let plan = ds.plan_cache().prepare(name, inner_text, || spanned_plan(ds, stmt, opts))?;
     let row = Value::object([("name", Value::from(name)), ("statement", Value::from(inner_text))]);
     Ok(Executed { result: QueryResult { rows: vec![row], ..Default::default() }, plan, prof: None })
 }

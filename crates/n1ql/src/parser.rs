@@ -294,19 +294,22 @@ impl<'a> Parser<'a> {
         Ok(SelectItem::Expr { expr, alias })
     }
 
-    fn parse_from(&mut self) -> Result<FromClause> {
-        let mut keyspace = self.expect_ident()?;
-        let mut default_alias = keyspace.clone();
-        // `system:<catalog>` — the lexer already yields `system` `:` `name`;
-        // fold them into one keyspace name. The bare catalog name is the
-        // default alias, so `SELECT state FROM system:active_requests`
-        // resolves paths against `active_requests`.
-        if keyspace.eq_ignore_ascii_case("system") && self.peek().is_some_and(|t| t.is_punct(":")) {
-            self.expect_punct(":")?;
+    /// A keyspace name, wherever a statement names one, with its default
+    /// alias. `system:<catalog>` — the lexer yields `system` `:` `name` —
+    /// folds into one lower-cased name whose default alias is the bare
+    /// catalog name, so `SELECT state FROM system:active_requests` resolves
+    /// paths against `active_requests`.
+    fn parse_keyspace(&mut self) -> Result<(String, String)> {
+        let name = self.expect_ident()?;
+        if name.eq_ignore_ascii_case("system") && self.eat_punct(":") {
             let catalog = self.expect_ident()?;
-            keyspace = format!("system:{}", catalog.to_ascii_lowercase());
-            default_alias = catalog;
+            return Ok((format!("system:{}", catalog.to_ascii_lowercase()), catalog));
         }
+        Ok((name.clone(), name))
+    }
+
+    fn parse_from(&mut self) -> Result<FromClause> {
+        let (keyspace, default_alias) = self.parse_keyspace()?;
         let alias = self.parse_opt_alias(&default_alias)?;
         let use_keys = if self.eat_kw("use") {
             self.expect_kw("keys")?;
@@ -326,8 +329,8 @@ impl<'a> Parser<'a> {
                 false
             };
             if self.eat_kw("join") {
-                let ks = self.expect_ident()?;
-                let alias = self.parse_opt_alias(&ks)?;
+                let (ks, default_alias) = self.parse_keyspace()?;
+                let alias = self.parse_opt_alias(&default_alias)?;
                 self.expect_kw("on")?;
                 self.expect_kw("keys")?;
                 ops.push(FromOp::Join {
@@ -337,8 +340,8 @@ impl<'a> Parser<'a> {
                     left_outer,
                 });
             } else if self.eat_kw("nest") {
-                let ks = self.expect_ident()?;
-                let alias = self.parse_opt_alias(&ks)?;
+                let (ks, default_alias) = self.parse_keyspace()?;
+                let alias = self.parse_opt_alias(&default_alias)?;
                 self.expect_kw("on")?;
                 self.expect_kw("keys")?;
                 ops.push(FromOp::Nest {
@@ -394,7 +397,7 @@ impl<'a> Parser<'a> {
             self.expect_kw("insert")?;
         }
         self.expect_kw("into")?;
-        let keyspace = self.expect_ident()?;
+        let (keyspace, _) = self.parse_keyspace()?;
         self.expect_punct("(")?;
         self.expect_kw("key")?;
         self.expect_punct(",")?;
@@ -422,7 +425,7 @@ impl<'a> Parser<'a> {
 
     fn parse_update(&mut self) -> Result<Statement> {
         self.expect_kw("update")?;
-        let keyspace = self.expect_ident()?;
+        let (keyspace, _) = self.parse_keyspace()?;
         let use_keys = if self.eat_kw("use") {
             self.expect_kw("keys")?;
             Some(self.parse_expr()?)
@@ -460,7 +463,7 @@ impl<'a> Parser<'a> {
     fn parse_delete(&mut self) -> Result<Statement> {
         self.expect_kw("delete")?;
         self.expect_kw("from")?;
-        let keyspace = self.expect_ident()?;
+        let (keyspace, _) = self.parse_keyspace()?;
         let use_keys = if self.eat_kw("use") {
             self.expect_kw("keys")?;
             Some(self.parse_expr()?)
@@ -498,14 +501,14 @@ impl<'a> Parser<'a> {
                 _ => "#primary".to_string(),
             };
             self.expect_kw("on")?;
-            let keyspace = self.expect_ident()?;
+            let (keyspace, _) = self.parse_keyspace()?;
             let (defer_build, _parts) = self.parse_index_tail()?;
             return Ok(Statement::CreatePrimaryIndex { name, keyspace, defer_build });
         }
         self.expect_kw("index")?;
         let name = self.expect_ident()?;
         self.expect_kw("on")?;
-        let keyspace = self.expect_ident()?;
+        let (keyspace, _) = self.parse_keyspace()?;
         self.expect_punct("(")?;
         let mut keys = Vec::new();
         loop {
@@ -566,7 +569,7 @@ impl<'a> Parser<'a> {
     fn parse_drop_index(&mut self) -> Result<Statement> {
         self.expect_kw("drop")?;
         self.expect_kw("index")?;
-        let keyspace = self.expect_ident()?;
+        let (keyspace, _) = self.parse_keyspace()?;
         self.expect_punct(".")?;
         let name = self.expect_ident()?;
         Ok(Statement::DropIndex { keyspace, name })
@@ -576,7 +579,7 @@ impl<'a> Parser<'a> {
         self.expect_kw("build")?;
         self.expect_kw("index")?;
         self.expect_kw("on")?;
-        let keyspace = self.expect_ident()?;
+        let (keyspace, _) = self.parse_keyspace()?;
         self.expect_punct("(")?;
         let mut names = Vec::new();
         loop {

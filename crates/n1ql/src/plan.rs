@@ -98,9 +98,12 @@ pub enum AccessPath {
         /// The primary index scanned.
         index: IndexDef,
     },
-    /// A `system:` catalog: rows materialized by the datastore from service
-    /// state, whole, so nothing is fetched. Its operator is `PrimaryScan`.
-    SystemScan,
+    /// A `system:` catalog: rows materialized from service state, whole,
+    /// so nothing is fetched. Its operator is `PrimaryScan`.
+    SystemScan {
+        /// The catalog's entry in [`crate::SYSTEM_CATALOGS`].
+        catalog: &'static str,
+    },
     /// No FROM clause at all (`SELECT 1+1`).
     ExpressionOnly,
 }
@@ -242,7 +245,7 @@ impl SelectPlan {
             AccessPath::KeyScan { .. } => (Operator::KeyScan, true),
             AccessPath::IndexScan { covering, .. } => (Operator::IndexScan, !covering),
             AccessPath::PrimaryScan { .. } => (Operator::PrimaryScan, true),
-            AccessPath::SystemScan => (Operator::PrimaryScan, false),
+            AccessPath::SystemScan { .. } => (Operator::PrimaryScan, false),
             AccessPath::ExpressionOnly => (Operator::DummyScan, false),
         };
         let mut operators = vec![scan];

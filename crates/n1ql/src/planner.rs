@@ -21,8 +21,9 @@
 //! 4. otherwise the query is rejected, exactly like real N1QL's "no index
 //!    available" error.
 //!
-//! A `system:` catalog has one path of its own, **SystemScan**: the
-//! datastore hands over the catalog's rows whole.
+//! A `system:` catalog has one path of its own, **SystemScan**: its rows
+//! are handed over whole. `system_catalog` resolves its name against
+//! [`SYSTEM_CATALOGS`]; writes and index DDL on a catalog are refused.
 //!
 //! A path in the statement is the parser's [`JsonPath`], the type index
 //! keys hold: a predicate, a partial-index condition or a covered
@@ -50,7 +51,7 @@ use cbs_index::{FilterCond, FilterOp, IndexCardinality, IndexDef, KeyExpr, ScanR
 use cbs_json::{JsonPath, PathStep, Value};
 
 use crate::ast::*;
-use crate::datastore::{Datastore, KeyspaceStats};
+use crate::datastore::{Datastore, KeyspaceStats, SYSTEM_CATALOGS};
 use crate::exec::{eval_const, QueryOptions};
 use crate::plan::{AccessPath, Mutation, PlanEstimate, QueryPlan, RangeSpec, SelectPlan};
 
@@ -75,14 +76,24 @@ pub fn build_plan(ds: &dyn Datastore, stmt: &Statement, opts: &QueryOptions) -> 
         stmt = inner;
     }
     match stmt {
+        // Every catalog is read-only.
+        Statement::Insert { keyspace, .. }
+        | Statement::Upsert { keyspace, .. }
+        | Statement::Update { keyspace, .. }
+        | Statement::Delete { keyspace, .. }
+        | Statement::CreateIndex { keyspace, .. }
+        | Statement::CreatePrimaryIndex { keyspace, .. }
+        | Statement::DropIndex { keyspace, .. }
+        | Statement::BuildIndex { keyspace, .. }
+            if system_catalog(keyspace)?.is_some() =>
+        {
+            Err(Error::Plan(format!("{keyspace} is read-only")))
+        }
         Statement::Select(sel) => Ok(QueryPlan::Select(plan_select(ds, sel.clone(), None, opts)?)),
         // The pipeline of a DML statement is the SELECT of its target rows,
         // ending in the mutation.
         Statement::Update { keyspace, use_keys, where_, limit, .. }
         | Statement::Delete { keyspace, use_keys, where_, limit } => {
-            if keyspace.starts_with("system:") {
-                return Err(Error::Plan(format!("{keyspace} is read-only")));
-            }
             let mutation = match stmt {
                 Statement::Update { set, unset, .. } => {
                     Mutation::Update { set: set.clone(), unset: unset.clone() }
@@ -109,6 +120,16 @@ pub fn build_plan(ds: &dyn Datastore, stmt: &Statement, opts: &QueryOptions) -> 
         }
         other => Ok(QueryPlan::Direct(other.clone())),
     }
+}
+
+/// The [`SYSTEM_CATALOGS`] entry a keyspace name resolves to: `None` for
+/// a keyspace that is not a `system:` name, an error for an unlisted one.
+fn system_catalog(keyspace: &str) -> Result<Option<&'static str>> {
+    if !keyspace.starts_with("system:") {
+        return Ok(None);
+    }
+    let catalog = SYSTEM_CATALOGS.iter().find(|c| **c == keyspace);
+    catalog.map(|c| Some(*c)).ok_or_else(|| Error::Plan(format!("no such keyspace: {keyspace}")))
 }
 
 impl RangeSpec {
@@ -194,11 +215,11 @@ fn choose_access(
     let Some(from) = &sel.from else {
         return Ok(ChosenAccess::unpriced(AccessPath::ExpressionOnly));
     };
-    // `system:` catalogs are served whole by the datastore (no indexes, no
-    // primary-index requirement); the rest of the pipeline — Filter, Group,
-    // Sort, Limit — applies unchanged on top of the scan.
-    if from.keyspace.starts_with("system:") {
-        return Ok(ChosenAccess::unpriced(AccessPath::SystemScan));
+    // `system:` catalogs are served whole (no indexes, no primary-index
+    // requirement); the rest of the pipeline — Filter, Group, Sort, Limit —
+    // applies unchanged on top of the scan.
+    if let Some(catalog) = system_catalog(&from.keyspace)? {
+        return Ok(ChosenAccess::unpriced(AccessPath::SystemScan { catalog }));
     }
     if !ds.keyspace_exists(&from.keyspace) {
         return Err(Error::Plan(format!("no such keyspace: {}", from.keyspace)));

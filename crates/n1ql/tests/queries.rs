@@ -566,7 +566,7 @@ fn prepare_and_execute_in_any_spelling() {
     // DDL drops the plans; the next EXECUTE re-plans from the kept text.
     run(&ds, "CREATE INDEX by_city ON profiles(city)");
     assert_eq!(names(&run(&ds, "EXECUTE `q`")), all);
-    assert_eq!(ds.plan_cache().unwrap().misses(), 1);
+    assert_eq!(ds.plan_cache().misses(), 1);
     // Neither has a plan to explain or profile.
     for q in ["EXPLAIN EXECUTE p", "PROFILE PREPARE r FROM SELECT 1"] {
         let err = query(&ds, q, &QueryOptions::default()).unwrap_err();

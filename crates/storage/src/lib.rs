@@ -48,28 +48,99 @@ pub use record::{check_key_len, DocMeta, StoredDoc, MAX_KEY_LEN};
 pub use vbstore::{RecordList, StoreStats, VBucketStore};
 pub use wal::{replay_file, GroupCommitWal};
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Once;
 
 /// Create a unique scratch directory for tests and benches. (We avoid the
-/// `tempfile` crate to stay within the approved dependency set; callers are
-/// responsible for cleanup, though the OS temp dir makes leaks harmless.)
+/// `tempfile` crate to stay within the approved dependency set.) Each
+/// process's directories sit under one parent, `<temp dir>/cbs-<pid>`; the
+/// first call in a process removes the scratch directories of every
+/// process that has exited, so what a run leaves behind lasts until the
+/// next run.
 pub fn scratch_dir(tag: &str) -> PathBuf {
+    static SWEEP: Once = Once::new();
     static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let tmp = std::env::temp_dir();
+    SWEEP.call_once(|| sweep_dead_scratch(&tmp));
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "cbs-{}-{}-{}-{}",
-        tag,
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0),
-        n
-    ));
+    // The time keeps a name unique against what an exited process with the
+    // same pid left in `cbs-<pid>`, which no sweep removes while we live.
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos())
+        .unwrap_or(0);
+    let dir = tmp.join(format!("cbs-{}", std::process::id())).join(format!("{tag}-{nanos}-{n}"));
     // Test/bench scaffolding — a scratch dir that cannot be created should
     // abort the run loudly, there is nothing to recover.
     #[allow(clippy::expect_used)]
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// Remove every scratch directory under `root` whose process has exited:
+/// `cbs-<pid>`, and the flat `cbs-<tag>-<pid>-<nanos>-<n>` that earlier
+/// builds made. A process is live while `/proc/<pid>` exists; without
+/// `/proc` nothing is removed.
+fn sweep_dead_scratch(root: &Path) {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(root) else { return };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(pid) = name.to_str().and_then(scratch_pid) else { continue };
+        if entry.file_type().is_ok_and(|t| t.is_dir()) && !proc.join(pid).exists() {
+            // Another process may be sweeping the same directory.
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
+/// The pid a scratch directory's name holds, in either layout.
+fn scratch_pid(name: &str) -> Option<&str> {
+    let number = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let parts: Vec<&str> = name.strip_prefix("cbs-")?.split('-').collect();
+    let pid = match parts[..] {
+        [pid] => pid,
+        [_, .., pid, nanos, n] if number(nanos) && number(n) => pid,
+        _ => return None,
+    };
+    number(pid).then_some(pid)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn sweep_removes_only_exited_processes_scratch() {
+        let root = scratch_dir("sweep");
+        let own = std::process::id();
+        // Above any `pid_max` (at most 2^22): no live process has it.
+        let dead = 99_999_999;
+        let names = [
+            format!("cbs-{dead}"),
+            format!("cbs-kv-{dead}-1-0"),
+            format!("cbs-gsi-svc-{dead}-1-0"),
+            format!("cbs-{own}"),
+            format!("cbs-kv-{own}-1-0"),
+            format!("cbs-gsi-svc-{own}-1-0"),
+            "cbs-notes".to_string(),
+            format!("other-{dead}"),
+        ];
+        for name in &names {
+            std::fs::create_dir_all(root.join(name).join("shard")).unwrap();
+        }
+        sweep_dead_scratch(&root);
+        let left: BTreeSet<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        let swept = if Path::new("/proc/self").exists() { 3 } else { 0 };
+        assert_eq!(left, names[swept..].iter().cloned().collect::<BTreeSet<_>>());
+        std::fs::remove_dir_all(root).unwrap();
+    }
 }
