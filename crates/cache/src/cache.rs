@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use cbs_common::sync::{rank, OrderedRwLock};
-use cbs_common::{DocKey, DocMeta, Error, KeyMap, Result, SeqNo, VbId};
+use cbs_common::{Cas, DocKey, DocMeta, Error, KeyMap, Result, RevNo, SeqNo, VbId};
 use cbs_json::SharedValue;
 use cbs_obs::{Counter, Gauge, Registry};
 
@@ -23,31 +23,101 @@ pub enum EvictionPolicy {
     Full,
 }
 
-/// One cache entry.
+/// One cache entry: a document's metadata, its flags and its resident
+/// value, packed to 48 bytes so that a `(DocKey, CacheItem)` table entry is
+/// 72. The seqno and the four flags share one word ([`SeqFlags`]); the
+/// rest of the [`DocMeta`] is kept as it is.
 #[derive(Debug, Clone)]
 pub struct CacheItem {
-    /// Document metadata — always resident while the entry exists.
-    pub meta: DocMeta,
+    /// The version's seqno and the entry's flags.
+    word: SeqFlags,
+    cas: Cas,
+    rev: RevNo,
+    flags: u32,
+    expiry: u32,
     /// The version's encoded document (`SharedValue::json`), shared with
     /// every reader that hit this entry, the DCP item that carried it and
     /// the flusher that persists it; `None` when the value has been
     /// evicted.
-    pub value: Option<Bytes>,
+    value: Option<Bytes>,
+}
+
+/// A seqno (at most [`SeqNo::MAX`], 48 bits) and, in the 16 bits above it,
+/// an entry's flags.
+#[derive(Debug, Clone, Copy)]
+struct SeqFlags(u64);
+
+impl SeqFlags {
     /// Tombstone marker: the document is deleted (entry retained until the
     /// deletion is persisted and replicated).
-    pub deleted: bool,
+    const DELETED: u64 = 1 << 48;
     /// Not yet persisted by the flusher. Dirty items are never evicted.
-    pub dirty: bool,
+    const DIRTY: u64 = 1 << 49;
     /// The key is in its vBucket's disk-write queue, or in a drain cycle's
     /// snapshot of it that has not taken the entry yet: the queue's
     /// de-duplication (§2.3.2). A dirty write sets it; the flusher's
     /// [`ObjectCache::take_item`] clears it.
-    queued: bool,
+    const QUEUED: u64 = 1 << 50;
     /// NRU reference bit: set on access, cleared by the eviction clock.
-    referenced: bool,
+    const REFERENCED: u64 = 1 << 51;
+
+    fn seqno(self) -> SeqNo {
+        SeqNo(self.0 & SeqNo::MAX.0)
+    }
+
+    fn has(self, flag: u64) -> bool {
+        self.0 & flag != 0
+    }
+
+    fn set(&mut self, flag: u64, on: bool) {
+        if on {
+            self.0 |= flag;
+        } else {
+            self.0 &= !flag;
+        }
+    }
 }
 
 impl CacheItem {
+    /// A new version of the document, written as `dirty` or clean and
+    /// referenced. A seqno past [`SeqNo::MAX`] has no place in the entry's
+    /// word: it is refused, never truncated.
+    fn version(
+        meta: DocMeta,
+        value: Option<Bytes>,
+        deleted: bool,
+        dirty: bool,
+    ) -> Result<CacheItem> {
+        if meta.seqno > SeqNo::MAX {
+            return Err(Error::SeqNoOutOfRange(meta.seqno.0));
+        }
+        let mut word = SeqFlags(meta.seqno.0 | SeqFlags::REFERENCED);
+        word.set(SeqFlags::DELETED, deleted);
+        word.set(SeqFlags::DIRTY, dirty);
+        let DocMeta { cas, rev, flags, expiry, .. } = meta;
+        Ok(CacheItem { word, cas, rev, flags, expiry, value })
+    }
+
+    /// The version's metadata.
+    fn meta(&self) -> DocMeta {
+        let (cas, rev, flags, expiry) = (self.cas, self.rev, self.flags, self.expiry);
+        DocMeta { seqno: self.word.seqno(), cas, rev, flags, expiry }
+    }
+
+    /// The entry is a deletion tombstone.
+    fn deleted(&self) -> bool {
+        self.word.has(SeqFlags::DELETED)
+    }
+
+    /// The version is not persisted yet.
+    fn dirty(&self) -> bool {
+        self.word.has(SeqFlags::DIRTY)
+    }
+
+    fn queued(&self) -> bool {
+        self.word.has(SeqFlags::QUEUED)
+    }
+
     fn mem_size(&self, key: &str) -> usize {
         // Entry overhead + key + optional resident encoding.
         64 + key.len() + self.value.as_ref().map_or(0, Bytes::len)
@@ -57,11 +127,6 @@ impl CacheItem {
     /// bump, never a decode.
     fn shared(&self) -> Option<SharedValue> {
         self.value.clone().map(SharedValue::from_json)
-    }
-
-    /// A new version of the document, written as `dirty` or clean.
-    fn version(meta: DocMeta, value: Option<Bytes>, deleted: bool, dirty: bool) -> CacheItem {
-        CacheItem { meta, value, deleted, dirty, queued: false, referenced: true }
     }
 }
 
@@ -186,13 +251,13 @@ impl ObjectCache {
     ) -> Result<bool> {
         let _s = cbs_obs::span("kv.cache.set");
         let value = Some(value.into().into_json());
-        self.admit(vb, key, CacheItem::version(meta, value, false, dirty))
+        self.admit(vb, key, CacheItem::version(meta, value, false, dirty)?)
     }
 
     /// Record a deletion tombstone (dirty until persisted); returns what
     /// [`ObjectCache::set`] does.
     pub fn delete(&self, vb: VbId, key: &str, meta: DocMeta, dirty: bool) -> Result<bool> {
-        self.admit(vb, key, CacheItem::version(meta, None, true, dirty))
+        self.admit(vb, key, CacheItem::version(meta, None, true, dirty)?)
     }
 
     /// Admission charges the net growth: the entry being replaced is
@@ -221,8 +286,8 @@ impl ObjectCache {
         Ok(match shard.get_mut(key) {
             Some(slot) => self.replace(slot, item, key),
             None => {
-                item.queued = item.dirty;
-                let newly = item.queued;
+                let newly = item.dirty();
+                item.word.set(SeqFlags::QUEUED, newly);
                 self.insert_new(&mut shard, key, item);
                 self.mem_used.add(add as u64);
                 newly
@@ -244,8 +309,8 @@ impl ObjectCache {
     /// Put `item` in `slot`, which keeps its queued bit; returns whether the
     /// write newly queued the key.
     fn replace(&self, slot: &mut CacheItem, mut item: CacheItem, key: &str) -> bool {
-        let newly = item.dirty && !slot.queued;
-        item.queued = item.dirty || slot.queued;
+        let newly = item.dirty() && !slot.queued();
+        item.word.set(SeqFlags::QUEUED, item.dirty() || slot.queued());
         self.mem_used.add(item.mem_size(key) as u64);
         self.mem_used.sub(std::mem::replace(slot, item).mem_size(key) as u64);
         newly
@@ -264,16 +329,17 @@ impl ObjectCache {
         let mut shard = self.shard(vb).write();
         match shard.get_mut(key) {
             Some(item) => {
-                item.referenced = true;
-                if item.deleted {
+                item.word.set(SeqFlags::REFERENCED, true);
+                let meta = item.meta();
+                if item.deleted() {
                     self.hits.inc();
-                    CacheLookup::Tombstone { meta: item.meta }
+                    CacheLookup::Tombstone { meta }
                 } else if let Some(value) = item.shared() {
                     self.hits.inc();
-                    CacheLookup::Hit { meta: item.meta, value }
+                    CacheLookup::Hit { meta, value }
                 } else {
                     self.misses.inc();
-                    CacheLookup::ValueGone { meta: item.meta }
+                    CacheLookup::ValueGone { meta }
                 }
             }
             None => {
@@ -286,7 +352,7 @@ impl ObjectCache {
     /// Metadata-only peek that does not touch reference bits or counters.
     pub fn peek_meta(&self, vb: VbId, key: &str) -> Option<(DocMeta, bool)> {
         let shard = self.shard(vb).read();
-        shard.get(key).map(|i| (i.meta, i.deleted))
+        shard.get(key).map(|i| (i.meta(), i.deleted()))
     }
 
     /// Full-entry peek (meta, value, deleted, dirty) without side effects.
@@ -296,7 +362,7 @@ impl ObjectCache {
         key: &str,
     ) -> Option<(DocMeta, Option<SharedValue>, bool, bool)> {
         let shard = self.shard(vb).read();
-        shard.get(key).map(|i| (i.meta, i.shared(), i.deleted, i.dirty))
+        shard.get(key).map(|i| (i.meta(), i.shared(), i.deleted(), i.dirty()))
     }
 
     /// The flusher takes a queued key from the entry: the queued bit is
@@ -305,9 +371,9 @@ impl ObjectCache {
     /// when the entry is gone, clean or not queued (listed twice).
     pub fn take_item(&self, vb: VbId, key: &str) -> Option<(DocMeta, Option<SharedValue>, bool)> {
         let mut shard = self.shard(vb).write();
-        let item = shard.get_mut(key).filter(|i| i.queued)?;
-        item.queued = false;
-        item.dirty.then(|| (item.meta, item.shared(), item.deleted))
+        let item = shard.get_mut(key).filter(|i| i.queued())?;
+        item.word.set(SeqFlags::QUEUED, false);
+        item.dirty().then(|| (item.meta(), item.shared(), item.deleted()))
     }
 
     /// Queue a key the flusher took again (its drain cycle failed): `true`
@@ -317,8 +383,8 @@ impl ObjectCache {
     pub fn requeue(&self, vb: VbId, key: &str) -> bool {
         let mut shard = self.shard(vb).write();
         match shard.get_mut(key) {
-            Some(item) if !item.queued => {
-                item.queued = true;
+            Some(item) if !item.queued() => {
+                item.word.set(SeqFlags::QUEUED, true);
                 true
             }
             _ => false,
@@ -334,11 +400,11 @@ impl ObjectCache {
         let shard = self.shard(vb).read();
         shard
             .iter()
-            .filter(|(_, i)| i.meta.seqno > since)
+            .filter(|(_, i)| i.word.seqno() > since)
             .map(|(k, i)| CacheEntry {
                 key: k.clone(),
-                meta: i.meta,
-                deleted: i.deleted,
+                meta: i.meta(),
+                deleted: i.deleted(),
                 value: i.shared(),
             })
             .collect()
@@ -355,7 +421,8 @@ impl ObjectCache {
         others: impl IntoIterator<Item = &'a str>,
     ) -> usize {
         let shard = self.shard(vb).read();
-        let held = shard.values().filter(|i| !i.deleted && !i.meta.is_expired_at(now)).count();
+        let live = |i: &&CacheItem| !i.deleted() && !i.meta().is_expired_at(now);
+        let held = shard.values().filter(live).count();
         held + others.into_iter().filter(|k| !shard.contains_key(*k)).count()
     }
 
@@ -370,7 +437,8 @@ impl ObjectCache {
     pub fn repopulate(&self, vb: VbId, key: &str, meta: DocMeta, value: impl Into<SharedValue>) {
         let json = value.into().into_json();
         let len = json.len();
-        let fill = CacheItem::version(meta, Some(json), false, false);
+        // A record's seqno is never past the seqno space.
+        let Ok(fill) = CacheItem::version(meta, Some(json), false, false) else { return };
         let full = self.policy == EvictionPolicy::Full;
         // Evicted whole, the entry comes back through admission like a write.
         if full && self.peek_meta(vb, key).is_none() && self.make_room(fill.mem_size(key)).is_err()
@@ -382,7 +450,7 @@ impl ObjectCache {
             // Its value was evicted, so the entry was clean: `fill` is it
             // with the value back.
             Some(item)
-                if item.meta.seqno == meta.seqno && item.value.is_none() && !item.deleted =>
+                if item.word.seqno() == meta.seqno && item.value.is_none() && !item.deleted() =>
             {
                 *item = fill;
                 len
@@ -418,8 +486,8 @@ impl ObjectCache {
     pub fn mark_clean(&self, vb: VbId, key: &str, seqno: SeqNo) {
         let mut shard = self.shard(vb).write();
         if let Some(item) = shard.get_mut(key) {
-            if item.meta.seqno == seqno {
-                item.dirty = false;
+            if item.word.seqno() == seqno {
+                item.word.set(SeqFlags::DIRTY, false);
             }
         }
     }
@@ -440,8 +508,8 @@ impl ObjectCache {
         let shard = self.shard(vb).read();
         shard
             .iter()
-            .filter(|(_, i)| !i.deleted && i.meta.is_expired_at(now))
-            .map(|(k, i)| (k.clone(), i.meta))
+            .filter(|(_, i)| !i.deleted() && i.meta().is_expired_at(now))
+            .map(|(k, i)| (k.clone(), i.meta()))
             .collect()
     }
 
@@ -477,12 +545,12 @@ impl ObjectCache {
         let (mut freed, mut evicted) = (0usize, 0u64);
         let full = self.policy == EvictionPolicy::Full;
         shard.retain(|key, item| {
-            let resident = if full { !item.deleted } else { item.value.is_some() };
-            if item.dirty || !resident {
+            let resident = if full { !item.deleted() } else { item.value.is_some() };
+            if item.dirty() || !resident {
                 return true;
             }
-            if item.referenced && second_chance {
-                item.referenced = false;
+            if item.word.has(SeqFlags::REFERENCED) && second_chance {
+                item.word.set(SeqFlags::REFERENCED, false);
                 return true;
             }
             evicted += 1;
@@ -510,7 +578,7 @@ impl ObjectCache {
         for shard in &self.shards {
             let s = shard.read();
             items += s.len() as u64;
-            resident += s.values().filter(|i| i.value.is_some() || i.deleted).count() as u64;
+            resident += s.values().filter(|i| i.value.is_some() || i.deleted()).count() as u64;
         }
         self.items_gauge.set(items);
         self.resident_gauge.set(resident);
@@ -551,6 +619,33 @@ mod tests {
 
     fn resident(c: &ObjectCache, vb: VbId, key: &str) -> bool {
         matches!(c.peek_item(vb, key), Some((_, Some(_), _, _)))
+    }
+
+    /// A table entry is a 24-byte key, the 32 bytes of a `DocMeta` with the
+    /// flags in the seqno's top 16 bits, and the value's 16: 72 bytes.
+    #[test]
+    fn a_table_entry_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<(DocKey, CacheItem)>(), 72);
+    }
+
+    /// The flags live above the seqno and never leak into it: the last
+    /// seqno reads back under every flag, and one past it is refused.
+    #[test]
+    fn the_seqno_space_is_48_bits_and_its_flags_sit_above_it() {
+        let (vb, c) = (VbId(0), ObjectCache::new(4, 1 << 20, EvictionPolicy::ValueOnly));
+        let last =
+            DocMeta { seqno: SeqNo::MAX, cas: Cas(u64::MAX), rev: RevNo(7), flags: 3, expiry: 9 };
+        assert_eq!(c.set(vb, "k", last, Value::int(1), true), Ok(true));
+        assert_eq!(c.delete(vb, "k", last, true), Ok(false));
+        assert_eq!(c.peek_item(vb, "k"), Some((last, None, true, true)));
+        c.mark_clean(vb, "k", SeqNo::MAX);
+        assert_eq!(c.get(vb, "k"), CacheLookup::Tombstone { meta: last });
+        assert_eq!(c.take_item(vb, "k"), None, "clean, so nothing to persist");
+        let past = DocMeta { seqno: SeqNo(SeqNo::MAX.0 + 1), ..last };
+        assert_eq!(c.set(vb, "k", past, Value::int(2), true), Err(Error::SeqNoOutOfRange(1 << 48)));
+        assert_eq!(c.delete(vb, "j", past, true), Err(Error::SeqNoOutOfRange(1 << 48)));
+        assert_eq!(c.peek_meta(vb, "k"), Some((last, true)));
+        assert_eq!(c.peek_meta(vb, "j"), None);
     }
 
     #[test]

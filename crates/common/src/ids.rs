@@ -47,6 +47,11 @@ impl SeqNo {
     /// The zero seqno: "nothing has happened in this vBucket yet".
     pub const ZERO: SeqNo = SeqNo(0);
 
+    /// The last seqno a version can carry: 2⁴⁸ − 1, Couchbase's own seqno
+    /// space, so a seqno fits the 48 bits a cache or storage-index entry
+    /// keeps it in. A larger `SeqNo` is only ever a range bound.
+    pub const MAX: SeqNo = SeqNo((1 << 48) - 1);
+
     /// The next sequence number.
     #[inline]
     pub fn next(self) -> SeqNo {

@@ -26,7 +26,7 @@ pub use crc32::{crc32, vbucket_for_key};
 pub use error::{Error, Result};
 pub use hash::{KeyHash, KeyMap};
 pub use ids::{Cas, IndexId, NodeId, RevNo, SeqNo, VbId};
-pub use key::{check_key_len, DocKey, MAX_KEY_LEN};
+pub use key::{check_key_len, check_value_len, DocKey, MAX_KEY_LEN, MAX_VALUE_LEN};
 pub use meta::DocMeta;
 pub use sync::{LockRank, OrderedMutex, OrderedRwLock, Signal, Watermarks};
 pub use time::{CasClock, Deadline};

@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 use cbs_cache::{CacheLookup, EvictionPolicy, ObjectCache};
 use cbs_common::sync::{rank, OrderedMutex, Watermarks};
 use cbs_common::{
-    vbucket_for_key, Cas, CasClock, Deadline, DocKey, DocMeta, Error, KeyHash, KeyMap, Result,
-    RevNo, SeqNo, VbId,
+    check_value_len, vbucket_for_key, Cas, CasClock, Deadline, DocKey, DocMeta, Error, KeyHash,
+    KeyMap, Result, RevNo, SeqNo, VbId,
 };
 use cbs_dcp::{BackfillSource, DcpFeed, DcpHub, DcpItem, DcpKind, DcpSink};
 use cbs_json::{SharedValue, Value};
@@ -441,9 +441,9 @@ impl DataEngine {
     }
 
     /// A client write, `None` a deletion: refused, in this order, for an
-    /// over-long key, an inactive vBucket, a GETL lock it does not present,
-    /// the mode's rule on a live predecessor or a CAS that does not match;
-    /// else committed. `ctx` is `Some` only inside a sampled operation: the
+    /// over-long key or value, an inactive vBucket, a GETL lock it does not
+    /// present, the mode's rule on a live predecessor or a CAS that does
+    /// not match; else committed. `ctx` is `Some` only inside a sampled operation: the
     /// flusher and the replication pump then file their spans under it.
     fn write(
         &self,
@@ -455,6 +455,7 @@ impl DataEngine {
         ctx: Option<TraceContext>,
     ) -> Result<MutationResult> {
         check_key_len(key)?;
+        check_value_len(value.as_ref().map_or(0, |v| v.json().len()))?;
         let vb = self.vb_for_key(key);
         let mut meta = self.vbs[vb.index()].lock();
         if meta.state != VbState::Active {
@@ -492,7 +493,9 @@ impl DataEngine {
     /// The one commit path of an active vBucket, under its lock. The item
     /// takes the vBucket's next seqno and is admitted to the cache; only
     /// then does the high seqno move, so a refused write takes none (the
-    /// resume-point rule, DESIGN.md decision 3). Any GETL lock on the key
+    /// resume-point rule, DESIGN.md decision 3). Once the high seqno is
+    /// [`SeqNo::MAX`] the cache refuses every next one
+    /// ([`Error::SeqNoOutOfRange`]): the vBucket takes no more writes. Any GETL lock on the key
     /// goes with the version it guarded, and the item is published on DCP.
     fn commit(&self, meta: &mut VbMeta, mut item: DcpItem) -> Result<DocMeta> {
         let vb = item.vb;
@@ -635,6 +638,7 @@ impl DataEngine {
         deleted: bool,
     ) -> Result<bool> {
         check_key_len(key)?;
+        check_value_len(value.as_ref().map_or(0, |v| v.json().len()))?;
         let vb = self.vb_for_key(key);
         let mut vbmeta = self.vbs[vb.index()].lock();
         if vbmeta.state != VbState::Active {
@@ -1610,6 +1614,81 @@ mod tests {
         e.set(&longest, doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
         assert_eq!(e.flush_once().unwrap(), 1);
         assert_eq!(e.get(&longest).unwrap().value, doc(2));
+    }
+
+    /// A value past [`cbs_common::MAX_VALUE_LEN`] is refused at every
+    /// entry point that admits a body, with nothing stored; the largest
+    /// value commits, and after a restart reads back with the write that
+    /// followed it.
+    #[test]
+    fn a_value_past_the_limit_is_refused_and_the_largest_survives_a_restart() {
+        use cbs_common::MAX_VALUE_LEN;
+        let cfg = EngineConfig::for_test(16);
+        let dir = cfg.data_dir.clone();
+        // A JSON string: its two quotes make the encoding 2 bytes longer.
+        let sized = |len: usize| SharedValue::new(Value::from("x".repeat(len - 2)));
+        let (largest, over) = (sized(MAX_VALUE_LEN), sized(MAX_VALUE_LEN + 1));
+        let vb;
+        {
+            let e = DataEngine::new(cfg).unwrap();
+            e.activate_all();
+            vb = e.set("big", doc(1), MutateMode::Insert, Cas::WILDCARD, 0).unwrap().vb;
+            let refused = Err(Error::ValueTooLarge(MAX_VALUE_LEN + 1));
+            for (key, mode) in [
+                ("big", MutateMode::Upsert),
+                ("big", MutateMode::Replace),
+                ("new", MutateMode::Insert),
+                ("new", MutateMode::Upsert),
+            ] {
+                let set = e.set(key, over.clone(), mode, Cas::WILDCARD, 0);
+                assert_eq!(set.map(|_| ()), refused, "{key} {mode:?}");
+            }
+            let remote = DocMeta { rev: RevNo(9), ..DocMeta::default() };
+            assert_eq!(e.set_with_meta("big", remote, Some(over), false).map(|_| ()), refused);
+            assert_eq!(e.high_seqno(vb), SeqNo(1), "no seqno allocated");
+            assert!(e.cache.peek_meta(e.vb_for_key("new"), "new").is_none(), "nothing cached");
+            assert_eq!(e.get("big").unwrap().value, doc(1));
+
+            e.set("big", largest.clone(), MutateMode::Replace, Cas::WILDCARD, 0).unwrap();
+            e.flush_once().unwrap();
+            e.set("after", doc(2), MutateMode::Upsert, Cas::WILDCARD, 0).unwrap();
+            e.flush_once().unwrap();
+        }
+        let mut cfg = EngineConfig::for_test(16);
+        cfg.data_dir = dir;
+        let e = DataEngine::new(cfg).unwrap();
+        for vb in [vb, e.vb_for_key("after")] {
+            e.recover_vb(vb).unwrap();
+            e.set_vb_state(vb, VbState::Active);
+        }
+        assert_eq!(e.get("big").unwrap().value.json(), largest.json());
+        assert_eq!(e.get("after").unwrap().value, doc(2));
+    }
+
+    /// A vBucket's seqnos end at [`SeqNo::MAX`]: once its high seqno is
+    /// there, every write is refused with nothing changed, and the version
+    /// at the last seqno is still served.
+    #[test]
+    fn a_vbucket_at_the_last_seqno_refuses_writes() {
+        let e = DataEngine::new(EngineConfig::for_test(16)).unwrap();
+        let vb = e.vb_for_key("k");
+        e.set_vb_state(vb, VbState::Replica);
+        let last = DocMeta { seqno: SeqNo::MAX, cas: Cas(5), rev: RevNo(5), flags: 0, expiry: 0 };
+        replicate(&e, &DcpItem::mutation(vb, "k", last, doc(1))).unwrap();
+        e.set_vb_state(vb, VbState::Active);
+        assert_eq!(e.high_seqno(vb), SeqNo::MAX);
+
+        let refused = Err(Error::SeqNoOutOfRange(SeqNo::MAX.0 + 1));
+        let set = e.set("k", doc(2), MutateMode::Upsert, Cas::WILDCARD, 0);
+        assert_eq!(set.map(|_| ()), refused);
+        assert_eq!(e.delete("k", Cas::WILDCARD).map(|_| ()), refused);
+        let remote = DocMeta { rev: RevNo(9), ..DocMeta::default() };
+        assert_eq!(e.set_with_meta("k", remote, Some(doc(3).into()), false).map(|_| ()), refused);
+        assert_eq!(e.high_seqno(vb), SeqNo::MAX);
+        assert_eq!(e.get("k").unwrap().meta, last);
+        // The last version persists like any other.
+        e.flush_once().unwrap();
+        assert_eq!(e.persisted_seqno(vb), SeqNo::MAX);
     }
 
     #[test]

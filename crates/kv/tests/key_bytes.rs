@@ -121,11 +121,15 @@ fn warm_up() {
 
 /// 80 000 and 60 000 keys over 1 024 vBuckets: `kv_hot_a`'s and
 /// `kv_dgm_read`'s ~78 and ~59 keys per table. A key copy — its cache entry
-/// and its index entry — costs at most 180 bytes of table. (std's
-/// `HashMap`, an entry's size in every bucket and doubling, ~214 and
-/// ~230–250; 8-byte slots would not fit either.)
+/// (72 bytes: the key, the metadata with the flags in the seqno's top
+/// bits, the value) and its index entry (40 bytes: the key, a 48-bit
+/// offset, a 48-bit seqno, the length and the deleted bit) — costs at most
+/// 150 bytes of table: 147.9 and 139.8 measured, against 167.1 and 157.2
+/// with 80- and 48-byte entries. (std's `HashMap`, an entry's size in
+/// every bucket and doubling, ~214 and ~230–250; 8-byte slots would not
+/// fit either.)
 #[test]
-fn a_key_copy_costs_at_most_180_bytes_of_table() {
+fn a_key_copy_costs_at_most_150_bytes_of_table() {
     warm_up();
     for (n, name) in [(80_000u64, "key-bytes-hot"), (60_000, "key-bytes-dgm")] {
         let tables = Tables::new(name, 1024);
@@ -137,7 +141,7 @@ fn a_key_copy_costs_at_most_180_bytes_of_table() {
             index as f64 / n as f64
         );
         assert_eq!(tables.cache.stats().items, n);
-        assert!(per_key <= 180.0, "{per_key:.1} B of table per key copy at {n} keys");
+        assert!(per_key <= 150.0, "{per_key:.1} B of table per key copy at {n} keys");
     }
 }
 

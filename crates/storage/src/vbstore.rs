@@ -44,11 +44,65 @@ pub struct StoreStats {
     pub compactions: u64,
 }
 
+/// A key's latest record, packed to couchstore's by-id width: 16 bytes,
+/// so a `(DocKey, IndexEntry)` table entry is 40. The offset and the seqno
+/// are 48-bit — the log refuses an append past
+/// [`MAX_LOG_LEN`](crate::wal::MAX_LOG_LEN) and the
+/// record encoder a seqno past [`SeqNo::MAX`] — and the record's length
+/// (at most a header, a 64 KiB key and a 20 MiB value) shares a word with
+/// the deleted bit.
 struct IndexEntry {
-    offset: u64,
-    len: u32,
-    seqno: SeqNo,
-    deleted: bool,
+    offset: U48,
+    seqno: U48,
+    /// The record's length in the low 31 bits, the deleted bit above.
+    len_deleted: u32,
+}
+
+const DELETED_BIT: u32 = 1 << 31;
+
+impl IndexEntry {
+    fn new(offset: u64, len: u32, seqno: SeqNo, deleted: bool) -> IndexEntry {
+        assert!(len < DELETED_BIT, "a record's length fits 31 bits");
+        let deleted = if deleted { DELETED_BIT } else { 0 };
+        IndexEntry {
+            offset: U48::new(offset),
+            seqno: U48::new(seqno.0),
+            len_deleted: len | deleted,
+        }
+    }
+
+    fn offset(&self) -> u64 {
+        self.offset.get()
+    }
+
+    fn seqno(&self) -> SeqNo {
+        SeqNo(self.seqno.get())
+    }
+
+    fn len(&self) -> u32 {
+        self.len_deleted & !DELETED_BIT
+    }
+
+    fn deleted(&self) -> bool {
+        self.len_deleted & DELETED_BIT != 0
+    }
+}
+
+/// A 48-bit unsigned integer in three 16-bit words: 2-byte aligned, so two
+/// of them and a `u32` pack into 16 bytes.
+#[derive(Clone, Copy)]
+struct U48([u16; 3]);
+
+impl U48 {
+    fn new(v: u64) -> U48 {
+        assert!(v < 1 << 48, "{v} does not fit 48 bits");
+        U48([v as u16, (v >> 16) as u16, (v >> 32) as u16])
+    }
+
+    fn get(self) -> u64 {
+        let [lo, mid, hi] = self.0.map(u64::from);
+        lo | mid << 16 | hi << 32
+    }
 }
 
 /// A version's seqno and where its record is in a log generation.
@@ -116,16 +170,11 @@ impl VbIndex {
             inner.file = Arc::clone(file);
         }
         for rec in recs {
-            let entry = IndexEntry {
-                offset: rec.offset,
-                len: rec.len,
-                seqno: rec.seqno,
-                deleted: rec.deleted,
-            };
+            let entry = IndexEntry::new(rec.offset, rec.len, rec.seqno, rec.deleted);
             inner.file_bytes += frame_bytes(rec.len);
             match inner.by_id.get_mut(rec.key) {
                 Some(prev) => {
-                    let stale = frame_bytes(std::mem::replace(prev, entry).len);
+                    let stale = frame_bytes(std::mem::replace(prev, entry).len());
                     inner.stale_bytes += stale;
                 }
                 None => {
@@ -159,10 +208,10 @@ impl VbIndex {
     pub(crate) fn in_seqno_order(&self, since: SeqNo) -> (Arc<File>, Vec<Place>) {
         let inner = self.inner.lock();
         let mut places = Vec::with_capacity(inner.by_id.len());
-        places.extend(inner.by_id.values().filter(|e| e.seqno > since).map(|e| Place {
-            seqno: e.seqno,
-            offset: e.offset,
-            len: e.len,
+        places.extend(inner.by_id.values().filter(|e| e.seqno() > since).map(|e| Place {
+            seqno: e.seqno(),
+            offset: e.offset(),
+            len: e.len(),
         }));
         places.sort_unstable_by_key(|p| p.seqno);
         (Arc::clone(&inner.file), places)
@@ -180,9 +229,9 @@ impl VbIndex {
         let inner = &mut *guard;
         inner.file_bytes = 0;
         for entry in inner.by_id.values_mut() {
-            if let Ok(i) = moved.binary_search_by_key(&entry.offset, |m| m.0) {
-                entry.offset = moved[i].1;
-                inner.file_bytes += frame_bytes(entry.len);
+            if let Ok(i) = moved.binary_search_by_key(&entry.offset(), |m| m.0) {
+                entry.offset = U48::new(moved[i].1);
+                inner.file_bytes += frame_bytes(entry.len());
             }
         }
         inner.stale_bytes = 0;
@@ -206,7 +255,7 @@ impl VbIndex {
 
     pub(crate) fn stats(&self) -> StoreStats {
         let inner = self.inner.lock();
-        let tombstones = inner.by_id.values().filter(|e| e.deleted).count() as u64;
+        let tombstones = inner.by_id.values().filter(|e| e.deleted()).count() as u64;
         StoreStats {
             live_docs: inner.by_id.len() as u64 - tombstones,
             tombstones,
@@ -294,7 +343,7 @@ impl VBucketStore {
             let Some(entry) = inner.by_id.get(key) else {
                 return Ok(None);
             };
-            (Arc::clone(&inner.file), entry.offset, entry.len)
+            (Arc::clone(&inner.file), entry.offset(), entry.len())
         };
         read_record(&file, offset, len).map(Some)
     }
@@ -313,7 +362,7 @@ impl VBucketStore {
         let places = keys
             .into_iter()
             .filter_map(|k| inner.by_id.get(k))
-            .map(|e| (e.offset, e.len))
+            .map(|e| (e.offset(), e.len()))
             .collect();
         RecordList { file: Arc::clone(&inner.file), places }
     }
@@ -328,8 +377,8 @@ impl VBucketStore {
                 inner
                     .by_id
                     .iter()
-                    .filter(|(key, e)| e.seqno > since && want(key))
-                    .map(|(_, e)| (e.offset, e.len)),
+                    .filter(|(key, e)| e.seqno() > since && want(key))
+                    .map(|(_, e)| (e.offset(), e.len())),
             );
         }
         RecordList { file: Arc::clone(&inner.file), places }
@@ -338,7 +387,7 @@ impl VBucketStore {
     /// Keys of the persisted live documents (tombstones left out).
     pub fn live_keys(&self) -> Vec<DocKey> {
         let inner = self.index.inner.lock();
-        inner.by_id.iter().filter(|(_, e)| !e.deleted).map(|(k, _)| k.clone()).collect()
+        inner.by_id.iter().filter(|(_, e)| !e.deleted()).map(|(k, _)| k.clone()).collect()
     }
 
     /// Current statistics.
@@ -350,5 +399,28 @@ impl VBucketStore {
     /// `persist_to` observe polling).
     pub fn high_seqno(&self) -> SeqNo {
         self.index.inner.lock().high_seqno
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::MAX_LOG_LEN;
+
+    /// couchstore's by-id width: a table entry is a 24-byte key and a
+    /// 16-byte record place, and every field reads back at its bound.
+    #[test]
+    fn an_index_entry_is_40_bytes_and_keeps_its_bounds() {
+        assert_eq!(std::mem::size_of::<(DocKey, IndexEntry)>(), 40);
+        let far = IndexEntry::new(MAX_LOG_LEN - 1, DELETED_BIT - 1, SeqNo::MAX, true);
+        assert_eq!(
+            (far.offset(), far.len(), far.seqno(), far.deleted()),
+            (MAX_LOG_LEN - 1, DELETED_BIT - 1, SeqNo::MAX, true)
+        );
+        let near = IndexEntry::new(0x1234_5678_9abc, 77, SeqNo(0xfedc_ba98_7654), false);
+        assert_eq!(
+            (near.offset(), near.len(), near.seqno(), near.deleted()),
+            (0x1234_5678_9abc, 77, SeqNo(0xfedc_ba98_7654), false)
+        );
     }
 }

@@ -27,12 +27,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use cbs_common::sync::{rank, OrderedMutex};
-use cbs_common::{Result, VbId};
+use cbs_common::{Error, Result, VbId};
 
 use crate::record::{decode_view, encode_record, Decoded, RecordView, StoredDoc};
 
 /// Bytes of the vBucket id in front of every record.
 pub(crate) const FRAME_PREFIX: usize = 2;
+
+/// How long a log can grow: a storage-index entry keeps a record's offset
+/// in 48 bits, so an append that would end past 2⁴⁸ bytes is refused.
+pub const MAX_LOG_LEN: u64 = 1 << 48;
 
 struct WalInner {
     /// Shared with readers, who `read_at` record offsets without this lock.
@@ -101,11 +105,19 @@ impl GroupCommitWal {
 
     /// Append already framed records with one write; returns the offset of
     /// their first byte. A write that fails part-way is cut off again, so
-    /// the next append starts where this one did.
+    /// the next append starts where this one did; one that would end past
+    /// [`MAX_LOG_LEN`] is refused before anything is written.
     pub(crate) fn append(&self, frames: &[u8]) -> Result<u64> {
         let _s = cbs_obs::span("storage.wal.append");
         let mut inner = self.inner.lock();
         let base = inner.len;
+        if base + frames.len() as u64 > MAX_LOG_LEN {
+            return Err(Error::Storage(format!(
+                "log {} full: {} more bytes would pass the 2^48-byte offset space",
+                self.path.display(),
+                frames.len()
+            )));
+        }
         if let Err(e) = (&*inner.file).write_all(frames) {
             let _ = inner.file.set_len(base);
             return Err(e.into());
@@ -281,6 +293,22 @@ mod tests {
         let mut back = vec![0u8; second.len()];
         wal.file().read_exact_at(&mut back, first.len() as u64).unwrap();
         assert_eq!(back, second);
+    }
+
+    /// An append that would end past the 48-bit offset space is refused
+    /// with the file untouched; one that ends on its last byte goes in.
+    #[test]
+    fn an_append_past_the_offset_space_is_refused() {
+        let dir = scratch_dir("wal");
+        let wal = GroupCommitWal::open(&dir, 0).unwrap();
+        // The log's length as if it were 10 bytes short of the bound.
+        wal.inner.lock().len = MAX_LOG_LEN - 10;
+        let refused = wal.append(&[0u8; 11]);
+        assert!(matches!(refused, Err(Error::Storage(ref m)) if m.contains("2^48")), "{refused:?}");
+        assert_eq!(std::fs::metadata(wal.path()).unwrap().len(), 0, "nothing written");
+        assert_eq!(wal.len_bytes(), MAX_LOG_LEN - 10);
+        assert_eq!(wal.append(&[0u8; 10]).unwrap(), MAX_LOG_LEN - 10);
+        assert_eq!(wal.len_bytes(), MAX_LOG_LEN);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! through the record decoder, `replay_file` and `BucketStore::open`.
 //! Recovery keeps the intact prefix — every record before the first damaged
 //! byte — and indexes nothing that fails its CRC: each indexed record reads
-//! back through the checked decoder as exactly the version replay saw.
+//! back through the checked decoder as exactly the version replay saw. A
+//! record whose CRC holds but whose seqno is past the 48-bit seqno space is
+//! corruption too: no encoder writes one.
 
 // Tests unwrap freely; the crate's unwrap_used deny targets lib code (the
 // allow-unwrap-in-tests config covers #[test] fns but not file helpers).
@@ -174,6 +176,26 @@ proptest! {
         recover(&log, &bytes, first)?;
     }
 
+    /// A CRC-valid record with seqno 2⁴⁸, spliced in at a frame boundary,
+    /// ends the intact prefix there: the records before it are kept, it and
+    /// everything behind it are cut off, and nothing panics.
+    #[test]
+    fn a_seqno_past_the_seqno_space_ends_the_intact_prefix(spec in arb_spec(), at in 0.0f64..1.0) {
+        let log = write_log(&spec);
+        let whole = (log.frames.len() as f64 * at) as usize;
+        let cut = whole.checked_sub(1).map_or(0, |i| log.frames[i].0);
+        let mut bytes = log.bytes[..cut].to_vec();
+        bytes.extend_from_slice(&forged_frame(SeqNo::MAX.0 + 1));
+        bytes.extend_from_slice(&log.bytes[cut..]);
+        let dir = scratch_dir("hostile-seqno");
+        std::fs::write(log_path(&dir), &bytes).unwrap();
+        let mut replayed = Vec::new();
+        prop_assert_eq!(replay_file(&log_path(&dir), &mut replayed).unwrap(), cut as u64);
+        prop_assert_eq!(replayed.len(), whole);
+        std::fs::remove_dir_all(dir).unwrap();
+        recover(&log, &bytes, cut)?;
+    }
+
     /// Bytes that were never a log recover to nothing — they hold a record
     /// only by a CRC collision — and never panic.
     #[test]
@@ -202,6 +224,22 @@ proptest! {
         }
         prop_assert!(decode_record_strict(&garbage).is_err() || checksummed(&garbage));
     }
+}
+
+/// A vBucket-0 frame holding a live record of key `forged` at `seqno`, its
+/// CRC valid: written by hand, since the encoder refuses a seqno past
+/// `SeqNo::MAX`.
+fn forged_frame(seqno: u64) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&seqno.to_le_bytes());
+    payload.extend_from_slice(&[0u8; 8 + 8 + 4 + 4 + 1]); // cas, rev, flags, expiry, live
+    payload.extend_from_slice(&6u16.to_le_bytes());
+    payload.extend_from_slice(b"forged{}");
+    let mut frame = vec![0u8, 0u8, RECORD_MAGIC];
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
 }
 
 /// `buf` starts with a record header whose payload is all there and

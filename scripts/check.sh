@@ -325,6 +325,8 @@ run "key-table model (release, PROPTEST_SEED=1..=256)" model_seeds cbs-common ke
 run "KV write paths (release, PROPTEST_SEED=1..=256)" model_seeds cbs-kv write_paths
 run "bucket-log crash recovery (release, PROPTEST_SEED=1..=256)" \
     model_seeds cbs-storage crash_recovery
+run "hostile bucket logs (release, PROPTEST_SEED=1..=256)" \
+    model_seeds cbs-storage hostile_logs
 run_stage staleness-smoke
 run_stage perfbench-smoke
 
