@@ -103,6 +103,11 @@ pub struct IndexerStats {
     pub scans: u64,
     /// Disk syncs performed: one per batch that logged anything.
     pub disk_syncs: u64,
+    /// Document versions left out of a Standard index because their key
+    /// list is longer than a log record holds
+    /// ([`MAX_PAYLOAD_LEN`](cbs_storage::MAX_PAYLOAD_LEN)); each is
+    /// logged and applied as a removal.
+    pub skipped: u64,
 }
 
 /// One change to one partition — what the router hands over and what the
@@ -143,13 +148,22 @@ impl IndexOp {
         }
     }
 
-    /// Encode the op's log record straight into `cycle`.
-    fn push_record(&self, cycle: &mut Cycle) -> Result<()> {
+    /// Encode the op's log record straight into `cycle`. A key list no
+    /// record can hold is dropped: the op becomes a removal, logged and
+    /// applied as one, and `true` is returned. Refusing it instead would
+    /// fail the batch on every redelivery, and the feed with it.
+    fn push_record(&mut self, cycle: &mut Cycle) -> Result<bool> {
         match self {
             IndexOp::Put { doc_id, keys, vb, seqno } => {
-                push_version(cycle, *vb, doc_id, *seqno, keys)
+                match push_version(cycle, *vb, doc_id, *seqno, keys) {
+                    Err(Error::RecordTooLarge(_)) => {
+                        *keys = Vec::new();
+                        push_version(cycle, *vb, doc_id, *seqno, keys).map(|()| true)
+                    }
+                    pushed => pushed.map(|()| false),
+                }
             }
-            IndexOp::Advance { vb, seqno } => push_mark(cycle, *vb, *seqno),
+            IndexOp::Advance { vb, seqno } => push_mark(cycle, *vb, *seqno).map(|()| false),
         }
     }
 
@@ -667,10 +681,10 @@ impl Indexer {
             return Ok(());
         };
         let mut log = log.lock();
-        let ops = self.durable_changes(ops)?;
-        let mut cycle = Cycle::new();
-        let filled = ops.iter().try_for_each(|op| {
-            op.push_record(&mut cycle)?;
+        let mut ops = self.durable_changes(ops)?;
+        let (mut cycle, mut skipped) = (Cycle::new(), 0);
+        let filled = ops.iter_mut().try_for_each(|op| {
+            skipped += u64::from(op.push_record(&mut cycle)?);
             if cycle.buffered_bytes() >= CYCLE_SLICE {
                 log.file.append_slice(&mut cycle)?;
             }
@@ -683,6 +697,7 @@ impl Indexer {
         log.records += ops.len() as u64;
         let mut t = self.tree.lock();
         t.stats.disk_syncs += u64::from(!ops.is_empty());
+        t.stats.skipped += skipped;
         self.apply_ops(&mut t, ops);
         let held = t.entries.held();
         drop(t);
@@ -1100,13 +1115,83 @@ mod tests {
         assert_eq!(mo.stats().disk_syncs, 0);
     }
 
+    /// A key list longer than the document it came from — over the 20 MiB
+    /// a document may have — is logged and survives a reopen: an array
+    /// index repeats the trailing key in each element's entry, so a
+    /// 1.1 MiB document with 20 elements makes a ~22 MiB record.
+    #[test]
+    fn a_key_list_longer_than_its_document_commits_and_survives_a_reopen() {
+        use crate::defs::{IndexDef, KeyExpr};
+        use crate::projector::Projector;
+        use cbs_json::parse_path;
+        let def = IndexDef {
+            keys: vec![
+                KeyExpr::ArrayElements(parse_path("arr").unwrap()),
+                KeyExpr::Path(parse_path("big").unwrap()),
+            ],
+            ..IndexDef::simple("ix", "b", "arr")
+        };
+        let big = "x".repeat(1_100_000);
+        let doc = Value::Object(vec![
+            ("arr".to_string(), Value::Array((0..20).map(Value::int).collect())),
+            ("big".to_string(), Value::from(big.as_str())),
+        ]);
+        let keys = Projector::keys_for(&def, "d", &doc);
+        assert!(keys_to_json(&keys).len() > cbs_common::MAX_VALUE_LEN);
+        let dir = cbs_storage::scratch_dir("gsi");
+        let idx =
+            Indexer::new(4, Layout::Keys, IndexStorage::Standard, Some(dir.clone()), "ix").unwrap();
+        update(&idx, "d", keys, VbId(0), SeqNo(1));
+        update(&idx, "after", vec![key1(Value::int(1))], VbId(0), SeqNo(2));
+        assert_eq!((idx.stats().entries, idx.stats().skipped), (21, 0));
+        let (docs, rows) = (idx.doc_versions(), idx.scan(&ScanRange::all(), 0));
+        drop(idx);
+        let back = Indexer::recover(4, Layout::Keys, &dir, "ix").unwrap();
+        assert_eq!(back.doc_versions(), docs);
+        assert_eq!(back.scan(&ScanRange::all(), 0), rows);
+        assert_eq!(back.watermarks()[0], SeqNo(2));
+    }
+
+    /// A key list no log record can hold does not fail the batch — which
+    /// the feed would redeliver, and fail again, for ever: the document is
+    /// logged and applied as removed from the index, counted in `skipped`,
+    /// and the rest of the batch and the watermark go on as usual, across
+    /// a reopen too.
+    #[test]
+    fn a_key_list_no_record_holds_is_skipped_and_counted() {
+        let dir = cbs_storage::scratch_dir("gsi");
+        let idx =
+            Indexer::new(4, Layout::Keys, IndexStorage::Standard, Some(dir.clone()), "ix").unwrap();
+        update(&idx, "d", vec![key1(Value::int(7))], VbId(0), SeqNo(1));
+        let huge = key1(Value::from("x".repeat(cbs_storage::MAX_PAYLOAD_LEN).as_str()));
+        let batch = vec![
+            put("d", vec![huge], VbId(0), SeqNo(2)),
+            put("e", vec![key1(Value::int(8))], VbId(0), SeqNo(3)),
+        ];
+        idx.apply_batch(batch).unwrap();
+        assert_eq!(idx.stats().skipped, 1);
+        let rows = idx.scan(&ScanRange::all(), 0);
+        assert_eq!(rows.iter().map(|r| r.doc_id.as_str()).collect::<Vec<_>>(), ["e"]);
+        let docs = idx.doc_versions();
+        assert_eq!(
+            docs.iter().find(|(id, ..)| *id == "d").map(|d| (d.1, d.2.len())),
+            Some((SeqNo(2), 0))
+        );
+        assert_eq!(idx.watermarks()[0], SeqNo(3));
+        drop(idx);
+        let back = Indexer::recover(4, Layout::Keys, &dir, "ix").unwrap();
+        assert_eq!(back.doc_versions(), docs);
+        assert_eq!(back.scan(&ScanRange::all(), 0), rows);
+        assert_eq!(back.watermarks()[0], SeqNo(3));
+    }
+
     /// Each op through a real log and back: what `push_record` encodes is
     /// what `from_record` decodes.
     fn roundtrip(op: &IndexOp, layout: Layout) -> (StoredDoc, IndexOp) {
         let path = log_file(&cbs_storage::scratch_dir("gsi-record"));
         let log = CommitLog::open(path.clone(), |_, _| {}).unwrap();
         let mut cycle = Cycle::new();
-        op.push_record(&mut cycle).unwrap();
+        assert!(!op.clone().push_record(&mut cycle).unwrap(), "nothing dropped");
         log.commit(&mut cycle).unwrap();
         drop(log);
         let mut records = Vec::new();

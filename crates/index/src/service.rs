@@ -289,6 +289,7 @@ impl IndexManager {
             total.applied += s.applied;
             total.scans += s.scans;
             total.disk_syncs += s.disk_syncs;
+            total.skipped += s.skipped;
         }
         Ok(total)
     }

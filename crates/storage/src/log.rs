@@ -76,7 +76,10 @@ impl Cycle {
     /// Add one document version; its encoded `value` (empty, for a
     /// tombstone) is copied straight into the cycle's buffer. Pushed in
     /// seqno order, a vBucket's records leave a seqno prefix behind a torn
-    /// tail. A key no record can hold is refused and nothing is added.
+    /// tail. A key or a payload no record can hold is refused
+    /// ([`Error::KeyTooLong`](cbs_common::Error::KeyTooLong),
+    /// [`Error::RecordTooLarge`](cbs_common::Error::RecordTooLarge)) and
+    /// nothing is added.
     pub fn push(
         &mut self,
         vb: VbId,

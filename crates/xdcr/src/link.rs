@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cbs_cluster::Cluster;
-use cbs_common::{Result, SeqNo, VbId};
+use cbs_common::{Error, Result, SeqNo, VbId};
 use cbs_dcp::{DcpFeed, DcpItem, FeedWaker};
 use cbs_kv::DataEngine;
 use cbs_obs::{Counter, Gauge, Registry};
@@ -20,7 +20,8 @@ pub struct XdcrStats {
     pub shipped: Arc<Counter>,
     /// Mutations skipped by the key filter.
     pub filtered: Arc<Counter>,
-    /// Mutations rejected by destination conflict resolution.
+    /// Mutations the destination refused: conflict resolution kept its own
+    /// version, or the value is past its 20 MiB limit.
     pub rejected: Arc<Counter>,
     /// Largest per-vBucket distance between the source active high seqno
     /// and the link's consumed cursor — how far behind the link is on its
@@ -40,7 +41,7 @@ impl XdcrStats {
                 .counter_with_help("xdcr.link.filtered", "Mutations skipped by the key filter"),
             rejected: registry.counter_with_help(
                 "xdcr.link.rejected",
-                "Mutations rejected by destination conflict resolution",
+                "Mutations the destination refused: conflict resolution, or a value past its limit",
             ),
             cursor_lag_max: registry.gauge_with_help(
                 "xdcr.link.cursor_lag_max",
@@ -182,7 +183,10 @@ fn link_loop(
                     e.set_with_meta(&item.key, item.meta, item.value.clone(), item.is_deletion())
                 }) {
                     Ok(true) => stats.shipped.inc(),
-                    Ok(false) => stats.rejected.inc(),
+                    // A value past the destination's limit — one a log
+                    // written before the limit can hold — is refused on
+                    // every redelivery: it is not a reason to reset.
+                    Ok(false) | Err(Error::ValueTooLarge(_)) => stats.rejected.inc(),
                     Err(_) => {
                         // Destination temporarily unavailable (failover in
                         // progress): a connection reset. The rest of this
@@ -275,6 +279,43 @@ mod tests {
                 && link.stats().shipped.get() >= 51),
             "the deletion replicates and is counted as shipped"
         );
+        link.shutdown();
+    }
+
+    /// A document past the destination's 20 MiB value limit, which the
+    /// source can hold from a log written before the limit, is refused by
+    /// `set_with_meta` on every delivery: the link counts it as rejected
+    /// and goes on, rather than resetting and meeting it again for ever.
+    #[test]
+    fn a_value_past_the_limit_is_rejected_and_the_link_goes_on() {
+        use cbs_common::{vbucket_for_key, Cas, RevNo, MAX_VALUE_LEN};
+        use cbs_dcp::DcpSink;
+        use cbs_kv::VbState;
+        let (src, dst) = two_clusters();
+        let vb = VbId(vbucket_for_key(b"big", 32));
+        // The source takes the document as a replica would, past its own
+        // entry points' check, then serves it as active again.
+        let engine = src.active_engine("default", vb).unwrap();
+        let big = Value::from("x".repeat(MAX_VALUE_LEN).as_str());
+        let meta = DocMeta { seqno: SeqNo(1), cas: Cas(1), rev: RevNo(1), flags: 0, expiry: 0 };
+        engine.set_vb_state(vb, VbState::Replica);
+        let item = DcpItem::mutation(vb, "big", meta, big);
+        DcpSink::apply(&*engine, &[item], &[(vb, SeqNo(1))]).unwrap();
+        engine.set_vb_state(vb, VbState::Active);
+        let after = (0..)
+            .map(|i| format!("after{i}"))
+            .find(|k| vbucket_for_key(k.as_bytes(), 32) == vb.0)
+            .unwrap();
+        let link = XdcrLink::start(Arc::clone(&src), Arc::clone(&dst), "default", None).unwrap();
+        let src_client = SmartClient::connect(Arc::clone(&src), "default").unwrap();
+        let dst_client = SmartClient::connect(Arc::clone(&dst), "default").unwrap();
+        src_client.upsert(&after, doc(1)).unwrap();
+        assert!(
+            wait_for(Duration::from_secs(10), || dst_client.get(&after).is_ok()),
+            "the write behind the refused document replicates"
+        );
+        assert_eq!(link.stats().rejected.get(), 1);
+        assert!(dst_client.get("big").is_err());
         link.shutdown();
     }
 
